@@ -550,7 +550,7 @@ impl<L: Leveled> Protocol for ReplyProtocol<'_, L> {
             self.deliveries.push((idx, self.read_values[&addr]));
         }
         let mut sent = false;
-        for &to in &entry.fanout {
+        for to in self.tables.iter(entry.fanout) {
             let port = self
                 .net
                 .port_to(node, to as usize)

@@ -103,7 +103,7 @@ impl ModuleArray {
         let mut reads = Vec::new();
         let mut busiest = 0u32;
         for module in 0..self.cells.len() {
-            let batch = std::mem::take(&mut self.batches[module]);
+            let mut batch = std::mem::take(&mut self.batches[module]);
             busiest = busiest.max(batch.len() as u32);
             // Read phase.
             for req in &batch {
@@ -126,6 +126,10 @@ impl ModuleArray {
                 let value = resolve_write(self.mode, addr, winners, &mut self.violations);
                 self.cells[module].insert(addr, value);
             }
+            // Hand the buffer back empty: the next step's `buffer` calls
+            // (made inside a routing run) reuse its capacity.
+            batch.clear();
+            self.batches[module] = batch;
         }
         (reads, busiest)
     }

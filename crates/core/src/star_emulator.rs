@@ -27,16 +27,26 @@ use crate::memory::{ModuleArray, ModuleRequest};
 use lnpram_hash::{HashFamily, PolyHash};
 use lnpram_math::rng::SeedSeq;
 use lnpram_pram::model::{AccessMode, MemOp, PramProgram};
-use lnpram_routing::star::star_engine;
+use lnpram_routing::star::star_table_engine;
 use lnpram_shard::AnyEngine;
 use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
-use lnpram_topology::{Network, StarGraph};
+use lnpram_topology::{Network, StarGraph, StarTable};
 use rand::Rng;
-use std::collections::HashMap;
+
+/// One memory request of the PRAM step being emulated; packet ids index
+/// the step's request list.
+#[derive(Clone, Copy)]
+struct Req {
+    proc: usize,
+    addr: u64,
+    write: Option<u64>,
+}
 
 /// The PRAM emulator on the n-star graph (Corollaries 2.3/2.5).
 pub struct StarPramEmulator {
-    star: StarGraph,
+    /// Everything the protocols ask of the star per hop (next port,
+    /// reverse port), tabulated once.
+    table: StarTable,
     cfg: EmulatorConfig,
     family: HashFamily,
     hash: PolyHash,
@@ -50,6 +60,8 @@ pub struct StarPramEmulator {
     /// sharded (greedy edge-cut — the star has no level/row structure)
     /// per [`EmulatorConfig::shards`].
     engine: AnyEngine,
+    /// The current step's requests, kept between steps for its capacity.
+    requests: Vec<Req>,
 }
 
 impl StarPramEmulator {
@@ -67,10 +79,11 @@ impl StarPramEmulator {
         };
         let seq = SeedSeq::new(cfg.seed);
         let hash = family.sample(&mut seq.child(0).rng());
+        let table = StarTable::new(star);
         // Same construction as `StarRoutingSession` (greedy edge-cut on
         // the sharded path), built once and recycled per phase.
-        let engine = star_engine(
-            &star,
+        let engine = star_table_engine(
+            &table,
             SimConfig {
                 discipline: cfg.discipline,
                 shards: cfg.shards,
@@ -78,7 +91,7 @@ impl StarPramEmulator {
             },
         );
         StarPramEmulator {
-            star,
+            table,
             cfg,
             family,
             hash,
@@ -88,17 +101,18 @@ impl StarPramEmulator {
             hash_epoch: 0,
             report: EmuReport::default(),
             engine,
+            requests: Vec::new(),
         }
     }
 
     /// Number of processors (= modules = n!).
     pub fn processors(&self) -> usize {
-        self.star.num_nodes()
+        self.table.num_nodes()
     }
 
     /// Star-graph diameter `⌊3(n−1)/2⌋` — the Õ(n) normalisation.
     pub fn diameter(&self) -> usize {
-        self.star.diameter()
+        self.table.star().diameter()
     }
 
     /// Module owning `addr` under the current hash.
@@ -147,16 +161,9 @@ impl StarPramEmulator {
 
     /// Emulate one PRAM step; returns `(proc, value)` per read.
     pub fn emulate_step(&mut self, ops: &[MemOp], step_label: u64) -> Vec<(usize, u64)> {
-        #[derive(Clone, Copy)]
-        struct Req {
-            proc: usize,
-            addr: u64,
-            write: Option<u64>,
-        }
-        let requests: Vec<Req> = ops
-            .iter()
-            .enumerate()
-            .filter_map(|(proc, op)| match *op {
+        self.requests.clear();
+        self.requests
+            .extend(ops.iter().enumerate().filter_map(|(proc, op)| match *op {
                 MemOp::Read(addr) => Some(Req {
                     proc,
                     addr,
@@ -168,13 +175,12 @@ impl StarPramEmulator {
                     write: Some(v),
                 }),
                 _ => None,
-            })
-            .collect();
+            }));
         let mut stats = StepStats {
-            requests: requests.len() as u32,
+            requests: self.requests.len() as u32,
             ..Default::default()
         };
-        if requests.is_empty() {
+        if self.requests.is_empty() {
             self.report.steps.push(stats);
             return Vec::new();
         }
@@ -193,35 +199,25 @@ impl StarPramEmulator {
             self.engine.reset();
             self.engine.set_max_steps(budget);
             let mut via_rng = attempt_seq.child(0).rng();
-            let mut write_vals: HashMap<u32, (u64, usize)> = HashMap::new();
-            for (id, req) in requests.iter().enumerate() {
+            for id in 0..self.requests.len() {
+                let req = self.requests[id];
                 let module = self.module_of(req.addr) as u32;
                 let via = via_rng.gen_range(0..self.processors()) as u32;
                 let mut pkt = Packet::new(id as u32, req.proc as u32, module)
                     .with_via(via)
                     .with_tag(req.addr);
                 pkt.hop = u8::from(req.write.is_some()); // request-kind flag
-                if let Some(v) = req.write {
-                    write_vals.insert(id as u32, (v, req.proc));
-                }
                 self.engine.inject(req.proc, pkt);
             }
             {
-                let Self {
-                    star,
-                    tables,
-                    modules,
-                    engine,
-                    ..
-                } = self;
                 let mut proto = StarRequestProtocol {
-                    star: *star,
-                    tables,
-                    modules,
-                    write_vals: &write_vals,
+                    table: &self.table,
+                    tables: &mut self.tables,
+                    modules: &mut self.modules,
+                    requests: &self.requests,
                     combining: self.cfg.combining,
                 };
-                let out = engine.run(&mut proto);
+                let out = self.engine.run(&mut proto);
                 if !out.completed {
                     attempt += 1;
                     assert!(
@@ -241,30 +237,27 @@ impl StarPramEmulator {
             stats.service_steps = busiest;
 
             // ---- Reply phase (retrace trees; SWAP ports are involutions) ----
+            // One delivery per read request at most, so the reply run
+            // never grows the vector it fills.
             let mut deliveries: Vec<(usize, u64)> = Vec::new();
             if !reads.is_empty() {
+                deliveries
+                    .reserve_exact(self.requests.iter().filter(|r| r.write.is_none()).count());
                 self.engine.reset();
                 self.engine.set_max_steps(u32::MAX);
-                let mut read_values: HashMap<u64, u64> = HashMap::new();
-                for &(module, addr, trail, value) in &reads {
-                    read_values.insert(addr, value);
-                    let mut pkt = Packet::new(0, 0, 0).with_tag(addr);
+                // A reply packet's id is the index of the read it answers.
+                for (i, &(module, addr, trail, _)) in reads.iter().enumerate() {
+                    let mut pkt = Packet::new(i as u32, 0, 0).with_tag(addr);
                     pkt.via = trail;
                     self.engine.inject(module, pkt);
                 }
-                let Self {
-                    star,
-                    tables,
-                    engine,
-                    ..
-                } = self;
                 let mut proto = StarReplyProtocol {
-                    star: *star,
-                    tables,
-                    read_values: &read_values,
+                    table: &self.table,
+                    tables: &mut self.tables,
+                    reads: &reads,
                     deliveries: &mut deliveries,
                 };
-                let out = engine.run(&mut proto);
+                let out = self.engine.run(&mut proto);
                 debug_assert!(out.completed);
                 stats.reply_steps = out.metrics.routing_time;
                 stats.max_queue = stats.max_queue.max(out.metrics.max_queue as u32);
@@ -296,10 +289,10 @@ impl StarPramEmulator {
 /// Request protocol: Algorithm 2.2 with phase-aware combining (see the
 /// module docs for why phase-1 trails stay private).
 struct StarRequestProtocol<'a> {
-    star: StarGraph,
+    table: &'a StarTable,
     tables: &'a mut PendingTables,
     modules: &'a mut ModuleArray,
-    write_vals: &'a HashMap<u32, (u64, usize)>,
+    requests: &'a [Req],
     combining: bool,
 }
 
@@ -335,7 +328,9 @@ impl Protocol for StarRequestProtocol<'_> {
                 pkt.phase = 1;
             }
             if pkt.phase == 1 && node == pkt.dest as usize {
-                let (value, proc) = self.write_vals[&pkt.id];
+                let req = &self.requests[pkt.id as usize];
+                let value = req.write.expect("write packets carry a write request's id");
+                let proc = req.proc;
                 self.modules
                     .buffer(node, ModuleRequest::Write { addr, value, proc });
                 out.deliver(pkt);
@@ -343,7 +338,7 @@ impl Protocol for StarRequestProtocol<'_> {
             }
             let target = if pkt.phase == 0 { pkt.via } else { pkt.dest } as usize;
             let port = self
-                .star
+                .table
                 .canonical_next_port(node, target)
                 .expect("target not yet reached");
             pkt.prev = node as u32;
@@ -396,7 +391,7 @@ impl Protocol for StarRequestProtocol<'_> {
         }
         let target = if pkt.phase == 0 { pkt.via } else { pkt.dest } as usize;
         let port = self
-            .star
+            .table
             .canonical_next_port(node, target)
             .expect("target not yet reached");
         pkt.prev = node as u32;
@@ -407,9 +402,11 @@ impl Protocol for StarRequestProtocol<'_> {
 /// Reply protocol: unwind the shared tree, then every chained private
 /// trail, delivering at `local` marks.
 struct StarReplyProtocol<'a> {
-    star: StarGraph,
+    table: &'a StarTable,
     tables: &'a mut PendingTables,
-    read_values: &'a HashMap<u64, u64>,
+    /// The served reads `(module, addr, trail, value)`, indexed by the
+    /// reply packets' ids.
+    reads: &'a [(usize, u64, u32, u64)],
     deliveries: &'a mut Vec<(usize, u64)>,
 }
 
@@ -417,14 +414,15 @@ impl StarReplyProtocol<'_> {
     fn process_trail(&mut self, node: usize, addr: u64, trail: u32, pkt: Packet, out: &mut Outbox) {
         let entry = self.tables.take(node, addr, trail);
         if entry.local {
-            self.deliveries.push((node, self.read_values[&addr]));
+            self.deliveries.push((node, self.reads[pkt.id as usize].3));
         }
-        for t in entry.chains {
+        let mut chains = entry.chains;
+        while let Some(t) = self.tables.next(&mut chains) {
             self.process_trail(node, addr, t, pkt, out);
         }
-        for to in entry.fanout {
+        for to in self.tables.iter(entry.fanout) {
             let port = self
-                .star
+                .table
                 .port_to(node, to as usize)
                 .expect("star is undirected");
             let mut p = pkt;

@@ -35,15 +35,47 @@ pub fn factorial(n: usize) -> usize {
 }
 
 /// A permutation of `0..n` for small `n`, used as a star-graph node label.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// An inline `Copy` value (`MAX_N` symbol bytes and a length), so none
+/// of its operations touches the heap — the star-graph routers build
+/// several per hop. Equality, ordering and hashing look at the live
+/// prefix only and agree with those of the symbol slice.
+#[derive(Clone, Copy)]
 pub struct Perm {
-    symbols: Vec<u8>,
+    symbols: [u8; MAX_N],
+    len: u8,
+}
+
+impl PartialEq for Perm {
+    fn eq(&self, other: &Self) -> bool {
+        self.symbols() == other.symbols()
+    }
+}
+
+impl Eq for Perm {}
+
+impl PartialOrd for Perm {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Perm {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.symbols().cmp(other.symbols())
+    }
+}
+
+impl std::hash::Hash for Perm {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.symbols().hash(state);
+    }
 }
 
 impl std::fmt::Debug for Perm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Perm(")?;
-        for (i, &s) in self.symbols.iter().enumerate() {
+        for (i, &s) in self.symbols().iter().enumerate() {
             if i > 0 {
                 write!(f, " ")?;
             }
@@ -58,8 +90,13 @@ impl Perm {
     /// The identity permutation of `0..n`.
     pub fn identity(n: usize) -> Self {
         assert!((1..=MAX_N).contains(&n), "n={n} out of range 1..={MAX_N}");
+        let mut symbols = [0u8; MAX_N];
+        for (i, s) in symbols[..n].iter_mut().enumerate() {
+            *s = i as u8;
+        }
         Perm {
-            symbols: (0..n as u8).collect(),
+            symbols,
+            len: n as u8,
         }
     }
 
@@ -74,19 +111,22 @@ impl Perm {
             assert!(!seen[s as usize], "duplicate symbol {s}");
             seen[s as usize] = true;
         }
-        Perm {
-            symbols: symbols.to_vec(),
-        }
+        let mut p = Perm {
+            symbols: [0; MAX_N],
+            len: n as u8,
+        };
+        p.symbols[..n].copy_from_slice(symbols);
+        p
     }
 
     /// Alphabet size `n`.
     pub fn n(&self) -> usize {
-        self.symbols.len()
+        self.len as usize
     }
 
     /// The underlying symbols (0-based).
     pub fn symbols(&self) -> &[u8] {
-        &self.symbols
+        &self.symbols[..self.len as usize]
     }
 
     /// Symbol at 1-based position `pos` (paper notation `d_pos`).
@@ -97,7 +137,7 @@ impl Perm {
 
     /// 1-based position of `symbol`.
     pub fn position_of(&self, symbol: u8) -> usize {
-        self.symbols
+        self.symbols()
             .iter()
             .position(|&s| s == symbol)
             .map(|i| i + 1)
@@ -113,14 +153,14 @@ impl Perm {
             j >= 2 && j <= self.n(),
             "SWAP_j needs 2 <= j <= n, got j={j}"
         );
-        let mut s = self.symbols.clone();
-        s.swap(0, j - 1);
-        Perm { symbols: s }
+        let mut p = *self;
+        p.symbols.swap(0, j - 1);
+        p
     }
 
     /// Is this the identity?
     pub fn is_identity(&self) -> bool {
-        self.symbols
+        self.symbols()
             .iter()
             .enumerate()
             .all(|(i, &s)| s as usize == i)
@@ -131,16 +171,14 @@ impl Perm {
     pub fn rank(&self) -> usize {
         let n = self.n();
         let mut rank = 0usize;
-        // Lehmer code: count smaller symbols to the right. O(n²) with n ≤ 13
-        // is faster in practice than the Fenwick-tree alternative.
-        for i in 0..n {
-            let mut smaller = 0usize;
-            for j in i + 1..n {
-                if self.symbols[j] < self.symbols[i] {
-                    smaller += 1;
-                }
-            }
-            rank += smaller * factorial(n - 1 - i);
+        // Lehmer code: digit i counts the smaller symbols to the right of
+        // position i, which is the symbol's value minus the smaller ones
+        // already seen on its left — one popcount per position.
+        let mut seen = 0u32;
+        for (i, &s) in self.symbols().iter().enumerate() {
+            let smaller_left = (seen & ((1u32 << s) - 1)).count_ones();
+            rank += (u32::from(s) - smaller_left) as usize * FACTORIALS[n - 1 - i] as usize;
+            seen |= 1 << s;
         }
         rank
     }
@@ -149,15 +187,20 @@ impl Perm {
     pub fn unrank(n: usize, mut rank: usize) -> Self {
         assert!((1..=MAX_N).contains(&n));
         assert!(rank < factorial(n), "rank {rank} out of range for n={n}");
-        let mut available: Vec<u8> = (0..n as u8).collect();
-        let mut symbols = Vec::with_capacity(n);
+        // `available` holds the unused symbols in increasing order.
+        let mut available = Perm::identity(n).symbols;
+        let mut p = Perm {
+            symbols: [0; MAX_N],
+            len: n as u8,
+        };
         for i in 0..n {
-            let f = factorial(n - 1 - i);
+            let f = FACTORIALS[n - 1 - i] as usize;
             let idx = rank / f;
             rank %= f;
-            symbols.push(available.remove(idx));
+            p.symbols[i] = available[idx];
+            available.copy_within(idx + 1..n - i, idx);
         }
-        Perm { symbols }
+        p
     }
 
     /// Composition `self ∘ other` (apply `other` first): the permutation
@@ -165,30 +208,28 @@ impl Perm {
     #[must_use]
     pub fn compose(&self, other: &Perm) -> Self {
         assert_eq!(self.n(), other.n());
-        Perm {
-            symbols: other
-                .symbols
-                .iter()
-                .map(|&s| self.symbols[s as usize])
-                .collect(),
+        let mut p = *other;
+        for s in &mut p.symbols[..other.len as usize] {
+            *s = self.symbols[*s as usize];
         }
+        p
     }
 
     /// The inverse permutation.
     #[must_use]
     pub fn inverse(&self) -> Self {
-        let mut inv = vec![0u8; self.n()];
-        for (i, &s) in self.symbols.iter().enumerate() {
-            inv[s as usize] = i as u8;
+        let mut inv = *self;
+        for (i, &s) in self.symbols().iter().enumerate() {
+            inv.symbols[s as usize] = i as u8;
         }
-        Perm { symbols: inv }
+        inv
     }
 
     /// A uniformly random permutation of `0..n`.
     pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
-        let mut symbols: Vec<u8> = (0..n as u8).collect();
-        symbols.shuffle(rng);
-        Perm { symbols }
+        let mut p = Perm::identity(n);
+        p.symbols[..n].shuffle(rng);
+        p
     }
 
     /// Cycle decomposition on symbol values, as sorted cycles; fixed points
@@ -197,7 +238,7 @@ impl Perm {
     /// symbols in `c` nontrivial cycles).
     pub fn cycles(&self) -> Vec<Vec<u8>> {
         let n = self.n();
-        let mut seen = vec![false; n];
+        let mut seen = [false; MAX_N];
         let mut cycles = Vec::new();
         for start in 0..n as u8 {
             if seen[start as usize] {
@@ -219,7 +260,7 @@ impl Perm {
 
     /// Number of symbols not in their home position.
     pub fn displaced(&self) -> usize {
-        self.symbols
+        self.symbols()
             .iter()
             .enumerate()
             .filter(|&(i, &s)| s as usize != i)
@@ -347,7 +388,46 @@ mod tests {
         }
     }
 
+    #[test]
+    fn rank_covers_the_whole_supported_range() {
+        // The last permutation of MAX_N symbols has rank MAX_N! − 1.
+        for n in [9usize, 12, MAX_N] {
+            let last: Vec<u8> = (0..n as u8).rev().collect();
+            let p = Perm::from_slice(&last);
+            assert_eq!(p.rank(), factorial(n) - 1);
+            assert_eq!(Perm::unrank(n, p.rank()), p);
+        }
+    }
+
     proptest! {
+        /// The inline representation compares and hashes exactly like
+        /// the `Vec<u8>` of symbols it replaced, also across lengths.
+        #[test]
+        fn prop_eq_ord_hash_match_symbol_vectors(
+            n in 1usize..=MAX_N,
+            m in 1usize..=MAX_N,
+            seed: u64,
+            same_length: bool,
+        ) {
+            use std::collections::hash_map::DefaultHasher;
+            use std::hash::{Hash, Hasher};
+            fn hash_of<T: Hash>(t: &T) -> u64 {
+                let mut h = DefaultHasher::new();
+                t.hash(&mut h);
+                h.finish()
+            }
+            let mut rng = SeedSeq::new(seed).rng();
+            let p = Perm::random(n, &mut rng);
+            let q = Perm::random(if same_length { n } else { m }, &mut rng);
+            for (a, b) in [(p, q), (p, p), (q, p)] {
+                let (va, vb) = (a.symbols().to_vec(), b.symbols().to_vec());
+                prop_assert_eq!(a == b, va == vb);
+                prop_assert_eq!(a.cmp(&b), va.cmp(&vb));
+                prop_assert_eq!(a.partial_cmp(&b), va.partial_cmp(&vb));
+                prop_assert_eq!(hash_of(&a), hash_of(&va));
+            }
+        }
+
         #[test]
         fn prop_rank_unrank_roundtrip(n in 1usize..=8, seed: u64) {
             let mut rng = SeedSeq::new(seed).rng();

@@ -22,26 +22,27 @@ use lnpram_math::rng::SeedSeq;
 use lnpram_shard::{AnyEngine, GreedyEdgeCut};
 use lnpram_simnet::trace::TraceSink;
 use lnpram_simnet::{Outbox, Packet, Protocol, RunOutcome, SimConfig, TagMetrics};
-use lnpram_topology::{Network, StarGraph};
+use lnpram_topology::{Network, StarGraph, StarTable};
 use rand::Rng;
 
-/// Per-node program of Algorithm 2.2.
-pub struct StarRouter {
-    star: StarGraph,
+/// Per-node program of Algorithm 2.2, reading the canonical next hop
+/// from a [`StarTable`].
+pub struct StarRouter<'a> {
+    table: &'a StarTable,
 }
 
-impl StarRouter {
-    /// Router on the given star graph.
-    pub fn new(star: StarGraph) -> Self {
-        StarRouter { star }
+impl<'a> StarRouter<'a> {
+    /// Router on the tabulated star graph.
+    pub fn new(table: &'a StarTable) -> Self {
+        StarRouter { table }
     }
 
     fn next_port(&self, node: usize, target: usize) -> Option<usize> {
-        self.star.canonical_next_port(node, target)
+        self.table.canonical_next_port(node, target)
     }
 }
 
-impl Protocol for StarRouter {
+impl Protocol for StarRouter<'_> {
     fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
         // Phase 0: toward via. Phase 1: toward dest.
         if pkt.phase == 0 && node == pkt.via as usize {
@@ -70,50 +71,59 @@ impl Protocol for StarRouter {
 /// edge-cut: the star has no level/row structure to align a cut to) per
 /// [`SimConfig::shards`]. The one construction shared by
 /// [`StarRoutingSession`] and the star PRAM emulator, so every layer
-/// partitions the star the same way.
+/// partitions the star the same way. Callers that keep a [`StarTable`]
+/// use [`star_table_engine`] and tabulate once.
 pub fn star_engine(star: &StarGraph, cfg: SimConfig) -> AnyEngine {
-    AnyEngine::with_partitioner(star, cfg, &GreedyEdgeCut)
+    star_table_engine(&StarTable::new(*star), cfg)
+}
+
+/// [`star_engine`] over an already-built table: the link build and the
+/// partitioner read neighbour ids instead of ranking permutations.
+pub fn star_table_engine(table: &StarTable, cfg: SimConfig) -> AnyEngine {
+    AnyEngine::with_partitioner(table, cfg, &GreedyEdgeCut)
 }
 
 /// [`RouteBackend`] for Algorithm 2.2 on the n-star.
 pub struct StarBackend {
-    star: StarGraph,
+    table: StarTable,
 }
 
 impl StarBackend {
-    /// Backend on the given star graph.
+    /// Backend on the given star graph (tabulated here, once).
     pub fn new(star: StarGraph) -> Self {
-        StarBackend { star }
+        StarBackend {
+            table: StarTable::new(star),
+        }
     }
 
     /// The star graph.
     pub fn star(&self) -> &StarGraph {
-        &self.star
+        self.table.star()
     }
 }
 
 impl RouteBackend for StarBackend {
     fn sources(&self) -> usize {
-        self.star.num_nodes()
+        self.star().num_nodes()
     }
 
     fn stride(&self) -> usize {
-        self.star.num_nodes()
+        self.star().num_nodes()
     }
 
     fn name(&self) -> String {
-        self.star.name()
+        self.star().name()
     }
 
     fn extras(&self) -> RunExtras {
         RunExtras::Star {
-            n: self.star.n(),
-            diameter: self.star.diameter(),
+            n: self.star().n(),
+            diameter: self.star().diameter(),
         }
     }
 
     fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
-        batch_engine(&self.star, copies, cfg, star_engine)
+        batch_engine(&self.table, copies, cfg, star_table_engine)
     }
 
     fn inject(
@@ -124,7 +134,7 @@ impl RouteBackend for StarBackend {
         seq: SeedSeq,
         tag: u64,
     ) -> usize {
-        let total = self.star.num_nodes();
+        let total = self.star().num_nodes();
         let offset = copy * total;
         inject_per_source(
             eng,
@@ -156,8 +166,8 @@ impl RouteBackend for StarBackend {
         _copies: usize,
         demux: usize,
     ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.star.num_nodes();
-        drive(eng, StarRouter::new(self.star), stride, demux)
+        let stride = self.star().num_nodes();
+        drive(eng, StarRouter::new(&self.table), stride, demux)
     }
 
     fn run_traced(
@@ -167,13 +177,13 @@ impl RouteBackend for StarBackend {
         demux: usize,
         sink: &mut dyn TraceSink,
     ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.star.num_nodes();
-        drive_traced(eng, StarRouter::new(self.star), stride, demux, sink)
+        let stride = self.star().num_nodes();
+        drive_traced(eng, StarRouter::new(&self.table), stride, demux, sink)
     }
 
     fn serve(&mut self, eng: &mut AnyEngine, driver: &mut ServeDriver) -> Option<ServeRun> {
-        let stride = self.star.num_nodes();
-        Some(driver.drive(eng, StarRouter::new(self.star), stride))
+        let stride = self.star().num_nodes();
+        Some(driver.drive(eng, StarRouter::new(&self.table), stride))
     }
 
     fn serve_traced(
@@ -182,8 +192,8 @@ impl RouteBackend for StarBackend {
         driver: &mut ServeDriver,
         sink: &mut dyn TraceSink,
     ) -> Option<ServeRun> {
-        let stride = self.star.num_nodes();
-        Some(driver.drive_traced(eng, StarRouter::new(self.star), stride, sink))
+        let stride = self.star().num_nodes();
+        Some(driver.drive_traced(eng, StarRouter::new(&self.table), stride, sink))
     }
 }
 
@@ -293,15 +303,15 @@ mod tests {
     fn via_equals_dest_edge_case() {
         // Force via == dest == src for every packet: everything delivers
         // at step 0.
-        let star = StarGraph::new(4);
-        let mut eng = star_engine(&star, SimConfig::default());
-        for v in 0..star.num_nodes() {
+        let table = StarTable::new(StarGraph::new(4));
+        let mut eng = star_table_engine(&table, SimConfig::default());
+        for v in 0..table.num_nodes() {
             eng.inject(
                 v,
                 Packet::new(v as u32, v as u32, v as u32).with_via(v as u32),
             );
         }
-        let mut router = StarRouter::new(star);
+        let mut router = StarRouter::new(&table);
         let out = eng.run(&mut router);
         assert!(out.completed);
         assert_eq!(out.metrics.delivered, 24);

@@ -36,4 +36,4 @@ pub use graph::{DisjointCopies, Network};
 pub use leveled::{Leveled, LeveledNet, RadixButterfly, UnrolledShuffle};
 pub use mesh::Mesh;
 pub use shuffle::DWayShuffle;
-pub use star::StarGraph;
+pub use star::{StarGraph, StarSizeError, StarTable};

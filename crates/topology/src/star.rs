@@ -9,9 +9,29 @@
 //!
 //! Node ids are permutation ranks in the factorial number system
 //! (`lnpram_math::perm`), so the simulator can address nodes densely.
+//!
+//! Two types share the work. [`StarGraph`] is the *definition*: a `Copy`
+//! pair of numbers whose methods do the permutation arithmetic afresh on
+//! every call. [`StarTable`] is what routers and engines read per hop:
+//! the same answers precomputed per node, tested against the definition.
 
 use crate::graph::Network;
-use lnpram_math::perm::{factorial, Perm};
+use lnpram_math::perm::{Perm, FACTORIALS, MAX_N};
+
+/// The requested alphabet size has no star graph this crate can build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StarSizeError {
+    /// The rejected alphabet size.
+    pub n: usize,
+}
+
+impl std::fmt::Display for StarSizeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "star graph needs 2 <= n <= {MAX_N}, got {}", self.n)
+    }
+}
+
+impl std::error::Error for StarSizeError {}
 
 /// The n-star graph as a port-addressed network: port `p ∈ 0..n−1`
 /// applies `SWAP_{p+2}`.
@@ -23,12 +43,25 @@ pub struct StarGraph {
 
 impl StarGraph {
     /// Construct the n-star, `2 ≤ n ≤ 13`.
+    ///
+    /// # Panics
+    /// If `n` is outside that range; [`Self::try_new`] returns the error
+    /// instead.
     pub fn new(n: usize) -> Self {
-        assert!(n >= 2, "star graph needs n >= 2");
-        StarGraph {
-            n,
-            num_nodes: factorial(n),
+        Self::try_new(n).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Construct the n-star, or say why not: `n` must satisfy
+    /// `2 ≤ n ≤ MAX_N` (one symbol has no SWAP edge; the factorial
+    /// table behind the node ids ends at `MAX_N!`).
+    pub fn try_new(n: usize) -> Result<Self, StarSizeError> {
+        if !(2..=MAX_N).contains(&n) {
+            return Err(StarSizeError { n });
         }
+        Ok(StarGraph {
+            n,
+            num_nodes: FACTORIALS[n] as usize,
+        })
     }
 
     /// Alphabet size n.
@@ -99,9 +132,9 @@ impl StarGraph {
         ports
     }
 
-    /// First hop of the canonical route (`None` when already there) —
-    /// the allocation-free form routers use per hop; consistent with
-    /// [`Self::canonical_route`] because the greedy rule is memoryless.
+    /// First hop of the canonical route (`None` when already there);
+    /// consistent with [`Self::canonical_route`] because the greedy rule
+    /// is memoryless. Routers read [`StarTable::canonical_next_port`].
     pub fn canonical_next_port(&self, u: usize, v: usize) -> Option<usize> {
         if u == v {
             return None;
@@ -157,6 +190,123 @@ impl Network for StarGraph {
 
     fn name(&self) -> String {
         format!("star({})", self.n)
+    }
+
+    /// SWAP edges are involutions, so the only port that can lead to
+    /// `to` is the one that brings `to`'s front symbol to the front:
+    /// one position lookup and one comparison, not `n − 1` neighbours.
+    fn port_to(&self, from: usize, to: usize) -> Option<usize> {
+        let (f, t) = (self.perm_of(from), self.perm_of(to));
+        let j = f.position_of(t.symbols()[0]);
+        (j >= 2 && f.swap(j) == t).then(|| j - 2)
+    }
+}
+
+/// The n-star with every per-hop question answered by array reads.
+///
+/// Built once per star and shared by the router, the emulator's
+/// protocols and the engine's link build. It holds, per node, the `n`
+/// symbols of its label, the `n` entries of the label's inverse and its
+/// `n − 1` neighbour ids: `n!·(3n − 1)` entries, each neighbour id one
+/// O(n) [`Perm::rank`]. There is deliberately no `n! × n!` next-hop
+/// matrix: [`Self::canonical_next_port`] needs only
+/// `inverse[v][label[u][i]]` for at most `n` positions `i`, while the
+/// matrix is quadratic in the node count (1.6 G entries on the 8-star)
+/// and every entry costs a next-port computation to fill.
+#[derive(Debug, Clone)]
+pub struct StarTable {
+    star: StarGraph,
+    /// Label of node `u` at `u*n .. (u+1)*n`.
+    labels: Vec<u8>,
+    /// Inverse of node `u`'s label (position of each symbol), same layout.
+    inverses: Vec<u8>,
+    /// Neighbour of node `u` on port `p` at `u*(n−1) + p`.
+    neighbors: Vec<u32>,
+}
+
+impl StarTable {
+    /// Tabulate `star`.
+    ///
+    /// # Panics
+    /// If the star has more than `u32::MAX` nodes (`n = 13`): packets
+    /// address nodes by `u32`, so no engine can be built over it either.
+    pub fn new(star: StarGraph) -> Self {
+        let n = star.n;
+        let nodes = star.num_nodes;
+        assert!(
+            u32::try_from(nodes).is_ok(),
+            "star({n}) has {nodes} nodes; node ids must fit in u32"
+        );
+        let mut labels = Vec::with_capacity(nodes * n);
+        let mut inverses = Vec::with_capacity(nodes * n);
+        let mut neighbors = Vec::with_capacity(nodes * (n - 1));
+        for u in 0..nodes {
+            let p = star.perm_of(u);
+            labels.extend_from_slice(p.symbols());
+            inverses.extend_from_slice(p.inverse().symbols());
+            neighbors.extend((2..=n).map(|j| p.swap(j).rank() as u32));
+        }
+        StarTable {
+            star,
+            labels,
+            inverses,
+            neighbors,
+        }
+    }
+
+    /// The star graph this table describes.
+    pub fn star(&self) -> &StarGraph {
+        &self.star
+    }
+
+    fn label(&self, node: usize) -> &[u8] {
+        &self.labels[node * self.star.n..][..self.star.n]
+    }
+
+    fn inverse(&self, node: usize) -> &[u8] {
+        &self.inverses[node * self.star.n..][..self.star.n]
+    }
+
+    /// [`StarGraph::canonical_next_port`] without the arithmetic:
+    /// `m = v⁻¹ ∘ u` is read symbol by symbol, and only as far as the
+    /// greedy rule looks.
+    pub fn canonical_next_port(&self, u: usize, v: usize) -> Option<usize> {
+        let (label, inv) = (self.label(u), self.inverse(v));
+        let front = inv[label[0] as usize] as usize;
+        if front != 0 {
+            // Send the front symbol home: SWAP_{front+1}, port front − 1.
+            return Some(front - 1);
+        }
+        // Front is home: open the lowest displaced position, if any.
+        (1..self.star.n)
+            .find(|&i| inv[label[i] as usize] as usize != i)
+            .map(|i| i - 1)
+    }
+}
+
+impl Network for StarTable {
+    fn num_nodes(&self) -> usize {
+        self.star.num_nodes
+    }
+
+    fn out_degree(&self, _node: usize) -> usize {
+        self.star.n - 1
+    }
+
+    fn neighbor(&self, node: usize, port: usize) -> usize {
+        debug_assert!(port < self.star.n - 1);
+        self.neighbors[node * (self.star.n - 1) + port] as usize
+    }
+
+    fn name(&self) -> String {
+        self.star.name()
+    }
+
+    /// See [`StarGraph`]'s `port_to`: the candidate port is where `to`'s
+    /// front symbol sits in `from`.
+    fn port_to(&self, from: usize, to: usize) -> Option<usize> {
+        let i = self.inverse(from)[self.label(to)[0] as usize] as usize;
+        (i >= 1 && self.neighbor(from, i - 1) == to).then(|| i - 1)
     }
 }
 
@@ -255,6 +405,100 @@ mod tests {
                     Some(s.canonical_route(u, v)[0])
                 );
             }
+        }
+    }
+
+    #[test]
+    fn try_new_rejects_sizes_without_a_star() {
+        for n in [0usize, 1, MAX_N + 1, 14, usize::MAX] {
+            assert_eq!(StarGraph::try_new(n), Err(StarSizeError { n }));
+        }
+        for n in 2..=MAX_N {
+            let s = StarGraph::try_new(n).expect("supported size");
+            assert_eq!(s.num_nodes(), (1..=n).product::<usize>());
+        }
+        let msg = StarGraph::try_new(14).unwrap_err().to_string();
+        assert_eq!(msg, "star graph needs 2 <= n <= 13, got 14");
+    }
+
+    #[test]
+    #[should_panic(expected = "star graph needs 2 <= n <= 13, got 1")]
+    fn new_panics_where_try_new_errs() {
+        StarGraph::new(1);
+    }
+
+    /// Table and arithmetic answers for the pair `(u, v)` against each
+    /// other, and both `port_to`s against the trait's default (a scan
+    /// of `u`'s neighbours, computed by the caller once per `u`).
+    fn assert_table_agrees(s: &StarGraph, t: &StarTable, u: usize, nbrs: &[usize], v: usize) {
+        assert_eq!(
+            t.canonical_next_port(u, v),
+            s.canonical_next_port(u, v),
+            "next port {u}->{v} on {}",
+            s.name()
+        );
+        let want = nbrs.iter().position(|&w| w == v);
+        assert_eq!(s.port_to(u, v), want, "arithmetic port_to {u}->{v}");
+        assert_eq!(t.port_to(u, v), want, "table port_to {u}->{v}");
+    }
+
+    fn neighbors_of(s: &StarGraph, u: usize) -> Vec<usize> {
+        (0..s.out_degree(u)).map(|p| s.neighbor(u, p)).collect()
+    }
+
+    #[test]
+    fn table_agrees_with_definition_exhaustively() {
+        for n in 2..=6 {
+            let s = StarGraph::new(n);
+            let t = StarTable::new(s);
+            assert_eq!(t.star(), &s);
+            assert_eq!(t.num_nodes(), s.num_nodes());
+            assert_eq!(t.name(), s.name());
+            for u in 0..s.num_nodes() {
+                assert_eq!(t.out_degree(u), s.out_degree(u));
+                let nbrs = neighbors_of(&s, u);
+                for (p, &w) in nbrs.iter().enumerate() {
+                    assert_eq!(t.neighbor(u, p), w, "n={n} u={u} p={p}");
+                }
+                for v in 0..s.num_nodes() {
+                    assert_table_agrees(&s, &t, u, &nbrs, v);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_agrees_with_definition_on_random_pairs_of_the_7_star() {
+        let s = StarGraph::new(7);
+        let t = StarTable::new(s);
+        let mut rng = SeedSeq::new(77).rng();
+        for _ in 0..2000 {
+            let u = rng.gen_range(0..s.num_nodes());
+            let v = rng.gen_range(0..s.num_nodes());
+            let nbrs = neighbors_of(&s, u);
+            assert_table_agrees(&s, &t, u, &nbrs, v);
+            for (p, &w) in nbrs.iter().enumerate() {
+                assert_eq!(t.neighbor(u, p), w);
+                assert_table_agrees(&s, &t, u, &nbrs, w); // an actual edge
+            }
+            assert_table_agrees(&s, &t, u, &nbrs, u);
+        }
+    }
+
+    #[test]
+    fn table_walks_the_canonical_route() {
+        // Following the table hop by hop reproduces `canonical_route`.
+        let s = StarGraph::new(5);
+        let t = StarTable::new(s);
+        for (u, v) in [(0usize, 119usize), (17, 63), (101, 4), (55, 55)] {
+            let mut cur = u;
+            let mut ports = Vec::new();
+            while let Some(p) = t.canonical_next_port(cur, v) {
+                ports.push(p);
+                cur = t.neighbor(cur, p);
+            }
+            assert_eq!(cur, v);
+            assert_eq!(ports, s.canonical_route(u, v));
         }
     }
 

@@ -167,6 +167,16 @@ fn get_shards(flags: &HashMap<String, String>) -> Result<usize, CliError> {
     Ok(shards)
 }
 
+/// The `--n`-star, or a typed error for an `n` that has no star graph
+/// (`StarGraph::new` panics on those).
+fn star_graph(n: usize) -> Result<StarGraph, CliError> {
+    StarGraph::try_new(n).map_err(|e| CliError::InvalidFlag {
+        flag: "n".into(),
+        value: n.to_string(),
+        reason: e.to_string(),
+    })
+}
+
 const HELP: &str = "\
 lnpram — PRAM emulation on leveled networks (Palis–Rajasekaran–Wei, ICPP 1991)
 
@@ -255,7 +265,7 @@ fn cmd_audit(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let n = get_usize(flags, "n", 4)?;
     match topo.as_str() {
         "star" => {
-            let g = StarGraph::new(n);
+            let g = star_graph(n)?;
             print_audit(&g);
             println!(
                 "paper: degree n−1 = {}, diameter ⌊3(n−1)/2⌋ = {}",
@@ -352,7 +362,7 @@ fn adaptive_backend(
     let n = get_usize(flags, "n", 4)?;
     let route_cfg = AdaptiveConfig::default();
     Ok(match topo {
-        "star" => AdaptiveBackend::new(&StarGraph::new(n), route_cfg),
+        "star" => AdaptiveBackend::new(&star_graph(n)?, route_cfg),
         "shuffle" => {
             let d = get_usize(flags, "d", n)?;
             AdaptiveBackend::new(&DWayShuffle::new(d, n), route_cfg)
@@ -412,7 +422,7 @@ fn make_router(
     }
     let n = get_usize(flags, "n", 4)?;
     Ok(match topo {
-        "star" => Box::new(StarRoutingSession::new(n, cfg)),
+        "star" => Box::new(StarRoutingSession::from_graph(star_graph(n)?, cfg)),
         "shuffle" => {
             let d = get_usize(flags, "d", n)?;
             Box::new(ShuffleRoutingSession::new(DWayShuffle::new(d, n), cfg))
@@ -458,7 +468,7 @@ fn make_serve(
     let n = get_usize(flags, "n", 4)?;
     Ok(match topo {
         "star" => Box::new(ServeSession::new(
-            StarBackend::new(StarGraph::new(n)),
+            StarBackend::new(star_graph(n)?),
             &sim,
             cfg,
         )),
@@ -928,10 +938,7 @@ fn cmd_emulate(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
     // Each program picks its own processor count to fit the host.
     let procs: usize = match host.as_str() {
-        "star" => {
-            let n = get_usize(flags, "n", 4)?;
-            (1..=n).product()
-        }
+        "star" => star_graph(get_usize(flags, "n", 4)?)?.num_nodes(),
         "mesh" => {
             let n = get_usize(flags, "n", 5)?;
             n * n
