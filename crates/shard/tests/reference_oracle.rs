@@ -1,0 +1,413 @@
+//! Reference-engine oracle: the optimised engines against the simplest
+//! possible implementation of the same machine model.
+//!
+//! [`RefEngine`] keeps one `VecDeque<Packet>` per link and nothing else
+//! — no packet pool, no active-link list, no dirty-list reset, no
+//! incremental fault schedule (the whole plan is replayed from step 1
+//! every step) — and writes FIFO and furthest-first pops the naive way.
+//! The properties below pin `Engine::run` and `ShardedEngine::run`
+//! (K ∈ {1, 2, 4}) **bit-identical** to it — every `RunOutcome` field,
+//! latency histogram buckets and `link_loads` included — over random
+//! butterflies, stars and meshes, both disciplines, budget-exhausted
+//! runs and random fault plans.
+
+use lnpram_math::rng::splitmix64;
+use lnpram_shard::{GreedyEdgeCut, LevelCut, Partitioner, RowBlock, ShardedEngine};
+use lnpram_simnet::{
+    Discipline, Engine, Fault, FaultEvent, FaultPlan, Metrics, Outbox, Packet, Protocol, SimConfig,
+};
+use lnpram_topology::leveled::{Leveled, LeveledNet, RadixButterfly};
+use lnpram_topology::mesh::Dir;
+use lnpram_topology::{Mesh, Network, StarGraph};
+use proptest::prelude::*;
+use std::collections::VecDeque;
+
+/// The naive engine. One step = every unblocked non-empty link moves
+/// one packet (ascending link id), then arrivals are handed to the
+/// protocol grouped by node (ascending), in link order within a node.
+struct RefEngine {
+    offset: Vec<usize>,
+    target: Vec<usize>,
+    queues: Vec<VecDeque<Packet>>,
+    high_water: Vec<usize>,
+    pops: Vec<u32>,
+    pending: Vec<(usize, Packet)>,
+    plan: Vec<FaultEvent>,
+    cfg: SimConfig,
+    metrics: Metrics,
+}
+
+impl RefEngine {
+    fn new<N: Network + ?Sized>(net: &N, cfg: SimConfig, plan: &FaultPlan) -> Self {
+        let mut offset = vec![0];
+        let mut target = Vec::new();
+        for v in 0..net.num_nodes() {
+            target.extend((0..net.out_degree(v)).map(|p| net.neighbor(v, p)));
+            offset.push(target.len());
+        }
+        let links = target.len();
+        RefEngine {
+            offset,
+            target,
+            queues: vec![VecDeque::new(); links],
+            high_water: vec![0; links],
+            pops: vec![0; links],
+            pending: Vec::new(),
+            plan: plan.events().to_vec(),
+            cfg,
+            metrics: Metrics::default(),
+        }
+    }
+
+    fn in_flight(&self) -> usize {
+        self.queues.iter().map(VecDeque::len).sum()
+    }
+
+    /// Is `link` unusable at `step`? Replays every event up to `step`.
+    fn blocked(&self, link: usize, step: u32) -> bool {
+        let src = self.offset.partition_point(|&o| o <= link) - 1;
+        let dst = self.target[link];
+        let (mut down, mut period, mut src_down, mut dst_down) = (false, 0u32, false, false);
+        for ev in self.plan.iter().filter(|ev| ev.step <= step) {
+            match ev.fault {
+                Fault::LinkFail { link: l } if l == link => down = true,
+                Fault::LinkDegrade { link: l, period: p } if l == link => period = p,
+                Fault::LinkRecover { link: l } if l == link => (down, period) = (false, 0),
+                Fault::NodeFail { node } | Fault::NodeRecover { node } => {
+                    let failed = matches!(ev.fault, Fault::NodeFail { .. });
+                    if node == src {
+                        src_down = failed;
+                    }
+                    if node == dst {
+                        dst_down = failed;
+                    }
+                }
+                _ => {}
+            }
+        }
+        down || src_down || dst_down || (period >= 2 && !step.is_multiple_of(period))
+    }
+
+    fn apply(&mut self, node: usize, out: &mut Outbox, step: u32) {
+        for &(port, pkt) in out.sends() {
+            assert!(port < self.offset[node + 1] - self.offset[node]);
+            let link = self.offset[node] + port;
+            self.queues[link].push_back(pkt);
+            self.high_water[link] = self.high_water[link].max(self.queues[link].len());
+        }
+        for pkt in out.delivered() {
+            self.metrics.on_delivery(step, pkt.injected_at);
+        }
+        out.clear();
+    }
+
+    fn pop(&mut self, link: usize) -> Option<Packet> {
+        let q = &mut self.queues[link];
+        let at = match self.cfg.discipline {
+            Discipline::Fifo => 0,
+            // Largest priority, earliest arrival among equals.
+            Discipline::FurthestFirst => {
+                let best = q.iter().map(|p| p.priority).max()?;
+                q.iter().position(|p| p.priority == best)?
+            }
+        };
+        let pkt = q.remove(at)?;
+        self.pops[link] += 1;
+        Some(pkt)
+    }
+
+    fn run<P: Protocol>(&mut self, proto: &mut P) -> (bool, Metrics) {
+        let mut out = Outbox::default();
+        for (node, mut pkt) in std::mem::take(&mut self.pending) {
+            pkt.injected_at = 0;
+            proto.on_packet(node, pkt, 0, &mut out);
+            self.apply(node, &mut out, 0);
+        }
+        proto.on_step_end(0);
+        let mut step = 0u32;
+        let mut completed = true;
+        while self.in_flight() > 0 {
+            if step >= self.cfg.max_steps {
+                completed = false;
+                break;
+            }
+            step += 1;
+            let mut arrivals: Vec<(usize, Packet)> = Vec::new();
+            for link in 0..self.queues.len() {
+                if !self.blocked(link, step) {
+                    arrivals.extend(self.pop(link).map(|pkt| (self.target[link], pkt)));
+                }
+            }
+            // Stable: link order survives within a node.
+            arrivals.sort_by_key(|&(node, _)| node);
+            for batch in arrivals.chunk_by(|a, b| a.0 == b.0) {
+                let pkts: Vec<Packet> = batch.iter().map(|&(_, pkt)| pkt).collect();
+                proto.on_arrivals(batch[0].0, &pkts, step, &mut out);
+                self.apply(batch[0].0, &mut out, step);
+            }
+            proto.on_step_end(step);
+            self.metrics.queued_packet_steps += self.in_flight() as u64;
+        }
+        self.metrics.steps = step;
+        self.metrics.max_queue = self.high_water.iter().copied().max().unwrap_or(0);
+        self.metrics.link_loads = self.pops.clone();
+        (completed, std::mem::take(&mut self.metrics))
+    }
+}
+
+/// Every `RunOutcome` field, in comparable form.
+type Fingerprint = (bool, usize, u32, usize, u64, u32, Vec<(u64, u64)>, Vec<u32>);
+
+fn fingerprint(completed: bool, m: &Metrics) -> Fingerprint {
+    (
+        completed,
+        m.delivered,
+        m.routing_time,
+        m.max_queue,
+        m.queued_packet_steps,
+        m.steps,
+        m.latency.buckets().collect(),
+        m.link_loads.clone(),
+    )
+}
+
+/// Dimension-order mesh routing; the priority is the remaining
+/// distance, so furthest-first has something to order by.
+struct GreedyMesh(Mesh);
+
+impl Protocol for GreedyMesh {
+    fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
+        if node == pkt.dest as usize {
+            return out.deliver(pkt);
+        }
+        let (r, c) = self.0.coords(node);
+        let (dr, dc) = self.0.coords(pkt.dest as usize);
+        let dir = if c < dc {
+            Dir::East
+        } else if c > dc {
+            Dir::West
+        } else if r < dr {
+            Dir::South
+        } else {
+            Dir::North
+        };
+        let port = self.0.port_of_dir(node, dir).expect("interior move");
+        let left = self.0.manhattan(node, pkt.dest as usize) as u32;
+        out.send(port, pkt.with_priority(left));
+    }
+}
+
+/// Unique-path butterfly routing; the priority is the packet id.
+struct ButterflyRouter(LeveledNet<RadixButterfly>);
+
+impl Protocol for ButterflyRouter {
+    fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
+        let lv = self.0.leveled();
+        let (col, idx) = self.0.split(node);
+        if col == lv.levels() {
+            return out.deliver(pkt);
+        }
+        out.send(lv.digit_toward(col, idx, pkt.dest as usize), pkt);
+    }
+}
+
+/// Canonical-route star routing.
+struct StarRouter(StarGraph);
+
+impl Protocol for StarRouter {
+    fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
+        match self.0.canonical_next_port(node, pkt.dest as usize) {
+            None => out.deliver(pkt),
+            Some(port) => out.send(port, pkt),
+        }
+    }
+}
+
+/// Up to `events` random fault events at steps `1..=horizon`.
+fn random_plan(
+    state: &mut u64,
+    nodes: usize,
+    links: usize,
+    events: usize,
+    horizon: u32,
+) -> FaultPlan {
+    let mut draw = |m: usize| (splitmix64(state) as usize) % m.max(1);
+    let events = (0..events)
+        .map(|_| {
+            let (link, node) = (draw(links), draw(nodes));
+            let fault = match draw(5) {
+                0 => Fault::LinkFail { link },
+                1 => Fault::LinkDegrade {
+                    link,
+                    period: 2 + draw(3) as u32,
+                },
+                2 => Fault::LinkRecover { link },
+                3 => Fault::NodeFail { node },
+                _ => Fault::NodeRecover { node },
+            };
+            FaultEvent {
+                step: 1 + draw(horizon as usize) as u32,
+                fault,
+            }
+        })
+        .collect();
+    FaultPlan::new(events)
+}
+
+/// Run the reference engine, the serial engine and the sharded engine
+/// at K ∈ {1, 2, 4} on the same input; all five must agree.
+fn check<N, Q, P>(
+    net: &N,
+    part: &Q,
+    cfg: &SimConfig,
+    plan: &FaultPlan,
+    inject: &[(usize, Packet)],
+    mut proto: impl FnMut() -> P,
+) -> Result<(), TestCaseError>
+where
+    N: Network + ?Sized,
+    Q: Partitioner,
+    P: Protocol,
+{
+    let mut reference = RefEngine::new(net, cfg.clone(), plan);
+    reference.pending = inject.to_vec();
+    let (completed, metrics) = reference.run(&mut proto());
+    let expect = fingerprint(completed, &metrics);
+
+    let mut serial = Engine::new(net, cfg.clone());
+    serial.set_fault_plan(plan).expect("plan in range");
+    for &(node, pkt) in inject {
+        serial.inject(node, pkt);
+    }
+    let out = serial.run(&mut proto());
+    prop_assert_eq!(&fingerprint(out.completed, &out.metrics), &expect);
+    prop_assert_eq!(serial.in_flight(), reference.in_flight());
+
+    for k in [1usize, 2, 4] {
+        let cfg = SimConfig {
+            shards: k,
+            ..cfg.clone()
+        };
+        let mut sharded = ShardedEngine::new(net, cfg, part);
+        sharded.set_fault_plan(plan).expect("plan in range");
+        for &(node, pkt) in inject {
+            sharded.inject(node, pkt);
+        }
+        let out = sharded.run(&mut proto());
+        prop_assert_eq!(
+            &fingerprint(out.completed, &out.metrics),
+            &expect,
+            "K = {}",
+            k
+        );
+        prop_assert_eq!(sharded.in_flight(), reference.in_flight());
+    }
+    Ok(())
+}
+
+/// The run configuration a case draws: discipline, step budget (small
+/// budgets leave runs incomplete), link loads always recorded.
+fn config(furthest_first: bool, max_steps: u32) -> SimConfig {
+    SimConfig {
+        discipline: if furthest_first {
+            Discipline::FurthestFirst
+        } else {
+            Discipline::Fifo
+        },
+        max_steps,
+        record_link_loads: true,
+        threads: 1,
+        ..SimConfig::default()
+    }
+}
+
+fn links_of<N: Network + ?Sized>(net: &N) -> usize {
+    (0..net.num_nodes()).map(|v| net.out_degree(v)).sum()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn prop_reference_equals_engines_on_meshes(
+        seed: u64,
+        rows in 2usize..6,
+        cols in 2usize..6,
+        per_node in 1usize..4,
+        furthest_first: bool,
+        max_steps in 1u32..40,
+        faults in 0usize..8,
+    ) {
+        let mesh = Mesh::new(rows, cols);
+        let n = mesh.num_nodes();
+        let mut state = seed;
+        let mut inject = Vec::new();
+        for src in 0..n {
+            for _ in 0..per_node {
+                let dest = (splitmix64(&mut state) as usize) % n;
+                inject.push((src, Packet::new(inject.len() as u32, src as u32, dest as u32)));
+            }
+        }
+        let plan = random_plan(&mut state, n, links_of(&mesh), faults, 12);
+        check(&mesh, &RowBlock::new(cols), &config(furthest_first, max_steps), &plan, &inject,
+            || GreedyMesh(mesh))?;
+    }
+
+    #[test]
+    fn prop_reference_equals_engines_on_butterflies(
+        seed: u64,
+        radix in 2usize..4,
+        levels in 1usize..4,
+        per_node in 1usize..4,
+        furthest_first: bool,
+        max_steps in 1u32..12,
+        faults in 0usize..8,
+    ) {
+        let bf = RadixButterfly::new(radix, levels);
+        let net = LeveledNet::forward(bf);
+        let width = bf.width();
+        let mut state = seed;
+        let mut inject = Vec::new();
+        for src in 0..width {
+            for _ in 0..per_node {
+                let dest = (splitmix64(&mut state) as usize) % width;
+                let id = inject.len() as u32;
+                let pkt = Packet::new(id, src as u32, dest as u32)
+                    .with_priority(splitmix64(&mut state) as u32 % 4);
+                inject.push((net.node_id(0, src), pkt));
+            }
+        }
+        let plan = random_plan(&mut state, net.num_nodes(), links_of(&net), faults, 6);
+        check(&net, &LevelCut::new(width), &config(furthest_first, max_steps), &plan, &inject,
+            || ButterflyRouter(LeveledNet::forward(bf)))?;
+    }
+
+    #[test]
+    fn prop_reference_equals_engines_on_stars(
+        seed: u64,
+        n in 3usize..5,
+        per_node in 1usize..3,
+        furthest_first: bool,
+        max_steps in 1u32..16,
+        faults in 0usize..8,
+    ) {
+        let star = StarGraph::new(n);
+        let total = star.num_nodes();
+        let mut state = seed;
+        let mut inject = Vec::new();
+        for src in 0..total {
+            for _ in 0..per_node {
+                let dest = (splitmix64(&mut state) as usize) % total;
+                let id = inject.len() as u32;
+                let pkt = Packet::new(id, src as u32, dest as u32)
+                    .with_priority(splitmix64(&mut state) as u32 % 4);
+                inject.push((src, pkt));
+            }
+        }
+        let plan = random_plan(&mut state, total, links_of(&star), faults, 8);
+        // The star has no contiguous cut: this exercises the k-way
+        // mailbox merge of non-contiguous plans.
+        check(&star, &GreedyEdgeCut, &config(furthest_first, max_steps), &plan, &inject,
+            || StarRouter(star))?;
+    }
+}
