@@ -59,7 +59,7 @@ impl PathArena {
 /// The source-routed protocol: each packet follows its precomputed
 /// arena span hop by hop and delivers when the span is exhausted.
 /// Stateless apart from the shared immutable borrows, so it composes
-/// with [`ReplicatedProtocol`](lnpram_routing::ReplicatedProtocol) and
+/// with [`ReplicatedProtocol`](lnpram_routing::router::ReplicatedProtocol) and
 /// the tag demux unchanged.
 pub struct PathProtocol<'a> {
     arena: &'a PathArena,

@@ -10,21 +10,20 @@ use lnpram_math::rng::SeedSeq;
 use lnpram_routing::fault::FaultReport;
 use lnpram_routing::retry::RetryPolicy;
 use lnpram_routing::router::{
-    batch_engine, drive, drive_traced, is_relation, pattern_dests, pattern_relation, BatchReport,
-    PatternRef, RouteBackend, RouteRequest, Router, RoutingSession, RunExtras, RunReport,
+    batch_engine, is_relation, pattern_dests, pattern_relation, BatchReport, PatternRef,
+    ReplicatedProtocol, RouteBackend, RouteRequest, Router, RoutingSession, RunExtras, RunReport,
 };
-use lnpram_routing::serve::{ServeDriver, ServeRun};
 use lnpram_shard::AnyEngine;
 use lnpram_simnet::fault::{Fault, FaultError, FaultPlan};
 use lnpram_simnet::trace::{ServeEvent, TraceSink};
-use lnpram_simnet::{Discipline, Packet, RunOutcome, SimConfig, TagMetrics};
+use lnpram_simnet::{Discipline, Packet, SimConfig};
 use lnpram_topology::Network;
 
 /// The adaptive backend: prices link-paths per request (deterministic
 /// Dijkstra + rip-up-and-reroute, see [`crate::price`]), stores them in
 /// the [`PathArena`], and drives the source-routed [`PathProtocol`]
 /// through the shared engine loop. Plugs into
-/// [`RoutingSession`](lnpram_routing::RoutingSession) for the full
+/// [`RoutingSession`] for the full
 /// `Router` API; works on any strongly-connected flat topology (node id
 /// == source == destination coordinate).
 pub struct AdaptiveBackend {
@@ -34,15 +33,16 @@ pub struct AdaptiveBackend {
     /// Links the pricer must route around (set by the fault-avoidance
     /// wrapper for the duration of a faulted run; empty otherwise).
     avoid: Vec<bool>,
-    /// Arena is stale from the previous run and must be cleared at the
-    /// next injection (runs set this; injections consume it).
+    /// The arena's paths have been handed to a run: the next injection
+    /// starts a new request set and clears it first
+    /// ([`RouteBackend::protocol`] sets this; injections consume it).
     fresh: bool,
     /// Aggregates over the injections since the last clear (batched
     /// runs inject once per tenant; extras reports the worst).
     iterations: u32,
     max_load: u32,
     /// Convergence series of the most recent pricing run, replayed to
-    /// the sink by `run_traced`.
+    /// the sink by [`RouteBackend::before_run`].
     history: Vec<IterationRecord>,
 }
 
@@ -114,6 +114,8 @@ impl AdaptiveBackend {
 }
 
 impl RouteBackend for AdaptiveBackend {
+    type Proto<'a> = ReplicatedProtocol<PathProtocol<'a>>;
+
     fn sources(&self) -> usize {
         self.graph.num_nodes()
     }
@@ -189,30 +191,7 @@ impl RouteBackend for AdaptiveBackend {
         pairs.len()
     }
 
-    fn run(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.graph.num_nodes();
-        let out = drive(
-            eng,
-            PathProtocol::new(&self.arena, &self.graph),
-            stride,
-            demux,
-        );
-        self.fresh = true;
-        out
-    }
-
-    fn run_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-        sink: &mut dyn TraceSink,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
+    fn before_run<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
         if sink.enabled() {
             for rec in &self.history {
                 sink.on_serve_event(&ServeEvent::RouteIteration {
@@ -222,40 +201,14 @@ impl RouteBackend for AdaptiveBackend {
                 });
             }
         }
-        let stride = self.graph.num_nodes();
-        let out = drive_traced(
-            eng,
-            PathProtocol::new(&self.arena, &self.graph),
-            stride,
-            demux,
-            sink,
-        );
-        self.fresh = true;
-        out
     }
 
-    fn serve(&mut self, eng: &mut AnyEngine, driver: &mut ServeDriver) -> Option<ServeRun> {
-        let stride = self.graph.num_nodes();
-        let run = driver.drive(eng, PathProtocol::new(&self.arena, &self.graph), stride);
+    fn protocol(&mut self, _copies: usize) -> Self::Proto<'_> {
         self.fresh = true;
-        Some(run)
-    }
-
-    fn serve_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        driver: &mut ServeDriver,
-        sink: &mut dyn TraceSink,
-    ) -> Option<ServeRun> {
-        let stride = self.graph.num_nodes();
-        let run = driver.drive_traced(
-            eng,
+        ReplicatedProtocol::new(
             PathProtocol::new(&self.arena, &self.graph),
-            stride,
-            sink,
-        );
-        self.fresh = true;
-        Some(run)
+            self.graph.num_nodes(),
+        )
     }
 }
 

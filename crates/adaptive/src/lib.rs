@@ -19,12 +19,13 @@
 //! * [`arena::PathArena`] / [`arena::PathProtocol`] — the priced paths
 //!   in one flat slab; packets carry `(span, position)` in their
 //!   `via`/`via2` words and follow the span hop by hop through the
-//!   unmodified `Engine`/`ShardedEngine` step loop, bit-identical
+//!   unmodified step loop on `Engine`/`ShardedEngine`, bit-identical
 //!   serial vs sharded.
 //! * [`backend::AdaptiveRoutingSession`] — the full `Router` API
-//!   (route / batch / serve / traced), [`RunExtras::Adaptive`]
-//!   (lnpram_routing::RunExtras::Adaptive) carrying the pricing
-//!   iteration count and final max link load, and fault handling that
+//!   (route / batch / serve / traced),
+//!   [`RunExtras::Adaptive`](lnpram_routing::RunExtras::Adaptive)
+//!   carrying the pricing iteration count and final max link load, and
+//!   fault handling that
 //!   *reroutes around* a [`FaultPlan`](lnpram_simnet::FaultPlan)'s
 //!   failed links instead of re-randomizing and retrying.
 //!

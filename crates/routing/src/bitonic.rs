@@ -14,7 +14,7 @@
 //! `k(k+1)/2` steps, max queue 1, zero randomness. The trade, measured by
 //! `table_batcher_baseline`: Θ(log² N) vs Valiant's Õ(log N), and no
 //! extension to h-relations or many-one traffic — a
-//! [`RoutePattern::Relation`] request panics here, exactly the
+//! [`RoutePattern::Relation`](crate::RoutePattern::Relation) request panics here, exactly the
 //! limitation §2.2.1 criticizes.
 //!
 //! The exchange is simulated on the engine: at every stage each node
@@ -25,21 +25,20 @@
 //! floor of 1.
 //!
 //! The public entry point is [`BitonicRoutingSession`] — the
-//! [`Router`](crate::Router) instance for sort-routing. (Historically
+//! [`Router`] instance for sort-routing. (Historically
 //! the one-shots built a bare serial `Engine` and silently ignored
 //! `cfg.shards`.) The sorting network's per-node state is kept per
 //! *global* node, so batched multi-tenant runs sort each tenant's copy
 //! independently.
 
 use crate::router::{
-    batch_engine, drive_raw, drive_raw_traced, is_relation, pattern_dests, PatternRef,
-    RouteBackend, Router, RoutingSession, RunExtras,
+    batch_engine, is_relation, pattern_dests, PatternRef, RouteBackend, Router, RoutingSession,
+    RunExtras,
 };
 use crate::workloads;
 use lnpram_math::rng::SeedSeq;
 use lnpram_shard::{AnyEngine, GreedyEdgeCut};
-use lnpram_simnet::trace::TraceSink;
-use lnpram_simnet::{Outbox, Packet, Protocol, RunOutcome, SimConfig, TagMetrics};
+use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::hypercube::Hypercube;
 use lnpram_topology::Network;
 
@@ -78,7 +77,7 @@ fn keeps_min(pos: usize, p: usize, q: usize) -> bool {
 /// indexed by **global** node id, so the same program drives a batched
 /// union of tenant copies: the compare rule uses the node's base-cube
 /// position (`node mod 2^k`), the state its global id.
-struct BitonicRouter {
+pub struct BitonicRouter {
     /// Base-cube size `2^k` (position mask is `n − 1`).
     n: usize,
     schedule: Vec<(usize, usize)>,
@@ -166,6 +165,8 @@ impl BitonicBackend {
 }
 
 impl RouteBackend for BitonicBackend {
+    type Proto<'a> = BitonicRouter;
+
     fn sources(&self) -> usize {
         self.cube.num_nodes()
     }
@@ -185,10 +186,11 @@ impl RouteBackend for BitonicBackend {
         }
     }
 
-    fn supports_faults(&self) -> bool {
+    fn step_local(&self) -> bool {
         // The comparator schedule is fixed at injection time: packets
-        // cannot be re-injected mid-schedule, so fault recovery would
-        // silently misroute. Decline with a typed error instead.
+        // cannot enter or re-enter mid-schedule, so streaming admission
+        // and fault recovery would silently misroute. Decline with a
+        // typed error instead.
         false
     }
 
@@ -230,28 +232,13 @@ impl RouteBackend for BitonicBackend {
         dests.len()
     }
 
-    fn run(
-        &mut self,
-        eng: &mut AnyEngine,
-        copies: usize,
-        demux: usize,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        drive_raw(eng, BitonicRouter::new(self.k, copies), demux)
-    }
-
-    fn run_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        copies: usize,
-        demux: usize,
-        sink: &mut dyn TraceSink,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        drive_raw_traced(eng, BitonicRouter::new(self.k, copies), demux, sink)
+    fn protocol(&mut self, copies: usize) -> BitonicRouter {
+        BitonicRouter::new(self.k, copies)
     }
 }
 
 /// A reusable bitonic sort-routing session: the
-/// [`Router`](crate::Router) instance for Batcher sort-routing on the
+/// [`Router`] instance for Batcher sort-routing on the
 /// k-cube (network + partition + engine built once, `cfg.shards`
 /// honored). Only permutation-shaped requests are legal — relation
 /// requests panic, which is §2.2.1's criticism made executable.

@@ -10,56 +10,32 @@
 //! unbounded radix and the cube's log N degree.
 //!
 //! The public entry point is [`CccRoutingSession`] — the
-//! [`Router`](crate::Router) instance for CCC. (Historically
+//! [`Router`] instance for CCC. (Historically
 //! [`route_ccc_permutation`] built a bare serial `Engine` and silently
 //! ignored `cfg.shards`; the session routes through
 //! [`AnyEngine`](lnpram_shard::AnyEngine).)
 
-use crate::router::{
-    batch_engine, drive, drive_traced, inject_per_source, PatternRef, RouteBackend, Router,
-    RoutingSession, RunExtras,
-};
-use crate::serve::{ServeDriver, ServeRun};
-use lnpram_math::rng::SeedSeq;
-use lnpram_shard::{AnyEngine, GreedyEdgeCut};
-use lnpram_simnet::trace::TraceSink;
-use lnpram_simnet::{Outbox, Packet, Protocol, RunOutcome, SimConfig, TagMetrics};
-use lnpram_topology::{CubeConnectedCycles, Network};
-use rand::Rng;
+use crate::router::{Router, RoutingSession, RunExtras};
+use crate::two_phase::{CanonicalRouter, TwoPhase, TwoPhaseBackend};
+use lnpram_simnet::SimConfig;
+use lnpram_topology::CubeConnectedCycles;
 
 /// Per-node program: phase 0 toward `via`, phase 1 toward `dest`, both
 /// along the canonical sweep route.
-pub struct CccRouter {
-    ccc: CubeConnectedCycles,
-}
+pub type CccRouter<'a> = CanonicalRouter<'a, CubeConnectedCycles>;
 
-impl CccRouter {
-    /// Router on the given CCC.
-    pub fn new(ccc: CubeConnectedCycles) -> Self {
-        CccRouter { ccc }
+impl TwoPhase for CubeConnectedCycles {
+    type Hop<'a> = CccRouter<'a>;
+
+    fn extras(&self) -> RunExtras {
+        RunExtras::Ccc {
+            k: self.k(),
+            diameter: ccc_diameter(self.k()),
+        }
     }
-}
 
-impl Protocol for CccRouter {
-    fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
-        if pkt.phase == 0 && node == pkt.via as usize {
-            pkt.phase = 1;
-        }
-        let target = if pkt.phase == 0 { pkt.via } else { pkt.dest } as usize;
-        match self.ccc.canonical_next_port(node, target) {
-            None => {
-                if pkt.phase == 0 {
-                    pkt.phase = 1;
-                    match self.ccc.canonical_next_port(node, pkt.dest as usize) {
-                        None => out.deliver(pkt),
-                        Some(p) => out.send(p, pkt),
-                    }
-                } else {
-                    out.deliver(pkt);
-                }
-            }
-            Some(p) => out.send(p, pkt),
-        }
+    fn hop(&self) -> CccRouter<'_> {
+        CccRouter::new(self)
     }
 }
 
@@ -72,121 +48,21 @@ pub fn ccc_diameter(k: usize) -> usize {
     }
 }
 
-/// [`RouteBackend`] for two-phase routing on CCC(k).
-pub struct CccBackend {
-    ccc: CubeConnectedCycles,
-    k: usize,
-}
+/// [`RouteBackend`](crate::RouteBackend) for two-phase routing on
+/// CCC(k).
+pub type CccBackend = TwoPhaseBackend<CubeConnectedCycles>;
 
 impl CccBackend {
     /// Backend on CCC(k).
     pub fn new(k: usize) -> Self {
-        CccBackend {
-            ccc: CubeConnectedCycles::new(k),
-            k,
+        TwoPhaseBackend {
+            topo: CubeConnectedCycles::new(k),
         }
-    }
-}
-
-impl RouteBackend for CccBackend {
-    fn sources(&self) -> usize {
-        self.ccc.num_nodes()
-    }
-
-    fn stride(&self) -> usize {
-        self.ccc.num_nodes()
-    }
-
-    fn name(&self) -> String {
-        self.ccc.name()
-    }
-
-    fn extras(&self) -> RunExtras {
-        RunExtras::Ccc {
-            k: self.k,
-            diameter: ccc_diameter(self.k),
-        }
-    }
-
-    fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
-        batch_engine(&self.ccc, copies, cfg, |ccc, cfg| {
-            AnyEngine::with_partitioner(ccc, cfg, &GreedyEdgeCut)
-        })
-    }
-
-    fn inject(
-        &mut self,
-        eng: &mut AnyEngine,
-        copy: usize,
-        pattern: PatternRef<'_>,
-        seq: SeedSeq,
-        tag: u64,
-    ) -> usize {
-        let total = self.ccc.num_nodes();
-        let offset = copy * total;
-        inject_per_source(
-            eng,
-            total,
-            pattern,
-            seq,
-            &mut |src| offset + src,
-            &mut |id, src, dest, rng| {
-                let via = rng.gen_range(0..total) as u32;
-                Packet::new(id, src as u32, dest as u32)
-                    .with_via(via)
-                    .with_tag(tag)
-            },
-            &mut |id, src, dest| {
-                // phase 1 from the start: the canonical route only,
-                // no random intermediate.
-                let mut pkt = Packet::new(id, src as u32, dest as u32)
-                    .with_via(src as u32)
-                    .with_tag(tag);
-                pkt.phase = 1;
-                pkt
-            },
-        )
-    }
-
-    fn run(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.ccc.num_nodes();
-        drive(eng, CccRouter::new(self.ccc), stride, demux)
-    }
-
-    fn run_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-        sink: &mut dyn TraceSink,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.ccc.num_nodes();
-        drive_traced(eng, CccRouter::new(self.ccc), stride, demux, sink)
-    }
-
-    fn serve(&mut self, eng: &mut AnyEngine, driver: &mut ServeDriver) -> Option<ServeRun> {
-        let stride = self.ccc.num_nodes();
-        Some(driver.drive(eng, CccRouter::new(self.ccc), stride))
-    }
-
-    fn serve_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        driver: &mut ServeDriver,
-        sink: &mut dyn TraceSink,
-    ) -> Option<ServeRun> {
-        let stride = self.ccc.num_nodes();
-        Some(driver.drive_traced(eng, CccRouter::new(self.ccc), stride, sink))
     }
 }
 
 /// A reusable two-phase routing session on CCC(k): the
-/// [`Router`](crate::Router) instance for cube-connected cycles
+/// [`Router`] instance for cube-connected cycles
 /// (network + partition + engine built once, `cfg.shards` honored).
 pub type CccRoutingSession = RoutingSession<CccBackend>;
 

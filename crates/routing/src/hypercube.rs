@@ -10,36 +10,21 @@
 //! algorithm can do. `table_intro_star_vs_cube` measures the comparison.
 //!
 //! The public entry point is [`CubeRoutingSession`] — the
-//! [`Router`](crate::Router) instance for the hypercube. (Historically
+//! [`Router`] instance for the hypercube. (Historically
 //! [`route_cube_permutation`] built a bare serial `Engine` and silently
 //! ignored `cfg.shards`; the session routes through
 //! [`AnyEngine`](lnpram_shard::AnyEngine), so sharding works here like
 //! on every other topology.)
 
-use crate::router::{
-    batch_engine, drive, drive_traced, inject_per_source, PatternRef, RouteBackend, Router,
-    RoutingSession, RunExtras,
-};
-use crate::serve::{ServeDriver, ServeRun};
-use lnpram_math::rng::SeedSeq;
-use lnpram_shard::{AnyEngine, GreedyEdgeCut};
-use lnpram_simnet::trace::TraceSink;
-use lnpram_simnet::{Outbox, Packet, Protocol, RunOutcome, SimConfig, TagMetrics};
+use crate::router::{Router, RoutingSession, RunExtras};
+use crate::two_phase::{TwoPhase, TwoPhaseBackend};
+use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::hypercube::Hypercube;
-use lnpram_topology::Network;
-use rand::Rng;
 
 /// Per-node program: two-phase e-cube (dimension-ordered) routing.
 /// (The route needs only bit arithmetic on node labels — no topology
 /// state — so the struct is a unit.)
 pub struct CubeRouter;
-
-impl CubeRouter {
-    /// Router on a hypercube of any dimension.
-    pub fn new(_cube: Hypercube) -> Self {
-        CubeRouter
-    }
-}
 
 impl Protocol for CubeRouter {
     fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
@@ -58,123 +43,33 @@ impl Protocol for CubeRouter {
     }
 }
 
-/// [`RouteBackend`] for Valiant two-phase routing on the k-cube.
-pub struct CubeBackend {
-    cube: Hypercube,
-    dims: usize,
+impl TwoPhase for Hypercube {
+    type Hop<'a> = CubeRouter;
+
+    fn extras(&self) -> RunExtras {
+        RunExtras::Cube { dims: self.dims() }
+    }
+
+    fn hop(&self) -> CubeRouter {
+        CubeRouter
+    }
 }
+
+/// [`RouteBackend`](crate::RouteBackend) for Valiant two-phase routing
+/// on the k-cube.
+pub type CubeBackend = TwoPhaseBackend<Hypercube>;
 
 impl CubeBackend {
     /// Backend on the `dims`-cube.
     pub fn new(dims: usize) -> Self {
-        CubeBackend {
-            cube: Hypercube::new(dims),
-            dims,
+        TwoPhaseBackend {
+            topo: Hypercube::new(dims),
         }
     }
 }
 
-impl RouteBackend for CubeBackend {
-    fn sources(&self) -> usize {
-        self.cube.num_nodes()
-    }
-
-    fn stride(&self) -> usize {
-        self.cube.num_nodes()
-    }
-
-    fn name(&self) -> String {
-        self.cube.name()
-    }
-
-    fn extras(&self) -> RunExtras {
-        RunExtras::Cube { dims: self.dims }
-    }
-
-    fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
-        batch_engine(&self.cube, copies, cfg, |cube, cfg| {
-            AnyEngine::with_partitioner(cube, cfg, &GreedyEdgeCut)
-        })
-    }
-
-    fn inject(
-        &mut self,
-        eng: &mut AnyEngine,
-        copy: usize,
-        pattern: PatternRef<'_>,
-        seq: SeedSeq,
-        tag: u64,
-    ) -> usize {
-        let total = self.cube.num_nodes();
-        let offset = copy * total;
-        inject_per_source(
-            eng,
-            total,
-            pattern,
-            seq,
-            &mut |src| offset + src,
-            &mut |id, src, dest, rng| {
-                let via = rng.gen_range(0..total) as u32;
-                let mut pkt = Packet::new(id, src as u32, dest as u32)
-                    .with_via(via)
-                    .with_tag(tag);
-                if pkt.via == src as u32 {
-                    pkt.phase = 1;
-                }
-                pkt
-            },
-            &mut |id, src, dest| {
-                // via = self, phase 1 from the start: pure e-cube
-                // dimension-order routing (the deterministic,
-                // adversary-congestable baseline).
-                let mut pkt = Packet::new(id, src as u32, dest as u32)
-                    .with_via(src as u32)
-                    .with_tag(tag);
-                pkt.phase = 1;
-                pkt
-            },
-        )
-    }
-
-    fn run(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.cube.num_nodes();
-        drive(eng, CubeRouter, stride, demux)
-    }
-
-    fn run_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-        sink: &mut dyn TraceSink,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.cube.num_nodes();
-        drive_traced(eng, CubeRouter, stride, demux, sink)
-    }
-
-    fn serve(&mut self, eng: &mut AnyEngine, driver: &mut ServeDriver) -> Option<ServeRun> {
-        let stride = self.cube.num_nodes();
-        Some(driver.drive(eng, CubeRouter, stride))
-    }
-
-    fn serve_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        driver: &mut ServeDriver,
-        sink: &mut dyn TraceSink,
-    ) -> Option<ServeRun> {
-        let stride = self.cube.num_nodes();
-        Some(driver.drive_traced(eng, CubeRouter, stride, sink))
-    }
-}
-
 /// A reusable Valiant-routing session on the k-cube: the
-/// [`Router`](crate::Router) instance for the hypercube (network +
+/// [`Router`] instance for the hypercube (network +
 /// partition + engine built once, `cfg.shards` honored).
 pub type CubeRoutingSession = RoutingSession<CubeBackend>;
 

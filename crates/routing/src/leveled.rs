@@ -20,14 +20,12 @@
 //! `route_leveled_*` one-shots are thin wrappers over it.
 
 use crate::router::{
-    batch_engine, drive, drive_traced, inject_per_source, PatternRef, RouteBackend, RoutingSession,
+    batch_engine, inject_per_source, PatternRef, ReplicatedProtocol, RouteBackend, RoutingSession,
     RunExtras,
 };
-use crate::serve::{ServeDriver, ServeRun};
 use lnpram_math::rng::SeedSeq;
 use lnpram_shard::{AnyEngine, LevelCut};
-use lnpram_simnet::trace::TraceSink;
-use lnpram_simnet::{Outbox, Packet, Protocol, RunOutcome, SimConfig, TagMetrics};
+use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::leveled::{Leveled, LeveledNet};
 use rand::Rng;
 
@@ -144,6 +142,11 @@ impl<L: Leveled + Copy> LeveledBackend<L> {
 }
 
 impl<L: Leveled + Copy> RouteBackend for LeveledBackend<L> {
+    type Proto<'a>
+        = ReplicatedProtocol<UniversalLeveledRouter<'a, L>>
+    where
+        L: 'a;
+
     fn sources(&self) -> usize {
         self.width
     }
@@ -203,46 +206,8 @@ impl<L: Leveled + Copy> RouteBackend for LeveledBackend<L> {
         )
     }
 
-    fn run(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.stride();
-        drive(eng, UniversalLeveledRouter::new(&self.net), stride, demux)
-    }
-
-    fn run_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-        sink: &mut dyn TraceSink,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.stride();
-        drive_traced(
-            eng,
-            UniversalLeveledRouter::new(&self.net),
-            stride,
-            demux,
-            sink,
-        )
-    }
-
-    fn serve(&mut self, eng: &mut AnyEngine, driver: &mut ServeDriver) -> Option<ServeRun> {
-        let stride = self.stride();
-        Some(driver.drive(eng, UniversalLeveledRouter::new(&self.net), stride))
-    }
-
-    fn serve_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        driver: &mut ServeDriver,
-        sink: &mut dyn TraceSink,
-    ) -> Option<ServeRun> {
-        let stride = self.stride();
-        Some(driver.drive_traced(eng, UniversalLeveledRouter::new(&self.net), stride, sink))
+    fn protocol(&mut self, _copies: usize) -> Self::Proto<'_> {
+        ReplicatedProtocol::new(UniversalLeveledRouter::new(&self.net), self.stride())
     }
 
     fn dest_node(&self, dest: usize) -> usize {

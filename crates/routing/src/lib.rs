@@ -23,6 +23,10 @@
 //!   non-oblivious Θ(log² N) queue-free baseline §2.2.1 names.
 //! * [`ccc`] — two-phase randomized routing on cube-connected cycles,
 //!   the constant-degree classic of the leveled family.
+//! * [`two_phase`] — the scheme the star, shuffle, hypercube and CCC
+//!   routers share (canonical path to a random intermediate, then on to
+//!   the destination), written once as a backend over any
+//!   [`TwoPhase`](two_phase::TwoPhase) topology.
 //! * [`mesh_sort`] — a non-oblivious sorting-based comparator (shearsort),
 //!   the kind of scheme §2.2.1 argues against.
 //! * [`ranade`] — a Ranade-style combining routing on the binary butterfly
@@ -39,7 +43,10 @@
 //! [`router`]: a [`Router`] trait (`route`/`route_many`/`route_batch`),
 //! one [`RouteRequest`] builder (permutation / explicit dests / direct /
 //! h-relation, plus a tenant tag) and one [`RunReport`] with typed
-//! per-topology [`RunExtras`]. Each topology contributes a cached
+//! per-topology [`RunExtras`]. A topology plugs in as a
+//! [`RouteBackend`]: sizes, engine construction, injection and **one**
+//! protocol hook; running, tracing, batching, fault recovery and
+//! serving are provided from it. Each topology contributes a cached
 //! session — [`LeveledRoutingSession`], [`StarRoutingSession`],
 //! [`MeshRoutingSession`], [`CubeRoutingSession`](hypercube::CubeRoutingSession),
 //! [`CccRoutingSession`](ccc::CccRoutingSession),
@@ -73,6 +80,7 @@ pub mod router;
 pub mod serve;
 pub mod shuffle;
 pub mod star;
+pub mod two_phase;
 pub mod workloads;
 
 pub use fault::{FaultReport, LostPacket};

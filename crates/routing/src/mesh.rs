@@ -21,21 +21,19 @@
 //! mesh result, which stage 1 + the slice idea improve to `2n + o(n)`).
 //!
 //! The public entry point is [`MeshRoutingSession`] — the
-//! [`Router`](crate::Router) instance for the mesh; the `route_mesh_*`
-//! one-shots are thin wrappers over it. A [`RoutePattern::Direct`]
+//! [`Router`] instance for the mesh; the `route_mesh_*`
+//! one-shots are thin wrappers over it. A [`RoutePattern::Direct`](crate::RoutePattern::Direct)
 //! request drops the stage-1 randomization (`via = src`), which
 //! degenerates every variant to deterministic dimension-order routing.
 
 use crate::router::{
-    batch_engine, drive, drive_traced, inject_per_source, PatternRef, RouteBackend, Router,
+    batch_engine, inject_per_source, PatternRef, ReplicatedProtocol, RouteBackend, Router,
     RoutingSession, RunExtras,
 };
-use crate::serve::{ServeDriver, ServeRun};
 use crate::workloads;
 use lnpram_math::rng::SeedSeq;
 use lnpram_shard::{AnyEngine, RowBlock};
-use lnpram_simnet::trace::TraceSink;
-use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, RunOutcome, SimConfig, TagMetrics};
+use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::mesh::Dir;
 use lnpram_topology::{Mesh, Network};
 use rand::Rng;
@@ -261,6 +259,8 @@ impl MeshBackend {
 }
 
 impl RouteBackend for MeshBackend {
+    type Proto<'a> = ReplicatedProtocol<MeshRouter>;
+
     fn sources(&self) -> usize {
         self.mesh.num_nodes()
     }
@@ -318,50 +318,12 @@ impl RouteBackend for MeshBackend {
         )
     }
 
-    fn run(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.mesh.num_nodes();
-        drive(eng, MeshRouter::new(self.mesh, self.alg), stride, demux)
-    }
-
-    fn run_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-        sink: &mut dyn TraceSink,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.mesh.num_nodes();
-        drive_traced(
-            eng,
-            MeshRouter::new(self.mesh, self.alg),
-            stride,
-            demux,
-            sink,
-        )
-    }
-
-    fn serve(&mut self, eng: &mut AnyEngine, driver: &mut ServeDriver) -> Option<ServeRun> {
-        let stride = self.mesh.num_nodes();
-        Some(driver.drive(eng, MeshRouter::new(self.mesh, self.alg), stride))
-    }
-
-    fn serve_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        driver: &mut ServeDriver,
-        sink: &mut dyn TraceSink,
-    ) -> Option<ServeRun> {
-        let stride = self.mesh.num_nodes();
-        Some(driver.drive_traced(eng, MeshRouter::new(self.mesh, self.alg), stride, sink))
+    fn protocol(&mut self, _copies: usize) -> Self::Proto<'_> {
+        ReplicatedProtocol::new(MeshRouter::new(self.mesh, self.alg), self.mesh.num_nodes())
     }
 }
 
-/// A reusable mesh routing session: the [`Router`](crate::Router)
+/// A reusable mesh routing session: the [`Router`]
 /// instance for the mesh. The mesh, its partition plan and the
 /// [`AnyEngine`] are built **once** for a fixed algorithm, then any
 /// number of requests are routed through it, recycling the engine with

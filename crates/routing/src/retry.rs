@@ -102,7 +102,7 @@ pub struct RetryRouteReport {
 /// step budget of `policy.attempt_budget`; packets that miss the
 /// deadline trace back (charged `2 × budget`) and the request retries.
 /// (Attempt 0 is bit-identical to `router.route(req)`.) Deterministic
-/// patterns ([`RoutePattern::Direct`], bitonic sort-routing) have no
+/// patterns ([`RoutePattern::Direct`](crate::RoutePattern::Direct), bitonic sort-routing) have no
 /// routing randomness — every attempt repeats the first outcome. The
 /// router's previous step budget is restored before returning.
 pub fn retry_route<R: Router + ?Sized>(

@@ -18,11 +18,11 @@
 //! engine run**: tenant `i`'s packets are injected into copy `i` of a
 //! [`DisjointCopies`] union of the topology, with each packet's
 //! [`Packet::tag`] carrying its batch slot, and per-tenant metrics are
-//! demultiplexed from the tagged deliveries by
-//! [`TagDemux`](lnpram_simnet::TagDemux). Because the copies share no
-//! link, every tenant's outcome (deliveries, routing time, latency
-//! distribution) is **bit-identical to an isolated run** of the same
-//! request — pinned by property tests — while the step loop's fixed
+//! demultiplexed from the tagged deliveries by [`TagDemux`]. Because
+//! the copies share no link, every tenant's outcome (deliveries,
+//! routing time, latency distribution) is **bit-identical to an
+//! isolated run** of the same request — pinned by property tests —
+//! while the step loop's fixed
 //! costs (arrival bookkeeping, active-list maintenance, and on the
 //! sharded path the lockstep barrier per global step) are paid once for
 //! the whole batch instead of once per tenant. On the sharded path the
@@ -31,14 +31,13 @@
 
 use crate::fault::{FaultReport, LostPacket};
 use crate::retry::RetryPolicy;
-use crate::serve::{ServeDriver, ServeRun};
 use crate::workloads;
 use lnpram_math::rng::SeedSeq;
 use lnpram_shard::AnyEngine;
 use lnpram_simnet::fault::{FaultError, FaultPlan};
 use lnpram_simnet::trace::TraceSink;
 use lnpram_simnet::{
-    Metrics, Outbox, Packet, Protocol, RunOutcome, SimConfig, TagDemux, TagMetrics,
+    Metrics, NoopSink, Outbox, Packet, Protocol, RunOutcome, SimConfig, TagDemux, TagMetrics,
 };
 use lnpram_topology::DisjointCopies;
 
@@ -340,12 +339,8 @@ pub trait Router {
     fn route(&mut self, req: &RouteRequest) -> RunReport;
 
     /// [`Router::route`] with per-step observation reported to `sink`
-    /// — same report, same delivery schedule. The default falls back to
-    /// the untraced `route` (the sink sees nothing); [`RoutingSession`]
-    /// overrides it for every backend.
-    fn route_traced(&mut self, req: &RouteRequest, _sink: &mut dyn TraceSink) -> RunReport {
-        self.route(req)
-    }
+    /// — same report, same delivery schedule.
+    fn route_traced(&mut self, req: &RouteRequest, sink: &mut dyn TraceSink) -> RunReport;
 
     /// Co-route a batch of requests — one tenant per request — in one
     /// engine run. Per-tenant outcomes are bit-identical to isolated
@@ -409,11 +404,20 @@ pub trait Router {
 
 /// Per-topology hooks the generic [`RoutingSession`] machinery is built
 /// from: how to build the (possibly tenant-replicated) engine, how to
-/// turn a request into injected packets, and how to drive the
-/// per-node protocol. Implementing this for a new topology yields the
-/// full [`Router`] API — single runs, sequential batches and
-/// multi-tenant co-routing — for free.
+/// turn a request into injected packets, and which per-node protocol
+/// routes them. Implementing this for a new topology yields the full
+/// [`Router`] and [`Serve`](crate::Serve) APIs — single runs, sequential
+/// batches, multi-tenant co-routing, fault recovery, streaming
+/// admission, all of it traced or not — for free. (Topologies whose
+/// node ids are their coordinates and whose next hop is memoryless
+/// implement the smaller [`TwoPhase`](crate::two_phase::TwoPhase)
+/// instead.)
 pub trait RouteBackend {
+    /// The per-node protocol of one run (see [`RouteBackend::protocol`]).
+    type Proto<'a>: Protocol
+    where
+        Self: 'a;
+
     /// Packet sources (= destination domain size) of one copy.
     fn sources(&self) -> usize;
 
@@ -448,69 +452,31 @@ pub trait RouteBackend {
         tag: u64,
     ) -> usize;
 
-    /// Drive the per-node protocol over the engine. `demux == 0` runs
-    /// plain; `demux == T` wraps the protocol in a
-    /// [`TagDemux`](lnpram_simnet::TagDemux) over tags `0..T` and
-    /// returns the per-tag metrics. Implementations route global node
-    /// ids through [`ReplicatedProtocol`] (or handle the copy offset
-    /// themselves when the protocol keeps per-node state).
-    fn run(
-        &mut self,
-        eng: &mut AnyEngine,
-        copies: usize,
-        demux: usize,
-    ) -> (RunOutcome, Vec<TagMetrics>);
+    /// The per-node protocol for a run over `copies` disjoint copies —
+    /// the one place a backend states how it routes. It sees the
+    /// union's **global** node ids: protocols without per-node state
+    /// wrap themselves in [`ReplicatedProtocol`], protocols with it
+    /// (bitonic) size their tables by `copies`. Every way of running the
+    /// backend — [`run`](RouteBackend::run), fault recovery, the serve
+    /// loop, with or without a sink — drives this protocol.
+    fn protocol(&mut self, copies: usize) -> Self::Proto<'_>;
 
-    /// [`RouteBackend::run`] with per-step observation reported to
-    /// `sink` — must produce the same `(RunOutcome, Vec<TagMetrics>)`.
-    /// The default falls back to the **untraced** `run` (the sink sees
-    /// nothing); backends built on [`drive`]/[`drive_raw`] override
-    /// with one line delegating to [`drive_traced`]/
-    /// [`drive_raw_traced`].
-    fn run_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        copies: usize,
-        demux: usize,
-        _sink: &mut dyn TraceSink,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        self.run(eng, copies, demux)
-    }
-
-    /// Drive the streaming-admission serve loop (see
-    /// [`serve`](crate::serve)): hand the topology's protocol to
-    /// `driver` over a single-copy engine. The default declines —
-    /// backends whose protocol fixes its schedule at injection time
-    /// (whole-run sorters) cannot admit mid-run; step-local protocols
-    /// override with one line delegating to [`ServeDriver::drive`].
-    fn serve(&mut self, _eng: &mut AnyEngine, _driver: &mut ServeDriver) -> Option<ServeRun> {
-        None
-    }
-
-    /// [`RouteBackend::serve`] with serve events, phase windows, and
-    /// per-step samples reported to `sink` — must produce the same
-    /// `ServeRun`. The default falls back to the **untraced** `serve`
-    /// (the sink sees nothing); backends that override `serve` should
-    /// also override this with one line delegating to
-    /// [`ServeDriver::drive_traced`].
-    fn serve_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        driver: &mut ServeDriver,
-        _sink: &mut dyn TraceSink,
-    ) -> Option<ServeRun> {
-        self.serve(eng, driver)
-    }
-
-    /// Can this backend honor [`FaultPlan`]s with deterministic
-    /// recovery? Requires packets to carry source-coordinate identity
-    /// and the protocol to accept arbitrary relation re-injections.
-    /// Backends whose schedule is fixed at injection time (bitonic
+    /// Does the protocol decide hop by hop from the packet alone, so
+    /// that packets may enter — or re-enter — the network at any step?
+    /// Streaming admission and deterministic fault recovery both need
+    /// it. Backends whose schedule is fixed at injection time (bitonic
     /// sort-routing) override to `false` and get a typed
+    /// [`ServeError::Unsupported`](crate::ServeError::Unsupported) /
     /// [`FaultError::Unsupported`] instead of silent misbehavior.
-    fn supports_faults(&self) -> bool {
+    fn step_local(&self) -> bool {
         true
     }
+
+    /// Called once before a traced or untraced routing run starts
+    /// stepping: the hook for what a backend decided at injection time
+    /// and wants on the record (the adaptive backend replays its pricing
+    /// iterations here).
+    fn before_run<S: TraceSink + ?Sized>(&mut self, _sink: &mut S) {}
 
     /// The engine node at which a packet destined for coordinate
     /// `dest` is delivered — where a node failure makes that
@@ -518,6 +484,40 @@ pub trait RouteBackend {
     /// == coordinate); leveled networks deliver at the last column.
     fn dest_node(&self, dest: usize) -> usize {
         dest
+    }
+
+    /// Route what was injected into `eng`. `demux == 0` runs plain;
+    /// `demux == T` wraps the protocol in a [`TagDemux`] over tags
+    /// `0..T` and returns the per-tag metrics.
+    fn run(
+        &mut self,
+        eng: &mut AnyEngine,
+        copies: usize,
+        demux: usize,
+    ) -> (RunOutcome, Vec<TagMetrics>) {
+        self.run_traced(eng, copies, demux, &mut NoopSink)
+    }
+
+    /// [`RouteBackend::run`] with per-step observation reported to
+    /// `sink` — same delivery schedule, same return value. Generic over
+    /// the sink, so `run`'s [`NoopSink`] instance is the uninstrumented
+    /// loop.
+    fn run_traced<S: TraceSink + ?Sized>(
+        &mut self,
+        eng: &mut AnyEngine,
+        copies: usize,
+        demux: usize,
+        sink: &mut S,
+    ) -> (RunOutcome, Vec<TagMetrics>) {
+        self.before_run(sink);
+        let mut proto = self.protocol(copies);
+        if demux == 0 {
+            (eng.run_traced(&mut proto, sink), Vec::new())
+        } else {
+            let mut tap = TagDemux::new(proto, demux);
+            let out = eng.run_traced(&mut tap, sink);
+            (out, tap.into_metrics())
+        }
     }
 }
 
@@ -572,57 +572,6 @@ where
             ..cfg.clone()
         };
         AnyEngine::with_partitioner(&union, cfg, &lnpram_shard::RowBlock::new(union.stride()))
-    }
-}
-
-/// Drive `proto` (wrapped for the union's node-id space) over `eng`,
-/// optionally demuxing deliveries by tag — the shared tail of every
-/// backend's [`RouteBackend::run`].
-pub fn drive<P: Protocol>(
-    eng: &mut AnyEngine,
-    proto: P,
-    stride: usize,
-    demux: usize,
-) -> (RunOutcome, Vec<TagMetrics>) {
-    drive_raw(eng, ReplicatedProtocol::new(proto, stride), demux)
-}
-
-/// [`drive`] without the node-id wrapper, for protocols that handle
-/// copy offsets themselves (per-node state, e.g. bitonic).
-pub fn drive_raw<P: Protocol>(
-    eng: &mut AnyEngine,
-    proto: P,
-    demux: usize,
-) -> (RunOutcome, Vec<TagMetrics>) {
-    drive_raw_traced(eng, proto, demux, &mut lnpram_simnet::NoopSink)
-}
-
-/// [`drive`] with per-step observation reported to `sink` — same
-/// delivery schedule, same return value.
-pub fn drive_traced<P: Protocol, S: TraceSink + ?Sized>(
-    eng: &mut AnyEngine,
-    proto: P,
-    stride: usize,
-    demux: usize,
-    sink: &mut S,
-) -> (RunOutcome, Vec<TagMetrics>) {
-    drive_raw_traced(eng, ReplicatedProtocol::new(proto, stride), demux, sink)
-}
-
-/// [`drive_raw`] with per-step observation reported to `sink`.
-pub fn drive_raw_traced<P: Protocol, S: TraceSink + ?Sized>(
-    eng: &mut AnyEngine,
-    proto: P,
-    demux: usize,
-    sink: &mut S,
-) -> (RunOutcome, Vec<TagMetrics>) {
-    if demux == 0 {
-        let mut proto = proto;
-        (eng.run_traced(&mut proto, sink), Vec::new())
-    } else {
-        let mut tap = TagDemux::new(proto, demux);
-        let out = eng.run_traced(&mut tap, sink);
-        (out, tap.into_metrics())
     }
 }
 
@@ -691,31 +640,30 @@ impl<B: RouteBackend> RoutingSession<B> {
     /// an explicit `seq` (the low-level entry the seed-based
     /// [`Router::route`] wraps; `seq.child(1)` draws the intermediates).
     pub fn route_with_dests(&mut self, dests: &[usize], seq: SeedSeq) -> RunReport {
-        self.run_single(PatternRef::Dests(dests), seq, 0)
+        self.run_single(PatternRef::Dests(dests), seq, 0, &mut NoopSink)
     }
 
     /// Route an explicit destination map deterministically (no random
     /// intermediates) — see [`RoutePattern::Direct`].
     pub fn route_direct(&mut self, dests: &[usize]) -> RunReport {
-        self.run_single(PatternRef::Direct(dests), SeedSeq::new(0), 0)
+        self.run_single(PatternRef::Direct(dests), SeedSeq::new(0), 0, &mut NoopSink)
     }
 
     /// Route an explicit request map with intermediates drawn from an
     /// explicit `seq`.
     pub fn route_relation_map(&mut self, relation: &[Vec<usize>], seq: SeedSeq) -> RunReport {
-        self.run_single(PatternRef::RelationMap(relation), seq, 0)
+        self.run_single(PatternRef::RelationMap(relation), seq, 0, &mut NoopSink)
     }
 
-    fn run_single(&mut self, pattern: PatternRef<'_>, seq: SeedSeq, tag: u64) -> RunReport {
-        self.run_single_traced(pattern, seq, tag, &mut lnpram_simnet::NoopSink)
-    }
-
-    fn run_single_traced(
+    /// One request on the single-copy engine. Generic over the sink:
+    /// [`Router::route`] instantiates it with [`NoopSink`], so the
+    /// untraced path is monomorphized all the way into the step loop.
+    fn run_single<S: TraceSink + ?Sized>(
         &mut self,
         pattern: PatternRef<'_>,
         seq: SeedSeq,
         tag: u64,
-        sink: &mut dyn TraceSink,
+        sink: &mut S,
     ) -> RunReport {
         self.engine.reset();
         let packets = self.backend.inject(&mut self.engine, 0, pattern, seq, tag);
@@ -731,11 +679,16 @@ impl<B: RouteBackend> RoutingSession<B> {
 
 impl<B: RouteBackend> Router for RoutingSession<B> {
     fn route(&mut self, req: &RouteRequest) -> RunReport {
-        self.run_single(req.pattern.as_ref(), SeedSeq::new(req.seed), req.tenant)
+        self.run_single(
+            req.pattern.as_ref(),
+            SeedSeq::new(req.seed),
+            req.tenant,
+            &mut NoopSink,
+        )
     }
 
     fn route_traced(&mut self, req: &RouteRequest, sink: &mut dyn TraceSink) -> RunReport {
-        self.run_single_traced(
+        self.run_single(
             req.pattern.as_ref(),
             SeedSeq::new(req.seed),
             req.tenant,
@@ -744,8 +697,16 @@ impl<B: RouteBackend> Router for RoutingSession<B> {
     }
 
     fn route_batch(&mut self, reqs: &[RouteRequest]) -> BatchReport {
-        assert!(!reqs.is_empty(), "route_batch needs at least one request");
         let copies = reqs.len();
+        if copies == 0 {
+            return BatchReport {
+                metrics: Metrics::default(),
+                completed: true,
+                packets: 0,
+                tenants: Vec::new(),
+                extras: self.backend.extras(),
+            };
+        }
         if copies == 1 {
             // One tenant needs no union network and no delivery tap:
             // route on the single-run engine and project the report.
@@ -819,7 +780,7 @@ impl<B: RouteBackend> Router for RoutingSession<B> {
         policy: RetryPolicy,
     ) -> Result<FaultReport, FaultError> {
         assert!(policy.max_attempts >= 1);
-        if !self.backend.supports_faults() {
+        if !self.backend.step_local() {
             return Err(FaultError::Unsupported {
                 what: self.backend.name(),
             });

@@ -12,15 +12,13 @@
 //!
 //! # The serve loop
 //!
-//! The loop replays exactly what `Engine::run` does — transmit, process
-//! arrivals, process pending injections, end the step — via the public
-//! phase-stepping API ([`AnyEngine::step_transmit`],
-//! [`AnyEngine::process_arrivals`], [`AnyEngine::process_pending`],
-//! [`AnyEngine::step_finish`]), with one addition: at each step
-//! boundary, requests whose arrival step has come are **admitted** —
-//! their pre-materialized packets injected, stamped `injected_at =
-//! admission step` — so a [`TagDemux`] over request slots measures true
-//! admission-to-delivery latency per request.
+//! The loop *is* the engine's run loop — [`step_loop`], the one
+//! function every run goes through — with one addition: its
+//! [`Admission`] hook. At each step boundary, requests whose arrival
+//! step has come are **admitted** — their pre-materialized packets
+//! injected, stamped `injected_at = admission step` — so a [`TagDemux`]
+//! over request slots measures true admission-to-delivery latency per
+//! request.
 //!
 //! # Admission control and backpressure
 //!
@@ -48,16 +46,16 @@
 //! queue occupancy). Pinned by the property tests in
 //! `tests/serve_determinism.rs`.
 
-use crate::router::{ReplicatedProtocol, RouteBackend, RouteRequest, RunExtras};
+use crate::router::{RouteBackend, RouteRequest, RunExtras};
 use lnpram_math::rng::{splitmix64, SeedSeq};
 use lnpram_math::stats::Histogram;
 use lnpram_shard::AnyEngine;
 use lnpram_simnet::fault::FaultError;
-use lnpram_simnet::trace::{Phase, ServeEvent, StepSample, TraceSink};
+use lnpram_simnet::trace::{Phase, ServeEvent, TraceSink};
 use lnpram_simnet::Fault as SimFault;
 use lnpram_simnet::{
-    FaultEvent, FaultPlan, Metrics, NoopSink, Outbox, Packet, Protocol, SimConfig, TagDemux,
-    TagMetrics,
+    step_loop, Admission, FaultEvent, FaultPlan, Metrics, NoopSink, Packet, SimConfig, StepEngine,
+    TagDemux, TagMetrics,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -141,6 +139,12 @@ pub enum ServeError {
     /// (out-of-range link/node id, zero degrade period, or a backend
     /// that cannot honor fault plans).
     Fault(FaultError),
+    /// The admission trace is not sorted by non-decreasing step.
+    UnsortedTrace {
+        /// Index of the first entry whose step is below its
+        /// predecessor's.
+        index: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -162,6 +166,11 @@ impl fmt::Display for ServeError {
                 write!(f, "tenant {tenant} was inactive at step {step}")
             }
             ServeError::Fault(err) => write!(f, "fault plan rejected: {err}"),
+            ServeError::UnsortedTrace { index } => write!(
+                f,
+                "admission trace is not sorted by step: entry {index} arrives before entry {}",
+                index - 1
+            ),
         }
     }
 }
@@ -206,9 +215,8 @@ pub enum AdmissionEntry {
     },
     /// Inject `fault` at `step` (it gates the transmit phase of that
     /// step onwards). All fault entries of a trace form one
-    /// [`FaultPlan`](lnpram_simnet::FaultPlan) installed on the engine
-    /// for the run; an engine that cannot honor it yields a typed
-    /// [`ServeError::Fault`].
+    /// [`FaultPlan`] installed on the engine for the run; an engine that
+    /// cannot honor it yields a typed [`ServeError::Fault`].
     Fault {
         /// First step whose transmit phase observes the fault.
         step: u32,
@@ -533,24 +541,11 @@ enum TraceOp {
     Leave(u64),
 }
 
-/// Raw output of one driven serve loop, before the session assembles
-/// the [`ServeReport`].
-pub struct ServeRun {
-    /// Finalized engine metrics.
-    pub metrics: Metrics,
-    /// Per-request (tag) delivery metrics.
-    pub per_request: Vec<TagMetrics>,
-    /// Steps executed.
-    pub steps: u32,
-    /// All admitted packets delivered within the budget?
-    pub completed: bool,
-}
-
-/// The engine-stepping core of a serve run. Built by [`ServeSession`]
-/// with the materialized admission trace; a backend's
-/// [`RouteBackend::serve`] hands it the topology's protocol and the
-/// driver replays the engine's step loop with streaming admission.
-pub struct ServeDriver {
+/// The admission side of a serve run — the [`Admission`] hook of the
+/// step loop. Built by [`ServeSession`] from the materialized trace; at
+/// every step boundary it applies the due trace ops and admits from the
+/// buffer head while the watermarks allow.
+struct Admitter {
     cfg: ServeConfig,
     /// All materialized requests, slot order.
     queue: Vec<QueuedRequest>,
@@ -574,14 +569,14 @@ pub struct ServeDriver {
     max_backlog: usize,
 }
 
-impl ServeDriver {
+impl Admitter {
     fn new(cfg: ServeConfig, queue: Vec<QueuedRequest>, ops: Vec<(u32, TraceOp)>) -> Self {
         let slots = queue.len();
         let remaining_arrivals = ops
             .iter()
             .filter(|(_, op)| matches!(op, TraceOp::Arrive(_)))
             .count();
-        ServeDriver {
+        Admitter {
             cfg,
             queue,
             ops,
@@ -595,12 +590,10 @@ impl ServeDriver {
             max_backlog: 0,
         }
     }
+}
 
-    /// Requests not yet admitted or rejected (buffered or still in the
-    /// future of the trace).
-    fn outstanding(&self) -> bool {
-        self.remaining_arrivals > 0 || !self.buffer.is_empty()
-    }
+impl Admission<AnyEngine> for Admitter {
+    const ACTIVE: bool = true;
 
     /// Step-boundary admission: process due trace ops in order —
     /// tenant churn takes effect, arrivals from inactive tenants are
@@ -614,13 +607,8 @@ impl ServeDriver {
     /// typed rejections, admissions with their packet counts, and one
     /// [`ServeEvent::Defer`] per request left in the buffer at this
     /// boundary (the event-level counterpart of
-    /// `deferred_request_steps`). Untraced runs pass [`NoopSink`].
-    fn admit_due_traced<S: TraceSink + ?Sized>(
-        &mut self,
-        eng: &mut AnyEngine,
-        step: u32,
-        sink: &mut S,
-    ) {
+    /// `deferred_request_steps`).
+    fn admit<S: TraceSink + ?Sized>(&mut self, eng: &mut AnyEngine, step: u32, sink: &mut S) {
         sink.on_phase_start(Phase::Admit);
         while self.next < self.ops.len() && self.ops[self.next].0 <= step {
             match self.ops[self.next].1 {
@@ -722,106 +710,14 @@ impl ServeDriver {
         sink.on_phase_end(Phase::Admit);
     }
 
-    /// Drive the serve loop with `proto` wrapped for the union node-id
-    /// space (the serve counterpart of [`crate::router::drive`]; serve
-    /// engines are single-copy, so the wrapper is the identity map, kept
-    /// for callback-parity with the batch path).
-    pub fn drive<P: Protocol>(&mut self, eng: &mut AnyEngine, proto: P, stride: usize) -> ServeRun {
-        self.drive_raw(eng, ReplicatedProtocol::new(proto, stride))
+    /// Requests not yet admitted or rejected (buffered or still in the
+    /// future of the trace).
+    fn outstanding(&self) -> bool {
+        self.remaining_arrivals > 0 || !self.buffer.is_empty()
     }
 
-    /// [`ServeDriver::drive`] reporting phase windows, serve events and
-    /// per-step samples to `sink` — same `ServeRun`, same schedule.
-    pub fn drive_traced<P: Protocol, S: TraceSink + ?Sized>(
-        &mut self,
-        eng: &mut AnyEngine,
-        proto: P,
-        stride: usize,
-        sink: &mut S,
-    ) -> ServeRun {
-        self.drive_raw_traced(eng, ReplicatedProtocol::new(proto, stride), sink)
-    }
-
-    /// [`ServeDriver::drive`] without the node-id wrapper. Replays the
-    /// engine's own step loop — same callback order, same bookkeeping —
-    /// with admission interleaved at each step boundary.
-    pub fn drive_raw<P: Protocol>(&mut self, eng: &mut AnyEngine, proto: P) -> ServeRun {
-        self.drive_raw_traced(eng, proto, &mut NoopSink)
-    }
-
-    /// [`ServeDriver::drive_raw`] reporting to `sink`. Observation only:
-    /// the delivery schedule is bit-identical with any sink installed.
-    pub fn drive_raw_traced<P: Protocol, S: TraceSink + ?Sized>(
-        &mut self,
-        eng: &mut AnyEngine,
-        proto: P,
-        sink: &mut S,
-    ) -> ServeRun {
-        let mut demux = TagDemux::new(proto, self.queue.len());
-        let mut out = Outbox::default();
-        let mut last_delivered = eng.delivered();
-
-        // Step 0: admissions due at step 0 are processed exactly like
-        // `run`'s initial injections.
-        self.admit_due_traced(eng, 0, sink);
-        sink.on_phase_start(Phase::Process);
-        eng.process_pending(&mut demux, 0, &mut out);
-        sink.on_phase_end(Phase::Process);
-        eng.step_finish();
-        demux.on_step_end(0);
-        if sink.enabled() {
-            let delivered = eng.delivered();
-            sink.on_step_end(&StepSample {
-                step: 0,
-                in_flight: eng.in_flight(),
-                arrivals: 0,
-                deliveries: delivered - last_delivered,
-                max_queue_len: eng.max_queue_len(),
-                backlog: self.buffer.len(),
-            });
-            last_delivered = delivered;
-        }
-
-        let mut step: u32 = 0;
-        let mut completed = true;
-        while eng.in_flight() > 0 || self.outstanding() {
-            if step >= self.cfg.max_steps {
-                completed = false;
-                break;
-            }
-            step += 1;
-            sink.on_step_begin(step);
-            eng.step_transmit_traced(sink);
-            sink.on_phase_start(Phase::Process);
-            eng.process_arrivals(&mut demux, step, &mut out);
-            sink.on_phase_end(Phase::Process);
-            self.admit_due_traced(eng, step, sink);
-            sink.on_phase_start(Phase::Process);
-            eng.process_pending(&mut demux, step, &mut out);
-            sink.on_phase_end(Phase::Process);
-            demux.on_step_end(step);
-            eng.step_finish();
-            eng.note_queued_step();
-            if sink.enabled() {
-                let delivered = eng.delivered();
-                sink.on_step_end(&StepSample {
-                    step,
-                    in_flight: eng.in_flight(),
-                    arrivals: eng.arrivals_len(),
-                    deliveries: delivered - last_delivered,
-                    max_queue_len: eng.max_queue_len(),
-                    backlog: self.buffer.len(),
-                });
-                last_delivered = delivered;
-            }
-        }
-
-        ServeRun {
-            metrics: eng.finish_metrics(step),
-            per_request: demux.into_metrics(),
-            steps: step,
-            completed,
-        }
+    fn backlog(&self) -> usize {
+        self.buffer.len()
     }
 }
 
@@ -829,22 +725,19 @@ impl ServeDriver {
 /// [`Router`](crate::Router), so the CLI dispatches `Box<dyn Serve>`
 /// over topologies.
 pub trait Serve {
-    /// Serve a fixed admission trace (sorted by non-decreasing step).
+    /// Serve a fixed admission trace. The entries must be sorted by
+    /// non-decreasing step ([`ServeError::UnsortedTrace`] otherwise).
     fn run_trace(&mut self, trace: &[AdmissionEntry]) -> Result<ServeReport, ServeError>;
 
     /// [`Serve::run_trace`] reporting serve events (admissions,
     /// deferrals, typed rejections, tenant churn, scripted faults,
     /// per-request completions), phase windows and per-step samples to
-    /// `sink` — same report, same schedule. The default falls back to
-    /// the **untraced** `run_trace` (the sink sees nothing);
-    /// [`ServeSession`] overrides it for every backend.
+    /// `sink` — same report, same schedule.
     fn run_trace_traced(
         &mut self,
         trace: &[AdmissionEntry],
-        _sink: &mut dyn TraceSink,
-    ) -> Result<ServeReport, ServeError> {
-        self.run_trace(trace)
-    }
+        sink: &mut dyn TraceSink,
+    ) -> Result<ServeReport, ServeError>;
 
     /// Packet sources of the served topology.
     fn num_sources(&self) -> usize;
@@ -920,29 +813,30 @@ impl<B: RouteBackend> ServeSession<B> {
     pub fn num_links(&self) -> usize {
         self.engine.num_links()
     }
-}
 
-impl<B: RouteBackend> Serve for ServeSession<B> {
-    fn run_trace(&mut self, trace: &[AdmissionEntry]) -> Result<ServeReport, ServeError> {
-        self.run_trace_traced(trace, &mut NoopSink)
-    }
-
-    fn run_trace_traced(
+    /// One trace on the long-lived engine. Generic over the sink, so
+    /// [`Serve::run_trace`]'s [`NoopSink`] instance is the
+    /// uninstrumented loop.
+    fn serve_trace<S: TraceSink + ?Sized>(
         &mut self,
         trace: &[AdmissionEntry],
-        sink: &mut dyn TraceSink,
+        sink: &mut S,
     ) -> Result<ServeReport, ServeError> {
-        assert!(
-            trace.windows(2).all(|w| w[0].step() <= w[1].step()),
-            "admission trace must be sorted by non-decreasing step"
-        );
+        if let Some(i) = trace.windows(2).position(|w| w[0].step() > w[1].step()) {
+            return Err(ServeError::UnsortedTrace { index: i + 1 });
+        }
+        if !self.backend.step_local() {
+            return Err(ServeError::Unsupported {
+                topology: self.backend.name(),
+            });
+        }
         self.engine.reset();
         // Materialize every request's packets up front: the backend's
         // injection routine writes into the engine's pending list, which
         // is immediately taken back — so packets exist before the
         // protocol (which may borrow the backend) is constructed, and
         // admission later is a plain re-inject at the admission step.
-        // Churn entries become driver ops, fault entries one FaultPlan
+        // Churn entries become admission ops, fault entries one FaultPlan
         // installed for the whole run.
         let mut queue = Vec::new();
         let mut ops = Vec::with_capacity(trace.len());
@@ -994,21 +888,23 @@ impl<B: RouteBackend> Serve for ServeSession<B> {
                 .set_fault_plan(&plan)
                 .map_err(ServeError::Fault)?;
         }
-        let mut driver = ServeDriver::new(self.cfg.clone(), queue, ops);
-        let run = self
-            .backend
-            .serve_traced(&mut self.engine, &mut driver, sink)
-            .ok_or(ServeError::Unsupported {
-                topology: self.backend.name(),
-            })?;
+        let mut admit = Admitter::new(self.cfg.clone(), queue, ops);
+        let mut demux = TagDemux::new(self.backend.protocol(1), admit.queue.len());
+        let run = step_loop(
+            &mut self.engine,
+            &mut demux,
+            sink,
+            &mut admit,
+            self.cfg.max_steps,
+        );
 
-        let requests: Vec<RequestOutcome> = run
-            .per_request
+        let requests: Vec<RequestOutcome> = demux
+            .into_metrics()
             .into_iter()
             .enumerate()
             .map(|(slot, metrics)| {
-                let size = driver.queue[slot].packets.len();
-                let status = match (&driver.admitted_at[slot], &driver.rejected_at[slot]) {
+                let size = admit.queue[slot].packets.len();
+                let status = match (&admit.admitted_at[slot], &admit.rejected_at[slot]) {
                     (Some(step), _) => RequestStatus::Admitted { step: *step },
                     (None, Some(err)) => RequestStatus::Rejected(err.clone()),
                     // Only a budget-exhausted loop leaves a request
@@ -1024,8 +920,8 @@ impl<B: RouteBackend> Serve for ServeSession<B> {
                 };
                 RequestOutcome {
                     slot,
-                    tenant: driver.queue[slot].tenant,
-                    arrival_step: driver.queue[slot].arrival,
+                    tenant: admit.queue[slot].tenant,
+                    arrival_step: admit.queue[slot].arrival,
                     status,
                     packets: size,
                     injected,
@@ -1053,7 +949,7 @@ impl<B: RouteBackend> Serve for ServeSession<B> {
             .filter(|r| matches!(r.status, RequestStatus::Admitted { .. }))
             .count();
         Ok(ServeReport {
-            steps: run.steps,
+            steps: run.metrics.steps,
             completed: run.completed,
             packets: requests.iter().map(|r| r.injected).sum(),
             metrics: run.metrics,
@@ -1062,11 +958,25 @@ impl<B: RouteBackend> Serve for ServeSession<B> {
                 .filter(|r| matches!(r.status, RequestStatus::Rejected(_)))
                 .count(),
             admitted,
-            deferred_request_steps: driver.deferred_request_steps,
-            max_backlog: driver.max_backlog,
+            deferred_request_steps: admit.deferred_request_steps,
+            max_backlog: admit.max_backlog,
             requests,
             extras: self.backend.extras(),
         })
+    }
+}
+
+impl<B: RouteBackend> Serve for ServeSession<B> {
+    fn run_trace(&mut self, trace: &[AdmissionEntry]) -> Result<ServeReport, ServeError> {
+        self.serve_trace(trace, &mut NoopSink)
+    }
+
+    fn run_trace_traced(
+        &mut self,
+        trace: &[AdmissionEntry],
+        sink: &mut dyn TraceSink,
+    ) -> Result<ServeReport, ServeError> {
+        self.serve_trace(trace, sink)
     }
 
     fn num_sources(&self) -> usize {

@@ -13,22 +13,16 @@
 //! ([`Packet::hop`]).
 //!
 //! The public entry point is [`ShuffleRoutingSession`] — the
-//! [`Router`](crate::Router) instance for the shuffle. (Historically the
+//! [`Router`] instance for the shuffle. (Historically the
 //! `route_shuffle_*` one-shots built a bare serial `Engine` and silently
 //! ignored `cfg.shards`; the session routes through
 //! [`AnyEngine`](lnpram_shard::AnyEngine).)
 
-use crate::router::{
-    batch_engine, drive, drive_traced, inject_per_source, PatternRef, RouteBackend, Router,
-    RoutingSession, RunExtras,
-};
-use crate::serve::{ServeDriver, ServeRun};
+use crate::router::{Router, RoutingSession, RunExtras};
+use crate::two_phase::{TwoPhase, TwoPhaseBackend};
 use lnpram_math::rng::SeedSeq;
-use lnpram_shard::{AnyEngine, GreedyEdgeCut};
-use lnpram_simnet::trace::TraceSink;
-use lnpram_simnet::{Outbox, Packet, Protocol, RunOutcome, SimConfig, TagMetrics};
-use lnpram_topology::{DWayShuffle, Network};
-use rand::Rng;
+use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
+use lnpram_topology::DWayShuffle;
 
 /// Per-node program of Algorithm 2.3.
 pub struct ShuffleRouter {
@@ -72,122 +66,33 @@ impl Protocol for ShuffleRouter {
     }
 }
 
-/// [`RouteBackend`] for Algorithm 2.3 on the d-way shuffle.
-pub struct ShuffleBackend {
-    shuffle: DWayShuffle,
+impl TwoPhase for DWayShuffle {
+    type Hop<'a> = ShuffleRouter;
+
+    fn extras(&self) -> RunExtras {
+        RunExtras::Shuffle {
+            digits: self.digits(),
+        }
+    }
+
+    fn hop(&self) -> ShuffleRouter {
+        ShuffleRouter::new(*self)
+    }
 }
+
+/// [`RouteBackend`](crate::RouteBackend) for Algorithm 2.3 on the d-way
+/// shuffle.
+pub type ShuffleBackend = TwoPhaseBackend<DWayShuffle>;
 
 impl ShuffleBackend {
     /// Backend on the given shuffle network.
     pub fn new(shuffle: DWayShuffle) -> Self {
-        ShuffleBackend { shuffle }
-    }
-
-    /// The shuffle network.
-    pub fn shuffle(&self) -> &DWayShuffle {
-        &self.shuffle
-    }
-}
-
-impl RouteBackend for ShuffleBackend {
-    fn sources(&self) -> usize {
-        self.shuffle.num_nodes()
-    }
-
-    fn stride(&self) -> usize {
-        self.shuffle.num_nodes()
-    }
-
-    fn name(&self) -> String {
-        self.shuffle.name()
-    }
-
-    fn extras(&self) -> RunExtras {
-        RunExtras::Shuffle {
-            digits: self.shuffle.digits(),
-        }
-    }
-
-    fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
-        batch_engine(&self.shuffle, copies, cfg, |shuffle, cfg| {
-            AnyEngine::with_partitioner(shuffle, cfg, &GreedyEdgeCut)
-        })
-    }
-
-    fn inject(
-        &mut self,
-        eng: &mut AnyEngine,
-        copy: usize,
-        pattern: PatternRef<'_>,
-        seq: SeedSeq,
-        tag: u64,
-    ) -> usize {
-        let total = self.shuffle.num_nodes();
-        let offset = copy * total;
-        inject_per_source(
-            eng,
-            total,
-            pattern,
-            seq,
-            &mut |src| offset + src,
-            &mut |id, src, dest, rng| {
-                let via = rng.gen_range(0..total) as u32;
-                Packet::new(id, src as u32, dest as u32)
-                    .with_via(via)
-                    .with_tag(tag)
-            },
-            &mut |id, src, dest| {
-                // phase 1 from the start: one unique-path traversal
-                // straight to the destination (n hops, no random
-                // intermediate).
-                let mut pkt = Packet::new(id, src as u32, dest as u32)
-                    .with_via(src as u32)
-                    .with_tag(tag);
-                pkt.phase = 1;
-                pkt
-            },
-        )
-    }
-
-    fn run(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.shuffle.num_nodes();
-        drive(eng, ShuffleRouter::new(self.shuffle), stride, demux)
-    }
-
-    fn run_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-        sink: &mut dyn TraceSink,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.shuffle.num_nodes();
-        drive_traced(eng, ShuffleRouter::new(self.shuffle), stride, demux, sink)
-    }
-
-    fn serve(&mut self, eng: &mut AnyEngine, driver: &mut ServeDriver) -> Option<ServeRun> {
-        let stride = self.shuffle.num_nodes();
-        Some(driver.drive(eng, ShuffleRouter::new(self.shuffle), stride))
-    }
-
-    fn serve_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        driver: &mut ServeDriver,
-        sink: &mut dyn TraceSink,
-    ) -> Option<ServeRun> {
-        let stride = self.shuffle.num_nodes();
-        Some(driver.drive_traced(eng, ShuffleRouter::new(self.shuffle), stride, sink))
+        TwoPhaseBackend { topo: shuffle }
     }
 }
 
 /// A reusable Algorithm 2.3 routing session: the
-/// [`Router`](crate::Router) instance for the d-way shuffle (network +
+/// [`Router`] instance for the d-way shuffle (network +
 /// partition + engine built once, `cfg.shards` honored).
 pub type ShuffleRoutingSession = RoutingSession<ShuffleBackend>;
 
@@ -234,6 +139,7 @@ pub fn route_shuffle_relation(
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use lnpram_topology::Network;
     use proptest::prelude::*;
 
     proptest! {
@@ -267,6 +173,7 @@ mod proptests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lnpram_topology::Network;
 
     #[test]
     fn permutation_on_3_way_shuffle() {

@@ -10,60 +10,32 @@
 //! per-node protocol needs no per-packet route state.
 //!
 //! The public entry point is [`StarRoutingSession`] — the
-//! [`Router`](crate::Router) instance for the star graph; the
+//! [`Router`] instance for the star graph; the
 //! `route_star_*` one-shots are thin wrappers over it.
 
-use crate::router::{
-    batch_engine, drive, drive_traced, inject_per_source, PatternRef, RouteBackend, Router,
-    RoutingSession, RunExtras,
-};
-use crate::serve::{ServeDriver, ServeRun};
+use crate::router::{Router, RoutingSession, RunExtras};
+use crate::two_phase::{CanonicalRouter, TwoPhase, TwoPhaseBackend};
 use lnpram_math::rng::SeedSeq;
 use lnpram_shard::{AnyEngine, GreedyEdgeCut};
-use lnpram_simnet::trace::TraceSink;
-use lnpram_simnet::{Outbox, Packet, Protocol, RunOutcome, SimConfig, TagMetrics};
+use lnpram_simnet::SimConfig;
 use lnpram_topology::{Network, StarGraph, StarTable};
-use rand::Rng;
 
 /// Per-node program of Algorithm 2.2, reading the canonical next hop
 /// from a [`StarTable`].
-pub struct StarRouter<'a> {
-    table: &'a StarTable,
-}
+pub type StarRouter<'a> = CanonicalRouter<'a, StarTable>;
 
-impl<'a> StarRouter<'a> {
-    /// Router on the tabulated star graph.
-    pub fn new(table: &'a StarTable) -> Self {
-        StarRouter { table }
+impl TwoPhase for StarTable {
+    type Hop<'a> = StarRouter<'a>;
+
+    fn extras(&self) -> RunExtras {
+        RunExtras::Star {
+            n: self.star().n(),
+            diameter: self.star().diameter(),
+        }
     }
 
-    fn next_port(&self, node: usize, target: usize) -> Option<usize> {
-        self.table.canonical_next_port(node, target)
-    }
-}
-
-impl Protocol for StarRouter<'_> {
-    fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
-        // Phase 0: toward via. Phase 1: toward dest.
-        if pkt.phase == 0 && node == pkt.via as usize {
-            pkt.phase = 1;
-        }
-        let target = if pkt.phase == 0 { pkt.via } else { pkt.dest } as usize;
-        match self.next_port(node, target) {
-            None => {
-                if pkt.phase == 0 {
-                    // via == dest corner case: switch phase and re-examine.
-                    pkt.phase = 1;
-                    match self.next_port(node, pkt.dest as usize) {
-                        None => out.deliver(pkt),
-                        Some(p) => out.send(p, pkt),
-                    }
-                } else {
-                    out.deliver(pkt);
-                }
-            }
-            Some(p) => out.send(p, pkt),
-        }
+    fn hop(&self) -> StarRouter<'_> {
+        StarRouter::new(self)
     }
 }
 
@@ -83,121 +55,20 @@ pub fn star_table_engine(table: &StarTable, cfg: SimConfig) -> AnyEngine {
     AnyEngine::with_partitioner(table, cfg, &GreedyEdgeCut)
 }
 
-/// [`RouteBackend`] for Algorithm 2.2 on the n-star.
-pub struct StarBackend {
-    table: StarTable,
-}
+/// [`RouteBackend`](crate::RouteBackend) for Algorithm 2.2 on the
+/// n-star.
+pub type StarBackend = TwoPhaseBackend<StarTable>;
 
 impl StarBackend {
     /// Backend on the given star graph (tabulated here, once).
     pub fn new(star: StarGraph) -> Self {
-        StarBackend {
-            table: StarTable::new(star),
+        TwoPhaseBackend {
+            topo: StarTable::new(star),
         }
-    }
-
-    /// The star graph.
-    pub fn star(&self) -> &StarGraph {
-        self.table.star()
     }
 }
 
-impl RouteBackend for StarBackend {
-    fn sources(&self) -> usize {
-        self.star().num_nodes()
-    }
-
-    fn stride(&self) -> usize {
-        self.star().num_nodes()
-    }
-
-    fn name(&self) -> String {
-        self.star().name()
-    }
-
-    fn extras(&self) -> RunExtras {
-        RunExtras::Star {
-            n: self.star().n(),
-            diameter: self.star().diameter(),
-        }
-    }
-
-    fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
-        batch_engine(&self.table, copies, cfg, star_table_engine)
-    }
-
-    fn inject(
-        &mut self,
-        eng: &mut AnyEngine,
-        copy: usize,
-        pattern: PatternRef<'_>,
-        seq: SeedSeq,
-        tag: u64,
-    ) -> usize {
-        let total = self.star().num_nodes();
-        let offset = copy * total;
-        inject_per_source(
-            eng,
-            total,
-            pattern,
-            seq,
-            &mut |src| offset + src,
-            &mut |id, src, dest, rng| {
-                let via = rng.gen_range(0..total) as u32;
-                Packet::new(id, src as u32, dest as u32)
-                    .with_via(via)
-                    .with_tag(tag)
-            },
-            &mut |id, src, dest| {
-                // phase 1 from the start: via = self, so the router
-                // goes straight to the destination.
-                let mut pkt = Packet::new(id, src as u32, dest as u32)
-                    .with_via(src as u32)
-                    .with_tag(tag);
-                pkt.phase = 1;
-                pkt
-            },
-        )
-    }
-
-    fn run(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.star().num_nodes();
-        drive(eng, StarRouter::new(&self.table), stride, demux)
-    }
-
-    fn run_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        _copies: usize,
-        demux: usize,
-        sink: &mut dyn TraceSink,
-    ) -> (RunOutcome, Vec<TagMetrics>) {
-        let stride = self.star().num_nodes();
-        drive_traced(eng, StarRouter::new(&self.table), stride, demux, sink)
-    }
-
-    fn serve(&mut self, eng: &mut AnyEngine, driver: &mut ServeDriver) -> Option<ServeRun> {
-        let stride = self.star().num_nodes();
-        Some(driver.drive(eng, StarRouter::new(&self.table), stride))
-    }
-
-    fn serve_traced(
-        &mut self,
-        eng: &mut AnyEngine,
-        driver: &mut ServeDriver,
-        sink: &mut dyn TraceSink,
-    ) -> Option<ServeRun> {
-        let stride = self.star().num_nodes();
-        Some(driver.drive_traced(eng, StarRouter::new(&self.table), stride, sink))
-    }
-}
-
-/// A reusable Algorithm 2.2 routing session: the [`Router`](crate::Router)
+/// A reusable Algorithm 2.2 routing session: the [`Router`]
 /// instance for the star graph. The graph, its partition plan and the
 /// [`AnyEngine`] are built **once**, then any number of requests are
 /// routed through it, recycling the engine with `reset` per run. On
@@ -222,7 +93,7 @@ impl RoutingSession<StarBackend> {
 
     /// The star graph this session routes on.
     pub fn star(&self) -> &StarGraph {
-        self.backend().star()
+        self.backend().topology().star()
     }
 }
 
@@ -267,6 +138,7 @@ pub fn route_star_relation(n: usize, h: usize, seed: u64, cfg: SimConfig) -> cra
 mod tests {
     use super::*;
     use crate::router::RouteRequest;
+    use lnpram_simnet::Packet;
 
     #[test]
     fn permutation_on_4_star_delivers_all() {

@@ -294,3 +294,19 @@ fn single_tenant_batch_equals_route() {
         );
     }
 }
+
+/// `route_batch` of no requests is an empty, completed batch carrying
+/// the backend's extras — it used to panic on an `assert!`.
+#[test]
+fn empty_batch_is_an_empty_completed_report() {
+    for topo in 0..TOPOLOGIES {
+        let mut router = make(topo, 0);
+        let extras = router.route(&RouteRequest::permutation(1)).extras;
+        let batch = router.route_batch(&[]);
+        assert!(batch.completed, "{}", router.topology());
+        assert_eq!(batch.packets, 0);
+        assert!(batch.tenants.is_empty());
+        assert_eq!(batch.metrics.delivered, 0);
+        assert_eq!(batch.extras, extras);
+    }
+}

@@ -8,7 +8,9 @@ use lnpram_routing::ccc::CccBackend;
 use lnpram_routing::hypercube::CubeBackend;
 use lnpram_routing::leveled::LeveledBackend;
 use lnpram_routing::star::StarBackend;
-use lnpram_routing::{AdmissionEntry, RouteRequest, Serve, ServeConfig, ServeReport, ServeSession};
+use lnpram_routing::{
+    AdmissionEntry, RouteRequest, Serve, ServeConfig, ServeError, ServeReport, ServeSession,
+};
 use lnpram_simnet::SimConfig;
 use lnpram_topology::leveled::RadixButterfly;
 use lnpram_topology::StarGraph;
@@ -212,4 +214,28 @@ fn serve_session_reusable_after_exhaustion() {
     assert_same_schedule(&a, &b, "same-session repeat");
     assert_same_schedule(&a, &c, "fresh vs reused session");
     assert!(a.completed);
+}
+
+/// An admission trace that goes back in time is a typed error naming
+/// the offending entry — it used to panic on an `assert!`.
+#[test]
+fn unsorted_trace_is_a_typed_error() {
+    let req = |seed| RouteRequest::permutation(seed);
+    let t = vec![
+        AdmissionEntry::request(0, req(1)),
+        AdmissionEntry::request(4, req(2)),
+        AdmissionEntry::leave(3, 0),
+        AdmissionEntry::request(9, req(3)),
+    ];
+    for topo in 0..TOPOLOGIES {
+        let mut serve = make(topo, 0, ServeConfig::default());
+        let err = serve.run_trace(&t).expect_err("step 3 follows step 4");
+        assert_eq!(err, ServeError::UnsortedTrace { index: 2 });
+        assert_eq!(
+            err.to_string(),
+            "admission trace is not sorted by step: entry 2 arrives before entry 1"
+        );
+        let mut sink = lnpram_simnet::NoopSink;
+        assert_eq!(serve.run_trace_traced(&t, &mut sink).err(), Some(err));
+    }
 }

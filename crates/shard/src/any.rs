@@ -3,15 +3,19 @@
 //!
 //! Emulators and routing sessions build an [`AnyEngine`] instead of an
 //! `Engine`; `cfg.shards ≤ 1` keeps the single serial engine (zero
-//! overhead — the enum dispatch is per run, not per step), `≥ 2`
-//! switches to the partitioned lockstep path. Outcomes are
+//! overhead — [`AnyEngine::run`] dispatches once per run, not per
+//! step), `≥ 2` switches to the partitioned lockstep path. Outcomes are
 //! bit-identical either way (the `ShardedEngine` determinism contract).
+//! The enum is itself a [`StepEngine`], so a driver that steps phase by
+//! phase (the serve loop) takes either variant.
 
 use crate::partition::{GreedyEdgeCut, Partitioner};
 use crate::ShardedEngine;
 use lnpram_simnet::fault::{FaultError, FaultPlan};
 use lnpram_simnet::trace::TraceSink;
-use lnpram_simnet::{Engine, Metrics, Outbox, Packet, Protocol, RunOutcome, SimConfig};
+use lnpram_simnet::{
+    Engine, Metrics, NoopSink, Outbox, Packet, Protocol, RunOutcome, SimConfig, StepEngine,
+};
 use lnpram_topology::Network;
 
 /// Either a serial [`Engine`] or a [`ShardedEngine`], behind the
@@ -21,6 +25,16 @@ pub enum AnyEngine {
     Serial(Engine),
     /// The partitioned lockstep engine (`cfg.shards ≥ 2`).
     Sharded(ShardedEngine),
+}
+
+/// Evaluate `$call` on whichever engine `$any` holds.
+macro_rules! either {
+    ($any:expr, $e:ident => $call:expr) => {
+        match $any {
+            AnyEngine::Serial($e) => $call,
+            AnyEngine::Sharded($e) => $call,
+        }
+    };
 }
 
 impl AnyEngine {
@@ -57,18 +71,12 @@ impl AnyEngine {
 
     /// See [`Engine::reset`].
     pub fn reset(&mut self) {
-        match self {
-            AnyEngine::Serial(e) => e.reset(),
-            AnyEngine::Sharded(e) => e.reset(),
-        }
+        either!(self, e => e.reset())
     }
 
     /// See [`Engine::set_max_steps`].
     pub fn set_max_steps(&mut self, max_steps: u32) {
-        match self {
-            AnyEngine::Serial(e) => e.set_max_steps(max_steps),
-            AnyEngine::Sharded(e) => e.set_max_steps(max_steps),
-        }
+        either!(self, e => e.set_max_steps(max_steps))
     }
 
     /// See [`Engine::set_fault_plan`] — identical semantics on both
@@ -76,51 +84,33 @@ impl AnyEngine {
     /// the owning shards), so faulted runs stay bit-identical across
     /// serial and sharded stepping. Cleared by [`AnyEngine::reset`].
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), FaultError> {
-        match self {
-            AnyEngine::Serial(e) => e.set_fault_plan(plan),
-            AnyEngine::Sharded(e) => e.set_fault_plan(plan),
-        }
+        either!(self, e => e.set_fault_plan(plan))
     }
 
     /// See [`Engine::block_link`].
     pub fn block_link(&mut self, node: usize, port: usize) {
-        match self {
-            AnyEngine::Serial(e) => e.block_link(node, port),
-            AnyEngine::Sharded(e) => e.block_link(node, port),
-        }
+        either!(self, e => e.block_link(node, port))
     }
 
     /// See [`Engine::num_nodes`].
     pub fn num_nodes(&self) -> usize {
-        match self {
-            AnyEngine::Serial(e) => e.num_nodes(),
-            AnyEngine::Sharded(e) => e.num_nodes(),
-        }
+        either!(self, e => e.num_nodes())
     }
 
     /// See [`Engine::num_links`] — valid global link ids for fault
     /// plans are `0..num_links`.
     pub fn num_links(&self) -> usize {
-        match self {
-            AnyEngine::Serial(e) => e.num_links(),
-            AnyEngine::Sharded(e) => e.num_links(),
-        }
+        either!(self, e => e.num_links())
     }
 
     /// See [`Engine::inject`].
     pub fn inject(&mut self, node: usize, pkt: Packet) {
-        match self {
-            AnyEngine::Serial(e) => e.inject(node, pkt),
-            AnyEngine::Sharded(e) => e.inject(node, pkt),
-        }
+        either!(self, e => e.inject(node, pkt))
     }
 
     /// See [`Engine::run`].
     pub fn run<P: Protocol>(&mut self, proto: &mut P) -> RunOutcome {
-        match self {
-            AnyEngine::Serial(e) => e.run(proto),
-            AnyEngine::Sharded(e) => e.run(proto),
-        }
+        self.run_traced(proto, &mut NoopSink)
     }
 
     /// See [`Engine::run_traced`] — identical delivery schedule to
@@ -130,131 +120,68 @@ impl AnyEngine {
         proto: &mut P,
         sink: &mut S,
     ) -> RunOutcome {
-        match self {
-            AnyEngine::Serial(e) => e.run_traced(proto, sink),
-            AnyEngine::Sharded(e) => e.run_traced(proto, sink),
-        }
+        either!(self, e => e.run_traced(proto, sink))
     }
 
     /// See [`Engine::in_flight`].
     pub fn in_flight(&self) -> usize {
-        match self {
-            AnyEngine::Serial(e) => e.in_flight(),
-            AnyEngine::Sharded(e) => e.in_flight(),
-        }
-    }
-
-    /// See [`Engine::delivered`] — live mid-run on both variants.
-    pub fn delivered(&self) -> usize {
-        match self {
-            AnyEngine::Serial(e) => e.delivered(),
-            AnyEngine::Sharded(e) => e.delivered(),
-        }
-    }
-
-    /// See [`Engine::arrivals_len`].
-    pub fn arrivals_len(&self) -> usize {
-        match self {
-            AnyEngine::Serial(e) => e.arrivals_len(),
-            AnyEngine::Sharded(e) => e.arrivals_len(),
-        }
-    }
-
-    /// See [`Engine::process_pending`] — feed pending injections to the
-    /// protocol at `step`, stamping `injected_at`. With the rest of the
-    /// stepping API below, an external driver (the serve loop) can
-    /// replay exactly what `run` does while admitting packets at
-    /// arbitrary step boundaries, with bit-identical outcomes across
-    /// both variants.
-    pub fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
-        match self {
-            AnyEngine::Serial(e) => e.process_pending(proto, step, out),
-            AnyEngine::Sharded(e) => e.process_pending(proto, step, out),
-        }
-    }
-
-    /// See [`Engine::step_transmit`] (sharded: transmit all shards and
-    /// merge the boundary mailboxes).
-    pub fn step_transmit(&mut self) {
-        match self {
-            AnyEngine::Serial(e) => e.step_transmit(),
-            AnyEngine::Sharded(e) => e.step_transmit(),
-        }
-    }
-
-    /// See [`Engine::step_transmit_traced`] — same transition as
-    /// [`AnyEngine::step_transmit`], reporting phase windows, fault
-    /// applications, and (sharded) boundary traffic to `sink`.
-    pub fn step_transmit_traced<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
-        match self {
-            AnyEngine::Serial(e) => e.step_transmit_traced(sink),
-            AnyEngine::Sharded(e) => e.step_transmit_traced(sink),
-        }
-    }
-
-    /// See [`Engine::process_arrivals`].
-    pub fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
-        match self {
-            AnyEngine::Serial(e) => e.process_arrivals(proto, step, out),
-            AnyEngine::Sharded(e) => e.process_arrivals(proto, step, out),
-        }
-    }
-
-    /// See [`Engine::step_finish`].
-    pub fn step_finish(&mut self) {
-        match self {
-            AnyEngine::Serial(e) => e.step_finish(),
-            AnyEngine::Sharded(e) => e.step_finish(),
-        }
-    }
-
-    /// See [`Engine::note_queued_step`].
-    pub fn note_queued_step(&mut self) {
-        match self {
-            AnyEngine::Serial(e) => e.note_queued_step(),
-            AnyEngine::Sharded(e) => e.note_queued_step(),
-        }
-    }
-
-    /// See [`Engine::finish_metrics`].
-    pub fn finish_metrics(&mut self, steps: u32) -> Metrics {
-        match self {
-            AnyEngine::Serial(e) => e.finish_metrics(steps),
-            AnyEngine::Sharded(e) => e.finish_metrics(steps),
-        }
+        either!(self, e => e.in_flight())
     }
 
     /// See [`Engine::take_pending`].
     pub fn take_pending(&mut self) -> Vec<(usize, Packet)> {
-        match self {
-            AnyEngine::Serial(e) => e.take_pending(),
-            AnyEngine::Sharded(e) => e.take_pending(),
-        }
-    }
-
-    /// See [`Engine::max_queue_len`] — the instantaneous backpressure
-    /// watermark (identical across variants: shard queues partition the
-    /// global queues).
-    pub fn max_queue_len(&self) -> usize {
-        match self {
-            AnyEngine::Serial(e) => e.max_queue_len(),
-            AnyEngine::Sharded(e) => e.max_queue_len(),
-        }
+        either!(self, e => e.take_pending())
     }
 
     /// See [`Engine::drain_all`].
     pub fn drain_all(&mut self) -> Vec<Packet> {
-        match self {
-            AnyEngine::Serial(e) => e.drain_all(),
-            AnyEngine::Sharded(e) => e.drain_all(),
-        }
+        either!(self, e => e.drain_all())
     }
 
     /// See [`Engine::link_loads`].
     pub fn link_loads(&self) -> Vec<u32> {
-        match self {
-            AnyEngine::Serial(e) => e.link_loads(),
-            AnyEngine::Sharded(e) => e.link_loads(),
-        }
+        either!(self, e => e.link_loads())
+    }
+}
+
+impl StepEngine for AnyEngine {
+    fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
+        either!(self, e => e.process_pending(proto, step, out))
+    }
+
+    fn step_transmit<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
+        either!(self, e => e.step_transmit(sink))
+    }
+
+    fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
+        either!(self, e => e.process_arrivals(proto, step, out))
+    }
+
+    fn step_finish(&mut self) {
+        either!(self, e => e.step_finish())
+    }
+
+    fn note_queued_step(&mut self) {
+        either!(self, e => e.note_queued_step())
+    }
+
+    fn finish_metrics(&mut self, steps: u32) -> Metrics {
+        either!(self, e => e.finish_metrics(steps))
+    }
+
+    fn in_flight(&self) -> usize {
+        AnyEngine::in_flight(self)
+    }
+
+    fn delivered(&self) -> usize {
+        either!(self, e => e.delivered())
+    }
+
+    fn arrivals_len(&self) -> usize {
+        either!(self, e => e.arrivals_len())
+    }
+
+    fn max_queue_len(&self) -> usize {
+        either!(self, e => e.max_queue_len())
     }
 }

@@ -52,10 +52,11 @@
 
 use crate::partition::{Partitioner, ShardPlan};
 use lnpram_simnet::fault::{FaultError, FaultPlan, FaultSchedule};
-use lnpram_simnet::trace::{NoopSink, Phase, StepSample, TraceSink};
+use lnpram_simnet::trace::{NoopSink, Phase, TraceSink};
 use lnpram_simnet::worker::WorkerPool;
 use lnpram_simnet::{
-    Engine, InvariantViolation, Metrics, Outbox, Packet, Protocol, RunOutcome, SimConfig,
+    step_loop, Engine, InvariantViolation, Metrics, NoAdmission, Outbox, Packet, Protocol,
+    RunOutcome, SimConfig, StepEngine,
 };
 use lnpram_topology::Network;
 use std::sync::Mutex;
@@ -123,7 +124,7 @@ impl Shard {
     /// shard's active links and publish them in the mailbox. Runs on a
     /// pool worker in parallel mode.
     fn transmit(&mut self) {
-        self.engine.step_transmit();
+        self.engine.step_transmit(&mut NoopSink);
         self.engine.swap_arrivals(&mut self.buf);
     }
 }
@@ -454,26 +455,6 @@ impl ShardedEngine {
         self.in_flight
     }
 
-    /// Packets delivered since the last reset — live mid-run (see
-    /// [`Engine::delivered`]).
-    pub fn delivered(&self) -> usize {
-        self.metrics.delivered
-    }
-
-    /// Packets the last transmit phase moved (see
-    /// [`Engine::arrivals_len`]; mailboxes stay intact until the next
-    /// transmit).
-    pub fn arrivals_len(&self) -> usize {
-        if self.ordered {
-            self.shards
-                .iter()
-                .map(|s| s.lock().expect("shard mutex").buf.len())
-                .sum()
-        } else {
-            self.merged.len()
-        }
-    }
-
     /// Per-link traversal counts in **global** link-id order, assembled
     /// from the shard engines (mirrors [`Engine::link_loads`]).
     pub fn link_loads(&self) -> Vec<u32> {
@@ -515,160 +496,22 @@ impl ShardedEngine {
 
     /// [`ShardedEngine::run`] reporting to a [`TraceSink`] — phase
     /// windows, per-shard transmit splits and boundary-crossing counts,
-    /// fault applications and per-step samples. With [`NoopSink`] this
-    /// monomorphizes to exactly the untraced loop; the observed run is
-    /// bit-identical either way (sinks cannot mutate the engines).
+    /// fault applications and per-step samples. The same [`step_loop`]
+    /// as the serial engine; the observed run is bit-identical with any
+    /// sink (sinks cannot mutate the engines).
     pub fn run_traced<P: Protocol, S: TraceSink + ?Sized>(
         &mut self,
         proto: &mut P,
         sink: &mut S,
     ) -> RunOutcome {
-        let mut out = Outbox::default();
-        let before = self.metrics.delivered;
-
-        // Step 0: process injections in order (drained in place).
-        sink.on_phase_start(Phase::Process);
-        self.process_pending(proto, 0, &mut out);
-        sink.on_phase_end(Phase::Process);
-        self.step_finish();
-        proto.on_step_end(0);
-        let mut last_delivered = self.metrics.delivered;
-        if sink.enabled() {
-            sink.on_step_end(&StepSample {
-                step: 0,
-                in_flight: self.in_flight,
-                arrivals: 0,
-                deliveries: last_delivered - before,
-                max_queue_len: self.max_queue_len(),
-                backlog: 0,
-            });
-        }
-
-        let mut step: u32 = 0;
-        while self.in_flight > 0 {
-            if step >= self.cfg.max_steps {
-                return RunOutcome {
-                    metrics: self.finish_metrics(step),
-                    completed: false,
-                };
-            }
-            step += 1;
-            sink.on_step_begin(step);
-            self.step_transmit_traced(sink);
-            sink.on_phase_start(Phase::Process);
-            self.process_arrivals(proto, step, &mut out);
-            sink.on_phase_end(Phase::Process);
-            proto.on_step_end(step);
-            self.step_finish();
-            self.note_queued_step();
-            if sink.enabled() {
-                let arrivals = if self.ordered {
-                    (0..self.k).map(|s| self.shard_mut(s).buf.len()).sum()
-                } else {
-                    self.merged.len()
-                };
-                let delivered = self.metrics.delivered;
-                sink.on_step_end(&StepSample {
-                    step,
-                    in_flight: self.in_flight,
-                    arrivals,
-                    deliveries: delivered - last_delivered,
-                    max_queue_len: self.max_queue_len(),
-                    backlog: 0,
-                });
-                last_delivered = delivered;
-            }
-        }
-
-        RunOutcome {
-            metrics: self.finish_metrics(step),
-            completed: true,
-        }
-    }
-
-    /// Feed every pending injection to the protocol at `step`, stamping
-    /// each packet's `injected_at` with the admission step — the sharded
-    /// mirror of [`Engine::process_pending`], callback-for-callback, so
-    /// mid-run admission is bit-identical across serial and sharded
-    /// engines.
-    pub fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
-        let pending = std::mem::take(&mut self.pending);
-        for &(node, pkt) in &pending {
-            let mut pkt = pkt;
-            pkt.injected_at = step;
-            proto.on_packet(node, pkt, step, out);
-            self.apply_outbox(node, out, step);
-        }
-        self.pending = pending;
-        self.pending.clear();
-    }
-
-    /// Global transmit phase: every shard extracts from its own links,
-    /// then (non-contiguous plans only) the mailboxes are merged into
-    /// the serial arrival order. The sharded mirror of
-    /// [`Engine::step_transmit`]; arrivals are consumed by
-    /// [`ShardedEngine::process_arrivals`].
-    pub fn step_transmit(&mut self) {
-        self.step_transmit_traced(&mut NoopSink);
-    }
-
-    /// [`ShardedEngine::step_transmit`] reporting fault applications,
-    /// the transmit/exchange phase windows and per-shard splits to a
-    /// [`TraceSink`] (compiles to the untraced phase under [`NoopSink`]).
-    pub fn step_transmit_traced<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
-        self.clock += 1;
-        if self.faults.is_some() {
-            let Self {
-                faults,
-                link_owner,
-                shards,
-                clock,
-                ..
-            } = self;
-            let sched = faults.as_mut().expect("checked above");
-            let clock = *clock;
-            if sink.enabled() {
-                sched.advance(clock, |link, blocked| {
-                    Self::apply_link_blocked(link_owner, shards, link, blocked);
-                    sink.on_fault(clock, link, blocked);
-                });
-            } else {
-                sched.advance(clock, |link, blocked| {
-                    Self::apply_link_blocked(link_owner, shards, link, blocked);
-                });
-            }
-        }
-        sink.on_phase_start(Phase::Transmit);
-        self.transmit_all(sink);
-        sink.on_phase_end(Phase::Transmit);
-        if !self.ordered {
-            sink.on_phase_start(Phase::Exchange);
-            self.merge_mailboxes();
-            sink.on_phase_end(Phase::Exchange);
-        }
-    }
-
-    /// End-of-step occupancy accounting (mirrors
-    /// [`Engine::note_queued_step`]).
-    pub fn note_queued_step(&mut self) {
-        self.metrics.queued_packet_steps += self.in_flight as u64;
+        let max_steps = self.cfg.max_steps;
+        step_loop(self, proto, sink, &mut NoAdmission, max_steps)
     }
 
     /// Take back the not-yet-processed injections (mirrors
     /// [`Engine::take_pending`]).
     pub fn take_pending(&mut self) -> Vec<(usize, Packet)> {
         std::mem::take(&mut self.pending)
-    }
-
-    /// Largest current occupancy over all link queues of all shards
-    /// (mirrors [`Engine::max_queue_len`]; identical to the serial value
-    /// because shard queues partition the global queues).
-    pub fn max_queue_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard mutex").engine.max_queue_len())
-            .max()
-            .unwrap_or(0)
     }
 
     /// Transmit phase across all shards — over the worker pool (one
@@ -767,95 +610,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Process phase: group this step's arrivals by destination node and
-    /// drive the protocol over nodes in ascending id — the serial
-    /// engine's exact callback sequence. Arrivals are read **in place**:
-    /// the bucket chains store packed `(shard, index)` coordinates into
-    /// the mailboxes (or into `merged` for non-contiguous plans), so the
-    /// contiguous path moves no packet until batch assembly — the same
-    /// single copy the serial engine pays.
-    pub fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
-        // Grouping pass over plain field borrows (no self methods).
-        let mut arrivals = 0usize;
-        {
-            let Self {
-                shards,
-                merged,
-                ordered,
-                link_head,
-                shard_link_head,
-                chain,
-                node_head,
-                node_tail,
-                touched,
-                ..
-            } = self;
-            chain.clear();
-            let mut bucket = |node: usize, packed: u32, chain: &mut Vec<(u32, u32)>| {
-                let e = chain.len() as u32;
-                chain.push((packed, NIL));
-                if node_head[node] == NIL {
-                    node_head[node] = e;
-                    touched.push(node as u32);
-                } else {
-                    chain[node_tail[node] as usize].1 = e;
-                }
-                node_tail[node] = e;
-            };
-            if *ordered {
-                // Shard mailboxes concatenate in global link order.
-                for (s, shard) in shards.iter_mut().enumerate() {
-                    let heads = &shard_link_head[s];
-                    let buf = &shard.get_mut().expect("shard mutex").buf;
-                    debug_assert!(buf.len() <= COORD_MASK as usize);
-                    for (idx, &(local, _)) in buf.iter().enumerate() {
-                        bucket(
-                            heads[local as usize] as usize,
-                            ((s as u32) << COORD_BITS) | idx as u32,
-                            chain,
-                        );
-                    }
-                    arrivals += buf.len();
-                }
-            } else {
-                debug_assert!(merged.len() <= COORD_MASK as usize);
-                for (idx, &(link, _)) in merged.iter().enumerate() {
-                    bucket(
-                        link_head[link as usize] as usize,
-                        (MERGED << COORD_BITS) | idx as u32,
-                        chain,
-                    );
-                }
-                arrivals = merged.len();
-            }
-            touched.sort_unstable();
-        }
-        self.in_flight -= arrivals;
-        for t in 0..self.touched.len() {
-            let node = self.touched[t] as usize;
-            self.batch.clear();
-            let mut e = self.node_head[node];
-            while e != NIL {
-                let (packed, next) = self.chain[e as usize];
-                let s = packed >> COORD_BITS;
-                let idx = (packed & COORD_MASK) as usize;
-                let pkt = if s == MERGED {
-                    self.merged[idx].1
-                } else {
-                    self.shards[s as usize].get_mut().expect("shard mutex").buf[idx].1
-                };
-                self.batch.push(pkt);
-                e = next;
-            }
-            self.node_head[node] = NIL;
-            let batch = std::mem::take(&mut self.batch);
-            proto.on_arrivals(node, &batch, step, out);
-            self.batch = batch;
-            self.apply_outbox(node, out, step);
-        }
-        self.touched.clear();
-    }
-
     /// Apply one callback's outbox: route every send into the shard
     /// owning `node` (sends always leave on the processing node's own
     /// ports) and record deliveries centrally.
@@ -875,14 +629,6 @@ impl ShardedEngine {
             self.metrics.on_delivery(step, pkt.injected_at);
         }
         out.clear();
-    }
-
-    /// Close the step on every shard (restore active-link order) —
-    /// mirrors [`Engine::step_finish`].
-    pub fn step_finish(&mut self) {
-        for s in 0..self.k {
-            self.shard_mut(s).engine.step_finish();
-        }
     }
 
     /// Verify the coordinator-level invariants, plus every shard
@@ -1005,11 +751,156 @@ impl ShardedEngine {
         }
         Ok(())
     }
+}
 
-    /// Finalise and move the accumulated metrics out, assembling the
-    /// cross-shard aggregates exactly like the serial engine does
-    /// (mirrors [`Engine::finish_metrics`]).
-    pub fn finish_metrics(&mut self, steps: u32) -> Metrics {
+impl StepEngine for ShardedEngine {
+    // Callback-for-callback the serial engine's pending pass, so mid-run
+    // admission is bit-identical across serial and sharded engines.
+    fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
+        let pending = std::mem::take(&mut self.pending);
+        for &(node, pkt) in &pending {
+            let mut pkt = pkt;
+            pkt.injected_at = step;
+            proto.on_packet(node, pkt, step, out);
+            self.apply_outbox(node, out, step);
+        }
+        self.pending = pending;
+        self.pending.clear();
+    }
+
+    // Every shard extracts from its own links, then (non-contiguous
+    // plans only) the mailboxes are merged into the serial arrival order.
+    fn step_transmit<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
+        self.clock += 1;
+        if self.faults.is_some() {
+            let Self {
+                faults,
+                link_owner,
+                shards,
+                clock,
+                ..
+            } = self;
+            let sched = faults.as_mut().expect("checked above");
+            let clock = *clock;
+            if sink.enabled() {
+                sched.advance(clock, |link, blocked| {
+                    Self::apply_link_blocked(link_owner, shards, link, blocked);
+                    sink.on_fault(clock, link, blocked);
+                });
+            } else {
+                sched.advance(clock, |link, blocked| {
+                    Self::apply_link_blocked(link_owner, shards, link, blocked);
+                });
+            }
+        }
+        sink.on_phase_start(Phase::Transmit);
+        self.transmit_all(sink);
+        sink.on_phase_end(Phase::Transmit);
+        if !self.ordered {
+            sink.on_phase_start(Phase::Exchange);
+            self.merge_mailboxes();
+            sink.on_phase_end(Phase::Exchange);
+        }
+    }
+
+    // The serial engine's exact callback sequence. Arrivals are read
+    // **in place**: the bucket chains store packed `(shard, index)`
+    // coordinates into the mailboxes (or into `merged` for
+    // non-contiguous plans), so the contiguous path moves no packet
+    // until batch assembly — the same single copy the serial engine pays.
+    fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
+        // Grouping pass over plain field borrows (no self methods).
+        let mut arrivals = 0usize;
+        {
+            let Self {
+                shards,
+                merged,
+                ordered,
+                link_head,
+                shard_link_head,
+                chain,
+                node_head,
+                node_tail,
+                touched,
+                ..
+            } = self;
+            chain.clear();
+            let mut bucket = |node: usize, packed: u32, chain: &mut Vec<(u32, u32)>| {
+                let e = chain.len() as u32;
+                chain.push((packed, NIL));
+                if node_head[node] == NIL {
+                    node_head[node] = e;
+                    touched.push(node as u32);
+                } else {
+                    chain[node_tail[node] as usize].1 = e;
+                }
+                node_tail[node] = e;
+            };
+            if *ordered {
+                // Shard mailboxes concatenate in global link order.
+                for (s, shard) in shards.iter_mut().enumerate() {
+                    let heads = &shard_link_head[s];
+                    let buf = &shard.get_mut().expect("shard mutex").buf;
+                    debug_assert!(buf.len() <= COORD_MASK as usize);
+                    for (idx, &(local, _)) in buf.iter().enumerate() {
+                        bucket(
+                            heads[local as usize] as usize,
+                            ((s as u32) << COORD_BITS) | idx as u32,
+                            chain,
+                        );
+                    }
+                    arrivals += buf.len();
+                }
+            } else {
+                debug_assert!(merged.len() <= COORD_MASK as usize);
+                for (idx, &(link, _)) in merged.iter().enumerate() {
+                    bucket(
+                        link_head[link as usize] as usize,
+                        (MERGED << COORD_BITS) | idx as u32,
+                        chain,
+                    );
+                }
+                arrivals = merged.len();
+            }
+            touched.sort_unstable();
+        }
+        self.in_flight -= arrivals;
+        for t in 0..self.touched.len() {
+            let node = self.touched[t] as usize;
+            self.batch.clear();
+            let mut e = self.node_head[node];
+            while e != NIL {
+                let (packed, next) = self.chain[e as usize];
+                let s = packed >> COORD_BITS;
+                let idx = (packed & COORD_MASK) as usize;
+                let pkt = if s == MERGED {
+                    self.merged[idx].1
+                } else {
+                    self.shards[s as usize].get_mut().expect("shard mutex").buf[idx].1
+                };
+                self.batch.push(pkt);
+                e = next;
+            }
+            self.node_head[node] = NIL;
+            let batch = std::mem::take(&mut self.batch);
+            proto.on_arrivals(node, &batch, step, out);
+            self.batch = batch;
+            self.apply_outbox(node, out, step);
+        }
+        self.touched.clear();
+    }
+
+    fn step_finish(&mut self) {
+        for s in 0..self.k {
+            self.shard_mut(s).engine.step_finish();
+        }
+    }
+
+    fn note_queued_step(&mut self) {
+        self.metrics.queued_packet_steps += self.in_flight as u64;
+    }
+
+    fn finish_metrics(&mut self, steps: u32) -> Metrics {
         self.metrics.steps = steps;
         self.metrics.max_queue = (0..self.k)
             .map(|s| self.shard_mut(s).engine.queue_high_water())
@@ -1019,5 +910,32 @@ impl ShardedEngine {
             self.metrics.link_loads = self.link_loads();
         }
         std::mem::take(&mut self.metrics)
+    }
+
+    fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    fn delivered(&self) -> usize {
+        self.metrics.delivered
+    }
+
+    fn arrivals_len(&self) -> usize {
+        if self.ordered {
+            self.shards
+                .iter()
+                .map(|s| s.lock().expect("shard mutex").buf.len())
+                .sum()
+        } else {
+            self.merged.len()
+        }
+    }
+
+    fn max_queue_len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("shard mutex").engine.max_queue_len())
+            .max()
+            .unwrap_or(0)
     }
 }

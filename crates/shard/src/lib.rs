@@ -40,7 +40,9 @@ pub use partition::{CutStats, GreedyEdgeCut, LevelCut, Partitioner, RowBlock, Sh
 mod tests {
     use super::*;
     use lnpram_math::rng::splitmix64;
-    use lnpram_simnet::{Discipline, Engine, Metrics, Outbox, Packet, Protocol, SimConfig};
+    use lnpram_simnet::{
+        Discipline, Engine, Metrics, Outbox, Packet, Protocol, SimConfig, StepEngine,
+    };
     use lnpram_topology::leveled::{Leveled, LeveledNet, RadixButterfly};
     use lnpram_topology::{Mesh, Network, StarGraph};
 
@@ -855,7 +857,7 @@ mod tests {
                 while eng.in_flight() > 0 {
                     step += 1;
                     prop_assert!(step <= 10_000, "driver ran away");
-                    eng.step_transmit();
+                    eng.step_transmit(&mut lnpram_simnet::NoopSink);
                     eng.process_arrivals(&mut proto, step, &mut out);
                     eng.step_finish();
                     prop_assert_eq!(eng.check_invariants(), Ok(()));

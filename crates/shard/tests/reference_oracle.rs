@@ -239,7 +239,7 @@ fn random_plan(
                 0 => Fault::LinkFail { link },
                 1 => Fault::LinkDegrade {
                     link,
-                    period: 2 + draw(3) as u32,
+                    period: 1 + draw(4) as u32,
                 },
                 2 => Fault::LinkRecover { link },
                 3 => Fault::NodeFail { node },

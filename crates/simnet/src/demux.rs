@@ -6,7 +6,7 @@
 //! [`TagDemux`] wraps any [`Protocol`] and observes the deliveries the
 //! inner protocol emits, accumulating one [`TagMetrics`] per tag —
 //! delivered count, routing time and the latency histogram, recorded
-//! exactly the way the engine's global [`Metrics`](crate::Metrics) are
+//! exactly the way the engine's global [`Metrics`] are
 //! (`on_delivery(step, injected_at)` per delivery). Because both the
 //! serial [`Engine`](crate::Engine) and the sharded coordinator drive
 //! the protocol through the same callbacks in the same order, the demux
@@ -19,7 +19,7 @@ use crate::protocol::{Outbox, Protocol};
 use lnpram_math::stats::Histogram;
 
 /// Delivery metrics of one tag (tenant) within a shared run: the subset
-/// of [`Metrics`](crate::Metrics) attributable to individual packets.
+/// of [`Metrics`] attributable to individual packets.
 /// Queue residency is engine-global (queues are shared state) and stays
 /// on the run's aggregate metrics.
 #[derive(Debug, Clone)]

@@ -49,7 +49,8 @@ use crate::metrics::Metrics;
 use crate::packet::Packet;
 use crate::protocol::{Outbox, Protocol};
 use crate::queue::{Discipline, LinkQueue, PacketPool, Selection, NIL};
-use crate::trace::{NoopSink, Phase, StepSample, TraceSink};
+use crate::step::{step_loop, NoAdmission, StepEngine};
+use crate::trace::{NoopSink, Phase, TraceSink};
 use crate::worker::WorkerPool;
 use lnpram_topology::Network;
 use std::sync::{Mutex, OnceLock};
@@ -181,7 +182,7 @@ pub struct Engine {
     pending: Vec<(usize, Packet)>,
     metrics: Metrics,
     /// Length of the sorted prefix of `active` after the last transmit
-    /// phase ([`Engine::step_finish`] restores order from here).
+    /// phase ([`StepEngine::step_finish`] restores order from here).
     sorted_len: usize,
     // --- reusable per-step scratch (never reallocated after warm-up) ---
     /// This step's arrivals as `(link id, packet)`, active order (the
@@ -404,197 +405,32 @@ impl Engine {
         self.run_traced(proto, &mut NoopSink)
     }
 
-    /// [`Engine::run`] reporting to a [`TraceSink`]. With [`NoopSink`]
-    /// this monomorphizes to exactly the untraced loop (every callback
-    /// is an empty `#[inline]` body and the sample-assembly block is
-    /// gated on a compile-time-`false` `enabled()`).
+    /// [`Engine::run`] reporting to a [`TraceSink`]: [`step_loop`] over
+    /// this engine. With [`NoopSink`] it monomorphizes to exactly the
+    /// untraced loop.
     pub fn run_traced<P: Protocol, S: TraceSink + ?Sized>(
         &mut self,
         proto: &mut P,
         sink: &mut S,
     ) -> RunOutcome {
-        let mut out = Outbox::default();
-        let before = self.metrics.delivered;
-
-        // Step 0: process injections (drained in place, buffer kept).
-        sink.on_phase_start(Phase::Process);
-        self.process_pending(proto, 0, &mut out);
-        sink.on_phase_end(Phase::Process);
-        self.step_finish();
-        proto.on_step_end(0);
-        let mut last_delivered = self.metrics.delivered;
-        if sink.enabled() {
-            sink.on_step_end(&StepSample {
-                step: 0,
-                in_flight: self.in_flight,
-                arrivals: 0,
-                deliveries: last_delivered - before,
-                max_queue_len: self.max_queue_len(),
-                backlog: 0,
-            });
-        }
-
-        let mut step: u32 = 0;
-        while self.in_flight > 0 {
-            if step >= self.cfg.max_steps {
-                return RunOutcome {
-                    metrics: self.finish_metrics(step),
-                    completed: false,
-                };
-            }
-            step += 1;
-            sink.on_step_begin(step);
-
-            self.step_transmit_traced(sink);
-            sink.on_phase_start(Phase::Process);
-            self.process_arrivals(proto, step, &mut out);
-            sink.on_phase_end(Phase::Process);
-            proto.on_step_end(step);
-            self.step_finish();
-            self.note_queued_step();
-            if sink.enabled() {
-                let delivered = self.metrics.delivered;
-                sink.on_step_end(&StepSample {
-                    step,
-                    in_flight: self.in_flight,
-                    arrivals: self.arrivals.len(),
-                    deliveries: delivered - last_delivered,
-                    max_queue_len: self.max_queue_len(),
-                    backlog: 0,
-                });
-                last_delivered = delivered;
-            }
-        }
-
-        RunOutcome {
-            metrics: self.finish_metrics(step),
-            completed: true,
-        }
-    }
-
-    /// Feed every pending injection ([`Engine::inject`]) to the protocol
-    /// at `step`, applying the responses. Each packet's `injected_at` is
-    /// stamped with `step` on the way in, so latency histograms measure
-    /// admission-to-delivery time even for packets admitted mid-run (the
-    /// serve loop's streaming admission). `run` calls this once with
-    /// `step = 0`; external drivers may call it at any step boundary —
-    /// enqueued forwards become eligible to traverse links at `step + 1`.
-    pub fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            let (node, mut pkt) = self.pending[i];
-            pkt.injected_at = step;
-            proto.on_packet(node, pkt, step, out);
-            self.apply_outbox(node, out, step);
-            i += 1;
-        }
-        self.pending.clear();
-    }
-
-    /// Process this step's arrivals ([`Engine::step_transmit`]'s output)
-    /// through the protocol, applying the responses.
-    ///
-    /// Groups same-node arrivals so protocols can apply footnote 3's
-    /// unit-time combining across a step's batch. The bucket chains
-    /// keep the deterministic link-id order within each node, and
-    /// nodes are visited in ascending id — the same order the old
-    /// stable sort produced, without moving any packet.
-    pub fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
-        self.arrival_next.clear();
-        self.arrival_next.resize(self.arrivals.len(), NIL);
-        for a in 0..self.arrivals.len() {
-            let node = self.link_target[self.arrivals[a].0 as usize] as usize;
-            if self.node_head[node] == NIL {
-                self.node_head[node] = a as u32;
-                self.touched.push(node as u32);
-            } else {
-                self.arrival_next[self.node_tail[node] as usize] = a as u32;
-            }
-            self.node_tail[node] = a as u32;
-        }
-        self.touched.sort_unstable();
-        for t in 0..self.touched.len() {
-            let node = self.touched[t] as usize;
-            self.batch.clear();
-            let mut a = self.node_head[node];
-            while a != NIL {
-                self.batch.push(self.arrivals[a as usize].1);
-                a = self.arrival_next[a as usize];
-            }
-            self.node_head[node] = NIL;
-            let batch = std::mem::take(&mut self.batch);
-            proto.on_arrivals(node, &batch, step, out);
-            self.batch = batch;
-            self.apply_outbox(node, out, step);
-        }
-        self.touched.clear();
-    }
-
-    /// End-of-step occupancy accounting: charge every still-queued packet
-    /// one packet-step (`run` does this after each step; external drivers
-    /// replaying the loop call it after [`Engine::step_finish`]).
-    pub fn note_queued_step(&mut self) {
-        self.metrics.queued_packet_steps += self.in_flight as u64;
+        let max_steps = self.cfg.max_steps;
+        step_loop(self, proto, sink, &mut NoAdmission, max_steps)
     }
 
     // ------------------------------------------------------------------
-    // Phase-level stepping API
+    // Coordinator surface
     //
-    // `run` is the whole step loop; the methods below expose its two
-    // halves individually so an external coordinator can interleave
-    // engines. This is the interface the sharded subsystem
-    // (`lnpram-shard`) is built on: each shard engine transmits its own
-    // links, the coordinator merges the arrivals across shards (by
-    // global link id), drives the protocol itself, enqueues the
-    // responses back with [`Engine::enqueue_direct`], and closes the
-    // step with [`Engine::step_finish`]. Driving one engine through
-    // `step_transmit` / `enqueue_direct` / `step_finish` replays
-    // exactly what `run` does internally.
+    // Beyond the [`StepEngine`] phases, an external coordinator (the
+    // sharded subsystem, `lnpram-shard`) needs to read a shard engine's
+    // arrivals, drive the protocol itself and enqueue the responses
+    // back: each shard engine transmits its own links, the coordinator
+    // merges the arrivals across shards by global link id, and closes
+    // the step on every shard.
     // ------------------------------------------------------------------
-
-    /// Run one transmit phase: every active link selects and extracts at
-    /// most one packet under the configured discipline (parallel fan-out
-    /// per [`SimConfig::parallel_threshold`], same as `run`). The
-    /// extracted packets are readable via [`Engine::arrivals`] until the
-    /// next transmit; the in-flight count is decremented here.
-    pub fn step_transmit(&mut self) {
-        self.step_transmit_traced(&mut NoopSink);
-    }
-
-    /// [`Engine::step_transmit`] reporting fault applications, the
-    /// transmit phase window and the arrival count to a [`TraceSink`]
-    /// (compiles to the untraced phase under [`NoopSink`]).
-    pub fn step_transmit_traced<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
-        self.clock += 1;
-        if let Some(faults) = &mut self.faults {
-            let blocked = &mut self.blocked;
-            let clock = self.clock;
-            if sink.enabled() {
-                faults.advance(clock, |l, b| {
-                    blocked[l] = b;
-                    sink.on_fault(clock, l, b);
-                });
-            } else {
-                faults.advance(clock, |l, b| blocked[l] = b);
-            }
-        }
-        sink.on_phase_start(Phase::Transmit);
-        self.arrivals.clear();
-        let use_parallel = self.cfg.threads > 1 && self.active.len() >= self.cfg.parallel_threshold;
-        if use_parallel {
-            self.transmit_parallel();
-        } else {
-            self.transmit_serial();
-        }
-        self.in_flight -= self.arrivals.len();
-        self.sorted_len = self.active.len();
-        sink.on_phase_end(Phase::Transmit);
-        sink.on_transmit(self.clock, self.arrivals.len());
-    }
 
     /// This step's extracted packets as `(link id, packet)` in ascending
     /// link-id order — the deterministic transmit order. Valid between
-    /// [`Engine::step_transmit`] and the next transmit or reset.
+    /// [`StepEngine::step_transmit`] and the next transmit or reset.
     pub fn arrivals(&self) -> &[(u32, Packet)] {
         &self.arrivals
     }
@@ -635,20 +471,8 @@ impl Engine {
         self.enqueue(node, port, pkt);
     }
 
-    /// End-of-step bookkeeping for coordinator-driven stepping: restore
-    /// the ascending order of the active-link list after the process
-    /// phase's enqueues (mirrors what `run` does after each step).
-    pub fn step_finish(&mut self) {
-        self.restore_active_order(self.sorted_len);
-        if invariant_checks_enabled() {
-            if let Err(v) = self.check_invariants() {
-                panic!("engine invariant violated at step boundary: {v}");
-            }
-        }
-    }
-
     /// Verify the engine's internal-state invariants. Intended at step
-    /// boundaries (after [`Engine::step_finish`] / between
+    /// boundaries (after [`StepEngine::step_finish`] / between
     /// [`Engine::run`] steps); the property tests call it directly, and
     /// `LNPRAM_CHECK_INVARIANTS=1` makes every step boundary check it
     /// automatically (any build profile — the chaos-smoke CI job runs
@@ -847,19 +671,6 @@ impl Engine {
         std::mem::swap(&mut self.active, &mut self.scratch);
     }
 
-    /// Largest current occupancy over all link queues (0 when idle).
-    /// Unlike [`Engine::queue_high_water`] — which is monotone since the
-    /// last reset — this reflects the instantaneous state, so a long-lived
-    /// serve loop can use it as a backpressure watermark that clears once
-    /// congestion drains. Scans only the currently active links.
-    pub fn max_queue_len(&self) -> usize {
-        self.active
-            .iter()
-            .map(|&id| self.queues[id as usize].len())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Take back the not-yet-processed injections queued by
     /// [`Engine::inject`] without running any protocol callback. Lets a
     /// driver use a backend's injection routine as a packet *materialiser*
@@ -867,19 +678,6 @@ impl Engine {
     /// step.
     pub fn take_pending(&mut self) -> Vec<(usize, Packet)> {
         std::mem::take(&mut self.pending)
-    }
-
-    /// Finalise and move the accumulated metrics out (no clone — the
-    /// engine's metrics are left fresh for the next run). `run` calls
-    /// this at termination; external drivers replaying the step loop call
-    /// it with the number of steps they executed.
-    pub fn finish_metrics(&mut self, steps: u32) -> Metrics {
-        self.metrics.steps = steps;
-        self.metrics.max_queue = self.queue_high_water();
-        if self.cfg.record_link_loads {
-            self.metrics.link_loads = self.queues.iter().map(|q| q.pops()).collect();
-        }
-        std::mem::take(&mut self.metrics)
     }
 
     /// Per-link traversal counts in link-id order (CSR: links of node `v`
@@ -892,20 +690,6 @@ impl Engine {
     /// Packets still queued (useful after an incomplete run).
     pub fn in_flight(&self) -> usize {
         self.in_flight
-    }
-
-    /// Packets delivered since the last reset — live mid-run, so
-    /// external step drivers (the serve loop) can sample per-step
-    /// delivery counts from the delta between boundaries.
-    pub fn delivered(&self) -> usize {
-        self.metrics.delivered
-    }
-
-    /// Packets the last transmit phase moved (the arrival buffer stays
-    /// intact until the next transmit, so external step drivers can
-    /// sample it after [`Engine::process_arrivals`]).
-    pub fn arrivals_len(&self) -> usize {
-        self.arrivals.len()
     }
 
     /// Drain every queue, returning the stranded packets (used by the
@@ -946,6 +730,121 @@ impl Engine {
         self.in_flight = 0;
         self.sorted_len = 0;
         out
+    }
+}
+
+impl StepEngine for Engine {
+    fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
+        let mut i = 0;
+        while i < self.pending.len() {
+            let (node, mut pkt) = self.pending[i];
+            pkt.injected_at = step;
+            proto.on_packet(node, pkt, step, out);
+            self.apply_outbox(node, out, step);
+            i += 1;
+        }
+        self.pending.clear();
+    }
+
+    fn step_transmit<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
+        self.clock += 1;
+        if let Some(faults) = &mut self.faults {
+            let blocked = &mut self.blocked;
+            let clock = self.clock;
+            if sink.enabled() {
+                faults.advance(clock, |l, b| {
+                    blocked[l] = b;
+                    sink.on_fault(clock, l, b);
+                });
+            } else {
+                faults.advance(clock, |l, b| blocked[l] = b);
+            }
+        }
+        sink.on_phase_start(Phase::Transmit);
+        self.arrivals.clear();
+        let use_parallel = self.cfg.threads > 1 && self.active.len() >= self.cfg.parallel_threshold;
+        if use_parallel {
+            self.transmit_parallel();
+        } else {
+            self.transmit_serial();
+        }
+        self.in_flight -= self.arrivals.len();
+        self.sorted_len = self.active.len();
+        sink.on_phase_end(Phase::Transmit);
+        sink.on_transmit(self.clock, self.arrivals.len());
+    }
+
+    fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
+        self.arrival_next.clear();
+        self.arrival_next.resize(self.arrivals.len(), NIL);
+        for a in 0..self.arrivals.len() {
+            let node = self.link_target[self.arrivals[a].0 as usize] as usize;
+            if self.node_head[node] == NIL {
+                self.node_head[node] = a as u32;
+                self.touched.push(node as u32);
+            } else {
+                self.arrival_next[self.node_tail[node] as usize] = a as u32;
+            }
+            self.node_tail[node] = a as u32;
+        }
+        self.touched.sort_unstable();
+        for t in 0..self.touched.len() {
+            let node = self.touched[t] as usize;
+            self.batch.clear();
+            let mut a = self.node_head[node];
+            while a != NIL {
+                self.batch.push(self.arrivals[a as usize].1);
+                a = self.arrival_next[a as usize];
+            }
+            self.node_head[node] = NIL;
+            let batch = std::mem::take(&mut self.batch);
+            proto.on_arrivals(node, &batch, step, out);
+            self.batch = batch;
+            self.apply_outbox(node, out, step);
+        }
+        self.touched.clear();
+    }
+
+    fn step_finish(&mut self) {
+        self.restore_active_order(self.sorted_len);
+        if invariant_checks_enabled() {
+            if let Err(v) = self.check_invariants() {
+                panic!("engine invariant violated at step boundary: {v}");
+            }
+        }
+    }
+
+    fn note_queued_step(&mut self) {
+        self.metrics.queued_packet_steps += self.in_flight as u64;
+    }
+
+    fn finish_metrics(&mut self, steps: u32) -> Metrics {
+        self.metrics.steps = steps;
+        self.metrics.max_queue = self.queue_high_water();
+        if self.cfg.record_link_loads {
+            self.metrics.link_loads = self.queues.iter().map(|q| q.pops()).collect();
+        }
+        std::mem::take(&mut self.metrics)
+    }
+
+    fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+
+    fn delivered(&self) -> usize {
+        self.metrics.delivered
+    }
+
+    fn arrivals_len(&self) -> usize {
+        self.arrivals.len()
+    }
+
+    fn max_queue_len(&self) -> usize {
+        self.active
+            .iter()
+            .map(|&id| self.queues[id as usize].len())
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -1541,7 +1440,7 @@ mod tests {
                 while eng.in_flight() > 0 {
                     step += 1;
                     prop_assert!(step <= eng.cfg.max_steps, "driver ran away");
-                    eng.step_transmit();
+                    eng.step_transmit(&mut NoopSink);
                     eng.process_arrivals(&mut proto, step, &mut out);
                     eng.step_finish();
                     prop_assert_eq!(eng.check_invariants(), Ok(()));

@@ -326,7 +326,7 @@ impl FaultSchedule {
                     self.touched.push(link as u32);
                 }
                 Fault::LinkDegrade { link, period } => {
-                    if self.degrade[link] == 0 && period >= 2 {
+                    if self.degrade[link] < 2 && period >= 2 {
                         self.degraded.push(link as u32);
                     } else if self.degrade[link] >= 2 && period < 2 {
                         self.degraded.retain(|&l| l as usize != link);
@@ -433,6 +433,30 @@ mod tests {
         for step in 1..=7 {
             s.advance(step, |l, b| blocked[l] = b);
             assert_eq!(blocked[0], step % 3 != 0, "step {step}");
+        }
+    }
+
+    /// A period-1 degrade ("no degradation") must not stop a later
+    /// real degrade from being re-evaluated every step: the link used
+    /// to freeze in whatever state the second event's step gave it.
+    #[test]
+    fn degrade_after_a_period_one_degrade_keeps_its_duty_cycle() {
+        let (off, tgt) = line3();
+        let plan = FaultPlan::new(vec![
+            FaultEvent {
+                step: 1,
+                fault: Fault::LinkDegrade { link: 0, period: 1 },
+            },
+            FaultEvent {
+                step: 2,
+                fault: Fault::LinkDegrade { link: 0, period: 3 },
+            },
+        ]);
+        let mut s = FaultSchedule::build(&plan, &off, &tgt).unwrap();
+        let mut blocked = [false; 3];
+        for step in 1..=7 {
+            s.advance(step, |l, b| blocked[l] = b);
+            assert_eq!(blocked[0], step >= 2 && step % 3 != 0, "step {step}");
         }
     }
 

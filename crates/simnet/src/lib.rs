@@ -15,7 +15,7 @@
 //!   (footnote 3) — expressed here by letting the per-node
 //!   [`Protocol`] absorb or emit any number of packets.
 //!
-//! The step loop lives in [`engine::Engine`]; routing algorithms and the
+//! The engine is [`engine::Engine`], the step loop [`step::step_loop`]; routing algorithms and the
 //! PRAM emulators are `Protocol` implementations in `lnpram-routing` and
 //! `lnpram-core`.
 
@@ -32,6 +32,7 @@ pub mod metrics;
 pub mod packet;
 pub mod protocol;
 pub mod queue;
+pub mod step;
 pub mod trace;
 pub mod worker;
 
@@ -42,6 +43,7 @@ pub use metrics::Metrics;
 pub use packet::Packet;
 pub use protocol::{Outbox, Protocol};
 pub use queue::Discipline;
+pub use step::{step_loop, Admission, NoAdmission, StepEngine};
 pub use trace::{
     Fanout, FlightRecorder, NoopSink, Phase, PhaseProfiler, ServeEvent, ServeEventLog, StepSample,
     TraceSink,

@@ -6,12 +6,17 @@
 //! to a [`TraceSink`]. Three properties make this safe to leave wired
 //! into the hot path:
 //!
-//! * **Zero cost when off.** Every instrumented entry point is generic
-//!   over `S: TraceSink`; the untraced methods delegate with
-//!   [`NoopSink`], whose [`enabled`](TraceSink::enabled) returns a
-//!   compile-time `false`. After monomorphization the no-op calls and
-//!   every `sink.enabled()`-gated block constant-fold away, so the
-//!   untraced loop compiles to exactly the uninstrumented code.
+//! * **Zero cost when off.** The step loop
+//!   ([`step_loop`](crate::step_loop)) and everything that calls it —
+//!   engine `run`, backend `run`, `Router::route`, `Serve::run_trace`
+//!   — is generic over `S: TraceSink`; the untraced entry points
+//!   instantiate it with [`NoopSink`], whose
+//!   [`enabled`](TraceSink::enabled) returns a compile-time `false`.
+//!   After monomorphization the no-op calls and every
+//!   `sink.enabled()`-gated block constant-fold away, so the untraced
+//!   loop compiles to exactly the uninstrumented code. Only the
+//!   object-safe `route_traced` / `run_trace_traced` trait methods
+//!   pass `&mut dyn TraceSink`.
 //! * **Observation only.** A sink receives copies of counters and
 //!   samples; it cannot mutate engine state, so any run is bit-identical
 //!   with any sink installed (property-pinned in
@@ -74,7 +79,7 @@ impl Phase {
 }
 
 /// One step's state snapshot, emitted at the end of every step by the
-/// traced run loops (and sampled by the [`FlightRecorder`]).
+/// step loop (and sampled by the [`FlightRecorder`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StepSample {
     /// Global step number (0 = the injection step).
