@@ -3,26 +3,36 @@
 use lnpram_simnet::Discipline;
 
 /// Parameters of a PRAM emulation.
+///
+/// The hashed emulators ([`PramEmulator`](crate::PramEmulator) on the
+/// leveled, star and mesh hosts) honour every field except where a field
+/// says otherwise; the replicated baseline has no hashing, budget or
+/// combining and reads only `seed` and `discipline`.
 #[derive(Debug, Clone)]
 pub struct EmulatorConfig {
-    /// Per-routing-phase step budget as a multiple of the network
-    /// diameter (`d(ℓ)` in §2.1: "the communication is supposed to be
-    /// finished in d(ℓ) time"). A phase that overruns triggers a rehash.
+    /// Request-phase step budget as a multiple of the host's phase bound
+    /// (`d(ℓ)` in §2.1: "the communication is supposed to be finished in
+    /// d(ℓ) time" — `2ℓ` leveled, `2·diameter` star, `4n` mesh). A
+    /// request phase that overruns triggers a rehash.
     pub budget_factor: u32,
-    /// Hash-family degree parameter as a multiple of the diameter
+    /// Hash-family degree parameter as a multiple of the host's diameter
     /// (`S = cL`, §2.1).
     pub hash_degree_factor: usize,
     /// Explicit hash degree S, overriding `hash_degree_factor` when set
     /// (the A3 ablation uses this to force constant-degree hashing).
     pub hash_degree_override: Option<usize>,
-    /// Queueing discipline for the routing phases.
+    /// Queueing discipline of the routing engines on the leveled and star
+    /// hosts and the replicated baseline. Does not reach the mesh host:
+    /// the three-stage algorithm requires furthest-destination-first
+    /// (§3.4) and the host fixes it.
     pub discipline: Discipline,
     /// Give up after this many rehashes within one PRAM step (the budget
     /// doubles after each, so this also bounds the worst-case step time).
     pub max_rehashes: u32,
-    /// Enable CRCW read combining (Theorem 2.6 / footnote 3). With this
-    /// off, concurrent reads of one cell are serviced as separate packets
-    /// — the ablation of table A4.
+    /// Enable CRCW combining on the leveled and star hosts (Theorem 2.6 /
+    /// footnote 3). With this off, concurrent reads of one cell are
+    /// serviced as separate packets — the ablation of table A4. Does not
+    /// reach the mesh host, which never combines (§3 analyses EREW).
     pub combining: bool,
     /// Seed for hash sampling and routing randomness.
     pub seed: u64,
@@ -31,8 +41,8 @@ pub struct EmulatorConfig {
     /// lockstep sharded path, clamped to `lnpram-shard`'s `MAX_SHARDS`
     /// (15). Results are bit-identical either way (the sharded
     /// determinism contract); the knob only changes how the network
-    /// simulation scales. Honoured by the leveled, star and mesh
-    /// emulators; the replicated baseline always runs serial.
+    /// simulation scales. Honoured by the leveled, star and mesh hosts;
+    /// the replicated baseline always runs serial.
     pub shards: usize,
 }
 

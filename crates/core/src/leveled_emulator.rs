@@ -1,379 +1,194 @@
-//! Theorems 2.5 and 2.6: PRAM emulation on a leveled network.
+//! Theorems 2.5 and 2.6: a leveled network as an emulation host
+//! ([`LeveledHost`], driven by [`PramEmulator`]).
 //!
 //! The emulating network is an ℓ-level leveled network with the
 //! unique-path property, traversed twice per routing phase (the
 //! [`DoubledLeveled`] wrap): processors sit on the first column, memory
-//! modules on the last. One emulated PRAM step is:
+//! modules on the last.
 //!
-//! 1. **Issue**: every processor's `MemOp` becomes a request packet for
-//!    module `h(addr)` (`h` drawn from the Karlin–Upfal class with
-//!    `S = c·L`, §2.1).
-//! 2. **Request routing** (Algorithm 2.1): random intermediate column-ℓ
-//!    node, then the unique path to the module. Read requests are
-//!    combined en route through the pending tables of
-//!    [`crate::combining`] (Theorem 2.6); writes travel individually and
-//!    are resolved at the module.
-//! 3. **Service**: modules serve their batch with read-before-write
-//!    semantics ([`crate::memory`]).
-//! 4. **Reply routing**: read replies retrace the request trees backward
-//!    (the stored direction bits), fanning out at every combining point.
-//! 5. **Rehash** (§2.1): if the request routing misses its `d(ℓ)` step
-//!    budget, a designated processor draws a fresh hash function, all
-//!    cells are remapped (an explicit remap charge), the budget doubles,
-//!    and the step restarts.
-//!
-//! Results are bit-identical to `lnpram_pram::PramMachine` — enforced by
-//! the tests here and the cross-crate integration tests.
+//! * **Requests** move by Algorithm 2.1 (random intermediate column-ℓ
+//!   node, then the unique path to the module —
+//!   [`UniversalLeveledRouter`]). Read requests are combined en route
+//!   through the pending tables of [`crate::combining`] (Theorem 2.6);
+//!   same-address writes under an associative policy merge where their
+//!   paths converge (footnote 3), the rest travel individually and are
+//!   resolved at the module.
+//! * **Replies** retrace the request trees backward (the stored
+//!   direction bits) on the reversed network, fanning out at every
+//!   combining point. The request paths move strictly forward by
+//!   column, so pending entries can never form a cycle.
 
 use crate::combining::{PendingTables, Source};
-use crate::config::{EmuReport, EmulatorConfig, StepStats};
+use crate::config::EmulatorConfig;
+use crate::emulator::{EmuHost, PhaseOutcome, PramEmulator, Request, ServedRead};
 use crate::memory::{ModuleArray, ModuleRequest};
-use lnpram_hash::{HashFamily, PolyHash};
 use lnpram_math::rng::SeedSeq;
-use lnpram_pram::model::{AccessMode, MemOp, PramProgram, WritePolicy};
+use lnpram_pram::model::{AccessMode, WritePolicy};
+use lnpram_routing::leveled::UniversalLeveledRouter;
 use lnpram_routing::DoubledLeveled;
 use lnpram_shard::{AnyEngine, LevelCut};
 use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::leveled::{Leveled, LeveledNet};
 use lnpram_topology::Network;
 use rand::Rng;
-use std::collections::HashMap;
 
-/// One issued request, kept by the emulator across rehash attempts.
-#[derive(Debug, Clone, Copy)]
-struct Request {
-    proc: usize,
-    addr: u64,
-    /// `None` = read; `Some(v)` = write of `v`.
-    write: Option<u64>,
-}
-
-/// The PRAM emulator over a leveled network (Theorems 2.5/2.6).
-///
-/// `L` is the *inner* ℓ-level network; processors and modules are its
-/// `width()` first/last-column nodes. `Corollary 2.4/2.6` instances use
-/// [`lnpram_topology::leveled::UnrolledShuffle`]; the classical host is
-/// [`lnpram_topology::leveled::RadixButterfly`].
-pub struct LeveledPramEmulator<L: Leveled + Copy> {
-    inner: L,
-    cfg: EmulatorConfig,
-    family: HashFamily,
-    hash: PolyHash,
-    modules: ModuleArray,
-    tables: PendingTables,
-    seq: SeedSeq,
-    hash_epoch: u64,
-    report: EmuReport,
+/// An ℓ-level leveled network as an emulation host: processors and
+/// modules are the `width()` first/last-column nodes of `L`.
+pub struct LeveledHost<L> {
     /// Forward (request-phase) view of the doubled network.
     fwd: LeveledNet<DoubledLeveled<L>>,
     /// Backward (reply-phase) view of the doubled network.
     bwd: LeveledNet<DoubledLeveled<L>>,
+    tables: PendingTables,
     /// Request-phase engine, built once and recycled every attempt
     /// (serial or sharded per [`EmulatorConfig::shards`]).
     req_engine: AnyEngine,
     /// Reply-phase engine, likewise persistent.
     rep_engine: AnyEngine,
+    combining: bool,
+    /// `(value, proc)` of every request of the attempt being routed,
+    /// indexed by packet id; en-route write merging folds into it.
+    writes: Vec<(u64, usize)>,
 }
+
+/// The PRAM emulator over a leveled network (Theorems 2.5/2.6).
+///
+/// `L` is the *inner* ℓ-level network. `Corollary 2.4/2.6` instances use
+/// [`lnpram_topology::leveled::UnrolledShuffle`]; the classical host is
+/// [`lnpram_topology::leveled::RadixButterfly`].
+pub type LeveledPramEmulator<L> = PramEmulator<LeveledHost<L>>;
 
 impl<L: Leveled + Copy> LeveledPramEmulator<L> {
     /// Build an emulator for programs over `address_space` cells.
     pub fn new(inner: L, mode: AccessMode, address_space: u64, cfg: EmulatorConfig) -> Self {
         let width = inner.width();
-        // Path length per phase is 2ℓ (the doubled traversal) — that is
-        // the "diameter" the paper's budgets and hash degree scale with.
-        let diameter = 2 * inner.levels();
-        let family = match cfg.hash_degree_override {
-            Some(s_deg) => HashFamily::new(address_space, width as u64, s_deg.max(1)),
-            None => HashFamily::for_diameter(
-                address_space,
-                width as u64,
-                diameter,
-                cfg.hash_degree_factor.max(1),
-            ),
-        };
-        let seq = SeedSeq::new(cfg.seed);
-        let hash = family.sample(&mut seq.child(0).rng());
-        let nodes = (2 * inner.levels() + 1) * width;
         let doubled = DoubledLeveled::new(inner);
         let fwd = LeveledNet::forward(doubled);
         let bwd = LeveledNet::backward(doubled);
         // Engines are built once here and recycled with `reset` for
         // every attempt of every PRAM step: a T-step emulation builds
-        // its per-link state once instead of T times. The reply phase
-        // retraces an already-successful pattern, so it never times out.
-        // With `cfg.shards ≥ 2` both phases run on the partitioned
-        // lockstep path, column bands cut by `LevelCut` (bit-identical
-        // outcomes — the lnpram-shard determinism contract).
+        // its per-link state once instead of T times. With
+        // `cfg.shards ≥ 2` both phases run on the partitioned lockstep
+        // path, column bands cut by `LevelCut` (bit-identical outcomes —
+        // the lnpram-shard determinism contract).
         let part = LevelCut::new(width);
-        let req_engine = AnyEngine::with_partitioner(
-            &fwd,
-            SimConfig {
-                discipline: cfg.discipline,
-                shards: cfg.shards,
-                ..Default::default()
-            },
-            &part,
-        );
-        let rep_engine = AnyEngine::with_partitioner(
-            &bwd,
-            SimConfig {
-                discipline: cfg.discipline,
-                max_steps: u32::MAX,
-                shards: cfg.shards,
-                ..Default::default()
-            },
-            &part,
-        );
-        LeveledPramEmulator {
-            inner,
-            cfg,
-            family,
-            hash,
-            modules: ModuleArray::new(width, mode),
-            tables: PendingTables::new(nodes),
-            seq,
-            hash_epoch: 0,
-            report: EmuReport::default(),
-            fwd,
-            bwd,
-            req_engine,
-            rep_engine,
-        }
-    }
-
-    /// Number of processors (= memory modules = column width).
-    pub fn processors(&self) -> usize {
-        self.inner.width()
-    }
-
-    /// The per-phase path length `2ℓ` — the normalisation constant of the
-    /// Õ(ℓ) theorems.
-    pub fn diameter(&self) -> usize {
-        2 * self.inner.levels()
-    }
-
-    /// Module owning `addr` under the current hash function.
-    pub fn module_of(&self, addr: u64) -> usize {
-        self.hash.eval(addr) as usize
-    }
-
-    /// Direct read of the emulated shared memory (for verification).
-    pub fn peek(&self, addr: u64) -> u64 {
-        self.modules.peek(self.module_of(addr), addr)
-    }
-
-    /// Snapshot the full memory image `0..address_space` (diffed against
-    /// the reference machine by the tests).
-    pub fn memory_image(&self, address_space: u64) -> Vec<u64> {
-        (0..address_space).map(|a| self.peek(a)).collect()
-    }
-
-    /// The accumulated report.
-    pub fn report(&self) -> &EmuReport {
-        &self.report
-    }
-
-    /// Run `prog` to completion (every processor `Halt`s), mirroring
-    /// [`lnpram_pram::PramMachine::run`]. Returns the final report clone.
-    pub fn run_program<P: PramProgram>(&mut self, prog: &mut P, max_steps: usize) -> EmuReport {
-        assert!(
-            prog.processors() <= self.processors(),
-            "program needs {} processors, network has {}",
-            prog.processors(),
-            self.processors()
-        );
-        assert!(prog.address_space() <= self.family.address_space);
-        for (addr, val) in prog.initial_memory() {
-            let m = self.module_of(addr);
-            self.modules.poke(m, addr, val);
-        }
-        let p = prog.processors();
-        let mut last_read: Vec<Option<u64>> = vec![None; p];
-        for step in 0..max_steps {
-            let ops: Vec<MemOp> = (0..p).map(|i| prog.op(i, step, last_read[i])).collect();
-            if ops.iter().all(|o| matches!(o, MemOp::Halt)) {
-                break;
-            }
-            let reads = self.emulate_step(&ops, step as u64);
-            for (proc, value) in reads {
-                last_read[proc] = Some(value);
-            }
-            self.report.pram_steps += 1;
-        }
-        self.report.clone()
-    }
-
-    /// Emulate one PRAM step; returns `(proc, value)` for every read.
-    pub fn emulate_step(&mut self, ops: &[MemOp], step_label: u64) -> Vec<(usize, u64)> {
-        let requests: Vec<Request> = ops
-            .iter()
-            .enumerate()
-            .filter_map(|(proc, op)| match *op {
-                MemOp::Read(addr) => Some(Request {
-                    proc,
-                    addr,
-                    write: None,
-                }),
-                MemOp::Write(addr, v) => Some(Request {
-                    proc,
-                    addr,
-                    write: Some(v),
-                }),
-                MemOp::None | MemOp::Halt => None,
-            })
-            .collect();
-
-        let mut stats = StepStats {
-            requests: requests.len() as u32,
+        let sim = SimConfig {
+            discipline: cfg.discipline,
+            shards: cfg.shards,
             ..Default::default()
         };
-        if requests.is_empty() {
-            self.report.steps.push(stats);
-            return Vec::new();
-        }
-
-        let step_seq = self.seq.child(1).child(step_label);
-        let mut attempt = 0u32;
-        let reads_out = loop {
-            let budget = self.cfg.budget_factor * self.diameter() as u32 * (1 << attempt.min(8));
-            match self.try_step(
-                &requests,
-                step_seq.child(attempt as u64),
-                budget,
-                &mut stats,
-            ) {
-                Some(reads) => break reads,
-                None => {
-                    attempt += 1;
-                    assert!(
-                        attempt <= self.cfg.max_rehashes,
-                        "exceeded max_rehashes ({}) — budget_factor too small",
-                        self.cfg.max_rehashes
-                    );
-                    self.rehash(&mut stats);
-                }
-            }
+        let host = LeveledHost {
+            tables: PendingTables::new(fwd.num_nodes()),
+            req_engine: AnyEngine::with_partitioner(&fwd, sim.clone(), &part),
+            // The reply phase retraces an already-successful pattern, so
+            // it never times out.
+            rep_engine: AnyEngine::with_partitioner(
+                &bwd,
+                SimConfig {
+                    max_steps: u32::MAX,
+                    ..sim
+                },
+                &part,
+            ),
+            fwd,
+            bwd,
+            combining: cfg.combining,
+            writes: Vec::new(),
         };
-        self.report.steps.push(stats);
-        reads_out
+        PramEmulator::with_host(host, mode, address_space, cfg)
+    }
+}
+
+impl<L: Leveled> LeveledHost<L> {
+    /// ℓ of the inner network.
+    fn levels(&self) -> usize {
+        self.fwd.leveled().levels() / 2
+    }
+}
+
+impl<L: Leveled> EmuHost for LeveledHost<L> {
+    /// The column width.
+    fn processors(&self) -> usize {
+        self.fwd.leveled().width()
     }
 
-    /// One attempt at routing + serving a step. `None` = request-phase
-    /// overrun (caller rehashes and retries).
-    fn try_step(
+    /// Path length per phase is 2ℓ (the doubled traversal) — that is the
+    /// "diameter" the paper's budgets and hash degree scale with.
+    fn diameter(&self) -> usize {
+        2 * self.levels()
+    }
+
+    fn phase_bound(&self) -> usize {
+        self.diameter()
+    }
+
+    fn broadcast_steps(&self) -> usize {
+        self.levels()
+    }
+
+    fn route_requests(
         &mut self,
         requests: &[Request],
-        attempt_seq: SeedSeq,
+        modules: &mut ModuleArray,
         budget: u32,
-        stats: &mut StepStats,
-    ) -> Option<Vec<(usize, u64)>> {
-        let width = self.inner.width();
+        seq: SeedSeq,
+    ) -> Option<PhaseOutcome> {
+        let width = self.processors();
         self.tables.reset();
-        self.modules.clear_batches();
-
-        // ---- Request phase ----
         self.req_engine.reset();
         self.req_engine.set_max_steps(budget);
-        let mut via_rng = attempt_seq.child(0).rng();
-        let mut write_vals: HashMap<u32, (u64, usize)> = HashMap::new();
+        self.writes.clear();
+        self.writes
+            .extend(requests.iter().map(|r| (r.write.unwrap_or(0), r.proc)));
+        let mut via_rng = seq.rng();
         for (id, req) in requests.iter().enumerate() {
-            let module = self.hash.eval(req.addr) as u32;
             let via = via_rng.gen_range(0..width) as u32;
-            let mut pkt = Packet::new(id as u32, req.proc as u32, module)
+            let mut pkt = Packet::new(id as u32, req.proc as u32, req.module)
                 .with_via(via)
                 .with_tag(req.addr);
-            pkt.phase = u8::from(req.write.is_some());
-            if let Some(v) = req.write {
-                write_vals.insert(id as u32, (v, req.proc));
-            }
+            pkt.hop = u8::from(req.write.is_some());
             self.req_engine.inject(self.fwd.node_id(0, req.proc), pkt);
         }
-        let combining = self.cfg.combining;
-        {
-            let Self {
-                fwd,
-                tables,
-                modules,
-                req_engine,
-                ..
-            } = self;
-            let mut proto = RequestProtocol {
-                net: &*fwd,
-                tables,
-                modules,
-                write_vals: &mut write_vals,
-                combining,
-                write_merges: 0,
-            };
-            let out = req_engine.run(&mut proto);
-            if !out.completed {
-                return None;
-            }
-            stats.request_steps = out.metrics.routing_time;
-            stats.max_queue = stats.max_queue.max(out.metrics.max_queue as u32);
-            stats.combined = proto.write_merges;
-        }
-        stats.combined += self.tables.combined();
-
-        // ---- Service ----
-        let (reads, busiest) = self.modules.serve_batches();
-        stats.service_steps = busiest;
-
-        // ---- Reply phase ----
-        if reads.is_empty() {
-            return Some(Vec::new());
-        }
-        self.rep_engine.reset();
-        let mut read_values: HashMap<u64, u64> = HashMap::new();
-        for &(module, addr, trail, value) in &reads {
-            read_values.insert(addr, value);
-            let mut pkt = Packet::new(0, trail, 0).with_tag(addr);
-            pkt.via = trail;
-            self.rep_engine
-                .inject(self.bwd.node_id(2 * self.inner.levels(), module), pkt);
-        }
-        let mut deliveries: Vec<(usize, u64)> = Vec::new();
-        {
-            let Self {
-                bwd,
-                tables,
-                rep_engine,
-                ..
-            } = self;
-            let mut proto = ReplyProtocol {
-                net: &*bwd,
-                tables,
-                read_values: &read_values,
-                deliveries: &mut deliveries,
-            };
-            let out = rep_engine.run(&mut proto);
-            debug_assert!(out.completed);
-            stats.reply_steps = out.metrics.routing_time;
-            stats.max_queue = stats.max_queue.max(out.metrics.max_queue as u32);
-        }
-        debug_assert!(self.tables.all_clear(), "unconsumed pending entries");
-        Some(deliveries)
+        let mut proto = RequestProtocol {
+            net: &self.fwd,
+            tables: &mut self.tables,
+            modules,
+            writes: &mut self.writes,
+            combining: self.combining,
+            write_merges: 0,
+        };
+        let out = self.req_engine.run(&mut proto);
+        let write_merges = proto.write_merges;
+        out.completed.then(|| PhaseOutcome {
+            combined: write_merges + self.tables.combined(),
+            ..PhaseOutcome::of(&out.metrics)
+        })
     }
 
-    /// §2.1 rehashing: draw a fresh `h`, remap every stored cell, charge
-    /// the redistribution.
-    fn rehash(&mut self, stats: &mut StepStats) {
-        self.hash_epoch += 1;
-        self.hash = self
-            .family
-            .sample(&mut self.seq.child(2).child(self.hash_epoch).rng());
-        let cells = self.modules.drain_cells();
-        // Remap charge: the cells form ⌈cells/N⌉ batches, each an
-        // h-relation costing one full traversal (2ℓ), plus broadcasting
-        // the O(L log M)-bit description of h (ℓ steps).
-        let batches = cells.len().div_ceil(self.processors().max(1)) as u64;
-        self.report.remap_steps += batches * self.diameter() as u64 + self.inner.levels() as u64;
-        for (addr, val) in cells {
-            let m = self.hash.eval(addr) as usize;
-            self.modules.poke(m, addr, val);
+    fn route_replies(
+        &mut self,
+        reads: &[ServedRead],
+        _seq: SeedSeq,
+        deliveries: &mut Vec<(usize, u64)>,
+    ) -> PhaseOutcome {
+        self.rep_engine.reset();
+        let modules_col = self.fwd.leveled().levels();
+        for (i, &(module, addr, trail, _)) in reads.iter().enumerate() {
+            let mut pkt = Packet::new(i as u32, trail, 0).with_tag(addr);
+            pkt.via = trail;
+            self.rep_engine
+                .inject(self.bwd.node_id(modules_col, module), pkt);
         }
-        stats.rehashes += 1;
-        self.report.rehashes += 1;
+        let mut proto = ReplyProtocol {
+            net: &self.bwd,
+            tables: &mut self.tables,
+            reads,
+            deliveries,
+        };
+        let out = self.rep_engine.run(&mut proto);
+        debug_assert!(out.completed);
+        debug_assert!(self.tables.all_clear(), "unconsumed pending entries");
+        PhaseOutcome::of(&out.metrics)
     }
 }
 
@@ -382,7 +197,7 @@ struct RequestProtocol<'a, L: Leveled> {
     net: &'a LeveledNet<DoubledLeveled<L>>,
     tables: &'a mut PendingTables,
     modules: &'a mut ModuleArray,
-    write_vals: &'a mut HashMap<u32, (u64, usize)>,
+    writes: &'a mut [(u64, usize)],
     combining: bool,
     /// Same-step write merges performed (footnote 3 applied to writes).
     write_merges: u32,
@@ -455,47 +270,33 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
             }
             return;
         };
-        // First same-address write in batch order becomes the
-        // representative; later ones fold their (value, proc) into it.
-        let mut rep_of: HashMap<u64, usize> = HashMap::new();
-        let mut merged: Vec<Option<Packet>> = pkts.iter().copied().map(Some).collect();
-        for (i, pkt) in pkts.iter().enumerate() {
-            if pkt.phase != 1 {
-                continue; // reads go through the pending tables as usual
-            }
-            match rep_of.entry(pkt.tag) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(i);
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let rep = pkts[*e.get()];
-                    let a = self.write_vals[&rep.id];
-                    let b = self.write_vals[&pkt.id];
-                    self.write_vals.insert(rep.id, Self::merge(policy, a, b));
-                    merged[i] = None;
-                    self.write_merges += 1;
-                }
-            }
-        }
-        for pkt in merged.into_iter().flatten() {
-            self.on_packet(node, pkt, step, out);
+        // The first same-address write in batch order is the
+        // representative; later ones fold their (value, proc) into it and
+        // go no further. A batch is at most one packet per in-link, so
+        // the scan is short.
+        for (i, &pkt) in pkts.iter().enumerate() {
+            let mut earlier_writes = pkts[..i].iter().filter(|q| q.hop == 1);
+            let Some(rep) = earlier_writes.find(|q| pkt.hop == 1 && q.tag == pkt.tag) else {
+                self.on_packet(node, pkt, step, out);
+                continue;
+            };
+            let (rep, folded) = (rep.id as usize, pkt.id as usize);
+            self.writes[rep] = Self::merge(policy, self.writes[rep], self.writes[folded]);
+            self.write_merges += 1;
         }
     }
 
     fn on_packet(&mut self, node: usize, mut pkt: Packet, step: u32, out: &mut Outbox) {
-        let lv = self.net.leveled();
-        let half = lv.levels() / 2;
         let (col, idx) = self.net.split(node);
-        let is_write = pkt.phase == 1;
+        let is_write = pkt.hop == 1;
         let addr = pkt.tag;
 
-        if col == lv.levels() {
+        if col == self.net.leveled().levels() {
             // Module column.
             if is_write {
-                let (value, proc) = self.write_vals[&pkt.id];
+                let (value, proc) = self.writes[pkt.id as usize];
                 self.modules
                     .buffer(idx, ModuleRequest::Write { addr, value, proc });
-                out.deliver(pkt);
             } else {
                 let trail = self.trail_of(&pkt);
                 let first = self
@@ -505,8 +306,8 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
                     self.modules
                         .buffer(idx, ModuleRequest::Read { addr, trail });
                 }
-                out.deliver(pkt);
             }
+            out.deliver(pkt);
             return;
         }
 
@@ -524,10 +325,8 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
             }
         }
 
-        let target = if col < half { pkt.via } else { pkt.dest } as usize;
-        let digit = lv.digit_toward(col, idx, target);
         pkt.prev = node as u32;
-        out.send(digit, pkt);
+        UniversalLeveledRouter::new(self.net).on_packet(node, pkt, step, out);
     }
 }
 
@@ -535,7 +334,7 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
 struct ReplyProtocol<'a, L: Leveled> {
     net: &'a LeveledNet<DoubledLeveled<L>>,
     tables: &'a mut PendingTables,
-    read_values: &'a HashMap<u64, u64>,
+    reads: &'a [ServedRead],
     deliveries: &'a mut Vec<(usize, u64)>,
 }
 
@@ -547,7 +346,7 @@ impl<L: Leveled> Protocol for ReplyProtocol<'_, L> {
         if entry.local {
             let (col, idx) = self.net.split(node);
             debug_assert_eq!(col, 0, "local requests only originate in column 0");
-            self.deliveries.push((idx, self.read_values[&addr]));
+            self.deliveries.push((idx, self.reads[pkt.id as usize].3));
         }
         let mut sent = false;
         for to in self.tables.iter(entry.fanout) {
@@ -567,8 +366,9 @@ impl<L: Leveled> Protocol for ReplyProtocol<'_, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EmuReport;
     use lnpram_pram::machine::PramMachine;
-    use lnpram_pram::model::WritePolicy;
+    use lnpram_pram::model::{MemOp, PramProgram};
     use lnpram_pram::programs::{Broadcast, PrefixSum, ReductionMax};
     use lnpram_topology::leveled::{RadixButterfly, UnrolledShuffle};
 

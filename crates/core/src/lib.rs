@@ -10,27 +10,32 @@
 //! each module with PRAM read-before-write semantics; route read replies
 //! back. If a routing phase overruns its step budget, pick a fresh hash
 //! function, pay an explicit remap charge, and retry — the paper's
-//! rehashing rule (§2.1).
+//! rehashing rule (§2.1). That step is written once, in [`emulator`];
+//! the hosts below supply only their two routing phases.
 //!
 //! * [`config`] — emulator parameters and per-step/aggregate statistics.
+//! * [`emulator`] — [`PramEmulator<H>`]: the emulation step, the rehash
+//!   rule, the program driver and the accessors, over any [`EmuHost`].
 //! * [`combining`] — the CRCW packet-combining tables: per-node pending
 //!   entries with fan-out "direction bits" (footnote 3 of the paper);
 //!   concurrent reads of one cell collapse to a single request and the
 //!   reply fans back out along the recorded ports.
 //! * [`memory`] — the distributed memory modules with batch service and
 //!   CRCW write resolution identical to the reference machine.
-//! * [`leveled_emulator`] — Theorems 2.5/2.6 on any delta leveled network
-//!   (radix butterflies, the unrolled d-way/n-way shuffle).
-//! * [`star_emulator`] — Corollaries 2.3/2.5 on the physical n-star
-//!   graph (Algorithm 2.2 routing, phase-aware combining).
-//! * [`mesh_emulator`] — Theorems 3.2/3.3 on the n×n mesh via the
-//!   three-stage routing of §3.4 (4n + o(n) per EREW step; 6d + o(d)
+//! * [`leveled_emulator`] — the host of Theorems 2.5/2.6: any delta
+//!   leveled network (radix butterflies, the unrolled d-way/n-way
+//!   shuffle), Algorithm 2.1 with read combining and write merging.
+//! * [`star_emulator`] — the host of Corollaries 2.3/2.5: the physical
+//!   n-star graph (Algorithm 2.2 routing, phase-aware combining).
+//! * [`mesh_emulator`] — the host of Theorems 3.2/3.3: the n×n mesh via
+//!   the three-stage routing of §3.4 (4n + o(n) per EREW step; 6d + o(d)
 //!   under d-local request patterns).
 //! * [`replicated_emulator`] — the deterministic replicated-memory
 //!   baseline in the style of the paper's reference \[3\]
 //!   (Alt–Hagerup–Mehlhorn–Preparata): fixed copy placement, quorum
 //!   reads/writes with version stamps, no hashing and no rehash — the
-//!   comparison point for what randomization buys.
+//!   comparison point for what randomization buys. Not a host: placement
+//!   and quorums replace the hashed step, so it keeps its own.
 //!
 //! The integration contract: running any `PramProgram` through an emulator
 //! must produce the same final memory image and read trace as
@@ -41,6 +46,7 @@
 
 pub mod combining;
 pub mod config;
+pub mod emulator;
 pub mod leveled_emulator;
 pub mod memory;
 pub mod mesh_emulator;
@@ -48,6 +54,7 @@ pub mod replicated_emulator;
 pub mod star_emulator;
 
 pub use config::{EmuReport, EmulatorConfig, StepStats};
+pub use emulator::{EmuHost, PramEmulator};
 pub use leveled_emulator::LeveledPramEmulator;
 pub use mesh_emulator::MeshPramEmulator;
 pub use replicated_emulator::ReplicatedPramEmulator;

@@ -1,4 +1,5 @@
-//! Theorems 3.2 and 3.3: PRAM emulation on the n×n mesh.
+//! Theorems 3.2 and 3.3: the n×n mesh as an emulation host
+//! ([`MeshHost`], driven by [`PramEmulator`]).
 //!
 //! The §3.3 emulation has exactly two phases per PRAM step (the paper's
 //! improvement over Karlin–Upfal's four): processor `i` sends its request
@@ -9,94 +10,61 @@
 //! Under a *d-local* request pattern (every request's module within
 //! Manhattan distance `d` of its processor) the same algorithm, with the
 //! stage-1 slice capped at `O(d)` rows and a direct (locality-preserving)
-//! address map, finishes in `6d + o(d)` (Theorem 3.3). This emulator
-//! therefore supports two address mappings:
+//! address map, finishes in `6d + o(d)` (Theorem 3.3). The mesh emulator
+//! therefore comes with two address mappings:
 //!
-//! * [`MeshMapping::Hashed`] — the Karlin–Upfal hash, the general case;
-//! * [`MeshMapping::Direct`] — cell `a` lives at node `a` (requires
-//!   `address_space ≤ n²`), the locality experiments' map.
+//! * [`AddressMap::Hashed`] — the Karlin–Upfal hash, the general case
+//!   ([`MeshPramEmulator::new`]);
+//! * [`AddressMap::Direct`] — cell `a` lives at node `a` (requires
+//!   `address_space ≤ n²`), the locality experiments' map
+//!   ([`MeshPramEmulator::new_local`]).
 //!
 //! Reads are *not* combined on the mesh (the paper treats CRCW here as
 //! "the same algorithm plus the combining trick" and analyses only EREW;
-//! we keep the mesh emulator faithful to §3 — hot-spot reads serialise at
+//! we keep the mesh host faithful to §3 — hot-spot reads serialise at
 //! the module, which the CRCW tables show by contrast with the leveled
-//! emulator). Correctness for concurrent accesses is still exact because
+//! host). Correctness for concurrent accesses is still exact because
 //! modules serve batches with read-before-write semantics.
 
-use crate::config::{EmuReport, EmulatorConfig, StepStats};
+use crate::config::EmulatorConfig;
+use crate::emulator::{AddressMap, EmuHost, PhaseOutcome, PramEmulator, Request, ServedRead};
 use crate::memory::{ModuleArray, ModuleRequest};
-use lnpram_hash::{HashFamily, PolyHash};
 use lnpram_math::rng::SeedSeq;
-use lnpram_pram::model::{AccessMode, MemOp, PramProgram};
+use lnpram_pram::model::AccessMode;
 use lnpram_routing::mesh::{
     default_block_rows, default_slice_rows, mesh_engine, MeshAlgorithm, MeshRouter,
 };
 use lnpram_shard::AnyEngine;
+use lnpram_simnet::packet::NO_NODE;
 use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::{Mesh, Network};
+use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::HashMap;
 
-/// How shared addresses map to mesh nodes.
-#[derive(Debug, Clone)]
-pub enum MeshMapping {
-    /// Karlin–Upfal hashing onto the n² modules (the general emulation).
-    Hashed(PolyHash),
-    /// Identity map: address `a` lives at node `a` (locality experiments).
-    Direct,
-}
-
-impl MeshMapping {
-    /// The module node for `addr`.
-    pub fn module_of(&self, addr: u64) -> usize {
-        match self {
-            MeshMapping::Hashed(h) => h.eval(addr) as usize,
-            MeshMapping::Direct => addr as usize,
-        }
-    }
-}
-
-/// The PRAM emulator on the n×n mesh (Theorems 3.2/3.3).
-pub struct MeshPramEmulator {
+/// The n×n mesh as an emulation host: three-stage routing both ways.
+pub struct MeshHost {
     mesh: Mesh,
-    cfg: EmulatorConfig,
-    family: HashFamily,
-    mapping: MeshMapping,
     slice_rows: usize,
     /// `Some(block_rows)` switches both routing phases to the
     /// constant-queue three-stage variant (Theorem 3.2's O(1)-queue
     /// refinement); `None` uses the plain three-stage algorithm.
     block_rows: Option<usize>,
-    modules: ModuleArray,
-    seq: SeedSeq,
-    hash_epoch: u64,
-    report: EmuReport,
     /// One persistent engine serves both routing phases (same mesh, same
     /// discipline); recycled with `reset` per phase. Serial or sharded
     /// into row bands per [`EmulatorConfig::shards`].
     engine: AnyEngine,
 }
 
+/// The PRAM emulator on the n×n mesh (Theorems 3.2/3.3).
+pub type MeshPramEmulator = PramEmulator<MeshHost>;
+
 impl MeshPramEmulator {
     /// Hashed-mapping emulator on an `n×n` mesh for `address_space` cells.
     pub fn new(n: usize, mode: AccessMode, address_space: u64, cfg: EmulatorConfig) -> Self {
         let mesh = Mesh::square(n);
-        let modules = mesh.num_nodes() as u64;
-        // The §3 mesh bound scales with n (per routing phase 2n+o(n)); the
-        // hash degree follows §2.1 with L = the mesh diameter 2n−2.
-        let family = match cfg.hash_degree_override {
-            Some(s_deg) => HashFamily::new(address_space, modules, s_deg.max(1)),
-            None => HashFamily::for_diameter(
-                address_space,
-                modules,
-                mesh.diameter().max(1),
-                cfg.hash_degree_factor.max(1),
-            ),
-        };
-        let seq = SeedSeq::new(cfg.seed);
-        let hash = family.sample(&mut seq.child(0).rng());
         // Same construction as `MeshRoutingSession` (row bands on the
-        // sharded path), built once and recycled per phase.
+        // sharded path), built once and recycled per phase. The
+        // three-stage algorithm requires furthest-destination-first.
         let engine = mesh_engine(
             &mesh,
             SimConfig {
@@ -105,19 +73,13 @@ impl MeshPramEmulator {
                 ..Default::default()
             },
         );
-        MeshPramEmulator {
+        let host = MeshHost {
             mesh,
-            cfg,
-            family,
-            mapping: MeshMapping::Hashed(hash),
             slice_rows: default_slice_rows(n),
             block_rows: None,
-            modules: ModuleArray::new(mesh.num_nodes(), mode),
-            seq,
-            hash_epoch: 0,
-            report: EmuReport::default(),
             engine,
-        }
+        };
+        PramEmulator::with_host(host, mode, address_space, cfg)
     }
 
     /// Locality emulator (Theorem 3.3): direct address map and slice
@@ -131,8 +93,8 @@ impl MeshPramEmulator {
     ) -> Self {
         let mut emu = Self::new(n, mode, address_space, cfg);
         assert!(address_space <= (n * n) as u64, "direct map needs M <= n^2");
-        emu.mapping = MeshMapping::Direct;
-        emu.slice_rows = default_slice_rows(n).min(d.max(1));
+        emu.map = AddressMap::Direct;
+        emu.host.slice_rows = default_slice_rows(n).min(d.max(1));
         emu
     }
 
@@ -140,239 +102,126 @@ impl MeshPramEmulator {
     /// queue claim) with destination blocks of `⌈log₂ n⌉` rows.
     #[must_use]
     pub fn with_const_queue(mut self) -> Self {
-        self.block_rows = Some(default_block_rows(self.n()));
+        self.host.block_rows = Some(default_block_rows(self.n()));
         self
     }
 
     /// Side length n.
     pub fn n(&self) -> usize {
-        self.mesh.rows()
+        self.host.mesh.rows()
     }
 
     /// The normalisation constant of Theorem 3.2 (`4n + o(n)` per step):
     /// report `mean_step_time() / n` against 4.
     pub fn per_n(&self) -> f64 {
-        self.report.mean_step_time() / self.n() as f64
+        self.report().mean_step_time() / self.n() as f64
     }
+}
 
-    /// Module node for `addr` under the current mapping.
-    pub fn module_of(&self, addr: u64) -> usize {
-        self.mapping.module_of(addr)
-    }
-
-    /// Direct read of the emulated memory.
-    pub fn peek(&self, addr: u64) -> u64 {
-        self.modules.peek(self.module_of(addr), addr)
-    }
-
-    /// Full memory image for oracle diffing.
-    pub fn memory_image(&self, address_space: u64) -> Vec<u64> {
-        (0..address_space).map(|a| self.peek(a)).collect()
-    }
-
-    /// The accumulated report.
-    pub fn report(&self) -> &EmuReport {
-        &self.report
-    }
-
-    /// Run `prog` to completion, mirroring the reference machine.
-    pub fn run_program<P: PramProgram>(&mut self, prog: &mut P, max_steps: usize) -> EmuReport {
-        assert!(prog.processors() <= self.mesh.num_nodes());
-        assert!(prog.address_space() <= self.family.address_space);
-        for (addr, val) in prog.initial_memory() {
-            let m = self.module_of(addr);
-            self.modules.poke(m, addr, val);
-        }
-        let p = prog.processors();
-        let mut last_read: Vec<Option<u64>> = vec![None; p];
-        for step in 0..max_steps {
-            let ops: Vec<MemOp> = (0..p).map(|i| prog.op(i, step, last_read[i])).collect();
-            if ops.iter().all(|o| matches!(o, MemOp::Halt)) {
-                break;
-            }
-            let reads = self.emulate_step(&ops, step as u64);
-            for (proc, value) in reads {
-                last_read[proc] = Some(value);
-            }
-            self.report.pram_steps += 1;
-        }
-        self.report.clone()
-    }
-
-    /// Emulate one PRAM step; returns `(proc, value)` per read.
-    pub fn emulate_step(&mut self, ops: &[MemOp], step_label: u64) -> Vec<(usize, u64)> {
-        #[derive(Clone, Copy)]
-        struct Req {
-            proc: usize,
-            addr: u64,
-            write: Option<u64>,
-        }
-        let requests: Vec<Req> = ops
-            .iter()
-            .enumerate()
-            .filter_map(|(proc, op)| match *op {
-                MemOp::Read(addr) => Some(Req {
-                    proc,
-                    addr,
-                    write: None,
-                }),
-                MemOp::Write(addr, v) => Some(Req {
-                    proc,
-                    addr,
-                    write: Some(v),
-                }),
-                _ => None,
-            })
-            .collect();
-        let mut stats = StepStats {
-            requests: requests.len() as u32,
-            ..Default::default()
-        };
-        if requests.is_empty() {
-            self.report.steps.push(stats);
-            return Vec::new();
-        }
-
-        let n = self.n() as u32;
-        let step_seq = self.seq.child(1).child(step_label);
+impl MeshHost {
+    fn router(&self) -> MeshRouter {
+        let slice_rows = self.slice_rows;
         let alg = match self.block_rows {
             Some(block_rows) => MeshAlgorithm::ThreeStageConstQueue {
-                slice_rows: self.slice_rows,
+                slice_rows,
                 block_rows,
             },
-            None => MeshAlgorithm::ThreeStage {
-                slice_rows: self.slice_rows,
-            },
+            None => MeshAlgorithm::ThreeStage { slice_rows },
         };
-        // via2 for the constant-queue variant: random row inside the
-        // destination's block, destination's column (Corollary 3.3).
-        let (mesh, block_rows) = (self.mesh, self.block_rows);
-        let block_via2 = move |dest: usize, rng: &mut rand::rngs::StdRng| -> u32 {
-            match block_rows {
-                Some(b) => {
-                    let (dr, dc) = mesh.coords(dest);
-                    let lo = dr - dr % b;
-                    let hi = (lo + b).min(mesh.rows());
-                    mesh.node_at(rng.gen_range(lo..hi), dc) as u32
-                }
-                None => lnpram_simnet::packet::NO_NODE,
-            }
-        };
-        let mut attempt = 0u32;
-        loop {
-            let budget = self.cfg.budget_factor * 4 * n * (1 << attempt.min(8));
-            let attempt_seq = step_seq.child(attempt as u64);
-            self.modules.clear_batches();
-
-            // ---- Request phase (three-stage routing to modules) ----
-            self.engine.reset();
-            self.engine.set_max_steps(budget);
-            let mut via_rng = attempt_seq.child(0).rng();
-            let mut write_vals: HashMap<u32, (u64, usize)> = HashMap::new();
-            for (id, req) in requests.iter().enumerate() {
-                let module = self.module_of(req.addr) as u32;
-                let (r, c) = self.mesh.coords(req.proc);
-                let lo = r - r % self.slice_rows;
-                let hi = (lo + self.slice_rows).min(self.mesh.rows());
-                let via = self.mesh.node_at(via_rng.gen_range(lo..hi), c) as u32;
-                let mut pkt = Packet::new(id as u32, req.proc as u32, module)
-                    .with_via(via)
-                    .with_via2(block_via2(module as usize, &mut via_rng))
-                    .with_tag(req.addr);
-                pkt.phase = 0;
-                pkt.hop = u8::from(req.write.is_some()); // request kind flag
-                if let Some(v) = req.write {
-                    write_vals.insert(id as u32, (v, req.proc));
-                }
-                self.engine.inject(req.proc, pkt);
-            }
-            let Self {
-                modules, engine, ..
-            } = self;
-            let mut proto = MeshRequestProtocol {
-                router: MeshRouter::new(mesh, alg),
-                modules,
-                write_vals: &write_vals,
-            };
-            let out = engine.run(&mut proto);
-            if !out.completed {
-                attempt += 1;
-                assert!(
-                    attempt <= self.cfg.max_rehashes,
-                    "exceeded max_rehashes on the mesh"
-                );
-                self.rehash(&mut stats);
-                continue;
-            }
-            stats.request_steps = out.metrics.routing_time;
-            stats.max_queue = stats.max_queue.max(out.metrics.max_queue as u32);
-
-            // ---- Service ----
-            let (reads, busiest) = self.modules.serve_batches();
-            stats.service_steps = busiest;
-
-            // ---- Reply phase (three-stage routing back) ----
-            let mut deliveries: Vec<(usize, u64)> = Vec::new();
-            if !reads.is_empty() {
-                self.engine.reset();
-                self.engine.set_max_steps(u32::MAX);
-                let mut via_rng = attempt_seq.child(1).rng();
-                for (i, &(module, addr, trail, value)) in reads.iter().enumerate() {
-                    let (r, c) = self.mesh.coords(module);
-                    let lo = r - r % self.slice_rows;
-                    let hi = (lo + self.slice_rows).min(self.mesh.rows());
-                    let via = self.mesh.node_at(via_rng.gen_range(lo..hi), c) as u32;
-                    // Reply goes to the requesting processor (trail).
-                    let mut pkt = Packet::new(i as u32, module as u32, trail)
-                        .with_via(via)
-                        .with_via2(block_via2(trail as usize, &mut via_rng))
-                        .with_tag(addr);
-                    pkt.phase = 0;
-                    let _ = value; // value delivered via lookup below
-                    self.engine.inject(module, pkt);
-                }
-                let values: HashMap<(u64, u32), u64> = reads
-                    .iter()
-                    .map(|&(_, addr, trail, value)| ((addr, trail), value))
-                    .collect();
-                let mut proto = MeshReplyProtocol {
-                    router: MeshRouter::new(mesh, alg),
-                    values: &values,
-                    deliveries: &mut deliveries,
-                };
-                let out = self.engine.run(&mut proto);
-                debug_assert!(out.completed);
-                stats.reply_steps = out.metrics.routing_time;
-                stats.max_queue = stats.max_queue.max(out.metrics.max_queue as u32);
-            }
-
-            self.report.steps.push(stats);
-            return deliveries;
-        }
+        MeshRouter::new(self.mesh, alg)
     }
 
-    fn rehash(&mut self, stats: &mut StepStats) {
-        self.hash_epoch += 1;
-        let hash = self
-            .family
-            .sample(&mut self.seq.child(2).child(self.hash_epoch).rng());
-        // Direct mapping never rehashes into a hash map — keep locality.
-        if matches!(self.mapping, MeshMapping::Hashed(_)) {
-            let cells = self.modules.drain_cells();
-            let batches = cells.len().div_ceil(self.mesh.num_nodes().max(1)) as u64;
-            self.report.remap_steps += batches * 4 * self.n() as u64 + self.n() as u64;
-            self.mapping = MeshMapping::Hashed(hash);
-            for (addr, val) in cells {
-                let m = self.module_of(addr);
-                self.modules.poke(m, addr, val);
-            }
-        } else {
-            // With the direct map a timeout can only be congestion;
-            // charge a retry without remapping.
-            self.report.remap_steps += self.n() as u64;
+    /// A packet `id` from `src` to `dest` with its intermediates drawn:
+    /// `via` a random row of the source's slice in the source's column
+    /// (stage 1) and, for the constant-queue variant, `via2` a random
+    /// row inside the destination's block in the destination's column
+    /// (Corollary 3.3).
+    fn packet(&self, id: usize, src: usize, dest: usize, rng: &mut StdRng) -> Packet {
+        let band = |node: usize, rows: usize, rng: &mut StdRng| {
+            let (r, c) = self.mesh.coords(node);
+            let lo = r - r % rows;
+            let hi = (lo + rows).min(self.mesh.rows());
+            self.mesh.node_at(rng.gen_range(lo..hi), c) as u32
+        };
+        let via = band(src, self.slice_rows, rng);
+        let via2 = match self.block_rows {
+            Some(b) => band(dest, b, rng),
+            None => NO_NODE,
+        };
+        Packet::new(id as u32, src as u32, dest as u32)
+            .with_via(via)
+            .with_via2(via2)
+    }
+}
+
+impl EmuHost for MeshHost {
+    fn processors(&self) -> usize {
+        self.mesh.num_nodes()
+    }
+
+    /// Mesh diameter `2n − 2`: the hash degree follows §2.1 with this
+    /// `L`, while the §3 bounds scale with `n` per phase.
+    fn diameter(&self) -> usize {
+        self.mesh.diameter()
+    }
+
+    fn phase_bound(&self) -> usize {
+        4 * self.mesh.rows()
+    }
+
+    fn broadcast_steps(&self) -> usize {
+        self.mesh.rows()
+    }
+
+    fn route_requests(
+        &mut self,
+        requests: &[Request],
+        modules: &mut ModuleArray,
+        budget: u32,
+        seq: SeedSeq,
+    ) -> Option<PhaseOutcome> {
+        self.engine.reset();
+        self.engine.set_max_steps(budget);
+        let mut rng = seq.rng();
+        for (id, req) in requests.iter().enumerate() {
+            let pkt = self
+                .packet(id, req.proc, req.module as usize, &mut rng)
+                .with_tag(req.addr);
+            self.engine.inject(req.proc, pkt);
         }
-        stats.rehashes += 1;
-        self.report.rehashes += 1;
+        let mut proto = MeshRequestProtocol {
+            router: self.router(),
+            modules,
+            requests,
+        };
+        let out = self.engine.run(&mut proto);
+        out.completed.then(|| PhaseOutcome::of(&out.metrics))
+    }
+
+    fn route_replies(
+        &mut self,
+        reads: &[ServedRead],
+        seq: SeedSeq,
+        deliveries: &mut Vec<(usize, u64)>,
+    ) -> PhaseOutcome {
+        self.engine.reset();
+        self.engine.set_max_steps(u32::MAX);
+        let mut rng = seq.rng();
+        for (i, &(module, addr, proc, _)) in reads.iter().enumerate() {
+            // The trail of an uncombined read is its requesting processor.
+            let pkt = self
+                .packet(i, module, proc as usize, &mut rng)
+                .with_tag(addr);
+            self.engine.inject(module, pkt);
+        }
+        let mut proto = MeshReplyProtocol {
+            router: self.router(),
+            reads,
+            deliveries,
+        };
+        let out = self.engine.run(&mut proto);
+        debug_assert!(out.completed);
+        PhaseOutcome::of(&out.metrics)
     }
 }
 
@@ -381,26 +230,26 @@ impl MeshPramEmulator {
 struct MeshRequestProtocol<'a> {
     router: MeshRouter,
     modules: &'a mut ModuleArray,
-    write_vals: &'a HashMap<u32, (u64, usize)>,
+    requests: &'a [Request],
 }
 
 impl Protocol for MeshRequestProtocol<'_> {
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
             let addr = pkt.tag;
-            if pkt.hop == 1 {
-                let (value, proc) = self.write_vals[&pkt.id];
-                self.modules
-                    .buffer(node, ModuleRequest::Write { addr, value, proc });
-            } else {
-                self.modules.buffer(
-                    node,
-                    ModuleRequest::Read {
-                        addr,
-                        trail: pkt.src,
-                    },
-                );
-            }
+            let req = &self.requests[pkt.id as usize];
+            let buffered = match req.write {
+                Some(value) => ModuleRequest::Write {
+                    addr,
+                    value,
+                    proc: req.proc,
+                },
+                None => ModuleRequest::Read {
+                    addr,
+                    trail: pkt.src,
+                },
+            };
+            self.modules.buffer(node, buffered);
             out.deliver(pkt);
             return;
         }
@@ -411,15 +260,14 @@ impl Protocol for MeshRequestProtocol<'_> {
 /// Reply routing: plain three-stage delivery back to the requester.
 struct MeshReplyProtocol<'a> {
     router: MeshRouter,
-    values: &'a HashMap<(u64, u32), u64>,
+    reads: &'a [ServedRead],
     deliveries: &'a mut Vec<(usize, u64)>,
 }
 
 impl Protocol for MeshReplyProtocol<'_> {
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
-            let value = self.values[&(pkt.tag, pkt.dest)];
-            self.deliveries.push((node, value));
+            self.deliveries.push((node, self.reads[pkt.id as usize].3));
             out.deliver(pkt);
             return;
         }
@@ -431,7 +279,7 @@ impl Protocol for MeshReplyProtocol<'_> {
 mod tests {
     use super::*;
     use lnpram_pram::machine::PramMachine;
-    use lnpram_pram::model::WritePolicy;
+    use lnpram_pram::model::{PramProgram, WritePolicy};
     use lnpram_pram::programs::{Histogram, OddEvenSort, PermutationTraffic, PrefixSum};
     use lnpram_routing::workloads;
 

@@ -29,14 +29,17 @@
 //! combine).
 
 use crate::config::{EmuReport, EmulatorConfig, StepStats};
+use crate::emulator::drive_program;
 use lnpram_math::rng::SeedSeq;
 use lnpram_pram::machine::resolve_write;
 use lnpram_pram::model::{AccessMode, AccessViolation, MemOp, PramProgram};
+use lnpram_routing::leveled::UniversalLeveledRouter;
 use lnpram_routing::DoubledLeveled;
 use lnpram_simnet::{Engine, Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::leveled::{Leveled, LeveledNet};
 use rand::Rng;
 use std::collections::HashMap;
+use std::fmt;
 
 /// Fixed multiplicative-hash constants, one per copy index (odd 64-bit
 /// constants in the golden-ratio family; the placement is *deterministic*
@@ -51,18 +54,41 @@ const PLACEMENT_KEYS: [u64; 7] = [
     0x1656_67B1_9E37_79A1,
 ];
 
+/// A copy count the baseline cannot run with: `R = 2c − 1` must be odd
+/// (so any two quorums intersect) and within `1..=7` (one placement key
+/// per copy).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InvalidCopies(pub usize);
+
+impl fmt::Display for InvalidCopies {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "copies must be odd (R = 2c − 1) with 1 ≤ copies ≤ {}, got {}",
+            PLACEMENT_KEYS.len(),
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for InvalidCopies {}
+
+/// Check a copy count against the baseline's contract.
+pub fn check_copies(copies: usize) -> Result<usize, InvalidCopies> {
+    if copies % 2 == 1 && copies <= PLACEMENT_KEYS.len() {
+        Ok(copies)
+    } else {
+        Err(InvalidCopies(copies))
+    }
+}
+
 /// One stored replica request buffered at a module during routing.
 #[derive(Debug, Clone, Copy)]
 enum RepRequest {
     /// Read of storage key `key` on behalf of `proc`.
     Read { key: u64, proc: u32 },
-    /// Write of `value` (stamped `version`) to storage key `key` by `proc`.
-    Write {
-        key: u64,
-        value: u64,
-        proc: usize,
-        version: u64,
-    },
+    /// Write of `value` to storage key `key` by `proc`.
+    Write { key: u64, value: u64, proc: usize },
 }
 
 /// A read reply from a replica batch: `(module, key, proc, value, version)`.
@@ -108,40 +134,32 @@ impl ReplicaStore {
     }
 
     /// Serve all batches: reads observe pre-write values, then writes are
-    /// resolved per key under the CRCW policy. Returns the read replies as
-    /// `(module, key, proc, value, version)` plus the busiest batch size.
-    fn serve_batches(&mut self) -> (Vec<ReadReply>, u32) {
+    /// resolved per key under the CRCW policy and stamped `version`.
+    /// Returns the read replies as `(module, key, proc, value, version)`
+    /// plus the busiest batch size.
+    fn serve_batches(&mut self, version: u64) -> (Vec<ReadReply>, u32) {
         let mut reads = Vec::new();
         let mut busiest = 0u32;
         for module in 0..self.cells.len() {
             let batch = std::mem::take(&mut self.batches[module]);
             busiest = busiest.max(batch.len() as u32);
+            let mut writes: HashMap<u64, Vec<(usize, u64)>> = HashMap::new();
             for req in &batch {
-                if let RepRequest::Read { key, proc } = *req {
-                    let (value, version) = self.cells[module].get(&key).copied().unwrap_or((0, 0));
-                    reads.push((module, key, proc, value, version));
-                }
-            }
-            let mut writes: HashMap<u64, (u64, Vec<(usize, u64)>)> = HashMap::new();
-            for req in &batch {
-                if let RepRequest::Write {
-                    key,
-                    value,
-                    proc,
-                    version,
-                } = *req
-                {
-                    let e = writes.entry(key).or_insert((version, Vec::new()));
-                    e.0 = e.0.max(version);
-                    e.1.push((proc, value));
+                match *req {
+                    RepRequest::Read { key, proc } => {
+                        let (value, stamp) = self.peek(module, key).unwrap_or((0, 0));
+                        reads.push((module, key, proc, value, stamp));
+                    }
+                    RepRequest::Write { key, value, proc } => {
+                        writes.entry(key).or_default().push((proc, value));
+                    }
                 }
             }
             let mut keys: Vec<u64> = writes.keys().copied().collect();
             keys.sort_unstable();
             for key in keys {
-                let (version, winners) = &writes[&key];
-                let value = resolve_write(self.mode, key, winners, &mut self.violations);
-                self.cells[module].insert(key, (value, *version));
+                let value = resolve_write(self.mode, key, &writes[&key], &mut self.violations);
+                self.cells[module].insert(key, (value, version));
             }
         }
         (reads, busiest)
@@ -183,6 +201,9 @@ impl<L: Leveled + Copy> ReplicatedPramEmulator<L> {
     /// Build a baseline emulator storing every cell in `copies = 2c − 1`
     /// replicas (odd, 1 ≤ copies ≤ 7; 1 degenerates to unreplicated
     /// deterministic placement — a useful ablation point).
+    ///
+    /// # Panics
+    /// On a copy count [`try_new`](Self::try_new) refuses.
     pub fn new(
         inner: L,
         mode: AccessMode,
@@ -190,11 +211,19 @@ impl<L: Leveled + Copy> ReplicatedPramEmulator<L> {
         copies: usize,
         cfg: EmulatorConfig,
     ) -> Self {
-        assert!(
-            copies >= 1 && copies <= PLACEMENT_KEYS.len(),
-            "1 ≤ copies ≤ 7"
-        );
-        assert!(copies % 2 == 1, "copies must be odd (R = 2c − 1)");
+        Self::try_new(inner, mode, address_space, copies, cfg).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new), returning a typed error for a copy count that
+    /// is even or outside `1..=7`.
+    pub fn try_new(
+        inner: L,
+        mode: AccessMode,
+        address_space: u64,
+        copies: usize,
+        cfg: EmulatorConfig,
+    ) -> Result<Self, InvalidCopies> {
+        let copies = check_copies(copies)?;
         let width = inner.width();
         let seq = SeedSeq::new(cfg.seed);
         let fwd = LeveledNet::forward(DoubledLeveled::new(inner));
@@ -208,7 +237,7 @@ impl<L: Leveled + Copy> ReplicatedPramEmulator<L> {
                 ..Default::default()
             },
         );
-        ReplicatedPramEmulator {
+        Ok(ReplicatedPramEmulator {
             inner,
             copies,
             store: ReplicaStore::new(width, mode),
@@ -217,7 +246,7 @@ impl<L: Leveled + Copy> ReplicatedPramEmulator<L> {
             address_space,
             fwd,
             engine,
-        }
+        })
     }
 
     /// Number of processors (= memory modules = column width).
@@ -284,29 +313,26 @@ impl<L: Leveled + Copy> ReplicatedPramEmulator<L> {
     }
 
     /// Run `prog` to completion, mirroring [`lnpram_pram::PramMachine`].
+    ///
+    /// # Panics
+    /// If `prog` needs more processors than the host has or addresses
+    /// more cells than the emulator was built for.
     pub fn run_program<P: PramProgram>(&mut self, prog: &mut P, max_steps: usize) -> EmuReport {
-        assert!(prog.processors() <= self.processors());
-        assert!(prog.address_space() <= self.address_space);
-        for (addr, val) in prog.initial_memory() {
-            for j in 0..self.copies {
-                let m = self.copy_module(addr, j);
-                let key = self.storage_key(addr, j);
-                self.store.poke(m, key, val, 0);
-            }
-        }
-        let p = prog.processors();
-        let mut last_read: Vec<Option<u64>> = vec![None; p];
-        for step in 0..max_steps {
-            let ops: Vec<MemOp> = (0..p).map(|i| prog.op(i, step, last_read[i])).collect();
-            if ops.iter().all(|o| matches!(o, MemOp::Halt)) {
-                break;
-            }
-            let reads = self.emulate_step(&ops, step as u64);
-            for (proc, value) in reads {
-                last_read[proc] = Some(value);
-            }
-            self.report.pram_steps += 1;
-        }
+        let limits = (self.processors(), self.address_space);
+        let steps = drive_program(
+            self,
+            prog,
+            max_steps,
+            limits,
+            |emu, addr, val| {
+                for j in 0..emu.copies {
+                    let m = emu.copy_module(addr, j);
+                    emu.store.poke(m, emu.storage_key(addr, j), val, 0);
+                }
+            },
+            Self::emulate_step,
+        );
+        self.report.pram_steps += steps;
         self.report.clone()
     }
 
@@ -315,45 +341,36 @@ impl<L: Leveled + Copy> ReplicatedPramEmulator<L> {
     /// Unlike the randomized emulator there is no rehash escape: the
     /// placement is fixed, so the routing budget is unbounded and any
     /// congestion is simply paid (that is the baseline's deal).
+    ///
+    /// # Panics
+    /// If `ops` has more entries than the host has processors.
     pub fn emulate_step(&mut self, ops: &[MemOp], step_label: u64) -> Vec<(usize, u64)> {
-        // Versions start at 1 so step 0's writes beat initial memory (0).
-        let version = step_label + 1;
+        assert!(
+            ops.len() <= self.processors(),
+            "{} ops for {} processors",
+            ops.len(),
+            self.processors()
+        );
         let step_seq = self.seq.child(1).child(step_label);
         let width = self.inner.width();
         self.store.clear_batches();
 
-        struct Issue {
-            proc: usize,
-            module: u32,
-            key: u64,
-            write: Option<u64>,
-        }
         let mut issues: Vec<Issue> = Vec::new();
-        let mut reading: Vec<Option<u64>> = vec![None; ops.len()];
         for (proc, op) in ops.iter().enumerate() {
-            match *op {
-                MemOp::Read(addr) => {
-                    reading[proc] = Some(addr);
-                    for j in self.read_quorum(addr) {
-                        issues.push(Issue {
-                            proc,
-                            module: self.copy_module(addr, j) as u32,
-                            key: self.storage_key(addr, j),
-                            write: None,
-                        });
-                    }
-                }
-                MemOp::Write(addr, v) => {
-                    for j in self.write_quorum() {
-                        issues.push(Issue {
-                            proc,
-                            module: self.copy_module(addr, j) as u32,
-                            key: self.storage_key(addr, j),
-                            write: Some(v),
-                        });
-                    }
-                }
-                MemOp::None | MemOp::Halt => {}
+            let (addr, write) = match *op {
+                MemOp::Read(addr) => (addr, None),
+                MemOp::Write(addr, v) => (addr, Some(v)),
+                MemOp::None | MemOp::Halt => continue,
+            };
+            let issue = |j| Issue {
+                proc,
+                module: self.copy_module(addr, j) as u32,
+                key: self.storage_key(addr, j),
+                write,
+            };
+            match write {
+                None => issues.extend(self.read_quorum(addr).map(issue)),
+                Some(_) => issues.extend(self.write_quorum().map(issue)),
             }
         }
         let mut stats = StepStats {
@@ -368,36 +385,26 @@ impl<L: Leveled + Copy> ReplicatedPramEmulator<L> {
         // ---- Request phase ----
         self.engine.reset();
         let mut via_rng = step_seq.child(0).rng();
-        let mut write_vals: HashMap<u32, (u64, usize)> = HashMap::new();
         for (id, issue) in issues.iter().enumerate() {
             let via = via_rng.gen_range(0..width) as u32;
-            let mut pkt = Packet::new(id as u32, issue.proc as u32, issue.module)
+            let pkt = Packet::new(id as u32, issue.proc as u32, issue.module)
                 .with_via(via)
                 .with_tag(issue.key);
-            pkt.phase = u8::from(issue.write.is_some());
-            if let Some(v) = issue.write {
-                write_vals.insert(id as u32, (v, issue.proc));
-            }
             self.engine.inject(self.fwd.node_id(0, issue.proc), pkt);
         }
-        {
-            let Self {
-                fwd, store, engine, ..
-            } = self;
-            let mut proto = ReplicaRequestProtocol {
-                net: &*fwd,
-                store,
-                write_vals: &write_vals,
-                version,
-            };
-            let out = engine.run(&mut proto);
-            debug_assert!(out.completed);
-            stats.request_steps = out.metrics.routing_time;
-            stats.max_queue = stats.max_queue.max(out.metrics.max_queue as u32);
-        }
+        let mut proto = ReplicaRequestProtocol {
+            net: &self.fwd,
+            store: &mut self.store,
+            issues: &issues,
+        };
+        let out = self.engine.run(&mut proto);
+        debug_assert!(out.completed);
+        stats.request_steps = out.metrics.routing_time;
+        stats.max_queue = out.metrics.max_queue as u32;
 
         // ---- Service ----
-        let (replies, busiest) = self.store.serve_batches();
+        // Versions start at 1 so step 0's writes beat initial memory (0).
+        let (replies, busiest) = self.store.serve_batches(step_label + 1);
         stats.service_steps = busiest;
 
         // ---- Reply phase (fresh forward pass, module column → procs) ----
@@ -405,43 +412,28 @@ impl<L: Leveled + Copy> ReplicatedPramEmulator<L> {
         if !replies.is_empty() {
             self.engine.reset();
             let mut via_rng = step_seq.child(1).rng();
-            let mut values: HashMap<(u64, u32), (u64, u64)> = HashMap::new();
-            for (i, &(module, key, proc, value, ver)) in replies.iter().enumerate() {
-                values.insert((key, proc), (value, ver));
+            for (i, &(module, key, proc, _, _)) in replies.iter().enumerate() {
                 let via = via_rng.gen_range(0..width) as u32;
                 let pkt = Packet::new(i as u32, module as u32, proc)
                     .with_via(via)
                     .with_tag(key);
                 self.engine.inject(self.fwd.node_id(0, module), pkt);
             }
-            let mut raw: Vec<(usize, u64, u64)> = Vec::new();
-            {
-                let Self { fwd, engine, .. } = self;
-                let mut proto = ReplicaReplyProtocol {
-                    net: &*fwd,
-                    values: &values,
-                    raw: &mut raw,
-                };
-                let out = engine.run(&mut proto);
-                debug_assert!(out.completed);
-                stats.reply_steps = out.metrics.routing_time;
-                stats.max_queue = stats.max_queue.max(out.metrics.max_queue as u32);
-            }
             // Majority resolution: per reading processor, the max-version
-            // reply wins (quorum intersection guarantees it is the latest).
-            let mut best: HashMap<usize, (u64, u64)> = HashMap::new();
-            for (proc, value, ver) in raw {
-                let e = best.entry(proc).or_insert((value, ver));
-                if ver > e.1 {
-                    *e = (value, ver);
-                }
-            }
-            let mut procs: Vec<usize> = best.keys().copied().collect();
-            procs.sort_unstable();
-            for proc in procs {
-                debug_assert!(reading[proc].is_some());
-                deliveries.push((proc, best[&proc].0));
-            }
+            // reply wins (quorum intersection guarantees it is the
+            // latest); among equal versions the first to arrive stays.
+            let mut best: Vec<Option<(u64, u64)>> = vec![None; ops.len()];
+            let mut proto = ReplicaReplyProtocol {
+                net: &self.fwd,
+                replies: &replies,
+                best: &mut best,
+            };
+            let out = self.engine.run(&mut proto);
+            debug_assert!(out.completed);
+            stats.reply_steps = out.metrics.routing_time;
+            stats.max_queue = stats.max_queue.max(out.metrics.max_queue as u32);
+            let answered = best.iter().enumerate();
+            deliveries.extend(answered.filter_map(|(proc, b)| b.map(|(value, _)| (proc, value))));
         }
 
         self.report.steps.push(stats);
@@ -449,68 +441,63 @@ impl<L: Leveled + Copy> ReplicatedPramEmulator<L> {
     }
 }
 
+/// One replica access of the step being emulated; request packets carry
+/// their index in the step's issue list as their id.
+struct Issue {
+    proc: usize,
+    module: u32,
+    key: u64,
+    write: Option<u64>,
+}
+
 /// Request routing: Algorithm 2.1 movement; buffer at the module column.
 struct ReplicaRequestProtocol<'a, L: Leveled> {
     net: &'a LeveledNet<DoubledLeveled<L>>,
     store: &'a mut ReplicaStore,
-    write_vals: &'a HashMap<u32, (u64, usize)>,
-    version: u64,
+    issues: &'a [Issue],
 }
 
 impl<L: Leveled> Protocol for ReplicaRequestProtocol<'_, L> {
-    fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
-        let lv = self.net.leveled();
-        let half = lv.levels() / 2;
+    fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         let (col, idx) = self.net.split(node);
-        if col == lv.levels() {
-            let key = pkt.tag;
-            if pkt.phase == 1 {
-                let (value, proc) = self.write_vals[&pkt.id];
-                self.store.buffer(
-                    idx,
-                    RepRequest::Write {
-                        key,
-                        value,
-                        proc,
-                        version: self.version,
-                    },
-                );
-            } else {
-                self.store
-                    .buffer(idx, RepRequest::Read { key, proc: pkt.src });
-            }
-            out.deliver(pkt);
-            return;
+        if col < self.net.leveled().levels() {
+            return UniversalLeveledRouter::new(self.net).on_packet(node, pkt, step, out);
         }
-        let target = if col < half { pkt.via } else { pkt.dest } as usize;
-        let digit = lv.digit_toward(col, idx, target);
-        pkt.prev = node as u32;
-        out.send(digit, pkt);
+        let issue = &self.issues[pkt.id as usize];
+        let key = pkt.tag;
+        let buffered = match issue.write {
+            Some(value) => RepRequest::Write {
+                key,
+                value,
+                proc: issue.proc,
+            },
+            None => RepRequest::Read { key, proc: pkt.src },
+        };
+        self.store.buffer(idx, buffered);
+        out.deliver(pkt);
     }
 }
 
-/// Reply routing: plain Algorithm 2.1 delivery back to the processors.
+/// Reply routing: plain Algorithm 2.1 delivery back to the processors,
+/// keeping each processor's max-version reply.
 struct ReplicaReplyProtocol<'a, L: Leveled> {
     net: &'a LeveledNet<DoubledLeveled<L>>,
-    values: &'a HashMap<(u64, u32), (u64, u64)>,
-    raw: &'a mut Vec<(usize, u64, u64)>,
+    replies: &'a [ReadReply],
+    best: &'a mut [Option<(u64, u64)>],
 }
 
 impl<L: Leveled> Protocol for ReplicaReplyProtocol<'_, L> {
-    fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
-        let lv = self.net.leveled();
-        let half = lv.levels() / 2;
+    fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         let (col, idx) = self.net.split(node);
-        if col == lv.levels() {
-            debug_assert_eq!(idx, pkt.dest as usize);
-            let (value, ver) = self.values[&(pkt.tag, pkt.dest)];
-            self.raw.push((idx, value, ver));
-            out.deliver(pkt);
-            return;
+        if col < self.net.leveled().levels() {
+            return UniversalLeveledRouter::new(self.net).on_packet(node, pkt, step, out);
         }
-        let target = if col < half { pkt.via } else { pkt.dest } as usize;
-        let digit = lv.digit_toward(col, idx, target);
-        out.send(digit, pkt);
+        debug_assert_eq!(idx, pkt.dest as usize);
+        let (_, _, _, value, ver) = self.replies[pkt.id as usize];
+        if self.best[idx].is_none_or(|(_, best_ver)| ver > best_ver) {
+            self.best[idx] = Some((value, ver));
+        }
+        out.deliver(pkt);
     }
 }
 

@@ -1,12 +1,12 @@
-//! Corollaries 2.3 and 2.5: PRAM emulation on the physical n-star graph.
+//! Corollaries 2.3 and 2.5: the physical n-star graph as an emulation
+//! host ([`StarHost`], driven by [`PramEmulator`]).
 //!
 //! Every node of the n-star hosts one processor *and* one memory module
-//! (the paper's parallel model). A PRAM step routes requests by
-//! Algorithm 2.2 — random intermediate node along the canonical oblivious
-//! path, then on to module `h(addr)` — and read replies retrace the
-//! request trees backward (SWAP edges are involutions, so the reverse
-//! port equals the forward port and the star needs no separate reply
-//! network).
+//! (the paper's parallel model). Requests are routed by Algorithm 2.2 —
+//! random intermediate node along the canonical oblivious path, then on
+//! to the module — and read replies retrace the request trees backward
+//! (SWAP edges are involutions, so the reverse port equals the forward
+//! port and the star needs no separate reply network).
 //!
 //! **Combining safety.** On the leveled networks the request paths move
 //! strictly forward by column, so pending entries can never form a cycle.
@@ -22,64 +22,39 @@
 //! which is also where the hot-spot traffic concentrates.
 
 use crate::combining::{PendingTables, Source};
-use crate::config::{EmuReport, EmulatorConfig, StepStats};
+use crate::config::EmulatorConfig;
+use crate::emulator::{EmuHost, PhaseOutcome, PramEmulator, Request, ServedRead};
 use crate::memory::{ModuleArray, ModuleRequest};
-use lnpram_hash::{HashFamily, PolyHash};
 use lnpram_math::rng::SeedSeq;
-use lnpram_pram::model::{AccessMode, MemOp, PramProgram};
-use lnpram_routing::star::star_table_engine;
+use lnpram_pram::model::AccessMode;
+use lnpram_routing::star::{star_table_engine, StarRouter};
 use lnpram_shard::AnyEngine;
 use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::{Network, StarGraph, StarTable};
 use rand::Rng;
 
-/// One memory request of the PRAM step being emulated; packet ids index
-/// the step's request list.
-#[derive(Clone, Copy)]
-struct Req {
-    proc: usize,
-    addr: u64,
-    write: Option<u64>,
-}
-
-/// The PRAM emulator on the n-star graph (Corollaries 2.3/2.5).
-pub struct StarPramEmulator {
+/// The n-star as an emulation host: Algorithm 2.2 requests, replies
+/// retracing the request trees.
+pub struct StarHost {
     /// Everything the protocols ask of the star per hop (next port,
     /// reverse port), tabulated once.
     table: StarTable,
-    cfg: EmulatorConfig,
-    family: HashFamily,
-    hash: PolyHash,
-    modules: ModuleArray,
     tables: PendingTables,
-    seq: SeedSeq,
-    hash_epoch: u64,
-    report: EmuReport,
     /// One persistent engine serves both phases (the star is its own
     /// reply network); recycled with `reset` per phase. Serial or
     /// sharded (greedy edge-cut — the star has no level/row structure)
     /// per [`EmulatorConfig::shards`].
     engine: AnyEngine,
-    /// The current step's requests, kept between steps for its capacity.
-    requests: Vec<Req>,
+    combining: bool,
 }
+
+/// The PRAM emulator on the n-star graph (Corollaries 2.3/2.5).
+pub type StarPramEmulator = PramEmulator<StarHost>;
 
 impl StarPramEmulator {
     /// Emulator on the n-star for programs over `address_space` cells.
     pub fn new(n: usize, mode: AccessMode, address_space: u64, cfg: EmulatorConfig) -> Self {
-        let star = StarGraph::new(n);
-        let family = match cfg.hash_degree_override {
-            Some(s_deg) => HashFamily::new(address_space, star.num_nodes() as u64, s_deg.max(1)),
-            None => HashFamily::for_diameter(
-                address_space,
-                star.num_nodes() as u64,
-                star.diameter().max(1),
-                cfg.hash_degree_factor.max(1),
-            ),
-        };
-        let seq = SeedSeq::new(cfg.seed);
-        let hash = family.sample(&mut seq.child(0).rng());
-        let table = StarTable::new(star);
+        let table = StarTable::new(StarGraph::new(n));
         // Same construction as `StarRoutingSession` (greedy edge-cut on
         // the sharded path), built once and recycled per phase.
         let engine = star_table_engine(
@@ -90,199 +65,94 @@ impl StarPramEmulator {
                 ..Default::default()
             },
         );
-        StarPramEmulator {
+        let host = StarHost {
+            tables: PendingTables::new(table.num_nodes()),
             table,
-            cfg,
-            family,
-            hash,
-            modules: ModuleArray::new(star.num_nodes(), mode),
-            tables: PendingTables::new(star.num_nodes()),
-            seq,
-            hash_epoch: 0,
-            report: EmuReport::default(),
             engine,
-            requests: Vec::new(),
-        }
+            combining: cfg.combining,
+        };
+        PramEmulator::with_host(host, mode, address_space, cfg)
     }
+}
 
-    /// Number of processors (= modules = n!).
-    pub fn processors(&self) -> usize {
+impl EmuHost for StarHost {
+    /// `n!` nodes, each a processor and a module.
+    fn processors(&self) -> usize {
         self.table.num_nodes()
     }
 
     /// Star-graph diameter `⌊3(n−1)/2⌋` — the Õ(n) normalisation.
-    pub fn diameter(&self) -> usize {
+    fn diameter(&self) -> usize {
         self.table.star().diameter()
     }
 
-    /// Module owning `addr` under the current hash.
-    pub fn module_of(&self, addr: u64) -> usize {
-        self.hash.eval(addr) as usize
+    /// Request path length ≤ 2×diameter (via + dest legs).
+    fn phase_bound(&self) -> usize {
+        2 * self.diameter()
     }
 
-    /// Direct read of the emulated memory.
-    pub fn peek(&self, addr: u64) -> u64 {
-        self.modules.peek(self.module_of(addr), addr)
+    fn broadcast_steps(&self) -> usize {
+        self.diameter()
     }
 
-    /// Full memory image for oracle diffing.
-    pub fn memory_image(&self, address_space: u64) -> Vec<u64> {
-        (0..address_space).map(|a| self.peek(a)).collect()
-    }
-
-    /// The accumulated report.
-    pub fn report(&self) -> &EmuReport {
-        &self.report
-    }
-
-    /// Run `prog` to completion, mirroring the reference machine.
-    pub fn run_program<P: PramProgram>(&mut self, prog: &mut P, max_steps: usize) -> EmuReport {
-        assert!(prog.processors() <= self.processors());
-        assert!(prog.address_space() <= self.family.address_space);
-        for (addr, val) in prog.initial_memory() {
-            let m = self.module_of(addr);
-            self.modules.poke(m, addr, val);
+    fn route_requests(
+        &mut self,
+        requests: &[Request],
+        modules: &mut ModuleArray,
+        budget: u32,
+        seq: SeedSeq,
+    ) -> Option<PhaseOutcome> {
+        self.tables.reset();
+        self.engine.reset();
+        self.engine.set_max_steps(budget);
+        let mut via_rng = seq.rng();
+        for (id, req) in requests.iter().enumerate() {
+            let via = via_rng.gen_range(0..self.processors()) as u32;
+            let mut pkt = Packet::new(id as u32, req.proc as u32, req.module)
+                .with_via(via)
+                .with_tag(req.addr);
+            pkt.hop = u8::from(req.write.is_some());
+            self.engine.inject(req.proc, pkt);
         }
-        let p = prog.processors();
-        let mut last_read: Vec<Option<u64>> = vec![None; p];
-        for step in 0..max_steps {
-            let ops: Vec<MemOp> = (0..p).map(|i| prog.op(i, step, last_read[i])).collect();
-            if ops.iter().all(|o| matches!(o, MemOp::Halt)) {
-                break;
-            }
-            let reads = self.emulate_step(&ops, step as u64);
-            for (proc, value) in reads {
-                last_read[proc] = Some(value);
-            }
-            self.report.pram_steps += 1;
-        }
-        self.report.clone()
-    }
-
-    /// Emulate one PRAM step; returns `(proc, value)` per read.
-    pub fn emulate_step(&mut self, ops: &[MemOp], step_label: u64) -> Vec<(usize, u64)> {
-        self.requests.clear();
-        self.requests
-            .extend(ops.iter().enumerate().filter_map(|(proc, op)| match *op {
-                MemOp::Read(addr) => Some(Req {
-                    proc,
-                    addr,
-                    write: None,
-                }),
-                MemOp::Write(addr, v) => Some(Req {
-                    proc,
-                    addr,
-                    write: Some(v),
-                }),
-                _ => None,
-            }));
-        let mut stats = StepStats {
-            requests: self.requests.len() as u32,
-            ..Default::default()
+        let mut proto = StarRequestProtocol {
+            table: &self.table,
+            tables: &mut self.tables,
+            modules,
+            requests,
+            combining: self.combining,
         };
-        if self.requests.is_empty() {
-            self.report.steps.push(stats);
-            return Vec::new();
-        }
-
-        let step_seq = self.seq.child(1).child(step_label);
-        let mut attempt = 0u32;
-        loop {
-            // Request path length ≤ 2×diameter (via + dest legs).
-            let budget =
-                self.cfg.budget_factor * 2 * self.diameter() as u32 * (1 << attempt.min(8));
-            let attempt_seq = step_seq.child(attempt as u64);
-            self.tables.reset();
-            self.modules.clear_batches();
-
-            // ---- Request phase (Algorithm 2.2 + combining) ----
-            self.engine.reset();
-            self.engine.set_max_steps(budget);
-            let mut via_rng = attempt_seq.child(0).rng();
-            for id in 0..self.requests.len() {
-                let req = self.requests[id];
-                let module = self.module_of(req.addr) as u32;
-                let via = via_rng.gen_range(0..self.processors()) as u32;
-                let mut pkt = Packet::new(id as u32, req.proc as u32, module)
-                    .with_via(via)
-                    .with_tag(req.addr);
-                pkt.hop = u8::from(req.write.is_some()); // request-kind flag
-                self.engine.inject(req.proc, pkt);
-            }
-            {
-                let mut proto = StarRequestProtocol {
-                    table: &self.table,
-                    tables: &mut self.tables,
-                    modules: &mut self.modules,
-                    requests: &self.requests,
-                    combining: self.cfg.combining,
-                };
-                let out = self.engine.run(&mut proto);
-                if !out.completed {
-                    attempt += 1;
-                    assert!(
-                        attempt <= self.cfg.max_rehashes,
-                        "exceeded max_rehashes on the star"
-                    );
-                    self.rehash(&mut stats);
-                    continue;
-                }
-                stats.request_steps = out.metrics.routing_time;
-                stats.max_queue = stats.max_queue.max(out.metrics.max_queue as u32);
-            }
-            stats.combined = self.tables.combined();
-
-            // ---- Service ----
-            let (reads, busiest) = self.modules.serve_batches();
-            stats.service_steps = busiest;
-
-            // ---- Reply phase (retrace trees; SWAP ports are involutions) ----
-            // One delivery per read request at most, so the reply run
-            // never grows the vector it fills.
-            let mut deliveries: Vec<(usize, u64)> = Vec::new();
-            if !reads.is_empty() {
-                deliveries
-                    .reserve_exact(self.requests.iter().filter(|r| r.write.is_none()).count());
-                self.engine.reset();
-                self.engine.set_max_steps(u32::MAX);
-                // A reply packet's id is the index of the read it answers.
-                for (i, &(module, addr, trail, _)) in reads.iter().enumerate() {
-                    let mut pkt = Packet::new(i as u32, 0, 0).with_tag(addr);
-                    pkt.via = trail;
-                    self.engine.inject(module, pkt);
-                }
-                let mut proto = StarReplyProtocol {
-                    table: &self.table,
-                    tables: &mut self.tables,
-                    reads: &reads,
-                    deliveries: &mut deliveries,
-                };
-                let out = self.engine.run(&mut proto);
-                debug_assert!(out.completed);
-                stats.reply_steps = out.metrics.routing_time;
-                stats.max_queue = stats.max_queue.max(out.metrics.max_queue as u32);
-            }
-            debug_assert!(self.tables.all_clear(), "unconsumed pending entries");
-
-            self.report.steps.push(stats);
-            return deliveries;
-        }
+        let out = self.engine.run(&mut proto);
+        out.completed.then(|| PhaseOutcome {
+            combined: self.tables.combined(),
+            ..PhaseOutcome::of(&out.metrics)
+        })
     }
 
-    fn rehash(&mut self, stats: &mut StepStats) {
-        self.hash_epoch += 1;
-        self.hash = self
-            .family
-            .sample(&mut self.seq.child(2).child(self.hash_epoch).rng());
-        let cells = self.modules.drain_cells();
-        let batches = cells.len().div_ceil(self.processors().max(1)) as u64;
-        self.report.remap_steps += batches * 2 * self.diameter() as u64 + self.diameter() as u64;
-        for (addr, val) in cells {
-            let m = self.hash.eval(addr) as usize;
-            self.modules.poke(m, addr, val);
+    /// Retrace the trees; SWAP ports are involutions, so the request
+    /// engine is the reply network.
+    fn route_replies(
+        &mut self,
+        reads: &[ServedRead],
+        _seq: SeedSeq,
+        deliveries: &mut Vec<(usize, u64)>,
+    ) -> PhaseOutcome {
+        self.engine.reset();
+        self.engine.set_max_steps(u32::MAX);
+        for (i, &(module, addr, trail, _)) in reads.iter().enumerate() {
+            let mut pkt = Packet::new(i as u32, 0, 0).with_tag(addr);
+            pkt.via = trail;
+            self.engine.inject(module, pkt);
         }
-        stats.rehashes += 1;
-        self.report.rehashes += 1;
+        let mut proto = StarReplyProtocol {
+            table: &self.table,
+            tables: &mut self.tables,
+            reads,
+            deliveries,
+        };
+        let out = self.engine.run(&mut proto);
+        debug_assert!(out.completed);
+        debug_assert!(self.tables.all_clear(), "unconsumed pending entries");
+        PhaseOutcome::of(&out.metrics)
     }
 }
 
@@ -292,7 +162,7 @@ struct StarRequestProtocol<'a> {
     table: &'a StarTable,
     tables: &'a mut PendingTables,
     modules: &'a mut ModuleArray,
-    requests: &'a [Req],
+    requests: &'a [Request],
     combining: bool,
 }
 
@@ -323,79 +193,58 @@ impl Protocol for StarRequestProtocol<'_> {
         let addr = pkt.tag;
         let is_write = pkt.hop == 1;
 
-        if is_write {
-            if pkt.phase == 0 && node == pkt.via as usize {
-                pkt.phase = 1;
-            }
-            if pkt.phase == 1 && node == pkt.dest as usize {
-                let req = &self.requests[pkt.id as usize];
-                let value = req.write.expect("write packets carry a write request's id");
-                let proc = req.proc;
-                self.modules
-                    .buffer(node, ModuleRequest::Write { addr, value, proc });
-                out.deliver(pkt);
+        if !is_write {
+            let arrived_on = if pkt.phase == 1 {
+                self.phase1_trail(&pkt)
+            } else {
+                Self::phase0_trail(&pkt)
+            };
+            let source = if step == 0 {
+                Source::Local
+            } else {
+                Source::FromNode(pkt.prev)
+            };
+            let first = self.tables.register(node, addr, arrived_on, source);
+            if !first {
+                out.absorb(pkt); // merged into the shared phase-2 tree
                 return;
             }
-            let target = if pkt.phase == 0 { pkt.via } else { pkt.dest } as usize;
-            let port = self
-                .table
-                .canonical_next_port(node, target)
-                .expect("target not yet reached");
-            pkt.prev = node as u32;
-            out.send(port, pkt);
-            return;
         }
 
-        // --- Reads ---
-        let arrived_on = if pkt.phase == 1 {
-            self.phase1_trail(&pkt)
-        } else {
-            Self::phase0_trail(&pkt)
-        };
-        let source = if step == 0 {
-            Source::Local
-        } else {
-            Source::FromNode(pkt.prev)
-        };
-        let first = self.tables.register(node, addr, arrived_on, source);
-        if !first {
-            out.absorb(pkt); // merged into the shared phase-2 tree
-            return;
-        }
-
-        // Phase transition at the intermediate node: the phase-0 trail
-        // joins (or opens) the phase-1 trail here via a chain link.
+        // Phase transition at the intermediate node: a read's phase-0
+        // trail joins (or opens) the phase-1 trail here via a chain link.
         if pkt.phase == 0 && node == pkt.via as usize {
             pkt.phase = 1;
-            let p1 = self.phase1_trail(&pkt);
-            let first_p1 =
-                self.tables
-                    .register(node, addr, p1, Source::Chain(Self::phase0_trail(&pkt)));
-            if !first_p1 {
-                debug_assert!(self.combining, "private trails never collide");
-                out.absorb(pkt);
-                return;
+            if !is_write {
+                let p1 = self.phase1_trail(&pkt);
+                let chain = Source::Chain(Self::phase0_trail(&pkt));
+                if !self.tables.register(node, addr, p1, chain) {
+                    debug_assert!(self.combining, "private trails never collide");
+                    out.absorb(pkt);
+                    return;
+                }
             }
         }
 
-        let trail = if pkt.phase == 1 {
-            self.phase1_trail(&pkt)
-        } else {
-            Self::phase0_trail(&pkt)
-        };
         if pkt.phase == 1 && node == pkt.dest as usize {
-            self.modules
-                .buffer(node, ModuleRequest::Read { addr, trail });
+            let req = &self.requests[pkt.id as usize];
+            let buffered = match req.write {
+                Some(value) => ModuleRequest::Write {
+                    addr,
+                    value,
+                    proc: req.proc,
+                },
+                None => ModuleRequest::Read {
+                    addr,
+                    trail: self.phase1_trail(&pkt),
+                },
+            };
+            self.modules.buffer(node, buffered);
             out.deliver(pkt);
             return;
         }
-        let target = if pkt.phase == 0 { pkt.via } else { pkt.dest } as usize;
-        let port = self
-            .table
-            .canonical_next_port(node, target)
-            .expect("target not yet reached");
         pkt.prev = node as u32;
-        out.send(port, pkt);
+        StarRouter::new(self.table).on_packet(node, pkt, step, out);
     }
 }
 
@@ -404,9 +253,7 @@ impl Protocol for StarRequestProtocol<'_> {
 struct StarReplyProtocol<'a> {
     table: &'a StarTable,
     tables: &'a mut PendingTables,
-    /// The served reads `(module, addr, trail, value)`, indexed by the
-    /// reply packets' ids.
-    reads: &'a [(usize, u64, u32, u64)],
+    reads: &'a [ServedRead],
     deliveries: &'a mut Vec<(usize, u64)>,
 }
 
@@ -446,7 +293,7 @@ impl Protocol for StarReplyProtocol<'_> {
 mod tests {
     use super::*;
     use lnpram_pram::machine::PramMachine;
-    use lnpram_pram::model::WritePolicy;
+    use lnpram_pram::model::{PramProgram, WritePolicy};
     use lnpram_pram::programs::{Broadcast, Histogram, PermutationTraffic, PrefixSum};
     use lnpram_routing::workloads;
 

@@ -17,8 +17,10 @@
 #![forbid(unsafe_code)]
 
 use lnpram::adaptive::{AdaptiveBackend, AdaptiveConfig, AdaptiveRoutingSession};
+use lnpram::core::replicated_emulator::check_copies;
 use lnpram::core::{
-    EmulatorConfig, LeveledPramEmulator, MeshPramEmulator, ReplicatedPramEmulator, StarPramEmulator,
+    EmuHost, EmulatorConfig, LeveledPramEmulator, MeshPramEmulator, PramEmulator,
+    ReplicatedPramEmulator, StarPramEmulator,
 };
 use lnpram::pram::machine::PramMachine;
 use lnpram::pram::model::{AccessMode, PramProgram, WritePolicy};
@@ -39,7 +41,7 @@ use lnpram::shard::MAX_SHARDS;
 use lnpram::simnet::{ServeEventLog, SimConfig};
 use lnpram::topology::graph::audit;
 use lnpram::topology::hypercube::Hypercube;
-use lnpram::topology::leveled::{audit_unique_paths, RadixButterfly, UnrolledShuffle};
+use lnpram::topology::leveled::{audit_unique_paths, Leveled, RadixButterfly, UnrolledShuffle};
 use lnpram::topology::{CubeConnectedCycles, DWayShuffle, Mesh, Network, StarGraph};
 use std::collections::HashMap;
 use std::fmt;
@@ -138,16 +140,21 @@ fn get_u64(flags: &HashMap<String, String>, key: &str, default: u64) -> Result<u
     }
 }
 
+/// A numeric flag whose value is out of range.
+fn invalid_flag(flag: &str, value: usize, reason: String) -> CliError {
+    CliError::InvalidFlag {
+        flag: flag.into(),
+        value: value.to_string(),
+        reason,
+    }
+}
+
 /// `--tenants` must be ≥ 1: zero tenants is a request for no work and
 /// was historically clamped to 1 silently.
 fn get_tenants(flags: &HashMap<String, String>, default: u64) -> Result<u64, CliError> {
     let tenants = get_u64(flags, "tenants", default)?;
     if tenants == 0 {
-        return Err(CliError::InvalidFlag {
-            flag: "tenants".into(),
-            value: "0".into(),
-            reason: "must be ≥ 1".into(),
-        });
+        return Err(invalid_flag("tenants", 0, "must be ≥ 1".into()));
     }
     Ok(tenants)
 }
@@ -158,11 +165,8 @@ fn get_tenants(flags: &HashMap<String, String>, default: u64) -> Result<u64, Cli
 fn get_shards(flags: &HashMap<String, String>) -> Result<usize, CliError> {
     let shards = get_usize(flags, "shards", 0)?;
     if shards > MAX_SHARDS {
-        return Err(CliError::InvalidFlag {
-            flag: "shards".into(),
-            value: shards.to_string(),
-            reason: format!("must be 0/1 (serial) or 2..={MAX_SHARDS}"),
-        });
+        let reason = format!("must be 0/1 (serial) or 2..={MAX_SHARDS}");
+        return Err(invalid_flag("shards", shards, reason));
     }
     Ok(shards)
 }
@@ -170,11 +174,43 @@ fn get_shards(flags: &HashMap<String, String>) -> Result<usize, CliError> {
 /// The `--n`-star, or a typed error for an `n` that has no star graph
 /// (`StarGraph::new` panics on those).
 fn star_graph(n: usize) -> Result<StarGraph, CliError> {
-    StarGraph::try_new(n).map_err(|e| CliError::InvalidFlag {
-        flag: "n".into(),
-        value: n.to_string(),
-        reason: e.to_string(),
-    })
+    StarGraph::try_new(n).map_err(|e| invalid_flag("n", n, e.to_string()))
+}
+
+/// The radix-`d` butterfly with `--k` levels, or a typed error for a
+/// size `RadixButterfly::new` panics on or whose doubled network (the
+/// `(2k+1)·d^k` nodes Algorithm 2.1 routes on) outgrows 32-bit node ids.
+fn butterfly(d: usize, k: usize) -> Result<RadixButterfly, CliError> {
+    if d < 2 {
+        return Err(invalid_flag("d", d, "butterfly needs d >= 2".into()));
+    }
+    let nodes = u32::try_from(k)
+        .ok()
+        .and_then(|k| d.checked_pow(k))
+        .and_then(|width| width.checked_mul(2 * k + 1));
+    if !(1..=31).contains(&k) || nodes.is_none_or(|nodes| nodes > u32::MAX as usize) {
+        let reason = format!(
+            "butterfly needs 1 <= k <= 31 and (2k+1)*{d}^k nodes within 32-bit ids, got {k}"
+        );
+        return Err(invalid_flag("k", k, reason));
+    }
+    Ok(RadixButterfly::new(d, k))
+}
+
+/// The side `--n` of a mesh: at least one row, and `n²` nodes within
+/// 32-bit ids.
+fn mesh_side(n: usize) -> Result<usize, CliError> {
+    if (1..=65_535).contains(&n) {
+        Ok(n)
+    } else {
+        let reason = format!("mesh needs 1 <= n <= 65535, got {n}");
+        Err(invalid_flag("n", n, reason))
+    }
+}
+
+/// The `--copies` of the replicated baseline (odd, 1..=7).
+fn copies(r: usize) -> Result<usize, CliError> {
+    check_copies(r).map_err(|e| invalid_flag("copies", r, e.to_string()))
 }
 
 const HELP: &str = "\
@@ -283,7 +319,7 @@ fn cmd_audit(flags: &HashMap<String, String>) -> Result<(), CliError> {
             println!("unique-path (delta) property: ok on the unrolled form");
         }
         "mesh" => {
-            let g = Mesh::square(n);
+            let g = Mesh::square(mesh_side(n)?);
             print_audit(&g);
             println!("paper: diameter 2n−2 = {}", 2 * n - 2);
         }
@@ -295,10 +331,9 @@ fn cmd_audit(flags: &HashMap<String, String>) -> Result<(), CliError> {
         "butterfly" => {
             let d = get_usize(flags, "d", 2)?;
             let k = get_usize(flags, "k", 4)?;
-            let lv = RadixButterfly::new(d, k);
+            let lv = butterfly(d, k)?;
             audit_unique_paths(&lv)
                 .map_err(|e| CliError::Run(format!("delta audit failed: {e}")))?;
-            use lnpram::topology::leveled::Leveled;
             println!(
                 "butterfly(r={d}, k={k}): width {} levels {k}, unique-path: ok",
                 Leveled::width(&lv)
@@ -372,7 +407,7 @@ fn adaptive_backend(
             AdaptiveBackend::new(&Hypercube::new(k), route_cfg)
         }
         "ccc" => AdaptiveBackend::new(&CubeConnectedCycles::new(n.max(3)), route_cfg),
-        "mesh" => AdaptiveBackend::new(&Mesh::square(n), route_cfg),
+        "mesh" => AdaptiveBackend::new(&Mesh::square(mesh_side(n)?), route_cfg),
         "butterfly" => {
             return Err(CliError::InvalidFlag {
                 flag: "backend".into(),
@@ -430,7 +465,7 @@ fn make_router(
         "butterfly" => {
             let d = get_usize(flags, "d", 2)?;
             let k = get_usize(flags, "k", 4)?;
-            Box::new(LeveledRoutingSession::new(RadixButterfly::new(d, k), cfg))
+            Box::new(LeveledRoutingSession::new(butterfly(d, k)?, cfg))
         }
         "cube" => {
             let k = get_usize(flags, "k", 8)?;
@@ -438,6 +473,7 @@ fn make_router(
         }
         "ccc" => Box::new(CccRoutingSession::new(n.max(3), cfg)),
         "mesh" => {
+            let n = mesh_side(n)?;
             let alg = mesh_algorithm(flags, n)?;
             Box::new(MeshRoutingSession::new(n, alg, cfg))
         }
@@ -484,7 +520,7 @@ fn make_serve(
             let d = get_usize(flags, "d", 2)?;
             let k = get_usize(flags, "k", 4)?;
             Box::new(ServeSession::new(
-                LeveledBackend::new(RadixButterfly::new(d, k)),
+                LeveledBackend::new(butterfly(d, k)?),
                 &sim,
                 cfg,
             ))
@@ -495,6 +531,7 @@ fn make_serve(
         }
         "ccc" => Box::new(ServeSession::new(CccBackend::new(n.max(3)), &sim, cfg)),
         "mesh" => {
+            let n = mesh_side(n)?;
             let alg = mesh_algorithm(flags, n)?;
             Box::new(ServeSession::new(
                 MeshBackend::new(Mesh::square(n), alg),
@@ -896,36 +933,99 @@ fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), CliError> {
     }
 }
 
-fn run_and_verify<P, F>(
-    make: F,
+/// The host `emulate --host` names, its size flags validated.
+#[derive(Clone, Copy)]
+enum Host {
+    Butterfly(RadixButterfly),
+    Star(StarGraph),
+    Mesh(usize),
+    Replicated(RadixButterfly, usize),
+}
+
+impl Host {
+    fn from_flags(flags: &HashMap<String, String>) -> Result<Self, CliError> {
+        let host = flags.get("host").ok_or(CliError::MissingFlag("host"))?;
+        Ok(match host.as_str() {
+            "butterfly" => Host::Butterfly(butterfly(2, get_usize(flags, "k", 5)?)?),
+            "star" => Host::Star(star_graph(get_usize(flags, "n", 4)?)?),
+            "mesh" => Host::Mesh(mesh_side(get_usize(flags, "n", 5)?)?),
+            "replicated" => Host::Replicated(
+                butterfly(2, get_usize(flags, "k", 5)?)?,
+                copies(get_usize(flags, "copies", 3)?)?,
+            ),
+            other => {
+                return Err(CliError::Unknown {
+                    what: "host",
+                    got: other.into(),
+                })
+            }
+        })
+    }
+
+    fn processors(&self) -> usize {
+        match self {
+            Host::Butterfly(bf) | Host::Replicated(bf, _) => bf.width(),
+            Host::Star(star) => star.num_nodes(),
+            Host::Mesh(n) => n * n,
+        }
+    }
+}
+
+/// Run `make()`'s program on `host` and diff the final memory image
+/// against the reference machine's.
+fn emulate_on<P: PramProgram>(
+    host: Host,
+    cfg: &EmulatorConfig,
     mode: AccessMode,
-    host: &str,
-    mut run_emu: impl FnMut(&mut P) -> (Vec<u64>, f64),
-) -> Result<(), CliError>
-where
-    P: PramProgram,
-    F: Fn() -> P,
-{
+    make: impl Fn() -> P,
+) -> Result<(), CliError> {
+    /// Every hashed host is the one emulator over a different `EmuHost`.
+    fn hashed<H: EmuHost>(
+        mut emu: PramEmulator<H>,
+        prog: &mut impl PramProgram,
+    ) -> (Vec<u64>, f64) {
+        let rep = emu.run_program(prog, 1_000_000);
+        (emu.memory_image(prog.address_space()), rep.mean_step_time())
+    }
     let mut prog = make();
     let space = prog.address_space();
-    let (image, mean_step) = run_emu(&mut prog);
+    let cfg = cfg.clone();
+    let (name, (image, mean_step)) = match host {
+        Host::Butterfly(bf) => (
+            "butterfly",
+            hashed(LeveledPramEmulator::new(bf, mode, space, cfg), &mut prog),
+        ),
+        Host::Star(star) => (
+            "star",
+            hashed(StarPramEmulator::new(star.n(), mode, space, cfg), &mut prog),
+        ),
+        Host::Mesh(n) => (
+            "mesh",
+            hashed(MeshPramEmulator::new(n, mode, space, cfg), &mut prog),
+        ),
+        Host::Replicated(bf, copies) => {
+            let mut emu = ReplicatedPramEmulator::new(bf, mode, space, copies, cfg);
+            let rep = emu.run_program(&mut prog, 1_000_000);
+            (
+                "replicated",
+                (emu.memory_image(space), rep.mean_step_time()),
+            )
+        }
+    };
     let mut oracle = PramMachine::new(space, mode);
     oracle.run(&mut make(), 1_000_000);
     if image != oracle.memory() {
         return Err(CliError::Run(format!(
-            "{host}: emulated memory diverged from the reference PRAM"
+            "{name}: emulated memory diverged from the reference PRAM"
         )));
     }
-    println!("{host}: memory image matches the reference PRAM ({space} cells)");
+    println!("{name}: memory image matches the reference PRAM ({space} cells)");
     println!("mean network steps per PRAM step: {mean_step:.1}");
     Ok(())
 }
 
 fn cmd_emulate(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let host = flags
-        .get("host")
-        .ok_or(CliError::MissingFlag("host"))?
-        .clone();
+    let host = Host::from_flags(flags)?;
     let seed = get_u64(flags, "seed", 0)?;
     let program = flags
         .get("program")
@@ -935,98 +1035,35 @@ fn cmd_emulate(flags: &HashMap<String, String>) -> Result<(), CliError> {
         seed,
         ..Default::default()
     };
-
     // Each program picks its own processor count to fit the host.
-    let procs: usize = match host.as_str() {
-        "star" => star_graph(get_usize(flags, "n", 4)?)?.num_nodes(),
-        "mesh" => {
-            let n = get_usize(flags, "n", 5)?;
-            n * n
-        }
-        _ => {
-            let k = get_usize(flags, "k", 5)?;
-            1usize << k
-        }
-    };
-
-    macro_rules! dispatch {
-        ($make:expr, $mode:expr) => {{
-            let make = $make;
-            let mode = $mode;
-            match host.as_str() {
-                "butterfly" => {
-                    let k = get_usize(flags, "k", 5)?;
-                    run_and_verify(make, mode, "butterfly", |p| {
-                        let mut emu = LeveledPramEmulator::new(
-                            RadixButterfly::new(2, k),
-                            mode,
-                            p.address_space(),
-                            cfg.clone(),
-                        );
-                        let rep = emu.run_program(p, 1_000_000);
-                        (emu.memory_image(p.address_space()), rep.mean_step_time())
-                    })
-                }
-                "star" => {
-                    let n = get_usize(flags, "n", 4)?;
-                    run_and_verify(make, mode, "star", |p| {
-                        let mut emu =
-                            StarPramEmulator::new(n, mode, p.address_space(), cfg.clone());
-                        let rep = emu.run_program(p, 1_000_000);
-                        (emu.memory_image(p.address_space()), rep.mean_step_time())
-                    })
-                }
-                "mesh" => {
-                    let n = get_usize(flags, "n", 5)?;
-                    run_and_verify(make, mode, "mesh", |p| {
-                        let mut emu =
-                            MeshPramEmulator::new(n, mode, p.address_space(), cfg.clone());
-                        let rep = emu.run_program(p, 1_000_000);
-                        (emu.memory_image(p.address_space()), rep.mean_step_time())
-                    })
-                }
-                "replicated" => {
-                    let k = get_usize(flags, "k", 5)?;
-                    let copies = get_usize(flags, "copies", 3)?;
-                    run_and_verify(make, mode, "replicated", |p| {
-                        let mut emu = ReplicatedPramEmulator::new(
-                            RadixButterfly::new(2, k),
-                            mode,
-                            p.address_space(),
-                            copies,
-                            cfg.clone(),
-                        );
-                        let rep = emu.run_program(p, 1_000_000);
-                        (emu.memory_image(p.address_space()), rep.mean_step_time())
-                    })
-                }
-                other => Err(CliError::Unknown {
-                    what: "host",
-                    got: other.into(),
-                }),
-            }
-        }};
-    }
+    let procs = host.processors();
 
     match program {
         "prefix-sum" => {
             let values: Vec<u64> = (1..=procs as u64).collect();
-            dispatch!(move || PrefixSum::new(values.clone()), AccessMode::Erew)
+            emulate_on(host, &cfg, AccessMode::Erew, move || {
+                PrefixSum::new(values.clone())
+            })
         }
         "reduction-max" => {
-            let values: Vec<u64> = (0..2 * procs as u64).map(|i| (i * 37 + 5) % 1000).collect();
-            dispatch!(move || ReductionMax::new(values.clone()), AccessMode::Erew)
+            // The reduction tree needs a power of two of values, two per
+            // processor: the largest that fits (star and mesh hosts have
+            // `n!` and `n²` processors).
+            let len = 1u64 << (2 * procs).ilog2();
+            let values: Vec<u64> = (0..len).map(|i| (i * 37 + 5) % 1000).collect();
+            emulate_on(host, &cfg, AccessMode::Erew, move || {
+                ReductionMax::new(values.clone())
+            })
         }
         "histogram" => {
             let inputs: Vec<u64> = (0..procs as u64).map(|i| i % 8).collect();
-            dispatch!(
-                move || Histogram::new(inputs.clone(), 8),
-                AccessMode::Crcw(WritePolicy::Sum)
-            )
+            emulate_on(host, &cfg, AccessMode::Crcw(WritePolicy::Sum), move || {
+                Histogram::new(inputs.clone(), 8)
+            })
         }
         "connected-components" => {
             // Random graph sized so 2E + V fits the host.
-            let v = (procs / 3).max(2);
+            let v = (procs / 3).max(2).min(procs);
             let e = (procs - v) / 2;
             let mut rng_state = seed ^ 0xC0FFEE;
             let edges: Vec<(usize, usize)> = (0..e)
@@ -1036,10 +1073,9 @@ fn cmd_emulate(flags: &HashMap<String, String>) -> Result<(), CliError> {
                     (a, b)
                 })
                 .collect();
-            dispatch!(
-                move || ConnectedComponents::new(v, edges.clone()),
-                AccessMode::Crcw(WritePolicy::Max)
-            )
+            emulate_on(host, &cfg, AccessMode::Crcw(WritePolicy::Max), move || {
+                ConnectedComponents::new(v, edges.clone())
+            })
         }
         other => Err(CliError::Unknown {
             what: "program",
