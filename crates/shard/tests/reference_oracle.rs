@@ -9,7 +9,9 @@
 //! (K ∈ {1, 2, 4}) **bit-identical** to it — every `RunOutcome` field,
 //! latency histogram buckets and `link_loads` included — over random
 //! butterflies, stars and meshes, both disciplines, budget-exhausted
-//! runs and random fault plans.
+//! runs and random fault plans — under per-packet routers and under
+//! [`BatchSensitive`], a protocol whose output depends on how the engine
+//! groups and orders a node's arrivals.
 
 use lnpram_math::rng::splitmix64;
 use lnpram_shard::{GreedyEdgeCut, LevelCut, Partitioner, RowBlock, ShardedEngine};
@@ -223,6 +225,85 @@ impl Protocol for StarRouter {
     }
 }
 
+/// A protocol that is a function of the *batch*, not of the packet: the
+/// port a packet leaves on depends on how many packets arrived with it
+/// and on its position among them, the first packet of a shared batch
+/// fans out to two ports enqueued in **descending** port order, and the
+/// second packet of a batch of three or more is absorbed. Any engine
+/// that splits a batch, reorders it, or enqueues a node's sends in a
+/// different order produces a different run. Packets are delivered after
+/// `ttl` hops or at a node without out-links, so every run ends.
+struct BatchSensitive {
+    degree: Vec<usize>,
+    ttl: u8,
+}
+
+impl BatchSensitive {
+    fn new<N: Network + ?Sized>(net: &N, ttl: u8) -> Self {
+        BatchSensitive {
+            degree: (0..net.num_nodes()).map(|v| net.out_degree(v)).collect(),
+            ttl,
+        }
+    }
+}
+
+impl Protocol for BatchSensitive {
+    fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
+        self.on_arrivals(node, &[pkt], step, out);
+    }
+
+    fn on_arrivals(&mut self, node: usize, pkts: &[Packet], _step: u32, out: &mut Outbox) {
+        let (d, n) = (self.degree[node], pkts.len());
+        for (i, &pkt) in pkts.iter().enumerate() {
+            if d == 0 || pkt.hop >= self.ttl {
+                out.deliver(pkt);
+            } else if n >= 3 && i == 1 {
+                out.absorb(pkt);
+            } else {
+                let mut fwd = pkt.with_priority(((7 * n + i) % 5) as u32);
+                fwd.hop += 1;
+                let port = (pkt.id as usize + n + i) % d;
+                if n >= 2 && i == 0 && d >= 2 {
+                    let other = (port + 1) % d;
+                    out.send(port.max(other), fwd);
+                    out.send(port.min(other), fwd);
+                } else {
+                    out.send(port, fwd);
+                }
+            }
+        }
+    }
+}
+
+/// `per_node` packets at every node of `net`, injected in a scrambled
+/// node order (the injection pass, unlike the process phase, sees nodes
+/// in no particular order), then [`check`] under [`BatchSensitive`].
+fn check_batch_sensitive<N, Q>(
+    net: &N,
+    part: &Q,
+    cfg: &SimConfig,
+    state: &mut u64,
+    per_node: usize,
+    faults: usize,
+) -> Result<(), TestCaseError>
+where
+    N: Network + ?Sized,
+    Q: Partitioner,
+{
+    let n = net.num_nodes();
+    let mut inject: Vec<(usize, Packet)> = (0..n * per_node)
+        .map(|i| (i % n, Packet::new(i as u32, (i % n) as u32, 0)))
+        .collect();
+    for i in (1..inject.len()).rev() {
+        inject.swap(i, (splitmix64(state) as usize) % (i + 1));
+    }
+    let ttl = 2 + (splitmix64(state) % 5) as u8;
+    let plan = random_plan(state, n, links_of(net), faults, 8);
+    check(net, part, cfg, &plan, &inject, || {
+        BatchSensitive::new(net, ttl)
+    })
+}
+
 /// Up to `events` random fault events at steps `1..=horizon`.
 fn random_plan(
     state: &mut u64,
@@ -409,5 +490,29 @@ proptest! {
         // mailbox merge of non-contiguous plans.
         check(&star, &GreedyEdgeCut, &config(furthest_first, max_steps), &plan, &inject,
             || StarRouter(star))?;
+    }
+
+    #[test]
+    fn prop_reference_equals_engines_under_batch_sensitive_protocol(
+        seed: u64,
+        rows in 2usize..6,
+        cols in 2usize..6,
+        radix in 2usize..4,
+        levels in 1usize..4,
+        star_n in 3usize..5,
+        per_node in 1usize..3,
+        furthest_first: bool,
+        max_steps in 1u32..16,
+        faults in 0usize..8,
+    ) {
+        let cfg = config(furthest_first, max_steps);
+        let mut state = seed;
+        let mesh = Mesh::new(rows, cols);
+        check_batch_sensitive(&mesh, &RowBlock::new(cols), &cfg, &mut state, per_node, faults)?;
+        let bf = RadixButterfly::new(radix, levels);
+        check_batch_sensitive(&LeveledNet::forward(bf), &LevelCut::new(bf.width()), &cfg,
+            &mut state, per_node, faults)?;
+        check_batch_sensitive(&StarGraph::new(star_n), &GreedyEdgeCut, &cfg, &mut state,
+            per_node, faults)?;
     }
 }
