@@ -7,6 +7,8 @@
 //!   randomized routing/hashing experiment is exactly reproducible.
 //! * [`modmath`] — overflow-safe modular arithmetic over `u64` (the field
 //!   `Z_P` used by the Karlin–Upfal hash family).
+//! * [`divisor`] — division by a divisor fixed at construction, as one
+//!   multiply (the routers split flattened node ids on every hop).
 //! * [`primes`] — deterministic Miller–Rabin primality and next-prime search
 //!   (the hash family needs a prime `P ≥ M`).
 //! * [`perm`] — permutations of small alphabets: ranking/unranking in the
@@ -22,12 +24,14 @@
 #![warn(missing_docs)]
 
 pub mod bounds;
+pub mod divisor;
 pub mod modmath;
 pub mod perm;
 pub mod primes;
 pub mod rng;
 pub mod stats;
 
+pub use divisor::Divisor;
 pub use perm::Perm;
 pub use rng::SeedSeq;
 pub use stats::Summary;

@@ -48,6 +48,19 @@ impl<L: Leveled> DoubledLeveled<L> {
     pub fn inner(&self) -> &L {
         &self.inner
     }
+
+    /// The inner level a doubled level `0..2ℓ` repeats (`level mod ℓ`,
+    /// without the divide — this runs once per routed hop).
+    #[inline]
+    fn inner_level(&self, level: usize) -> usize {
+        let levels = self.inner.levels();
+        debug_assert!(level < 2 * levels);
+        if level >= levels {
+            level - levels
+        } else {
+            level
+        }
+    }
 }
 
 impl<L: Leveled> Leveled for DoubledLeveled<L> {
@@ -61,14 +74,13 @@ impl<L: Leveled> Leveled for DoubledLeveled<L> {
         self.inner.degree()
     }
     fn succ(&self, level: usize, idx: usize, digit: usize) -> usize {
-        self.inner.succ(level % self.inner.levels(), idx, digit)
+        self.inner.succ(self.inner_level(level), idx, digit)
     }
     fn digit_toward(&self, level: usize, idx: usize, dest: usize) -> usize {
-        self.inner
-            .digit_toward(level % self.inner.levels(), idx, dest)
+        self.inner.digit_toward(self.inner_level(level), idx, dest)
     }
     fn pred(&self, level: usize, idx: usize, digit: usize) -> usize {
-        self.inner.pred(level % self.inner.levels(), idx, digit)
+        self.inner.pred(self.inner_level(level), idx, digit)
     }
     fn name(&self) -> String {
         format!("doubled[{}]", self.inner.name())

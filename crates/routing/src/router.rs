@@ -535,15 +535,27 @@ impl<P: Protocol> ReplicatedProtocol<P> {
     pub fn new(inner: P, stride: usize) -> Self {
         ReplicatedProtocol { stride, inner }
     }
+
+    /// `node % stride`; a single copy — every plain `route` — never pays
+    /// the divide.
+    #[inline]
+    fn base_node(&self, node: usize) -> usize {
+        if node < self.stride {
+            node
+        } else {
+            node % self.stride
+        }
+    }
 }
 
 impl<P: Protocol> Protocol for ReplicatedProtocol<P> {
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
-        self.inner.on_packet(node % self.stride, pkt, step, out);
+        self.inner.on_packet(self.base_node(node), pkt, step, out);
     }
 
     fn on_arrivals(&mut self, node: usize, pkts: &[Packet], step: u32, out: &mut Outbox) {
-        self.inner.on_arrivals(node % self.stride, pkts, step, out);
+        self.inner
+            .on_arrivals(self.base_node(node), pkts, step, out);
     }
 
     fn on_step_end(&mut self, step: u32) {

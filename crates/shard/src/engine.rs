@@ -55,13 +55,13 @@ use lnpram_simnet::fault::{FaultError, FaultPlan, FaultSchedule};
 use lnpram_simnet::trace::{NoopSink, Phase, TraceSink};
 use lnpram_simnet::worker::WorkerPool;
 use lnpram_simnet::{
-    step_loop, Engine, InvariantViolation, Metrics, NoAdmission, Outbox, Packet, Protocol,
-    RunOutcome, SimConfig, StepEngine,
+    step_loop, ArrivalGroups, Engine, InvariantViolation, Metrics, NoAdmission, Outbox, Packet,
+    Protocol, RunOutcome, SimConfig, StepEngine,
 };
 use lnpram_topology::Network;
 use std::sync::Mutex;
 
-/// Chain terminator for the arrival-grouping scratch.
+/// "Not assigned yet" in the construction-time and checking tables.
 const NIL: u32 = u32::MAX;
 
 /// Packed arrival coordinates: shard id in the top 4 bits, index into
@@ -183,13 +183,9 @@ pub struct ShardedEngine {
     merged: Vec<(u32, Packet)>,
     /// Mailbox cursors of the k-way merge (non-contiguous plans only).
     cursors: Vec<usize>,
-    /// Per-arrival chain entries `(packed coordinate, next)` bucketed by
-    /// destination node — the sharded analogue of the serial engine's
-    /// `arrival_next` chains, pointing into the mailboxes in place.
-    chain: Vec<(u32, u32)>,
-    node_head: Vec<u32>,
-    node_tail: Vec<u32>,
-    touched: Vec<u32>,
+    /// Packed arrival coordinates grouped by destination node — the
+    /// serial engine's grouper, pointing into the mailboxes in place.
+    groups: ArrivalGroups,
     batch: Vec<Packet>,
 }
 
@@ -334,10 +330,7 @@ impl ShardedEngine {
             metrics: Metrics::default(),
             merged: Vec::new(),
             cursors: vec![0; k],
-            chain: Vec::new(),
-            node_head: vec![NIL; n],
-            node_tail: vec![NIL; n],
-            touched: Vec::new(),
+            groups: ArrivalGroups::new(n),
             batch: Vec::new(),
         }
     }
@@ -620,9 +613,7 @@ impl ShardedEngine {
             let shard = self.shards[(owner >> COORD_BITS) as usize]
                 .get_mut()
                 .expect("shard mutex");
-            for &(port, pkt) in out.sends() {
-                shard.engine.enqueue_direct(local, port, pkt);
-            }
+            shard.engine.enqueue_sends(local, out.sends());
             self.in_flight += out.sends().len();
         }
         for pkt in out.delivered() {
@@ -651,9 +642,15 @@ impl ShardedEngine {
     ///   disjoint and ascending, which is what licenses the
     ///   concatenation-only mailbox merge;
     /// * node accounting: every global node is owned by exactly one
-    ///   shard, at a local id within that shard's engine.
+    ///   shard, at a local id within that shard's engine;
+    /// * the coordinator's arrival grouper is idle (bitmap zero, no
+    ///   chain heads).
     pub fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
         let fail = |what: String| Err(InvariantViolation { what });
+
+        if let Err(e) = self.groups.check_idle() {
+            return fail(format!("coordinator arrival groups: {e}"));
+        }
 
         let mut shard_in_flight = 0usize;
         for s in 0..self.k {
@@ -753,6 +750,20 @@ impl ShardedEngine {
     }
 }
 
+/// The arrival a packed coordinate addresses: a slot of a shard's
+/// mailbox, or of the k-way merge output under shard id [`MERGED`].
+fn mailbox_packet<'a>(
+    shards: &'a mut [Mutex<Shard>],
+    merged: &'a [(u32, Packet)],
+    packed: u32,
+) -> &'a Packet {
+    let idx = (packed & COORD_MASK) as usize;
+    match packed >> COORD_BITS {
+        MERGED => &merged[idx].1,
+        s => &shards[s as usize].get_mut().expect("shard mutex").buf[idx].1,
+    }
+}
+
 impl StepEngine for ShardedEngine {
     // Callback-for-callback the serial engine's pending pass, so mid-run
     // admission is bit-identical across serial and sharded engines.
@@ -804,10 +815,11 @@ impl StepEngine for ShardedEngine {
     }
 
     // The serial engine's exact callback sequence. Arrivals are read
-    // **in place**: the bucket chains store packed `(shard, index)`
+    // **in place**: the grouper files packed `(shard, index)`
     // coordinates into the mailboxes (or into `merged` for
     // non-contiguous plans), so the contiguous path moves no packet
-    // until batch assembly — the same single copy the serial engine pays.
+    // until batch assembly — the same single copy the serial engine
+    // pays, and none for a node with a single arrival.
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
         // Grouping pass over plain field borrows (no self methods).
         let mut arrivals = 0usize;
@@ -818,24 +830,9 @@ impl StepEngine for ShardedEngine {
                 ordered,
                 link_head,
                 shard_link_head,
-                chain,
-                node_head,
-                node_tail,
-                touched,
+                groups,
                 ..
             } = self;
-            chain.clear();
-            let mut bucket = |node: usize, packed: u32, chain: &mut Vec<(u32, u32)>| {
-                let e = chain.len() as u32;
-                chain.push((packed, NIL));
-                if node_head[node] == NIL {
-                    node_head[node] = e;
-                    touched.push(node as u32);
-                } else {
-                    chain[node_tail[node] as usize].1 = e;
-                }
-                node_tail[node] = e;
-            };
             if *ordered {
                 // Shard mailboxes concatenate in global link order.
                 for (s, shard) in shards.iter_mut().enumerate() {
@@ -843,10 +840,9 @@ impl StepEngine for ShardedEngine {
                     let buf = &shard.get_mut().expect("shard mutex").buf;
                     debug_assert!(buf.len() <= COORD_MASK as usize);
                     for (idx, &(local, _)) in buf.iter().enumerate() {
-                        bucket(
+                        groups.push(
                             heads[local as usize] as usize,
                             ((s as u32) << COORD_BITS) | idx as u32,
-                            chain,
                         );
                     }
                     arrivals += buf.len();
@@ -854,40 +850,39 @@ impl StepEngine for ShardedEngine {
             } else {
                 debug_assert!(merged.len() <= COORD_MASK as usize);
                 for (idx, &(link, _)) in merged.iter().enumerate() {
-                    bucket(
+                    groups.push(
                         link_head[link as usize] as usize,
                         (MERGED << COORD_BITS) | idx as u32,
-                        chain,
                     );
                 }
                 arrivals = merged.len();
             }
-            touched.sort_unstable();
+            groups.seal();
         }
         self.in_flight -= arrivals;
-        for t in 0..self.touched.len() {
-            let node = self.touched[t] as usize;
-            self.batch.clear();
-            let mut e = self.node_head[node];
-            while e != NIL {
-                let (packed, next) = self.chain[e as usize];
-                let s = packed >> COORD_BITS;
-                let idx = (packed & COORD_MASK) as usize;
-                let pkt = if s == MERGED {
-                    self.merged[idx].1
-                } else {
-                    self.shards[s as usize].get_mut().expect("shard mutex").buf[idx].1
-                };
-                self.batch.push(pkt);
-                e = next;
+        loop {
+            let Self {
+                groups,
+                shards,
+                merged,
+                batch,
+                ..
+            } = self;
+            let Some((node, head)) = groups.pop_node() else {
+                break;
+            };
+            if let Some(packed) = groups.single(head) {
+                let pkt = std::slice::from_ref(mailbox_packet(shards, merged, packed));
+                proto.on_arrivals(node, pkt, step, out);
+            } else {
+                batch.clear();
+                for packed in groups.members(head) {
+                    batch.push(*mailbox_packet(shards, merged, packed));
+                }
+                proto.on_arrivals(node, batch, step, out);
             }
-            self.node_head[node] = NIL;
-            let batch = std::mem::take(&mut self.batch);
-            proto.on_arrivals(node, &batch, step, out);
-            self.batch = batch;
             self.apply_outbox(node, out, step);
         }
-        self.touched.clear();
     }
 
     fn step_finish(&mut self) {

@@ -21,17 +21,26 @@
 //!
 //! All queued packets live in one slab arena ([`PacketPool`]): a link
 //! queue is a pair of `u32` chain indices, enqueue recycles a free-list
-//! slot, and pop is an O(1) unlink — after warm-up the step loop performs
-//! **zero heap allocation**:
+//! slot, and pop is an O(1) unlink. After warm-up a step performs **zero
+//! heap allocation** and **no sort over nodes or links**; a whole run
+//! allocates only the [`Outbox`] of its step loop and the latency
+//! histogram it returns (`tests/alloc_free.rs` pins both):
 //!
-//! * the [`Outbox`] is drained in place (its buffers are reused for every
+//! * the [`Outbox`] is applied in place (its buffers are reused for every
 //!   callback);
-//! * arrivals are grouped by destination node with a reusable
-//!   bucket-chain scratch (a counting sort over touched nodes) instead of
-//!   a per-step `sort_by_key`;
-//! * the `active` link list is kept sorted incrementally — the transmit
-//!   phase preserves order and newly activated links are merged in — so
-//!   no per-step re-sort is needed;
+//! * arrivals are grouped by destination node by [`ArrivalGroups`]:
+//!   per-node index chains plus a bitmap of touched nodes, walked in
+//!   ascending order by sorting only the handful of non-zero 64-node
+//!   bitmap words. A node with a single arrival hands the protocol a
+//!   slice into the arrivals buffer, without copying the packet;
+//! * the `active` link list stays ascending by construction. The
+//!   transmit phase preserves order; the process phase visits nodes
+//!   ascending and CSR link ids are node-major, so
+//!   [`Engine::enqueue_sends`] only has to order the ≤ out-degree ids one
+//!   node appends, and the step closes with one linear merge of the
+//!   surviving links and the newly activated ones. Only injections,
+//!   which come in arbitrary node order, fall back to sorting the new
+//!   ids;
 //! * run state (queues, arena, metrics, scratch) is recycled by
 //!   [`Engine::reset`], so a T-step emulation reuses one engine instead
 //!   of building per-link state T times.
@@ -45,10 +54,11 @@
 //! contract `prop_parallel_equals_serial` pins).
 
 use crate::fault::{FaultError, FaultPlan, FaultSchedule};
+use crate::groups::ArrivalGroups;
 use crate::metrics::Metrics;
 use crate::packet::Packet;
 use crate::protocol::{Outbox, Protocol};
-use crate::queue::{Discipline, LinkQueue, PacketPool, Selection, NIL};
+use crate::queue::{Discipline, LinkQueue, PacketPool, Selection};
 use crate::step::{step_loop, NoAdmission, StepEngine};
 use crate::trace::{NoopSink, Phase, TraceSink};
 use crate::worker::WorkerPool;
@@ -169,35 +179,35 @@ pub struct Engine {
     /// Transmit phases since the last reset — the global step the fault
     /// schedule is keyed on (transmit of step `s` runs at clock `s`).
     clock: u32,
-    /// Link ids with non-empty queues, ascending (deduplicated via
-    /// `in_active`, order maintained incrementally).
+    /// Ids of exactly the links with non-empty queues, ascending (a link
+    /// joins when a push finds its queue empty, order maintained
+    /// incrementally).
     active: Vec<u32>,
-    in_active: Vec<bool>,
-    /// Links whose queue has been touched since the last reset
-    /// (deduplicated via `ever_active`): [`Engine::reset`] wipes only
-    /// these, making reset O(touched links) instead of O(links).
+    /// Links whose queue has been touched since the last reset (a link
+    /// joins when a push finds its high-water mark at zero):
+    /// [`Engine::reset`] wipes only these, making reset O(touched links)
+    /// instead of O(links).
     dirty: Vec<u32>,
-    ever_active: Vec<bool>,
     in_flight: usize,
     pending: Vec<(usize, Packet)>,
     metrics: Metrics,
     /// Length of the sorted prefix of `active` after the last transmit
-    /// phase ([`StepEngine::step_finish`] restores order from here).
+    /// phase; the links activated since form the suffix, which
+    /// [`StepEngine::step_finish`] merges in.
     sorted_len: usize,
+    /// The suffix is not ascending: some node's sends were enqueued after
+    /// those of a higher node (only injections do that), so `step_finish`
+    /// has to sort it before the merge.
+    suffix_unsorted: bool,
     // --- reusable per-step scratch (never reallocated after warm-up) ---
     /// This step's arrivals as `(link id, packet)`, active order (the
     /// destination node is `link_target[link id]`). Keeping the link id
     /// instead of the target lets external coordinators (`lnpram-shard`)
     /// merge arrivals across shards by global link id.
     arrivals: Vec<(u32, Packet)>,
-    /// Bucket chains over `arrivals` (same length), per destination node.
-    arrival_next: Vec<u32>,
-    /// Per-node chain heads/tails into `arrivals`; `NIL` = untouched.
-    node_head: Vec<u32>,
-    node_tail: Vec<u32>,
-    /// Nodes with at least one arrival this step.
-    touched: Vec<u32>,
-    /// One node's arrival batch, rebuilt per node.
+    /// `arrivals` indices grouped by destination node.
+    groups: ArrivalGroups,
+    /// One node's arrival batch, rebuilt per node with several arrivals.
     batch: Vec<Packet>,
     /// Swap buffer for `active` (still-active lists, merge output).
     scratch: Vec<u32>,
@@ -234,18 +244,14 @@ impl Engine {
             faults: None,
             clock: 0,
             active: Vec::new(),
-            in_active: vec![false; links],
             dirty: Vec::new(),
-            ever_active: vec![false; links],
             in_flight: 0,
             pending: Vec::new(),
             metrics: Metrics::default(),
             sorted_len: 0,
+            suffix_unsorted: false,
             arrivals: Vec::new(),
-            arrival_next: Vec::new(),
-            node_head: vec![NIL; n],
-            node_tail: vec![NIL; n],
-            touched: Vec::new(),
+            groups: ArrivalGroups::new(n),
             batch: Vec::new(),
             scratch: Vec::new(),
             workers: None,
@@ -314,8 +320,6 @@ impl Engine {
         // reset cost scales with the traffic, not the network size.
         for &id in &self.dirty {
             self.queues[id as usize].reset();
-            self.in_active[id as usize] = false;
-            self.ever_active[id as usize] = false;
         }
         self.dirty.clear();
         self.pool.clear();
@@ -327,6 +331,7 @@ impl Engine {
         self.in_flight = 0;
         self.pending.clear();
         self.sorted_len = 0;
+        self.suffix_unsorted = false;
         self.metrics = Metrics::default();
         self.faults = None;
         self.clock = 0;
@@ -337,51 +342,70 @@ impl Engine {
         self.pending.push((node, pkt));
     }
 
-    fn enqueue(&mut self, node: usize, port: usize, pkt: Packet) {
-        let id = self.link_id(node, port);
-        self.queues[id].push(&mut self.pool, pkt);
-        self.in_flight += 1;
-        if !self.in_active[id] {
-            self.in_active[id] = true;
-            self.active.push(id as u32);
-            if !self.ever_active[id] {
-                self.ever_active[id] = true;
-                self.dirty.push(id as u32);
+    /// Enqueue one node's sends as `(port, packet)`, in order — what a
+    /// protocol callback at `node` produced. This is the only way packets
+    /// enter link queues, from the engine's own process phase and from an
+    /// external coordinator alike. The packets become eligible to traverse
+    /// their links from the next transmit phase on.
+    ///
+    /// It also keeps the newly activated suffix of `active` ascending at
+    /// the cost of ordering ≤ out-degree entries: a node's links are
+    /// contiguous ids, so when nodes are visited ascending (the process
+    /// phase) only the ids appended by *this* call can be out of order.
+    pub fn enqueue_sends(&mut self, node: usize, sends: &[(usize, Packet)]) {
+        let base = self.link_offset[node] as usize;
+        let degree = self.out_degree(node);
+        let start = self.active.len();
+        for &(port, pkt) in sends {
+            assert!(
+                port < degree,
+                "protocol sent on invalid port {port} of node {node}"
+            );
+            let id = base + port;
+            let queue = &mut self.queues[id];
+            if queue.is_empty() {
+                self.active.push(id as u32);
+                if queue.high_water() == 0 {
+                    self.dirty.push(id as u32);
+                }
             }
+            queue.push(&mut self.pool, pkt);
+        }
+        self.in_flight += sends.len();
+        let (before, tail) = self.active.split_at_mut(start);
+        if tail.len() > 1 {
+            tail.sort_unstable();
+        }
+        if let (Some(&prev), Some(&first)) = (before[self.sorted_len..].last(), tail.first()) {
+            self.suffix_unsorted |= prev > first;
         }
     }
 
     fn apply_outbox(&mut self, node: usize, out: &mut Outbox, step: u32) {
-        // Drain in place: `out`'s buffers are distinct from `self`, so the
-        // sends can be walked while enqueueing, and `clear()` keeps the
-        // capacity for the next callback (no per-callback allocation).
-        let mut i = 0;
-        while i < out.sends.len() {
-            let (port, pkt) = out.sends[i];
-            assert!(
-                port < self.out_degree(node),
-                "protocol sent on invalid port {port} of node {node}"
-            );
-            self.enqueue(node, port, pkt);
-            i += 1;
-        }
+        // `out`'s buffers are distinct from `self` and `clear()` keeps
+        // their capacity for the next callback (no per-callback
+        // allocation).
+        self.enqueue_sends(node, &out.sends);
         for pkt in &out.delivered {
             self.metrics.on_delivery(step, pkt.injected_at);
         }
         out.clear();
     }
 
-    /// Re-establish ascending order of `active` after appends beyond
-    /// `sorted_len` (the prefix is already sorted; the suffix holds the
-    /// links activated since). Sorts only the suffix and merges — the
-    /// per-step full re-sort this replaces is gone.
-    fn restore_active_order(&mut self, sorted_len: usize) {
-        if self.active.len() == sorted_len {
-            return;
-        }
+    /// Re-establish ascending order of `active`: the prefix up to
+    /// `sorted_len` is what the transmit phase left (ascending), the
+    /// suffix holds the links activated since — ascending already unless
+    /// [`Engine::enqueue_sends`] flagged it. One linear merge.
+    fn restore_active_order(&mut self) {
+        let sorted_len = self.sorted_len;
         let (prefix, suffix) = self.active.split_at_mut(sorted_len);
-        suffix.sort_unstable();
-        if sorted_len == 0 || prefix[sorted_len - 1] < suffix[0] {
+        if std::mem::take(&mut self.suffix_unsorted) {
+            suffix.sort_unstable();
+        }
+        let (Some(&last), Some(&first)) = (prefix.last(), suffix.first()) else {
+            return; // nothing to merge
+        };
+        if last < first {
             return; // concatenation is already sorted
         }
         self.scratch.clear();
@@ -459,18 +483,6 @@ impl Engine {
         self.active.len()
     }
 
-    /// Enqueue `pkt` on `(node, port)` immediately (no protocol callback)
-    /// — the coordinator-side counterpart of a protocol `send` during the
-    /// process phase. The packet becomes eligible to traverse the link
-    /// from the next transmit phase on.
-    pub fn enqueue_direct(&mut self, node: usize, port: usize, pkt: Packet) {
-        assert!(
-            port < self.out_degree(node),
-            "enqueue_direct on invalid port {port} of node {node}"
-        );
-        self.enqueue(node, port, pkt);
-    }
-
     /// Verify the engine's internal-state invariants. Intended at step
     /// boundaries (after [`StepEngine::step_finish`] / between
     /// [`Engine::run`] steps); the property tests call it directly, and
@@ -486,10 +498,12 @@ impl Engine {
     /// * slot conservation: free slots + queued packets == arena
     ///   capacity (no leaked or double-owned slots);
     /// * packet conservation: `in_flight` == total queued packets;
-    /// * the active-link list is strictly ascending, agrees with the
-    ///   `in_active` bitmap, and covers exactly the non-empty queues
-    ///   (modulo blocked links, which may stay listed while empty);
-    /// * untouched links (never enqueued since reset) have empty queues.
+    /// * the active-link list is strictly ascending and covers exactly
+    ///   the non-empty queues;
+    /// * the dirty list holds every link pushed on since reset, once;
+    /// * the arrival grouper is idle: touched-node bitmap all zero, every
+    ///   per-node chain head `NIL` (a leftover would replay a stale
+    ///   arrival, or hide a node, in the next process phase).
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         let fail = |what: String| Err(InvariantViolation { what });
 
@@ -521,9 +535,10 @@ impl Engine {
             ));
         }
 
-        // Active-list shape: strictly ascending link ids, bitmap
-        // agreement, and exactly the non-empty queues (a blocked link
-        // may legitimately linger while empty).
+        // Active-list shape: strictly ascending link ids (so no link is
+        // listed twice), and exactly the non-empty queues — a push
+        // decides whether to list a link by whether its queue was empty.
+        let mut listed = vec![false; self.queues.len()];
         let mut prev: Option<u32> = None;
         for &id in &self.active {
             let idx = id as usize;
@@ -537,37 +552,34 @@ impl Engine {
                 ));
             }
             prev = Some(id);
-            if !self.in_active[idx] {
-                return fail(format!(
-                    "active list holds link {id} but in_active[{id}] is false"
-                ));
-            }
-            if self.queues[idx].is_empty() && !self.blocked[idx] {
+            listed[idx] = true;
+            if self.queues[idx].is_empty() {
                 return fail(format!("active list holds link {id} whose queue is empty"));
             }
         }
-        let listed = self.active.len();
-        let flagged = self.in_active.iter().filter(|&&b| b).count();
-        if listed != flagged {
-            return fail(format!(
-                "in_active flags {flagged} links but the active list holds {listed}"
-            ));
+        // Dirty-list shape: no link twice, and every queue that was ever
+        // pushed on (reset would leak the others).
+        let mut dirty = vec![false; self.queues.len()];
+        for &id in &self.dirty {
+            if std::mem::replace(&mut dirty[id as usize], true) {
+                return fail(format!("dirty list holds link {id} twice"));
+            }
         }
         for (id, q) in self.queues.iter().enumerate() {
-            if !q.is_empty() {
-                if !self.in_active[id] {
-                    return fail(format!(
-                        "link {id} has {} queued packet(s) but is not active-listed",
-                        q.len()
-                    ));
-                }
-                if !self.ever_active[id] {
-                    return fail(format!(
-                        "link {id} has queued packets but was never marked touched \
-                         (reset would leak them)"
-                    ));
-                }
+            if !q.is_empty() && !listed[id] {
+                return fail(format!(
+                    "link {id} has {} queued packet(s) but is not active-listed",
+                    q.len()
+                ));
             }
+            if q.high_water() > 0 && !dirty[id] {
+                return fail(format!(
+                    "link {id} was pushed on but never marked touched (reset would leak it)"
+                ));
+            }
+        }
+        if let Err(e) = self.groups.check_idle() {
+            return fail(format!("arrival groups: {e}"));
         }
         Ok(())
     }
@@ -598,9 +610,7 @@ impl Engine {
             if let Some(pkt) = self.queues[idx].pop(&mut self.pool, disc) {
                 self.arrivals.push((id, pkt));
             }
-            if self.queues[idx].is_empty() {
-                self.in_active[idx] = false;
-            } else {
+            if !self.queues[idx].is_empty() {
                 self.scratch.push(id);
             }
         }
@@ -657,9 +667,7 @@ impl Engine {
                     Some(sel) => {
                         let pkt = self.queues[idx].commit_pop(&mut self.pool, sel);
                         self.arrivals.push((id, pkt));
-                        if self.queues[idx].is_empty() {
-                            self.in_active[idx] = false;
-                        } else {
+                        if !self.queues[idx].is_empty() {
                             self.scratch.push(id);
                         }
                     }
@@ -700,7 +708,6 @@ impl Engine {
         while i < self.active.len() {
             let idx = self.active[i] as usize;
             self.queues[idx].drain_into(&mut self.pool, &mut out);
-            self.in_active[idx] = false;
             i += 1;
         }
         self.active.clear();
@@ -723,7 +730,6 @@ impl Engine {
             scratch.clear();
             self.queues[idx].drain_into(&mut self.pool, &mut scratch);
             out.extend(scratch.iter().map(|&p| (id, p)));
-            self.in_active[idx] = false;
             i += 1;
         }
         self.active.clear();
@@ -775,38 +781,28 @@ impl StepEngine for Engine {
     }
 
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
-        self.arrival_next.clear();
-        self.arrival_next.resize(self.arrivals.len(), NIL);
-        for a in 0..self.arrivals.len() {
-            let node = self.link_target[self.arrivals[a].0 as usize] as usize;
-            if self.node_head[node] == NIL {
-                self.node_head[node] = a as u32;
-                self.touched.push(node as u32);
-            } else {
-                self.arrival_next[self.node_tail[node] as usize] = a as u32;
-            }
-            self.node_tail[node] = a as u32;
+        for (a, &(link, _)) in self.arrivals.iter().enumerate() {
+            self.groups
+                .push(self.link_target[link as usize] as usize, a as u32);
         }
-        self.touched.sort_unstable();
-        for t in 0..self.touched.len() {
-            let node = self.touched[t] as usize;
-            self.batch.clear();
-            let mut a = self.node_head[node];
-            while a != NIL {
-                self.batch.push(self.arrivals[a as usize].1);
-                a = self.arrival_next[a as usize];
+        self.groups.seal();
+        while let Some((node, head)) = self.groups.pop_node() {
+            if let Some(a) = self.groups.single(head) {
+                let pkt = std::slice::from_ref(&self.arrivals[a as usize].1);
+                proto.on_arrivals(node, pkt, step, out);
+            } else {
+                self.batch.clear();
+                let arrivals = &self.arrivals;
+                self.batch
+                    .extend(self.groups.members(head).map(|a| arrivals[a as usize].1));
+                proto.on_arrivals(node, &self.batch, step, out);
             }
-            self.node_head[node] = NIL;
-            let batch = std::mem::take(&mut self.batch);
-            proto.on_arrivals(node, &batch, step, out);
-            self.batch = batch;
             self.apply_outbox(node, out, step);
         }
-        self.touched.clear();
     }
 
     fn step_finish(&mut self) {
-        self.restore_active_order(self.sorted_len);
+        self.restore_active_order();
         if invariant_checks_enabled() {
             if let Err(v) = self.check_invariants() {
                 panic!("engine invariant violated at step boundary: {v}");
@@ -1357,6 +1353,14 @@ mod tests {
             .check_invariants()
             .expect_err("stale active entry must be caught");
         assert!(err.what.contains("active"), "{err}");
+
+        // An arrival filed with the grouper but never handed out.
+        let mut eng = build();
+        eng.groups.push(7, 0);
+        let err = eng
+            .check_invariants()
+            .expect_err("leftover arrival group must be caught");
+        assert!(err.what.contains("arrival bitmap word 0"), "{err}");
     }
 
     mod properties {

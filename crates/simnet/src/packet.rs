@@ -6,7 +6,7 @@
 //! furthest-destination-first discipline, and an opaque payload word used
 //! by the PRAM emulator (memory address / value / requester encoding).
 //!
-//! `Packet` is `Copy` and 40 bytes so that queue operations never allocate.
+//! `Packet` is `Copy` and 48 bytes so that queue operations never allocate.
 
 /// A routed packet. All node references are flat node ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

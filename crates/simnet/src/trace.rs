@@ -651,6 +651,14 @@ impl TraceSink for FlightRecorder {
 /// The profiler reads `Instant::now()` inside its own callbacks, so
 /// unprofiled runs never touch the clock. Phase windows nest per scope
 /// (whole-engine vs per-shard), not across scopes.
+///
+/// The phase windows do not tile a step: closing it (restoring the
+/// active-link order, occupancy accounting, the protocol's
+/// `on_step_end`, building the step sample) lies in none of them. The
+/// profiler therefore also times each step from `on_step_begin` to
+/// `on_step_end` and reports the remainder as
+/// [`unattributed_nanos`](PhaseProfiler::unattributed_nanos), so phase
+/// shares cannot silently add up to 1 over a part of the run.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseProfiler {
     phase_ns: [u64; 4],
@@ -658,6 +666,14 @@ pub struct PhaseProfiler {
     shard_ns: Vec<[u64; 4]>,
     shard_open: Vec<[Option<Instant>; 4]>,
     steps: u64,
+    /// Start of the step window in progress (`on_step_begin` seen, its
+    /// `on_step_end` not yet).
+    step_open: Option<Instant>,
+    /// Accumulated step windows, and the whole-engine phase time that
+    /// fell inside them (the injection pass of step 0 has phase windows
+    /// but no step window).
+    step_ns: u64,
+    in_step_phase_ns: u64,
 }
 
 impl PhaseProfiler {
@@ -686,26 +702,31 @@ impl PhaseProfiler {
         self.steps
     }
 
-    /// Human-readable per-phase breakdown (and per-shard transmit split
-    /// when shards were observed).
+    /// Wall time of the observed steps (`on_step_begin` →
+    /// `on_step_end`) that no whole-engine phase window covers.
+    pub fn unattributed_nanos(&self) -> u64 {
+        self.step_ns.saturating_sub(self.in_step_phase_ns)
+    }
+
+    /// Human-readable per-phase breakdown, the unattributed remainder,
+    /// and the per-shard transmit split when shards were observed.
     pub fn report(&self) -> String {
-        let total: u64 = self.phase_ns.iter().sum();
+        let unattributed = self.unattributed_nanos();
+        let total = self.phase_ns.iter().sum::<u64>() + unattributed;
         let mut out = format!("phase profile over {} steps:\n", self.steps);
-        for phase in Phase::ALL {
-            let ns = self.phase_ns[phase.index()];
+        let rows = Phase::ALL
+            .map(|phase| (phase.name(), self.phase_ns[phase.index()]))
+            .into_iter()
+            .chain([("unattributed", unattributed)]);
+        for (name, ns) in rows {
             if ns == 0 {
                 continue;
             }
-            let pct = if total > 0 {
-                ns as f64 * 100.0 / total as f64
-            } else {
-                0.0
-            };
             out.push_str(&format!(
-                "  {:<9} {:>10.3} ms  {:>5.1}%\n",
-                phase.name(),
+                "  {:<12} {:>10.3} ms  {:>5.1}%\n",
+                name,
                 ns as f64 / 1e6,
-                pct
+                ns as f64 * 100.0 / total as f64
             ));
         }
         for (shard, ns) in self.shard_ns.iter().enumerate() {
@@ -714,7 +735,7 @@ impl PhaseProfiler {
                 continue;
             }
             out.push_str(&format!(
-                "  shard {:<3} {:>10.3} ms\n",
+                "  shard {:<6} {:>10.3} ms\n",
                 shard,
                 shard_total as f64 / 1e6
             ));
@@ -726,6 +747,13 @@ impl PhaseProfiler {
 impl TraceSink for PhaseProfiler {
     fn on_step_begin(&mut self, _step: u32) {
         self.steps += 1;
+        self.step_open = Some(Instant::now());
+    }
+
+    fn on_step_end(&mut self, _sample: &StepSample) {
+        if let Some(start) = self.step_open.take() {
+            self.step_ns += start.elapsed().as_nanos() as u64;
+        }
     }
 
     fn on_phase_start(&mut self, phase: Phase) {
@@ -734,7 +762,11 @@ impl TraceSink for PhaseProfiler {
 
     fn on_phase_end(&mut self, phase: Phase) {
         if let Some(start) = self.open[phase.index()].take() {
-            self.phase_ns[phase.index()] += start.elapsed().as_nanos() as u64;
+            let ns = start.elapsed().as_nanos() as u64;
+            self.phase_ns[phase.index()] += ns;
+            if self.step_open.is_some() {
+                self.in_step_phase_ns += ns;
+            }
         }
     }
 
@@ -853,6 +885,36 @@ mod tests {
         assert_eq!(prof.num_shards(), 3);
         assert_eq!(prof.phase_nanos(Phase::Process), 0);
         assert!(prof.report().contains("phase profile over 1 steps"));
+    }
+
+    #[test]
+    fn profiler_reports_step_time_outside_every_phase_window() {
+        let mut prof = PhaseProfiler::new();
+        let pause = || std::thread::sleep(std::time::Duration::from_millis(2));
+        // Step 0's injection pass has a phase window but no step window:
+        // it is attributed, and outside what `unattributed` measures.
+        prof.on_phase_start(Phase::Process);
+        pause();
+        prof.on_phase_end(Phase::Process);
+        prof.on_step_end(&StepSample::default());
+        assert_eq!(prof.unattributed_nanos(), 0);
+        for step in 1..=2 {
+            prof.on_step_begin(step);
+            prof.on_phase_start(Phase::Transmit);
+            pause();
+            prof.on_phase_end(Phase::Transmit);
+            pause(); // closing the step: in no window
+            prof.on_step_end(&StepSample::default());
+        }
+        pause(); // between runs: in no step either
+        let unattributed = prof.unattributed_nanos();
+        let transmit = prof.phase_nanos(Phase::Transmit);
+        assert!(unattributed >= 4_000_000, "{unattributed}");
+        assert!(transmit >= 4_000_000, "{transmit}");
+        assert!(prof.phase_nanos(Phase::Process) >= 2_000_000);
+        assert_eq!(prof.unattributed_nanos(), unattributed, "idle profiler");
+        let report = prof.report();
+        assert!(report.contains("unattributed"), "{report}");
     }
 
     #[test]

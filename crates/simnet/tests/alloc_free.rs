@@ -1,0 +1,129 @@
+//! The step loop must not touch the heap once the engine is warm.
+//!
+//! A counting global allocator (per thread, so the test harness's other
+//! threads do not disturb it) wraps the system one, as in
+//! `crates/core/tests/alloc_free.rs`; the test asserts that a warmed-up
+//! `reset` + inject + `run` allocates only what belongs to the run as a
+//! whole — nothing per step, per packet or per node.
+
+use lnpram_math::stats::Histogram;
+use lnpram_simnet::{Engine, Outbox, Packet, Protocol, SimConfig};
+use lnpram_topology::leveled::{Leveled, LeveledNet, RadixButterfly};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a thread-local
+// counter with a constant initialiser and no destructor, so touching it
+// neither allocates nor runs code during thread teardown.
+// lnpram-lint: allow(unsafe-budget, reason = "a counting GlobalAlloc is the only way to observe allocations; test-only, forwards to System")
+unsafe impl GlobalAlloc for Counting {
+    // lnpram-lint: allow(unsafe-budget, reason = "GlobalAlloc::alloc is an unsafe fn by signature")
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+
+    // lnpram-lint: allow(unsafe-budget, reason = "GlobalAlloc::dealloc is an unsafe fn by signature")
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (including reallocations) made by `f` on this thread.
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let r = f();
+    (r, ALLOCATIONS.with(Cell::get) - before)
+}
+
+#[test]
+fn the_counter_counts() {
+    let (v, n) = allocations_in(|| black_box(vec![1u8; 100]));
+    assert_eq!(n, 1);
+    drop(v);
+}
+
+/// Unique-path routing on the forward butterfly.
+struct ButterflyRouter(LeveledNet<RadixButterfly>);
+
+impl Protocol for ButterflyRouter {
+    fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
+        let lv = self.0.leveled();
+        let (col, idx) = self.0.split(node);
+        if col == lv.levels() {
+            return out.deliver(pkt);
+        }
+        out.send(lv.digit_toward(col, idx, pkt.dest as usize), pkt);
+    }
+}
+
+/// Allocations a run spends on growing the latency histogram it
+/// returns: every packet is injected at step 0, so deliveries arrive in
+/// ascending latency and replaying the non-empty buckets in order grows
+/// a fresh histogram exactly as the run did.
+fn histogram_growth(latency: &Histogram) -> u64 {
+    allocations_in(|| {
+        let mut replay = Histogram::new(1);
+        for (value, _) in latency.buckets() {
+            replay.record(value);
+        }
+        black_box(replay);
+    })
+    .1
+}
+
+#[test]
+fn warmed_up_run_allocates_nothing_per_step_or_per_packet() {
+    if std::env::var_os("LNPRAM_CHECK_INVARIANTS").is_some_and(|v| v == "1") {
+        return; // the per-step state checker allocates its own scratch
+    }
+    for dims in [6usize, 10] {
+        let bf = RadixButterfly::new(2, dims);
+        let net = LeveledNet::forward(bf);
+        let mut eng = Engine::new(&net, SimConfig::default());
+        let mut proto = ButterflyRouter(LeveledNet::forward(bf));
+        let width = bf.width();
+        let mut round = |eng: &mut Engine| {
+            eng.reset();
+            for src in 0..width {
+                // Bit reversal, the butterfly's bad permutation: √N packets
+                // share a link, so queues build, links stay active across
+                // steps and the active list merges every step.
+                let dest = src.reverse_bits() >> (usize::BITS as usize - dims);
+                eng.inject(
+                    net.node_id(0, src),
+                    Packet::new(src as u32, src as u32, dest as u32),
+                );
+            }
+            let out = eng.run(&mut proto);
+            assert!(out.completed);
+            assert_eq!(out.metrics.delivered, width);
+            out
+        };
+        // Two warm-up rounds: `active` and its swap buffer trade places
+        // every step, so each has to have held the injection burst once.
+        round(&mut eng);
+        let warm = round(&mut eng);
+        assert!(warm.metrics.max_queue > 1 && warm.metrics.steps as usize > dims);
+        let (out, n) = allocations_in(|| round(&mut eng));
+        // Per run, however long: the two buffers of the `Outbox` that
+        // `step_loop` creates, and the histogram the run hands back.
+        let per_run = 2 + histogram_growth(&out.metrics.latency);
+        assert_eq!(
+            n, per_run,
+            "a warmed-up run of {width} packets over {} steps allocated {n} times",
+            out.metrics.steps
+        );
+    }
+}

@@ -14,6 +14,7 @@
 //! view (forward or reversed) used by the simulator.
 
 use crate::graph::Network;
+use lnpram_math::Divisor;
 
 /// A leveled network with the unique-path property.
 ///
@@ -123,11 +124,12 @@ pub fn audit_unique_paths<L: Leveled + ?Sized>(lv: &L) -> Result<(), String> {
 /// `r = k` it is a network in the paper's `ℓ = O(d)` regime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RadixButterfly {
-    radix: usize,
+    radix: Divisor,
     dims: usize,
     width: usize,
-    /// r^j for j in 0..=k, precomputed.
-    pow: [usize; 32],
+    /// r^j for j in 0..=k, precomputed (1 beyond k) — as [`Divisor`]s:
+    /// every routed hop extracts a digit.
+    pow: [Divisor; 32],
 }
 
 impl RadixButterfly {
@@ -135,24 +137,26 @@ impl RadixButterfly {
     pub fn new(radix: usize, dims: usize) -> Self {
         assert!(radix >= 2, "radix must be >= 2");
         assert!((1..32).contains(&dims), "dims out of range");
-        let mut pow = [0usize; 32];
-        pow[0] = 1;
+        let mut pow = [Divisor::new(1); 32];
         for j in 1..=dims {
-            pow[j] = pow[j - 1]
-                .checked_mul(radix)
-                .expect("radix^dims overflows usize");
+            pow[j] = Divisor::new(
+                pow[j - 1]
+                    .get()
+                    .checked_mul(radix)
+                    .expect("radix^dims overflows usize"),
+            );
         }
         RadixButterfly {
-            radix,
+            radix: Divisor::new(radix),
             dims,
-            width: pow[dims],
+            width: pow[dims].get(),
             pow,
         }
     }
 
     #[inline]
     fn digit_of(&self, idx: usize, j: usize) -> usize {
-        idx / self.pow[j] % self.radix
+        self.radix.rem(self.pow[j].div(idx))
     }
 }
 
@@ -164,15 +168,15 @@ impl Leveled for RadixButterfly {
         self.width
     }
     fn degree(&self) -> usize {
-        self.radix
+        self.radix.get()
     }
     #[inline]
     fn succ(&self, level: usize, idx: usize, digit: usize) -> usize {
-        debug_assert!(level < self.dims && digit < self.radix);
+        debug_assert!(level < self.dims && digit < self.radix.get());
         // Setting digit `level`: wrapping via isize would be UB-free but
         // convoluted; compute directly.
         let old = self.digit_of(idx, level);
-        idx - old * self.pow[level] + digit * self.pow[level]
+        idx - old * self.pow[level].get() + digit * self.pow[level].get()
     }
     #[inline]
     fn digit_toward(&self, level: usize, _idx: usize, dest: usize) -> usize {
@@ -183,10 +187,10 @@ impl Leveled for RadixButterfly {
         // succ at a level is an involution family: the in-neighbors of idx
         // are exactly the nodes with any digit value at position `level`.
         let old = self.digit_of(idx, level);
-        idx - old * self.pow[level] + digit * self.pow[level]
+        idx - old * self.pow[level].get() + digit * self.pow[level].get()
     }
     fn name(&self) -> String {
-        format!("butterfly(r={},k={})", self.radix, self.dims)
+        format!("butterfly(r={},k={})", self.radix.get(), self.dims)
     }
 }
 
@@ -197,25 +201,33 @@ impl Leveled for RadixButterfly {
 /// to any destination is unique (paper §2.3.5, Figure 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnrolledShuffle {
-    d: usize,
+    d: Divisor,
     n: usize,
     width: usize,
-    top: usize, // d^(n-1)
+    top: Divisor, // d^(n-1)
+    /// d^j for j in 0..n (1 beyond), as [`Divisor`]s: the digit a hop
+    /// at level j inserts is `dest / d^j % d`.
+    pow: [Divisor; 64],
 }
 
 impl UnrolledShuffle {
     /// Construct; panics on overflow.
     pub fn new(d: usize, n: usize) -> Self {
         assert!(d >= 2 && n >= 1);
+        // 64 entries are enough: d ≥ 2, so the overflow check below
+        // fires within the first 64 rounds whenever n > 63.
+        let mut pow = [Divisor::new(1); 64];
         let mut width = 1usize;
-        for _ in 0..n {
+        for slot in pow.iter_mut().take(n) {
+            *slot = Divisor::new(width);
             width = width.checked_mul(d).expect("d^n overflows usize");
         }
         UnrolledShuffle {
-            d,
+            d: Divisor::new(d),
             n,
             width,
-            top: width / d,
+            top: Divisor::new(width / d),
+            pow,
         }
     }
 
@@ -233,29 +245,25 @@ impl Leveled for UnrolledShuffle {
         self.width
     }
     fn degree(&self) -> usize {
-        self.d
+        self.d.get()
     }
     #[inline]
     fn succ(&self, _level: usize, idx: usize, digit: usize) -> usize {
-        debug_assert!(digit < self.d);
-        digit * self.top + idx / self.d
+        debug_assert!(digit < self.d.get());
+        digit * self.top.get() + self.d.div(idx)
     }
     #[inline]
     fn digit_toward(&self, level: usize, _idx: usize, dest: usize) -> usize {
         // The digit chosen at level j ends up as base-d digit j of dest.
-        let mut v = dest;
-        for _ in 0..level {
-            v /= self.d;
-        }
-        v % self.d
+        self.d.rem(self.pow[level].div(dest))
     }
     #[inline]
     fn pred(&self, _level: usize, idx: usize, digit: usize) -> usize {
         // idx = t*top + u/d  =>  u = (idx mod top)*d + digit
-        (idx % self.top) * self.d + digit
+        self.top.rem(idx) * self.d.get() + digit
     }
     fn name(&self) -> String {
-        format!("shuffle-leveled(d={},n={})", self.d, self.n)
+        format!("shuffle-leveled(d={},n={})", self.d.get(), self.n)
     }
 }
 
@@ -273,23 +281,24 @@ pub enum Direction {
 pub struct LeveledNet<L> {
     lv: L,
     dir: Direction,
+    /// `lv.width()`, as the divisor [`split`](Self::split) uses per hop.
+    width: Divisor,
 }
 
 impl<L: Leveled> LeveledNet<L> {
+    fn new(lv: L, dir: Direction) -> Self {
+        let width = Divisor::new(lv.width());
+        LeveledNet { lv, dir, width }
+    }
+
     /// Forward (request-phase) view.
     pub fn forward(lv: L) -> Self {
-        LeveledNet {
-            lv,
-            dir: Direction::Forward,
-        }
+        Self::new(lv, Direction::Forward)
     }
 
     /// Backward (reply-phase) view.
     pub fn backward(lv: L) -> Self {
-        LeveledNet {
-            lv,
-            dir: Direction::Backward,
-        }
+        Self::new(lv, Direction::Backward)
     }
 
     /// The underlying leveled structure.
@@ -303,12 +312,13 @@ impl<L: Leveled> LeveledNet<L> {
     /// `width` so cuts fall between consecutive columns.
     pub fn node_id(&self, column: usize, idx: usize) -> usize {
         debug_assert!(column <= self.lv.levels() && idx < self.lv.width());
-        column * self.lv.width() + idx
+        column * self.width.get() + idx
     }
 
     /// Inverse of [`Self::node_id`].
+    #[inline]
     pub fn split(&self, node: usize) -> (usize, usize) {
-        (node / self.lv.width(), node % self.lv.width())
+        self.width.div_rem(node)
     }
 }
 
@@ -374,6 +384,12 @@ mod tests {
             let s = UnrolledShuffle::new(d, n);
             audit_unique_paths(&s).unwrap_or_else(|e| panic!("shuffle d={d} n={n}: {e}"));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "d^n overflows usize")]
+    fn shuffle_wider_than_the_digit_table_is_refused() {
+        UnrolledShuffle::new(2, 70);
     }
 
     #[test]

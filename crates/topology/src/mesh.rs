@@ -6,6 +6,7 @@
 //! Valiant–Brebner and Krizanc–Rajasekaran–Tsantilas). Diameter `2n − 2`.
 
 use crate::graph::Network;
+use lnpram_math::Divisor;
 
 /// The four mesh directions. Port numbers on a node enumerate the *valid*
 /// directions in this order.
@@ -40,14 +41,18 @@ impl Dir {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     rows: usize,
-    cols: usize,
+    /// Columns, as the divisor [`coords`](Mesh::coords) uses per hop.
+    cols: Divisor,
 }
 
 impl Mesh {
     /// A general rectangular mesh.
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows >= 1 && cols >= 1);
-        Mesh { rows, cols }
+        Mesh {
+            rows,
+            cols: Divisor::new(cols),
+        }
     }
 
     /// The paper's square n×n mesh.
@@ -67,7 +72,7 @@ impl Mesh {
 
     /// Columns.
     pub fn cols(&self) -> usize {
-        self.cols
+        self.cols.get()
     }
 
     /// Node id at `(row, col)`. Node ids are **row-major**
@@ -75,14 +80,14 @@ impl Mesh {
     /// `RowBlock` partitioner aligns shard boundaries to multiples of
     /// `cols` so cuts fall between mesh rows.
     pub fn node_at(&self, row: usize, col: usize) -> usize {
-        debug_assert!(row < self.rows && col < self.cols);
-        row * self.cols + col
+        debug_assert!(row < self.rows && col < self.cols());
+        row * self.cols() + col
     }
 
     /// `(row, col)` of a node id.
     pub fn coords(&self, node: usize) -> (usize, usize) {
-        debug_assert!(node < self.rows * self.cols);
-        (node / self.cols, node % self.cols)
+        debug_assert!(node < self.rows * self.cols());
+        self.cols.div_rem(node)
     }
 
     /// The neighbor in direction `dir`, if it exists.
@@ -97,7 +102,7 @@ impl Mesh {
                 (r + 1, c)
             }
             Dir::East => {
-                if c + 1 >= self.cols {
+                if c + 1 >= self.cols() {
                     return None;
                 }
                 (r, c + 1)
@@ -133,13 +138,13 @@ impl Mesh {
 
     /// Network diameter `rows + cols − 2`.
     pub fn diameter(&self) -> usize {
-        self.rows + self.cols - 2
+        self.rows + self.cols() - 2
     }
 }
 
 impl Network for Mesh {
     fn num_nodes(&self) -> usize {
-        self.rows * self.cols
+        self.rows * self.cols()
     }
 
     fn out_degree(&self, node: usize) -> usize {
@@ -153,7 +158,7 @@ impl Network for Mesh {
     }
 
     fn name(&self) -> String {
-        format!("mesh({}x{})", self.rows, self.cols)
+        format!("mesh({}x{})", self.rows, self.cols())
     }
 }
 
