@@ -39,6 +39,13 @@ impl PathArena {
         (self.spans.len() - 1) as u32
     }
 
+    /// Become a copy of `other`, keeping this arena's capacity.
+    pub(crate) fn copy_from(&mut self, other: &PathArena) {
+        self.clear();
+        self.links.extend_from_slice(&other.links);
+        self.spans.extend_from_slice(&other.spans);
+    }
+
     /// The link-id path of span `span`.
     pub fn span(&self, span: u32) -> &[u32] {
         let (start, len) = self.spans[span as usize];
@@ -105,5 +112,19 @@ mod tests {
         assert_eq!(a.len(), 3);
         a.clear();
         assert!(a.is_empty());
+    }
+
+    #[test]
+    fn a_copy_replaces_what_the_arena_held() {
+        let mut a = PathArena::new();
+        a.push(&[1, 2, 3]);
+        a.push(&[4]);
+        let mut b = PathArena::new();
+        b.push(&[5, 5, 5, 5]);
+        b.copy_from(&a);
+        a.clear();
+        assert_eq!(b.len(), 2);
+        assert_eq!(b.span(0), &[1, 2, 3]);
+        assert_eq!(b.span(1), &[4]);
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::arena::{PathArena, PathProtocol};
 use crate::graph::LinkGraph;
-use crate::price::{route_pairs, AdaptiveConfig, IterationRecord};
+use crate::price::{AdaptiveConfig, AdaptiveError, IterationRecord, PriceWork, Pricer};
 use lnpram_math::rng::SeedSeq;
 use lnpram_routing::fault::FaultReport;
 use lnpram_routing::retry::RetryPolicy;
@@ -20,19 +20,24 @@ use lnpram_simnet::{Discipline, Packet, SimConfig};
 use lnpram_topology::Network;
 
 /// The adaptive backend: prices link-paths per request (deterministic
-/// Dijkstra + rip-up-and-reroute, see [`crate::price`]), stores them in
-/// the [`PathArena`], and drives the source-routed [`PathProtocol`]
-/// through the shared engine loop. Plugs into
+/// shortest paths + rip-up-and-reroute, see [`crate::price`]), stores
+/// them in the [`PathArena`], and drives the source-routed
+/// [`PathProtocol`] through the shared engine loop. Plugs into
 /// [`RoutingSession`] for the full
 /// `Router` API; works on any strongly-connected flat topology (node id
 /// == source == destination coordinate).
 pub struct AdaptiveBackend {
     graph: LinkGraph,
-    cfg: AdaptiveConfig,
+    /// The pricer and the scratch it keeps from request to request.
+    pricer: Pricer,
     arena: PathArena,
     /// Links the pricer must route around (set by the fault-avoidance
-    /// wrapper for the duration of a faulted run; empty otherwise).
+    /// wrapper for the duration of a faulted run; all clear otherwise),
+    /// and whether any is set.
     avoid: Vec<bool>,
+    any_avoided: bool,
+    /// The `(src, dest)` pairs of the injection being priced.
+    pairs: Vec<(u32, u32)>,
     /// The arena's paths have been handed to a run: the next injection
     /// starts a new request set and clears it first
     /// ([`RouteBackend::protocol`] sets this; injections consume it).
@@ -41,6 +46,7 @@ pub struct AdaptiveBackend {
     /// runs inject once per tenant; extras reports the worst).
     iterations: u32,
     max_load: u32,
+    work: PriceWork,
     /// Convergence series of the most recent pricing run, replayed to
     /// the sink by [`RouteBackend::before_run`].
     history: Vec<IterationRecord>,
@@ -48,19 +54,40 @@ pub struct AdaptiveBackend {
 
 impl AdaptiveBackend {
     /// Backend over a CSR snapshot of `net`.
+    ///
+    /// # Panics
+    ///
+    /// Where [`try_new`](AdaptiveBackend::try_new) returns an error,
+    /// with that error's message.
     pub fn new<N: Network + ?Sized>(net: &N, cfg: AdaptiveConfig) -> Self {
+        Self::try_new(net, cfg).unwrap_or_else(|err| panic!("{err}"))
+    }
+
+    /// Backend over a CSR snapshot of `net`, or why `net` cannot be
+    /// priced: some pair of its nodes has no path between them, or
+    /// `cfg.penalty` exceeds [`MAX_PENALTY`](crate::price::MAX_PENALTY)
+    /// (the bound under which the search's labels and bucket ring are
+    /// specified).
+    pub fn try_new<N: Network + ?Sized>(
+        net: &N,
+        cfg: AdaptiveConfig,
+    ) -> Result<Self, AdaptiveError> {
         let graph = LinkGraph::from_network(net);
+        let pricer = Pricer::try_new(&graph, cfg)?;
         let avoid = vec![false; graph.link_count()];
-        AdaptiveBackend {
+        Ok(AdaptiveBackend {
             graph,
-            cfg,
+            pricer,
             arena: PathArena::new(),
             avoid,
+            any_avoided: false,
+            pairs: Vec::new(),
             fresh: false,
             iterations: 0,
             max_load: 0,
+            work: PriceWork::default(),
             history: Vec::new(),
-        }
+        })
     }
 
     /// The priced link graph.
@@ -68,15 +95,23 @@ impl AdaptiveBackend {
         &self.graph
     }
 
+    /// Exact work counts of the pricing behind the most recent run,
+    /// summed over its injections (a batched run prices once per
+    /// tenant).
+    pub fn price_work(&self) -> PriceWork {
+        self.work
+    }
+
     /// Route around `links` (global link ids) until
     /// [`clear_avoided`](AdaptiveBackend::clear_avoided): the pricer
     /// treats them as absent, falling back to the full graph only for
     /// otherwise-severed pairs.
     pub fn set_avoided(&mut self, links: &[usize]) {
-        self.avoid.fill(false);
+        self.clear_avoided();
         for &l in links {
-            if l < self.avoid.len() {
-                self.avoid[l] = true;
+            if let Some(flag) = self.avoid.get_mut(l) {
+                *flag = true;
+                self.any_avoided = true;
             }
         }
     }
@@ -84,6 +119,7 @@ impl AdaptiveBackend {
     /// Stop routing around faults.
     pub fn clear_avoided(&mut self) {
         self.avoid.fill(false);
+        self.any_avoided = false;
     }
 
     /// Links a fault plan makes unusable at any point: failed links and
@@ -151,6 +187,7 @@ impl RouteBackend for AdaptiveBackend {
             self.arena.clear();
             self.iterations = 0;
             self.max_load = 0;
+            self.work = PriceWork::default();
             self.history.clear();
             self.fresh = false;
         }
@@ -161,7 +198,8 @@ impl RouteBackend for AdaptiveBackend {
         // relations, matching `inject_per_source`'s numbering so the
         // fault-recovery drain maps ids back to identity.
         let relation_ids = is_relation(pattern);
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let pairs = &mut self.pairs;
+        pairs.clear();
         if relation_ids {
             let relation = pattern_relation(pattern, n, seq);
             for (src, dests) in relation.iter().enumerate() {
@@ -175,19 +213,22 @@ impl RouteBackend for AdaptiveBackend {
                 pairs.push((src as u32, dest as u32));
             }
         }
-        let routed = route_pairs(&self.graph, &pairs, &self.avoid, &self.cfg);
-        for (i, (path, &(src, dest))) in routed.paths.iter().zip(&pairs).enumerate() {
-            let span = self.arena.push(path);
-            let id = if relation_ids { i as u32 } else { src };
+        let avoid: &[bool] = if self.any_avoided { &self.avoid } else { &[] };
+        let stats = self.pricer.price(&self.graph, pairs, avoid);
+        self.iterations = self.iterations.max(stats.iterations);
+        self.max_load = self.max_load.max(stats.max_load);
+        self.work += stats.work;
+        self.history.clear();
+        self.history.extend_from_slice(&stats.history);
+        for (i, &(src, dest)) in (0u32..).zip(pairs.iter()) {
+            let span = self.arena.push(self.pricer.paths().span(i));
+            let id = if relation_ids { i } else { src };
             let pkt = Packet::new(id, src, dest)
                 .with_via(span)
                 .with_via2(0)
                 .with_tag(tag);
             eng.inject(offset + src as usize, pkt);
         }
-        self.iterations = self.iterations.max(routed.stats.iterations);
-        self.max_load = self.max_load.max(routed.stats.max_load);
-        self.history = routed.stats.history;
         pairs.len()
     }
 
@@ -310,5 +351,78 @@ impl Router for AdaptiveRoutingSession {
 
     fn topology(&self) -> String {
         self.inner.topology()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::price::MAX_PENALTY;
+    use lnpram_topology::graph::ExplicitNetwork;
+    use lnpram_topology::Mesh;
+
+    fn with_penalty(penalty: u64) -> AdaptiveConfig {
+        AdaptiveConfig {
+            penalty,
+            ..AdaptiveConfig::default()
+        }
+    }
+
+    #[test]
+    fn unpriceable_inputs_are_typed_errors() {
+        let mesh = Mesh::new(4, 4);
+        assert_eq!(
+            AdaptiveBackend::try_new(&mesh, with_penalty(MAX_PENALTY + 1)).err(),
+            Some(AdaptiveError::PenaltyTooLarge {
+                penalty: MAX_PENALTY + 1,
+                max: MAX_PENALTY
+            })
+        );
+        assert!(AdaptiveBackend::try_new(&mesh, with_penalty(MAX_PENALTY)).is_ok());
+        // 0 → 1 → 2 and no way back.
+        let one_way = ExplicitNetwork::new(vec![vec![1], vec![2], vec![]], "one-way(3)");
+        let err = AdaptiveBackend::try_new(&one_way, AdaptiveConfig::default())
+            .err()
+            .expect("2 reaches nobody");
+        assert_eq!(
+            err,
+            AdaptiveError::NotStronglyConnected {
+                topology: "one-way(3)".into()
+            }
+        );
+        assert!(err
+            .to_string()
+            .starts_with("one-way(3) is not strongly connected"));
+    }
+
+    #[test]
+    #[should_panic(expected = "congestion penalty 4097 exceeds the largest supported, 4096")]
+    fn new_panics_with_the_error_message() {
+        AdaptiveBackend::new(&Mesh::new(4, 4), with_penalty(MAX_PENALTY + 1));
+    }
+
+    /// The accessor reports the pricing behind the latest run: one
+    /// request's counts, not a running total, and the sum over tenants
+    /// for a batch.
+    #[test]
+    fn price_work_follows_the_latest_run() {
+        let mesh = Mesh::square(8);
+        let mut session = AdaptiveRoutingSession::new(&mesh, SimConfig::default());
+        let reqs = [
+            RouteRequest::permutation(3),
+            RouteRequest::permutation(4).with_tenant(1),
+        ];
+        let mut each = Vec::new();
+        for req in &reqs {
+            assert!(session.route(req).completed);
+            each.push(session.backend().price_work());
+        }
+        assert!(each[0].searches > 0 && each[0] != each[1]);
+        assert!(session.route(&reqs[0]).completed);
+        assert_eq!(session.backend().price_work(), each[0]);
+        assert!(session.route_batch(&reqs).completed);
+        let mut both = each[0];
+        both += each[1];
+        assert_eq!(session.backend().price_work(), both);
     }
 }

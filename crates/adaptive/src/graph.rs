@@ -25,6 +25,11 @@ pub struct LinkGraph {
     targets: Vec<u32>,
     /// Tail node per link (denormalized for O(1) path reconstruction).
     tails: Vec<u32>,
+    /// Reverse CSR prefix sums: node `w`'s in-links are
+    /// `in_links[in_offsets[w]..in_offsets[w+1]]`.
+    in_offsets: Vec<u32>,
+    /// Link ids grouped by head node, ascending within a group.
+    in_links: Vec<u32>,
 }
 
 impl LinkGraph {
@@ -44,11 +49,27 @@ impl LinkGraph {
             }
             offsets.push(targets.len() as u32);
         }
+        // Counting sort of the link ids by head node.
+        let mut in_offsets = vec![0u32; n + 1];
+        for &w in &targets {
+            in_offsets[w as usize + 1] += 1;
+        }
+        for w in 0..n {
+            in_offsets[w + 1] += in_offsets[w];
+        }
+        let mut next = in_offsets.clone();
+        let mut in_links = vec![0u32; targets.len()];
+        for (link, &w) in targets.iter().enumerate() {
+            in_links[next[w as usize] as usize] = link as u32;
+            next[w as usize] += 1;
+        }
         LinkGraph {
             base_name: net.name(),
             offsets,
             targets,
             tails,
+            in_offsets,
+            in_links,
         }
     }
 
@@ -81,6 +102,53 @@ impl LinkGraph {
     pub fn port_of(&self, link: u32) -> usize {
         (link - self.offsets[self.tail(link) as usize]) as usize
     }
+
+    /// Global link ids leaving `node`, in port order.
+    pub fn out_links(&self, node: u32) -> std::ops::Range<u32> {
+        self.offsets[node as usize]..self.offsets[node as usize + 1]
+    }
+
+    /// Global link ids entering `node`, ascending.
+    pub fn in_links(&self, node: u32) -> &[u32] {
+        let (lo, hi) = (
+            self.in_offsets[node as usize],
+            self.in_offsets[node as usize + 1],
+        );
+        &self.in_links[lo as usize..hi as usize]
+    }
+
+    /// Can every node reach every other? One forward and one reverse
+    /// pass from node 0: `O(nodes + links)`.
+    pub fn strongly_connected(&self) -> bool {
+        self.spans_from_node_0(false) && self.spans_from_node_0(true)
+    }
+
+    /// Does a search from node 0 along out-links (against them if
+    /// `reverse`) visit every node?
+    fn spans_from_node_0(&self, reverse: bool) -> bool {
+        let n = self.num_nodes();
+        if n == 0 {
+            return true;
+        }
+        let mut seen = vec![false; n];
+        seen[0] = true;
+        let mut stack = vec![0u32];
+        let mut reached = 1;
+        while let Some(v) = stack.pop() {
+            let mut visit = |w: u32| {
+                if !std::mem::replace(&mut seen[w as usize], true) {
+                    stack.push(w);
+                    reached += 1;
+                }
+            };
+            if reverse {
+                self.in_links(v).iter().for_each(|&l| visit(self.tail(l)));
+            } else {
+                self.out_links(v).for_each(|l| visit(self.target(l)));
+            }
+        }
+        reached == n
+    }
 }
 
 impl Network for LinkGraph {
@@ -108,7 +176,8 @@ impl Network for LinkGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lnpram_topology::Mesh;
+    use lnpram_topology::graph::ExplicitNetwork;
+    use lnpram_topology::{DWayShuffle, Mesh};
 
     #[test]
     fn snapshot_matches_base() {
@@ -126,5 +195,48 @@ mod tests {
                 assert_eq!(g.target(link) as usize, mesh.neighbor(v, p));
             }
         }
+    }
+
+    #[test]
+    fn in_links_are_the_out_links_regrouped_by_head() {
+        // Directed, with self-loops at the constant words.
+        let g = LinkGraph::from_network(&DWayShuffle::new(3, 3));
+        let mut seen = vec![false; g.link_count()];
+        for w in 0..g.num_nodes() as u32 {
+            let ins = g.in_links(w);
+            assert!(ins.windows(2).all(|p| p[0] < p[1]), "ascending link ids");
+            for &l in ins {
+                assert_eq!(g.target(l), w);
+                assert!(!std::mem::replace(&mut seen[l as usize], true));
+            }
+        }
+        assert!(
+            seen.iter().all(|&s| s),
+            "every link enters exactly one node"
+        );
+    }
+
+    #[test]
+    fn strong_connectivity_needs_both_directions() {
+        // A one-way path 0 → 1 → … → n-1, closed into a ring if `closed`.
+        let ring = |n: usize, closed: bool| {
+            let adj = (0..n)
+                .map(|v| {
+                    if closed || v + 1 < n {
+                        vec![(v + 1) % n]
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .collect();
+            LinkGraph::from_network(&ExplicitNetwork::new(adj, "one-way"))
+        };
+        assert!(ring(5, true).strongly_connected());
+        // Node 0 reaches everyone, nobody reaches node 0.
+        assert!(!ring(5, false).strongly_connected());
+        assert!(ring(1, false).strongly_connected());
+        assert!(ring(0, false).strongly_connected());
+        assert!(LinkGraph::from_network(&DWayShuffle::new(3, 3)).strongly_connected());
+        assert!(LinkGraph::from_network(&Mesh::new(4, 4)).strongly_connected());
     }
 }

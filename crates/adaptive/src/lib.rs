@@ -11,11 +11,16 @@
 //! * [`graph::LinkGraph`] — an owned CSR snapshot of any
 //!   [`Network`](lnpram_topology::Network), link ids identical to the
 //!   engine's.
-//! * [`price`] — deterministic Dijkstra (integer costs, stable
-//!   tie-breaking, no ambient randomness) with link cost `1 + penalty ×
-//!   load`, wrapped in an outer loop that rips up the paths crossing
-//!   maximally-loaded links and re-routes them until the max link load
-//!   converges or the iteration budget runs out.
+//! * [`price`] — deterministic shortest paths (integer costs, no
+//!   ambient randomness) with link cost `1 + penalty × load`, wrapped in
+//!   an outer loop that rips up the paths crossing maximally-loaded
+//!   links and re-routes them until the max link load converges or the
+//!   iteration budget runs out. Equally cheap paths are told apart by a
+//!   *canonical predecessor rule* — a pure function of the distance
+//!   labels — so the search is free to use a bucket queue and
+//!   goal-directed bounds (reverse trees for shared destinations)
+//!   without a path ever depending on queue order; the work it explores
+//!   is counted exactly in [`PriceWork`].
 //! * [`arena::PathArena`] / [`arena::PathProtocol`] — the priced paths
 //!   in one flat slab; packets carry `(span, position)` in their
 //!   `via`/`via2` words and follow the span hop by hop through the
@@ -44,4 +49,7 @@ pub mod price;
 pub use arena::{PathArena, PathProtocol};
 pub use backend::{AdaptiveBackend, AdaptiveRoutingSession};
 pub use graph::LinkGraph;
-pub use price::{route_pairs, AdaptiveConfig, IterationRecord, PricedPaths, RouteStats};
+pub use price::{
+    route_pairs, AdaptiveConfig, AdaptiveError, IterationRecord, PriceWork, PricedPaths,
+    RouteStats, MAX_PENALTY,
+};

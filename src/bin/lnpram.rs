@@ -396,18 +396,18 @@ fn adaptive_backend(
 ) -> Result<AdaptiveBackend, CliError> {
     let n = get_usize(flags, "n", 4)?;
     let route_cfg = AdaptiveConfig::default();
-    Ok(match topo {
-        "star" => AdaptiveBackend::new(&star_graph(n)?, route_cfg),
+    let backend = match topo {
+        "star" => AdaptiveBackend::try_new(&star_graph(n)?, route_cfg),
         "shuffle" => {
             let d = get_usize(flags, "d", n)?;
-            AdaptiveBackend::new(&DWayShuffle::new(d, n), route_cfg)
+            AdaptiveBackend::try_new(&DWayShuffle::new(d, n), route_cfg)
         }
         "cube" => {
             let k = get_usize(flags, "k", 8)?;
-            AdaptiveBackend::new(&Hypercube::new(k), route_cfg)
+            AdaptiveBackend::try_new(&Hypercube::new(k), route_cfg)
         }
-        "ccc" => AdaptiveBackend::new(&CubeConnectedCycles::new(n.max(3)), route_cfg),
-        "mesh" => AdaptiveBackend::new(&Mesh::square(mesh_side(n)?), route_cfg),
+        "ccc" => AdaptiveBackend::try_new(&CubeConnectedCycles::new(n.max(3)), route_cfg),
+        "mesh" => AdaptiveBackend::try_new(&Mesh::square(mesh_side(n)?), route_cfg),
         "butterfly" => {
             return Err(CliError::InvalidFlag {
                 flag: "backend".into(),
@@ -423,6 +423,11 @@ fn adaptive_backend(
                 got: other.into(),
             })
         }
+    };
+    backend.map_err(|err| CliError::InvalidFlag {
+        flag: "backend".into(),
+        value: "adaptive".into(),
+        reason: err.to_string(),
     })
 }
 
@@ -442,19 +447,13 @@ fn backend_flag(flags: &HashMap<String, String>) -> Result<&str, CliError> {
     }
 }
 
-/// Build the session the unified `route` command dispatches to — every
-/// topology behind one `dyn Router`.
+/// Build the oblivious session the unified `route` command dispatches
+/// to — every topology behind one `dyn Router`.
 fn make_router(
     topo: &str,
     flags: &HashMap<String, String>,
     cfg: SimConfig,
 ) -> Result<Box<dyn Router>, CliError> {
-    if backend_flag(flags)? == "adaptive" {
-        return Ok(Box::new(AdaptiveRoutingSession::from_backend(
-            adaptive_backend(topo, flags)?,
-            cfg,
-        )));
-    }
     let n = get_usize(flags, "n", 4)?;
     Ok(match topo {
         "star" => Box::new(StarRoutingSession::from_graph(star_graph(n)?, cfg)),
@@ -560,7 +559,23 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), CliError> {
         shards,
         ..SimConfig::default()
     };
-    let mut router = make_router(topo, flags, cfg)?;
+    // The adaptive session stays concrete: its backend's work counts
+    // are not part of `dyn Router`.
+    let mut adaptive = match backend_flag(flags)? {
+        "adaptive" => Some(AdaptiveRoutingSession::from_backend(
+            adaptive_backend(topo, flags)?,
+            cfg.clone(),
+        )),
+        _ => None,
+    };
+    let mut oblivious;
+    let router: &mut dyn Router = match &mut adaptive {
+        Some(session) => session,
+        None => {
+            oblivious = make_router(topo, flags, cfg)?;
+            oblivious.as_mut()
+        }
+    };
     let mut times = Vec::new();
     let mut queues = Vec::new();
     let mut norm = 1usize;
@@ -643,10 +658,11 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), CliError> {
         mean(&times) / norm as f64,
         mean(&queues),
     );
-    if let Some((iterations, max_load)) = adaptive_stats {
+    if let (Some((iterations, max_load)), Some(session)) = (adaptive_stats, &adaptive) {
         println!(
             "adaptive pricing (last trial): {iterations} iteration(s), \
-             final max link load {max_load} (= norm)"
+             final max link load {max_load} (= norm); {}",
+            session.backend().price_work()
         );
     }
     Ok(())
