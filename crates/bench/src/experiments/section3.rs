@@ -1,0 +1,481 @@
+//! §3 — the mesh: the bucket-load corollaries and the linear-array
+//! lemma the analysis rests on, routing (Theorem 3.1), PRAM step
+//! emulation (Theorems 3.2, 3.3), and the ablations of §3.4's design
+//! choices (queue discipline, slice height, constant-queue refinement).
+
+use super::section2::permutation_traffic;
+use crate::{fmt, measure, trials, Report, Table, Trials};
+use lnpram_core::{EmulatorConfig, MeshPramEmulator};
+use lnpram_hash::analysis::load_profile;
+use lnpram_hash::HashFamily;
+use lnpram_math::rng::SeedSeq;
+use lnpram_math::stats::Summary;
+use lnpram_pram::model::{AccessMode, PramProgram};
+use lnpram_pram::programs::PermutationTraffic;
+use lnpram_routing::linear::{route_linear_random_dests, LinearLoad};
+use lnpram_routing::mesh::{default_block_rows, default_slice_rows};
+use lnpram_routing::{mesh_sort, ranade, workloads, MeshAlgorithm, MeshRoutingSession, Router};
+use lnpram_simnet::{Discipline, SimConfig};
+use lnpram_topology::Mesh;
+
+/// The paper's three-stage algorithm at its default slice height.
+pub(super) fn three_stage(n: usize) -> MeshAlgorithm {
+    MeshAlgorithm::ThreeStage {
+        slice_rows: default_slice_rows(n),
+    }
+}
+
+/// Corollaries 3.1–3.3 (§3.3): bucket-load facts used by the mesh
+/// analysis.
+///
+/// * Cor 3.1 — N items into N buckets: max load O(log N / log log N);
+/// * Cor 3.2 — n² items into βn buckets: max ≤ n/β + O(n^{3/4});
+/// * Cor 3.3 — the total load of any log N buckets is O(log N).
+pub fn cor31_33(r: &mut Report, scale: Trials) {
+    let n_trials = scale.count(30);
+    /// Largest bucket when `keys` are hashed by `n_trials` functions
+    /// sampled from `fam`.
+    fn max_bucket(
+        n_trials: u64,
+        fam: &HashFamily,
+        keys: impl Iterator<Item = u64> + Clone + Sync,
+    ) -> Summary {
+        trials(n_trials, |s| {
+            let h = fam.sample(&mut SeedSeq::new(s).rng());
+            let profile = load_profile(&h, keys.clone());
+            *profile.iter().max().expect("at least one bucket") as f64
+        })
+    }
+
+    let mut t = Table::new(
+        "Corollary 3.1 — N items into N buckets",
+        &["N", "measured max (p95/max)", "log N / log log N", "ratio"],
+    );
+    for n_pow in [8u32, 10, 12, 14] {
+        let n = 1u64 << n_pow;
+        let fam = HashFamily::new(n * 8, n, 12);
+        let maxes = max_bucket(n_trials, &fam, (0..n).map(|i| i * 7 + 1));
+        let ln = (n as f64).ln();
+        let bound = ln / ln.ln();
+        t.row(&[
+            format!("2^{n_pow}"),
+            fmt::dist(&maxes),
+            fmt::f(bound, 1),
+            fmt::f(maxes.mean / bound, 2),
+        ]);
+    }
+    r.table(&t);
+
+    let mut t = Table::new(
+        "Corollary 3.2 — n^2 items into beta*n buckets",
+        &["n", "beta", "measured max", "n/beta + n^0.75", "ratio"],
+    );
+    for (n, beta) in [(64u64, 1u64), (64, 2), (128, 1), (128, 2), (256, 1)] {
+        let fam = HashFamily::new(n * n * 4, beta * n, 12);
+        let maxes = max_bucket(n_trials.min(20), &fam, (0..n * n).map(|i| i * 3 + 2));
+        let bound = n as f64 / beta as f64 + (n as f64).powf(0.75);
+        t.row(&[
+            fmt::n(n as usize),
+            fmt::n(beta as usize),
+            fmt::dist(&maxes),
+            fmt::f(bound, 1),
+            fmt::f(maxes.mean / bound, 2),
+        ]);
+    }
+    r.table(&t);
+
+    let mut t = Table::new(
+        "Corollary 3.3 — total load of log N fixed buckets (N items, N buckets)",
+        &["N", "log2 N", "measured total (p95/max)", "ratio to log N"],
+    );
+    for n_pow in [10u32, 12, 14] {
+        let n = 1u64 << n_pow;
+        let fam = HashFamily::new(n * 8, n, 12);
+        let k = n_pow as usize; // log2 N buckets: 0..k
+        let totals = trials(n_trials, |s| {
+            let h = fam.sample(&mut SeedSeq::new(s).rng());
+            let profile = load_profile(&h, (0..n).map(|i| i * 11 + 3));
+            profile[..k].iter().map(|&c| c as f64).sum()
+        });
+        t.row(&[
+            format!("2^{n_pow}"),
+            fmt::n(k),
+            fmt::dist(&totals),
+            fmt::f(totals.mean / k as f64, 2),
+        ]);
+    }
+    r.table(&t);
+    r.note("paper: all three loads concentrate at their stated orders w.h.p.");
+}
+
+/// §3.4.1 linear-array lemma: n′ packets with random destinations on an
+/// n-node linear array route in n′ + o(n) under furthest-destination-first.
+///
+/// This is the lemma each stage of Theorem 3.1 instantiates (stage 1 with
+/// n′ = εn + o(n) per column, stages 2–3 with n′ = n + o(n) per row /
+/// column).
+pub fn linear_array_lemma(r: &mut Report, scale: Trials) {
+    let n_trials = scale.count(10);
+    let mut t = Table::new(
+        "Lemma (§3.4.1) — linear array, random destinations, furthest-first",
+        &["n", "load", "n'", "time (p95/max)", "time/n'", "max queue"],
+    );
+    for n in [64usize, 256, 1024] {
+        let cases: [(String, LinearLoad, usize); 4] = [
+            ("1 per node".into(), LinearLoad::Uniform(1), n),
+            ("4 per node".into(), LinearLoad::Uniform(4), 4 * n),
+            (
+                format!("{} random", 2 * n),
+                LinearLoad::Random(2 * n),
+                2 * n,
+            ),
+            (format!("{} at node 0", n), LinearLoad::OneEnd(n), n),
+        ];
+        for (label, load, nprime) in cases {
+            let m = measure(n_trials, |s| {
+                route_linear_random_dests(n, load, s, SimConfig::default()).metrics
+            });
+            t.row(&[
+                fmt::n(n),
+                label,
+                fmt::n(nprime),
+                fmt::dist(&m.time),
+                fmt::f(m.time.mean / nprime as f64, 2),
+                fmt::f(m.queue.mean, 1),
+            ]);
+        }
+    }
+    r.table(&t);
+    r.note(
+        "paper: n' + o(n) w.h.p. — the time/n' column approaches 1 from above\n\
+              as n grows (the one-end pile-up adds the n-step traversal term).",
+    );
+}
+
+/// Theorem 3.1: the three-stage slice algorithm routes any permutation on
+/// the n×n mesh in 2n + o(n) w.h.p. with O(log n) queues — against the
+/// Valiant–Brebner (3n + o(n)), greedy, and shearsort baselines.
+pub fn thm31(r: &mut Report, scale: Trials) {
+    let n_trials = scale.count(8);
+    let mut t = Table::new(
+        "Theorem 3.1 — permutation routing on the n x n mesh",
+        &[
+            "n",
+            "algorithm",
+            "time (p95/max)",
+            "time/n",
+            "max queue",
+            "log2 n",
+        ],
+    );
+    for n in [16usize, 32, 64, 96] {
+        let algos = [
+            ("three-stage", three_stage(n)),
+            ("valiant-brebner", MeshAlgorithm::ValiantBrebner),
+            ("greedy XY", MeshAlgorithm::Greedy),
+        ];
+        for (name, alg) in algos {
+            let m = measure(n_trials, |s| {
+                MeshRoutingSession::new(n, alg, SimConfig::default())
+                    .route_permutation(s)
+                    .metrics
+            });
+            t.row(&[
+                fmt::n(n),
+                name.into(),
+                fmt::dist(&m.time),
+                fmt::f(m.time.mean / n as f64, 2),
+                fmt::f(m.queue.mean, 1),
+                fmt::f((n as f64).log2(), 1),
+            ]);
+        }
+        let sort_time = trials(2, |s| {
+            let mut rng = SeedSeq::new(s).rng();
+            let dests = workloads::random_permutation(n * n, &mut rng);
+            mesh_sort::shearsort_route(n, &dests).steps as f64
+        });
+        t.row(&[
+            fmt::n(n),
+            "shearsort".into(),
+            fmt::dist(&sort_time),
+            fmt::f(sort_time.mean / n as f64, 2),
+            "1.0".into(),
+            fmt::f((n as f64).log2(), 1),
+        ]);
+    }
+    r.table(&t);
+    r.note(
+        "paper: three-stage -> 2n + o(n) with O(log n) queues;\n\
+              VB -> 3n + o(n); sorting-based schemes pay n log n.\n",
+    );
+
+    // Structured workload: the transpose permutation (r,c) -> (c,r).
+    // Deterministic greedy is competitive on permutations; the paper's
+    // randomized algorithm matches it while carrying a *distribution-free*
+    // w.h.p. time and queue guarantee (greedy's queues are unbounded on
+    // many-one traffic — which is what the emulation's request phase is;
+    // see thm32).
+    let mut t = Table::new(
+        "Theorem 3.1 (structured input) — transpose permutation (r,c) -> (c,r)",
+        &["n", "algorithm", "time", "time/n", "max queue"],
+    );
+    for n in [32usize, 64] {
+        let mesh = Mesh::square(n);
+        let transpose = workloads::mesh_transpose(&mesh);
+        for (name, alg) in [
+            ("three-stage", three_stage(n)),
+            ("greedy XY", MeshAlgorithm::Greedy),
+        ] {
+            let m = measure(5, |s| {
+                MeshRoutingSession::from_mesh(mesh, alg, SimConfig::default())
+                    .route_with_dests(&transpose, SeedSeq::new(s))
+                    .metrics
+            });
+            t.row(&[
+                fmt::n(n),
+                name.into(),
+                fmt::dist(&m.time),
+                fmt::f(m.time.mean / n as f64, 2),
+                fmt::f(m.queue.mean, 1),
+            ]);
+        }
+    }
+    r.table(&t);
+    r.note("both are ~2n here; the randomized guarantee is distribution-free.");
+}
+
+/// Theorem 3.2: one EREW PRAM step emulated on the n×n mesh in 4n + o(n)
+/// — vs the Ranade-style butterfly comparator whose mesh embedding costs
+/// on the order of 100n (the paper's motivation for §3).
+pub fn thm32(r: &mut Report, _: Trials) {
+    let mut t = Table::new(
+        "Theorem 3.2 — EREW PRAM step on the n x n mesh (4n + o(n))",
+        &[
+            "n",
+            "N=n^2",
+            "steps/PRAM step",
+            "per n",
+            "worst step",
+            "rehashes",
+        ],
+    );
+    for (n, rounds) in [(8usize, 6usize), (16, 6), (32, 5), (48, 4), (64, 3)] {
+        let mut prog = permutation_traffic(n * n, n as u64, rounds);
+        let mut emu = MeshPramEmulator::new(
+            n,
+            AccessMode::Erew,
+            prog.address_space(),
+            EmulatorConfig {
+                seed: n as u64,
+                ..Default::default()
+            },
+        );
+        let rep = emu.run_program(&mut prog, 10_000);
+        t.row(&[
+            fmt::n(n),
+            fmt::n(n * n),
+            fmt::f(rep.mean_step_time(), 1),
+            fmt::f(rep.mean_step_time() / n as f64, 2),
+            fmt::n(rep.max_step_time() as usize),
+            fmt::n(rep.rehashes as usize),
+        ]);
+    }
+    r.table(&t);
+
+    // The comparator: measured Ranade butterfly constant x the standard
+    // mesh embedding dilation (see routing::ranade docs).
+    let mut t = Table::new(
+        "Ranade-style comparator (butterfly emulation embedded on the mesh)",
+        &["n", "butterfly steps/level", "modeled mesh steps", "per n"],
+    );
+    for n in [16usize, 32, 64] {
+        let levels = 2 * (n as f64).log2().ceil() as usize;
+        let rep = ranade::ranade_random(levels, 1);
+        let est = ranade::mesh_embedding_steps(n, rep.time_per_level());
+        t.row(&[
+            fmt::n(n),
+            fmt::f(rep.time_per_level(), 2),
+            fmt::f(est, 0),
+            fmt::f(est / n as f64, 1),
+        ]);
+    }
+    r.table(&t);
+    r.note(
+        "paper: the direct algorithm costs ~4n; Ranade's technique applied\n\
+              to the mesh has a constant 'roughly 100' — impractical at mesh scale.",
+    );
+}
+
+/// Theorem 3.3: when every request originates within distance d of its
+/// memory location, the mesh emulation finishes in 6d + o(d) w.h.p.
+pub fn thm33(r: &mut Report, _: Trials) {
+    let n = 48usize;
+    let mesh = Mesh::square(n);
+    let mut t = Table::new(
+        "Theorem 3.3 — d-local requests on the 48x48 mesh (6d + o(d))",
+        &["d", "steps/PRAM step", "per d", "per n", "queue"],
+    );
+    for d in [3usize, 6, 12, 24, 48] {
+        let mut rng = SeedSeq::new(13).child(d as u64).rng();
+        let dests = workloads::local_permutation(&mesh, d, &mut rng);
+        let mut prog = PermutationTraffic::new(dests, 4);
+        let mut emu = MeshPramEmulator::new_local(
+            n,
+            AccessMode::Erew,
+            prog.address_space(),
+            d,
+            EmulatorConfig {
+                seed: d as u64,
+                ..Default::default()
+            },
+        );
+        let rep = emu.run_program(&mut prog, 10_000);
+        let queue = rep.steps.iter().map(|s| s.max_queue).max().unwrap_or(0);
+        t.row(&[
+            fmt::n(d),
+            fmt::f(rep.mean_step_time(), 1),
+            fmt::f(rep.mean_step_time() / d as f64, 2),
+            fmt::f(rep.mean_step_time() / n as f64, 2),
+            fmt::n(queue as usize),
+        ]);
+    }
+    r.table(&t);
+    r.note(
+        "paper: time tracks 6d + o(d) — the per-d column stays bounded while\n\
+              per-n shrinks with locality; queues stay O(1).",
+    );
+}
+
+/// Ablation A1: the furthest-destination-first priority of §3.4 vs plain
+/// FIFO on the mesh three-stage algorithm.
+///
+/// The paper's linear-array analysis (§3.4.1) requires the priority
+/// discipline; this table shows what it buys in time and queue length.
+pub fn ablate_discipline(r: &mut Report, scale: Trials) {
+    let n_trials = scale.count(8);
+    let mut t = Table::new(
+        "Ablation A1 — queue discipline for the mesh three-stage algorithm",
+        &["n", "discipline", "time (p95/max)", "time/n", "max queue"],
+    );
+    for n in [16usize, 32, 64] {
+        for (name, disc) in [
+            ("furthest-first", Discipline::FurthestFirst),
+            ("fifo", Discipline::Fifo),
+        ] {
+            let m = measure(n_trials, |s| {
+                let mut rng = SeedSeq::new(s).rng();
+                let dests = workloads::random_permutation(n * n, &mut rng);
+                let cfg = SimConfig::with_discipline(disc);
+                MeshRoutingSession::from_mesh(Mesh::square(n), three_stage(n), cfg)
+                    .route_with_dests(&dests, SeedSeq::new(s))
+                    .metrics
+            });
+            t.row(&[
+                fmt::n(n),
+                name.into(),
+                fmt::dist(&m.time),
+                fmt::f(m.time.mean / n as f64, 2),
+                fmt::f(m.queue.mean, 1),
+            ]);
+        }
+    }
+    r.table(&t);
+    r.note("paper: the 2n + o(n) bound is proven for furthest-destination-first.");
+}
+
+/// Ablation A2: the slice height εn of §3.4.
+///
+/// Stage 1 costs εn + o(n) and buys row-load balance for stage 2; the
+/// paper picks ε = 1/log n. The sweep shows the tradeoff: slices too
+/// short under-randomize (stage-2 congestion), too tall overpay stage 1.
+pub fn ablate_slice(r: &mut Report, scale: Trials) {
+    let n = 64usize;
+    let n_trials = scale.count(8);
+    let mut t = Table::new(
+        "Ablation A2 — slice height for the three-stage algorithm (n = 64)",
+        &["slice rows", "eps", "time (p95/max)", "time/n", "max queue"],
+    );
+    let default = default_slice_rows(n);
+    for rows in [1usize, 2, 4, default, 16, 32, 64] {
+        let alg = MeshAlgorithm::ThreeStage { slice_rows: rows };
+        let m = measure(n_trials, |s| {
+            let mut rng = SeedSeq::new(s).rng();
+            let dests = workloads::random_permutation(n * n, &mut rng);
+            MeshRoutingSession::from_mesh(Mesh::square(n), alg, SimConfig::default())
+                .route_with_dests(&dests, SeedSeq::new(s))
+                .metrics
+        });
+        let marker = if rows == default { " (= n/log n)" } else { "" };
+        t.row(&[
+            format!("{rows}{marker}"),
+            fmt::f(rows as f64 / n as f64, 3),
+            fmt::dist(&m.time),
+            fmt::f(m.time.mean / n as f64, 2),
+            fmt::f(m.queue.mean, 1),
+        ]);
+    }
+    r.table(&t);
+    r.note("paper: eps = 1/log n makes stage 1 o(n) while stages 2-3 stay n + o(n).");
+}
+
+/// Ablation A5: plain three-stage routing vs the constant-queue
+/// refinement (Theorem 3.2's "queue size of this algorithm is O(1)",
+/// following \[6\] and Corollary 3.3).
+///
+/// The refinement replaces the stage-3 target (the destination row) by a
+/// random row inside the destination's `⌈log₂ n⌉`-row block, plus an
+/// in-block walk of `o(n)`. We sweep n on both permutation and many-one
+/// (emulation-shaped, balls-in-bins) traffic and report time and queue
+/// maxima for both variants.
+///
+/// Expected shape: both variants meet `2n + o(n)`; queue maxima are small
+/// for both at laptop scales (the plain variant's `O(log n)` bound is
+/// loose in practice) with the refined variant bounded by a constant.
+pub fn ablate_const_queue(r: &mut Report, scale: Trials) {
+    let n_trials = scale.count(8);
+    let mut t = Table::new(
+        "Ablation A5 — plain three-stage vs constant-queue refinement (Thm 3.2)",
+        &["n", "variant", "workload", "time/n", "max queue"],
+    );
+    for n in [16usize, 32, 64, 128] {
+        let variants = [
+            ("plain", three_stage(n)),
+            (
+                "const-queue",
+                MeshAlgorithm::ThreeStageConstQueue {
+                    slice_rows: default_slice_rows(n),
+                    block_rows: default_block_rows(n),
+                },
+            ),
+        ];
+        for (name, alg) in variants {
+            for workload in ["permutation", "many-one"] {
+                let m = measure(n_trials, |s| {
+                    let seq = SeedSeq::new(s);
+                    let mut rng = seq.child(3).rng();
+                    let dests = match workload {
+                        "permutation" => workloads::random_permutation(n * n, &mut rng),
+                        _ => workloads::many_one(n * n, &mut rng),
+                    };
+                    MeshRoutingSession::new(n, alg, SimConfig::default())
+                        .route_with_dests(&dests, seq)
+                        .metrics
+                });
+                t.row(&[
+                    fmt::n(n),
+                    name.into(),
+                    workload.into(),
+                    fmt::f(m.time.mean / n as f64, 2),
+                    fmt::f(m.queue.mean, 1),
+                ]);
+            }
+        }
+    }
+    r.table(&t);
+    r.note(
+        "paper: the refinement bounds queues by O(1). Observed maxima are small,\n\
+         flat, and statistically indistinguishable between the variants at these\n\
+         sizes — the plain variant's O(log n) bound is loose in practice, so the\n\
+         refinement's value is the *guarantee*, not a measured win.",
+    );
+}

@@ -1,10 +1,12 @@
 //! # lnpram-bench
 //!
-//! The reproduction harness: one binary per table/figure of the paper
-//! (see DESIGN.md §3 for the experiment index) plus Criterion
-//! micro-benches of the hot paths. This library holds the shared
-//! machinery: trial runners, distribution digests and plain-text table
-//! rendering, so every `src/bin/table_*.rs` stays a thin experiment
+//! The reproduction harness: every table and figure of the paper is an
+//! [`Experiment`](experiments::Experiment) in the
+//! [`experiments::EXPERIMENTS`] registry, run by the one `reproduce`
+//! binary; Criterion micro-benches of the hot paths live under
+//! `benches/`. This library holds the shared machinery — trial runners,
+//! distribution digests, plain-text table rendering and the [`Report`]
+//! the experiments write into — so every experiment stays a thin
 //! definition.
 //!
 //! Conventions:
@@ -13,34 +15,57 @@
 //!   mean / p95 / max of the measured quantity;
 //! * every time is reported both raw and normalised by the theorem's unit
 //!   (ℓ, the diameter, or n) so the bound's *constant* is visible;
-//! * binaries print Markdown-ish tables to stdout; `run_all` concatenates
-//!   everything (that output is the basis of EXPERIMENTS.md).
+//! * every printed number is a simulated quantity — a pure function of
+//!   the seeds, independent of host, thread count and build profile — so
+//!   `reproduce`'s output is compared byte for byte: `EXPERIMENTS.md` at
+//!   the repository root is that output at paper sizes, and
+//!   `tests/reproduce_golden.rs` pins it at two trials.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod json;
 
-use lnpram_math::stats::{par_summary, Summary};
+use lnpram_math::stats::{par_summary, par_trial_values, Summary};
+use lnpram_simnet::Metrics;
 
-/// Number of trials to actually run: `default`, unless the
-/// `LNPRAM_TRIALS` environment variable overrides it.
-///
-/// CI sets `LNPRAM_TRIALS` to a small value so `cargo test -q` stays
-/// fast, while the bench binaries keep their full-size sweeps when the
-/// variable is unset. A value of `0` or garbage falls back to `default`.
-pub fn trial_count(default: u64) -> u64 {
-    parse_trial_count(std::env::var("LNPRAM_TRIALS").ok().as_deref(), default)
+/// The `LNPRAM_TRIALS` rule as a value: `None` runs each trial loop at
+/// its own paper-size default, `Some(n)` runs every such loop `n` times.
+/// Counts an experiment hard-codes are not trial loops in this sense and
+/// ignore it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Trials(pub Option<u64>);
+
+impl Trials {
+    /// Read `LNPRAM_TRIALS`; `0` or garbage means unset. The only place
+    /// this crate reads the environment — `main` functions and tests
+    /// call it, experiments take the value.
+    pub fn from_env() -> Self {
+        Trials(parse_trials(std::env::var("LNPRAM_TRIALS").ok().as_deref()))
+    }
+
+    /// Number of trials to actually run at a site whose paper-size
+    /// default is `default`.
+    pub fn count(self, default: u64) -> u64 {
+        self.0.unwrap_or(default)
+    }
 }
 
-/// The parsing rule behind [`trial_count`], separated so tests don't
-/// have to mutate process environment (`setenv` racing another thread's
-/// `getenv` is UB on glibc).
-fn parse_trial_count(var: Option<&str>, default: u64) -> u64 {
-    match var.map(|v| v.trim().parse::<u64>()) {
-        Some(Ok(n)) if n > 0 => n,
-        _ => default,
-    }
+/// `Trials::from_env().count(default)`, for tests and examples.
+///
+/// CI sets `LNPRAM_TRIALS` to a small value so `cargo test -q` stays
+/// fast, while `reproduce` keeps its full-size sweeps when the variable
+/// is unset.
+pub fn trial_count(default: u64) -> u64 {
+    Trials::from_env().count(default)
+}
+
+/// The parsing rule behind [`Trials::from_env`], separated so tests
+/// don't have to mutate process environment (`setenv` racing another
+/// thread's `getenv` is UB on glibc).
+fn parse_trials(var: Option<&str>) -> Option<u64> {
+    var.and_then(|v| v.trim().parse().ok()).filter(|&n| n > 0)
 }
 
 /// Run `f` for seeds `0..trials` and summarise the returned values.
@@ -56,6 +81,35 @@ where
     F: Fn(u64) -> f64 + Sync,
 {
     par_summary(trials, f)
+}
+
+/// Routing time and maximum queue length over seeds `0..trials`, both
+/// read from **one** simulation per seed (runs are deterministic per
+/// seed, so two passes would only repeat the work).
+pub struct Measured {
+    /// Digest of `metrics.routing_time`.
+    pub time: Summary,
+    /// Digest of `metrics.max_queue`.
+    pub queue: Summary,
+}
+
+/// Run `f` — one simulation, returning its metrics — for seeds
+/// `0..trials` in parallel, seed order preserved, and digest each run's
+/// routing time and maximum queue.
+pub fn measure<F>(trials: u64, f: F) -> Measured
+where
+    F: Fn(u64) -> Metrics + Sync,
+{
+    let (time, queue): (Vec<f64>, Vec<f64>) = par_trial_values(trials, |seed| {
+        let metrics = f(seed);
+        (metrics.routing_time as f64, metrics.max_queue as f64)
+    })
+    .into_iter()
+    .unzip();
+    Measured {
+        time: Summary::of(&time),
+        queue: Summary::of(&queue),
+    }
 }
 
 /// Alias of [`trials`], kept for call sites that want to be explicit that
@@ -187,6 +241,32 @@ impl Table {
     }
 }
 
+/// The text an experiment produces — tables, notes, figure renderings —
+/// accumulated in memory so a test can compare it without spawning a
+/// process.
+#[derive(Debug, Default)]
+pub struct Report {
+    text: String,
+}
+
+impl Report {
+    /// Append a rendered table.
+    pub fn table(&mut self, table: &Table) {
+        self.text.push_str(&table.render());
+    }
+
+    /// Append `text` and a newline (what `println!` would have printed).
+    pub fn note(&mut self, text: impl AsRef<str>) {
+        self.text.push_str(text.as_ref());
+        self.text.push('\n');
+    }
+
+    /// Everything appended so far.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+}
+
 /// Format helpers for table cells.
 pub mod fmt {
     use lnpram_math::stats::Summary;
@@ -227,12 +307,13 @@ mod tests {
 
     #[test]
     fn trial_count_parsing() {
-        assert_eq!(parse_trial_count(None, 12), 12);
-        assert_eq!(parse_trial_count(Some("3"), 12), 3);
-        assert_eq!(parse_trial_count(Some(" 5 "), 12), 5);
-        assert_eq!(parse_trial_count(Some("0"), 12), 12);
-        assert_eq!(parse_trial_count(Some("not-a-number"), 12), 12);
-        assert_eq!(parse_trial_count(Some(""), 12), 12);
+        let count = |var| Trials(parse_trials(var)).count(12);
+        assert_eq!(count(None), 12);
+        assert_eq!(count(Some("3")), 3);
+        assert_eq!(count(Some(" 5 ")), 5);
+        assert_eq!(count(Some("0")), 12);
+        assert_eq!(count(Some("not-a-number")), 12);
+        assert_eq!(count(Some("")), 12);
     }
 
     #[test]

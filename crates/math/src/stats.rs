@@ -130,9 +130,10 @@ impl Summary {
 /// `(seed, value)` list, and results are re-sorted by seed afterwards, so
 /// the output is **identical to the serial loop** regardless of thread
 /// schedule: determinism is per seed, not per schedule.
-pub fn par_trial_values<F>(trials: u64, f: F) -> Vec<f64>
+pub fn par_trial_values<T, F>(trials: u64, f: F) -> Vec<T>
 where
-    F: Fn(u64) -> f64 + Sync,
+    T: Send,
+    F: Fn(u64) -> T + Sync,
 {
     let workers = std::env::var("LNPRAM_THREADS")
         .ok()
@@ -145,16 +146,17 @@ where
 /// [`par_trial_values`] with an explicit worker count (normally one per
 /// core; override the default with the `LNPRAM_THREADS` environment
 /// variable). `workers <= 1` runs the plain serial loop.
-pub fn par_trial_values_with_workers<F>(trials: u64, workers: usize, f: F) -> Vec<f64>
+pub fn par_trial_values_with_workers<T, F>(trials: u64, workers: usize, f: F) -> Vec<T>
 where
-    F: Fn(u64) -> f64 + Sync,
+    T: Send,
+    F: Fn(u64) -> T + Sync,
 {
     let workers = workers.min(trials.max(1) as usize);
     if workers <= 1 {
         return (0..trials).map(f).collect();
     }
     let next = std::sync::atomic::AtomicU64::new(0);
-    let per_worker: Vec<Vec<(u64, f64)>> = std::thread::scope(|scope| {
+    let per_worker: Vec<Vec<(u64, T)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
@@ -174,7 +176,7 @@ where
             .map(|h| h.join().expect("trial worker panicked"))
             .collect()
     });
-    let mut tagged: Vec<(u64, f64)> = per_worker.into_iter().flatten().collect();
+    let mut tagged: Vec<(u64, T)> = per_worker.into_iter().flatten().collect();
     tagged.sort_unstable_by_key(|&(seed, _)| seed);
     tagged.into_iter().map(|(_, v)| v).collect()
 }
