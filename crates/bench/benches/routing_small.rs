@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lnpram_routing::mesh::default_slice_rows;
 use lnpram_routing::{
-    route_mesh_permutation, route_shuffle_permutation, route_star_permutation, MeshAlgorithm,
+    MeshAlgorithm, MeshRoutingSession, Router, ShuffleRoutingSession, StarRoutingSession,
 };
 use lnpram_simnet::SimConfig;
 use lnpram_topology::DWayShuffle;
@@ -16,7 +16,7 @@ fn bench_routers(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            route_star_permutation(5, seed, SimConfig::default())
+            StarRoutingSession::new(5, SimConfig::default()).route_permutation(seed)
         });
     });
     group.bench_function("shuffle4_permutation", |b| {
@@ -24,7 +24,7 @@ fn bench_routers(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            route_shuffle_permutation(sh, seed, SimConfig::default())
+            ShuffleRoutingSession::new(sh, SimConfig::default()).route_permutation(seed)
         });
     });
     group.bench_function("mesh16_three_stage", |b| {
@@ -34,7 +34,7 @@ fn bench_routers(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            route_mesh_permutation(16, alg, seed, SimConfig::default())
+            MeshRoutingSession::new(16, alg, SimConfig::default()).route_permutation(seed)
         });
     });
     group.finish();

@@ -2,7 +2,7 @@
 //! simulator's step loop (transmit + process) under load.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lnpram_routing::route_leveled_permutation;
+use lnpram_routing::{LeveledRoutingSession, Router};
 use lnpram_simnet::SimConfig;
 use lnpram_topology::leveled::RadixButterfly;
 
@@ -15,7 +15,7 @@ fn bench_sim_step(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                route_leveled_permutation(net, seed, SimConfig::default())
+                LeveledRoutingSession::new(net, SimConfig::default()).route_permutation(seed)
             });
         });
     }

@@ -25,15 +25,13 @@
 //! floor of 1.
 //!
 //! The public entry point is [`BitonicRoutingSession`] — the
-//! [`Router`] instance for sort-routing. (Historically
-//! the one-shots built a bare serial `Engine` and silently ignored
-//! `cfg.shards`.) The sorting network's per-node state is kept per
+//! [`Router`](crate::Router) instance for sort-routing. The sorting
+//! network's per-node state is kept per
 //! *global* node, so batched multi-tenant runs sort each tenant's copy
 //! independently.
 
 use crate::router::{
-    batch_engine, is_relation, pattern_dests, PatternRef, RouteBackend, Router, RoutingSession,
-    RunExtras,
+    batch_engine, is_relation, pattern_dests, PatternRef, RouteBackend, RoutingSession, RunExtras,
 };
 use crate::workloads;
 use lnpram_math::rng::SeedSeq;
@@ -238,10 +236,20 @@ impl RouteBackend for BitonicBackend {
 }
 
 /// A reusable bitonic sort-routing session: the
-/// [`Router`] instance for Batcher sort-routing on the
+/// [`Router`](crate::Router) instance for Batcher sort-routing on the
 /// k-cube (network + partition + engine built once, `cfg.shards`
 /// honored). Only permutation-shaped requests are legal — relation
 /// requests panic, which is §2.2.1's criticism made executable.
+///
+/// ```
+/// use lnpram_routing::bitonic::BitonicRoutingSession;
+/// use lnpram_routing::Router;
+/// use lnpram_simnet::SimConfig;
+/// let rep = BitonicRoutingSession::new(6, SimConfig::default()).route_permutation(1);
+/// assert!(rep.completed);
+/// assert_eq!(rep.metrics.routing_time, 21); // 6·7/2, input-independent
+/// assert_eq!(rep.metrics.max_queue, 1);     // sorting needs no queues
+/// ```
 pub type BitonicRoutingSession = RoutingSession<BitonicBackend>;
 
 impl RoutingSession<BitonicBackend> {
@@ -251,34 +259,10 @@ impl RoutingSession<BitonicBackend> {
     }
 }
 
-/// Route one random permutation on the k-cube by bitonic sorting.
-///
-/// ```
-/// use lnpram_routing::bitonic::route_cube_bitonic;
-/// use lnpram_simnet::SimConfig;
-/// let rep = route_cube_bitonic(6, 1, SimConfig::default());
-/// assert!(rep.completed);
-/// assert_eq!(rep.metrics.routing_time, 21); // 6·7/2, input-independent
-/// assert_eq!(rep.metrics.max_queue, 1);     // sorting needs no queues
-/// ```
-pub fn route_cube_bitonic(k: usize, seed: u64, cfg: SimConfig) -> crate::RunReport {
-    BitonicRoutingSession::new(k, cfg).route_permutation(seed)
-}
-
-/// Route an explicit permutation by bitonic sorting (destinations must be
-/// a permutation — sorting is only a router for one-to-one traffic, which
-/// is exactly §2.2.1's criticism of it).
-pub fn route_cube_bitonic_with_dests(
-    k: usize,
-    dests: &[usize],
-    cfg: SimConfig,
-) -> crate::RunReport {
-    BitonicRoutingSession::new(k, cfg).route_direct(dests)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Router;
 
     /// The stage count `k(k+1)/2` a run must match.
     fn expected_steps(rep: &crate::RunReport) -> u32 {
@@ -303,7 +287,8 @@ mod tests {
     fn sorts_any_permutation_in_exact_steps() {
         for k in [1usize, 2, 3, 5, 8] {
             for seed in 0..3u64 {
-                let rep = route_cube_bitonic(k, seed, SimConfig::default());
+                let rep =
+                    BitonicRoutingSession::new(k, SimConfig::default()).route_permutation(seed);
                 assert!(rep.completed, "k={k} seed={seed}");
                 assert_eq!(rep.metrics.delivered, 1 << k);
                 assert_eq!(
@@ -321,11 +306,11 @@ mod tests {
         let k = 4;
         let n = 1 << k;
         let identity: Vec<usize> = (0..n).collect();
-        let rep = route_cube_bitonic_with_dests(k, &identity, SimConfig::default());
+        let rep = BitonicRoutingSession::new(k, SimConfig::default()).route_direct(&identity);
         assert!(rep.completed);
         assert_eq!(rep.metrics.delivered, n);
         let reversal: Vec<usize> = (0..n).rev().collect();
-        let rep = route_cube_bitonic_with_dests(k, &reversal, SimConfig::default());
+        let rep = BitonicRoutingSession::new(k, SimConfig::default()).route_direct(&reversal);
         assert!(rep.completed);
         // Sorting time does not depend on the permutation at all.
         assert_eq!(rep.metrics.routing_time, expected_steps(&rep));
@@ -335,7 +320,7 @@ mod tests {
     #[should_panic(expected = "permutation")]
     fn many_one_rejected() {
         let dests = vec![0usize; 8];
-        let _ = route_cube_bitonic_with_dests(3, &dests, SimConfig::default());
+        let _ = BitonicRoutingSession::new(3, SimConfig::default()).route_direct(&dests);
     }
 
     #[test]
@@ -349,10 +334,10 @@ mod tests {
     fn slower_than_valiant_at_scale() {
         // §2.2.1's point: Θ(log² N) loses to Õ(log N) once log N is large
         // enough to dominate the constants.
-        use crate::hypercube::route_cube_permutation;
+        use crate::hypercube::CubeRoutingSession;
         let k = 10;
-        let bitonic = route_cube_bitonic(k, 1, SimConfig::default());
-        let valiant = route_cube_permutation(k, 1, SimConfig::default());
+        let bitonic = BitonicRoutingSession::new(k, SimConfig::default()).route_permutation(1);
+        let valiant = CubeRoutingSession::new(k, SimConfig::default()).route_permutation(1);
         assert!(bitonic.completed && valiant.completed);
         assert!(
             bitonic.metrics.routing_time > valiant.metrics.routing_time,
@@ -367,8 +352,8 @@ mod tests {
 
     #[test]
     fn session_honors_shards_and_reuse() {
-        // The satellite bugfix: the bitonic one-shots used to build a
-        // bare serial `Engine`, silently ignoring `cfg.shards`.
+        // Pinned since a bugfix: bitonic routing used to build a bare
+        // serial `Engine`, silently ignoring `cfg.shards`.
         let sharded = SimConfig {
             shards: 2,
             ..SimConfig::default()
@@ -377,7 +362,7 @@ mod tests {
         assert!(session.is_sharded());
         for seed in 0..3u64 {
             let s = session.route_permutation(seed);
-            let fresh = route_cube_bitonic(4, seed, SimConfig::default());
+            let fresh = BitonicRoutingSession::new(4, SimConfig::default()).route_permutation(seed);
             assert_eq!(s.completed, fresh.completed);
             assert_eq!(s.metrics.routing_time, fresh.metrics.routing_time);
             assert_eq!(s.metrics.delivered, fresh.metrics.delivered);

@@ -10,12 +10,10 @@
 //! unbounded radix and the cube's log N degree.
 //!
 //! The public entry point is [`CccRoutingSession`] — the
-//! [`Router`] instance for CCC. (Historically
-//! [`route_ccc_permutation`] built a bare serial `Engine` and silently
-//! ignored `cfg.shards`; the session routes through
-//! [`AnyEngine`](lnpram_shard::AnyEngine).)
+//! [`Router`](crate::Router) instance for CCC; it routes through
+//! [`AnyEngine`](lnpram_shard::AnyEngine), so `cfg.shards` is honored.
 
-use crate::router::{Router, RoutingSession, RunExtras};
+use crate::router::{RoutingSession, RunExtras};
 use crate::two_phase::{CanonicalRouter, TwoPhase, TwoPhaseBackend};
 use lnpram_simnet::SimConfig;
 use lnpram_topology::CubeConnectedCycles;
@@ -62,7 +60,7 @@ impl CccBackend {
 }
 
 /// A reusable two-phase routing session on CCC(k): the
-/// [`Router`] instance for cube-connected cycles
+/// [`Router`](crate::Router) instance for cube-connected cycles
 /// (network + partition + engine built once, `cfg.shards` honored).
 pub type CccRoutingSession = RoutingSession<CccBackend>;
 
@@ -73,21 +71,15 @@ impl RoutingSession<CccBackend> {
     }
 }
 
-/// Route one random permutation on CCC(k) with the two-phase scheme.
-/// One-shot convenience over [`CccRoutingSession`]; loops should hold a
-/// session.
-pub fn route_ccc_permutation(k: usize, seed: u64, cfg: SimConfig) -> crate::RunReport {
-    CccRoutingSession::new(k, cfg).route_permutation(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Router;
 
     #[test]
     fn permutation_delivers_all() {
         for k in [3usize, 4, 5] {
-            let rep = route_ccc_permutation(k, 1, SimConfig::default());
+            let rep = CccRoutingSession::new(k, SimConfig::default()).route_permutation(1);
             assert!(rep.completed, "k={k}");
             assert_eq!(rep.metrics.delivered, k << k);
             assert_eq!(rep.norm(), ccc_diameter(k));
@@ -100,7 +92,7 @@ mod tests {
         // diameter across sizes (the degree-3 links carry more load than
         // a butterfly's, so the constant is larger than 2).
         for (k, cap) in [(4usize, 8.0), (6, 8.0), (8, 8.0)] {
-            let rep = route_ccc_permutation(k, 2, SimConfig::default());
+            let rep = CccRoutingSession::new(k, SimConfig::default()).route_permutation(2);
             assert!(rep.completed);
             assert!(
                 rep.time_per_norm() <= cap,
@@ -112,7 +104,7 @@ mod tests {
 
     #[test]
     fn queues_stay_modest() {
-        let rep = route_ccc_permutation(6, 3, SimConfig::default());
+        let rep = CccRoutingSession::new(6, SimConfig::default()).route_permutation(3);
         // Degree 3, N = 384: queues should stay far below N (Fact 2.5's
         // O(T) bound at T = O(k) means tens at most).
         assert!(
@@ -124,16 +116,16 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = route_ccc_permutation(5, 9, SimConfig::default());
-        let b = route_ccc_permutation(5, 9, SimConfig::default());
+        let a = CccRoutingSession::new(5, SimConfig::default()).route_permutation(9);
+        let b = CccRoutingSession::new(5, SimConfig::default()).route_permutation(9);
         assert_eq!(a.metrics.routing_time, b.metrics.routing_time);
         assert_eq!(a.metrics.max_queue, b.metrics.max_queue);
     }
 
     #[test]
     fn session_honors_shards_and_reuse() {
-        // The satellite bugfix: `route_ccc_permutation` used to build a
-        // bare serial `Engine`, silently ignoring `cfg.shards`.
+        // Pinned since a bugfix: CCC routing used to build a bare
+        // serial `Engine`, silently ignoring `cfg.shards`.
         let sharded = SimConfig {
             shards: 4,
             ..SimConfig::default()
@@ -142,7 +134,7 @@ mod tests {
         assert!(session.is_sharded());
         for seed in 0..3u64 {
             let s = session.route_permutation(seed);
-            let fresh = route_ccc_permutation(4, seed, SimConfig::default());
+            let fresh = CccRoutingSession::new(4, SimConfig::default()).route_permutation(seed);
             assert_eq!(s.completed, fresh.completed);
             assert_eq!(s.metrics.routing_time, fresh.metrics.routing_time);
             assert_eq!(s.metrics.delivered, fresh.metrics.delivered);

@@ -7,16 +7,14 @@
 //! point (§1, §2.3.4): the cube's degree *and* diameter are log N, while
 //! the star graph achieves strictly smaller degree and diameter at the
 //! same size — so the star's Õ(diameter) routing beats what any cube
-//! algorithm can do. `table_intro_star_vs_cube` measures the comparison.
+//! algorithm can do. The `intro_star_vs_cube` experiment measures it.
 //!
 //! The public entry point is [`CubeRoutingSession`] — the
-//! [`Router`] instance for the hypercube. (Historically
-//! [`route_cube_permutation`] built a bare serial `Engine` and silently
-//! ignored `cfg.shards`; the session routes through
-//! [`AnyEngine`](lnpram_shard::AnyEngine), so sharding works here like
-//! on every other topology.)
+//! [`Router`](crate::Router) instance for the hypercube; it routes
+//! through [`AnyEngine`](lnpram_shard::AnyEngine), so sharding works
+//! here like on every other topology.
 
-use crate::router::{Router, RoutingSession, RunExtras};
+use crate::router::{RoutingSession, RunExtras};
 use crate::two_phase::{TwoPhase, TwoPhaseBackend};
 use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::hypercube::Hypercube;
@@ -69,7 +67,7 @@ impl CubeBackend {
 }
 
 /// A reusable Valiant-routing session on the k-cube: the
-/// [`Router`] instance for the hypercube (network +
+/// [`Router`](crate::Router) instance for the hypercube (network +
 /// partition + engine built once, `cfg.shards` honored).
 pub type CubeRoutingSession = RoutingSession<CubeBackend>;
 
@@ -80,21 +78,15 @@ impl RoutingSession<CubeBackend> {
     }
 }
 
-/// Route one random permutation on the n-cube with Valiant's two-phase
-/// randomized e-cube algorithm. One-shot convenience over
-/// [`CubeRoutingSession`]; loops should hold a session.
-pub fn route_cube_permutation(dims: usize, seed: u64, cfg: SimConfig) -> crate::RunReport {
-    CubeRoutingSession::new(dims, cfg).route_permutation(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Router;
 
     #[test]
     fn permutation_on_cube_delivers_all() {
         for dims in [3usize, 6, 8] {
-            let rep = route_cube_permutation(dims, 1, SimConfig::default());
+            let rep = CubeRoutingSession::new(dims, SimConfig::default()).route_permutation(1);
             assert!(rep.completed, "dims={dims}");
             assert_eq!(rep.metrics.delivered, 1 << dims);
             assert_eq!(rep.norm(), dims);
@@ -104,8 +96,12 @@ mod tests {
     #[test]
     fn time_linear_in_dimension() {
         // Valiant: Õ(log N) = Õ(dims); constant should be small and flat.
-        let c6 = route_cube_permutation(6, 2, SimConfig::default()).time_per_norm();
-        let c10 = route_cube_permutation(10, 2, SimConfig::default()).time_per_norm();
+        let c6 = CubeRoutingSession::new(6, SimConfig::default())
+            .route_permutation(2)
+            .time_per_norm();
+        let c10 = CubeRoutingSession::new(10, SimConfig::default())
+            .route_permutation(2)
+            .time_per_norm();
         assert!(c6 < 6.0, "{c6:.2}");
         assert!(c10 < 1.8 * c6, "{c6:.2} -> {c10:.2}");
     }
@@ -115,9 +111,9 @@ mod tests {
         // The introduction's comparison, measured: star(7) (5040 nodes,
         // diameter 9) routes faster in absolute steps than cube(13)
         // (8192 nodes, diameter 13).
-        use crate::star::route_star_permutation;
-        let star = route_star_permutation(7, 5, SimConfig::default());
-        let cube = route_cube_permutation(13, 5, SimConfig::default());
+        use crate::star::StarRoutingSession;
+        let star = StarRoutingSession::new(7, SimConfig::default()).route_permutation(5);
+        let cube = CubeRoutingSession::new(13, SimConfig::default()).route_permutation(5);
         assert!(star.completed && cube.completed);
         assert!(
             star.metrics.routing_time < cube.metrics.routing_time,
@@ -129,16 +125,16 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = route_cube_permutation(8, 7, SimConfig::default());
-        let b = route_cube_permutation(8, 7, SimConfig::default());
+        let a = CubeRoutingSession::new(8, SimConfig::default()).route_permutation(7);
+        let b = CubeRoutingSession::new(8, SimConfig::default()).route_permutation(7);
         assert_eq!(a.metrics.routing_time, b.metrics.routing_time);
     }
 
     #[test]
     fn session_honors_shards_and_reuse() {
-        // The satellite bugfix: `route_cube_permutation` used to build a
-        // bare serial `Engine`, silently ignoring `cfg.shards`. The
-        // session routes through `AnyEngine`; sharded == serial.
+        // Pinned since a bugfix: cube routing used to build a bare
+        // serial `Engine`, silently ignoring `cfg.shards`. The session
+        // routes through `AnyEngine`; sharded == serial.
         let sharded = SimConfig {
             shards: 3,
             ..SimConfig::default()
@@ -147,7 +143,7 @@ mod tests {
         assert!(session.is_sharded());
         for seed in 0..3u64 {
             let s = session.route_permutation(seed);
-            let fresh = route_cube_permutation(5, seed, SimConfig::default());
+            let fresh = CubeRoutingSession::new(5, SimConfig::default()).route_permutation(seed);
             assert_eq!(s.completed, fresh.completed);
             assert_eq!(s.metrics.routing_time, fresh.metrics.routing_time);
             assert_eq!(s.metrics.delivered, fresh.metrics.delivered);

@@ -16,8 +16,7 @@
 //! leveled network whose second half repeats the first.
 //!
 //! The public entry point is [`LeveledRoutingSession`] — the
-//! [`Router`](crate::Router) instance for leveled networks; the
-//! `route_leveled_*` one-shots are thin wrappers over it.
+//! [`Router`](crate::Router) instance for leveled networks.
 
 use crate::router::{
     batch_engine, inject_per_source, PatternRef, ReplicatedProtocol, RouteBackend, RoutingSession,
@@ -243,57 +242,6 @@ impl<L: Leveled + Copy> RoutingSession<LeveledBackend<L>> {
     }
 }
 
-/// Route one random permutation on `inner` per Algorithm 2.1 and
-/// Theorem 2.1. One-shot convenience over [`LeveledRoutingSession`];
-/// loops should hold a session.
-pub fn route_leveled_permutation<L: Leveled + Copy>(
-    inner: L,
-    seed: u64,
-    cfg: SimConfig,
-) -> crate::RunReport {
-    use crate::router::Router;
-    LeveledRoutingSession::new(inner, cfg).route_permutation(seed)
-}
-
-/// Route an explicit destination map (one packet per first-column node).
-/// One-shot convenience over [`LeveledRoutingSession`]; loops should hold
-/// a session instead.
-pub fn route_leveled_with_dests<L: Leveled + Copy>(
-    inner: L,
-    dests: &[usize],
-    seq: SeedSeq,
-    cfg: SimConfig,
-) -> crate::RunReport {
-    LeveledRoutingSession::new(inner, cfg).route_with_dests(dests, seq)
-}
-
-/// Route an explicit destination map **without** the phase-1
-/// randomization: every packet's `via` is its destination, so it follows
-/// the unique (deterministic, oblivious) path twice. This is the ablation
-/// of Algorithm 2.1's random intermediate — on adversarial patterns the
-/// fixed paths congest specific links (the Borodin–Hopcroft phenomenon
-/// that motivates Valiant-style randomization in §2.2.1).
-pub fn route_leveled_direct<L: Leveled + Copy>(
-    inner: L,
-    dests: &[usize],
-    cfg: SimConfig,
-) -> crate::RunReport {
-    LeveledRoutingSession::new(inner, cfg).route_direct(dests)
-}
-
-/// Route a partial h-relation (Theorem 2.4 with `h = ℓ` is the partial
-/// ℓ-relation the emulation uses): each first-column node originates up to
-/// `h` packets and each last-column node receives up to `h`.
-pub fn route_leveled_relation<L: Leveled + Copy>(
-    inner: L,
-    h: usize,
-    seed: u64,
-    cfg: SimConfig,
-) -> crate::RunReport {
-    use crate::router::Router;
-    LeveledRoutingSession::new(inner, cfg).route_relation(h, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,7 +278,7 @@ mod tests {
     #[test]
     fn permutation_routing_delivers_everything() {
         let inner = RadixButterfly::new(2, 6); // 64 rows
-        let rep = route_leveled_permutation(inner, 42, SimConfig::default());
+        let rep = LeveledRoutingSession::new(inner, SimConfig::default()).route_permutation(42);
         assert!(rep.completed);
         assert_eq!(rep.metrics.delivered, 64);
         // Path length is exactly 2ℓ = 12; with contention the routing time
@@ -346,7 +294,8 @@ mod tests {
         // so time > 2ℓ is possible; but delivery count must be exact.
         let inner = UnrolledShuffle::new(3, 3); // 27 nodes
         let dests: Vec<usize> = (0..27).collect();
-        let rep = route_leveled_with_dests(inner, &dests, SeedSeq::new(7), SimConfig::default());
+        let rep = LeveledRoutingSession::new(inner, SimConfig::default())
+            .route_with_dests(&dests, SeedSeq::new(7));
         assert!(rep.completed);
         assert_eq!(rep.metrics.delivered, 27);
     }
@@ -358,7 +307,8 @@ mod tests {
         // ℓ = 5 and ℓ = 10 and allow generous slack.
         let t5: f64 = (0..5)
             .map(|s| {
-                route_leveled_permutation(RadixButterfly::new(2, 5), s, SimConfig::default())
+                LeveledRoutingSession::new(RadixButterfly::new(2, 5), SimConfig::default())
+                    .route_permutation(s)
                     .metrics
                     .routing_time as f64
             })
@@ -366,7 +316,8 @@ mod tests {
             / 5.0;
         let t10: f64 = (0..5)
             .map(|s| {
-                route_leveled_permutation(RadixButterfly::new(2, 10), s, SimConfig::default())
+                LeveledRoutingSession::new(RadixButterfly::new(2, 10), SimConfig::default())
+                    .route_permutation(s)
                     .metrics
                     .routing_time as f64
             })
@@ -381,7 +332,7 @@ mod tests {
 
     #[test]
     fn session_reuse_matches_one_shot() {
-        // A warmed session must reproduce the one-shot entry points
+        // A warmed session must reproduce a freshly built one
         // bit-for-bit: engine reuse is a cost optimisation, not a
         // behaviour change (this is what lets Lemma 2.1's retry loop
         // recycle one engine).
@@ -392,8 +343,8 @@ mod tests {
             let mut rng = seq.child(0).rng();
             let dests = workloads::random_permutation(32, &mut rng);
             let reused = session.route_with_dests(&dests, SeedSeq::new(seed));
-            let fresh =
-                route_leveled_with_dests(inner, &dests, SeedSeq::new(seed), SimConfig::default());
+            let fresh = LeveledRoutingSession::new(inner, SimConfig::default())
+                .route_with_dests(&dests, SeedSeq::new(seed));
             assert_eq!(reused.completed, fresh.completed);
             assert_eq!(reused.metrics.routing_time, fresh.metrics.routing_time);
             assert_eq!(reused.metrics.delivered, fresh.metrics.delivered);
@@ -424,7 +375,7 @@ mod tests {
     fn relation_routing_ell_relation() {
         // Theorem 2.4's regime: h = ℓ packets per node.
         let inner = RadixButterfly::new(4, 3); // ℓ=3, d=4, 64 nodes
-        let rep = route_leveled_relation(inner, 3, 11, SimConfig::default());
+        let rep = LeveledRoutingSession::new(inner, SimConfig::default()).route_relation(3, 11);
         assert!(rep.completed);
         assert_eq!(rep.metrics.delivered, 64 * 3);
         assert_eq!(rep.packets, 192);
@@ -436,7 +387,8 @@ mod tests {
         // multiple over several seeds.
         let inner = RadixButterfly::new(2, 8);
         for seed in 0..5 {
-            let rep = route_leveled_permutation(inner, seed, SimConfig::default());
+            let rep =
+                LeveledRoutingSession::new(inner, SimConfig::default()).route_permutation(seed);
             assert!(rep.completed);
             assert!(
                 rep.metrics.max_queue <= 4 * 8,
@@ -462,8 +414,9 @@ mod tests {
             record_link_loads: true,
             ..Default::default()
         };
-        let direct = route_leveled_direct(inner, &dests, cfg.clone());
-        let random = route_leveled_with_dests(inner, &dests, SeedSeq::new(3), cfg);
+        let direct = LeveledRoutingSession::new(inner, cfg.clone()).route_direct(&dests);
+        let random =
+            LeveledRoutingSession::new(inner, cfg).route_with_dests(&dests, SeedSeq::new(3));
         assert!(direct.completed && random.completed);
         let max_of = |rep: &RunReport| rep.metrics.link_loads.iter().copied().max().unwrap_or(0);
         assert!(
@@ -482,7 +435,7 @@ mod tests {
             max_steps: 3, // far below 2ℓ = 12
             ..Default::default()
         };
-        let rep = route_leveled_permutation(inner, 1, cfg);
+        let rep = LeveledRoutingSession::new(inner, cfg).route_permutation(1);
         assert!(!rep.completed);
         assert!(rep.metrics.delivered < 64);
     }
@@ -490,11 +443,11 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let inner = UnrolledShuffle::new(4, 4);
-        let a = route_leveled_permutation(inner, 123, SimConfig::default());
-        let b = route_leveled_permutation(inner, 123, SimConfig::default());
+        let a = LeveledRoutingSession::new(inner, SimConfig::default()).route_permutation(123);
+        let b = LeveledRoutingSession::new(inner, SimConfig::default()).route_permutation(123);
         assert_eq!(a.metrics.routing_time, b.metrics.routing_time);
         assert_eq!(a.metrics.max_queue, b.metrics.max_queue);
-        let c = route_leveled_permutation(inner, 124, SimConfig::default());
+        let c = LeveledRoutingSession::new(inner, SimConfig::default()).route_permutation(124);
         // different seed will almost surely differ somewhere
         assert!(
             a.metrics.routing_time != c.metrics.routing_time

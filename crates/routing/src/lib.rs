@@ -50,7 +50,7 @@
 //! session — [`LeveledRoutingSession`], [`StarRoutingSession`],
 //! [`MeshRoutingSession`], [`CubeRoutingSession`](hypercube::CubeRoutingSession),
 //! [`CccRoutingSession`](ccc::CccRoutingSession),
-//! [`ShuffleRoutingSession`](shuffle::ShuffleRoutingSession),
+//! [`ShuffleRoutingSession`],
 //! [`BitonicRoutingSession`](bitonic::BitonicRoutingSession) — that
 //! builds network + partition plan + engine **once** and honors
 //! `cfg.shards` everywhere. [`Router::route_batch`] co-routes several
@@ -84,10 +84,8 @@ pub mod two_phase;
 pub mod workloads;
 
 pub use fault::{FaultReport, LostPacket};
-pub use leveled::{
-    route_leveled_permutation, route_leveled_relation, DoubledLeveled, LeveledRoutingSession,
-};
-pub use mesh::{mesh_engine, route_mesh_permutation, MeshAlgorithm, MeshRoutingSession};
+pub use leveled::{DoubledLeveled, LeveledRoutingSession};
+pub use mesh::{mesh_engine, MeshAlgorithm, MeshRoutingSession};
 pub use router::{
     BatchReport, RouteBackend, RoutePattern, RouteRequest, Router, RoutingSession, RunExtras,
     RunReport, TenantReport,
@@ -96,5 +94,5 @@ pub use serve::{
     AdmissionEntry, OpenLoopWorkload, OverloadPolicy, RequestOutcome, RequestStatus, Serve,
     ServeConfig, ServeError, ServeReport, ServeSession, TenantServeStats,
 };
-pub use shuffle::route_shuffle_permutation;
-pub use star::{route_star_permutation, star_engine, StarRoutingSession};
+pub use shuffle::ShuffleRoutingSession;
+pub use star::{star_engine, StarRoutingSession};

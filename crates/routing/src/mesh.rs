@@ -21,16 +21,14 @@
 //! mesh result, which stage 1 + the slice idea improve to `2n + o(n)`).
 //!
 //! The public entry point is [`MeshRoutingSession`] — the
-//! [`Router`] instance for the mesh; the `route_mesh_*`
-//! one-shots are thin wrappers over it. A [`RoutePattern::Direct`](crate::RoutePattern::Direct)
-//! request drops the stage-1 randomization (`via = src`), which
+//! [`Router`](crate::Router) instance for the mesh. A
+//! [`RoutePattern::Direct`](crate::RoutePattern::Direct) request drops the stage-1 randomization (`via = src`), which
 //! degenerates every variant to deterministic dimension-order routing.
 
 use crate::router::{
-    batch_engine, inject_per_source, PatternRef, ReplicatedProtocol, RouteBackend, Router,
-    RoutingSession, RunExtras,
+    batch_engine, inject_per_source, PatternRef, ReplicatedProtocol, RouteBackend, RoutingSession,
+    RunExtras,
 };
-use crate::workloads;
 use lnpram_math::rng::SeedSeq;
 use lnpram_shard::{AnyEngine, RowBlock};
 use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, SimConfig};
@@ -323,14 +321,14 @@ impl RouteBackend for MeshBackend {
     }
 }
 
-/// A reusable mesh routing session: the [`Router`]
+/// A reusable mesh routing session: the [`Router`](crate::Router)
 /// instance for the mesh. The mesh, its partition plan and the
 /// [`AnyEngine`] are built **once** for a fixed algorithm, then any
 /// number of requests are routed through it, recycling the engine with
-/// `reset` per run. The one-shot entry points rebuild all of that per
-/// call — construction that dominates routing on small meshes (the
-/// `BENCH_3.json` regression this type closed), so loops should hold a
-/// session. Outcomes are bit-identical to the one-shots (pinned by
+/// `reset` per run. Construction dominates routing on small meshes
+/// (the per-run rebuild PR 3 measured and this type closed), so loops
+/// should hold one session instead of building one per request.
+/// Outcomes are bit-identical to a freshly built session's (pinned by
 /// property tests).
 pub type MeshRoutingSession = RoutingSession<MeshBackend>;
 
@@ -342,7 +340,7 @@ impl RoutingSession<MeshBackend> {
     }
 
     /// Session over an already-built mesh, taking `cfg.discipline` as
-    /// given (the [`route_mesh_with_dests`] contract).
+    /// given.
     pub fn from_mesh(mesh: Mesh, alg: MeshAlgorithm, cfg: SimConfig) -> Self {
         RoutingSession::with_backend(MeshBackend::new(mesh, alg), cfg)
     }
@@ -358,55 +356,18 @@ impl RoutingSession<MeshBackend> {
     }
 }
 
-/// Route one uniformly random permutation on the `n×n` mesh. One-shot
-/// convenience over [`MeshRoutingSession`]; loops should hold a session.
-pub fn route_mesh_permutation(
-    n: usize,
-    alg: MeshAlgorithm,
-    seed: u64,
-    cfg: SimConfig,
-) -> crate::RunReport {
-    MeshRoutingSession::new(n, alg, cfg).route_permutation(seed)
-}
-
-/// Route an explicit destination map (one packet per node; `dests[i] == i`
-/// injects a packet that delivers immediately). One-shot convenience over
-/// [`MeshRoutingSession`]; loops should hold a session.
-pub fn route_mesh_with_dests(
-    mesh: Mesh,
-    dests: &[usize],
-    alg: MeshAlgorithm,
-    seq: SeedSeq,
-    cfg: SimConfig,
-) -> crate::RunReport {
-    MeshRoutingSession::from_mesh(mesh, alg, cfg).route_with_dests(dests, seq)
-}
-
-/// Theorem 3.3's workload: a permutation in which every packet travels at
-/// most Manhattan distance `d`, routed with the three-stage algorithm whose
-/// slice height is capped at `O(d)` so stage 1 stays local.
-pub fn route_mesh_local(n: usize, d: usize, seed: u64, mut cfg: SimConfig) -> crate::RunReport {
-    let slice_rows = default_slice_rows(n).min(d.max(1));
-    let alg = MeshAlgorithm::ThreeStage { slice_rows };
-    cfg.discipline = canonical_discipline(alg);
-    let mesh = Mesh::square(n);
-    let seq = SeedSeq::new(seed);
-    let mut rng = seq.child(0).rng();
-    let dests = workloads::local_permutation(&mesh, d, &mut rng);
-    route_mesh_with_dests(mesh, &dests, alg, seq, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::RouteRequest;
+    use crate::router::{RouteRequest, Router};
+    use crate::workloads;
 
     #[test]
     fn three_stage_delivers_all() {
         let alg = MeshAlgorithm::ThreeStage {
             slice_rows: default_slice_rows(8),
         };
-        let rep = route_mesh_permutation(8, alg, 1, SimConfig::default());
+        let rep = MeshRoutingSession::new(8, alg, SimConfig::default()).route_permutation(1);
         assert!(rep.completed);
         assert_eq!(rep.metrics.delivered, 64);
         assert_eq!(rep.norm(), 8);
@@ -419,7 +380,8 @@ mod tests {
             slice_rows: default_slice_rows(16),
         };
         for seed in 0..3 {
-            let rep = route_mesh_permutation(16, alg, seed, SimConfig::default());
+            let rep =
+                MeshRoutingSession::new(16, alg, SimConfig::default()).route_permutation(seed);
             assert!(rep.completed);
             assert!(
                 rep.time_per_norm() <= 4.0,
@@ -431,7 +393,8 @@ mod tests {
 
     #[test]
     fn greedy_delivers_all() {
-        let rep = route_mesh_permutation(8, MeshAlgorithm::Greedy, 2, SimConfig::default());
+        let rep = MeshRoutingSession::new(8, MeshAlgorithm::Greedy, SimConfig::default())
+            .route_permutation(2);
         assert!(rep.completed);
         assert_eq!(rep.metrics.delivered, 64);
     }
@@ -439,7 +402,8 @@ mod tests {
     #[test]
     fn valiant_brebner_delivers_all_and_is_slower() {
         let n = 16;
-        let vb = route_mesh_permutation(n, MeshAlgorithm::ValiantBrebner, 3, SimConfig::default());
+        let vb = MeshRoutingSession::new(n, MeshAlgorithm::ValiantBrebner, SimConfig::default())
+            .route_permutation(3);
         assert!(vb.completed);
         assert_eq!(vb.metrics.delivered, 256);
         // VB pays ~3n vs three-stage ~2n on average; check the ordering
@@ -449,12 +413,14 @@ mod tests {
         };
         let avg = |f: &dyn Fn(u64) -> f64| (0..5).map(f).sum::<f64>() / 5.0;
         let t3 = avg(&|s| {
-            route_mesh_permutation(n, alg, s, SimConfig::default())
+            MeshRoutingSession::new(n, alg, SimConfig::default())
+                .route_permutation(s)
                 .metrics
                 .routing_time as f64
         });
         let tvb = avg(&|s| {
-            route_mesh_permutation(n, MeshAlgorithm::ValiantBrebner, s, SimConfig::default())
+            MeshRoutingSession::new(n, MeshAlgorithm::ValiantBrebner, SimConfig::default())
+                .route_permutation(s)
                 .metrics
                 .routing_time as f64
         });
@@ -468,19 +434,26 @@ mod tests {
     fn identity_permutation_is_instant() {
         let mesh = Mesh::square(4);
         let dests: Vec<usize> = (0..16).collect();
-        let rep = route_mesh_with_dests(
-            mesh,
-            &dests,
-            MeshAlgorithm::Greedy,
-            SeedSeq::new(0),
-            SimConfig::default(),
-        );
+        let rep = MeshRoutingSession::from_mesh(mesh, MeshAlgorithm::Greedy, SimConfig::default())
+            .route_with_dests(&dests, SeedSeq::new(0));
         assert!(rep.completed);
         assert_eq!(rep.metrics.routing_time, 0);
     }
 
     #[test]
     fn local_routing_time_scales_with_d_not_n() {
+        /// Theorem 3.3's workload: a permutation in which every packet
+        /// travels at most Manhattan distance `d`, routed with the
+        /// three-stage algorithm whose slice height is capped at `O(d)`
+        /// so stage 1 stays local.
+        fn route_mesh_local(n: usize, d: usize, seed: u64, cfg: SimConfig) -> crate::RunReport {
+            let slice_rows = default_slice_rows(n).min(d.max(1));
+            let alg = MeshAlgorithm::ThreeStage { slice_rows };
+            let mut session = MeshRoutingSession::new(n, alg, cfg);
+            let seq = SeedSeq::new(seed);
+            let dests = workloads::local_permutation(session.mesh(), d, &mut seq.child(0).rng());
+            session.route_with_dests(&dests, seq)
+        }
         let n = 32;
         let rep_small = route_mesh_local(n, 4, 5, SimConfig::default());
         assert!(rep_small.completed);
@@ -504,7 +477,7 @@ mod tests {
             block_rows: default_block_rows(n),
         };
         for seed in 0..3 {
-            let rep = route_mesh_permutation(n, alg, seed, SimConfig::default());
+            let rep = MeshRoutingSession::new(n, alg, SimConfig::default()).route_permutation(seed);
             assert!(rep.completed);
             assert_eq!(rep.metrics.delivered, n * n);
             // Same 2n + o(n) bound: the in-block walk adds ≤ 2·log n.
@@ -539,7 +512,8 @@ mod tests {
                     ..SimConfig::default()
                 };
                 let dests = workloads::many_one(mesh.num_nodes(), &mut seq.child(7).rng());
-                let rep = route_mesh_with_dests(mesh, &dests, alg, seq, cfg);
+                let rep =
+                    MeshRoutingSession::from_mesh(mesh, alg, cfg).route_with_dests(&dests, seq);
                 assert!(rep.completed);
                 assert!(
                     rep.metrics.max_queue <= QUEUE_CAP,
@@ -557,21 +531,21 @@ mod tests {
         // three-stage routing (stage-1 draws differ, so only delivery
         // counts are comparable across the two runs).
         let n = 8;
-        let plain = route_mesh_permutation(
+        let plain = MeshRoutingSession::new(
             n,
             MeshAlgorithm::ThreeStage { slice_rows: 2 },
-            4,
             SimConfig::default(),
-        );
-        let constq = route_mesh_permutation(
+        )
+        .route_permutation(4);
+        let constq = MeshRoutingSession::new(
             n,
             MeshAlgorithm::ThreeStageConstQueue {
                 slice_rows: 2,
                 block_rows: 1,
             },
-            4,
             SimConfig::default(),
-        );
+        )
+        .route_permutation(4);
         assert!(plain.completed && constq.completed);
         assert_eq!(plain.metrics.delivered, constq.metrics.delivered);
     }
@@ -630,12 +604,14 @@ mod tests {
                     };
                     let perm =
                         workloads::random_permutation(mesh.num_nodes(), &mut seq.child(3).rng());
-                    qp += route_mesh_with_dests(mesh, &perm, alg, seq, cfg.clone())
+                    qp += MeshRoutingSession::from_mesh(mesh, alg, cfg.clone())
+                        .route_with_dests(&perm, seq)
                         .metrics
                         .max_queue;
                     let mesh = Mesh::square(n);
                     let m1 = workloads::many_one(mesh.num_nodes(), &mut seq.child(7).rng());
-                    qm += route_mesh_with_dests(mesh, &m1, alg, seq, cfg)
+                    qm += MeshRoutingSession::from_mesh(mesh, alg, cfg)
+                        .route_with_dests(&m1, seq)
                         .metrics
                         .max_queue;
                 }
@@ -665,8 +641,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let alg = MeshAlgorithm::ThreeStage { slice_rows: 4 };
-        let a = route_mesh_permutation(12, alg, 8, SimConfig::default());
-        let b = route_mesh_permutation(12, alg, 8, SimConfig::default());
+        let a = MeshRoutingSession::new(12, alg, SimConfig::default()).route_permutation(8);
+        let b = MeshRoutingSession::new(12, alg, SimConfig::default()).route_permutation(8);
         assert_eq!(a.metrics.routing_time, b.metrics.routing_time);
         assert_eq!(a.metrics.max_queue, b.metrics.max_queue);
     }
@@ -677,7 +653,8 @@ mod tests {
         let mut session = MeshRoutingSession::new(8, alg, SimConfig::default());
         for seed in 0..4u64 {
             let reused = session.route_permutation(seed);
-            let fresh = route_mesh_permutation(8, alg, seed, SimConfig::default());
+            let fresh =
+                MeshRoutingSession::new(8, alg, SimConfig::default()).route_permutation(seed);
             assert_eq!(reused.completed, fresh.completed);
             assert_eq!(reused.metrics.routing_time, fresh.metrics.routing_time);
             assert_eq!(reused.metrics.delivered, fresh.metrics.delivered);
@@ -752,16 +729,16 @@ mod tests {
                     discipline: canonical_discipline(alg),
                     ..Default::default()
                 };
-                let rep = route_mesh_with_dests(mesh, &dests, alg, SeedSeq::new(seed), cfg);
+                let rep = MeshRoutingSession::from_mesh(mesh, alg, cfg).route_with_dests(&dests, SeedSeq::new(seed));
                 prop_assert!(rep.completed);
                 prop_assert_eq!(rep.metrics.delivered, total);
                 prop_assert!(rep.metrics.routing_time as usize >= max_dist);
             }
 
             /// Session-reuse bit-identity: the N-th call on a warmed
-            /// session equals a fresh one-shot with the same seed, on
-            /// both the serial and the sharded path, including right
-            /// after an incomplete (budget-exhausted) run.
+            /// session equals a freshly built session with the same
+            /// seed, on both the serial and the sharded path, including
+            /// right after an incomplete (budget-exhausted) run.
             #[test]
             fn prop_mesh_session_reuse_bit_identity(
                 n in 4usize..=8,
@@ -782,7 +759,7 @@ mod tests {
                 session.set_max_steps(cfg.max_steps);
                 for &seed in &seeds {
                     let reused = session.route_permutation(seed);
-                    let fresh = route_mesh_permutation(n, alg, seed, cfg.clone());
+                    let fresh = MeshRoutingSession::new(n, alg, cfg.clone()).route_permutation(seed);
                     prop_assert_eq!(reused.completed, fresh.completed);
                     prop_assert_eq!(reused.metrics.routing_time, fresh.metrics.routing_time);
                     prop_assert_eq!(reused.metrics.delivered, fresh.metrics.delivered);
@@ -803,7 +780,8 @@ mod tests {
             slice_rows: default_slice_rows(16),
         };
         for seed in 0..3 {
-            let rep = route_mesh_permutation(16, alg, seed, SimConfig::default());
+            let rep =
+                MeshRoutingSession::new(16, alg, SimConfig::default()).route_permutation(seed);
             assert!(
                 rep.metrics.max_queue <= 16,
                 "seed {seed}: queue {}",

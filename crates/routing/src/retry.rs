@@ -373,8 +373,8 @@ mod tests {
         // The Lemma 2.1 usage pattern on the star: one session serves
         // every attempt (tight budgets fail, the relaxed final attempt
         // succeeds), and the winning attempt is bit-identical to a
-        // fresh one-shot with the same seed.
-        use crate::star::{route_star_permutation, StarRoutingSession};
+        // freshly built session with the same seed.
+        use crate::star::StarRoutingSession;
         use lnpram_simnet::SimConfig;
 
         let mut session = StarRoutingSession::new(4, SimConfig::default());
@@ -408,16 +408,16 @@ mod tests {
         assert!(report.succeeded);
         assert_eq!(report.attempts, 3);
         let (seed, time) = winning_seed.expect("a successful attempt");
-        let fresh = route_star_permutation(4, seed, SimConfig::default());
+        let fresh = StarRoutingSession::new(4, SimConfig::default()).route_permutation(seed);
         assert_eq!(
             time, fresh.metrics.routing_time,
-            "session attempt diverged from a fresh one-shot"
+            "session attempt diverged from a freshly built session"
         );
     }
 
     #[test]
     fn mesh_session_threads_through_retry_loop() {
-        use crate::mesh::{route_mesh_permutation, MeshAlgorithm, MeshRoutingSession};
+        use crate::mesh::{MeshAlgorithm, MeshRoutingSession};
         use lnpram_simnet::SimConfig;
 
         let alg = MeshAlgorithm::ThreeStage { slice_rows: 2 };
@@ -433,8 +433,8 @@ mod tests {
                 session.set_max_steps(if attempt == 0 { 1 } else { budget });
                 let rep = session.route_permutation(100 + attempt as u64);
                 if rep.completed {
-                    let fresh =
-                        route_mesh_permutation(6, alg, 100 + attempt as u64, SimConfig::default());
+                    let fresh = MeshRoutingSession::new(6, alg, SimConfig::default())
+                        .route_permutation(100 + attempt as u64);
                     assert_eq!(rep.metrics.routing_time, fresh.metrics.routing_time);
                     AttemptResult {
                         delivered: outstanding.to_vec(),
@@ -456,7 +456,7 @@ mod tests {
     fn retry_route_succeeds_across_topologies() {
         // The generic schedule on three different Router impls behind
         // one trait object: tight budgets fail, the relaxed policy
-        // succeeds, and the winning attempt matches a fresh one-shot.
+        // succeeds, and the winning attempt matches a freshly built session.
         use crate::ccc::CccRoutingSession;
         use crate::hypercube::CubeRoutingSession;
         use crate::star::StarRoutingSession;

@@ -592,8 +592,8 @@ where
 /// requests served through the [`Router`] API, recycling the engine
 /// with `reset` per run. Batched engines (one per tenant count) are
 /// cached the same way. Reuse is a cost optimisation, not a behavior
-/// change: outcomes are bit-identical to fresh one-shot runs, pinned by
-/// property tests on every topology.
+/// change: outcomes are bit-identical to a freshly built session's,
+/// pinned by property tests on every topology.
 pub struct RoutingSession<B: RouteBackend> {
     backend: B,
     cfg: SimConfig,

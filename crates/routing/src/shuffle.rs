@@ -13,14 +13,12 @@
 //! ([`Packet::hop`]).
 //!
 //! The public entry point is [`ShuffleRoutingSession`] — the
-//! [`Router`] instance for the shuffle. (Historically the
-//! `route_shuffle_*` one-shots built a bare serial `Engine` and silently
-//! ignored `cfg.shards`; the session routes through
-//! [`AnyEngine`](lnpram_shard::AnyEngine).)
+//! [`Router`](crate::Router) instance for the shuffle; it routes
+//! through [`AnyEngine`](lnpram_shard::AnyEngine), so `cfg.shards` is
+//! honored.
 
-use crate::router::{Router, RoutingSession, RunExtras};
+use crate::router::{RoutingSession, RunExtras};
 use crate::two_phase::{TwoPhase, TwoPhaseBackend};
-use lnpram_math::rng::SeedSeq;
 use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::DWayShuffle;
 
@@ -92,7 +90,7 @@ impl ShuffleBackend {
 }
 
 /// A reusable Algorithm 2.3 routing session: the
-/// [`Router`] instance for the d-way shuffle (network +
+/// [`Router`](crate::Router) instance for the d-way shuffle (network +
 /// partition + engine built once, `cfg.shards` honored).
 pub type ShuffleRoutingSession = RoutingSession<ShuffleBackend>;
 
@@ -103,42 +101,10 @@ impl RoutingSession<ShuffleBackend> {
     }
 }
 
-/// Route one random permutation on the d-way shuffle (Theorem 2.3).
-/// One-shot convenience over [`ShuffleRoutingSession`]; loops should
-/// hold a session.
-pub fn route_shuffle_permutation(
-    shuffle: DWayShuffle,
-    seed: u64,
-    cfg: SimConfig,
-) -> crate::RunReport {
-    ShuffleRoutingSession::new(shuffle, cfg).route_permutation(seed)
-}
-
-/// Route an explicit destination map on the shuffle. One-shot
-/// convenience over [`ShuffleRoutingSession`].
-pub fn route_shuffle_with_dests(
-    shuffle: DWayShuffle,
-    dests: &[usize],
-    seq: SeedSeq,
-    cfg: SimConfig,
-) -> crate::RunReport {
-    ShuffleRoutingSession::new(shuffle, cfg).route_with_dests(dests, seq)
-}
-
-/// Route a partial n-relation on the shuffle (Corollary 2.2). One-shot
-/// convenience over [`ShuffleRoutingSession`].
-pub fn route_shuffle_relation(
-    shuffle: DWayShuffle,
-    h: usize,
-    seed: u64,
-    cfg: SimConfig,
-) -> crate::RunReport {
-    ShuffleRoutingSession::new(shuffle, cfg).route_relation(h, seed)
-}
-
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use lnpram_math::rng::SeedSeq;
     use lnpram_topology::Network;
     use proptest::prelude::*;
 
@@ -160,8 +126,7 @@ mod proptests {
             let dests: Vec<usize> = (0..total)
                 .map(|_| (lnpram_math::rng::splitmix64(&mut state) as usize) % total)
                 .collect();
-            let rep = route_shuffle_with_dests(
-                shuffle, &dests, SeedSeq::new(seed), SimConfig::default());
+            let rep = ShuffleRoutingSession::new(shuffle, SimConfig::default()).route_with_dests(&dests, SeedSeq::new(seed));
             prop_assert!(rep.completed);
             prop_assert_eq!(rep.metrics.delivered, total);
             // The unique path has exactly n links per phase; 2n total.
@@ -173,11 +138,14 @@ mod proptests {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Router;
+    use lnpram_math::rng::SeedSeq;
     use lnpram_topology::Network;
 
     #[test]
     fn permutation_on_3_way_shuffle() {
-        let rep = route_shuffle_permutation(DWayShuffle::n_way(3), 5, SimConfig::default());
+        let rep = ShuffleRoutingSession::new(DWayShuffle::n_way(3), SimConfig::default())
+            .route_permutation(5);
         assert!(rep.completed);
         assert_eq!(rep.metrics.delivered, 27);
         // Every packet takes exactly 2n = 6 hops; time >= 6.
@@ -188,7 +156,8 @@ mod tests {
     #[test]
     fn permutation_on_4_way_shuffle_time() {
         for seed in 0..3 {
-            let rep = route_shuffle_permutation(DWayShuffle::n_way(4), seed, SimConfig::default());
+            let rep = ShuffleRoutingSession::new(DWayShuffle::n_way(4), SimConfig::default())
+                .route_permutation(seed);
             assert!(rep.completed);
             assert_eq!(rep.metrics.delivered, 256);
             assert!(
@@ -202,7 +171,8 @@ mod tests {
     #[test]
     fn every_packet_takes_exactly_2n_plus_delay() {
         // Latency = 2n + queue delay; min latency must be exactly 2n.
-        let rep = route_shuffle_permutation(DWayShuffle::n_way(3), 2, SimConfig::default());
+        let rep = ShuffleRoutingSession::new(DWayShuffle::n_way(3), SimConfig::default())
+            .route_permutation(2);
         let min_latency = rep
             .metrics
             .latency
@@ -216,7 +186,7 @@ mod tests {
     #[test]
     fn relation_routing_on_shuffle() {
         let s = DWayShuffle::new(3, 3);
-        let rep = route_shuffle_relation(s, 3, 1, SimConfig::default());
+        let rep = ShuffleRoutingSession::new(s, SimConfig::default()).route_relation(3, 1);
         assert!(rep.completed);
         assert_eq!(rep.metrics.delivered, 27 * 3);
     }
@@ -224,8 +194,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let s = DWayShuffle::n_way(4);
-        let a = route_shuffle_permutation(s, 99, SimConfig::default());
-        let b = route_shuffle_permutation(s, 99, SimConfig::default());
+        let a = ShuffleRoutingSession::new(s, SimConfig::default()).route_permutation(99);
+        let b = ShuffleRoutingSession::new(s, SimConfig::default()).route_permutation(99);
         assert_eq!(a.metrics.routing_time, b.metrics.routing_time);
         assert_eq!(a.metrics.queued_packet_steps, b.metrics.queued_packet_steps);
     }
@@ -236,15 +206,16 @@ mod tests {
         // protocol terminates even with degenerate via/dest choices.
         let s = DWayShuffle::new(2, 3);
         let dests: Vec<usize> = (0..8).collect(); // identity
-        let rep = route_shuffle_with_dests(s, &dests, SeedSeq::new(0), SimConfig::default());
+        let rep = ShuffleRoutingSession::new(s, SimConfig::default())
+            .route_with_dests(&dests, SeedSeq::new(0));
         assert!(rep.completed);
         assert_eq!(rep.metrics.delivered, 8);
     }
 
     #[test]
     fn session_honors_shards_and_reuse() {
-        // The satellite bugfix: the shuffle one-shots used to build a
-        // bare serial `Engine`, silently ignoring `cfg.shards`.
+        // Pinned since a bugfix: shuffle routing used to build a bare
+        // serial `Engine`, silently ignoring `cfg.shards`.
         let sharded = SimConfig {
             shards: 3,
             ..SimConfig::default()
@@ -254,7 +225,7 @@ mod tests {
         assert!(session.is_sharded());
         for seed in 0..3u64 {
             let got = session.route_permutation(seed);
-            let fresh = route_shuffle_permutation(s, seed, SimConfig::default());
+            let fresh = ShuffleRoutingSession::new(s, SimConfig::default()).route_permutation(seed);
             assert_eq!(got.completed, fresh.completed);
             assert_eq!(got.metrics.routing_time, fresh.metrics.routing_time);
             assert_eq!(got.metrics.delivered, fresh.metrics.delivered);

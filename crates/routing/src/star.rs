@@ -10,15 +10,13 @@
 //! per-node protocol needs no per-packet route state.
 //!
 //! The public entry point is [`StarRoutingSession`] — the
-//! [`Router`] instance for the star graph; the
-//! `route_star_*` one-shots are thin wrappers over it.
+//! [`Router`](crate::Router) instance for the star graph.
 
-use crate::router::{Router, RoutingSession, RunExtras};
+use crate::router::{RoutingSession, RunExtras};
 use crate::two_phase::{CanonicalRouter, TwoPhase, TwoPhaseBackend};
-use lnpram_math::rng::SeedSeq;
 use lnpram_shard::{AnyEngine, GreedyEdgeCut};
 use lnpram_simnet::SimConfig;
-use lnpram_topology::{Network, StarGraph, StarTable};
+use lnpram_topology::{StarGraph, StarTable};
 
 /// Per-node program of Algorithm 2.2, reading the canonical next hop
 /// from a [`StarTable`].
@@ -68,15 +66,15 @@ impl StarBackend {
     }
 }
 
-/// A reusable Algorithm 2.2 routing session: the [`Router`]
+/// A reusable Algorithm 2.2 routing session: the [`Router`](crate::Router)
 /// instance for the star graph. The graph, its partition plan and the
 /// [`AnyEngine`] are built **once**, then any number of requests are
 /// routed through it, recycling the engine with `reset` per run. On
 /// small networks the per-run construction (partition + K engines on the
-/// sharded path) dominates the routing itself — the `BENCH_3.json` star
-/// row ran at 0.57× serial for exactly this reason — so loops should
-/// hold a session instead of calling the one-shot entry points.
-/// Outcomes are bit-identical to the one-shots (pinned by property
+/// sharded path) dominates the routing itself — PR 3's sharded 5-star
+/// ran at 0.57× serial for exactly this reason — so loops should hold
+/// one session instead of building one per request. Outcomes are
+/// bit-identical to a freshly built session's (pinned by property
 /// tests): reuse is a cost optimisation, not a behaviour change.
 pub type StarRoutingSession = RoutingSession<StarBackend>;
 
@@ -97,52 +95,29 @@ impl RoutingSession<StarBackend> {
     }
 }
 
-/// Route one random permutation on the n-star (Theorem 2.2). One-shot
-/// convenience over [`StarRoutingSession`]; loops should hold a session.
-pub fn route_star_permutation(n: usize, seed: u64, cfg: SimConfig) -> crate::RunReport {
-    StarRoutingSession::new(n, cfg).route_permutation(seed)
-}
-
-/// Route an explicit destination map on the star graph. One-shot
-/// convenience over [`StarRoutingSession`]; loops should hold a session.
-pub fn route_star_with_dests(
-    star: StarGraph,
-    dests: &[usize],
-    seq: SeedSeq,
-    cfg: SimConfig,
-) -> crate::RunReport {
-    StarRoutingSession::from_graph(star, cfg).route_with_dests(dests, seq)
-}
-
-/// Route one permutation *deterministically*: every packet follows its
-/// canonical path directly (no random intermediate). §2.3.3 presents
-/// "efficient deterministic and randomized algorithms"; the deterministic
-/// variant halves the path length but carries no w.h.p. guarantee — an
-/// adversary can congest it, which is what Phase 1's randomization buys
-/// insurance against (Valiant's argument).
-pub fn route_star_deterministic(n: usize, seed: u64, cfg: SimConfig) -> crate::RunReport {
-    let mut session = StarRoutingSession::new(n, cfg);
-    let seq = SeedSeq::new(seed);
-    let mut rng = seq.child(0).rng();
-    let dests = crate::workloads::random_permutation(session.star().num_nodes(), &mut rng);
-    session.route_direct(&dests)
-}
-
-/// Route a partial n-relation on the star graph (Corollary 2.1): up to `h`
-/// packets per source, `h` per destination.
-pub fn route_star_relation(n: usize, h: usize, seed: u64, cfg: SimConfig) -> crate::RunReport {
-    StarRoutingSession::new(n, cfg).route_relation(h, seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::RouteRequest;
+    use crate::router::{RouteRequest, Router};
+    use lnpram_math::rng::SeedSeq;
     use lnpram_simnet::Packet;
+    use lnpram_topology::Network;
+
+    /// Route one permutation *deterministically*: every packet follows
+    /// its canonical path directly (no random intermediate). §2.3.3
+    /// presents "efficient deterministic and randomized algorithms"; the
+    /// deterministic variant halves the path length but carries no
+    /// w.h.p. guarantee.
+    fn route_star_deterministic(n: usize, seed: u64, cfg: SimConfig) -> crate::RunReport {
+        let mut session = StarRoutingSession::new(n, cfg);
+        let mut rng = SeedSeq::new(seed).child(0).rng();
+        let dests = crate::workloads::random_permutation(session.star().num_nodes(), &mut rng);
+        session.route_direct(&dests)
+    }
 
     #[test]
     fn permutation_on_4_star_delivers_all() {
-        let rep = route_star_permutation(4, 1, SimConfig::default());
+        let rep = StarRoutingSession::new(4, SimConfig::default()).route_permutation(1);
         assert!(rep.completed);
         assert_eq!(rep.metrics.delivered, 24);
         assert_eq!(rep.norm(), 4);
@@ -153,7 +128,7 @@ mod tests {
         // Theorem 2.2: Õ(n). Expect a small multiple of the diameter
         // (2 canonical traversals + queueing).
         for seed in 0..3 {
-            let rep = route_star_permutation(5, seed, SimConfig::default());
+            let rep = StarRoutingSession::new(5, SimConfig::default()).route_permutation(seed);
             assert!(rep.completed);
             assert_eq!(rep.metrics.delivered, 120);
             assert!(
@@ -166,7 +141,7 @@ mod tests {
 
     #[test]
     fn relation_routing_on_star() {
-        let rep = route_star_relation(4, 4, 3, SimConfig::default());
+        let rep = StarRoutingSession::new(4, SimConfig::default()).route_relation(4, 3);
         assert!(rep.completed);
         assert_eq!(rep.metrics.delivered, 24 * 4);
     }
@@ -197,7 +172,7 @@ mod tests {
         assert_eq!(det.metrics.delivered, 120);
         // One canonical traversal instead of two: on random permutations
         // the deterministic variant is faster on average.
-        let rnd = route_star_permutation(5, 4, SimConfig::default());
+        let rnd = StarRoutingSession::new(5, SimConfig::default()).route_permutation(4);
         assert!(
             det.metrics.routing_time <= rnd.metrics.routing_time,
             "det {} vs randomized {}",
@@ -208,8 +183,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = route_star_permutation(5, 77, SimConfig::default());
-        let b = route_star_permutation(5, 77, SimConfig::default());
+        let a = StarRoutingSession::new(5, SimConfig::default()).route_permutation(77);
+        let b = StarRoutingSession::new(5, SimConfig::default()).route_permutation(77);
         assert_eq!(a.metrics.routing_time, b.metrics.routing_time);
         assert_eq!(a.metrics.max_queue, b.metrics.max_queue);
     }
@@ -217,7 +192,7 @@ mod tests {
     #[test]
     fn queue_stays_modest() {
         // Õ(n) queues: with n = 5 expect far below N.
-        let rep = route_star_permutation(5, 9, SimConfig::default());
+        let rep = StarRoutingSession::new(5, SimConfig::default()).route_permutation(9);
         assert!(
             rep.metrics.max_queue <= 6 * 5,
             "queue {}",
@@ -230,7 +205,7 @@ mod tests {
         let mut session = StarRoutingSession::new(5, SimConfig::default());
         for seed in 0..4u64 {
             let reused = session.route_permutation(seed);
-            let fresh = route_star_permutation(5, seed, SimConfig::default());
+            let fresh = StarRoutingSession::new(5, SimConfig::default()).route_permutation(seed);
             assert_eq!(reused.completed, fresh.completed);
             assert_eq!(reused.metrics.routing_time, fresh.metrics.routing_time);
             assert_eq!(reused.metrics.delivered, fresh.metrics.delivered);
@@ -270,8 +245,9 @@ mod tests {
                 det_sharded.metrics.routing_time
             );
             assert_eq!(det_serial.metrics.max_queue, det_sharded.metrics.max_queue);
-            let rel_serial = route_star_relation(4, 3, seed, SimConfig::default());
-            let rel_sharded = route_star_relation(4, 3, seed, sharded.clone());
+            let rel_serial =
+                StarRoutingSession::new(4, SimConfig::default()).route_relation(3, seed);
+            let rel_sharded = StarRoutingSession::new(4, sharded.clone()).route_relation(3, seed);
             assert_eq!(
                 rel_serial.metrics.routing_time,
                 rel_sharded.metrics.routing_time
@@ -288,9 +264,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(24))]
 
             /// Session-reuse bit-identity: the N-th call on a warmed
-            /// session equals a fresh one-shot with the same seed, on
-            /// both the serial and the sharded path, including right
-            /// after an incomplete (budget-exhausted) run.
+            /// session equals a freshly built session with the same
+            /// seed, on both the serial and the sharded path, including
+            /// right after an incomplete (budget-exhausted) run.
             #[test]
             fn prop_star_session_reuse_bit_identity(
                 n in 3usize..=4,
@@ -311,7 +287,7 @@ mod tests {
                 session.set_max_steps(cfg.max_steps);
                 for &seed in &seeds {
                     let reused = session.route_permutation(seed);
-                    let fresh = route_star_permutation(n, seed, cfg.clone());
+                    let fresh = StarRoutingSession::new(n, cfg.clone()).route_permutation(seed);
                     prop_assert_eq!(reused.completed, fresh.completed);
                     prop_assert_eq!(reused.metrics.routing_time, fresh.metrics.routing_time);
                     prop_assert_eq!(reused.metrics.delivered, fresh.metrics.delivered);
@@ -335,8 +311,7 @@ mod tests {
                 let dests: Vec<usize> = (0..total)
                     .map(|_| (lnpram_math::rng::splitmix64(&mut state) as usize) % total)
                     .collect();
-                let rep = route_star_with_dests(
-                    star, &dests, SeedSeq::new(seed), SimConfig::default());
+                let rep = StarRoutingSession::from_graph(star, SimConfig::default()).route_with_dests(&dests, SeedSeq::new(seed));
                 prop_assert!(rep.completed);
                 prop_assert_eq!(rep.metrics.delivered, total);
                 prop_assert!(rep.metrics.max_queue <= total);
@@ -349,7 +324,7 @@ mod tests {
             /// non-identity map, and ≤ a generous multiple of N.
             #[test]
             fn prop_star_time_bounds(n in 3usize..=5, seed: u64) {
-                let rep = route_star_permutation(n, seed, SimConfig::default());
+                let rep = StarRoutingSession::new(n, SimConfig::default()).route_permutation(seed);
                 prop_assert!(rep.completed);
                 let nn = rep.metrics.delivered;
                 prop_assert!(rep.metrics.routing_time as usize <= 4 * nn);

@@ -3,20 +3,19 @@
 //! * **(a)** `route_batch` with ≥ 2 tenants is bit-identical *per
 //!   tenant* to isolated single-tenant runs — on the serial and the
 //!   sharded engine path, K ∈ {1, 2, 4} — for every topology.
-//! * **(b)** the new cached sessions (cube / CCC / shuffle / bitonic)
-//!   are bit-identical to their one-shot wrappers, including on a
-//!   warmed (reused, previously budget-exhausted) session and across
-//!   shard counts.
+//! * **(b)** reset == fresh for the cube / CCC / shuffle / bitonic
+//!   sessions: a warmed (reused, previously budget-exhausted) session
+//!   is bit-identical to a freshly built one per request, across shard
+//!   counts.
 //! * **(c)** trait-object (`dyn Router`) use compiles and matches the
 //!   concrete calls.
 
 use lnpram_routing::bitonic::BitonicRoutingSession;
-use lnpram_routing::ccc::{route_ccc_permutation, CccRoutingSession};
-use lnpram_routing::hypercube::{route_cube_permutation, CubeRoutingSession};
-use lnpram_routing::shuffle::ShuffleRoutingSession;
+use lnpram_routing::ccc::CccRoutingSession;
+use lnpram_routing::hypercube::CubeRoutingSession;
 use lnpram_routing::{
-    route_shuffle_permutation, LeveledRoutingSession, MeshAlgorithm, MeshRoutingSession,
-    RouteRequest, Router, RunReport, StarRoutingSession, TenantReport,
+    LeveledRoutingSession, MeshAlgorithm, MeshRoutingSession, RouteRequest, Router, RunReport,
+    ShuffleRoutingSession, StarRoutingSession, TenantReport,
 };
 use lnpram_simnet::{Metrics, SimConfig};
 use lnpram_topology::leveled::RadixButterfly;
@@ -134,9 +133,10 @@ proptest! {
         prop_assert_eq!(single.metrics.max_queue, iso.metrics.max_queue);
     }
 
-    /// (b) The new cube/CCC/shuffle/bitonic sessions are bit-identical
-    /// to their one-shot wrappers — Nth call on a warmed session that
-    /// has already absorbed a budget-exhausted run, serial and sharded.
+    /// (b) The cube/CCC/shuffle/bitonic sessions are bit-identical to a
+    /// session built fresh for the one request — Nth call on a warmed
+    /// session that has already absorbed a budget-exhausted run, serial
+    /// and sharded.
     #[test]
     fn prop_new_sessions_bit_identical_to_one_shots(
         topo in 3usize..TOPOLOGIES,
@@ -157,10 +157,10 @@ proptest! {
             let seed = base_seed.wrapping_add(i);
             let reused = session.route_permutation(seed);
             let fresh = match topo {
-                3 => route_cube_permutation(4, seed, cfg.clone()),
-                4 => route_ccc_permutation(3, seed, cfg.clone()),
-                5 => route_shuffle_permutation(DWayShuffle::new(3, 2), seed, cfg.clone()),
-                6 => lnpram_routing::bitonic::route_cube_bitonic(3, seed, cfg.clone()),
+                3 => CubeRoutingSession::new(4, cfg.clone()).route_permutation(seed),
+                4 => CccRoutingSession::new(3, cfg.clone()).route_permutation(seed),
+                5 => ShuffleRoutingSession::new(DWayShuffle::new(3, 2), cfg.clone()).route_permutation(seed),
+                6 => BitonicRoutingSession::new(3, cfg.clone()).route_permutation(seed),
                 _ => unreachable!(),
             };
             prop_assert_eq!(reused.completed, fresh.completed);

@@ -17,7 +17,6 @@
 //! cargo run --example fault_injection
 //! ```
 
-use lnpram::routing::leveled::route_leveled_permutation;
 use lnpram::routing::retry::{route_with_retry, AttemptResult, RetryPolicy};
 use lnpram::routing::{LeveledRoutingSession, RouteBackend, RouteRequest, Router};
 use lnpram::simnet::{Fault, FaultEvent, FaultPlan, SimConfig};
@@ -46,17 +45,17 @@ fn tight_deadline_retries() {
             },
             |outstanding, budget, attempt| {
                 // Fresh randomness per attempt (the lemma's requirement).
-                let rep = route_leveled_permutation(
+                let rep = LeveledRoutingSession::new(
                     inner,
-                    seed * 1000 + attempt as u64,
                     SimConfig {
                         max_steps: budget,
                         ..Default::default()
                     },
-                );
+                )
+                .route_permutation(seed * 1000 + attempt as u64);
                 // This demo retries the whole permutation when incomplete
                 // (simplest accounting; the library also supports partial
-                // retry, see `table_lemma21_retry`).
+                // retry, see the `lemma21` experiment).
                 let delivered = if rep.completed {
                     outstanding.to_vec()
                 } else {

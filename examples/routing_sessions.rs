@@ -1,24 +1,23 @@
 //! Cached routing sessions and multi-tenant co-routing through the
 //! unified `Router` API.
 //!
-//! The one-shot entry points (`route_star_permutation`,
-//! `route_mesh_permutation`) construct the topology, the partition
-//! plan and the simulation engine on **every call** — on small
-//! networks that construction costs more than the routing itself
-//! (the BENCH_3 star regression: the sharded path ran at 0.57× serial
-//! purely on per-run construction). A routing session builds all of
-//! that once and recycles it with `reset` per request, with
-//! bit-identical outcomes. `route_batch` goes one step further: the
-//! whole request batch routes in ONE engine run (one tenant per
-//! disjoint topology copy, packet tag = tenant slot) with per-tenant
-//! outcomes still identical to isolated runs.
+//! Building a session (`StarRoutingSession::new`,
+//! `MeshRoutingSession::new`) constructs the topology, the partition
+//! plan and the simulation engine — on small networks that costs more
+//! than the routing itself (PR 3's star measurement: the sharded path
+//! ran at 0.57× serial purely on per-run construction), so a loop that
+//! builds a fresh session per request pays it every time. Holding one
+//! session builds all of that once and recycles it with `reset` per
+//! request, with bit-identical outcomes. `route_batch` goes one step
+//! further: the whole request batch routes in ONE engine run (one
+//! tenant per disjoint topology copy, packet tag = tenant slot) with
+//! per-tenant outcomes still identical to isolated runs.
 //!
 //! Run with `cargo run --example routing_sessions`.
 
 use lnpram::prelude::{RouteRequest, Router};
 use lnpram::routing::mesh::{default_slice_rows, MeshAlgorithm, MeshRoutingSession};
 use lnpram::routing::star::StarRoutingSession;
-use lnpram::routing::{route_mesh_permutation, route_star_permutation};
 use lnpram::simnet::SimConfig;
 use std::time::Instant;
 
@@ -40,13 +39,13 @@ fn main() {
         ("4-sharded", sharded.clone()),
     ] {
         let start = Instant::now();
-        let mut one_shot_time = 0u64;
+        let mut fresh_time = 0u64;
         for &seed in &seeds {
-            let rep = route_star_permutation(5, seed, cfg.clone());
+            let rep = StarRoutingSession::new(5, cfg.clone()).route_permutation(seed);
             assert!(rep.completed);
-            one_shot_time += u64::from(rep.metrics.routing_time);
+            fresh_time += u64::from(rep.metrics.routing_time);
         }
-        let t_one_shot = start.elapsed();
+        let t_fresh = start.elapsed();
 
         let start = Instant::now();
         let mut session = StarRoutingSession::new(5, cfg);
@@ -58,7 +57,7 @@ fn main() {
             .sum();
 
         // Bit-identity: holding the session changes cost, not outcomes.
-        assert_eq!(one_shot_time, session_time);
+        assert_eq!(fresh_time, session_time);
 
         // Co-route the same batch in ONE engine run (session reused, so
         // the union engine is built once and recycled per batch).
@@ -75,9 +74,9 @@ fn main() {
         assert_eq!(batch_time, session_time);
 
         println!(
-            "star/5-star      {label:>9}: one-shot {t_one_shot:>8.2?}  session {t_session:>8.2?}  \
+            "star/5-star      {label:>9}: fresh {t_fresh:>8.2?}  session {t_session:>8.2?}  \
              ({:.2}x)  co-routed {t_batch:>8.2?} ({:.2}x)",
-            t_one_shot.as_secs_f64() / t_session.as_secs_f64().max(1e-9),
+            t_fresh.as_secs_f64() / t_session.as_secs_f64().max(1e-9),
             t_session.as_secs_f64() / t_batch.as_secs_f64().max(1e-9),
         );
     }
@@ -88,13 +87,13 @@ fn main() {
     };
     for (label, cfg) in [("serial", SimConfig::default()), ("4-sharded", sharded)] {
         let start = Instant::now();
-        let mut one_shot_time = 0u64;
+        let mut fresh_time = 0u64;
         for &seed in &seeds {
-            let rep = route_mesh_permutation(16, alg, seed, cfg.clone());
+            let rep = MeshRoutingSession::new(16, alg, cfg.clone()).route_permutation(seed);
             assert!(rep.completed);
-            one_shot_time += u64::from(rep.metrics.routing_time);
+            fresh_time += u64::from(rep.metrics.routing_time);
         }
-        let t_one_shot = start.elapsed();
+        let t_fresh = start.elapsed();
 
         let start = Instant::now();
         let mut session = MeshRoutingSession::new(16, alg, cfg);
@@ -105,12 +104,12 @@ fn main() {
             .map(|r| u64::from(r.metrics.routing_time))
             .sum();
 
-        assert_eq!(one_shot_time, session_time);
+        assert_eq!(fresh_time, session_time);
         println!(
-            "mesh/16x16       {label:>9}: one-shot {:>8.2?}  session {:>8.2?}  ({:.2}x)",
-            t_one_shot,
+            "mesh/16x16       {label:>9}: fresh {:>8.2?}  session {:>8.2?}  ({:.2}x)",
+            t_fresh,
             t_session,
-            t_one_shot.as_secs_f64() / t_session.as_secs_f64().max(1e-9)
+            t_fresh.as_secs_f64() / t_session.as_secs_f64().max(1e-9)
         );
     }
 

@@ -12,6 +12,8 @@
 //! ```
 
 use lnpram::prelude::*;
+use lnpram::routing::bitonic::BitonicRoutingSession;
+use lnpram::routing::hypercube::CubeRoutingSession;
 use lnpram::routing::{mesh_sort, workloads};
 use lnpram::simnet::SimConfig;
 
@@ -25,17 +27,20 @@ fn main() {
         slice_rows: lnpram::routing::mesh::default_slice_rows(n),
     };
     let t3 = mean(&|s| {
-        route_mesh_permutation(n, three, s, SimConfig::default())
+        MeshRoutingSession::new(n, three, SimConfig::default())
+            .route_permutation(s)
             .metrics
             .routing_time as f64
     });
     let tvb = mean(&|s| {
-        route_mesh_permutation(n, MeshAlgorithm::ValiantBrebner, s, SimConfig::default())
+        MeshRoutingSession::new(n, MeshAlgorithm::ValiantBrebner, SimConfig::default())
+            .route_permutation(s)
             .metrics
             .routing_time as f64
     });
     let tg = mean(&|s| {
-        route_mesh_permutation(n, MeshAlgorithm::Greedy, s, SimConfig::default())
+        MeshRoutingSession::new(n, MeshAlgorithm::Greedy, SimConfig::default())
+            .route_permutation(s)
             .metrics
             .routing_time as f64
     });
@@ -64,7 +69,7 @@ fn main() {
 
     println!("== sub-logarithmic-diameter networks (Theorems 2.2 / 2.3) ==");
     for star_n in [4usize, 5, 6] {
-        let rep = route_star_permutation(star_n, 1, SimConfig::default());
+        let rep = StarRoutingSession::new(star_n, SimConfig::default()).route_permutation(1);
         println!(
             "star({star_n}):   N = {:>5}, diameter {:>2}, routed in {:>3} steps ({:.2}x diameter)",
             lnpram::math::perm::factorial(star_n),
@@ -75,7 +80,7 @@ fn main() {
     }
     for sh_n in [3usize, 4] {
         let sh = DWayShuffle::n_way(sh_n);
-        let rep = route_shuffle_permutation(sh, 1, SimConfig::default());
+        let rep = ShuffleRoutingSession::new(sh, SimConfig::default()).route_permutation(1);
         println!(
             "shuffle({sh_n}): N = {:>5}, diameter {:>2}, routed in {:>3} steps ({:.2}x diameter)",
             sh.num_nodes(),
@@ -88,8 +93,8 @@ fn main() {
 
     println!("== the cube-class taxonomy of §2.2.1 (k = 10, N = 1024) ==");
     let k = 10usize;
-    let bit = lnpram::routing::bitonic::route_cube_bitonic(k, 1, SimConfig::default());
-    let val = lnpram::routing::hypercube::route_cube_permutation(k, 1, SimConfig::default());
+    let bit = BitonicRoutingSession::new(k, SimConfig::default()).route_permutation(1);
+    let val = CubeRoutingSession::new(k, SimConfig::default()).route_permutation(1);
     println!(
         "batcher bitonic (non-oblivious, queue-free): {:>3} steps, max queue {}",
         bit.metrics.routing_time, bit.metrics.max_queue

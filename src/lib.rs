@@ -92,10 +92,9 @@ pub mod prelude {
         PermutationTraffic, PrefixSum, ReductionMax,
     };
     pub use lnpram_routing::{
-        route_leveled_permutation, route_mesh_permutation, route_shuffle_permutation,
-        route_star_permutation, BatchReport, LeveledRoutingSession, MeshAlgorithm,
-        MeshRoutingSession, RoutePattern, RouteRequest, Router, RoutingSession, RunReport,
-        StarRoutingSession, TenantReport,
+        BatchReport, LeveledRoutingSession, MeshAlgorithm, MeshRoutingSession, RoutePattern,
+        RouteRequest, Router, RoutingSession, RunReport, ShuffleRoutingSession, StarRoutingSession,
+        TenantReport,
     };
     pub use lnpram_shard::{
         AnyEngine, GreedyEdgeCut, LevelCut, Partitioner, RowBlock, ShardedEngine,

@@ -91,14 +91,14 @@ fn mesh_session_identical_across_shard_counts() {
 
 #[test]
 fn route_many_matches_one_shots_serial_and_sharded() {
-    // The batched entry is the one-shot sequence, bit for bit, on both
-    // engine paths.
+    // The batched entry is the sequence of fresh-session runs, bit for
+    // bit, on both engine paths.
     let seeds: Vec<u64> = (0..4).collect();
     let reqs = RouteRequest::permutations(&seeds);
     for shards in [0usize, 3] {
         let star_batch = StarRoutingSession::new(4, cfg(shards)).route_many(&reqs);
         for (rep, &seed) in star_batch.iter().zip(&seeds) {
-            let one = route_star_permutation(4, seed, cfg(shards));
+            let one = StarRoutingSession::new(4, cfg(shards)).route_permutation(seed);
             assert_eq!(
                 fingerprint(&rep.metrics),
                 fingerprint(&one.metrics),
@@ -108,7 +108,7 @@ fn route_many_matches_one_shots_serial_and_sharded() {
         let alg = MeshAlgorithm::ThreeStage { slice_rows: 4 };
         let mesh_batch = MeshRoutingSession::new(8, alg, cfg(shards)).route_many(&reqs);
         for (rep, &seed) in mesh_batch.iter().zip(&seeds) {
-            let one = route_mesh_permutation(8, alg, seed, cfg(shards));
+            let one = MeshRoutingSession::new(8, alg, cfg(shards)).route_permutation(seed);
             assert_eq!(
                 fingerprint(&rep.metrics),
                 fingerprint(&one.metrics),
@@ -122,8 +122,8 @@ fn route_many_matches_one_shots_serial_and_sharded() {
 fn mesh_three_stage_routing_identical_when_sharded() {
     let alg = MeshAlgorithm::ThreeStage { slice_rows: 4 };
     for seed in 0..3u64 {
-        let a = route_mesh_permutation(12, alg, seed, cfg(0));
-        let b = route_mesh_permutation(12, alg, seed, cfg(4));
+        let a = MeshRoutingSession::new(12, alg, cfg(0)).route_permutation(seed);
+        let b = MeshRoutingSession::new(12, alg, cfg(4)).route_permutation(seed);
         assert!(a.completed && b.completed);
         assert_eq!(fingerprint(&a.metrics), fingerprint(&b.metrics), "{seed}");
     }
@@ -132,8 +132,8 @@ fn mesh_three_stage_routing_identical_when_sharded() {
 #[test]
 fn star_routing_identical_when_sharded() {
     for seed in 0..3u64 {
-        let a = route_star_permutation(4, seed, cfg(0));
-        let b = route_star_permutation(4, seed, cfg(3));
+        let a = StarRoutingSession::new(4, cfg(0)).route_permutation(seed);
+        let b = StarRoutingSession::new(4, cfg(3)).route_permutation(seed);
         assert!(a.completed && b.completed);
         assert_eq!(fingerprint(&a.metrics), fingerprint(&b.metrics), "{seed}");
     }

@@ -1,5 +1,5 @@
 //! Integration checks of the paper's *quantitative* claims at test-friendly
-//! sizes: the full-size sweeps live in the bench binaries; these assert the
+//! sizes: the full-size sweeps live in `reproduce`; these assert the
 //! shape (who wins, what scales with what) so regressions are caught by
 //! `cargo test`.
 
@@ -21,11 +21,13 @@ fn mean<F: Fn(u64) -> f64 + Sync>(trials: u64, f: F) -> f64 {
 fn theorem_21_leveled_routing_is_linear_in_levels() {
     // time/ℓ must stay bounded as ℓ doubles (butterfly 2^6 → 2^12 rows).
     let c6 = mean(3, |s| {
-        route_leveled_permutation(RadixButterfly::new(2, 6), s, SimConfig::default())
+        LeveledRoutingSession::new(RadixButterfly::new(2, 6), SimConfig::default())
+            .route_permutation(s)
             .time_per_norm()
     });
     let c12 = mean(3, |s| {
-        route_leveled_permutation(RadixButterfly::new(2, 12), s, SimConfig::default())
+        LeveledRoutingSession::new(RadixButterfly::new(2, 12), SimConfig::default())
+            .route_permutation(s)
             .time_per_norm()
     });
     assert!(c6 >= 2.0, "path alone is 2ℓ");
@@ -39,7 +41,7 @@ fn theorem_21_leveled_routing_is_linear_in_levels() {
 fn theorem_22_23_sublogarithmic_hosts() {
     // Star and shuffle route permutations within a small multiple of
     // their (sub-logarithmic) diameters.
-    let star = route_star_permutation(6, 3, SimConfig::default());
+    let star = StarRoutingSession::new(6, SimConfig::default()).route_permutation(3);
     assert!(star.completed);
     assert_eq!(star.metrics.delivered, 720);
     assert!(
@@ -49,7 +51,7 @@ fn theorem_22_23_sublogarithmic_hosts() {
     );
 
     let sh = DWayShuffle::n_way(4);
-    let rep = route_shuffle_permutation(sh, 3, SimConfig::default());
+    let rep = ShuffleRoutingSession::new(sh, SimConfig::default()).route_permutation(3);
     assert!(rep.completed);
     assert!(
         rep.time_per_norm() < 10.0,
@@ -63,12 +65,14 @@ fn theorem_24_relation_routing_scales_with_h() {
     // ℓ-relation routing stays Õ(ℓ): time grows ~linearly in h, not worse.
     let net = RadixButterfly::new(4, 3);
     let t1 = mean(3, |s| {
-        lnpram::routing::route_leveled_relation(net, 1, s, SimConfig::default())
+        LeveledRoutingSession::new(net, SimConfig::default())
+            .route_relation(1, s)
             .metrics
             .routing_time as f64
     });
     let t3 = mean(3, |s| {
-        lnpram::routing::route_leveled_relation(net, 3, s, SimConfig::default())
+        LeveledRoutingSession::new(net, SimConfig::default())
+            .route_relation(3, s)
             .metrics
             .routing_time as f64
     });
@@ -82,12 +86,14 @@ fn theorem_31_mesh_three_stage_beats_baselines() {
         slice_rows: default_slice_rows(n),
     };
     let t3 = mean(4, |s| {
-        route_mesh_permutation(n, three, s, SimConfig::default())
+        MeshRoutingSession::new(n, three, SimConfig::default())
+            .route_permutation(s)
             .metrics
             .routing_time as f64
     });
     let tvb = mean(4, |s| {
-        route_mesh_permutation(n, MeshAlgorithm::ValiantBrebner, s, SimConfig::default())
+        MeshRoutingSession::new(n, MeshAlgorithm::ValiantBrebner, SimConfig::default())
+            .route_permutation(s)
             .metrics
             .routing_time as f64
     });
@@ -231,11 +237,11 @@ fn section_221_routing_taxonomy_on_the_cube() {
     // (non-oblivious) is queue-free but Θ(log²N); Valiant's randomized
     // oblivious routing is Õ(log N) with small queues; both deliver
     // every packet of every permutation.
-    use lnpram::routing::bitonic::route_cube_bitonic;
-    use lnpram::routing::hypercube::route_cube_permutation;
+    use lnpram::routing::bitonic::BitonicRoutingSession;
+    use lnpram::routing::hypercube::CubeRoutingSession;
     let k = 9usize;
-    let bit = route_cube_bitonic(k, 3, SimConfig::default());
-    let val = route_cube_permutation(k, 3, SimConfig::default());
+    let bit = BitonicRoutingSession::new(k, SimConfig::default()).route_permutation(3);
+    let val = CubeRoutingSession::new(k, SimConfig::default()).route_permutation(3);
     assert!(bit.completed && val.completed);
     assert_eq!(bit.metrics.delivered, 1 << k);
     assert_eq!(val.metrics.delivered, 1 << k);
