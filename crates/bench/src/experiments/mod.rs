@@ -5,13 +5,15 @@
 //! a function that writes its tables into a [`Report`]. Experiments are
 //! grouped by paper section — [`figures`], [`section2`] (leveled
 //! networks, star, shuffle), [`section3`] (the mesh) and [`baselines`]
-//! (the comparisons the introduction and §2.2.1 argue from) — and call
-//! the routing sessions and `PramEmulator` hosts directly.
+//! (the comparisons the introduction and §2.2.1 argue from) and
+//! [`systems`] (adaptive routing and degraded serving, beyond the paper)
+//! — and call the routing sessions and `PramEmulator` hosts directly.
 
 pub mod baselines;
 pub mod figures;
 pub mod section2;
 pub mod section3;
+pub mod systems;
 
 use crate::{Report, Trials};
 
@@ -113,6 +115,16 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "level_congestion",
         "§2.2.1 / §2.3 phase-1 randomization (table A6)",
         section2::level_congestion,
+    ),
+    Experiment::new(
+        "adaptive_vs_oblivious",
+        "beyond the paper: adaptive vs oblivious routing",
+        systems::adaptive_vs_oblivious,
+    ),
+    Experiment::new(
+        "degraded_serve",
+        "beyond the paper: serving under link failures",
+        systems::degraded_serve,
     ),
 ];
 

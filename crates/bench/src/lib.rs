@@ -234,11 +234,6 @@ impl Table {
         out.push('\n');
         out
     }
-
-    /// Render and print.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
 }
 
 /// The text an experiment produces — tables, notes, figure renderings —
