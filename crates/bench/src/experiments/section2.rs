@@ -296,7 +296,10 @@ pub fn lemma21(r: &mut Report, _: Trials) {
         ],
     );
     for slack in [2u32, 3, 4, 5] {
-        let budget = 2 * ell + slack;
+        let policy = RetryPolicy {
+            attempt_budget: 2 * ell + slack,
+            max_attempts: 40,
+        };
         let mut single_fail = 0u64;
         let mut two_fail = 0u64;
         let mut attempts_sum = 0u64;
@@ -307,31 +310,24 @@ pub fn lemma21(r: &mut Report, _: Trials) {
             let dests = workloads::random_permutation(256, &mut rng);
             let ids: Vec<u32> = (0..256).collect();
             let mut first_failed = false;
-            let report = route_with_retry(
-                &ids,
-                RetryPolicy {
-                    attempt_budget: budget,
-                    max_attempts: 40,
-                },
-                |outstanding, b, k| {
-                    session.set_max_steps(b);
-                    let rep = session.route_with_dests(&dests, SeedSeq::new(run * 1000 + k as u64));
-                    if rep.completed {
-                        AttemptResult {
-                            delivered: outstanding.to_vec(),
-                            steps: rep.metrics.routing_time,
-                        }
-                    } else {
-                        if k == 0 {
-                            first_failed = true;
-                        }
-                        AttemptResult {
-                            delivered: vec![],
-                            steps: b,
-                        }
+            let report = route_with_retry(&ids, policy, |outstanding, b, k| {
+                session.set_max_steps(b);
+                let rep = session.route_with_dests(&dests, SeedSeq::new(run * 1000 + k as u64));
+                if rep.completed {
+                    AttemptResult {
+                        delivered: outstanding.to_vec(),
+                        steps: rep.metrics.routing_time,
                     }
-                },
-            );
+                } else {
+                    if k == 0 {
+                        first_failed = true;
+                    }
+                    AttemptResult {
+                        delivered: vec![],
+                        steps: b,
+                    }
+                }
+            });
             // A budget below the achievable routing time is the regime
             // where Lemma 2.1's premise (success prob >= 1 - N^-eps per
             // attempt) fails; count give-ups instead of asserting.
@@ -346,7 +342,7 @@ pub fn lemma21(r: &mut Report, _: Trials) {
             t.row(&[
                 fmt::n(slack as usize),
                 fmt::f(p1, 3),
-                format!(">{} (gave up {gave_up}/{runs})", 10),
+                format!(">{} (gave up {gave_up}/{runs})", policy.max_attempts),
                 "-".into(),
                 "-".into(),
                 "-".into(),
