@@ -108,7 +108,7 @@ pub fn thm22(r: &mut Report, scale: Trials) {
             "perm time",
             "time/diam",
             "n-rel time",
-            "rel/diam",
+            "rel/(n*diam)",
             "max queue",
         ],
     );
