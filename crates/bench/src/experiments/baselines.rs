@@ -5,10 +5,11 @@
 
 use super::section2::permutation_traffic;
 use super::section3::three_stage;
-use crate::{fmt, measure, serial_trials, trials, Report, Table, Trials};
+use crate::{fmt, measure, trials, Report, Table, Trials};
 use lnpram_core::{EmulatorConfig, LeveledPramEmulator, ReplicatedPramEmulator};
 use lnpram_math::perm::factorial;
 use lnpram_math::rng::SeedSeq;
+use lnpram_math::stats::Summary;
 use lnpram_pram::model::{AccessMode, PramProgram};
 use lnpram_routing::bitonic::BitonicRoutingSession;
 use lnpram_routing::ccc::CccRoutingSession;
@@ -48,9 +49,10 @@ pub fn intro_star_vs_cube(r: &mut Report, scale: Trials) {
         // One cached session per star size: the trial loop recycles one
         // engine instead of rebuilding the n!-node star per seed.
         let mut session = StarRoutingSession::new(star_n, SimConfig::default());
-        let s = serial_trials(n_trials, |seed| {
-            session.route_permutation(seed).metrics.routing_time as f64
-        });
+        let times: Vec<f64> = (0..n_trials)
+            .map(|seed| session.route_permutation(seed).metrics.routing_time as f64)
+            .collect();
+        let s = Summary::of(&times);
         let star_diam = 3 * (star_n - 1) / 2;
         t.row(&[
             format!("star({star_n})"),

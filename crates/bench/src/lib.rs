@@ -74,8 +74,8 @@ fn parse_trials(var: Option<&str>) -> Option<u64> {
 /// work handed out by an atomic counter). The per-seed closure must be
 /// `Sync` — all the routing entry points are, since they build their own
 /// engines. Results are collected in seed order, so the summary is
-/// identical to the serial [`serial_trials`] (determinism is per seed,
-/// not per schedule).
+/// identical to the serial loop's (determinism is per seed, not per
+/// schedule).
 pub fn trials<F>(trials: u64, f: F) -> Summary
 where
     F: Fn(u64) -> f64 + Sync,
@@ -110,75 +110,6 @@ where
         time: Summary::of(&time),
         queue: Summary::of(&queue),
     }
-}
-
-/// Alias of [`trials`], kept for call sites that want to be explicit that
-/// they fan out across cores.
-pub fn par_trials<F>(n_trials: u64, f: F) -> Summary
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    par_summary(n_trials, f)
-}
-
-/// Single-threaded trial loop, for closures that must mutate state
-/// between seeds (and as the reference the parallel runner is tested
-/// against).
-pub fn serial_trials<F: FnMut(u64) -> f64>(trials: u64, mut f: F) -> Summary {
-    let data: Vec<f64> = (0..trials).map(&mut f).collect();
-    Summary::of(&data)
-}
-
-/// One experiment's machine-readable record (written by `run_all` into
-/// `bench_results.json` for downstream tooling).
-#[derive(Debug, Clone)]
-pub struct ExperimentRecord {
-    /// Experiment id (e.g. "thm21"), matching DESIGN.md's index.
-    pub id: String,
-    /// Row label within the experiment (host / configuration).
-    pub label: String,
-    /// Metric name (e.g. "time_per_level").
-    pub metric: String,
-    /// Mean over trials.
-    pub mean: f64,
-    /// Max over trials.
-    pub max: f64,
-}
-
-impl ExperimentRecord {
-    /// Build from a summary.
-    pub fn from_summary(id: &str, label: &str, metric: &str, s: &Summary) -> Self {
-        ExperimentRecord {
-            id: id.into(),
-            label: label.into(),
-            metric: metric.into(),
-            mean: s.mean,
-            max: s.max,
-        }
-    }
-}
-
-/// Serialise records to a JSON file. The record shape is flat, so the
-/// writer is the hand-rolled [`json`] builder (no serde_json in the
-/// dependency budget); string fields are experiment ids and labels we
-/// control — escaped anyway for robustness.
-pub fn save_records(path: &str, records: &[ExperimentRecord]) -> std::io::Result<()> {
-    let mut out = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        let obj = json::Obj::new()
-            .str_field("id", &r.id)
-            .str_field("label", &r.label)
-            .str_field("metric", &r.metric)
-            .field("mean", r.mean)
-            .field("max", r.max)
-            .render();
-        out.push_str(&format!(
-            "  {obj}{}\n",
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    std::fs::write(path, out)
 }
 
 /// A plain-text table builder with fixed-width columns.
@@ -295,9 +226,9 @@ mod tests {
 
     #[test]
     fn par_trials_matches_serial() {
-        let serial = serial_trials(16, |seed| (seed * seed) as f64);
-        let parallel = par_trials(16, |seed| (seed * seed) as f64);
-        assert_eq!(serial, parallel);
+        let serial: Vec<f64> = (0..16u64).map(|seed| (seed * seed) as f64).collect();
+        let parallel = trials(16, |seed| (seed * seed) as f64);
+        assert_eq!(Summary::of(&serial), parallel);
     }
 
     #[test]
@@ -309,34 +240,6 @@ mod tests {
         assert_eq!(count(Some("0")), 12);
         assert_eq!(count(Some("not-a-number")), 12);
         assert_eq!(count(Some("")), 12);
-    }
-
-    #[test]
-    fn save_records_writes_valid_shape() {
-        let recs = vec![
-            ExperimentRecord {
-                id: "thm21".into(),
-                label: "butterfly(2,6)".into(),
-                metric: "time_per_level".into(),
-                mean: 2.5,
-                max: 3.0,
-            },
-            ExperimentRecord {
-                id: "thm22".into(),
-                label: "star \"quoted\"".into(),
-                metric: "time_per_diam".into(),
-                mean: 2.1,
-                max: 2.4,
-            },
-        ];
-        let path = std::env::temp_dir().join("lnpram_bench_records_test.json");
-        save_records(path.to_str().unwrap(), &recs).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.starts_with("[\n"));
-        assert!(body.contains("\"id\": \"thm21\""));
-        assert!(body.contains("\\\"quoted\\\""));
-        assert_eq!(body.matches('{').count(), 2);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
