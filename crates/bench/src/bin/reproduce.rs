@@ -44,5 +44,10 @@ fn main() -> ExitCode {
     for experiment in selected {
         print!("{}", report.run(experiment, trials));
     }
-    ExitCode::SUCCESS
+    print!("{}", report.claims_summary());
+    if report.violations().is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -168,6 +168,7 @@ impl Report {
     /// — returning the section's text.
     pub fn run(&mut self, experiment: &Experiment, trials: Trials) -> &str {
         let start = self.text().len();
+        self.section = experiment.id;
         self.note(format!("## {}\n", experiment.id));
         (experiment.run)(self, trials);
         self.note("\n---\n");

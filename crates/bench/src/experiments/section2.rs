@@ -22,7 +22,7 @@ use lnpram_topology::leveled::{Leveled, LeveledNet, RadixButterfly, UnrolledShuf
 use lnpram_topology::{DWayShuffle, Network};
 use rand::Rng;
 
-fn thm21_sweep<L: Leveled + Copy>(t: &mut Table, nets: &[L], n_trials: u64) {
+fn thm21_sweep<L: Leveled + Copy>(r: &mut Report, t: &mut Table, nets: &[L], n_trials: u64) {
     for net in nets {
         let m = measure(n_trials, |s| {
             LeveledRoutingSession::new(*net, SimConfig::default())
@@ -30,6 +30,7 @@ fn thm21_sweep<L: Leveled + Copy>(t: &mut Table, nets: &[L], n_trials: u64) {
                 .metrics
         });
         let ell = net.levels() as f64;
+        r.claim(&net.name(), "time/l", m.time.mean / ell, 3.0);
         t.row(&[
             net.name(),
             fmt::n(net.width()),
@@ -75,12 +76,14 @@ pub fn thm21(r: &mut Report, scale: Trials) {
         (8, 4),
     ];
     thm21_sweep(
+        r,
         &mut t,
         &butterflies.map(|(radix, k)| RadixButterfly::new(radix, k)),
         n_trials,
     );
     let shuffles = [(3, 3), (3, 5), (4, 4), (5, 5), (6, 6)];
     thm21_sweep(
+        r,
         &mut t,
         &shuffles.map(|(d, k)| UnrolledShuffle::new(d, k)),
         n_trials,
@@ -122,6 +125,12 @@ pub fn thm22(r: &mut Report, scale: Trials) {
         let rel = trials(n_trials.min(3), |s| {
             star(n).route_relation(n, s).metrics.routing_time as f64
         });
+        r.claim(
+            &format!("star({n})"),
+            "time/diam",
+            perm.time.mean / diam,
+            3.0,
+        );
         t.row(&[
             fmt::n(n),
             fmt::n(factorial(n)),
@@ -201,6 +210,7 @@ pub fn thm23(r: &mut Report, scale: Trials) {
         // Valiant's general d-way bound: O(n log n / log log n) — show the
         // growth factor it would add at this n.
         let nf = n as f64;
+        r.claim(&sh.name(), "time/n", perm.time.mean / nf, 3.5);
         let valiant = if n >= 3 {
             nf * nf.ln() / nf.ln().ln().max(0.2)
         } else {
@@ -427,9 +437,9 @@ pub(super) fn permutation_traffic(width: usize, seed: u64, rounds: usize) -> Per
 /// One thm25 row: `rounds` of permutation traffic on the emulator
 /// `build(address_space, cfg)` makes.
 fn thm25_row<H: EmuHost>(
-    t: &mut Table,
+    (r, t): (&mut Report, &mut Table),
     (name, width): (String, usize),
-    (rounds, seed): (usize, u64),
+    (rounds, seed, per_diam_bound): (usize, u64, f64),
     build: impl FnOnce(u64, EmulatorConfig) -> PramEmulator<H>,
 ) {
     let mut prog = permutation_traffic(width, seed, rounds);
@@ -439,12 +449,15 @@ fn thm25_row<H: EmuHost>(
     };
     let mut emu = build(prog.address_space(), cfg);
     let rep = emu.run_program(&mut prog, 10_000);
+    let per_diam = rep.slowdown_per_diameter(emu.diameter());
+    r.claim(&name, "steps per diameter", per_diam, per_diam_bound);
+    r.claim(&name, "rehashes", rep.rehashes as f64, 0.0);
     t.row(&[
         name,
         fmt::n(width),
         fmt::n(emu.diameter()),
         fmt::f(rep.mean_step_time(), 1),
-        fmt::f(rep.slowdown_per_diameter(emu.diameter()), 2),
+        fmt::f(per_diam, 2),
         fmt::n(rep.max_step_time() as usize),
         fmt::n(rep.rehashes as usize),
     ]);
@@ -459,8 +472,9 @@ fn thm25_row<H: EmuHost>(
 /// host diameter, plus rehash counts (the §2.1 remap rule should almost
 /// never fire at the default budget).
 pub fn thm25(r: &mut Report, _: Trials) {
-    fn leveled<L: Leveled + Copy>(t: &mut Table, net: L, seed: u64) {
-        thm25_row(t, (net.name(), net.width()), (6, seed), |space, cfg| {
+    fn leveled<L: Leveled + Copy>(r: &mut Report, t: &mut Table, net: L, seed: u64) {
+        let host = (net.name(), net.width());
+        thm25_row((r, t), host, (6, seed, 3.0), |space, cfg| {
             LeveledPramEmulator::new(net, AccessMode::Erew, space, cfg)
         });
     }
@@ -477,15 +491,15 @@ pub fn thm25(r: &mut Report, _: Trials) {
         ],
     );
     for (k, seed) in [(6usize, 1u64), (8, 2), (10, 3), (12, 4)] {
-        leveled(&mut t, RadixButterfly::new(2, k), seed);
+        leveled(r, &mut t, RadixButterfly::new(2, k), seed);
     }
-    leveled(&mut t, RadixButterfly::new(4, 4), 5);
-    leveled(&mut t, UnrolledShuffle::n_way(3), 6);
-    leveled(&mut t, UnrolledShuffle::n_way(4), 7);
-    leveled(&mut t, UnrolledShuffle::n_way(5), 8);
+    leveled(r, &mut t, RadixButterfly::new(4, 4), 5);
+    leveled(r, &mut t, UnrolledShuffle::n_way(3), 6);
+    leveled(r, &mut t, UnrolledShuffle::n_way(4), 7);
+    leveled(r, &mut t, UnrolledShuffle::n_way(5), 8);
     for (n, seed) in [(4usize, 9u64), (5, 10), (6, 11)] {
         let host = (format!("star({n})"), factorial(n));
-        thm25_row(&mut t, host, (4, seed), |space, cfg| {
+        thm25_row((r, &mut t), host, (4, seed, 5.0), |space, cfg| {
             StarPramEmulator::new(n, AccessMode::Erew, space, cfg)
         });
     }

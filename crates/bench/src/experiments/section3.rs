@@ -135,6 +135,10 @@ pub fn linear_array_lemma(r: &mut Report, scale: Trials) {
             let m = measure(n_trials, |s| {
                 route_linear_random_dests(n, load, s, SimConfig::default()).metrics
             });
+            if matches!(load, LinearLoad::Uniform(1) | LinearLoad::OneEnd(_)) {
+                let row = format!("n={n}, {label}");
+                r.claim(&row, "time/n'", m.time.mean / nprime as f64, 1.25);
+            }
             t.row(&[
                 fmt::n(n),
                 label,
@@ -174,12 +178,14 @@ pub fn thm31(r: &mut Report, scale: Trials) {
             ("valiant-brebner", MeshAlgorithm::ValiantBrebner),
             ("greedy XY", MeshAlgorithm::Greedy),
         ];
+        let mut per_n = Vec::new();
         for (name, alg) in algos {
             let m = measure(n_trials, |s| {
                 MeshRoutingSession::new(n, alg, SimConfig::default())
                     .route_permutation(s)
                     .metrics
             });
+            per_n.push(m.time.mean / n as f64);
             t.row(&[
                 fmt::n(n),
                 name.into(),
@@ -189,6 +195,14 @@ pub fn thm31(r: &mut Report, scale: Trials) {
                 fmt::f((n as f64).log2(), 1),
             ]);
         }
+        let row = format!("n={n}");
+        r.claim(&row, "three-stage time/n", per_n[0], 2.25);
+        r.claim(
+            &row,
+            "three-stage vs valiant-brebner time/n",
+            per_n[0],
+            per_n[1],
+        );
         let sort_time = trials(2, |s| {
             let mut rng = SeedSeq::new(s).rng();
             let dests = workloads::random_permutation(n * n, &mut rng);
@@ -271,11 +285,14 @@ pub fn thm32(r: &mut Report, _: Trials) {
             },
         );
         let rep = emu.run_program(&mut prog, 10_000);
+        let per_n = rep.mean_step_time() / n as f64;
+        r.claim(&format!("n={n}"), "steps per n", per_n, 4.0);
+        r.claim(&format!("n={n}"), "rehashes", rep.rehashes as f64, 0.0);
         t.row(&[
             fmt::n(n),
             fmt::n(n * n),
             fmt::f(rep.mean_step_time(), 1),
-            fmt::f(rep.mean_step_time() / n as f64, 2),
+            fmt::f(per_n, 2),
             fmt::n(rep.max_step_time() as usize),
             fmt::n(rep.rehashes as usize),
         ]);
@@ -331,10 +348,12 @@ pub fn thm33(r: &mut Report, _: Trials) {
         );
         let rep = emu.run_program(&mut prog, 10_000);
         let queue = rep.steps.iter().map(|s| s.max_queue).max().unwrap_or(0);
+        let per_d = rep.mean_step_time() / d as f64;
+        r.claim(&format!("d={d}"), "steps per d", per_d, 6.0);
         t.row(&[
             fmt::n(d),
             fmt::f(rep.mean_step_time(), 1),
-            fmt::f(rep.mean_step_time() / d as f64, 2),
+            fmt::f(per_d, 2),
             fmt::f(rep.mean_step_time() / n as f64, 2),
             fmt::n(queue as usize),
         ]);

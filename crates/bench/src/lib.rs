@@ -29,6 +29,7 @@ pub mod json;
 
 use lnpram_math::stats::{par_summary, par_trial_values, Summary};
 use lnpram_simnet::Metrics;
+use std::cmp::Ordering;
 
 /// The `LNPRAM_TRIALS` rule as a value: `None` runs each trial loop at
 /// its own paper-size default, `Some(n)` runs every such loop `n` times.
@@ -169,10 +170,14 @@ impl Table {
 
 /// The text an experiment produces — tables, notes, figure renderings —
 /// accumulated in memory so a test can compare it without spawning a
-/// process.
+/// process, plus the outcome of every bound it [claims](Report::claim).
 #[derive(Debug, Default)]
 pub struct Report {
     text: String,
+    /// Id of the experiment being run, for violation messages.
+    section: &'static str,
+    claims: usize,
+    violations: Vec<String>,
 }
 
 impl Report {
@@ -190,6 +195,44 @@ impl Report {
     /// Everything appended so far.
     pub fn text(&self) -> &str {
         &self.text
+    }
+
+    /// State a bound the paper asserts: on table row `row`, `value` of
+    /// `metric` must not exceed `bound`. A claim prints nothing where it
+    /// is made; [`Report::claims_summary`] reports the count and every
+    /// violation.
+    pub fn claim(&mut self, row: &str, metric: &str, value: f64, bound: f64) {
+        self.claims += 1;
+        // Only a proven `value <= bound` holds: a NaN is a violation.
+        let holds = matches!(
+            value.partial_cmp(&bound),
+            Some(Ordering::Less | Ordering::Equal)
+        );
+        if !holds {
+            let section = self.section;
+            self.violations.push(format!(
+                "{section} / {row}: {metric} = {value:.2} exceeds {bound:.2}"
+            ));
+        }
+    }
+
+    /// The claims that did not hold, one message each.
+    pub fn violations(&self) -> &[String] {
+        &self.violations
+    }
+
+    /// `claims: N checked, V violated`, then one line per violation —
+    /// the last thing `reproduce` prints.
+    pub fn claims_summary(&self) -> String {
+        let mut out = format!(
+            "claims: {} checked, {} violated\n",
+            self.claims,
+            self.violations.len()
+        );
+        for violation in &self.violations {
+            out.push_str(&format!("  violated: {violation}\n"));
+        }
+        out
     }
 }
 
@@ -240,6 +283,27 @@ mod tests {
         assert_eq!(count(Some("0")), 12);
         assert_eq!(count(Some("not-a-number")), 12);
         assert_eq!(count(Some("")), 12);
+    }
+
+    #[test]
+    fn claims_are_counted_and_violations_reported() {
+        let mut r = Report::default();
+        r.claim("row a", "time/l", 2.7, 3.0);
+        r.claim("row b", "time/l", 3.0, 3.0);
+        assert_eq!(r.claims_summary(), "claims: 2 checked, 0 violated\n");
+        r.claim("row c", "time/l", 3.01, 3.0);
+        r.claim("row d", "rehashes", f64::NAN, 0.0);
+        assert_eq!(r.violations().len(), 2);
+        assert_eq!(
+            r.claims_summary(),
+            "claims: 4 checked, 2 violated\n  \
+             violated:  / row c: time/l = 3.01 exceeds 3.00\n  \
+             violated:  / row d: rehashes = NaN exceeds 0.00\n"
+        );
+        assert!(
+            r.text().is_empty(),
+            "a claim prints nothing where it is made"
+        );
     }
 
     #[test]

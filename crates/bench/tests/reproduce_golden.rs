@@ -8,6 +8,10 @@
 //! ## <id>\n\n<the experiment's output, byte for byte>\n---\n\n
 //! ```
 //!
+//! and a last line `claims: N checked, 0 violated` — the bounds the
+//! theorem experiments state through `Report::claim`, none of which may
+//! fail at either scale.
+//!
 //! `EXPERIMENTS.md` at the repository root is the same rendering at
 //! paper sizes (`LNPRAM_TRIALS` unset); CI diffs a fresh run against
 //! it. Both files were first recorded from the per-table binaries the
@@ -25,7 +29,9 @@ fn tables_and_figures_match_the_golden_at_two_trials() {
     for experiment in EXPERIMENTS {
         report.run(experiment, Trials(Some(2)));
     }
-    let (out, golden) = (report.text(), include_str!("golden/reproduce_t2.txt"));
+    assert_eq!(report.violations(), &[] as &[String], "violated claims");
+    let out = format!("{}{}", report.text(), report.claims_summary());
+    let golden = include_str!("golden/reproduce_t2.txt");
     if let Some(line) = out.lines().zip(golden.lines()).position(|(a, b)| a != b) {
         panic!(
             "output differs from golden/reproduce_t2.txt at line {}:\n  got:    {:?}\n  golden: {:?}",
