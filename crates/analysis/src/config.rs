@@ -134,9 +134,10 @@ impl Default for Config {
                 paths: Vec::new(),
                 exempt: vec![
                     "crates/simnet/src/trace.rs".into(),
-                    "crates/bench".into(),
-                    // Examples are demo harnesses that report wall time,
-                    // same as bench bins — they never feed engine state.
+                    // Examples are demo harnesses that report wall
+                    // time — they never feed engine state. `crates/bench`
+                    // is *not* exempt: every number `reproduce` prints
+                    // is a function of the seeds.
                     "examples".into(),
                 ],
             },
@@ -410,7 +411,8 @@ mod tests {
         assert!(!cfg.determinism.applies("crates/pram/src/machine.rs"));
         assert!(!cfg.no_ambient_clock.applies("crates/simnet/src/trace.rs"));
         assert!(cfg.no_ambient_clock.applies("crates/simnet/src/engine.rs"));
-        assert!(!cfg.no_ambient_clock.applies("crates/bench/src/lib.rs"));
+        assert!(cfg.no_ambient_clock.applies("crates/bench/src/lib.rs"));
+        assert!(!cfg.no_ambient_clock.applies("examples/trace_serve.rs"));
     }
 
     #[test]

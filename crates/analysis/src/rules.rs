@@ -733,10 +733,11 @@ fn f() {}\n";
     }
 
     #[test]
-    fn clock_rule_exempts_trace_and_bench() {
+    fn clock_rule_exempts_trace_and_examples_only() {
         let src = "use std::time::Instant;\n";
         assert!(lint("crates/simnet/src/trace.rs", src).is_empty());
-        assert!(lint("crates/bench/src/bin/b.rs", src).is_empty());
+        assert!(lint("examples/routing_sessions.rs", src).is_empty());
         assert!(!lint("crates/routing/src/serve.rs", src).is_empty());
+        assert!(!lint("crates/bench/src/bin/reproduce.rs", src).is_empty());
     }
 }
