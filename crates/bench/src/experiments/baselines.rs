@@ -3,10 +3,10 @@
 //! memory placement (§2.1, §2.2.1), and the degree/diameter trade inside
 //! the leveled family (§2.3.1).
 
-use super::section2::permutation_traffic;
+use super::section2::{permutation_traffic, seeded};
 use super::section3::three_stage;
-use crate::{fmt, measure, trials, Report, Table, Trials};
-use lnpram_core::{EmulatorConfig, LeveledPramEmulator, ReplicatedPramEmulator};
+use crate::{fmt, measure, Report, Table, Trials};
+use lnpram_core::{LeveledPramEmulator, ReplicatedPramEmulator};
 use lnpram_math::perm::factorial;
 use lnpram_math::rng::SeedSeq;
 use lnpram_math::stats::Summary;
@@ -36,43 +36,31 @@ pub fn intro_star_vs_cube(r: &mut Report, scale: Trials) {
     let n_trials = scale.count(5);
     let mut t = Table::new(
         "Intro / §2.3.4 — star graph vs binary hypercube at comparable sizes",
-        &[
-            "network",
-            "N",
-            "degree",
-            "diameter",
-            "perm routing time",
-            "time/diam",
-        ],
+        "network | N | degree | diameter | perm routing time | time/diam",
     );
     for (star_n, cube_d) in [(5usize, 7usize), (6, 10), (7, 13)] {
-        // One cached session per star size: the trial loop recycles one
-        // engine instead of rebuilding the n!-node star per seed.
-        let mut session = StarRoutingSession::new(star_n, SimConfig::default());
-        let times: Vec<f64> = (0..n_trials)
-            .map(|seed| session.route_permutation(seed).metrics.routing_time as f64)
-            .collect();
-        let s = Summary::of(&times);
-        let star_diam = 3 * (star_n - 1) / 2;
-        t.row(&[
+        let mut row = |network: String, nodes: usize, degree: usize, diam: usize, time: Summary| {
+            t.row(&[
+                network,
+                nodes.to_string(),
+                degree.to_string(),
+                diam.to_string(),
+                fmt::dist(&time),
+                fmt::f(time.mean / diam as f64, 2),
+            ]);
+        };
+        let star = || StarRoutingSession::new(star_n, SimConfig::default());
+        let time = measure(n_trials, |s| star().route_permutation(s).metrics).time;
+        let diam = 3 * (star_n - 1) / 2;
+        row(
             format!("star({star_n})"),
-            fmt::n(factorial(star_n)),
-            fmt::n(star_n - 1),
-            fmt::n(star_diam),
-            fmt::dist(&s),
-            fmt::f(s.mean / star_diam as f64, 2),
-        ]);
-        let c = trials(n_trials, |seed| {
-            cube(cube_d).route_permutation(seed).metrics.routing_time as f64
-        });
-        t.row(&[
-            format!("cube({cube_d})"),
-            fmt::n(1 << cube_d),
-            fmt::n(cube_d),
-            fmt::n(cube_d),
-            fmt::dist(&c),
-            fmt::f(c.mean / cube_d as f64, 2),
-        ]);
+            factorial(star_n),
+            star_n - 1,
+            diam,
+            time,
+        );
+        let time = measure(n_trials, |s| cube(cube_d).route_permutation(s).metrics).time;
+        row(format!("cube({cube_d})"), 1 << cube_d, cube_d, cube_d, time);
     }
     r.table(&t);
     r.note(
@@ -106,7 +94,7 @@ pub fn adversarial_mesh(r: &mut Report, scale: Trials) {
     let n_trials = scale.count(5);
     let mut t = Table::new(
         "Table I2 — deterministic vs randomized routing on adversarial patterns",
-        &["n", "pattern", "algorithm", "time/n", "max queue"],
+        "n | pattern | algorithm | time/n | max queue",
     );
     for n in [16usize, 32, 64] {
         let mesh = Mesh::square(n);
@@ -128,7 +116,7 @@ pub fn adversarial_mesh(r: &mut Report, scale: Trials) {
                         .metrics
                 });
                 t.row(&[
-                    fmt::n(n),
+                    n.to_string(),
                     pat.into(),
                     name.into(),
                     fmt::f(m.time.mean / n as f64, 2),
@@ -162,16 +150,13 @@ pub fn adversarial_mesh(r: &mut Report, scale: Trials) {
 /// the placement effect (deterministic placement, no replication).
 pub fn deterministic_baseline(r: &mut Report, _: Trials) {
     fn rows<L: Leveled + Copy>(t: &mut Table, net: L, seed: u64) {
-        let cfg = EmulatorConfig {
-            seed,
-            ..Default::default()
-        };
+        let cfg = seeded(seed);
         let mut row = |scheme: String, pkts: usize, mean: f64, per_diam: f64| {
             t.row(&[
                 net.name(),
-                fmt::n(net.width()),
+                net.width().to_string(),
                 scheme,
-                fmt::n(pkts),
+                pkts.to_string(),
                 fmt::f(mean, 1),
                 fmt::f(per_diam, 2),
             ]);
@@ -196,14 +181,7 @@ pub fn deterministic_baseline(r: &mut Report, _: Trials) {
     }
     let mut t = Table::new(
         "Table D1 — randomized hashing vs deterministic replication ([3]-style)",
-        &[
-            "host",
-            "N",
-            "scheme",
-            "pkts/access",
-            "steps/PRAM step",
-            "per diameter",
-        ],
+        "host | N | scheme | pkts/access | steps/PRAM step | per diameter",
     );
     rows(&mut t, RadixButterfly::new(2, 6), 1);
     rows(&mut t, RadixButterfly::new(2, 8), 2);
@@ -234,26 +212,15 @@ pub fn batcher_baseline(r: &mut Report, scale: Trials) {
     let n_trials = scale.count(8);
     let mut t = Table::new(
         "Table I3 — Batcher bitonic vs Valiant randomized routing on the k-cube",
-        &[
-            "k",
-            "N",
-            "bitonic steps",
-            "bitonic queue",
-            "valiant steps",
-            "valiant queue",
-            "speedup",
-        ],
+        "k | N | bitonic steps | bitonic queue | valiant steps | valiant queue | speedup",
     );
     for k in [4usize, 6, 8, 10, 12] {
-        let bit = measure(n_trials, |s| {
-            BitonicRoutingSession::new(k, SimConfig::default())
-                .route_permutation(s)
-                .metrics
-        });
+        let bitonic = || BitonicRoutingSession::new(k, SimConfig::default());
+        let bit = measure(n_trials, |s| bitonic().route_permutation(s).metrics);
         let val = measure(n_trials, |s| cube(k).route_permutation(s).metrics);
         t.row(&[
-            fmt::n(k),
-            fmt::n(1 << k),
+            k.to_string(),
+            (1usize << k).to_string(),
             fmt::f(bit.time.mean, 0),
             fmt::f(bit.queue.mean, 0),
             fmt::f(val.time.mean, 1),
@@ -289,31 +256,27 @@ pub fn constant_degree_hosts(r: &mut Report, scale: Trials) {
     let n_trials = scale.count(6);
     let mut t = Table::new(
         "Table I4 — constant-degree leveled hosts vs the hypercube",
-        &["host", "N", "degree", "diam", "time", "time/diam"],
+        "host | N | degree | diam | time | time/diam",
     );
     for k in [4usize, 6, 8] {
         let mut row = |host: String, nodes: usize, degree: usize, diam: usize, time: f64| {
             t.row(&[
                 host,
-                fmt::n(nodes),
-                fmt::n(degree),
-                fmt::n(diam),
+                nodes.to_string(),
+                degree.to_string(),
+                diam.to_string(),
                 fmt::f(time, 1),
                 fmt::f(time / diam as f64, 2),
             ]);
         };
-        let time = |route: &(dyn Fn(u64) -> lnpram_routing::RunReport + Sync)| {
-            trials(n_trials, |s| route(s).metrics.routing_time as f64).mean
-        };
-        let cube_time = time(&|s| cube(k).route_permutation(s));
-        row(format!("hypercube({k})"), 1 << k, k, k, cube_time);
-        let bfly = time(&|s| {
-            LeveledRoutingSession::new(RadixButterfly::new(2, k), SimConfig::default())
-                .route_permutation(s)
-        });
-        row(format!("butterfly(2,{k})"), 1 << k, 2, 2 * k, bfly);
-        let ccc = time(&|s| CccRoutingSession::new(k, SimConfig::default()).route_permutation(s));
-        row(format!("ccc({k})"), k << k, 3, 2 * k + k / 2 - 2, ccc);
+        let time = measure(n_trials, |s| cube(k).route_permutation(s).metrics).time;
+        row(format!("hypercube({k})"), 1 << k, k, k, time.mean);
+        let bfly = || LeveledRoutingSession::new(RadixButterfly::new(2, k), SimConfig::default());
+        let time = measure(n_trials, |s| bfly().route_permutation(s).metrics).time;
+        row(format!("butterfly(2,{k})"), 1 << k, 2, 2 * k, time.mean);
+        let ccc = || CccRoutingSession::new(k, SimConfig::default());
+        let time = measure(n_trials, |s| ccc().route_permutation(s).metrics).time;
+        row(format!("ccc({k})"), k << k, 3, 2 * k + k / 2 - 2, time.mean);
     }
     r.table(&t);
     r.note(

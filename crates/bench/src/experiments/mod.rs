@@ -28,104 +28,46 @@ pub struct Experiment {
     pub run: fn(&mut Report, Trials),
 }
 
-impl Experiment {
-    const fn new(id: &'static str, source: &'static str, run: fn(&mut Report, Trials)) -> Self {
-        Experiment { id, source, run }
-    }
+/// The registry literal: each entry is the experiment's function and the
+/// part of the paper it reproduces; the id is the function's name.
+macro_rules! experiments {
+    ($($module:ident::$run:ident => $source:literal,)*) => {
+        &[$(Experiment { id: stringify!($run), source: $source, run: $module::$run }),*]
+    };
 }
 
 /// Every experiment, in output order.
-pub const EXPERIMENTS: &[Experiment] = &[
-    Experiment::new("figure1", "Figure 1", figures::figure1),
-    Experiment::new("figure2", "Figure 2", figures::figure2),
-    Experiment::new("figure3", "Figure 3", figures::figure3),
-    Experiment::new("figure4", "Figure 4", figures::figure4),
-    Experiment::new("figure5", "Figure 5", figures::figure5),
-    Experiment::new("thm21", "Theorem 2.1", section2::thm21),
-    Experiment::new("thm22", "Theorem 2.2 / Corollary 2.1", section2::thm22),
-    Experiment::new("thm23", "Theorem 2.3 / Corollary 2.2", section2::thm23),
-    Experiment::new("thm24", "Theorem 2.4", section2::thm24),
-    Experiment::new("lemma21", "Lemma 2.1", section2::lemma21),
-    Experiment::new("lemma22", "Lemma 2.2", section2::lemma22),
-    Experiment::new("cor31_33", "Corollaries 3.1-3.3", section3::cor31_33),
-    Experiment::new(
-        "thm25",
-        "Theorem 2.5 / Corollaries 2.3-2.4",
-        section2::thm25,
-    ),
-    Experiment::new(
-        "thm26",
-        "Theorem 2.6 / Corollaries 2.5-2.6",
-        section2::thm26,
-    ),
-    Experiment::new(
-        "linear_array_lemma",
-        "§3.4.1 linear-array lemma",
-        section3::linear_array_lemma,
-    ),
-    Experiment::new(
-        "intro_star_vs_cube",
-        "§1 / §2.3.4 star vs hypercube",
-        baselines::intro_star_vs_cube,
-    ),
-    Experiment::new(
-        "adversarial_mesh",
-        "§2.2.1 why randomize (table I2)",
-        baselines::adversarial_mesh,
-    ),
-    Experiment::new(
-        "deterministic_baseline",
-        "§1 / §2.1 replicated-memory baseline (table D1)",
-        baselines::deterministic_baseline,
-    ),
-    Experiment::new(
-        "batcher_baseline",
-        "§2.2.1 Batcher vs Valiant (table I3)",
-        baselines::batcher_baseline,
-    ),
-    Experiment::new(
-        "constant_degree_hosts",
-        "§2.3.1 constant-degree hosts (table I4)",
-        baselines::constant_degree_hosts,
-    ),
-    Experiment::new("thm31", "Theorem 3.1", section3::thm31),
-    Experiment::new("thm32", "Theorem 3.2", section3::thm32),
-    Experiment::new("thm33", "Theorem 3.3", section3::thm33),
-    Experiment::new(
-        "ablate_discipline",
-        "§3.4 queue discipline (ablation A1)",
-        section3::ablate_discipline,
-    ),
-    Experiment::new(
-        "ablate_slice",
-        "§3.4 slice height (ablation A2)",
-        section3::ablate_slice,
-    ),
-    Experiment::new(
-        "ablate_hash_degree",
-        "§2.1 hash degree (ablation A3)",
-        section2::ablate_hash_degree,
-    ),
-    Experiment::new(
-        "ablate_const_queue",
-        "Theorem 3.2 constant queues (ablation A5)",
-        section3::ablate_const_queue,
-    ),
-    Experiment::new(
-        "level_congestion",
-        "§2.2.1 / §2.3 phase-1 randomization (table A6)",
-        section2::level_congestion,
-    ),
-    Experiment::new(
-        "adaptive_vs_oblivious",
-        "beyond the paper: adaptive vs oblivious routing",
-        systems::adaptive_vs_oblivious,
-    ),
-    Experiment::new(
-        "degraded_serve",
-        "beyond the paper: serving under link failures",
-        systems::degraded_serve,
-    ),
+pub const EXPERIMENTS: &[Experiment] = experiments![
+    figures::figure1 => "Figure 1",
+    figures::figure2 => "Figure 2",
+    figures::figure3 => "Figure 3",
+    figures::figure4 => "Figure 4",
+    figures::figure5 => "Figure 5",
+    section2::thm21 => "Theorem 2.1",
+    section2::thm22 => "Theorem 2.2 / Corollary 2.1",
+    section2::thm23 => "Theorem 2.3 / Corollary 2.2",
+    section2::thm24 => "Theorem 2.4",
+    section2::lemma21 => "Lemma 2.1",
+    section2::lemma22 => "Lemma 2.2",
+    section3::cor31_33 => "Corollaries 3.1-3.3",
+    section2::thm25 => "Theorem 2.5 / Corollaries 2.3-2.4",
+    section2::thm26 => "Theorem 2.6 / Corollaries 2.5-2.6",
+    section3::linear_array_lemma => "§3.4.1 linear-array lemma",
+    baselines::intro_star_vs_cube => "§1 / §2.3.4 star vs hypercube",
+    baselines::adversarial_mesh => "§2.2.1 why randomize (table I2)",
+    baselines::deterministic_baseline => "§1 / §2.1 replicated-memory baseline (table D1)",
+    baselines::batcher_baseline => "§2.2.1 Batcher vs Valiant (table I3)",
+    baselines::constant_degree_hosts => "§2.3.1 constant-degree hosts (table I4)",
+    section3::thm31 => "Theorem 3.1",
+    section3::thm32 => "Theorem 3.2",
+    section3::thm33 => "Theorem 3.3",
+    section3::ablate_discipline => "§3.4 queue discipline (ablation A1)",
+    section3::ablate_slice => "§3.4 slice height (ablation A2)",
+    section2::ablate_hash_degree => "§2.1 hash degree (ablation A3)",
+    section3::ablate_const_queue => "Theorem 3.2 constant queues (ablation A5)",
+    section2::level_congestion => "§2.2.1 / §2.3 phase-1 randomization (table A6)",
+    systems::adaptive_vs_oblivious => "beyond the paper: adaptive vs oblivious routing",
+    systems::degraded_serve => "beyond the paper: serving under link failures",
 ];
 
 /// An `--only` argument that names no experiment.

@@ -12,7 +12,7 @@ use lnpram_math::rng::SeedSeq;
 use lnpram_math::stats::{par_trial_values, Summary};
 use lnpram_pram::model::{AccessMode, MemOp, PramProgram};
 use lnpram_pram::programs::{Broadcast, PermutationTraffic};
-use lnpram_routing::retry::{route_with_retry, AttemptResult, RetryPolicy};
+use lnpram_routing::retry::{route_with_retry, AttemptResult, RetryPolicy, RetryReport};
 use lnpram_routing::shuffle::ShuffleRoutingSession;
 use lnpram_routing::{
     workloads, DoubledLeveled, LeveledRoutingSession, Router, StarRoutingSession,
@@ -24,18 +24,15 @@ use rand::Rng;
 
 fn thm21_sweep<L: Leveled + Copy>(r: &mut Report, t: &mut Table, nets: &[L], n_trials: u64) {
     for net in nets {
-        let m = measure(n_trials, |s| {
-            LeveledRoutingSession::new(*net, SimConfig::default())
-                .route_permutation(s)
-                .metrics
-        });
+        let session = || LeveledRoutingSession::new(*net, SimConfig::default());
+        let m = measure(n_trials, |s| session().route_permutation(s).metrics);
         let ell = net.levels() as f64;
         r.claim(&net.name(), "time/l", m.time.mean / ell, 3.0);
         t.row(&[
             net.name(),
-            fmt::n(net.width()),
-            fmt::n(net.levels()),
-            fmt::n(net.degree()),
+            net.width().to_string(),
+            net.levels().to_string(),
+            net.degree().to_string(),
             fmt::dist(&m.time),
             fmt::f(m.time.mean / ell, 2),
             fmt::dist(&m.queue),
@@ -54,16 +51,7 @@ pub fn thm21(r: &mut Report, scale: Trials) {
     let n_trials = scale.count(10);
     let mut t = Table::new(
         "Theorem 2.1 — permutation routing on leveled networks (Algorithm 2.1, FIFO)",
-        &[
-            "network",
-            "N",
-            "levels",
-            "deg",
-            "time (p95/max)",
-            "time/l",
-            "queue (p95/max)",
-            "queue/l",
-        ],
+        "network | N | levels | deg | time (p95/max) | time/l | queue (p95/max) | queue/l",
     );
     let butterflies = [
         (2, 6),
@@ -103,17 +91,7 @@ pub fn thm21(r: &mut Report, scale: Trials) {
 pub fn thm22(r: &mut Report, scale: Trials) {
     let mut t = Table::new(
         "Theorem 2.2 / Cor 2.1 — routing on the n-star (Algorithm 2.2, FIFO)",
-        &[
-            "n",
-            "N=n!",
-            "diam",
-            "log2 N",
-            "perm time",
-            "time/diam",
-            "n-rel time",
-            "rel/(n*diam)",
-            "max queue",
-        ],
+        "n | N=n! | diam | log2 N | perm time | time/diam | n-rel time | rel/(n*diam) | max queue",
     );
     let star = |n: usize| StarRoutingSession::new(n, SimConfig::default());
     // The randomized permutation times, kept for the second table.
@@ -122,9 +100,7 @@ pub fn thm22(r: &mut Report, scale: Trials) {
         let n_trials = scale.count(if n >= 7 { 3 } else { 8 });
         let diam = (3 * (n - 1) / 2) as f64;
         let perm = measure(n_trials, |s| star(n).route_permutation(s).metrics);
-        let rel = trials(n_trials.min(3), |s| {
-            star(n).route_relation(n, s).metrics.routing_time as f64
-        });
+        let rel = measure(n_trials.min(3), |s| star(n).route_relation(n, s).metrics).time;
         r.claim(
             &format!("star({n})"),
             "time/diam",
@@ -132,9 +108,9 @@ pub fn thm22(r: &mut Report, scale: Trials) {
             3.0,
         );
         t.row(&[
-            fmt::n(n),
-            fmt::n(factorial(n)),
-            fmt::n(diam as usize),
+            n.to_string(),
+            factorial(n).to_string(),
+            diam.to_string(),
             fmt::f((factorial(n) as f64).log2(), 1),
             fmt::dist(&perm.time),
             fmt::f(perm.time.mean / diam, 2),
@@ -156,22 +132,17 @@ pub fn thm22(r: &mut Report, scale: Trials) {
     // buys insurance against).
     let mut t = Table::new(
         "§2.3.3 deterministic vs randomized star routing (random permutations)",
-        &[
-            "n",
-            "deterministic",
-            "det/diam",
-            "randomized (Alg 2.2)",
-            "rand/diam",
-        ],
+        "n | deterministic | det/diam | randomized (Alg 2.2) | rand/diam",
     );
     for (n, n_trials, diam, rnd) in randomized.into_iter().skip(1) {
-        let det = trials(n_trials, |s| {
+        let det = measure(n_trials, |s| {
             let mut rng = SeedSeq::new(s).child(0).rng();
             let dests = workloads::random_permutation(factorial(n), &mut rng);
-            star(n).route_direct(&dests).metrics.routing_time as f64
-        });
+            star(n).route_direct(&dests).metrics
+        })
+        .time;
         t.row(&[
-            fmt::n(n),
+            n.to_string(),
             fmt::dist(&det),
             fmt::f(det.mean / diam, 2),
             fmt::dist(&rnd),
@@ -188,25 +159,14 @@ pub fn thm22(r: &mut Report, scale: Trials) {
 pub fn thm23(r: &mut Report, scale: Trials) {
     let mut t = Table::new(
         "Theorem 2.3 / Cor 2.2 — routing on the n-way shuffle (Algorithm 2.3, FIFO)",
-        &[
-            "n",
-            "N=n^n",
-            "diam",
-            "perm time",
-            "time/n",
-            "valiant bound",
-            "n-rel time",
-            "max queue",
-        ],
+        "n | N=n^n | diam | perm time | time/n | valiant bound | n-rel time | max queue",
     );
     for n in [2usize, 3, 4, 5] {
         let sh = DWayShuffle::n_way(n);
         let shuffle = || ShuffleRoutingSession::new(sh, SimConfig::default());
         let n_trials = scale.count(if n >= 5 { 4 } else { 10 });
         let perm = measure(n_trials, |s| shuffle().route_permutation(s).metrics);
-        let rel = trials(n_trials.min(3), |s| {
-            shuffle().route_relation(n, s).metrics.routing_time as f64
-        });
+        let rel = measure(n_trials.min(3), |s| shuffle().route_relation(n, s).metrics).time;
         // Valiant's general d-way bound: O(n log n / log log n) — show the
         // growth factor it would add at this n.
         let nf = n as f64;
@@ -217,9 +177,9 @@ pub fn thm23(r: &mut Report, scale: Trials) {
             nf
         };
         t.row(&[
-            fmt::n(n),
-            fmt::n(sh.num_nodes()),
-            fmt::n(n),
+            n.to_string(),
+            sh.num_nodes().to_string(),
+            n.to_string(),
             fmt::dist(&perm.time),
             fmt::f(perm.time.mean / nf, 2),
             fmt::f(valiant, 1),
@@ -234,16 +194,13 @@ pub fn thm23(r: &mut Report, scale: Trials) {
 fn thm24_sweep<L: Leveled + Copy>(t: &mut Table, net: L, n_trials: u64) {
     let ell = net.levels();
     for h in [1usize, ell.div_ceil(2).max(1), ell, 2 * ell] {
-        let m = measure(n_trials, |s| {
-            LeveledRoutingSession::new(net, SimConfig::default())
-                .route_relation(h, s)
-                .metrics
-        });
+        let session = || LeveledRoutingSession::new(net, SimConfig::default());
+        let m = measure(n_trials, |s| session().route_relation(h, s).metrics);
         t.row(&[
             net.name(),
-            fmt::n(net.width()),
-            fmt::n(ell),
-            fmt::n(h),
+            net.width().to_string(),
+            ell.to_string(),
+            h.to_string(),
             fmt::dist(&m.time),
             fmt::f(m.time.mean / ell as f64, 2),
             fmt::f(m.time.mean / (ell * h.max(1)) as f64, 2),
@@ -261,16 +218,7 @@ fn thm24_sweep<L: Leveled + Copy>(t: &mut Table, net: L, n_trials: u64) {
 pub fn thm24(r: &mut Report, _: Trials) {
     let mut t = Table::new(
         "Theorem 2.4 — partial h-relation routing on leveled networks (l = O(d))",
-        &[
-            "network",
-            "N",
-            "l",
-            "h",
-            "time",
-            "time/l",
-            "time/(l*h)",
-            "max queue",
-        ],
+        "network | N | l | h | time | time/l | time/(l*h) | max queue",
     );
     thm24_sweep(&mut t, RadixButterfly::new(4, 4), 6);
     thm24_sweep(&mut t, RadixButterfly::new(6, 4), 6);
@@ -296,77 +244,55 @@ pub fn lemma21(r: &mut Report, _: Trials) {
 
     let mut t = Table::new(
         "Lemma 2.1 — retry amplification on butterfly(2,8), budget = 2l + slack",
-        &[
-            "slack",
-            "p(fail single)",
-            "mean attempts",
-            "p(fail <=2 tries)",
-            "p^2 (predicted)",
-            "charged/f(N)",
-        ],
+        "slack | p(fail single) | mean attempts | p(fail <=2 tries) | p^2 (predicted) | charged/f(N)",
     );
+    let ids: Vec<u32> = (0..256).collect();
     for slack in [2u32, 3, 4, 5] {
         let policy = RetryPolicy {
             attempt_budget: 2 * ell + slack,
             max_attempts: 40,
         };
-        let mut single_fail = 0u64;
-        let mut two_fail = 0u64;
-        let mut attempts_sum = 0u64;
-        let mut charged_sum = 0u64;
-        let mut gave_up = 0u64;
-        for run in 0..runs {
-            let mut rng = SeedSeq::new(run).rng();
-            let dests = workloads::random_permutation(256, &mut rng);
-            let ids: Vec<u32> = (0..256).collect();
-            let mut first_failed = false;
-            let report = route_with_retry(&ids, policy, |outstanding, b, k| {
-                session.set_max_steps(b);
-                let rep = session.route_with_dests(&dests, SeedSeq::new(run * 1000 + k as u64));
-                if rep.completed {
-                    AttemptResult {
-                        delivered: outstanding.to_vec(),
-                        steps: rep.metrics.routing_time,
-                    }
-                } else {
-                    if k == 0 {
-                        first_failed = true;
-                    }
-                    AttemptResult {
-                        delivered: vec![],
-                        steps: b,
-                    }
-                }
-            });
-            // A budget below the achievable routing time is the regime
-            // where Lemma 2.1's premise (success prob >= 1 - N^-eps per
-            // attempt) fails; count give-ups instead of asserting.
-            gave_up += u64::from(!report.succeeded);
-            single_fail += u64::from(first_failed);
-            two_fail += u64::from(report.attempts > 2);
-            attempts_sum += report.attempts as u64;
-            charged_sum += report.total_steps;
-        }
-        let p1 = single_fail as f64 / runs as f64;
+        // Per run: did the first attempt fail, and the whole schedule's report.
+        let outcomes: Vec<(bool, RetryReport)> = (0..runs)
+            .map(|run| {
+                let dests = workloads::random_permutation(256, &mut SeedSeq::new(run).rng());
+                let mut first_failed = false;
+                let report = route_with_retry(&ids, policy, |outstanding, budget, k| {
+                    session.set_max_steps(budget);
+                    let rep = session.route_with_dests(&dests, SeedSeq::new(run * 1000 + k as u64));
+                    first_failed |= k == 0 && !rep.completed;
+                    let (delivered, steps) = if rep.completed {
+                        (outstanding.to_vec(), rep.metrics.routing_time)
+                    } else {
+                        (Vec::new(), budget)
+                    };
+                    AttemptResult { delivered, steps }
+                });
+                (first_failed, report)
+            })
+            .collect();
+        let mean = |of: fn(&(bool, RetryReport)) -> f64| {
+            outcomes.iter().map(of).sum::<f64>() / runs as f64
+        };
+        let p1 = mean(|o| f64::from(u8::from(o.0)));
+        // A budget below the achievable routing time is the regime where
+        // Lemma 2.1's premise (success prob >= 1 - N^-eps per attempt)
+        // fails; count give-ups instead of asserting.
+        let gave_up = outcomes.iter().filter(|o| !o.1.succeeded).count();
+        let mut row = vec![slack.to_string(), fmt::f(p1, 3)];
         if gave_up > 0 {
-            t.row(&[
-                fmt::n(slack as usize),
-                fmt::f(p1, 3),
-                format!(">{} (gave up {gave_up}/{runs})", policy.max_attempts),
-                "-".into(),
-                "-".into(),
-                "-".into(),
-            ]);
-            continue;
+            row.push(format!(
+                ">{} (gave up {gave_up}/{runs})",
+                policy.max_attempts
+            ));
+            row.extend(["-".into(), "-".into(), "-".into()]);
+        } else {
+            let charged = mean(|o| o.1.total_steps as f64) / (2.0 * ell as f64);
+            row.push(fmt::f(mean(|o| o.1.attempts as f64), 2));
+            row.push(fmt::f(mean(|o| f64::from(u8::from(o.1.attempts > 2))), 3));
+            row.extend([fmt::f(p1 * p1, 3), fmt::f(charged, 2)]);
         }
-        t.row(&[
-            fmt::n(slack as usize),
-            fmt::f(p1, 3),
-            fmt::f(attempts_sum as f64 / runs as f64, 2),
-            fmt::f(two_fail as f64 / runs as f64, 3),
-            fmt::f(p1 * p1, 3),
-            fmt::f(charged_sum as f64 / runs as f64 / (2.0 * ell as f64), 2),
-        ]);
+        t.row(&row);
     }
     r.table(&t);
     r.note(
@@ -391,14 +317,7 @@ pub fn lemma22(r: &mut Report, scale: Trials) {
     let n_trials = scale.count(40);
     let mut t = Table::new(
         "Lemma 2.2 — max module load of N requests on N modules under h ~ H",
-        &[
-            "N",
-            "delta=S",
-            "measured max (p95/max)",
-            "gamma@1/trials",
-            "gamma@1e-9",
-            "trials >= gamma@1/trials",
-        ],
+        "N | delta=S | measured max (p95/max) | gamma@1/trials | gamma@1e-9 | trials >= gamma@1/trials",
     );
     for (n_pow, delta) in [(8u32, 8u64), (10, 10), (12, 12), (12, 24), (14, 14)] {
         let n = 1u64 << n_pow;
@@ -413,11 +332,11 @@ pub fn lemma22(r: &mut Report, scale: Trials) {
         let violations = loads.iter().filter(|&&load| load >= g1 as f64).count();
         t.row(&[
             format!("2^{n_pow}"),
-            fmt::n(delta as usize),
+            delta.to_string(),
             fmt::dist(&Summary::of(&loads)),
-            fmt::n(g1 as usize),
-            fmt::n(gamma_for(1e-9, n, delta) as usize),
-            fmt::n(violations),
+            g1.to_string(),
+            gamma_for(1e-9, n, delta).to_string(),
+            violations.to_string(),
         ]);
     }
     r.table(&t);
@@ -434,32 +353,40 @@ pub(super) fn permutation_traffic(width: usize, seed: u64, rounds: usize) -> Per
     PermutationTraffic::new(workloads::random_permutation(width, &mut rng), rounds)
 }
 
-/// One thm25 row: `rounds` of permutation traffic on the emulator
-/// `build(address_space, cfg)` makes.
-fn thm25_row<H: EmuHost>(
-    (r, t): (&mut Report, &mut Table),
-    (name, width): (String, usize),
-    (rounds, seed, per_diam_bound): (usize, u64, f64),
-    build: impl FnOnce(u64, EmulatorConfig) -> PramEmulator<H>,
-) {
-    let mut prog = permutation_traffic(width, seed, rounds);
-    let cfg = EmulatorConfig {
+/// The default emulator configuration with its hash functions drawn
+/// from `seed`.
+pub(super) fn seeded(seed: u64) -> EmulatorConfig {
+    EmulatorConfig {
         seed,
         ..Default::default()
-    };
-    let mut emu = build(prog.address_space(), cfg);
+    }
+}
+
+/// One thm25 row: `rounds` of permutation traffic (drawn from `seed`)
+/// on `emu`, whose slowdown per diameter must stay within `bound`.
+fn thm25_row<H: EmuHost>(
+    r: &mut Report,
+    t: &mut Table,
+    name: String,
+    mut emu: PramEmulator<H>,
+    rounds: usize,
+    seed: u64,
+    bound: f64,
+) {
+    let width = emu.processors();
+    let mut prog = permutation_traffic(width, seed, rounds);
     let rep = emu.run_program(&mut prog, 10_000);
     let per_diam = rep.slowdown_per_diameter(emu.diameter());
-    r.claim(&name, "steps per diameter", per_diam, per_diam_bound);
+    r.claim(&name, "steps per diameter", per_diam, bound);
     r.claim(&name, "rehashes", rep.rehashes as f64, 0.0);
     t.row(&[
         name,
-        fmt::n(width),
-        fmt::n(emu.diameter()),
+        width.to_string(),
+        emu.diameter().to_string(),
         fmt::f(rep.mean_step_time(), 1),
         fmt::f(per_diam, 2),
-        fmt::n(rep.max_step_time() as usize),
-        fmt::n(rep.rehashes as usize),
+        rep.max_step_time().to_string(),
+        rep.rehashes.to_string(),
     ]);
 }
 
@@ -473,22 +400,13 @@ fn thm25_row<H: EmuHost>(
 /// never fire at the default budget).
 pub fn thm25(r: &mut Report, _: Trials) {
     fn leveled<L: Leveled + Copy>(r: &mut Report, t: &mut Table, net: L, seed: u64) {
-        let host = (net.name(), net.width());
-        thm25_row((r, t), host, (6, seed, 3.0), |space, cfg| {
-            LeveledPramEmulator::new(net, AccessMode::Erew, space, cfg)
-        });
+        let space = net.width() as u64;
+        let emu = LeveledPramEmulator::new(net, AccessMode::Erew, space, seeded(seed));
+        thm25_row(r, t, net.name(), emu, 6, seed, 3.0);
     }
     let mut t = Table::new(
         "Theorem 2.5 / Cor 2.3-2.4 — EREW PRAM step emulation in O~(diameter)",
-        &[
-            "host",
-            "N",
-            "diam",
-            "steps/PRAM step",
-            "per diam",
-            "worst step",
-            "rehashes",
-        ],
+        "host | N | diam | steps/PRAM step | per diam | worst step | rehashes",
     );
     for (k, seed) in [(6usize, 1u64), (8, 2), (10, 3), (12, 4)] {
         leveled(r, &mut t, RadixButterfly::new(2, k), seed);
@@ -498,10 +416,8 @@ pub fn thm25(r: &mut Report, _: Trials) {
     leveled(r, &mut t, UnrolledShuffle::n_way(4), 7);
     leveled(r, &mut t, UnrolledShuffle::n_way(5), 8);
     for (n, seed) in [(4usize, 9u64), (5, 10), (6, 11)] {
-        let host = (format!("star({n})"), factorial(n));
-        thm25_row((r, &mut t), host, (4, seed, 5.0), |space, cfg| {
-            StarPramEmulator::new(n, AccessMode::Erew, space, cfg)
-        });
+        let emu = StarPramEmulator::new(n, AccessMode::Erew, factorial(n) as u64, seeded(seed));
+        thm25_row(r, &mut t, format!("star({n})"), emu, 4, seed, 5.0);
     }
     r.table(&t);
     r.note(
@@ -582,21 +498,14 @@ pub fn thm26(r: &mut Report, _: Trials) {
                 workload.into(),
                 combining.to_string(),
                 fmt::f(rep.mean_step_time(), 1),
-                fmt::n(busiest as usize),
-                fmt::n(rep.total_combined() as usize),
+                busiest.to_string(),
+                rep.total_combined().to_string(),
             ]);
         }
     }
     let mut t = Table::new(
         "Theorem 2.6 / A4 — CRCW combining on concurrent-read workloads",
-        &[
-            "host",
-            "workload",
-            "combining",
-            "steps/PRAM step",
-            "busiest module",
-            "combines",
-        ],
+        "host | workload | combining | steps/PRAM step | busiest module | combines",
     );
     for k in [6usize, 8, 10] {
         let net = RadixButterfly::new(2, k);
@@ -642,13 +551,7 @@ pub fn ablate_hash_degree(r: &mut Report, scale: Trials) {
 
     let mut t = Table::new(
         "Ablation A3 — hash degree S (butterfly(2,10), N = 1024)",
-        &[
-            "S",
-            "max load: stride set",
-            "max load: random set",
-            "emu steps/PRAM",
-            "rehashes",
-        ],
+        "S | max load: stride set | max load: random set | emu steps/PRAM | rehashes",
     );
     // Adversarial structured set: arithmetic progression of stride N.
     let stride: Vec<u64> = (0..n).map(|i| i * n).collect();
@@ -683,11 +586,11 @@ pub fn ablate_hash_degree(r: &mut Report, scale: Trials) {
         );
         let rep = emu.run_program(&mut prog, 1000);
         t.row(&[
-            fmt::n(s_deg),
+            s_deg.to_string(),
             fmt::dist(&max_load_over(&stride)),
             fmt::dist(&max_load_over(&rnd_set)),
             fmt::f(rep.mean_step_time(), 1),
-            fmt::n(rep.rehashes as usize),
+            rep.rehashes.to_string(),
         ]);
     }
     r.table(&t);
@@ -709,41 +612,35 @@ pub fn ablate_hash_degree(r: &mut Report, scale: Trials) {
 /// Reported per level of the doubled network: the max link load and the
 /// imbalance factor (max/mean over used links).
 pub fn level_congestion(r: &mut Report, _: Trials) {
-    /// Max and mean load per level of the doubled network, from
-    /// CSR-ordered link loads.
+    /// Max and mean load over the used links of each level of the
+    /// doubled network, from CSR-ordered link loads.
     fn per_level(loads: &[u32], inner: RadixButterfly) -> Vec<(u32, f64)> {
         let net = LeveledNet::forward(DoubledLeveled::new(inner));
-        let levels = 2 * inner.levels();
-        let mut acc: Vec<Vec<u32>> = vec![Vec::new(); levels];
+        // Per level: (max load, total load, used links).
+        let mut acc = vec![(0u32, 0u64, 0u32); 2 * inner.levels()];
         let mut link = 0usize;
         for node in 0..net.num_nodes() {
             let (col, _) = net.split(node);
             for _port in 0..net.out_degree(node) {
-                if col < levels {
-                    acc[col].push(loads[link]);
+                if let Some(level) = acc.get_mut(col).filter(|_| loads[link] > 0) {
+                    *level = (
+                        level.0.max(loads[link]),
+                        level.1 + u64::from(loads[link]),
+                        level.2 + 1,
+                    );
                 }
                 link += 1;
             }
         }
         acc.into_iter()
-            .map(|ls| {
-                let used: Vec<u32> = ls.into_iter().filter(|&l| l > 0).collect();
-                if used.is_empty() {
-                    return (0, 0.0);
-                }
-                let max = *used.iter().max().expect("non-empty");
-                let mean = used.iter().map(|&l| f64::from(l)).sum::<f64>() / used.len() as f64;
-                (max, mean)
-            })
+            .map(|(max, total, used)| (max, total as f64 / f64::from(used.max(1))))
             .collect()
     }
 
     let k = 12usize;
     let inner = RadixButterfly::new(2, k);
     let n = 1usize << k;
-    let bit_reversal: Vec<usize> = (0..n)
-        .map(|v| (v.reverse_bits() >> (usize::BITS as usize - k)) & (n - 1))
-        .collect();
+    let bit_reversal = workloads::bit_reversal(n);
     let cfg = SimConfig {
         record_link_loads: true,
         ..Default::default()
@@ -754,22 +651,16 @@ pub fn level_congestion(r: &mut Report, _: Trials) {
 
     let mut t = Table::new(
         format!("Table A6 — per-level link load, bit-reversal on butterfly(2,{k}) (N = {n})"),
-        &[
-            "level",
-            "direct max",
-            "direct max/mean",
-            "randomized max",
-            "randomized max/mean",
-        ],
+        "level | direct max | direct max/mean | randomized max | randomized max/mean",
     );
     let dl = per_level(&direct.metrics.link_loads, inner);
     let rl = per_level(&random.metrics.link_loads, inner);
     for (lvl, (d, rnd)) in dl.iter().zip(rl.iter()).enumerate() {
         t.row(&[
-            fmt::n(lvl),
-            fmt::n(d.0 as usize),
+            lvl.to_string(),
+            d.0.to_string(),
             fmt::f(f64::from(d.0) / d.1.max(1e-9), 1),
-            fmt::n(rnd.0 as usize),
+            rnd.0.to_string(),
             fmt::f(f64::from(rnd.0) / rnd.1.max(1e-9), 1),
         ]);
     }

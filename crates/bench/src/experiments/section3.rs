@@ -3,9 +3,9 @@
 //! emulation (Theorems 3.2, 3.3), and the ablations of §3.4's design
 //! choices (queue discipline, slice height, constant-queue refinement).
 
-use super::section2::permutation_traffic;
-use crate::{fmt, measure, trials, Report, Table, Trials};
-use lnpram_core::{EmulatorConfig, MeshPramEmulator};
+use super::section2::{permutation_traffic, seeded};
+use crate::{fmt, measure, trials, Measured, Report, Table, Trials};
+use lnpram_core::MeshPramEmulator;
 use lnpram_hash::analysis::load_profile;
 use lnpram_hash::HashFamily;
 use lnpram_math::rng::SeedSeq;
@@ -25,6 +25,17 @@ pub(super) fn three_stage(n: usize) -> MeshAlgorithm {
     }
 }
 
+/// Append a row of `lead` cells and the three columns the routing tables
+/// of this section end with: `time (p95/max)`, `time/norm`, `max queue`.
+fn routing_row(t: &mut Table, lead: &[String], m: &Measured, norm: f64) {
+    let stats = [
+        fmt::dist(&m.time),
+        fmt::f(m.time.mean / norm, 2),
+        fmt::f(m.queue.mean, 1),
+    ];
+    t.row(&[lead, &stats].concat());
+}
+
 /// Corollaries 3.1–3.3 (§3.3): bucket-load facts used by the mesh
 /// analysis.
 ///
@@ -33,28 +44,29 @@ pub(super) fn three_stage(n: usize) -> MeshAlgorithm {
 /// * Cor 3.3 — the total load of any log N buckets is O(log N).
 pub fn cor31_33(r: &mut Report, scale: Trials) {
     let n_trials = scale.count(30);
-    /// Largest bucket when `keys` are hashed by `n_trials` functions
-    /// sampled from `fam`.
-    fn max_bucket(
+    /// `stat` of the bucket loads when `keys` are hashed by each of
+    /// `n_trials` functions sampled from `fam`.
+    fn bucket_stat(
         n_trials: u64,
         fam: &HashFamily,
         keys: impl Iterator<Item = u64> + Clone + Sync,
+        stat: impl Fn(&[u32]) -> u32 + Sync,
     ) -> Summary {
         trials(n_trials, |s| {
             let h = fam.sample(&mut SeedSeq::new(s).rng());
-            let profile = load_profile(&h, keys.clone());
-            *profile.iter().max().expect("at least one bucket") as f64
+            f64::from(stat(&load_profile(&h, keys.clone())))
         })
     }
+    let largest = |profile: &[u32]| *profile.iter().max().expect("at least one bucket");
 
     let mut t = Table::new(
         "Corollary 3.1 — N items into N buckets",
-        &["N", "measured max (p95/max)", "log N / log log N", "ratio"],
+        "N | measured max (p95/max) | log N / log log N | ratio",
     );
     for n_pow in [8u32, 10, 12, 14] {
         let n = 1u64 << n_pow;
         let fam = HashFamily::new(n * 8, n, 12);
-        let maxes = max_bucket(n_trials, &fam, (0..n).map(|i| i * 7 + 1));
+        let maxes = bucket_stat(n_trials, &fam, (0..n).map(|i| i * 7 + 1), largest);
         let ln = (n as f64).ln();
         let bound = ln / ln.ln();
         t.row(&[
@@ -68,15 +80,16 @@ pub fn cor31_33(r: &mut Report, scale: Trials) {
 
     let mut t = Table::new(
         "Corollary 3.2 — n^2 items into beta*n buckets",
-        &["n", "beta", "measured max", "n/beta + n^0.75", "ratio"],
+        "n | beta | measured max | n/beta + n^0.75 | ratio",
     );
     for (n, beta) in [(64u64, 1u64), (64, 2), (128, 1), (128, 2), (256, 1)] {
         let fam = HashFamily::new(n * n * 4, beta * n, 12);
-        let maxes = max_bucket(n_trials.min(20), &fam, (0..n * n).map(|i| i * 3 + 2));
+        let keys = (0..n * n).map(|i| i * 3 + 2);
+        let maxes = bucket_stat(n_trials.min(20), &fam, keys, largest);
         let bound = n as f64 / beta as f64 + (n as f64).powf(0.75);
         t.row(&[
-            fmt::n(n as usize),
-            fmt::n(beta as usize),
+            n.to_string(),
+            beta.to_string(),
             fmt::dist(&maxes),
             fmt::f(bound, 1),
             fmt::f(maxes.mean / bound, 2),
@@ -86,20 +99,17 @@ pub fn cor31_33(r: &mut Report, scale: Trials) {
 
     let mut t = Table::new(
         "Corollary 3.3 — total load of log N fixed buckets (N items, N buckets)",
-        &["N", "log2 N", "measured total (p95/max)", "ratio to log N"],
+        "N | log2 N | measured total (p95/max) | ratio to log N",
     );
     for n_pow in [10u32, 12, 14] {
         let n = 1u64 << n_pow;
         let fam = HashFamily::new(n * 8, n, 12);
         let k = n_pow as usize; // log2 N buckets: 0..k
-        let totals = trials(n_trials, |s| {
-            let h = fam.sample(&mut SeedSeq::new(s).rng());
-            let profile = load_profile(&h, (0..n).map(|i| i * 11 + 3));
-            profile[..k].iter().map(|&c| c as f64).sum()
-        });
+        let keys = (0..n).map(|i| i * 11 + 3);
+        let totals = bucket_stat(n_trials, &fam, keys, |profile| profile[..k].iter().sum());
         t.row(&[
             format!("2^{n_pow}"),
-            fmt::n(k),
+            k.to_string(),
             fmt::dist(&totals),
             fmt::f(totals.mean / k as f64, 2),
         ]);
@@ -118,7 +128,7 @@ pub fn linear_array_lemma(r: &mut Report, scale: Trials) {
     let n_trials = scale.count(10);
     let mut t = Table::new(
         "Lemma (§3.4.1) — linear array, random destinations, furthest-first",
-        &["n", "load", "n'", "time (p95/max)", "time/n'", "max queue"],
+        "n | load | n' | time (p95/max) | time/n' | max queue",
     );
     for n in [64usize, 256, 1024] {
         let cases: [(String, LinearLoad, usize); 4] = [
@@ -139,14 +149,12 @@ pub fn linear_array_lemma(r: &mut Report, scale: Trials) {
                 let row = format!("n={n}, {label}");
                 r.claim(&row, "time/n'", m.time.mean / nprime as f64, 1.25);
             }
-            t.row(&[
-                fmt::n(n),
-                label,
-                fmt::n(nprime),
-                fmt::dist(&m.time),
-                fmt::f(m.time.mean / nprime as f64, 2),
-                fmt::f(m.queue.mean, 1),
-            ]);
+            routing_row(
+                &mut t,
+                &[n.to_string(), label, nprime.to_string()],
+                &m,
+                nprime as f64,
+            );
         }
     }
     r.table(&t);
@@ -163,14 +171,7 @@ pub fn thm31(r: &mut Report, scale: Trials) {
     let n_trials = scale.count(8);
     let mut t = Table::new(
         "Theorem 3.1 — permutation routing on the n x n mesh",
-        &[
-            "n",
-            "algorithm",
-            "time (p95/max)",
-            "time/n",
-            "max queue",
-            "log2 n",
-        ],
+        "n | algorithm | time (p95/max) | time/n | max queue | log2 n",
     );
     for n in [16usize, 32, 64, 96] {
         let algos = [
@@ -180,14 +181,11 @@ pub fn thm31(r: &mut Report, scale: Trials) {
         ];
         let mut per_n = Vec::new();
         for (name, alg) in algos {
-            let m = measure(n_trials, |s| {
-                MeshRoutingSession::new(n, alg, SimConfig::default())
-                    .route_permutation(s)
-                    .metrics
-            });
+            let session = || MeshRoutingSession::new(n, alg, SimConfig::default());
+            let m = measure(n_trials, |s| session().route_permutation(s).metrics);
             per_n.push(m.time.mean / n as f64);
             t.row(&[
-                fmt::n(n),
+                n.to_string(),
                 name.into(),
                 fmt::dist(&m.time),
                 fmt::f(m.time.mean / n as f64, 2),
@@ -199,7 +197,7 @@ pub fn thm31(r: &mut Report, scale: Trials) {
         r.claim(&row, "three-stage time/n", per_n[0], 2.25);
         r.claim(
             &row,
-            "three-stage vs valiant-brebner time/n",
+            "three-stage time/n vs valiant-brebner's",
             per_n[0],
             per_n[1],
         );
@@ -209,7 +207,7 @@ pub fn thm31(r: &mut Report, scale: Trials) {
             mesh_sort::shearsort_route(n, &dests).steps as f64
         });
         t.row(&[
-            fmt::n(n),
+            n.to_string(),
             "shearsort".into(),
             fmt::dist(&sort_time),
             fmt::f(sort_time.mean / n as f64, 2),
@@ -231,7 +229,7 @@ pub fn thm31(r: &mut Report, scale: Trials) {
     // see thm32).
     let mut t = Table::new(
         "Theorem 3.1 (structured input) — transpose permutation (r,c) -> (c,r)",
-        &["n", "algorithm", "time", "time/n", "max queue"],
+        "n | algorithm | time | time/n | max queue",
     );
     for n in [32usize, 64] {
         let mesh = Mesh::square(n);
@@ -240,18 +238,10 @@ pub fn thm31(r: &mut Report, scale: Trials) {
             ("three-stage", three_stage(n)),
             ("greedy XY", MeshAlgorithm::Greedy),
         ] {
-            let m = measure(5, |s| {
-                MeshRoutingSession::from_mesh(mesh, alg, SimConfig::default())
-                    .route_with_dests(&transpose, SeedSeq::new(s))
-                    .metrics
-            });
-            t.row(&[
-                fmt::n(n),
-                name.into(),
-                fmt::dist(&m.time),
-                fmt::f(m.time.mean / n as f64, 2),
-                fmt::f(m.queue.mean, 1),
-            ]);
+            let session = || MeshRoutingSession::from_mesh(mesh, alg, SimConfig::default());
+            let route = |s| session().route_with_dests(&transpose, SeedSeq::new(s));
+            let m = measure(5, |s| route(s).metrics);
+            routing_row(&mut t, &[n.to_string(), name.into()], &m, n as f64);
         }
     }
     r.table(&t);
@@ -264,37 +254,23 @@ pub fn thm31(r: &mut Report, scale: Trials) {
 pub fn thm32(r: &mut Report, _: Trials) {
     let mut t = Table::new(
         "Theorem 3.2 — EREW PRAM step on the n x n mesh (4n + o(n))",
-        &[
-            "n",
-            "N=n^2",
-            "steps/PRAM step",
-            "per n",
-            "worst step",
-            "rehashes",
-        ],
+        "n | N=n^2 | steps/PRAM step | per n | worst step | rehashes",
     );
     for (n, rounds) in [(8usize, 6usize), (16, 6), (32, 5), (48, 4), (64, 3)] {
         let mut prog = permutation_traffic(n * n, n as u64, rounds);
-        let mut emu = MeshPramEmulator::new(
-            n,
-            AccessMode::Erew,
-            prog.address_space(),
-            EmulatorConfig {
-                seed: n as u64,
-                ..Default::default()
-            },
-        );
+        let space = prog.address_space();
+        let mut emu = MeshPramEmulator::new(n, AccessMode::Erew, space, seeded(n as u64));
         let rep = emu.run_program(&mut prog, 10_000);
         let per_n = rep.mean_step_time() / n as f64;
         r.claim(&format!("n={n}"), "steps per n", per_n, 4.0);
         r.claim(&format!("n={n}"), "rehashes", rep.rehashes as f64, 0.0);
         t.row(&[
-            fmt::n(n),
-            fmt::n(n * n),
+            n.to_string(),
+            (n * n).to_string(),
             fmt::f(rep.mean_step_time(), 1),
             fmt::f(per_n, 2),
-            fmt::n(rep.max_step_time() as usize),
-            fmt::n(rep.rehashes as usize),
+            rep.max_step_time().to_string(),
+            rep.rehashes.to_string(),
         ]);
     }
     r.table(&t);
@@ -303,14 +279,14 @@ pub fn thm32(r: &mut Report, _: Trials) {
     // mesh embedding dilation (see routing::ranade docs).
     let mut t = Table::new(
         "Ranade-style comparator (butterfly emulation embedded on the mesh)",
-        &["n", "butterfly steps/level", "modeled mesh steps", "per n"],
+        "n | butterfly steps/level | modeled mesh steps | per n",
     );
     for n in [16usize, 32, 64] {
         let levels = 2 * (n as f64).log2().ceil() as usize;
         let rep = ranade::ranade_random(levels, 1);
         let est = ranade::mesh_embedding_steps(n, rep.time_per_level());
         t.row(&[
-            fmt::n(n),
+            n.to_string(),
             fmt::f(rep.time_per_level(), 2),
             fmt::f(est, 0),
             fmt::f(est / n as f64, 1),
@@ -330,32 +306,24 @@ pub fn thm33(r: &mut Report, _: Trials) {
     let mesh = Mesh::square(n);
     let mut t = Table::new(
         "Theorem 3.3 — d-local requests on the 48x48 mesh (6d + o(d))",
-        &["d", "steps/PRAM step", "per d", "per n", "queue"],
+        "d | steps/PRAM step | per d | per n | queue",
     );
     for d in [3usize, 6, 12, 24, 48] {
         let mut rng = SeedSeq::new(13).child(d as u64).rng();
         let dests = workloads::local_permutation(&mesh, d, &mut rng);
         let mut prog = PermutationTraffic::new(dests, 4);
-        let mut emu = MeshPramEmulator::new_local(
-            n,
-            AccessMode::Erew,
-            prog.address_space(),
-            d,
-            EmulatorConfig {
-                seed: d as u64,
-                ..Default::default()
-            },
-        );
+        let space = prog.address_space();
+        let mut emu = MeshPramEmulator::new_local(n, AccessMode::Erew, space, d, seeded(d as u64));
         let rep = emu.run_program(&mut prog, 10_000);
         let queue = rep.steps.iter().map(|s| s.max_queue).max().unwrap_or(0);
         let per_d = rep.mean_step_time() / d as f64;
         r.claim(&format!("d={d}"), "steps per d", per_d, 6.0);
         t.row(&[
-            fmt::n(d),
+            d.to_string(),
             fmt::f(rep.mean_step_time(), 1),
             fmt::f(per_d, 2),
             fmt::f(rep.mean_step_time() / n as f64, 2),
-            fmt::n(queue as usize),
+            queue.to_string(),
         ]);
     }
     r.table(&t);
@@ -374,7 +342,7 @@ pub fn ablate_discipline(r: &mut Report, scale: Trials) {
     let n_trials = scale.count(8);
     let mut t = Table::new(
         "Ablation A1 — queue discipline for the mesh three-stage algorithm",
-        &["n", "discipline", "time (p95/max)", "time/n", "max queue"],
+        "n | discipline | time (p95/max) | time/n | max queue",
     );
     for n in [16usize, 32, 64] {
         for (name, disc) in [
@@ -389,13 +357,7 @@ pub fn ablate_discipline(r: &mut Report, scale: Trials) {
                     .route_with_dests(&dests, SeedSeq::new(s))
                     .metrics
             });
-            t.row(&[
-                fmt::n(n),
-                name.into(),
-                fmt::dist(&m.time),
-                fmt::f(m.time.mean / n as f64, 2),
-                fmt::f(m.queue.mean, 1),
-            ]);
+            routing_row(&mut t, &[n.to_string(), name.into()], &m, n as f64);
         }
     }
     r.table(&t);
@@ -412,7 +374,7 @@ pub fn ablate_slice(r: &mut Report, scale: Trials) {
     let n_trials = scale.count(8);
     let mut t = Table::new(
         "Ablation A2 — slice height for the three-stage algorithm (n = 64)",
-        &["slice rows", "eps", "time (p95/max)", "time/n", "max queue"],
+        "slice rows | eps | time (p95/max) | time/n | max queue",
     );
     let default = default_slice_rows(n);
     for rows in [1usize, 2, 4, default, 16, 32, 64] {
@@ -425,13 +387,8 @@ pub fn ablate_slice(r: &mut Report, scale: Trials) {
                 .metrics
         });
         let marker = if rows == default { " (= n/log n)" } else { "" };
-        t.row(&[
-            format!("{rows}{marker}"),
-            fmt::f(rows as f64 / n as f64, 3),
-            fmt::dist(&m.time),
-            fmt::f(m.time.mean / n as f64, 2),
-            fmt::f(m.queue.mean, 1),
-        ]);
+        let lead = [format!("{rows}{marker}"), fmt::f(rows as f64 / n as f64, 3)];
+        routing_row(&mut t, &lead, &m, n as f64);
     }
     r.table(&t);
     r.note("paper: eps = 1/log n makes stage 1 o(n) while stages 2-3 stay n + o(n).");
@@ -454,7 +411,7 @@ pub fn ablate_const_queue(r: &mut Report, scale: Trials) {
     let n_trials = scale.count(8);
     let mut t = Table::new(
         "Ablation A5 — plain three-stage vs constant-queue refinement (Thm 3.2)",
-        &["n", "variant", "workload", "time/n", "max queue"],
+        "n | variant | workload | time/n | max queue",
     );
     for n in [16usize, 32, 64, 128] {
         let variants = [
@@ -481,7 +438,7 @@ pub fn ablate_const_queue(r: &mut Report, scale: Trials) {
                         .metrics
                 });
                 t.row(&[
-                    fmt::n(n),
+                    n.to_string(),
                     name.into(),
                     workload.into(),
                     fmt::f(m.time.mean / n as f64, 2),

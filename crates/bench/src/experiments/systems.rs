@@ -15,9 +15,9 @@ use lnpram_math::rng::{splitmix64, SeedSeq};
 use lnpram_routing::leveled::LeveledBackend;
 use lnpram_routing::{
     workloads, AdmissionEntry, MeshRoutingSession, OpenLoopWorkload, RouteRequest, Router, Serve,
-    ServeConfig, ServeSession,
+    ServeConfig, ServeReport, ServeSession,
 };
-use lnpram_simnet::{Fault, SimConfig};
+use lnpram_simnet::{Fault, Metrics, SimConfig};
 use lnpram_topology::leveled::RadixButterfly;
 use lnpram_topology::Mesh;
 
@@ -56,7 +56,7 @@ pub fn adaptive_vs_oblivious(r: &mut Report, scale: Trials) {
     };
     let mut t = Table::new(
         format!("Adaptive vs oblivious routing (mesh {SIDE}x{SIDE}, observed link loads)"),
-        &["pattern", "backend", "time", "max link load", "max queue"],
+        "pattern | backend | time | max link load | max queue",
     );
     for pattern in ["transpose", "bit-reversal", "hot-spot", "broadcast"] {
         for backend in ["oblivious", "adaptive"] {
@@ -75,11 +75,9 @@ pub fn adaptive_vs_oblivious(r: &mut Report, scale: Trials) {
                 let req = RouteRequest::dests(dests, seed);
                 let (rep, twin) = (serial.route(&req), sharded.route(&req));
                 let ctx = format!("{pattern}/{backend} trial {trial}");
-                assert!(rep.completed, "{ctx}");
-                assert_eq!(rep.completed, twin.completed, "{ctx}: completed");
-                assert_eq!(rep.metrics.delivered, twin.metrics.delivered, "{ctx}");
-                assert_eq!(rep.metrics.routing_time, twin.metrics.routing_time, "{ctx}");
-                assert_eq!(rep.metrics.max_queue, twin.metrics.max_queue, "{ctx}");
+                assert!(rep.completed && twin.completed, "{ctx}");
+                let delivery = |m: &Metrics| (m.delivered, m.routing_time, m.max_queue);
+                assert_eq!(delivery(&rep.metrics), delivery(&twin.metrics), "{ctx}");
                 assert_eq!(rep.metrics.link_loads, twin.metrics.link_loads, "{ctx}");
                 time += f64::from(rep.metrics.routing_time);
                 load += f64::from(rep.metrics.link_loads.iter().copied().max().unwrap_or(0));
@@ -133,26 +131,13 @@ pub fn degraded_serve(r: &mut Report, scale: Trials) {
             max_steps: MAX_STEPS,
             ..ServeConfig::default()
         };
-        ServeSession::new(
-            LeveledBackend::new(RadixButterfly::new(2, LEVELS)),
-            &sim,
-            cfg,
-        )
+        let backend = LeveledBackend::new(RadixButterfly::new(2, LEVELS));
+        ServeSession::new(backend, &sim, cfg)
     };
     let links = session(0).num_links();
     let mut t = Table::new(
-        format!(
-            "Degraded-mode serve (butterfly(2,{LEVELS}), {links} links, permanent link failures)"
-        ),
-        &[
-            "failed links",
-            "delivered",
-            "fraction",
-            "stranded",
-            "steps",
-            "p50 lat",
-            "p99 lat",
-        ],
+        format!("Degraded-mode serve: butterfly(2,{LEVELS}), {links} links, permanent failures"),
+        "failed links | delivered | fraction | stranded | steps | p50 lat | p99 lat",
     );
     for frac in [0.0f64, 0.02, 0.10] {
         let failed = (links as f64 * frac).round() as usize;
@@ -188,18 +173,11 @@ pub fn degraded_serve(r: &mut Report, scale: Trials) {
                 .run_trace(&trace)
                 .expect("leveled serves faults");
             let ctx = format!("frac {frac} trial {trial} serial vs K={SHARDS}");
-            assert_eq!(rep.steps, twin.steps, "{ctx}: steps");
-            assert_eq!(rep.completed, twin.completed, "{ctx}: completed");
-            assert_eq!(rep.admitted, twin.admitted, "{ctx}: admitted");
+            let outcome = |s: &ServeReport| (s.steps, s.completed, s.admitted, s.metrics.delivered);
+            assert_eq!(outcome(&rep), outcome(&twin), "{ctx}");
             assert_eq!(rep.schedule(), twin.schedule(), "{ctx}: delivery schedule");
-            assert_eq!(rep.metrics.delivered, twin.metrics.delivered, "{ctx}");
-            assert!(
-                rep.metrics
-                    .latency
-                    .buckets()
-                    .eq(twin.metrics.latency.buckets()),
-                "{ctx}: latency distribution"
-            );
+            let latency = |s: &ServeReport| s.metrics.latency.buckets().collect::<Vec<_>>();
+            assert_eq!(latency(&rep), latency(&twin), "{ctx}: latency distribution");
 
             injected += rep.packets as u64;
             delivered += rep.metrics.delivered as u64;
@@ -212,7 +190,7 @@ pub fn degraded_serve(r: &mut Report, scale: Trials) {
             format!("{:.0}% ({failed})", frac * 100.0),
             format!("{delivered} / {injected}"),
             fmt::f(delivered as f64 / injected.max(1) as f64, 3),
-            fmt::n((injected - delivered) as usize),
+            (injected - delivered).to_string(),
             mean(steps, 1),
             mean(p50, 2),
             mean(p99, 2),

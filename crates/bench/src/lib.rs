@@ -27,7 +27,7 @@
 pub mod experiments;
 pub mod json;
 
-use lnpram_math::stats::{par_summary, par_trial_values, Summary};
+use lnpram_math::stats::{par_trial_values, Summary};
 use lnpram_simnet::Metrics;
 use std::cmp::Ordering;
 
@@ -69,20 +69,15 @@ fn parse_trials(var: Option<&str>) -> Option<u64> {
     var.and_then(|v| v.trim().parse().ok()).filter(|&n| n > 0)
 }
 
-/// Run `f` for seeds `0..trials` and summarise the returned values.
+/// Run `f` for seeds `0..trials` and summarise the returned values: the
+/// workspace's parallel trial-runner under the name the experiments use.
 ///
 /// Trials run across worker threads (std scoped threads, one per core,
 /// work handed out by an atomic counter). The per-seed closure must be
-/// `Sync` — all the routing entry points are, since they build their own
-/// engines. Results are collected in seed order, so the summary is
-/// identical to the serial loop's (determinism is per seed, not per
-/// schedule).
-pub fn trials<F>(trials: u64, f: F) -> Summary
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    par_summary(trials, f)
-}
+/// `Sync` — the experiments' are, since they build their own sessions.
+/// Results are collected in seed order, so the summary is identical to
+/// the serial loop's (determinism is per seed, not per schedule).
+pub use lnpram_math::stats::par_summary as trials;
 
 /// Routing time and maximum queue length over seeds `0..trials`, both
 /// read from **one** simulation per seed (runs are deterministic per
@@ -121,11 +116,12 @@ pub struct Table {
 }
 
 impl Table {
-    /// New table with a title and column names.
-    pub fn new(title: impl Into<String>, header: &[&str]) -> Self {
+    /// New table with a title and its column names, written as the
+    /// header row reads: `"n | time (p95/max) | time/n"`.
+    pub fn new(title: impl Into<String>, header: &str) -> Self {
         Table {
             title: title.into(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.split('|').map(|s| s.trim().to_string()).collect(),
             rows: Vec::new(),
         }
     }
@@ -224,11 +220,8 @@ impl Report {
     /// `claims: N checked, V violated`, then one line per violation —
     /// the last thing `reproduce` prints.
     pub fn claims_summary(&self) -> String {
-        let mut out = format!(
-            "claims: {} checked, {} violated\n",
-            self.claims,
-            self.violations.len()
-        );
+        let (checked, violated) = (self.claims, self.violations.len());
+        let mut out = format!("claims: {checked} checked, {violated} violated\n");
         for violation in &self.violations {
             out.push_str(&format!("  violated: {violation}\n"));
         }
@@ -248,11 +241,6 @@ pub mod fmt {
     /// A float with the given precision.
     pub fn f(x: f64, prec: usize) -> String {
         format!("{x:.prec$}")
-    }
-
-    /// An integer-ish count.
-    pub fn n(x: usize) -> String {
-        x.to_string()
     }
 }
 
@@ -308,7 +296,7 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new("demo", &["a", "long-col"]);
+        let mut t = Table::new("demo", "a | long-col");
         t.row(&["1".into(), "2".into()]);
         t.row(&["100".into(), "x".into()]);
         let r = t.render();
@@ -326,7 +314,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "row arity")]
     fn row_arity_checked() {
-        let mut t = Table::new("demo", &["a", "b"]);
+        let mut t = Table::new("demo", "a | b");
         t.row(&["only-one".into()]);
     }
 }
