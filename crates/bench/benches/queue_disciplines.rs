@@ -12,7 +12,7 @@
 //! The isolated FurthestFirst numbers can favour `vecdeque` (contiguous
 //! scan beats chain walk at small occupancies); the arena wins where it
 //! matters — zero allocation and O(1) teardown inside the engine step
-//! loop — which `bench_engine_throughput` measures end to end.
+//! loop — which `bench_layers`' `route_dense` measures end to end.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use lnpram_simnet::queue::{LinkQueue, PacketPool};

@@ -5,8 +5,7 @@
 //! (§2.4). Lemma 2.2 (due to Karlin & Upfal) bounds the tail of the load
 //! `X_S^L` of module `L` under a random `h ∈ H`. This module computes both
 //! the *measured* loads of sampled hash functions and the *analytic*
-//! bound, so the `table_lemma22_hash_load` binary can print them side by
-//! side.
+//! bound, so the `lemma22` experiment can print them side by side.
 
 use crate::family::PolyHash;
 use lnpram_math::bounds::ln_choose;

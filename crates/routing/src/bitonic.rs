@@ -12,7 +12,7 @@
 //! `q` link. Sorting the packets by destination places packet with
 //! destination `v` at node `v` — permutation routing in exactly
 //! `k(k+1)/2` steps, max queue 1, zero randomness. The trade, measured by
-//! `table_batcher_baseline`: Θ(log² N) vs Valiant's Õ(log N), and no
+//! the `batcher_baseline` experiment: Θ(log² N) vs Valiant's Õ(log N), and no
 //! extension to h-relations or many-one traffic — a
 //! [`RoutePattern::Relation`](crate::RoutePattern::Relation) request panics here, exactly the
 //! limitation §2.2.1 criticizes.

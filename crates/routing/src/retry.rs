@@ -16,8 +16,8 @@
 //!
 //! [`route_with_retry`] is the lower-level closure form for schedules
 //! that need per-packet outstanding tracking or custom per-attempt
-//! budgets (the experiment binary `table_lemma21_retry` uses it with
-//! deliberately tight deadlines so failures are actually observable).
+//! budgets (the `lemma21` experiment uses it with deliberately tight
+//! deadlines so failures are actually observable).
 //!
 //! ```
 //! use lnpram_routing::retry::{retry_route, RetryPolicy};

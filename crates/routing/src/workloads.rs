@@ -155,7 +155,7 @@ pub fn local_permutation<R: Rng + ?Sized>(mesh: &Mesh, d: usize, rng: &mut R) ->
 /// The transpose permutation on an n×n mesh: `(r, c) → (c, r)` — the
 /// classic "structured" pattern for routing studies (it turns out benign
 /// for row-first dimension order: the east/west convoys split at the
-/// diagonal; see `table_adversarial_mesh`).
+/// diagonal; see the `adversarial_mesh` experiment).
 ///
 /// ```
 /// use lnpram_routing::workloads::{is_permutation, mesh_transpose};

@@ -1,9 +1,9 @@
 //! Renderers that regenerate the paper's figures.
 //!
 //! The 1991 technical report contains five figures, all structural
-//! diagrams. The bench binaries `figure1_leveled` … `figure5_mesh_slices`
-//! print these renderings together with the structural audits that verify
-//! the properties each figure illustrates.
+//! diagrams. The `figure1` … `figure5` experiments of `reproduce` print
+//! these renderings together with the structural audits that verify the
+//! properties each figure illustrates.
 //!
 //! * Figure 1 — a leveled network of ℓ levels and degree d ([`leveled_ascii`]).
 //! * Figure 2 — the 3-star and 4-star graphs ([`to_dot`]).
