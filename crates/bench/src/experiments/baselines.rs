@@ -3,8 +3,7 @@
 //! memory placement (§2.1, §2.2.1), and the degree/diameter trade inside
 //! the leveled family (§2.3.1).
 
-use super::section2::{permutation_traffic, seeded};
-use super::section3::three_stage;
+use super::{permutation_traffic, seeded, three_stage};
 use crate::{fmt, measure, Report, Table, Trials};
 use lnpram_core::{LeveledPramEmulator, ReplicatedPramEmulator};
 use lnpram_math::perm::factorial;

@@ -4,7 +4,7 @@
 //! An [`Experiment`] is an id, the part of the paper it reproduces, and
 //! a function that writes its tables into a [`Report`]. Experiments are
 //! grouped by paper section — [`figures`], [`section2`] (leveled
-//! networks, star, shuffle), [`section3`] (the mesh) and [`baselines`]
+//! networks, star, shuffle), [`section3`] (the mesh), [`baselines`]
 //! (the comparisons the introduction and §2.2.1 argue from) and
 //! [`systems`] (adaptive routing and degraded serving, beyond the paper)
 //! — and call the routing sessions and `PramEmulator` hosts directly.
@@ -16,6 +16,11 @@ pub mod section3;
 pub mod systems;
 
 use crate::{Report, Trials};
+use lnpram_core::EmulatorConfig;
+use lnpram_math::rng::SeedSeq;
+use lnpram_pram::programs::PermutationTraffic;
+use lnpram_routing::mesh::default_slice_rows;
+use lnpram_routing::{workloads, MeshAlgorithm};
 
 /// One table or figure of the reproduction.
 #[derive(Debug)]
@@ -69,6 +74,29 @@ pub const EXPERIMENTS: &[Experiment] = experiments![
     systems::adaptive_vs_oblivious => "beyond the paper: adaptive vs oblivious routing",
     systems::degraded_serve => "beyond the paper: serving under link failures",
 ];
+
+/// `rounds` of permutation read+write traffic over `width` processors,
+/// the permutation drawn from `seed`.
+fn permutation_traffic(width: usize, seed: u64, rounds: usize) -> PermutationTraffic {
+    let mut rng = SeedSeq::new(seed).rng();
+    PermutationTraffic::new(workloads::random_permutation(width, &mut rng), rounds)
+}
+
+/// The default emulator configuration with its hash functions drawn
+/// from `seed`.
+fn seeded(seed: u64) -> EmulatorConfig {
+    EmulatorConfig {
+        seed,
+        ..Default::default()
+    }
+}
+
+/// The paper's three-stage mesh algorithm at its default slice height.
+fn three_stage(n: usize) -> MeshAlgorithm {
+    MeshAlgorithm::ThreeStage {
+        slice_rows: default_slice_rows(n),
+    }
+}
 
 /// An `--only` argument that names no experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -3,6 +3,7 @@
 //! step emulation (Theorems 2.5, 2.6), plus the two ablations of §2's
 //! design choices (hash degree, phase-1 randomization).
 
+use super::{permutation_traffic, seeded};
 use crate::{fmt, measure, trials, Report, Table, Trials};
 use lnpram_core::{EmuHost, EmulatorConfig, LeveledPramEmulator, PramEmulator, StarPramEmulator};
 use lnpram_hash::analysis::{karlin_upfal_max_load_bound, max_load};
@@ -11,7 +12,7 @@ use lnpram_math::perm::factorial;
 use lnpram_math::rng::SeedSeq;
 use lnpram_math::stats::{par_trial_values, Summary};
 use lnpram_pram::model::{AccessMode, MemOp, PramProgram};
-use lnpram_pram::programs::{Broadcast, PermutationTraffic};
+use lnpram_pram::programs::Broadcast;
 use lnpram_routing::retry::{route_with_retry, AttemptResult, RetryPolicy, RetryReport};
 use lnpram_routing::shuffle::ShuffleRoutingSession;
 use lnpram_routing::{
@@ -54,28 +55,24 @@ pub fn thm21(r: &mut Report, scale: Trials) {
         "network | N | levels | deg | time (p95/max) | time/l | queue (p95/max) | queue/l",
     );
     let butterflies = [
-        (2, 6),
-        (2, 8),
-        (2, 10),
-        (2, 12),
-        (2, 14),
-        (4, 4),
-        (4, 6),
-        (8, 4),
+        RadixButterfly::new(2, 6),
+        RadixButterfly::new(2, 8),
+        RadixButterfly::new(2, 10),
+        RadixButterfly::new(2, 12),
+        RadixButterfly::new(2, 14),
+        RadixButterfly::new(4, 4),
+        RadixButterfly::new(4, 6),
+        RadixButterfly::new(8, 4),
     ];
-    thm21_sweep(
-        r,
-        &mut t,
-        &butterflies.map(|(radix, k)| RadixButterfly::new(radix, k)),
-        n_trials,
-    );
-    let shuffles = [(3, 3), (3, 5), (4, 4), (5, 5), (6, 6)];
-    thm21_sweep(
-        r,
-        &mut t,
-        &shuffles.map(|(d, k)| UnrolledShuffle::new(d, k)),
-        n_trials,
-    );
+    thm21_sweep(r, &mut t, &butterflies, n_trials);
+    let shuffles = [
+        UnrolledShuffle::new(3, 3),
+        UnrolledShuffle::new(3, 5),
+        UnrolledShuffle::new(4, 4),
+        UnrolledShuffle::new(5, 5),
+        UnrolledShuffle::new(6, 6),
+    ];
+    thm21_sweep(r, &mut t, &shuffles, n_trials);
     r.table(&t);
     r.note(
         "paper: time = Õ(l), queue = O(l); the normalised columns must stay\n\
@@ -98,7 +95,8 @@ pub fn thm22(r: &mut Report, scale: Trials) {
     let mut randomized = Vec::new();
     for n in [4usize, 5, 6, 7] {
         let n_trials = scale.count(if n >= 7 { 3 } else { 8 });
-        let diam = (3 * (n - 1) / 2) as f64;
+        let diameter = 3 * (n - 1) / 2;
+        let diam = diameter as f64;
         let perm = measure(n_trials, |s| star(n).route_permutation(s).metrics);
         let rel = measure(n_trials.min(3), |s| star(n).route_relation(n, s).metrics).time;
         r.claim(
@@ -110,7 +108,7 @@ pub fn thm22(r: &mut Report, scale: Trials) {
         t.row(&[
             n.to_string(),
             factorial(n).to_string(),
-            diam.to_string(),
+            diameter.to_string(),
             fmt::f((factorial(n) as f64).log2(), 1),
             fmt::dist(&perm.time),
             fmt::f(perm.time.mean / diam, 2),
@@ -167,10 +165,10 @@ pub fn thm23(r: &mut Report, scale: Trials) {
         let n_trials = scale.count(if n >= 5 { 4 } else { 10 });
         let perm = measure(n_trials, |s| shuffle().route_permutation(s).metrics);
         let rel = measure(n_trials.min(3), |s| shuffle().route_relation(n, s).metrics).time;
-        // Valiant's general d-way bound: O(n log n / log log n) — show the
-        // growth factor it would add at this n.
         let nf = n as f64;
         r.claim(&sh.name(), "time/n", perm.time.mean / nf, 3.5);
+        // Valiant's general d-way bound: O(n log n / log log n) — show the
+        // growth factor it would add at this n.
         let valiant = if n >= 3 {
             nf * nf.ln() / nf.ln().ln().max(0.2)
         } else {
@@ -344,22 +342,6 @@ pub fn lemma22(r: &mut Report, scale: Trials) {
         "paper: with delta = c*l, loads beyond c*l have probability N^-alpha;\n\
               measured maxima sit at the gamma where the bound crosses 1/trials.",
     );
-}
-
-/// `rounds` of permutation read+write traffic over `width` processors,
-/// the permutation drawn from `seed`.
-pub(super) fn permutation_traffic(width: usize, seed: u64, rounds: usize) -> PermutationTraffic {
-    let mut rng = SeedSeq::new(seed).rng();
-    PermutationTraffic::new(workloads::random_permutation(width, &mut rng), rounds)
-}
-
-/// The default emulator configuration with its hash functions drawn
-/// from `seed`.
-pub(super) fn seeded(seed: u64) -> EmulatorConfig {
-    EmulatorConfig {
-        seed,
-        ..Default::default()
-    }
 }
 
 /// One thm25 row: `rounds` of permutation traffic (drawn from `seed`)

@@ -3,7 +3,7 @@
 //! emulation (Theorems 3.2, 3.3), and the ablations of §3.4's design
 //! choices (queue discipline, slice height, constant-queue refinement).
 
-use super::section2::{permutation_traffic, seeded};
+use super::{permutation_traffic, seeded, three_stage};
 use crate::{fmt, measure, trials, Measured, Report, Table, Trials};
 use lnpram_core::MeshPramEmulator;
 use lnpram_hash::analysis::load_profile;
@@ -17,13 +17,6 @@ use lnpram_routing::mesh::{default_block_rows, default_slice_rows};
 use lnpram_routing::{mesh_sort, ranade, workloads, MeshAlgorithm, MeshRoutingSession, Router};
 use lnpram_simnet::{Discipline, SimConfig};
 use lnpram_topology::Mesh;
-
-/// The paper's three-stage algorithm at its default slice height.
-pub(super) fn three_stage(n: usize) -> MeshAlgorithm {
-    MeshAlgorithm::ThreeStage {
-        slice_rows: default_slice_rows(n),
-    }
-}
 
 /// Append a row of `lead` cells and the three columns the routing tables
 /// of this section end with: `time (p95/max)`, `time/norm`, `max queue`.
@@ -238,6 +231,8 @@ pub fn thm31(r: &mut Report, scale: Trials) {
             ("three-stage", three_stage(n)),
             ("greedy XY", MeshAlgorithm::Greedy),
         ] {
+            // `from_mesh` takes the discipline as given: FIFO here, for
+            // both algorithms (see `ablate_slice`).
             let session = || MeshRoutingSession::from_mesh(mesh, alg, SimConfig::default());
             let route = |s| session().route_with_dests(&transpose, SeedSeq::new(s));
             let m = measure(5, |s| route(s).metrics);
@@ -379,6 +374,9 @@ pub fn ablate_slice(r: &mut Report, scale: Trials) {
     let default = default_slice_rows(n);
     for rows in [1usize, 2, 4, default, 16, 32, 64] {
         let alg = MeshAlgorithm::ThreeStage { slice_rows: rows };
+        // `from_mesh` takes the discipline as given, so this sweep runs
+        // under the default FIFO — as the table always has; the golden
+        // pins it (ROADMAP item 6 lists it as an open question).
         let m = measure(n_trials, |s| {
             let mut rng = SeedSeq::new(s).rng();
             let dests = workloads::random_permutation(n * n, &mut rng);

@@ -8,7 +8,7 @@
 //! checks of the backends they exercise. Host time for the same
 //! workloads is `bench_layers`' job (`adaptive_mesh`, `serve_faulted`).
 
-use super::section3::three_stage;
+use super::three_stage;
 use crate::{fmt, Report, Table, Trials};
 use lnpram_adaptive::AdaptiveRoutingSession;
 use lnpram_math::rng::{splitmix64, SeedSeq};

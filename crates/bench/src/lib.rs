@@ -29,7 +29,6 @@ pub mod json;
 
 use lnpram_math::stats::{par_trial_values, Summary};
 use lnpram_simnet::Metrics;
-use std::cmp::Ordering;
 
 /// The `LNPRAM_TRIALS` rule as a value: `None` runs each trial loop at
 /// its own paper-size default, `Some(n)` runs every such loop `n` times.
@@ -199,17 +198,14 @@ impl Report {
     /// violation.
     pub fn claim(&mut self, row: &str, metric: &str, value: f64, bound: f64) {
         self.claims += 1;
-        // Only a proven `value <= bound` holds: a NaN is a violation.
-        let holds = matches!(
-            value.partial_cmp(&bound),
-            Some(Ordering::Less | Ordering::Equal)
-        );
-        if !holds {
-            let section = self.section;
-            self.violations.push(format!(
-                "{section} / {row}: {metric} = {value:.2} exceeds {bound:.2}"
-            ));
+        // False for a NaN too, which therefore counts as a violation.
+        if value <= bound {
+            return;
         }
+        let section = self.section;
+        self.violations.push(format!(
+            "{section} / {row}: {metric} = {value:.2} exceeds {bound:.2}"
+        ));
     }
 
     /// The claims that did not hold, one message each.
