@@ -195,7 +195,7 @@ fn binary_exits_two_on_bad_config() {
     assert_eq!(out.status.code(), Some(2));
 }
 
-/// The acceptance criterion itself: the committed workspace lints
+/// The acceptance check itself: the committed workspace lints
 /// clean under the committed `lint.toml`.
 #[test]
 fn committed_workspace_is_lint_clean() {

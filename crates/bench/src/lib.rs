@@ -3,11 +3,11 @@
 //! The reproduction harness: every table and figure of the paper is an
 //! [`Experiment`](experiments::Experiment) in the
 //! [`experiments::EXPERIMENTS`] registry, run by the one `reproduce`
-//! binary; Criterion micro-benches of the hot paths live under
-//! `benches/`. This library holds the shared machinery — trial runners,
+//! binary. This library holds the shared machinery — trial runners,
 //! distribution digests, plain-text table rendering and the [`Report`]
 //! the experiments write into — so every experiment stays a thin
-//! definition.
+//! definition. Host time is `bench_layers/`'s business, not this
+//! crate's.
 //!
 //! Conventions:
 //!

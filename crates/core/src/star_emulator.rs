@@ -42,8 +42,8 @@ pub struct StarHost {
     tables: PendingTables,
     /// One persistent engine serves both phases (the star is its own
     /// reply network); recycled with `reset` per phase. Serial or
-    /// sharded (greedy edge-cut — the star has no level/row structure)
-    /// per [`EmulatorConfig::shards`].
+    /// sharded (balanced node-id ranges — the star has no level/row
+    /// structure) per [`EmulatorConfig::shards`].
     engine: AnyEngine,
     combining: bool,
 }
@@ -55,8 +55,8 @@ impl StarPramEmulator {
     /// Emulator on the n-star for programs over `address_space` cells.
     pub fn new(n: usize, mode: AccessMode, address_space: u64, cfg: EmulatorConfig) -> Self {
         let table = StarTable::new(StarGraph::new(n));
-        // Same construction as `StarRoutingSession` (greedy edge-cut on
-        // the sharded path), built once and recycled per phase.
+        // Same construction as `StarRoutingSession`, built once and
+        // recycled per phase.
         let engine = star_table_engine(
             &table,
             SimConfig {

@@ -4,8 +4,8 @@
 //! polynomials over `Z_P` for a prime `P ≥ M` where `M` is the PRAM address
 //! space, so all operations must be exact for moduli up to `2^63`. We route
 //! products through `u128`, which on x86-64 compiles to a single `mul` plus
-//! a hardware divide — fast enough for the hash-evaluation hot path (see the
-//! `hash_eval` Criterion bench).
+//! a hardware divide — fast enough for the hash-evaluation hot path
+//! (`bench_layers`' `hash.eval_ns` row).
 
 /// `(a + b) mod m`. Requires `m > 0`; operands need not be reduced.
 #[inline]

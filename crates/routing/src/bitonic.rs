@@ -35,7 +35,7 @@ use crate::router::{
 };
 use crate::workloads;
 use lnpram_math::rng::SeedSeq;
-use lnpram_shard::{AnyEngine, GreedyEdgeCut};
+use lnpram_shard::AnyEngine;
 use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::hypercube::Hypercube;
 use lnpram_topology::Network;
@@ -193,9 +193,7 @@ impl RouteBackend for BitonicBackend {
     }
 
     fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
-        batch_engine(&self.cube, copies, cfg, |cube, cfg| {
-            AnyEngine::with_partitioner(cube, cfg, &GreedyEdgeCut)
-        })
+        batch_engine(&self.cube, copies, cfg, AnyEngine::new)
     }
 
     fn inject(

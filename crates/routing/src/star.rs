@@ -14,7 +14,7 @@
 
 use crate::router::{RoutingSession, RunExtras};
 use crate::two_phase::{CanonicalRouter, TwoPhase, TwoPhaseBackend};
-use lnpram_shard::{AnyEngine, GreedyEdgeCut};
+use lnpram_shard::AnyEngine;
 use lnpram_simnet::SimConfig;
 use lnpram_topology::{StarGraph, StarTable};
 
@@ -37,9 +37,9 @@ impl TwoPhase for StarTable {
     }
 }
 
-/// Build the star's simulation engine — serial or sharded (greedy
-/// edge-cut: the star has no level/row structure to align a cut to) per
-/// [`SimConfig::shards`]. The one construction shared by
+/// Build the star's simulation engine — serial or sharded (balanced
+/// node-id ranges: the star has no level/row structure to align a cut
+/// to) per [`SimConfig::shards`]. The one construction shared by
 /// [`StarRoutingSession`] and the star PRAM emulator, so every layer
 /// partitions the star the same way. Callers that keep a [`StarTable`]
 /// use [`star_table_engine`] and tabulate once.
@@ -47,10 +47,10 @@ pub fn star_engine(star: &StarGraph, cfg: SimConfig) -> AnyEngine {
     star_table_engine(&StarTable::new(*star), cfg)
 }
 
-/// [`star_engine`] over an already-built table: the link build and the
-/// partitioner read neighbour ids instead of ranking permutations.
+/// [`star_engine`] over an already-built table: the link build reads
+/// neighbour ids instead of ranking permutations.
 pub fn star_table_engine(table: &StarTable, cfg: SimConfig) -> AnyEngine {
-    AnyEngine::with_partitioner(table, cfg, &GreedyEdgeCut)
+    AnyEngine::new(table, cfg)
 }
 
 /// [`RouteBackend`](crate::RouteBackend) for Algorithm 2.2 on the

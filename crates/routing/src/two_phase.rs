@@ -19,7 +19,7 @@ use crate::router::{
     batch_engine, inject_per_source, PatternRef, ReplicatedProtocol, RouteBackend, RunExtras,
 };
 use lnpram_math::rng::SeedSeq;
-use lnpram_shard::{AnyEngine, GreedyEdgeCut};
+use lnpram_shard::AnyEngine;
 use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::{CubeConnectedCycles, Network, StarTable};
 use rand::Rng;
@@ -41,9 +41,9 @@ pub trait TwoPhase: Network {
 }
 
 /// [`RouteBackend`] for two-phase randomized routing on any
-/// [`TwoPhase`] topology. The engine partitions by greedy edge-cut:
-/// none of these networks has a level or row structure to align a cut
-/// to.
+/// [`TwoPhase`] topology. The engine partitions into balanced node-id
+/// ranges: none of these networks has a level or row structure to align
+/// a cut to.
 pub struct TwoPhaseBackend<T> {
     pub(crate) topo: T,
 }
@@ -78,9 +78,7 @@ impl<T: TwoPhase> RouteBackend for TwoPhaseBackend<T> {
     }
 
     fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
-        batch_engine(&self.topo, copies, cfg, |net, cfg| {
-            AnyEngine::with_partitioner(net, cfg, &GreedyEdgeCut)
-        })
+        batch_engine(&self.topo, copies, cfg, AnyEngine::new)
     }
 
     fn inject(

@@ -9,7 +9,7 @@
 //! The enum is itself a [`StepEngine`], so a driver that steps phase by
 //! phase (the serve loop) takes either variant.
 
-use crate::partition::{GreedyEdgeCut, Partitioner};
+use crate::partition::{Partitioner, RowBlock};
 use crate::ShardedEngine;
 use lnpram_simnet::fault::{FaultError, FaultPlan};
 use lnpram_simnet::trace::TraceSink;
@@ -38,12 +38,15 @@ macro_rules! either {
 }
 
 impl AnyEngine {
-    /// Build per `cfg.shards` with the topology-agnostic
-    /// [`GreedyEdgeCut`] partitioner. Callers that know their topology
-    /// should prefer [`AnyEngine::with_partitioner`] with a structure-
-    /// aware strategy (`LevelCut`, `RowBlock`).
+    /// Build per `cfg.shards` over balanced node-id ranges with no
+    /// alignment ([`ShardPlan::contiguous`](crate::ShardPlan::contiguous))
+    /// — the plan for networks with no index structure worth aligning to
+    /// (stars, hypercubes, CCC, shuffle-exchange). Callers whose node
+    /// ids are column- or row-major should prefer
+    /// [`AnyEngine::with_partitioner`] with `LevelCut` / `RowBlock`.
     pub fn new<N: Network + ?Sized>(net: &N, cfg: SimConfig) -> Self {
-        Self::with_partitioner(net, cfg, &GreedyEdgeCut)
+        // Alignment 1 is `ShardPlan::contiguous`.
+        Self::with_partitioner(net, cfg, &RowBlock::new(1))
     }
 
     /// Build per `cfg.shards` with an explicit partitioning strategy.

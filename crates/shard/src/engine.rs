@@ -14,25 +14,24 @@
 //!    [`Engine::swap_arrivals`]. Mailbox capacity is bounded by the
 //!    shard's link count — at most one packet per link per step — and
 //!    preallocated.
-//! 2. **Exchange + process (central)** — the coordinator merges the `k`
-//!    mailboxes by **global link id** into the exact arrival order of
-//!    the serial engine. Contiguous partitions ([`crate::LevelCut`],
-//!    [`crate::RowBlock`]) own disjoint ascending link-id ranges, so no
-//!    merge is materialized at all: the process phase groups arrivals
-//!    **in place** through packed `(shard, index)` coordinates into the
-//!    mailboxes; only non-contiguous plans pay a k-way cursor merge. It
-//!    then drives the [`Protocol`] over destination nodes in ascending
-//!    id — precisely the serial engine's process phase. Protocol sends
-//!    are enqueued straight into the owning shard.
+//! 2. **Process (central)** — a shard is an ascending node-id range
+//!    (the one shape a [`ShardPlan`] can have), so the shards own
+//!    disjoint ascending link-id ranges and the `k` mailboxes
+//!    concatenate into the exact arrival order of the serial engine; no
+//!    merge is materialized. The process phase groups arrivals **in
+//!    place** through packed `(shard, index)` coordinates into the
+//!    mailboxes, then drives the [`Protocol`] over destination nodes in
+//!    ascending id — precisely the serial engine's process phase.
+//!    Protocol sends are enqueued straight into the owning shard.
 //!
 //! # Determinism contract
 //!
 //! `ShardedEngine::run` is **bit-identical** to a single `Engine::run`
 //! over the whole network — same `RunOutcome` (steps, deliveries,
 //! latency histogram, queue high-water, queued-packet-steps, link
-//! loads), for any `Protocol`, any `Discipline`, any partition, and any
-//! `k`. This holds because the protocol is driven centrally in exactly
-//! the serial callback order: protocols keep cross-node state (Ranade
+//! loads), for any `Protocol`, any `Discipline`, any plan, and any `k`.
+//! This holds because the protocol is driven centrally in exactly the
+//! serial callback order: protocols keep cross-node state (Ranade
 //! combining tables, module batches) with **no adaptation** — node ids
 //! seen by the protocol are global ids. The property tests in this
 //! crate and `tests/sharded_equivalence.rs` pin the contract on random
@@ -41,14 +40,14 @@
 //! # Cost model
 //!
 //! Sharding pays a coordination tax — the lockstep rendezvous (when the
-//! pool is on) and the mailbox exchange — to buy transmit-phase
+//! pool is on) and the per-shard bookkeeping — to buy transmit-phase
 //! parallelism and per-shard cache locality. The serial-coordinator
-//! path uses no atomics (`Mutex::get_mut`) and contiguous partitions
-//! exchange zero-copy (packets stay in the mailboxes until batch
-//! assembly — the same single copy the serial engine pays), so on one
-//! core the tax is a few percent; with multiple cores the transmit
-//! phase scales with `k`. See the README's sharding section for when
-//! sharding wins and loses.
+//! path uses no atomics (`Mutex::get_mut`) and the exchange is zero-copy
+//! (packets stay in the mailboxes until batch assembly — the same single
+//! copy the serial engine pays), so on one core the tax is a few
+//! percent. The process phase stays central and is most of a step, so
+//! only the transmit share can scale with `k`. See the README's sharding
+//! section for when sharding wins and loses.
 
 use crate::partition::{Partitioner, ShardPlan};
 use lnpram_simnet::fault::{FaultError, FaultPlan, FaultSchedule};
@@ -65,14 +64,11 @@ use std::sync::Mutex;
 const NIL: u32 = u32::MAX;
 
 /// Packed arrival coordinates: shard id in the top 4 bits, index into
-/// that shard's mailbox in the low 28 (shard id [`MERGED`] = index into
-/// the k-way merge output instead). Lets the process phase fetch
+/// that shard's mailbox in the low 28. Lets the process phase fetch
 /// packets straight out of the mailboxes — no translation or
-/// concatenation pass for contiguous partitions.
+/// concatenation pass.
 const COORD_BITS: u32 = 28;
 const COORD_MASK: u32 = (1 << COORD_BITS) - 1;
-/// Pseudo-shard id addressing the `merged` buffer (non-contiguous plans).
-const MERGED: u32 = 15;
 /// Shard-count cap imposed by the packed coordinates.
 pub const MAX_SHARDS: usize = 15;
 
@@ -108,9 +104,7 @@ impl Network for SubNet {
 }
 
 /// One shard: its engine over the induced sub-CSR plus the boundary
-/// mailbox buffer. The local → global link tables live on the
-/// coordinator (outside the mutex) so the exchange and process phases
-/// read them without touching shard state.
+/// mailbox buffer.
 struct Shard {
     engine: Engine,
     /// Boundary mailbox: this step's extractions as `(local link id,
@@ -142,18 +136,19 @@ pub struct ShardedEngine {
     /// node id within that shard in the low 28 (one cache line touched
     /// per ownership lookup instead of two).
     node_owner: Vec<u32>,
-    /// Global link id → global head node (the coordinator's view of the
-    /// whole CSR, used to group merged arrivals by destination).
+    /// Global link id → global head node.
     link_head: Vec<u32>,
     /// Global CSR offsets (links of node `v` are
     /// `link_offset[v] .. link_offset[v+1]`) — with `link_head` this is
     /// the full global CSR, so fault schedules validate and bind here
     /// exactly as they do on a serial [`Engine`].
     link_offset: Vec<u32>,
-    /// Global link id → packed owner (shard id in the top 4 bits, local
-    /// link id in the low 28). Built lazily on the first fault-surface
-    /// call; empty until then.
-    link_owner: Vec<u32>,
+    /// First global link id of each shard, plus `num_links` as a
+    /// sentinel (`k + 1` ascending entries). A shard is an ascending node
+    /// range and link ids are node-major, so shard `s` owns exactly the
+    /// links `link_base[s] .. link_base[s+1]`, in its engine's own link
+    /// order: global link id = `link_base[s]` + local link id.
+    link_base: Vec<u32>,
     /// Installed fault schedule over the **global** CSR; per-link
     /// blocked updates are forwarded to the owning shard at the start
     /// of each transmit phase, so every shard observes the same link
@@ -162,14 +157,6 @@ pub struct ShardedEngine {
     /// Global transmit phases since the last reset (the step the fault
     /// schedule is keyed on, mirroring the serial engine's clock).
     clock: u32,
-    /// Per shard: local link id → global link id (strictly increasing).
-    shard_link_global: Vec<Vec<u32>>,
-    /// Per shard: local link id → global head node.
-    shard_link_head: Vec<Vec<u32>>,
-    /// Shard ids are ascending node ranges (contiguous partition), so
-    /// link-id ranges are disjoint and the mailbox merge is one
-    /// concatenation pass.
-    ordered: bool,
     shards: Vec<Mutex<Shard>>,
     workers: Option<WorkerPool>,
     pending: Vec<(usize, Packet)>,
@@ -177,12 +164,6 @@ pub struct ShardedEngine {
     in_flight: usize,
     metrics: Metrics,
     // --- reusable per-step scratch (mirrors `Engine`'s process phase) ---
-    /// K-way merge output `(global link id, packet)` — only used for
-    /// non-contiguous plans; contiguous ones group straight off the
-    /// mailboxes.
-    merged: Vec<(u32, Packet)>,
-    /// Mailbox cursors of the k-way merge (non-contiguous plans only).
-    cursors: Vec<usize>,
     /// Packed arrival coordinates grouped by destination node — the
     /// serial engine's grouper, pointing into the mailboxes in place.
     groups: ArrivalGroups,
@@ -193,11 +174,9 @@ impl ShardedEngine {
     /// Partition `net` into `cfg.shards` shards with `part` — clamped
     /// to `1..=`[`MAX_SHARDS`] (the packed-coordinate cap) **and** to
     /// the node count, so `cfg.shards > n` on a tiny network yields one
-    /// single-node shard per node instead of empty shards (degenerate
-    /// `GreedyEdgeCut` / `LevelCut` bands) — and build one engine per
-    /// shard. The per-shard engines always run their own transmit
-    /// serially (shard-level fan-out replaces link-level fan-out);
-    /// `cfg.threads > 1` enables the worker pool across shards.
+    /// single-node shard per node instead of empty shards — and build
+    /// one engine per shard. `cfg.threads > 1` enables the worker pool
+    /// across shards.
     /// Explicit plans via [`ShardedEngine::with_plan`] are not clamped
     /// (empty shards in an explicit plan are legal and simulated
     /// correctly) and assert the cap instead.
@@ -232,67 +211,55 @@ impl ShardedEngine {
             link_offset.push(link_head.len() as u32);
         }
         let num_links = link_head.len();
-        // Local node ids: dense per shard, ascending in global id.
-        let mut node_local = vec![0u32; n];
-        let mut owned_count = vec![0u32; k];
-        let mut shard_links = vec![0u32; k];
-        for v in 0..n {
-            let s = plan.shard_of(v);
-            node_local[v] = owned_count[s];
-            owned_count[s] += 1;
-            shard_links[s] += link_offset[v + 1] - link_offset[v];
+        // Shard `s` owns the node range `start[s] .. start[s+1]` (a plan
+        // is non-decreasing in node id) and with it one link-id range.
+        let mut start = vec![0usize; k + 1];
+        for (s, size) in plan.shard_sizes().into_iter().enumerate() {
+            start[s + 1] = start[s] + size;
         }
-        // Hard caps, checked once at construction: the packed coordinates
-        // reserve 28 bits for in-shard indices, so silent aliasing in
-        // release builds is impossible past them.
-        for s in 0..k {
-            assert!(
-                owned_count[s] <= COORD_MASK && shard_links[s] <= COORD_MASK,
-                "shard {s} exceeds 2^28 nodes or links — the packed arrival \
-                 coordinates cannot address it"
-            );
-        }
-        let ordered = plan.node_shard().windows(2).all(|w| w[0] <= w[1]);
-        let node_owner: Vec<u32> = (0..n)
-            .map(|v| ((plan.shard_of(v) as u32) << COORD_BITS) | node_local[v])
-            .collect();
+        let link_base: Vec<u32> = start.iter().map(|&v| link_offset[v]).collect();
+        let mut node_owner = Vec::with_capacity(n);
         let shard_cfg = SimConfig {
             discipline: cfg.discipline,
             max_steps: u32::MAX,
-            parallel_threshold: usize::MAX,
             threads: 1,
             record_link_loads: false,
             shards: 0,
         };
         let mut shards = Vec::with_capacity(k);
-        let mut shard_link_global = Vec::with_capacity(k);
-        let mut shard_link_head = Vec::with_capacity(k);
         for s in 0..k {
-            let links = shard_links[s] as usize;
-            let mut offsets = Vec::with_capacity(owned_count[s] as usize + 1);
+            let (lo, hi) = (start[s], start[s + 1]);
+            let owned = (hi - lo) as u32;
+            let links = (link_base[s + 1] - link_base[s]) as usize;
+            // Hard caps, checked once at construction: the packed
+            // coordinates reserve 28 bits for in-shard indices, so silent
+            // aliasing in release builds is impossible past them.
+            assert!(
+                owned <= COORD_MASK && links <= COORD_MASK as usize,
+                "shard {s} exceeds 2^28 nodes or links — the packed arrival \
+                 coordinates cannot address it"
+            );
+            node_owner.extend((0..owned).map(|local| ((s as u32) << COORD_BITS) | local));
+            let mut offsets = Vec::with_capacity(owned as usize + 1);
             offsets.push(0u32);
             let mut targets = Vec::with_capacity(links);
-            let mut link_global = Vec::with_capacity(links);
-            let mut lheads = Vec::with_capacity(links);
             // Ghost ids for remote heads, assigned in first-reference
             // order (NIL = not yet seen).
             let mut ghost_of = vec![NIL; n];
             let mut ghosts = 0u32;
-            for v in (0..n).filter(|&v| plan.shard_of(v) == s) {
+            for v in lo..hi {
                 for p in 0..net.out_degree(v) {
                     let w = net.neighbor(v, p);
-                    let target = if plan.shard_of(w) == s {
-                        node_local[w]
+                    let target = if (lo..hi).contains(&w) {
+                        (w - lo) as u32
                     } else if ghost_of[w] != NIL {
                         ghost_of[w]
                     } else {
                         ghosts += 1;
-                        ghost_of[w] = owned_count[s] + ghosts - 1;
+                        ghost_of[w] = owned + ghosts - 1;
                         ghost_of[w]
                     };
                     targets.push(target);
-                    link_global.push(link_offset[v] + p as u32);
-                    lheads.push(w as u32);
                 }
                 offsets.push(targets.len() as u32);
             }
@@ -306,8 +273,6 @@ impl ShardedEngine {
                 engine: Engine::new(&sub, shard_cfg.clone()),
                 buf: Vec::with_capacity(links),
             }));
-            shard_link_global.push(link_global);
-            shard_link_head.push(lheads);
         }
         ShardedEngine {
             cfg,
@@ -317,19 +282,14 @@ impl ShardedEngine {
             node_owner,
             link_head,
             link_offset,
-            link_owner: Vec::new(),
+            link_base,
             faults: None,
             clock: 0,
-            shard_link_global,
-            shard_link_head,
-            ordered,
             shards,
             workers: None,
             pending: Vec::new(),
             in_flight: 0,
             metrics: Metrics::default(),
-            merged: Vec::new(),
-            cursors: vec![0; k],
             groups: ArrivalGroups::new(n),
             batch: Vec::new(),
         }
@@ -351,38 +311,21 @@ impl ShardedEngine {
         self.num_links
     }
 
-    /// Build the global-link → (shard, local link) inverse of
-    /// `shard_link_global` on first use. Every link is owned by exactly
-    /// one shard (the shard of its tail node), so the map is total.
-    fn ensure_link_owner(&mut self) {
-        if !self.link_owner.is_empty() || self.num_links == 0 {
-            return;
-        }
-        let mut owner = vec![NIL; self.num_links];
-        for (s, globals) in self.shard_link_global.iter().enumerate() {
-            for (local, &global) in globals.iter().enumerate() {
-                owner[global as usize] = ((s as u32) << COORD_BITS) | local as u32;
-            }
-        }
-        self.link_owner = owner;
-    }
-
     /// Forward a blocked-state update for a global link to the shard
-    /// engine that owns it. `link_owner` must be built.
+    /// engine that owns it: the last shard whose link range starts at or
+    /// before `link` (empty shards share their successor's base).
     fn apply_link_blocked(
-        link_owner: &[u32],
+        link_base: &[u32],
         shards: &mut [Mutex<Shard>],
         link: usize,
         blocked: bool,
     ) {
-        let packed = link_owner[link];
-        let s = (packed >> COORD_BITS) as usize;
-        let local = (packed & COORD_MASK) as usize;
+        let s = link_base.partition_point(|&base| base as usize <= link) - 1;
         shards[s]
             .get_mut()
             .expect("shard mutex")
             .engine
-            .set_link_blocked(local, blocked);
+            .set_link_blocked(link - link_base[s] as usize, blocked);
     }
 
     /// Mark the link `(node, port)` as failed: packets queue on it but
@@ -394,8 +337,7 @@ impl ShardedEngine {
             link < self.link_offset[node + 1] as usize,
             "block_link on invalid port {port} of node {node}"
         );
-        self.ensure_link_owner();
-        Self::apply_link_blocked(&self.link_owner, &mut self.shards, link, true);
+        Self::apply_link_blocked(&self.link_base, &mut self.shards, link, true);
     }
 
     /// Install a deterministic fault schedule, validated against the
@@ -407,7 +349,6 @@ impl ShardedEngine {
     /// serial run at every step. `reset` clears the plan.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), FaultError> {
         let sched = FaultSchedule::build(plan, &self.link_offset, &self.link_head)?;
-        self.ensure_link_owner();
         self.faults = Some(Box::new(sched));
         Ok(())
     }
@@ -448,36 +389,27 @@ impl ShardedEngine {
         self.in_flight
     }
 
-    /// Per-link traversal counts in **global** link-id order, assembled
-    /// from the shard engines (mirrors [`Engine::link_loads`]).
+    /// Per-link traversal counts in **global** link-id order: the shard
+    /// engines' own counts, concatenated (mirrors [`Engine::link_loads`]).
     pub fn link_loads(&self) -> Vec<u32> {
-        let mut loads = vec![0u32; self.num_links];
-        for (s, shard) in self.shards.iter().enumerate() {
-            let shard = shard.lock().expect("shard mutex");
-            let shard_loads = shard.engine.link_loads();
-            for (local, &global) in self.shard_link_global[s].iter().enumerate() {
-                loads[global as usize] = shard_loads[local];
-            }
+        let mut loads = Vec::with_capacity(self.num_links);
+        for shard in &self.shards {
+            loads.extend(shard.lock().expect("shard mutex").engine.link_loads());
         }
         loads
     }
 
     /// Drain every shard queue, returning the stranded packets in global
     /// link order (links ascending, packets of one link in arrival
-    /// order) — exactly the order [`Engine::drain_all`] produces.
+    /// order) — exactly the order [`Engine::drain_all`] produces, since
+    /// the shards' link ranges ascend.
     pub fn drain_all(&mut self) -> Vec<Packet> {
-        let mut tagged: Vec<(u32, usize, Packet)> = Vec::new();
+        let mut out = Vec::new();
         for s in 0..self.k {
-            let drained = self.shard_mut(s).engine.drain_all_tagged();
-            for (i, (local, pkt)) in drained.into_iter().enumerate() {
-                tagged.push((self.shard_link_global[s][local as usize], i, pkt));
-            }
+            out.append(&mut self.shard_mut(s).engine.drain_all());
         }
-        // Links are owned by exactly one shard, so sorting by (global
-        // link, within-shard position) reproduces the serial drain order.
-        tagged.sort_unstable_by_key(|&(link, i, _)| (link, i));
         self.in_flight = 0;
-        tagged.into_iter().map(|(_, _, pkt)| pkt).collect()
+        out
     }
 
     /// Run the protocol until all queues drain or `max_steps` elapse —
@@ -542,11 +474,12 @@ impl ShardedEngine {
                 // exchange actually moves across the partition).
                 let Self {
                     shards,
-                    shard_link_head,
+                    link_head,
+                    link_base,
                     node_owner,
                     ..
                 } = self;
-                let heads = &shard_link_head[s];
+                let heads = &link_head[link_base[s] as usize..];
                 let crossing = shards[s]
                     .get_mut()
                     .expect("shard mutex")
@@ -562,44 +495,6 @@ impl ShardedEngine {
             for s in 0..self.k {
                 self.shard_mut(s).transmit();
             }
-        }
-    }
-
-    /// Deterministic boundary exchange for **non-contiguous** plans:
-    /// k-way cursor merge of the shard mailboxes by global link id into
-    /// `merged` — the serial engine's exact arrival order. Contiguous
-    /// plans skip this entirely: their mailboxes already concatenate in
-    /// global order, so [`ShardedEngine::process_arrivals`] groups
-    /// straight off them.
-    fn merge_mailboxes(&mut self) {
-        self.merged.clear();
-        self.cursors.fill(0);
-        let Self {
-            shards,
-            merged,
-            cursors,
-            shard_link_global,
-            ..
-        } = self;
-        loop {
-            let mut best_link = u32::MAX;
-            let mut best_s = usize::MAX;
-            for (s, shard) in shards.iter_mut().enumerate() {
-                let buf = &shard.get_mut().expect("shard mutex").buf;
-                if let Some(&(local, _)) = buf.get(cursors[s]) {
-                    let link = shard_link_global[s][local as usize];
-                    if link < best_link {
-                        best_link = link;
-                        best_s = s;
-                    }
-                }
-            }
-            if best_s == usize::MAX {
-                break;
-            }
-            let (_, pkt) = shards[best_s].get_mut().expect("shard mutex").buf[cursors[best_s]];
-            cursors[best_s] += 1;
-            merged.push((best_link, pkt));
         }
     }
 
@@ -633,14 +528,11 @@ impl ShardedEngine {
     /// * packet conservation across the partition: the coordinator's
     ///   `in_flight` == the sum of every shard engine's `in_flight`
     ///   (a mailbox-exchange bug shows up here as a leak or a dupe);
-    /// * link-table accounting: each shard's local → global link table
-    ///   is strictly increasing, the tables together cover every global
-    ///   link exactly once, and the mirrored ghost-head table agrees
-    ///   with the global CSR (`shard_link_head[s][l] ==
-    ///   link_head[shard_link_global[s][l]]`);
-    /// * for contiguous (`ordered`) plans, shard link ranges are
-    ///   disjoint and ascending, which is what licenses the
-    ///   concatenation-only mailbox merge;
+    /// * link accounting: the shards' link ranges (`link_base`) ascend
+    ///   from 0 to the global link count — which is what lets the
+    ///   mailboxes concatenate into the serial arrival order — and each
+    ///   shard engine has exactly its range's number of links, so local
+    ///   link `l` of shard `s` is global link `link_base[s] + l`;
     /// * node accounting: every global node is owned by exactly one
     ///   shard, at a local id within that shard's engine;
     /// * the coordinator's arrival grouper is idle (bitmap zero, no
@@ -668,62 +560,21 @@ impl ShardedEngine {
             ));
         }
 
-        let mut owner_of_link = vec![NIL; self.num_links];
+        if self.link_base.first() != Some(&0)
+            || self.link_base.last().map(|&l| l as usize) != Some(self.num_links)
+        {
+            return fail(format!(
+                "shard link ranges {:?} do not span the {} global links",
+                self.link_base, self.num_links
+            ));
+        }
         for s in 0..self.k {
-            let globals = &self.shard_link_global[s];
-            let heads = &self.shard_link_head[s];
-            if globals.len() != heads.len() {
+            let (lo, hi) = (self.link_base[s], self.link_base[s + 1]);
+            let shard_links = self.shard_mut(s).engine.num_links();
+            if lo > hi || (hi - lo) as usize != shard_links {
                 return fail(format!(
-                    "shard {s}: link table length {} != head table length {}",
-                    globals.len(),
-                    heads.len()
+                    "shard {s} owns global links {lo}..{hi} but its engine has {shard_links} links"
                 ));
-            }
-            let mut prev: Option<u32> = None;
-            for (local, &global) in globals.iter().enumerate() {
-                if global as usize >= self.num_links {
-                    return fail(format!(
-                        "shard {s} local link {local} maps to out-of-range global link {global}"
-                    ));
-                }
-                if prev.is_some_and(|p| p >= global) {
-                    return fail(format!(
-                        "shard {s} link table not strictly increasing at local link {local}"
-                    ));
-                }
-                prev = Some(global);
-                if owner_of_link[global as usize] != NIL {
-                    return fail(format!(
-                        "global link {global} claimed by shard {s} and shard {}",
-                        owner_of_link[global as usize]
-                    ));
-                }
-                owner_of_link[global as usize] = s as u32;
-                if heads[local] != self.link_head[global as usize] {
-                    return fail(format!(
-                        "shard {s} ghost-head table disagrees with the global CSR at local \
-                         link {local}: {} != {}",
-                        heads[local], self.link_head[global as usize]
-                    ));
-                }
-            }
-        }
-        if let Some(orphan) = owner_of_link.iter().position(|&o| o == NIL) {
-            return fail(format!("global link {orphan} is owned by no shard"));
-        }
-        if self.ordered {
-            let mut prev_last: Option<u32> = None;
-            for s in 0..self.k {
-                let globals = &self.shard_link_global[s];
-                let (Some(&first), Some(&last)) = (globals.first(), globals.last()) else {
-                    continue;
-                };
-                if prev_last.is_some_and(|p| p >= first) {
-                    return fail(format!(
-                        "ordered plan but shard {s} link range is not after its predecessor's"
-                    ));
-                }
-                prev_last = Some(last);
             }
         }
 
@@ -751,17 +602,11 @@ impl ShardedEngine {
 }
 
 /// The arrival a packed coordinate addresses: a slot of a shard's
-/// mailbox, or of the k-way merge output under shard id [`MERGED`].
-fn mailbox_packet<'a>(
-    shards: &'a mut [Mutex<Shard>],
-    merged: &'a [(u32, Packet)],
-    packed: u32,
-) -> &'a Packet {
+/// mailbox.
+fn mailbox_packet(shards: &mut [Mutex<Shard>], packed: u32) -> &Packet {
+    let s = (packed >> COORD_BITS) as usize;
     let idx = (packed & COORD_MASK) as usize;
-    match packed >> COORD_BITS {
-        MERGED => &merged[idx].1,
-        s => &shards[s as usize].get_mut().expect("shard mutex").buf[idx].1,
-    }
+    &shards[s].get_mut().expect("shard mutex").buf[idx].1
 }
 
 impl StepEngine for ShardedEngine {
@@ -779,14 +624,14 @@ impl StepEngine for ShardedEngine {
         self.pending.clear();
     }
 
-    // Every shard extracts from its own links, then (non-contiguous
-    // plans only) the mailboxes are merged into the serial arrival order.
+    // Every shard extracts from its own links; the mailboxes already
+    // concatenate into the serial arrival order.
     fn step_transmit<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
         self.clock += 1;
         if self.faults.is_some() {
             let Self {
                 faults,
-                link_owner,
+                link_base,
                 shards,
                 clock,
                 ..
@@ -795,67 +640,48 @@ impl StepEngine for ShardedEngine {
             let clock = *clock;
             if sink.enabled() {
                 sched.advance(clock, |link, blocked| {
-                    Self::apply_link_blocked(link_owner, shards, link, blocked);
+                    Self::apply_link_blocked(link_base, shards, link, blocked);
                     sink.on_fault(clock, link, blocked);
                 });
             } else {
                 sched.advance(clock, |link, blocked| {
-                    Self::apply_link_blocked(link_owner, shards, link, blocked);
+                    Self::apply_link_blocked(link_base, shards, link, blocked);
                 });
             }
         }
         sink.on_phase_start(Phase::Transmit);
         self.transmit_all(sink);
         sink.on_phase_end(Phase::Transmit);
-        if !self.ordered {
-            sink.on_phase_start(Phase::Exchange);
-            self.merge_mailboxes();
-            sink.on_phase_end(Phase::Exchange);
-        }
     }
 
     // The serial engine's exact callback sequence. Arrivals are read
     // **in place**: the grouper files packed `(shard, index)`
-    // coordinates into the mailboxes (or into `merged` for
-    // non-contiguous plans), so the contiguous path moves no packet
-    // until batch assembly — the same single copy the serial engine
-    // pays, and none for a node with a single arrival.
+    // coordinates into the mailboxes, which concatenate in global link
+    // order, so no packet moves until batch assembly — the same single
+    // copy the serial engine pays, and none for a node with a single
+    // arrival.
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
         // Grouping pass over plain field borrows (no self methods).
         let mut arrivals = 0usize;
         {
             let Self {
                 shards,
-                merged,
-                ordered,
                 link_head,
-                shard_link_head,
+                link_base,
                 groups,
                 ..
             } = self;
-            if *ordered {
-                // Shard mailboxes concatenate in global link order.
-                for (s, shard) in shards.iter_mut().enumerate() {
-                    let heads = &shard_link_head[s];
-                    let buf = &shard.get_mut().expect("shard mutex").buf;
-                    debug_assert!(buf.len() <= COORD_MASK as usize);
-                    for (idx, &(local, _)) in buf.iter().enumerate() {
-                        groups.push(
-                            heads[local as usize] as usize,
-                            ((s as u32) << COORD_BITS) | idx as u32,
-                        );
-                    }
-                    arrivals += buf.len();
-                }
-            } else {
-                debug_assert!(merged.len() <= COORD_MASK as usize);
-                for (idx, &(link, _)) in merged.iter().enumerate() {
+            for (s, shard) in shards.iter_mut().enumerate() {
+                let heads = &link_head[link_base[s] as usize..];
+                let buf = &shard.get_mut().expect("shard mutex").buf;
+                debug_assert!(buf.len() <= COORD_MASK as usize);
+                for (idx, &(local, _)) in buf.iter().enumerate() {
                     groups.push(
-                        link_head[link as usize] as usize,
-                        (MERGED << COORD_BITS) | idx as u32,
+                        heads[local as usize] as usize,
+                        ((s as u32) << COORD_BITS) | idx as u32,
                     );
                 }
-                arrivals = merged.len();
+                arrivals += buf.len();
             }
             groups.seal();
         }
@@ -864,7 +690,6 @@ impl StepEngine for ShardedEngine {
             let Self {
                 groups,
                 shards,
-                merged,
                 batch,
                 ..
             } = self;
@@ -872,12 +697,12 @@ impl StepEngine for ShardedEngine {
                 break;
             };
             if let Some(packed) = groups.single(head) {
-                let pkt = std::slice::from_ref(mailbox_packet(shards, merged, packed));
+                let pkt = std::slice::from_ref(mailbox_packet(shards, packed));
                 proto.on_arrivals(node, pkt, step, out);
             } else {
                 batch.clear();
                 for packed in groups.members(head) {
-                    batch.push(*mailbox_packet(shards, merged, packed));
+                    batch.push(*mailbox_packet(shards, packed));
                 }
                 proto.on_arrivals(node, batch, step, out);
             }
@@ -916,14 +741,10 @@ impl StepEngine for ShardedEngine {
     }
 
     fn arrivals_len(&self) -> usize {
-        if self.ordered {
-            self.shards
-                .iter()
-                .map(|s| s.lock().expect("shard mutex").buf.len())
-                .sum()
-        } else {
-            self.merged.len()
-        }
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("shard mutex").buf.len())
+            .sum()
     }
 
     fn max_queue_len(&self) -> usize {

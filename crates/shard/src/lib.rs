@@ -1,25 +1,26 @@
 //! # lnpram-shard
 //!
-//! The sharded simulation subsystem: split a
-//! [`Network`](lnpram_topology::Network) into `k` partitions, give each
-//! partition its own [`Engine`](lnpram_simnet::Engine) over its induced
-//! sub-CSR, and step all shards in lockstep per global step, exchanging
-//! cross-shard packets through fixed-capacity boundary mailboxes merged
-//! in a deterministic order (global link id, then injection order).
+//! The sharded simulation subsystem — the workspace's one mechanism for
+//! using a second core: split a [`Network`](lnpram_topology::Network)
+//! into `k` ascending node-id ranges, give each range its own
+//! [`Engine`](lnpram_simnet::Engine) over its induced sub-CSR, and step
+//! all shards in lockstep per global step. Cross-shard packets travel
+//! through fixed-capacity boundary mailboxes, which concatenate in
+//! global link-id order — the serial engine's arrival order — because a
+//! shard is always a contiguous node range.
 //!
 //! The subsystem's invariant — pinned by property tests over random
 //! butterflies, stars and meshes — is that [`ShardedEngine::run`] is
 //! **bit-identical** to a single serial `Engine::run` on the whole
 //! network: same metrics, same deliveries, same link loads, for any
-//! protocol and any partition. Sharding is therefore purely a scaling
-//! lever: it trades a small coordination tax (mailbox merge, lockstep
-//! barrier) for transmit-phase parallelism across shards and is the
-//! substrate later scaling work (async shard stepping, cross-process
-//! shards, multi-tenant batching) builds on.
+//! protocol and any plan. Sharding can therefore never move a simulated
+//! number: it trades a small coordination tax (lockstep barrier,
+//! per-shard bookkeeping) for transmit-phase parallelism across shards.
 //!
-//! * [`partition`] — the [`Partitioner`] strategies ([`LevelCut`] for
-//!   leveled networks, [`RowBlock`] for meshes, [`GreedyEdgeCut`] for
-//!   anything) and cut-quality metrics.
+//! * [`partition`] — [`ShardPlan`] (typed [`PlanError`]s for an
+//!   assignment that is not a sequence of ascending ranges) and the
+//!   [`Partitioner`] strategies that choose where the range boundaries
+//!   fall ([`LevelCut`] for leveled networks, [`RowBlock`] for meshes).
 //! * [`engine`] — the [`ShardedEngine`] lockstep coordinator.
 //! * [`any`] — [`AnyEngine`], the serial/sharded dispatch behind
 //!   [`SimConfig::shards`](lnpram_simnet::SimConfig) that the emulators
@@ -34,7 +35,7 @@ pub mod partition;
 
 pub use any::AnyEngine;
 pub use engine::{ShardedEngine, MAX_SHARDS};
-pub use partition::{CutStats, GreedyEdgeCut, LevelCut, Partitioner, RowBlock, ShardPlan};
+pub use partition::{LevelCut, Partitioner, PlanError, RowBlock, ShardPlan};
 
 #[cfg(test)]
 mod tests {
@@ -302,7 +303,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_equals_serial_on_star_with_greedy_partition() {
+    fn sharded_equals_serial_on_star() {
         let star_n = 4usize;
         let star = StarGraph::new(star_n); // 24 nodes
         let n = star.num_nodes();
@@ -324,7 +325,7 @@ mod tests {
             let sharded = run_sharded(
                 &star,
                 cfg_sharded(k),
-                &GreedyEdgeCut,
+                &RowBlock::new(1),
                 &inject,
                 &mut StarRouter {
                     star: StarGraph::new(star_n),
@@ -516,10 +517,10 @@ mod tests {
 
     #[test]
     fn shard_count_above_node_count_is_clamped_and_equivalent() {
-        // Satellite regression: K > n used to hand GreedyEdgeCut /
-        // LevelCut a shard count they could only satisfy with empty
-        // shards. `ShardedEngine::new` now clamps K to the node count;
-        // outcomes stay bit-identical to serial either way.
+        // Satellite regression: K > n used to hand the partitioner a
+        // shard count it could only satisfy with empty shards.
+        // `ShardedEngine::new` clamps K to the node count; outcomes stay
+        // bit-identical to serial either way.
         use lnpram_topology::graph::ExplicitNetwork;
         let star3 = ExplicitNetwork::undirected(3, &[(0, 1), (0, 2)], "star3");
         let inject: Vec<(usize, Packet)> = vec![
@@ -541,16 +542,16 @@ mod tests {
             }
         }
         let serial = run_serial(&star3, cfg_serial(), &inject, &mut Star3Router);
-        let eng = ShardedEngine::new(&star3, cfg_sharded(7), &GreedyEdgeCut);
+        let eng = ShardedEngine::new(&star3, cfg_sharded(7), &RowBlock::new(1));
         assert_eq!(eng.shards(), 3, "K=7 on 3 nodes must clamp to 3");
-        let greedy = run_sharded(
+        let unaligned = run_sharded(
             &star3,
             cfg_sharded(7),
-            &GreedyEdgeCut,
+            &RowBlock::new(1),
             &inject,
             &mut Star3Router,
         );
-        assert_eq!(serial, greedy, "greedy K>n");
+        assert_eq!(serial, unaligned, "contiguous K>n");
         let level = run_sharded(
             &star3,
             cfg_sharded(9),
@@ -560,7 +561,7 @@ mod tests {
         );
         assert_eq!(serial, level, "level-cut K>n");
         // AnyEngine takes the same path.
-        let mut any = AnyEngine::with_partitioner(&star3, cfg_sharded(7), &GreedyEdgeCut);
+        let mut any = AnyEngine::new(&star3, cfg_sharded(7));
         assert!(any.is_sharded());
         for &(node, pkt) in &inject {
             any.inject(node, pkt);
@@ -583,7 +584,8 @@ mod tests {
             .collect();
         let serial = run_serial(&mesh, cfg_serial(), &inject, &mut GreedyMesh { mesh });
         // Shard 1 owns nothing; shards 0 and 2 split the mesh in halves.
-        let plan = ShardPlan::new((0..n).map(|v| if v < n / 2 { 0 } else { 2 }).collect(), 3);
+        let plan = ShardPlan::new((0..n).map(|v| if v < n / 2 { 0 } else { 2 }).collect(), 3)
+            .expect("ascending ranges, shard 1 empty");
         let mut eng = ShardedEngine::with_plan(&mesh, cfg_sharded(3), plan);
         for &(node, pkt) in &inject {
             eng.inject(node, pkt);
@@ -745,7 +747,7 @@ mod tests {
             }
 
             /// Sharded == serial on random butterflies under random
-            /// h-relations, for both level-cut and greedy partitions.
+            /// h-relations, for both column-aligned and unaligned ranges.
             #[test]
             fn prop_sharded_equals_serial_butterfly(
                 seed: u64,
@@ -771,10 +773,10 @@ mod tests {
                     &net, cfg_sharded(k), &LevelCut::new(width), &inject,
                     &mut ButterflyRouter { net: LeveledNet::forward(inner) });
                 prop_assert_eq!(&serial, &level);
-                let greedy = run_sharded(
-                    &net, cfg_sharded(k), &GreedyEdgeCut, &inject,
+                let unaligned = run_sharded(
+                    &net, cfg_sharded(k), &RowBlock::new(1), &inject,
                     &mut ButterflyRouter { net: LeveledNet::forward(inner) });
-                prop_assert_eq!(&serial, &greedy);
+                prop_assert_eq!(&serial, &unaligned);
             }
 
             /// Sharded == serial on random stars (permutation-ish
@@ -792,7 +794,7 @@ mod tests {
                     .collect();
                 let serial = run_serial(&star, cfg_serial(), &inject, &mut StarRouter { star: StarGraph::new(star_n) });
                 let sharded = run_sharded(
-                    &star, cfg_sharded(k), &GreedyEdgeCut, &inject,
+                    &star, cfg_sharded(k), &RowBlock::new(1), &inject,
                     &mut StarRouter { star: StarGraph::new(star_n) });
                 prop_assert_eq!(serial, sharded);
             }

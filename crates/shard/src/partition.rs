@@ -1,31 +1,76 @@
-//! Network partitioning: node → shard assignment strategies and cut
-//! quality metrics.
+//! Network partitioning: node → shard assignment.
 //!
 //! A [`ShardPlan`] assigns every node of a [`Network`] to one of `k`
 //! shards. The shard owning a node owns that node's *out-link queues*;
 //! a directed link whose head lives in another shard is a **boundary
 //! link** — its packets cross shards through the mailbox exchange in
-//! [`crate::ShardedEngine`]. The quality of a plan is therefore the
-//! number of boundary (cut) links and the node balance, both reported
-//! by [`ShardPlan::cut_stats`].
+//! [`crate::ShardedEngine`].
 //!
-//! Three strategies cover the repo's topologies:
+//! A shard is always an **ascending node-id range**: `node_shard` is
+//! non-decreasing, checked once in [`ShardPlan::new`]. CSR link ids are
+//! node-major, so the shards' link-id ranges are disjoint and ascending
+//! too, and the mailboxes concatenate into the serial engine's arrival
+//! order with no merge. The process phase is central, so the size of the
+//! cut never enters the cost; what a strategy chooses is only where the
+//! range boundaries fall:
 //!
-//! * [`LevelCut`] — contiguous bands of columns for leveled networks
-//!   (node id = `column * width + idx`), so cuts fall only between
-//!   consecutive columns. On an ℓ-level network a packet crosses at
-//!   most `k − 1` boundaries over its whole route.
-//! * [`RowBlock`] — contiguous bands of rows for the row-major mesh;
-//!   only the vertical links between adjacent bands are cut.
-//! * [`GreedyEdgeCut`] — topology-agnostic greedy graph growing:
-//!   nodes are visited in BFS order and each joins the non-full shard
-//!   holding most of its already-placed neighbors. The fallback for
-//!   networks with no exploitable index structure (star graphs,
-//!   arbitrary [`Network`] implementations).
+//! * [`ShardPlan::contiguous`] — balanced ranges with no alignment; what
+//!   [`crate::AnyEngine::new`] uses for networks with no exploitable
+//!   index structure (star graphs, hypercubes, arbitrary [`Network`]
+//!   implementations).
+//! * [`LevelCut`] — bands of whole columns for leveled networks (node id
+//!   = `column * width + idx`), so cuts fall only between consecutive
+//!   columns. On an ℓ-level network a packet crosses at most `k − 1`
+//!   boundaries over its whole route.
+//! * [`RowBlock`] — bands of whole rows for the row-major mesh; only the
+//!   vertical links between adjacent bands are cut.
 
 use lnpram_topology::Network;
 
-/// A node → shard assignment for one network.
+/// Why [`ShardPlan::new`] refused an assignment.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PlanError {
+    /// `k == 0`: a plan needs at least one shard.
+    NoShards,
+    /// `node` is assigned to `shard`, but valid shard ids are `0..k`.
+    ShardOutOfRange {
+        /// The offending node.
+        node: usize,
+        /// The shard id it was given.
+        shard: u32,
+        /// The plan's shard count.
+        k: usize,
+    },
+    /// `node` has a lower shard id than `node - 1`: the shards are not
+    /// ascending node-id ranges.
+    NotContiguous {
+        /// The first node whose shard id decreases.
+        node: usize,
+    },
+}
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            PlanError::NoShards => f.write_str("a plan needs at least one shard"),
+            PlanError::ShardOutOfRange { node, shard, k } => {
+                write!(f, "node {node} is assigned to shard {shard}, but k = {k}")
+            }
+            PlanError::NotContiguous { node } => write!(
+                f,
+                "node {node} has a lower shard id than node {}: shards must be ascending \
+                 node-id ranges",
+                node - 1
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
+
+/// A node → shard assignment for one network: shard ids are
+/// non-decreasing in node id, so every shard is a (possibly empty)
+/// contiguous node range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     node_shard: Vec<u32>,
@@ -33,15 +78,21 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Wrap an explicit assignment. Panics if any entry is `≥ k` or
-    /// `k == 0`.
-    pub fn new(node_shard: Vec<u32>, k: usize) -> Self {
-        assert!(k >= 1, "a plan needs at least one shard");
-        assert!(
-            node_shard.iter().all(|&s| (s as usize) < k),
-            "shard id out of range"
-        );
-        ShardPlan { node_shard, k }
+    /// Wrap an explicit assignment, indexed by node id. Shard ids must
+    /// be `< k` and non-decreasing; empty shards are legal.
+    pub fn new(node_shard: Vec<u32>, k: usize) -> Result<Self, PlanError> {
+        if k == 0 {
+            return Err(PlanError::NoShards);
+        }
+        for (node, &shard) in node_shard.iter().enumerate() {
+            if shard as usize >= k {
+                return Err(PlanError::ShardOutOfRange { node, shard, k });
+            }
+            if node > 0 && shard < node_shard[node - 1] {
+                return Err(PlanError::NotContiguous { node });
+            }
+        }
+        Ok(ShardPlan { node_shard, k })
     }
 
     /// Balanced contiguous node ranges (no alignment): shard `s` owns
@@ -79,11 +130,6 @@ impl ShardPlan {
         self.node_shard[node] as usize
     }
 
-    /// The raw assignment, indexed by node id.
-    pub fn node_shard(&self) -> &[u32] {
-        &self.node_shard
-    }
-
     /// Nodes per shard (empty shards are legal — `k` may exceed the
     /// node count on tiny networks).
     pub fn shard_sizes(&self) -> Vec<usize> {
@@ -93,73 +139,12 @@ impl ShardPlan {
         }
         sizes
     }
-
-    /// Measure the plan against the network it was built for.
-    pub fn cut_stats<N: Network + ?Sized>(&self, net: &N) -> CutStats {
-        assert_eq!(self.node_shard.len(), net.num_nodes(), "plan/network size");
-        let mut cut_links = 0usize;
-        let mut total_links = 0usize;
-        for v in 0..net.num_nodes() {
-            for p in 0..net.out_degree(v) {
-                total_links += 1;
-                if self.node_shard[net.neighbor(v, p)] != self.node_shard[v] {
-                    cut_links += 1;
-                }
-            }
-        }
-        CutStats {
-            shards: self.k,
-            node_counts: self.shard_sizes(),
-            cut_links,
-            total_links,
-        }
-    }
-}
-
-/// Cut quality of a [`ShardPlan`]: boundary-link count and node balance.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CutStats {
-    /// Number of shards.
-    pub shards: usize,
-    /// Nodes per shard.
-    pub node_counts: Vec<usize>,
-    /// Directed links whose tail and head live in different shards —
-    /// each is a mailbox slot in the boundary exchange.
-    pub cut_links: usize,
-    /// All directed links.
-    pub total_links: usize,
-}
-
-impl CutStats {
-    /// Fraction of links that cross a shard boundary (0 = no exchange
-    /// traffic, 1 = every hop crosses).
-    pub fn cut_fraction(&self) -> f64 {
-        if self.total_links == 0 {
-            0.0
-        } else {
-            self.cut_links as f64 / self.total_links as f64
-        }
-    }
-
-    /// Node imbalance: largest shard over the ideal `n/k` share
-    /// (1.0 = perfectly balanced).
-    pub fn balance(&self) -> f64 {
-        let n: usize = self.node_counts.iter().sum();
-        if n == 0 {
-            return 1.0;
-        }
-        let ideal = n as f64 / self.shards as f64;
-        *self.node_counts.iter().max().expect("k >= 1") as f64 / ideal
-    }
 }
 
 /// A strategy producing a [`ShardPlan`] for a network.
 pub trait Partitioner {
     /// Assign every node of `net` to one of `k` shards.
     fn partition<N: Network + ?Sized>(&self, net: &N, k: usize) -> ShardPlan;
-
-    /// Short strategy name for reports.
-    fn name(&self) -> String;
 }
 
 /// Column-band partitioner for leveled networks: node id is
@@ -183,10 +168,6 @@ impl Partitioner for LevelCut {
     fn partition<N: Network + ?Sized>(&self, net: &N, k: usize) -> ShardPlan {
         ShardPlan::aligned(net.num_nodes(), k, self.width)
     }
-
-    fn name(&self) -> String {
-        format!("level-cut(width={})", self.width)
-    }
 }
 
 /// Row-band partitioner for the row-major mesh: cuts aligned to
@@ -209,118 +190,21 @@ impl Partitioner for RowBlock {
     fn partition<N: Network + ?Sized>(&self, net: &N, k: usize) -> ShardPlan {
         ShardPlan::aligned(net.num_nodes(), k, self.cols)
     }
-
-    fn name(&self) -> String {
-        format!("row-block(cols={})", self.cols)
-    }
-}
-
-/// Topology-agnostic greedy edge-cut: visit nodes in BFS order (over the
-/// symmetrised adjacency, restarting per component) and put each node in
-/// the shard that already holds most of its neighbors, subject to the
-/// capacity cap `⌈n/k⌉`. Deterministic: ties break toward the lowest
-/// shard id.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyEdgeCut;
-
-impl Partitioner for GreedyEdgeCut {
-    fn partition<N: Network + ?Sized>(&self, net: &N, k: usize) -> ShardPlan {
-        let n = net.num_nodes();
-        if n == 0 {
-            return ShardPlan::new(Vec::new(), k.max(1));
-        }
-        // Symmetrised adjacency in flat CSR form (a neighbor on either
-        // side of a directed link counts toward affinity): count
-        // degrees, prefix-sum, fill — no per-node Vec allocations.
-        let mut deg = vec![0u32; n];
-        for v in 0..n {
-            for p in 0..net.out_degree(v) {
-                let w = net.neighbor(v, p);
-                deg[v] += 1;
-                if w != v {
-                    deg[w] += 1;
-                }
-            }
-        }
-        let mut start = vec![0u32; n + 1];
-        for v in 0..n {
-            start[v + 1] = start[v] + deg[v];
-        }
-        let mut flat = vec![0u32; start[n] as usize];
-        let mut cursor = start.clone();
-        for v in 0..n {
-            for p in 0..net.out_degree(v) {
-                let w = net.neighbor(v, p);
-                flat[cursor[v] as usize] = w as u32;
-                cursor[v] += 1;
-                if w != v {
-                    flat[cursor[w] as usize] = v as u32;
-                    cursor[w] += 1;
-                }
-            }
-        }
-        let adj = |v: usize| &flat[start[v] as usize..start[v + 1] as usize];
-        // BFS visit order, restarting at the lowest unvisited node so
-        // disconnected networks are still fully covered.
-        let mut order = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            seen[start] = true;
-            queue.push_back(start as u32);
-            while let Some(v) = queue.pop_front() {
-                order.push(v as usize);
-                for &w in adj(v as usize) {
-                    if !seen[w as usize] {
-                        seen[w as usize] = true;
-                        queue.push_back(w);
-                    }
-                }
-            }
-        }
-        let cap = n.div_ceil(k);
-        let unassigned = u32::MAX;
-        let mut node_shard = vec![unassigned; n];
-        let mut sizes = vec![0usize; k];
-        let mut affinity = vec![0usize; k];
-        for &v in &order {
-            affinity.fill(0);
-            for &w in adj(v) {
-                let s = node_shard[w as usize];
-                if s != unassigned {
-                    affinity[s as usize] += 1;
-                }
-            }
-            let mut best = usize::MAX;
-            for (s, &score) in affinity.iter().enumerate() {
-                if sizes[s] >= cap {
-                    continue;
-                }
-                if best == usize::MAX || score > affinity[best] {
-                    best = s;
-                }
-            }
-            debug_assert_ne!(best, usize::MAX, "capacity k*ceil(n/k) >= n");
-            node_shard[v] = best as u32;
-            sizes[best] += 1;
-        }
-        ShardPlan::new(node_shard, k)
-    }
-
-    fn name(&self) -> String {
-        "greedy-edge-cut".to_string()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lnpram_topology::graph::ExplicitNetwork;
     use lnpram_topology::leveled::{LeveledNet, RadixButterfly};
-    use lnpram_topology::{Mesh, StarGraph};
+    use lnpram_topology::Mesh;
+
+    /// Directed links whose tail and head live in different shards.
+    fn cut_links<N: Network>(plan: &ShardPlan, net: &N) -> usize {
+        (0..net.num_nodes())
+            .flat_map(|v| (0..net.out_degree(v)).map(move |p| (v, net.neighbor(v, p))))
+            .filter(|&(v, w)| plan.shard_of(v) != plan.shard_of(w))
+            .count()
+    }
 
     #[test]
     fn aligned_blocks_are_contiguous_and_balanced() {
@@ -351,75 +235,54 @@ mod tests {
     fn level_cut_only_cuts_between_columns() {
         let net = LeveledNet::forward(RadixButterfly::new(2, 4)); // 16 wide, 5 cols
         let plan = LevelCut::new(16).partition(&net, 3);
-        let stats = plan.cut_stats(&net);
-        assert_eq!(stats.total_links, 4 * 16 * 2);
         // A column band cut severs exactly one column-to-column link layer
         // per boundary: 2 boundaries × width × degree.
-        assert_eq!(stats.cut_links, 2 * 16 * 2);
-        assert!(stats.balance() <= 1.5, "balance {}", stats.balance());
+        assert_eq!(cut_links(&plan, &net), 2 * 16 * 2);
+        let largest = *plan.shard_sizes().iter().max().expect("k >= 1");
+        assert!(largest <= 2 * 16, "largest band {largest}");
     }
 
     #[test]
     fn row_block_cuts_only_vertical_mesh_links() {
         let mesh = Mesh::square(8);
         let plan = RowBlock::new(8).partition(&mesh, 4);
-        let stats = plan.cut_stats(&mesh);
         // 3 boundaries, each cutting 8 south links + 8 north links.
-        assert_eq!(stats.cut_links, 3 * 16);
-        assert_eq!(stats.node_counts, vec![16; 4]);
-        assert!((stats.balance() - 1.0).abs() < 1e-12);
+        assert_eq!(cut_links(&plan, &mesh), 3 * 16);
+        assert_eq!(plan.shard_sizes(), vec![16; 4]);
     }
 
     #[test]
-    fn greedy_respects_capacity_and_covers_all() {
-        for k in [1usize, 2, 3, 5] {
-            let star = StarGraph::new(4); // 24 nodes, degree 3
-            let plan = GreedyEdgeCut.partition(&star, k);
-            let sizes = plan.shard_sizes();
-            assert_eq!(sizes.iter().sum::<usize>(), 24);
-            let cap = 24usize.div_ceil(k);
-            assert!(sizes.iter().all(|&s| s <= cap), "k={k}: {sizes:?}");
-        }
+    fn explicit_plans_are_what_the_constructors_build() {
+        let plan = ShardPlan::new(vec![0, 0, 1, 1, 2, 2], 3).expect("ascending ranges");
+        assert_eq!(plan, ShardPlan::contiguous(6, 3));
+        // An empty middle shard is still an ascending plan.
+        let gap = ShardPlan::new(vec![0, 0, 2, 2], 3).expect("empty shard 1");
+        assert_eq!(gap.shard_sizes(), vec![2, 0, 2]);
+        // No nodes at all: every shard is empty.
+        assert_eq!(ShardPlan::new(Vec::new(), 2).map(|p| p.num_nodes()), Ok(0));
     }
 
     #[test]
-    fn greedy_beats_round_robin_on_mesh_cut() {
-        let mesh = Mesh::square(8);
-        let greedy = GreedyEdgeCut.partition(&mesh, 4).cut_stats(&mesh);
-        // Worst case comparison: striping nodes round-robin cuts almost
-        // every link.
-        let striped = ShardPlan::new((0..64).map(|v| (v % 4) as u32).collect(), 4);
-        let striped = striped.cut_stats(&mesh);
-        assert!(
-            greedy.cut_links < striped.cut_links,
-            "greedy {} vs striped {}",
-            greedy.cut_links,
-            striped.cut_links
+    fn plan_errors_are_typed() {
+        assert_eq!(ShardPlan::new(vec![], 0), Err(PlanError::NoShards));
+        assert_eq!(
+            ShardPlan::new(vec![0, 2], 2),
+            Err(PlanError::ShardOutOfRange {
+                node: 1,
+                shard: 2,
+                k: 2
+            })
         );
-        assert!(greedy.cut_fraction() < 0.5);
+        // Round-robin striping: node 2 drops back to shard 0.
+        let err = ShardPlan::new(vec![0, 1, 0, 1], 2).expect_err("striped");
+        assert_eq!(err, PlanError::NotContiguous { node: 2 });
+        assert!(err.to_string().contains("node 2"), "{err}");
     }
 
+    /// What a caller that treats a bad plan as a bug sees.
     #[test]
-    fn greedy_handles_disconnected_networks() {
-        let net = ExplicitNetwork::new(vec![vec![], vec![], vec![]], "isolated3");
-        let plan = GreedyEdgeCut.partition(&net, 2);
-        assert_eq!(plan.shard_sizes().iter().sum::<usize>(), 3);
-    }
-
-    #[test]
-    fn cut_stats_fraction_and_balance_math() {
-        let net = ExplicitNetwork::undirected(4, &[(0, 1), (1, 2), (2, 3)], "path4");
-        let plan = ShardPlan::new(vec![0, 0, 1, 1], 2);
-        let stats = plan.cut_stats(&net);
-        assert_eq!(stats.total_links, 6);
-        assert_eq!(stats.cut_links, 2); // 1→2 and 2→1
-        assert!((stats.cut_fraction() - 2.0 / 6.0).abs() < 1e-12);
-        assert!((stats.balance() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard id out of range")]
+    #[should_panic(expected = "ShardOutOfRange")]
     fn plan_rejects_out_of_range() {
-        let _ = ShardPlan::new(vec![0, 2], 2);
+        let _ = ShardPlan::new(vec![0, 2], 2).expect("shard ids below k");
     }
 }

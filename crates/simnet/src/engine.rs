@@ -44,26 +44,17 @@
 //! * run state (queues, arena, metrics, scratch) is recycled by
 //!   [`Engine::reset`], so a T-step emulation reuses one engine instead
 //!   of building per-link state T times.
-//!
-//! The transmit phase is embarrassingly parallel across links; when the
-//! number of active links is at least [`SimConfig::parallel_threshold`]
-//! the engine fans the *selection* scans out over a persistent
-//! [`WorkerPool`](crate::worker) whose threads park between steps, then
-//! commits the extractions serially in active order — so the arrival
-//! sequence is bit-identical to the serial path (the determinism
-//! contract `prop_parallel_equals_serial` pins).
 
 use crate::fault::{FaultError, FaultPlan, FaultSchedule};
 use crate::groups::ArrivalGroups;
 use crate::metrics::Metrics;
 use crate::packet::Packet;
 use crate::protocol::{Outbox, Protocol};
-use crate::queue::{Discipline, LinkQueue, PacketPool, Selection};
+use crate::queue::{Discipline, LinkQueue, PacketPool};
 use crate::step::{step_loop, NoAdmission, StepEngine};
 use crate::trace::{NoopSink, Phase, TraceSink};
-use crate::worker::WorkerPool;
 use lnpram_topology::Network;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -73,10 +64,9 @@ pub struct SimConfig {
     /// Abort the run (with `completed = false`) after this many steps.
     /// This is also the emulator's rehash timeout hook.
     pub max_steps: u32,
-    /// Use the multi-threaded transmit phase when the number of active
-    /// links is at least this value. `usize::MAX` disables parallelism.
-    pub parallel_threshold: usize,
-    /// Worker threads for the parallel transmit phase.
+    /// Worker threads the sharded engine fans its shards' transmit over
+    /// (`lnpram-shard`; the serial `Engine` is single-threaded and
+    /// ignores it).
     pub threads: usize,
     /// Snapshot per-link traversal counts into
     /// [`Metrics::link_loads`](crate::Metrics) at the end of the run (one
@@ -100,7 +90,6 @@ impl Default for SimConfig {
         SimConfig {
             discipline: Discipline::Fifo,
             max_steps: 1_000_000,
-            parallel_threshold: usize::MAX,
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
             record_link_loads: false,
             shards: 0,
@@ -148,7 +137,7 @@ impl std::error::Error for InvariantViolation {}
 /// Should every step boundary re-verify the engine invariants?
 /// Controlled by `LNPRAM_CHECK_INVARIANTS=1` (any build profile, read
 /// once per process), so the chaos-smoke CI job can run release
-/// benches with state checking on while the default hot path pays one
+/// builds with state checking on while the default hot path pays one
 /// cached boolean load.
 pub(crate) fn invariant_checks_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
@@ -202,8 +191,8 @@ pub struct Engine {
     // --- reusable per-step scratch (never reallocated after warm-up) ---
     /// This step's arrivals as `(link id, packet)`, active order (the
     /// destination node is `link_target[link id]`). Keeping the link id
-    /// instead of the target lets external coordinators (`lnpram-shard`)
-    /// merge arrivals across shards by global link id.
+    /// instead of the target lets an external coordinator (`lnpram-shard`)
+    /// look the head node up in its own global link table.
     arrivals: Vec<(u32, Packet)>,
     /// `arrivals` indices grouped by destination node.
     groups: ArrivalGroups,
@@ -211,11 +200,6 @@ pub struct Engine {
     batch: Vec<Packet>,
     /// Swap buffer for `active` (still-active lists, merge output).
     scratch: Vec<u32>,
-    // --- parallel transmit machinery, created on first use ---
-    workers: Option<WorkerPool>,
-    /// Per-worker selection buffers, aligned with chunks of `active`
-    /// (`None` = blocked link, nothing transmits).
-    worker_out: Vec<Mutex<Vec<Option<Selection>>>>,
 }
 
 impl Engine {
@@ -254,8 +238,6 @@ impl Engine {
             groups: ArrivalGroups::new(n),
             batch: Vec::new(),
             scratch: Vec::new(),
-            workers: None,
-            worker_out: Vec::new(),
         }
     }
 
@@ -312,9 +294,9 @@ impl Engine {
 
     /// Restore the engine to its just-built state — empty queues, zeroed
     /// counters and metrics, no blocked links — while keeping every
-    /// allocation (arena, scratch, worker pool) warm. Reusing one engine
-    /// via `reset` makes a T-step emulation build its per-link state once
-    /// instead of T times.
+    /// allocation (arena, scratch) warm. Reusing one engine via `reset`
+    /// makes a T-step emulation build its per-link state once instead of
+    /// T times.
     pub fn reset(&mut self) {
         // Only touched queues need wiping (untouched ones are pristine):
         // reset cost scales with the traffic, not the network size.
@@ -448,39 +430,24 @@ impl Engine {
     // sharded subsystem, `lnpram-shard`) needs to read a shard engine's
     // arrivals, drive the protocol itself and enqueue the responses
     // back: each shard engine transmits its own links, the coordinator
-    // merges the arrivals across shards by global link id, and closes
-    // the step on every shard.
+    // reads the shards' arrivals in shard order (their link ranges
+    // ascend, so that is global link-id order), and closes the step on
+    // every shard.
     // ------------------------------------------------------------------
 
-    /// This step's extracted packets as `(link id, packet)` in ascending
-    /// link-id order — the deterministic transmit order. Valid between
-    /// [`StepEngine::step_transmit`] and the next transmit or reset.
-    pub fn arrivals(&self) -> &[(u32, Packet)] {
-        &self.arrivals
-    }
-
-    /// Swap this step's arrivals buffer with `buf` (zero-copy hand-off
-    /// to an external coordinator). The engine clears whatever buffer it
-    /// holds at the start of the next transmit, so the swapped-in vector
-    /// may contain anything; the caller owns the swapped-out arrivals
-    /// until it hands a buffer back.
+    /// Swap this step's arrivals buffer — `(link id, packet)` in ascending
+    /// link-id order, the deterministic transmit order — with `buf`
+    /// (zero-copy hand-off to an external coordinator). The engine clears
+    /// whatever buffer it holds at the start of the next transmit, so the
+    /// swapped-in vector may contain anything; the caller owns the
+    /// swapped-out arrivals until it hands a buffer back.
     pub fn swap_arrivals(&mut self, buf: &mut Vec<(u32, Packet)>) {
         std::mem::swap(&mut self.arrivals, buf);
-    }
-
-    /// Head node of `link` — where its queued packets arrive.
-    pub fn link_target(&self, link: usize) -> usize {
-        self.link_target[link] as usize
     }
 
     /// Total number of directed links (valid link ids are `0..num_links`).
     pub fn num_links(&self) -> usize {
         self.link_target.len()
-    }
-
-    /// Number of links with a non-empty queue right now.
-    pub fn active_links(&self) -> usize {
-        self.active.len()
     }
 
     /// Verify the engine's internal-state invariants. Intended at step
@@ -595,7 +562,7 @@ impl Engine {
             .unwrap_or(0)
     }
 
-    fn transmit_serial(&mut self) {
+    fn transmit(&mut self) {
         self.scratch.clear();
         let disc = self.cfg.discipline;
         let mut i = 0;
@@ -614,68 +581,6 @@ impl Engine {
                 self.scratch.push(id);
             }
         }
-        std::mem::swap(&mut self.active, &mut self.scratch);
-    }
-
-    fn transmit_parallel(&mut self) {
-        // Selection (the per-queue scan) fans out across the persistent
-        // workers; extraction commits serially in active order below, so
-        // arrivals and queue mutations are identical to the serial path.
-        if self.workers.is_none() {
-            let pool = WorkerPool::new(self.cfg.threads.max(2));
-            self.worker_out = (0..pool.threads())
-                .map(|_| Mutex::new(Vec::new()))
-                .collect();
-            self.workers = Some(pool);
-        }
-        let workers = self.workers.as_ref().expect("worker pool initialised");
-        let chunk = self.active.len().div_ceil(workers.threads()).max(1);
-        {
-            let active = &self.active;
-            let queues = &self.queues;
-            let pool = &self.pool;
-            let blocked = &self.blocked;
-            let disc = self.cfg.discipline;
-            let out_ref = &self.worker_out;
-            workers.run(&move |w: usize| {
-                let mut buf = out_ref[w].lock().expect("worker buffer");
-                buf.clear();
-                let lo = (w * chunk).min(active.len());
-                let hi = (lo + chunk).min(active.len());
-                for &id in &active[lo..hi] {
-                    let idx = id as usize;
-                    buf.push(if blocked[idx] {
-                        None
-                    } else {
-                        queues[idx].select(pool, disc)
-                    });
-                }
-            });
-        }
-        self.scratch.clear();
-        let mut pos = 0usize;
-        for w in 0..self.worker_out.len() {
-            // Move each buffer out of its mutex so the engine can be
-            // mutated while walking it, then hand the allocation back.
-            let buf = std::mem::take(&mut *self.worker_out[w].lock().expect("worker buffer"));
-            for &sel in buf.iter() {
-                let id = self.active[pos];
-                pos += 1;
-                let idx = id as usize;
-                match sel {
-                    None => self.scratch.push(id), // blocked
-                    Some(sel) => {
-                        let pkt = self.queues[idx].commit_pop(&mut self.pool, sel);
-                        self.arrivals.push((id, pkt));
-                        if !self.queues[idx].is_empty() {
-                            self.scratch.push(id);
-                        }
-                    }
-                }
-            }
-            *self.worker_out[w].lock().expect("worker buffer") = buf;
-        }
-        debug_assert_eq!(pos, self.active.len(), "every active link decided");
         std::mem::swap(&mut self.active, &mut self.scratch);
     }
 
@@ -715,28 +620,6 @@ impl Engine {
         self.sorted_len = 0;
         out
     }
-
-    /// [`Engine::drain_all`] keeping each packet's link id, so external
-    /// coordinators can merge stranded packets across shard engines in
-    /// global link order. Links appear in ascending id, packets of one
-    /// link in arrival order.
-    pub fn drain_all_tagged(&mut self) -> Vec<(u32, Packet)> {
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        let mut i = 0;
-        while i < self.active.len() {
-            let id = self.active[i];
-            let idx = id as usize;
-            scratch.clear();
-            self.queues[idx].drain_into(&mut self.pool, &mut scratch);
-            out.extend(scratch.iter().map(|&p| (id, p)));
-            i += 1;
-        }
-        self.active.clear();
-        self.in_flight = 0;
-        self.sorted_len = 0;
-        out
-    }
 }
 
 impl StepEngine for Engine {
@@ -768,16 +651,10 @@ impl StepEngine for Engine {
         }
         sink.on_phase_start(Phase::Transmit);
         self.arrivals.clear();
-        let use_parallel = self.cfg.threads > 1 && self.active.len() >= self.cfg.parallel_threshold;
-        if use_parallel {
-            self.transmit_parallel();
-        } else {
-            self.transmit_serial();
-        }
+        self.transmit();
         self.in_flight -= self.arrivals.len();
         self.sorted_len = self.active.len();
         sink.on_phase_end(Phase::Transmit);
-        sink.on_transmit(self.clock, self.arrivals.len());
     }
 
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
@@ -1092,65 +969,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_transmit_matches_serial() {
-        // Same workload under serial and parallel transmit must produce
-        // identical metrics (per-link selection is order-independent).
-        let mesh = Mesh::square(8);
-        let mut packets = Vec::new();
-        for i in 0..mesh.num_nodes() {
-            let dest = (i * 37 + 11) % mesh.num_nodes();
-            packets.push((i, Packet::new(i as u32, i as u32, dest as u32)));
-        }
-        let run = |threshold: usize| {
-            let cfg = SimConfig {
-                parallel_threshold: threshold,
-                threads: 2,
-                ..Default::default()
-            };
-            let mut eng = Engine::new(&mesh, cfg);
-            for &(n, p) in &packets {
-                eng.inject(n, p);
-            }
-            let out = eng.run(&mut GreedyMesh { mesh });
-            (
-                out.metrics.routing_time,
-                out.metrics.delivered,
-                out.metrics.max_queue,
-                out.completed,
-            )
-        };
-        assert_eq!(run(usize::MAX), run(1));
-    }
-
-    #[test]
-    fn link_loads_recorded_and_identical_across_transmit_modes() {
+    fn link_loads_recorded_and_sum_to_path_lengths() {
         let mesh = Mesh::square(6);
-        let run = |threshold: usize| {
-            let cfg = SimConfig {
-                parallel_threshold: threshold,
-                threads: 2,
-                record_link_loads: true,
-                ..Default::default()
-            };
-            let mut eng = Engine::new(&mesh, cfg);
-            for i in 0..mesh.num_nodes() {
-                let dest = (i * 17 + 5) % mesh.num_nodes();
-                eng.inject(i, Packet::new(i as u32, i as u32, dest as u32));
-            }
-            let out = eng.run(&mut GreedyMesh { mesh });
-            assert!(out.completed);
-            out.metrics.link_loads
+        let cfg = SimConfig {
+            record_link_loads: true,
+            ..Default::default()
         };
-        let serial = run(usize::MAX);
-        let parallel = run(1);
-        assert!(!serial.is_empty());
-        assert_eq!(
-            serial, parallel,
-            "pop counting must not depend on threading"
-        );
-        // Total traversals = sum of every packet's path length ≥ sum of
+        let mut eng = Engine::new(&mesh, cfg);
+        for i in 0..mesh.num_nodes() {
+            let dest = (i * 17 + 5) % mesh.num_nodes();
+            eng.inject(i, Packet::new(i as u32, i as u32, dest as u32));
+        }
+        let out = eng.run(&mut GreedyMesh { mesh });
+        assert!(out.completed);
+        let loads = out.metrics.link_loads;
+        assert!(!loads.is_empty());
+        // Total traversals = sum of every packet's path length = sum of
         // Manhattan distances (greedy takes shortest paths exactly).
-        let total: u64 = serial.iter().map(|&l| u64::from(l)).sum();
+        let total: u64 = loads.iter().map(|&l| u64::from(l)).sum();
         let dist: u64 = (0..mesh.num_nodes())
             .map(|i| mesh.manhattan(i, (i * 17 + 5) % mesh.num_nodes()) as u64)
             .sum();
@@ -1200,13 +1036,11 @@ mod tests {
 
     /// Satellite pin: a reset engine is indistinguishable from a fresh
     /// one — bit-identical metrics and link loads over the same injection
-    /// sequence, under both transmit modes, across several rounds.
+    /// sequence, across several rounds.
     #[test]
     fn reset_engine_matches_fresh_engine() {
         let mesh = Mesh::square(6);
-        let cfg = |threshold: usize| SimConfig {
-            parallel_threshold: threshold,
-            threads: 2,
+        let cfg = || SimConfig {
             record_link_loads: true,
             ..Default::default()
         };
@@ -1226,25 +1060,23 @@ mod tests {
                 m.link_loads.clone(),
             )
         };
-        for threshold in [usize::MAX, 1] {
-            let mut reused = Engine::new(&mesh, cfg(threshold));
-            for round in 0..4 {
-                reused.reset();
-                inject_round(&mut reused, round);
-                let out_reused = reused.run(&mut GreedyMesh { mesh });
+        let mut reused = Engine::new(&mesh, cfg());
+        for round in 0..4 {
+            reused.reset();
+            inject_round(&mut reused, round);
+            let out_reused = reused.run(&mut GreedyMesh { mesh });
 
-                let mut fresh = Engine::new(&mesh, cfg(threshold));
-                inject_round(&mut fresh, round);
-                let out_fresh = fresh.run(&mut GreedyMesh { mesh });
+            let mut fresh = Engine::new(&mesh, cfg());
+            inject_round(&mut fresh, round);
+            let out_fresh = fresh.run(&mut GreedyMesh { mesh });
 
-                assert!(out_reused.completed && out_fresh.completed);
-                assert_eq!(
-                    fingerprint(&out_reused.metrics),
-                    fingerprint(&out_fresh.metrics),
-                    "round {round}, threshold {threshold}"
-                );
-                assert_eq!(reused.link_loads(), fresh.link_loads());
-            }
+            assert!(out_reused.completed && out_fresh.completed);
+            assert_eq!(
+                fingerprint(&out_reused.metrics),
+                fingerprint(&out_fresh.metrics),
+                "round {round}"
+            );
+            assert_eq!(reused.link_loads(), fresh.link_loads());
         }
     }
 
@@ -1449,34 +1281,6 @@ mod tests {
                     eng.step_finish();
                     prop_assert_eq!(eng.check_invariants(), Ok(()));
                 }
-            }
-
-            /// Engine determinism: identical injections give identical
-            /// metrics regardless of the parallel-transmit threshold.
-            #[test]
-            fn prop_parallel_equals_serial(seed: u64, rows in 2usize..7) {
-                let mesh = Mesh::square(rows * 2);
-                let n = mesh.num_nodes();
-                let run = |threshold: usize| {
-                    let mut eng = Engine::new(&mesh, SimConfig {
-                        parallel_threshold: threshold,
-                        threads: 2,
-                        ..Default::default()
-                    });
-                    let mut state = seed;
-                    for src in 0..n {
-                        let dest = (lnpram_math::rng::splitmix64(&mut state) as usize) % n;
-                        eng.inject(src, Packet::new(src as u32, src as u32, dest as u32));
-                    }
-                    let out = eng.run(&mut GreedyMesh { mesh });
-                    (
-                        out.metrics.routing_time,
-                        out.metrics.delivered,
-                        out.metrics.max_queue,
-                        out.metrics.queued_packet_steps,
-                    )
-                };
-                prop_assert_eq!(run(usize::MAX), run(1));
             }
 
             /// Reusing one engine across rounds is observably identical to

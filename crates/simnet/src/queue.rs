@@ -17,9 +17,9 @@
 //! high-water mark of a run, and tearing a queue down costs nothing.
 //!
 //! Selection is split into a read-only [`LinkQueue::select`] (returns the
-//! slot to extract) and a mutating [`LinkQueue::commit_pop`], so the
-//! engine's parallel transmit phase can scan queues from worker threads
-//! with shared references and commit the extractions serially.
+//! slot to extract) and a mutating [`LinkQueue::commit_pop`];
+//! [`LinkQueue::pop`] is the two in sequence. Both halves are public
+//! because `bench_layers` calls them.
 //!
 //! A [`LinkQueue`] records its own high-water mark so Theorem-level queue
 //! bounds (O(ℓ), O(log n), O(1)) can be checked per run.

@@ -40,7 +40,10 @@ use std::time::Instant;
 pub enum Phase {
     /// Link transmit: every active link pops ≤ 1 packet.
     Transmit,
-    /// Sharded-only: merging boundary mailboxes across shards.
+    /// Nothing emits this phase any more: shard plans are contiguous, so
+    /// the mailboxes need no merge. The variant stays because
+    /// `bench_layers/src/workloads/serve.rs` names it; removing it waits
+    /// for an issue that may touch `bench_layers/`.
     Exchange,
     /// Protocol callbacks over this step's arrivals (and injections).
     Process,
@@ -341,12 +344,6 @@ pub trait TraceSink {
         let _ = (shard, phase);
     }
 
-    /// The transmit phase of `step` moved `arrivals` packets.
-    #[inline]
-    fn on_transmit(&mut self, step: u32, arrivals: usize) {
-        let _ = (step, arrivals);
-    }
-
     /// A fault schedule flipped `link` to `blocked` at `step`.
     #[inline]
     fn on_fault(&mut self, step: u32, link: usize, blocked: bool) {
@@ -416,10 +413,6 @@ impl<T: TraceSink + ?Sized> TraceSink for &mut T {
         (**self).on_shard_phase_end(shard, phase);
     }
     #[inline]
-    fn on_transmit(&mut self, step: u32, arrivals: usize) {
-        (**self).on_transmit(step, arrivals);
-    }
-    #[inline]
     fn on_fault(&mut self, step: u32, link: usize, blocked: bool) {
         (**self).on_fault(step, link, blocked);
     }
@@ -483,11 +476,6 @@ impl<A: TraceSink, B: TraceSink> TraceSink for Fanout<A, B> {
     fn on_shard_phase_end(&mut self, shard: usize, phase: Phase) {
         self.a.on_shard_phase_end(shard, phase);
         self.b.on_shard_phase_end(shard, phase);
-    }
-    #[inline]
-    fn on_transmit(&mut self, step: u32, arrivals: usize) {
-        self.a.on_transmit(step, arrivals);
-        self.b.on_transmit(step, arrivals);
     }
     #[inline]
     fn on_fault(&mut self, step: u32, link: usize, blocked: bool) {

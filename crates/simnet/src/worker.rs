@@ -1,15 +1,18 @@
-//! A persistent pool of transmit workers.
+//! A persistent pool of worker threads.
 //!
-//! The engine's parallel transmit phase used to spawn fresh scoped
-//! threads every step; under millions of steps the spawn/join cost
-//! dominates. This pool spawns its OS threads once and parks them on a
-//! condvar between steps: each [`WorkerPool::run`] call publishes one job
-//! (a `Fn(worker_index)` closure), wakes every worker, and blocks until
-//! all of them have finished — a rendezvous with the same semantics as
-//! `std::thread::scope`, amortizing thread creation across an entire run
-//! (and, with reusable engines, across emulation rounds).
+//! The serial [`Engine`](crate::Engine) is single-threaded; the pool's
+//! one user is `lnpram-shard`'s `ShardedEngine`, which fans its shards'
+//! transmit phase over it (`SimConfig::threads > 1`). Spawning scoped
+//! threads every step would let the spawn/join cost dominate a run of
+//! millions of steps, so the pool spawns its OS threads once and parks
+//! them on a condvar between steps: each [`WorkerPool::run`] call
+//! publishes one job (a `Fn(worker_index)` closure), wakes every worker,
+//! and blocks until all of them have finished — a rendezvous with the
+//! same semantics as `std::thread::scope`, amortizing thread creation
+//! across an entire run (and, with reusable engines, across emulation
+//! rounds).
 //!
-//! The job closure borrows engine state for the duration of one call, but
+//! The job closure borrows shard state for the duration of one call, but
 //! the worker threads are `'static` — the borrow cannot be expressed in
 //! the type system, so the pointer's lifetime is erased before it is
 //! handed to the workers. This is the standard scoped-executor pattern
@@ -51,9 +54,8 @@ struct Shared {
     done: Condvar,
 }
 
-/// Persistent workers, parked between dispatches. Built for the
-/// engine's parallel transmit phase and reused by `lnpram-shard` to
-/// drive one shard per worker in lockstep.
+/// Persistent workers, parked between dispatches; `lnpram-shard` drives
+/// one shard per worker in lockstep.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,

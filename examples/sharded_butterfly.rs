@@ -1,16 +1,14 @@
 //! Sharded simulation demo: route permutations on a butterfly through
 //! the partitioned `ShardedEngine` and verify bit-identity with the
-//! serial engine, then compare the partitioning strategies' cut
-//! quality.
+//! serial engine.
 //!
 //! Run with `cargo run --example sharded_butterfly`.
 
 use lnpram::math::rng::SeedSeq;
 use lnpram::routing::leveled::LeveledRoutingSession;
 use lnpram::routing::workloads;
-use lnpram::shard::{GreedyEdgeCut, LevelCut, Partitioner};
 use lnpram::simnet::SimConfig;
-use lnpram::topology::leveled::{Leveled, LeveledNet, RadixButterfly};
+use lnpram::topology::leveled::{Leveled, RadixButterfly};
 
 fn main() {
     let inner = RadixButterfly::new(2, 8); // 256 rows, 8 levels
@@ -49,27 +47,6 @@ fn main() {
         }
     }
 
-    // --- Cut quality: level-cut vs greedy on the doubled network ---
-    use lnpram::routing::DoubledLeveled;
-    let net = LeveledNet::forward(DoubledLeveled::new(inner));
-    println!(
-        "\npartition quality at K=4 on {} ({} nodes):",
-        inner.name(),
-        17 * width
-    );
-    for (name, plan) in [
-        ("level-cut", LevelCut::new(width).partition(&net, 4)),
-        ("greedy-edge-cut", GreedyEdgeCut.partition(&net, 4)),
-    ] {
-        let stats = plan.cut_stats(&net);
-        println!(
-            "  {name:>16}: cut links {:>5} / {} ({:.1}%), balance {:.2}",
-            stats.cut_links,
-            stats.total_links,
-            100.0 * stats.cut_fraction(),
-            stats.balance()
-        );
-    }
     println!("\nSharding is a scaling lever, not a semantics change: every run");
     println!("above is bit-identical to the serial engine (the lnpram-shard");
     println!("determinism contract).");

@@ -19,3 +19,19 @@ done
 lines=$(count src/bin/lnpram.rs)
 printf 'lnpram (bin)\t%s\n' "$lines"
 printf 'total\t%s\n' $((total + lines))
+
+# Second table: raw `.rs` line counts (blank lines, comments and test
+# modules included) of the Rust the first table does not see, so a
+# deletion outside crates/*/src shows up too. A missing directory reads 0.
+raw() {
+    find "$@" -name '*.rs' -exec cat {} + 2>/dev/null | wc -l | tr -d ' '
+}
+printf '\nraw .rs lines outside crates/*/src\n'
+total=0
+for dir in bench_layers/src tests examples 'crates/*/tests' crates/bench/benches vendor; do
+    # shellcheck disable=SC2086 # the crates/*/tests entry is a glob
+    lines=$(raw $dir)
+    printf '%s\t%s\n' "$dir" "$lines"
+    total=$((total + lines))
+done
+printf 'total\t%s\n' "$total"

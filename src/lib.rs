@@ -96,9 +96,7 @@ pub mod prelude {
         RouteRequest, Router, RoutingSession, RunReport, ShuffleRoutingSession, StarRoutingSession,
         TenantReport,
     };
-    pub use lnpram_shard::{
-        AnyEngine, GreedyEdgeCut, LevelCut, Partitioner, RowBlock, ShardedEngine,
-    };
+    pub use lnpram_shard::{AnyEngine, LevelCut, Partitioner, RowBlock, ShardedEngine};
     pub use lnpram_simnet::{Discipline, SimConfig};
     pub use lnpram_topology::leveled::{RadixButterfly, UnrolledShuffle};
     pub use lnpram_topology::{DWayShuffle, Mesh, Network, StarGraph};

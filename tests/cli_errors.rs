@@ -2,7 +2,8 @@
 //! or replica placement with a typed error (exit code 1 and a message
 //! naming the flag), on every command that builds one. These used to
 //! panic (exit code 101) inside the constructors — or abort (134) sizing
-//! a program for `2^40` processors. Plus the happy path of `emulate`.
+//! a program for `2^40` processors. Plus the happy paths of `emulate`
+//! and of `route --shards`.
 
 use std::process::Command;
 
@@ -118,5 +119,31 @@ fn emulate_verifies_every_program_on_every_host() {
             let want = format!("{}: memory image matches the reference PRAM", host[1]);
             assert!(stdout.contains(&want), "{args:?}: {stdout}");
         }
+    }
+}
+
+#[test]
+fn route_prints_the_same_line_serial_and_sharded() {
+    // `--shards K` works on every topology, including the ones with no
+    // level or row structure to align a cut to, and never moves a
+    // number: the report line is the serial one.
+    let topologies: [&[&str]; 4] = [
+        &["--topology", "star", "--n", "5"],
+        &["--topology", "cube", "--k", "6"],
+        &["--topology", "ccc", "--n", "3"],
+        &["--topology", "shuffle", "--n", "3"],
+    ];
+    for topology in topologies {
+        let line = |shards: &'static str| {
+            let mut args = vec!["route"];
+            args.extend(topology);
+            args.extend(["--shards", shards]);
+            let out = lnpram_output(&args);
+            assert_eq!(out.status.code(), Some(0), "{args:?}");
+            String::from_utf8_lossy(&out.stdout).into_owned()
+        };
+        let serial = line("0");
+        assert!(serial.contains("time mean"), "{topology:?}: {serial}");
+        assert_eq!(serial, line("4"), "{topology:?}");
     }
 }

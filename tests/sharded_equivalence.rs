@@ -1,11 +1,14 @@
 //! Cross-layer determinism pin for the sharded subsystem: flipping
-//! `shards` on the *public* entry points (routing sessions, mesh/star
-//! routing, the PRAM emulators) must not change a single observable —
+//! `shards` on the *public* entry points (routing sessions on every
+//! topology, the PRAM emulators) must not change a single observable —
 //! the sharded engine's bit-identity contract surfaces unchanged
 //! through every layer built on top of it.
 
 use lnpram::math::rng::SeedSeq;
 use lnpram::prelude::*;
+use lnpram::routing::bitonic::BitonicRoutingSession;
+use lnpram::routing::ccc::CccRoutingSession;
+use lnpram::routing::hypercube::CubeRoutingSession;
 use lnpram::routing::leveled::LeveledRoutingSession;
 use lnpram::routing::mesh::MeshRoutingSession;
 use lnpram::routing::star::StarRoutingSession;
@@ -66,6 +69,38 @@ fn star_session_identical_across_shard_counts() {
                 fingerprint(&b.metrics),
                 "K={k} seed={seed}"
             );
+        }
+    }
+}
+
+/// The sessions with no level or row structure to align a cut to: their
+/// shards are plain balanced node-id ranges, where most links cross a
+/// boundary. One warmed sharded session per K serves every seed.
+#[test]
+fn unaligned_sessions_identical_across_shard_counts() {
+    type Build = fn(SimConfig) -> Box<dyn Router>;
+    let sessions: [(&str, Build); 4] = [
+        ("hypercube(5)", |c| Box::new(CubeRoutingSession::new(5, c))),
+        ("ccc(3)", |c| Box::new(CccRoutingSession::new(3, c))),
+        ("shuffle(3-way)", |c| {
+            Box::new(ShuffleRoutingSession::new(DWayShuffle::n_way(3), c))
+        }),
+        ("bitonic(5)", |c| Box::new(BitonicRoutingSession::new(5, c))),
+    ];
+    for (name, build) in sessions {
+        let mut serial = build(cfg(0));
+        for k in [2usize, 3, 7] {
+            let mut sharded = build(cfg(k));
+            for seed in 0..3u64 {
+                let a = serial.route_permutation(seed);
+                let b = sharded.route_permutation(seed);
+                assert!(a.completed && b.completed, "{name} K={k} seed={seed}");
+                assert_eq!(
+                    fingerprint(&a.metrics),
+                    fingerprint(&b.metrics),
+                    "{name} K={k} seed={seed}"
+                );
+            }
         }
     }
 }

@@ -3,9 +3,12 @@
 //! before the step loop was unified (ISSUE 14) and required unchanged
 //! since. `trace_neutrality.rs` pins that tracing does not change
 //! outcomes; this pins the observation itself — which phases open and
-//! close in which order, what `on_transmit` / `on_fault` / per-shard
-//! windows and boundary counts report, every step sample and every
-//! serve event. No wall-clock value is recorded.
+//! close in which order, what `on_fault` / per-shard windows and
+//! boundary counts report, every step sample and every serve event. No
+//! wall-clock value is recorded. (ISSUE 21 deleted a per-step transmit
+//! hook only the serial engine called; the golden lost its tokens and
+//! nothing else, and `StepSample::arrivals` carries the same number
+//! from both engines.)
 //!
 //! The golden lives in `tests/golden/sink_callbacks.txt`: one section
 //! per run, one line per step. On a mismatch the test writes what it
@@ -49,9 +52,6 @@ impl TraceSink for Recorder {
     }
     fn on_shard_phase_end(&mut self, shard: usize, phase: Phase) {
         self.token(format!("-{}@{shard}", phase.name()));
-    }
-    fn on_transmit(&mut self, step: u32, arrivals: usize) {
-        self.token(format!("tx({step},{arrivals})"));
     }
     fn on_fault(&mut self, step: u32, link: usize, blocked: bool) {
         self.token(format!("fault({step},{link},{blocked})"));
@@ -172,4 +172,20 @@ fn sink_callbacks_match_golden() {
             path.display()
         );
     }
+}
+
+/// What the sharded engine adds to a sink's view is per-shard tokens
+/// only (shard transmit windows, boundary counts): with those filtered
+/// out, the K = 2 log of a run is the serial log.
+#[test]
+fn serial_and_sharded_logs_differ_only_by_per_shard_tokens() {
+    let whole_engine = |log: String| -> String {
+        log.split(' ')
+            .filter(|t| !t.contains('@') && !t.starts_with("boundary("))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let sharded = route_butterfly(2);
+    assert!(sharded.contains("+transmit@1"), "K=2 reports per-shard");
+    assert_eq!(route_butterfly(0), whole_engine(sharded));
 }
