@@ -23,19 +23,20 @@ thread_local! {
 
 struct Counting;
 
+#[expect(
+    unsafe_code,
+    reason = "a counting GlobalAlloc is the only way to observe allocations, and its methods are unsafe fns by signature; test-only, forwards to System"
+)]
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
 // the `GlobalAlloc` contract; the only addition is a thread-local
 // counter with a constant initialiser and no destructor, so touching it
 // neither allocates nor runs code during thread teardown.
-// lnpram-lint: allow(unsafe-budget, reason = "a counting GlobalAlloc is the only way to observe allocations; test-only, forwards to System")
 unsafe impl GlobalAlloc for Counting {
-    // lnpram-lint: allow(unsafe-budget, reason = "GlobalAlloc::alloc is an unsafe fn by signature")
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|c| c.set(c.get() + 1));
         System.alloc(layout)
     }
 
-    // lnpram-lint: allow(unsafe-budget, reason = "GlobalAlloc::dealloc is an unsafe fn by signature")
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }

@@ -14,10 +14,10 @@
 //! all per-link queue state — on small networks that rebuild costs more
 //! than the attempt itself.
 //!
-//! [`route_with_retry`] is the lower-level closure form for schedules
-//! that need per-packet outstanding tracking or custom per-attempt
-//! budgets (the `lemma21` experiment uses it with deliberately tight
-//! deadlines so failures are actually observable).
+//! The schedule is all-or-nothing per request (the `lemma21` experiment
+//! runs it with deliberately tight deadlines so failures are actually
+//! observable); [`Router::route_with_faults`] is the per-packet
+//! survivor schedule under a fault plan.
 //!
 //! ```
 //! use lnpram_routing::retry::{retry_route, RetryPolicy};
@@ -48,31 +48,6 @@ pub struct RetryPolicy {
     pub attempt_budget: u32,
     /// Maximum number of attempts (`c₂`).
     pub max_attempts: usize,
-}
-
-/// What one attempt reports back.
-#[derive(Debug, Clone)]
-pub struct AttemptResult {
-    /// Ids of packets that reached their destination within the budget.
-    pub delivered: Vec<u32>,
-    /// Steps the attempt actually used (≤ budget).
-    pub steps: u32,
-}
-
-/// Full retry-run report.
-#[derive(Debug, Clone)]
-pub struct RetryReport {
-    /// Attempts executed.
-    pub attempts: usize,
-    /// Did every packet eventually arrive?
-    pub succeeded: bool,
-    /// Total charged steps: a successful final attempt costs its own
-    /// routing time; every failed attempt is charged `2 × budget`
-    /// (deadline + trace-back), as in the lemma's accounting.
-    pub total_steps: u64,
-    /// Packets outstanding after each attempt (for the table's trajectory
-    /// column).
-    pub outstanding_after: Vec<usize>,
 }
 
 /// Report of a [`retry_route`] schedule.
@@ -162,129 +137,9 @@ pub fn retry_route<R: Router + ?Sized>(
     }
 }
 
-/// Run `attempt` under `policy` until all of `packet_ids` are delivered or
-/// attempts are exhausted. The closure receives the outstanding ids, the
-/// step budget, and the attempt index (use it to reseed — the lemma needs
-/// fresh randomness per trial).
-pub fn route_with_retry<F>(packet_ids: &[u32], policy: RetryPolicy, mut attempt: F) -> RetryReport
-where
-    F: FnMut(&[u32], u32, usize) -> AttemptResult,
-{
-    assert!(policy.max_attempts >= 1);
-    let mut outstanding: Vec<u32> = packet_ids.to_vec();
-    let mut total_steps = 0u64;
-    let mut outstanding_after = Vec::new();
-    let mut attempts = 0usize;
-
-    while !outstanding.is_empty() && attempts < policy.max_attempts {
-        let result = attempt(&outstanding, policy.attempt_budget, attempts);
-        attempts += 1;
-        debug_assert!(result.steps <= policy.attempt_budget);
-        let delivered: std::collections::BTreeSet<u32> = result.delivered.iter().copied().collect();
-        outstanding.retain(|id| !delivered.contains(id));
-        if outstanding.is_empty() {
-            total_steps += u64::from(result.steps);
-        } else {
-            // Failed attempt: deadline + trace-back.
-            total_steps += 2 * u64::from(policy.attempt_budget);
-        }
-        outstanding_after.push(outstanding.len());
-    }
-
-    RetryReport {
-        attempts,
-        succeeded: outstanding.is_empty(),
-        total_steps,
-        outstanding_after,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn immediate_success_costs_own_steps() {
-        let ids = [0u32, 1, 2];
-        let rep = route_with_retry(
-            &ids,
-            RetryPolicy {
-                attempt_budget: 100,
-                max_attempts: 5,
-            },
-            |out, _budget, _k| AttemptResult {
-                delivered: out.to_vec(),
-                steps: 17,
-            },
-        );
-        assert!(rep.succeeded);
-        assert_eq!(rep.attempts, 1);
-        assert_eq!(rep.total_steps, 17);
-        assert_eq!(rep.outstanding_after, vec![0]);
-    }
-
-    #[test]
-    fn partial_failures_retry_only_outstanding() {
-        let ids: Vec<u32> = (0..10).collect();
-        let mut seen_sizes = Vec::new();
-        let rep = route_with_retry(
-            &ids,
-            RetryPolicy {
-                attempt_budget: 50,
-                max_attempts: 10,
-            },
-            |out, _budget, _k| {
-                seen_sizes.push(out.len());
-                // Each attempt delivers half (rounded up) of what's left.
-                let take = out.len().div_ceil(2);
-                AttemptResult {
-                    delivered: out[..take].to_vec(),
-                    steps: 50,
-                }
-            },
-        );
-        assert!(rep.succeeded);
-        // 10 → deliver 5 → 5 → deliver 3 → 2 → deliver 1 → 1 → deliver 1.
-        assert_eq!(seen_sizes, vec![10, 5, 2, 1]);
-        assert_eq!(rep.attempts, 4);
-        // 3 failed attempts at 2*50 + final success at 50.
-        assert_eq!(rep.total_steps, 3 * 100 + 50);
-    }
-
-    #[test]
-    fn gives_up_after_max_attempts() {
-        let ids = [0u32];
-        let rep = route_with_retry(
-            &ids,
-            RetryPolicy {
-                attempt_budget: 10,
-                max_attempts: 3,
-            },
-            |_out, _b, _k| AttemptResult {
-                delivered: vec![],
-                steps: 10,
-            },
-        );
-        assert!(!rep.succeeded);
-        assert_eq!(rep.attempts, 3);
-        assert_eq!(rep.total_steps, 3 * 20);
-        assert_eq!(rep.outstanding_after, vec![1, 1, 1]);
-    }
-
-    #[test]
-    fn empty_packet_set_trivially_succeeds() {
-        let rep = route_with_retry(
-            &[],
-            RetryPolicy {
-                attempt_budget: 10,
-                max_attempts: 1,
-            },
-            |_o, _b, _k| unreachable!("no attempt needed"),
-        );
-        assert!(rep.succeeded);
-        assert_eq!(rep.attempts, 0);
-        assert_eq!(rep.total_steps, 0);
-    }
 
     #[test]
     fn fault_recovery_reports_typed_lost_instead_of_burning_attempts() {
@@ -369,90 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn star_session_threads_through_retry_loop() {
-        // The Lemma 2.1 usage pattern on the star: one session serves
-        // every attempt (tight budgets fail, the relaxed final attempt
-        // succeeds), and the winning attempt is bit-identical to a
-        // freshly built session with the same seed.
-        use crate::star::StarRoutingSession;
-        use lnpram_simnet::SimConfig;
-
-        let mut session = StarRoutingSession::new(4, SimConfig::default());
-        let ids: Vec<u32> = (0..24).collect();
-        let mut winning_seed = None;
-        let report = route_with_retry(
-            &ids,
-            RetryPolicy {
-                attempt_budget: 10_000,
-                max_attempts: 5,
-            },
-            |outstanding, budget, attempt| {
-                // First two attempts get a 1-step budget — guaranteed
-                // failures that leave packets mid-flight in the session.
-                session.set_max_steps(if attempt < 2 { 1 } else { budget });
-                let rep = session.route_permutation(attempt as u64);
-                if rep.completed {
-                    winning_seed = Some((attempt as u64, rep.metrics.routing_time));
-                    AttemptResult {
-                        delivered: outstanding.to_vec(),
-                        steps: rep.metrics.routing_time,
-                    }
-                } else {
-                    AttemptResult {
-                        delivered: vec![],
-                        steps: budget,
-                    }
-                }
-            },
-        );
-        assert!(report.succeeded);
-        assert_eq!(report.attempts, 3);
-        let (seed, time) = winning_seed.expect("a successful attempt");
-        let fresh = StarRoutingSession::new(4, SimConfig::default()).route_permutation(seed);
-        assert_eq!(
-            time, fresh.metrics.routing_time,
-            "session attempt diverged from a freshly built session"
-        );
-    }
-
-    #[test]
-    fn mesh_session_threads_through_retry_loop() {
-        use crate::mesh::{MeshAlgorithm, MeshRoutingSession};
-        use lnpram_simnet::SimConfig;
-
-        let alg = MeshAlgorithm::ThreeStage { slice_rows: 2 };
-        let mut session = MeshRoutingSession::new(6, alg, SimConfig::default());
-        let ids: Vec<u32> = (0..36).collect();
-        let report = route_with_retry(
-            &ids,
-            RetryPolicy {
-                attempt_budget: 10_000,
-                max_attempts: 4,
-            },
-            |outstanding, budget, attempt| {
-                session.set_max_steps(if attempt == 0 { 1 } else { budget });
-                let rep = session.route_permutation(100 + attempt as u64);
-                if rep.completed {
-                    let fresh = MeshRoutingSession::new(6, alg, SimConfig::default())
-                        .route_permutation(100 + attempt as u64);
-                    assert_eq!(rep.metrics.routing_time, fresh.metrics.routing_time);
-                    AttemptResult {
-                        delivered: outstanding.to_vec(),
-                        steps: rep.metrics.routing_time,
-                    }
-                } else {
-                    AttemptResult {
-                        delivered: vec![],
-                        steps: budget,
-                    }
-                }
-            },
-        );
-        assert!(report.succeeded);
-        assert_eq!(report.attempts, 2);
-    }
-
-    #[test]
     fn retry_route_succeeds_across_topologies() {
         // The generic schedule on three different Router impls behind
         // one trait object: tight budgets fail, the relaxed policy
@@ -462,11 +233,13 @@ mod tests {
         use crate::star::StarRoutingSession;
         use lnpram_simnet::SimConfig;
 
-        let mut star = StarRoutingSession::new(4, SimConfig::default());
-        let mut cube = CubeRoutingSession::new(4, SimConfig::default());
-        let mut ccc = CccRoutingSession::new(3, SimConfig::default());
-        let routers: [&mut dyn Router; 3] = [&mut star, &mut cube, &mut ccc];
-        for router in routers {
+        let sessions: [fn() -> Box<dyn Router>; 3] = [
+            || Box::new(StarRoutingSession::new(4, SimConfig::default())),
+            || Box::new(CubeRoutingSession::new(4, SimConfig::default())),
+            || Box::new(CccRoutingSession::new(3, SimConfig::default())),
+        ];
+        for session in sessions {
+            let router = &mut *session();
             let budget = SimConfig::default().max_steps;
             // A 1-step budget cannot finish any permutation here.
             let failed = retry_route(
@@ -495,6 +268,15 @@ mod tests {
                 ok.total_steps,
                 u64::from(ok.last.metrics.routing_time),
                 "successful attempt charged its own time"
+            );
+            // The failed attempts left packets mid-flight in the engine.
+            assert_eq!(
+                ok.last.metrics.routing_time,
+                session()
+                    .route(&RouteRequest::permutation(5))
+                    .metrics
+                    .routing_time,
+                "session attempt diverged from a freshly built session"
             );
         }
     }
@@ -555,34 +337,5 @@ mod tests {
             "the winning attempt routes the pinned permutation with the \
              attempt's intermediates — not a redrawn workload"
         );
-    }
-
-    #[test]
-    fn amplification_shape() {
-        // If each attempt independently fails with prob 1/2 (per packet
-        // set), the failure probability after k attempts is 2^{-k}:
-        // simulate deterministically by failing exactly the first k-1
-        // attempts and verify the cost accounting matches the lemma's
-        // c1*c2*f(N) shape.
-        for k in 1..=6usize {
-            let rep = route_with_retry(
-                &[0u32],
-                RetryPolicy {
-                    attempt_budget: 7,
-                    max_attempts: 6,
-                },
-                |out, _b, attempt| AttemptResult {
-                    delivered: if attempt == k - 1 {
-                        out.to_vec()
-                    } else {
-                        vec![]
-                    },
-                    steps: 7,
-                },
-            );
-            assert!(rep.succeeded);
-            assert_eq!(rep.attempts, k);
-            assert!(rep.total_steps <= 2 * 7 * k as u64);
-        }
     }
 }

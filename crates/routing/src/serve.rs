@@ -455,7 +455,10 @@ impl ServeReport {
     /// sharded runs: per request, the admission step (or `None` if
     /// rejected), delivered count, routing time and the exact latency
     /// histogram.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "a tuple compares with `==` for free, which is all its callers do with it"
+    )]
     pub fn schedule(&self) -> Vec<(usize, Option<u32>, usize, u32, Vec<(u64, u64)>)> {
         self.requests
             .iter()

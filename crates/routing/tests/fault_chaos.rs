@@ -97,7 +97,10 @@ fn chaos_plan(
 }
 
 /// Everything the determinism contract pins about a [`FaultReport`].
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "a tuple compares with `==` for free, which is all the properties do with it"
+)]
 fn fingerprint(
     rep: &FaultReport,
 ) -> (

@@ -161,6 +161,9 @@ proptest! {
             let max_sampled = rec.samples().map(|s| s.step).max().unwrap_or(0);
             prop_assert!(max_sampled <= traced.steps, "sampled past the reported run");
             let events = sink.b.b.events();
+            for e in events {
+                prop_assert_eq!(ServeEvent::from_json_line(&e.to_json_line()), Ok(*e));
+            }
             let admits = events
                 .iter()
                 .filter(|e| matches!(e, ServeEvent::Admit { .. }))

@@ -832,9 +832,9 @@ mod tests {
             /// The coordinator-level invariants (cross-shard packet
             /// conservation, link-table/ghost-head accounting) and each
             /// shard engine's own state invariants hold at *every*
-            /// global step boundary — the dynamic complement of
-            /// `lnpram-lint`, at the layer where a mailbox-exchange bug
-            /// would first appear.
+            /// global step boundary — the dynamic complement of the
+            /// source policy clippy enforces (`[workspace.lints]`), at
+            /// the layer where a mailbox-exchange bug would first appear.
             #[test]
             fn prop_sharded_invariants_hold_at_every_step(
                 seed: u64,

@@ -1247,7 +1247,8 @@ mod tests {
             /// The internal-state invariants (pool/chain consistency,
             /// packet conservation, active-list shape) hold at *every*
             /// step boundary of a coordinator-driven run, not just at
-            /// the end — the dynamic complement of `lnpram-lint`.
+            /// the end — the dynamic complement of the source policy clippy
+            /// enforces (`[workspace.lints]`).
             #[test]
             fn prop_invariants_hold_at_every_step(
                 rows in 2usize..6,

@@ -47,6 +47,6 @@ pub use protocol::{Outbox, Protocol};
 pub use queue::Discipline;
 pub use step::{step_loop, Admission, NoAdmission, StepEngine};
 pub use trace::{
-    Fanout, FlightRecorder, NoopSink, Phase, PhaseProfiler, ServeEvent, ServeEventLog, StepSample,
-    TraceSink,
+    Fanout, FlightRecorder, NoopSink, Phase, PhaseProfiler, ServeEvent, ServeEventLog,
+    ServeEventParseError, StepSample, TraceSink,
 };

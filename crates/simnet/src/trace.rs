@@ -31,6 +31,11 @@
 //! and [`ServeEventLog`] (JSONL log of [`ServeEvent`]s from the serve
 //! layer). [`Fanout`] tees one run into two sinks.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the PhaseProfiler is the one place engine crates read the clock: inside its own callbacks, never in the engine"
+)]
+
 use crate::fault::Fault;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -207,6 +212,19 @@ impl ServeEvent {
         }
     }
 
+    /// Every event name, in declaration order (the order reports list
+    /// them in).
+    pub const NAMES: [&'static str; 8] = [
+        "admit",
+        "defer",
+        "reject",
+        "tenant_join",
+        "tenant_leave",
+        "fault",
+        "complete",
+        "route_iteration",
+    ];
+
     /// Stable lowercase event name (the JSONL `"event"` field).
     pub fn name(&self) -> &'static str {
         match self {
@@ -294,6 +312,124 @@ impl ServeEvent {
                 "{{\"event\": \"route_iteration\", \"step\": 0, \"iter\": {iter}, \
                  \"max_load\": {max_load}, \"rerouted\": {rerouted}}}"
             ),
+        }
+    }
+
+    /// Read back one line written by [`to_json_line`](Self::to_json_line):
+    /// a flat object whose values are numbers or fixed identifiers, so
+    /// none contains `,`, `:` or an escape. Fields may come in any order
+    /// and ones the variant does not hold are ignored.
+    pub fn from_json_line(line: &str) -> Result<Self, ServeEventParseError> {
+        let line = line.trim();
+        let line = line.strip_prefix('{').unwrap_or(line);
+        let f = Fields(line.strip_suffix('}').unwrap_or(line));
+        Ok(match f.raw("event")? {
+            "admit" => ServeEvent::Admit {
+                step: f.num("step")?,
+                slot: f.num("slot")?,
+                tenant: f.num("tenant")?,
+                packets: f.num("packets")?,
+            },
+            "defer" => ServeEvent::Defer {
+                step: f.num("step")?,
+                slot: f.num("slot")?,
+                tenant: f.num("tenant")?,
+            },
+            "reject" => ServeEvent::Reject {
+                step: f.num("step")?,
+                slot: f.num("slot")?,
+                tenant: f.num("tenant")?,
+                reason: f.ident("reason", &REJECT_REASONS)?,
+            },
+            "tenant_join" => ServeEvent::TenantJoin {
+                step: f.num("step")?,
+                tenant: f.num("tenant")?,
+            },
+            "tenant_leave" => ServeEvent::TenantLeave {
+                step: f.num("step")?,
+                tenant: f.num("tenant")?,
+            },
+            "fault" => ServeEvent::Fault {
+                step: f.num("step")?,
+                kind: f.ident("kind", &FAULT_KINDS)?,
+                target: f.num("target")?,
+                period: f.num("period")?,
+            },
+            "complete" => ServeEvent::Complete {
+                step: f.num("step")?,
+                slot: f.num("slot")?,
+                tenant: f.num("tenant")?,
+                latency: f.num("latency")?,
+            },
+            "route_iteration" => ServeEvent::RouteIteration {
+                iter: f.num("iter")?,
+                max_load: f.num("max_load")?,
+                rerouted: f.num("rerouted")?,
+            },
+            _ => return Err(ServeEventParseError::UnknownEvent),
+        })
+    }
+}
+
+/// The identifiers a `Reject`'s `reason` and a `Fault`'s `kind` can hold.
+const REJECT_REASONS: [&str; 2] = ["tenant_inactive", "overloaded"];
+const FAULT_KINDS: [&str; 5] = [
+    "link_fail",
+    "link_degrade",
+    "link_recover",
+    "node_fail",
+    "node_recover",
+];
+
+/// The `key: value` fields between the braces of one event line.
+struct Fields<'a>(&'a str);
+
+impl<'a> Fields<'a> {
+    fn raw(&self, key: &'static str) -> Result<&'a str, ServeEventParseError> {
+        self.0
+            .split(',')
+            .filter_map(|field| field.split_once(':'))
+            .find(|(k, _)| k.trim().trim_matches('"') == key)
+            .map(|(_, v)| v.trim().trim_matches('"'))
+            .ok_or(ServeEventParseError::MissingField(key))
+    }
+
+    fn num<T: std::str::FromStr>(&self, key: &'static str) -> Result<T, ServeEventParseError> {
+        let value = self.raw(key)?;
+        value
+            .parse()
+            .map_err(|_| ServeEventParseError::MissingField(key))
+    }
+
+    fn ident(
+        &self,
+        key: &'static str,
+        names: &[&'static str],
+    ) -> Result<&'static str, ServeEventParseError> {
+        let value = self.raw(key)?;
+        let known = names.iter().find(|&&name| name == value);
+        known
+            .copied()
+            .ok_or(ServeEventParseError::MissingField(key))
+    }
+}
+
+/// Why a line is not a [`ServeEvent`] (see
+/// [`ServeEvent::from_json_line`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeEventParseError {
+    /// The named field is absent, or its value is not one the field can
+    /// hold (not a number, not a known identifier).
+    MissingField(&'static str),
+    /// The `"event"` field names no variant.
+    UnknownEvent,
+}
+
+impl std::fmt::Display for ServeEventParseError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeEventParseError::MissingField(field) => write!(f, "missing {field} field"),
+            ServeEventParseError::UnknownEvent => write!(f, "unknown event"),
         }
     }
 }
@@ -821,6 +957,7 @@ impl TraceSink for ServeEventLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn noop_sink_is_disabled() {
@@ -933,6 +1070,118 @@ mod tests {
         assert!(lines[2].contains("\"latency\": 17"));
         assert_eq!(log.events()[1].name(), "fault");
         assert_eq!(log.events()[1].step(), 1);
+    }
+
+    /// One event of variant `variant % 8` over the given field values.
+    fn event(variant: usize, step: u32, slot: usize, tenant: u64, x: u32) -> ServeEvent {
+        let pick = x as usize;
+        match variant % 8 {
+            0 => ServeEvent::Admit {
+                step,
+                slot,
+                tenant,
+                packets: pick,
+            },
+            1 => ServeEvent::Defer { step, slot, tenant },
+            2 => ServeEvent::Reject {
+                step,
+                slot,
+                tenant,
+                reason: REJECT_REASONS[pick % 2],
+            },
+            3 => ServeEvent::TenantJoin { step, tenant },
+            4 => ServeEvent::TenantLeave { step, tenant },
+            5 => {
+                let (link, node, period) = (slot, slot, x);
+                let faults = [
+                    Fault::LinkFail { link },
+                    Fault::LinkDegrade { link, period },
+                    Fault::LinkRecover { link },
+                    Fault::NodeFail { node },
+                    Fault::NodeRecover { node },
+                ];
+                ServeEvent::fault(step, &faults[tenant as usize % 5])
+            }
+            6 => ServeEvent::Complete {
+                step,
+                slot,
+                tenant,
+                latency: x,
+            },
+            _ => ServeEvent::RouteIteration {
+                iter: step,
+                max_load: x,
+                rerouted: tenant as u32,
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The reader inverts the writer on every variant and every
+        /// field value, and every name is one reports know.
+        #[test]
+        fn prop_json_line_round_trips(
+            variant in 0usize..8,
+            step: u32,
+            slot: usize,
+            tenant: u64,
+            x: u32,
+        ) {
+            let e = event(variant, step, slot, tenant, x);
+            prop_assert_eq!(ServeEvent::from_json_line(&e.to_json_line()), Ok(e));
+            prop_assert!(ServeEvent::NAMES.contains(&e.name()));
+        }
+
+        /// Arbitrary text is an `Err`, never a panic: a valid line cut
+        /// and spliced at random char positions with characters of the
+        /// schema's own alphabet (and two multi-byte ones).
+        #[test]
+        fn prop_from_json_line_never_panics(
+            variant in 0usize..8,
+            seed: u64,
+            edits in 0usize..12,
+        ) {
+            use rand::Rng;
+            let mut rng = lnpram_math::rng::SeedSeq::new(seed).rng();
+            let alphabet: Vec<char> = "{}\":, \t-+.e0123456789stepventadmi_é√".chars().collect();
+            let mut line: Vec<char> = event(variant, 3, 1, 2, 4).to_json_line().chars().collect();
+            for _ in 0..edits {
+                let at = rng.gen_range(0..line.len() + 1);
+                match rng.gen_range(0..4) {
+                    0 => line.truncate(at),
+                    1 if at < line.len() => drop(line.remove(at)),
+                    _ => line.insert(at, alphabet[rng.gen_range(0..alphabet.len())]),
+                }
+            }
+            let line: String = line.into_iter().collect();
+            let _ = ServeEvent::from_json_line(&line);
+        }
+    }
+
+    #[test]
+    fn unreadable_lines_say_why() {
+        use ServeEventParseError::{MissingField, UnknownEvent};
+        let read = ServeEvent::from_json_line;
+        assert_eq!(read("not json"), Err(MissingField("event")));
+        assert_eq!(
+            read("{\"event\": \"teleport\", \"step\": 1}"),
+            Err(UnknownEvent)
+        );
+        let no_latency = "{\"event\": \"complete\", \"step\": 20, \"slot\": 2, \"tenant\": 2}";
+        assert_eq!(read(no_latency), Err(MissingField("latency")));
+        assert_eq!(
+            read("{\"event\": \"tenant_join\", \"step\": -1, \"tenant\": 2}"),
+            Err(MissingField("step")),
+            "a value the field cannot hold reads as missing"
+        );
+        assert_eq!(MissingField("step").to_string(), "missing step field");
+        // Field order is free and fields the variant lacks are skipped.
+        assert_eq!(
+            read("{\"tenant\": 2, \"extra\": 9, \"step\": 5, \"event\": \"tenant_leave\"}"),
+            Ok(ServeEvent::TenantLeave { step: 5, tenant: 2 })
+        );
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! guarantees. That one lifetime erasure is the only unsafe code in the
 //! crate.
 
-#![allow(unsafe_code)]
+#![allow(
+    unsafe_code,
+    reason = "the scoped-job lifetime erasure described above; each block states its SAFETY argument"
+)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};

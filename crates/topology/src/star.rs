@@ -522,7 +522,7 @@ mod tests {
         // The G¹ subgraphs of the 4-star partition it into 4 copies of the
         // 3-star (Definition 2.6).
         let s = StarGraph::new(4);
-        let mut by_stage: std::collections::HashMap<Vec<u8>, usize> = Default::default();
+        let mut by_stage: std::collections::BTreeMap<Vec<u8>, usize> = Default::default();
         for v in 0..s.num_nodes() {
             *by_stage.entry(s.stage_id(v, 1)).or_default() += 1;
         }

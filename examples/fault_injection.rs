@@ -17,7 +17,7 @@
 //! cargo run --example fault_injection
 //! ```
 
-use lnpram::routing::retry::{route_with_retry, AttemptResult, RetryPolicy};
+use lnpram::routing::retry::{retry_route, RetryPolicy};
 use lnpram::routing::{LeveledRoutingSession, RouteBackend, RouteRequest, Router};
 use lnpram::simnet::{Fault, FaultEvent, FaultPlan, SimConfig};
 use lnpram::topology::leveled::RadixButterfly;
@@ -29,43 +29,24 @@ fn main() {
 
 /// Part 1: the leveled network under a deliberately tight deadline.
 fn tight_deadline_retries() {
-    let inner = RadixButterfly::new(2, 8); // 256 rows, path length 2ℓ = 16
-                                           // Observed routing times are 19–21 steps; a 20-step deadline misses on
-                                           // the ~8% of seeds that need 21 — real, occasional failures.
-    let budget = 20u32;
-    let ids: Vec<u32> = (0..256).collect();
+    // 256 rows, path length 2ℓ = 16. Observed routing times are 19–21
+    // steps; a 20-step deadline misses on the seeds that need 21 — real,
+    // occasional failures.
+    let mut session = LeveledRoutingSession::new(RadixButterfly::new(2, 8), SimConfig::default());
+    let policy = RetryPolicy {
+        attempt_budget: 20,
+        max_attempts: 8,
+    };
+    let budget = policy.attempt_budget;
     let mut failures = 0usize;
     let trials = 20u64;
     for seed in 0..trials {
-        let report = route_with_retry(
-            &ids,
-            RetryPolicy {
-                attempt_budget: budget,
-                max_attempts: 8,
-            },
-            |outstanding, budget, attempt| {
-                // Fresh randomness per attempt (the lemma's requirement).
-                let rep = LeveledRoutingSession::new(
-                    inner,
-                    SimConfig {
-                        max_steps: budget,
-                        ..Default::default()
-                    },
-                )
-                .route_permutation(seed * 1000 + attempt as u64);
-                // This demo retries the whole permutation when incomplete
-                // (simplest accounting; the library also supports partial
-                // retry, see the `lemma21` experiment).
-                let delivered = if rep.completed {
-                    outstanding.to_vec()
-                } else {
-                    Vec::new()
-                };
-                AttemptResult {
-                    delivered,
-                    steps: rep.metrics.routing_time.min(budget),
-                }
-            },
+        // The whole permutation retries when incomplete, with fresh
+        // intermediates per attempt (the lemma's requirement).
+        let report = retry_route(
+            &mut session,
+            &RouteRequest::permutation(seed * 1000),
+            policy,
         );
         if report.attempts > 1 {
             failures += report.attempts - 1;

@@ -15,6 +15,11 @@
 //!
 //! Run with `cargo run --example routing_sessions`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a demo that prints host time next to simulated steps; no result depends on it"
+)]
+
 use lnpram::prelude::{RouteRequest, Router};
 use lnpram::routing::mesh::{default_slice_rows, MeshAlgorithm, MeshRoutingSession};
 use lnpram::routing::star::StarRoutingSession;

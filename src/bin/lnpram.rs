@@ -25,20 +25,20 @@ use lnpram::core::{
 use lnpram::pram::machine::PramMachine;
 use lnpram::pram::model::{AccessMode, PramProgram, WritePolicy};
 use lnpram::pram::programs::{ConnectedComponents, Histogram, PrefixSum, ReductionMax};
-use lnpram::routing::ccc::{CccBackend, CccRoutingSession};
-use lnpram::routing::hypercube::{CubeBackend, CubeRoutingSession};
+use lnpram::routing::ccc::CccBackend;
+use lnpram::routing::hypercube::CubeBackend;
 use lnpram::routing::leveled::LeveledBackend;
 use lnpram::routing::mesh::{
-    default_block_rows, default_slice_rows, MeshAlgorithm, MeshBackend, MeshRoutingSession,
+    canonical_discipline, default_block_rows, default_slice_rows, MeshAlgorithm, MeshBackend,
 };
-use lnpram::routing::shuffle::{ShuffleBackend, ShuffleRoutingSession};
-use lnpram::routing::star::{StarBackend, StarRoutingSession};
+use lnpram::routing::shuffle::ShuffleBackend;
+use lnpram::routing::star::StarBackend;
 use lnpram::routing::{
-    LeveledRoutingSession, OpenLoopWorkload, OverloadPolicy, RouteRequest, Router, RunExtras,
-    Serve, ServeConfig, ServeError, ServeSession,
+    OpenLoopWorkload, OverloadPolicy, RouteBackend, RouteRequest, Router, RoutingSession,
+    RunExtras, Serve, ServeConfig, ServeError, ServeSession,
 };
 use lnpram::shard::MAX_SHARDS;
-use lnpram::simnet::{ServeEventLog, SimConfig};
+use lnpram::simnet::{Discipline, ServeEvent, ServeEventLog, SimConfig};
 use lnpram::topology::graph::audit;
 use lnpram::topology::hypercube::Hypercube;
 use lnpram::topology::leveled::{audit_unique_paths, Leveled, RadixButterfly, UnrolledShuffle};
@@ -233,7 +233,9 @@ COMMANDS
              --algorithm three-stage|const-queue|greedy|valiant  (mesh) [three-stage]
              --backend oblivious|adaptive   routing backend      [oblivious]
                               (adaptive: congestion-priced source
-                              routing; flat topologies only)
+                              routing; flat topologies only; its
+                              congestion penalty is fixed at the
+                              library default, there is no flag)
              --seed <s>       base seed                           [0]
              --trials <t>     number of seeds                     [5]
              --shards <K>     partitioned lockstep engine, 2..=15 [0]
@@ -281,15 +283,6 @@ COMMANDS
              --n / --k        host size (star n, mesh side, butterfly levels)
              --copies <R>     replicas for --host replicated      [3]
              --seed <s>                                            [0]
-
-  lint     Run the workspace invariant checker (determinism, ambient
-           clock/rng, unsafe budget, panic surface) over first-party
-           sources; nonzero exit on any error-severity finding.
-             --root <dir>     workspace root                      [.]
-             --path <prefix>  restrict to one workspace-relative
-                              path prefix (e.g. crates/simnet)
-           Policy lives in lint.toml at the root; suppress a finding
-           inline with lnpram-lint: allow(<rule>, reason = \"...\").
 
   help     This message.
 ";
@@ -386,51 +379,6 @@ fn mesh_algorithm(flags: &HashMap<String, String>, n: usize) -> Result<MeshAlgor
     }
 }
 
-/// Build the congestion-priced backend `--backend adaptive` selects:
-/// a CSR snapshot of the named flat topology. Leveled topologies
-/// (butterfly) deliver at their last column — node id ≠ coordinate —
-/// so they are refused with a typed error instead of misrouting.
-fn adaptive_backend(
-    topo: &str,
-    flags: &HashMap<String, String>,
-) -> Result<AdaptiveBackend, CliError> {
-    let n = get_usize(flags, "n", 4)?;
-    let route_cfg = AdaptiveConfig::default();
-    let backend = match topo {
-        "star" => AdaptiveBackend::try_new(&star_graph(n)?, route_cfg),
-        "shuffle" => {
-            let d = get_usize(flags, "d", n)?;
-            AdaptiveBackend::try_new(&DWayShuffle::new(d, n), route_cfg)
-        }
-        "cube" => {
-            let k = get_usize(flags, "k", 8)?;
-            AdaptiveBackend::try_new(&Hypercube::new(k), route_cfg)
-        }
-        "ccc" => AdaptiveBackend::try_new(&CubeConnectedCycles::new(n.max(3)), route_cfg),
-        "mesh" => AdaptiveBackend::try_new(&Mesh::square(mesh_side(n)?), route_cfg),
-        "butterfly" => {
-            return Err(CliError::InvalidFlag {
-                flag: "backend".into(),
-                value: "adaptive".into(),
-                reason: "adaptive prices flat topologies (node id == coordinate); \
-                         butterfly delivers at its last column — use the oblivious backend"
-                    .into(),
-            })
-        }
-        other => {
-            return Err(CliError::Unknown {
-                what: "topology",
-                got: other.into(),
-            })
-        }
-    };
-    backend.map_err(|err| CliError::InvalidFlag {
-        flag: "backend".into(),
-        value: "adaptive".into(),
-        reason: err.to_string(),
-    })
-}
-
 /// The `--backend` flag: the paper's oblivious routers (default) or the
 /// adaptive congestion-priced router.
 fn backend_flag(flags: &HashMap<String, String>) -> Result<&str, CliError> {
@@ -447,34 +395,90 @@ fn backend_flag(flags: &HashMap<String, String>) -> Result<&str, CliError> {
     }
 }
 
-/// Build the oblivious session the unified `route` command dispatches
-/// to — every topology behind one `dyn Router`.
-fn make_router(
+/// What `route` and `serve` build from the backend `--topology` and
+/// `--backend` name.
+trait BackendUser: Sized {
+    type Out;
+
+    /// `discipline` is the one the backend's own routing session pins
+    /// (the mesh algorithms' canonical one, FIFO everywhere else).
+    fn with<B: RouteBackend + 'static>(self, backend: B, discipline: Discipline) -> Self::Out;
+
+    fn with_adaptive(self, backend: AdaptiveBackend) -> Self::Out {
+        self.with(backend, Discipline::Fifo)
+    }
+}
+
+/// The one `--topology` dispatch: build the named backend from its size
+/// flags and hand it to `user`. `--backend adaptive` prices a CSR
+/// snapshot of the same network instead; leveled topologies (butterfly)
+/// deliver at their last column — node id ≠ coordinate — so they are
+/// refused with a typed error instead of misrouting.
+fn with_backend<U: BackendUser>(
     topo: &str,
     flags: &HashMap<String, String>,
-    cfg: SimConfig,
-) -> Result<Box<dyn Router>, CliError> {
+    user: U,
+) -> Result<U::Out, CliError> {
+    let adaptive = backend_flag(flags)? == "adaptive";
     let n = get_usize(flags, "n", 4)?;
+    let priced = |net: &dyn Network| {
+        AdaptiveBackend::try_new(net, AdaptiveConfig::default()).map_err(|err| {
+            CliError::InvalidFlag {
+                flag: "backend".into(),
+                value: "adaptive".into(),
+                reason: err.to_string(),
+            }
+        })
+    };
     Ok(match topo {
-        "star" => Box::new(StarRoutingSession::from_graph(star_graph(n)?, cfg)),
+        "star" => {
+            let star = star_graph(n)?;
+            if adaptive {
+                user.with_adaptive(priced(&star)?)
+            } else {
+                user.with(StarBackend::new(star), Discipline::Fifo)
+            }
+        }
         "shuffle" => {
-            let d = get_usize(flags, "d", n)?;
-            Box::new(ShuffleRoutingSession::new(DWayShuffle::new(d, n), cfg))
+            let shuffle = DWayShuffle::new(get_usize(flags, "d", n)?, n);
+            if adaptive {
+                user.with_adaptive(priced(&shuffle)?)
+            } else {
+                user.with(ShuffleBackend::new(shuffle), Discipline::Fifo)
+            }
+        }
+        "butterfly" if adaptive => {
+            return Err(CliError::InvalidFlag {
+                flag: "backend".into(),
+                value: "adaptive".into(),
+                reason: "adaptive prices flat topologies (node id == coordinate); \
+                         butterfly delivers at its last column — use the oblivious backend"
+                    .into(),
+            })
         }
         "butterfly" => {
             let d = get_usize(flags, "d", 2)?;
             let k = get_usize(flags, "k", 4)?;
-            Box::new(LeveledRoutingSession::new(butterfly(d, k)?, cfg))
+            user.with(LeveledBackend::new(butterfly(d, k)?), Discipline::Fifo)
         }
         "cube" => {
             let k = get_usize(flags, "k", 8)?;
-            Box::new(CubeRoutingSession::new(k, cfg))
+            if adaptive {
+                user.with_adaptive(priced(&Hypercube::new(k))?)
+            } else {
+                user.with(CubeBackend::new(k), Discipline::Fifo)
+            }
         }
-        "ccc" => Box::new(CccRoutingSession::new(n.max(3), cfg)),
+        "ccc" if adaptive => user.with_adaptive(priced(&CubeConnectedCycles::new(n.max(3)))?),
+        "ccc" => user.with(CccBackend::new(n.max(3)), Discipline::Fifo),
         "mesh" => {
-            let n = mesh_side(n)?;
-            let alg = mesh_algorithm(flags, n)?;
-            Box::new(MeshRoutingSession::new(n, alg, cfg))
+            let mesh = Mesh::square(mesh_side(n)?);
+            if adaptive {
+                user.with_adaptive(priced(&mesh)?)
+            } else {
+                let alg = mesh_algorithm(flags, n)?;
+                user.with(MeshBackend::new(mesh, alg), canonical_discipline(alg))
+            }
         }
         other => {
             return Err(CliError::Unknown {
@@ -485,66 +489,44 @@ fn make_router(
     })
 }
 
-/// Build the serving session `serve` dispatches to — the serve-capable
-/// topologies behind one `dyn Serve`.
-fn make_serve(
-    topo: &str,
-    flags: &HashMap<String, String>,
-    sim: SimConfig,
-    cfg: ServeConfig,
-) -> Result<Box<dyn Serve>, CliError> {
-    if backend_flag(flags)? == "adaptive" {
-        return Ok(Box::new(ServeSession::new(
-            adaptive_backend(topo, flags)?,
-            &sim,
-            cfg,
-        )));
+/// The session `route` drives — every topology behind one `dyn Router`.
+/// The adaptive one stays concrete: its backend's work counts are not
+/// part of `dyn Router`.
+enum RouteSession {
+    Oblivious(Box<dyn Router>),
+    Adaptive(Box<AdaptiveRoutingSession>),
+}
+
+struct MakeRouter(SimConfig);
+
+impl BackendUser for MakeRouter {
+    type Out = RouteSession;
+
+    fn with<B: RouteBackend + 'static>(self, backend: B, discipline: Discipline) -> RouteSession {
+        let cfg = SimConfig {
+            discipline,
+            ..self.0
+        };
+        RouteSession::Oblivious(Box::new(RoutingSession::with_backend(backend, cfg)))
     }
-    let n = get_usize(flags, "n", 4)?;
-    Ok(match topo {
-        "star" => Box::new(ServeSession::new(
-            StarBackend::new(star_graph(n)?),
-            &sim,
-            cfg,
-        )),
-        "shuffle" => {
-            let d = get_usize(flags, "d", n)?;
-            Box::new(ServeSession::new(
-                ShuffleBackend::new(DWayShuffle::new(d, n)),
-                &sim,
-                cfg,
-            ))
-        }
-        "butterfly" => {
-            let d = get_usize(flags, "d", 2)?;
-            let k = get_usize(flags, "k", 4)?;
-            Box::new(ServeSession::new(
-                LeveledBackend::new(butterfly(d, k)?),
-                &sim,
-                cfg,
-            ))
-        }
-        "cube" => {
-            let k = get_usize(flags, "k", 8)?;
-            Box::new(ServeSession::new(CubeBackend::new(k), &sim, cfg))
-        }
-        "ccc" => Box::new(ServeSession::new(CccBackend::new(n.max(3)), &sim, cfg)),
-        "mesh" => {
-            let n = mesh_side(n)?;
-            let alg = mesh_algorithm(flags, n)?;
-            Box::new(ServeSession::new(
-                MeshBackend::new(Mesh::square(n), alg),
-                &sim,
-                cfg,
-            ))
-        }
-        other => {
-            return Err(CliError::Unknown {
-                what: "topology",
-                got: other.into(),
-            })
-        }
-    })
+
+    fn with_adaptive(self, backend: AdaptiveBackend) -> RouteSession {
+        RouteSession::Adaptive(Box::new(AdaptiveRoutingSession::from_backend(
+            backend, self.0,
+        )))
+    }
+}
+
+/// The serving session `serve` drives — every backend behind one
+/// `dyn Serve`, under the configured discipline.
+struct MakeServe(SimConfig, ServeConfig);
+
+impl BackendUser for MakeServe {
+    type Out = Box<dyn Serve>;
+
+    fn with<B: RouteBackend + 'static>(self, backend: B, _: Discipline) -> Box<dyn Serve> {
+        Box::new(ServeSession::new(backend, &self.0, self.1))
+    }
 }
 
 fn cmd_route(flags: &HashMap<String, String>) -> Result<(), CliError> {
@@ -559,22 +541,10 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), CliError> {
         shards,
         ..SimConfig::default()
     };
-    // The adaptive session stays concrete: its backend's work counts
-    // are not part of `dyn Router`.
-    let mut adaptive = match backend_flag(flags)? {
-        "adaptive" => Some(AdaptiveRoutingSession::from_backend(
-            adaptive_backend(topo, flags)?,
-            cfg.clone(),
-        )),
-        _ => None,
-    };
-    let mut oblivious;
-    let router: &mut dyn Router = match &mut adaptive {
-        Some(session) => session,
-        None => {
-            oblivious = make_router(topo, flags, cfg)?;
-            oblivious.as_mut()
-        }
+    let mut session = with_backend(topo, flags, MakeRouter(cfg))?;
+    let router: &mut dyn Router = match &mut session {
+        RouteSession::Oblivious(router) => router.as_mut(),
+        RouteSession::Adaptive(session) => session.as_mut(),
     };
     let mut times = Vec::new();
     let mut queues = Vec::new();
@@ -658,7 +628,9 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), CliError> {
         mean(&times) / norm as f64,
         mean(&queues),
     );
-    if let (Some((iterations, max_load)), Some(session)) = (adaptive_stats, &adaptive) {
+    if let (Some((iterations, max_load)), RouteSession::Adaptive(session)) =
+        (adaptive_stats, &session)
+    {
         println!(
             "adaptive pricing (last trial): {iterations} iteration(s), \
              final max link load {max_load} (= norm); {}",
@@ -700,7 +672,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         shards,
         ..SimConfig::default()
     };
-    let mut serve = make_serve(topo, flags, sim, cfg)?;
+    let mut serve = with_backend(topo, flags, MakeServe(sim, cfg))?;
     let workload = OpenLoopWorkload {
         tenants,
         requests,
@@ -772,85 +744,39 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Extract `"key"`'s value from one flat JSONL object line: the value
-/// runs to the next `,` or `}`, quotes stripped. Sufficient for the
-/// serve event schema, where every value is a number or a fixed
-/// identifier (never containing `,` or `}`).
-fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = line[start..].trim_start();
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
 fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let path = flags.get("trace").ok_or(CliError::MissingFlag("trace"))?;
     let body =
         std::fs::read_to_string(path).map_err(|e| CliError::Run(format!("read {path}: {e}")))?;
-    const EVENTS: [&str; 8] = [
-        "admit",
-        "defer",
-        "reject",
-        "tenant_join",
-        "tenant_leave",
-        "fault",
-        "complete",
-        "route_iteration",
-    ];
-    let mut counts = [0u64; 8];
+    let mut counts = [0u64; ServeEvent::NAMES.len()];
     let mut packets = 0u64;
     let mut latencies: Vec<u64> = Vec::new();
-    let mut rejects: Vec<(String, u64)> = Vec::new();
+    let mut rejects: Vec<(&str, u64)> = Vec::new();
     // Per-iteration max-load series of adaptive route traces, in file
     // order; `iter == 0` marks the start of each pricing run.
-    let mut route_iters: Vec<(u64, u64)> = Vec::new();
-    let mut last_step = 0u64;
+    let mut route_iters: Vec<(u32, u32)> = Vec::new();
+    let mut last_step = 0u32;
     for (lineno, line) in body.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let bad = |what: &str| CliError::Run(format!("{path}:{}: {what}: {line}", lineno + 1));
-        let event = json_field(line, "event").ok_or_else(|| bad("missing event field"))?;
-        let idx = EVENTS
-            .iter()
-            .position(|&e| e == event)
-            .ok_or_else(|| bad("unknown event"))?;
-        counts[idx] += 1;
-        let step: u64 = json_field(line, "step")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| bad("missing step field"))?;
-        last_step = last_step.max(step);
+        let event = ServeEvent::from_json_line(line)
+            .map_err(|e| CliError::Run(format!("{path}:{}: {e}: {line}", lineno + 1)))?;
+        for (count, name) in counts.iter_mut().zip(ServeEvent::NAMES) {
+            *count += u64::from(name == event.name());
+        }
+        last_step = last_step.max(event.step());
         match event {
-            "admit" => {
-                packets += json_field(line, "packets")
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .ok_or_else(|| bad("missing packets field"))?;
-            }
-            "reject" => {
-                let reason = json_field(line, "reason")
-                    .ok_or_else(|| bad("missing reason field"))?
-                    .to_string();
+            ServeEvent::Admit { packets: p, .. } => packets += p as u64,
+            ServeEvent::Reject { reason, .. } => {
                 match rejects.iter_mut().find(|(r, _)| *r == reason) {
                     Some((_, c)) => *c += 1,
                     None => rejects.push((reason, 1)),
                 }
             }
-            "complete" => {
-                latencies.push(
-                    json_field(line, "latency")
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("missing latency field"))?,
-                );
-            }
-            "route_iteration" => {
-                let iter: u64 = json_field(line, "iter")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad("missing iter field"))?;
-                let load: u64 = json_field(line, "max_load")
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad("missing max_load field"))?;
-                route_iters.push((iter, load));
+            ServeEvent::Complete { latency, .. } => latencies.push(u64::from(latency)),
+            ServeEvent::RouteIteration { iter, max_load, .. } => {
+                route_iters.push((iter, max_load));
             }
             _ => {}
         }
@@ -859,7 +785,7 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), CliError> {
         "{path}: {} events over steps 0..={last_step}",
         counts.iter().sum::<u64>()
     );
-    for (name, count) in EVENTS.iter().zip(counts) {
+    for (name, count) in ServeEvent::NAMES.iter().zip(counts) {
         if count > 0 {
             println!("  {name:<13} {count}");
         }
@@ -885,7 +811,7 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), CliError> {
         // Each pricing run restarts at iter 0; summarize every run's
         // initial → final max link load so convergence is visible even
         // for multi-trial traces.
-        let mut runs: Vec<&[(u64, u64)]> = Vec::new();
+        let mut runs: Vec<&[(u32, u32)]> = Vec::new();
         let mut start = 0usize;
         for i in 1..route_iters.len() {
             if route_iters[i].0 == 0 {
@@ -916,37 +842,6 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), CliError> {
         }
     }
     Ok(())
-}
-
-/// `lnpram lint`: run the workspace invariant checker in-process (the
-/// same engine as the standalone `lnpram-lint` binary).
-fn cmd_lint(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let root = std::path::PathBuf::from(flags.get("root").map(String::as_str).unwrap_or("."));
-    let cfg = lnpram::analysis::Config::load(&root)
-        .map_err(|e| CliError::Run(format!("lint config: {e}")))?;
-    let only: Vec<String> = flags
-        .get("path")
-        .map(|p| vec![p.trim_end_matches('/').to_string()])
-        .unwrap_or_default();
-    let report = lnpram::analysis::lint_workspace(&root, &cfg, &only)
-        .map_err(|e| CliError::Run(format!("lint: {e}")))?;
-    for d in &report.diagnostics {
-        println!("{d}");
-    }
-    println!(
-        "lint: {} file(s), {} error(s), {} warning(s)",
-        report.files.len(),
-        report.errors(),
-        report.warnings()
-    );
-    if report.failed() {
-        Err(CliError::Run(format!(
-            "{} invariant violation(s) — see diagnostics above",
-            report.errors()
-        )))
-    } else {
-        Ok(())
-    }
 }
 
 /// The host `emulate --host` names, its size flags validated.
@@ -1111,14 +1006,13 @@ fn main() -> ExitCode {
             print!("{HELP}");
             Ok(())
         }
-        "audit" | "route" | "serve" | "stats" | "emulate" | "lint" => match parse_flags(rest) {
+        "audit" | "route" | "serve" | "stats" | "emulate" => match parse_flags(rest) {
             Err(e) => Err(e),
             Ok(flags) => match cmd.as_str() {
                 "audit" => cmd_audit(&flags),
                 "route" => cmd_route(&flags),
                 "serve" => cmd_serve(&flags),
                 "stats" => cmd_stats(&flags),
-                "lint" => cmd_lint(&flags),
                 _ => cmd_emulate(&flags),
             },
         },
@@ -1141,6 +1035,39 @@ fn main() -> ExitCode {
                 eprintln!("try: lnpram help");
             }
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary argument lists parse to flags or a typed error,
+        /// never a panic, and so does reading a number out of them.
+        #[test]
+        fn prop_parse_flags_never_panics(seed: u64, argc in 0usize..6) {
+            let mut rng = lnpram::math::rng::SeedSeq::new(seed).rng();
+            let pieces = ["--", "-", "", "n", "shards", "tenants", "4", "-1", "99999999999999999999", "é", " ", "="];
+            let args: Vec<String> = (0..argc)
+                .map(|_| {
+                    let parts = rng.gen_range(0..4);
+                    (0..parts).map(|_| pieces[rng.gen_range(0..pieces.len())]).collect()
+                })
+                .collect();
+            if let Ok(flags) = parse_flags(&args) {
+                prop_assert!(flags.len() <= argc / 2);
+                let _ = get_usize(&flags, "n", 4);
+                let _ = get_shards(&flags);
+                let _ = get_tenants(&flags, 1);
+            } else {
+                prop_assert!(argc > 0, "no arguments is no flags, not an error");
+            }
         }
     }
 }

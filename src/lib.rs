@@ -32,9 +32,6 @@
 //! * [`core`] — the emulators: [`core::LeveledPramEmulator`],
 //!   [`core::StarPramEmulator`], [`core::MeshPramEmulator`], and the
 //!   deterministic [`core::ReplicatedPramEmulator`] baseline.
-//! * [`analysis`] — `lnpram-lint`, the token-level workspace invariant
-//!   checker (determinism, ambient clock/rng, unsafe budget, panic
-//!   surface) backing the `lnpram lint` subcommand.
 //! * [`adaptive`] — the non-oblivious counterpoint: congestion-priced
 //!   source routing with deterministic Dijkstra and
 //!   rip-up-and-reroute ([`adaptive::AdaptiveRoutingSession`], the
@@ -66,7 +63,6 @@
 #![warn(missing_docs)]
 
 pub use lnpram_adaptive as adaptive;
-pub use lnpram_analysis as analysis;
 pub use lnpram_core as core;
 pub use lnpram_hash as hash;
 pub use lnpram_math as math;

@@ -31,7 +31,7 @@ fn scrambled_list(n: usize, seed: u64) -> Vec<usize> {
     for w in order.windows(2) {
         succ[w[0]] = w[1];
     }
-    let tail = *order.last().unwrap();
+    let tail = *order.last().expect("a list has at least one node");
     succ[tail] = tail;
     succ
 }

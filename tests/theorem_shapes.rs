@@ -176,37 +176,23 @@ fn ranade_comparator_constant_is_impractical_on_mesh() {
 #[test]
 fn lemma_21_retry_with_real_leveled_routing() {
     use lnpram::routing::leveled::LeveledRoutingSession;
-    use lnpram::routing::retry::{route_with_retry, AttemptResult, RetryPolicy};
+    use lnpram::routing::retry::{retry_route, RetryPolicy};
+    use lnpram::routing::RouteRequest;
 
     // Deliberately tight budget so some attempts fail, then verify the
-    // retry wrapper converges. We re-route *all* packets per attempt with
+    // retry schedule converges. All packets re-route per attempt with
     // fresh randomness (a conservative variant of the lemma's schedule),
     // recycling one warmed session engine across every attempt.
     let net = RadixButterfly::new(2, 6);
     let mut rng = SeedSeq::new(11).rng();
     let dests = workloads::random_permutation(64, &mut rng);
-    let ids: Vec<u32> = (0..64).collect();
     let budget = (2 * 6) as u32 + 2; // barely above the bare path length
     let policy = RetryPolicy {
         attempt_budget: budget,
         max_attempts: 20,
     };
     let mut session = LeveledRoutingSession::new(net, SimConfig::default());
-    let report = route_with_retry(&ids, policy, |outstanding, b, k| {
-        session.set_max_steps(b);
-        let rep = session.route_with_dests(&dests, SeedSeq::new(1000 + k as u64));
-        if rep.completed {
-            AttemptResult {
-                delivered: outstanding.to_vec(),
-                steps: rep.metrics.routing_time,
-            }
-        } else {
-            AttemptResult {
-                delivered: vec![],
-                steps: b,
-            }
-        }
-    });
+    let report = retry_route(&mut session, &RouteRequest::dests(dests, 1000), policy);
     assert!(report.succeeded, "retry must converge");
     assert!(
         report.total_steps <= 2 * u64::from(budget) * report.attempts as u64,
