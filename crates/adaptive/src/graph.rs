@@ -13,9 +13,9 @@ use lnpram_topology::Network;
 
 /// A materialized, link-indexed view of a port-addressed network.
 ///
-/// Link `l` is the directed edge `(tail(l), port_of(l))`; links of node
-/// `v` are the contiguous range `first_link(v) .. first_link(v + 1)` in
-/// port order — identical to the engine's global link-id scheme.
+/// Link `l` is the directed edge from `tail(l)` to `target(l)`; links of
+/// node `v` are the contiguous range `first_link(v) .. first_link(v + 1)`
+/// in port order — identical to the engine's global link-id scheme.
 #[derive(Debug, Clone)]
 pub struct LinkGraph {
     base_name: String,
@@ -96,11 +96,6 @@ impl LinkGraph {
     /// Tail node of link `link`.
     pub fn tail(&self, link: u32) -> u32 {
         self.tails[link as usize]
-    }
-
-    /// The port on `tail(link)` that link `link` occupies.
-    pub fn port_of(&self, link: u32) -> usize {
-        (link - self.offsets[self.tail(link) as usize]) as usize
     }
 
     /// Global link ids leaving `node`, in port order.
@@ -191,7 +186,6 @@ mod tests {
                 assert_eq!(g.neighbor(v, p), mesh.neighbor(v, p));
                 let link = g.first_link(v) + p as u32;
                 assert_eq!(g.tail(link) as usize, v);
-                assert_eq!(g.port_of(link), p);
                 assert_eq!(g.target(link) as usize, mesh.neighbor(v, p));
             }
         }

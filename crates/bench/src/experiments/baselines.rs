@@ -281,7 +281,7 @@ pub fn constant_degree_hosts(r: &mut Report, scale: Trials) {
     r.note(
         "paper (§2.3.1): the leveled class spans unbounded-degree (cube),\n\
          small-constant-degree (butterfly) and fixed-degree (CCC) hosts; all\n\
-         route in Õ(diameter). The star graph (table_intro_star_vs_cube)\n\
+         route in Õ(diameter). The star graph (intro_star_vs_cube)\n\
          improves degree AND diameter simultaneously, which is the paper's\n\
          motivation for leaving the cube family.",
     );

@@ -56,18 +56,6 @@ pub fn karlin_upfal_max_load_bound(set_size: u64, modules: u64, degree_s: u64, g
     (modules as f64 * karlin_upfal_tail_bound(set_size, modules, degree_s, gamma)).min(1.0)
 }
 
-/// The paper's §3.3 fact (Karlin–Upfal): when `N` items are hashed into
-/// `N/2^i` buckets, the max bucket load `k_i` satisfies
-/// `P[k_i ≥ 2^i + γ·i·(log N)^{1/2}·2^{i/2} + c] ≤ N^{-γ}` (shape only —
-/// we report the measured max next to `expected_mean + slack`).
-///
-/// This helper returns the "expected + slack" threshold used in the
-/// Corollary 3.1–3.3 tables: `mean + slack_mult · sqrt(mean · ln N)`.
-pub fn mean_plus_slack(items: u64, buckets: u64, slack_mult: f64) -> f64 {
-    let mean = items as f64 / buckets as f64;
-    mean + slack_mult * (mean.max(1.0) * (items.max(2) as f64).ln()).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,14 +121,5 @@ mod tests {
             }
         }
         assert_eq!(violations, 0);
-    }
-
-    #[test]
-    fn mean_plus_slack_reasonable() {
-        let t = mean_plus_slack(1 << 12, 1 << 12, 3.0);
-        // mean = 1, slack ≈ 3·sqrt(ln 4096) ≈ 8.6
-        assert!(t > 1.0 && t < 20.0, "t = {t}");
-        let t2 = mean_plus_slack(1 << 12, 64, 3.0);
-        assert!(t2 > 64.0 && t2 < 150.0, "t2 = {t2}");
     }
 }

@@ -54,14 +54,6 @@ impl HashFamily {
             modules: self.modules,
         }
     }
-
-    /// Bits needed to transmit one hash function: `S · ⌈log₂ P⌉`.
-    /// The paper notes this is `O(L log M)` — small enough to broadcast
-    /// when rehashing.
-    pub fn description_bits(&self) -> u64 {
-        let bits_per_coeff = 64 - self.prime.leading_zeros() as u64;
-        self.degree_s as u64 * bits_per_coeff
-    }
 }
 
 /// One sampled hash function `h(x) = ((Σ aᵢ xⁱ) mod P) mod N`.
@@ -97,8 +89,9 @@ impl PolyHash {
     }
 
     /// The coefficients `a₀..a_{S−1}` — the description that gets
-    /// broadcast when rehashing ([`HashFamily::description_bits`]); a
-    /// hash rebuilt from them via [`PolyHash::from_coeffs`] is identical.
+    /// broadcast when rehashing (`S · ⌈log₂ P⌉` bits, the paper's
+    /// `O(L log M)`); a hash rebuilt from them via
+    /// [`PolyHash::from_coeffs`] is identical.
     pub fn coeffs(&self) -> &[u64] {
         &self.coeffs
     }
@@ -150,13 +143,6 @@ mod tests {
         assert_ne!(h1, h2);
         // ... and disagree on at least one input
         assert!((0..1000u64).any(|x| h1.eval(x) != h2.eval(x)));
-    }
-
-    #[test]
-    fn description_bits_is_s_log_p() {
-        let fam = HashFamily::new(1 << 20, 64, 10);
-        // P just above 2^20 => 21 bits per coefficient.
-        assert_eq!(fam.description_bits(), 10 * 21);
     }
 
     #[test]

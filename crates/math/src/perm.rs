@@ -129,12 +129,6 @@ impl Perm {
         &self.symbols[..self.len as usize]
     }
 
-    /// Symbol at 1-based position `pos` (paper notation `d_pos`).
-    pub fn symbol_at(&self, pos: usize) -> u8 {
-        assert!(pos >= 1 && pos <= self.n(), "position {pos} out of range");
-        self.symbols[pos - 1]
-    }
-
     /// 1-based position of `symbol`.
     pub fn position_of(&self, symbol: u8) -> usize {
         self.symbols()

@@ -52,12 +52,6 @@ impl Summary {
         }
     }
 
-    /// Summarise integer observations (the common case: step counts).
-    pub fn of_usize(data: &[usize]) -> Self {
-        let as_f: Vec<f64> = data.iter().map(|&x| x as f64).collect();
-        Self::of(&as_f)
-    }
-
     /// The all-zero digest of an empty sample — what
     /// [`from_histogram`](Self::from_histogram) returns when nothing was
     /// recorded, so callers can report "no observations" without a panic.
@@ -321,23 +315,6 @@ impl Histogram {
             .sum();
         above as f64 / self.total as f64
     }
-
-    /// Render as a compact ASCII bar chart (for figure binaries).
-    pub fn ascii(&self, width: usize) -> String {
-        let peak = self.counts.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (lo, c) in self.buckets() {
-            let bar = (c as usize * width / peak as usize).max(1);
-            out.push_str(&format!(
-                "{:>8}..{:<8} {:>8} {}\n",
-                lo,
-                lo + self.bucket_width - 1,
-                c,
-                "#".repeat(bar)
-            ));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -364,13 +341,6 @@ mod tests {
         assert_eq!(s.max, 4.0);
         assert_eq!(s.p50, 2.0);
         assert_eq!(s.p99, 4.0);
-    }
-
-    #[test]
-    fn summary_of_usize() {
-        let s = Summary::of_usize(&[10, 20, 30]);
-        assert_eq!(s.mean, 20.0);
-        assert_eq!(s.count, 3);
     }
 
     #[test]
@@ -512,16 +482,5 @@ mod tests {
         assert_eq!(a.max(), 9);
         let counts: Vec<(u64, u64)> = a.buckets().collect();
         assert_eq!(counts, vec![(1, 1), (2, 2), (9, 1)]);
-    }
-
-    #[test]
-    fn histogram_ascii_nonempty() {
-        let mut h = Histogram::new(5);
-        h.record(1);
-        h.record(2);
-        h.record(12);
-        let art = h.ascii(20);
-        assert!(art.contains('#'));
-        assert_eq!(art.lines().count(), 2);
     }
 }

@@ -81,8 +81,8 @@ impl RoutePattern {
 
 /// A borrowed [`RoutePattern`]: what [`RouteBackend::inject`] consumes,
 /// so the session's slice-taking entry points (`route_with_dests`,
-/// `route_direct`, `route_relation_map`) inject straight from the
-/// caller's buffers without copying them into an owned pattern.
+/// `route_direct`) inject straight from the caller's buffers without
+/// copying them into an owned pattern.
 #[derive(Debug, Clone, Copy)]
 pub enum PatternRef<'a> {
     /// See [`RoutePattern::Permutation`].
@@ -659,12 +659,6 @@ impl<B: RouteBackend> RoutingSession<B> {
     /// intermediates) — see [`RoutePattern::Direct`].
     pub fn route_direct(&mut self, dests: &[usize]) -> RunReport {
         self.run_single(PatternRef::Direct(dests), SeedSeq::new(0), 0, &mut NoopSink)
-    }
-
-    /// Route an explicit request map with intermediates drawn from an
-    /// explicit `seq`.
-    pub fn route_relation_map(&mut self, relation: &[Vec<usize>], seq: SeedSeq) -> RunReport {
-        self.run_single(PatternRef::RelationMap(relation), seq, 0, &mut NoopSink)
     }
 
     /// One request on the single-copy engine. Generic over the sink:

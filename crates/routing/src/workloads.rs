@@ -17,27 +17,6 @@ pub fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> 
     dests
 }
 
-/// A partial permutation: each source holds a packet with probability
-/// `density`; occupied sources get distinct random destinations.
-/// `None` marks an empty source.
-pub fn partial_permutation<R: Rng + ?Sized>(
-    n: usize,
-    density: f64,
-    rng: &mut R,
-) -> Vec<Option<usize>> {
-    assert!((0.0..=1.0).contains(&density));
-    let perm = random_permutation(n, rng);
-    (0..n)
-        .map(|i| {
-            if rng.gen_bool(density) {
-                Some(perm[i])
-            } else {
-                None
-            }
-        })
-        .collect()
-}
-
 /// A partial h-relation: every source originates at most `h` packets and
 /// every destination receives at most `h`. Built from `h` independent
 /// random permutations (the standard construction), so it is in fact an
@@ -196,12 +175,6 @@ pub fn mesh_tornado(mesh: &Mesh) -> Vec<usize> {
         .collect()
 }
 
-/// A cyclic shift by `k` in row-major node order (wraps around). Uniform
-/// but non-local traffic: every packet travels the same displacement.
-pub fn cyclic_shift(n: usize, k: usize) -> Vec<usize> {
-    (0..n).map(|v| (v + k) % n).collect()
-}
-
 /// Check that `dests` is a permutation of `0..n`.
 pub fn is_permutation(dests: &[usize]) -> bool {
     let n = dests.len();
@@ -227,18 +200,6 @@ mod tests {
         for n in [1usize, 2, 10, 100] {
             assert!(is_permutation(&random_permutation(n, &mut rng)));
         }
-    }
-
-    #[test]
-    fn partial_permutation_destinations_distinct() {
-        let mut rng = SeedSeq::new(2).rng();
-        let pp = partial_permutation(200, 0.5, &mut rng);
-        let mut dests: Vec<usize> = pp.iter().flatten().copied().collect();
-        let before = dests.len();
-        dests.sort_unstable();
-        dests.dedup();
-        assert_eq!(dests.len(), before);
-        assert!(before > 50 && before < 150, "density ~0.5, got {before}");
     }
 
     #[test]
@@ -423,13 +384,6 @@ mod tests {
         assert_eq!(t[mesh.node_at(2, 6)], mesh.node_at(2, 1));
     }
 
-    #[test]
-    fn cyclic_shift_wraps() {
-        let s = cyclic_shift(10, 3);
-        assert!(is_permutation(&s));
-        assert_eq!(s[9], 2);
-    }
-
     proptest! {
         #[test]
         fn prop_adversarial_patterns_are_permutations(n in 1usize..=5) {
@@ -437,7 +391,6 @@ mod tests {
             prop_assert!(is_permutation(&mesh_transpose(&mesh)));
             prop_assert!(is_permutation(&mesh_bit_reversal(&mesh)));
             prop_assert!(is_permutation(&mesh_tornado(&mesh)));
-            prop_assert!(is_permutation(&cyclic_shift(mesh.num_nodes(), n)));
         }
 
         #[test]

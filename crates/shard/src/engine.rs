@@ -6,21 +6,18 @@
 //! over the induced sub-CSR (remote link heads become out-degree-0
 //! ghost nodes). One **global step** is:
 //!
-//! 1. **Transmit (sharded)** — every shard engine runs its transmit
-//!    phase independently; with `threads > 1` the shards fan out over a
-//!    persistent [`WorkerPool`], one shard per worker. Each shard then
-//!    publishes its extractions in its boundary **mailbox**: the
-//!    engine's arrivals buffer, handed over zero-copy via
-//!    [`Engine::swap_arrivals`]. Mailbox capacity is bounded by the
-//!    shard's link count — at most one packet per link per step — and
-//!    preallocated.
+//! 1. **Transmit (per shard)** — the shard engines run their transmit
+//!    phase one after another on the calling thread (shards do not
+//!    interact during transmit). Each leaves its extractions in its own
+//!    arrivals buffer ([`Engine::arrivals`]), at most one packet per
+//!    link.
 //! 2. **Process (central)** — a shard is an ascending node-id range
 //!    (the one shape a [`ShardPlan`] can have), so the shards own
-//!    disjoint ascending link-id ranges and the `k` mailboxes
+//!    disjoint ascending link-id ranges and the `k` arrivals buffers
 //!    concatenate into the exact arrival order of the serial engine; no
 //!    merge is materialized. The process phase groups arrivals **in
-//!    place** through packed `(shard, index)` coordinates into the
-//!    mailboxes, then drives the [`Protocol`] over destination nodes in
+//!    place** through packed `(shard, index)` coordinates into those
+//!    buffers, then drives the [`Protocol`] over destination nodes in
 //!    ascending id — precisely the serial engine's process phase.
 //!    Protocol sends are enqueued straight into the owning shard.
 //!
@@ -39,43 +36,35 @@
 //!
 //! # Cost model
 //!
-//! Sharding pays a coordination tax — the lockstep rendezvous (when the
-//! pool is on) and the per-shard bookkeeping — to buy transmit-phase
-//! parallelism and per-shard cache locality. The serial-coordinator
-//! path uses no atomics (`Mutex::get_mut`) and the exchange is zero-copy
-//! (packets stay in the mailboxes until batch assembly — the same single
-//! copy the serial engine pays), so on one core the tax is a few
-//! percent. The process phase stays central and is most of a step, so
-//! only the transmit share can scale with `k`. See the README's sharding
-//! section for when sharding wins and loses.
+//! A sharded run is single-threaded and buys no speed: it pays the
+//! per-shard bookkeeping (ownership lookups, `k` short transmit loops)
+//! and nothing else — packets stay in the shards' arrivals buffers
+//! until batch assembly, the same single copy the serial engine pays —
+//! so it runs a few percent behind the serial engine. It is kept as the
+//! bit-identity substrate a shard-local process phase would build on
+//! (a plain `Vec<Engine>` that scoped threads can `iter_mut`). See the
+//! README's sharding section.
 
 use crate::partition::{Partitioner, ShardPlan};
 use lnpram_simnet::fault::{FaultError, FaultPlan, FaultSchedule};
 use lnpram_simnet::trace::{NoopSink, Phase, TraceSink};
-use lnpram_simnet::worker::WorkerPool;
 use lnpram_simnet::{
     step_loop, ArrivalGroups, Engine, InvariantViolation, Metrics, NoAdmission, Outbox, Packet,
     Protocol, RunOutcome, SimConfig, StepEngine,
 };
 use lnpram_topology::Network;
-use std::sync::Mutex;
 
 /// "Not assigned yet" in the construction-time and checking tables.
 const NIL: u32 = u32::MAX;
 
 /// Packed arrival coordinates: shard id in the top 4 bits, index into
-/// that shard's mailbox in the low 28. Lets the process phase fetch
-/// packets straight out of the mailboxes — no translation or
+/// that shard's arrivals buffer in the low 28. Lets the process phase
+/// fetch packets straight out of the shard engines — no translation or
 /// concatenation pass.
 const COORD_BITS: u32 = 28;
 const COORD_MASK: u32 = (1 << COORD_BITS) - 1;
 /// Shard-count cap imposed by the packed coordinates.
 pub const MAX_SHARDS: usize = 15;
-
-/// Minimum total in-flight packets (per shard) before the transmit
-/// phase is worth a worker-pool rendezvous; below this the shards are
-/// stepped inline on the coordinator thread (same results either way).
-const PARALLEL_MIN_PER_SHARD: usize = 64;
 
 /// The induced sub-network of one shard in flat CSR form: its owned
 /// nodes keep their global port order; links whose head lives in
@@ -100,26 +89,6 @@ impl Network for SubNet {
     }
     fn name(&self) -> String {
         self.label.clone()
-    }
-}
-
-/// One shard: its engine over the induced sub-CSR plus the boundary
-/// mailbox buffer.
-struct Shard {
-    engine: Engine,
-    /// Boundary mailbox: this step's extractions as `(local link id,
-    /// packet)`, ascending — the engine's arrivals buffer, swapped out
-    /// zero-copy. Bounded by the shard's link count.
-    buf: Vec<(u32, Packet)>,
-}
-
-impl Shard {
-    /// Transmit phase of one global step: extract packets from this
-    /// shard's active links and publish them in the mailbox. Runs on a
-    /// pool worker in parallel mode.
-    fn transmit(&mut self) {
-        self.engine.step_transmit(&mut NoopSink);
-        self.engine.swap_arrivals(&mut self.buf);
     }
 }
 
@@ -157,15 +126,16 @@ pub struct ShardedEngine {
     /// Global transmit phases since the last reset (the step the fault
     /// schedule is keyed on, mirroring the serial engine's clock).
     clock: u32,
-    shards: Vec<Mutex<Shard>>,
-    workers: Option<WorkerPool>,
+    /// One engine per shard over its induced sub-CSR, in shard order.
+    shards: Vec<Engine>,
     pending: Vec<(usize, Packet)>,
     /// Packets currently queued across all shards.
     in_flight: usize,
     metrics: Metrics,
     // --- reusable per-step scratch (mirrors `Engine`'s process phase) ---
     /// Packed arrival coordinates grouped by destination node — the
-    /// serial engine's grouper, pointing into the mailboxes in place.
+    /// serial engine's grouper, pointing into the shards' arrivals in
+    /// place.
     groups: ArrivalGroups,
     batch: Vec<Packet>,
 }
@@ -175,8 +145,7 @@ impl ShardedEngine {
     /// to `1..=`[`MAX_SHARDS`] (the packed-coordinate cap) **and** to
     /// the node count, so `cfg.shards > n` on a tiny network yields one
     /// single-node shard per node instead of empty shards — and build
-    /// one engine per shard. `cfg.threads > 1` enables the worker pool
-    /// across shards.
+    /// one engine per shard.
     /// Explicit plans via [`ShardedEngine::with_plan`] are not clamped
     /// (empty shards in an explicit plan are legal and simulated
     /// correctly) and assert the cap instead.
@@ -220,11 +189,10 @@ impl ShardedEngine {
         let link_base: Vec<u32> = start.iter().map(|&v| link_offset[v]).collect();
         let mut node_owner = Vec::with_capacity(n);
         let shard_cfg = SimConfig {
-            discipline: cfg.discipline,
             max_steps: u32::MAX,
-            threads: 1,
             record_link_loads: false,
             shards: 0,
+            ..cfg.clone()
         };
         let mut shards = Vec::with_capacity(k);
         for s in 0..k {
@@ -269,10 +237,7 @@ impl ShardedEngine {
                 targets,
                 label: format!("{}/shard{}of{}", net.name(), s, k),
             };
-            shards.push(Mutex::new(Shard {
-                engine: Engine::new(&sub, shard_cfg.clone()),
-                buf: Vec::with_capacity(links),
-            }));
+            shards.push(Engine::new(&sub, shard_cfg.clone()));
         }
         ShardedEngine {
             cfg,
@@ -286,7 +251,6 @@ impl ShardedEngine {
             faults: None,
             clock: 0,
             shards,
-            workers: None,
             pending: Vec::new(),
             in_flight: 0,
             metrics: Metrics::default(),
@@ -314,18 +278,9 @@ impl ShardedEngine {
     /// Forward a blocked-state update for a global link to the shard
     /// engine that owns it: the last shard whose link range starts at or
     /// before `link` (empty shards share their successor's base).
-    fn apply_link_blocked(
-        link_base: &[u32],
-        shards: &mut [Mutex<Shard>],
-        link: usize,
-        blocked: bool,
-    ) {
+    fn apply_link_blocked(link_base: &[u32], shards: &mut [Engine], link: usize, blocked: bool) {
         let s = link_base.partition_point(|&base| base as usize <= link) - 1;
-        shards[s]
-            .get_mut()
-            .expect("shard mutex")
-            .engine
-            .set_link_blocked(link - link_base[s] as usize, blocked);
+        shards[s].set_link_blocked(link - link_base[s] as usize, blocked);
     }
 
     /// Mark the link `(node, port)` as failed: packets queue on it but
@@ -358,18 +313,12 @@ impl ShardedEngine {
         self.cfg.max_steps = max_steps;
     }
 
-    /// Exclusive access to shard `s` — no lock traffic; the coordinator
-    /// holds `&mut self` everywhere outside the pool job.
-    fn shard_mut(&mut self, s: usize) -> &mut Shard {
-        self.shards[s].get_mut().expect("shard mutex")
-    }
-
     /// Restore the just-built state, keeping every allocation (shard
-    /// arenas, mailboxes, scratch, worker pool) warm — the sharded
-    /// counterpart of [`Engine::reset`].
+    /// arenas, scratch) warm — the sharded counterpart of
+    /// [`Engine::reset`].
     pub fn reset(&mut self) {
-        for s in 0..self.k {
-            self.shard_mut(s).engine.reset();
+        for shard in &mut self.shards {
+            shard.reset();
         }
         self.pending.clear();
         self.in_flight = 0;
@@ -394,7 +343,7 @@ impl ShardedEngine {
     pub fn link_loads(&self) -> Vec<u32> {
         let mut loads = Vec::with_capacity(self.num_links);
         for shard in &self.shards {
-            loads.extend(shard.lock().expect("shard mutex").engine.link_loads());
+            loads.extend(shard.link_loads());
         }
         loads
     }
@@ -405,8 +354,8 @@ impl ShardedEngine {
     /// the shards' link ranges ascend.
     pub fn drain_all(&mut self) -> Vec<Packet> {
         let mut out = Vec::new();
-        for s in 0..self.k {
-            out.append(&mut self.shard_mut(s).engine.drain_all());
+        for shard in &mut self.shards {
+            out.append(&mut shard.drain_all());
         }
         self.in_flight = 0;
         out
@@ -439,65 +388,6 @@ impl ShardedEngine {
         std::mem::take(&mut self.pending)
     }
 
-    /// Transmit phase across all shards — over the worker pool (one
-    /// shard per worker) when configured and worthwhile, inline
-    /// otherwise. Both paths produce identical mailboxes: shards do not
-    /// interact during transmit. Per-shard phase windows and
-    /// boundary-crossing counts are reported only on the inline path
-    /// (sinks are not `Sync`); the pooled path still gets the
-    /// whole-phase window from the caller.
-    fn transmit_all<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
-        let parallel =
-            self.cfg.threads > 1 && self.k > 1 && self.in_flight >= PARALLEL_MIN_PER_SHARD * self.k;
-        if parallel {
-            let pool = self
-                .workers
-                .get_or_insert_with(|| WorkerPool::new(self.k.min(self.cfg.threads)));
-            let shards = &self.shards;
-            let workers = pool.threads();
-            pool.run(&move |w| {
-                // Round-robin shards over workers (k == workers in the
-                // common one-shard-per-worker setup).
-                let mut s = w;
-                while s < shards.len() {
-                    shards[s].lock().expect("shard mutex").transmit();
-                    s += workers;
-                }
-            });
-        } else if sink.enabled() {
-            for s in 0..self.k {
-                sink.on_shard_phase_start(s, Phase::Transmit);
-                self.shard_mut(s).transmit();
-                sink.on_shard_phase_end(s, Phase::Transmit);
-                // Boundary-crossing volume: mailbox packets whose head
-                // node is owned by another shard (the traffic the
-                // exchange actually moves across the partition).
-                let Self {
-                    shards,
-                    link_head,
-                    link_base,
-                    node_owner,
-                    ..
-                } = self;
-                let heads = &link_head[link_base[s] as usize..];
-                let crossing = shards[s]
-                    .get_mut()
-                    .expect("shard mutex")
-                    .buf
-                    .iter()
-                    .filter(|&&(local, _)| {
-                        (node_owner[heads[local as usize] as usize] >> COORD_BITS) as usize != s
-                    })
-                    .count();
-                sink.on_boundary(s, crossing);
-            }
-        } else {
-            for s in 0..self.k {
-                self.shard_mut(s).transmit();
-            }
-        }
-    }
-
     /// Apply one callback's outbox: route every send into the shard
     /// owning `node` (sends always leave on the processing node's own
     /// ports) and record deliveries centrally.
@@ -505,10 +395,7 @@ impl ShardedEngine {
         if !out.sends().is_empty() {
             let owner = self.node_owner[node];
             let local = (owner & COORD_MASK) as usize;
-            let shard = self.shards[(owner >> COORD_BITS) as usize]
-                .get_mut()
-                .expect("shard mutex");
-            shard.engine.enqueue_sends(local, out.sends());
+            self.shards[(owner >> COORD_BITS) as usize].enqueue_sends(local, out.sends());
             self.in_flight += out.sends().len();
         }
         for pkt in out.delivered() {
@@ -527,17 +414,17 @@ impl ShardedEngine {
     /// Checked, beyond the per-shard engine state:
     /// * packet conservation across the partition: the coordinator's
     ///   `in_flight` == the sum of every shard engine's `in_flight`
-    ///   (a mailbox-exchange bug shows up here as a leak or a dupe);
+    ///   (an exchange bug shows up here as a leak or a dupe);
     /// * link accounting: the shards' link ranges (`link_base`) ascend
     ///   from 0 to the global link count — which is what lets the
-    ///   mailboxes concatenate into the serial arrival order — and each
-    ///   shard engine has exactly its range's number of links, so local
-    ///   link `l` of shard `s` is global link `link_base[s] + l`;
+    ///   arrivals buffers concatenate into the serial arrival order — and
+    ///   each shard engine has exactly its range's number of links, so
+    ///   local link `l` of shard `s` is global link `link_base[s] + l`;
     /// * node accounting: every global node is owned by exactly one
     ///   shard, at a local id within that shard's engine;
     /// * the coordinator's arrival grouper is idle (bitmap zero, no
     ///   chain heads).
-    pub fn check_invariants(&mut self) -> Result<(), InvariantViolation> {
+    pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         let fail = |what: String| Err(InvariantViolation { what });
 
         if let Err(e) = self.groups.check_idle() {
@@ -545,8 +432,7 @@ impl ShardedEngine {
         }
 
         let mut shard_in_flight = 0usize;
-        for s in 0..self.k {
-            let eng = &self.shard_mut(s).engine;
+        for (s, eng) in self.shards.iter().enumerate() {
             shard_in_flight += eng.in_flight();
             if let Err(v) = eng.check_invariants() {
                 return fail(format!("shard {s}: {v}"));
@@ -570,7 +456,7 @@ impl ShardedEngine {
         }
         for s in 0..self.k {
             let (lo, hi) = (self.link_base[s], self.link_base[s + 1]);
-            let shard_links = self.shard_mut(s).engine.num_links();
+            let shard_links = self.shards[s].num_links();
             if lo > hi || (hi - lo) as usize != shard_links {
                 return fail(format!(
                     "shard {s} owns global links {lo}..{hi} but its engine has {shard_links} links"
@@ -588,7 +474,7 @@ impl ShardedEngine {
             owned[s] = owned[s].max(local + 1);
         }
         for (s, &hi) in owned.iter().enumerate() {
-            let shard_nodes = self.shard_mut(s).engine.num_nodes();
+            let shard_nodes = self.shards[s].num_nodes();
             if hi > shard_nodes {
                 return fail(format!(
                     "shard {s} owner table points at local node {} but its engine (ghosts \
@@ -602,11 +488,11 @@ impl ShardedEngine {
 }
 
 /// The arrival a packed coordinate addresses: a slot of a shard's
-/// mailbox.
-fn mailbox_packet(shards: &mut [Mutex<Shard>], packed: u32) -> &Packet {
+/// arrivals buffer.
+fn arrival(shards: &[Engine], packed: u32) -> &Packet {
     let s = (packed >> COORD_BITS) as usize;
     let idx = (packed & COORD_MASK) as usize;
-    &shards[s].get_mut().expect("shard mutex").buf[idx].1
+    &shards[s].arrivals()[idx].1
 }
 
 impl StepEngine for ShardedEngine {
@@ -624,8 +510,9 @@ impl StepEngine for ShardedEngine {
         self.pending.clear();
     }
 
-    // Every shard extracts from its own links; the mailboxes already
-    // concatenate into the serial arrival order.
+    // Every shard extracts from its own links, one shard after another;
+    // their arrivals buffers already concatenate into the serial arrival
+    // order.
     fn step_transmit<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
         self.clock += 1;
         if self.faults.is_some() {
@@ -650,16 +537,35 @@ impl StepEngine for ShardedEngine {
             }
         }
         sink.on_phase_start(Phase::Transmit);
-        self.transmit_all(sink);
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            sink.on_shard_phase_start(s, Phase::Transmit);
+            shard.step_transmit(&mut NoopSink);
+            sink.on_shard_phase_end(s, Phase::Transmit);
+            if sink.enabled() {
+                // Boundary-crossing volume: arrivals whose head node is
+                // owned by another shard (the traffic that actually
+                // crosses the partition).
+                let heads = &self.link_head[self.link_base[s] as usize..];
+                let crossing = shard
+                    .arrivals()
+                    .iter()
+                    .filter(|&&(local, _)| {
+                        let owner = self.node_owner[heads[local as usize] as usize];
+                        (owner >> COORD_BITS) as usize != s
+                    })
+                    .count();
+                sink.on_boundary(s, crossing);
+            }
+        }
         sink.on_phase_end(Phase::Transmit);
     }
 
     // The serial engine's exact callback sequence. Arrivals are read
     // **in place**: the grouper files packed `(shard, index)`
-    // coordinates into the mailboxes, which concatenate in global link
-    // order, so no packet moves until batch assembly — the same single
-    // copy the serial engine pays, and none for a node with a single
-    // arrival.
+    // coordinates into the shards' arrivals buffers, which concatenate in
+    // global link order, so no packet moves until batch assembly — the
+    // same single copy the serial engine pays, and none for a node with a
+    // single arrival.
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
         // Grouping pass over plain field borrows (no self methods).
         let mut arrivals = 0usize;
@@ -671,9 +577,9 @@ impl StepEngine for ShardedEngine {
                 groups,
                 ..
             } = self;
-            for (s, shard) in shards.iter_mut().enumerate() {
+            for (s, shard) in shards.iter().enumerate() {
                 let heads = &link_head[link_base[s] as usize..];
-                let buf = &shard.get_mut().expect("shard mutex").buf;
+                let buf = shard.arrivals();
                 debug_assert!(buf.len() <= COORD_MASK as usize);
                 for (idx, &(local, _)) in buf.iter().enumerate() {
                     groups.push(
@@ -697,12 +603,12 @@ impl StepEngine for ShardedEngine {
                 break;
             };
             if let Some(packed) = groups.single(head) {
-                let pkt = std::slice::from_ref(mailbox_packet(shards, packed));
+                let pkt = std::slice::from_ref(arrival(shards, packed));
                 proto.on_arrivals(node, pkt, step, out);
             } else {
                 batch.clear();
                 for packed in groups.members(head) {
-                    batch.push(*mailbox_packet(shards, packed));
+                    batch.push(*arrival(shards, packed));
                 }
                 proto.on_arrivals(node, batch, step, out);
             }
@@ -711,8 +617,8 @@ impl StepEngine for ShardedEngine {
     }
 
     fn step_finish(&mut self) {
-        for s in 0..self.k {
-            self.shard_mut(s).engine.step_finish();
+        for shard in &mut self.shards {
+            shard.step_finish();
         }
     }
 
@@ -722,8 +628,10 @@ impl StepEngine for ShardedEngine {
 
     fn finish_metrics(&mut self, steps: u32) -> Metrics {
         self.metrics.steps = steps;
-        self.metrics.max_queue = (0..self.k)
-            .map(|s| self.shard_mut(s).engine.queue_high_water())
+        self.metrics.max_queue = self
+            .shards
+            .iter()
+            .map(Engine::queue_high_water)
             .max()
             .unwrap_or(0);
         if self.cfg.record_link_loads {
@@ -741,16 +649,13 @@ impl StepEngine for ShardedEngine {
     }
 
     fn arrivals_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shard mutex").buf.len())
-            .sum()
+        self.shards.iter().map(|s| s.arrivals().len()).sum()
     }
 
     fn max_queue_len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("shard mutex").engine.max_queue_len())
+            .map(StepEngine::max_queue_len)
             .max()
             .unwrap_or(0)
     }

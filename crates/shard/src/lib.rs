@@ -1,21 +1,23 @@
 //! # lnpram-shard
 //!
-//! The sharded simulation subsystem — the workspace's one mechanism for
-//! using a second core: split a [`Network`](lnpram_topology::Network)
-//! into `k` ascending node-id ranges, give each range its own
-//! [`Engine`](lnpram_simnet::Engine) over its induced sub-CSR, and step
-//! all shards in lockstep per global step. Cross-shard packets travel
-//! through fixed-capacity boundary mailboxes, which concatenate in
-//! global link-id order — the serial engine's arrival order — because a
-//! shard is always a contiguous node range.
+//! The sharded simulation subsystem: split a
+//! [`Network`](lnpram_topology::Network) into `k` ascending node-id
+//! ranges, give each range its own [`Engine`](lnpram_simnet::Engine)
+//! over its induced sub-CSR, and step all shards in lockstep per global
+//! step, on the calling thread. A packet whose next hop lives in
+//! another shard is read by the central process phase out of its
+//! shard's arrivals buffer; the `k` buffers concatenate in global
+//! link-id order — the serial engine's arrival order — because a shard
+//! is always a contiguous node range.
 //!
 //! The subsystem's invariant — pinned by property tests over random
 //! butterflies, stars and meshes — is that [`ShardedEngine::run`] is
 //! **bit-identical** to a single serial `Engine::run` on the whole
 //! network: same metrics, same deliveries, same link loads, for any
 //! protocol and any plan. Sharding can therefore never move a simulated
-//! number: it trades a small coordination tax (lockstep barrier,
-//! per-shard bookkeeping) for transmit-phase parallelism across shards.
+//! number. It does not buy speed either: one run is one thread, and the
+//! per-shard bookkeeping costs a few percent (see [`engine`], *Cost
+//! model*).
 //!
 //! * [`partition`] — [`ShardPlan`] (typed [`PlanError`]s for an
 //!   assignment that is not a sequence of ascending ranges) and the
@@ -595,36 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_path_matches_inline_path() {
-        // Force the pool on (threads > 1) vs off (threads = 1): the
-        // transmit fan-out must not change any observable.
-        let mesh = Mesh::square(8);
-        let n = mesh.num_nodes();
-        let run = |threads: usize| {
-            let cfg = SimConfig {
-                threads,
-                record_link_loads: true,
-                shards: 4,
-                ..Default::default()
-            };
-            let mut eng = ShardedEngine::new(&mesh, cfg, &RowBlock::new(8));
-            let mut state = 99u64;
-            for src in 0..n {
-                for j in 0..4 {
-                    let dest = (splitmix64(&mut state) as usize) % n;
-                    eng.inject(
-                        src,
-                        Packet::new((4 * src + j) as u32, src as u32, dest as u32),
-                    );
-                }
-            }
-            let out = eng.run(&mut GreedyMesh { mesh });
-            fingerprint(out.completed, &out.metrics)
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
     fn stateful_protocol_sees_serial_callback_order() {
         // A protocol that hashes its full callback sequence: the sharded
         // path must replay the serial order exactly (this is what keeps
@@ -662,6 +634,83 @@ mod tests {
         let fb = run_sharded(&mesh, cfg_sharded(4), &RowBlock::new(6), &inject, &mut b);
         assert_eq!(fa, fb);
         assert_eq!(a.hash, b.hash, "callback sequences diverged");
+    }
+
+    #[test]
+    fn every_shard_reports_its_boundary_traffic_on_every_step() {
+        // 256 packets in flight at K = 2: a listening sink must see each
+        // shard's transmit window and boundary count on every step, and
+        // the count must be what the plan says crossed.
+        struct Hops {
+            mesh: Mesh,
+            plan: ShardPlan,
+            /// Node each packet was last seen at.
+            at: Vec<usize>,
+            /// Per step, per tail shard: arrivals whose head node another
+            /// shard owns.
+            crossed: Vec<[usize; 2]>,
+        }
+        impl Protocol for Hops {
+            fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
+                let from = std::mem::replace(&mut self.at[pkt.id as usize], node);
+                if step > 0 {
+                    self.crossed.resize(step as usize + 1, [0; 2]);
+                    let tail = self.plan.shard_of(from);
+                    if tail != self.plan.shard_of(node) {
+                        self.crossed[step as usize][tail] += 1;
+                    }
+                }
+                GreedyMesh { mesh: self.mesh }.on_packet(node, pkt, step, out);
+            }
+        }
+        #[derive(Default)]
+        struct Boundaries {
+            step: u32,
+            windows: usize,
+            seen: Vec<(u32, usize, usize)>,
+        }
+        impl lnpram_simnet::TraceSink for Boundaries {
+            fn on_step_begin(&mut self, step: u32) {
+                self.step = step;
+            }
+            fn on_shard_phase_end(&mut self, _shard: usize, _phase: lnpram_simnet::Phase) {
+                self.windows += 1;
+            }
+            fn on_boundary(&mut self, shard: usize, packets: usize) {
+                self.seen.push((self.step, shard, packets));
+            }
+        }
+
+        let mesh = Mesh::square(16);
+        let n = mesh.num_nodes();
+        let cfg = SimConfig {
+            shards: 2,
+            ..Default::default()
+        };
+        let plan = RowBlock::new(16).partition(&mesh, 2);
+        let mut eng = ShardedEngine::with_plan(&mesh, cfg, plan.clone());
+        for src in 0..n {
+            eng.inject(
+                src,
+                Packet::new(src as u32, src as u32, (n - 1 - src) as u32),
+            );
+        }
+        let mut proto = Hops {
+            mesh,
+            plan,
+            at: (0..n).collect(),
+            crossed: Vec::new(),
+        };
+        let mut sink = Boundaries::default();
+        let out = eng.run_traced(&mut proto, &mut sink);
+        assert!(out.completed);
+        let steps = out.metrics.steps as usize;
+        assert_eq!(sink.windows, 2 * steps);
+        let expected: Vec<(u32, usize, usize)> = (1..=steps)
+            .flat_map(|t| [0, 1].map(|s| (t as u32, s, proto.crossed[t][s])))
+            .collect();
+        assert_eq!(sink.seen, expected);
+        assert!(sink.seen.iter().any(|&(_, _, packets)| packets > 0));
     }
 
     mod properties {
@@ -834,7 +883,7 @@ mod tests {
             /// shard engine's own state invariants hold at *every*
             /// global step boundary — the dynamic complement of the
             /// source policy clippy enforces (`[workspace.lints]`), at
-            /// the layer where a mailbox-exchange bug would first appear.
+            /// the layer where an exchange bug would first appear.
             #[test]
             fn prop_sharded_invariants_hold_at_every_step(
                 seed: u64,

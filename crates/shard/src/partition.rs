@@ -3,14 +3,14 @@
 //! A [`ShardPlan`] assigns every node of a [`Network`] to one of `k`
 //! shards. The shard owning a node owns that node's *out-link queues*;
 //! a directed link whose head lives in another shard is a **boundary
-//! link** — its packets cross shards through the mailbox exchange in
-//! [`crate::ShardedEngine`].
+//! link** — its packets are handed to a node of another shard by the
+//! central process phase of [`crate::ShardedEngine`].
 //!
 //! A shard is always an **ascending node-id range**: `node_shard` is
 //! non-decreasing, checked once in [`ShardPlan::new`]. CSR link ids are
 //! node-major, so the shards' link-id ranges are disjoint and ascending
-//! too, and the mailboxes concatenate into the serial engine's arrival
-//! order with no merge. The process phase is central, so the size of the
+//! too, and the shards' arrivals concatenate into the serial engine's
+//! arrival order with no merge. The process phase is central, so the size of the
 //! cut never enters the cost; what a strategy chooses is only where the
 //! range boundaries fall:
 //!

@@ -397,7 +397,6 @@ fn config(furthest_first: bool, max_steps: u32) -> SimConfig {
         },
         max_steps,
         record_link_loads: true,
-        threads: 1,
         ..SimConfig::default()
     }
 }

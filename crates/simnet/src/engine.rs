@@ -64,9 +64,10 @@ pub struct SimConfig {
     /// Abort the run (with `completed = false`) after this many steps.
     /// This is also the emulator's rehash timeout hook.
     pub max_steps: u32,
-    /// Worker threads the sharded engine fans its shards' transmit over
-    /// (`lnpram-shard`; the serial `Engine` is single-threaded and
-    /// ignores it).
+    /// Inert: nothing reads it. A run is one thread whatever this says
+    /// (cores are spent across runs, by
+    /// `lnpram_math::stats::par_trial_values`); the field stays only
+    /// until the `bench_layers` literals that name it can be edited.
     pub threads: usize,
     /// Snapshot per-link traversal counts into
     /// [`Metrics::link_loads`](crate::Metrics) at the end of the run (one
@@ -77,9 +78,9 @@ pub struct SimConfig {
     /// (`lnpram-shard`). The `Engine` itself ignores this field: it is a
     /// construction knob consumed by `AnyEngine::new` and the emulators —
     /// `0` or `1` selects the single serial engine, `k ≥ 2` splits the
-    /// network into `k` shards stepped in lockstep with deterministic
-    /// boundary exchange (bit-identical outcomes, pinned by the
-    /// `lnpram-shard` property tests). Values above `lnpram-shard`'s
+    /// network into `k` shard engines stepped in lockstep on the calling
+    /// thread (bit-identical outcomes, pinned by the `lnpram-shard`
+    /// property tests; no speed-up). Values above `lnpram-shard`'s
     /// `MAX_SHARDS` (15, the packed-coordinate cap) or above the node
     /// count of the network being simulated are clamped.
     pub shards: usize,
@@ -90,7 +91,7 @@ impl Default for SimConfig {
         SimConfig {
             discipline: Discipline::Fifo,
             max_steps: 1_000_000,
-            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+            threads: 1,
             record_link_loads: false,
             shards: 0,
         }
@@ -435,14 +436,11 @@ impl Engine {
     // every shard.
     // ------------------------------------------------------------------
 
-    /// Swap this step's arrivals buffer — `(link id, packet)` in ascending
-    /// link-id order, the deterministic transmit order — with `buf`
-    /// (zero-copy hand-off to an external coordinator). The engine clears
-    /// whatever buffer it holds at the start of the next transmit, so the
-    /// swapped-in vector may contain anything; the caller owns the
-    /// swapped-out arrivals until it hands a buffer back.
-    pub fn swap_arrivals(&mut self, buf: &mut Vec<(u32, Packet)>) {
-        std::mem::swap(&mut self.arrivals, buf);
+    /// The last transmit's arrivals as `(link id, packet)`, in ascending
+    /// link-id order — the deterministic transmit order. Valid until the
+    /// next transmit phase clears them.
+    pub fn arrivals(&self) -> &[(u32, Packet)] {
+        &self.arrivals
     }
 
     /// Total number of directed links (valid link ids are `0..num_links`).

@@ -11,7 +11,7 @@
 //!
 //! Both engines group through this one type: the serial [`Engine`]
 //! files arrival indices, the sharded coordinator files packed
-//! `(shard, mailbox index)` coordinates.
+//! `(shard, arrival index)` coordinates.
 //!
 //! [`Engine`]: crate::Engine
 

@@ -19,10 +19,7 @@
 //! PRAM emulators are `Protocol` implementations in `lnpram-routing` and
 //! `lnpram-core`.
 
-// Unsafe is denied crate-wide; the one exception is the scoped-job
-// lifetime erasure inside `worker` (see the module docs there), which
-// carries its own `allow` and SAFETY argument.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod demux;
@@ -35,7 +32,6 @@ pub mod protocol;
 pub mod queue;
 pub mod step;
 pub mod trace;
-pub mod worker;
 
 pub use demux::{TagDemux, TagMetrics};
 pub use engine::{Engine, InvariantViolation, RunOutcome, SimConfig};

@@ -5,7 +5,7 @@
 //! arrives), *queue size* (maximum packets resident at any link queue at
 //! any time), and the latency distribution (for delay-vs-bound tables).
 
-use lnpram_math::stats::{Histogram, Summary};
+use lnpram_math::stats::Histogram;
 
 /// Metrics accumulated by one [`Engine`](crate::engine::Engine) run.
 #[derive(Debug, Clone)]
@@ -82,15 +82,6 @@ impl Metrics {
         let mean = used.iter().map(|&l| l as f64).sum::<f64>() / used.len() as f64;
         max / mean
     }
-
-    /// Latency digest, computed in O(buckets) straight from the latency
-    /// histogram (no per-packet materialization — the old implementation
-    /// allocated one `f64` per delivered packet, O(total) at bench
-    /// scale). Returns the documented all-zero [`Summary::empty`] when
-    /// nothing was delivered instead of panicking.
-    pub fn latency_summary(&self) -> Summary {
-        Summary::from_histogram(&self.latency)
-    }
 }
 
 #[cfg(test)]
@@ -139,27 +130,5 @@ mod tests {
         assert!((m.link_imbalance() - 1.5).abs() < 1e-12);
         m.link_loads = vec![3, 3, 3];
         assert!((m.link_imbalance() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn latency_summary_values() {
-        let mut m = Metrics::default();
-        for (s, i) in [(5u32, 0u32), (6, 0), (7, 0)] {
-            m.on_delivery(s, i);
-        }
-        let sum = m.latency_summary();
-        assert_eq!(sum.count, 3);
-        assert_eq!(sum.min, 5.0);
-        assert_eq!(sum.max, 7.0);
-    }
-
-    /// No deliveries must yield the documented zero-count digest, not a
-    /// panic (serve runs with a zero-packet trace hit this path).
-    #[test]
-    fn latency_summary_empty_is_zero_count() {
-        let m = Metrics::default();
-        let sum = m.latency_summary();
-        assert_eq!(sum.count, 0);
-        assert_eq!(sum, Summary::empty());
     }
 }

@@ -46,7 +46,7 @@ pub enum Phase {
     /// Link transmit: every active link pops ≤ 1 packet.
     Transmit,
     /// Nothing emits this phase any more: shard plans are contiguous, so
-    /// the mailboxes need no merge. The variant stays because
+    /// the shards' arrivals need no merge. The variant stays because
     /// `bench_layers/src/workloads/serve.rs` names it; removing it waits
     /// for an issue that may touch `bench_layers/`.
     Exchange,
@@ -468,7 +468,7 @@ pub trait TraceSink {
         let _ = phase;
     }
 
-    /// `phase` is starting on one shard (sharded inline transmit only).
+    /// `phase` is starting on one shard (the sharded engine's transmit).
     #[inline]
     fn on_shard_phase_start(&mut self, shard: usize, phase: Phase) {
         let _ = (shard, phase);
@@ -486,7 +486,8 @@ pub trait TraceSink {
         let _ = (step, link, blocked);
     }
 
-    /// Shard `shard` published `packets` boundary packets this step.
+    /// `packets` of shard `shard`'s arrivals this step are headed for a
+    /// node another shard owns.
     #[inline]
     fn on_boundary(&mut self, shard: usize, packets: usize) {
         let _ = (shard, packets);

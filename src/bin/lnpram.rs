@@ -420,6 +420,15 @@ fn with_backend<U: BackendUser>(
     user: U,
 ) -> Result<U::Out, CliError> {
     let adaptive = backend_flag(flags)? == "adaptive";
+    if let (true, Some(algorithm)) = (adaptive, flags.get("algorithm")) {
+        return Err(CliError::InvalidFlag {
+            flag: "algorithm".into(),
+            value: algorithm.clone(),
+            reason: "the adaptive backend prices its own paths; --algorithm names an \
+                     oblivious mesh algorithm"
+                .into(),
+        });
+    }
     let n = get_usize(flags, "n", 4)?;
     let priced = |net: &dyn Network| {
         AdaptiveBackend::try_new(net, AdaptiveConfig::default()).map_err(|err| {

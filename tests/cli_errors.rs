@@ -55,7 +55,7 @@ fn smallest_star_still_works() {
 
 #[test]
 fn bad_host_sizes_are_typed_errors() {
-    let cases: [(&[&str], &str, &str); 15] = [
+    let cases: [(&[&str], &str, &str); 17] = [
         (&["emulate", "--host", "replicated"], "copies", "2"),
         (&["emulate", "--host", "replicated"], "copies", "0"),
         (&["emulate", "--host", "replicated"], "copies", "9"),
@@ -68,6 +68,16 @@ fn bad_host_sizes_are_typed_errors() {
         (&["serve", "--topology", "butterfly"], "k", "0"),
         (&["audit", "--topology", "mesh"], "n", "0"),
         (&["route", "--topology", "mesh"], "n", "0"),
+        (
+            &["route", "--topology", "mesh", "--backend", "adaptive"],
+            "algorithm",
+            "bogus",
+        ),
+        (
+            &["serve", "--topology", "mesh", "--backend", "adaptive"],
+            "algorithm",
+            "three-stage",
+        ),
         (
             &["route", "--topology", "mesh", "--backend", "adaptive"],
             "n",

@@ -73,7 +73,6 @@ impl TraceSink for Recorder {
 fn sim(shards: usize) -> SimConfig {
     SimConfig {
         shards,
-        threads: 1,
         ..SimConfig::default()
     }
 }
