@@ -109,10 +109,9 @@ fn warmed_up_request_allocates_nothing_per_pair_or_per_path() {
             assert_eq!(rep.packets, n);
             let work = session.backend().price_work();
             assert!(work.searches as usize > n && work.paths_ripped > 0);
-            // Per run, however many pairs: the two buffers of the
-            // `Outbox` that `step_loop` creates, and the histogram the
-            // run hands back.
-            let per_run = 2 + histogram_growth(&rep.metrics.latency);
+            // Per run, however many pairs: the histogram the run hands
+            // back (the engine keeps its `Outbox` across runs).
+            let per_run = histogram_growth(&rep.metrics.latency);
             assert_eq!(
                 allocations, per_run,
                 "a warmed-up request of {n} pairs ({work}) allocated {allocations} times"

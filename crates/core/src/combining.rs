@@ -6,50 +6,72 @@
 //! receives a reply" (footnote 3: any number of same-destination arrivals
 //! combine in unit time).
 //!
-//! We realise this with a *pending table* at every node, keyed by
-//! `(address, trail)`: the first read request for a key is forwarded and
-//! opens an entry; subsequent requests for the same key are absorbed,
-//! appending their arrival direction to the entry's fan-out list (those
-//! are the direction bits). The read reply retraces the request tree in
-//! reverse: at each node it pops the entry and emits one copy per
-//! recorded direction, plus a local delivery if this node's own processor
-//! requested the cell.
+//! We realise this with a *pending entry* at every node a read request
+//! passes, named by an [`EntryId`]. A request packet carries the id of
+//! the entry it left at the previous node; the next node records the
+//! reply port back to that node and that id as a [`Hop`] of its own entry
+//! — those are the direction bits. On the *shared* tree the first request
+//! for `(node, address)` opens the entry ([`PendingTables::join`]) and is
+//! forwarded; later ones are absorbed, appending their hop to the
+//! entry's fan-out list. A *private* trail, which no other request can
+//! meet, opens its entries without any lookup ([`PendingTables::open`]).
+//! The read reply retraces the request tree in reverse: a reply packet
+//! carries the id of the entry it is bound for, so at each node it takes
+//! that entry by id and emits one copy per recorded hop, bound for the
+//! recorded neighbour entry, plus a local delivery if this node's own
+//! processor requested the cell.
 //!
 //! Correctness rests on the routes being *memoryless and convergent*:
-//! once two requests for the same key meet at a node, their remaining
+//! once two requests for the same address meet at a node, their remaining
 //! paths coincide (true for the unique-path phase of leveled networks,
 //! for the greedy star route, and for the deterministic legs of the mesh
 //! algorithm), so the absorbed request's reply is guaranteed to pass back
 //! through the absorbing node.
 //!
-//! The `trail` component of the key is 0 when combining is enabled; with
-//! combining disabled (ablation A4) it is the requesting processor id, so
-//! every request keeps a private trail and nothing merges.
+//! With combining disabled (ablation A4) every trail is private, so
+//! nothing merges.
 //!
-//! **Storage.** The per-node tables are one open-addressed table keyed
-//! `(node, address, trail)`; fan-out and chain lists are linked cells in
-//! one arena. Nothing is allocated per entry, a reset touches only the
-//! slots used since the last one, and no answer depends on slot order,
-//! so the layout is invisible to the simulation.
+//! **Storage.** Entries live in one vector indexed by id, and fan-out and
+//! chain lists are linked cells in one arena, so taking an entry is an
+//! array read. Only [`PendingTables::join`] looks anything up: one
+//! open-addressed table keyed `(node, address)` maps the shared tree to
+//! entry ids. Nothing is allocated per entry once warm, a reset touches
+//! only the slots used since the last one, and no answer depends on slot
+//! order, so the layout is invisible to the simulation.
+
+/// The name of one pending entry, handed out by [`PendingTables`] in
+/// creation order. Request and reply packets carry it as a `u32` word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryId(pub u32);
+
+/// One copy of a reply: leave on `port`, bound for `entry` at the
+/// neighbour that port leads to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop {
+    /// Out-port of this node on the reply network.
+    pub port: u32,
+    /// The entry the request left at that neighbour.
+    pub entry: EntryId,
+}
 
 /// Where a pending request came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
     /// The processor co-located with this node issued it.
     Local,
-    /// It arrived from this neighboring node.
-    FromNode(u32),
-    /// It continues another pending trail *at this same node* — used where
+    /// It arrived over a link; the reply goes back along this hop.
+    Link(Hop),
+    /// It continues another pending entry *at this same node* — used where
     /// a private random-phase trail joins the shared convergent-phase tree
-    /// (the star/mesh emulators; see the deadlock discussion below). When
-    /// the reply consumes this entry it immediately processes the chained
-    /// trail's entry at the same node.
-    Chain(u32),
+    /// (the star emulator; see the deadlock discussion there). When the
+    /// reply consumes this entry it immediately processes the chained
+    /// entry at the same node.
+    Chain(EntryId),
 }
 
 const NIL: u32 = u32::MAX;
 
-/// A list of `u32`s in registration order, stored in the arena of the
+/// A list of [`Hop`]s in registration order, stored in the arena of the
 /// [`PendingTables`] that handed it out. Read it with
 /// [`PendingTables::iter`] or [`PendingTables::next`]; it stays readable
 /// until those tables are reset.
@@ -74,53 +96,49 @@ impl PendingList {
 /// One pending read: the fan-out targets awaiting the reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingEntry {
-    /// Neighbor nodes to copy the reply to.
+    /// Neighbour entries to copy the reply to.
     pub fanout: PendingList,
-    /// Trails to continue at this same node (see [`Source::Chain`]).
+    /// Entries to continue at this same node (see [`Source::Chain`]);
+    /// their hops' `port` is unused.
     pub chains: PendingList,
     /// Deliver to this node's own processor too?
     pub local: bool,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum State {
-    Empty,
-    Live,
-    /// Taken by a reply; keeps probe sequences intact until the next reset.
-    Taken,
-}
+const FRESH: PendingEntry = PendingEntry {
+    fanout: PendingList::EMPTY,
+    chains: PendingList::EMPTY,
+    local: false,
+};
 
+/// A shared-tree key and the entry it names; `entry == NIL` is empty.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     addr: u64,
     node: u32,
-    trail: u32,
-    entry: PendingEntry,
-    state: State,
+    entry: u32,
 }
 
 const VACANT: Slot = Slot {
     addr: 0,
     node: 0,
-    trail: 0,
-    entry: PendingEntry {
-        fanout: PendingList::EMPTY,
-        chains: PendingList::EMPTY,
-        local: false,
-    },
-    state: State::Empty,
+    entry: NIL,
 };
 
 /// Pending-read tables for every node of the emulating network.
 #[derive(Debug, Clone)]
 pub struct PendingTables {
-    /// Open addressing, linear probing; the length is a power of two and
-    /// at most half the slots are ever non-empty.
+    /// Every entry since the last reset, indexed by id, with whether a
+    /// reply has yet to take it.
+    entries: Vec<(PendingEntry, bool)>,
+    /// The shared tree's `(node, address)` keys: open addressing, linear
+    /// probing; the length is a power of two and at most half the slots
+    /// are ever non-empty.
     slots: Vec<Slot>,
     /// Indices of the non-empty slots, in claim order.
     used: Vec<u32>,
-    /// List cells `(value, next)`; lists only grow, and only at the tail.
-    cells: Vec<(u32, u32)>,
+    /// List cells `(hop, next)`; lists only grow, and only at the tail.
+    cells: Vec<(Hop, u32)>,
     live: usize,
     combined: u32,
 }
@@ -129,6 +147,7 @@ impl PendingTables {
     /// Tables for a network of `nodes` nodes.
     pub fn new(nodes: usize) -> Self {
         PendingTables {
+            entries: Vec::new(),
             slots: vec![VACANT; nodes.next_power_of_two().max(64)],
             used: Vec::new(),
             cells: Vec::new(),
@@ -139,48 +158,43 @@ impl PendingTables {
 
     /// Home slot of a key. The keys come from the simulation itself, so a
     /// fixed multiply–xorshift mix is enough.
-    fn home(&self, node: u32, addr: u64, trail: u32) -> usize {
-        let key = (u64::from(node) << 32 | u64::from(trail)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut x = addr ^ key;
+    fn home(&self, node: u32, addr: u64) -> usize {
+        let mut x = addr ^ u64::from(node).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         x ^= x >> 32;
         x = x.wrapping_mul(0xD6E8_FEB8_6659_FD93);
         x ^= x >> 32;
         x as usize & (self.slots.len() - 1)
     }
 
-    /// The live slot of the key, or the empty slot that ends its probe
+    /// The slot holding the key, or the empty slot that ends its probe
     /// sequence.
-    fn probe(&self, node: u32, addr: u64, trail: u32) -> usize {
+    fn probe(&self, node: u32, addr: u64) -> usize {
         let mask = self.slots.len() - 1;
-        let mut i = self.home(node, addr, trail);
+        let mut i = self.home(node, addr);
         loop {
             let s = &self.slots[i];
-            if s.state == State::Empty
-                || (s.state == State::Live && s.addr == addr && s.node == node && s.trail == trail)
-            {
+            if s.entry == NIL || (s.addr == addr && s.node == node) {
                 return i;
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// Double the table, carrying the live entries over in claim order.
+    /// Double the key table, carrying the keys over in claim order.
     fn grow(&mut self) {
         let doubled = vec![VACANT; self.slots.len() * 2];
         let old = std::mem::replace(&mut self.slots, doubled);
         for u in std::mem::take(&mut self.used) {
             let s = old[u as usize];
-            if s.state == State::Live {
-                let i = self.probe(s.node, s.addr, s.trail);
-                self.slots[i] = s;
-                self.used.push(i as u32);
-            }
+            let i = self.probe(s.node, s.addr);
+            self.slots[i] = s;
+            self.used.push(i as u32);
         }
     }
 
-    fn push(cells: &mut Vec<(u32, u32)>, list: &mut PendingList, value: u32) {
+    fn push(cells: &mut Vec<(Hop, u32)>, list: &mut PendingList, hop: Hop) {
         let cell = cells.len() as u32;
-        cells.push((value, NIL));
+        cells.push((hop, NIL));
         if list.head == NIL {
             list.head = cell;
         } else {
@@ -189,72 +203,109 @@ impl PendingTables {
         list.tail = cell;
     }
 
-    /// Register a read request for `(addr, trail)` arriving at `node` from
-    /// `source`. Returns `true` when this is the first request for the key
-    /// here — the caller must forward the packet. `false` means absorbed
-    /// (a combining event).
-    pub fn register(&mut self, node: usize, addr: u64, trail: u32, source: Source) -> bool {
+    /// Record `source` in entry `id`.
+    fn add(&mut self, id: u32, source: Source) {
+        let entry = &mut self.entries[id as usize].0;
+        match source {
+            Source::Local => {
+                debug_assert!(!entry.local, "one op per processor per step");
+                entry.local = true;
+            }
+            Source::Link(hop) => Self::push(&mut self.cells, &mut entry.fanout, hop),
+            Source::Chain(chained) => Self::push(
+                &mut self.cells,
+                &mut entry.chains,
+                Hop {
+                    port: NIL,
+                    entry: chained,
+                },
+            ),
+        }
+    }
+
+    /// Open a fresh entry holding `source` — a private trail, which no
+    /// other request can meet, so nothing is looked up.
+    pub fn open(&mut self, source: Source) -> EntryId {
+        let id = self.entries.len() as u32;
+        self.entries.push((FRESH, true));
+        self.live += 1;
+        self.add(id, source);
+        EntryId(id)
+    }
+
+    /// Register a read request for `addr` arriving at `node` from
+    /// `source` on the shared tree. `Some(id)` when no live entry for the
+    /// key exists here: the entry `id` is opened and the caller must
+    /// forward the packet. `None` means absorbed into the live entry (a
+    /// combining event).
+    pub fn join(&mut self, node: usize, addr: u64, source: Source) -> Option<EntryId> {
         if (self.used.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
         let node = node as u32;
-        let i = self.probe(node, addr, trail);
-        let slot = &mut self.slots[i];
-        let first = slot.state == State::Empty;
-        if first {
-            *slot = Slot {
-                addr,
-                node,
-                trail,
-                state: State::Live,
-                ..VACANT
-            };
-            self.used.push(i as u32);
-            self.live += 1;
-        }
-        match source {
-            Source::Local => {
-                debug_assert!(!slot.entry.local, "one op per processor per step");
-                slot.entry.local = true;
-            }
-            Source::FromNode(u) => Self::push(&mut self.cells, &mut slot.entry.fanout, u),
-            Source::Chain(t) => Self::push(&mut self.cells, &mut slot.entry.chains, t),
-        }
-        if !first {
+        let i = self.probe(node, addr);
+        let claimed = self.slots[i].entry;
+        if claimed != NIL && self.entries[claimed as usize].1 {
+            self.add(claimed, source);
             self.combined += 1;
+            return None;
         }
-        first
+        if claimed == NIL {
+            self.used.push(i as u32);
+        }
+        let id = self.open(source);
+        self.slots[i] = Slot {
+            addr,
+            node,
+            entry: id.0,
+        };
+        Some(id)
     }
 
-    /// Remove and return the entry for `(addr, trail)` at `node` — called
-    /// when the reply passes through. Panics if no entry exists (a reply
-    /// must always follow a registered request path).
-    pub fn take(&mut self, node: usize, addr: u64, trail: u32) -> PendingEntry {
-        let i = self.probe(node as u32, addr, trail);
-        let slot = &mut self.slots[i];
-        assert!(
-            slot.state == State::Live,
-            "reply at node {node} for ({addr},{trail}) with no pending entry"
-        );
-        slot.state = State::Taken;
-        self.live -= 1;
-        slot.entry
+    /// [`join`](Self::join) the shared tree when `combining`, else
+    /// [`open`](Self::open) a private entry (ablation A4).
+    pub fn register(
+        &mut self,
+        combining: bool,
+        node: usize,
+        addr: u64,
+        source: Source,
+    ) -> Option<EntryId> {
+        if combining {
+            self.join(node, addr, source)
+        } else {
+            Some(self.open(source))
+        }
     }
 
-    /// Pop the front of `list`: the values come out in the order they
-    /// were registered. Works on a copy of the list, so a taken entry can
-    /// be walked while other entries are taken.
-    pub fn next(&self, list: &mut PendingList) -> Option<u32> {
+    /// Remove and return entry `id` — called when the reply bound for it
+    /// arrives. Panics if `id` is not a live entry (a reply must always
+    /// follow a registered request path).
+    pub fn take(&mut self, id: EntryId) -> PendingEntry {
+        match self.entries.get_mut(id.0 as usize) {
+            Some((entry, live @ true)) => {
+                *live = false;
+                self.live -= 1;
+                *entry
+            }
+            _ => panic!("reply for entry {} with no pending entry", id.0),
+        }
+    }
+
+    /// Pop the front of `list`: the hops come out in the order they were
+    /// registered. Works on a copy of the list, so a taken entry can be
+    /// walked while other entries are taken.
+    pub fn next(&self, list: &mut PendingList) -> Option<Hop> {
         if list.head == NIL {
             return None;
         }
-        let (value, next) = self.cells[list.head as usize];
+        let (hop, next) = self.cells[list.head as usize];
         list.head = next;
-        Some(value)
+        Some(hop)
     }
 
-    /// The values of `list` in registration order.
-    pub fn iter(&self, mut list: PendingList) -> impl Iterator<Item = u32> + '_ {
+    /// The hops of `list` in registration order.
+    pub fn iter(&self, mut list: PendingList) -> impl Iterator<Item = Hop> + '_ {
         std::iter::from_fn(move || self.next(&mut list))
     }
 
@@ -268,9 +319,10 @@ impl PendingTables {
     /// reset), not O(nodes).
     pub fn reset(&mut self) {
         for &i in &self.used {
-            self.slots[i as usize].state = State::Empty;
+            self.slots[i as usize].entry = NIL;
         }
         self.used.clear();
+        self.entries.clear();
         self.cells.clear();
         self.live = 0;
         self.combined = 0;
@@ -291,60 +343,84 @@ mod tests {
     use rand::Rng;
     use std::collections::HashMap;
 
-    fn values(pt: &PendingTables, list: PendingList) -> Vec<u32> {
-        pt.iter(list).collect()
+    fn link(port: u32, entry: u32) -> Source {
+        Source::Link(Hop {
+            port,
+            entry: EntryId(entry),
+        })
+    }
+
+    fn ports(pt: &PendingTables, list: PendingList) -> Vec<u32> {
+        pt.iter(list).map(|h| h.port).collect()
+    }
+
+    fn chained(pt: &PendingTables, list: PendingList) -> Vec<u32> {
+        pt.iter(list).map(|h| h.entry.0).collect()
     }
 
     #[test]
     fn first_registration_forwards_rest_absorb() {
         let mut pt = PendingTables::new(4);
-        assert!(pt.register(2, 100, 0, Source::Local));
-        assert!(!pt.register(2, 100, 0, Source::FromNode(1)));
-        assert!(!pt.register(2, 100, 0, Source::FromNode(3)));
+        let id = pt.join(2, 100, Source::Local).expect("first");
+        assert_eq!(pt.join(2, 100, link(1, 7)), None);
+        assert_eq!(pt.join(2, 100, link(3, 8)), None);
         assert_eq!(pt.combined(), 2);
-        let e = pt.take(2, 100, 0);
+        let e = pt.take(id);
         assert!(e.local);
-        assert_eq!(values(&pt, e.fanout), vec![1, 3]);
+        assert_eq!(ports(&pt, e.fanout), vec![1, 3]);
+        assert_eq!(chained(&pt, e.fanout), vec![7, 8]);
         assert!(pt.all_clear());
     }
 
     #[test]
     fn distinct_trails_do_not_merge() {
+        // Private trails: every `open` is an entry of its own, and
+        // opening leaves the shared key free.
         let mut pt = PendingTables::new(2);
-        assert!(pt.register(0, 100, 7, Source::Local));
-        assert!(pt.register(0, 100, 8, Source::FromNode(1)));
+        let a = pt.open(Source::Local);
+        let b = pt.open(link(1, 0));
+        assert_ne!(a, b);
+        assert!(pt.join(0, 100, link(1, 0)).is_some());
         assert_eq!(pt.combined(), 0);
+        assert_eq!(pt.register(false, 0, 100, link(2, 1)), Some(EntryId(3)));
+        assert_eq!(pt.register(true, 0, 100, link(2, 1)), None);
     }
 
     #[test]
     fn distinct_addresses_do_not_merge() {
         let mut pt = PendingTables::new(2);
-        assert!(pt.register(1, 5, 0, Source::Local));
-        assert!(pt.register(1, 6, 0, Source::Local));
+        assert!(pt.join(1, 5, Source::Local).is_some());
+        assert!(pt.join(1, 6, Source::Local).is_some());
         assert_eq!(pt.combined(), 0);
     }
 
     #[test]
     fn per_node_isolation() {
         let mut pt = PendingTables::new(3);
-        assert!(pt.register(0, 9, 0, Source::Local));
-        assert!(pt.register(1, 9, 0, Source::FromNode(0)));
+        let at0 = pt.join(0, 9, Source::Local).expect("first at node 0");
+        let at1 = pt.join(1, 9, link(0, at0.0)).expect("first at node 1");
         assert_eq!(pt.combined(), 0);
-        let e = pt.take(1, 9, 0);
-        assert_eq!(values(&pt, e.fanout), vec![0]);
+        let e = pt.take(at1);
+        assert_eq!(
+            pt.iter(e.fanout).collect::<Vec<_>>(),
+            vec![Hop {
+                port: 0,
+                entry: at0
+            }]
+        );
         assert!(!pt.all_clear());
-        pt.take(0, 9, 0);
+        pt.take(at0);
         assert!(pt.all_clear());
     }
 
     #[test]
     fn chained_trails_count_as_combining() {
         let mut pt = PendingTables::new(2);
-        assert!(pt.register(0, 4, 0, Source::Chain(7)));
-        assert!(!pt.register(0, 4, 0, Source::Chain(9)));
+        let shared = pt.join(0, 4, Source::Chain(EntryId(7))).expect("first");
+        assert_eq!(pt.join(0, 4, Source::Chain(EntryId(9))), None);
         assert_eq!(pt.combined(), 1);
-        let e = pt.take(0, 4, 0);
-        assert_eq!(values(&pt, e.chains), vec![7, 9]);
+        let e = pt.take(shared);
+        assert_eq!(chained(&pt, e.chains), vec![7, 9]);
         assert!(e.fanout.is_empty());
     }
 
@@ -352,145 +428,181 @@ mod tests {
     #[should_panic(expected = "no pending entry")]
     fn reply_without_request_panics() {
         let mut pt = PendingTables::new(1);
-        pt.take(0, 1, 0);
+        let id = pt.open(Source::Local);
+        pt.take(id);
+        pt.take(id);
     }
 
     #[test]
     fn reset_clears_everything() {
         let mut pt = PendingTables::new(2);
-        pt.register(0, 1, 0, Source::Local);
-        pt.register(0, 1, 0, Source::FromNode(1));
+        pt.join(0, 1, Source::Local);
+        pt.join(0, 1, link(1, 0));
+        pt.open(Source::Local);
         pt.reset();
         assert!(pt.all_clear());
         assert_eq!(pt.combined(), 0);
+        assert_eq!(
+            pt.join(0, 1, Source::Local),
+            Some(EntryId(0)),
+            "key freed, ids restart"
+        );
     }
 
     #[test]
     fn taken_lists_stay_readable_while_the_table_changes() {
         // The star reply walks one entry's chains while taking others.
         let mut pt = PendingTables::new(1);
-        pt.register(0, 1, 0, Source::Chain(5));
-        pt.register(0, 1, 0, Source::Chain(6));
-        pt.register(0, 1, 5, Source::FromNode(2));
-        pt.register(0, 1, 6, Source::FromNode(3));
-        let e = pt.take(0, 1, 0);
+        let p5 = pt.open(link(2, 50));
+        let p6 = pt.open(link(3, 60));
+        let shared = pt.join(0, 1, Source::Chain(p5)).expect("first");
+        assert_eq!(pt.join(0, 1, Source::Chain(p6)), None);
+        let e = pt.take(shared);
         let mut chains = e.chains;
         let mut seen = Vec::new();
-        while let Some(t) = pt.next(&mut chains) {
-            let inner = pt.take(0, 1, t);
-            assert!(pt.register(0, 77, t, Source::FromNode(9)), "fresh key");
-            seen.push((t, values(&pt, inner.fanout)));
+        while let Some(chain) = pt.next(&mut chains) {
+            let inner = pt.take(chain.entry);
+            let fresh = 77 + seen.len() as u64;
+            assert!(pt.join(0, fresh, link(9, 0)).is_some(), "fresh key");
+            seen.push(pt.iter(inner.fanout).collect::<Vec<_>>());
         }
-        assert_eq!(seen, vec![(5, vec![2]), (6, vec![3])]);
+        let hop = |port, entry| Hop {
+            port,
+            entry: EntryId(entry),
+        };
+        assert_eq!(seen, vec![vec![hop(2, 50)], vec![hop(3, 60)]]);
     }
 
     #[test]
     fn growth_keeps_every_live_entry() {
         let mut pt = PendingTables::new(1); // 64 slots: grows several times
+        let mut ids = Vec::new();
         for k in 0..1000u64 {
-            assert!(pt.register((k % 7) as usize, k, (k % 3) as u32, Source::Local));
-            assert!(!pt.register(
-                (k % 7) as usize,
-                k,
-                (k % 3) as u32,
-                Source::FromNode(k as u32)
-            ));
+            let node = (k % 7) as usize;
+            let id = pt.join(node, k, Source::Local).expect("fresh key");
+            assert_eq!(pt.join(node, k, link(k as u32, 0)), None);
             if k % 5 == 0 {
-                pt.take((k % 7) as usize, k, (k % 3) as u32);
+                pt.take(id);
+            } else {
+                ids.push((k, id));
             }
         }
-        for k in (0..1000u64).filter(|k| k % 5 != 0) {
-            let e = pt.take((k % 7) as usize, k, (k % 3) as u32);
+        for (k, id) in ids {
+            let e = pt.take(id);
             assert!(e.local);
-            assert_eq!(values(&pt, e.fanout), vec![k as u32]);
+            assert_eq!(ports(&pt, e.fanout), vec![k as u32]);
         }
         assert!(pt.all_clear());
     }
 
-    /// The implementation this module had before the flat table: one
-    /// `HashMap` per node, one `Vec` per list. Kept as the model the
-    /// flat table is checked against.
-    #[derive(Default)]
+    /// The implementation this module had before entry ids, restated with
+    /// them: one `HashMap` of the shared tree's keys and one `Vec` per list.
+    /// Kept as the model the flat tables are checked against.
+    #[derive(Default, Clone)]
     struct ModelEntry {
-        fanout: Vec<u32>,
+        fanout: Vec<Hop>,
         chains: Vec<u32>,
         local: bool,
+        live: bool,
     }
 
+    #[derive(Default)]
     struct Model {
-        tables: Vec<HashMap<(u64, u32), ModelEntry>>,
+        keys: HashMap<(usize, u64), u32>,
+        entries: Vec<ModelEntry>,
         combined: u32,
     }
 
     impl Model {
-        fn register(&mut self, node: usize, addr: u64, trail: u32, source: Source) -> bool {
-            let entry = self.tables[node].entry((addr, trail)).or_default();
-            let first = entry.fanout.is_empty() && entry.chains.is_empty() && !entry.local;
+        fn add(&mut self, id: u32, source: Source) {
+            let entry = &mut self.entries[id as usize];
             match source {
                 Source::Local => entry.local = true,
-                Source::FromNode(u) => entry.fanout.push(u),
-                Source::Chain(t) => entry.chains.push(t),
+                Source::Link(hop) => entry.fanout.push(hop),
+                Source::Chain(t) => entry.chains.push(t.0),
             }
-            self.combined += u32::from(!first);
-            first
+        }
+
+        fn open(&mut self, source: Source) -> EntryId {
+            let id = self.entries.len() as u32;
+            self.entries.push(ModelEntry {
+                live: true,
+                ..Default::default()
+            });
+            self.add(id, source);
+            EntryId(id)
+        }
+
+        fn join(&mut self, node: usize, addr: u64, source: Source) -> Option<EntryId> {
+            match self.keys.get(&(node, addr)) {
+                Some(&id) if self.entries[id as usize].live => {
+                    self.add(id, source);
+                    self.combined += 1;
+                    None
+                }
+                _ => {
+                    let id = self.open(source);
+                    self.keys.insert((node, addr), id.0);
+                    Some(id)
+                }
+            }
         }
 
         fn reset(&mut self) {
-            self.tables.iter_mut().for_each(HashMap::clear);
-            self.combined = 0;
+            *self = Model::default();
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Random register / take / reset sequences over a small key
-        /// space (so keys collide, get taken and come back): the flat
-        /// table and the model agree on every return value, on
+        /// Random join / open / take / reset sequences over a small key
+        /// space (so keys collide, get taken and come back), with chains
+        /// to earlier entries: the flat tables and the model agree on
+        /// every returned id, on every taken entry's lists, on
         /// `combined()` and `all_clear()` after every operation, and on
         /// which `take`s hit "no pending entry".
         #[test]
         fn prop_flat_table_matches_hashmap_model(nodes in 1usize..6, len in 1usize..600, seed: u64) {
             let mut rng = SeedSeq::new(seed).rng();
             let mut flat = PendingTables::new(nodes);
-            let mut model = Model {
-                tables: (0..nodes).map(|_| HashMap::new()).collect(),
-                combined: 0,
-            };
+            let mut model = Model::default();
             for _ in 0..len {
                 let kind = rng.gen_range(0u8..40);
                 let node = rng.gen_range(0..nodes);
                 // Spread the addresses over both halves of the word.
                 let addr = rng.gen_range(0u64..5).wrapping_mul(0x1_0000_0001);
-                let trail = rng.gen_range(0u32..3);
-                let value = rng.gen_range(0u32..50);
+                // Ids a little past the issued ones, so some are not live.
+                let id = rng.gen_range(0..model.entries.len() as u32 + 3);
+                let source = match rng.gen_range(0u8..3) {
+                    0 => Source::Local,
+                    1 => Source::Chain(EntryId(id)),
+                    _ => link(rng.gen_range(0u32..8), id),
+                };
                 match kind {
-                    0..=23 => {
-                        let has_local = model.tables[node]
-                            .get(&(addr, trail))
-                            .is_some_and(|e| e.local);
-                        let source = match kind % 3 {
-                            0 if !has_local => Source::Local,
-                            1 => Source::Chain(value),
-                            _ => Source::FromNode(value),
-                        };
-                        prop_assert_eq!(
-                            flat.register(node, addr, trail, source),
-                            model.register(node, addr, trail, source)
-                        );
+                    0..=15 => {
+                        let has_local = model
+                            .keys
+                            .get(&(node, addr))
+                            .is_some_and(|&e| model.entries[e as usize].live && model.entries[e as usize].local);
+                        let source = if has_local { link(0, id) } else { source };
+                        prop_assert_eq!(flat.join(node, addr, source), model.join(node, addr, source));
                     }
-                    24..=38 => match model.tables[node].remove(&(addr, trail)) {
+                    16..=23 => prop_assert_eq!(flat.open(source), model.open(source)),
+                    24..=38 => match model.entries.get_mut(id as usize).filter(|e| e.live) {
                         Some(want) => {
-                            let got = flat.take(node, addr, trail);
+                            want.live = false;
+                            let want = want.clone();
+                            let got = flat.take(EntryId(id));
                             prop_assert_eq!(got.local, want.local);
                             prop_assert_eq!(got.fanout.is_empty(), want.fanout.is_empty());
-                            prop_assert_eq!(values(&flat, got.fanout), want.fanout);
-                            prop_assert_eq!(values(&flat, got.chains), want.chains);
+                            prop_assert_eq!(flat.iter(got.fanout).collect::<Vec<_>>(), want.fanout);
+                            prop_assert_eq!(chained(&flat, got.chains), want.chains);
                         }
                         None => {
                             let mut probe = flat.clone();
                             let panic = std::panic::catch_unwind(move || {
-                                probe.take(node, addr, trail);
+                                probe.take(EntryId(id));
                             })
                             .expect_err("take without an entry must panic");
                             let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
@@ -503,10 +615,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(flat.combined(), model.combined);
-                prop_assert_eq!(
-                    flat.all_clear(),
-                    model.tables.iter().all(HashMap::is_empty)
-                );
+                prop_assert_eq!(flat.all_clear(), model.entries.iter().all(|e| !e.live));
             }
         }
     }

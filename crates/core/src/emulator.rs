@@ -49,9 +49,10 @@ pub struct Request {
     pub module: u32,
 }
 
-/// A read served by a module: `(module, addr, trail, value)`, as
-/// [`ModuleArray::serve_batches`] returns it. Reply packets carry their
-/// index in the served list as their id.
+/// A read served by a module: `(module, addr, tag, value)`, as
+/// [`ModuleArray::serve_batches`] returns it, where `tag` is the reply
+/// tag the host buffered the read with. Reply packets carry their index
+/// in the served list as their id.
 pub type ServedRead = (usize, u64, u32, u64);
 
 /// What a host reports of one completed routing phase.

@@ -18,7 +18,7 @@
 //!   combining point. The request paths move strictly forward by
 //!   column, so pending entries can never form a cycle.
 
-use crate::combining::{PendingTables, Source};
+use crate::combining::{EntryId, Hop, PendingTables, Source};
 use crate::config::EmulatorConfig;
 use crate::emulator::{EmuHost, PhaseOutcome, PramEmulator, Request, ServedRead};
 use crate::memory::{ModuleArray, ModuleRequest};
@@ -151,6 +151,7 @@ impl<L: Leveled> EmuHost for LeveledHost<L> {
         }
         let mut proto = RequestProtocol {
             net: &self.fwd,
+            bwd: &self.bwd,
             tables: &mut self.tables,
             modules,
             writes: &mut self.writes,
@@ -173,11 +174,11 @@ impl<L: Leveled> EmuHost for LeveledHost<L> {
     ) -> PhaseOutcome {
         self.rep_engine.reset();
         let modules_col = self.fwd.leveled().levels();
-        for (i, &(module, addr, trail, _)) in reads.iter().enumerate() {
-            let mut pkt = Packet::new(i as u32, trail, 0).with_tag(addr);
-            pkt.via = trail;
-            self.rep_engine
-                .inject(self.bwd.node_id(modules_col, module), pkt);
+        for (i, &(module, _, entry, _)) in reads.iter().enumerate() {
+            self.rep_engine.inject(
+                self.bwd.node_id(modules_col, module),
+                Packet::new(i as u32, 0, 0).with_via(entry),
+            );
         }
         let mut proto = ReplyProtocol {
             net: &self.bwd,
@@ -193,8 +194,12 @@ impl<L: Leveled> EmuHost for LeveledHost<L> {
 }
 
 /// Request-phase protocol: Algorithm 2.1 routing plus combining tables.
+/// A read request carries, in `via2`, the id of the entry it left at the
+/// previous node.
 struct RequestProtocol<'a, L: Leveled> {
     net: &'a LeveledNet<DoubledLeveled<L>>,
+    /// The reply network, whose ports the pending entries record.
+    bwd: &'a LeveledNet<DoubledLeveled<L>>,
     tables: &'a mut PendingTables,
     modules: &'a mut ModuleArray,
     writes: &'a mut [(u64, usize)],
@@ -204,14 +209,6 @@ struct RequestProtocol<'a, L: Leveled> {
 }
 
 impl<L: Leveled> RequestProtocol<'_, L> {
-    fn trail_of(&self, pkt: &Packet) -> u32 {
-        if self.combining {
-            0
-        } else {
-            pkt.src
-        }
-    }
-
     /// The write policy if concurrent same-address writes can be merged
     /// en route without changing the module-level resolution: the policy
     /// must be associative with a representative writer (Sum, Max) or
@@ -288,41 +285,41 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
 
     fn on_packet(&mut self, node: usize, mut pkt: Packet, step: u32, out: &mut Outbox) {
         let (col, idx) = self.net.split(node);
-        let is_write = pkt.hop == 1;
+        let at_module = col == self.net.leveled().levels();
         let addr = pkt.tag;
 
-        if col == self.net.leveled().levels() {
-            // Module column.
-            if is_write {
+        if pkt.hop == 1 {
+            if at_module {
                 let (value, proc) = self.writes[pkt.id as usize];
                 self.modules
                     .buffer(idx, ModuleRequest::Write { addr, value, proc });
-            } else {
-                let trail = self.trail_of(&pkt);
-                let first = self
-                    .tables
-                    .register(node, addr, trail, Source::FromNode(pkt.prev));
-                if first {
-                    self.modules
-                        .buffer(idx, ModuleRequest::Read { addr, trail });
-                }
+                out.deliver(pkt);
+                return;
             }
-            out.deliver(pkt);
-            return;
-        }
-
-        if !is_write {
-            let trail = self.trail_of(&pkt);
+        } else {
             let source = if step == 0 {
                 Source::Local
             } else {
-                Source::FromNode(pkt.prev)
+                let port = self.bwd.port_to(node, pkt.prev as usize);
+                Source::Link(Hop {
+                    port: port.expect("request link reversed on the reply network") as u32,
+                    entry: EntryId(pkt.via2),
+                })
             };
-            let first = self.tables.register(node, addr, trail, source);
-            if !first {
-                out.absorb(pkt); // combined — the pending entry fans out later
+            let entry = self.tables.register(self.combining, node, addr, source);
+            if at_module {
+                if let Some(entry) = entry {
+                    self.modules
+                        .buffer(idx, ModuleRequest::Read { addr, tag: entry.0 });
+                }
+                out.deliver(pkt);
                 return;
             }
+            let Some(entry) = entry else {
+                out.absorb(pkt); // combined — the pending entry fans out later
+                return;
+            };
+            pkt.via2 = entry.0;
         }
 
         pkt.prev = node as u32;
@@ -330,7 +327,8 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
     }
 }
 
-/// Reply-phase protocol: retrace the pending-table tree, fanning out.
+/// Reply-phase protocol: retrace the pending-table tree, fanning out. A
+/// reply packet carries, in `via`, the id of the entry it is bound for.
 struct ReplyProtocol<'a, L: Leveled> {
     net: &'a LeveledNet<DoubledLeveled<L>>,
     tables: &'a mut PendingTables,
@@ -340,25 +338,17 @@ struct ReplyProtocol<'a, L: Leveled> {
 
 impl<L: Leveled> Protocol for ReplyProtocol<'_, L> {
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
-        let addr = pkt.tag;
-        let trail = pkt.via;
-        let entry = self.tables.take(node, addr, trail);
+        let entry = self.tables.take(EntryId(pkt.via));
         if entry.local {
             let (col, idx) = self.net.split(node);
             debug_assert_eq!(col, 0, "local requests only originate in column 0");
             self.deliveries.push((idx, self.reads[pkt.id as usize].3));
         }
-        let mut sent = false;
-        for to in self.tables.iter(entry.fanout) {
-            let port = self
-                .net
-                .port_to(node, to as usize)
-                .expect("fanout neighbor reachable on reply network");
-            out.send(port, pkt);
-            sent = true;
-        }
-        if !sent {
+        if entry.fanout.is_empty() {
             out.deliver(pkt);
+        }
+        for hop in self.tables.iter(entry.fanout) {
+            out.send(hop.port as usize, pkt.with_via(hop.entry.0));
         }
     }
 }

@@ -208,7 +208,7 @@ impl EmuHost for MeshHost {
         self.engine.set_max_steps(u32::MAX);
         let mut rng = seq.rng();
         for (i, &(module, addr, proc, _)) in reads.iter().enumerate() {
-            // The trail of an uncombined read is its requesting processor.
+            // The mesh's reply tag is the requesting processor.
             let pkt = self
                 .packet(i, module, proc as usize, &mut rng)
                 .with_tag(addr);
@@ -244,10 +244,7 @@ impl Protocol for MeshRequestProtocol<'_> {
                     value,
                     proc: req.proc,
                 },
-                None => ModuleRequest::Read {
-                    addr,
-                    trail: pkt.src,
-                },
+                None => ModuleRequest::Read { addr, tag: pkt.src },
             };
             self.modules.buffer(node, buffered);
             out.deliver(pkt);

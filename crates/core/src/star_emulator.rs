@@ -14,14 +14,15 @@
 //! intermediates* could each get absorbed into the other's trail —
 //! a deadlock. The canonical phase-2 route, however, decreases the
 //! distance to the module by exactly one per hop, so phase-2 trails are
-//! acyclic. We therefore keep phase-1 trails *private* (keyed by
-//! requester) and let them join the shared phase-2 tree at the
+//! acyclic. We therefore keep phase-1 trails *private* (opened without a
+//! key, so no other request can join them) and let them join the shared
+//! phase-2 tree, keyed by `(node, address)`, at the
 //! intermediate node through a [`Source::Chain`] link; the reply unwinds
 //! the shared tree and then each private trail. Combining across
 //! requesters happens exactly where it is safe — the convergent phase —
 //! which is also where the hot-spot traffic concentrates.
 
-use crate::combining::{PendingTables, Source};
+use crate::combining::{EntryId, Hop, PendingTables, Source};
 use crate::config::EmulatorConfig;
 use crate::emulator::{EmuHost, PhaseOutcome, PramEmulator, Request, ServedRead};
 use crate::memory::{ModuleArray, ModuleRequest};
@@ -138,13 +139,11 @@ impl EmuHost for StarHost {
     ) -> PhaseOutcome {
         self.engine.reset();
         self.engine.set_max_steps(u32::MAX);
-        for (i, &(module, addr, trail, _)) in reads.iter().enumerate() {
-            let mut pkt = Packet::new(i as u32, 0, 0).with_tag(addr);
-            pkt.via = trail;
-            self.engine.inject(module, pkt);
+        for (i, &(module, _, entry, _)) in reads.iter().enumerate() {
+            self.engine
+                .inject(module, Packet::new(i as u32, 0, 0).with_via(entry));
         }
         let mut proto = StarReplyProtocol {
-            table: &self.table,
             tables: &mut self.tables,
             reads,
             deliveries,
@@ -157,7 +156,8 @@ impl EmuHost for StarHost {
 }
 
 /// Request protocol: Algorithm 2.2 with phase-aware combining (see the
-/// module docs for why phase-1 trails stay private).
+/// module docs for why phase-1 trails stay private). A read request
+/// carries, in `via2`, the id of the entry it left at the previous node.
 struct StarRequestProtocol<'a> {
     table: &'a StarTable,
     tables: &'a mut PendingTables,
@@ -166,63 +166,46 @@ struct StarRequestProtocol<'a> {
     combining: bool,
 }
 
-impl StarRequestProtocol<'_> {
-    /// Private phase-0 trail tag (0 is reserved for the shared tree, so
-    /// processor ids are shifted by one).
-    fn phase0_trail(pkt: &Packet) -> u32 {
-        pkt.src + 1
-    }
-
-    /// Trail tag used after the intermediate node: the shared tree when
-    /// combining, a second private trail otherwise (distinct from the
-    /// phase-0 trail because the two legs of one request may cross).
-    fn phase1_trail(&self, pkt: &Packet) -> u32 {
-        if self.combining {
-            0
-        } else {
-            (pkt.src + 1) | PHASE1_MARK
-        }
-    }
-}
-
-/// High bit distinguishing non-combining phase-1 trails from phase-0 ones.
-const PHASE1_MARK: u32 = 1 << 30;
-
 impl Protocol for StarRequestProtocol<'_> {
     fn on_packet(&mut self, node: usize, mut pkt: Packet, step: u32, out: &mut Outbox) {
         let addr = pkt.tag;
         let is_write = pkt.hop == 1;
 
         if !is_write {
-            let arrived_on = if pkt.phase == 1 {
-                self.phase1_trail(&pkt)
-            } else {
-                Self::phase0_trail(&pkt)
-            };
             let source = if step == 0 {
                 Source::Local
             } else {
-                Source::FromNode(pkt.prev)
+                // SWAP edges are involutions: the port back to `prev` is
+                // the reply port.
+                let port = self.table.port_to(node, pkt.prev as usize);
+                Source::Link(Hop {
+                    port: port.expect("star is undirected") as u32,
+                    entry: EntryId(pkt.via2),
+                })
             };
-            let first = self.tables.register(node, addr, arrived_on, source);
-            if !first {
+            let entry = if pkt.phase == 0 {
+                Some(self.tables.open(source))
+            } else {
+                self.tables.register(self.combining, node, addr, source)
+            };
+            let Some(entry) = entry else {
                 out.absorb(pkt); // merged into the shared phase-2 tree
                 return;
-            }
+            };
+            pkt.via2 = entry.0;
         }
 
-        // Phase transition at the intermediate node: a read's phase-0
-        // trail joins (or opens) the phase-1 trail here via a chain link.
+        // Phase transition at the intermediate node: a read's phase-1
+        // trail joins (or opens) the phase-2 trail here via a chain link.
         if pkt.phase == 0 && node == pkt.via as usize {
             pkt.phase = 1;
             if !is_write {
-                let p1 = self.phase1_trail(&pkt);
-                let chain = Source::Chain(Self::phase0_trail(&pkt));
-                if !self.tables.register(node, addr, p1, chain) {
-                    debug_assert!(self.combining, "private trails never collide");
+                let chain = Source::Chain(EntryId(pkt.via2));
+                let Some(entry) = self.tables.register(self.combining, node, addr, chain) else {
                     out.absorb(pkt);
                     return;
-                }
+                };
+                pkt.via2 = entry.0;
             }
         }
 
@@ -236,7 +219,7 @@ impl Protocol for StarRequestProtocol<'_> {
                 },
                 None => ModuleRequest::Read {
                     addr,
-                    trail: self.phase1_trail(&pkt),
+                    tag: pkt.via2,
                 },
             };
             self.modules.buffer(node, buffered);
@@ -249,32 +232,26 @@ impl Protocol for StarRequestProtocol<'_> {
 }
 
 /// Reply protocol: unwind the shared tree, then every chained private
-/// trail, delivering at `local` marks.
+/// trail, delivering at `local` marks. A reply packet carries, in `via`,
+/// the id of the entry it is bound for.
 struct StarReplyProtocol<'a> {
-    table: &'a StarTable,
     tables: &'a mut PendingTables,
     reads: &'a [ServedRead],
     deliveries: &'a mut Vec<(usize, u64)>,
 }
 
 impl StarReplyProtocol<'_> {
-    fn process_trail(&mut self, node: usize, addr: u64, trail: u32, pkt: Packet, out: &mut Outbox) {
-        let entry = self.tables.take(node, addr, trail);
+    fn unwind(&mut self, node: usize, id: EntryId, pkt: Packet, out: &mut Outbox) {
+        let entry = self.tables.take(id);
         if entry.local {
             self.deliveries.push((node, self.reads[pkt.id as usize].3));
         }
         let mut chains = entry.chains;
-        while let Some(t) = self.tables.next(&mut chains) {
-            self.process_trail(node, addr, t, pkt, out);
+        while let Some(chain) = self.tables.next(&mut chains) {
+            self.unwind(node, chain.entry, pkt, out);
         }
-        for to in self.tables.iter(entry.fanout) {
-            let port = self
-                .table
-                .port_to(node, to as usize)
-                .expect("star is undirected");
-            let mut p = pkt;
-            p.via = trail;
-            out.send(port, p);
+        for hop in self.tables.iter(entry.fanout) {
+            out.send(hop.port as usize, pkt.with_via(hop.entry.0));
         }
     }
 }
@@ -282,7 +259,7 @@ impl StarReplyProtocol<'_> {
 impl Protocol for StarReplyProtocol<'_> {
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         let before = out.pending_sends();
-        self.process_trail(node, pkt.tag, pkt.via, pkt, out);
+        self.unwind(node, EntryId(pkt.via), pkt, out);
         if out.pending_sends() == before {
             out.deliver(pkt); // leaf: nothing forwarded
         }

@@ -127,10 +127,9 @@ fn warmed_up_emulate_step_does_not_allocate_per_hop_or_per_entry() {
     //
     // What remains is a constant handful made outside the kernel: the
     // returned vector, `serve_batches`' result vector growing to the
-    // number of reads, and the engine's latency histogram, which each
-    // `run` hands out and regrows (`simnet`, not touched here). Writes
-    // add `serve_batches`' per-module grouping map — again per module
-    // with a write, not per hop.
+    // number of reads, and the latency histograms the two engine runs
+    // hand out and regrow. Writes are grouped in a reused scratch buffer
+    // and land on cells that already exist, so they add nothing.
     let procs = 120u64;
     let cells = 40u64;
     let spread: Vec<MemOp> = (0..procs).map(|q| MemOp::Read(q % cells)).collect();
@@ -155,11 +154,7 @@ fn warmed_up_emulate_step_does_not_allocate_per_hop_or_per_entry() {
             counts[1] <= 24,
             "hot-spot reads, combining={combining}: {counts:?}"
         );
-        // ≤ 3 per module that received a write (map, its bucket vector,
-        // the sorted key list) and none for the routing.
-        assert!(
-            counts[2] <= 3 * cells + 8,
-            "writes, combining={combining}: {counts:?}"
-        );
+        // Neither the grouping nor the routing allocates per module.
+        assert!(counts[2] <= 8, "writes, combining={combining}: {counts:?}");
     }
 }

@@ -3,9 +3,10 @@
 //! The Karlin–Upfal hash family (paper §2.1) evaluates degree-`S−1`
 //! polynomials over `Z_P` for a prime `P ≥ M` where `M` is the PRAM address
 //! space, so all operations must be exact for moduli up to `2^63`. We route
-//! products through `u128`, which on x86-64 compiles to a single `mul` plus
-//! a hardware divide — fast enough for the hash-evaluation hot path
-//! (`bench_layers`' `hash.eval_ns` row).
+//! products through `u128` — a single `mul`, but the `u128` remainder is a
+//! library call. [`horner`], the hash-evaluation hot path (`bench_layers`'
+//! `hash.eval_ns` row), avoids it for moduli up to `2^32`, where every
+//! product of reduced operands fits a `u64`.
 
 /// `(a + b) mod m`. Requires `m > 0`; operands need not be reduced.
 #[inline]
@@ -71,10 +72,30 @@ pub fn invmod_prime(a: u64, p: u64) -> Option<u64> {
 /// Evaluate the polynomial `Σ coeffs[i]·x^i mod m` by Horner's rule.
 ///
 /// This is the inner loop of hash evaluation: `h(x) = ((Σ aᵢ xⁱ) mod P)
-/// mod N` from the paper's class `H`.
+/// mod N` from the paper's class `H`. For `m ≤ 2³²` it needs one `u64`
+/// remainder per coefficient: with `acc, x < m`, `acc·x` fits a `u64`,
+/// and so does `acc·x + c` for any coefficient `c < 2⁶⁴ − m²` (a sampled
+/// one is `< m`).
 #[inline]
 pub fn horner(coeffs: &[u64], x: u64, m: u64) -> u64 {
     debug_assert!(m > 0);
+    if m > 1 << 32 {
+        return horner_wide(coeffs, x, m);
+    }
+    let x = x % m;
+    let mut acc: u64 = 0;
+    for &c in coeffs.iter().rev() {
+        let t = acc * x;
+        acc = match t.checked_add(c) {
+            Some(s) => s % m,
+            None => addmod(t, c, m),
+        };
+    }
+    acc
+}
+
+/// [`horner`] for any modulus, every step through `u128`.
+fn horner_wide(coeffs: &[u64], x: u64, m: u64) -> u64 {
     let x = x % m;
     let mut acc: u64 = 0;
     for &c in coeffs.iter().rev() {
@@ -148,6 +169,20 @@ mod tests {
         fn prop_mulmod_matches_u128(a: u64, b: u64, m in 1u64..) {
             let expect = ((a as u128 * b as u128) % m as u128) as u64;
             prop_assert_eq!(mulmod(a, b, m), expect);
+        }
+
+        /// The `u64` path equals the `u128` one, for the primes on both
+        /// sides of 2³² (so both paths of `horner` run) and a small one,
+        /// with reduced and unreduced coefficients.
+        #[test]
+        fn prop_horner_matches_u128_path(seed: u64, len in 0usize..12, x: u64, reduce: bool) {
+            let mut state = seed;
+            let coeffs: Vec<u64> = (0..len).map(|_| crate::rng::splitmix64(&mut state)).collect();
+            for m in [4_294_967_291u64, 4_294_967_311, 1_000_003, 2] {
+                let coeffs: Vec<u64> =
+                    coeffs.iter().map(|&c| if reduce { c % m } else { c }).collect();
+                prop_assert_eq!(horner(&coeffs, x, m), horner_wide(&coeffs, x, m));
+            }
         }
 
         #[test]

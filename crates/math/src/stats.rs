@@ -51,66 +51,6 @@ impl Summary {
             p99: percentile_sorted(&sorted, 0.99),
         }
     }
-
-    /// The all-zero digest of an empty sample — what
-    /// [`from_histogram`](Self::from_histogram) returns when nothing was
-    /// recorded, so callers can report "no observations" without a panic.
-    pub fn empty() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            std_dev: 0.0,
-            min: 0.0,
-            max: 0.0,
-            p50: 0.0,
-            p95: 0.0,
-            p99: 0.0,
-        }
-    }
-
-    /// Summarise a [`Histogram`] directly from its bucket counts — every
-    /// observation stands in for its bucket's lower bound, exactly as if
-    /// [`Summary::of`] had been fed one value per recorded observation,
-    /// but in O(buckets) time and allocation-free. With `bucket_width ==
-    /// 1` (the engine's latency histogram) the digest is exact. Returns
-    /// [`Summary::empty`] for an empty histogram instead of panicking.
-    pub fn from_histogram(h: &Histogram) -> Self {
-        let n = h.total();
-        if n == 0 {
-            return Self::empty();
-        }
-        let mut sum = 0.0;
-        let mut min = 0.0;
-        let mut max = 0.0;
-        let mut first = true;
-        for (lo, c) in h.buckets() {
-            sum += lo as f64 * c as f64;
-            if first {
-                min = lo as f64;
-                first = false;
-            }
-            max = lo as f64;
-        }
-        let mean = sum / n as f64;
-        let var = if n > 1 {
-            h.buckets()
-                .map(|(lo, c)| c as f64 * (lo as f64 - mean).powi(2))
-                .sum::<f64>()
-                / (n - 1) as f64
-        } else {
-            0.0
-        };
-        Summary {
-            count: n as usize,
-            mean,
-            std_dev: var.sqrt(),
-            min,
-            max,
-            p50: h.percentile(0.50) as f64,
-            p95: h.percentile(0.95) as f64,
-            p99: h.percentile(0.99) as f64,
-        }
-    }
 }
 
 /// Evaluate `f(seed)` for seeds `0..trials` across worker threads and
@@ -224,7 +164,12 @@ impl Histogram {
 
     /// Record one observation.
     pub fn record(&mut self, value: u64) {
-        let idx = (value / self.bucket_width) as usize;
+        // Width 1 (every latency histogram) needs no divide.
+        let idx = if self.bucket_width == 1 {
+            value
+        } else {
+            value / self.bucket_width
+        } as usize;
         if idx >= self.counts.len() {
             self.counts.resize(idx + 1, 0);
         }
@@ -431,42 +376,6 @@ mod tests {
         assert_eq!(h.percentile(1.0), 100);
         assert_eq!(h.percentile(0.0), 1); // clamped to rank 1
         assert_eq!(Histogram::new(1).percentile(0.5), 0);
-    }
-
-    #[test]
-    fn summary_from_histogram_matches_of() {
-        let mut h = Histogram::new(1);
-        let mut values = Vec::new();
-        for v in [3u64, 3, 5, 8, 8, 8, 21] {
-            h.record(v);
-            values.push(v as f64);
-        }
-        let a = Summary::from_histogram(&h);
-        let b = Summary::of(&values);
-        assert_eq!(a.count, b.count);
-        assert!((a.mean - b.mean).abs() < 1e-12);
-        assert!((a.std_dev - b.std_dev).abs() < 1e-12);
-        assert_eq!(a.min, b.min);
-        assert_eq!(a.max, b.max);
-        assert_eq!(a.p50, b.p50);
-        assert_eq!(a.p95, b.p95);
-        assert_eq!(a.p99, b.p99);
-    }
-
-    #[test]
-    fn summary_from_histogram_empty_and_singleton() {
-        let empty = Summary::from_histogram(&Histogram::new(1));
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.mean, 0.0);
-        assert_eq!(empty, Summary::empty());
-
-        let mut h = Histogram::new(1);
-        h.record(7);
-        let s = Summary::from_histogram(&h);
-        assert_eq!(s.count, 1);
-        assert_eq!(s.mean, 7.0);
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!((s.min, s.max, s.p50), (7.0, 7.0, 7.0));
     }
 
     #[test]

@@ -379,7 +379,14 @@ impl ShardedEngine {
         sink: &mut S,
     ) -> RunOutcome {
         let max_steps = self.cfg.max_steps;
-        step_loop(self, proto, sink, &mut NoAdmission, max_steps)
+        step_loop(
+            self,
+            proto,
+            sink,
+            &mut NoAdmission,
+            max_steps,
+            &mut Outbox::default(),
+        )
     }
 
     /// Take back the not-yet-processed injections (mirrors

@@ -113,7 +113,9 @@ impl<E: StepEngine> Admission<E> for NoAdmission {
 /// Run `proto` on `eng` until the network is empty and `admit` has
 /// nothing outstanding, or `max_steps` steps have run (`completed =
 /// false`; the undelivered packets stay queued). The returned metrics'
-/// `steps` is the number of steps executed.
+/// `steps` is the number of steps executed. Every callback answers into
+/// `out`, which the engine empties after each one; an engine that keeps
+/// its outbox across runs allocates none per run.
 ///
 /// Generic over the sink, so with [`NoopSink`](crate::NoopSink) every
 /// callback and every `sink.enabled()` block folds away and this is the
@@ -124,6 +126,7 @@ pub fn step_loop<E, P, S, A>(
     sink: &mut S,
     admit: &mut A,
     max_steps: u32,
+    out: &mut Outbox,
 ) -> RunOutcome
 where
     E: StepEngine,
@@ -131,7 +134,6 @@ where
     S: TraceSink + ?Sized,
     A: Admission<E>,
 {
-    let mut out = Outbox::default();
     let mut last_delivered = eng.delivered();
     let mut sample = |eng: &E, admit: &A, sink: &mut S, step: u32| {
         if sink.enabled() {
@@ -155,7 +157,7 @@ where
         admit.admit(eng, 0, sink);
     }
     sink.on_phase_start(Phase::Process);
-    eng.process_pending(proto, 0, &mut out);
+    eng.process_pending(proto, 0, out);
     sink.on_phase_end(Phase::Process);
     eng.step_finish();
     proto.on_step_end(0);
@@ -172,12 +174,12 @@ where
         sink.on_step_begin(step);
         eng.step_transmit(sink);
         sink.on_phase_start(Phase::Process);
-        eng.process_arrivals(proto, step, &mut out);
+        eng.process_arrivals(proto, step, out);
         sink.on_phase_end(Phase::Process);
         if A::ACTIVE {
             admit.admit(eng, step, sink);
             sink.on_phase_start(Phase::Process);
-            eng.process_pending(proto, step, &mut out);
+            eng.process_pending(proto, step, out);
             sink.on_phase_end(Phase::Process);
         }
         proto.on_step_end(step);

@@ -3,8 +3,9 @@
 //! A counting global allocator (per thread, so the test harness's other
 //! threads do not disturb it) wraps the system one, as in
 //! `crates/core/tests/alloc_free.rs`; the test asserts that a warmed-up
-//! `reset` + inject + `run` allocates only what belongs to the run as a
-//! whole — nothing per step, per packet or per node.
+//! `reset` + inject + `run` allocates only the growth of the latency
+//! histogram the run hands back — nothing per run, per step, per packet
+//! or per node.
 
 use lnpram_math::stats::Histogram;
 use lnpram_simnet::{Engine, Outbox, Packet, Protocol, SimConfig};
@@ -118,9 +119,9 @@ fn warmed_up_run_allocates_nothing_per_step_or_per_packet() {
         let warm = round(&mut eng);
         assert!(warm.metrics.max_queue > 1 && warm.metrics.steps as usize > dims);
         let (out, n) = allocations_in(|| round(&mut eng));
-        // Per run, however long: the two buffers of the `Outbox` that
-        // `step_loop` creates, and the histogram the run hands back.
-        let per_run = 2 + histogram_growth(&out.metrics.latency);
+        // Per run, however long: the histogram the run hands back (the
+        // engine keeps its `Outbox` across runs).
+        let per_run = histogram_growth(&out.metrics.latency);
         assert_eq!(
             n, per_run,
             "a warmed-up run of {width} packets over {} steps allocated {n} times",
