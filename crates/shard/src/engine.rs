@@ -499,7 +499,7 @@ impl ShardedEngine {
 fn arrival(shards: &[Engine], packed: u32) -> &Packet {
     let s = (packed >> COORD_BITS) as usize;
     let idx = (packed & COORD_MASK) as usize;
-    &shards[s].arrivals()[idx].1
+    &shards[s].arrivals().1[idx]
 }
 
 impl StepEngine for ShardedEngine {
@@ -555,8 +555,9 @@ impl StepEngine for ShardedEngine {
                 let heads = &self.link_head[self.link_base[s] as usize..];
                 let crossing = shard
                     .arrivals()
+                    .0
                     .iter()
-                    .filter(|&&(local, _)| {
+                    .filter(|&&local| {
                         let owner = self.node_owner[heads[local as usize] as usize];
                         (owner >> COORD_BITS) as usize != s
                     })
@@ -586,9 +587,9 @@ impl StepEngine for ShardedEngine {
             } = self;
             for (s, shard) in shards.iter().enumerate() {
                 let heads = &link_head[link_base[s] as usize..];
-                let buf = shard.arrivals();
+                let (buf, _) = shard.arrivals();
                 debug_assert!(buf.len() <= COORD_MASK as usize);
-                for (idx, &(local, _)) in buf.iter().enumerate() {
+                for (idx, &local) in buf.iter().enumerate() {
                     groups.push(
                         heads[local as usize] as usize,
                         ((s as u32) << COORD_BITS) | idx as u32,
@@ -656,7 +657,7 @@ impl StepEngine for ShardedEngine {
     }
 
     fn arrivals_len(&self) -> usize {
-        self.shards.iter().map(|s| s.arrivals().len()).sum()
+        self.shards.iter().map(|s| s.arrivals().0.len()).sum()
     }
 
     fn max_queue_len(&self) -> usize {

@@ -406,7 +406,12 @@ fn links_of<N: Network + ?Sized>(net: &N) -> usize {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    // 32 cases by default; CI raises PROPTEST_CASES, which a fixed
+    // `with_cases` would ignore.
+    #![proptest_config(ProptestConfig {
+        cases: std::env::var("PROPTEST_CASES")
+            .ok().and_then(|v| v.parse().ok()).unwrap_or(32),
+    })]
 
     #[test]
     fn prop_reference_equals_engines_on_meshes(
@@ -437,7 +442,7 @@ proptest! {
     fn prop_reference_equals_engines_on_butterflies(
         seed: u64,
         radix in 2usize..4,
-        levels in 1usize..4,
+        levels in 1usize..7,
         per_node in 1usize..4,
         furthest_first: bool,
         max_steps in 1u32..12,
@@ -497,7 +502,7 @@ proptest! {
         rows in 2usize..6,
         cols in 2usize..6,
         radix in 2usize..4,
-        levels in 1usize..4,
+        levels in 1usize..7,
         star_n in 3usize..5,
         per_node in 1usize..3,
         furthest_first: bool,

@@ -19,28 +19,33 @@
 //! and borrows nothing — an `Engine` can be stored next to the network
 //! it simulates and reused across runs.
 //!
-//! All queued packets live in one slab arena ([`PacketPool`]): a link
-//! queue is a pair of `u32` chain indices, enqueue recycles a free-list
-//! slot, and pop is an O(1) unlink. After warm-up a step performs **zero
-//! heap allocation** and **no sort over nodes or links**; a whole run
-//! allocates only the growth of the latency histogram it returns
-//! (`tests/alloc_free.rs` pins it):
+//! All queued packets live in one slab arena ([`PacketPool`], a packet
+//! array beside a `u32` chain array): a link queue is 16 bytes of chain
+//! indices and counters, enqueue recycles a free-list slot, and pop is an
+//! O(1) unlink. After warm-up a step performs **zero heap allocation**
+//! and **no sort over nodes or links**; a whole run allocates only the
+//! growth of the latency histogram it returns (`tests/alloc_free.rs`
+//! pins it):
 //!
 //! * the [`Outbox`] is kept across runs and applied in place (its
 //!   buffers are reused for every callback);
+//! * the links with non-empty queues are a bitmap, one bit per link,
+//!   plus the list of its non-zero 64-link words. Transmit walks the
+//!   words in list order and the bits of each by `trailing_zeros`, so it
+//!   visits links in ascending id order as long as the list is
+//!   ascending. Words join the list at the end when a push sets their
+//!   first bit and leave it when transmit clears their last; the list is
+//!   sorted before a transmit only when a join broke its order;
+//! * transmit copies each moved packet once, from its arena slot straight
+//!   into the arrivals, which are two parallel arrays (link ids,
+//!   packets) rather than one array of pairs;
 //! * arrivals are grouped by destination node by [`ArrivalGroups`]:
 //!   per-node index chains plus a bitmap of touched nodes, walked in
 //!   ascending order by sorting only the handful of non-zero 64-node
 //!   bitmap words. A node with a single arrival hands the protocol a
-//!   slice into the arrivals buffer, without copying the packet;
-//! * the `active` link list stays ascending by construction. The
-//!   transmit phase preserves order; the process phase visits nodes
-//!   ascending and CSR link ids are node-major, so
-//!   [`Engine::enqueue_sends`] only has to order the ≤ out-degree ids one
-//!   node appends, and the step closes with one linear merge of the
-//!   surviving links and the newly activated ones. Only injections,
-//!   which come in arbitrary node order, fall back to sorting the new
-//!   ids;
+//!   slice into the arrival packets, without copying the packet;
+//! * the `max_queue` metric is one counter raised on every push, so
+//!   [`Engine::queue_high_water`] is O(1);
 //! * run state (queues, arena, metrics, scratch) is recycled by
 //!   [`Engine::reset`], so a T-step emulation reuses one engine instead
 //!   of building per-link state T times.
@@ -169,38 +174,37 @@ pub struct Engine {
     /// Transmit phases since the last reset — the global step the fault
     /// schedule is keyed on (transmit of step `s` runs at clock `s`).
     clock: u32,
-    /// Ids of exactly the links with non-empty queues, ascending (a link
-    /// joins when a push finds its queue empty, order maintained
-    /// incrementally).
-    active: Vec<u32>,
+    /// One bit per link, set exactly while its queue is non-empty.
+    active: Vec<u64>,
+    /// Indices of the non-zero words of `active`, each once: appended
+    /// when a push sets a word's first bit, dropped by the transmit that
+    /// clears its last.
+    active_words: Vec<u32>,
+    /// `active_words` is not ascending (a word joined below the last
+    /// one); the next transmit sorts it first.
+    words_unsorted: bool,
     /// Links whose queue has been touched since the last reset (a link
-    /// joins when a push finds its high-water mark at zero):
+    /// joins when a push finds it empty and never popped):
     /// [`Engine::reset`] wipes only these, making reset O(touched links)
     /// instead of O(links).
     dirty: Vec<u32>,
+    /// Longest any link queue has been since the last reset.
+    max_queue: usize,
     in_flight: usize,
     pending: Vec<(usize, Packet)>,
     metrics: Metrics,
-    /// Length of the sorted prefix of `active` after the last transmit
-    /// phase; the links activated since form the suffix, which
-    /// [`StepEngine::step_finish`] merges in.
-    sorted_len: usize,
-    /// The suffix is not ascending: some node's sends were enqueued after
-    /// those of a higher node (only injections do that), so `step_finish`
-    /// has to sort it before the merge.
-    suffix_unsorted: bool,
     // --- reusable per-step scratch (never reallocated after warm-up) ---
-    /// This step's arrivals as `(link id, packet)`, active order (the
-    /// destination node is `link_target[link id]`). Keeping the link id
-    /// instead of the target lets an external coordinator (`lnpram-shard`)
-    /// look the head node up in its own global link table.
-    arrivals: Vec<(u32, Packet)>,
-    /// `arrivals` indices grouped by destination node.
+    /// This step's arrivals, ascending link order, as two parallel
+    /// arrays: the link each packet crossed (its destination node is
+    /// `link_target[link]`; keeping the link lets an external coordinator,
+    /// `lnpram-shard`, look the head node up in its own global link
+    /// table) and the packet.
+    arrival_links: Vec<u32>,
+    arrival_pkts: Vec<Packet>,
+    /// Arrival indices grouped by destination node.
     groups: ArrivalGroups,
     /// One node's arrival batch, rebuilt per node with several arrivals.
     batch: Vec<Packet>,
-    /// Swap buffer for `active` (still-active lists, merge output).
-    scratch: Vec<u32>,
     /// The protocol callbacks' outbox, lent to every run's step loop.
     outbox: Outbox,
 }
@@ -230,17 +234,18 @@ impl Engine {
             blocked_any: false,
             faults: None,
             clock: 0,
-            active: Vec::new(),
+            active: vec![0; links.div_ceil(64)],
+            active_words: Vec::new(),
+            words_unsorted: false,
             dirty: Vec::new(),
+            max_queue: 0,
             in_flight: 0,
             pending: Vec::new(),
             metrics: Metrics::default(),
-            sorted_len: 0,
-            suffix_unsorted: false,
-            arrivals: Vec::new(),
+            arrival_links: Vec::new(),
+            arrival_pkts: Vec::new(),
             groups: ArrivalGroups::new(n),
             batch: Vec::new(),
-            scratch: Vec::new(),
             outbox: Outbox::default(),
         }
     }
@@ -313,11 +318,10 @@ impl Engine {
             self.blocked.fill(false);
             self.blocked_any = false;
         }
-        self.active.clear();
+        self.clear_active();
+        self.max_queue = 0;
         self.in_flight = 0;
         self.pending.clear();
-        self.sorted_len = 0;
-        self.suffix_unsorted = false;
         self.metrics = Metrics::default();
         self.faults = None;
         self.clock = 0;
@@ -333,15 +337,9 @@ impl Engine {
     /// enter link queues, from the engine's own process phase and from an
     /// external coordinator alike. The packets become eligible to traverse
     /// their links from the next transmit phase on.
-    ///
-    /// It also keeps the newly activated suffix of `active` ascending at
-    /// the cost of ordering ≤ out-degree entries: a node's links are
-    /// contiguous ids, so when nodes are visited ascending (the process
-    /// phase) only the ids appended by *this* call can be out of order.
     pub fn enqueue_sends(&mut self, node: usize, sends: &[(usize, Packet)]) {
         let base = self.link_offset[node] as usize;
         let degree = self.out_degree(node);
-        let start = self.active.len();
         for &(port, pkt) in sends {
             assert!(
                 port < degree,
@@ -350,21 +348,22 @@ impl Engine {
             let id = base + port;
             let queue = &mut self.queues[id];
             if queue.is_empty() {
-                self.active.push(id as u32);
-                if queue.high_water() == 0 {
+                if queue.pops() == 0 {
                     self.dirty.push(id as u32);
                 }
+                let word = id / 64;
+                if self.active[word] == 0 {
+                    if let Some(&last) = self.active_words.last() {
+                        self.words_unsorted |= last as usize > word;
+                    }
+                    self.active_words.push(word as u32);
+                }
+                self.active[word] |= 1 << (id % 64);
             }
             queue.push(&mut self.pool, pkt);
+            self.max_queue = self.max_queue.max(queue.len());
         }
         self.in_flight += sends.len();
-        let (before, tail) = self.active.split_at_mut(start);
-        if tail.len() > 1 {
-            tail.sort_unstable();
-        }
-        if let (Some(&prev), Some(&first)) = (before[self.sorted_len..].last(), tail.first()) {
-            self.suffix_unsorted |= prev > first;
-        }
     }
 
     fn apply_outbox(&mut self, node: usize, out: &mut Outbox, step: u32) {
@@ -378,36 +377,20 @@ impl Engine {
         out.clear();
     }
 
-    /// Re-establish ascending order of `active`: the prefix up to
-    /// `sorted_len` is what the transmit phase left (ascending), the
-    /// suffix holds the links activated since — ascending already unless
-    /// [`Engine::enqueue_sends`] flagged it. One linear merge.
-    fn restore_active_order(&mut self) {
-        let sorted_len = self.sorted_len;
-        let (prefix, suffix) = self.active.split_at_mut(sorted_len);
-        if std::mem::take(&mut self.suffix_unsorted) {
-            suffix.sort_unstable();
+    /// Ascending order for `active_words`, if a join broke it.
+    fn sort_active_words(&mut self) {
+        if std::mem::take(&mut self.words_unsorted) {
+            self.active_words.sort_unstable();
         }
-        let (Some(&last), Some(&first)) = (prefix.last(), suffix.first()) else {
-            return; // nothing to merge
-        };
-        if last < first {
-            return; // concatenation is already sorted
+    }
+
+    /// Empty the active set (the queues themselves are not touched).
+    fn clear_active(&mut self) {
+        for &w in &self.active_words {
+            self.active[w as usize] = 0;
         }
-        self.scratch.clear();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < prefix.len() && j < suffix.len() {
-            if prefix[i] < suffix[j] {
-                self.scratch.push(prefix[i]);
-                i += 1;
-            } else {
-                self.scratch.push(suffix[j]);
-                j += 1;
-            }
-        }
-        self.scratch.extend_from_slice(&prefix[i..]);
-        self.scratch.extend_from_slice(&suffix[j..]);
-        std::mem::swap(&mut self.active, &mut self.scratch);
+        self.active_words.clear();
+        self.words_unsorted = false;
     }
 
     /// Run the protocol until all queues drain or `max_steps` elapse.
@@ -442,11 +425,12 @@ impl Engine {
     // every shard.
     // ------------------------------------------------------------------
 
-    /// The last transmit's arrivals as `(link id, packet)`, in ascending
-    /// link-id order — the deterministic transmit order. Valid until the
-    /// next transmit phase clears them.
-    pub fn arrivals(&self) -> &[(u32, Packet)] {
-        &self.arrivals
+    /// The last transmit's arrivals as two parallel slices — the link
+    /// each packet crossed and the packet — in ascending link-id order,
+    /// the deterministic transmit order. Valid until the next transmit
+    /// phase clears them.
+    pub fn arrivals(&self) -> (&[u32], &[Packet]) {
+        (&self.arrival_links, &self.arrival_pkts)
     }
 
     /// Total number of directed links (valid link ids are `0..num_links`).
@@ -469,8 +453,10 @@ impl Engine {
     /// * slot conservation: free slots + queued packets == arena
     ///   capacity (no leaked or double-owned slots);
     /// * packet conservation: `in_flight` == total queued packets;
-    /// * the active-link list is strictly ascending and covers exactly
-    ///   the non-empty queues;
+    /// * the active bitmap has exactly the non-empty queues' bits set, and
+    ///   its word list holds exactly its non-zero words, once each,
+    ///   ascending unless flagged for sorting;
+    /// * no queue is longer than the `max_queue` counter;
     /// * the dirty list holds every link pushed on since reset, once;
     /// * the arrival grouper is idle: touched-node bitmap all zero, every
     ///   per-node chain head `NIL` (a leftover would replay a stale
@@ -506,48 +492,51 @@ impl Engine {
             ));
         }
 
-        // Active-list shape: strictly ascending link ids (so no link is
-        // listed twice), and exactly the non-empty queues — a push
-        // decides whether to list a link by whether its queue was empty.
-        let mut listed = vec![false; self.queues.len()];
-        let mut prev: Option<u32> = None;
-        for &id in &self.active {
-            let idx = id as usize;
-            if idx >= self.queues.len() {
-                return fail(format!("active list holds out-of-range link {id}"));
-            }
-            if prev.is_some_and(|p| p >= id) {
-                return fail(format!(
-                    "active list not strictly ascending at link {id} (prev {})",
-                    prev.unwrap_or(0)
-                ));
-            }
-            prev = Some(id);
-            listed[idx] = true;
-            if self.queues[idx].is_empty() {
-                return fail(format!("active list holds link {id} whose queue is empty"));
-            }
-        }
-        // Dirty-list shape: no link twice, and every queue that was ever
-        // pushed on (reset would leak the others).
+        // Dirty-list shape: no link twice.
         let mut dirty = vec![false; self.queues.len()];
         for &id in &self.dirty {
             if std::mem::replace(&mut dirty[id as usize], true) {
                 return fail(format!("dirty list holds link {id} twice"));
             }
         }
+        // Per queue: its active bit is set exactly while it is non-empty,
+        // it is no longer than the max_queue counter, and if it was ever
+        // pushed on it is dirty-listed (reset would leak it otherwise).
         for (id, q) in self.queues.iter().enumerate() {
-            if !q.is_empty() && !listed[id] {
+            let bit = self.active[id / 64] >> (id % 64) & 1;
+            if (bit == 1) == q.is_empty() {
                 return fail(format!(
-                    "link {id} has {} queued packet(s) but is not active-listed",
+                    "link {id} has {} queued packet(s) but its active bit is {bit}",
                     q.len()
                 ));
             }
-            if q.high_water() > 0 && !dirty[id] {
+            if q.len() > self.max_queue {
+                return fail(format!(
+                    "link {id} holds {} packets, above the max_queue counter {}",
+                    q.len(),
+                    self.max_queue
+                ));
+            }
+            if (!q.is_empty() || q.pops() > 0) && !dirty[id] {
                 return fail(format!(
                     "link {id} was pushed on but never marked touched (reset would leak it)"
                 ));
             }
+        }
+        // Word-list shape: exactly the non-zero words, once each,
+        // ascending unless flagged for sorting.
+        let nonzero: Vec<u32> = (0..self.active.len() as u32)
+            .filter(|&w| self.active[w as usize] != 0)
+            .collect();
+        let mut listed = self.active_words.clone();
+        let ascending = listed.is_sorted();
+        listed.sort_unstable();
+        if listed != nonzero || !(ascending || self.words_unsorted) {
+            return fail(format!(
+                "active word list {:?} (flagged unsorted: {}) is not the non-zero words \
+                 {nonzero:?}, ascending unless flagged",
+                self.active_words, self.words_unsorted
+            ));
         }
         if let Err(e) = self.groups.check_idle() {
             return fail(format!("arrival groups: {e}"));
@@ -556,36 +545,48 @@ impl Engine {
     }
 
     /// Largest length any link queue has reached since construction or
-    /// the last [`Engine::reset`] (the `max_queue` metric). Scans only
-    /// the touched queues — untouched ones never left zero.
+    /// the last [`Engine::reset`] (the `max_queue` metric): a counter
+    /// raised on every push.
     pub fn queue_high_water(&self) -> usize {
-        self.dirty
-            .iter()
-            .map(|&id| self.queues[id as usize].high_water())
-            .max()
-            .unwrap_or(0)
+        self.max_queue
     }
 
+    /// Every active, unblocked link moves the packet its discipline
+    /// selects into the arrivals — copied once, straight from the arena
+    /// slot — in ascending link order; links whose queue empties leave
+    /// the active set.
     fn transmit(&mut self) {
-        self.scratch.clear();
+        self.sort_active_words();
         let disc = self.cfg.discipline;
-        let mut i = 0;
-        while i < self.active.len() {
-            let id = self.active[i];
-            i += 1;
-            let idx = id as usize;
-            if self.blocked[idx] {
-                self.scratch.push(id); // queue stays, nothing traverses
-                continue;
+        let mut kept = 0;
+        for i in 0..self.active_words.len() {
+            let w = self.active_words[i] as usize;
+            let mut left = self.active[w];
+            let mut bits = left;
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let idx = w * 64 + bit.trailing_zeros() as usize;
+                if self.blocked_any && self.blocked[idx] {
+                    continue; // queue stays, nothing traverses
+                }
+                let queue = &mut self.queues[idx];
+                if let Some(sel) = queue.select(&self.pool, disc) {
+                    self.arrival_pkts.push(*self.pool.selected(sel));
+                    self.arrival_links.push(idx as u32);
+                    queue.unlink(&mut self.pool, sel);
+                }
+                if queue.is_empty() {
+                    left ^= bit;
+                }
             }
-            if let Some(pkt) = self.queues[idx].pop(&mut self.pool, disc) {
-                self.arrivals.push((id, pkt));
-            }
-            if !self.queues[idx].is_empty() {
-                self.scratch.push(id);
+            self.active[w] = left;
+            if left != 0 {
+                self.active_words[kept] = w as u32;
+                kept += 1;
             }
         }
-        std::mem::swap(&mut self.active, &mut self.scratch);
+        self.active_words.truncate(kept);
     }
 
     /// Take back the not-yet-processed injections queued by
@@ -611,17 +612,19 @@ impl Engine {
 
     /// Drain every queue, returning the stranded packets (used by the
     /// retry wrapper of Lemma 2.1 to send unsuccessful packets back).
+    /// Queues are drained in ascending link order.
     pub fn drain_all(&mut self) -> Vec<Packet> {
+        self.sort_active_words();
         let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.active.len() {
-            let idx = self.active[i] as usize;
-            self.queues[idx].drain_into(&mut self.pool, &mut out);
-            i += 1;
+        for link in active_links(&self.active_words, &self.active) {
+            self.queues[link].drain_into(&mut self.pool, &mut out);
         }
-        self.active.clear();
+        self.clear_active();
         self.in_flight = 0;
-        self.sorted_len = 0;
+        // A drained queue that never popped is pristine again; dropping
+        // it from `dirty` keeps its next push from listing it twice.
+        let queues = &self.queues;
+        self.dirty.retain(|&id| queues[id as usize].pops() > 0);
         out
     }
 }
@@ -654,28 +657,28 @@ impl StepEngine for Engine {
             }
         }
         sink.on_phase_start(Phase::Transmit);
-        self.arrivals.clear();
+        self.arrival_links.clear();
+        self.arrival_pkts.clear();
         self.transmit();
-        self.in_flight -= self.arrivals.len();
-        self.sorted_len = self.active.len();
+        self.in_flight -= self.arrival_links.len();
         sink.on_phase_end(Phase::Transmit);
     }
 
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
-        for (a, &(link, _)) in self.arrivals.iter().enumerate() {
+        for (a, &link) in self.arrival_links.iter().enumerate() {
             self.groups
                 .push(self.link_target[link as usize] as usize, a as u32);
         }
         self.groups.seal();
         while let Some((node, head)) = self.groups.pop_node() {
             if let Some(a) = self.groups.single(head) {
-                let pkt = std::slice::from_ref(&self.arrivals[a as usize].1);
+                let pkt = std::slice::from_ref(&self.arrival_pkts[a as usize]);
                 proto.on_arrivals(node, pkt, step, out);
             } else {
                 self.batch.clear();
-                let arrivals = &self.arrivals;
+                let arrivals = &self.arrival_pkts;
                 self.batch
-                    .extend(self.groups.members(head).map(|a| arrivals[a as usize].1));
+                    .extend(self.groups.members(head).map(|a| arrivals[a as usize]));
                 proto.on_arrivals(node, &self.batch, step, out);
             }
             self.apply_outbox(node, out, step);
@@ -683,7 +686,6 @@ impl StepEngine for Engine {
     }
 
     fn step_finish(&mut self) {
-        self.restore_active_order();
         if invariant_checks_enabled() {
             if let Err(v) = self.check_invariants() {
                 panic!("engine invariant violated at step boundary: {v}");
@@ -713,16 +715,30 @@ impl StepEngine for Engine {
     }
 
     fn arrivals_len(&self) -> usize {
-        self.arrivals.len()
+        self.arrival_links.len()
     }
 
     fn max_queue_len(&self) -> usize {
-        self.active
-            .iter()
-            .map(|&id| self.queues[id as usize].len())
+        active_links(&self.active_words, &self.active)
+            .map(|link| self.queues[link].len())
             .max()
             .unwrap_or(0)
     }
+}
+
+/// The links whose bits are set in the listed `words` of an active
+/// bitmap, in list order (ascending within a word).
+fn active_links<'a>(words: &'a [u32], active: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
+    words.iter().flat_map(move |&w| {
+        let mut bits = active[w as usize];
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let link = w as usize * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                link
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1134,6 +1150,67 @@ mod tests {
         }
     }
 
+    /// Injections are processed in the order they were queued, so a
+    /// descending node order appends the active bitmap's words in
+    /// descending order; transmit must still visit links ascending.
+    #[test]
+    fn transmit_visits_links_ascending_after_descending_injections() {
+        let mesh = Mesh::linear(200);
+        let mut eng = Engine::new(&mesh, SimConfig::default());
+        assert!(eng.num_links().div_ceil(64) >= 4);
+        for node in (0..200).rev() {
+            let dest = if node < 100 { 199 } else { 0 };
+            eng.inject(node, Packet::new(node as u32, node as u32, dest));
+        }
+        let mut proto = GreedyMesh { mesh };
+        let mut out = Outbox::default();
+        eng.process_pending(&mut proto, 0, &mut out);
+        eng.step_finish();
+        assert!(
+            eng.words_unsorted,
+            "the case under test: words out of order"
+        );
+        eng.step_transmit(&mut NoopSink);
+        let (links, pkts) = eng.arrivals();
+        assert_eq!(links.len(), 200);
+        assert!(links.windows(2).all(|w| w[0] < w[1]), "{links:?}");
+        for (&link, pkt) in links.iter().zip(pkts) {
+            // One hop from the source toward the destination.
+            let next = if pkt.dest > pkt.src {
+                pkt.src + 1
+            } else {
+                pkt.src - 1
+            };
+            assert_eq!(eng.link_target[link as usize], next);
+        }
+        assert_eq!(eng.check_invariants(), Ok(()));
+    }
+
+    /// `max_queue` is the peak length, not the length at the end.
+    #[test]
+    fn max_queue_is_the_peak_not_the_final_length() {
+        let net = ExplicitNetwork::undirected(2, &[(0, 1)], "edge");
+        let mut eng = Engine::new(&net, SimConfig::default());
+        let mut proto = |_node: usize, pkt: Packet, _s: u32, out: &mut Outbox| out.deliver(pkt);
+        let mut out = Outbox::default();
+        let sends: Vec<(usize, Packet)> = (0..4).map(|i| (0, Packet::new(i, 0, 1))).collect();
+        eng.enqueue_sends(0, &sends);
+        for step in 1..=2 {
+            eng.step_transmit(&mut NoopSink);
+            eng.process_arrivals(&mut proto, step, &mut out);
+            eng.step_finish();
+        }
+        eng.enqueue_sends(0, &[(0, Packet::new(9, 0, 1))]);
+        assert_eq!(eng.max_queue_len(), 3);
+        assert_eq!(eng.finish_metrics(2).max_queue, 4);
+    }
+
+    fn first_active_link(eng: &Engine) -> usize {
+        active_links(&eng.active_words, &eng.active)
+            .next()
+            .expect("a queued link")
+    }
+
     /// `check_invariants` must actually detect corruption, not just
     /// bless healthy engines: break each bookkeeping layer by hand and
     /// confirm the violation is reported.
@@ -1163,7 +1240,7 @@ mod tests {
 
         // Queue length counter out of sync with its chain.
         let mut eng = build();
-        let link = eng.active[0] as usize;
+        let link = first_active_link(&eng);
         eng.queues[link].push(&mut eng.pool, Packet::new(99, 0, 8));
         // (push bumped len and allocated a slot, but in_flight was not
         // told — and we also corrupt the counter directly)
@@ -1179,7 +1256,7 @@ mod tests {
 
         // Active list referencing an empty, unblocked queue.
         let mut eng = build();
-        let link = eng.active[0] as usize;
+        let link = first_active_link(&eng);
         let n = eng.queues[link].len();
         for _ in 0..n {
             eng.queues[link].pop(&mut eng.pool, Discipline::Fifo);

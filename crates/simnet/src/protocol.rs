@@ -19,12 +19,14 @@ pub struct Outbox {
 impl Outbox {
     /// Forward `pkt` on `port` of the current node (enqueued this step,
     /// eligible to traverse the link from the next step on).
+    #[inline]
     pub fn send(&mut self, port: usize, pkt: Packet) {
         self.sends.push((port, pkt));
     }
 
     /// The packet has reached its destination; record it as delivered at
     /// the current step.
+    #[inline]
     pub fn deliver(&mut self, pkt: Packet) {
         self.delivered.push(pkt);
     }

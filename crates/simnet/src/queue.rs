@@ -10,19 +10,25 @@
 //!   remaining distance (encoded in [`Packet::priority`]).
 //!
 //! Storage is a single slab arena — [`PacketPool`] — shared by every
-//! queue of an engine: one contiguous `Vec` of packet slots threaded by an
-//! intrusive free list. A [`LinkQueue`] is just four `u32` indices into
-//! that arena (head/tail of its FIFO chain plus counters), so enqueue and
-//! pop never touch the allocator once the arena has grown to the
-//! high-water mark of a run, and tearing a queue down costs nothing.
+//! queue of an engine, held as two parallel arrays: the packets, and the
+//! `u32` `next` index threading each slot onto a per-link FIFO chain or
+//! the free list. Chain and free-list walks read only the 4-byte `next`
+//! words, never the 48-byte packets beside them. A [`LinkQueue`] is four
+//! `u32`s (16 bytes): head and tail of its chain, its length and its pop
+//! count. Enqueue and pop never touch the allocator once the arena has
+//! grown to the high-water mark of a run, and tearing a queue down costs
+//! nothing.
 //!
 //! Selection is split into a read-only [`LinkQueue::select`] (returns the
 //! slot to extract) and a mutating [`LinkQueue::commit_pop`];
 //! [`LinkQueue::pop`] is the two in sequence. Both halves are public
-//! because `bench_layers` calls them.
+//! because `bench_layers` calls them. The engine's transmit phase copies
+//! the selected packet straight out of the arena and then unlinks it, so
+//! a hop moves each packet once.
 //!
-//! A [`LinkQueue`] records its own high-water mark so Theorem-level queue
-//! bounds (O(ℓ), O(log n), O(1)) can be checked per run.
+//! A queue keeps no high-water mark of its own: the engine raises one
+//! counter on every push, which is the `max_queue` metric Theorem-level
+//! queue bounds (O(ℓ), O(log n), O(1)) are checked against.
 
 use crate::packet::Packet;
 
@@ -41,21 +47,16 @@ pub enum Discipline {
     FurthestFirst,
 }
 
-/// One arena slot: a packet plus the intrusive `next` link (chains both
-/// per-link FIFOs and the free list).
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    pkt: Packet,
-    next: u32,
-}
-
-/// The slab arena backing every [`LinkQueue`] of one engine.
+/// The slab arena backing every [`LinkQueue`] of one engine: slot `i`
+/// is `pkts[i]` plus `next[i]`, the intrusive link that chains both
+/// per-link FIFOs and the free list.
 ///
-/// Freed slots go on an intrusive free list and are recycled before the
-/// backing `Vec` grows, so steady-state traffic allocates nothing.
+/// Freed slots go on the free list and are recycled before the arrays
+/// grow, so steady-state traffic allocates nothing.
 #[derive(Debug, Clone)]
 pub struct PacketPool {
-    slots: Vec<Slot>,
+    pkts: Vec<Packet>,
+    next: Vec<u32>,
     free_head: u32,
 }
 
@@ -69,7 +70,8 @@ impl PacketPool {
     /// An empty pool.
     pub fn new() -> Self {
         PacketPool {
-            slots: Vec::new(),
+            pkts: Vec::new(),
+            next: Vec::new(),
             free_head: NIL,
         }
     }
@@ -77,20 +79,22 @@ impl PacketPool {
     /// Slots currently backing the pool (occupied + free); the arena's
     /// high-water mark.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.pkts.len()
     }
 
     /// Store `pkt`, recycling a free slot if one exists.
     fn alloc(&mut self, pkt: Packet) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
-            self.free_head = self.slots[idx as usize].next;
-            self.slots[idx as usize] = Slot { pkt, next: NIL };
+            self.free_head = self.next[idx as usize];
+            self.pkts[idx as usize] = pkt;
+            self.next[idx as usize] = NIL;
             idx
         } else {
-            let idx = self.slots.len() as u32;
+            let idx = self.pkts.len() as u32;
             assert!(idx != NIL, "packet pool exhausted the u32 index space");
-            self.slots.push(Slot { pkt, next: NIL });
+            self.pkts.push(pkt);
+            self.next.push(NIL);
             idx
         }
     }
@@ -98,23 +102,30 @@ impl PacketPool {
     /// Return `idx` to the free list (the packet value is left in place;
     /// it is dead storage until the slot is recycled).
     fn free(&mut self, idx: u32) {
-        self.slots[idx as usize].next = self.free_head;
+        self.next[idx as usize] = self.free_head;
         self.free_head = idx;
     }
 
     /// Drop every slot but keep the arena's backing allocation, so a
     /// reused engine re-warms without touching the allocator.
     pub fn clear(&mut self) {
-        self.slots.clear();
+        self.pkts.clear();
+        self.next.clear();
         self.free_head = NIL;
     }
 
     fn pkt(&self, idx: u32) -> &Packet {
-        &self.slots[idx as usize].pkt
+        &self.pkts[idx as usize]
     }
 
     fn next(&self, idx: u32) -> u32 {
-        self.slots[idx as usize].next
+        self.next[idx as usize]
+    }
+
+    /// The packet a [`LinkQueue::select`] chose, where it lies.
+    #[inline]
+    pub(crate) fn selected(&self, sel: Selection) -> &Packet {
+        self.pkt(sel.slot)
     }
 
     /// Walk the free list, marking each slot in `seen` (sized to
@@ -127,10 +138,10 @@ impl PacketPool {
         let mut cur = self.free_head;
         while cur != NIL {
             let i = cur as usize;
-            if i >= self.slots.len() {
+            if i >= self.capacity() {
                 return Err(format!(
                     "free list points at slot {i} beyond capacity {}",
-                    self.slots.len()
+                    self.capacity()
                 ));
             }
             if seen[i] {
@@ -138,7 +149,7 @@ impl PacketPool {
             }
             seen[i] = true;
             count += 1;
-            cur = self.slots[i].next;
+            cur = self.next[i];
         }
         Ok(count)
     }
@@ -157,9 +168,11 @@ pub struct Selection {
 #[derive(Debug, Clone)]
 pub struct LinkQueue {
     head: u32,
-    tail: u32,
+    // `len` and `pops` are kept apart: adjacent, a pop updates both with
+    // one 8-byte load and store, and that load cannot be forwarded from
+    // the 4-byte `len` store of a push just before it.
     len: u32,
-    high_water: u32,
+    tail: u32,
     pops: u32,
 }
 
@@ -176,7 +189,6 @@ impl LinkQueue {
             head: NIL,
             tail: NIL,
             len: 0,
-            high_water: 0,
             pops: 0,
         }
     }
@@ -189,12 +201,6 @@ impl LinkQueue {
     /// Is the queue empty?
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Largest length this queue ever reached (since the last
-    /// [`LinkQueue::reset`]).
-    pub fn high_water(&self) -> usize {
-        self.high_water as usize
     }
 
     /// Packets that have traversed this link (successful pop count) — the
@@ -210,11 +216,10 @@ impl LinkQueue {
         if self.tail == NIL {
             self.head = idx;
         } else {
-            pool.slots[self.tail as usize].next = idx;
+            pool.next[self.tail as usize] = idx;
         }
         self.tail = idx;
         self.len += 1;
-        self.high_water = self.high_water.max(self.len);
     }
 
     /// Choose the packet to transmit this step under `disc` without
@@ -256,13 +261,22 @@ impl LinkQueue {
     /// Extract a previously [`select`](Self::select)ed packet: O(1) chain
     /// unlink, no shifting, slot returned to the pool's free list.
     pub fn commit_pop(&mut self, pool: &mut PacketPool, sel: Selection) -> Packet {
+        let pkt = *pool.selected(sel);
+        self.unlink(pool, sel);
+        pkt
+    }
+
+    /// Remove a [`select`](Self::select)ed packet without copying it out
+    /// (read it first with [`PacketPool::selected`]): the slot goes back
+    /// on the free list and counts as one traversal.
+    #[inline]
+    pub(crate) fn unlink(&mut self, pool: &mut PacketPool, sel: Selection) {
         let Selection { slot, prev } = sel;
-        let pkt = *pool.pkt(slot);
         let after = pool.next(slot);
         if prev == NIL {
             self.head = after;
         } else {
-            pool.slots[prev as usize].next = after;
+            pool.next[prev as usize] = after;
         }
         if self.tail == slot {
             self.tail = prev;
@@ -270,7 +284,6 @@ impl LinkQueue {
         pool.free(slot);
         self.len -= 1;
         self.pops += 1;
-        pkt
     }
 
     /// Select and remove the packet to transmit this step under `disc`,
@@ -413,20 +426,6 @@ mod tests {
             .collect();
         // 9s first in arrival order, then 3, then 1.
         assert_eq!(order, vec![1, 2, 0, 3]);
-    }
-
-    #[test]
-    fn high_water_tracks_peak() {
-        let mut pool = PacketPool::new();
-        let mut q = LinkQueue::new();
-        for i in 0..4 {
-            q.push(&mut pool, pkt(i, 0));
-        }
-        q.pop(&mut pool, Discipline::Fifo);
-        q.pop(&mut pool, Discipline::Fifo);
-        q.push(&mut pool, pkt(9, 0));
-        assert_eq!(q.high_water(), 4);
-        assert_eq!(q.len(), 3);
     }
 
     #[test]

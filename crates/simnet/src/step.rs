@@ -41,8 +41,7 @@ pub trait StepEngine {
     /// (footnote 3's unit-time combining sees a node's whole batch).
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox);
 
-    /// Close the step: restore internal order after the process phase's
-    /// enqueues (and re-verify invariants when checking is on).
+    /// Close the step (and re-verify invariants when checking is on).
     fn step_finish(&mut self);
 
     /// Charge every still-queued packet one packet-step of occupancy.

@@ -101,7 +101,7 @@ fn warmed_up_run_allocates_nothing_per_step_or_per_packet() {
             for src in 0..width {
                 // Bit reversal, the butterfly's bad permutation: √N packets
                 // share a link, so queues build, links stay active across
-                // steps and the active list merges every step.
+                // steps and bitmap words join the active list out of order.
                 let dest = src.reverse_bits() >> (usize::BITS as usize - dims);
                 eng.inject(
                     net.node_id(0, src),
