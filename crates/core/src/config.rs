@@ -4,10 +4,9 @@ use lnpram_simnet::Discipline;
 
 /// Parameters of a PRAM emulation.
 ///
-/// The hashed emulators ([`PramEmulator`](crate::PramEmulator) on the
-/// leveled, star and mesh hosts) honour every field except where a field
-/// says otherwise; the replicated baseline has no hashing, budget or
-/// combining and reads only `seed` and `discipline`.
+/// [`PramEmulator`](crate::PramEmulator) on the leveled, star and mesh
+/// hosts, hashed or replicated, honours every field except where a field
+/// says otherwise.
 #[derive(Debug, Clone)]
 pub struct EmulatorConfig {
     /// Request-phase step budget as a multiple of the host's phase bound
@@ -22,7 +21,7 @@ pub struct EmulatorConfig {
     /// (the A3 ablation uses this to force constant-degree hashing).
     pub hash_degree_override: Option<usize>,
     /// Queueing discipline of the routing engines on the leveled and star
-    /// hosts and the replicated baseline. Does not reach the mesh host:
+    /// hosts. Does not reach the mesh host:
     /// the three-stage algorithm requires furthest-destination-first
     /// (§3.4) and the host fixes it.
     pub discipline: Discipline,
@@ -41,8 +40,7 @@ pub struct EmulatorConfig {
     /// lockstep sharded path, clamped to `lnpram-shard`'s `MAX_SHARDS`
     /// (15). Results are bit-identical either way (the sharded
     /// determinism contract); the knob only changes how the network
-    /// simulation scales. Honoured by the leveled, star and mesh hosts;
-    /// the replicated baseline always runs serial.
+    /// simulation scales. Honoured by the leveled, star and mesh hosts.
     pub shards: usize,
 }
 

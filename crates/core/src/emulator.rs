@@ -6,17 +6,22 @@
 //!
 //! 1. **Issue**: every processor's `MemOp` becomes a request for module
 //!    `h(addr)` (`h` drawn from the Karlin–Upfal class with `S = c·L`,
-//!    §2.1; the mesh's locality experiments use the identity map).
+//!    §2.1; the mesh's locality experiments use the identity map). Under
+//!    deterministic replication ([`PramEmulator::with_copies`]) it
+//!    becomes `c` requests instead, one per copy in its quorum.
 //! 2. **Request routing**: the host's algorithm carries the requests to
 //!    the modules within a step budget, combining reads en route where
 //!    the host can (Theorem 2.6).
 //! 3. **Service**: modules serve their batch with read-before-write
-//!    semantics ([`crate::memory`]).
-//! 4. **Reply routing**: the host carries the read values back.
+//!    semantics, stamping writes with the step's version
+//!    ([`crate::memory`]).
+//! 4. **Reply routing**: the host carries the read values back; each
+//!    reader keeps the newest version among its replies.
 //! 5. **Rehash** (§2.1): if the request routing misses its budget, a
 //!    designated processor draws a fresh hash function, all cells are
 //!    remapped (an explicit remap charge), the budget doubles, and the
-//!    step restarts.
+//!    step restarts. A fixed placement (direct or replicated) retries
+//!    without remapping.
 //!
 //! The shell owns everything in that list except steps 2 and 4, which
 //! are the [`EmuHost`] a topology implements: two routing phases and
@@ -25,11 +30,45 @@
 //! and the cross-crate integration tests.
 
 use crate::config::{EmuReport, EmulatorConfig, StepStats};
-use crate::memory::ModuleArray;
+use crate::memory::{ModuleArray, ServedRead};
 use lnpram_hash::{HashFamily, PolyHash};
 use lnpram_math::rng::SeedSeq;
 use lnpram_pram::model::{AccessMode, MemOp, PramProgram};
 use lnpram_simnet::Metrics;
+use std::fmt;
+
+/// Fixed multiplicative-hash constants placing the replicated map's
+/// copies, one per copy index (odd 64-bit constants in the golden-ratio
+/// family; the placement is *deterministic*, which is the point of that
+/// baseline, so they are compile-time fixed).
+const PLACEMENT_KEYS: [u64; 7] = [
+    0x9E37_79B9_7F4A_7C15,
+    0xC2B2_AE3D_27D4_EB4F,
+    0x1656_67B1_9E37_79F9,
+    0x27D4_EB2F_1656_67C5,
+    0x9E37_79B9_7F4A_7C55,
+    0xC2B2_AE3D_27D4_EB05,
+    0x1656_67B1_9E37_79A1,
+];
+
+/// A copy count replication cannot run with: `R = 2c − 1` must be odd
+/// (so any two quorums intersect) and within `1..=7` (one placement key
+/// per copy).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InvalidCopies(pub usize);
+
+impl fmt::Display for InvalidCopies {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "copies must be odd (R = 2c − 1) with 1 ≤ copies ≤ {}, got {}",
+            PLACEMENT_KEYS.len(),
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for InvalidCopies {}
 
 /// One memory request of the PRAM step being emulated. Request packets
 /// carry their index in the step's request list as [`Packet::id`], so a
@@ -40,20 +79,16 @@ use lnpram_simnet::Metrics;
 pub struct Request {
     /// Issuing processor.
     pub proc: usize,
-    /// Shared-memory address.
-    pub addr: u64,
+    /// Storage key of the cell accessed: the shared-memory address, or
+    /// `addr·R + j` for copy `j` under replication. Requests for one key
+    /// go to one module, so hosts combine by it.
+    pub key: u64,
     /// `None` = read; `Some(v)` = write of `v`.
     pub write: Option<u64>,
-    /// Module owning `addr` under the current address map (the shell
+    /// Module holding the cell under the current address map (the shell
     /// re-maps pending requests when it rehashes).
     pub module: u32,
 }
-
-/// A read served by a module: `(module, addr, tag, value)`, as
-/// [`ModuleArray::serve_batches`] returns it, where `tag` is the reply
-/// tag the host buffered the read with. Reply packets carry their index
-/// in the served list as their id.
-pub type ServedRead = (usize, u64, u32, u64);
 
 /// What a host reports of one completed routing phase.
 #[derive(Debug, Clone, Copy)]
@@ -81,7 +116,7 @@ impl PhaseOutcome {
 /// constants the shell's budgets and charges scale with.
 ///
 /// Packet conventions shared by all hosts: a request packet's `id`
-/// indexes the step's [`Request`] list and its `tag` is the address
+/// indexes the step's [`Request`] list and its `tag` is the storage key
 /// (hosts whose protocols treat writes differently en route flag them
 /// with `hop == 1`); a reply packet's `id` indexes the served reads.
 pub trait EmuHost {
@@ -110,14 +145,14 @@ pub trait EmuHost {
         seq: SeedSeq,
     ) -> Option<PhaseOutcome>;
 
-    /// Route the served `reads` back, pushing `(proc, value)` per
-    /// answered read request. Follows a successful request phase, so it
-    /// runs unbudgeted.
+    /// Route the served `reads` back, pushing `(proc, read index)` for
+    /// every reply a processor receives. Follows a successful request
+    /// phase, so it runs unbudgeted.
     fn route_replies(
         &mut self,
         reads: &[ServedRead],
         seq: SeedSeq,
-        deliveries: &mut Vec<(usize, u64)>,
+        replies: &mut Vec<(usize, u32)>,
     ) -> PhaseOutcome;
 }
 
@@ -129,21 +164,68 @@ pub enum AddressMap {
     /// Identity map: address `a` lives at module `a` (the mesh's
     /// locality experiments, Theorem 3.3).
     Direct,
+    /// Deterministic replication, the baseline of the paper's reference
+    /// \[3\] (Alt, Hagerup, Mehlhorn & Preparata, SIAM J. Comput. 1987):
+    /// every cell in `copies = 2c − 1` replicas at fixed modules. A write
+    /// updates copies `0..c`; a read consults `c` copies rotated by the
+    /// address, so read load spreads over all of them; any two such
+    /// quorums intersect, and the newest version wins.
+    ///
+    /// Simplified from \[3\], whose copies sit on an expander-like
+    /// bipartite structure and whose reads take an *adaptive* majority
+    /// (robust to worst-case congestion): here placement is a fixed
+    /// multiplicative hash and the quorums are fixed. That keeps the cost
+    /// structure the comparison needs — `c×` request and reply traffic
+    /// per access, no rehash escape, a placement an adversary could
+    /// target — and omits the worst-case machinery.
+    Replicated {
+        /// `R`: odd, `1..=7` (1 is deterministic placement alone).
+        copies: usize,
+    },
 }
 
 impl AddressMap {
-    /// The module owning `addr`.
-    pub fn module_of(&self, addr: u64) -> usize {
+    /// Copies stored per cell: `R` under replication, else 1.
+    pub(crate) fn copies(&self) -> usize {
         match self {
-            AddressMap::Hashed(h) => h.eval(addr) as usize,
-            AddressMap::Direct => addr as usize,
+            AddressMap::Replicated { copies } => *copies,
+            _ => 1,
+        }
+    }
+
+    /// The copies an access of `addr` touches: the write quorum `0..c`,
+    /// or for a read the `c` copies from `addr mod R` on (cyclically).
+    pub(crate) fn quorum(&self, addr: u64, write: bool) -> impl Iterator<Item = usize> {
+        let r = self.copies();
+        // Every access of every step comes through here: no division
+        // when there is one copy.
+        let start = if write || r == 1 {
+            0
+        } else {
+            (addr % r as u64) as usize
+        };
+        (start..start + r.div_ceil(2)).map(move |j| if j < r { j } else { j - r })
+    }
+
+    /// The module and storage key of copy `j` of `addr` on a host with
+    /// `modules` modules.
+    pub(crate) fn locate(&self, addr: u64, j: usize, modules: usize) -> (usize, u64) {
+        match self {
+            AddressMap::Hashed(h) => (h.eval(addr) as usize, addr),
+            AddressMap::Direct => (addr as usize, addr),
+            AddressMap::Replicated { copies } => {
+                let mixed = addr.wrapping_add(1).wrapping_mul(PLACEMENT_KEYS[j]);
+                let module = (mixed >> 17) % modules as u64;
+                (module as usize, addr * *copies as u64 + j as u64)
+            }
         }
     }
 }
 
-/// The hashed PRAM emulator on host `H` (Theorems 2.5/2.6 and 3.2/3.3,
-/// Corollaries 2.3–2.6). Built through the host aliases' constructors:
-/// [`LeveledPramEmulator`](crate::LeveledPramEmulator),
+/// The PRAM emulator on host `H` (Theorems 2.5/2.6 and 3.2/3.3,
+/// Corollaries 2.3–2.6), hashed unless built
+/// [`with_copies`](Self::with_copies). Built through the host aliases'
+/// constructors: [`LeveledPramEmulator`](crate::LeveledPramEmulator),
 /// [`StarPramEmulator`](crate::StarPramEmulator),
 /// [`MeshPramEmulator`](crate::MeshPramEmulator).
 pub struct PramEmulator<H> {
@@ -154,9 +236,18 @@ pub struct PramEmulator<H> {
     modules: ModuleArray,
     seq: SeedSeq,
     hash_epoch: u64,
+    /// The version the last served step stamped its writes with; initial
+    /// memory is version 0.
+    version: u64,
     report: EmuReport,
     /// The current step's requests, kept between steps for its capacity.
     requests: Vec<Request>,
+    /// The current step's `(proc, read index)` replies, likewise.
+    replies: Vec<(usize, u32)>,
+    /// Per processor, `(step, version, delivery index)` of its newest
+    /// reply so far, `step` being the version of the step it answered;
+    /// entries of an earlier step are stale.
+    newest: Vec<(u64, u64, usize)>,
 }
 
 impl<H: EmuHost> PramEmulator<H> {
@@ -182,9 +273,54 @@ impl<H: EmuHost> PramEmulator<H> {
             modules: ModuleArray::new(modules, mode),
             seq,
             hash_epoch: 0,
+            version: 0,
             report: EmuReport::default(),
             requests: Vec::new(),
+            replies: Vec::new(),
+            newest: Vec::new(),
         }
+    }
+
+    /// Store every cell in `copies = 2c − 1` fixed replicas instead of
+    /// one hashed copy ([`AddressMap::Replicated`]): the deterministic
+    /// baseline the randomized scheme is compared against. Every access
+    /// costs `c` requests, a read's replies resolve by version, and a
+    /// budget overrun retries on the same placement. Works on any host
+    /// and honours every [`EmulatorConfig`] field.
+    ///
+    /// # Errors
+    /// [`InvalidCopies`] unless `copies` is odd and at most 7.
+    ///
+    /// # Panics
+    /// Unless the emulator is freshly built and hashed: once a step has
+    /// run or a cell is stored, or on a direct map
+    /// ([`MeshPramEmulator::new_local`](crate::MeshPramEmulator::new_local)),
+    /// switching placement would strand cells where the old map put them.
+    ///
+    /// ```
+    /// use lnpram_core::{EmulatorConfig, InvalidCopies, StarPramEmulator};
+    /// use lnpram_pram::model::{AccessMode, MemOp};
+    ///
+    /// let emu = StarPramEmulator::new(4, AccessMode::Erew, 64, EmulatorConfig::default());
+    /// let mut emu = emu.with_copies(3)?;
+    /// emu.emulate_step(&[MemOp::Write(7, 41)], 0);
+    /// let reads = emu.emulate_step(&[MemOp::Read(7)], 1);
+    /// assert_eq!(reads, vec![(0, 41)]);
+    /// assert_eq!(emu.quorum(), 2); // c = (R+1)/2 packets per access
+    /// # Ok::<(), InvalidCopies>(())
+    /// ```
+    pub fn with_copies(mut self, copies: usize) -> Result<Self, InvalidCopies> {
+        if copies.is_multiple_of(2) || copies > PLACEMENT_KEYS.len() {
+            return Err(InvalidCopies(copies));
+        }
+        assert!(
+            matches!(self.map, AddressMap::Hashed(_))
+                && self.report.steps.is_empty()
+                && self.modules.holds_no_cells(),
+            "with_copies needs a freshly built hashed emulator"
+        );
+        self.map = AddressMap::Replicated { copies };
+        Ok(self)
     }
 
     /// Number of processors (= memory modules).
@@ -198,14 +334,23 @@ impl<H: EmuHost> PramEmulator<H> {
         self.host.diameter()
     }
 
-    /// Module owning `addr` under the current address map.
-    pub fn module_of(&self, addr: u64) -> usize {
-        self.map.module_of(addr)
+    /// Requests per access: the quorum `c = (R + 1)/2` under
+    /// replication, else 1.
+    pub fn quorum(&self) -> usize {
+        self.map.copies().div_ceil(2)
     }
 
-    /// Direct read of the emulated shared memory (for verification).
+    /// Direct read of the emulated shared memory (for verification): the
+    /// newest of the cell's copies.
     pub fn peek(&self, addr: u64) -> u64 {
-        self.modules.peek(self.module_of(addr), addr)
+        let modules = self.processors();
+        let copies = (0..self.map.copies()).map(|j| {
+            let (module, key) = self.map.locate(addr, j, modules);
+            self.modules.peek(module, key)
+        });
+        copies
+            .max_by_key(|&(_, version)| version)
+            .map_or(0, |(value, _)| value)
     }
 
     /// Snapshot the full memory image `0..address_space` (diffed against
@@ -220,22 +365,46 @@ impl<H: EmuHost> PramEmulator<H> {
     }
 
     /// Run `prog` to completion (every processor `Halt`s), mirroring
-    /// [`lnpram_pram::PramMachine::run`]. Returns the final report clone.
+    /// [`lnpram_pram::PramMachine::run`]: place its initial memory, then
+    /// feed every PRAM step's ops to [`emulate_step`](Self::emulate_step)
+    /// and the reads back to the program. Returns the final report clone.
     ///
     /// # Panics
     /// If `prog` needs more processors than the host has or addresses
     /// more cells than the emulator was built for, and as
     /// [`emulate_step`](Self::emulate_step) does.
     pub fn run_program<P: PramProgram>(&mut self, prog: &mut P, max_steps: usize) -> EmuReport {
-        let limits = (self.processors(), self.family.address_space);
-        let steps = drive_program(
-            self,
-            prog,
-            max_steps,
-            limits,
-            |emu, addr, val| emu.modules.poke(emu.module_of(addr), addr, val),
-            Self::emulate_step,
+        let (p, modules) = (prog.processors(), self.processors());
+        assert!(
+            p <= modules,
+            "program needs {p} processors, host has {modules}"
         );
+        assert!(
+            prog.address_space() <= self.family.address_space,
+            "program addresses {} cells, emulator was built for {}",
+            prog.address_space(),
+            self.family.address_space
+        );
+        for (addr, value) in prog.initial_memory() {
+            for j in 0..self.map.copies() {
+                let (module, key) = self.map.locate(addr, j, modules);
+                self.modules.poke(module, key, value, 0);
+            }
+        }
+        let mut last_read: Vec<Option<u64>> = vec![None; p];
+        let mut steps = max_steps;
+        for pram_step in 0..max_steps {
+            let ops: Vec<MemOp> = (0..p)
+                .map(|i| prog.op(i, pram_step, last_read[i]))
+                .collect();
+            if ops.iter().all(|o| matches!(o, MemOp::Halt)) {
+                steps = pram_step;
+                break;
+            }
+            for (proc, value) in self.emulate_step(&ops, pram_step as u64) {
+                last_read[proc] = Some(value);
+            }
+        }
         self.report.pram_steps += steps;
         self.report.clone()
     }
@@ -247,27 +416,29 @@ impl<H: EmuHost> PramEmulator<H> {
     /// request phase still overruns its budget after
     /// [`EmulatorConfig::max_rehashes`] rehashes.
     pub fn emulate_step(&mut self, ops: &[MemOp], step_label: u64) -> Vec<(usize, u64)> {
+        let modules = self.processors();
         assert!(
-            ops.len() <= self.processors(),
-            "{} ops for {} processors",
-            ops.len(),
-            self.processors()
+            ops.len() <= modules,
+            "{} ops for {modules} processors",
+            ops.len()
         );
         self.requests.clear();
-        self.requests
-            .extend(ops.iter().enumerate().filter_map(|(proc, op)| {
-                let (addr, write) = match *op {
-                    MemOp::Read(addr) => (addr, None),
-                    MemOp::Write(addr, v) => (addr, Some(v)),
-                    MemOp::None | MemOp::Halt => return None,
-                };
-                Some(Request {
+        for (proc, op) in ops.iter().enumerate() {
+            let (addr, write) = match *op {
+                MemOp::Read(addr) => (addr, None),
+                MemOp::Write(addr, v) => (addr, Some(v)),
+                MemOp::None | MemOp::Halt => continue,
+            };
+            for j in self.map.quorum(addr, write.is_some()) {
+                let (module, key) = self.map.locate(addr, j, modules);
+                self.requests.push(Request {
                     proc,
-                    addr,
+                    key,
                     write,
-                    module: self.map.module_of(addr) as u32,
-                })
-            }));
+                    module: module as u32,
+                });
+            }
+        }
         let mut stats = StepStats {
             requests: self.requests.len() as u32,
             ..Default::default()
@@ -305,19 +476,35 @@ impl<H: EmuHost> PramEmulator<H> {
         stats.max_queue = requested.max_queue;
         stats.combined = requested.combined;
 
-        let (reads, busiest) = self.modules.serve_batches();
+        self.version += 1;
+        let (reads, busiest) = self.modules.serve_batches(self.version);
         stats.service_steps = busiest;
 
-        // One delivery per read request at most, so the reply run never
-        // grows the vector it fills.
-        let mut deliveries: Vec<(usize, u64)> = Vec::new();
+        let mut deliveries = Vec::new();
         if !reads.is_empty() {
-            deliveries.reserve_exact(self.requests.iter().filter(|r| r.write.is_none()).count());
+            self.replies.clear();
             let replied = self
                 .host
-                .route_replies(&reads, attempt_seq.child(1), &mut deliveries);
+                .route_replies(&reads, attempt_seq.child(1), &mut self.replies);
             stats.reply_steps = replied.steps;
             stats.max_queue = stats.max_queue.max(replied.max_queue);
+            // Each reader keeps its newest reply (quorum intersection makes
+            // that the latest write); on equal versions the first to arrive
+            // stays. A reader's first reply this step takes its place in
+            // first-arrival order; a newer one overwrites the value there.
+            self.newest.resize(modules, (0, 0, 0));
+            deliveries.reserve_exact(self.replies.len());
+            for &(proc, i) in &self.replies {
+                let read = &reads[i as usize];
+                let (step, version, at) = &mut self.newest[proc];
+                if *step != self.version {
+                    (*step, *version, *at) = (self.version, read.version, deliveries.len());
+                    deliveries.push((proc, read.value));
+                } else if read.version > *version {
+                    *version = read.version;
+                    deliveries[*at].1 = read.value;
+                }
+            }
         }
         self.report.steps.push(stats);
         deliveries
@@ -327,8 +514,8 @@ impl<H: EmuHost> PramEmulator<H> {
     /// step's pending requests), charge the redistribution — the cells
     /// form `⌈cells/N⌉` batches, each an h-relation costing one full
     /// phase, plus broadcasting the `O(L log M)`-bit description of `h`.
-    /// Under the direct map a timeout can only be congestion: charge the
-    /// retry's broadcast and remap nothing (locality is kept).
+    /// Under a fixed placement (direct or replicated) a timeout can only
+    /// be congestion: charge the retry's broadcast and remap nothing.
     fn rehash(&mut self, stats: &mut StepStats) {
         self.hash_epoch += 1;
         self.report.remap_steps += self.host.broadcast_steps() as u64;
@@ -339,11 +526,12 @@ impl<H: EmuHost> PramEmulator<H> {
             let cells = self.modules.drain_cells();
             let batches = cells.len().div_ceil(self.host.processors().max(1)) as u64;
             self.report.remap_steps += batches * self.host.phase_bound() as u64;
-            for (addr, val) in cells {
-                self.modules.poke(hash.eval(addr) as usize, addr, val);
+            for (key, (value, version)) in cells {
+                self.modules
+                    .poke(hash.eval(key) as usize, key, value, version);
             }
             for req in &mut self.requests {
-                req.module = hash.eval(req.addr) as u32;
+                req.module = hash.eval(req.key) as u32;
             }
         }
         stats.rehashes += 1;
@@ -351,46 +539,239 @@ impl<H: EmuHost> PramEmulator<H> {
     }
 }
 
-/// The program driver shared by [`PramEmulator`] and the replicated
-/// baseline: check that `prog` fits `limits = (processors, cells)`, place
-/// its initial memory with `load`, then feed every PRAM step's ops to
-/// `step` and the reads back to the program until every processor
-/// halts. Returns the number of PRAM steps emulated.
-pub(crate) fn drive_program<M, P: PramProgram>(
-    machine: &mut M,
-    prog: &mut P,
-    max_steps: usize,
-    (processors, address_space): (usize, u64),
-    load: impl Fn(&mut M, u64, u64),
-    step: impl Fn(&mut M, &[MemOp], u64) -> Vec<(usize, u64)>,
-) -> usize {
-    assert!(
-        prog.processors() <= processors,
-        "program needs {} processors, host has {}",
-        prog.processors(),
-        processors
-    );
-    assert!(
-        prog.address_space() <= address_space,
-        "program addresses {} cells, emulator was built for {}",
-        prog.address_space(),
-        address_space
-    );
-    for (addr, val) in prog.initial_memory() {
-        load(machine, addr, val);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::LeveledPramEmulator;
+    use lnpram_pram::machine::PramMachine;
+    use lnpram_pram::model::WritePolicy;
+    use lnpram_pram::programs::{Histogram, PermutationTraffic, PrefixSum, ReductionMax};
+    use lnpram_topology::leveled::RadixButterfly;
+
+    /// The deterministic baseline on butterfly(2, k).
+    fn replicated(
+        k: usize,
+        mode: AccessMode,
+        space: u64,
+        copies: usize,
+        cfg: EmulatorConfig,
+    ) -> LeveledPramEmulator<RadixButterfly> {
+        LeveledPramEmulator::new(RadixButterfly::new(2, k), mode, space, cfg)
+            .with_copies(copies)
+            .unwrap()
     }
-    let p = prog.processors();
-    let mut last_read: Vec<Option<u64>> = vec![None; p];
-    for pram_step in 0..max_steps {
-        let ops: Vec<MemOp> = (0..p)
-            .map(|i| prog.op(i, pram_step, last_read[i]))
-            .collect();
-        if ops.iter().all(|o| matches!(o, MemOp::Halt)) {
-            return pram_step;
+
+    #[test]
+    fn quorum_arithmetic() {
+        for copies in [1usize, 3, 5, 7] {
+            let map = AddressMap::Replicated { copies };
+            let c = copies.div_ceil(2);
+            let emu = replicated(3, AccessMode::Erew, 64, copies, EmulatorConfig::default());
+            assert_eq!(emu.quorum(), c);
+            assert_eq!(
+                map.quorum(9, true).collect::<Vec<_>>(),
+                (0..c).collect::<Vec<_>>()
+            );
+            // Any read quorum must intersect the write quorum {0..c}.
+            for addr in 0..20u64 {
+                assert_eq!(map.quorum(addr, false).count(), c);
+                assert!(
+                    map.quorum(addr, false).any(|j| j < c),
+                    "addr {addr}, copies {copies}: quorums disjoint"
+                );
+            }
         }
-        for (proc, value) in step(machine, &ops, pram_step as u64) {
-            last_read[proc] = Some(value);
+        let hashed = LeveledPramEmulator::new(
+            RadixButterfly::new(2, 3),
+            AccessMode::Erew,
+            64,
+            EmulatorConfig::default(),
+        );
+        assert_eq!(hashed.quorum(), 1);
+    }
+
+    #[test]
+    fn even_copy_count_rejected() {
+        for copies in [0usize, 2, 8, 9] {
+            let emu = LeveledPramEmulator::new(
+                RadixButterfly::new(2, 3),
+                AccessMode::Erew,
+                64,
+                EmulatorConfig::default(),
+            );
+            let err = emu.with_copies(copies).err();
+            assert_eq!(err, Some(InvalidCopies(copies)));
+            assert!(err.unwrap().to_string().contains("odd"));
         }
     }
-    max_steps
+
+    #[test]
+    #[should_panic(expected = "freshly built hashed emulator")]
+    fn with_copies_after_a_step_panics() {
+        let mut emu = LeveledPramEmulator::new(
+            RadixButterfly::new(2, 3),
+            AccessMode::Erew,
+            16,
+            EmulatorConfig::default(),
+        );
+        emu.emulate_step(&[MemOp::Write(5, 100)], 0);
+        let _ = emu.with_copies(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "freshly built hashed emulator")]
+    fn with_copies_on_a_direct_map_panics() {
+        let emu = crate::MeshPramEmulator::new_local(
+            4,
+            AccessMode::Erew,
+            16,
+            1,
+            EmulatorConfig::default(),
+        );
+        let _ = emu.with_copies(3);
+    }
+
+    #[test]
+    fn copy_placement_is_deterministic_and_in_range() {
+        let map = AddressMap::Replicated { copies: 3 };
+        for addr in 0..100u64 {
+            for j in 0..3 {
+                let (module, key) = map.locate(addr, j, 16);
+                assert!(module < 16);
+                assert_eq!(key, addr * 3 + j as u64, "one key per copy");
+                assert_eq!(
+                    (module, key),
+                    map.locate(addr, j, 16),
+                    "must be a pure function"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_sum_matches_reference() {
+        let values: Vec<u64> = (0..8).map(|i| i * 2 + 1).collect();
+        let mut prog = PrefixSum::new(values.clone());
+        let space = prog.address_space();
+        let mut emu = replicated(3, AccessMode::Erew, space, 3, EmulatorConfig::default());
+        emu.run_program(&mut prog, 100_000);
+        let mut oracle = PramMachine::new(space, AccessMode::Erew);
+        oracle.run(&mut PrefixSum::new(values), 100_000);
+        assert_eq!(emu.memory_image(space), oracle.memory());
+    }
+
+    #[test]
+    fn reduction_matches_reference_across_copy_counts() {
+        let values: Vec<u64> = (0..16).map(|i| (i * 31 + 7) % 101).collect();
+        for copies in [1usize, 3, 5] {
+            let mut prog = ReductionMax::new(values.clone());
+            let space = prog.address_space();
+            let mut emu = replicated(
+                3,
+                AccessMode::Erew,
+                space,
+                copies,
+                EmulatorConfig::default(),
+            );
+            emu.run_program(&mut prog, 100_000);
+            assert_eq!(
+                emu.peek(0),
+                *values.iter().max().unwrap(),
+                "copies = {copies}"
+            );
+        }
+    }
+
+    #[test]
+    fn crcw_histogram_matches_reference() {
+        let inputs: Vec<u64> = (0..16).map(|i| (i * 7) % 5).collect();
+        let mut prog = Histogram::new(inputs.clone(), 5);
+        let space = prog.address_space();
+        let mode = AccessMode::Crcw(WritePolicy::Sum);
+        let mut emu = replicated(4, mode, space, 3, EmulatorConfig::default());
+        emu.run_program(&mut prog, 1000);
+        assert!(prog.verify(&emu.memory_image(space)));
+        let mut oracle = PramMachine::new(space, mode);
+        oracle.run(&mut Histogram::new(inputs, 5), 1000);
+        assert_eq!(emu.memory_image(space), oracle.memory());
+    }
+
+    #[test]
+    fn stale_copies_never_win() {
+        // Write addr twice in different steps; the write quorum is fixed,
+        // so copies outside it keep version 0 — the read must still see
+        // the second write through max-version resolution, whatever step
+        // labels the caller passes.
+        let mut emu = replicated(3, AccessMode::Erew, 16, 3, EmulatorConfig::default());
+        emu.emulate_step(&[MemOp::Write(5, 100)], 7);
+        emu.emulate_step(&[MemOp::Write(5, 200)], 0);
+        let reads = emu.emulate_step(&[MemOp::Read(5)], 0);
+        assert_eq!(reads, vec![(0, 200)]);
+        assert_eq!(emu.peek(5), 200);
+    }
+
+    #[test]
+    fn replication_multiplies_traffic_by_quorum() {
+        // c× packets per access is the baseline's fundamental cost.
+        let perm: Vec<usize> = (0..16).map(|i| (i * 5 + 3) % 16).collect();
+        let run = |copies: usize| {
+            let mut prog = PermutationTraffic::new(perm.clone(), 2);
+            let space = prog.address_space();
+            let mut emu = replicated(
+                4,
+                AccessMode::Erew,
+                space,
+                copies,
+                EmulatorConfig::default(),
+            );
+            let rep = emu.run_program(&mut prog, 1000);
+            rep.steps.iter().map(|s| u64::from(s.requests)).sum::<u64>()
+        };
+        let one = run(1);
+        let three = run(3);
+        let five = run(5);
+        assert_eq!(three, 2 * one, "c = 2 at R = 3");
+        assert_eq!(five, 3 * one, "c = 3 at R = 5");
+    }
+
+    #[test]
+    fn slower_than_randomized_hashing() {
+        // The comparison the paper implies: deterministic replication pays
+        // a constant-factor traffic/time overhead per step versus the
+        // randomized single-copy scheme.
+        let perm: Vec<usize> = (0..32).map(|i| (i * 11 + 5) % 32).collect();
+        let mut prog = PermutationTraffic::new(perm.clone(), 4);
+        let space = prog.address_space();
+        let mut rep_emu = replicated(5, AccessMode::Erew, space, 3, EmulatorConfig::default());
+        let rep_report = rep_emu.run_program(&mut prog, 1000);
+        let mut hash_emu = LeveledPramEmulator::new(
+            RadixButterfly::new(2, 5),
+            AccessMode::Erew,
+            space,
+            EmulatorConfig::default(),
+        );
+        let hash_report = hash_emu.run_program(&mut PermutationTraffic::new(perm, 4), 1000);
+        assert!(
+            rep_report.mean_step_time() > hash_report.mean_step_time(),
+            "replicated ({:.1}) should cost more than hashed ({:.1})",
+            rep_report.mean_step_time(),
+            hash_report.mean_step_time()
+        );
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let run = || {
+            let perm: Vec<usize> = (0..8).map(|i| (i * 3 + 1) % 8).collect();
+            let mut prog = PermutationTraffic::new(perm, 2);
+            let cfg = EmulatorConfig {
+                seed: 21,
+                ..Default::default()
+            };
+            let mut emu = replicated(3, AccessMode::Erew, prog.address_space(), 3, cfg);
+            let rep = emu.run_program(&mut prog, 100);
+            (rep.network_steps(), emu.memory_image(8))
+        };
+        assert_eq!(run(), run());
+    }
 }

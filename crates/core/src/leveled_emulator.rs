@@ -20,8 +20,8 @@
 
 use crate::combining::{EntryId, Hop, PendingTables, Source};
 use crate::config::EmulatorConfig;
-use crate::emulator::{EmuHost, PhaseOutcome, PramEmulator, Request, ServedRead};
-use crate::memory::{ModuleArray, ModuleRequest};
+use crate::emulator::{EmuHost, PhaseOutcome, PramEmulator, Request};
+use crate::memory::{ModuleArray, ModuleRequest, ServedRead};
 use lnpram_math::rng::SeedSeq;
 use lnpram_pram::model::{AccessMode, WritePolicy};
 use lnpram_routing::leveled::UniversalLeveledRouter;
@@ -145,7 +145,7 @@ impl<L: Leveled> EmuHost for LeveledHost<L> {
             let via = via_rng.gen_range(0..width) as u32;
             let mut pkt = Packet::new(id as u32, req.proc as u32, req.module)
                 .with_via(via)
-                .with_tag(req.addr);
+                .with_tag(req.key);
             pkt.hop = u8::from(req.write.is_some());
             self.req_engine.inject(self.fwd.node_id(0, req.proc), pkt);
         }
@@ -170,21 +170,20 @@ impl<L: Leveled> EmuHost for LeveledHost<L> {
         &mut self,
         reads: &[ServedRead],
         _seq: SeedSeq,
-        deliveries: &mut Vec<(usize, u64)>,
+        replies: &mut Vec<(usize, u32)>,
     ) -> PhaseOutcome {
         self.rep_engine.reset();
         let modules_col = self.fwd.leveled().levels();
-        for (i, &(module, _, entry, _)) in reads.iter().enumerate() {
+        for (i, read) in reads.iter().enumerate() {
             self.rep_engine.inject(
-                self.bwd.node_id(modules_col, module),
-                Packet::new(i as u32, 0, 0).with_via(entry),
+                self.bwd.node_id(modules_col, read.module),
+                Packet::new(i as u32, 0, 0).with_via(read.tag),
             );
         }
         let mut proto = ReplyProtocol {
             net: &self.bwd,
             tables: &mut self.tables,
-            reads,
-            deliveries,
+            replies,
         };
         let out = self.rep_engine.run(&mut proto);
         debug_assert!(out.completed);
@@ -286,13 +285,13 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
     fn on_packet(&mut self, node: usize, mut pkt: Packet, step: u32, out: &mut Outbox) {
         let (col, idx) = self.net.split(node);
         let at_module = col == self.net.leveled().levels();
-        let addr = pkt.tag;
+        let key = pkt.tag;
 
         if pkt.hop == 1 {
             if at_module {
                 let (value, proc) = self.writes[pkt.id as usize];
                 self.modules
-                    .buffer(idx, ModuleRequest::Write { addr, value, proc });
+                    .buffer(idx, ModuleRequest::Write { key, value, proc });
                 out.deliver(pkt);
                 return;
             }
@@ -306,11 +305,11 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
                     entry: EntryId(pkt.via2),
                 })
             };
-            let entry = self.tables.register(self.combining, node, addr, source);
+            let entry = self.tables.register(self.combining, node, key, source);
             if at_module {
                 if let Some(entry) = entry {
                     self.modules
-                        .buffer(idx, ModuleRequest::Read { addr, tag: entry.0 });
+                        .buffer(idx, ModuleRequest::Read { key, tag: entry.0 });
                 }
                 out.deliver(pkt);
                 return;
@@ -332,8 +331,7 @@ impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
 struct ReplyProtocol<'a, L: Leveled> {
     net: &'a LeveledNet<DoubledLeveled<L>>,
     tables: &'a mut PendingTables,
-    reads: &'a [ServedRead],
-    deliveries: &'a mut Vec<(usize, u64)>,
+    replies: &'a mut Vec<(usize, u32)>,
 }
 
 impl<L: Leveled> Protocol for ReplyProtocol<'_, L> {
@@ -342,7 +340,7 @@ impl<L: Leveled> Protocol for ReplyProtocol<'_, L> {
         if entry.local {
             let (col, idx) = self.net.split(node);
             debug_assert_eq!(col, 0, "local requests only originate in column 0");
-            self.deliveries.push((idx, self.reads[pkt.id as usize].3));
+            self.replies.push((idx, pkt.id));
         }
         if entry.fanout.is_empty() {
             out.deliver(pkt);

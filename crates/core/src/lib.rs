@@ -11,17 +11,25 @@
 //! back. If a routing phase overruns its step budget, pick a fresh hash
 //! function, pay an explicit remap charge, and retry — the paper's
 //! rehashing rule (§2.1). That step is written once, in [`emulator`];
-//! the hosts below supply only their two routing phases.
+//! the hosts below supply only their two routing phases. The paper's
+//! foil, deterministic replication in the style of its reference \[3\]
+//! (Alt–Hagerup–Mehlhorn–Preparata: fixed copy placement, quorum
+//! reads/writes with version stamps, no rehash), is a third address map
+//! beside hashing and the mesh's direct map, so it runs on every host
+//! ([`PramEmulator::with_copies`]).
 //!
 //! * [`config`] — emulator parameters and per-step/aggregate statistics.
 //! * [`emulator`] — [`PramEmulator<H>`]: the emulation step, the rehash
-//!   rule, the program driver and the accessors, over any [`EmuHost`].
+//!   rule, the program driver and the accessors, over any [`EmuHost`];
+//!   the address maps (hashed, direct, replicated) and quorum
+//!   resolution.
 //! * [`combining`] — the CRCW packet-combining tables: per-node pending
 //!   entries with fan-out "direction bits" (footnote 3 of the paper);
 //!   concurrent reads of one cell collapse to a single request and the
 //!   reply fans back out along the recorded ports.
-//! * [`memory`] — the distributed memory modules with batch service and
-//!   CRCW write resolution identical to the reference machine.
+//! * [`memory`] — the distributed memory modules: versioned cells, batch
+//!   service and CRCW write resolution identical to the reference
+//!   machine.
 //! * [`leveled_emulator`] — the host of Theorems 2.5/2.6: any delta
 //!   leveled network (radix butterflies, the unrolled d-way/n-way
 //!   shuffle), Algorithm 2.1 with read combining and write merging.
@@ -30,12 +38,6 @@
 //! * [`mesh_emulator`] — the host of Theorems 3.2/3.3: the n×n mesh via
 //!   the three-stage routing of §3.4 (4n + o(n) per EREW step; 6d + o(d)
 //!   under d-local request patterns).
-//! * [`replicated_emulator`] — the deterministic replicated-memory
-//!   baseline in the style of the paper's reference \[3\]
-//!   (Alt–Hagerup–Mehlhorn–Preparata): fixed copy placement, quorum
-//!   reads/writes with version stamps, no hashing and no rehash — the
-//!   comparison point for what randomization buys. Not a host: placement
-//!   and quorums replace the hashed step, so it keeps its own.
 //!
 //! The integration contract: running any `PramProgram` through an emulator
 //! must produce the same final memory image and read trace as
@@ -50,12 +52,10 @@ pub mod emulator;
 pub mod leveled_emulator;
 pub mod memory;
 pub mod mesh_emulator;
-pub mod replicated_emulator;
 pub mod star_emulator;
 
 pub use config::{EmuReport, EmulatorConfig, StepStats};
-pub use emulator::{EmuHost, PramEmulator};
+pub use emulator::{EmuHost, InvalidCopies, PramEmulator};
 pub use leveled_emulator::LeveledPramEmulator;
 pub use mesh_emulator::MeshPramEmulator;
-pub use replicated_emulator::ReplicatedPramEmulator;
 pub use star_emulator::StarPramEmulator;

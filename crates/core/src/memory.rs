@@ -1,15 +1,16 @@
 //! Distributed memory modules with PRAM batch-service semantics.
 //!
-//! Each network memory module owns the shared-memory cells hashed to it.
-//! During a routing phase it only *buffers* arriving requests; when the
-//! phase completes, the whole batch is served with read-before-write
-//! semantics — all reads observe the pre-step memory, then all writes are
-//! applied under the CRCW policy via the same
-//! `resolve_write` used by the
-//! reference machine. This guarantees emulated results are bit-identical
-//! to the oracle regardless of packet arrival order.
+//! Each network memory module owns the cells placed at it, keyed by
+//! storage key (the address itself, or `addr·R + j` for copy `j` under
+//! replication) and holding a `(value, version)` pair. During a routing
+//! phase a module only *buffers* arriving requests; when the phase
+//! completes, the whole batch is served with read-before-write semantics
+//! — all reads observe the pre-step cells, then all writes are applied
+//! under the CRCW policy via the same `resolve_write` used by the
+//! reference machine and stamped with the step's version. This
+//! guarantees emulated results are bit-identical to the oracle
+//! regardless of packet arrival order.
 
-use crate::emulator::ServedRead;
 use lnpram_pram::machine::resolve_write;
 use lnpram_pram::model::{AccessMode, AccessViolation};
 use std::collections::BTreeMap;
@@ -17,20 +18,21 @@ use std::collections::BTreeMap;
 /// One buffered request at a module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModuleRequest {
-    /// Read of `addr`, answered with `tag` attached.
+    /// Read of cell `key`, answered with `tag` attached.
     Read {
-        /// The shared-memory address.
-        addr: u64,
+        /// The storage key.
+        key: u64,
         /// Opaque reply tag the host routes the answer by: the pending
         /// entry the request left at the module on the star and leveled
         /// hosts (see [`crate::combining`]), the requesting processor on
         /// the mesh.
         tag: u32,
     },
-    /// Write of `value` to `addr` by `proc` (proc id breaks Priority ties).
+    /// Write of `value` to cell `key` by `proc` (proc id breaks Priority
+    /// ties).
     Write {
-        /// The shared-memory address.
-        addr: u64,
+        /// The storage key.
+        key: u64,
         /// Value written.
         value: u64,
         /// Originating processor (for Priority/Arbitrary resolution).
@@ -38,17 +40,34 @@ pub enum ModuleRequest {
     },
 }
 
+/// A read served by a module, as [`ModuleArray::serve_batches`] returns
+/// it. Reply packets carry their index in the served list as their id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServedRead {
+    /// The module that served it.
+    pub module: usize,
+    /// The storage key read.
+    pub key: u64,
+    /// The reply tag the host buffered the read with.
+    pub tag: u32,
+    /// The cell's value before this step's writes.
+    pub value: u64,
+    /// The version that value was written at (0 = initial memory).
+    pub version: u64,
+}
+
 /// The set of memory modules of an emulating network.
 #[derive(Debug, Clone)]
 pub struct ModuleArray {
-    cells: Vec<BTreeMap<u64, u64>>,
+    /// Per module, storage key → `(value, version)`.
+    cells: Vec<BTreeMap<u64, (u64, u64)>>,
     mode: AccessMode,
     batches: Vec<Vec<ModuleRequest>>,
     violations: Vec<AccessViolation>,
-    /// One module's writes as `(addr, (proc, value))`, in batch order
+    /// One module's writes as `(key, (proc, value))`, in batch order
     /// until sorted ([`Self::serve_batches`]' scratch).
     writes: Vec<(u64, (usize, u64))>,
-    /// One address's writers, the slice `resolve_write` takes.
+    /// One key's writers, the slice `resolve_write` takes.
     writers: Vec<(usize, u64)>,
 }
 
@@ -80,18 +99,25 @@ impl ModuleArray {
         self.cells.is_empty()
     }
 
+    /// True if no module stores a cell yet.
+    pub fn holds_no_cells(&self) -> bool {
+        self.cells.iter().all(BTreeMap::is_empty)
+    }
+
     /// Load a cell directly (initial-memory placement and remapping).
-    pub fn poke(&mut self, module: usize, addr: u64, value: u64) {
-        self.cells[module].insert(addr, value);
+    pub fn poke(&mut self, module: usize, key: u64, value: u64, version: u64) {
+        self.cells[module].insert(key, (value, version));
     }
 
-    /// Read a cell directly (verification and remapping).
-    pub fn peek(&self, module: usize, addr: u64) -> u64 {
-        self.cells[module].get(&addr).copied().unwrap_or(0)
+    /// Read a cell's `(value, version)` directly (verification); a cell
+    /// never stored reads `(0, 0)`.
+    pub fn peek(&self, module: usize, key: u64) -> (u64, u64) {
+        self.cells[module].get(&key).copied().unwrap_or((0, 0))
     }
 
-    /// Drain all cells of all modules (rehash remapping).
-    pub fn drain_cells(&mut self) -> Vec<(u64, u64)> {
+    /// Drain all cells of all modules as `(key, (value, version))`
+    /// (rehash remapping).
+    pub fn drain_cells(&mut self) -> Vec<(u64, (u64, u64))> {
         let mut out = Vec::new();
         for m in &mut self.cells {
             out.extend(std::mem::take(m));
@@ -104,12 +130,12 @@ impl ModuleArray {
         self.batches[module].push(req);
     }
 
-    /// Serve every module's batch: reads first (pre-write values), then
-    /// writes (CRCW resolution, addresses ascending, each address's
-    /// writers in arrival order). Returns the read results as
-    /// `(module, addr, tag, value)` and the busiest module's batch size
-    /// (the serial service time charged to this PRAM step).
-    pub fn serve_batches(&mut self) -> (Vec<ServedRead>, u32) {
+    /// Serve every module's batch: reads first (pre-write cells), then
+    /// writes (CRCW resolution, keys ascending, each key's writers in
+    /// arrival order), each written cell stamped `version`. Returns the
+    /// reads served and the busiest module's batch size (the serial
+    /// service time charged to this PRAM step).
+    pub fn serve_batches(&mut self, version: u64) -> (Vec<ServedRead>, u32) {
         let ModuleArray {
             cells,
             mode,
@@ -128,23 +154,28 @@ impl ModuleArray {
             writes.clear();
             for req in batch.drain(..) {
                 match req {
-                    ModuleRequest::Read { addr, tag } => {
-                        let value = cells.get(&addr).copied().unwrap_or(0);
-                        reads.push((module, addr, tag, value));
+                    ModuleRequest::Read { key, tag } => {
+                        let (value, version) = cells.get(&key).copied().unwrap_or((0, 0));
+                        reads.push(ServedRead {
+                            module,
+                            key,
+                            tag,
+                            value,
+                            version,
+                        });
                     }
-                    ModuleRequest::Write { addr, value, proc } => {
-                        writes.push((addr, (proc, value)))
-                    }
+                    ModuleRequest::Write { key, value, proc } => writes.push((key, (proc, value))),
                 }
             }
-            // Group by address; the sort is stable, so Common still sees
-            // the first writer first.
-            writes.sort_by_key(|&(addr, _)| addr);
+            // Group by key; the sort is stable, so Common still sees the
+            // first writer first.
+            writes.sort_by_key(|&(key, _)| key);
             for group in writes.chunk_by(|a, b| a.0 == b.0) {
-                let addr = group[0].0;
+                let key = group[0].0;
                 writers.clear();
                 writers.extend(group.iter().map(|&(_, w)| w));
-                cells.insert(addr, resolve_write(*mode, addr, writers, violations));
+                let value = resolve_write(*mode, key, writers, violations);
+                cells.insert(key, (value, version));
             }
         }
         (reads, busiest)
@@ -173,23 +204,33 @@ mod tests {
     use rand::Rng;
     use std::collections::HashMap;
 
+    fn read(module: usize, key: u64, tag: u32, (value, version): (u64, u64)) -> ServedRead {
+        ServedRead {
+            module,
+            key,
+            tag,
+            value,
+            version,
+        }
+    }
+
     #[test]
     fn batch_reads_see_pre_write_values() {
         let mut ma = ModuleArray::new(2, AccessMode::Crew);
-        ma.poke(0, 10, 111);
-        ma.buffer(0, ModuleRequest::Read { addr: 10, tag: 0 });
+        ma.poke(0, 10, 111, 0);
+        ma.buffer(0, ModuleRequest::Read { key: 10, tag: 0 });
         ma.buffer(
             0,
             ModuleRequest::Write {
-                addr: 10,
+                key: 10,
                 value: 222,
                 proc: 3,
             },
         );
-        let (reads, busiest) = ma.serve_batches();
-        assert_eq!(reads, vec![(0, 10, 0, 111)]);
+        let (reads, busiest) = ma.serve_batches(5);
+        assert_eq!(reads, vec![read(0, 10, 0, (111, 0))]);
         assert_eq!(busiest, 2);
-        assert_eq!(ma.peek(0, 10), 222);
+        assert_eq!(ma.peek(0, 10), (222, 5), "writes carry the step's version");
     }
 
     #[test]
@@ -199,14 +240,14 @@ mod tests {
             ma.buffer(
                 0,
                 ModuleRequest::Write {
-                    addr: 5,
+                    key: 5,
                     value: proc as u64 + 1,
                     proc,
                 },
             );
         }
-        ma.serve_batches();
-        assert_eq!(ma.peek(0, 5), 10);
+        ma.serve_batches(1);
+        assert_eq!(ma.peek(0, 5), (10, 1));
         assert!(ma.violations().is_empty());
     }
 
@@ -216,7 +257,7 @@ mod tests {
         ma.buffer(
             0,
             ModuleRequest::Write {
-                addr: 1,
+                key: 1,
                 value: 7,
                 proc: 0,
             },
@@ -224,70 +265,69 @@ mod tests {
         ma.buffer(
             0,
             ModuleRequest::Write {
-                addr: 1,
+                key: 1,
                 value: 8,
                 proc: 1,
             },
         );
-        ma.serve_batches();
+        ma.serve_batches(1);
         assert_eq!(ma.violations().len(), 1);
     }
 
     #[test]
     fn drain_cells_roundtrip() {
         let mut ma = ModuleArray::new(3, AccessMode::Erew);
-        ma.poke(0, 1, 10);
-        ma.poke(1, 2, 20);
-        ma.poke(2, 3, 30);
+        ma.poke(0, 1, 10, 0);
+        ma.poke(1, 2, 20, 4);
+        ma.poke(2, 3, 30, 9);
         let mut cells = ma.drain_cells();
         cells.sort_unstable();
-        assert_eq!(cells, vec![(1, 10), (2, 20), (3, 30)]);
-        assert_eq!(ma.peek(0, 1), 0);
+        assert_eq!(cells, vec![(1, (10, 0)), (2, (20, 4)), (3, (30, 9))]);
+        assert_eq!(ma.peek(0, 1), (0, 0));
     }
 
     #[test]
     fn unwritten_cells_read_zero() {
         let mut ma = ModuleArray::new(1, AccessMode::Erew);
-        ma.buffer(0, ModuleRequest::Read { addr: 99, tag: 3 });
-        let (reads, _) = ma.serve_batches();
-        assert_eq!(reads, vec![(0, 99, 3, 0)]);
+        ma.buffer(0, ModuleRequest::Read { key: 99, tag: 3 });
+        let (reads, _) = ma.serve_batches(1);
+        assert_eq!(reads, vec![read(0, 99, 3, (0, 0))]);
     }
 
     /// `serve_batches` as it was before the sort-based grouping: cells
     /// in `HashMap`s, writers grouped by a fresh `HashMap` per module per
     /// step. Kept as the model the module array is checked against.
     struct Model {
-        cells: Vec<HashMap<u64, u64>>,
+        cells: Vec<HashMap<u64, (u64, u64)>>,
         mode: AccessMode,
         batches: Vec<Vec<ModuleRequest>>,
         violations: Vec<AccessViolation>,
     }
 
     impl Model {
-        fn serve_batches(&mut self) -> (Vec<ServedRead>, u32) {
+        fn serve_batches(&mut self, version: u64) -> (Vec<ServedRead>, u32) {
             let mut reads = Vec::new();
             let mut busiest = 0u32;
             for module in 0..self.cells.len() {
                 let batch = std::mem::take(&mut self.batches[module]);
                 busiest = busiest.max(batch.len() as u32);
                 for req in &batch {
-                    if let ModuleRequest::Read { addr, tag } = *req {
-                        let value = self.cells[module].get(&addr).copied().unwrap_or(0);
-                        reads.push((module, addr, tag, value));
+                    if let ModuleRequest::Read { key, tag } = *req {
+                        let cell = self.cells[module].get(&key).copied().unwrap_or((0, 0));
+                        reads.push(read(module, key, tag, cell));
                     }
                 }
                 let mut writes: HashMap<u64, Vec<(usize, u64)>> = HashMap::new();
                 for req in &batch {
-                    if let ModuleRequest::Write { addr, value, proc } = *req {
-                        writes.entry(addr).or_default().push((proc, value));
+                    if let ModuleRequest::Write { key, value, proc } = *req {
+                        writes.entry(key).or_default().push((proc, value));
                     }
                 }
-                let mut addrs: Vec<u64> = writes.keys().copied().collect();
-                addrs.sort_unstable();
-                for addr in addrs {
-                    let value =
-                        resolve_write(self.mode, addr, &writes[&addr], &mut self.violations);
-                    self.cells[module].insert(addr, value);
+                let mut keys: Vec<u64> = writes.keys().copied().collect();
+                keys.sort_unstable();
+                for key in keys {
+                    let value = resolve_write(self.mode, key, &writes[&key], &mut self.violations);
+                    self.cells[module].insert(key, (value, version));
                 }
             }
             (reads, busiest)
@@ -307,12 +347,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random batches over a few addresses (so writers collide, with
-        /// few distinct values so Common sometimes agrees), several steps
-        /// in a row, under every access mode and write policy: the module
-        /// array and the model return the same reads and busiest batch,
-        /// record the same violations in the same order, and leave the
-        /// same cells.
+        /// Random batches over a few keys (so writers collide, with few
+        /// distinct values so Common sometimes agrees), several steps in
+        /// a row with a rising version, some keys pre-loaded at version
+        /// 0, under every access mode and write policy: the module array
+        /// and the model return the same reads (values and versions) and
+        /// busiest batch, record the same violations in the same order,
+        /// and leave the same cells.
         #[test]
         fn prop_serve_batches_matches_hashmap_model(seed: u64, modules in 1usize..5, steps in 1usize..6) {
             for mode in MODES {
@@ -324,15 +365,21 @@ mod tests {
                     batches: vec![Vec::new(); modules],
                     violations: Vec::new(),
                 };
-                for _ in 0..steps {
+                for module in 0..modules {
+                    let key = rng.gen_range(0u64..6);
+                    let value = rng.gen_range(0u64..3);
+                    array.poke(module, key, value, 0);
+                    model.cells[module].insert(key, (value, 0));
+                }
+                for version in 1..=steps as u64 {
                     for _ in 0..rng.gen_range(0usize..40) {
                         let module = rng.gen_range(0..modules);
-                        let addr = rng.gen_range(0u64..6);
+                        let key = rng.gen_range(0u64..6);
                         let req = if rng.gen_bool(0.5) {
-                            ModuleRequest::Read { addr, tag: rng.gen() }
+                            ModuleRequest::Read { key, tag: rng.gen() }
                         } else {
                             ModuleRequest::Write {
-                                addr,
+                                key,
                                 value: rng.gen_range(0u64..3),
                                 proc: rng.gen_range(0usize..16),
                             }
@@ -340,13 +387,13 @@ mod tests {
                         array.buffer(module, req);
                         model.batches[module].push(req);
                     }
-                    prop_assert_eq!(array.serve_batches(), model.serve_batches());
+                    prop_assert_eq!(array.serve_batches(version), model.serve_batches(version));
                     prop_assert_eq!(array.violations(), &model.violations[..]);
                     for (module, cells) in model.cells.iter().enumerate() {
-                        for addr in 0..6 {
+                        for key in 0..6 {
                             prop_assert_eq!(
-                                array.peek(module, addr),
-                                cells.get(&addr).copied().unwrap_or(0)
+                                array.peek(module, key),
+                                cells.get(&key).copied().unwrap_or((0, 0))
                             );
                         }
                     }

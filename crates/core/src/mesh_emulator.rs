@@ -27,8 +27,8 @@
 //! modules serve batches with read-before-write semantics.
 
 use crate::config::EmulatorConfig;
-use crate::emulator::{AddressMap, EmuHost, PhaseOutcome, PramEmulator, Request, ServedRead};
-use crate::memory::{ModuleArray, ModuleRequest};
+use crate::emulator::{AddressMap, EmuHost, PhaseOutcome, PramEmulator, Request};
+use crate::memory::{ModuleArray, ModuleRequest, ServedRead};
 use lnpram_math::rng::SeedSeq;
 use lnpram_pram::model::AccessMode;
 use lnpram_routing::mesh::{
@@ -186,7 +186,7 @@ impl EmuHost for MeshHost {
         for (id, req) in requests.iter().enumerate() {
             let pkt = self
                 .packet(id, req.proc, req.module as usize, &mut rng)
-                .with_tag(req.addr);
+                .with_tag(req.key);
             self.engine.inject(req.proc, pkt);
         }
         let mut proto = MeshRequestProtocol {
@@ -202,22 +202,21 @@ impl EmuHost for MeshHost {
         &mut self,
         reads: &[ServedRead],
         seq: SeedSeq,
-        deliveries: &mut Vec<(usize, u64)>,
+        replies: &mut Vec<(usize, u32)>,
     ) -> PhaseOutcome {
         self.engine.reset();
         self.engine.set_max_steps(u32::MAX);
         let mut rng = seq.rng();
-        for (i, &(module, addr, proc, _)) in reads.iter().enumerate() {
+        for (i, read) in reads.iter().enumerate() {
             // The mesh's reply tag is the requesting processor.
             let pkt = self
-                .packet(i, module, proc as usize, &mut rng)
-                .with_tag(addr);
-            self.engine.inject(module, pkt);
+                .packet(i, read.module, read.tag as usize, &mut rng)
+                .with_tag(read.key);
+            self.engine.inject(read.module, pkt);
         }
         let mut proto = MeshReplyProtocol {
             router: self.router(),
-            reads,
-            deliveries,
+            replies,
         };
         let out = self.engine.run(&mut proto);
         debug_assert!(out.completed);
@@ -236,15 +235,15 @@ struct MeshRequestProtocol<'a> {
 impl Protocol for MeshRequestProtocol<'_> {
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
-            let addr = pkt.tag;
+            let key = pkt.tag;
             let req = &self.requests[pkt.id as usize];
             let buffered = match req.write {
                 Some(value) => ModuleRequest::Write {
-                    addr,
+                    key,
                     value,
                     proc: req.proc,
                 },
-                None => ModuleRequest::Read { addr, tag: pkt.src },
+                None => ModuleRequest::Read { key, tag: pkt.src },
             };
             self.modules.buffer(node, buffered);
             out.deliver(pkt);
@@ -257,14 +256,13 @@ impl Protocol for MeshRequestProtocol<'_> {
 /// Reply routing: plain three-stage delivery back to the requester.
 struct MeshReplyProtocol<'a> {
     router: MeshRouter,
-    reads: &'a [ServedRead],
-    deliveries: &'a mut Vec<(usize, u64)>,
+    replies: &'a mut Vec<(usize, u32)>,
 }
 
 impl Protocol for MeshReplyProtocol<'_> {
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
-            self.deliveries.push((node, self.reads[pkt.id as usize].3));
+            self.replies.push((node, pkt.id));
             out.deliver(pkt);
             return;
         }

@@ -24,8 +24,8 @@
 
 use crate::combining::{EntryId, Hop, PendingTables, Source};
 use crate::config::EmulatorConfig;
-use crate::emulator::{EmuHost, PhaseOutcome, PramEmulator, Request, ServedRead};
-use crate::memory::{ModuleArray, ModuleRequest};
+use crate::emulator::{EmuHost, PhaseOutcome, PramEmulator, Request};
+use crate::memory::{ModuleArray, ModuleRequest, ServedRead};
 use lnpram_math::rng::SeedSeq;
 use lnpram_pram::model::AccessMode;
 use lnpram_routing::star::{star_table_engine, StarRouter};
@@ -111,7 +111,7 @@ impl EmuHost for StarHost {
             let via = via_rng.gen_range(0..self.processors()) as u32;
             let mut pkt = Packet::new(id as u32, req.proc as u32, req.module)
                 .with_via(via)
-                .with_tag(req.addr);
+                .with_tag(req.key);
             pkt.hop = u8::from(req.write.is_some());
             self.engine.inject(req.proc, pkt);
         }
@@ -135,18 +135,17 @@ impl EmuHost for StarHost {
         &mut self,
         reads: &[ServedRead],
         _seq: SeedSeq,
-        deliveries: &mut Vec<(usize, u64)>,
+        replies: &mut Vec<(usize, u32)>,
     ) -> PhaseOutcome {
         self.engine.reset();
         self.engine.set_max_steps(u32::MAX);
-        for (i, &(module, _, entry, _)) in reads.iter().enumerate() {
+        for (i, read) in reads.iter().enumerate() {
             self.engine
-                .inject(module, Packet::new(i as u32, 0, 0).with_via(entry));
+                .inject(read.module, Packet::new(i as u32, 0, 0).with_via(read.tag));
         }
         let mut proto = StarReplyProtocol {
             tables: &mut self.tables,
-            reads,
-            deliveries,
+            replies,
         };
         let out = self.engine.run(&mut proto);
         debug_assert!(out.completed);
@@ -168,7 +167,7 @@ struct StarRequestProtocol<'a> {
 
 impl Protocol for StarRequestProtocol<'_> {
     fn on_packet(&mut self, node: usize, mut pkt: Packet, step: u32, out: &mut Outbox) {
-        let addr = pkt.tag;
+        let key = pkt.tag;
         let is_write = pkt.hop == 1;
 
         if !is_write {
@@ -186,7 +185,7 @@ impl Protocol for StarRequestProtocol<'_> {
             let entry = if pkt.phase == 0 {
                 Some(self.tables.open(source))
             } else {
-                self.tables.register(self.combining, node, addr, source)
+                self.tables.register(self.combining, node, key, source)
             };
             let Some(entry) = entry else {
                 out.absorb(pkt); // merged into the shared phase-2 tree
@@ -201,7 +200,7 @@ impl Protocol for StarRequestProtocol<'_> {
             pkt.phase = 1;
             if !is_write {
                 let chain = Source::Chain(EntryId(pkt.via2));
-                let Some(entry) = self.tables.register(self.combining, node, addr, chain) else {
+                let Some(entry) = self.tables.register(self.combining, node, key, chain) else {
                     out.absorb(pkt);
                     return;
                 };
@@ -213,14 +212,11 @@ impl Protocol for StarRequestProtocol<'_> {
             let req = &self.requests[pkt.id as usize];
             let buffered = match req.write {
                 Some(value) => ModuleRequest::Write {
-                    addr,
+                    key,
                     value,
                     proc: req.proc,
                 },
-                None => ModuleRequest::Read {
-                    addr,
-                    tag: pkt.via2,
-                },
+                None => ModuleRequest::Read { key, tag: pkt.via2 },
             };
             self.modules.buffer(node, buffered);
             out.deliver(pkt);
@@ -236,15 +232,14 @@ impl Protocol for StarRequestProtocol<'_> {
 /// the id of the entry it is bound for.
 struct StarReplyProtocol<'a> {
     tables: &'a mut PendingTables,
-    reads: &'a [ServedRead],
-    deliveries: &'a mut Vec<(usize, u64)>,
+    replies: &'a mut Vec<(usize, u32)>,
 }
 
 impl StarReplyProtocol<'_> {
     fn unwind(&mut self, node: usize, id: EntryId, pkt: Packet, out: &mut Outbox) {
         let entry = self.tables.take(id);
         if entry.local {
-            self.deliveries.push((node, self.reads[pkt.id as usize].3));
+            self.replies.push((node, pkt.id));
         }
         let mut chains = entry.chains;
         while let Some(chain) = self.tables.next(&mut chains) {

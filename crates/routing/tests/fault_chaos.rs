@@ -132,7 +132,12 @@ fn fingerprint(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    // 16 cases by default; CI raises PROPTEST_CASES, which a fixed
+    // `with_cases` would ignore.
+    #![proptest_config(ProptestConfig {
+        cases: std::env::var("PROPTEST_CASES")
+            .ok().and_then(|v| v.parse().ok()).unwrap_or(16),
+    })]
 
     /// Random fault schedules: every survivable packet delivers, every
     /// dead-destination packet is reported lost, and the whole degraded

@@ -718,41 +718,12 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-
-            /// The tentpole pin: sharded(K) == serial for K ∈ {1,2,4,7}
-            /// on random meshes with random many-one workloads.
-            #[test]
-            fn prop_sharded_equals_serial_mesh(
-                seed: u64,
-                rows in 2usize..7,
-                cols in 2usize..7,
-                load in 1usize..3,
-            ) {
-                let mesh = Mesh::new(rows, cols);
-                let n = mesh.num_nodes();
-                let mut state = seed;
-                let mut inject = Vec::new();
-                let mut id = 0u32;
-                for src in 0..n {
-                    for _ in 0..load {
-                        let dest = (splitmix64(&mut state) as usize) % n;
-                        inject.push((src, Packet::new(id, src as u32, dest as u32)));
-                        id += 1;
-                    }
-                }
-                let serial = run_serial(&mesh, cfg_serial(), &inject, &mut GreedyMesh { mesh });
-                for k in [1usize, 2, 4, 7] {
-                    let sharded = run_sharded(
-                        &mesh,
-                        cfg_sharded(k),
-                        &RowBlock::new(mesh.cols()),
-                        &inject,
-                        &mut GreedyMesh { mesh },
-                    );
-                    prop_assert_eq!(&serial, &sharded, "K={}", k);
-                }
-            }
+            // 24 cases by default; CI raises PROPTEST_CASES, which a fixed
+            // `with_cases` would ignore.
+            #![proptest_config(ProptestConfig {
+                cases: std::env::var("PROPTEST_CASES")
+                    .ok().and_then(|v| v.parse().ok()).unwrap_or(24),
+            })]
 
             /// The fault-subsystem pin: for ANY random `FaultPlan` —
             /// link fail/degrade/recover, node failures, recoveries —
@@ -792,6 +763,44 @@ mod tests {
                     );
                     prop_assert_eq!(&serial.0, &sharded.0, "fingerprint K={}", k);
                     prop_assert_eq!(&serial.1, &sharded.1, "drain order K={}", k);
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// The tentpole pin: sharded(K) == serial for K ∈ {1,2,4,7}
+            /// on random meshes with random many-one workloads.
+            #[test]
+            fn prop_sharded_equals_serial_mesh(
+                seed: u64,
+                rows in 2usize..7,
+                cols in 2usize..7,
+                load in 1usize..3,
+            ) {
+                let mesh = Mesh::new(rows, cols);
+                let n = mesh.num_nodes();
+                let mut state = seed;
+                let mut inject = Vec::new();
+                let mut id = 0u32;
+                for src in 0..n {
+                    for _ in 0..load {
+                        let dest = (splitmix64(&mut state) as usize) % n;
+                        inject.push((src, Packet::new(id, src as u32, dest as u32)));
+                        id += 1;
+                    }
+                }
+                let serial = run_serial(&mesh, cfg_serial(), &inject, &mut GreedyMesh { mesh });
+                for k in [1usize, 2, 4, 7] {
+                    let sharded = run_sharded(
+                        &mesh,
+                        cfg_sharded(k),
+                        &RowBlock::new(mesh.cols()),
+                        &inject,
+                        &mut GreedyMesh { mesh },
+                    );
+                    prop_assert_eq!(&serial, &sharded, "K={}", k);
                 }
             }
 

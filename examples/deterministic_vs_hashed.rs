@@ -4,81 +4,83 @@
 //! hashed* module, and re-hashes if routing ever times out. The
 //! pre-existing deterministic alternative (reference \[3\], Alt–Hagerup–
 //! Mehlhorn–Preparata) stores `2c − 1` fixed copies and reads/writes
-//! quorums of `c`. This example runs the same program through both and
+//! quorums of `c`. Replication is only a different address map of the
+//! same emulator (`with_copies`), so this example runs the same program
+//! through both on a leveled host and on the 5-star, the
+//! sub-logarithmic-diameter host the paper's argument is about, and
 //! prints what the determinism costs.
 //!
 //! ```sh
 //! cargo run --example deterministic_vs_hashed
 //! ```
 
+use lnpram::core::{EmuHost, PramEmulator};
 use lnpram::prelude::*;
 use lnpram::topology::leveled::Leveled;
 
-fn main() {
-    let net = RadixButterfly::new(2, 6); // 64 processors
-    let mut rng = SeedSeq::new(7).rng();
-    let perm = lnpram::routing::workloads::random_permutation(64, &mut rng);
-    let rounds = 8;
-
-    // The paper's randomized single-copy scheme (Theorem 2.5).
-    let mut prog = PermutationTraffic::new(perm.clone(), rounds);
-    let space = prog.address_space();
-    let mut hashed =
-        LeveledPramEmulator::new(net, AccessMode::Erew, space, EmulatorConfig::default());
-    let hashed_report = hashed.run_program(&mut prog, 10_000);
-
-    // The deterministic [3]-style baseline at three replication levels.
-    println!(
-        "host: {}, workload: {rounds} rounds of permutation traffic\n",
-        net.name()
-    );
+/// One host's block: hashed, then replicated at R = 1, 3, 5, each on a
+/// fresh emulator from `build` running `rounds` rounds of the
+/// permutation `perm`; every memory image is checked against the
+/// reference PRAM.
+fn compare<H: EmuHost>(
+    host: &str,
+    perm: &[usize],
+    rounds: usize,
+    build: impl Fn(u64) -> PramEmulator<H>,
+) {
+    let make = || PermutationTraffic::new(perm.to_vec(), rounds);
+    let space = make().address_space();
+    let oracle = {
+        let mut m = PramMachine::new(space, AccessMode::Erew);
+        m.run(&mut make(), 10_000);
+        m.memory().to_vec()
+    };
+    println!("host: {host}, workload: {rounds} rounds of permutation traffic");
     println!(
         "{:<24} {:>12} {:>16} {:>10}",
         "scheme", "pkts/access", "steps/PRAM step", "rehashes"
     );
-    println!(
-        "{:<24} {:>12} {:>16.1} {:>10}",
-        "hashed (paper)",
-        1,
-        hashed_report.mean_step_time(),
-        hashed_report.rehashes
-    );
-
-    let mut images = Vec::new();
-    for copies in [1usize, 3, 5] {
-        let mut prog = PermutationTraffic::new(perm.clone(), rounds);
-        let mut emu = ReplicatedPramEmulator::new(
-            net,
-            AccessMode::Erew,
-            space,
-            copies,
-            EmulatorConfig::default(),
-        );
-        let report = emu.run_program(&mut prog, 10_000);
+    for copies in [None, Some(1), Some(3), Some(5)] {
+        let mut emu = build(space);
+        if let Some(r) = copies {
+            emu = emu
+                .with_copies(r)
+                .expect("1, 3 and 5 are valid copy counts");
+        }
+        let report = emu.run_program(&mut make(), 10_000);
+        // Semantics must be identical regardless of the memory organisation.
+        assert_eq!(emu.memory_image(space), oracle, "{host} {copies:?}");
         println!(
             "{:<24} {:>12} {:>16.1} {:>10}",
-            format!("replicated R={copies}"),
+            copies.map_or("hashed (paper)".into(), |r| format!("replicated R={r}")),
             emu.quorum(),
             report.mean_step_time(),
-            "n/a"
+            report.rehashes
         );
-        images.push(emu.memory_image(space));
     }
+    println!();
+}
 
-    // Semantics must be identical regardless of the memory organisation.
-    let oracle = {
-        let mut m = PramMachine::new(space, AccessMode::Erew);
-        m.run(&mut PermutationTraffic::new(perm, rounds), 10_000);
-        m.memory().to_vec()
-    };
-    assert_eq!(hashed.memory_image(space), oracle);
-    for img in &images {
-        assert_eq!(img, &oracle);
-    }
+fn main() {
+    let cfg = EmulatorConfig::default;
+
+    let net = RadixButterfly::new(2, 6); // 64 processors
+    let perm = lnpram::routing::workloads::random_permutation(64, &mut SeedSeq::new(7).rng());
+    compare(&net.name(), &perm, 8, |space| {
+        LeveledPramEmulator::new(net, AccessMode::Erew, space, cfg())
+    });
+
+    // 120 processors, diameter 6.
+    let perm = lnpram::routing::workloads::random_permutation(120, &mut SeedSeq::new(8).rng());
+    compare("star(5)", &perm, 8, |space| {
+        StarPramEmulator::new(5, AccessMode::Erew, space, cfg())
+    });
+
     println!(
-        "\nall four memory images are bit-identical to the reference PRAM;\n\
-         only the cost differs. R = 1 shows fixed placement alone is fine on\n\
+        "every memory image is bit-identical to the reference PRAM; only\n\
+         the cost differs. R = 1 shows fixed placement alone is fine on\n\
          *random* traffic — the hashing is insurance against adversarial\n\
-         patterns (see table_level_congestion for what that looks like)."
+         patterns (`reproduce --only level_congestion` shows what that\n\
+         looks like)."
     );
 }

@@ -17,10 +17,8 @@
 #![forbid(unsafe_code)]
 
 use lnpram::adaptive::{AdaptiveBackend, AdaptiveConfig, AdaptiveRoutingSession};
-use lnpram::core::replicated_emulator::check_copies;
 use lnpram::core::{
-    EmuHost, EmulatorConfig, LeveledPramEmulator, MeshPramEmulator, PramEmulator,
-    ReplicatedPramEmulator, StarPramEmulator,
+    EmuHost, EmulatorConfig, LeveledPramEmulator, MeshPramEmulator, PramEmulator, StarPramEmulator,
 };
 use lnpram::pram::machine::PramMachine;
 use lnpram::pram::model::{AccessMode, PramProgram, WritePolicy};
@@ -208,11 +206,6 @@ fn mesh_side(n: usize) -> Result<usize, CliError> {
     }
 }
 
-/// The `--copies` of the replicated baseline (odd, 1..=7).
-fn copies(r: usize) -> Result<usize, CliError> {
-    check_copies(r).map_err(|e| invalid_flag("copies", r, e.to_string()))
-}
-
 const HELP: &str = "\
 lnpram — PRAM emulation on leveled networks (Palis–Rajasekaran–Wei, ICPP 1991)
 
@@ -278,10 +271,12 @@ COMMANDS
 
   emulate  Run a PRAM program through an emulator and verify against the
            reference machine.
-             --host butterfly|star|mesh|replicated    (required)
+             --host butterfly|star|mesh               (required)
              --program prefix-sum|reduction-max|histogram|connected-components  [prefix-sum]
              --n / --k        host size (star n, mesh side, butterfly levels)
-             --copies <R>     replicas for --host replicated      [3]
+             --copies <R>     deterministic replication: R fixed copies
+                              per cell (odd, 1..=7) instead of one
+                              hashed copy, on any host             [hashed]
              --seed <s>                                            [0]
 
   help     This message.
@@ -854,25 +849,19 @@ fn cmd_stats(flags: &HashMap<String, String>) -> Result<(), CliError> {
 }
 
 /// The host `emulate --host` names, its size flags validated.
-#[derive(Clone, Copy)]
 enum Host {
-    Butterfly(RadixButterfly),
+    Butterfly(Box<RadixButterfly>),
     Star(StarGraph),
     Mesh(usize),
-    Replicated(RadixButterfly, usize),
 }
 
 impl Host {
     fn from_flags(flags: &HashMap<String, String>) -> Result<Self, CliError> {
         let host = flags.get("host").ok_or(CliError::MissingFlag("host"))?;
         Ok(match host.as_str() {
-            "butterfly" => Host::Butterfly(butterfly(2, get_usize(flags, "k", 5)?)?),
+            "butterfly" => Host::Butterfly(Box::new(butterfly(2, get_usize(flags, "k", 5)?)?)),
             "star" => Host::Star(star_graph(get_usize(flags, "n", 4)?)?),
             "mesh" => Host::Mesh(mesh_side(get_usize(flags, "n", 5)?)?),
-            "replicated" => Host::Replicated(
-                butterfly(2, get_usize(flags, "k", 5)?)?,
-                copies(get_usize(flags, "copies", 3)?)?,
-            ),
             other => {
                 return Err(CliError::Unknown {
                     what: "host",
@@ -884,28 +873,37 @@ impl Host {
 
     fn processors(&self) -> usize {
         match self {
-            Host::Butterfly(bf) | Host::Replicated(bf, _) => bf.width(),
+            Host::Butterfly(bf) => bf.width(),
             Host::Star(star) => star.num_nodes(),
             Host::Mesh(n) => n * n,
         }
     }
 }
 
-/// Run `make()`'s program on `host` and diff the final memory image
-/// against the reference machine's.
+/// Run `make()`'s program on `host`, with `copies` replicas per cell if
+/// given, and diff the final memory image against the reference
+/// machine's.
 fn emulate_on<P: PramProgram>(
     host: Host,
+    copies: Option<usize>,
     cfg: &EmulatorConfig,
     mode: AccessMode,
     make: impl Fn() -> P,
 ) -> Result<(), CliError> {
-    /// Every hashed host is the one emulator over a different `EmuHost`.
-    fn hashed<H: EmuHost>(
-        mut emu: PramEmulator<H>,
+    /// Every host is the one emulator over a different `EmuHost`.
+    fn run<H: EmuHost>(
+        emu: PramEmulator<H>,
+        copies: Option<usize>,
         prog: &mut impl PramProgram,
-    ) -> (Vec<u64>, f64) {
+    ) -> Result<(Vec<u64>, f64), CliError> {
+        let mut emu = match copies {
+            Some(r) => emu
+                .with_copies(r)
+                .map_err(|e| invalid_flag("copies", r, e.to_string()))?,
+            None => emu,
+        };
         let rep = emu.run_program(prog, 1_000_000);
-        (emu.memory_image(prog.address_space()), rep.mean_step_time())
+        Ok((emu.memory_image(prog.address_space()), rep.mean_step_time()))
     }
     let mut prog = make();
     let space = prog.address_space();
@@ -913,24 +911,28 @@ fn emulate_on<P: PramProgram>(
     let (name, (image, mean_step)) = match host {
         Host::Butterfly(bf) => (
             "butterfly",
-            hashed(LeveledPramEmulator::new(bf, mode, space, cfg), &mut prog),
+            run(
+                LeveledPramEmulator::new(*bf, mode, space, cfg),
+                copies,
+                &mut prog,
+            )?,
         ),
         Host::Star(star) => (
             "star",
-            hashed(StarPramEmulator::new(star.n(), mode, space, cfg), &mut prog),
+            run(
+                StarPramEmulator::new(star.n(), mode, space, cfg),
+                copies,
+                &mut prog,
+            )?,
         ),
         Host::Mesh(n) => (
             "mesh",
-            hashed(MeshPramEmulator::new(n, mode, space, cfg), &mut prog),
+            run(
+                MeshPramEmulator::new(n, mode, space, cfg),
+                copies,
+                &mut prog,
+            )?,
         ),
-        Host::Replicated(bf, copies) => {
-            let mut emu = ReplicatedPramEmulator::new(bf, mode, space, copies, cfg);
-            let rep = emu.run_program(&mut prog, 1_000_000);
-            (
-                "replicated",
-                (emu.memory_image(space), rep.mean_step_time()),
-            )
-        }
     };
     let mut oracle = PramMachine::new(space, mode);
     oracle.run(&mut make(), 1_000_000);
@@ -946,6 +948,10 @@ fn emulate_on<P: PramProgram>(
 
 fn cmd_emulate(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let host = Host::from_flags(flags)?;
+    let copies = flags
+        .get("copies")
+        .map(|_| get_usize(flags, "copies", 0))
+        .transpose()?;
     let seed = get_u64(flags, "seed", 0)?;
     let program = flags
         .get("program")
@@ -961,7 +967,7 @@ fn cmd_emulate(flags: &HashMap<String, String>) -> Result<(), CliError> {
     match program {
         "prefix-sum" => {
             let values: Vec<u64> = (1..=procs as u64).collect();
-            emulate_on(host, &cfg, AccessMode::Erew, move || {
+            emulate_on(host, copies, &cfg, AccessMode::Erew, move || {
                 PrefixSum::new(values.clone())
             })
         }
@@ -971,15 +977,19 @@ fn cmd_emulate(flags: &HashMap<String, String>) -> Result<(), CliError> {
             // `n!` and `n²` processors).
             let len = 1u64 << (2 * procs).ilog2();
             let values: Vec<u64> = (0..len).map(|i| (i * 37 + 5) % 1000).collect();
-            emulate_on(host, &cfg, AccessMode::Erew, move || {
+            emulate_on(host, copies, &cfg, AccessMode::Erew, move || {
                 ReductionMax::new(values.clone())
             })
         }
         "histogram" => {
             let inputs: Vec<u64> = (0..procs as u64).map(|i| i % 8).collect();
-            emulate_on(host, &cfg, AccessMode::Crcw(WritePolicy::Sum), move || {
-                Histogram::new(inputs.clone(), 8)
-            })
+            emulate_on(
+                host,
+                copies,
+                &cfg,
+                AccessMode::Crcw(WritePolicy::Sum),
+                move || Histogram::new(inputs.clone(), 8),
+            )
         }
         "connected-components" => {
             // Random graph sized so 2E + V fits the host.
@@ -993,9 +1003,13 @@ fn cmd_emulate(flags: &HashMap<String, String>) -> Result<(), CliError> {
                     (a, b)
                 })
                 .collect();
-            emulate_on(host, &cfg, AccessMode::Crcw(WritePolicy::Max), move || {
-                ConnectedComponents::new(v, edges.clone())
-            })
+            emulate_on(
+                host,
+                copies,
+                &cfg,
+                AccessMode::Crcw(WritePolicy::Max),
+                move || ConnectedComponents::new(v, edges.clone()),
+            )
         }
         other => Err(CliError::Unknown {
             what: "program",

@@ -30,8 +30,9 @@
 //!   ([`shard::ShardedEngine`], bit-identical to the serial engine),
 //!   selected via [`simnet::SimConfig::shards`].
 //! * [`core`] — the emulators: [`core::LeveledPramEmulator`],
-//!   [`core::StarPramEmulator`], [`core::MeshPramEmulator`], and the
-//!   deterministic [`core::ReplicatedPramEmulator`] baseline.
+//!   [`core::StarPramEmulator`], [`core::MeshPramEmulator`], each hashed
+//!   or, through [`core::PramEmulator::with_copies`], the deterministic
+//!   replicated-memory baseline.
 //! * [`adaptive`] — the non-oblivious counterpoint: congestion-priced
 //!   source routing with deterministic Dijkstra and
 //!   rip-up-and-reroute ([`adaptive::AdaptiveRoutingSession`], the
@@ -75,8 +76,7 @@ pub use lnpram_topology as topology;
 /// The most common imports in one place.
 pub mod prelude {
     pub use lnpram_core::{
-        EmuReport, EmulatorConfig, LeveledPramEmulator, MeshPramEmulator, ReplicatedPramEmulator,
-        StarPramEmulator,
+        EmuReport, EmulatorConfig, LeveledPramEmulator, MeshPramEmulator, StarPramEmulator,
     };
     pub use lnpram_hash::{HashFamily, PolyHash};
     pub use lnpram_math::rng::SeedSeq;

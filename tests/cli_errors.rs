@@ -55,12 +55,11 @@ fn smallest_star_still_works() {
 
 #[test]
 fn bad_host_sizes_are_typed_errors() {
-    let cases: [(&[&str], &str, &str); 17] = [
-        (&["emulate", "--host", "replicated"], "copies", "2"),
-        (&["emulate", "--host", "replicated"], "copies", "0"),
-        (&["emulate", "--host", "replicated"], "copies", "9"),
+    let cases: [(&[&str], &str, &str); 16] = [
+        (&["emulate", "--host", "butterfly"], "copies", "2"),
+        (&["emulate", "--host", "butterfly"], "copies", "0"),
+        (&["emulate", "--host", "butterfly"], "copies", "9"),
         (&["emulate", "--host", "butterfly"], "k", "0"),
-        (&["emulate", "--host", "replicated"], "k", "0"),
         (&["emulate", "--host", "butterfly"], "k", "40"),
         (&["emulate", "--host", "mesh"], "n", "0"),
         (&["audit", "--topology", "butterfly"], "k", "0"),
@@ -103,15 +102,17 @@ fn emulate_verifies_every_program_on_every_host() {
     // Small sizes, and the smallest each helper accepts: star and mesh
     // hosts have `n!` / `n²` processors, so the programs must size
     // themselves to counts that are not powers of two — down to one.
-    let hosts: [&[&str]; 8] = [
+    let hosts: [&[&str]; 10] = [
         &["--host", "butterfly", "--k", "3"],
         &["--host", "star", "--n", "3"],
         &["--host", "mesh", "--n", "3"],
-        &["--host", "replicated", "--k", "3", "--copies", "3"],
+        &["--host", "butterfly", "--k", "3", "--copies", "3"],
+        &["--host", "star", "--n", "3", "--copies", "3"],
+        &["--host", "mesh", "--n", "3", "--copies", "3"],
         &["--host", "butterfly", "--k", "1"],
         &["--host", "star", "--n", "2"],
         &["--host", "mesh", "--n", "1"],
-        &["--host", "replicated", "--k", "1", "--copies", "1"],
+        &["--host", "butterfly", "--k", "1", "--copies", "1"],
     ];
     for host in hosts {
         for program in [

@@ -5,6 +5,7 @@
 //! theorems are about *time*; these tests pin down that the emulation is
 //! actually an emulation.
 
+use lnpram::core::{EmuHost, PramEmulator};
 use lnpram::prelude::*;
 use lnpram::routing::workloads;
 
@@ -217,47 +218,65 @@ fn connected_components_across_emulators() {
     emu.run_program(&mut make(), 10_000);
     assert_eq!(emu.memory_image(space), reference, "mesh CC");
 
-    let mut emu = ReplicatedPramEmulator::new(
+    let emu = LeveledPramEmulator::new(
         RadixButterfly::new(2, 5),
         mode,
         space,
-        3,
         EmulatorConfig::default(),
     );
+    let mut emu = emu.with_copies(3).expect("an odd copy count up to 7");
     emu.run_program(&mut make(), 10_000);
     assert_eq!(emu.memory_image(space), reference, "replicated CC");
+}
+
+/// Prefix sum and list ranking over `procs` processors on the emulators
+/// `build` returns, replicated at R = 1 and 3, against the oracle.
+fn check_replicated<H: EmuHost>(
+    host: &str,
+    procs: usize,
+    build: impl Fn(AccessMode, u64) -> PramEmulator<H>,
+) {
+    fn image<H: EmuHost>(
+        emu: PramEmulator<H>,
+        copies: usize,
+        mut prog: impl PramProgram,
+    ) -> Vec<u64> {
+        let mut emu = emu.with_copies(copies).expect("an odd copy count up to 7");
+        emu.run_program(&mut prog, 200_000);
+        emu.memory_image(prog.address_space())
+    }
+    for copies in [1usize, 3] {
+        let make = || PrefixSum::new((1..=procs as u64).collect());
+        let (mode, space) = (AccessMode::Erew, make().address_space());
+        assert_eq!(
+            image(build(mode, space), copies, make()),
+            oracle_image(make(), mode),
+            "{host} R={copies} diverged on prefix sum"
+        );
+        let make = || ListRankingProgram::new(scrambled_list(procs, 13));
+        let (mode, space) = (AccessMode::Crew, make().address_space());
+        assert_eq!(
+            image(build(mode, space), copies, make()),
+            oracle_image(make(), mode),
+            "{host} R={copies} diverged on list ranking"
+        );
+    }
 }
 
 #[test]
 fn replicated_baseline_matches_oracle_on_programs() {
     // The deterministic [3]-style baseline must still be an exact
-    // emulation — its cost differs, not its semantics.
-    let net = RadixButterfly::new(2, 5);
-    for copies in [1usize, 3] {
-        let make = || PrefixSum::new((1..=32).collect());
-        let mode = AccessMode::Erew;
-        let space = make().address_space();
-        let mut emu =
-            ReplicatedPramEmulator::new(net, mode, space, copies, EmulatorConfig::default());
-        emu.run_program(&mut make(), 200_000);
-        assert_eq!(
-            emu.memory_image(space),
-            oracle_image(make(), mode),
-            "replicated R={copies} diverged on prefix sum"
-        );
-
-        let make = || ListRankingProgram::new(scrambled_list(32, 13));
-        let mode = AccessMode::Crew;
-        let space = make().address_space();
-        let mut emu =
-            ReplicatedPramEmulator::new(net, mode, space, copies, EmulatorConfig::default());
-        emu.run_program(&mut make(), 200_000);
-        assert_eq!(
-            emu.memory_image(space),
-            oracle_image(make(), mode),
-            "replicated R={copies} diverged on list ranking"
-        );
-    }
+    // emulation on every host — its cost differs, not its semantics.
+    let cfg = EmulatorConfig::default;
+    check_replicated("butterfly(2,5)", 32, |mode, space| {
+        LeveledPramEmulator::new(RadixButterfly::new(2, 5), mode, space, cfg())
+    });
+    check_replicated("star(4)", 24, |mode, space| {
+        StarPramEmulator::new(4, mode, space, cfg())
+    });
+    check_replicated("mesh(5)", 25, |mode, space| {
+        MeshPramEmulator::new(5, mode, space, cfg())
+    });
 }
 
 #[test]

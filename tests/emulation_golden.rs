@@ -1,11 +1,15 @@
 //! Behaviour pin for the emulators `tests/star_golden.rs` does not
 //! cover: the leveled host (butterfly and n-way shuffle), the mesh host
-//! in its three configurations, and the replicated baseline — plus one
-//! tight-budget run per hashed host (star included), so the overrun →
-//! rehash → remap-charge path is pinned too.
+//! in its three configurations, and deterministic replication on the
+//! butterfly, star and mesh hosts — plus one tight-budget run per hashed
+//! host (star included), so the overrun → rehash → remap-charge path is
+//! pinned too.
 //!
-//! Recorded before the three hashed emulators were folded into one
-//! shell (ISSUE 15) and required unchanged since. The golden lives in
+//! The hashed lines were recorded before the three hashed emulators
+//! were folded into one shell and are required unchanged since; the
+//! replicated lines (host names ending `xR`, R copies per cell) were
+//! re-recorded when replication became an address map of that shell.
+//! The golden lives in
 //! `tests/golden/emulation.txt`, one line per run: a readable summary
 //! plus an FNV-1a digest over every `StepStats` field of every PRAM
 //! step, the remap charge and every memory cell. On a mismatch the test
@@ -81,7 +85,6 @@ impl_emu!(
     LeveledPramEmulator<UnrolledShuffle>,
     StarPramEmulator,
     MeshPramEmulator,
-    ReplicatedPramEmulator<RadixButterfly>,
 );
 
 /// Run `make()` on the emulator `build` returns, check the image against
@@ -208,8 +211,7 @@ fn all_runs() -> Vec<String> {
             });
         }
     }
-    // The mesh host never combines and the replicated baseline neither
-    // combines nor shards: those axes stay at their defaults.
+    // The mesh host never combines: that axis stays at its default.
     for shards in [0usize, 2] {
         let c = cfg(true, shards);
         four_programs(&mut lines, "mesh(6)", 36, &c, &|m, s, c| {
@@ -223,12 +225,33 @@ fn all_runs() -> Vec<String> {
             MeshPramEmulator::new(6, m, s, c).with_const_queue()
         });
     }
-    for copies in [1usize, 3] {
-        let host = format!("replicated(2,5)x{copies}");
-        four_programs(&mut lines, &host, 32, &cfg(true, 0), &|m, s, c| {
-            ReplicatedPramEmulator::new(butterfly, m, s, copies, c)
-        });
+    // Replication is a placement: it runs on every host and honours
+    // `shards` as hashing does, so both shard counts print one digest.
+    let replicated = lines.len();
+    for shards in [0usize, 2] {
+        for copies in [1usize, 3] {
+            let host = format!("butterfly(2,5)x{copies}");
+            four_programs(&mut lines, &host, 32, &cfg(true, shards), &|m, s, c| {
+                LeveledPramEmulator::new(butterfly, m, s, c)
+                    .with_copies(copies)
+                    .expect("an odd copy count up to 7")
+            });
+        }
     }
+    let (serial, sharded) = lines[replicated..].split_at(8);
+    for (serial, sharded) in serial.iter().zip(sharded) {
+        assert_eq!(serial.replace(" shards=0 ", " shards=2 "), *sharded);
+    }
+    four_programs(&mut lines, "star(4)x3", 24, &cfg(true, 0), &|m, s, c| {
+        StarPramEmulator::new(4, m, s, c)
+            .with_copies(3)
+            .expect("an odd copy count up to 7")
+    });
+    four_programs(&mut lines, "mesh(6)x3", 36, &cfg(true, 0), &|m, s, c| {
+        MeshPramEmulator::new(6, m, s, c)
+            .with_copies(3)
+            .expect("an odd copy count up to 7")
+    });
     let before = lines.len();
     four_programs(&mut lines, "butterfly(2,5)", 32, &tight(), &|m, s, c| {
         LeveledPramEmulator::new(butterfly, m, s, c)

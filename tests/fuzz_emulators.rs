@@ -8,6 +8,7 @@
 //! memory image and fails the diff. This catches whole classes of
 //! emulator bugs the structured program library can miss.
 
+use lnpram::core::{EmuHost, PramEmulator};
 use lnpram::prelude::*;
 use lnpram_math::rng::splitmix64;
 
@@ -209,34 +210,51 @@ fn fuzz_mesh_emulator_const_queue() {
     }
 }
 
-#[test]
-fn fuzz_replicated_emulator() {
-    // The deterministic replication baseline has its own quorum and
-    // version machinery — a stale copy winning anywhere shows up here.
+/// Run the fuzz program for `seed` on the emulator `build` returns,
+/// replicated at R = 1, 3, 5, against the reference image.
+fn fuzz_replicated<H: EmuHost>(
+    host: &str,
+    procs: usize,
+    seeds: std::ops::Range<u64>,
+    build: impl Fn(u64, EmulatorConfig) -> PramEmulator<H>,
+) {
     let mode = AccessMode::Crcw(WritePolicy::Priority);
-    for seed in 700..705u64 {
-        let (procs, space, steps) = (32usize, 48u64, 10usize);
+    let (space, steps) = (48u64, 10usize);
+    for seed in seeds {
         let reference = oracle_image(seed, procs, space, steps, mode);
         for copies in [1usize, 3, 5] {
             let mut prog = FuzzProgram::new(seed, procs, space, steps);
-            let mut emu = ReplicatedPramEmulator::new(
-                RadixButterfly::new(2, 5),
-                mode,
-                space,
-                copies,
-                EmulatorConfig {
-                    seed,
-                    ..Default::default()
-                },
-            );
+            let cfg = EmulatorConfig {
+                seed,
+                ..Default::default()
+            };
+            let mut emu = build(space, cfg)
+                .with_copies(copies)
+                .expect("an odd copy count up to 7");
             emu.run_program(&mut prog, steps + 2);
             assert_eq!(
                 emu.memory_image(space),
                 reference,
-                "seed {seed} copies {copies}"
+                "{host}: seed {seed} copies {copies}"
             );
         }
     }
+}
+
+#[test]
+fn fuzz_replicated_emulator() {
+    // Replication has its own quorum and version machinery — a stale
+    // copy winning anywhere, on any host, shows up here.
+    let mode = AccessMode::Crcw(WritePolicy::Priority);
+    fuzz_replicated("butterfly(2,5)", 32, 700..705, |space, cfg| {
+        LeveledPramEmulator::new(RadixButterfly::new(2, 5), mode, space, cfg)
+    });
+    fuzz_replicated("star(4)", 24, 710..715, |space, cfg| {
+        StarPramEmulator::new(4, mode, space, cfg)
+    });
+    fuzz_replicated("mesh(5)", 25, 720..725, |space, cfg| {
+        MeshPramEmulator::new(5, mode, space, cfg)
+    });
 }
 
 #[test]

@@ -279,13 +279,9 @@ fn replication_cost_scales_with_quorum() {
     let perm: Vec<usize> = (0..32).map(|i| (i * 7 + 3) % 32).collect();
     let time = |copies: usize| {
         let mut prog = PermutationTraffic::new(perm.clone(), 4);
-        let mut emu = ReplicatedPramEmulator::new(
-            net,
-            AccessMode::Erew,
-            prog.address_space(),
-            copies,
-            EmulatorConfig::default(),
-        );
+        let space = prog.address_space();
+        let emu = LeveledPramEmulator::new(net, AccessMode::Erew, space, EmulatorConfig::default());
+        let mut emu = emu.with_copies(copies).expect("an odd copy count up to 7");
         emu.run_program(&mut prog, 1000).mean_step_time()
     };
     let (t1, t3, t5) = (time(1), time(3), time(5));
