@@ -1,4 +1,4 @@
-//! The eighth `Router` backend: adaptive congestion-priced source
+//! The seventh `Router` backend: adaptive congestion-priced source
 //! routing behind the generic [`RoutingSession`] machinery, plus the
 //! [`AdaptiveRoutingSession`] wrapper that reroutes around planned
 //! faults instead of running the Lemma 2.1 retry schedule.
@@ -253,7 +253,7 @@ impl RouteBackend for AdaptiveBackend {
     }
 }
 
-/// The adaptive routing session — the eighth `Router` backend. A thin
+/// The adaptive routing session — the seventh `Router` backend. A thin
 /// wrapper over [`RoutingSession<AdaptiveBackend>`] that overrides
 /// [`Router::route_with_faults`]: instead of the Lemma 2.1 re-randomize
 /// retry (which oblivious backends need because their paths are drawn,

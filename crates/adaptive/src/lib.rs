@@ -2,7 +2,7 @@
 //!
 //! The paper's routers are all *oblivious*: a random intermediate
 //! destination plus a queue discipline, never looking at the traffic.
-//! This crate is the counterpoint — the workspace's eighth
+//! This crate is the counterpoint — the workspace's seventh
 //! [`Router`](lnpram_routing::Router) backend routes on the real link
 //! graph with congestion-priced shortest paths and iterative
 //! rip-up-and-reroute, in the style of PathFinder-family channel

@@ -153,6 +153,25 @@ proptest! {
             );
         }
     }
+
+    /// The fault contract every backend honours: under an empty plan
+    /// the pricer avoids nothing, so recovery is one attempt whose
+    /// report is the plain route's.
+    #[test]
+    fn empty_fault_plan_equals_route(seed in 0u64..1 << 20, kind in 0usize..4) {
+        for topo in 0..2 {
+            let mut s = if topo == 0 { mesh_session(0) } else { cube_session(0) };
+            let req = request(kind, s.num_nodes(), seed);
+            let plain = s.route(&req);
+            let policy = RetryPolicy { attempt_budget: s.step_budget(), max_attempts: 3 };
+            let faulted = s
+                .route_with_faults(&req, &FaultPlan::default(), policy)
+                .expect("an empty plan installs");
+            prop_assert!(faulted.completed, "topo {}", topo);
+            prop_assert_eq!(faulted.attempts, 1, "topo {}", topo);
+            prop_assert_eq!(fingerprint(&plain), fingerprint(&faulted.first), "topo {}", topo);
+        }
+    }
 }
 
 /// Rerouting around a failed link: the plan kills one interior link, the

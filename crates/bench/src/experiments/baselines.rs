@@ -12,7 +12,7 @@ use lnpram_math::perm::factorial;
 use lnpram_math::rng::SeedSeq;
 use lnpram_math::stats::Summary;
 use lnpram_pram::model::{AccessMode, PramProgram};
-use lnpram_routing::bitonic::BitonicRoutingSession;
+use lnpram_routing::bitonic::bitonic_route;
 use lnpram_routing::ccc::CccRoutingSession;
 use lnpram_routing::hypercube::CubeRoutingSession;
 use lnpram_routing::{
@@ -270,8 +270,10 @@ pub fn batcher_baseline(r: &mut Report, scale: Trials) {
         "k | N | bitonic steps | bitonic queue | valiant steps | valiant queue | speedup",
     );
     for k in [4usize, 6, 8, 10, 12] {
-        let bitonic = || BitonicRoutingSession::new(k, SimConfig::default());
-        let bit = measure(n_trials, |s| bitonic().route_permutation(s).metrics);
+        let bit = measure(n_trials, |s| {
+            let dests = workloads::random_permutation(1 << k, &mut SeedSeq::new(s).child(0).rng());
+            bitonic_route(k, &dests, SimConfig::default()).metrics
+        });
         let val = measure(n_trials, |s| cube(k).route_permutation(s).metrics);
         t.row(&[
             k.to_string(),

@@ -231,9 +231,9 @@ pub fn thm31(r: &mut Report, scale: Trials) {
             ("three-stage", three_stage(n)),
             ("greedy XY", MeshAlgorithm::Greedy),
         ] {
-            // `from_mesh` takes the discipline as given: FIFO here, for
-            // both algorithms (see `ablate_slice`).
-            let session = || MeshRoutingSession::from_mesh(mesh, alg, SimConfig::default());
+            // Each algorithm under its canonical discipline: §3.4's
+            // furthest-destination-first for three-stage, FIFO for greedy.
+            let session = || MeshRoutingSession::new(n, alg, SimConfig::default());
             let route = |s| session().route_with_dests(&transpose, SeedSeq::new(s));
             let m = measure(5, |s| route(s).metrics);
             routing_row(&mut t, &[n.to_string(), name.into()], &m, n as f64);
@@ -374,13 +374,12 @@ pub fn ablate_slice(r: &mut Report, scale: Trials) {
     let default = default_slice_rows(n);
     for rows in [1usize, 2, 4, default, 16, 32, 64] {
         let alg = MeshAlgorithm::ThreeStage { slice_rows: rows };
-        // `from_mesh` takes the discipline as given, so this sweep runs
-        // under the default FIFO — as the table always has; the golden
-        // pins it (ROADMAP item 6 lists it as an open question).
+        // Under §3.4's furthest-destination-first, the discipline the
+        // algorithm is analysed with (`MeshRoutingSession::new` applies it).
         let m = measure(n_trials, |s| {
             let mut rng = SeedSeq::new(s).rng();
             let dests = workloads::random_permutation(n * n, &mut rng);
-            MeshRoutingSession::from_mesh(Mesh::square(n), alg, SimConfig::default())
+            MeshRoutingSession::new(n, alg, SimConfig::default())
                 .route_with_dests(&dests, SeedSeq::new(s))
                 .metrics
         });

@@ -1,7 +1,5 @@
 //! Emulator configuration and statistics.
 
-use lnpram_simnet::Discipline;
-
 /// Parameters of a PRAM emulation.
 ///
 /// [`PramEmulator`](crate::PramEmulator) on the leveled, star and mesh
@@ -14,17 +12,10 @@ pub struct EmulatorConfig {
     /// d(ℓ) time" — `2ℓ` leveled, `2·diameter` star, `4n` mesh). A
     /// request phase that overruns triggers a rehash.
     pub budget_factor: u32,
-    /// Hash-family degree parameter as a multiple of the host's diameter
-    /// (`S = cL`, §2.1).
-    pub hash_degree_factor: usize,
-    /// Explicit hash degree S, overriding `hash_degree_factor` when set
-    /// (the A3 ablation uses this to force constant-degree hashing).
+    /// Explicit hash degree S, overriding the default `S = L` (the
+    /// host's diameter, §2.1's `S = cL` at `c = 1`) when set (the A3
+    /// ablation uses this to force constant-degree hashing).
     pub hash_degree_override: Option<usize>,
-    /// Queueing discipline of the routing engines on the leveled and star
-    /// hosts. Does not reach the mesh host:
-    /// the three-stage algorithm requires furthest-destination-first
-    /// (§3.4) and the host fixes it.
-    pub discipline: Discipline,
     /// Give up after this many rehashes within one PRAM step (the budget
     /// doubles after each, so this also bounds the worst-case step time).
     pub max_rehashes: u32,
@@ -48,9 +39,7 @@ impl Default for EmulatorConfig {
     fn default() -> Self {
         EmulatorConfig {
             budget_factor: 16,
-            hash_degree_factor: 1,
             hash_degree_override: None,
-            discipline: Discipline::Fifo,
             max_rehashes: 8,
             combining: true,
             seed: 0,

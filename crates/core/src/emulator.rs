@@ -256,12 +256,9 @@ impl<H: EmuHost> PramEmulator<H> {
         let modules = host.processors();
         let family = match cfg.hash_degree_override {
             Some(s_deg) => HashFamily::new(address_space, modules as u64, s_deg.max(1)),
-            None => HashFamily::for_diameter(
-                address_space,
-                modules as u64,
-                host.diameter().max(1),
-                cfg.hash_degree_factor.max(1),
-            ),
+            None => {
+                HashFamily::for_diameter(address_space, modules as u64, host.diameter().max(1), 1)
+            }
         };
         let seq = SeedSeq::new(cfg.seed);
         let hash = family.sample(&mut seq.child(0).rng());

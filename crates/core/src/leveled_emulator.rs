@@ -72,8 +72,8 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
         // path, column bands cut by `LevelCut` (bit-identical outcomes —
         // the lnpram-shard determinism contract).
         let part = LevelCut::new(width);
+        // FIFO queues, which Theorems 2.1/2.4 assume.
         let sim = SimConfig {
-            discipline: cfg.discipline,
             shards: cfg.shards,
             ..Default::default()
         };

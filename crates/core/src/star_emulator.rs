@@ -56,12 +56,11 @@ impl StarPramEmulator {
     /// Emulator on the n-star for programs over `address_space` cells.
     pub fn new(n: usize, mode: AccessMode, address_space: u64, cfg: EmulatorConfig) -> Self {
         let table = StarTable::new(StarGraph::new(n));
-        // Same construction as `StarRoutingSession`, built once and
-        // recycled per phase.
+        // Same construction as `StarRoutingSession` (FIFO queues, as
+        // Theorems 2.1/2.4 assume), built once and recycled per phase.
         let engine = star_table_engine(
             &table,
             SimConfig {
-                discipline: cfg.discipline,
                 shards: cfg.shards,
                 ..Default::default()
             },

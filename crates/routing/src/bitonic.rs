@@ -13,9 +13,8 @@
 //! destination `v` at node `v` — permutation routing in exactly
 //! `k(k+1)/2` steps, max queue 1, zero randomness. The trade, measured by
 //! the `batcher_baseline` experiment: Θ(log² N) vs Valiant's Õ(log N), and no
-//! extension to h-relations or many-one traffic — a
-//! [`RoutePattern::Relation`](crate::RoutePattern::Relation) request panics here, exactly the
-//! limitation §2.2.1 criticizes.
+//! extension to h-relations or many-one traffic — a many-one map panics
+//! here, exactly the limitation §2.2.1 criticizes.
 //!
 //! The exchange is simulated on the engine: at every stage each node
 //! sends a *copy* of its held packet across the scheduled dimension and,
@@ -24,21 +23,17 @@
 //! packet per stage — the paper's machine model, with every queue at its
 //! floor of 1.
 //!
-//! The public entry point is [`BitonicRoutingSession`] — the
-//! [`Router`](crate::Router) instance for sort-routing. The sorting
-//! network's per-node state is kept per
-//! *global* node, so batched multi-tenant runs sort each tenant's copy
-//! independently.
+//! Like its siblings [`shearsort_route`](crate::mesh_sort::shearsort_route)
+//! and [`ranade_route`](crate::ranade::ranade_route), the entry point is a
+//! function of a destination map, [`bitonic_route`]: the comparator
+//! schedule is fixed at injection, so packets cannot enter or re-enter
+//! mid-run and the scheme has no place behind the [`Router`](crate::Router)
+//! API.
 
-use crate::router::{
-    batch_engine, is_relation, pattern_dests, PatternRef, RouteBackend, RoutingSession, RunExtras,
-};
 use crate::workloads;
-use lnpram_math::rng::SeedSeq;
 use lnpram_shard::AnyEngine;
-use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
+use lnpram_simnet::{Outbox, Packet, Protocol, RunOutcome, SimConfig};
 use lnpram_topology::hypercube::Hypercube;
-use lnpram_topology::Network;
 
 /// The full bitonic schedule for a k-cube: `(phase p, dimension q)` pairs,
 /// `q` descending within each phase; `k(k+1)/2` stages total.
@@ -58,8 +53,7 @@ pub fn bitonic_schedule(k: usize) -> Vec<(usize, usize)> {
     stages
 }
 
-/// Does position `pos` (a *base-cube* node id) keep the smaller of the
-/// pair at stage `(p, q)`?
+/// Does node `pos` keep the smaller of the pair at stage `(p, q)`?
 ///
 /// Ascending blocks are those whose bit `p+1` is 0 (the final phase
 /// `p = k − 1` has that bit always 0, i.e. one fully ascending merge);
@@ -71,13 +65,8 @@ fn keeps_min(pos: usize, p: usize, q: usize) -> bool {
     ascending == low_end
 }
 
-/// Per-node program of the bitonic exchange. State (`held`, `stage`) is
-/// indexed by **global** node id, so the same program drives a batched
-/// union of tenant copies: the compare rule uses the node's base-cube
-/// position (`node mod 2^k`), the state its global id.
-pub struct BitonicRouter {
-    /// Base-cube size `2^k` (position mask is `n − 1`).
-    n: usize,
+/// Per-node program of the bitonic exchange on the k-cube.
+struct BitonicRouter {
     schedule: Vec<(usize, usize)>,
     /// The packet each node currently holds.
     held: Vec<Packet>,
@@ -86,13 +75,12 @@ pub struct BitonicRouter {
 }
 
 impl BitonicRouter {
-    fn new(k: usize, copies: usize) -> Self {
+    fn new(k: usize) -> Self {
         let n = 1usize << k;
         BitonicRouter {
-            n,
             schedule: bitonic_schedule(k),
-            held: vec![Packet::new(0, 0, 0); copies * n],
-            stage: vec![0; copies * n],
+            held: vec![Packet::new(0, 0, 0); n],
+            stage: vec![0; n],
         }
     }
 
@@ -105,7 +93,6 @@ impl BitonicRouter {
 
 impl Protocol for BitonicRouter {
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
-        let pos = node % self.n;
         if step == 0 {
             // Injection: adopt the initial packet and start stage 0.
             self.held[node] = pkt;
@@ -126,148 +113,64 @@ impl Protocol for BitonicRouter {
             pkt.src
         );
         let mine = self.held[node];
-        let take_min = keeps_min(pos, p, q);
+        let take_min = keeps_min(node, p, q);
         let mine_smaller = mine.dest <= pkt.dest;
         self.held[node] = if take_min == mine_smaller { mine } else { pkt };
         self.stage[node] = s + 1;
         if s + 1 == self.schedule.len() {
             debug_assert_eq!(
-                self.held[node].dest as usize, pos,
+                self.held[node].dest as usize, node,
                 "bitonic sort must place each packet at its destination"
             );
             out.deliver(self.held[node]);
         } else {
             // `src` marks the copy's sender so the partner assert holds.
-            let mut copy = self.held[node];
-            copy.src = node as u32;
-            self.held[node] = copy;
+            self.held[node].src = node as u32;
             self.send_stage(node, s + 1, out);
         }
     }
 }
 
-/// [`RouteBackend`] for bitonic sort-routing on the k-cube.
-pub struct BitonicBackend {
-    cube: Hypercube,
-    k: usize,
-}
-
-impl BitonicBackend {
-    /// Backend on the `k`-cube.
-    pub fn new(k: usize) -> Self {
-        BitonicBackend {
-            cube: Hypercube::new(k),
-            k,
-        }
-    }
-}
-
-impl RouteBackend for BitonicBackend {
-    type Proto<'a> = BitonicRouter;
-
-    fn sources(&self) -> usize {
-        self.cube.num_nodes()
-    }
-
-    fn stride(&self) -> usize {
-        self.cube.num_nodes()
-    }
-
-    fn name(&self) -> String {
-        format!("bitonic[{}]", self.cube.name())
-    }
-
-    fn extras(&self) -> RunExtras {
-        RunExtras::Bitonic {
-            dims: self.k,
-            stages: (self.k * (self.k + 1) / 2) as u32,
-        }
-    }
-
-    fn step_local(&self) -> bool {
-        // The comparator schedule is fixed at injection time: packets
-        // cannot enter or re-enter mid-schedule, so streaming admission
-        // and fault recovery would silently misroute. Decline with a
-        // typed error instead.
-        false
-    }
-
-    fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
-        batch_engine(&self.cube, copies, cfg, AnyEngine::new)
-    }
-
-    fn inject(
-        &mut self,
-        eng: &mut AnyEngine,
-        copy: usize,
-        pattern: PatternRef<'_>,
-        seq: SeedSeq,
-        tag: u64,
-    ) -> usize {
-        assert!(
-            !is_relation(pattern),
-            "bitonic routing requires a permutation"
-        );
-        let total = self.cube.num_nodes();
-        let offset = copy * total;
-        // Direct and randomized are the same thing here: sorting uses no
-        // random intermediate to begin with.
-        let (dests, _direct) = pattern_dests(pattern, total, seq);
-        assert!(
-            workloads::is_permutation(&dests),
-            "bitonic routing requires a permutation"
-        );
-        assert_eq!(dests.len(), total);
-        for (src, &dest) in dests.iter().enumerate() {
-            let node = offset + src;
-            // `src` carries the *global* sender id (the partner assert
-            // and the exchange protocol work per copy).
-            let pkt = Packet::new(src as u32, node as u32, dest as u32).with_tag(tag);
-            eng.inject(node, pkt);
-        }
-        dests.len()
-    }
-
-    fn protocol(&mut self, copies: usize) -> BitonicRouter {
-        BitonicRouter::new(self.k, copies)
-    }
-}
-
-/// A reusable bitonic sort-routing session: the
-/// [`Router`](crate::Router) instance for Batcher sort-routing on the
-/// k-cube (network + partition + engine built once, `cfg.shards`
-/// honored). Only permutation-shaped requests are legal — relation
-/// requests panic, which is §2.2.1's criticism made executable.
+/// Route the permutation `dests` on the `k`-cube by bitonic sorting:
+/// packet `src → dests[src]` starts at node `src`, and every run takes
+/// exactly `k(k+1)/2` steps with every queue at 1. The engine honours
+/// `cfg.shards`. Many-one maps panic — §2.2.1's criticism made
+/// executable.
 ///
 /// ```
-/// use lnpram_routing::bitonic::BitonicRoutingSession;
-/// use lnpram_routing::Router;
+/// use lnpram_routing::bitonic::bitonic_route;
 /// use lnpram_simnet::SimConfig;
-/// let rep = BitonicRoutingSession::new(6, SimConfig::default()).route_permutation(1);
-/// assert!(rep.completed);
-/// assert_eq!(rep.metrics.routing_time, 21); // 6·7/2, input-independent
-/// assert_eq!(rep.metrics.max_queue, 1);     // sorting needs no queues
+/// let reversal: Vec<usize> = (0..64).rev().collect();
+/// let out = bitonic_route(6, &reversal, SimConfig::default());
+/// assert!(out.completed);
+/// assert_eq!(out.metrics.routing_time, 21); // 6·7/2, input-independent
+/// assert_eq!(out.metrics.max_queue, 1);     // sorting needs no queues
 /// ```
-pub type BitonicRoutingSession = RoutingSession<BitonicBackend>;
-
-impl RoutingSession<BitonicBackend> {
-    /// Session on the `k`-cube (serial or sharded per `cfg.shards`).
-    pub fn new(k: usize, cfg: SimConfig) -> Self {
-        RoutingSession::with_backend(BitonicBackend::new(k), cfg)
+pub fn bitonic_route(k: usize, dests: &[usize], cfg: SimConfig) -> RunOutcome {
+    let cube = Hypercube::new(k);
+    assert_eq!(dests.len(), 1 << k, "one destination per cube node");
+    assert!(
+        workloads::is_permutation(dests),
+        "bitonic routing requires a permutation"
+    );
+    let mut eng = AnyEngine::new(&cube, cfg);
+    for (src, &dest) in dests.iter().enumerate() {
+        eng.inject(src, Packet::new(src as u32, src as u32, dest as u32));
     }
+    eng.run(&mut BitonicRouter::new(k))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Router;
+    use lnpram_math::rng::SeedSeq;
 
-    /// The stage count `k(k+1)/2` a run must match.
-    fn expected_steps(rep: &crate::RunReport) -> u32 {
-        match rep.extras {
-            RunExtras::Bitonic { stages, .. } => stages,
-            _ => unreachable!("bitonic report"),
-        }
+    fn stages(k: usize) -> u32 {
+        (k * (k + 1) / 2) as u32
+    }
+
+    fn permutation(k: usize, seed: u64) -> Vec<usize> {
+        workloads::random_permutation(1 << k, &mut SeedSeq::new(seed).child(0).rng())
     }
 
     #[test]
@@ -285,16 +188,15 @@ mod tests {
     fn sorts_any_permutation_in_exact_steps() {
         for k in [1usize, 2, 3, 5, 8] {
             for seed in 0..3u64 {
-                let rep =
-                    BitonicRoutingSession::new(k, SimConfig::default()).route_permutation(seed);
-                assert!(rep.completed, "k={k} seed={seed}");
-                assert_eq!(rep.metrics.delivered, 1 << k);
+                let out = bitonic_route(k, &permutation(k, seed), SimConfig::default());
+                assert!(out.completed, "k={k} seed={seed}");
+                assert_eq!(out.metrics.delivered, 1 << k);
                 assert_eq!(
-                    rep.metrics.routing_time,
-                    expected_steps(&rep),
+                    out.metrics.routing_time,
+                    stages(k),
                     "k={k}: bitonic time is deterministic"
                 );
-                assert_eq!(rep.metrics.max_queue, 1, "queue-free by design");
+                assert_eq!(out.metrics.max_queue, 1, "queue-free by design");
             }
         }
     }
@@ -304,28 +206,21 @@ mod tests {
         let k = 4;
         let n = 1 << k;
         let identity: Vec<usize> = (0..n).collect();
-        let rep = BitonicRoutingSession::new(k, SimConfig::default()).route_direct(&identity);
-        assert!(rep.completed);
-        assert_eq!(rep.metrics.delivered, n);
+        let out = bitonic_route(k, &identity, SimConfig::default());
+        assert!(out.completed);
+        assert_eq!(out.metrics.delivered, n);
         let reversal: Vec<usize> = (0..n).rev().collect();
-        let rep = BitonicRoutingSession::new(k, SimConfig::default()).route_direct(&reversal);
-        assert!(rep.completed);
+        let out = bitonic_route(k, &reversal, SimConfig::default());
+        assert!(out.completed);
         // Sorting time does not depend on the permutation at all.
-        assert_eq!(rep.metrics.routing_time, expected_steps(&rep));
+        assert_eq!(out.metrics.routing_time, stages(k));
     }
 
     #[test]
     #[should_panic(expected = "permutation")]
     fn many_one_rejected() {
         let dests = vec![0usize; 8];
-        let _ = BitonicRoutingSession::new(3, SimConfig::default()).route_direct(&dests);
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn relation_rejected() {
-        let mut session = BitonicRoutingSession::new(3, SimConfig::default());
-        let _ = session.route_relation(2, 1);
+        let _ = bitonic_route(3, &dests, SimConfig::default());
     }
 
     #[test]
@@ -333,8 +228,9 @@ mod tests {
         // §2.2.1's point: Θ(log² N) loses to Õ(log N) once log N is large
         // enough to dominate the constants.
         use crate::hypercube::CubeRoutingSession;
+        use crate::Router;
         let k = 10;
-        let bitonic = BitonicRoutingSession::new(k, SimConfig::default()).route_permutation(1);
+        let bitonic = bitonic_route(k, &permutation(k, 1), SimConfig::default());
         let valiant = CubeRoutingSession::new(k, SimConfig::default()).route_permutation(1);
         assert!(bitonic.completed && valiant.completed);
         assert!(
@@ -352,19 +248,20 @@ mod tests {
     fn session_honors_shards_and_reuse() {
         // Pinned since a bugfix: bitonic routing used to build a bare
         // serial `Engine`, silently ignoring `cfg.shards`.
-        let sharded = SimConfig {
-            shards: 2,
-            ..SimConfig::default()
-        };
-        let mut session = BitonicRoutingSession::new(4, sharded);
-        assert!(session.is_sharded());
-        for seed in 0..3u64 {
-            let s = session.route_permutation(seed);
-            let fresh = BitonicRoutingSession::new(4, SimConfig::default()).route_permutation(seed);
-            assert_eq!(s.completed, fresh.completed);
-            assert_eq!(s.metrics.routing_time, fresh.metrics.routing_time);
-            assert_eq!(s.metrics.delivered, fresh.metrics.delivered);
-            assert_eq!(s.metrics.max_queue, fresh.metrics.max_queue);
+        for shards in [2usize, 4] {
+            let sharded = SimConfig {
+                shards,
+                ..SimConfig::default()
+            };
+            for seed in 0..3u64 {
+                let dests = permutation(4, seed);
+                let s = bitonic_route(4, &dests, sharded.clone());
+                let serial = bitonic_route(4, &dests, SimConfig::default());
+                assert_eq!(s.completed, serial.completed);
+                assert_eq!(s.metrics.routing_time, serial.metrics.routing_time);
+                assert_eq!(s.metrics.delivered, serial.metrics.delivered);
+                assert_eq!(s.metrics.max_queue, serial.metrics.max_queue);
+            }
         }
     }
 }

@@ -1,8 +1,9 @@
 //! # lnpram-routing
 //!
 //! The routing algorithms of Palis–Rajasekaran–Wei (1991) and the baselines
-//! they are compared against, all as [`Protocol`](lnpram_simnet::Protocol)
-//! implementations over the synchronous simulator:
+//! they are compared against. The routers are
+//! [`Protocol`](lnpram_simnet::Protocol) implementations over the
+//! synchronous simulator:
 //!
 //! * [`leveled`] — **Algorithm 2.1**, the universal two-phase randomized
 //!   routing on any leveled network with the unique-path property
@@ -19,27 +20,32 @@
 //!   furthest-destination-first), the engine of the mesh analysis.
 //! * [`hypercube`] — Valiant's two-phase e-cube routing, the classical
 //!   Õ(log N) comparison point of the paper's introduction.
-//! * [`bitonic`] — Batcher bitonic sort-routing on the hypercube, the
-//!   non-oblivious Θ(log² N) queue-free baseline §2.2.1 names.
 //! * [`ccc`] — two-phase randomized routing on cube-connected cycles,
 //!   the constant-degree classic of the leveled family.
 //! * [`two_phase`] — the scheme the star, shuffle, hypercube and CCC
 //!   routers share (canonical path to a random intermediate, then on to
 //!   the destination), written once as a backend over any
 //!   [`TwoPhase`](two_phase::TwoPhase) topology.
-//! * [`mesh_sort`] — a non-oblivious sorting-based comparator (shearsort),
-//!   the kind of scheme §2.2.1 argues against.
-//! * [`ranade`] — a Ranade-style combining routing on the binary butterfly
-//!   (the §3 comparator whose constant the paper calls impractically
-//!   large), including the standard mesh-embedding cost model.
 //! * [`retry`] — the Lemma 2.1 wrapper: repeat a randomized routing a
 //!   constant number of times to amplify the success probability.
 //! * [`workloads`] — permutations, partial h-relations and
 //!   locality-bounded request patterns used by the experiments.
 //!
+//! Three non-oblivious comparators are plain functions of a destination
+//! map rather than backends, because their schedules are fixed at
+//! injection:
+//!
+//! * [`bitonic`] — Batcher bitonic sort-routing on the hypercube, the
+//!   Θ(log² N) queue-free baseline §2.2.1 names.
+//! * [`mesh_sort`] — a sorting-based comparator on the mesh (shearsort),
+//!   the kind of scheme §2.2.1 argues against.
+//! * [`ranade`] — a Ranade-style combining routing on the binary butterfly
+//!   (the §3 comparator whose constant the paper calls impractically
+//!   large), including the standard mesh-embedding cost model.
+//!
 //! # The unified routing API
 //!
-//! All of the above sit behind one topology-generic surface in
+//! The routers of the first list sit behind one topology-generic surface in
 //! [`router`]: a [`Router`] trait (`route`/`route_many`/`route_batch`),
 //! one [`RouteRequest`] builder (permutation / explicit dests / direct /
 //! h-relation, plus a tenant tag) and one [`RunReport`] with typed
@@ -50,10 +56,9 @@
 //! session — [`LeveledRoutingSession`], [`StarRoutingSession`],
 //! [`MeshRoutingSession`], [`CubeRoutingSession`](hypercube::CubeRoutingSession),
 //! [`CccRoutingSession`](ccc::CccRoutingSession),
-//! [`ShuffleRoutingSession`],
-//! [`BitonicRoutingSession`](bitonic::BitonicRoutingSession) — that
-//! builds network + partition plan + engine **once** and honors
-//! `cfg.shards` everywhere. [`Router::route_batch`] co-routes several
+//! [`ShuffleRoutingSession`], and the seventh, `lnpram-adaptive`'s
+//! `AdaptiveRoutingSession` — that builds network + partition plan +
+//! engine **once** and honors `cfg.shards` everywhere. [`Router::route_batch`] co-routes several
 //! tenants' requests in one engine run with per-tenant outcomes
 //! bit-identical to isolated runs.
 //!

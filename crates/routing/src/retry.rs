@@ -8,7 +8,7 @@
 //!
 //! [`retry_route`] implements the schedule over the topology-generic
 //! [`Router`] trait: one retry loop serves every topology (leveled,
-//! star, mesh, cube, CCC, shuffle, bitonic) and any `dyn Router`. Each
+//! star, mesh, cube, CCC, shuffle, adaptive) and any `dyn Router`. Each
 //! attempt recycles the session's warmed engine (`set_max_steps` +
 //! `reset`) instead of rebuilding the network, the partition plan and
 //! all per-link queue state — on small networks that rebuild costs more
@@ -77,7 +77,7 @@ pub struct RetryRouteReport {
 /// step budget of `policy.attempt_budget`; packets that miss the
 /// deadline trace back (charged `2 × budget`) and the request retries.
 /// (Attempt 0 is bit-identical to `router.route(req)`.) Deterministic
-/// patterns ([`RoutePattern::Direct`](crate::RoutePattern::Direct), bitonic sort-routing) have no
+/// patterns ([`RoutePattern::Direct`](crate::RoutePattern::Direct)) have no
 /// routing randomness — every attempt repeats the first outcome. The
 /// router's previous step budget is restored before returning.
 pub fn retry_route<R: Router + ?Sized>(

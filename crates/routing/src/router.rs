@@ -1,7 +1,7 @@
 //! The topology-generic routing API: one [`Router`] trait, one
 //! [`RouteRequest`] shape, one [`RunReport`] — served by every topology
 //! in this crate (leveled networks, star, mesh, hypercube, CCC,
-//! shuffle-exchange, bitonic).
+//! shuffle-exchange).
 //!
 //! The paper's emulation theorems are topology-parametric: the same
 //! Ranade-style argument instantiates on butterflies, stars, meshes and
@@ -47,8 +47,7 @@ pub enum RoutePattern {
     /// A uniformly random permutation drawn from the request seed.
     Permutation,
     /// An explicit destination map: one packet per source, `dests[src]`
-    /// its destination (many-one allowed where the topology supports
-    /// it; bitonic sort-routing requires a permutation).
+    /// its destination (many-one allowed).
     Dests(Vec<usize>),
     /// An explicit destination map routed **deterministically** — no
     /// random intermediate, every packet follows its canonical
@@ -221,13 +220,6 @@ pub enum RunExtras {
         /// Digit count n (= diameter).
         digits: usize,
     },
-    /// Batcher bitonic sort-routing (Θ(log² N), queue-free).
-    Bitonic {
-        /// Cube dimensions k.
-        dims: usize,
-        /// The exact stage count `k(k+1)/2` every run takes.
-        stages: u32,
-    },
     /// Congestion-priced adaptive source routing with
     /// rip-up-and-reroute (`lnpram-adaptive`).
     Adaptive {
@@ -241,8 +233,7 @@ pub enum RunExtras {
 
 impl RunExtras {
     /// The theorem's normalizer: levels for leveled networks, diameter
-    /// for star/cube/CCC/shuffle, side length for the mesh, the exact
-    /// stage count for bitonic.
+    /// for star/cube/CCC/shuffle, side length for the mesh.
     pub fn norm(&self) -> usize {
         match *self {
             RunExtras::Leveled { levels } => levels,
@@ -251,7 +242,6 @@ impl RunExtras {
             RunExtras::Cube { dims } => dims,
             RunExtras::Ccc { diameter, .. } => diameter,
             RunExtras::Shuffle { digits } => digits,
-            RunExtras::Bitonic { stages, .. } => stages as usize,
             // Adaptive paths have no diameter-style parameter; the
             // priced max link load is the congestion lower bound on
             // the routing time, so time/norm ≈ congestion stretch.
@@ -385,21 +375,14 @@ pub trait Router {
     /// and survivors retry with fresh per-attempt intermediates under
     /// the same plan (the Lemma 2.1 schedule of
     /// [`retry_route`](crate::retry::retry_route), see
-    /// [`crate::fault`]). The default declines: backends whose
-    /// protocol cannot re-inject arbitrary sub-patterns (bitonic
-    /// sort-routing) return [`FaultError::Unsupported`] instead of
-    /// silently ignoring the plan.
+    /// [`crate::fault`]). With an empty plan the `first` report equals
+    /// [`Router::route`]'s under the attempt budget.
     fn route_with_faults(
         &mut self,
         req: &RouteRequest,
         plan: &FaultPlan,
         policy: RetryPolicy,
-    ) -> Result<FaultReport, FaultError> {
-        let _ = (req, plan, policy);
-        Err(FaultError::Unsupported {
-            what: self.topology(),
-        })
-    }
+    ) -> Result<FaultReport, FaultError>;
 }
 
 /// Per-topology hooks the generic [`RoutingSession`] machinery is built
@@ -455,22 +438,12 @@ pub trait RouteBackend {
     /// The per-node protocol for a run over `copies` disjoint copies —
     /// the one place a backend states how it routes. It sees the
     /// union's **global** node ids: protocols without per-node state
-    /// wrap themselves in [`ReplicatedProtocol`], protocols with it
-    /// (bitonic) size their tables by `copies`. Every way of running the
+    /// wrap themselves in [`ReplicatedProtocol`]. Every way of running the
     /// backend — [`run`](RouteBackend::run), fault recovery, the serve
-    /// loop, with or without a sink — drives this protocol.
+    /// loop, with or without a sink — drives this protocol, so it must
+    /// decide each hop from the packet alone: packets enter, and after a
+    /// fault re-enter, the network at any step.
     fn protocol(&mut self, copies: usize) -> Self::Proto<'_>;
-
-    /// Does the protocol decide hop by hop from the packet alone, so
-    /// that packets may enter — or re-enter — the network at any step?
-    /// Streaming admission and deterministic fault recovery both need
-    /// it. Backends whose schedule is fixed at injection time (bitonic
-    /// sort-routing) override to `false` and get a typed
-    /// [`ServeError::Unsupported`](crate::ServeError::Unsupported) /
-    /// [`FaultError::Unsupported`] instead of silent misbehavior.
-    fn step_local(&self) -> bool {
-        true
-    }
 
     /// Called once before a traced or untraced routing run starts
     /// stepping: the hook for what a backend decided at injection time
@@ -786,11 +759,6 @@ impl<B: RouteBackend> Router for RoutingSession<B> {
         policy: RetryPolicy,
     ) -> Result<FaultReport, FaultError> {
         assert!(policy.max_attempts >= 1);
-        if !self.backend.step_local() {
-            return Err(FaultError::Unsupported {
-                what: self.backend.name(),
-            });
-        }
         // Pin the workload exactly as `retry_route` does: random
         // patterns materialize from `child(0)` of the base seed, so
         // attempts only refresh the intermediates.
@@ -1091,14 +1059,6 @@ mod tests {
         assert_eq!(RunExtras::Cube { dims: 8 }.norm(), 8);
         assert_eq!(RunExtras::Ccc { k: 4, diameter: 8 }.norm(), 8);
         assert_eq!(RunExtras::Shuffle { digits: 3 }.norm(), 3);
-        assert_eq!(
-            RunExtras::Bitonic {
-                dims: 6,
-                stages: 21
-            }
-            .norm(),
-            21
-        );
     }
 
     #[test]

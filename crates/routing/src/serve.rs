@@ -119,13 +119,6 @@ pub enum ServeError {
         /// The configured [`ServeConfig::admission_capacity`].
         capacity: usize,
     },
-    /// The backend's protocol cannot serve mid-run admission (whole-run
-    /// protocols: bitonic sort-routing fixes its comparator schedule at
-    /// injection time).
-    Unsupported {
-        /// The backend's topology name.
-        topology: String,
-    },
     /// The request's tenant had left the service (an
     /// [`AdmissionEntry::TenantLeave`] without a later rejoin) when the
     /// request arrived.
@@ -136,8 +129,7 @@ pub enum ServeError {
         step: u32,
     },
     /// The trace's fault entries could not be installed on the engine
-    /// (out-of-range link/node id, zero degrade period, or a backend
-    /// that cannot honor fault plans).
+    /// (out-of-range link/node id or zero degrade period).
     Fault(FaultError),
     /// The admission trace is not sorted by non-decreasing step.
     UnsortedTrace {
@@ -159,9 +151,6 @@ impl fmt::Display for ServeError {
                 "overloaded at step {step}: admission buffer holds {backlog} \
                  of {capacity} requests"
             ),
-            ServeError::Unsupported { topology } => {
-                write!(f, "{topology} does not support streaming admission")
-            }
             ServeError::TenantInactive { tenant, step } => {
                 write!(f, "tenant {tenant} was inactive at step {step}")
             }
@@ -828,11 +817,6 @@ impl<B: RouteBackend> ServeSession<B> {
         if let Some(i) = trace.windows(2).position(|w| w[0].step() > w[1].step()) {
             return Err(ServeError::UnsortedTrace { index: i + 1 });
         }
-        if !self.backend.step_local() {
-            return Err(ServeError::Unsupported {
-                topology: self.backend.name(),
-            });
-        }
         self.engine.reset();
         // Materialize every request's packets up front: the backend's
         // injection routine writes into the engine's pending list, which
@@ -1133,20 +1117,6 @@ mod tests {
                 assert!(req.completed());
             }
         }
-    }
-
-    #[test]
-    fn bitonic_reports_unsupported() {
-        let sim = SimConfig::default();
-        let mut serve = ServeSession::new(
-            crate::bitonic::BitonicBackend::new(3),
-            &sim,
-            ServeConfig::default(),
-        );
-        let err = serve
-            .run_trace(&[AdmissionEntry::request(0, RouteRequest::permutation(1))])
-            .expect_err("bitonic cannot admit mid-run");
-        assert!(matches!(err, ServeError::Unsupported { .. }));
     }
 
     #[test]

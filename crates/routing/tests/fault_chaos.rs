@@ -409,23 +409,3 @@ fn session_runs_clean_after_faulted_run() {
         .buckets()
         .eq(clean_after.metrics.latency.buckets()));
 }
-
-/// A backend whose schedule is fixed at injection time gets a typed
-/// error, not silent misbehavior.
-#[test]
-fn bitonic_route_with_faults_is_typed_unsupported() {
-    use lnpram_routing::bitonic::BitonicRoutingSession;
-    use lnpram_simnet::fault::FaultError;
-    let mut session = BitonicRoutingSession::new(3, SimConfig::default());
-    let err = session
-        .route_with_faults(
-            &RouteRequest::permutation(1),
-            &FaultPlan::default(),
-            RetryPolicy {
-                attempt_budget: 100,
-                max_attempts: 2,
-            },
-        )
-        .expect_err("bitonic cannot honor fault plans");
-    assert!(matches!(err, FaultError::Unsupported { .. }));
-}

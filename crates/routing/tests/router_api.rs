@@ -3,20 +3,23 @@
 //! * **(a)** `route_batch` with ≥ 2 tenants is bit-identical *per
 //!   tenant* to isolated single-tenant runs — on the serial and the
 //!   sharded engine path, K ∈ {1, 2, 4} — for every topology.
-//! * **(b)** reset == fresh for the cube / CCC / shuffle / bitonic
+//! * **(b)** reset == fresh for the cube / CCC / shuffle
 //!   sessions: a warmed (reused, previously budget-exhausted) session
 //!   is bit-identical to a freshly built one per request, across shard
 //!   counts.
 //! * **(c)** trait-object (`dyn Router`) use compiles and matches the
 //!   concrete calls.
+//! * **(d)** `route_with_faults` under an empty fault plan reports, as
+//!   its first attempt, exactly what `route` reports — on every backend.
 
-use lnpram_routing::bitonic::BitonicRoutingSession;
 use lnpram_routing::ccc::CccRoutingSession;
 use lnpram_routing::hypercube::CubeRoutingSession;
+use lnpram_routing::retry::RetryPolicy;
 use lnpram_routing::{
     LeveledRoutingSession, MeshAlgorithm, MeshRoutingSession, RouteRequest, Router, RunReport,
     ShuffleRoutingSession, StarRoutingSession, TenantReport,
 };
+use lnpram_simnet::fault::FaultPlan;
 use lnpram_simnet::{Metrics, SimConfig};
 use lnpram_topology::leveled::RadixButterfly;
 use lnpram_topology::DWayShuffle;
@@ -24,7 +27,7 @@ use proptest::prelude::*;
 
 /// Every topology of the crate behind one constructor, small enough
 /// for proptest sweeps.
-const TOPOLOGIES: usize = 7;
+const TOPOLOGIES: usize = 6;
 
 fn make(topo: usize, shards: usize) -> Box<dyn Router> {
     let cfg = SimConfig {
@@ -42,7 +45,6 @@ fn make(topo: usize, shards: usize) -> Box<dyn Router> {
         3 => Box::new(CubeRoutingSession::new(4, cfg)),
         4 => Box::new(CccRoutingSession::new(3, cfg)),
         5 => Box::new(ShuffleRoutingSession::new(DWayShuffle::new(3, 2), cfg)),
-        6 => Box::new(BitonicRoutingSession::new(3, cfg)),
         _ => unreachable!("{topo}"),
     }
 }
@@ -133,7 +135,7 @@ proptest! {
         prop_assert_eq!(single.metrics.max_queue, iso.metrics.max_queue);
     }
 
-    /// (b) The cube/CCC/shuffle/bitonic sessions are bit-identical to a
+    /// (b) The cube/CCC/shuffle sessions are bit-identical to a
     /// session built fresh for the one request — Nth call on a warmed
     /// session that has already absorbed a budget-exhausted run, serial
     /// and sharded.
@@ -147,8 +149,7 @@ proptest! {
         let cfg = SimConfig { shards, ..SimConfig::default() };
         let mut session = make(topo, shards);
         // Poison: a budget-exhausted run leaves packets mid-flight;
-        // reset must still give a fresh-engine run. (Bitonic at budget 1
-        // is mid-exchange, equally poisoned.)
+        // reset must still give a fresh-engine run.
         session.set_max_steps(1);
         let poisoned = session.route_permutation(u64::MAX);
         prop_assert!(!poisoned.completed);
@@ -160,7 +161,6 @@ proptest! {
                 3 => CubeRoutingSession::new(4, cfg.clone()).route_permutation(seed),
                 4 => CccRoutingSession::new(3, cfg.clone()).route_permutation(seed),
                 5 => ShuffleRoutingSession::new(DWayShuffle::new(3, 2), cfg.clone()).route_permutation(seed),
-                6 => BitonicRoutingSession::new(3, cfg.clone()).route_permutation(seed),
                 _ => unreachable!(),
             };
             prop_assert_eq!(reused.completed, fresh.completed);
@@ -172,6 +172,48 @@ proptest! {
                 fresh.metrics.queued_packet_steps
             );
         }
+    }
+
+    /// (d) Every backend honours the fault contract: with nothing to
+    /// fail, fault recovery is one attempt whose report is the plain
+    /// route's — deliveries, routing time, max queue and the latency
+    /// distribution — for random, relation and direct patterns.
+    #[test]
+    fn prop_route_with_empty_fault_plan_equals_route(
+        topo in 0usize..TOPOLOGIES,
+        pattern in 0usize..3,
+        seed: u64,
+        shards in prop_oneof![Just(0usize), Just(2), Just(4)],
+    ) {
+        let mut router = make(topo, shards);
+        let req = match pattern {
+            0 => RouteRequest::permutation(seed),
+            1 => RouteRequest::relation(2, seed),
+            _ => RouteRequest::direct((0..router.num_sources()).rev().collect()),
+        };
+        let policy = RetryPolicy {
+            attempt_budget: router.step_budget(),
+            max_attempts: 3,
+        };
+        let plain = router.route(&req);
+        let faulted = router
+            .route_with_faults(&req, &FaultPlan::default(), policy)
+            .expect("an empty plan installs on every backend");
+        let ctx = router.topology();
+        prop_assert!(faulted.completed, "{}", ctx);
+        prop_assert_eq!(faulted.attempts, 1, "{}", ctx);
+        prop_assert!(faulted.lost.is_empty(), "{}", ctx);
+        let first = &faulted.first;
+        prop_assert_eq!(first.completed, plain.completed, "{}", ctx);
+        prop_assert_eq!(first.packets, plain.packets, "{}", ctx);
+        prop_assert_eq!(first.metrics.delivered, plain.metrics.delivered, "{}", ctx);
+        prop_assert_eq!(first.metrics.routing_time, plain.metrics.routing_time, "{}", ctx);
+        prop_assert_eq!(first.metrics.max_queue, plain.metrics.max_queue, "{}", ctx);
+        prop_assert!(
+            first.metrics.latency.buckets().eq(plain.metrics.latency.buckets()),
+            "{}: latency distribution",
+            ctx
+        );
     }
 }
 
@@ -203,7 +245,6 @@ fn dyn_router_matches_concrete_sessions() {
             4 => CccRoutingSession::new(3, SimConfig::default()).route_permutation(42),
             5 => ShuffleRoutingSession::new(DWayShuffle::new(3, 2), SimConfig::default())
                 .route_permutation(42),
-            6 => BitonicRoutingSession::new(3, SimConfig::default()).route_permutation(42),
             _ => unreachable!(),
         };
         assert_eq!(

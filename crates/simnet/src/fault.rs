@@ -155,11 +155,6 @@ pub enum FaultError {
         /// The offending link id.
         link: usize,
     },
-    /// The target (backend, router, …) cannot honor fault plans.
-    Unsupported {
-        /// Human-readable name of the target that refused.
-        what: String,
-    },
 }
 
 impl fmt::Display for FaultError {
@@ -182,9 +177,6 @@ impl fmt::Display for FaultError {
                     f,
                     "degrade period 0 on link {link} (use LinkFail for a dead link)"
                 )
-            }
-            FaultError::Unsupported { what } => {
-                write!(f, "{what} does not support fault plans")
             }
         }
     }

@@ -12,7 +12,7 @@
 //! ```
 
 use lnpram::prelude::*;
-use lnpram::routing::bitonic::BitonicRoutingSession;
+use lnpram::routing::bitonic::bitonic_route;
 use lnpram::routing::hypercube::CubeRoutingSession;
 use lnpram::routing::{mesh_sort, workloads};
 use lnpram::simnet::SimConfig;
@@ -93,7 +93,8 @@ fn main() {
 
     println!("== the cube-class taxonomy of §2.2.1 (k = 10, N = 1024) ==");
     let k = 10usize;
-    let bit = BitonicRoutingSession::new(k, SimConfig::default()).route_permutation(1);
+    let dests = workloads::random_permutation(1 << k, &mut SeedSeq::new(1).child(0).rng());
+    let bit = bitonic_route(k, &dests, SimConfig::default());
     let val = CubeRoutingSession::new(k, SimConfig::default()).route_permutation(1);
     println!(
         "batcher bitonic (non-oblivious, queue-free): {:>3} steps, max queue {}",

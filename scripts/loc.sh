@@ -28,7 +28,7 @@ raw() {
 }
 printf '\nraw .rs lines outside crates/*/src\n'
 total=0
-for dir in bench_layers/src tests examples 'crates/*/tests' crates/bench/benches vendor; do
+for dir in bench_layers/src tests examples 'crates/*/tests' vendor; do
     # shellcheck disable=SC2086 # the crates/*/tests entry is a glob
     lines=$(raw $dir)
     printf '%s\t%s\n' "$dir" "$lines"

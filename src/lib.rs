@@ -17,13 +17,13 @@
 //!   machine model).
 //! * [`hash`] — the Karlin–Upfal polynomial hash family `H`.
 //! * [`routing`] — Algorithms 2.1/2.2/2.3, the mesh three-stage
-//!   algorithm and its constant-queue refinement, baselines
-//!   (Valiant–Brebner, greedy, shearsort, Batcher bitonic,
-//!   Ranade-style butterfly), the Lemma 2.1 retry wrapper — all
-//!   behind the topology-generic [`routing::Router`] trait
-//!   (`RouteRequest` in, `RunReport` out, multi-tenant
-//!   `route_batch` co-routing with per-tenant outcomes identical
-//!   to isolated runs).
+//!   algorithm and its constant-queue refinement, the Valiant–Brebner
+//!   and greedy baselines, the Lemma 2.1 retry wrapper — all behind
+//!   the topology-generic [`routing::Router`] trait (`RouteRequest`
+//!   in, `RunReport` out, multi-tenant `route_batch` co-routing with
+//!   per-tenant outcomes identical to isolated runs) — and the
+//!   non-oblivious comparators (shearsort, Batcher bitonic,
+//!   Ranade-style butterfly) as functions of a destination map.
 //! * [`pram`] — the PRAM model, reference executor and program library.
 //! * [`shard`] — the sharded simulation subsystem: partitioned engines
 //!   stepped in lockstep with deterministic boundary exchange
@@ -36,7 +36,7 @@
 //! * [`adaptive`] — the non-oblivious counterpoint: congestion-priced
 //!   source routing with deterministic Dijkstra and
 //!   rip-up-and-reroute ([`adaptive::AdaptiveRoutingSession`], the
-//!   eighth `Router` backend), for adaptive-vs-oblivious comparisons
+//!   seventh `Router` backend), for adaptive-vs-oblivious comparisons
 //!   on adversarial workloads.
 //!
 //! ## Quickstart

@@ -6,7 +6,7 @@
 
 use lnpram::math::rng::SeedSeq;
 use lnpram::prelude::*;
-use lnpram::routing::bitonic::BitonicRoutingSession;
+use lnpram::routing::bitonic::bitonic_route;
 use lnpram::routing::ccc::CccRoutingSession;
 use lnpram::routing::hypercube::CubeRoutingSession;
 use lnpram::routing::leveled::LeveledRoutingSession;
@@ -75,17 +75,18 @@ fn star_session_identical_across_shard_counts() {
 
 /// The sessions with no level or row structure to align a cut to: their
 /// shards are plain balanced node-id ranges, where most links cross a
-/// boundary. One warmed sharded session per K serves every seed.
+/// boundary. One warmed sharded session per K serves every seed. Bitonic
+/// sort-routing, a function rather than a session, gets the same check
+/// on the same permutations.
 #[test]
 fn unaligned_sessions_identical_across_shard_counts() {
     type Build = fn(SimConfig) -> Box<dyn Router>;
-    let sessions: [(&str, Build); 4] = [
+    let sessions: [(&str, Build); 3] = [
         ("hypercube(5)", |c| Box::new(CubeRoutingSession::new(5, c))),
         ("ccc(3)", |c| Box::new(CccRoutingSession::new(3, c))),
         ("shuffle(3-way)", |c| {
             Box::new(ShuffleRoutingSession::new(DWayShuffle::n_way(3), c))
         }),
-        ("bitonic(5)", |c| Box::new(BitonicRoutingSession::new(5, c))),
     ];
     for (name, build) in sessions {
         let mut serial = build(cfg(0));
@@ -101,6 +102,19 @@ fn unaligned_sessions_identical_across_shard_counts() {
                     "{name} K={k} seed={seed}"
                 );
             }
+        }
+    }
+    for k in [2usize, 3, 7] {
+        for seed in 0..3u64 {
+            let dests = workloads::random_permutation(32, &mut SeedSeq::new(seed).child(0).rng());
+            let a = bitonic_route(5, &dests, cfg(0));
+            let b = bitonic_route(5, &dests, cfg(k));
+            assert!(a.completed && b.completed, "bitonic(5) K={k} seed={seed}");
+            assert_eq!(
+                fingerprint(&a.metrics),
+                fingerprint(&b.metrics),
+                "bitonic(5) K={k} seed={seed}"
+            );
         }
     }
 }

@@ -223,10 +223,12 @@ fn section_221_routing_taxonomy_on_the_cube() {
     // (non-oblivious) is queue-free but Θ(log²N); Valiant's randomized
     // oblivious routing is Õ(log N) with small queues; both deliver
     // every packet of every permutation.
-    use lnpram::routing::bitonic::BitonicRoutingSession;
+    use lnpram::routing::bitonic::bitonic_route;
     use lnpram::routing::hypercube::CubeRoutingSession;
     let k = 9usize;
-    let bit = BitonicRoutingSession::new(k, SimConfig::default()).route_permutation(3);
+    // The permutation `route_permutation(3)` draws.
+    let dests = workloads::random_permutation(1 << k, &mut SeedSeq::new(3).child(0).rng());
+    let bit = bitonic_route(k, &dests, SimConfig::default());
     let val = CubeRoutingSession::new(k, SimConfig::default()).route_permutation(3);
     assert!(bit.completed && val.completed);
     assert_eq!(bit.metrics.delivered, 1 << k);
