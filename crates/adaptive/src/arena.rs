@@ -66,8 +66,7 @@ impl PathArena {
 /// The source-routed protocol: each packet follows its precomputed
 /// arena span hop by hop and delivers when the span is exhausted.
 /// Stateless apart from the shared immutable borrows, so it composes
-/// with [`ReplicatedProtocol`](lnpram_routing::router::ReplicatedProtocol) and
-/// the tag demux unchanged.
+/// with the tag demux unchanged.
 pub struct PathProtocol<'a> {
     arena: &'a PathArena,
     graph: &'a LinkGraph,

@@ -10,8 +10,8 @@ use lnpram_math::rng::SeedSeq;
 use lnpram_routing::fault::FaultReport;
 use lnpram_routing::retry::RetryPolicy;
 use lnpram_routing::router::{
-    batch_engine, is_relation, pattern_dests, pattern_relation, BatchReport, PatternRef,
-    ReplicatedProtocol, RouteBackend, RouteRequest, Router, RoutingSession, RunExtras, RunReport,
+    is_relation, pattern_dests, pattern_relation, BatchReport, PatternRef, RouteBackend,
+    RouteRequest, Router, RoutingSession, RunExtras, RunReport,
 };
 use lnpram_shard::AnyEngine;
 use lnpram_simnet::fault::{Fault, FaultError, FaultPlan};
@@ -42,8 +42,8 @@ pub struct AdaptiveBackend {
     /// starts a new request set and clears it first
     /// ([`RouteBackend::protocol`] sets this; injections consume it).
     fresh: bool,
-    /// Aggregates over the injections since the last clear (batched
-    /// runs inject once per tenant; extras reports the worst).
+    /// Aggregates over the injections since the last clear (the worst
+    /// for the extras, the sum for the work).
     iterations: u32,
     max_load: u32,
     work: PriceWork,
@@ -95,18 +95,17 @@ impl AdaptiveBackend {
         &self.graph
     }
 
-    /// Exact work counts of the pricing behind the most recent run,
-    /// summed over its injections (a batched run prices once per
-    /// tenant).
+    /// Exact work counts of the pricing behind the most recent run, or
+    /// of the most recent batch summed over its tenants.
     pub fn price_work(&self) -> PriceWork {
         self.work
     }
 
-    /// Route around `links` (global link ids) until
+    /// Route around `links` until
     /// [`clear_avoided`](AdaptiveBackend::clear_avoided): the pricer
     /// treats them as absent, falling back to the full graph only for
     /// otherwise-severed pairs.
-    pub fn set_avoided(&mut self, links: &[usize]) {
+    fn set_avoided(&mut self, links: &[usize]) {
         self.clear_avoided();
         for &l in links {
             if let Some(flag) = self.avoid.get_mut(l) {
@@ -117,7 +116,7 @@ impl AdaptiveBackend {
     }
 
     /// Stop routing around faults.
-    pub fn clear_avoided(&mut self) {
+    fn clear_avoided(&mut self) {
         self.avoid.fill(false);
         self.any_avoided = false;
     }
@@ -126,7 +125,7 @@ impl AdaptiveBackend {
     /// every link incident to a failed node. Conservative on purpose —
     /// recovery events are ignored, so a path never gambles on transit
     /// timing; degrades are *not* avoided (slow links still deliver).
-    pub fn avoided_by_plan(&self, plan: &FaultPlan) -> Vec<usize> {
+    fn avoided_by_plan(&self, plan: &FaultPlan) -> Vec<usize> {
         let mut bad_node = vec![false; self.graph.num_nodes()];
         let mut links = Vec::new();
         for ev in plan.events() {
@@ -150,13 +149,9 @@ impl AdaptiveBackend {
 }
 
 impl RouteBackend for AdaptiveBackend {
-    type Proto<'a> = ReplicatedProtocol<PathProtocol<'a>>;
+    type Proto<'a> = PathProtocol<'a>;
 
     fn sources(&self) -> usize {
-        self.graph.num_nodes()
-    }
-
-    fn stride(&self) -> usize {
         self.graph.num_nodes()
     }
 
@@ -172,7 +167,8 @@ impl RouteBackend for AdaptiveBackend {
     }
 
     fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
-        batch_engine(&self.graph, copies, cfg, AnyEngine::new)
+        assert_eq!(copies, 1, "engines hold one copy of the topology");
+        AnyEngine::new(&self.graph, cfg.clone())
     }
 
     fn inject(
@@ -183,6 +179,7 @@ impl RouteBackend for AdaptiveBackend {
         seq: SeedSeq,
         tag: u64,
     ) -> usize {
+        assert_eq!(copy, 0, "engines hold one copy of the topology");
         if self.fresh {
             self.arena.clear();
             self.iterations = 0;
@@ -192,7 +189,6 @@ impl RouteBackend for AdaptiveBackend {
             self.fresh = false;
         }
         let n = self.graph.num_nodes();
-        let offset = copy * n;
         // (src, dest) pairs in injection-id order: ids are `src` for
         // single-packet-per-source patterns and sequential for
         // relations, matching `inject_per_source`'s numbering so the
@@ -227,7 +223,7 @@ impl RouteBackend for AdaptiveBackend {
                 .with_via(span)
                 .with_via2(0)
                 .with_tag(tag);
-            eng.inject(offset + src as usize, pkt);
+            eng.inject(src as usize, pkt);
         }
         pairs.len()
     }
@@ -244,12 +240,9 @@ impl RouteBackend for AdaptiveBackend {
         }
     }
 
-    fn protocol(&mut self, _copies: usize) -> Self::Proto<'_> {
+    fn protocol(&mut self) -> Self::Proto<'_> {
         self.fresh = true;
-        ReplicatedProtocol::new(
-            PathProtocol::new(&self.arena, &self.graph),
-            self.graph.num_nodes(),
-        )
+        PathProtocol::new(&self.arena, &self.graph)
     }
 }
 
@@ -267,22 +260,13 @@ pub struct AdaptiveRoutingSession {
 impl AdaptiveRoutingSession {
     /// Session over `net` with default pricing knobs.
     pub fn new<N: Network + ?Sized>(net: &N, cfg: SimConfig) -> Self {
-        Self::with_config(net, AdaptiveConfig::default(), cfg)
-    }
-
-    /// Session over `net` with explicit pricing knobs. The queue
-    /// discipline is pinned to FIFO: source-routed paths encode all
-    /// policy at pricing time, so queue priorities have nothing to add.
-    pub fn with_config<N: Network + ?Sized>(
-        net: &N,
-        route_cfg: AdaptiveConfig,
-        cfg: SimConfig,
-    ) -> Self {
-        Self::from_backend(AdaptiveBackend::new(net, route_cfg), cfg)
+        Self::from_backend(AdaptiveBackend::new(net, AdaptiveConfig::default()), cfg)
     }
 
     /// Session over an already-built backend (the CLI shares backend
-    /// construction between the route and serve paths).
+    /// construction between the route and serve paths). The queue
+    /// discipline is pinned to FIFO: source-routed paths encode all
+    /// policy at pricing time, so queue priorities have nothing to add.
     pub fn from_backend(backend: AdaptiveBackend, mut cfg: SimConfig) -> Self {
         cfg.discipline = Discipline::Fifo;
         AdaptiveRoutingSession {
@@ -300,12 +284,12 @@ impl AdaptiveRoutingSession {
         self.inner.is_sharded()
     }
 
-    /// Nodes of the single-copy engine.
+    /// Nodes of the engine.
     pub fn num_nodes(&self) -> usize {
         self.inner.num_nodes()
     }
 
-    /// Links of the single-copy engine.
+    /// Links of the engine.
     pub fn num_links(&self) -> usize {
         self.inner.num_links()
     }
@@ -321,7 +305,27 @@ impl Router for AdaptiveRoutingSession {
     }
 
     fn route_batch(&mut self, reqs: &[RouteRequest]) -> BatchReport {
-        self.inner.route_batch(reqs)
+        // Each tenant is priced alone; afterwards the backend reports the
+        // batch: the sum of the tenants' work and their worst extras.
+        let mut work = PriceWork::default();
+        let inner = &mut self.inner;
+        let batch = BatchReport::fold(inner.backend().extras(), reqs, |req| {
+            let rep = inner.route(req);
+            work += inner.backend().price_work();
+            rep
+        });
+        if !reqs.is_empty() {
+            let backend = inner.backend_mut();
+            backend.work = work;
+            if let RunExtras::Adaptive {
+                iterations,
+                max_load,
+            } = batch.extras
+            {
+                (backend.iterations, backend.max_load) = (iterations, max_load);
+            }
+        }
+        batch
     }
 
     fn route_with_faults(

@@ -1,7 +1,7 @@
 //! Property pins for the adaptive backend: pricing is deterministic
 //! across repeats and sessions, the sharded engine is bit-identical to
 //! the serial one at K ∈ {1, 2, 4}, tracing never changes a run, and
-//! co-routed batches match isolated runs — the same contracts every
+//! batches match isolated runs — the same contracts every
 //! oblivious backend in this workspace is pinned to.
 
 use lnpram_adaptive::AdaptiveRoutingSession;
@@ -133,8 +133,8 @@ proptest! {
         prop_assert_eq!(iters, series.len());
     }
 
-    /// Co-routing T tenants in one engine run leaves each tenant's
-    /// outcome identical to its isolated run.
+    /// A batch of T tenants reports each tenant's outcome as its
+    /// isolated run.
     #[test]
     fn batch_matches_isolated(seed in 0u64..1 << 20, tenants in 2usize..4) {
         let mut s = mesh_session(0);

@@ -18,10 +18,7 @@
 //! The public entry point is [`LeveledRoutingSession`] — the
 //! [`Router`](crate::Router) instance for leveled networks.
 
-use crate::router::{
-    batch_engine, inject_per_source, PatternRef, ReplicatedProtocol, RouteBackend, RoutingSession,
-    RunExtras,
-};
+use crate::router::{inject_per_source, PatternRef, RouteBackend, RoutingSession, RunExtras};
 use lnpram_math::rng::SeedSeq;
 use lnpram_shard::{AnyEngine, LevelCut};
 use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
@@ -154,16 +151,12 @@ impl<L: Leveled + Copy> LeveledBackend<L> {
 
 impl<L: Leveled + Copy> RouteBackend for LeveledBackend<L> {
     type Proto<'a>
-        = ReplicatedProtocol<UniversalLeveledRouter<'a, L>>
+        = UniversalLeveledRouter<'a, L>
     where
         L: 'a;
 
     fn sources(&self) -> usize {
         self.width
-    }
-
-    fn stride(&self) -> usize {
-        (2 * self.levels + 1) * self.width
     }
 
     fn name(&self) -> String {
@@ -177,10 +170,8 @@ impl<L: Leveled + Copy> RouteBackend for LeveledBackend<L> {
     }
 
     fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
-        let width = self.width;
-        batch_engine(&self.net, copies, cfg, |net, cfg| {
-            AnyEngine::with_partitioner(net, cfg, &LevelCut::new(width))
-        })
+        assert_eq!(copies, 1, "engines hold one copy of the topology");
+        AnyEngine::with_partitioner(&self.net, cfg.clone(), &LevelCut::new(self.width))
     }
 
     fn inject(
@@ -191,7 +182,7 @@ impl<L: Leveled + Copy> RouteBackend for LeveledBackend<L> {
         seq: SeedSeq,
         tag: u64,
     ) -> usize {
-        let offset = copy * self.stride();
+        assert_eq!(copy, 0, "engines hold one copy of the topology");
         let width = self.width;
         let net = &self.net;
         inject_per_source(
@@ -199,7 +190,7 @@ impl<L: Leveled + Copy> RouteBackend for LeveledBackend<L> {
             width,
             pattern,
             seq,
-            &mut |src| offset + net.node_id(0, src),
+            &mut |src| net.node_id(0, src),
             &mut |id, src, dest, rng| {
                 let via = rng.gen_range(0..width) as u32;
                 Packet::new(id, src as u32, dest as u32)
@@ -217,8 +208,8 @@ impl<L: Leveled + Copy> RouteBackend for LeveledBackend<L> {
         )
     }
 
-    fn protocol(&mut self, _copies: usize) -> Self::Proto<'_> {
-        ReplicatedProtocol::new(UniversalLeveledRouter::new(&self.net), self.stride())
+    fn protocol(&mut self) -> Self::Proto<'_> {
+        UniversalLeveledRouter::new(&self.net)
     }
 
     fn dest_node(&self, dest: usize) -> usize {

@@ -58,9 +58,10 @@
 //! [`CccRoutingSession`](ccc::CccRoutingSession),
 //! [`ShuffleRoutingSession`], and the seventh, `lnpram-adaptive`'s
 //! `AdaptiveRoutingSession` — that builds network + partition plan +
-//! engine **once** and honors `cfg.shards` everywhere. [`Router::route_batch`] co-routes several
-//! tenants' requests in one engine run with per-tenant outcomes
-//! bit-identical to isolated runs.
+//! engine **once** and honors `cfg.shards` everywhere.
+//! [`Router::route_batch`] routes several tenants' requests one after
+//! another on that engine and folds the isolated runs into one
+//! [`BatchReport`].
 //!
 //! The [`serve`] module turns any backend into an always-on service:
 //! a [`ServeSession`] keeps one engine stepping continuously, admits

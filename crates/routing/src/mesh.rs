@@ -25,10 +25,7 @@
 //! [`RoutePattern::Direct`](crate::RoutePattern::Direct) request drops the stage-1 randomization (`via = src`), which
 //! degenerates every variant to deterministic dimension-order routing.
 
-use crate::router::{
-    batch_engine, inject_per_source, PatternRef, ReplicatedProtocol, RouteBackend, RoutingSession,
-    RunExtras,
-};
+use crate::router::{inject_per_source, PatternRef, RouteBackend, RoutingSession, RunExtras};
 use lnpram_math::rng::SeedSeq;
 use lnpram_shard::{AnyEngine, RowBlock};
 use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, SimConfig};
@@ -257,13 +254,9 @@ impl MeshBackend {
 }
 
 impl RouteBackend for MeshBackend {
-    type Proto<'a> = ReplicatedProtocol<MeshRouter>;
+    type Proto<'a> = MeshRouter;
 
     fn sources(&self) -> usize {
-        self.mesh.num_nodes()
-    }
-
-    fn stride(&self) -> usize {
         self.mesh.num_nodes()
     }
 
@@ -278,7 +271,8 @@ impl RouteBackend for MeshBackend {
     }
 
     fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
-        batch_engine(&self.mesh, copies, cfg, mesh_engine)
+        assert_eq!(copies, 1, "engines hold one copy of the topology");
+        mesh_engine(&self.mesh, cfg.clone())
     }
 
     fn inject(
@@ -289,8 +283,8 @@ impl RouteBackend for MeshBackend {
         seq: SeedSeq,
         tag: u64,
     ) -> usize {
+        assert_eq!(copy, 0, "engines hold one copy of the topology");
         let total = self.mesh.num_nodes();
-        let offset = copy * total;
         let this = &*self;
         let build = |id: u32, src: usize, dest: usize, via: usize, via2: u32| {
             let mut pkt = Packet::new(id, src as u32, dest as u32)
@@ -304,7 +298,7 @@ impl RouteBackend for MeshBackend {
             total,
             pattern,
             seq,
-            &mut |src| offset + src,
+            &mut |src| src,
             &mut |id, src, dest, rng| {
                 let (via, via2) = this.draw_vias(src, dest, rng);
                 build(id, src, dest, via, via2)
@@ -316,8 +310,8 @@ impl RouteBackend for MeshBackend {
         )
     }
 
-    fn protocol(&mut self, _copies: usize) -> Self::Proto<'_> {
-        ReplicatedProtocol::new(MeshRouter::new(self.mesh, self.alg), self.mesh.num_nodes())
+    fn protocol(&mut self) -> Self::Proto<'_> {
+        MeshRouter::new(self.mesh, self.alg)
     }
 }
 

@@ -85,27 +85,8 @@ pub fn retry_route<R: Router + ?Sized>(
     req: &RouteRequest,
     policy: RetryPolicy,
 ) -> RetryRouteReport {
-    use crate::router::RoutePattern;
-    use crate::workloads;
-    use lnpram_math::rng::SeedSeq;
-
     assert!(policy.max_attempts >= 1);
-    // Pin the workload: a random pattern is drawn from the *base* seed
-    // exactly as `route` would (`child(0)`), so reseeding an attempt
-    // only refreshes the intermediates (`child(1)`).
-    let sources = router.num_sources();
-    let pattern = match &req.pattern {
-        RoutePattern::Permutation => RoutePattern::Dests(workloads::random_permutation(
-            sources,
-            &mut SeedSeq::new(req.seed).child(0).rng(),
-        )),
-        RoutePattern::Relation { h } => RoutePattern::RelationMap(workloads::h_relation(
-            sources,
-            *h,
-            &mut SeedSeq::new(req.seed).child(0).rng(),
-        )),
-        p => p.clone(),
-    };
+    let pattern = req.pattern.pinned(router.num_sources(), req.seed);
     let restore = router.step_budget();
     router.set_max_steps(policy.attempt_budget);
     let mut attempt_req = RouteRequest {

@@ -12,22 +12,14 @@
 //! [`RouteBackend`] hooks, so adding a topology is one backend, not a
 //! new session type.
 //!
-//! # Multi-tenant batched runs
+//! # Multi-tenant batches
 //!
-//! [`Router::route_batch`] co-routes several tenants' requests in **one
-//! engine run**: tenant `i`'s packets are injected into copy `i` of a
-//! [`DisjointCopies`] union of the topology, with each packet's
-//! [`Packet::tag`] carrying its batch slot, and per-tenant metrics are
-//! demultiplexed from the tagged deliveries by [`TagDemux`]. Because
-//! the copies share no link, every tenant's outcome (deliveries,
-//! routing time, latency distribution) is **bit-identical to an
-//! isolated run** of the same request — pinned by property tests —
-//! while the step loop's fixed
-//! costs (arrival bookkeeping, active-list maintenance, and on the
-//! sharded path the lockstep barrier per global step) are paid once for
-//! the whole batch instead of once per tenant. On the sharded path the
-//! union is partitioned on copy boundaries, so tenants add zero
-//! boundary traffic.
+//! A batch is its isolated runs: [`Router::route_batch`] routes each
+//! tenant's request on its own with [`Router::route`] and folds the
+//! reports into one [`BatchReport`] (see [`BatchReport::fold`]). Every
+//! tenant's outcome is therefore exactly its isolated run's, and the
+//! aggregate is the isolated runs combined — counts add up, times and
+//! queue peaks take the maximum.
 
 use crate::fault::{FaultReport, LostPacket};
 use crate::retry::RetryPolicy;
@@ -37,9 +29,8 @@ use lnpram_shard::AnyEngine;
 use lnpram_simnet::fault::{FaultError, FaultPlan};
 use lnpram_simnet::trace::TraceSink;
 use lnpram_simnet::{
-    Metrics, NoopSink, Outbox, Packet, Protocol, RunOutcome, SimConfig, TagDemux, TagMetrics,
+    Metrics, NoopSink, Packet, Protocol, RunOutcome, SimConfig, TagDemux, TagMetrics,
 };
-use lnpram_topology::DisjointCopies;
 
 /// What one request asks the router to realize.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,6 +67,23 @@ impl RoutePattern {
             RoutePattern::RelationMap(r) => PatternRef::RelationMap(r),
         }
     }
+
+    /// This pattern with its random variants drawn from `child(0)` of
+    /// `seed` exactly as `route` would draw them: the pinned workload
+    /// that retry schedules re-route, refreshing only the intermediates
+    /// (`child(1)`) from attempt to attempt.
+    pub(crate) fn pinned(&self, sources: usize, seed: u64) -> RoutePattern {
+        let mut rng = SeedSeq::new(seed).child(0).rng();
+        match self {
+            RoutePattern::Permutation => {
+                RoutePattern::Dests(workloads::random_permutation(sources, &mut rng))
+            }
+            RoutePattern::Relation { h } => {
+                RoutePattern::RelationMap(workloads::h_relation(sources, *h, &mut rng))
+            }
+            p => p.clone(),
+        }
+    }
 }
 
 /// A borrowed [`RoutePattern`]: what [`RouteBackend::inject`] consumes,
@@ -101,7 +109,7 @@ pub enum PatternRef<'a> {
 
 /// One routing request: a pattern, the randomness seed (destinations
 /// where the pattern draws them, Valiant intermediates always), and a
-/// tenant label for batched runs.
+/// tenant label for batches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteRequest {
     /// What to route.
@@ -110,9 +118,8 @@ pub struct RouteRequest {
     /// relation), `child(1)` draws the per-packet random intermediates.
     pub seed: u64,
     /// Tenant label, echoed on the matching [`TenantReport`] of a
-    /// batched run. Purely descriptive — the packet tag carries the
-    /// batch *slot*, which equals this label under the default
-    /// `0..T` numbering.
+    /// batch and carried as every packet's tag. Purely descriptive:
+    /// no router reads it.
     pub tenant: u64,
 }
 
@@ -276,10 +283,10 @@ impl RunReport {
     }
 }
 
-/// One tenant's slice of a batched run.
+/// One tenant's slice of a batch.
 #[derive(Debug, Clone)]
 pub struct TenantReport {
-    /// Batch slot (= packet tag) this report demuxes.
+    /// Batch slot: the request's index in the batch.
     pub slot: usize,
     /// The request's tenant label.
     pub tenant: u64,
@@ -289,25 +296,28 @@ pub struct TenantReport {
     pub stranded: usize,
     /// Did every one of this tenant's packets arrive within budget?
     pub completed: bool,
-    /// Delivery metrics demuxed from the tagged deliveries: identical
-    /// to what an isolated run of the same request reports.
+    /// Delivery metrics of the tenant's run.
     pub metrics: TagMetrics,
 }
 
-/// Outcome of one batched multi-tenant run.
+/// Outcome of one multi-tenant batch.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
-    /// Engine-level aggregate over the whole co-routed run. Queue
-    /// residency (`max_queue`, `queued_packet_steps`) lives here only:
-    /// queues are engine state, summed over the whole union network.
+    /// The tenants' run metrics combined: deliveries and queued
+    /// packet-steps add up, routing time, steps and `max_queue` take
+    /// the maximum, latency histograms merge, and per-link loads (when
+    /// recorded) concatenate in tenant order. Queue residency lives
+    /// here only.
     pub metrics: Metrics,
     /// Did every tenant's every packet arrive within budget?
     pub completed: bool,
     /// Total packets injected across all tenants.
     pub packets: usize,
-    /// Per-tenant demuxed outcomes, in request order.
+    /// Per-tenant outcomes, in request order.
     pub tenants: Vec<TenantReport>,
-    /// Topology-specific context (shared by all tenants).
+    /// Topology-specific context: the last tenant's, with the worst
+    /// adaptive `iterations` / `max_load` over all tenants. An empty
+    /// batch carries the extras it was folded from.
     pub extras: RunExtras,
 }
 
@@ -315,6 +325,65 @@ impl BatchReport {
     /// The tenant report for batch slot `i` (request order).
     pub fn tenant(&self, i: usize) -> &TenantReport {
         &self.tenants[i]
+    }
+
+    /// Route each request in order with `route` and fold the isolated
+    /// reports into one batch report (see [`BatchReport::metrics`]);
+    /// `extras` is what an empty batch reports.
+    pub fn fold(
+        extras: RunExtras,
+        reqs: &[RouteRequest],
+        mut route: impl FnMut(&RouteRequest) -> RunReport,
+    ) -> Self {
+        let mut batch = BatchReport {
+            metrics: Metrics::default(),
+            completed: true,
+            packets: 0,
+            tenants: Vec::with_capacity(reqs.len()),
+            extras,
+        };
+        for (slot, req) in reqs.iter().enumerate() {
+            let rep = route(req);
+            let (m, r) = (&mut batch.metrics, &rep.metrics);
+            m.delivered += r.delivered;
+            m.routing_time = m.routing_time.max(r.routing_time);
+            m.steps = m.steps.max(r.steps);
+            m.max_queue = m.max_queue.max(r.max_queue);
+            m.queued_packet_steps += r.queued_packet_steps;
+            m.latency.absorb(&r.latency);
+            m.link_loads.extend_from_slice(&r.link_loads);
+            batch.completed &= rep.completed;
+            batch.packets += rep.packets;
+            batch.extras = match (batch.extras, rep.extras) {
+                (
+                    RunExtras::Adaptive {
+                        iterations: i0,
+                        max_load: l0,
+                    },
+                    RunExtras::Adaptive {
+                        iterations,
+                        max_load,
+                    },
+                ) if slot > 0 => RunExtras::Adaptive {
+                    iterations: iterations.max(i0),
+                    max_load: max_load.max(l0),
+                },
+                (_, e) => e,
+            };
+            batch.tenants.push(TenantReport {
+                slot,
+                tenant: req.tenant,
+                injected: rep.packets,
+                stranded: rep.packets - r.delivered,
+                completed: rep.completed,
+                metrics: TagMetrics {
+                    delivered: r.delivered,
+                    routing_time: r.routing_time,
+                    latency: rep.metrics.latency,
+                },
+            });
+        }
+        batch
     }
 }
 
@@ -332,10 +401,9 @@ pub trait Router {
     /// — same report, same delivery schedule.
     fn route_traced(&mut self, req: &RouteRequest, sink: &mut dyn TraceSink) -> RunReport;
 
-    /// Co-route a batch of requests — one tenant per request — in one
-    /// engine run. Per-tenant outcomes are bit-identical to isolated
-    /// [`Router::route`] calls of the same requests; the step loop's
-    /// fixed costs are paid once for the whole batch.
+    /// Route a batch of requests — one tenant per request — each on its
+    /// own as [`Router::route`] would, and report them together (see
+    /// [`BatchReport::fold`]).
     fn route_batch(&mut self, reqs: &[RouteRequest]) -> BatchReport;
 
     /// Override the per-run step budget (retry schedules tighten it to
@@ -351,9 +419,8 @@ pub trait Router {
     /// Human-readable topology name, e.g. `star(5)`.
     fn topology(&self) -> String;
 
-    /// Route each request in sequence on the warmed engine (construction
-    /// amortised across the batch; for co-routing in one engine run use
-    /// [`Router::route_batch`]).
+    /// Route each request in sequence on the warmed engine and return
+    /// the reports (for one combined report use [`Router::route_batch`]).
     fn route_many(&mut self, reqs: &[RouteRequest]) -> Vec<RunReport> {
         reqs.iter().map(|r| self.route(r)).collect()
     }
@@ -386,27 +453,22 @@ pub trait Router {
 }
 
 /// Per-topology hooks the generic [`RoutingSession`] machinery is built
-/// from: how to build the (possibly tenant-replicated) engine, how to
-/// turn a request into injected packets, and which per-node protocol
-/// routes them. Implementing this for a new topology yields the full
-/// [`Router`] and [`Serve`](crate::Serve) APIs — single runs, sequential
-/// batches, multi-tenant co-routing, fault recovery, streaming
-/// admission, all of it traced or not — for free. (Topologies whose
-/// node ids are their coordinates and whose next hop is memoryless
-/// implement the smaller [`TwoPhase`](crate::two_phase::TwoPhase)
-/// instead.)
+/// from: how to build the engine, how to turn a request into injected
+/// packets, and which per-node protocol routes them. Implementing this
+/// for a new topology yields the full [`Router`] and
+/// [`Serve`](crate::Serve) APIs — single runs, multi-tenant batches,
+/// fault recovery, streaming admission, all of it traced or not — for
+/// free. (Topologies whose node ids are their coordinates and whose
+/// next hop is memoryless implement the smaller
+/// [`TwoPhase`](crate::two_phase::TwoPhase) instead.)
 pub trait RouteBackend {
     /// The per-node protocol of one run (see [`RouteBackend::protocol`]).
     type Proto<'a>: Protocol
     where
         Self: 'a;
 
-    /// Packet sources (= destination domain size) of one copy.
+    /// Packet sources (= destination domain size).
     fn sources(&self) -> usize;
-
-    /// Simulated nodes per copy — the node-id stride between tenant
-    /// copies in a batched engine.
-    fn stride(&self) -> usize;
 
     /// Topology name for reports.
     fn name(&self) -> String;
@@ -414,18 +476,17 @@ pub trait RouteBackend {
     /// Topology context attached to every report.
     fn extras(&self) -> RunExtras;
 
-    /// Build the engine over `copies` disjoint copies of the topology
-    /// (serial or sharded per `cfg.shards`). `copies == 1` must use the
-    /// topology's canonical partitioner so every layer of the crate
-    /// partitions identically; batched engines partition on copy
-    /// boundaries (see [`batch_engine`]).
+    /// Build the engine over the topology (serial or sharded per
+    /// `cfg.shards`) with the topology's canonical partitioner, so every
+    /// layer of the crate partitions identically. `copies` must be 1:
+    /// engines hold one copy of the topology.
     fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine;
 
-    /// Inject one request's packets into copy `copy` of `eng`, each
-    /// tagged `tag`, drawing randomness from `seq` (`child(0)` for the
-    /// pattern where it is random, `child(1)` for intermediates).
-    /// Returns the packet count. Must be bit-identical, per copy, to
-    /// the topology's historical one-shot injection.
+    /// Inject one request's packets into `eng`, each tagged `tag`,
+    /// drawing randomness from `seq` (`child(0)` for the pattern where
+    /// it is random, `child(1)` for intermediates). Returns the packet
+    /// count. Must be bit-identical to the topology's historical
+    /// one-shot injection. `copy` must be 0.
     fn inject(
         &mut self,
         eng: &mut AnyEngine,
@@ -435,15 +496,13 @@ pub trait RouteBackend {
         tag: u64,
     ) -> usize;
 
-    /// The per-node protocol for a run over `copies` disjoint copies —
-    /// the one place a backend states how it routes. It sees the
-    /// union's **global** node ids: protocols without per-node state
-    /// wrap themselves in [`ReplicatedProtocol`]. Every way of running the
-    /// backend — [`run`](RouteBackend::run), fault recovery, the serve
-    /// loop, with or without a sink — drives this protocol, so it must
-    /// decide each hop from the packet alone: packets enter, and after a
-    /// fault re-enter, the network at any step.
-    fn protocol(&mut self, copies: usize) -> Self::Proto<'_>;
+    /// The per-node protocol of a run — the one place a backend states
+    /// how it routes. Every way of running the backend —
+    /// [`run`](RouteBackend::run), fault recovery, the serve loop, with
+    /// or without a sink — drives this protocol, so it must decide each
+    /// hop from the packet alone: packets enter, and after a fault
+    /// re-enter, the network at any step.
+    fn protocol(&mut self) -> Self::Proto<'_>;
 
     /// Called once before a traced or untraced routing run starts
     /// stepping: the hook for what a backend decided at injection time
@@ -461,14 +520,15 @@ pub trait RouteBackend {
 
     /// Route what was injected into `eng`. `demux == 0` runs plain;
     /// `demux == T` wraps the protocol in a [`TagDemux`] over tags
-    /// `0..T` and returns the per-tag metrics.
+    /// `0..T` and returns the per-tag metrics. `copies` must be 1.
     fn run(
         &mut self,
         eng: &mut AnyEngine,
         copies: usize,
         demux: usize,
     ) -> (RunOutcome, Vec<TagMetrics>) {
-        self.run_traced(eng, copies, demux, &mut NoopSink)
+        assert_eq!(copies, 1, "engines hold one copy of the topology");
+        self.run_traced(eng, demux, &mut NoopSink)
     }
 
     /// [`RouteBackend::run`] with per-step observation reported to
@@ -478,12 +538,11 @@ pub trait RouteBackend {
     fn run_traced<S: TraceSink + ?Sized>(
         &mut self,
         eng: &mut AnyEngine,
-        copies: usize,
         demux: usize,
         sink: &mut S,
     ) -> (RunOutcome, Vec<TagMetrics>) {
         self.before_run(sink);
-        let mut proto = self.protocol(copies);
+        let mut proto = self.protocol();
         if demux == 0 {
             (eng.run_traced(&mut proto, sink), Vec::new())
         } else {
@@ -494,100 +553,25 @@ pub trait RouteBackend {
     }
 }
 
-/// Routes global node ids of a [`DisjointCopies`] union to a base-copy
-/// protocol: the inner protocol sees `node % stride`, everything else
-/// passes through. Correct for protocols whose state (if any) is not
-/// per-node; protocols with per-node state handle copies themselves.
-pub struct ReplicatedProtocol<P> {
-    stride: usize,
-    inner: P,
-}
-
-impl<P: Protocol> ReplicatedProtocol<P> {
-    /// Wrap `inner` for a union with `stride` nodes per copy.
-    pub fn new(inner: P, stride: usize) -> Self {
-        ReplicatedProtocol { stride, inner }
-    }
-
-    /// `node % stride`; a single copy — every plain `route` — never pays
-    /// the divide.
-    #[inline]
-    fn base_node(&self, node: usize) -> usize {
-        if node < self.stride {
-            node
-        } else {
-            node % self.stride
-        }
-    }
-}
-
-impl<P: Protocol> Protocol for ReplicatedProtocol<P> {
-    fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
-        self.inner.on_packet(self.base_node(node), pkt, step, out);
-    }
-
-    fn on_arrivals(&mut self, node: usize, pkts: &[Packet], step: u32, out: &mut Outbox) {
-        self.inner
-            .on_arrivals(self.base_node(node), pkts, step, out);
-    }
-
-    fn on_step_end(&mut self, step: u32) {
-        self.inner.on_step_end(step);
-    }
-}
-
-/// Build a backend's engine: the topology's own partitioner for a
-/// single copy, copy-aligned contiguous blocks for a batched union (so
-/// shard boundaries never cross a tenant copy and tenants add zero
-/// boundary traffic).
-pub fn batch_engine<N, P>(base: &N, copies: usize, cfg: &SimConfig, single_copy: P) -> AnyEngine
-where
-    N: lnpram_topology::Network + ?Sized,
-    P: FnOnce(&N, SimConfig) -> AnyEngine,
-{
-    if copies <= 1 {
-        single_copy(base, cfg.clone())
-    } else {
-        let union = DisjointCopies::new(base, copies);
-        // Never more shards than copies: shard boundaries align to copy
-        // boundaries, so extra shards would sit empty while still being
-        // stepped every lockstep round.
-        let cfg = SimConfig {
-            shards: cfg.shards.min(copies),
-            ..cfg.clone()
-        };
-        AnyEngine::with_partitioner(&union, cfg, &lnpram_shard::RowBlock::new(union.stride()))
-    }
-}
-
 /// A reusable routing session over any [`RouteBackend`]: topology,
 /// partition plan and [`AnyEngine`] built **once**, then any number of
 /// requests served through the [`Router`] API, recycling the engine
-/// with `reset` per run. Batched engines (one per tenant count) are
-/// cached the same way. Reuse is a cost optimisation, not a behavior
+/// with `reset` per run. Reuse is a cost optimisation, not a behavior
 /// change: outcomes are bit-identical to a freshly built session's,
 /// pinned by property tests on every topology.
 pub struct RoutingSession<B: RouteBackend> {
     backend: B,
-    cfg: SimConfig,
     max_steps: u32,
     engine: AnyEngine,
-    /// Cached batched engine as `(copies, engine)` — rebuilt only when
-    /// the tenant count changes.
-    batch: Option<(usize, AnyEngine)>,
 }
 
 impl<B: RouteBackend> RoutingSession<B> {
     /// Session over `backend` (serial or sharded per `cfg.shards`).
     pub fn with_backend(backend: B, cfg: SimConfig) -> Self {
-        let engine = backend.build_engine(1, &cfg);
-        let max_steps = cfg.max_steps;
         RoutingSession {
+            engine: backend.build_engine(1, &cfg),
             backend,
-            cfg,
-            max_steps,
-            engine,
-            batch: None,
+            max_steps: cfg.max_steps,
         }
     }
 
@@ -609,14 +593,14 @@ impl<B: RouteBackend> RoutingSession<B> {
         self.engine.is_sharded()
     }
 
-    /// Nodes of the single-copy engine — valid node ids for
-    /// [`FaultPlan`]s are `0..num_nodes`.
+    /// Nodes of the engine — valid node ids for [`FaultPlan`]s are
+    /// `0..num_nodes`.
     pub fn num_nodes(&self) -> usize {
         self.engine.num_nodes()
     }
 
-    /// Links of the single-copy engine — valid link ids for
-    /// [`FaultPlan`]s are `0..num_links`.
+    /// Links of the engine — valid link ids for [`FaultPlan`]s are
+    /// `0..num_links`.
     pub fn num_links(&self) -> usize {
         self.engine.num_links()
     }
@@ -634,7 +618,7 @@ impl<B: RouteBackend> RoutingSession<B> {
         self.run_single(PatternRef::Direct(dests), SeedSeq::new(0), 0, &mut NoopSink)
     }
 
-    /// One request on the single-copy engine. Generic over the sink:
+    /// One request on the warmed engine. Generic over the sink:
     /// [`Router::route`] instantiates it with [`NoopSink`], so the
     /// untraced path is monomorphized all the way into the step loop.
     fn run_single<S: TraceSink + ?Sized>(
@@ -646,7 +630,7 @@ impl<B: RouteBackend> RoutingSession<B> {
     ) -> RunReport {
         self.engine.reset();
         let packets = self.backend.inject(&mut self.engine, 0, pattern, seq, tag);
-        let (out, _) = self.backend.run_traced(&mut self.engine, 1, 0, sink);
+        let (out, _) = self.backend.run_traced(&mut self.engine, 0, sink);
         RunReport {
             metrics: out.metrics,
             completed: out.completed,
@@ -676,80 +660,7 @@ impl<B: RouteBackend> Router for RoutingSession<B> {
     }
 
     fn route_batch(&mut self, reqs: &[RouteRequest]) -> BatchReport {
-        let copies = reqs.len();
-        if copies == 0 {
-            return BatchReport {
-                metrics: Metrics::default(),
-                completed: true,
-                packets: 0,
-                tenants: Vec::new(),
-                extras: self.backend.extras(),
-            };
-        }
-        if copies == 1 {
-            // One tenant needs no union network and no delivery tap:
-            // route on the single-run engine and project the report.
-            let rep = self.route(&reqs[0]);
-            let stranded = rep.packets - rep.metrics.delivered;
-            return BatchReport {
-                completed: rep.completed,
-                packets: rep.packets,
-                extras: rep.extras,
-                tenants: vec![TenantReport {
-                    slot: 0,
-                    tenant: reqs[0].tenant,
-                    injected: rep.packets,
-                    stranded,
-                    completed: rep.completed,
-                    metrics: TagMetrics {
-                        delivered: rep.metrics.delivered,
-                        routing_time: rep.metrics.routing_time,
-                        latency: rep.metrics.latency.clone(),
-                    },
-                }],
-                metrics: rep.metrics,
-            };
-        }
-        if !matches!(&self.batch, Some((c, _)) if *c == copies) {
-            let mut eng = self.backend.build_engine(copies, &self.cfg);
-            eng.set_max_steps(self.max_steps);
-            self.batch = Some((copies, eng));
-        }
-        let (_, eng) = self.batch.as_mut().expect("batch engine cached above");
-        eng.reset();
-        let mut injected = Vec::with_capacity(copies);
-        for (slot, req) in reqs.iter().enumerate() {
-            injected.push(self.backend.inject(
-                eng,
-                slot,
-                req.pattern.as_ref(),
-                SeedSeq::new(req.seed),
-                slot as u64,
-            ));
-        }
-        let (out, tags) = self.backend.run(eng, copies, copies);
-        let tenants: Vec<TenantReport> = tags
-            .into_iter()
-            .enumerate()
-            .map(|(slot, metrics)| TenantReport {
-                slot,
-                tenant: reqs[slot].tenant,
-                injected: injected[slot],
-                // Every packet of an incomplete run still sits in some
-                // queue, so the tagged-delivery demux determines the
-                // stranded count by conservation.
-                stranded: injected[slot] - metrics.delivered,
-                completed: metrics.delivered == injected[slot],
-                metrics,
-            })
-            .collect();
-        BatchReport {
-            metrics: out.metrics,
-            completed: out.completed,
-            packets: injected.iter().sum(),
-            tenants,
-            extras: self.backend.extras(),
-        }
+        BatchReport::fold(self.backend.extras(), reqs, |req| self.route(req))
     }
 
     fn route_with_faults(
@@ -759,22 +670,8 @@ impl<B: RouteBackend> Router for RoutingSession<B> {
         policy: RetryPolicy,
     ) -> Result<FaultReport, FaultError> {
         assert!(policy.max_attempts >= 1);
-        // Pin the workload exactly as `retry_route` does: random
-        // patterns materialize from `child(0)` of the base seed, so
-        // attempts only refresh the intermediates.
         let sources = self.backend.sources();
-        let pattern = match &req.pattern {
-            RoutePattern::Permutation => RoutePattern::Dests(workloads::random_permutation(
-                sources,
-                &mut SeedSeq::new(req.seed).child(0).rng(),
-            )),
-            RoutePattern::Relation { h } => RoutePattern::RelationMap(workloads::h_relation(
-                sources,
-                *h,
-                &mut SeedSeq::new(req.seed).child(0).rng(),
-            )),
-            p => p.clone(),
-        };
+        let pattern = req.pattern.pinned(sources, req.seed);
         // Attempt-0 identity by injection id: `inject_per_source`
         // numbers single-per-source patterns by source and relations
         // sequentially in (src asc, list order) — reproduce that
@@ -914,9 +811,6 @@ impl<B: RouteBackend> Router for RoutingSession<B> {
     fn set_max_steps(&mut self, max_steps: u32) {
         self.max_steps = max_steps;
         self.engine.set_max_steps(max_steps);
-        if let Some((_, eng)) = &mut self.batch {
-            eng.set_max_steps(max_steps);
-        }
     }
 
     fn step_budget(&self) -> u32 {
@@ -988,7 +882,7 @@ pub fn is_relation(pattern: PatternRef<'_>) -> bool {
 /// single-packet-per-source patterns and sequential for relations,
 /// intermediates drawn from `seq.child(1)` in source order. The
 /// topology plugs in three hooks: `node_of` maps a source index to its
-/// injection node (including the tenant-copy offset), `randomized`
+/// injection node, `randomized`
 /// builds one two-phase packet (drawing its intermediate from the
 /// rng), `direct` builds the deterministic-ablation packet. Returns
 /// the packet count.

@@ -876,7 +876,7 @@ impl<B: RouteBackend> ServeSession<B> {
                 .map_err(ServeError::Fault)?;
         }
         let mut admit = Admitter::new(self.cfg.clone(), queue, ops);
-        let mut demux = TagDemux::new(self.backend.protocol(1), admit.queue.len());
+        let mut demux = TagDemux::new(self.backend.protocol(), admit.queue.len());
         let run = step_loop(
             &mut self.engine,
             &mut demux,

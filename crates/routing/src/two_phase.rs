@@ -15,9 +15,7 @@
 //! its own injection or partitioning (leveled columns, mesh slices)
 //! implements [`RouteBackend`] directly.
 
-use crate::router::{
-    batch_engine, inject_per_source, PatternRef, ReplicatedProtocol, RouteBackend, RunExtras,
-};
+use crate::router::{inject_per_source, PatternRef, RouteBackend, RunExtras};
 use lnpram_math::rng::SeedSeq;
 use lnpram_shard::AnyEngine;
 use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
@@ -57,15 +55,11 @@ impl<T: TwoPhase> TwoPhaseBackend<T> {
 
 impl<T: TwoPhase> RouteBackend for TwoPhaseBackend<T> {
     type Proto<'a>
-        = ReplicatedProtocol<T::Hop<'a>>
+        = T::Hop<'a>
     where
         T: 'a;
 
     fn sources(&self) -> usize {
-        self.topo.num_nodes()
-    }
-
-    fn stride(&self) -> usize {
         self.topo.num_nodes()
     }
 
@@ -78,7 +72,8 @@ impl<T: TwoPhase> RouteBackend for TwoPhaseBackend<T> {
     }
 
     fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
-        batch_engine(&self.topo, copies, cfg, AnyEngine::new)
+        assert_eq!(copies, 1, "engines hold one copy of the topology");
+        AnyEngine::new(&self.topo, cfg.clone())
     }
 
     fn inject(
@@ -89,14 +84,14 @@ impl<T: TwoPhase> RouteBackend for TwoPhaseBackend<T> {
         seq: SeedSeq,
         tag: u64,
     ) -> usize {
+        assert_eq!(copy, 0, "engines hold one copy of the topology");
         let total = self.topo.num_nodes();
-        let offset = copy * total;
         inject_per_source(
             eng,
             total,
             pattern,
             seq,
-            &mut |src| offset + src,
+            &mut |src| src,
             &mut |id, src, dest, rng| {
                 let via = rng.gen_range(0..total) as u32;
                 Packet::new(id, src as u32, dest as u32)
@@ -115,8 +110,8 @@ impl<T: TwoPhase> RouteBackend for TwoPhaseBackend<T> {
         )
     }
 
-    fn protocol(&mut self, _copies: usize) -> Self::Proto<'_> {
-        ReplicatedProtocol::new(self.topo.hop(), self.topo.num_nodes())
+    fn protocol(&mut self) -> Self::Proto<'_> {
+        self.topo.hop()
     }
 }
 

@@ -1,8 +1,9 @@
 //! Cross-topology pins for the unified `Router` API:
 //!
 //! * **(a)** `route_batch` with ≥ 2 tenants is bit-identical *per
-//!   tenant* to isolated single-tenant runs — on the serial and the
-//!   sharded engine path, K ∈ {1, 2, 4} — for every topology.
+//!   tenant* to isolated single-tenant runs, and its aggregate is
+//!   those runs folded — on the serial and the sharded engine path,
+//!   K ∈ {1, 2, 4}, link loads recorded or not — for every topology.
 //! * **(b)** reset == fresh for the cube / CCC / shuffle
 //!   sessions: a warmed (reused, previously budget-exhausted) session
 //!   is bit-identical to a freshly built one per request, across shard
@@ -30,10 +31,16 @@ use proptest::prelude::*;
 const TOPOLOGIES: usize = 6;
 
 fn make(topo: usize, shards: usize) -> Box<dyn Router> {
-    let cfg = SimConfig {
-        shards,
-        ..SimConfig::default()
-    };
+    make_with(
+        topo,
+        SimConfig {
+            shards,
+            ..SimConfig::default()
+        },
+    )
+}
+
+fn make_with(topo: usize, cfg: SimConfig) -> Box<dyn Router> {
     match topo {
         0 => Box::new(StarRoutingSession::new(4, cfg)),
         1 => Box::new(LeveledRoutingSession::new(RadixButterfly::new(2, 4), cfg)),
@@ -50,8 +57,8 @@ fn make(topo: usize, shards: usize) -> Box<dyn Router> {
 }
 
 /// The per-tenant == isolated contract: deliveries, routing time and
-/// the full latency distribution (queue residency is engine-global by
-/// design and excluded).
+/// the full latency distribution (queue residency is reported on the
+/// batch aggregate only).
 fn assert_tenant_matches(tr: &TenantReport, iso: &RunReport, ctx: &str) {
     assert_eq!(tr.completed, iso.completed, "{ctx}: completed");
     assert_eq!(tr.injected, iso.packets, "{ctx}: injected");
@@ -78,40 +85,67 @@ proptest! {
     /// (a) Batched multi-tenant outcomes == isolated single-tenant runs
     /// per tenant, on the serial engine and sharded at K ∈ {1, 2, 4} —
     /// the isolated reference is always the serial path, so this also
-    /// re-pins sharded == serial through the batch machinery.
+    /// re-pins sharded == serial through the batch machinery — and the
+    /// batch aggregates are the isolated runs folded: counts add up,
+    /// times and queue peaks take the maximum, latency histograms
+    /// merge and per-link loads concatenate in tenant order.
     #[test]
     fn prop_batch_matches_isolated_per_tenant(
         topo in 0usize..TOPOLOGIES,
         tenants in 2usize..=4,
         base_seed: u64,
         shards in prop_oneof![Just(0usize), Just(1), Just(2), Just(4)],
+        record_link_loads: bool,
     ) {
+        let cfg = |shards| SimConfig { shards, record_link_loads, ..SimConfig::default() };
         let reqs: Vec<RouteRequest> = (0..tenants as u64)
             .map(|i| RouteRequest::permutation(base_seed.wrapping_add(i)).with_tenant(i))
             .collect();
-        let mut router = make(topo, shards);
+        let mut router = make_with(topo, cfg(shards));
         let batch = router.route_batch(&reqs);
         prop_assert!(batch.completed, "{}", router.topology());
         prop_assert_eq!(batch.tenants.len(), tenants);
+        let mut folded = Metrics::default();
         let mut total_packets = 0usize;
-        let mut max_time = 0u32;
         for (i, req) in reqs.iter().enumerate() {
-            let iso = make(topo, 0).route(req);
+            let iso = make_with(topo, cfg(0)).route(req);
             let tr = batch.tenant(i);
             prop_assert_eq!(tr.slot, i);
             prop_assert_eq!(tr.tenant, i as u64);
             prop_assert_eq!(tr.stranded, 0);
             assert_tenant_matches(tr, &iso, &format!("{} tenant {i}", router.topology()));
             total_packets += iso.packets;
-            max_time = max_time.max(iso.metrics.routing_time);
+            let m = &iso.metrics;
+            folded.delivered += m.delivered;
+            folded.routing_time = folded.routing_time.max(m.routing_time);
+            folded.steps = folded.steps.max(m.steps);
+            folded.max_queue = folded.max_queue.max(m.max_queue);
+            folded.queued_packet_steps += m.queued_packet_steps;
+            folded.latency.absorb(&m.latency);
+            folded.link_loads.extend_from_slice(&m.link_loads);
         }
-        // Aggregates: deliveries partition, the run ends with the
-        // slowest tenant.
-        prop_assert_eq!(batch.packets, total_packets);
-        prop_assert_eq!(batch.metrics.delivered, total_packets);
-        prop_assert_eq!(batch.metrics.routing_time, max_time);
+        let ctx = router.topology();
+        prop_assert_eq!(batch.packets, total_packets, "{}", ctx);
+        prop_assert_eq!(batch.metrics.delivered, total_packets, "{}", ctx);
+        prop_assert_eq!(batch.metrics.delivered, folded.delivered, "{}", ctx);
+        prop_assert_eq!(batch.metrics.routing_time, folded.routing_time, "{}", ctx);
+        prop_assert_eq!(batch.metrics.steps, folded.steps, "{}", ctx);
+        prop_assert_eq!(batch.metrics.max_queue, folded.max_queue, "{}", ctx);
+        prop_assert_eq!(
+            batch.metrics.queued_packet_steps,
+            folded.queued_packet_steps,
+            "{}",
+            ctx
+        );
+        prop_assert!(
+            batch.metrics.latency.buckets().eq(folded.latency.buckets()),
+            "{}: merged latency distribution",
+            ctx
+        );
+        prop_assert_eq!(batch.metrics.link_loads.is_empty(), !record_link_loads, "{}", ctx);
+        prop_assert_eq!(&batch.metrics.link_loads, &folded.link_loads, "{}", ctx);
 
-        // Batch-engine reuse on the same session (different seeds) must
+        // A second batch on the same session (different seeds) must
         // stay identical to isolated runs too.
         let reqs2: Vec<RouteRequest> = (0..tenants as u64)
             .map(|i| {
@@ -128,7 +162,7 @@ proptest! {
                 &format!("{} reused-batch tenant {i}", router.topology()),
             );
         }
-        // And the single-run engine is untouched by batching.
+        // And a plain route after the batches is the isolated run.
         let single = router.route(&reqs[0]);
         let iso = make(topo, 0).route(&reqs[0]);
         prop_assert_eq!(single.metrics.routing_time, iso.metrics.routing_time);
@@ -258,8 +292,8 @@ fn dyn_router_matches_concrete_sessions() {
     }
 }
 
-/// A heterogeneous batch: different request *patterns* co-routed as
-/// tenants of one engine run, each still identical to its isolated run.
+/// A heterogeneous batch: different request *patterns* as tenants of
+/// one batch, each identical to its isolated run.
 #[test]
 fn mixed_pattern_batch_matches_isolated() {
     let n_nodes = 24; // 4-star
@@ -286,8 +320,8 @@ fn mixed_pattern_batch_matches_isolated() {
     }
 }
 
-/// Incomplete batched runs demux their stranded packets per tenant from
-/// the tagged drains: delivered + stranded == injected for every tenant.
+/// Incomplete batches account stranded packets per tenant:
+/// delivered + stranded == injected for every tenant.
 #[test]
 fn incomplete_batch_demuxes_stranded_packets() {
     let mut router = StarRoutingSession::new(4, SimConfig::default());

@@ -173,57 +173,6 @@ impl Network for ExplicitNetwork {
     }
 }
 
-/// `copies` disjoint copies of a base network sharing one node-id space:
-/// copy `c` owns nodes `c·n .. (c+1)·n` (where `n` is the base node
-/// count) and its links connect only nodes of the same copy, with the
-/// same ports as the base. This is the substrate of multi-tenant batched
-/// routing (`lnpram-routing`): each tenant's packets route on their own
-/// copy inside **one** engine run, so per-tenant outcomes are identical
-/// to isolated runs while the step loop's fixed costs are paid once.
-#[derive(Debug, Clone, Copy)]
-pub struct DisjointCopies<'a, N: ?Sized> {
-    base: &'a N,
-    copies: usize,
-    stride: usize,
-}
-
-impl<'a, N: Network + ?Sized> DisjointCopies<'a, N> {
-    /// `copies` copies of `base` (`copies ≥ 1`).
-    pub fn new(base: &'a N, copies: usize) -> Self {
-        assert!(copies >= 1, "need at least one copy");
-        DisjointCopies {
-            base,
-            copies,
-            stride: base.num_nodes(),
-        }
-    }
-
-    /// Nodes per copy (the node-id stride between copies).
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Number of copies.
-    pub fn copies(&self) -> usize {
-        self.copies
-    }
-}
-
-impl<N: Network + ?Sized> Network for DisjointCopies<'_, N> {
-    fn num_nodes(&self) -> usize {
-        self.stride * self.copies
-    }
-    fn out_degree(&self, node: usize) -> usize {
-        self.base.out_degree(node % self.stride)
-    }
-    fn neighbor(&self, node: usize, port: usize) -> usize {
-        (node / self.stride) * self.stride + self.base.neighbor(node % self.stride, port)
-    }
-    fn name(&self) -> String {
-        format!("{}x{}", self.base.name(), self.copies)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,28 +219,5 @@ mod tests {
         let p = r.port_to(0, 1).unwrap();
         assert_eq!(r.neighbor(0, p), 1);
         assert_eq!(r.port_to(0, 3), None);
-    }
-
-    #[test]
-    fn disjoint_copies_replicate_without_cross_links() {
-        let r = ring(4);
-        let u = DisjointCopies::new(&r, 3);
-        assert_eq!(u.num_nodes(), 12);
-        assert_eq!(u.stride(), 4);
-        assert_eq!(u.copies(), 3);
-        for copy in 0..3 {
-            for v in 0..4 {
-                let g = copy * 4 + v;
-                assert_eq!(u.out_degree(g), r.out_degree(v));
-                for p in 0..u.out_degree(g) {
-                    let w = u.neighbor(g, p);
-                    assert_eq!(w / 4, copy, "link escaped its copy");
-                    assert_eq!(w % 4, r.neighbor(v, p));
-                }
-            }
-        }
-        // Each copy is internally connected, the union is not.
-        assert!(!strongly_connected(&u));
-        assert_eq!(u.num_links(), 3 * r.num_links());
     }
 }

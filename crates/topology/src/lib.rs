@@ -32,7 +32,7 @@ pub mod shuffle;
 pub mod star;
 
 pub use ccc::CubeConnectedCycles;
-pub use graph::{DisjointCopies, Network};
+pub use graph::Network;
 pub use leveled::{Leveled, LeveledNet, RadixButterfly, UnrolledShuffle};
 pub use mesh::Mesh;
 pub use shuffle::DWayShuffle;

@@ -232,16 +232,17 @@ COMMANDS
              --seed <s>       base seed                           [0]
              --trials <t>     number of seeds                     [5]
              --shards <K>     partitioned lockstep engine, 2..=15 [0]
-             --tenants <T>    co-route T tenants per trial in ONE
-                              engine run (route_batch), T ≥ 1     [1]
+             --tenants <T>    T tenants per trial, each routed alone
+                              and reported as one batch
+                              (route_batch), T ≥ 1                [1]
              --trace <path>   write the run's event log as JSONL
                               (adaptive: per-iteration route_iteration
                               pricing records; single-tenant only)
 
   serve    Always-on routing service: one long-lived engine, requests
            admitted mid-run from an open-loop arrival process; tenants
-           share ONE topology copy (contention, fairness) instead of
-           the isolated copies of route --tenants.
+           share ONE network at once (contention, fairness) instead of
+           the isolated runs of route --tenants.
              --topology butterfly|star|mesh|cube|ccc|shuffle   (required)
              --n, --d, --k    as for route
              --backend oblivious|adaptive   routing backend      [oblivious]
@@ -564,9 +565,8 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), CliError> {
     }
     let mut log = ServeEventLog::new();
     if tenants > 1 {
-        // Multi-tenant co-routing: each trial is ONE engine run carrying
-        // `tenants` independent permutations (packet tag = tenant slot);
-        // per-tenant outcomes are identical to isolated runs.
+        // Multi-tenant batches: each trial routes `tenants` independent
+        // permutations, each alone, and reports them as one batch.
         for t in 0..trials {
             let reqs: Vec<RouteRequest> = (0..tenants)
                 .map(|i| RouteRequest::permutation(seed + t * tenants + i).with_tenant(i))
@@ -619,7 +619,7 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     let max = |v: &[f64]| v.iter().cloned().fold(f64::MIN, f64::max);
     let suffix = if tenants > 1 {
-        format!(" ({tenants} tenants co-routed per run)")
+        format!(" ({tenants} tenants per batch)")
     } else {
         String::new()
     };

@@ -20,8 +20,8 @@
 //!   algorithm and its constant-queue refinement, the Valiant–Brebner
 //!   and greedy baselines, the Lemma 2.1 retry wrapper — all behind
 //!   the topology-generic [`routing::Router`] trait (`RouteRequest`
-//!   in, `RunReport` out, multi-tenant `route_batch` co-routing with
-//!   per-tenant outcomes identical to isolated runs) — and the
+//!   in, `RunReport` out, multi-tenant `route_batch` folding isolated
+//!   per-tenant runs into one report) — and the
 //!   non-oblivious comparators (shearsort, Batcher bitonic,
 //!   Ranade-style butterfly) as functions of a destination map.
 //! * [`pram`] — the PRAM model, reference executor and program library.
