@@ -80,6 +80,8 @@ impl<'a> PathProtocol<'a> {
 }
 
 impl Protocol for PathProtocol<'_> {
+    const NODE_LOCAL: bool = true;
+
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         let span = self.arena.span(pkt.via);
         let pos = pkt.via2 as usize;

@@ -245,6 +245,7 @@ impl<L: Leveled> RequestProtocol<'_, L> {
     }
 }
 
+// Stays grouped (not `NODE_LOCAL`): `on_arrivals` merges a node's writes.
 impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
     /// Footnote 3 for *writes*: all of a step's arrivals at one node that
     /// write the same address under an associative policy merge into one
@@ -334,6 +335,7 @@ struct ReplyProtocol<'a, L: Leveled> {
     replies: &'a mut Vec<(usize, u32)>,
 }
 
+// Stays grouped (not `NODE_LOCAL`): it frees entries of pending tables all nodes share.
 impl<L: Leveled> Protocol for ReplyProtocol<'_, L> {
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         let entry = self.tables.take(EntryId(pkt.via));

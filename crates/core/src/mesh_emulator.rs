@@ -232,6 +232,7 @@ struct MeshRequestProtocol<'a> {
     requests: &'a [Request],
 }
 
+// Stays grouped (not `NODE_LOCAL`) like every emulator host, though its batches are per node.
 impl Protocol for MeshRequestProtocol<'_> {
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
@@ -259,6 +260,7 @@ struct MeshReplyProtocol<'a> {
     replies: &'a mut Vec<(usize, u32)>,
 }
 
+// Stays grouped (not `NODE_LOCAL`): every node appends to one `replies` list.
 impl Protocol for MeshReplyProtocol<'_> {
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {

@@ -164,6 +164,7 @@ struct StarRequestProtocol<'a> {
     combining: bool,
 }
 
+// Stays grouped (not `NODE_LOCAL`): it allocates entries in pending tables all nodes share.
 impl Protocol for StarRequestProtocol<'_> {
     fn on_packet(&mut self, node: usize, mut pkt: Packet, step: u32, out: &mut Outbox) {
         let key = pkt.tag;
@@ -250,6 +251,7 @@ impl StarReplyProtocol<'_> {
     }
 }
 
+// Stays grouped (not `NODE_LOCAL`): it frees entries of pending tables all nodes share.
 impl Protocol for StarReplyProtocol<'_> {
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         let before = out.pending_sends();

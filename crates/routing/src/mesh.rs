@@ -120,6 +120,8 @@ impl MeshRouter {
 }
 
 impl Protocol for MeshRouter {
+    const NODE_LOCAL: bool = true;
+
     fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
         // Advance phases while their leg target is already reached.
         loop {

@@ -151,6 +151,8 @@ impl<'a, T: CanonicalRoute> CanonicalRouter<'a, T> {
 }
 
 impl<T: CanonicalRoute> Protocol for CanonicalRouter<'_, T> {
+    const NODE_LOCAL: bool = true;
+
     fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
         // Phase 0: toward via. Phase 1: toward dest.
         if pkt.phase == 0 && node == pkt.via as usize {

@@ -15,11 +15,14 @@
 //!    (the one shape a [`ShardPlan`] can have), so the shards own
 //!    disjoint ascending link-id ranges and the `k` arrivals buffers
 //!    concatenate into the exact arrival order of the serial engine; no
-//!    merge is materialized. The process phase groups arrivals **in
+//!    merge is materialized. For a [`Protocol::NODE_LOCAL`] protocol
+//!    the process phase reads those buffers in shard order and calls
+//!    `on_packet` per arrival. Otherwise it groups arrivals **in
 //!    place** through packed `(shard, index)` coordinates into those
 //!    buffers, then drives the [`Protocol`] over destination nodes in
-//!    ascending id — precisely the serial engine's process phase.
-//!    Protocol sends are enqueued straight into the owning shard.
+//!    ascending id. Either way it is precisely the serial engine's
+//!    process phase. Protocol sends are enqueued straight into the
+//!    owning shard.
 //!
 //! # Determinism contract
 //!
@@ -39,7 +42,7 @@
 //! A sharded run is single-threaded and buys no speed: it pays the
 //! per-shard bookkeeping (ownership lookups, `k` short transmit loops)
 //! and nothing else — packets stay in the shards' arrivals buffers
-//! until batch assembly, the same single copy the serial engine pays —
+//! until the process phase reads them, as the serial engine's do —
 //! so it runs a few percent behind the serial engine. It is kept as the
 //! bit-identity substrate a shard-local process phase would build on
 //! (a plain `Vec<Engine>` that scoped threads can `iter_mut`). See the
@@ -569,12 +572,27 @@ impl StepEngine for ShardedEngine {
     }
 
     // The serial engine's exact callback sequence. Arrivals are read
-    // **in place**: the grouper files packed `(shard, index)`
-    // coordinates into the shards' arrivals buffers, which concatenate in
-    // global link order, so no packet moves until batch assembly — the
-    // same single copy the serial engine pays, and none for a node with a
-    // single arrival.
+    // **in place** from the shards' arrivals buffers, which concatenate
+    // in global link order: a node-local protocol gets them one by one
+    // in that order; otherwise the grouper files packed `(shard, index)`
+    // coordinates into them, so no packet moves until batch assembly —
+    // the same single copy the serial engine pays, and none for a node
+    // with a single arrival.
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
+        if P::NODE_LOCAL {
+            for s in 0..self.shards.len() {
+                let base = self.link_base[s] as usize;
+                let len = self.shards[s].arrivals().0.len();
+                self.in_flight -= len;
+                for idx in 0..len {
+                    let (links, pkts) = self.shards[s].arrivals();
+                    let node = self.link_head[base + links[idx] as usize] as usize;
+                    proto.on_packet(node, pkts[idx], step, out);
+                    self.apply_outbox(node, out, step);
+                }
+            }
+            return;
+        }
         // Grouping pass over plain field borrows (no self methods).
         let mut arrivals = 0usize;
         {

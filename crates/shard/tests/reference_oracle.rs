@@ -11,7 +11,11 @@
 //! butterflies, stars and meshes, both disciplines, budget-exhausted
 //! runs and random fault plans — under per-packet routers and under
 //! [`BatchSensitive`], a protocol whose output depends on how the engine
-//! groups and orders a node's arrivals.
+//! groups and orders a node's arrivals. The per-packet routers are
+//! `NODE_LOCAL`, so the optimised engines run them ungrouped while
+//! [`RefEngine`] still groups: the oracle checks the ungrouped process
+//! path against the naive grouped one, and `BatchSensitive` the grouped
+//! path.
 
 use lnpram_math::rng::splitmix64;
 use lnpram_shard::{LevelCut, Partitioner, RowBlock, ShardedEngine};
@@ -178,6 +182,8 @@ fn fingerprint(completed: bool, m: &Metrics) -> Fingerprint {
 struct GreedyMesh(Mesh);
 
 impl Protocol for GreedyMesh {
+    const NODE_LOCAL: bool = true;
+
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
             return out.deliver(pkt);
@@ -203,6 +209,8 @@ impl Protocol for GreedyMesh {
 struct ButterflyRouter(LeveledNet<RadixButterfly>);
 
 impl Protocol for ButterflyRouter {
+    const NODE_LOCAL: bool = true;
+
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         let lv = self.0.leveled();
         let (col, idx) = self.0.split(node);
@@ -217,6 +225,8 @@ impl Protocol for ButterflyRouter {
 struct StarRouter(StarGraph);
 
 impl Protocol for StarRouter {
+    const NODE_LOCAL: bool = true;
+
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         match self.0.canonical_next_port(node, pkt.dest as usize) {
             None => out.deliver(pkt),
@@ -246,6 +256,9 @@ impl BatchSensitive {
         }
     }
 }
+
+// A batch-level protocol must keep the grouped path.
+const _: () = assert!(!<BatchSensitive as Protocol>::NODE_LOCAL);
 
 impl Protocol for BatchSensitive {
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {

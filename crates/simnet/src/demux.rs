@@ -1,8 +1,9 @@
 //! Per-tag delivery demultiplexing: split one run's delivery metrics by
 //! [`Packet::tag`](crate::Packet).
 //!
-//! Multi-tenant batched routing injects several tenants' packets into a
-//! single engine run, with each packet's `tag` carrying its tenant slot.
+//! Serving co-routes several tenants' requests through one engine run,
+//! with each packet's `tag` carrying its tenant slot (a routing batch is
+//! not one run: `route_batch` folds each tenant's isolated run).
 //! [`TagDemux`] wraps any [`Protocol`] and observes the deliveries the
 //! inner protocol emits, accumulating one [`TagMetrics`] per tag —
 //! delivered count, routing time and the latency histogram, recorded
@@ -12,6 +13,10 @@
 //! the protocol through the same callbacks in the same order, the demux
 //! is transparent: wrapping changes no outcome, it only *attributes*
 //! deliveries.
+//!
+//! The demux is [`Protocol::NODE_LOCAL`] exactly when its inner protocol
+//! is: its own state is per-tag counts, which commute, and its
+//! `on_arrivals` only forwards to the inner one.
 
 use crate::metrics::Metrics;
 use crate::packet::Packet;
@@ -100,6 +105,8 @@ impl<P: Protocol> TagDemux<P> {
 }
 
 impl<P: Protocol> Protocol for TagDemux<P> {
+    const NODE_LOCAL: bool = P::NODE_LOCAL;
+
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         let before = out.delivered().len();
         self.inner.on_packet(node, pkt, step, out);

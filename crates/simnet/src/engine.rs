@@ -44,6 +44,12 @@
 //!   ascending order by sorting only the handful of non-zero 64-node
 //!   bitmap words. A node with a single arrival hands the protocol a
 //!   slice into the arrival packets, without copying the packet;
+//! * a [`Protocol::NODE_LOCAL`] protocol (every router) skips that
+//!   grouping: each arrival goes to [`Protocol::on_packet`] at its
+//!   link's head node in link-id order, its outbox applied right after.
+//!   Only a link's tail node pushes onto it and each node still sees its
+//!   own arrivals in link-id order, so every queue's push sequence, and
+//!   with it the run, is the grouped path's;
 //! * the `max_queue` metric is one counter raised on every push, so
 //!   [`Engine::queue_high_water`] is O(1);
 //! * run state (queues, arena, metrics, scratch) is recycled by
@@ -665,6 +671,14 @@ impl StepEngine for Engine {
     }
 
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
+        if P::NODE_LOCAL {
+            for a in 0..self.arrival_links.len() {
+                let node = self.link_target[self.arrival_links[a] as usize] as usize;
+                proto.on_packet(node, self.arrival_pkts[a], step, out);
+                self.apply_outbox(node, out, step);
+            }
+            return;
+        }
         for (a, &link) in self.arrival_links.iter().enumerate() {
             self.groups
                 .push(self.link_target[link as usize] as usize, a as u32);

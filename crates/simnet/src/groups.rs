@@ -1,13 +1,14 @@
 //! Grouping one step's arrivals by destination node, without a sort.
 //!
-//! The process phase hands the protocol each node's arrivals together,
-//! nodes ascending, arrival order kept within a node. [`ArrivalGroups`]
-//! produces that sequence — a *stable* sort of the arrivals by node —
-//! from a per-node chain (head / tail / next indices) plus a bitmap of
-//! the nodes touched: only the list of non-zero 64-node bitmap **words**
-//! is sorted (one entry per 64 consecutive node ids that saw an
-//! arrival; 16 for a butterfly column of 1024), and the nodes inside a
-//! word come out ascending by `trailing_zeros`.
+//! The process phase hands a protocol that is not
+//! [`NODE_LOCAL`](crate::Protocol::NODE_LOCAL) each node's arrivals
+//! together, nodes ascending, arrival order kept within a node.
+//! [`ArrivalGroups`] produces that sequence — a *stable* sort of the
+//! arrivals by node — from a per-node chain (head / tail / next indices)
+//! plus a bitmap of the nodes touched: only the list of non-zero 64-node
+//! bitmap **words** is sorted (one entry per 64 consecutive node ids that
+//! saw an arrival; 16 for a butterfly column of 1024), and the nodes
+//! inside a word come out ascending by `trailing_zeros`.
 //!
 //! Both engines group through this one type: the serial [`Engine`]
 //! files arrival indices, the sharded coordinator files packed

@@ -69,7 +69,22 @@ impl Outbox {
 /// on protocol-internal state mutated in engine call order. All randomness
 /// must be pre-assigned to packets (e.g. the `via` field) or drawn from a
 /// seeded RNG inside the protocol, so that runs are reproducible.
+///
+/// Node-local contract: [`Protocol::NODE_LOCAL`] may be `true` only if a
+/// callback at node `v` reads and writes nothing but `v`'s own state (or
+/// state whose updates commute, like delivery counters and histograms)
+/// and the protocol does not override [`Protocol::on_arrivals`]. The
+/// engines then skip grouping a step's arrivals by node and call
+/// [`Protocol::on_packet`] per arrival in link-id order. Every queue sees
+/// the same pushes in the same order either way (only a link's tail node
+/// pushes onto it, and each node still sees its own arrivals in link-id
+/// order), so the outcome is bit-identical.
 pub trait Protocol {
+    /// May the engines hand this protocol its arrivals one by one, in
+    /// link-id order, instead of grouped by node? See the node-local
+    /// contract above; `false` (the default) keeps the grouped path.
+    const NODE_LOCAL: bool = false;
+
     /// Handle `pkt` arriving at `node` at the end of `step` (injections are
     /// processed with `step = 0` before the first transmission).
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox);
@@ -79,6 +94,7 @@ pub trait Protocol {
     /// node in one step may be merged before anything is forwarded. The
     /// default just feeds each packet to [`Protocol::on_packet`] in
     /// arrival order (sorted by incoming link id, so deterministic).
+    /// The engines never call it on a [`Protocol::NODE_LOCAL`] protocol.
     fn on_arrivals(&mut self, node: usize, pkts: &[Packet], step: u32, out: &mut Outbox) {
         for &pkt in pkts {
             self.on_packet(node, pkt, step, out);

@@ -38,7 +38,9 @@ pub trait StepEngine {
 
     /// Hand the last transmit's arrivals to the protocol: grouped by
     /// destination node, nodes ascending, link-id order within a node
-    /// (footnote 3's unit-time combining sees a node's whole batch).
+    /// (footnote 3's unit-time combining sees a node's whole batch). A
+    /// [`Protocol::NODE_LOCAL`] protocol gets them ungrouped instead, one
+    /// [`Protocol::on_packet`] per arrival in link-id order.
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox);
 
     /// Close the step (and re-verify invariants when checking is on).

@@ -5,7 +5,7 @@
 //! `crates/core/tests/alloc_free.rs`; the test asserts that a warmed-up
 //! `reset` + inject + `run` allocates only the growth of the latency
 //! histogram the run hands back — nothing per run, per step, per packet
-//! or per node.
+//! or per node — on the grouped and on the node-local process path.
 
 use lnpram_math::stats::Histogram;
 use lnpram_simnet::{Engine, Outbox, Packet, Protocol, SimConfig};
@@ -56,7 +56,8 @@ fn the_counter_counts() {
     drop(v);
 }
 
-/// Unique-path routing on the forward butterfly.
+/// Unique-path routing on the forward butterfly (the grouped process
+/// path).
 struct ButterflyRouter(LeveledNet<RadixButterfly>);
 
 impl Protocol for ButterflyRouter {
@@ -67,6 +68,17 @@ impl Protocol for ButterflyRouter {
             return out.deliver(pkt);
         }
         out.send(lv.digit_toward(col, idx, pkt.dest as usize), pkt);
+    }
+}
+
+/// The same routing declared node-local: the ungrouped process path.
+struct NodeLocalRouter(ButterflyRouter);
+
+impl Protocol for NodeLocalRouter {
+    const NODE_LOCAL: bool = true;
+
+    fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
+        self.0.on_packet(node, pkt, step, out);
     }
 }
 
@@ -87,6 +99,19 @@ fn histogram_growth(latency: &Histogram) -> u64 {
 
 #[test]
 fn warmed_up_run_allocates_nothing_per_step_or_per_packet() {
+    assert_warm_runs_allocate_only_their_histogram(|router| router);
+}
+
+#[test]
+fn warmed_up_node_local_run_allocates_nothing_per_step_or_per_packet() {
+    assert_warm_runs_allocate_only_their_histogram(NodeLocalRouter);
+}
+
+/// A warmed-up `reset` + inject + `run` of `wrap(ButterflyRouter)`
+/// allocates only the growth of the latency histogram it returns.
+fn assert_warm_runs_allocate_only_their_histogram<P: Protocol>(
+    wrap: impl Fn(ButterflyRouter) -> P,
+) {
     if std::env::var_os("LNPRAM_CHECK_INVARIANTS").is_some_and(|v| v == "1") {
         return; // the per-step state checker allocates its own scratch
     }
@@ -94,7 +119,7 @@ fn warmed_up_run_allocates_nothing_per_step_or_per_packet() {
         let bf = RadixButterfly::new(2, dims);
         let net = LeveledNet::forward(bf);
         let mut eng = Engine::new(&net, SimConfig::default());
-        let mut proto = ButterflyRouter(LeveledNet::forward(bf));
+        let mut proto = wrap(ButterflyRouter(LeveledNet::forward(bf)));
         let width = bf.width();
         let mut round = |eng: &mut Engine| {
             eng.reset();
