@@ -146,8 +146,9 @@ pub trait EmuHost {
     ) -> Option<PhaseOutcome>;
 
     /// Route the served `reads` back, pushing `(proc, read index)` for
-    /// every reply a processor receives. Follows a successful request
-    /// phase, so it runs unbudgeted.
+    /// every reply a processor receives: each processor's replies in the
+    /// order they reach it, in any order across processors. Follows a
+    /// successful request phase, so it runs unbudgeted.
     fn route_replies(
         &mut self,
         reads: &[ServedRead],
@@ -217,6 +218,29 @@ impl AddressMap {
                 let mixed = addr.wrapping_add(1).wrapping_mul(PLACEMENT_KEYS[j]);
                 let module = (mixed >> 17) % modules as u64;
                 (module as usize, addr * *copies as u64 + j as u64)
+            }
+        }
+    }
+
+    /// Replace `requests` with those of `ops` on a host with `modules`
+    /// modules: one per copy in each access's quorum, processors
+    /// ascending.
+    pub(crate) fn issue(&self, ops: &[MemOp], modules: usize, requests: &mut Vec<Request>) {
+        requests.clear();
+        for (proc, op) in ops.iter().enumerate() {
+            let (addr, write) = match *op {
+                MemOp::Read(addr) => (addr, None),
+                MemOp::Write(addr, v) => (addr, Some(v)),
+                MemOp::None | MemOp::Halt => continue,
+            };
+            for j in self.quorum(addr, write.is_some()) {
+                let (module, key) = self.locate(addr, j, modules);
+                requests.push(Request {
+                    proc,
+                    key,
+                    write,
+                    module: module as u32,
+                });
             }
         }
     }
@@ -406,7 +430,8 @@ impl<H: EmuHost> PramEmulator<H> {
         self.report.clone()
     }
 
-    /// Emulate one PRAM step; returns `(proc, value)` for every read.
+    /// Emulate one PRAM step; returns `(proc, value)` for every read, in
+    /// ascending processor order.
     ///
     /// # Panics
     /// If `ops` has more entries than the host has processors, or if the
@@ -419,23 +444,7 @@ impl<H: EmuHost> PramEmulator<H> {
             "{} ops for {modules} processors",
             ops.len()
         );
-        self.requests.clear();
-        for (proc, op) in ops.iter().enumerate() {
-            let (addr, write) = match *op {
-                MemOp::Read(addr) => (addr, None),
-                MemOp::Write(addr, v) => (addr, Some(v)),
-                MemOp::None | MemOp::Halt => continue,
-            };
-            for j in self.map.quorum(addr, write.is_some()) {
-                let (module, key) = self.map.locate(addr, j, modules);
-                self.requests.push(Request {
-                    proc,
-                    key,
-                    write,
-                    module: module as u32,
-                });
-            }
-        }
+        self.map.issue(ops, modules, &mut self.requests);
         let mut stats = StepStats {
             requests: self.requests.len() as u32,
             ..Default::default()
@@ -487,8 +496,10 @@ impl<H: EmuHost> PramEmulator<H> {
             stats.max_queue = stats.max_queue.max(replied.max_queue);
             // Each reader keeps its newest reply (quorum intersection makes
             // that the latest write); on equal versions the first to arrive
-            // stays. A reader's first reply this step takes its place in
-            // first-arrival order; a newer one overwrites the value there.
+            // stays. All of a processor's replies arrive at its own node,
+            // which sees its arrivals in link-id order on either process
+            // path, so that tie rule is path-independent; the order of
+            // `replies` across processors is not, hence the sort.
             self.newest.resize(modules, (0, 0, 0));
             deliveries.reserve_exact(self.replies.len());
             for &(proc, i) in &self.replies {
@@ -502,6 +513,7 @@ impl<H: EmuHost> PramEmulator<H> {
                     deliveries[*at].1 = read.value;
                 }
             }
+            deliveries.sort_unstable_by_key(|&(proc, _)| proc);
         }
         self.report.steps.push(stats);
         deliveries
@@ -705,6 +717,44 @@ mod tests {
         let reads = emu.emulate_step(&[MemOp::Read(5)], 0);
         assert_eq!(reads, vec![(0, 200)]);
         assert_eq!(emu.peek(5), 200);
+    }
+
+    /// Step 0 writes `10·a + 1` to every cell `a < 16`; then a hot-spot
+    /// read of cell 3 by every processor and a spread read by two of
+    /// every three must come back in ascending processor order.
+    fn assert_reads_ascend<H: EmuHost>(mut emu: PramEmulator<H>) {
+        let procs = emu.processors();
+        let writes: Vec<MemOp> = (0..16).map(|a| MemOp::Write(a, 10 * a + 1)).collect();
+        assert!(emu.emulate_step(&writes, 0).is_empty());
+        let hot = vec![MemOp::Read(3); procs];
+        let want: Vec<(usize, u64)> = (0..procs).map(|q| (q, 31)).collect();
+        assert_eq!(emu.emulate_step(&hot, 1), want, "hot-spot read");
+        let spread: Vec<MemOp> = (0..procs)
+            .map(|q| match q % 3 {
+                2 => MemOp::None,
+                _ => MemOp::Read((q as u64 * 5 + 1) % 16),
+            })
+            .collect();
+        let want: Vec<(usize, u64)> = (0..procs)
+            .filter(|q| q % 3 != 2)
+            .map(|q| (q, 10 * ((q as u64 * 5 + 1) % 16) + 1))
+            .collect();
+        assert_eq!(emu.emulate_step(&spread, 2), want, "spread read");
+    }
+
+    #[test]
+    fn reads_come_back_in_ascending_processor_order() {
+        let cfg = EmulatorConfig::default;
+        let mode = AccessMode::Crew;
+        assert_reads_ascend(crate::StarPramEmulator::new(4, mode, 16, cfg()));
+        assert_reads_ascend(LeveledPramEmulator::new(
+            RadixButterfly::new(2, 4),
+            mode,
+            16,
+            cfg(),
+        ));
+        assert_reads_ascend(crate::MeshPramEmulator::new(4, mode, 16, cfg()));
+        assert_reads_ascend(replicated(4, mode, 16, 3, cfg()));
     }
 
     #[test]

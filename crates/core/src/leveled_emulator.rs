@@ -133,6 +133,39 @@ impl<L: Leveled> EmuHost for LeveledHost<L> {
         budget: u32,
         seq: SeedSeq,
     ) -> Option<PhaseOutcome> {
+        let (engine, mut proto) = self.request_phase(requests, modules, budget, seq);
+        let out = engine.run(&mut proto);
+        let write_merges = proto.write_merges;
+        out.completed.then(|| PhaseOutcome {
+            combined: write_merges + self.tables.combined(),
+            ..PhaseOutcome::of(&out.metrics)
+        })
+    }
+
+    fn route_replies(
+        &mut self,
+        reads: &[ServedRead],
+        _seq: SeedSeq,
+        replies: &mut Vec<(usize, u32)>,
+    ) -> PhaseOutcome {
+        let (engine, mut proto) = self.reply_phase(reads, replies);
+        let out = engine.run(&mut proto);
+        debug_assert!(out.completed);
+        debug_assert!(self.tables.all_clear(), "unconsumed pending entries");
+        PhaseOutcome::of(&out.metrics)
+    }
+}
+
+impl<L: Leveled> LeveledHost<L> {
+    /// The request phase ready to run: tables, write slots and engine
+    /// reset, the requests injected, and the protocol to drive them with.
+    fn request_phase<'a>(
+        &'a mut self,
+        requests: &'a [Request],
+        modules: &'a mut ModuleArray,
+        budget: u32,
+        seq: SeedSeq,
+    ) -> (&'a mut AnyEngine, RequestProtocol<'a, L>) {
         let width = self.processors();
         self.tables.reset();
         self.req_engine.reset();
@@ -149,7 +182,7 @@ impl<L: Leveled> EmuHost for LeveledHost<L> {
             pkt.hop = u8::from(req.write.is_some());
             self.req_engine.inject(self.fwd.node_id(0, req.proc), pkt);
         }
-        let mut proto = RequestProtocol {
+        let proto = RequestProtocol {
             net: &self.fwd,
             bwd: &self.bwd,
             tables: &mut self.tables,
@@ -158,20 +191,15 @@ impl<L: Leveled> EmuHost for LeveledHost<L> {
             combining: self.combining,
             write_merges: 0,
         };
-        let out = self.req_engine.run(&mut proto);
-        let write_merges = proto.write_merges;
-        out.completed.then(|| PhaseOutcome {
-            combined: write_merges + self.tables.combined(),
-            ..PhaseOutcome::of(&out.metrics)
-        })
+        (&mut self.req_engine, proto)
     }
 
-    fn route_replies(
-        &mut self,
+    /// The reply phase ready to run, likewise.
+    fn reply_phase<'a>(
+        &'a mut self,
         reads: &[ServedRead],
-        _seq: SeedSeq,
-        replies: &mut Vec<(usize, u32)>,
-    ) -> PhaseOutcome {
+        replies: &'a mut Vec<(usize, u32)>,
+    ) -> (&'a mut AnyEngine, ReplyProtocol<'a, L>) {
         self.rep_engine.reset();
         let modules_col = self.fwd.leveled().levels();
         for (i, read) in reads.iter().enumerate() {
@@ -180,15 +208,12 @@ impl<L: Leveled> EmuHost for LeveledHost<L> {
                 Packet::new(i as u32, 0, 0).with_via(read.tag),
             );
         }
-        let mut proto = ReplyProtocol {
+        let proto = ReplyProtocol {
             net: &self.bwd,
             tables: &mut self.tables,
             replies,
         };
-        let out = self.rep_engine.run(&mut proto);
-        debug_assert!(out.completed);
-        debug_assert!(self.tables.all_clear(), "unconsumed pending entries");
-        PhaseOutcome::of(&out.metrics)
+        (&mut self.rep_engine, proto)
     }
 }
 
@@ -335,8 +360,9 @@ struct ReplyProtocol<'a, L: Leveled> {
     replies: &'a mut Vec<(usize, u32)>,
 }
 
-// Stays grouped (not `NODE_LOCAL`): it frees entries of pending tables all nodes share.
 impl<L: Leveled> Protocol for ReplyProtocol<'_, L> {
+    const NODE_LOCAL: bool = true;
+
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         let entry = self.tables.take(EntryId(pkt.via));
         if entry.local {
@@ -356,11 +382,48 @@ impl<L: Leveled> Protocol for ReplyProtocol<'_, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node_local::{assert_paths_agree, drive, Phases, MODE, SPACE};
     use crate::EmuReport;
     use lnpram_pram::machine::PramMachine;
     use lnpram_pram::model::{MemOp, PramProgram};
     use lnpram_pram::programs::{Broadcast, PrefixSum, ReductionMax};
+    use lnpram_simnet::RunOutcome;
     use lnpram_topology::leveled::{RadixButterfly, UnrolledShuffle};
+
+    impl<L: Leveled> Phases for LeveledHost<L> {
+        fn requests(
+            &mut self,
+            requests: &[Request],
+            modules: &mut ModuleArray,
+            budget: u32,
+            seq: SeedSeq,
+            grouped: bool,
+        ) -> (RunOutcome, u32) {
+            let (engine, mut proto) = self.request_phase(requests, modules, budget, seq);
+            let out = drive(engine, &mut proto, grouped);
+            (out, proto.write_merges + self.tables.combined())
+        }
+
+        fn replies(
+            &mut self,
+            reads: &[ServedRead],
+            _seq: SeedSeq,
+            replies: &mut Vec<(usize, u32)>,
+            grouped: bool,
+        ) -> (RunOutcome, bool) {
+            let (engine, mut proto) = self.reply_phase(reads, replies);
+            let out = drive(engine, &mut proto, grouped);
+            (out, self.tables.all_clear())
+        }
+    }
+
+    #[test]
+    fn node_local_phases_match_the_grouped_path() {
+        // The request protocol stays grouped; the reply protocol does not.
+        assert_paths_agree(|cfg| {
+            LeveledPramEmulator::new(RadixButterfly::new(2, 4), MODE, SPACE, cfg)
+        });
+    }
 
     fn check_against_reference<P, Q>(
         mut prog_emu: P,

@@ -52,6 +52,8 @@ pub mod emulator;
 pub mod leveled_emulator;
 pub mod memory;
 pub mod mesh_emulator;
+#[cfg(test)]
+mod node_local;
 pub mod star_emulator;
 
 pub use config::{EmuReport, EmulatorConfig, StepStats};

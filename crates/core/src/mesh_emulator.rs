@@ -180,21 +180,8 @@ impl EmuHost for MeshHost {
         budget: u32,
         seq: SeedSeq,
     ) -> Option<PhaseOutcome> {
-        self.engine.reset();
-        self.engine.set_max_steps(budget);
-        let mut rng = seq.rng();
-        for (id, req) in requests.iter().enumerate() {
-            let pkt = self
-                .packet(id, req.proc, req.module as usize, &mut rng)
-                .with_tag(req.key);
-            self.engine.inject(req.proc, pkt);
-        }
-        let mut proto = MeshRequestProtocol {
-            router: self.router(),
-            modules,
-            requests,
-        };
-        let out = self.engine.run(&mut proto);
+        let (engine, mut proto) = self.request_phase(requests, modules, budget, seq);
+        let out = engine.run(&mut proto);
         out.completed.then(|| PhaseOutcome::of(&out.metrics))
     }
 
@@ -204,6 +191,47 @@ impl EmuHost for MeshHost {
         seq: SeedSeq,
         replies: &mut Vec<(usize, u32)>,
     ) -> PhaseOutcome {
+        let (engine, mut proto) = self.reply_phase(reads, seq, replies);
+        let out = engine.run(&mut proto);
+        debug_assert!(out.completed);
+        PhaseOutcome::of(&out.metrics)
+    }
+}
+
+impl MeshHost {
+    /// The request phase ready to run: the engine reset, the requests
+    /// injected, and the protocol to drive them with.
+    fn request_phase<'a>(
+        &'a mut self,
+        requests: &'a [Request],
+        modules: &'a mut ModuleArray,
+        budget: u32,
+        seq: SeedSeq,
+    ) -> (&'a mut AnyEngine, MeshRequestProtocol<'a>) {
+        self.engine.reset();
+        self.engine.set_max_steps(budget);
+        let mut rng = seq.rng();
+        for (id, req) in requests.iter().enumerate() {
+            let pkt = self
+                .packet(id, req.proc, req.module as usize, &mut rng)
+                .with_tag(req.key);
+            self.engine.inject(req.proc, pkt);
+        }
+        let proto = MeshRequestProtocol {
+            router: self.router(),
+            modules,
+            requests,
+        };
+        (&mut self.engine, proto)
+    }
+
+    /// The reply phase ready to run, likewise.
+    fn reply_phase<'a>(
+        &'a mut self,
+        reads: &[ServedRead],
+        seq: SeedSeq,
+        replies: &'a mut Vec<(usize, u32)>,
+    ) -> (&'a mut AnyEngine, MeshReplyProtocol<'a>) {
         self.engine.reset();
         self.engine.set_max_steps(u32::MAX);
         let mut rng = seq.rng();
@@ -214,13 +242,11 @@ impl EmuHost for MeshHost {
                 .with_tag(read.key);
             self.engine.inject(read.module, pkt);
         }
-        let mut proto = MeshReplyProtocol {
+        let proto = MeshReplyProtocol {
             router: self.router(),
             replies,
         };
-        let out = self.engine.run(&mut proto);
-        debug_assert!(out.completed);
-        PhaseOutcome::of(&out.metrics)
+        (&mut self.engine, proto)
     }
 }
 
@@ -232,8 +258,9 @@ struct MeshRequestProtocol<'a> {
     requests: &'a [Request],
 }
 
-// Stays grouped (not `NODE_LOCAL`) like every emulator host, though its batches are per node.
 impl Protocol for MeshRequestProtocol<'_> {
+    const NODE_LOCAL: bool = true;
+
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
             let key = pkt.tag;
@@ -260,8 +287,9 @@ struct MeshReplyProtocol<'a> {
     replies: &'a mut Vec<(usize, u32)>,
 }
 
-// Stays grouped (not `NODE_LOCAL`): every node appends to one `replies` list.
 impl Protocol for MeshReplyProtocol<'_> {
+    const NODE_LOCAL: bool = true;
+
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
             self.replies.push((node, pkt.id));
@@ -275,10 +303,42 @@ impl Protocol for MeshReplyProtocol<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node_local::{assert_paths_agree, drive, Phases, MODE, SPACE};
     use lnpram_pram::machine::PramMachine;
     use lnpram_pram::model::{PramProgram, WritePolicy};
     use lnpram_pram::programs::{Histogram, OddEvenSort, PermutationTraffic, PrefixSum};
     use lnpram_routing::workloads;
+    use lnpram_simnet::RunOutcome;
+
+    impl Phases for MeshHost {
+        fn requests(
+            &mut self,
+            requests: &[Request],
+            modules: &mut ModuleArray,
+            budget: u32,
+            seq: SeedSeq,
+            grouped: bool,
+        ) -> (RunOutcome, u32) {
+            let (engine, mut proto) = self.request_phase(requests, modules, budget, seq);
+            (drive(engine, &mut proto, grouped), 0)
+        }
+
+        fn replies(
+            &mut self,
+            reads: &[ServedRead],
+            seq: SeedSeq,
+            replies: &mut Vec<(usize, u32)>,
+            grouped: bool,
+        ) -> (RunOutcome, bool) {
+            let (engine, mut proto) = self.reply_phase(reads, seq, replies);
+            (drive(engine, &mut proto, grouped), true)
+        }
+    }
+
+    #[test]
+    fn node_local_phases_match_the_grouped_path() {
+        assert_paths_agree(|cfg| MeshPramEmulator::new(6, MODE, SPACE, cfg));
+    }
 
     #[test]
     fn prefix_sum_matches_reference_on_mesh() {

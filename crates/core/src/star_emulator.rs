@@ -102,26 +102,8 @@ impl EmuHost for StarHost {
         budget: u32,
         seq: SeedSeq,
     ) -> Option<PhaseOutcome> {
-        self.tables.reset();
-        self.engine.reset();
-        self.engine.set_max_steps(budget);
-        let mut via_rng = seq.rng();
-        for (id, req) in requests.iter().enumerate() {
-            let via = via_rng.gen_range(0..self.processors()) as u32;
-            let mut pkt = Packet::new(id as u32, req.proc as u32, req.module)
-                .with_via(via)
-                .with_tag(req.key);
-            pkt.hop = u8::from(req.write.is_some());
-            self.engine.inject(req.proc, pkt);
-        }
-        let mut proto = StarRequestProtocol {
-            table: &self.table,
-            tables: &mut self.tables,
-            modules,
-            requests,
-            combining: self.combining,
-        };
-        let out = self.engine.run(&mut proto);
+        let (engine, mut proto) = self.request_phase(requests, modules, budget, seq);
+        let out = engine.run(&mut proto);
         out.completed.then(|| PhaseOutcome {
             combined: self.tables.combined(),
             ..PhaseOutcome::of(&out.metrics)
@@ -136,20 +118,63 @@ impl EmuHost for StarHost {
         _seq: SeedSeq,
         replies: &mut Vec<(usize, u32)>,
     ) -> PhaseOutcome {
+        let (engine, mut proto) = self.reply_phase(reads, replies);
+        let out = engine.run(&mut proto);
+        debug_assert!(out.completed);
+        debug_assert!(self.tables.all_clear(), "unconsumed pending entries");
+        PhaseOutcome::of(&out.metrics)
+    }
+}
+
+impl StarHost {
+    /// The request phase ready to run: tables and engine reset, the
+    /// requests injected, and the protocol to drive them with.
+    fn request_phase<'a>(
+        &'a mut self,
+        requests: &'a [Request],
+        modules: &'a mut ModuleArray,
+        budget: u32,
+        seq: SeedSeq,
+    ) -> (&'a mut AnyEngine, StarRequestProtocol<'a>) {
+        self.tables.reset();
+        self.engine.reset();
+        self.engine.set_max_steps(budget);
+        let mut via_rng = seq.rng();
+        for (id, req) in requests.iter().enumerate() {
+            let via = via_rng.gen_range(0..self.processors()) as u32;
+            let mut pkt = Packet::new(id as u32, req.proc as u32, req.module)
+                .with_via(via)
+                .with_tag(req.key);
+            pkt.hop = u8::from(req.write.is_some());
+            self.engine.inject(req.proc, pkt);
+        }
+        let proto = StarRequestProtocol {
+            table: &self.table,
+            tables: &mut self.tables,
+            modules,
+            requests,
+            combining: self.combining,
+        };
+        (&mut self.engine, proto)
+    }
+
+    /// The reply phase ready to run, likewise.
+    fn reply_phase<'a>(
+        &'a mut self,
+        reads: &[ServedRead],
+        replies: &'a mut Vec<(usize, u32)>,
+    ) -> (&'a mut AnyEngine, StarReplyProtocol<'a>) {
         self.engine.reset();
         self.engine.set_max_steps(u32::MAX);
         for (i, read) in reads.iter().enumerate() {
             self.engine
                 .inject(read.module, Packet::new(i as u32, 0, 0).with_via(read.tag));
         }
-        let mut proto = StarReplyProtocol {
+        let proto = StarReplyProtocol {
             tables: &mut self.tables,
             replies,
         };
-        let out = self.engine.run(&mut proto);
-        debug_assert!(out.completed);
-        debug_assert!(self.tables.all_clear(), "unconsumed pending entries");
-        PhaseOutcome::of(&out.metrics)
+        (&mut self.engine, proto)
     }
 }
 
@@ -164,8 +189,9 @@ struct StarRequestProtocol<'a> {
     combining: bool,
 }
 
-// Stays grouped (not `NODE_LOCAL`): it allocates entries in pending tables all nodes share.
 impl Protocol for StarRequestProtocol<'_> {
+    const NODE_LOCAL: bool = true;
+
     fn on_packet(&mut self, node: usize, mut pkt: Packet, step: u32, out: &mut Outbox) {
         let key = pkt.tag;
         let is_write = pkt.hop == 1;
@@ -251,8 +277,9 @@ impl StarReplyProtocol<'_> {
     }
 }
 
-// Stays grouped (not `NODE_LOCAL`): it frees entries of pending tables all nodes share.
 impl Protocol for StarReplyProtocol<'_> {
+    const NODE_LOCAL: bool = true;
+
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         let before = out.pending_sends();
         self.unwind(node, EntryId(pkt.via), pkt, out);
@@ -265,10 +292,46 @@ impl Protocol for StarReplyProtocol<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node_local::{assert_paths_agree, drive, Phases, MODE, SPACE};
     use lnpram_pram::machine::PramMachine;
     use lnpram_pram::model::{PramProgram, WritePolicy};
     use lnpram_pram::programs::{Broadcast, Histogram, PermutationTraffic, PrefixSum};
     use lnpram_routing::workloads;
+    use lnpram_simnet::RunOutcome;
+
+    impl Phases for StarHost {
+        fn requests(
+            &mut self,
+            requests: &[Request],
+            modules: &mut ModuleArray,
+            budget: u32,
+            seq: SeedSeq,
+            grouped: bool,
+        ) -> (RunOutcome, u32) {
+            let (engine, mut proto) = self.request_phase(requests, modules, budget, seq);
+            let out = drive(engine, &mut proto, grouped);
+            (out, self.tables.combined())
+        }
+
+        fn replies(
+            &mut self,
+            reads: &[ServedRead],
+            _seq: SeedSeq,
+            replies: &mut Vec<(usize, u32)>,
+            grouped: bool,
+        ) -> (RunOutcome, bool) {
+            let (engine, mut proto) = self.reply_phase(reads, replies);
+            let out = drive(engine, &mut proto, grouped);
+            (out, self.tables.all_clear())
+        }
+    }
+
+    #[test]
+    fn node_local_phases_match_the_grouped_path() {
+        for n in [4, 5] {
+            assert_paths_agree(|cfg| StarPramEmulator::new(n, MODE, SPACE, cfg));
+        }
+    }
 
     #[test]
     fn prefix_sum_matches_reference_on_4_star() {

@@ -1,13 +1,17 @@
-//! The star kernel's per-hop work must not touch the heap.
+//! The emulators' per-hop work must not touch the heap.
 //!
 //! A counting global allocator (per thread, so the test harness's other
 //! threads do not disturb it) wraps the system one; the tests assert
-//! that the counter does not move across the calls the routers and the
-//! emulator's protocols make per hop, and that a warmed-up
-//! `emulate_step` allocates nothing beyond the vector it returns.
+//! that the counter does not move across the calls the star's routers
+//! and protocols make per hop, and that a warmed-up `emulate_step` on
+//! the star, leveled and mesh hosts allocates only a constant handful
+//! beyond the vector it returns.
 
-use lnpram_core::{EmulatorConfig, StarPramEmulator};
+use lnpram_core::{
+    EmuHost, EmulatorConfig, LeveledPramEmulator, MeshPramEmulator, PramEmulator, StarPramEmulator,
+};
 use lnpram_pram::{AccessMode, MemOp, WritePolicy};
+use lnpram_topology::leveled::RadixButterfly;
 use lnpram_topology::{Network, StarGraph, StarTable};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -100,7 +104,7 @@ fn star_graph_arithmetic_does_not_allocate_either() {
 
 /// One PRAM step per entry of `steps`, each emulated after `warm_up`
 /// identical rounds; returns the allocations of each measured step.
-fn allocations_per_step(emu: &mut StarPramEmulator, steps: &[Vec<MemOp>]) -> Vec<u64> {
+fn allocations_per_step<H: EmuHost>(emu: &mut PramEmulator<H>, steps: &[Vec<MemOp>]) -> Vec<u64> {
     let mut label = 0u64;
     for _ in 0..3 {
         for ops in steps {
@@ -117,6 +121,16 @@ fn allocations_per_step(emu: &mut StarPramEmulator, steps: &[Vec<MemOp>]) -> Vec
         .collect()
 }
 
+/// Spread reads, hot-spot reads of cell 7 and spread writes by `procs`
+/// processors over `cells` cells.
+fn three_steps(procs: u64, cells: u64) -> [Vec<MemOp>; 3] {
+    [
+        (0..procs).map(|q| MemOp::Read(q % cells)).collect(),
+        (0..procs).map(|_| MemOp::Read(7)).collect(),
+        (0..procs).map(|q| MemOp::Write(q % cells, q)).collect(),
+    ]
+}
+
 #[test]
 fn warmed_up_emulate_step_does_not_allocate_per_hop_or_per_entry() {
     // 120 processors on the 5-star. Every step below sends 120 request
@@ -128,16 +142,15 @@ fn warmed_up_emulate_step_does_not_allocate_per_hop_or_per_entry() {
     // What remains is a constant handful made outside the kernel: the
     // returned vector, `serve_batches`' result vector growing to the
     // number of reads, and the latency histograms the two engine runs
-    // hand out and regrow. Writes are grouped in a reused scratch buffer
-    // and land on cells that already exist, so they add nothing.
+    // hand out and regrow. Both protocols are node-local, so no arrival
+    // is grouped by node; a module's writes are grouped by key in a
+    // reused scratch buffer and land on cells that already exist, so
+    // they add nothing.
     if std::env::var_os("LNPRAM_CHECK_INVARIANTS").is_some_and(|v| v == "1") {
         return; // the per-step state checker allocates its own scratch
     }
-    let procs = 120u64;
     let cells = 40u64;
-    let spread: Vec<MemOp> = (0..procs).map(|q| MemOp::Read(q % cells)).collect();
-    let hot: Vec<MemOp> = (0..procs).map(|_| MemOp::Read(7)).collect();
-    let writes: Vec<MemOp> = (0..procs).map(|q| MemOp::Write(q % cells, q)).collect();
+    let steps = three_steps(120, cells);
     for combining in [true, false] {
         let mut emu = StarPramEmulator::new(
             5,
@@ -148,7 +161,7 @@ fn warmed_up_emulate_step_does_not_allocate_per_hop_or_per_entry() {
                 ..EmulatorConfig::default()
             },
         );
-        let counts = allocations_per_step(&mut emu, &[spread.clone(), hot.clone(), writes.clone()]);
+        let counts = allocations_per_step(&mut emu, &steps);
         assert!(
             counts[0] <= 24,
             "spread reads, combining={combining}: {counts:?}"
@@ -157,7 +170,37 @@ fn warmed_up_emulate_step_does_not_allocate_per_hop_or_per_entry() {
             counts[1] <= 24,
             "hot-spot reads, combining={combining}: {counts:?}"
         );
-        // Neither the grouping nor the routing allocates per module.
+        // Neither the write grouping nor the routing allocates per module.
         assert!(counts[2] <= 8, "writes, combining={combining}: {counts:?}");
+    }
+}
+
+#[test]
+fn warmed_up_emulate_step_on_the_leveled_and_mesh_hosts_does_not_allocate_per_hop() {
+    // The same pin on the other two hosts: butterfly(2, 5) sends 32
+    // requests over 10 columns each way, the 8×8 mesh 64 over its
+    // three-stage route. What remains is the same constant handful.
+    if std::env::var_os("LNPRAM_CHECK_INVARIANTS").is_some_and(|v| v == "1") {
+        return; // the per-step state checker allocates its own scratch
+    }
+    let mode = AccessMode::Crcw(WritePolicy::Max);
+    let cells = 20u64;
+    let cfg = EmulatorConfig::default();
+    let mut leveled = LeveledPramEmulator::new(RadixButterfly::new(2, 5), mode, cells, cfg.clone());
+    let mut mesh = MeshPramEmulator::new(8, mode, cells, cfg);
+    let counts = [
+        (
+            "butterfly(2, 5)",
+            allocations_per_step(&mut leveled, &three_steps(32, cells)),
+        ),
+        (
+            "8×8 mesh",
+            allocations_per_step(&mut mesh, &three_steps(64, cells)),
+        ),
+    ];
+    for (host, counts) in counts {
+        assert!(counts[0] <= 24, "spread reads on the {host}: {counts:?}");
+        assert!(counts[1] <= 24, "hot-spot reads on the {host}: {counts:?}");
+        assert!(counts[2] <= 8, "writes on the {host}: {counts:?}");
     }
 }

@@ -16,8 +16,10 @@
 //!    disjoint ascending link-id ranges and the `k` arrivals buffers
 //!    concatenate into the exact arrival order of the serial engine; no
 //!    merge is materialized. For a [`Protocol::NODE_LOCAL`] protocol
-//!    the process phase reads those buffers in shard order and calls
-//!    `on_packet` per arrival. Otherwise it groups arrivals **in
+//!    (every router, and every emulator-host protocol but the leveled
+//!    host's write-merging request phase) the process phase reads those
+//!    buffers in shard order and calls `on_packet` per arrival.
+//!    Otherwise it groups arrivals **in
 //!    place** through packed `(shard, index)` coordinates into those
 //!    buffers, then drives the [`Protocol`] over destination nodes in
 //!    ascending id. Either way it is precisely the serial engine's

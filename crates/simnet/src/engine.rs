@@ -44,7 +44,8 @@
 //!   ascending order by sorting only the handful of non-zero 64-node
 //!   bitmap words. A node with a single arrival hands the protocol a
 //!   slice into the arrival packets, without copying the packet;
-//! * a [`Protocol::NODE_LOCAL`] protocol (every router) skips that
+//! * a [`Protocol::NODE_LOCAL`] protocol (every router and all but one
+//!   of the emulator hosts' protocols) skips that
 //!   grouping: each arrival goes to [`Protocol::on_packet`] at its
 //!   link's head node in link-id order, its outbox applied right after.
 //!   Only a link's tail node pushes onto it and each node still sees its

@@ -2,7 +2,11 @@
 //!
 //! The process phase hands a protocol that is not
 //! [`NODE_LOCAL`](crate::Protocol::NODE_LOCAL) each node's arrivals
-//! together, nodes ascending, arrival order kept within a node.
+//! together, nodes ascending, arrival order kept within a node: the
+//! leveled emulator host's request protocol, whose same-address writes
+//! merge per batch (footnote 3), and any protocol that keeps the
+//! default. Every router and the other emulator-host protocols skip the
+//! grouper.
 //! [`ArrivalGroups`] produces that sequence — a *stable* sort of the
 //! arrivals by node — from a per-node chain (head / tail / next indices)
 //! plus a bitmap of the nodes touched: only the list of non-zero 64-node

@@ -70,11 +70,19 @@ impl Outbox {
 /// must be pre-assigned to packets (e.g. the `via` field) or drawn from a
 /// seeded RNG inside the protocol, so that runs are reproducible.
 ///
-/// Node-local contract: [`Protocol::NODE_LOCAL`] may be `true` only if a
-/// callback at node `v` reads and writes nothing but `v`'s own state (or
-/// state whose updates commute, like delivery counters and histograms)
-/// and the protocol does not override [`Protocol::on_arrivals`]. The
-/// engines then skip grouping a step's arrivals by node and call
+/// Node-local contract: [`Protocol::NODE_LOCAL`] may be `true` only if
+/// the protocol does not override [`Protocol::on_arrivals`] and a
+/// callback at node `v` touches nothing but
+///
+/// * state keyed by `v` (its routing table, its pending entries, the
+///   requests buffered at its module), and
+/// * shared state whose order across nodes nobody observes: updates that
+///   commute (delivery counters, histograms, a list the caller reads in
+///   an order of its own) or values that only *name* something (ids
+///   handed out in creation order, carried by packets and looked up,
+///   never compared, sorted or routed on).
+///
+/// The engines then skip grouping a step's arrivals by node and call
 /// [`Protocol::on_packet`] per arrival in link-id order. Every queue sees
 /// the same pushes in the same order either way (only a link's tail node
 /// pushes onto it, and each node still sees its own arrivals in link-id

@@ -38,8 +38,10 @@ pub trait StepEngine {
 
     /// Hand the last transmit's arrivals to the protocol: grouped by
     /// destination node, nodes ascending, link-id order within a node
-    /// (footnote 3's unit-time combining sees a node's whole batch). A
-    /// [`Protocol::NODE_LOCAL`] protocol gets them ungrouped instead, one
+    /// (footnote 3's unit-time combining — the leveled emulator host's
+    /// write merge — sees a node's whole batch). A
+    /// [`Protocol::NODE_LOCAL`] protocol (every router, the other
+    /// emulator-host protocols) gets them ungrouped instead, one
     /// [`Protocol::on_packet`] per arrival in link-id order.
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox);
 
