@@ -54,8 +54,8 @@ use lnpram_simnet::fault::FaultError;
 use lnpram_simnet::trace::{Phase, ServeEvent, TraceSink};
 use lnpram_simnet::Fault as SimFault;
 use lnpram_simnet::{
-    step_loop, Admission, FaultEvent, FaultPlan, Metrics, NoopSink, Outbox, Packet, SimConfig,
-    StepEngine, TagDemux, TagMetrics,
+    step_loop, Admission, FaultEvent, FaultPlan, Metrics, NoopSink, Packet, SimConfig, StepEngine,
+    TagDemux, TagMetrics,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -883,7 +883,6 @@ impl<B: RouteBackend> ServeSession<B> {
             sink,
             &mut admit,
             self.cfg.max_steps,
-            &mut Outbox::default(),
         );
 
         let requests: Vec<RequestOutcome> = demux

@@ -14,7 +14,7 @@ use crate::ShardedEngine;
 use lnpram_simnet::fault::{FaultError, FaultPlan};
 use lnpram_simnet::trace::TraceSink;
 use lnpram_simnet::{
-    Engine, Metrics, NoopSink, Outbox, Packet, Protocol, RunOutcome, SimConfig, StepEngine,
+    Engine, Metrics, NoopSink, Packet, Protocol, RunOutcome, SimConfig, StepEngine,
 };
 use lnpram_topology::Network;
 
@@ -148,16 +148,16 @@ impl AnyEngine {
 }
 
 impl StepEngine for AnyEngine {
-    fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
-        either!(self, e => e.process_pending(proto, step, out))
+    fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32) {
+        either!(self, e => e.process_pending(proto, step))
     }
 
     fn step_transmit<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
         either!(self, e => e.step_transmit(sink))
     }
 
-    fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
-        either!(self, e => e.process_arrivals(proto, step, out))
+    fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32) {
+        either!(self, e => e.process_arrivals(proto, step))
     }
 
     fn step_finish(&mut self) {

@@ -19,12 +19,14 @@
 //!    (every router, and every emulator-host protocol but the leveled
 //!    host's write-merging request phase) the process phase reads those
 //!    buffers in shard order and calls `on_packet` per arrival.
-//!    Otherwise it groups arrivals **in
-//!    place** through packed `(shard, index)` coordinates into those
-//!    buffers, then drives the [`Protocol`] over destination nodes in
-//!    ascending id. Either way it is precisely the serial engine's
-//!    process phase. Protocol sends are enqueued straight into the
-//!    owning shard.
+//!    Otherwise it groups arrivals **in place** through packed
+//!    `(shard, index)` coordinates into those buffers, then drives the
+//!    [`Protocol`] over destination nodes in ascending id. Either way it
+//!    is precisely the serial engine's process phase. Each callback gets
+//!    an [`Outbox`] onto the links of the shard engine that owns its node
+//!    ([`Engine::outbox`]), so a send lands on the owning shard's queue
+//!    as the protocol makes it; deliveries are counted into the
+//!    coordinator's metrics.
 //!
 //! # Determinism contract
 //!
@@ -42,10 +44,12 @@
 //! # Cost model
 //!
 //! A sharded run is single-threaded and buys no speed: it pays the
-//! per-shard bookkeeping (ownership lookups, `k` short transmit loops)
-//! and nothing else — packets stay in the shards' arrivals buffers
-//! until the process phase reads them, as the serial engine's do —
-//! so it runs a few percent behind the serial engine. It is kept as the
+//! per-shard bookkeeping (an ownership lookup per callback, `k` short
+//! transmit loops, `k` in-flight counters summed per step) and nothing
+//! else — packets stay in the shards' arrivals buffers until the
+//! process phase reads them, and sends go straight onto the owning
+//! shard's queues, as the serial engine's do — so it runs a few percent
+//! behind the serial engine. It is kept as the
 //! bit-identity substrate a shard-local process phase would build on
 //! (a plain `Vec<Engine>` that scoped threads can `iter_mut`). See the
 //! README's sharding section.
@@ -134,8 +138,6 @@ pub struct ShardedEngine {
     /// One engine per shard over its induced sub-CSR, in shard order.
     shards: Vec<Engine>,
     pending: Vec<(usize, Packet)>,
-    /// Packets currently queued across all shards.
-    in_flight: usize,
     metrics: Metrics,
     // --- reusable per-step scratch (mirrors `Engine`'s process phase) ---
     /// Packed arrival coordinates grouped by destination node — the
@@ -257,7 +259,6 @@ impl ShardedEngine {
             clock: 0,
             shards,
             pending: Vec::new(),
-            in_flight: 0,
             metrics: Metrics::default(),
             groups: ArrivalGroups::new(n),
             batch: Vec::new(),
@@ -326,7 +327,6 @@ impl ShardedEngine {
             shard.reset();
         }
         self.pending.clear();
-        self.in_flight = 0;
         self.metrics = Metrics::default();
         self.faults = None;
         self.clock = 0;
@@ -340,7 +340,7 @@ impl ShardedEngine {
 
     /// Packets still queued across all shards.
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.shards.iter().map(Engine::in_flight).sum()
     }
 
     /// Per-link traversal counts in **global** link-id order: the shard
@@ -362,7 +362,6 @@ impl ShardedEngine {
         for shard in &mut self.shards {
             out.append(&mut shard.drain_all());
         }
-        self.in_flight = 0;
         out
     }
 
@@ -384,36 +383,13 @@ impl ShardedEngine {
         sink: &mut S,
     ) -> RunOutcome {
         let max_steps = self.cfg.max_steps;
-        step_loop(
-            self,
-            proto,
-            sink,
-            &mut NoAdmission,
-            max_steps,
-            &mut Outbox::default(),
-        )
+        step_loop(self, proto, sink, &mut NoAdmission, max_steps)
     }
 
     /// Take back the not-yet-processed injections (mirrors
     /// [`Engine::take_pending`]).
     pub fn take_pending(&mut self) -> Vec<(usize, Packet)> {
         std::mem::take(&mut self.pending)
-    }
-
-    /// Apply one callback's outbox: route every send into the shard
-    /// owning `node` (sends always leave on the processing node's own
-    /// ports) and record deliveries centrally.
-    fn apply_outbox(&mut self, node: usize, out: &mut Outbox, step: u32) {
-        if !out.sends().is_empty() {
-            let owner = self.node_owner[node];
-            let local = (owner & COORD_MASK) as usize;
-            self.shards[(owner >> COORD_BITS) as usize].enqueue_sends(local, out.sends());
-            self.in_flight += out.sends().len();
-        }
-        for pkt in out.delivered() {
-            self.metrics.on_delivery(step, pkt.injected_at);
-        }
-        out.clear();
     }
 
     /// Verify the coordinator-level invariants, plus every shard
@@ -424,9 +400,6 @@ impl ShardedEngine {
     /// automatically on every step.
     ///
     /// Checked, beyond the per-shard engine state:
-    /// * packet conservation across the partition: the coordinator's
-    ///   `in_flight` == the sum of every shard engine's `in_flight`
-    ///   (an exchange bug shows up here as a leak or a dupe);
     /// * link accounting: the shards' link ranges (`link_base`) ascend
     ///   from 0 to the global link count — which is what lets the
     ///   arrivals buffers concatenate into the serial arrival order — and
@@ -443,19 +416,10 @@ impl ShardedEngine {
             return fail(format!("coordinator arrival groups: {e}"));
         }
 
-        let mut shard_in_flight = 0usize;
         for (s, eng) in self.shards.iter().enumerate() {
-            shard_in_flight += eng.in_flight();
             if let Err(v) = eng.check_invariants() {
                 return fail(format!("shard {s}: {v}"));
             }
-        }
-        if shard_in_flight != self.in_flight {
-            return fail(format!(
-                "cross-shard packet conservation: coordinator in_flight {} != {} summed over \
-                 shard engines",
-                self.in_flight, shard_in_flight
-            ));
         }
 
         if self.link_base.first() != Some(&0)
@@ -501,25 +465,44 @@ impl ShardedEngine {
 
 /// The arrival a packed coordinate addresses: a slot of a shard's
 /// arrivals buffer.
-fn arrival(shards: &[Engine], packed: u32) -> &Packet {
+fn arrival(shards: &[Engine], packed: u32) -> Packet {
     let s = (packed >> COORD_BITS) as usize;
     let idx = (packed & COORD_MASK) as usize;
-    &shards[s].arrivals().1[idx]
+    shards[s].arrivals().1[idx]
+}
+
+/// The outbox of a callback at global `node`: onto the links of the
+/// shard engine that owns it (sends always leave on the processing
+/// node's own ports), with deliveries recorded centrally.
+fn outbox<'a>(
+    shards: &'a mut [Engine],
+    node_owner: &[u32],
+    node: usize,
+    step: u32,
+    metrics: &'a mut Metrics,
+) -> Outbox<'a> {
+    let owner = node_owner[node];
+    let local = (owner & COORD_MASK) as usize;
+    shards[(owner >> COORD_BITS) as usize].outbox(local, node, step, metrics)
 }
 
 impl StepEngine for ShardedEngine {
     // Callback-for-callback the serial engine's pending pass, so mid-run
     // admission is bit-identical across serial and sharded engines.
-    fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
-        let pending = std::mem::take(&mut self.pending);
-        for &(node, pkt) in &pending {
-            let mut pkt = pkt;
+    fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32) {
+        let Self {
+            pending,
+            shards,
+            node_owner,
+            metrics,
+            ..
+        } = self;
+        for &(node, mut pkt) in pending.iter() {
             pkt.injected_at = step;
-            proto.on_packet(node, pkt, step, out);
-            self.apply_outbox(node, out, step);
+            let mut out = outbox(shards, node_owner, node, step, metrics);
+            proto.on_packet(node, pkt, step, &mut out);
         }
-        self.pending = pending;
-        self.pending.clear();
+        pending.clear();
     }
 
     // Every shard extracts from its own links, one shard after another;
@@ -577,70 +560,55 @@ impl StepEngine for ShardedEngine {
     // **in place** from the shards' arrivals buffers, which concatenate
     // in global link order: a node-local protocol gets them one by one
     // in that order; otherwise the grouper files packed `(shard, index)`
-    // coordinates into them, so no packet moves until batch assembly —
-    // the same single copy the serial engine pays, and none for a node
-    // with a single arrival.
-    fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
+    // coordinates into them, so no packet moves until batch assembly.
+    // Each packet is copied out of its buffer before the callback's
+    // outbox borrows the owning shard, which may be the same engine.
+    fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32) {
+        let Self {
+            shards,
+            node_owner,
+            link_head,
+            link_base,
+            metrics,
+            groups,
+            batch,
+            ..
+        } = self;
         if P::NODE_LOCAL {
-            for s in 0..self.shards.len() {
-                let base = self.link_base[s] as usize;
-                let len = self.shards[s].arrivals().0.len();
-                self.in_flight -= len;
-                for idx in 0..len {
-                    let (links, pkts) = self.shards[s].arrivals();
-                    let node = self.link_head[base + links[idx] as usize] as usize;
-                    proto.on_packet(node, pkts[idx], step, out);
-                    self.apply_outbox(node, out, step);
+            for s in 0..shards.len() {
+                let heads = &link_head[link_base[s] as usize..];
+                for idx in 0..shards[s].arrivals().0.len() {
+                    let (links, pkts) = shards[s].arrivals();
+                    let (node, pkt) = (heads[links[idx] as usize] as usize, pkts[idx]);
+                    let mut out = outbox(shards, node_owner, node, step, metrics);
+                    proto.on_packet(node, pkt, step, &mut out);
                 }
             }
             return;
         }
-        // Grouping pass over plain field borrows (no self methods).
-        let mut arrivals = 0usize;
-        {
-            let Self {
-                shards,
-                link_head,
-                link_base,
-                groups,
-                ..
-            } = self;
-            for (s, shard) in shards.iter().enumerate() {
-                let heads = &link_head[link_base[s] as usize..];
-                let (buf, _) = shard.arrivals();
-                debug_assert!(buf.len() <= COORD_MASK as usize);
-                for (idx, &local) in buf.iter().enumerate() {
-                    groups.push(
-                        heads[local as usize] as usize,
-                        ((s as u32) << COORD_BITS) | idx as u32,
-                    );
-                }
-                arrivals += buf.len();
+        for (s, shard) in shards.iter().enumerate() {
+            let heads = &link_head[link_base[s] as usize..];
+            let (buf, _) = shard.arrivals();
+            debug_assert!(buf.len() <= COORD_MASK as usize);
+            for (idx, &local) in buf.iter().enumerate() {
+                groups.push(
+                    heads[local as usize] as usize,
+                    ((s as u32) << COORD_BITS) | idx as u32,
+                );
             }
-            groups.seal();
         }
-        self.in_flight -= arrivals;
-        loop {
-            let Self {
-                groups,
-                shards,
-                batch,
-                ..
-            } = self;
-            let Some((node, head)) = groups.pop_node() else {
-                break;
-            };
+        groups.seal();
+        while let Some((node, head)) = groups.pop_node() {
             if let Some(packed) = groups.single(head) {
-                let pkt = std::slice::from_ref(arrival(shards, packed));
-                proto.on_arrivals(node, pkt, step, out);
+                let pkt = arrival(shards, packed);
+                let mut out = outbox(shards, node_owner, node, step, metrics);
+                proto.on_arrivals(node, std::slice::from_ref(&pkt), step, &mut out);
             } else {
                 batch.clear();
-                for packed in groups.members(head) {
-                    batch.push(*arrival(shards, packed));
-                }
-                proto.on_arrivals(node, batch, step, out);
+                batch.extend(groups.members(head).map(|packed| arrival(shards, packed)));
+                let mut out = outbox(shards, node_owner, node, step, metrics);
+                proto.on_arrivals(node, batch, step, &mut out);
             }
-            self.apply_outbox(node, out, step);
         }
     }
 
@@ -651,7 +619,7 @@ impl StepEngine for ShardedEngine {
     }
 
     fn note_queued_step(&mut self) {
-        self.metrics.queued_packet_steps += self.in_flight as u64;
+        self.metrics.queued_packet_steps += ShardedEngine::in_flight(self) as u64;
     }
 
     fn finish_metrics(&mut self, steps: u32) -> Metrics {
@@ -669,7 +637,7 @@ impl StepEngine for ShardedEngine {
     }
 
     fn in_flight(&self) -> usize {
-        self.in_flight
+        ShardedEngine::in_flight(self)
     }
 
     fn delivered(&self) -> usize {

@@ -517,6 +517,46 @@ mod tests {
         assert_eq!(run(0), run(4));
     }
 
+    /// `block_link` past a node's last port, on either engine: node 1 of
+    /// a 4-node path has ports 0 and 1.
+    fn block_past_last_port(shards: usize) {
+        let path = Mesh::linear(4);
+        let cfg = SimConfig {
+            shards,
+            ..Default::default()
+        };
+        let mut eng = AnyEngine::new(&path, cfg);
+        eng.block_link(1, path.out_degree(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "block_link on invalid port 2 of node 1")]
+    fn serial_block_link_checks_its_port() {
+        block_past_last_port(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "block_link on invalid port 2 of node 1")]
+    fn sharded_block_link_checks_its_port() {
+        block_past_last_port(2);
+    }
+
+    /// Sends land straight on the owning shard's links, so a send past
+    /// the node's last port must panic there, naming the global node:
+    /// node 3 of a 4-node path is local node 1 of the second shard.
+    #[test]
+    #[should_panic(expected = "protocol sent on invalid port 1 of node 3")]
+    fn sharded_send_on_invalid_port_names_the_global_node() {
+        let path = Mesh::linear(4);
+        let mut eng = ShardedEngine::new(&path, cfg_sharded(2), &RowBlock::new(1));
+        assert_eq!(eng.shards(), 2);
+        eng.inject(3, Packet::new(0, 3, 0));
+        let mut proto = |node: usize, pkt: Packet, _s: u32, out: &mut Outbox| {
+            out.send(path.out_degree(node), pkt);
+        };
+        eng.run(&mut proto);
+    }
+
     #[test]
     fn shard_count_above_node_count_is_clamped_and_equivalent() {
         // Satellite regression: K > n used to hand the partitioner a
@@ -909,8 +949,7 @@ mod tests {
                     eng.inject(src, Packet::new(src as u32, src as u32, dest as u32));
                 }
                 let mut proto = GreedyMesh { mesh };
-                let mut out = Outbox::default();
-                eng.process_pending(&mut proto, 0, &mut out);
+                eng.process_pending(&mut proto, 0);
                 eng.step_finish();
                 prop_assert_eq!(eng.check_invariants(), Ok(()));
                 let mut step = 0u32;
@@ -918,7 +957,7 @@ mod tests {
                     step += 1;
                     prop_assert!(step <= 10_000, "driver ran away");
                     eng.step_transmit(&mut lnpram_simnet::NoopSink);
-                    eng.process_arrivals(&mut proto, step, &mut out);
+                    eng.process_arrivals(&mut proto, step);
                     eng.step_finish();
                     prop_assert_eq!(eng.check_invariants(), Ok(()));
                 }

@@ -27,8 +27,11 @@
 //! growth of the latency histogram it returns (`tests/alloc_free.rs`
 //! pins it):
 //!
-//! * the [`Outbox`] is kept across runs and applied in place (its
-//!   buffers are reused for every callback);
+//! * a callback's [`Outbox`] is a handle on the node's links, not a
+//!   buffer: a send is pushed onto its link queue as the protocol makes
+//!   it and a delivery is counted into the metrics at once. The outbox
+//!   borrows the engine's link state for the one callback and moves
+//!   nothing in or out;
 //! * the links with non-empty queues are a bitmap, one bit per link,
 //!   plus the list of its non-zero 64-link words. Transmit walks the
 //!   words in list order and the bits of each by `trailing_zeros`, so it
@@ -47,10 +50,10 @@
 //! * a [`Protocol::NODE_LOCAL`] protocol (every router and all but one
 //!   of the emulator hosts' protocols) skips that
 //!   grouping: each arrival goes to [`Protocol::on_packet`] at its
-//!   link's head node in link-id order, its outbox applied right after.
-//!   Only a link's tail node pushes onto it and each node still sees its
-//!   own arrivals in link-id order, so every queue's push sequence, and
-//!   with it the run, is the grouped path's;
+//!   link's head node in link-id order. Only a link's tail node pushes
+//!   onto it and each node still sees its own arrivals in link-id order,
+//!   so every queue's push sequence, and with it the run, is the grouped
+//!   path's;
 //! * the `max_queue` metric is one counter raised on every push, so
 //!   [`Engine::queue_high_water`] is O(1);
 //! * run state (queues, arena, metrics, scratch) is recycled by
@@ -165,12 +168,10 @@ pub(crate) fn invariant_checks_enabled() -> bool {
 /// [`Engine::reset`].
 pub struct Engine {
     cfg: SimConfig,
-    /// CSR offsets: links of node `v` are `link_offset[v] .. link_offset[v+1]`.
-    link_offset: Vec<u32>,
     /// Head node of each link.
     link_target: Vec<u32>,
-    queues: Vec<LinkQueue>,
-    pool: PacketPool,
+    /// The queues and everything a protocol callback's responses touch.
+    links: LinkState,
     blocked: Vec<bool>,
     /// Any link ever blocked since the last reset (skips the `blocked`
     /// wipe on reset for the common fault-free case).
@@ -181,6 +182,32 @@ pub struct Engine {
     /// Transmit phases since the last reset — the global step the fault
     /// schedule is keyed on (transmit of step `s` runs at clock `s`).
     clock: u32,
+    pending: Vec<(usize, Packet)>,
+    metrics: Metrics,
+    // --- reusable per-step scratch (never reallocated after warm-up) ---
+    /// This step's arrivals, ascending link order, as two parallel
+    /// arrays: the link each packet crossed (its destination node is
+    /// `link_target[link]`; keeping the link lets an external coordinator,
+    /// `lnpram-shard`, look the head node up in its own global link
+    /// table) and the packet.
+    arrival_links: Vec<u32>,
+    arrival_pkts: Vec<Packet>,
+    /// Arrival indices grouped by destination node.
+    groups: ArrivalGroups,
+    /// One node's arrival batch, rebuilt per node with several arrivals.
+    batch: Vec<Packet>,
+}
+
+/// The link state a protocol callback's [`Outbox`] borrows: the CSR
+/// offsets that locate a node's ports, the queues and their arena, the
+/// active set, the reset and metric bookkeeping a push updates, and the
+/// callback's delivered packets. Grouped so one `&mut` reaches it.
+#[derive(Debug)]
+pub(crate) struct LinkState {
+    /// CSR offsets: links of node `v` are `offset[v] .. offset[v+1]`.
+    offset: Vec<u32>,
+    queues: Vec<LinkQueue>,
+    pool: PacketPool,
     /// One bit per link, set exactly while its queue is non-empty.
     active: Vec<u64>,
     /// Indices of the non-zero words of `active`, each once: appended
@@ -197,23 +224,60 @@ pub struct Engine {
     dirty: Vec<u32>,
     /// Longest any link queue has been since the last reset.
     max_queue: usize,
-    in_flight: usize,
-    pending: Vec<(usize, Packet)>,
-    metrics: Metrics,
-    // --- reusable per-step scratch (never reallocated after warm-up) ---
-    /// This step's arrivals, ascending link order, as two parallel
-    /// arrays: the link each packet crossed (its destination node is
-    /// `link_target[link]`; keeping the link lets an external coordinator,
-    /// `lnpram-shard`, look the head node up in its own global link
-    /// table) and the packet.
-    arrival_links: Vec<u32>,
-    arrival_pkts: Vec<Packet>,
-    /// Arrival indices grouped by destination node.
-    groups: ArrivalGroups,
-    /// One node's arrival batch, rebuilt per node with several arrivals.
-    batch: Vec<Packet>,
-    /// The protocol callbacks' outbox, lent to every run's step loop.
-    outbox: Outbox,
+    /// Packets queued on the links.
+    pub(crate) in_flight: usize,
+    /// The current callback's deliveries (what `TagDemux` reads through
+    /// [`Outbox::delivered`]); emptied when a callback's outbox is made.
+    pub(crate) delivered: Vec<Packet>,
+}
+
+impl LinkState {
+    /// First link id of `node`'s ports, and its out-degree.
+    #[inline]
+    pub(crate) fn ports(&self, node: usize) -> (usize, usize) {
+        let base = self.offset[node] as usize;
+        (base, self.offset[node + 1] as usize - base)
+    }
+
+    /// Enqueue `pkt` on link `id`: the one way packets enter link queues.
+    /// It becomes eligible to traverse the link from the next transmit
+    /// phase on.
+    #[inline]
+    pub(crate) fn push(&mut self, id: usize, pkt: Packet) {
+        let queue = &mut self.queues[id];
+        if queue.is_empty() {
+            if queue.pops() == 0 {
+                self.dirty.push(id as u32);
+            }
+            let word = id / 64;
+            if self.active[word] == 0 {
+                if let Some(&last) = self.active_words.last() {
+                    self.words_unsorted |= last as usize > word;
+                }
+                self.active_words.push(word as u32);
+            }
+            self.active[word] |= 1 << (id % 64);
+        }
+        queue.push(&mut self.pool, pkt);
+        self.max_queue = self.max_queue.max(queue.len());
+        self.in_flight += 1;
+    }
+
+    /// Ascending order for `active_words`, if a join broke it.
+    fn sort_active_words(&mut self) {
+        if std::mem::take(&mut self.words_unsorted) {
+            self.active_words.sort_unstable();
+        }
+    }
+
+    /// Empty the active set (the queues themselves are not touched).
+    fn clear_active(&mut self) {
+        for &w in &self.active_words {
+            self.active[w as usize] = 0;
+        }
+        self.active_words.clear();
+        self.words_unsorted = false;
+    }
 }
 
 impl Engine {
@@ -233,43 +297,45 @@ impl Engine {
         let links = link_target.len();
         Engine {
             cfg,
-            link_offset,
             link_target,
-            queues: vec![LinkQueue::new(); links],
-            pool: PacketPool::new(),
+            links: LinkState {
+                offset: link_offset,
+                queues: vec![LinkQueue::new(); links],
+                pool: PacketPool::new(),
+                active: vec![0; links.div_ceil(64)],
+                active_words: Vec::new(),
+                words_unsorted: false,
+                dirty: Vec::new(),
+                max_queue: 0,
+                in_flight: 0,
+                delivered: Vec::new(),
+            },
             blocked: vec![false; links],
             blocked_any: false,
             faults: None,
             clock: 0,
-            active: vec![0; links.div_ceil(64)],
-            active_words: Vec::new(),
-            words_unsorted: false,
-            dirty: Vec::new(),
-            max_queue: 0,
-            in_flight: 0,
             pending: Vec::new(),
             metrics: Metrics::default(),
             arrival_links: Vec::new(),
             arrival_pkts: Vec::new(),
             groups: ArrivalGroups::new(n),
             batch: Vec::new(),
-            outbox: Outbox::default(),
         }
     }
 
     /// Number of nodes in the simulated network.
     pub fn num_nodes(&self) -> usize {
-        self.link_offset.len() - 1
+        self.links.offset.len() - 1
     }
 
-    fn out_degree(&self, node: usize) -> usize {
-        (self.link_offset[node + 1] - self.link_offset[node]) as usize
-    }
-
-    /// Link id of `(node, port)`.
+    /// Link id of `(node, port)`. Panics if `node` has no such port.
     pub fn link_id(&self, node: usize, port: usize) -> usize {
-        debug_assert!(port < self.out_degree(node));
-        self.link_offset[node] as usize + port
+        let (base, degree) = self.links.ports(node);
+        assert!(
+            port < degree,
+            "block_link on invalid port {port} of node {node}"
+        );
+        base + port
     }
 
     /// Mark a link as failed: packets queue on it but never traverse.
@@ -295,7 +361,7 @@ impl Engine {
     /// last [`Engine::reset`]; `reset` clears the plan, so a recycled
     /// engine always starts fault-free.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), FaultError> {
-        let sched = FaultSchedule::build(plan, &self.link_offset, &self.link_target)?;
+        let sched = FaultSchedule::build(plan, &self.links.offset, &self.link_target)?;
         self.faults = Some(Box::new(sched));
         // Whatever the schedule blocks must be wiped on reset.
         self.blocked_any = true;
@@ -316,18 +382,19 @@ impl Engine {
     pub fn reset(&mut self) {
         // Only touched queues need wiping (untouched ones are pristine):
         // reset cost scales with the traffic, not the network size.
-        for &id in &self.dirty {
-            self.queues[id as usize].reset();
+        let links = &mut self.links;
+        for &id in &links.dirty {
+            links.queues[id as usize].reset();
         }
-        self.dirty.clear();
-        self.pool.clear();
+        links.dirty.clear();
+        links.pool.clear();
+        links.clear_active();
+        links.max_queue = 0;
+        links.in_flight = 0;
         if self.blocked_any {
             self.blocked.fill(false);
             self.blocked_any = false;
         }
-        self.clear_active();
-        self.max_queue = 0;
-        self.in_flight = 0;
         self.pending.clear();
         self.metrics = Metrics::default();
         self.faults = None;
@@ -337,67 +404,6 @@ impl Engine {
     /// Schedule `pkt` for injection at `node` before the first step.
     pub fn inject(&mut self, node: usize, pkt: Packet) {
         self.pending.push((node, pkt));
-    }
-
-    /// Enqueue one node's sends as `(port, packet)`, in order — what a
-    /// protocol callback at `node` produced. This is the only way packets
-    /// enter link queues, from the engine's own process phase and from an
-    /// external coordinator alike. The packets become eligible to traverse
-    /// their links from the next transmit phase on.
-    pub fn enqueue_sends(&mut self, node: usize, sends: &[(usize, Packet)]) {
-        let base = self.link_offset[node] as usize;
-        let degree = self.out_degree(node);
-        for &(port, pkt) in sends {
-            assert!(
-                port < degree,
-                "protocol sent on invalid port {port} of node {node}"
-            );
-            let id = base + port;
-            let queue = &mut self.queues[id];
-            if queue.is_empty() {
-                if queue.pops() == 0 {
-                    self.dirty.push(id as u32);
-                }
-                let word = id / 64;
-                if self.active[word] == 0 {
-                    if let Some(&last) = self.active_words.last() {
-                        self.words_unsorted |= last as usize > word;
-                    }
-                    self.active_words.push(word as u32);
-                }
-                self.active[word] |= 1 << (id % 64);
-            }
-            queue.push(&mut self.pool, pkt);
-            self.max_queue = self.max_queue.max(queue.len());
-        }
-        self.in_flight += sends.len();
-    }
-
-    fn apply_outbox(&mut self, node: usize, out: &mut Outbox, step: u32) {
-        // `out`'s buffers are distinct from `self` and `clear()` keeps
-        // their capacity for the next callback (no per-callback
-        // allocation).
-        self.enqueue_sends(node, &out.sends);
-        for pkt in &out.delivered {
-            self.metrics.on_delivery(step, pkt.injected_at);
-        }
-        out.clear();
-    }
-
-    /// Ascending order for `active_words`, if a join broke it.
-    fn sort_active_words(&mut self) {
-        if std::mem::take(&mut self.words_unsorted) {
-            self.active_words.sort_unstable();
-        }
-    }
-
-    /// Empty the active set (the queues themselves are not touched).
-    fn clear_active(&mut self) {
-        for &w in &self.active_words {
-            self.active[w as usize] = 0;
-        }
-        self.active_words.clear();
-        self.words_unsorted = false;
     }
 
     /// Run the protocol until all queues drain or `max_steps` elapse.
@@ -414,10 +420,7 @@ impl Engine {
         sink: &mut S,
     ) -> RunOutcome {
         let max_steps = self.cfg.max_steps;
-        let mut out = std::mem::take(&mut self.outbox);
-        let outcome = step_loop(self, proto, sink, &mut NoAdmission, max_steps, &mut out);
-        self.outbox = out;
-        outcome
+        step_loop(self, proto, sink, &mut NoAdmission, max_steps)
     }
 
     // ------------------------------------------------------------------
@@ -425,12 +428,26 @@ impl Engine {
     //
     // Beyond the [`StepEngine`] phases, an external coordinator (the
     // sharded subsystem, `lnpram-shard`) needs to read a shard engine's
-    // arrivals, drive the protocol itself and enqueue the responses
-    // back: each shard engine transmits its own links, the coordinator
-    // reads the shards' arrivals in shard order (their link ranges
-    // ascend, so that is global link-id order), and closes the step on
-    // every shard.
+    // arrivals and drive the protocol itself with outboxes onto the
+    // engine that owns each node: each shard engine transmits its own
+    // links, the coordinator reads the shards' arrivals in shard order
+    // (their link ranges ascend, so that is global link-id order), and
+    // closes the step on every shard.
     // ------------------------------------------------------------------
+
+    /// An [`Outbox`] onto the out-links of this engine's node `local`,
+    /// for a callback at `step` that a coordinator runs for its node
+    /// `node` (the id the port check names): sends are queued on this
+    /// engine at once, deliveries are recorded into `metrics`.
+    pub fn outbox<'a>(
+        &'a mut self,
+        local: usize,
+        node: usize,
+        step: u32,
+        metrics: &'a mut Metrics,
+    ) -> Outbox<'a> {
+        Outbox::direct(&mut self.links, metrics, local, node, step)
+    }
 
     /// The last transmit's arrivals as two parallel slices — the link
     /// each packet crossed and the packet — in ascending link-id order,
@@ -474,34 +491,34 @@ impl Engine {
         // Chain walks share one seen-bitmap, so a slot reachable from
         // two places (two queues, or a queue and the free list) is
         // reported no matter which walk gets there second.
-        let mut seen = vec![false; self.pool.capacity()];
+        let mut seen = vec![false; self.links.pool.capacity()];
         let mut total_queued = 0usize;
-        for (id, q) in self.queues.iter().enumerate() {
-            match q.check_chain(&self.pool, &mut seen) {
+        for (id, q) in self.links.queues.iter().enumerate() {
+            match q.check_chain(&self.links.pool, &mut seen) {
                 Ok(n) => total_queued += n,
                 Err(e) => return fail(format!("link {id}: {e}")),
             }
         }
-        let free = match self.pool.walk_free(&mut seen) {
+        let free = match self.links.pool.walk_free(&mut seen) {
             Ok(n) => n,
             Err(e) => return fail(format!("packet pool: {e}")),
         };
-        if free + total_queued != self.pool.capacity() {
+        if free + total_queued != self.links.pool.capacity() {
             return fail(format!(
                 "slot conservation: {free} free + {total_queued} queued != arena capacity {}",
-                self.pool.capacity()
+                self.links.pool.capacity()
             ));
         }
-        if self.in_flight != total_queued {
+        if self.links.in_flight != total_queued {
             return fail(format!(
                 "packet conservation: in_flight counter {} != {total_queued} queued packets",
-                self.in_flight
+                self.links.in_flight
             ));
         }
 
         // Dirty-list shape: no link twice.
-        let mut dirty = vec![false; self.queues.len()];
-        for &id in &self.dirty {
+        let mut dirty = vec![false; self.links.queues.len()];
+        for &id in &self.links.dirty {
             if std::mem::replace(&mut dirty[id as usize], true) {
                 return fail(format!("dirty list holds link {id} twice"));
             }
@@ -509,19 +526,19 @@ impl Engine {
         // Per queue: its active bit is set exactly while it is non-empty,
         // it is no longer than the max_queue counter, and if it was ever
         // pushed on it is dirty-listed (reset would leak it otherwise).
-        for (id, q) in self.queues.iter().enumerate() {
-            let bit = self.active[id / 64] >> (id % 64) & 1;
+        for (id, q) in self.links.queues.iter().enumerate() {
+            let bit = self.links.active[id / 64] >> (id % 64) & 1;
             if (bit == 1) == q.is_empty() {
                 return fail(format!(
                     "link {id} has {} queued packet(s) but its active bit is {bit}",
                     q.len()
                 ));
             }
-            if q.len() > self.max_queue {
+            if q.len() > self.links.max_queue {
                 return fail(format!(
                     "link {id} holds {} packets, above the max_queue counter {}",
                     q.len(),
-                    self.max_queue
+                    self.links.max_queue
                 ));
             }
             if (!q.is_empty() || q.pops() > 0) && !dirty[id] {
@@ -532,17 +549,17 @@ impl Engine {
         }
         // Word-list shape: exactly the non-zero words, once each,
         // ascending unless flagged for sorting.
-        let nonzero: Vec<u32> = (0..self.active.len() as u32)
-            .filter(|&w| self.active[w as usize] != 0)
+        let nonzero: Vec<u32> = (0..self.links.active.len() as u32)
+            .filter(|&w| self.links.active[w as usize] != 0)
             .collect();
-        let mut listed = self.active_words.clone();
+        let mut listed = self.links.active_words.clone();
         let ascending = listed.is_sorted();
         listed.sort_unstable();
-        if listed != nonzero || !(ascending || self.words_unsorted) {
+        if listed != nonzero || !(ascending || self.links.words_unsorted) {
             return fail(format!(
                 "active word list {:?} (flagged unsorted: {}) is not the non-zero words \
                  {nonzero:?}, ascending unless flagged",
-                self.active_words, self.words_unsorted
+                self.links.active_words, self.links.words_unsorted
             ));
         }
         if let Err(e) = self.groups.check_idle() {
@@ -555,7 +572,7 @@ impl Engine {
     /// the last [`Engine::reset`] (the `max_queue` metric): a counter
     /// raised on every push.
     pub fn queue_high_water(&self) -> usize {
-        self.max_queue
+        self.links.max_queue
     }
 
     /// Every active, unblocked link moves the packet its discipline
@@ -563,12 +580,12 @@ impl Engine {
     /// slot — in ascending link order; links whose queue empties leave
     /// the active set.
     fn transmit(&mut self) {
-        self.sort_active_words();
+        self.links.sort_active_words();
         let disc = self.cfg.discipline;
         let mut kept = 0;
-        for i in 0..self.active_words.len() {
-            let w = self.active_words[i] as usize;
-            let mut left = self.active[w];
+        for i in 0..self.links.active_words.len() {
+            let w = self.links.active_words[i] as usize;
+            let mut left = self.links.active[w];
             let mut bits = left;
             while bits != 0 {
                 let bit = bits & bits.wrapping_neg();
@@ -577,23 +594,23 @@ impl Engine {
                 if self.blocked_any && self.blocked[idx] {
                     continue; // queue stays, nothing traverses
                 }
-                let queue = &mut self.queues[idx];
-                if let Some(sel) = queue.select(&self.pool, disc) {
-                    self.arrival_pkts.push(*self.pool.selected(sel));
+                let queue = &mut self.links.queues[idx];
+                if let Some(sel) = queue.select(&self.links.pool, disc) {
+                    self.arrival_pkts.push(*self.links.pool.selected(sel));
                     self.arrival_links.push(idx as u32);
-                    queue.unlink(&mut self.pool, sel);
+                    queue.unlink(&mut self.links.pool, sel);
                 }
                 if queue.is_empty() {
                     left ^= bit;
                 }
             }
-            self.active[w] = left;
+            self.links.active[w] = left;
             if left != 0 {
-                self.active_words[kept] = w as u32;
+                self.links.active_words[kept] = w as u32;
                 kept += 1;
             }
         }
-        self.active_words.truncate(kept);
+        self.links.active_words.truncate(kept);
     }
 
     /// Take back the not-yet-processed injections queued by
@@ -609,44 +626,49 @@ impl Engine {
     /// are ports `0..out_degree(v)` in sequence). Available any time,
     /// independent of [`SimConfig::record_link_loads`].
     pub fn link_loads(&self) -> Vec<u32> {
-        self.queues.iter().map(|q| q.pops()).collect()
+        self.links.queues.iter().map(|q| q.pops()).collect()
     }
 
     /// Packets still queued (useful after an incomplete run).
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.links.in_flight
     }
 
     /// Drain every queue, returning the stranded packets (used by the
     /// retry wrapper of Lemma 2.1 to send unsuccessful packets back).
     /// Queues are drained in ascending link order.
     pub fn drain_all(&mut self) -> Vec<Packet> {
-        self.sort_active_words();
+        self.links.sort_active_words();
         let mut out = Vec::new();
-        for link in active_links(&self.active_words, &self.active) {
-            self.queues[link].drain_into(&mut self.pool, &mut out);
+        for link in active_links(&self.links.active_words, &self.links.active) {
+            self.links.queues[link].drain_into(&mut self.links.pool, &mut out);
         }
-        self.clear_active();
-        self.in_flight = 0;
+        self.links.clear_active();
+        self.links.in_flight = 0;
         // A drained queue that never popped is pristine again; dropping
         // it from `dirty` keeps its next push from listing it twice.
-        let queues = &self.queues;
-        self.dirty.retain(|&id| queues[id as usize].pops() > 0);
+        let queues = &self.links.queues;
+        self.links
+            .dirty
+            .retain(|&id| queues[id as usize].pops() > 0);
         out
     }
 }
 
 impl StepEngine for Engine {
-    fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            let (node, mut pkt) = self.pending[i];
+    fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32) {
+        let Engine {
+            pending,
+            links,
+            metrics,
+            ..
+        } = self;
+        for &(node, mut pkt) in pending.iter() {
             pkt.injected_at = step;
-            proto.on_packet(node, pkt, step, out);
-            self.apply_outbox(node, out, step);
-            i += 1;
+            let mut out = Outbox::direct(links, metrics, node, node, step);
+            proto.on_packet(node, pkt, step, &mut out);
         }
-        self.pending.clear();
+        pending.clear();
     }
 
     fn step_transmit<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
@@ -667,36 +689,43 @@ impl StepEngine for Engine {
         self.arrival_links.clear();
         self.arrival_pkts.clear();
         self.transmit();
-        self.in_flight -= self.arrival_links.len();
+        self.links.in_flight -= self.arrival_links.len();
         sink.on_phase_end(Phase::Transmit);
     }
 
-    fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox) {
+    fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32) {
+        let Engine {
+            link_target,
+            links,
+            metrics,
+            arrival_links,
+            arrival_pkts,
+            groups,
+            batch,
+            ..
+        } = self;
         if P::NODE_LOCAL {
-            for a in 0..self.arrival_links.len() {
-                let node = self.link_target[self.arrival_links[a] as usize] as usize;
-                proto.on_packet(node, self.arrival_pkts[a], step, out);
-                self.apply_outbox(node, out, step);
+            for (&link, &pkt) in arrival_links.iter().zip(arrival_pkts.iter()) {
+                let node = link_target[link as usize] as usize;
+                let mut out = Outbox::direct(links, metrics, node, node, step);
+                proto.on_packet(node, pkt, step, &mut out);
             }
             return;
         }
-        for (a, &link) in self.arrival_links.iter().enumerate() {
-            self.groups
-                .push(self.link_target[link as usize] as usize, a as u32);
+        for (a, &link) in arrival_links.iter().enumerate() {
+            groups.push(link_target[link as usize] as usize, a as u32);
         }
-        self.groups.seal();
-        while let Some((node, head)) = self.groups.pop_node() {
-            if let Some(a) = self.groups.single(head) {
-                let pkt = std::slice::from_ref(&self.arrival_pkts[a as usize]);
-                proto.on_arrivals(node, pkt, step, out);
+        groups.seal();
+        while let Some((node, head)) = groups.pop_node() {
+            let mut out = Outbox::direct(links, metrics, node, node, step);
+            if let Some(a) = groups.single(head) {
+                let pkt = std::slice::from_ref(&arrival_pkts[a as usize]);
+                proto.on_arrivals(node, pkt, step, &mut out);
             } else {
-                self.batch.clear();
-                let arrivals = &self.arrival_pkts;
-                self.batch
-                    .extend(self.groups.members(head).map(|a| arrivals[a as usize]));
-                proto.on_arrivals(node, &self.batch, step, out);
+                batch.clear();
+                batch.extend(groups.members(head).map(|a| arrival_pkts[a as usize]));
+                proto.on_arrivals(node, batch, step, &mut out);
             }
-            self.apply_outbox(node, out, step);
         }
     }
 
@@ -709,20 +738,20 @@ impl StepEngine for Engine {
     }
 
     fn note_queued_step(&mut self) {
-        self.metrics.queued_packet_steps += self.in_flight as u64;
+        self.metrics.queued_packet_steps += self.links.in_flight as u64;
     }
 
     fn finish_metrics(&mut self, steps: u32) -> Metrics {
         self.metrics.steps = steps;
         self.metrics.max_queue = self.queue_high_water();
         if self.cfg.record_link_loads {
-            self.metrics.link_loads = self.queues.iter().map(|q| q.pops()).collect();
+            self.metrics.link_loads = self.links.queues.iter().map(|q| q.pops()).collect();
         }
         std::mem::take(&mut self.metrics)
     }
 
     fn in_flight(&self) -> usize {
-        self.in_flight
+        self.links.in_flight
     }
 
     fn delivered(&self) -> usize {
@@ -734,8 +763,8 @@ impl StepEngine for Engine {
     }
 
     fn max_queue_len(&self) -> usize {
-        active_links(&self.active_words, &self.active)
-            .map(|link| self.queues[link].len())
+        active_links(&self.links.active_words, &self.links.active)
+            .map(|link| self.links.queues[link].len())
             .max()
             .unwrap_or(0)
     }
@@ -1158,10 +1187,14 @@ mod tests {
             assert!(out.completed);
         };
         run_round(&mut eng);
-        let warm = eng.pool.capacity();
+        let warm = eng.links.pool.capacity();
         for _ in 0..5 {
             run_round(&mut eng);
-            assert_eq!(eng.pool.capacity(), warm, "arena regrew after warm-up");
+            assert_eq!(
+                eng.links.pool.capacity(),
+                warm,
+                "arena regrew after warm-up"
+            );
         }
     }
 
@@ -1178,11 +1211,10 @@ mod tests {
             eng.inject(node, Packet::new(node as u32, node as u32, dest));
         }
         let mut proto = GreedyMesh { mesh };
-        let mut out = Outbox::default();
-        eng.process_pending(&mut proto, 0, &mut out);
+        eng.process_pending(&mut proto, 0);
         eng.step_finish();
         assert!(
-            eng.words_unsorted,
+            eng.links.words_unsorted,
             "the case under test: words out of order"
         );
         eng.step_transmit(&mut NoopSink);
@@ -1207,21 +1239,39 @@ mod tests {
         let net = ExplicitNetwork::undirected(2, &[(0, 1)], "edge");
         let mut eng = Engine::new(&net, SimConfig::default());
         let mut proto = |_node: usize, pkt: Packet, _s: u32, out: &mut Outbox| out.deliver(pkt);
-        let mut out = Outbox::default();
-        let sends: Vec<(usize, Packet)> = (0..4).map(|i| (0, Packet::new(i, 0, 1))).collect();
-        eng.enqueue_sends(0, &sends);
+        let mut metrics = Metrics::default();
+        let mut out = eng.outbox(0, 0, 0, &mut metrics);
+        for i in 0..4 {
+            out.send(0, Packet::new(i, 0, 1));
+        }
+        assert_eq!(out.pending_sends(), 4);
         for step in 1..=2 {
             eng.step_transmit(&mut NoopSink);
-            eng.process_arrivals(&mut proto, step, &mut out);
+            eng.process_arrivals(&mut proto, step);
             eng.step_finish();
         }
-        eng.enqueue_sends(0, &[(0, Packet::new(9, 0, 1))]);
+        eng.outbox(0, 0, 2, &mut metrics)
+            .send(0, Packet::new(9, 0, 1));
         assert_eq!(eng.max_queue_len(), 3);
         assert_eq!(eng.finish_metrics(2).max_queue, 4);
     }
 
+    /// A send past the node's last port panics instead of landing on
+    /// the next node's link: node 3 of a 4-node path has one port.
+    #[test]
+    #[should_panic(expected = "protocol sent on invalid port 1 of node 3")]
+    fn send_on_invalid_port_panics() {
+        let path = Mesh::linear(4);
+        let mut eng = Engine::new(&path, SimConfig::default());
+        eng.inject(3, Packet::new(0, 3, 0));
+        let mut proto = |node: usize, pkt: Packet, _s: u32, out: &mut Outbox| {
+            out.send(path.out_degree(node), pkt);
+        };
+        eng.run(&mut proto);
+    }
+
     fn first_active_link(eng: &Engine) -> usize {
-        active_links(&eng.active_words, &eng.active)
+        active_links(&eng.links.active_words, &eng.links.active)
             .next()
             .expect("a queued link")
     }
@@ -1238,8 +1288,7 @@ mod tests {
                 eng.inject(i, Packet::new(i as u32, i as u32, 8));
             }
             let mut proto = GreedyMesh { mesh };
-            let mut out = Outbox::default();
-            eng.process_pending(&mut proto, 0, &mut out);
+            eng.process_pending(&mut proto, 0);
             eng.step_finish();
             assert_eq!(eng.check_invariants(), Ok(()));
             eng
@@ -1247,7 +1296,7 @@ mod tests {
 
         // Packet-conservation drift.
         let mut eng = build();
-        eng.in_flight += 1;
+        eng.links.in_flight += 1;
         let err = eng
             .check_invariants()
             .expect_err("in_flight drift must be caught");
@@ -1256,11 +1305,11 @@ mod tests {
         // Queue length counter out of sync with its chain.
         let mut eng = build();
         let link = first_active_link(&eng);
-        eng.queues[link].push(&mut eng.pool, Packet::new(99, 0, 8));
+        eng.links.queues[link].push(&mut eng.links.pool, Packet::new(99, 0, 8));
         // (push bumped len and allocated a slot, but in_flight was not
         // told — and we also corrupt the counter directly)
-        eng.in_flight += 1;
-        eng.queues[link].reset();
+        eng.links.in_flight += 1;
+        eng.links.queues[link].reset();
         let err = eng
             .check_invariants()
             .expect_err("leaked chain must be caught");
@@ -1272,11 +1321,11 @@ mod tests {
         // Active list referencing an empty, unblocked queue.
         let mut eng = build();
         let link = first_active_link(&eng);
-        let n = eng.queues[link].len();
+        let n = eng.links.queues[link].len();
         for _ in 0..n {
-            eng.queues[link].pop(&mut eng.pool, Discipline::Fifo);
+            eng.links.queues[link].pop(&mut eng.links.pool, Discipline::Fifo);
         }
-        eng.in_flight -= n;
+        eng.links.in_flight -= n;
         let err = eng
             .check_invariants()
             .expect_err("stale active entry must be caught");
@@ -1365,8 +1414,7 @@ mod tests {
                     }
                 }
                 let mut proto = GreedyMesh { mesh };
-                let mut out = Outbox::default();
-                eng.process_pending(&mut proto, 0, &mut out);
+                eng.process_pending(&mut proto, 0);
                 eng.step_finish();
                 prop_assert_eq!(eng.check_invariants(), Ok(()));
                 let mut step = 0u32;
@@ -1374,7 +1422,7 @@ mod tests {
                     step += 1;
                     prop_assert!(step <= eng.cfg.max_steps, "driver ran away");
                     eng.step_transmit(&mut NoopSink);
-                    eng.process_arrivals(&mut proto, step, &mut out);
+                    eng.process_arrivals(&mut proto, step);
                     eng.step_finish();
                     prop_assert_eq!(eng.check_invariants(), Ok(()));
                 }

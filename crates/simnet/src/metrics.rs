@@ -43,9 +43,10 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    /// Record a delivery at `step` for a packet injected at `injected_at`.
-    /// Public so external engine drivers (the `lnpram-shard` coordinator)
-    /// accumulate deliveries exactly the way `Engine::run` does.
+    /// Record a delivery at `step` for a packet injected at `injected_at`
+    /// (what [`Outbox::deliver`](crate::Outbox::deliver) does on an
+    /// engine). Public so a reference engine driving a capture-mode
+    /// outbox records deliveries exactly the same way.
     ///
     /// A delivery before its injection step is a bookkeeping error (e.g. a
     /// serve driver admitting packets with a stale step counter); debug

@@ -3,38 +3,140 @@
 //! A [`Protocol`] is the node-local program of the routing or emulation
 //! algorithm. The engine calls [`Protocol::on_packet`] for every packet
 //! arriving at (or injected into) a node; the protocol responds through the
-//! [`Outbox`] by forwarding on out-ports, delivering locally, or absorbing
-//! (CRCW combining) — and may emit *several* packets (reply fan-out), which
-//! is how the paper's unit-time combining (footnote 3) is expressed.
+//! [`Outbox`], its handle on the node's out-links, by forwarding on
+//! out-ports, delivering locally, or absorbing (CRCW combining) — and may
+//! emit *several* packets (reply fan-out), which is how the paper's
+//! unit-time combining (footnote 3) is expressed.
 
+use crate::engine::LinkState;
+use crate::metrics::Metrics;
 use crate::packet::Packet;
 
-/// Sink for a node's responses to one arrival.
+/// A protocol callback's handle on the out-links of the node being
+/// processed.
+///
+/// An engine hands every callback an outbox onto its own link state:
+/// [`Outbox::send`] pushes the packet onto the node's link at once and
+/// [`Outbox::deliver`] counts the delivery into the run's metrics at
+/// once, so nothing is buffered and replayed between the callback and
+/// the queues. The outbox borrows the engine's state for one callback;
+/// it owns nothing.
+///
+/// [`Outbox::default`] is the *capture* mode instead: it only records the
+/// callback's `(port, packet)` sends and its deliveries, for a reference
+/// engine or a unit test to read through [`Outbox::sends`] and
+/// [`Outbox::delivered`].
 #[derive(Debug, Default)]
-pub struct Outbox {
-    pub(crate) sends: Vec<(usize, Packet)>,
-    pub(crate) delivered: Vec<Packet>,
+pub struct Outbox<'a> {
+    to: Target<'a>,
 }
 
-impl Outbox {
+#[derive(Debug)]
+enum Target<'a> {
+    /// Engine mode: sends land on `links`, deliveries count into
+    /// `metrics` (and are kept in `links.delivered` for the callback).
+    Links {
+        links: &'a mut LinkState,
+        metrics: &'a mut Metrics,
+        /// First link id of the node's ports, and their count.
+        base: usize,
+        degree: usize,
+        /// The node id the port check names (global on a shard engine).
+        node: usize,
+        step: u32,
+        /// `links.in_flight` when the callback began.
+        mark: usize,
+    },
+    Capture {
+        sends: Vec<(usize, Packet)>,
+        delivered: Vec<Packet>,
+    },
+}
+
+impl Default for Target<'_> {
+    fn default() -> Self {
+        Target::Capture {
+            sends: Vec::new(),
+            delivered: Vec::new(),
+        }
+    }
+}
+
+impl<'a> Outbox<'a> {
+    /// The outbox of a callback at step `step` at local node `local` of
+    /// `links`, which the port check calls `node`.
+    #[inline]
+    pub(crate) fn direct(
+        links: &'a mut LinkState,
+        metrics: &'a mut Metrics,
+        local: usize,
+        node: usize,
+        step: u32,
+    ) -> Self {
+        let (base, degree) = links.ports(local);
+        links.delivered.clear();
+        let mark = links.in_flight;
+        Outbox {
+            to: Target::Links {
+                links,
+                metrics,
+                base,
+                degree,
+                node,
+                step,
+                mark,
+            },
+        }
+    }
+
     /// Forward `pkt` on `port` of the current node (enqueued this step,
-    /// eligible to traverse the link from the next step on).
+    /// eligible to traverse the link from the next step on). Panics if
+    /// the node has no such port.
     #[inline]
     pub fn send(&mut self, port: usize, pkt: Packet) {
-        self.sends.push((port, pkt));
+        match &mut self.to {
+            Target::Links {
+                links,
+                base,
+                degree,
+                node,
+                ..
+            } => {
+                assert!(
+                    port < *degree,
+                    "protocol sent on invalid port {port} of node {node}"
+                );
+                links.push(*base + port, pkt);
+            }
+            Target::Capture { sends, .. } => sends.push((port, pkt)),
+        }
     }
 
     /// The packet has reached its destination; record it as delivered at
     /// the current step.
     #[inline]
     pub fn deliver(&mut self, pkt: Packet) {
-        self.delivered.push(pkt);
+        match &mut self.to {
+            Target::Links {
+                links,
+                metrics,
+                step,
+                ..
+            } => {
+                metrics.on_delivery(*step, pkt.injected_at);
+                links.delivered.push(pkt);
+            }
+            Target::Capture { delivered, .. } => delivered.push(pkt),
+        }
     }
 
-    /// Number of sends queued so far this callback (lets protocols detect
+    /// Number of sends made so far this callback (lets protocols detect
     /// whether a fan-out emitted anything).
     pub fn pending_sends(&self) -> usize {
-        self.sends.len()
+        match &self.to {
+            Target::Links { links, mark, .. } => links.in_flight - mark,
+            Target::Capture { sends, .. } => sends.len(),
+        }
     }
 
     /// Absorb the packet silently (combining: the packet's request has been
@@ -42,24 +144,34 @@ impl Outbox {
     /// spelled out for readability at call sites.
     pub fn absorb(&mut self, _pkt: Packet) {}
 
-    /// The forwards queued by the current callback, as `(port, packet)` —
-    /// read by external engine drivers (the `lnpram-shard` coordinator)
-    /// that apply an outbox themselves instead of through `Engine::run`.
+    /// The forwards captured so far, as `(port, packet)`. Capture mode
+    /// only: an engine's outbox has already queued its sends, and this
+    /// is empty.
     pub fn sends(&self) -> &[(usize, Packet)] {
-        &self.sends
+        match &self.to {
+            Target::Links { .. } => &[],
+            Target::Capture { sends, .. } => sends,
+        }
     }
 
     /// The packets delivered by the current callback.
     pub fn delivered(&self) -> &[Packet] {
-        &self.delivered
+        match &self.to {
+            Target::Links { links, .. } => &links.delivered,
+            Target::Capture { delivered, .. } => delivered,
+        }
     }
 
-    /// Reset both buffers, keeping their capacity. External engine
-    /// drivers call this after applying a callback's effects (mirrors
-    /// what `Engine::run` does internally).
+    /// Empty the captured sends and deliveries, keeping their capacity —
+    /// what a reference engine does after applying a callback's effects.
     pub fn clear(&mut self) {
-        self.sends.clear();
-        self.delivered.clear();
+        match &mut self.to {
+            Target::Links { links, .. } => links.delivered.clear(),
+            Target::Capture { sends, delivered } => {
+                sends.clear();
+                delivered.clear();
+            }
+        }
     }
 }
 
@@ -134,11 +246,11 @@ mod tests {
         out.send(2, p);
         out.deliver(p);
         out.absorb(p);
-        assert_eq!(out.sends.len(), 1);
-        assert_eq!(out.sends[0].0, 2);
-        assert_eq!(out.delivered.len(), 1);
+        assert_eq!(out.sends(), &[(2, p)]);
+        assert_eq!(out.pending_sends(), 1);
+        assert_eq!(out.delivered(), &[p]);
         out.clear();
-        assert!(out.sends.is_empty() && out.delivered.is_empty());
+        assert!(out.sends().is_empty() && out.delivered().is_empty());
     }
 
     #[test]
@@ -151,7 +263,7 @@ mod tests {
             };
             let mut out = Outbox::default();
             proto.on_packet(3, Packet::new(0, 0, 3), 1, &mut out);
-            assert_eq!(out.delivered.len(), 1);
+            assert_eq!(out.delivered().len(), 1);
         }
         assert_eq!(seen, 1);
     }

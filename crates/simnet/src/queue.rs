@@ -83,6 +83,7 @@ impl PacketPool {
     }
 
     /// Store `pkt`, recycling a free slot if one exists.
+    #[inline]
     fn alloc(&mut self, pkt: Packet) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
@@ -211,6 +212,7 @@ impl LinkQueue {
 
     /// Enqueue a packet (position depends only on arrival order; selection
     /// order is the discipline's business).
+    #[inline]
     pub fn push(&mut self, pool: &mut PacketPool, pkt: Packet) {
         let idx = pool.alloc(pkt);
         if self.tail == NIL {

@@ -16,7 +16,7 @@
 
 use crate::engine::RunOutcome;
 use crate::metrics::Metrics;
-use crate::protocol::{Outbox, Protocol};
+use crate::protocol::Protocol;
 use crate::trace::{Phase, StepSample, TraceSink};
 
 /// One simulated network that can be stepped phase by phase. Driving an
@@ -28,7 +28,7 @@ pub trait StepEngine {
     /// each packet's `injected_at` with it, so latency measures
     /// admission-to-delivery even for packets admitted mid-run. Forwards
     /// enqueued here become eligible to traverse links at `step + 1`.
-    fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox);
+    fn process_pending<P: Protocol>(&mut self, proto: &mut P, step: u32);
 
     /// One transmit phase: apply the fault schedule, then every active
     /// link extracts at most one packet under the queueing discipline.
@@ -43,7 +43,7 @@ pub trait StepEngine {
     /// [`Protocol::NODE_LOCAL`] protocol (every router, the other
     /// emulator-host protocols) gets them ungrouped instead, one
     /// [`Protocol::on_packet`] per arrival in link-id order.
-    fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32, out: &mut Outbox);
+    fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32);
 
     /// Close the step (and re-verify invariants when checking is on).
     fn step_finish(&mut self);
@@ -116,9 +116,9 @@ impl<E: StepEngine> Admission<E> for NoAdmission {
 /// Run `proto` on `eng` until the network is empty and `admit` has
 /// nothing outstanding, or `max_steps` steps have run (`completed =
 /// false`; the undelivered packets stay queued). The returned metrics'
-/// `steps` is the number of steps executed. Every callback answers into
-/// `out`, which the engine empties after each one; an engine that keeps
-/// its outbox across runs allocates none per run.
+/// `steps` is the number of steps executed. Every callback answers
+/// through an [`Outbox`](crate::Outbox) onto the engine's links, so its
+/// sends are queued as it makes them and nothing is buffered per run.
 ///
 /// Generic over the sink, so with [`NoopSink`](crate::NoopSink) every
 /// callback and every `sink.enabled()` block folds away and this is the
@@ -129,7 +129,6 @@ pub fn step_loop<E, P, S, A>(
     sink: &mut S,
     admit: &mut A,
     max_steps: u32,
-    out: &mut Outbox,
 ) -> RunOutcome
 where
     E: StepEngine,
@@ -160,7 +159,7 @@ where
         admit.admit(eng, 0, sink);
     }
     sink.on_phase_start(Phase::Process);
-    eng.process_pending(proto, 0, out);
+    eng.process_pending(proto, 0);
     sink.on_phase_end(Phase::Process);
     eng.step_finish();
     proto.on_step_end(0);
@@ -177,12 +176,12 @@ where
         sink.on_step_begin(step);
         eng.step_transmit(sink);
         sink.on_phase_start(Phase::Process);
-        eng.process_arrivals(proto, step, out);
+        eng.process_arrivals(proto, step);
         sink.on_phase_end(Phase::Process);
         if A::ACTIVE {
             admit.admit(eng, step, sink);
             sink.on_phase_start(Phase::Process);
-            eng.process_pending(proto, step, out);
+            eng.process_pending(proto, step);
             sink.on_phase_end(Phase::Process);
         }
         proto.on_step_end(step);
