@@ -9,7 +9,7 @@
 //! serial one.
 
 use crate::graph::LinkGraph;
-use lnpram_simnet::{Outbox, Packet, Protocol};
+use lnpram_simnet::{Outbox, Packet, Protocol, Shardable};
 
 /// A flat slab of link-id paths. Span `s` is
 /// `links[spans[s].0 .. spans[s].0 + spans[s].1]`.
@@ -67,6 +67,7 @@ impl PathArena {
 /// arena span hop by hop and delivers when the span is exhausted.
 /// Stateless apart from the shared immutable borrows, so it composes
 /// with the tag demux unchanged.
+#[derive(Clone)]
 pub struct PathProtocol<'a> {
     arena: &'a PathArena,
     graph: &'a LinkGraph,
@@ -77,6 +78,10 @@ impl<'a> PathProtocol<'a> {
     pub fn new(arena: &'a PathArena, graph: &'a LinkGraph) -> Self {
         PathProtocol { arena, graph }
     }
+}
+
+impl Shardable for PathProtocol<'_> {
+    fn merge(&mut self, _part: Self) {}
 }
 
 impl Protocol for PathProtocol<'_> {

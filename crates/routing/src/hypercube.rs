@@ -16,13 +16,18 @@
 
 use crate::router::{RoutingSession, RunExtras};
 use crate::two_phase::{TwoPhase, TwoPhaseBackend};
-use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
+use lnpram_simnet::{Outbox, Packet, Protocol, Shardable, SimConfig};
 use lnpram_topology::hypercube::Hypercube;
 
 /// Per-node program: two-phase e-cube (dimension-ordered) routing.
 /// (The route needs only bit arithmetic on node labels — no topology
 /// state — so the struct is a unit.)
+#[derive(Clone)]
 pub struct CubeRouter;
+
+impl Shardable for CubeRouter {
+    fn merge(&mut self, _part: Self) {}
+}
 
 impl Protocol for CubeRouter {
     const NODE_LOCAL: bool = true;

@@ -21,7 +21,7 @@
 use crate::router::{inject_per_source, PatternRef, RouteBackend, RoutingSession, RunExtras};
 use lnpram_math::rng::SeedSeq;
 use lnpram_shard::{AnyEngine, LevelCut};
-use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
+use lnpram_simnet::{Outbox, Packet, Protocol, Shardable, SimConfig};
 use lnpram_topology::leveled::{Leveled, LeveledNet};
 use rand::Rng;
 
@@ -120,6 +120,17 @@ impl<L: Leveled> Protocol for UniversalLeveledRouter<'_, L> {
     }
 }
 
+impl<L> Clone for UniversalLeveledRouter<'_, L> {
+    fn clone(&self) -> Self {
+        UniversalLeveledRouter { net: self.net }
+    }
+}
+
+// Stateless: a shared borrow of the network.
+impl<L: Leveled + Sync> Shardable for UniversalLeveledRouter<'_, L> {
+    fn merge(&mut self, _part: Self) {}
+}
+
 /// [`RouteBackend`] for Algorithm 2.1: owns the doubled network; the
 /// engine partitions into column bands ([`LevelCut`]).
 pub struct LeveledBackend<L> {
@@ -151,7 +162,7 @@ impl<L: Leveled + Copy> LeveledBackend<L> {
     }
 }
 
-impl<L: Leveled + Copy> RouteBackend for LeveledBackend<L> {
+impl<L: Leveled + Copy + Sync> RouteBackend for LeveledBackend<L> {
     type Proto<'a>
         = UniversalLeveledRouter<'a, L>
     where

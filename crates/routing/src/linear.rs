@@ -33,10 +33,10 @@ impl Protocol for LinearRouter {
             out.deliver(pkt);
             return;
         }
-        let (_, c) = self.array.coords(node);
-        let (_, dc) = self.array.coords(pkt.dest as usize);
+        let here = self.array.coords(node);
+        let (c, dc) = (here.1, self.array.coords(pkt.dest as usize).1);
         let dir = if c < dc { Dir::East } else { Dir::West };
-        let port = self.array.port_of_dir(node, dir).expect("interior move");
+        let port = self.array.port_at(here, dir).expect("interior move");
         out.send(port, pkt.with_priority(c.abs_diff(dc) as u32));
     }
 }

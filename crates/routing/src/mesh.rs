@@ -28,7 +28,7 @@
 use crate::router::{inject_per_source, PatternRef, RouteBackend, RoutingSession, RunExtras};
 use lnpram_math::rng::SeedSeq;
 use lnpram_shard::{AnyEngine, RowBlock};
-use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, SimConfig};
+use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, Shardable, SimConfig};
 use lnpram_topology::mesh::Dir;
 use lnpram_topology::{Mesh, Network};
 use rand::Rng;
@@ -80,6 +80,7 @@ pub fn default_block_rows(n: usize) -> usize {
 /// Per-node program for all three algorithms. Phases:
 /// 0 = toward `via` (stage 1 / VB phase A), 1 = fix column (stage 2),
 /// 2 = fix row (stage 3) then deliver.
+#[derive(Clone)]
 pub struct MeshRouter {
     mesh: Mesh,
     algorithm: MeshAlgorithm,
@@ -91,10 +92,16 @@ impl MeshRouter {
         MeshRouter { mesh, algorithm }
     }
 
-    fn send_toward(&self, node: usize, target: usize, pkt: Packet, out: &mut Outbox) {
-        debug_assert_ne!(node, target);
-        let (r, c) = self.mesh.coords(node);
-        let (tr, tc) = self.mesh.coords(target);
+    /// Forward one hop from the node at `(r, c)` toward the node at
+    /// `(tr, tc)`.
+    fn send_toward(
+        &self,
+        (r, c): (usize, usize),
+        (tr, tc): (usize, usize),
+        pkt: Packet,
+        out: &mut Outbox,
+    ) {
+        debug_assert_ne!((r, c), (tr, tc));
         // Column legs move vertically; row legs horizontally. Horizontal
         // movement has priority when the column is wrong (stage-2 legs and
         // greedy's row-first order both fix the column first).
@@ -107,7 +114,7 @@ impl MeshRouter {
         } else {
             Dir::North
         };
-        let port = self.mesh.port_of_dir(node, dir).expect("interior move");
+        let port = self.mesh.port_at((r, c), dir).expect("interior move");
         // Furthest-destination-first key: remaining distance of the
         // current leg (vertical legs count rows, horizontal count cols).
         let leg_remaining = if c != tc {
@@ -123,26 +130,26 @@ impl Protocol for MeshRouter {
     const NODE_LOCAL: bool = true;
 
     fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
+        let here = self.mesh.coords(node);
+        let dest = self.mesh.coords(pkt.dest as usize);
         // Advance phases while their leg target is already reached.
         loop {
             let target = match (pkt.phase, self.algorithm) {
-                (0, _) => pkt.via as usize,
+                (0, _) => self.mesh.coords(pkt.via as usize),
+                // stage 2: same row as current, destination's column
                 (
                     1,
                     MeshAlgorithm::ThreeStage { .. } | MeshAlgorithm::ThreeStageConstQueue { .. },
-                ) => {
-                    // stage 2: same row as current, destination's column
-                    let (r, _) = self.mesh.coords(node);
-                    let (_, dc) = self.mesh.coords(pkt.dest as usize);
-                    self.mesh.node_at(r, dc)
-                }
+                ) => (here.0, dest.1),
                 // stage 3 of the constant-queue variant: random row inside
                 // the destination's block (phase 3 is the in-block walk).
-                (2, MeshAlgorithm::ThreeStageConstQueue { .. }) => pkt.via2 as usize,
-                (_, _) => pkt.dest as usize,
+                (2, MeshAlgorithm::ThreeStageConstQueue { .. }) => {
+                    self.mesh.coords(pkt.via2 as usize)
+                }
+                (_, _) => dest,
             };
-            if node != target {
-                self.send_toward(node, target, pkt, out);
+            if here != target {
+                self.send_toward(here, target, pkt, out);
                 return;
             }
             let last_phase = match self.algorithm {
@@ -160,6 +167,11 @@ impl Protocol for MeshRouter {
             pkt.phase += 1;
         }
     }
+}
+
+// Stateless: every hop is a function of the node and the packet.
+impl Shardable for MeshRouter {
+    fn merge(&mut self, _part: Self) {}
 }
 
 /// The canonical queueing discipline of each algorithm: the three-stage

@@ -29,7 +29,7 @@ use lnpram_shard::AnyEngine;
 use lnpram_simnet::fault::{FaultError, FaultPlan};
 use lnpram_simnet::trace::TraceSink;
 use lnpram_simnet::{
-    Metrics, NoopSink, Packet, Protocol, RunOutcome, SimConfig, TagDemux, TagMetrics,
+    Metrics, NoAdmission, NoopSink, Packet, RunOutcome, Shardable, SimConfig, TagDemux, TagMetrics,
 };
 
 /// What one request asks the router to realize.
@@ -463,7 +463,9 @@ pub trait Router {
 /// [`TwoPhase`](crate::two_phase::TwoPhase) instead.)
 pub trait RouteBackend {
     /// The per-node protocol of one run (see [`RouteBackend::protocol`]).
-    type Proto<'a>: Protocol
+    /// [`Shardable`], so a sharded run of any backend can step its
+    /// shards on threads.
+    type Proto<'a>: Shardable
     where
         Self: 'a;
 
@@ -543,11 +545,13 @@ pub trait RouteBackend {
     ) -> (RunOutcome, Vec<TagMetrics>) {
         self.before_run(sink);
         let mut proto = self.protocol();
+        let max_steps = eng.max_steps();
         if demux == 0 {
-            (eng.run_traced(&mut proto, sink), Vec::new())
+            let out = eng.run_split(&mut proto, sink, &mut NoAdmission, max_steps);
+            (out, Vec::new())
         } else {
             let mut tap = TagDemux::new(proto, demux);
-            let out = eng.run_traced(&mut tap, sink);
+            let out = eng.run_split(&mut tap, sink, &mut NoAdmission, max_steps);
             (out, tap.into_metrics())
         }
     }

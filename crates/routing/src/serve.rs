@@ -12,8 +12,10 @@
 //!
 //! # The serve loop
 //!
-//! The loop *is* the engine's run loop — [`step_loop`], the one
-//! function every run goes through — with one addition: its
+//! The loop *is* the engine's run loop —
+//! [`step_loop`](lnpram_simnet::step_loop), the one function every run
+//! goes through, reached by [`AnyEngine::run_split`] (so a sharded
+//! session steps its shards on threads) — with one addition: its
 //! [`Admission`] hook. At each step boundary, requests whose arrival
 //! step has come are **admitted** — their pre-materialized packets
 //! injected, stamped `injected_at = admission step` — so a [`TagDemux`]
@@ -54,8 +56,8 @@ use lnpram_simnet::fault::FaultError;
 use lnpram_simnet::trace::{Phase, ServeEvent, TraceSink};
 use lnpram_simnet::Fault as SimFault;
 use lnpram_simnet::{
-    step_loop, Admission, FaultEvent, FaultPlan, Metrics, NoopSink, Packet, SimConfig, StepEngine,
-    TagDemux, TagMetrics,
+    Admission, EngineState, FaultEvent, FaultPlan, Metrics, NoopSink, Packet, SimConfig, TagDemux,
+    TagMetrics,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -584,7 +586,7 @@ impl Admitter {
     }
 }
 
-impl Admission<AnyEngine> for Admitter {
+impl Admission for Admitter {
     const ACTIVE: bool = true;
 
     /// Step-boundary admission: process due trace ops in order —
@@ -600,7 +602,11 @@ impl Admission<AnyEngine> for Admitter {
     /// [`ServeEvent::Defer`] per request left in the buffer at this
     /// boundary (the event-level counterpart of
     /// `deferred_request_steps`).
-    fn admit<S: TraceSink + ?Sized>(&mut self, eng: &mut AnyEngine, step: u32, sink: &mut S) {
+    fn admit<E, S>(&mut self, eng: &mut E, step: u32, sink: &mut S)
+    where
+        E: EngineState + ?Sized,
+        S: TraceSink + ?Sized,
+    {
         sink.on_phase_start(Phase::Admit);
         while self.next < self.ops.len() && self.ops[self.next].0 <= step {
             match self.ops[self.next].1 {
@@ -877,13 +883,9 @@ impl<B: RouteBackend> ServeSession<B> {
         }
         let mut admit = Admitter::new(self.cfg.clone(), queue, ops);
         let mut demux = TagDemux::new(self.backend.protocol(), admit.queue.len());
-        let run = step_loop(
-            &mut self.engine,
-            &mut demux,
-            sink,
-            &mut admit,
-            self.cfg.max_steps,
-        );
+        let run = self
+            .engine
+            .run_split(&mut demux, sink, &mut admit, self.cfg.max_steps);
 
         let requests: Vec<RequestOutcome> = demux
             .into_metrics()

@@ -19,12 +19,18 @@
 
 use crate::router::{RoutingSession, RunExtras};
 use crate::two_phase::{TwoPhase, TwoPhaseBackend};
-use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
+use lnpram_simnet::{Outbox, Packet, Protocol, Shardable, SimConfig};
 use lnpram_topology::DWayShuffle;
 
 /// Per-node program of Algorithm 2.3.
+#[derive(Clone)]
 pub struct ShuffleRouter {
     shuffle: DWayShuffle,
+}
+
+// Stateless: every hop is a function of the node and the packet.
+impl Shardable for ShuffleRouter {
+    fn merge(&mut self, _part: Self) {}
 }
 
 impl ShuffleRouter {

@@ -18,7 +18,7 @@
 use crate::router::{inject_per_source, PatternRef, RouteBackend, RunExtras};
 use lnpram_math::rng::SeedSeq;
 use lnpram_shard::AnyEngine;
-use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
+use lnpram_simnet::{Outbox, Packet, Protocol, Shardable, SimConfig};
 use lnpram_topology::{CubeConnectedCycles, Network, StarTable};
 use rand::Rng;
 
@@ -27,7 +27,7 @@ pub trait TwoPhase: Network {
     /// The per-node next-hop program: in phase 0 forward toward
     /// [`Packet::via`], on reaching it switch to phase 1 and forward
     /// toward [`Packet::dest`], deliver there.
-    type Hop<'a>: Protocol
+    type Hop<'a>: Shardable
     where
         Self: 'a;
 
@@ -148,6 +148,17 @@ impl<'a, T: CanonicalRoute> CanonicalRouter<'a, T> {
     pub fn new(net: &'a T) -> Self {
         CanonicalRouter { net }
     }
+}
+
+impl<T> Clone for CanonicalRouter<'_, T> {
+    fn clone(&self) -> Self {
+        CanonicalRouter { net: self.net }
+    }
+}
+
+// Stateless: a shared borrow of the network.
+impl<T: CanonicalRoute + Sync> Shardable for CanonicalRouter<'_, T> {
+    fn merge(&mut self, _part: Self) {}
 }
 
 impl<T: CanonicalRoute> Protocol for CanonicalRouter<'_, T> {

@@ -4,26 +4,31 @@
 //! [`Network`](lnpram_topology::Network) into `k` ascending node-id
 //! ranges, give each range its own [`Engine`](lnpram_simnet::Engine)
 //! over its induced sub-CSR, and step all shards in lockstep per global
-//! step, on the calling thread. A packet whose next hop lives in
-//! another shard is read by the central process phase out of its
-//! shard's arrivals buffer; the `k` buffers concatenate in global
-//! link-id order — the serial engine's arrival order — because a shard
-//! is always a contiguous node range.
+//! step. A node-local [`Shardable`](lnpram_simnet::Shardable) protocol
+//! (every router, with or without the tag demux) runs shard-local on
+//! scoped threads, one per shard up to the cores available: each thread
+//! transmits its shards, hands the arrivals bound for another shard's
+//! nodes to that shard, and processes its own nodes' arrivals in global
+//! link-id order. Every other protocol, and every traced run, is driven
+//! centrally on the calling thread, reading the shards' arrivals
+//! buffers, which concatenate in global link-id order because a shard is
+//! always a contiguous node range.
 //!
 //! The subsystem's invariant — pinned by property tests over random
-//! butterflies, stars and meshes — is that [`ShardedEngine::run`] is
+//! butterflies, stars and meshes — is that a sharded run is
 //! **bit-identical** to a single serial `Engine::run` on the whole
 //! network: same metrics, same deliveries, same link loads, for any
-//! protocol and any plan. Sharding can therefore never move a simulated
-//! number. It does not buy speed either: one run is one thread, and the
-//! per-shard bookkeeping costs a few percent (see [`engine`], *Cost
-//! model*).
+//! plan and any thread count. Sharding can therefore never move a
+//! simulated number. What it buys is time: the threaded path divides a
+//! busy step's work over the cores, while the central path costs a few
+//! percent (see [`engine`], *Cost model*).
 //!
 //! * [`partition`] — [`ShardPlan`] (typed [`PlanError`]s for an
 //!   assignment that is not a sequence of ascending ranges) and the
 //!   [`Partitioner`] strategies that choose where the range boundaries
 //!   fall ([`LevelCut`] for leveled networks, [`RowBlock`] for meshes).
-//! * [`engine`] — the [`ShardedEngine`] lockstep coordinator.
+//! * [`engine`] — the [`ShardedEngine`] lockstep coordinator and its
+//!   threaded loop.
 //! * [`any`] — [`AnyEngine`], the serial/sharded dispatch behind
 //!   [`SimConfig::shards`](lnpram_simnet::SimConfig) that the emulators
 //!   and routing sessions construct.
@@ -83,6 +88,7 @@ mod tests {
 
     /// Greedy dimension-order mesh router (same as the engine's test
     /// router — cross-shard traffic in every direction).
+    #[derive(Clone)]
     struct GreedyMesh {
         mesh: Mesh,
     }
@@ -129,6 +135,7 @@ mod tests {
     }
 
     /// Canonical-route star router (topology-provided oblivious paths).
+    #[derive(Clone)]
     struct StarRouter {
         star: StarGraph,
     }
@@ -543,7 +550,9 @@ mod tests {
 
     /// Sends land straight on the owning shard's links, so a send past
     /// the node's last port must panic there, naming the global node:
-    /// node 3 of a 4-node path is local node 1 of the second shard.
+    /// node 3 of a 4-node path is local node 1 of the second shard. Both
+    /// the central loop and the threaded one (two members, every step
+    /// shared) must say so.
     #[test]
     #[should_panic(expected = "protocol sent on invalid port 1 of node 3")]
     fn sharded_send_on_invalid_port_names_the_global_node() {
@@ -554,7 +563,38 @@ mod tests {
         let mut proto = |node: usize, pkt: Packet, _s: u32, out: &mut Outbox| {
             out.send(path.out_degree(node), pkt);
         };
-        eng.run(&mut proto);
+        let central = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            eng.run(&mut proto);
+        }));
+        let message = central.expect_err("the central loop must panic");
+        assert_eq!(
+            message.downcast_ref::<String>().map(String::as_str),
+            Some("protocol sent on invalid port 1 of node 3")
+        );
+        let mut split = threaded::Witness::new(SendPastLastPort { path }, 4);
+        eng.reset();
+        eng.inject(3, Packet::new(0, 3, 0));
+        let max_steps = eng.max_steps();
+        eng.run_threaded(
+            &mut split,
+            &mut lnpram_simnet::NoopSink,
+            &mut lnpram_simnet::NoAdmission,
+            max_steps,
+            2,
+            0,
+        );
+    }
+
+    /// Sends every packet past its node's last port.
+    #[derive(Clone)]
+    struct SendPastLastPort {
+        path: Mesh,
+    }
+
+    impl Protocol for SendPastLastPort {
+        fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
+            out.send(self.path.out_degree(node), pkt);
+        }
     }
 
     #[test]
@@ -753,6 +793,386 @@ mod tests {
         assert!(sink.seen.iter().any(|&(_, _, packets)| packets > 0));
     }
 
+    /// Shard-local stepping on scoped threads, with the member count and
+    /// the shared-step threshold forced (the public path picks them from
+    /// the cores and the load): every step shared, none shared, and more
+    /// members than this machine may have cores.
+    mod threaded {
+        use super::*;
+        use lnpram_simnet::{FaultPlan, NoAdmission, NoopSink, Shardable};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        /// A node-local protocol that keeps, per node, an order-sensitive
+        /// hash of the callbacks it took. Merging refuses a node two
+        /// clones touched, so a threaded run's merged record equals the
+        /// serial record only if every node's callbacks all ran on one
+        /// clone, in the serial order.
+        #[derive(Clone)]
+        pub(super) struct Witness<P> {
+            pub(super) inner: P,
+            pub(super) seen: Vec<u64>,
+            pub(super) step_ends: u64,
+        }
+
+        impl<P> Witness<P> {
+            pub(super) fn new(inner: P, nodes: usize) -> Self {
+                Witness {
+                    inner,
+                    seen: vec![0; nodes],
+                    step_ends: 0,
+                }
+            }
+        }
+
+        impl<P: Protocol> Protocol for Witness<P> {
+            const NODE_LOCAL: bool = true;
+
+            fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
+                let key = u64::from(pkt.id) << 32 | u64::from(step);
+                let h = &mut self.seen[node];
+                *h = (h.rotate_left(7) ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                self.inner.on_packet(node, pkt, step, out);
+            }
+
+            fn on_step_end(&mut self, step: u32) {
+                self.step_ends += u64::from(step) + 1;
+                self.inner.on_step_end(step);
+            }
+        }
+
+        impl<P: Protocol + Clone + Send> Shardable for Witness<P> {
+            fn merge(&mut self, part: Self) {
+                for (node, (mine, theirs)) in self.seen.iter_mut().zip(part.seen).enumerate() {
+                    if theirs != 0 {
+                        assert_eq!(*mine, 0, "two clones took callbacks at node {node}");
+                        *mine = theirs;
+                    }
+                }
+                // Every clone sees every step end.
+                self.step_ends = self.step_ends.max(part.step_ends);
+            }
+        }
+
+        /// The oblivious butterfly router over a borrowed view.
+        #[derive(Clone, Copy)]
+        pub(super) struct Hop<'a>(pub(super) &'a LeveledNet<RadixButterfly>);
+
+        impl Protocol for Hop<'_> {
+            fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
+                let lv = self.0.leveled();
+                let (col, idx) = self.0.split(node);
+                if col == lv.levels() {
+                    out.deliver(pkt);
+                } else {
+                    out.send(lv.digit_toward(col, idx, pkt.dest as usize), pkt);
+                }
+            }
+        }
+
+        /// What a run leaves behind: its fingerprint, the witness record
+        /// and the stranded packets in drain order.
+        pub(super) type Outcome = (Fingerprint, Vec<u64>, u64, Vec<Packet>);
+
+        /// The serial run of `proto` under `plan`.
+        pub(super) fn serial<N, P>(
+            net: &N,
+            cfg: SimConfig,
+            plan: &FaultPlan,
+            inject: &[(usize, Packet)],
+            proto: P,
+        ) -> Outcome
+        where
+            N: Network + ?Sized,
+            P: Protocol + Clone + Send,
+        {
+            let mut eng = Engine::new(net, cfg);
+            eng.set_fault_plan(plan).expect("valid plan");
+            for &(node, pkt) in inject {
+                eng.inject(node, pkt);
+            }
+            let mut w = Witness::new(proto, net.num_nodes());
+            let out = eng.run(&mut w);
+            let stranded = eng.drain_all();
+            (
+                fingerprint(out.completed, &out.metrics),
+                w.seen,
+                w.step_ends,
+                stranded,
+            )
+        }
+
+        /// The threaded run with `members` members, sharing every step
+        /// that starts with at least `shared_min_load` packets queued outside
+        /// the busiest lane.
+        #[expect(
+            clippy::too_many_arguments,
+            reason = "a test driver spelling out every forced choice"
+        )]
+        pub(super) fn threaded<N, P, Q>(
+            net: &N,
+            cfg: SimConfig,
+            part: &Q,
+            plan: &FaultPlan,
+            inject: &[(usize, Packet)],
+            proto: P,
+            members: usize,
+            shared_min_load: usize,
+        ) -> Outcome
+        where
+            N: Network + ?Sized,
+            P: Protocol + Clone + Send,
+            Q: Partitioner,
+        {
+            let mut eng = ShardedEngine::new(net, cfg, part);
+            eng.set_fault_plan(plan).expect("valid plan");
+            for &(node, pkt) in inject {
+                eng.inject(node, pkt);
+            }
+            let mut w = Witness::new(proto, net.num_nodes());
+            let max_steps = eng.max_steps();
+            let members = members.min(eng.shards());
+            let out = eng.run_threaded(
+                &mut w,
+                &mut NoopSink,
+                &mut NoAdmission,
+                max_steps,
+                members,
+                shared_min_load,
+            );
+            assert_eq!(eng.check_invariants(), Ok(()));
+            let stranded = eng.drain_all();
+            (
+                fingerprint(out.completed, &out.metrics),
+                w.seen,
+                w.step_ends,
+                stranded,
+            )
+        }
+
+        fn no_faults() -> FaultPlan {
+            FaultPlan::new(Vec::new())
+        }
+
+        #[test]
+        fn threaded_equals_serial_on_mesh_star_and_butterfly() {
+            let mesh = Mesh::new(6, 7);
+            let n = mesh.num_nodes();
+            let mut state = 0x5EED_u64;
+            let inject: Vec<(usize, Packet)> = (0..3 * n)
+                .map(|i| {
+                    let dest = (splitmix64(&mut state) as usize) % n;
+                    (i % n, Packet::new(i as u32, (i % n) as u32, dest as u32))
+                })
+                .collect();
+            let want = serial(
+                &mesh,
+                cfg_serial(),
+                &no_faults(),
+                &inject,
+                GreedyMesh { mesh },
+            );
+            for (k, members, shared) in [(2, 2, 0), (4, 2, 0), (4, 4, 0), (7, 7, 0), (7, 3, 64)] {
+                let got = threaded(
+                    &mesh,
+                    cfg_sharded(k),
+                    &RowBlock::new(mesh.cols()),
+                    &no_faults(),
+                    &inject,
+                    GreedyMesh { mesh },
+                    members,
+                    shared,
+                );
+                assert_eq!(want, got, "mesh K={k} members={members} shared>={shared}");
+            }
+
+            let star = StarGraph::new(4);
+            let n = star.num_nodes();
+            let inject: Vec<(usize, Packet)> = (0..n)
+                .map(|src| {
+                    (
+                        src,
+                        Packet::new(src as u32, src as u32, ((src * 7 + 3) % n) as u32),
+                    )
+                })
+                .collect();
+            let router = StarRouter { star };
+            let want = serial(&star, cfg_serial(), &no_faults(), &inject, router.clone());
+            for k in [2, 3, 5] {
+                let got = threaded(
+                    &star,
+                    cfg_sharded(k),
+                    &RowBlock::new(1),
+                    &no_faults(),
+                    &inject,
+                    router.clone(),
+                    k,
+                    0,
+                );
+                assert_eq!(want, got, "star K={k}");
+            }
+
+            let inner = RadixButterfly::new(2, 5);
+            let net = LeveledNet::forward(inner);
+            let width = inner.width();
+            let inject: Vec<(usize, Packet)> = (0..2 * width)
+                .map(|i| {
+                    let dest = (splitmix64(&mut state) as usize) % width;
+                    let src = i % width;
+                    (
+                        net.node_id(0, src),
+                        Packet::new(i as u32, src as u32, dest as u32),
+                    )
+                })
+                .collect();
+            let want = serial(&net, cfg_serial(), &no_faults(), &inject, Hop(&net));
+            for (k, part) in [
+                (2, LevelCut::new(width)),
+                (4, LevelCut::new(width)),
+                (3, LevelCut::new(1)),
+            ] {
+                let got = threaded(
+                    &net,
+                    cfg_sharded(k),
+                    &part,
+                    &no_faults(),
+                    &inject,
+                    Hop(&net),
+                    k,
+                    0,
+                );
+                assert_eq!(want, got, "butterfly K={k}");
+            }
+        }
+
+        #[test]
+        fn budget_exhausted_threaded_run_matches_serial() {
+            let mesh = Mesh::square(6);
+            let n = mesh.num_nodes();
+            let cfg = |shards| SimConfig {
+                max_steps: 3,
+                record_link_loads: true,
+                shards,
+                ..Default::default()
+            };
+            let inject: Vec<(usize, Packet)> = (0..n)
+                .map(|src| {
+                    (
+                        src,
+                        Packet::new(src as u32, src as u32, ((src * 29 + 1) % n) as u32),
+                    )
+                })
+                .collect();
+            let want = serial(&mesh, cfg(0), &no_faults(), &inject, GreedyMesh { mesh });
+            assert!(!want.0 .0, "the budget must cut the run short");
+            for shared in [0, usize::MAX] {
+                let got = threaded(
+                    &mesh,
+                    cfg(3),
+                    &RowBlock::new(6),
+                    &no_faults(),
+                    &inject,
+                    GreedyMesh { mesh },
+                    3,
+                    shared,
+                );
+                assert_eq!(want, got, "shared>={shared}");
+            }
+        }
+
+        /// A node-local router that sends past node 3's last port: node 3
+        /// of a 4-node path is local node 1 of the second shard.
+        #[derive(Clone)]
+        struct PastLastPort {
+            path: Mesh,
+        }
+
+        impl Protocol for PastLastPort {
+            const NODE_LOCAL: bool = true;
+
+            fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
+                let port = if node == 3 {
+                    self.path.out_degree(node)
+                } else {
+                    self.path
+                        .port_of_dir(node, lnpram_topology::mesh::Dir::East)
+                        .expect("east")
+                };
+                out.send(port, pkt);
+            }
+        }
+
+        impl Shardable for PastLastPort {
+            fn merge(&mut self, _part: Self) {}
+        }
+
+        /// Drive `PastLastPort` from `src` on a threaded run over the
+        /// 4-node path, on a thread of its own: the run's panic message,
+        /// or `None` if the run hung for a minute; then a good run on the
+        /// same engine, which must still equal the serial one.
+        fn past_last_port_from(src: usize) -> Option<String> {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let path = Mesh::linear(4);
+                let mut eng = ShardedEngine::new(&path, cfg_sharded(2), &RowBlock::new(1));
+                let max_steps = eng.max_steps();
+                eng.inject(src, Packet::new(0, src as u32, 3));
+                let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let mut proto = PastLastPort { path };
+                    eng.run_threaded(&mut proto, &mut NoopSink, &mut NoAdmission, max_steps, 2, 0);
+                }));
+                let message = failed.err().map(|payload| {
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .unwrap_or_else(|| "a panic without a message".into())
+                });
+                // The engines came back: the engine runs on, as serial.
+                eng.reset();
+                let inject = [(0, Packet::new(1, 0, 3)), (3, Packet::new(2, 3, 0))];
+                for &(node, pkt) in &inject {
+                    eng.inject(node, pkt);
+                }
+                let mut proto = Witness::new(GreedyMesh { mesh: path }, 4);
+                let out =
+                    eng.run_threaded(&mut proto, &mut NoopSink, &mut NoAdmission, max_steps, 2, 0);
+                let want = serial(
+                    &path,
+                    cfg_sharded(0),
+                    &no_faults(),
+                    &inject,
+                    GreedyMesh { mesh: path },
+                );
+                assert_eq!(fingerprint(out.completed, &out.metrics), want.0);
+                let _ = tx.send(message);
+            });
+            rx.recv_timeout(Duration::from_secs(60)).ok().flatten()
+        }
+
+        /// The injection is fed by the caller: its panic fails the run
+        /// and the worker, waiting at the barrier, is let go.
+        #[test]
+        #[should_panic(expected = "protocol sent on invalid port 1 of node 3")]
+        fn caller_panic_fails_the_threaded_run() {
+            if let Some(message) = past_last_port_from(3) {
+                panic!("{message}");
+            }
+        }
+
+        /// Shard 1's worker panics at step 3 while shard 0's member, the
+        /// caller, waits at the barrier: the run fails with the worker's
+        /// own message instead of hanging (the driver gives up after a
+        /// minute).
+        #[test]
+        fn worker_panic_fails_the_run_with_its_message() {
+            let message = past_last_port_from(0).expect("the run hung instead of failing");
+            assert!(
+                message.contains("protocol sent on invalid port 1 of node 3"),
+                "{message}"
+            );
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -803,6 +1223,49 @@ mod tests {
                     );
                     prop_assert_eq!(&serial.0, &sharded.0, "fingerprint K={}", k);
                     prop_assert_eq!(&serial.1, &sharded.1, "drain order K={}", k);
+                }
+            }
+
+            /// The same pin for shard-local stepping on threads: for any
+            /// fault plan, the threaded run at K ∈ {2,3,4,7} with two
+            /// members and with K members, sharing every step or only
+            /// the busier ones, equals serial — fingerprint, every
+            /// node's callback sequence, step ends and drain order.
+            #[test]
+            fn prop_threaded_equals_serial_under_fault_plans(
+                seed: u64,
+                rows in 2usize..7,
+                cols in 2usize..7,
+                shared in 0usize..24,
+            ) {
+                let mesh = Mesh::new(rows, cols);
+                let n = mesh.num_nodes();
+                let mut state = seed;
+                let inject: Vec<(usize, Packet)> = (0..2 * n)
+                    .map(|i| {
+                        let dest = (splitmix64(&mut state) as usize) % n;
+                        (i % n, Packet::new(i as u32, (i % n) as u32, dest as u32))
+                    })
+                    .collect();
+                let links = Engine::new(&mesh, cfg_serial()).num_links();
+                let plan = random_fault_plan(&mut state, n, links, 12);
+                let bounded = |cfg: SimConfig| SimConfig { max_steps: 200, ..cfg };
+                let want = threaded::serial(
+                    &mesh, bounded(cfg_serial()), &plan, &inject, GreedyMesh { mesh });
+                for k in [2usize, 3, 4, 7] {
+                    for members in [2, k] {
+                        let got = threaded::threaded(
+                            &mesh,
+                            bounded(cfg_sharded(k)),
+                            &RowBlock::new(mesh.cols()),
+                            &plan,
+                            &inject,
+                            GreedyMesh { mesh },
+                            members,
+                            shared,
+                        );
+                        prop_assert_eq!(&want, &got, "K={} members={}", k, members);
+                    }
                 }
             }
         }

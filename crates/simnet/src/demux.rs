@@ -16,11 +16,13 @@
 //!
 //! The demux is [`Protocol::NODE_LOCAL`] exactly when its inner protocol
 //! is: its own state is per-tag counts, which commute, and its
-//! `on_arrivals` only forwards to the inner one.
+//! `on_arrivals` only forwards to the inner one. For the same reason it
+//! is [`Shardable`] when the inner protocol is: the per-tag metrics of
+//! the clones merge by sum, max and [`Histogram::absorb`].
 
 use crate::metrics::Metrics;
 use crate::packet::Packet;
-use crate::protocol::{Outbox, Protocol};
+use crate::protocol::{Outbox, Protocol, Shardable};
 use lnpram_math::stats::Histogram;
 
 /// Delivery metrics of one tag (tenant) within a shared run: the subset
@@ -63,6 +65,14 @@ impl TagMetrics {
         self.latency.record(u64::from(latency.unwrap_or(0)));
     }
 
+    /// Add `part`'s deliveries into `self` (the per-tag
+    /// [`Metrics::absorb_deliveries`]).
+    pub fn absorb(&mut self, part: &TagMetrics) {
+        self.delivered += part.delivered;
+        self.routing_time = self.routing_time.max(part.routing_time);
+        self.latency.absorb(&part.latency);
+    }
+
     /// Does this tag's slice of the run match `m` delivery-for-delivery?
     /// (The equality the batched-vs-isolated contract pins: delivered
     /// count, routing time, and the full latency distribution.)
@@ -78,6 +88,7 @@ impl TagMetrics {
 /// Every delivered packet's `tag` must be `< tags` — the demux indexes a
 /// dense table by tag and panics on out-of-range tags (a tagging bug,
 /// not a routing outcome).
+#[derive(Clone)]
 pub struct TagDemux<P> {
     inner: P,
     per_tag: Vec<TagMetrics>,
@@ -121,6 +132,15 @@ impl<P: Protocol> Protocol for TagDemux<P> {
 
     fn on_step_end(&mut self, step: u32) {
         self.inner.on_step_end(step);
+    }
+}
+
+impl<P: Shardable> Shardable for TagDemux<P> {
+    fn merge(&mut self, part: Self) {
+        for (mine, theirs) in self.per_tag.iter_mut().zip(&part.per_tag) {
+            mine.absorb(theirs);
+        }
+        self.inner.merge(part.inner);
     }
 }
 

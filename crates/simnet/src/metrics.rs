@@ -62,6 +62,16 @@ impl Metrics {
         self.latency.record(u64::from(latency.unwrap_or(0)));
     }
 
+    /// Add the deliveries `part` recorded (count, routing time, latency
+    /// histogram) into `self` — what a threaded sharded run does with
+    /// each worker's metrics. Sum, max and bucket-wise sum commute, so
+    /// the result equals recording every delivery here in any order.
+    pub fn absorb_deliveries(&mut self, part: &Metrics) {
+        self.delivered += part.delivered;
+        self.routing_time = self.routing_time.max(part.routing_time);
+        self.latency.absorb(&part.latency);
+    }
+
     /// Mean queue occupancy per executed step (packet-steps / steps).
     pub fn mean_queue_occupancy(&self) -> f64 {
         if self.steps == 0 {

@@ -226,6 +226,27 @@ pub trait Protocol {
     fn on_step_end(&mut self, _step: u32) {}
 }
 
+/// A protocol the sharded engine may split: one clone per worker thread,
+/// each driven over a fixed set of nodes, merged back when the run ends.
+///
+/// The sharded engine takes its threaded path only for a `Shardable`
+/// protocol that is also [`Protocol::NODE_LOCAL`]. That contract is what
+/// makes the split exact: a callback at node `v` touches state keyed by
+/// `v`, which lives in the one clone that takes all of `v`'s callbacks,
+/// and shared state whose updates commute, which `merge` folds together.
+///
+/// There is no default `merge`: a protocol that records nothing says so
+/// with an empty body, and one that records (delivery counts, histograms)
+/// must fold a clone's records into `self` or lose them. Every clone is
+/// taken when the run starts, so whatever `self` recorded before then is
+/// in every clone too; a protocol whose `merge` adds is built fresh for
+/// each run, as [`TagDemux`](crate::TagDemux) is by every caller.
+pub trait Shardable: Protocol + Clone + Send {
+    /// Fold `part`, a clone of `self` that took some nodes' callbacks,
+    /// back into `self`.
+    fn merge(&mut self, part: Self);
+}
+
 impl<F> Protocol for F
 where
     F: FnMut(usize, Packet, u32, &mut Outbox),

@@ -119,14 +119,44 @@ impl Mesh {
             .filter(move |&d| self.step(node, d).is_some())
     }
 
+    /// Which of North, East, South, West exist at `(r, c)`, in port
+    /// order.
+    fn links_at(&self, (r, c): (usize, usize)) -> [bool; 4] {
+        [r > 0, c + 1 < self.cols(), r + 1 < self.rows, c > 0]
+    }
+
     /// The port corresponding to `dir` at `node`, if that link exists.
     pub fn port_of_dir(&self, node: usize, dir: Dir) -> Option<usize> {
-        self.dirs(node).position(|d| d == dir)
+        self.port_at(self.coords(node), dir)
+    }
+
+    /// [`Mesh::port_of_dir`] at the node with coordinates `at`, for a
+    /// caller that has them: the number of existing directions before
+    /// `dir` in port order.
+    pub fn port_at(&self, at: (usize, usize), dir: Dir) -> Option<usize> {
+        let links = self.links_at(at);
+        let d = dir as usize;
+        links[d].then(|| links[..d].iter().filter(|&&l| l).count())
     }
 
     /// The direction of `port` at `node`.
     pub fn dir_of_port(&self, node: usize, port: usize) -> Dir {
-        self.dirs(node).nth(port).expect("port out of range")
+        self.dir_at(self.coords(node), port)
+    }
+
+    /// [`Mesh::dir_of_port`] at the node with coordinates `at`: the
+    /// `port`-th existing direction in port order.
+    fn dir_at(&self, at: (usize, usize), port: usize) -> Dir {
+        let mut left = port;
+        for (dir, exists) in Dir::ALL.into_iter().zip(self.links_at(at)) {
+            if exists {
+                if left == 0 {
+                    return dir;
+                }
+                left -= 1;
+            }
+        }
+        panic!("port {port} out of range at {at:?}")
     }
 
     /// Manhattan (= shortest-path) distance.
@@ -148,13 +178,17 @@ impl Network for Mesh {
     }
 
     fn out_degree(&self, node: usize) -> usize {
-        self.dirs(node).count()
+        let links = self.links_at(self.coords(node));
+        links.iter().filter(|&&l| l).count()
     }
 
     fn neighbor(&self, node: usize, port: usize) -> usize {
-        let dir = self.dir_of_port(node, port);
-        self.step(node, dir)
-            .expect("dir_of_port returned valid dir")
+        match self.dir_at(self.coords(node), port) {
+            Dir::North => node - self.cols(),
+            Dir::East => node + 1,
+            Dir::South => node + self.cols(),
+            Dir::West => node - 1,
+        }
     }
 
     fn name(&self) -> String {
@@ -216,6 +250,28 @@ mod tests {
         let rep = audit(&l);
         assert_eq!(rep.diameter, Some(5));
         assert_eq!(rep.max_degree, 2);
+    }
+
+    /// The O(1) port arithmetic equals enumerating `dirs()`, on every
+    /// node of degenerate, thin, odd and full-size meshes.
+    #[test]
+    fn ports_equal_the_dirs_enumeration() {
+        for (rows, cols) in [(1, 1), (1, 7), (7, 1), (3, 5), (32, 32)] {
+            let m = Mesh::new(rows, cols);
+            for v in 0..m.num_nodes() {
+                let dirs: Vec<Dir> = m.dirs(v).collect();
+                assert_eq!(m.out_degree(v), dirs.len(), "{rows}x{cols} node {v}");
+                for d in Dir::ALL {
+                    let want = dirs.iter().position(|&x| x == d);
+                    assert_eq!(m.port_of_dir(v, d), want, "{rows}x{cols} node {v} {d:?}");
+                    assert_eq!(m.port_at(m.coords(v), d), want);
+                }
+                for (p, &d) in dirs.iter().enumerate() {
+                    assert_eq!(m.dir_of_port(v, p), d, "{rows}x{cols} node {v} port {p}");
+                    assert_eq!(Some(m.neighbor(v, p)), m.step(v, d));
+                }
+            }
+        }
     }
 
     #[test]
