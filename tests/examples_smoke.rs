@@ -82,3 +82,20 @@ fn all_examples_run_clean() {
         );
     }
 }
+
+/// `sharded_butterfly --time` (the serial-against-K = 2 timing harness)
+/// on a small butterfly for a fraction of a second.
+#[test]
+fn sharded_butterfly_timing_harness_runs() {
+    let bin = examples_dir().join("sharded_butterfly");
+    let out = Command::new(&bin)
+        .args(["--time", "4", "0.3"])
+        .output()
+        .unwrap_or_else(|e| panic!("failed to spawn {}: {e}", bin.display()));
+    assert!(out.status.success(), "exited with {}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("butterfly(2,4) permutations, K = 2 over serial: median"),
+        "{stdout}"
+    );
+}
