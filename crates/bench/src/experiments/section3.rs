@@ -308,7 +308,8 @@ pub fn thm33(r: &mut Report, _: Trials) {
         let dests = workloads::local_permutation(&mesh, d, &mut rng);
         let mut prog = PermutationTraffic::new(dests, 4);
         let space = prog.address_space();
-        let mut emu = MeshPramEmulator::new_local(n, AccessMode::Erew, space, d, seeded(d as u64));
+        let mut emu = MeshPramEmulator::new_local(n, AccessMode::Erew, space, d, seeded(d as u64))
+            .expect("a permutation's cells fit the direct map");
         let rep = emu.run_program(&mut prog, 10_000);
         let queue = rep.steps.iter().map(|s| s.max_queue).max().unwrap_or(0);
         let per_d = rep.mean_step_time() / d as f64;

@@ -1,5 +1,6 @@
 //! Theorems 2.5 and 2.6: a leveled network as an emulation host
-//! ([`LeveledHost`], driven by [`PramEmulator`]).
+//! ([`LeveledRoute`] under [`CombiningHost`], driven by
+//! [`PramEmulator`]).
 //!
 //! The emulating network is an ℓ-level leveled network with the
 //! unique-path property, traversed twice per routing phase (the
@@ -18,39 +19,25 @@
 //!   combining point. The request paths move strictly forward by
 //!   column, so pending entries can never form a cycle.
 
-use crate::combining::{EntryId, Hop, PendingTables, Source};
+use crate::combining_host::{CombiningHost, HostRoute};
 use crate::config::EmulatorConfig;
-use crate::emulator::{EmuHost, PhaseOutcome, PramEmulator, Request};
-use crate::memory::{ModuleArray, ModuleRequest, ServedRead};
-use lnpram_math::rng::SeedSeq;
-use lnpram_pram::model::{AccessMode, WritePolicy};
+use crate::emulator::PramEmulator;
+use lnpram_pram::model::AccessMode;
 use lnpram_routing::leveled::UniversalLeveledRouter;
 use lnpram_routing::DoubledLeveled;
 use lnpram_shard::{AnyEngine, LevelCut};
 use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::leveled::{Leveled, LeveledNet};
 use lnpram_topology::Network;
-use rand::Rng;
 
-/// An ℓ-level leveled network as an emulation host: processors and
-/// modules are the `width()` first/last-column nodes of `L`.
-/// Both phases run through `AnyEngine::run`, the sharded engine's central
-/// loop on the calling thread: their protocols keep cross-node state.
-pub struct LeveledHost<L> {
+/// An ℓ-level leveled network as a [`HostRoute`]: processors and modules
+/// are the `width()` first/last-column nodes of `L`'s doubled unrolling,
+/// crossed forward by requests and backward by replies.
+pub struct LeveledRoute<L> {
     /// Forward (request-phase) view of the doubled network.
     fwd: LeveledNet<DoubledLeveled<L>>,
     /// Backward (reply-phase) view of the doubled network.
     bwd: LeveledNet<DoubledLeveled<L>>,
-    tables: PendingTables,
-    /// Request-phase engine, built once and recycled every attempt
-    /// (serial or sharded per [`EmulatorConfig::shards`]).
-    req_engine: AnyEngine,
-    /// Reply-phase engine, likewise persistent.
-    rep_engine: AnyEngine,
-    combining: bool,
-    /// `(value, proc)` of every request of the attempt being routed,
-    /// indexed by packet id; en-route write merging folds into it.
-    writes: Vec<(u64, usize)>,
 }
 
 /// The PRAM emulator over a leveled network (Theorems 2.5/2.6).
@@ -58,57 +45,40 @@ pub struct LeveledHost<L> {
 /// `L` is the *inner* ℓ-level network. `Corollary 2.4/2.6` instances use
 /// [`lnpram_topology::leveled::UnrolledShuffle`]; the classical host is
 /// [`lnpram_topology::leveled::RadixButterfly`].
-pub type LeveledPramEmulator<L> = PramEmulator<LeveledHost<L>>;
+pub type LeveledPramEmulator<L> = PramEmulator<CombiningHost<LeveledRoute<L>>>;
 
 impl<L: Leveled + Copy> LeveledPramEmulator<L> {
     /// Build an emulator for programs over `address_space` cells.
     pub fn new(inner: L, mode: AccessMode, address_space: u64, cfg: EmulatorConfig) -> Self {
-        let width = inner.width();
         let doubled = DoubledLeveled::new(inner);
-        let fwd = LeveledNet::forward(doubled);
-        let bwd = LeveledNet::backward(doubled);
+        let route = LeveledRoute {
+            fwd: LeveledNet::forward(doubled),
+            bwd: LeveledNet::backward(doubled),
+        };
         // Engines are built once here and recycled with `reset` for
         // every attempt of every PRAM step: a T-step emulation builds
         // its per-link state once instead of T times. With
         // `cfg.shards ≥ 2` both phases run on the partitioned lockstep
         // path, column bands cut by `LevelCut` (bit-identical outcomes —
         // the lnpram-shard determinism contract).
-        let part = LevelCut::new(width);
+        let part = LevelCut::new(inner.width());
         // FIFO queues, which Theorems 2.1/2.4 assume.
         let sim = SimConfig {
             shards: cfg.shards,
             ..Default::default()
         };
-        let host = LeveledHost {
-            tables: PendingTables::new(fwd.num_nodes()),
-            req_engine: AnyEngine::with_partitioner(&fwd, sim.clone(), &part),
-            // The reply phase retraces an already-successful pattern, so
-            // it never times out.
-            rep_engine: AnyEngine::with_partitioner(
-                &bwd,
-                SimConfig {
-                    max_steps: u32::MAX,
-                    ..sim
-                },
-                &part,
-            ),
-            fwd,
-            bwd,
-            combining: cfg.combining,
-            writes: Vec::new(),
-        };
+        let requests = AnyEngine::with_partitioner(&route.fwd, sim.clone(), &part);
+        let replies = AnyEngine::with_partitioner(&route.bwd, sim, &part);
+        let host = CombiningHost::new(route, requests, Some(replies), cfg.combining);
         PramEmulator::with_host(host, mode, address_space, cfg)
     }
 }
 
-impl<L: Leveled> LeveledHost<L> {
-    /// ℓ of the inner network.
-    fn levels(&self) -> usize {
-        self.fwd.leveled().levels() / 2
-    }
-}
+impl<L: Leveled> HostRoute for LeveledRoute<L> {
+    /// Footnote 3 for writes, in the second, convergent half of the
+    /// route, where the remaining paths coincide.
+    const MERGES_WRITES: bool = true;
 
-impl<L: Leveled> EmuHost for LeveledHost<L> {
     /// The column width.
     fn processors(&self) -> usize {
         self.fwd.leveled().width()
@@ -117,312 +87,56 @@ impl<L: Leveled> EmuHost for LeveledHost<L> {
     /// Path length per phase is 2ℓ (the doubled traversal) — that is the
     /// "diameter" the paper's budgets and hash degree scale with.
     fn diameter(&self) -> usize {
-        2 * self.levels()
+        self.fwd.leveled().levels()
     }
 
     fn phase_bound(&self) -> usize {
-        self.diameter()
+        self.fwd.leveled().levels()
     }
 
     fn broadcast_steps(&self) -> usize {
-        self.levels()
+        self.fwd.leveled().levels() / 2
     }
 
-    fn route_requests(
-        &mut self,
-        requests: &[Request],
-        modules: &mut ModuleArray,
-        budget: u32,
-        seq: SeedSeq,
-    ) -> Option<PhaseOutcome> {
-        let (engine, mut proto) = self.request_phase(requests, modules, budget, seq);
-        let out = engine.run(&mut proto);
-        let write_merges = proto.write_merges;
-        out.completed.then(|| PhaseOutcome {
-            combined: write_merges + self.tables.combined(),
-            ..PhaseOutcome::of(&out.metrics)
-        })
+    fn forward(&self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
+        UniversalLeveledRouter::new(&self.fwd).on_packet(node, pkt, step, out);
     }
 
-    fn route_replies(
-        &mut self,
-        reads: &[ServedRead],
-        _seq: SeedSeq,
-        replies: &mut Vec<(usize, u32)>,
-    ) -> PhaseOutcome {
-        let (engine, mut proto) = self.reply_phase(reads, replies);
-        let out = engine.run(&mut proto);
-        debug_assert!(out.completed);
-        debug_assert!(self.tables.all_clear(), "unconsumed pending entries");
-        PhaseOutcome::of(&out.metrics)
-    }
-}
-
-impl<L: Leveled> LeveledHost<L> {
-    /// The request phase ready to run: tables, write slots and engine
-    /// reset, the requests injected, and the protocol to drive them with.
-    fn request_phase<'a>(
-        &'a mut self,
-        requests: &'a [Request],
-        modules: &'a mut ModuleArray,
-        budget: u32,
-        seq: SeedSeq,
-    ) -> (&'a mut AnyEngine, RequestProtocol<'a, L>) {
-        let width = self.processors();
-        self.tables.reset();
-        self.req_engine.reset();
-        self.req_engine.set_max_steps(budget);
-        self.writes.clear();
-        self.writes
-            .extend(requests.iter().map(|r| (r.write.unwrap_or(0), r.proc)));
-        let mut via_rng = seq.rng();
-        for (id, req) in requests.iter().enumerate() {
-            let via = via_rng.gen_range(0..width) as u32;
-            let mut pkt = Packet::new(id as u32, req.proc as u32, req.module)
-                .with_via(via)
-                .with_tag(req.key);
-            pkt.hop = u8::from(req.write.is_some());
-            self.req_engine.inject(self.fwd.node_id(0, req.proc), pkt);
-        }
-        let proto = RequestProtocol {
-            net: &self.fwd,
-            bwd: &self.bwd,
-            tables: &mut self.tables,
-            modules,
-            writes: &mut self.writes,
-            combining: self.combining,
-            write_merges: 0,
-        };
-        (&mut self.req_engine, proto)
+    fn reply_port(&self, node: usize, prev: usize) -> usize {
+        let port = self.bwd.port_to(node, prev);
+        port.expect("request link reversed on the reply network")
     }
 
-    /// The reply phase ready to run, likewise.
-    fn reply_phase<'a>(
-        &'a mut self,
-        reads: &[ServedRead],
-        replies: &'a mut Vec<(usize, u32)>,
-    ) -> (&'a mut AnyEngine, ReplyProtocol<'a, L>) {
-        self.rep_engine.reset();
-        let modules_col = self.fwd.leveled().levels();
-        for (i, read) in reads.iter().enumerate() {
-            self.rep_engine.inject(
-                self.bwd.node_id(modules_col, read.module),
-                Packet::new(i as u32, 0, 0).with_via(read.tag),
-            );
-        }
-        let proto = ReplyProtocol {
-            net: &self.bwd,
-            tables: &mut self.tables,
-            replies,
-        };
-        (&mut self.rep_engine, proto)
-    }
-}
-
-/// Request-phase protocol: Algorithm 2.1 routing plus combining tables.
-/// A read request carries, in `via2`, the id of the entry it left at the
-/// previous node.
-struct RequestProtocol<'a, L: Leveled> {
-    net: &'a LeveledNet<DoubledLeveled<L>>,
-    /// The reply network, whose ports the pending entries record.
-    bwd: &'a LeveledNet<DoubledLeveled<L>>,
-    tables: &'a mut PendingTables,
-    modules: &'a mut ModuleArray,
-    writes: &'a mut [(u64, usize)],
-    combining: bool,
-    /// Same-step write merges performed (footnote 3 applied to writes).
-    write_merges: u32,
-}
-
-impl<L: Leveled> RequestProtocol<'_, L> {
-    /// The write policy if concurrent same-address writes can be merged
-    /// en route without changing the module-level resolution: the policy
-    /// must be associative with a representative writer (Sum, Max) or
-    /// select the minimum processor (Priority, and our deterministic
-    /// Arbitrary). Common must see every writer to detect mismatches;
-    /// EREW/CREW writes are conflicts the modules must observe.
-    fn mergeable_policy(&self) -> Option<WritePolicy> {
-        match self.modules.mode() {
-            AccessMode::Crcw(
-                p @ (WritePolicy::Sum
-                | WritePolicy::Max
-                | WritePolicy::Priority
-                | WritePolicy::Arbitrary),
-            ) => Some(p),
-            _ => None,
-        }
+    fn module_node(&self, module: usize) -> usize {
+        self.fwd.node_id(self.fwd.leveled().levels(), module)
     }
 
-    /// Merge `(value, proc)` pairs under `policy` (the en-route version of
-    /// [`resolve_write`](lnpram_pram::machine::resolve_write), restricted
-    /// to the associative policies).
-    fn merge(policy: WritePolicy, acc: (u64, usize), next: (u64, usize)) -> (u64, usize) {
-        match policy {
-            WritePolicy::Sum => (acc.0 + next.0, acc.1.min(next.1)),
-            WritePolicy::Max => (acc.0.max(next.0), acc.1.min(next.1)),
-            // Priority / deterministic Arbitrary: lowest processor's value.
-            _ => {
-                if next.1 < acc.1 {
-                    next
-                } else {
-                    acc
-                }
-            }
-        }
-    }
-}
-
-// Stays grouped (not `NODE_LOCAL`): `on_arrivals` merges a node's writes.
-impl<L: Leveled> Protocol for RequestProtocol<'_, L> {
-    /// Footnote 3 for *writes*: all of a step's arrivals at one node that
-    /// write the same address under an associative policy merge into one
-    /// packet before forwarding. (Reads combine through the pending
-    /// tables in `on_packet`; the merge here happens in the second,
-    /// convergent half of the route where the remaining paths coincide.)
-    fn on_arrivals(&mut self, node: usize, pkts: &[Packet], step: u32, out: &mut Outbox) {
-        let lv = self.net.leveled();
-        let half = lv.levels() / 2;
-        let (col, _) = self.net.split(node);
-        let policy = if self.combining && col >= half && col < lv.levels() && pkts.len() > 1 {
-            self.mergeable_policy()
-        } else {
-            None
-        };
-        let Some(policy) = policy else {
-            for &pkt in pkts {
-                self.on_packet(node, pkt, step, out);
-            }
-            return;
-        };
-        // The first same-address write in batch order is the
-        // representative; later ones fold their (value, proc) into it and
-        // go no further. A batch is at most one packet per in-link, so
-        // the scan is short.
-        for (i, &pkt) in pkts.iter().enumerate() {
-            let mut earlier_writes = pkts[..i].iter().filter(|q| q.hop == 1);
-            let Some(rep) = earlier_writes.find(|q| pkt.hop == 1 && q.tag == pkt.tag) else {
-                self.on_packet(node, pkt, step, out);
-                continue;
-            };
-            let (rep, folded) = (rep.id as usize, pkt.id as usize);
-            self.writes[rep] = Self::merge(policy, self.writes[rep], self.writes[folded]);
-            self.write_merges += 1;
-        }
+    fn module_at(&self, node: usize, _pkt: &Packet) -> Option<usize> {
+        let (col, idx) = self.fwd.split(node);
+        (col == self.fwd.leveled().levels()).then_some(idx)
     }
 
-    fn on_packet(&mut self, node: usize, mut pkt: Packet, step: u32, out: &mut Outbox) {
-        let (col, idx) = self.net.split(node);
-        let at_module = col == self.net.leveled().levels();
-        let key = pkt.tag;
-
-        if pkt.hop == 1 {
-            if at_module {
-                let (value, proc) = self.writes[pkt.id as usize];
-                self.modules
-                    .buffer(idx, ModuleRequest::Write { key, value, proc });
-                out.deliver(pkt);
-                return;
-            }
-        } else {
-            let source = if step == 0 {
-                Source::Local
-            } else {
-                let port = self.bwd.port_to(node, pkt.prev as usize);
-                Source::Link(Hop {
-                    port: port.expect("request link reversed on the reply network") as u32,
-                    entry: EntryId(pkt.via2),
-                })
-            };
-            let entry = self.tables.register(self.combining, node, key, source);
-            if at_module {
-                if let Some(entry) = entry {
-                    self.modules
-                        .buffer(idx, ModuleRequest::Read { key, tag: entry.0 });
-                }
-                out.deliver(pkt);
-                return;
-            }
-            let Some(entry) = entry else {
-                out.absorb(pkt); // combined — the pending entry fans out later
-                return;
-            };
-            pkt.via2 = entry.0;
-        }
-
-        pkt.prev = node as u32;
-        UniversalLeveledRouter::new(self.net).on_packet(node, pkt, step, out);
-    }
-}
-
-/// Reply-phase protocol: retrace the pending-table tree, fanning out. A
-/// reply packet carries, in `via`, the id of the entry it is bound for.
-struct ReplyProtocol<'a, L: Leveled> {
-    net: &'a LeveledNet<DoubledLeveled<L>>,
-    tables: &'a mut PendingTables,
-    replies: &'a mut Vec<(usize, u32)>,
-}
-
-impl<L: Leveled> Protocol for ReplyProtocol<'_, L> {
-    const NODE_LOCAL: bool = true;
-
-    fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
-        let entry = self.tables.take(EntryId(pkt.via));
-        if entry.local {
-            let (col, idx) = self.net.split(node);
-            debug_assert_eq!(col, 0, "local requests only originate in column 0");
-            self.replies.push((idx, pkt.id));
-        }
-        if entry.fanout.is_empty() {
-            out.deliver(pkt);
-        }
-        for hop in self.tables.iter(entry.fanout) {
-            out.send(hop.port as usize, pkt.with_via(hop.entry.0));
-        }
+    fn merges_writes_at(&self, node: usize) -> bool {
+        let levels = self.fwd.leveled().levels();
+        let (col, _) = self.fwd.split(node);
+        col >= levels / 2 && col < levels
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node_local::{assert_paths_agree, drive, Phases, MODE, SPACE};
+    use crate::node_local::{assert_paths_agree, MODE, SPACE};
     use crate::EmuReport;
     use lnpram_pram::machine::PramMachine;
-    use lnpram_pram::model::{MemOp, PramProgram};
+    use lnpram_pram::model::{MemOp, PramProgram, WritePolicy};
     use lnpram_pram::programs::{Broadcast, PrefixSum, ReductionMax};
-    use lnpram_simnet::RunOutcome;
     use lnpram_topology::leveled::{RadixButterfly, UnrolledShuffle};
-
-    impl<L: Leveled> Phases for LeveledHost<L> {
-        fn requests(
-            &mut self,
-            requests: &[Request],
-            modules: &mut ModuleArray,
-            budget: u32,
-            seq: SeedSeq,
-            grouped: bool,
-        ) -> (RunOutcome, u32) {
-            let (engine, mut proto) = self.request_phase(requests, modules, budget, seq);
-            let out = drive(engine, &mut proto, grouped);
-            (out, proto.write_merges + self.tables.combined())
-        }
-
-        fn replies(
-            &mut self,
-            reads: &[ServedRead],
-            _seq: SeedSeq,
-            replies: &mut Vec<(usize, u32)>,
-            grouped: bool,
-        ) -> (RunOutcome, bool) {
-            let (engine, mut proto) = self.reply_phase(reads, replies);
-            let out = drive(engine, &mut proto, grouped);
-            (out, self.tables.all_clear())
-        }
-    }
 
     #[test]
     fn node_local_phases_match_the_grouped_path() {
         // The request protocol stays grouped; the reply protocol does not.
-        assert_paths_agree(|cfg| {
+        assert_paths_agree(true, |cfg| {
             LeveledPramEmulator::new(RadixButterfly::new(2, 4), MODE, SPACE, cfg)
         });
     }

@@ -27,7 +27,7 @@
 //! modules serve batches with read-before-write semantics.
 
 use crate::config::EmulatorConfig;
-use crate::emulator::{AddressMap, EmuHost, PhaseOutcome, PramEmulator, Request};
+use crate::emulator::{run_phase, AddressMap, EmuHost, PhaseOutcome, PramEmulator, Request};
 use crate::memory::{ModuleArray, ModuleRequest, ServedRead};
 use lnpram_math::rng::SeedSeq;
 use lnpram_pram::model::AccessMode;
@@ -40,10 +40,9 @@ use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::{Mesh, Network};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::fmt;
 
 /// The n×n mesh as an emulation host: three-stage routing both ways.
-/// Both phases run through `AnyEngine::run`, the sharded engine's central
-/// loop on the calling thread: their protocols keep cross-node state.
 pub struct MeshHost {
     mesh: Mesh,
     slice_rows: usize,
@@ -59,6 +58,28 @@ pub struct MeshHost {
 
 /// The PRAM emulator on the n×n mesh (Theorems 3.2/3.3).
 pub type MeshPramEmulator = PramEmulator<MeshHost>;
+
+/// An address space the direct map cannot hold: it needs a node per
+/// cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirectMapTooLarge {
+    /// Cells asked for.
+    pub address_space: u64,
+    /// Nodes of the mesh, `n²`.
+    pub nodes: u64,
+}
+
+impl fmt::Display for DirectMapTooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "the direct map needs address_space ≤ n² = {}, got {}",
+            self.nodes, self.address_space
+        )
+    }
+}
+
+impl std::error::Error for DirectMapTooLarge {}
 
 impl MeshPramEmulator {
     /// Hashed-mapping emulator on an `n×n` mesh for `address_space` cells.
@@ -85,19 +106,29 @@ impl MeshPramEmulator {
     }
 
     /// Locality emulator (Theorem 3.3): direct address map and slice
-    /// height capped at `d` rows. `address_space ≤ n²` required.
+    /// height capped at `d` rows.
+    ///
+    /// # Errors
+    /// [`DirectMapTooLarge`] unless `address_space ≤ n²`: the direct
+    /// map puts cell `a` at node `a`.
     pub fn new_local(
         n: usize,
         mode: AccessMode,
         address_space: u64,
         d: usize,
         cfg: EmulatorConfig,
-    ) -> Self {
+    ) -> Result<Self, DirectMapTooLarge> {
+        let nodes = (n * n) as u64;
+        if address_space > nodes {
+            return Err(DirectMapTooLarge {
+                address_space,
+                nodes,
+            });
+        }
         let mut emu = Self::new(n, mode, address_space, cfg);
-        assert!(address_space <= (n * n) as u64, "direct map needs M <= n^2");
         emu.map = AddressMap::Direct;
         emu.host.slice_rows = default_slice_rows(n).min(d.max(1));
-        emu
+        Ok(emu)
     }
 
     /// Switch to the constant-queue routing variant (Theorem 3.2's O(1)
@@ -182,34 +213,6 @@ impl EmuHost for MeshHost {
         budget: u32,
         seq: SeedSeq,
     ) -> Option<PhaseOutcome> {
-        let (engine, mut proto) = self.request_phase(requests, modules, budget, seq);
-        let out = engine.run(&mut proto);
-        out.completed.then(|| PhaseOutcome::of(&out.metrics))
-    }
-
-    fn route_replies(
-        &mut self,
-        reads: &[ServedRead],
-        seq: SeedSeq,
-        replies: &mut Vec<(usize, u32)>,
-    ) -> PhaseOutcome {
-        let (engine, mut proto) = self.reply_phase(reads, seq, replies);
-        let out = engine.run(&mut proto);
-        debug_assert!(out.completed);
-        PhaseOutcome::of(&out.metrics)
-    }
-}
-
-impl MeshHost {
-    /// The request phase ready to run: the engine reset, the requests
-    /// injected, and the protocol to drive them with.
-    fn request_phase<'a>(
-        &'a mut self,
-        requests: &'a [Request],
-        modules: &'a mut ModuleArray,
-        budget: u32,
-        seq: SeedSeq,
-    ) -> (&'a mut AnyEngine, MeshRequestProtocol<'a>) {
         self.engine.reset();
         self.engine.set_max_steps(budget);
         let mut rng = seq.rng();
@@ -219,21 +222,23 @@ impl MeshHost {
                 .with_tag(req.key);
             self.engine.inject(req.proc, pkt);
         }
-        let proto = MeshRequestProtocol {
+        let mut proto = MeshRequestProtocol {
             router: self.router(),
             modules,
             requests,
         };
-        (&mut self.engine, proto)
+        let out = run_phase(&mut self.engine, &mut proto);
+        out.completed.then(|| PhaseOutcome::of(&out.metrics))
     }
 
-    /// The reply phase ready to run, likewise.
-    fn reply_phase<'a>(
-        &'a mut self,
+    /// Replies travel forward to their readers by the same three-stage
+    /// routing.
+    fn route_replies(
+        &mut self,
         reads: &[ServedRead],
         seq: SeedSeq,
-        replies: &'a mut Vec<(usize, u32)>,
-    ) -> (&'a mut AnyEngine, MeshReplyProtocol<'a>) {
+        replies: &mut Vec<(usize, u32)>,
+    ) -> PhaseOutcome {
         self.engine.reset();
         self.engine.set_max_steps(u32::MAX);
         let mut rng = seq.rng();
@@ -244,11 +249,13 @@ impl MeshHost {
                 .with_tag(read.key);
             self.engine.inject(read.module, pkt);
         }
-        let proto = MeshReplyProtocol {
+        let mut proto = MeshReplyProtocol {
             router: self.router(),
             replies,
         };
-        (&mut self.engine, proto)
+        let out = run_phase(&mut self.engine, &mut proto);
+        assert!(out.completed, "reply phase did not drain");
+        PhaseOutcome::of(&out.metrics)
     }
 }
 
@@ -305,41 +312,16 @@ impl Protocol for MeshReplyProtocol<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node_local::{assert_paths_agree, drive, Phases, MODE, SPACE};
+    use crate::node_local::{assert_paths_agree, MODE, SPACE};
     use lnpram_pram::machine::PramMachine;
     use lnpram_pram::model::{PramProgram, WritePolicy};
     use lnpram_pram::programs::{Histogram, OddEvenSort, PermutationTraffic, PrefixSum};
     use lnpram_routing::workloads;
-    use lnpram_simnet::RunOutcome;
-
-    impl Phases for MeshHost {
-        fn requests(
-            &mut self,
-            requests: &[Request],
-            modules: &mut ModuleArray,
-            budget: u32,
-            seq: SeedSeq,
-            grouped: bool,
-        ) -> (RunOutcome, u32) {
-            let (engine, mut proto) = self.request_phase(requests, modules, budget, seq);
-            (drive(engine, &mut proto, grouped), 0)
-        }
-
-        fn replies(
-            &mut self,
-            reads: &[ServedRead],
-            seq: SeedSeq,
-            replies: &mut Vec<(usize, u32)>,
-            grouped: bool,
-        ) -> (RunOutcome, bool) {
-            let (engine, mut proto) = self.reply_phase(reads, seq, replies);
-            (drive(engine, &mut proto, grouped), true)
-        }
-    }
 
     #[test]
     fn node_local_phases_match_the_grouped_path() {
-        assert_paths_agree(|cfg| MeshPramEmulator::new(6, MODE, SPACE, cfg));
+        // The mesh does not combine, so its served reads may repeat a key.
+        assert_paths_agree(false, |cfg| MeshPramEmulator::new(6, MODE, SPACE, cfg));
     }
 
     #[test]
@@ -414,7 +396,8 @@ mod tests {
                 prog.address_space(),
                 d,
                 EmulatorConfig::default(),
-            );
+            )
+            .expect("n² cells fit the direct map");
             emu.run_program(&mut prog, 1000);
             emu.report().mean_step_time()
         };
@@ -426,6 +409,19 @@ mod tests {
         );
         // d=2 should be far below a full 4n traversal.
         assert!(t2 < 2.0 * n as f64, "d=2 cost {t2:.1} vs n={n}");
+    }
+
+    #[test]
+    fn oversize_direct_map_is_an_error() {
+        let cfg = EmulatorConfig::default;
+        let err = MeshPramEmulator::new_local(4, AccessMode::Erew, 17, 2, cfg()).err();
+        let want = DirectMapTooLarge {
+            address_space: 17,
+            nodes: 16,
+        };
+        assert_eq!(err, Some(want));
+        assert!(want.to_string().contains("n² = 16, got 17"));
+        assert!(MeshPramEmulator::new_local(4, AccessMode::Erew, 16, 2, cfg()).is_ok());
     }
 
     #[test]

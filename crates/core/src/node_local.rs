@@ -1,25 +1,28 @@
+#![cfg(test)]
 //! The node-local contract on the emulator hosts, as a test harness:
 //! each host's request and reply protocols, run as they are, must agree
 //! exactly with the same protocols forced onto the grouped process path.
-//! The hosts implement [`Phases`] beside their private protocols and run
-//! [`assert_paths_agree`] over a case matrix: serial and K = 2 engines,
+//! Every host runs its phases through [`run`] (`emulator::run_phase`
+//! under test), so [`assert_paths_agree`] drives each one through its
+//! `EmuHost` entry points over a case matrix: serial and K = 2 engines,
 //! combining on and off, hashed and `with_copies(3)` placement.
 //!
 //! Compared per case: every [`Metrics`](lnpram_simnet::Metrics) field of
 //! both phases, the combining count, the served reads as `(module, key,
 //! value, version)` (their tag names a pending entry, and entry ids are
-//! handed out in creation order, which the path may change), each
-//! processor's reply sequence, and whether the pending tables are clear
-//! after the reply phase.
+//! handed out in creation order, which the path may change) and each
+//! processor's reply sequence. The reply phase itself asserts that every
+//! pending entry was consumed.
 
 use crate::config::EmulatorConfig;
-use crate::emulator::{EmuHost, PramEmulator, Request};
-use crate::memory::{ModuleArray, ServedRead};
+use crate::emulator::{EmuHost, PramEmulator};
+use crate::memory::ModuleArray;
 use lnpram_math::rng::SeedSeq;
 use lnpram_pram::model::{AccessMode, MemOp, WritePolicy};
 use lnpram_shard::AnyEngine;
 use lnpram_simnet::{Outbox, Packet, Protocol, RunOutcome};
 use rand::Rng;
+use std::cell::RefCell;
 
 /// `P` with every callback forwarded and `NODE_LOCAL` left `false`: the
 /// same protocol on the grouped process path.
@@ -39,42 +42,27 @@ impl<P: Protocol> Protocol for Grouped<'_, P> {
     }
 }
 
-/// Run `proto` on `engine` as it is, or forced onto the grouped path.
-pub(crate) fn drive<P: Protocol>(
-    engine: &mut AnyEngine,
-    proto: &mut P,
-    grouped: bool,
-) -> RunOutcome {
-    if grouped {
+thread_local! {
+    /// While [`observe`] watches this thread: whether to force the
+    /// grouped path, and the fingerprint of every phase run since.
+    static WATCH: RefCell<Option<(bool, Vec<Fingerprint>)>> = const { RefCell::new(None) };
+}
+
+/// Run one routing phase, on the grouped path if [`observe`] asks for
+/// it, recording what the run showed while it watches.
+pub(crate) fn run<P: Protocol>(engine: &mut AnyEngine, proto: &mut P) -> RunOutcome {
+    let grouped = WATCH.with_borrow(|w| w.as_ref().is_some_and(|(grouped, _)| *grouped));
+    let out = if grouped {
         engine.run(&mut Grouped(proto))
     } else {
         engine.run(proto)
-    }
-}
-
-/// A host's two routing phases with the process path chosen by the
-/// caller.
-pub(crate) trait Phases: EmuHost {
-    /// Route `requests` within `budget` steps; the run and the combining
-    /// events it counted.
-    fn requests(
-        &mut self,
-        requests: &[Request],
-        modules: &mut ModuleArray,
-        budget: u32,
-        seq: SeedSeq,
-        grouped: bool,
-    ) -> (RunOutcome, u32);
-
-    /// Route the replies to `reads`; the run and whether every pending
-    /// entry was consumed.
-    fn replies(
-        &mut self,
-        reads: &[ServedRead],
-        seq: SeedSeq,
-        replies: &mut Vec<(usize, u32)>,
-        grouped: bool,
-    ) -> (RunOutcome, bool);
+    };
+    WATCH.with_borrow_mut(|w| {
+        if let Some((_, runs)) = w {
+            runs.push(fingerprint(&out));
+        }
+    });
+    out
 }
 
 /// Everything a run's metrics can differ in, flattened for comparison.
@@ -97,12 +85,11 @@ fn fingerprint(out: &RunOutcome) -> Fingerprint {
 /// What one request phase plus one reply phase showed.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    request: Fingerprint,
+    /// The request run, then the reply run.
+    runs: Vec<Fingerprint>,
     combined: u32,
     served: Vec<(usize, u64, u64, u64)>,
-    reply: Fingerprint,
     per_proc: Vec<Vec<u32>>,
-    all_clear: bool,
 }
 
 /// Cells the cases address: fewer than processors, so reads collide.
@@ -127,7 +114,7 @@ fn ops(procs: usize, seed: u64) -> Vec<MemOp> {
 /// Run `ops` through both phases of `emu`'s host on one path, against
 /// modules whose copies hold distinct values at versions that sometimes
 /// tie.
-fn observe<H: Phases>(emu: &mut PramEmulator<H>, ops: &[MemOp], grouped: bool) -> Observed {
+fn observe<H: EmuHost>(emu: &mut PramEmulator<H>, ops: &[MemOp], grouped: bool) -> Observed {
     let procs = emu.processors();
     let mut modules = ModuleArray::new(procs, MODE);
     for addr in 0..SPACE {
@@ -144,34 +131,39 @@ fn observe<H: Phases>(emu: &mut PramEmulator<H>, ops: &[MemOp], grouped: bool) -
     let mut requests = Vec::new();
     emu.map.issue(ops, procs, &mut requests);
     let budget = 16 * emu.host.phase_bound() as u32;
-    let (request, combined) =
-        emu.host
-            .requests(&requests, &mut modules, budget, SeedSeq::new(3), grouped);
+    WATCH.set(Some((grouped, Vec::new())));
+    let requested = emu
+        .host
+        .route_requests(&requests, &mut modules, budget, SeedSeq::new(3))
+        .expect("request phase within budget");
     let (reads, _) = modules.serve_batches(3);
     let mut replies = Vec::new();
-    let (reply, all_clear) = emu
-        .host
-        .replies(&reads, SeedSeq::new(4), &mut replies, grouped);
+    emu.host
+        .route_replies(&reads, SeedSeq::new(4), &mut replies);
+    let (_, runs) = WATCH.take().expect("watched");
     let mut per_proc = vec![Vec::new(); procs];
     for (proc, i) in replies {
         per_proc[proc].push(i);
     }
     Observed {
-        request: fingerprint(&request),
-        combined,
+        runs,
+        combined: requested.combined,
         served: reads
             .iter()
             .map(|r| (r.module, r.key, r.value, r.version))
             .collect(),
-        reply: fingerprint(&reply),
         per_proc,
-        all_clear,
     }
 }
 
 /// Both process paths agree on every case of the matrix; `build` makes
-/// the hashed emulator for a config.
-pub(crate) fn assert_paths_agree<H: Phases>(build: impl Fn(EmulatorConfig) -> PramEmulator<H>) {
+/// the hashed emulator for a config. On a host that `combines`, with
+/// combining on, no `(module, key)` is served twice in a step: every
+/// read of a cell after the first was absorbed on the way.
+pub(crate) fn assert_paths_agree<H: EmuHost>(
+    combines: bool,
+    build: impl Fn(EmulatorConfig) -> PramEmulator<H>,
+) {
     for shards in [0, 2] {
         for combining in [true, false] {
             for copies in [1, 3] {
@@ -185,19 +177,28 @@ pub(crate) fn assert_paths_agree<H: Phases>(build: impl Fn(EmulatorConfig) -> Pr
                     emu = emu.with_copies(copies).expect("odd copy count");
                 }
                 for seed in 0..3 {
+                    let case = format!(
+                        "shards {shards}, combining {combining}, copies {copies}, seed {seed}"
+                    );
                     let ops = ops(emu.processors(), seed);
                     let node_local = observe(&mut emu, &ops, false);
-                    assert!(node_local.request.0, "request phase within budget");
-                    assert!(node_local.all_clear, "every pending entry consumed");
                     if copies > 1 {
                         let ties = node_local.per_proc.iter().any(|r| r.len() > 1);
                         assert!(ties, "some reader resolves several replies");
                     }
+                    if combines && combining {
+                        let mut cells: Vec<_> =
+                            node_local.served.iter().map(|r| (r.0, r.1)).collect();
+                        cells.sort_unstable();
+                        cells.dedup();
+                        assert_eq!(
+                            cells.len(),
+                            node_local.served.len(),
+                            "{case}: uncombined read"
+                        );
+                    }
                     let grouped = observe(&mut emu, &ops, true);
-                    assert_eq!(
-                        node_local, grouped,
-                        "shards {shards}, combining {combining}, copies {copies}, seed {seed}"
-                    );
+                    assert_eq!(node_local, grouped, "{case}");
                 }
             }
         }

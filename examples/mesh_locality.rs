@@ -28,7 +28,8 @@ fn main() {
         let mut prog = PermutationTraffic::new(dests, 4);
         let space = prog.address_space();
         let mut emu =
-            MeshPramEmulator::new_local(n, AccessMode::Erew, space, d, EmulatorConfig::default());
+            MeshPramEmulator::new_local(n, AccessMode::Erew, space, d, EmulatorConfig::default())
+                .expect("a permutation's cells fit the direct map");
         let report = emu.run_program(&mut prog, 1000);
 
         // Also verify against the oracle — locality must not change results.

@@ -219,7 +219,7 @@ fn all_runs() -> Vec<String> {
         });
         // Direct map: the address space must fit the 36 nodes.
         four_programs(&mut lines, "mesh(6,local=2)", 30, &c, &|m, s, c| {
-            MeshPramEmulator::new_local(6, m, s, 2, c)
+            MeshPramEmulator::new_local(6, m, s, 2, c).expect("30 cells fit the 6×6 mesh")
         });
         four_programs(&mut lines, "mesh(6,const-queue)", 36, &c, &|m, s, c| {
             MeshPramEmulator::new(6, m, s, c).with_const_queue()
@@ -264,7 +264,7 @@ fn all_runs() -> Vec<String> {
     });
     // Direct map: an overrun charges the broadcast and remaps nothing.
     four_programs(&mut lines, "mesh(10,local=2)", 94, &tight(), &|m, s, c| {
-        MeshPramEmulator::new_local(10, m, s, 2, c)
+        MeshPramEmulator::new_local(10, m, s, 2, c).expect("94 cells fit the 10×10 mesh")
     });
     for (host, runs) in ["butterfly", "star", "mesh(8)", "mesh(10,local"]
         .iter()

@@ -145,7 +145,8 @@ fn theorem_33_locality_tracks_d() {
             prog.address_space(),
             d,
             EmulatorConfig::default(),
-        );
+        )
+        .expect("a permutation's cells fit the direct map");
         emu.run_program(&mut prog, 1000);
         emu.report().mean_step_time()
     };
