@@ -228,6 +228,7 @@ impl PendingTables {
 
     /// Open a fresh entry holding `source` — a private trail, which no
     /// other request can meet, so nothing is looked up.
+    #[inline]
     pub fn open(&mut self, source: Source) -> EntryId {
         let id = self.entries.len() as u32;
         self.entries.push((FRESH, true));
@@ -267,6 +268,7 @@ impl PendingTables {
 
     /// [`join`](Self::join) the shared tree when `combining`, else
     /// [`open`](Self::open) a private entry (ablation A4).
+    #[inline]
     pub fn register(
         &mut self,
         combining: bool,

@@ -126,6 +126,7 @@ impl ModuleArray {
     }
 
     /// Buffer a request that arrived at `module` during the routing phase.
+    #[inline]
     pub fn buffer(&mut self, module: usize, req: ModuleRequest) {
         self.batches[module].push(req);
     }
