@@ -17,7 +17,7 @@
 //! the node a reply answers at is the reader. The mesh, which does not
 //! combine, routes its replies forward instead ([`crate::mesh_emulator`]).
 
-use crate::combining::{EntryId, Hop, PendingTables, Source};
+use crate::combining::{EntryId, Hop, PendingList, PendingTables, Source};
 use crate::emulator::{run_phase, EmuHost, PhaseOutcome, Request};
 use crate::memory::{ModuleArray, ModuleRequest, ServedRead};
 use lnpram_math::rng::SeedSeq;
@@ -62,12 +62,15 @@ pub trait HostRoute {
     /// See [`EmuHost::broadcast_steps`].
     fn broadcast_steps(&self) -> usize;
 
-    /// Move `pkt` on from `node`: the host's router takes the hop.
+    /// Move `pkt` on from `node`: the host's router takes the hop. It
+    /// leaves in [`Packet::prev`] whatever [`Self::reply_port`] needs at
+    /// the receiver to name the way back: the direction bits.
     fn forward(&self, node: usize, pkt: Packet, step: u32, out: &mut Outbox);
 
-    /// The reply network's port at `node` back to `prev`, the node a
-    /// request arrived from.
-    fn reply_port(&self, node: usize, prev: usize) -> usize;
+    /// The reply network's port at `node` back along the hop a request
+    /// arrived over, from the [`Packet::prev`] that hop's
+    /// [`Self::forward`] left.
+    fn reply_port(&self, node: usize, prev: u32) -> usize;
 
     /// The reply network's node of module `module`.
     fn module_node(&self, module: usize) -> usize;
@@ -122,6 +125,14 @@ impl<R: HostRoute> CombiningHost<R> {
             combining,
             writes: Vec::new(),
         }
+    }
+}
+
+impl<R> CombiningHost<R> {
+    /// The pending tables' work since the host was built.
+    #[cfg(test)]
+    pub(crate) fn table_work(&self) -> crate::combining::TableWork {
+        self.tables.work()
     }
 }
 
@@ -298,7 +309,7 @@ impl<R: HostRoute> Protocol for CombiningRequest<'_, R> {
                 Source::Local
             } else {
                 Source::Link(Hop {
-                    port: self.route.reply_port(node, pkt.prev as usize) as u32,
+                    port: self.route.reply_port(node, pkt.prev) as u32,
                     entry: EntryId(pkt.via2),
                 })
             };
@@ -327,7 +338,6 @@ impl<R: HostRoute> Protocol for CombiningRequest<'_, R> {
             out.deliver(pkt);
             return;
         }
-        pkt.prev = node as u32;
         self.route.forward(node, pkt, step, out);
     }
 }
@@ -342,17 +352,33 @@ struct Unwind<'a> {
 }
 
 impl Unwind<'_> {
+    #[inline(always)]
     fn unwind(&mut self, node: usize, id: EntryId, pkt: Packet, out: &mut Outbox) {
         let entry = self.tables.take(id);
         if entry.local {
             self.replies.push((node, pkt.id));
         }
-        let mut chains = entry.chains;
-        while let Some(chain) = self.tables.next(&mut chains) {
-            self.unwind(node, chain.entry, pkt, out);
+        if !entry.chains.is_empty() {
+            self.unwind_chains(node, entry.chains, pkt, out);
         }
         for hop in self.tables.iter(entry.fanout) {
             out.send(hop.port as usize, pkt.with_via(hop.entry.0));
+        }
+    }
+
+    /// Unwind the entries chained at `node`, in order. Only where a
+    /// private trail joined the shared tree, so kept out of line: the
+    /// recursion would stop [`Self::unwind`] from inlining.
+    #[inline(never)]
+    fn unwind_chains(
+        &mut self,
+        node: usize,
+        mut chains: PendingList,
+        pkt: Packet,
+        out: &mut Outbox,
+    ) {
+        while let Some(chain) = self.tables.next(&mut chains) {
+            self.unwind(node, chain.entry, pkt, out);
         }
     }
 }
@@ -367,5 +393,78 @@ impl Protocol for Unwind<'_> {
         if out.pending_sends() == before {
             out.deliver(pkt); // leaf: nothing forwarded
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::combining::TableWork;
+    use crate::{EmulatorConfig, LeveledPramEmulator, StarPramEmulator};
+    use lnpram_math::rng::splitmix64;
+    use lnpram_pram::model::{AccessMode, PramProgram, WritePolicy};
+    use lnpram_pram::programs::ConnectedComponents;
+    use lnpram_topology::leveled::RadixButterfly;
+
+    const MODE: AccessMode = AccessMode::Crcw(WritePolicy::Max);
+
+    /// CRCW-Max connected components of `edges` random edges over
+    /// `vertices` vertices, drawn from `seed`.
+    fn components(vertices: usize, edges: usize, seed: u64) -> ConnectedComponents {
+        let mut state = seed;
+        let mut vertex = || splitmix64(&mut state) as usize % vertices;
+        let edges = (0..edges).map(|_| (vertex(), vertex())).collect();
+        ConnectedComponents::new(vertices, edges)
+    }
+
+    /// The pending tables' work over one whole program is a pure function
+    /// of it, so it is pinned exactly: a change to how the tables store
+    /// or find entries shows here, with no timing involved. The star case
+    /// is `emulate_star`'s program shape (40 vertices, 40 edges, 120
+    /// processors); entries opened, keys joined and requests absorbed
+    /// are the simulation's, arena cells the layout's.
+    #[test]
+    fn table_work_over_a_program_is_pinned() {
+        let mut prog = components(40, 40, 7);
+        let space = prog.address_space();
+        let cfg = EmulatorConfig {
+            seed: 7,
+            ..EmulatorConfig::default()
+        };
+        let mut star = StarPramEmulator::new(5, MODE, space, cfg.clone());
+        let report = star.run_program(&mut prog, 10_000);
+        assert!(prog.verify(&star.memory_image(space)));
+        assert_eq!(
+            (report.pram_steps, star.host.table_work()),
+            (
+                120,
+                TableWork {
+                    opened: 76_266,
+                    joined: 38_189,
+                    absorbed: 6_816,
+                    cells: 5_987,
+                }
+            ),
+            "star(5)"
+        );
+
+        let mut prog = components(6, 5, 4);
+        let space = prog.address_space();
+        let inner = RadixButterfly::new(2, 4);
+        let mut leveled = LeveledPramEmulator::new(inner, MODE, space, cfg);
+        let report = leveled.run_program(&mut prog, 10_000);
+        assert!(prog.verify(&leveled.memory_image(space)));
+        assert_eq!(
+            (report.pram_steps, leveled.host.table_work()),
+            (
+                18,
+                TableWork {
+                    opened: 1_237,
+                    joined: 1_357,
+                    absorbed: 120,
+                    cells: 120,
+                }
+            ),
+            "butterfly(2, 4)"
+        );
     }
 }

@@ -225,8 +225,14 @@ impl AddressMap {
 
     /// Replace `requests` with those of `ops` on a host with `modules`
     /// modules: one per copy in each access's quorum, processors
-    /// ascending.
-    pub(crate) fn issue(&self, ops: &[MemOp], modules: usize, requests: &mut Vec<Request>) {
+    /// ascending. A hashed map reads `h(a)` through `homes`.
+    pub(crate) fn issue(
+        &self,
+        ops: &[MemOp],
+        modules: usize,
+        homes: &mut Homes,
+        requests: &mut Vec<Request>,
+    ) {
         requests.clear();
         for (proc, op) in ops.iter().enumerate() {
             let (addr, write) = match *op {
@@ -235,7 +241,10 @@ impl AddressMap {
                 MemOp::None | MemOp::Halt => continue,
             };
             for j in self.quorum(addr, write.is_some()) {
-                let (module, key) = self.locate(addr, j, modules);
+                let (module, key) = match self {
+                    AddressMap::Hashed(h) => (homes.of(h, addr), addr),
+                    _ => self.locate(addr, j, modules),
+                };
                 requests.push(Request {
                     proc,
                     key,
@@ -244,6 +253,45 @@ impl AddressMap {
                 });
             }
         }
+    }
+}
+
+/// `h(a)` of the hashed map per address of the emulator's address space,
+/// filled on first use and cleared on rehash: a program touches few
+/// cells many times, and each `h(a)` is a degree-`S` Horner evaluation.
+#[derive(Debug, Clone)]
+pub(crate) struct Homes(Vec<u32>);
+
+impl Homes {
+    /// Not yet evaluated. No module index is this large.
+    const UNSET: u32 = u32::MAX;
+
+    /// Addresses past this have no slot and are evaluated every time, so
+    /// a huge, sparsely used address space costs no memory.
+    const MAX_SLOTS: u64 = 1 << 20;
+
+    fn new(address_space: u64) -> Self {
+        Homes(vec![
+            Self::UNSET;
+            address_space.min(Self::MAX_SLOTS) as usize
+        ])
+    }
+
+    /// `h(addr)`.
+    #[inline]
+    fn of(&mut self, h: &PolyHash, addr: u64) -> usize {
+        let Some(home) = usize::try_from(addr).ok().and_then(|a| self.0.get_mut(a)) else {
+            return h.eval(addr) as usize;
+        };
+        if *home == Self::UNSET {
+            *home = h.eval(addr) as u32;
+        }
+        *home as usize
+    }
+
+    /// Forget every `h(a)` (a fresh `h` was drawn).
+    fn clear(&mut self) {
+        self.0.fill(Self::UNSET);
     }
 }
 
@@ -258,6 +306,8 @@ pub struct PramEmulator<H> {
     cfg: EmulatorConfig,
     family: HashFamily,
     pub(crate) map: AddressMap,
+    /// `h(a)` of [`AddressMap::Hashed`], memoised.
+    pub(crate) homes: Homes,
     modules: ModuleArray,
     seq: SeedSeq,
     hash_epoch: u64,
@@ -267,12 +317,14 @@ pub struct PramEmulator<H> {
     report: EmuReport,
     /// The current step's requests, kept between steps for its capacity.
     requests: Vec<Request>,
+    /// The current step's served reads, likewise.
+    reads: Vec<ServedRead>,
     /// The current step's `(proc, read index)` replies, likewise.
     replies: Vec<(usize, u32)>,
-    /// Per processor, `(step, version, delivery index)` of its newest
-    /// reply so far, `step` being the version of the step it answered;
-    /// entries of an earlier step are stale.
-    newest: Vec<(u64, u64, usize)>,
+    /// Per processor, `(step, version, read index)` of its newest reply
+    /// so far, `step` being the version of the step it answered; entries
+    /// of an earlier step are stale.
+    newest: Vec<(u64, u64, u32)>,
 }
 
 impl<H: EmuHost> PramEmulator<H> {
@@ -292,12 +344,14 @@ impl<H: EmuHost> PramEmulator<H> {
             cfg,
             family,
             map: AddressMap::Hashed(hash),
+            homes: Homes::new(address_space),
             modules: ModuleArray::new(modules, mode),
             seq,
             hash_epoch: 0,
             version: 0,
             report: EmuReport::default(),
             requests: Vec::new(),
+            reads: Vec::new(),
             replies: Vec::new(),
             newest: Vec::new(),
         }
@@ -414,16 +468,17 @@ impl<H: EmuHost> PramEmulator<H> {
             }
         }
         let mut last_read: Vec<Option<u64>> = vec![None; p];
+        let (mut ops, mut reads) = (Vec::with_capacity(p), Vec::new());
         let mut steps = max_steps;
         for pram_step in 0..max_steps {
-            let ops: Vec<MemOp> = (0..p)
-                .map(|i| prog.op(i, pram_step, last_read[i]))
-                .collect();
+            ops.clear();
+            ops.extend((0..p).map(|i| prog.op(i, pram_step, last_read[i])));
             if ops.iter().all(|o| matches!(o, MemOp::Halt)) {
                 steps = pram_step;
                 break;
             }
-            for (proc, value) in self.emulate_step(&ops, pram_step as u64) {
+            self.step_into(&ops, pram_step as u64, &mut reads);
+            for &(proc, value) in &reads {
                 last_read[proc] = Some(value);
             }
         }
@@ -439,20 +494,30 @@ impl<H: EmuHost> PramEmulator<H> {
     /// request phase still overruns its budget after
     /// [`EmulatorConfig::max_rehashes`] rehashes.
     pub fn emulate_step(&mut self, ops: &[MemOp], step_label: u64) -> Vec<(usize, u64)> {
+        let mut reads = Vec::new();
+        self.step_into(ops, step_label, &mut reads);
+        reads
+    }
+
+    /// [`emulate_step`](Self::emulate_step) into `deliveries`, which is
+    /// cleared first.
+    fn step_into(&mut self, ops: &[MemOp], step_label: u64, deliveries: &mut Vec<(usize, u64)>) {
         let modules = self.processors();
         assert!(
             ops.len() <= modules,
             "{} ops for {modules} processors",
             ops.len()
         );
-        self.map.issue(ops, modules, &mut self.requests);
+        deliveries.clear();
+        self.map
+            .issue(ops, modules, &mut self.homes, &mut self.requests);
         let mut stats = StepStats {
             requests: self.requests.len() as u32,
             ..Default::default()
         };
         if self.requests.is_empty() {
             self.report.steps.push(stats);
-            return Vec::new();
+            return;
         }
 
         let step_seq = self.seq.child(1).child(step_label);
@@ -484,15 +549,13 @@ impl<H: EmuHost> PramEmulator<H> {
         stats.combined = requested.combined;
 
         self.version += 1;
-        let (reads, busiest) = self.modules.serve_batches(self.version);
-        stats.service_steps = busiest;
+        stats.service_steps = self.modules.serve_batches(self.version, &mut self.reads);
 
-        let mut deliveries = Vec::new();
-        if !reads.is_empty() {
+        if !self.reads.is_empty() {
             self.replies.clear();
-            let replied = self
-                .host
-                .route_replies(&reads, attempt_seq.child(1), &mut self.replies);
+            let replied =
+                self.host
+                    .route_replies(&self.reads, attempt_seq.child(1), &mut self.replies);
             stats.reply_steps = replied.steps;
             stats.max_queue = stats.max_queue.max(replied.max_queue);
             // Each reader keeps its newest reply (quorum intersection makes
@@ -500,24 +563,27 @@ impl<H: EmuHost> PramEmulator<H> {
             // stays. All of a processor's replies arrive at its own node,
             // which sees its arrivals in link-id order on either process
             // path, so that tie rule is path-independent; the order of
-            // `replies` across processors is not, hence the sort.
+            // `replies` across processors is not, so the readers are
+            // listed in the requests' order, processors ascending.
             self.newest.resize(modules, (0, 0, 0));
-            deliveries.reserve_exact(self.replies.len());
             for &(proc, i) in &self.replies {
-                let read = &reads[i as usize];
-                let (step, version, at) = &mut self.newest[proc];
-                if *step != self.version {
-                    (*step, *version, *at) = (self.version, read.version, deliveries.len());
-                    deliveries.push((proc, read.value));
-                } else if read.version > *version {
-                    *version = read.version;
-                    deliveries[*at].1 = read.value;
+                let version = self.reads[i as usize].version;
+                let newest = &mut self.newest[proc];
+                if newest.0 != self.version || version > newest.1 {
+                    *newest = (self.version, version, i);
                 }
             }
-            deliveries.sort_unstable_by_key(|&(proc, _)| proc);
+            deliveries.reserve_exact(self.replies.len());
+            let mut last = None;
+            for req in self.requests.iter().filter(|r| r.write.is_none()) {
+                let (step, _, i) = self.newest[req.proc];
+                if last != Some(req.proc) && step == self.version {
+                    deliveries.push((req.proc, self.reads[i as usize].value));
+                }
+                last = Some(req.proc);
+            }
         }
         self.report.steps.push(stats);
-        deliveries
     }
 
     /// §2.1 rehashing: draw a fresh `h`, remap every stored cell (and the
@@ -533,15 +599,16 @@ impl<H: EmuHost> PramEmulator<H> {
             *hash = self
                 .family
                 .sample(&mut self.seq.child(2).child(self.hash_epoch).rng());
+            self.homes.clear();
             let cells = self.modules.drain_cells();
             let batches = cells.len().div_ceil(self.host.processors().max(1)) as u64;
             self.report.remap_steps += batches * self.host.phase_bound() as u64;
             for (key, (value, version)) in cells {
-                self.modules
-                    .poke(hash.eval(key) as usize, key, value, version);
+                let module = self.homes.of(hash, key);
+                self.modules.poke(module, key, value, version);
             }
             for req in &mut self.requests {
-                req.module = hash.eval(req.key) as u32;
+                req.module = self.homes.of(hash, req.key) as u32;
             }
         }
         stats.rehashes += 1;

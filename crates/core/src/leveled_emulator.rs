@@ -98,12 +98,15 @@ impl<L: Leveled> HostRoute for LeveledRoute<L> {
         self.fwd.leveled().levels() / 2
     }
 
-    fn forward(&self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
+    /// Leaves the node it forwards from in `prev`.
+    fn forward(&self, node: usize, mut pkt: Packet, step: u32, out: &mut Outbox) {
+        pkt.prev = node as u32;
         UniversalLeveledRouter::new(&self.fwd).on_packet(node, pkt, step, out);
     }
 
-    fn reply_port(&self, node: usize, prev: usize) -> usize {
-        let port = self.bwd.port_to(node, prev);
+    /// The reversed link to `prev`, the node the request came from.
+    fn reply_port(&self, node: usize, prev: u32) -> usize {
+        let port = self.bwd.port_to(node, prev as usize);
         port.expect("request link reversed on the reply network")
     }
 

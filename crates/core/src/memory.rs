@@ -63,6 +63,9 @@ pub struct ModuleArray {
     cells: Vec<BTreeMap<u64, (u64, u64)>>,
     mode: AccessMode,
     batches: Vec<Vec<ModuleRequest>>,
+    /// One bit per module, set while its batch may be non-empty: serving
+    /// and clearing visit only those modules, in ascending order.
+    touched: Vec<u64>,
     violations: Vec<AccessViolation>,
     /// One module's writes as `(key, (proc, value))`, in batch order
     /// until sorted ([`Self::serve_batches`]' scratch).
@@ -78,6 +81,7 @@ impl ModuleArray {
             cells: vec![BTreeMap::new(); modules],
             mode,
             batches: vec![Vec::new(); modules],
+            touched: vec![0; modules.div_ceil(64)],
             violations: Vec::new(),
             writes: Vec::new(),
             writers: Vec::new(),
@@ -128,26 +132,30 @@ impl ModuleArray {
     /// Buffer a request that arrived at `module` during the routing phase.
     #[inline]
     pub fn buffer(&mut self, module: usize, req: ModuleRequest) {
+        self.touched[module / 64] |= 1 << (module % 64);
         self.batches[module].push(req);
     }
 
-    /// Serve every module's batch: reads first (pre-write cells), then
-    /// writes (CRCW resolution, keys ascending, each key's writers in
-    /// arrival order), each written cell stamped `version`. Returns the
-    /// reads served and the busiest module's batch size (the serial
-    /// service time charged to this PRAM step).
-    pub fn serve_batches(&mut self, version: u64) -> (Vec<ServedRead>, u32) {
+    /// Serve every module's batch into `reads`: reads first (pre-write
+    /// cells), then writes (CRCW resolution, keys ascending, each key's
+    /// writers in arrival order), each written cell stamped `version`,
+    /// modules ascending. `reads` is cleared first, so a caller that
+    /// keeps it reuses its capacity. Returns the busiest module's batch
+    /// size (the serial service time charged to this PRAM step).
+    pub fn serve_batches(&mut self, version: u64, reads: &mut Vec<ServedRead>) -> u32 {
         let ModuleArray {
             cells,
             mode,
             batches,
+            touched,
             violations,
             writes,
             writers,
         } = self;
-        let mut reads = Vec::new();
+        reads.clear();
         let mut busiest = 0u32;
-        for (module, (batch, cells)) in batches.iter_mut().zip(cells).enumerate() {
+        for module in take_touched(touched) {
+            let (batch, cells) = (&mut batches[module], &mut cells[module]);
             busiest = busiest.max(batch.len() as u32);
             // Reads see the cells as they were: no write lands before the
             // whole batch has been read. `drain` hands the buffer back
@@ -179,14 +187,14 @@ impl ModuleArray {
                 cells.insert(key, (value, version));
             }
         }
-        (reads, busiest)
+        busiest
     }
 
     /// Discard all buffered (unserved) requests — used when a routing
     /// overrun triggers a rehash and the PRAM step restarts from scratch.
     pub fn clear_batches(&mut self) {
-        for b in &mut self.batches {
-            b.clear();
+        for module in take_touched(&mut self.touched) {
+            self.batches[module].clear();
         }
     }
 
@@ -194,6 +202,21 @@ impl ModuleArray {
     pub fn violations(&self) -> &[AccessViolation] {
         &self.violations
     }
+}
+
+/// The modules whose bits are set in `touched`, ascending, clearing the
+/// bits as it goes.
+fn take_touched(touched: &mut [u64]) -> impl Iterator<Item = usize> + '_ {
+    touched.iter_mut().enumerate().flat_map(|(word, bits)| {
+        let mut bits = std::mem::take(bits);
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                word * 64 + bit
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -228,7 +251,8 @@ mod tests {
                 proc: 3,
             },
         );
-        let (reads, busiest) = ma.serve_batches(5);
+        let mut reads = Vec::new();
+        let busiest = ma.serve_batches(5, &mut reads);
         assert_eq!(reads, vec![read(0, 10, 0, (111, 0))]);
         assert_eq!(busiest, 2);
         assert_eq!(ma.peek(0, 10), (222, 5), "writes carry the step's version");
@@ -247,7 +271,7 @@ mod tests {
                 },
             );
         }
-        ma.serve_batches(1);
+        ma.serve_batches(1, &mut Vec::new());
         assert_eq!(ma.peek(0, 5), (10, 1));
         assert!(ma.violations().is_empty());
     }
@@ -271,7 +295,7 @@ mod tests {
                 proc: 1,
             },
         );
-        ma.serve_batches(1);
+        ma.serve_batches(1, &mut Vec::new());
         assert_eq!(ma.violations().len(), 1);
     }
 
@@ -291,8 +315,13 @@ mod tests {
     fn unwritten_cells_read_zero() {
         let mut ma = ModuleArray::new(1, AccessMode::Erew);
         ma.buffer(0, ModuleRequest::Read { key: 99, tag: 3 });
-        let (reads, _) = ma.serve_batches(1);
-        assert_eq!(reads, vec![read(0, 99, 3, (0, 0))]);
+        let mut reads = vec![read(0, 1, 1, (1, 1))];
+        ma.serve_batches(1, &mut reads);
+        assert_eq!(
+            reads,
+            vec![read(0, 99, 3, (0, 0))],
+            "the buffer is cleared first"
+        );
     }
 
     /// `serve_batches` as it was before the sort-based grouping: cells
@@ -356,7 +385,12 @@ mod tests {
         /// busiest batch, record the same violations in the same order,
         /// and leave the same cells.
         #[test]
-        fn prop_serve_batches_matches_hashmap_model(seed: u64, modules in 1usize..5, steps in 1usize..6) {
+        fn prop_serve_batches_matches_hashmap_model(
+            seed: u64,
+            // A few modules, or past one word of the touched bitmap.
+            modules in prop_oneof![1usize..5, 63usize..70],
+            steps in 1usize..6,
+        ) {
             for mode in MODES {
                 let mut rng = SeedSeq::new(seed).rng();
                 let mut array = ModuleArray::new(modules, mode);
@@ -388,7 +422,14 @@ mod tests {
                         array.buffer(module, req);
                         model.batches[module].push(req);
                     }
-                    prop_assert_eq!(array.serve_batches(version), model.serve_batches(version));
+                    if rng.gen_range(0u8..4) == 0 {
+                        // A rehash restarts the step: nothing buffered is served.
+                        array.clear_batches();
+                        model.batches.iter_mut().for_each(Vec::clear);
+                    }
+                    let mut reads = Vec::new();
+                    let busiest = array.serve_batches(version, &mut reads);
+                    prop_assert_eq!((reads, busiest), model.serve_batches(version));
                     prop_assert_eq!(array.violations(), &model.violations[..]);
                     for (module, cells) in model.cells.iter().enumerate() {
                         for key in 0..6 {

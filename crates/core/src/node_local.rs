@@ -129,14 +129,15 @@ fn observe<H: EmuHost>(emu: &mut PramEmulator<H>, ops: &[MemOp], grouped: bool) 
         }
     }
     let mut requests = Vec::new();
-    emu.map.issue(ops, procs, &mut requests);
+    emu.map.issue(ops, procs, &mut emu.homes, &mut requests);
     let budget = 16 * emu.host.phase_bound() as u32;
     WATCH.set(Some((grouped, Vec::new())));
     let requested = emu
         .host
         .route_requests(&requests, &mut modules, budget, SeedSeq::new(3))
         .expect("request phase within budget");
-    let (reads, _) = modules.serve_batches(3);
+    let mut reads = Vec::new();
+    modules.serve_batches(3, &mut reads);
     let mut replies = Vec::new();
     emu.host
         .route_replies(&reads, SeedSeq::new(4), &mut replies);

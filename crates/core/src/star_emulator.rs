@@ -30,7 +30,7 @@ use crate::config::EmulatorConfig;
 use crate::emulator::PramEmulator;
 use lnpram_pram::model::AccessMode;
 use lnpram_routing::star::{star_table_engine, StarRouter};
-use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
+use lnpram_simnet::{Outbox, Packet, SimConfig};
 use lnpram_topology::{Network, StarGraph, StarTable};
 
 /// The PRAM emulator on the n-star graph (Corollaries 2.3/2.5).
@@ -75,16 +75,23 @@ impl HostRoute for StarTable {
         self.star().diameter()
     }
 
-    #[inline]
-    fn forward(&self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
-        StarRouter::new(self).on_packet(node, pkt, step, out);
+    /// Leaves its out-port in `prev`: the direction bits.
+    #[inline(always)]
+    fn forward(&self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
+        match StarRouter::new(self).next_port(node, &mut pkt) {
+            Some(port) => {
+                pkt.prev = port as u32;
+                out.send(port, pkt);
+            }
+            None => out.deliver(pkt),
+        }
     }
 
-    /// SWAP edges are involutions: the port back to `prev` is the reply
-    /// port.
+    /// SWAP edges are involutions, so the port a request left its sender
+    /// on, which it carries in `prev`, leads back there from here too.
     #[inline]
-    fn reply_port(&self, node: usize, prev: usize) -> usize {
-        self.port_to(node, prev).expect("star is undirected")
+    fn reply_port(&self, _node: usize, prev: u32) -> usize {
+        prev as usize
     }
 
     fn module_node(&self, module: usize) -> usize {

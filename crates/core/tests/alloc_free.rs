@@ -140,12 +140,13 @@ fn warmed_up_emulate_step_does_not_allocate_per_hop_or_per_entry() {
     // single allocation per hop or per entry would show as hundreds.
     //
     // What remains is a constant handful made outside the kernel: the
-    // returned vector, `serve_batches`' result vector growing to the
-    // number of reads, and the latency histograms the two engine runs
-    // hand out and regrow. Both protocols are node-local, so no arrival
-    // is grouped by node; a module's writes are grouped by key in a
-    // reused scratch buffer and land on cells that already exist, so
-    // they add nothing.
+    // returned vector and the latency histograms the two engine runs
+    // hand out and regrow (more of them where 120 uncombined reads of
+    // one cell queue up). The served reads go into a buffer the
+    // emulator keeps. Both protocols are node-local, so no arrival is
+    // grouped by node; a module's writes are grouped by key in a reused
+    // scratch buffer and land on cells that already exist, so they add
+    // nothing.
     if std::env::var_os("LNPRAM_CHECK_INVARIANTS").is_some_and(|v| v == "1") {
         return; // the per-step state checker allocates its own scratch
     }
@@ -163,15 +164,15 @@ fn warmed_up_emulate_step_does_not_allocate_per_hop_or_per_entry() {
         );
         let counts = allocations_per_step(&mut emu, &steps);
         assert!(
-            counts[0] <= 24,
+            counts[0] <= 7,
             "spread reads, combining={combining}: {counts:?}"
         );
         assert!(
-            counts[1] <= 24,
+            counts[1] <= 11,
             "hot-spot reads, combining={combining}: {counts:?}"
         );
         // Neither the write grouping nor the routing allocates per module.
-        assert!(counts[2] <= 8, "writes, combining={combining}: {counts:?}");
+        assert!(counts[2] <= 3, "writes, combining={combining}: {counts:?}");
     }
 }
 
@@ -199,8 +200,8 @@ fn warmed_up_emulate_step_on_the_leveled_and_mesh_hosts_does_not_allocate_per_ho
         ),
     ];
     for (host, counts) in counts {
-        assert!(counts[0] <= 24, "spread reads on the {host}: {counts:?}");
-        assert!(counts[1] <= 24, "hot-spot reads on the {host}: {counts:?}");
-        assert!(counts[2] <= 8, "writes on the {host}: {counts:?}");
+        assert!(counts[0] <= 7, "spread reads on the {host}: {counts:?}");
+        assert!(counts[1] <= 11, "hot-spot reads on the {host}: {counts:?}");
+        assert!(counts[2] <= 3, "writes on the {host}: {counts:?}");
     }
 }

@@ -126,6 +126,7 @@ pub trait CanonicalRoute {
 }
 
 impl CanonicalRoute for StarTable {
+    #[inline]
     fn canonical_next_port(&self, u: usize, v: usize) -> Option<usize> {
         StarTable::canonical_next_port(self, u, v)
     }
@@ -148,6 +149,20 @@ impl<'a, T: CanonicalRoute> CanonicalRouter<'a, T> {
     pub fn new(net: &'a T) -> Self {
         CanonicalRouter { net }
     }
+
+    /// The out-port `pkt` takes from `node`, switching it to phase 1 on
+    /// reaching its intermediate; `None` once it stands on its
+    /// destination. [`Protocol::on_packet`] sends on it; a caller that
+    /// wraps the router reads it to record the hop.
+    #[inline]
+    pub fn next_port(&self, node: usize, pkt: &mut Packet) -> Option<usize> {
+        // Phase 0: toward via. Phase 1: toward dest.
+        if pkt.phase == 0 && node == pkt.via as usize {
+            pkt.phase = 1;
+        }
+        let target = if pkt.phase == 0 { pkt.via } else { pkt.dest } as usize;
+        self.net.canonical_next_port(node, target)
+    }
 }
 
 impl<T> Clone for CanonicalRouter<'_, T> {
@@ -165,12 +180,7 @@ impl<T: CanonicalRoute> Protocol for CanonicalRouter<'_, T> {
     const NODE_LOCAL: bool = true;
 
     fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
-        // Phase 0: toward via. Phase 1: toward dest.
-        if pkt.phase == 0 && node == pkt.via as usize {
-            pkt.phase = 1;
-        }
-        let target = if pkt.phase == 0 { pkt.via } else { pkt.dest } as usize;
-        match self.net.canonical_next_port(node, target) {
+        match self.next_port(node, &mut pkt) {
             Some(p) => out.send(p, pkt),
             // Only `node == target` has no next hop, and a phase-0
             // packet standing on `via` was just moved to phase 1: this

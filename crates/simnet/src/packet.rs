@@ -31,9 +31,13 @@ pub struct Packet {
     /// position-dependent: the digit to insert at hop `s` is digit `s−1`
     /// of the target).
     pub hop: u8,
-    /// Node this packet was last forwarded from, or `NO_NODE`. The CRCW
-    /// combining emulator records these per address — they are the paper's
-    /// "direction bits" (Theorem 2.6) along which read replies fan back out.
+    /// Where this packet was last forwarded from, as the forwarding
+    /// protocol records it, or `NO_NODE`. The CRCW combining emulator
+    /// turns it into the reply port it stores per address — the paper's
+    /// "direction bits" (Theorem 2.6) along which read replies fan back
+    /// out: the leveled host leaves the sending node here, the star host
+    /// the out-port the packet left on, which (SWAP edges being
+    /// involutions) is also the port back.
     pub prev: u32,
     /// Priority key for priority disciplines; larger = served first.
     pub priority: u32,

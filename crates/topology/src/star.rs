@@ -259,10 +259,12 @@ impl StarTable {
         &self.star
     }
 
+    #[inline]
     fn label(&self, node: usize) -> &[u8] {
         &self.labels[node * self.star.n..][..self.star.n]
     }
 
+    #[inline]
     fn inverse(&self, node: usize) -> &[u8] {
         &self.inverses[node * self.star.n..][..self.star.n]
     }
@@ -270,6 +272,7 @@ impl StarTable {
     /// [`StarGraph::canonical_next_port`] without the arithmetic:
     /// `m = v⁻¹ ∘ u` is read symbol by symbol, and only as far as the
     /// greedy rule looks.
+    #[inline]
     pub fn canonical_next_port(&self, u: usize, v: usize) -> Option<usize> {
         let (label, inv) = (self.label(u), self.inverse(v));
         let front = inv[label[0] as usize] as usize;
