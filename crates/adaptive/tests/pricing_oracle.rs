@@ -280,12 +280,9 @@ fn triples(history: &[IterationRecord]) -> Vec<(u32, u32, u32)> {
 }
 
 proptest! {
-    // 48 cases by default (each prices one relation twice, in a debug
-    // build); CI raises PROPTEST_CASES and runs the suite optimised.
-    #![proptest_config(ProptestConfig {
-        cases: std::env::var("PROPTEST_CASES")
-            .ok().and_then(|v| v.parse().ok()).unwrap_or(48),
-    })]
+    // 48 cases (each prices one relation twice, in a debug build), or
+    // PROPTEST_CASES if larger; CI also runs the suite optimised.
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn pricer_matches_the_binary_heap_reference(

@@ -57,12 +57,9 @@ fn cube_session(shards: usize) -> AdaptiveRoutingSession {
 }
 
 proptest! {
-    // 16 cases by default (each routes full meshes/cubes repeatedly);
-    // CI raises PROPTEST_CASES, which the vendored Default honors.
-    #![proptest_config(ProptestConfig {
-        cases: std::env::var("PROPTEST_CASES")
-            .ok().and_then(|v| v.parse().ok()).unwrap_or(16),
-    })]
+    // 16 cases (each routes full meshes/cubes repeatedly), or
+    // PROPTEST_CASES if larger.
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Identical requests produce identical runs — within one session
     /// (engine recycling is outcome-neutral) and across fresh sessions.

@@ -216,12 +216,8 @@ const MESH_ALGORITHMS: [MeshAlgorithm; 4] = [
 ];
 
 proptest! {
-    // 24 cases by default; CI raises PROPTEST_CASES, which a fixed
-    // `with_cases` would ignore.
-    #![proptest_config(ProptestConfig {
-        cases: std::env::var("PROPTEST_CASES")
-            .ok().and_then(|v| v.parse().ok()).unwrap_or(24),
-    })]
+    // 24 cases, or PROPTEST_CASES if larger.
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Every router backend, ungrouped vs grouped, serial and sharded,
     /// a permutation or a 2-relation, with or without faults.
