@@ -10,7 +10,7 @@ use lnpram_math::rng::SeedSeq;
 use lnpram_routing::fault::FaultReport;
 use lnpram_routing::retry::RetryPolicy;
 use lnpram_routing::router::{
-    is_relation, pattern_dests, pattern_relation, BatchReport, PatternRef, RouteBackend,
+    check_endpoints, pattern_packets, BatchReport, PatternPackets, PatternRef, RouteBackend,
     RouteRequest, Router, RoutingSession, RunExtras, RunReport,
 };
 use lnpram_shard::AnyEngine;
@@ -193,20 +193,22 @@ impl RouteBackend for AdaptiveBackend {
         // single-packet-per-source patterns and sequential for
         // relations, matching `inject_per_source`'s numbering so the
         // fault-recovery drain maps ids back to identity.
-        let relation_ids = is_relation(pattern);
+        let packets = pattern_packets(pattern, n, seq);
+        let relation_ids = matches!(packets, PatternPackets::Pairs(_));
         let pairs = &mut self.pairs;
         pairs.clear();
-        if relation_ids {
-            let relation = pattern_relation(pattern, n, seq);
-            for (src, dests) in relation.iter().enumerate() {
-                for &dest in dests {
-                    pairs.push((src as u32, dest as u32));
-                }
-            }
-        } else {
-            let (dests, _direct) = pattern_dests(pattern, n, seq);
-            for (src, &dest) in dests.iter().enumerate() {
-                pairs.push((src as u32, dest as u32));
+        let mut push = |src: usize, dest: usize| {
+            check_endpoints(src, dest, n);
+            pairs.push((src as u32, dest as u32));
+        };
+        match packets {
+            PatternPackets::Pairs(p) => p.iter().for_each(|&(src, dest)| push(src, dest)),
+            PatternPackets::Dests(dests, _direct) => {
+                assert_eq!(dests.len(), n);
+                dests
+                    .iter()
+                    .enumerate()
+                    .for_each(|(src, &dest)| push(src, dest));
             }
         }
         let avoid: &[bool] = if self.any_avoided { &self.avoid } else { &[] };

@@ -201,23 +201,13 @@ impl<L: Leveled + Copy + Sync> RouteBackend for LeveledBackend<L> {
         inject_per_source(
             eng,
             width,
-            pattern,
-            seq,
+            (pattern, seq, tag),
             &mut |src| net.node_id(0, src),
-            &mut |id, src, dest, rng| {
-                let via = rng.gen_range(0..width) as u32;
-                Packet::new(id, src as u32, dest as u32)
-                    .with_via(via)
-                    .with_tag(tag)
-            },
-            &mut |id, src, dest| {
-                // via = dest: the derandomized ablation — the packet
-                // follows the unique (deterministic, oblivious) path
-                // twice (the Borodin–Hopcroft-prone variant of §2.2.1).
-                Packet::new(id, src as u32, dest as u32)
-                    .with_via(dest as u32)
-                    .with_tag(tag)
-            },
+            &mut |pkt, rng| pkt.via = rng.gen_range(0..width) as u32,
+            // via = dest: the derandomized ablation — the packet follows
+            // the unique (deterministic, oblivious) path twice (the
+            // Borodin–Hopcroft-prone variant of §2.2.1).
+            &mut |pkt| pkt.via = pkt.dest,
         )
     }
 

@@ -31,6 +31,7 @@ use lnpram_shard::{AnyEngine, RowBlock};
 use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, Shardable, SimConfig};
 use lnpram_topology::mesh::Dir;
 use lnpram_topology::{Mesh, Network};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Which mesh routing algorithm to run.
@@ -221,10 +222,10 @@ impl MeshBackend {
     /// One packet's `via`/`via2` draws — shared by every injection path
     /// so explicit-map and random-pattern requests randomize
     /// identically.
-    fn draw_vias(&self, src: usize, dest: usize, rng: &mut rand::rngs::StdRng) -> (usize, u32) {
+    pub(crate) fn draw_vias(&self, src: usize, dest: usize, rng: &mut StdRng) -> (usize, u32) {
         let mesh = self.mesh;
         let (r, c) = mesh.coords(src);
-        let slice_via = |slice_rows: usize, rng: &mut rand::rngs::StdRng| {
+        let slice_via = |slice_rows: usize, rng: &mut StdRng| {
             // random row within this node's horizontal slice, same col
             let lo = r - r % slice_rows;
             let hi = (lo + slice_rows).min(mesh.rows());
@@ -300,26 +301,18 @@ impl RouteBackend for MeshBackend {
         assert_eq!(copy, 0, "engines hold one copy of the topology");
         let total = self.mesh.num_nodes();
         let this = &*self;
-        let build = |id: u32, src: usize, dest: usize, via: usize, via2: u32| {
-            let mut pkt = Packet::new(id, src as u32, dest as u32)
-                .with_via(via as u32)
-                .with_tag(tag);
-            pkt.via2 = via2;
-            pkt
-        };
         inject_per_source(
             eng,
             total,
-            pattern,
-            seq,
+            (pattern, seq, tag),
             &mut |src| src,
-            &mut |id, src, dest, rng| {
-                let (via, via2) = this.draw_vias(src, dest, rng);
-                build(id, src, dest, via, via2)
+            &mut |pkt, rng| {
+                let (via, via2) = this.draw_vias(pkt.src as usize, pkt.dest as usize, rng);
+                (pkt.via, pkt.via2) = (via as u32, via2);
             },
-            &mut |id, src, dest| {
-                let (via, via2) = this.direct_vias(src, dest);
-                build(id, src, dest, via, via2)
+            &mut |pkt| {
+                let (via, via2) = this.direct_vias(pkt.src as usize, pkt.dest as usize);
+                (pkt.via, pkt.via2) = (via as u32, via2);
             },
         )
     }

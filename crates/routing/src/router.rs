@@ -31,6 +31,7 @@ use lnpram_simnet::trace::TraceSink;
 use lnpram_simnet::{
     Metrics, NoAdmission, NoopSink, Packet, RunOutcome, Shardable, SimConfig, TagDemux, TagMetrics,
 };
+use std::borrow::Cow;
 
 /// What one request asks the router to realize.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,9 +52,17 @@ pub enum RoutePattern {
         /// Packets per source/destination bound.
         h: usize,
     },
-    /// An explicit request map: `relation[src]` lists every destination
-    /// originating at `src`.
-    RelationMap(Vec<Vec<usize>>),
+    /// An explicit request map as its `(src, dest)` pairs, one per
+    /// packet, injected in the order given: [`RouteRequest::relation_map`]
+    /// and the crate's own maps list them by source ascending, then in
+    /// each source's list order. Stored sparse, so a request costs its
+    /// packets, not the topology's sources.
+    RelationMap {
+        /// One `(src, dest)` pair per packet.
+        pairs: Vec<(usize, usize)>,
+        /// The sources the map was drawn over; must be the topology's.
+        sources: usize,
+    },
 }
 
 impl RoutePattern {
@@ -64,7 +73,23 @@ impl RoutePattern {
             RoutePattern::Dests(d) => PatternRef::Dests(d),
             RoutePattern::Direct(d) => PatternRef::Direct(d),
             RoutePattern::Relation { h } => PatternRef::Relation { h: *h },
-            RoutePattern::RelationMap(r) => PatternRef::RelationMap(r),
+            RoutePattern::RelationMap { pairs, sources } => PatternRef::RelationMap {
+                pairs,
+                sources: *sources,
+            },
+        }
+    }
+
+    /// The first endpoint of an explicit pattern outside `0..sources`,
+    /// if any (the drawn patterns are always in range).
+    pub(crate) fn out_of_range(&self, sources: usize) -> Option<usize> {
+        let bad = |&e: &usize| e >= sources;
+        match self {
+            RoutePattern::Dests(d) | RoutePattern::Direct(d) => d.iter().copied().find(bad),
+            RoutePattern::RelationMap { pairs, .. } => {
+                pairs.iter().flat_map(|&(s, d)| [s, d]).find(bad)
+            }
+            RoutePattern::Permutation | RoutePattern::Relation { .. } => None,
         }
     }
 
@@ -78,9 +103,10 @@ impl RoutePattern {
             RoutePattern::Permutation => {
                 RoutePattern::Dests(workloads::random_permutation(sources, &mut rng))
             }
-            RoutePattern::Relation { h } => {
-                RoutePattern::RelationMap(workloads::h_relation(sources, *h, &mut rng))
-            }
+            RoutePattern::Relation { h } => RoutePattern::RelationMap {
+                pairs: workloads::h_relation(sources, *h, &mut rng),
+                sources,
+            },
             p => p.clone(),
         }
     }
@@ -104,7 +130,23 @@ pub enum PatternRef<'a> {
         h: usize,
     },
     /// See [`RoutePattern::RelationMap`].
-    RelationMap(&'a [Vec<usize>]),
+    RelationMap {
+        /// One `(src, dest)` pair per packet.
+        pairs: &'a [(usize, usize)],
+        /// The sources the map was drawn over.
+        sources: usize,
+    },
+}
+
+/// Panics unless `src` and `dest` both name one of the topology's
+/// `sources` endpoints: a destination past the last one would be routed
+/// to wherever the topology's arithmetic sends it and counted delivered.
+#[inline]
+pub fn check_endpoints(src: usize, dest: usize, sources: usize) {
+    assert!(
+        src < sources && dest < sources,
+        "packet {src} -> {dest} is out of range: the topology has {sources} sources (0..{sources})"
+    );
 }
 
 /// One routing request: a pattern, the randomness seed (destinations
@@ -161,10 +203,18 @@ impl RouteRequest {
         }
     }
 
-    /// Route an explicit request map with intermediates from `seed`.
+    /// Route an explicit request map (`relation[src]` lists `src`'s
+    /// destinations, over `relation.len()` sources) with intermediates
+    /// from `seed`; stored as its pairs ([`RoutePattern::RelationMap`]).
     pub fn relation_map(relation: Vec<Vec<usize>>, seed: u64) -> Self {
+        let sources = relation.len();
+        let pairs = relation
+            .into_iter()
+            .enumerate()
+            .flat_map(|(src, dests)| dests.into_iter().map(move |dest| (src, dest)))
+            .collect();
         RouteRequest {
-            pattern: RoutePattern::RelationMap(relation),
+            pattern: RoutePattern::RelationMap { pairs, sources },
             seed,
             tenant: 0,
         }
@@ -680,31 +730,19 @@ impl<B: RouteBackend> Router for RoutingSession<B> {
         // numbers single-per-source patterns by source and relations
         // sequentially in (src asc, list order) — reproduce that
         // numbering so drained packets map back to their identity.
-        let originals: Vec<LostPacket> = match pattern.as_ref() {
-            PatternRef::Dests(d) | PatternRef::Direct(d) => d
-                .iter()
-                .enumerate()
-                .map(|(src, &dest)| LostPacket {
-                    id: src as u32,
-                    src: src as u32,
-                    dest: dest as u32,
-                })
-                .collect(),
-            PatternRef::RelationMap(r) => {
-                let mut v = Vec::new();
-                for (src, dests) in r.iter().enumerate() {
-                    for &dest in dests {
-                        v.push(LostPacket {
-                            id: v.len() as u32,
-                            src: src as u32,
-                            dest: dest as u32,
-                        });
-                    }
-                }
-                v
-            }
+        let pairs: Vec<(usize, usize)> = match pattern.as_ref() {
+            PatternRef::Dests(d) | PatternRef::Direct(d) => d.iter().copied().enumerate().collect(),
+            PatternRef::RelationMap { pairs, .. } => pairs.to_vec(),
             _ => unreachable!("random patterns materialized above"),
         };
+        let originals: Vec<LostPacket> = (0u32..)
+            .zip(pairs)
+            .map(|(id, (src, dest))| LostPacket {
+                id,
+                src: src as u32,
+                dest: dest as u32,
+            })
+            .collect();
         let injected = originals.len();
         // Destinations whose delivery node is down at the end of the
         // plan can never complete: classified lost, never retried.
@@ -713,7 +751,7 @@ impl<B: RouteBackend> Router for RoutingSession<B> {
         let restore = self.max_steps;
         let mut lost: Vec<LostPacket> = Vec::new();
         let mut outstanding: Vec<LostPacket> = Vec::new();
-        let mut relation: Vec<Vec<usize>> = vec![Vec::new(); sources];
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
         let mut slots: Vec<LostPacket> = Vec::new();
         let mut total_steps = 0u64;
         let mut attempts = 0usize;
@@ -735,22 +773,25 @@ impl<B: RouteBackend> Router for RoutingSession<B> {
                 self.backend
                     .inject(&mut self.engine, 0, pattern.as_ref(), seq, req.tenant)
             } else {
-                // Survivors as an explicit relation map, grouped by
-                // source ascending so the attempt's sequential ids
-                // index `slots` directly.
+                // Survivors as an explicit relation map, source
+                // ascending, so the attempt's sequential ids index
+                // `slots` directly.
                 outstanding.sort_unstable_by_key(|p| (p.src, p.id));
                 slots.clear();
                 slots.extend(outstanding.iter().copied());
-                for v in &mut relation {
-                    v.clear();
-                }
-                for p in &outstanding {
-                    relation[p.src as usize].push(p.dest as usize);
-                }
+                pairs.clear();
+                pairs.extend(
+                    outstanding
+                        .iter()
+                        .map(|p| (p.src as usize, p.dest as usize)),
+                );
                 self.backend.inject(
                     &mut self.engine,
                     0,
-                    PatternRef::RelationMap(&relation),
+                    PatternRef::RelationMap {
+                        pairs: &pairs,
+                        sources,
+                    },
                     seq,
                     req.tenant,
                 )
@@ -830,104 +871,86 @@ impl<B: RouteBackend> Router for RoutingSession<B> {
     }
 }
 
-/// Draw the destination map a pattern's random variants imply, or
-/// borrow the explicit one — the shared head of every backend's
-/// [`RouteBackend::inject`] for single-packet-per-source patterns.
-/// Returns `(dests, direct)`.
-pub fn pattern_dests(
+/// What a pattern injects, before any intermediate is drawn: its random
+/// variants drawn from `seq.child(0)`, its explicit ones borrowed.
+#[derive(Debug)]
+pub enum PatternPackets<'a> {
+    /// One packet per source, `dests[src]` its destination (ids are
+    /// sources); `true` for the deterministic [`RoutePattern::Direct`].
+    Dests(Cow<'a, [usize]>, bool),
+    /// A relation's `(src, dest)` pairs in injection order (ids are
+    /// positions).
+    Pairs(Cow<'a, [(usize, usize)]>),
+}
+
+/// The shared head of every backend's [`RouteBackend::inject`]: the
+/// packets `pattern` asks for on a topology with `sources` sources (an
+/// explicit relation map must have been drawn over exactly that many).
+pub fn pattern_packets(
     pattern: PatternRef<'_>,
     sources: usize,
     seq: SeedSeq,
-) -> (std::borrow::Cow<'_, [usize]>, bool) {
-    use std::borrow::Cow;
+) -> PatternPackets<'_> {
+    let rng = || seq.child(0).rng();
     match pattern {
-        PatternRef::Permutation => (
-            Cow::Owned(workloads::random_permutation(
-                sources,
-                &mut seq.child(0).rng(),
-            )),
+        PatternRef::Permutation => PatternPackets::Dests(
+            Cow::Owned(workloads::random_permutation(sources, &mut rng())),
             false,
         ),
-        PatternRef::Dests(d) => (Cow::Borrowed(d), false),
-        PatternRef::Direct(d) => (Cow::Borrowed(d), true),
-        PatternRef::Relation { .. } | PatternRef::RelationMap(_) => {
-            unreachable!("relation patterns are handled by pattern_relation")
-        }
-    }
-}
-
-/// The relation map a relation pattern implies (random `h`-relation
-/// drawn from `seq.child(0)`, or the explicit map).
-pub fn pattern_relation(
-    pattern: PatternRef<'_>,
-    sources: usize,
-    seq: SeedSeq,
-) -> std::borrow::Cow<'_, [Vec<usize>]> {
-    use std::borrow::Cow;
-    match pattern {
+        PatternRef::Dests(d) => PatternPackets::Dests(Cow::Borrowed(d), false),
+        PatternRef::Direct(d) => PatternPackets::Dests(Cow::Borrowed(d), true),
         PatternRef::Relation { h } => {
-            Cow::Owned(workloads::h_relation(sources, h, &mut seq.child(0).rng()))
+            PatternPackets::Pairs(Cow::Owned(workloads::h_relation(sources, h, &mut rng())))
         }
-        PatternRef::RelationMap(r) => Cow::Borrowed(r),
-        _ => unreachable!("non-relation patterns are handled by pattern_dests"),
+        PatternRef::RelationMap { pairs, sources: n } => {
+            assert_eq!(n, sources, "relation map over the wrong source count");
+            PatternPackets::Pairs(Cow::Borrowed(pairs))
+        }
     }
-}
-
-/// Is this a relation-shaped pattern (multiple packets per source)?
-pub fn is_relation(pattern: PatternRef<'_>) -> bool {
-    matches!(
-        pattern,
-        PatternRef::Relation { .. } | PatternRef::RelationMap(_)
-    )
 }
 
 /// The shared injection scaffolding of every per-source backend — one
-/// packet per `(src, dest)` pair of the pattern, ids `= src` for
-/// single-packet-per-source patterns and sequential for relations,
-/// intermediates drawn from `seq.child(1)` in source order. The
-/// topology plugs in three hooks: `node_of` maps a source index to its
-/// injection node, `randomized`
-/// builds one two-phase packet (drawing its intermediate from the
-/// rng), `direct` builds the deterministic-ablation packet. Returns
-/// the packet count.
+/// packet tagged `tag` per `(src, dest)` pair of the pattern, ids
+/// `= src` for single-packet-per-source patterns and sequential for
+/// relations, intermediates drawn from `seq.child(1)` in injection
+/// order. Panics on an endpoint outside `0..sources`
+/// ([`check_endpoints`]). The topology plugs in three hooks: `node_of`
+/// maps a source index to its injection node, `randomized` sets a
+/// packet's two-phase route (drawing its intermediate from the rng),
+/// `direct` its deterministic-ablation route. Returns the packet count.
 pub fn inject_per_source(
     eng: &mut AnyEngine,
     sources: usize,
-    pattern: PatternRef<'_>,
-    seq: SeedSeq,
+    (pattern, seq, tag): (PatternRef<'_>, SeedSeq, u64),
     node_of: &mut dyn FnMut(usize) -> usize,
-    randomized: &mut dyn FnMut(u32, usize, usize, &mut rand::rngs::StdRng) -> Packet,
-    direct: &mut dyn FnMut(u32, usize, usize) -> Packet,
+    randomized: &mut dyn FnMut(&mut Packet, &mut rand::rngs::StdRng),
+    direct: &mut dyn FnMut(&mut Packet),
 ) -> usize {
-    if is_relation(pattern) {
-        let relation = pattern_relation(pattern, sources, seq);
-        assert_eq!(relation.len(), sources);
-        let mut rng = seq.child(1).rng();
-        let mut id = 0u32;
-        for (src, ds) in relation.iter().enumerate() {
-            for &dest in ds {
-                let pkt = randomized(id, src, dest, &mut rng);
-                eng.inject(node_of(src), pkt);
-                id += 1;
-            }
-        }
-        id as usize
-    } else {
-        let (dests, is_direct) = pattern_dests(pattern, sources, seq);
-        assert_eq!(dests.len(), sources);
+    let mut rng = seq.child(1).rng();
+    let mut put = |id: u32, src: usize, dest: usize, is_direct: bool| {
+        check_endpoints(src, dest, sources);
+        let mut pkt = Packet::new(id, src as u32, dest as u32).with_tag(tag);
         if is_direct {
-            for (src, &dest) in dests.iter().enumerate() {
-                let pkt = direct(src as u32, src, dest);
-                eng.inject(node_of(src), pkt);
-            }
+            direct(&mut pkt);
         } else {
-            let mut rng = seq.child(1).rng();
-            for (src, &dest) in dests.iter().enumerate() {
-                let pkt = randomized(src as u32, src, dest, &mut rng);
-                eng.inject(node_of(src), pkt);
-            }
+            randomized(&mut pkt, &mut rng);
         }
-        dests.len()
+        eng.inject(node_of(src), pkt);
+    };
+    match pattern_packets(pattern, sources, seq) {
+        PatternPackets::Pairs(pairs) => {
+            for (id, &(src, dest)) in (0u32..).zip(pairs.iter()) {
+                put(id, src, dest, false);
+            }
+            pairs.len()
+        }
+        PatternPackets::Dests(dests, is_direct) => {
+            assert_eq!(dests.len(), sources);
+            for (src, &dest) in dests.iter().enumerate() {
+                put(src as u32, src, dest, is_direct);
+            }
+            dests.len()
+        }
     }
 }
 
@@ -959,15 +982,133 @@ mod tests {
         assert_eq!(RunExtras::Shuffle { digits: 3 }.norm(), 3);
     }
 
+    mod relation_pairs {
+        use super::*;
+        use crate::hypercube::CubeBackend;
+        use crate::leveled::LeveledBackend;
+        use crate::mesh::{MeshAlgorithm, MeshBackend};
+        use crate::star::StarBackend;
+        use lnpram_math::rng::splitmix64;
+        use lnpram_topology::leveled::RadixButterfly;
+        use lnpram_topology::{Mesh, StarGraph};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::Rng;
+
+        /// A random dense map over `sources`: about a third of the
+        /// sources empty, destinations drawn from a quarter of the range
+        /// (so they repeat), and every fifth packet sent to its own
+        /// source.
+        fn random_relation(sources: usize, state: &mut u64) -> Vec<Vec<usize>> {
+            let mut draw = |m: usize| (splitmix64(state) as usize) % m;
+            (0..sources)
+                .map(|src| {
+                    let count = if draw(3) == 0 { 0 } else { draw(5) };
+                    (0..count)
+                        .map(|_| {
+                            if draw(5) == 0 {
+                                src
+                            } else {
+                                draw(sources.div_ceil(4))
+                            }
+                        })
+                        .collect()
+                })
+                .collect()
+        }
+
+        /// The packets `backend` injects for `relation_map(relation)`,
+        /// against the dense walk the map was once injected by: sources
+        /// ascending, each source's list in order, ids sequential, one
+        /// intermediate drawn per packet from `seed`'s `child(1)` by
+        /// `draw` (the backend's own Valiant draw).
+        fn check<B: RouteBackend>(
+            mut backend: B,
+            relation: &[Vec<usize>],
+            seed: u64,
+            tag: u64,
+            mut draw: impl FnMut(&B, &mut Packet, &mut StdRng),
+        ) -> Result<(), TestCaseError> {
+            let mut eng = backend.build_engine(1, &SimConfig::default());
+            let req = RouteRequest::relation_map(relation.to_vec(), seed);
+            let count = backend.inject(&mut eng, 0, req.pattern.as_ref(), SeedSeq::new(seed), tag);
+            let got: Vec<Packet> = eng.take_pending().into_iter().map(|(_, p)| p).collect();
+            let mut rng = SeedSeq::new(seed).child(1).rng();
+            let mut expect = Vec::new();
+            for (src, dests) in relation.iter().enumerate() {
+                for &dest in dests {
+                    let mut pkt =
+                        Packet::new(expect.len() as u32, src as u32, dest as u32).with_tag(tag);
+                    draw(&backend, &mut pkt, &mut rng);
+                    expect.push(pkt);
+                }
+            }
+            prop_assert_eq!(count, expect.len());
+            prop_assert_eq!(got, expect, "{}", backend.name());
+            Ok(())
+        }
+
+        proptest! {
+            /// Relation requests stored as pairs inject exactly what the
+            /// dense per-source walk injected — same ids, endpoints,
+            /// intermediates and tags, in the same order — on the
+            /// leveled, mesh and two-phase (star, hypercube) backends.
+            #[test]
+            fn prop_relation_pairs_inject_as_the_dense_walk(seed: u64, tag in 0u64..4) {
+                let mut state = seed;
+                let leveled = LeveledBackend::new(RadixButterfly::new(2, 3));
+                let relation = random_relation(leveled.sources(), &mut state);
+                check(leveled, &relation, seed, tag, |_, p, rng| {
+                    p.via = rng.gen_range(0..8);
+                })?;
+                for alg in [
+                    MeshAlgorithm::ThreeStageConstQueue { slice_rows: 2, block_rows: 2 },
+                    MeshAlgorithm::ValiantBrebner,
+                ] {
+                    let mesh = MeshBackend::new(Mesh::square(5), alg);
+                    let relation = random_relation(mesh.sources(), &mut state);
+                    check(mesh, &relation, seed, tag, |b, p, rng| {
+                        let (via, via2) = b.draw_vias(p.src as usize, p.dest as usize, rng);
+                        (p.via, p.via2) = (via as u32, via2);
+                    })?;
+                }
+                let star = StarBackend::new(StarGraph::new(4));
+                let relation = random_relation(star.sources(), &mut state);
+                check(star, &relation, seed, tag, |_, p, rng| {
+                    p.via = rng.gen_range(0..24);
+                })?;
+                let cube = CubeBackend::new(4);
+                let relation = random_relation(cube.sources(), &mut state);
+                check(cube, &relation, seed, tag, |_, p, rng| {
+                    p.via = rng.gen_range(0..16);
+                })?;
+            }
+        }
+    }
+
     #[test]
-    fn pattern_dests_draws_and_borrows() {
-        let (d, direct) = pattern_dests(PatternRef::Permutation, 8, SeedSeq::new(1));
+    fn pattern_packets_draws_and_borrows() {
+        let PatternPackets::Dests(d, direct) =
+            pattern_packets(PatternRef::Permutation, 8, SeedSeq::new(1))
+        else {
+            panic!("a permutation is one destination per source");
+        };
         assert!(workloads::is_permutation(&d));
         assert!(!direct);
         let explicit = vec![2usize, 0, 1];
         let pattern = RoutePattern::Direct(explicit.clone());
-        let (d, direct) = pattern_dests(pattern.as_ref(), 3, SeedSeq::new(1));
+        let PatternPackets::Dests(d, direct) =
+            pattern_packets(pattern.as_ref(), 3, SeedSeq::new(1))
+        else {
+            panic!("direct is one destination per source");
+        };
+        assert!(matches!(d, Cow::Borrowed(_)));
         assert_eq!(&*d, explicit.as_slice());
         assert!(direct);
+        let pairs = RouteRequest::relation_map(vec![vec![1, 1], vec![], vec![2]], 1).pattern;
+        let PatternPackets::Pairs(p) = pattern_packets(pairs.as_ref(), 3, SeedSeq::new(1)) else {
+            panic!("a relation map is pairs");
+        };
+        assert_eq!(&*p, &[(0, 1), (0, 1), (2, 2)]);
     }
 }

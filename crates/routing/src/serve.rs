@@ -48,7 +48,7 @@
 //! queue occupancy). Pinned by the property tests in
 //! `tests/serve_determinism.rs`.
 
-use crate::router::{RouteBackend, RouteRequest, RunExtras};
+use crate::router::{RouteBackend, RoutePattern, RouteRequest, RunExtras};
 use lnpram_math::rng::{splitmix64, SeedSeq};
 use lnpram_math::stats::Histogram;
 use lnpram_shard::AnyEngine;
@@ -139,6 +139,16 @@ pub enum ServeError {
         /// predecessor's.
         index: usize,
     },
+    /// A request names a destination (or source) outside the served
+    /// topology's `0..sources`.
+    DestinationOutOfRange {
+        /// Index of the request's entry in the trace.
+        index: usize,
+        /// The first offending endpoint of the request.
+        dest: usize,
+        /// The topology's source count.
+        sources: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -161,6 +171,14 @@ impl fmt::Display for ServeError {
                 f,
                 "admission trace is not sorted by step: entry {index} arrives before entry {}",
                 index - 1
+            ),
+            ServeError::DestinationOutOfRange {
+                index,
+                dest,
+                sources,
+            } => write!(
+                f,
+                "trace entry {index} routes to {dest}, outside the topology's {sources} sources"
             ),
         }
     }
@@ -497,18 +515,21 @@ impl OpenLoopWorkload {
         let mut state = self.seed ^ 0x9e37_79b9_7f4a_7c15;
         let mut entries = Vec::with_capacity(self.requests);
         for j in 0..self.requests {
-            let mut relation = vec![Vec::new(); sources];
-            for _ in 0..self.packets_per_request {
-                let src = (splitmix64(&mut state) as usize) % sources;
-                let dest = (splitmix64(&mut state) as usize) % sources;
-                relation[src].push(dest);
-            }
-            let req_seed = splitmix64(&mut state);
-            entries.push(AdmissionEntry::request(
-                j as u32 * self.interval,
-                RouteRequest::relation_map(relation, req_seed)
-                    .with_tenant(j as u64 % self.tenants.max(1)),
-            ));
+            let mut pairs: Vec<(usize, usize)> = (0..self.packets_per_request)
+                .map(|_| {
+                    let src = (splitmix64(&mut state) as usize) % sources;
+                    (src, (splitmix64(&mut state) as usize) % sources)
+                })
+                .collect();
+            // Source ascending, draw order within a source: the order
+            // `RouteRequest::relation_map` gives a dense map.
+            pairs.sort_by_key(|&(src, _)| src);
+            let req = RouteRequest {
+                pattern: RoutePattern::RelationMap { pairs, sources },
+                seed: splitmix64(&mut state),
+                tenant: j as u64 % self.tenants.max(1),
+            };
+            entries.push(AdmissionEntry::request(j as u32 * self.interval, req));
         }
         entries
     }
@@ -834,9 +855,17 @@ impl<B: RouteBackend> ServeSession<B> {
         let mut queue = Vec::new();
         let mut ops = Vec::with_capacity(trace.len());
         let mut fault_events = Vec::new();
-        for entry in trace {
+        let sources = self.backend.sources();
+        for (index, entry) in trace.iter().enumerate() {
             match entry {
                 AdmissionEntry::Request { step, req } => {
+                    if let Some(dest) = req.pattern.out_of_range(sources) {
+                        return Err(ServeError::DestinationOutOfRange {
+                            index,
+                            dest,
+                            sources,
+                        });
+                    }
                     let slot = queue.len();
                     let count = self.backend.inject(
                         &mut self.engine,
@@ -1021,6 +1050,46 @@ mod tests {
             .latency
             .buckets()
             .eq(batch.metrics.latency.buckets()));
+    }
+
+    /// A destination past the topology's last source is a typed error
+    /// of the trace, found while it is materialized — not a packet
+    /// routed somewhere and counted delivered.
+    #[test]
+    fn out_of_range_destination_is_a_typed_error() {
+        let mut serve = session(0, ServeConfig::default());
+        let mut relation = vec![Vec::new(); 64];
+        relation[3] = vec![5, 64];
+        let trace = [
+            AdmissionEntry::request(0, RouteRequest::permutation(1)),
+            AdmissionEntry::request(4, RouteRequest::relation_map(relation, 2)),
+        ];
+        let err = serve.run_trace(&trace).expect_err("destination 64 of 64");
+        assert_eq!(
+            err,
+            ServeError::DestinationOutOfRange {
+                index: 1,
+                dest: 64,
+                sources: 64
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "trace entry 1 routes to 64, outside the topology's 64 sources"
+        );
+        let dests = RouteRequest::dests((0..64).map(|d| d * 2).collect(), 3);
+        let err = serve.run_trace(&[AdmissionEntry::request(0, dests)]);
+        assert_eq!(
+            err.expect_err("destinations up to 126"),
+            ServeError::DestinationOutOfRange {
+                index: 0,
+                dest: 64,
+                sources: 64
+            }
+        );
+        // The session is still usable.
+        let ok = serve.run_trace(&trace[..1]).expect("in range");
+        assert!(ok.completed);
     }
 
     #[test]

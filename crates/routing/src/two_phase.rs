@@ -89,24 +89,12 @@ impl<T: TwoPhase> RouteBackend for TwoPhaseBackend<T> {
         inject_per_source(
             eng,
             total,
-            pattern,
-            seq,
+            (pattern, seq, tag),
             &mut |src| src,
-            &mut |id, src, dest, rng| {
-                let via = rng.gen_range(0..total) as u32;
-                Packet::new(id, src as u32, dest as u32)
-                    .with_via(via)
-                    .with_tag(tag)
-            },
-            &mut |id, src, dest| {
-                // Phase 1 from the start: one canonical traversal
-                // straight to the destination, no random intermediate.
-                let mut pkt = Packet::new(id, src as u32, dest as u32)
-                    .with_via(src as u32)
-                    .with_tag(tag);
-                pkt.phase = 1;
-                pkt
-            },
+            &mut |pkt, rng| pkt.via = rng.gen_range(0..total) as u32,
+            // Phase 1 from the start: one canonical traversal straight
+            // to the destination, no random intermediate.
+            &mut |pkt| (pkt.via, pkt.phase) = (pkt.src, 1),
         )
     }
 

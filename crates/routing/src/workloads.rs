@@ -22,16 +22,13 @@ pub fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> 
 /// random permutations (the standard construction), so it is in fact an
 /// exact h-relation.
 ///
-/// Returns, per source node, the list of destinations of its packets.
-pub fn h_relation<R: Rng + ?Sized>(n: usize, h: usize, rng: &mut R) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::with_capacity(h); n];
-    for _ in 0..h {
-        let perm = random_permutation(n, rng);
-        for (src, &dest) in perm.iter().enumerate() {
-            out[src].push(dest);
-        }
-    }
-    out
+/// Returns the packets' `(src, dest)` pairs, source ascending, and a
+/// source's `h` destinations in permutation order.
+pub fn h_relation<R: Rng + ?Sized>(n: usize, h: usize, rng: &mut R) -> Vec<(usize, usize)> {
+    let perms: Vec<Vec<usize>> = (0..h).map(|_| random_permutation(n, rng)).collect();
+    (0..n)
+        .flat_map(|src| perms.iter().map(move |perm| (src, perm[src])))
+        .collect()
 }
 
 /// Many-one routing: every source picks an independent uniformly random
@@ -207,14 +204,14 @@ mod tests {
         let mut rng = SeedSeq::new(3).rng();
         let (n, h) = (64usize, 5usize);
         let rel = h_relation(n, h, &mut rng);
-        let mut indeg = vec![0usize; n];
-        for (src, dests) in rel.iter().enumerate() {
-            assert_eq!(dests.len(), h, "source {src}");
-            for &d in dests {
-                indeg[d] += 1;
-            }
+        assert_eq!(rel.len(), n * h);
+        assert!(rel.is_sorted_by_key(|&(src, _)| src));
+        let (mut outdeg, mut indeg) = (vec![0usize; n], vec![0usize; n]);
+        for &(s, d) in &rel {
+            outdeg[s] += 1;
+            indeg[d] += 1;
         }
-        assert!(indeg.iter().all(|&c| c == h));
+        assert!(outdeg.iter().chain(&indeg).all(|&c| c == h));
     }
 
     #[test]

@@ -385,3 +385,39 @@ fn empty_batch_is_an_empty_completed_report() {
         assert_eq!(batch.extras, extras);
     }
 }
+
+/// A destination past the topology's last source panics, naming the
+/// destination and the bound, on every session; it used to be routed
+/// wherever the topology's arithmetic sent it and counted delivered.
+/// `make(1, ..)` is a butterfly(2,4) (16 sources), `make(2, ..)` a 4×4
+/// mesh (16 sources).
+fn route_out_of_range(topo: usize, req: RouteRequest) -> String {
+    let mut router = make(topo, 0);
+    assert_eq!(router.num_sources(), 16);
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| router.route(&req)))
+        .expect_err("an out-of-range destination must not route");
+    panic
+        .downcast_ref::<String>()
+        .cloned()
+        .expect("a formatted panic message")
+}
+
+#[test]
+fn out_of_range_destinations_panic_on_leveled_and_mesh_sessions() {
+    for topo in [1, 2] {
+        let mut relation = vec![Vec::new(); 16];
+        relation[2] = vec![7, 21];
+        let msg = route_out_of_range(topo, RouteRequest::relation_map(relation, 5));
+        assert!(msg.contains("2 -> 21 is out of range"), "{msg}");
+        assert!(msg.contains("16 sources"), "{msg}");
+        let mut dests: Vec<usize> = (0..16).collect();
+        dests[0] = 16;
+        for req in [
+            RouteRequest::dests(dests.clone(), 5),
+            RouteRequest::direct(dests.clone()),
+        ] {
+            let msg = route_out_of_range(topo, req);
+            assert!(msg.contains("0 -> 16 is out of range"), "{msg}");
+        }
+    }
+}

@@ -688,7 +688,6 @@ impl StepEngine for ShardedEngine {
                 );
             }
         }
-        groups.seal();
         while let Some((node, head)) = groups.pop_node() {
             if let Some(packed) = groups.single(head) {
                 let pkt = arrival(shards, packed);

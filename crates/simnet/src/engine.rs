@@ -32,21 +32,20 @@
 //!   it and a delivery is counted into the metrics at once. The outbox
 //!   borrows the engine's link state for the one callback and moves
 //!   nothing in or out;
-//! * the links with non-empty queues are a bitmap, one bit per link,
-//!   plus the list of its non-zero 64-link words. Transmit walks the
-//!   words in list order and the bits of each by `trailing_zeros`, so it
-//!   visits links in ascending id order as long as the list is
-//!   ascending. Words join the list at the end when a push sets their
-//!   first bit and leave it when transmit clears their last; the list is
-//!   sorted before a transmit only when a join broke its order;
+//! * the links with non-empty queues are a two-level bitmap: one bit per
+//!   link, and a summary bit per non-zero 64-link word. Transmit finds
+//!   the non-zero words through the summary and the bits of each by
+//!   `trailing_zeros`, so it visits links in ascending id order with
+//!   nothing to sort; a word's summary bit is set by the push that sets
+//!   its first bit and cleared by the transmit that clears its last;
 //! * transmit copies each moved packet once, from its arena slot straight
 //!   into the arrivals, which are two parallel arrays (link ids,
 //!   packets) rather than one array of pairs;
 //! * arrivals are grouped by destination node by [`ArrivalGroups`]:
-//!   per-node index chains plus a bitmap of touched nodes, walked in
-//!   ascending order by sorting only the handful of non-zero 64-node
-//!   bitmap words. A node with a single arrival hands the protocol a
-//!   slice into the arrival packets, without copying the packet;
+//!   per-node index chains plus the same two-level bitmap over the
+//!   touched nodes, walked in ascending order. A node with a single
+//!   arrival hands the protocol a slice into the arrival packets,
+//!   without copying the packet;
 //! * a [`Protocol::NODE_LOCAL`] protocol (every router and all but one
 //!   of the emulator hosts' protocols) skips that
 //!   grouping: each arrival goes to [`Protocol::on_packet`] at its
@@ -61,7 +60,7 @@
 //!   of building per-link state T times.
 
 use crate::fault::{FaultError, FaultPlan, FaultSchedule};
-use crate::groups::ArrivalGroups;
+use crate::groups::{ArrivalGroups, TwoLevelSet};
 use crate::metrics::Metrics;
 use crate::packet::Packet;
 use crate::protocol::{Outbox, Protocol};
@@ -215,15 +214,9 @@ pub(crate) struct LinkState {
     offset: Vec<u32>,
     queues: Vec<LinkQueue>,
     pool: PacketPool,
-    /// One bit per link, set exactly while its queue is non-empty.
-    active: Vec<u64>,
-    /// Indices of the non-zero words of `active`, each once: appended
-    /// when a push sets a word's first bit, dropped by the transmit that
-    /// clears its last.
-    active_words: Vec<u32>,
-    /// `active_words` is not ascending (a word joined below the last
-    /// one); the next transmit sorts it first.
-    words_unsorted: bool,
+    /// The links whose queue is non-empty, walked ascending through
+    /// its summary of non-zero words.
+    active: TwoLevelSet,
     /// Links whose queue has been touched since the last reset (a link
     /// joins when a push finds it empty and never popped):
     /// [`Engine::reset`] wipes only these, making reset O(touched links)
@@ -256,34 +249,11 @@ impl LinkState {
             if queue.pops() == 0 {
                 self.dirty.push(id as u32);
             }
-            let word = id / 64;
-            if self.active[word] == 0 {
-                if let Some(&last) = self.active_words.last() {
-                    self.words_unsorted |= last as usize > word;
-                }
-                self.active_words.push(word as u32);
-            }
-            self.active[word] |= 1 << (id % 64);
+            self.active.insert(id);
         }
         queue.push(&mut self.pool, pkt);
         self.max_queue = self.max_queue.max(queue.len());
         self.in_flight += 1;
-    }
-
-    /// Ascending order for `active_words`, if a join broke it.
-    fn sort_active_words(&mut self) {
-        if std::mem::take(&mut self.words_unsorted) {
-            self.active_words.sort_unstable();
-        }
-    }
-
-    /// Empty the active set (the queues themselves are not touched).
-    fn clear_active(&mut self) {
-        for &w in &self.active_words {
-            self.active[w as usize] = 0;
-        }
-        self.active_words.clear();
-        self.words_unsorted = false;
     }
 }
 
@@ -309,9 +279,7 @@ impl Engine {
                 offset: link_offset,
                 queues: vec![LinkQueue::new(); links],
                 pool: PacketPool::new(),
-                active: vec![0; links.div_ceil(64)],
-                active_words: Vec::new(),
-                words_unsorted: false,
+                active: TwoLevelSet::new(links),
                 dirty: Vec::new(),
                 max_queue: 0,
                 in_flight: 0,
@@ -401,7 +369,7 @@ impl Engine {
         }
         links.dirty.clear();
         links.pool.clear();
-        links.clear_active();
+        links.active.clear();
         links.max_queue = 0;
         links.in_flight = 0;
         if self.blocked_any {
@@ -491,8 +459,7 @@ impl Engine {
     ///   capacity (no leaked or double-owned slots);
     /// * packet conservation: `in_flight` == total queued packets;
     /// * the active bitmap has exactly the non-empty queues' bits set, and
-    ///   its word list holds exactly its non-zero words, once each,
-    ///   ascending unless flagged for sorting;
+    ///   its summary has exactly the bits of its non-zero words set;
     /// * no queue is longer than the `max_queue` counter;
     /// * the dirty list holds every link pushed on since reset, once;
     /// * the arrival grouper is idle: touched-node bitmap all zero, every
@@ -540,7 +507,7 @@ impl Engine {
         // it is no longer than the max_queue counter, and if it was ever
         // pushed on it is dirty-listed (reset would leak it otherwise).
         for (id, q) in self.links.queues.iter().enumerate() {
-            let bit = self.links.active[id / 64] >> (id % 64) & 1;
+            let bit = self.links.active.word(id / 64) >> (id % 64) & 1;
             if (bit == 1) == q.is_empty() {
                 return fail(format!(
                     "link {id} has {} queued packet(s) but its active bit is {bit}",
@@ -560,20 +527,8 @@ impl Engine {
                 ));
             }
         }
-        // Word-list shape: exactly the non-zero words, once each,
-        // ascending unless flagged for sorting.
-        let nonzero: Vec<u32> = (0..self.links.active.len() as u32)
-            .filter(|&w| self.links.active[w as usize] != 0)
-            .collect();
-        let mut listed = self.links.active_words.clone();
-        let ascending = listed.is_sorted();
-        listed.sort_unstable();
-        if listed != nonzero || !(ascending || self.links.words_unsorted) {
-            return fail(format!(
-                "active word list {:?} (flagged unsorted: {}) is not the non-zero words \
-                 {nonzero:?}, ascending unless flagged",
-                self.links.active_words, self.links.words_unsorted
-            ));
+        if let Err(e) = self.links.active.check() {
+            return fail(format!("active links: {e}"));
         }
         if let Err(e) = self.groups.check_idle() {
             return fail(format!("arrival groups: {e}"));
@@ -593,12 +548,8 @@ impl Engine {
     /// slot — in ascending link order; links whose queue empties leave
     /// the active set.
     fn transmit(&mut self) {
-        self.links.sort_active_words();
         let disc = self.cfg.discipline;
-        let mut kept = 0;
-        for i in 0..self.links.active_words.len() {
-            let w = self.links.active_words[i] as usize;
-            let mut left = self.links.active[w];
+        self.links.active.update_words(|w, mut left| {
             let mut bits = left;
             while bits != 0 {
                 let bit = bits & bits.wrapping_neg();
@@ -617,13 +568,8 @@ impl Engine {
                     left ^= bit;
                 }
             }
-            self.links.active[w] = left;
-            if left != 0 {
-                self.links.active_words[kept] = w as u32;
-                kept += 1;
-            }
-        }
-        self.links.active_words.truncate(kept);
+            left
+        });
     }
 
     /// Take back the not-yet-processed injections queued by
@@ -651,12 +597,11 @@ impl Engine {
     /// retry wrapper of Lemma 2.1 to send unsuccessful packets back).
     /// Queues are drained in ascending link order.
     pub fn drain_all(&mut self) -> Vec<Packet> {
-        self.links.sort_active_words();
         let mut out = Vec::new();
-        for link in active_links(&self.links.active_words, &self.links.active) {
+        for link in self.links.active.iter() {
             self.links.queues[link].drain_into(&mut self.links.pool, &mut out);
         }
-        self.links.clear_active();
+        self.links.active.clear();
         self.links.in_flight = 0;
         // A drained queue that never popped is pristine again; dropping
         // it from `dirty` keeps its next push from listing it twice.
@@ -728,7 +673,6 @@ impl StepEngine for Engine {
         for (a, &link) in arrival_links.iter().enumerate() {
             groups.push(link_target[link as usize] as usize, a as u32);
         }
-        groups.seal();
         while let Some((node, head)) = groups.pop_node() {
             let mut out = Outbox::direct(links, metrics, node, node, step);
             if let Some(a) = groups.single(head) {
@@ -782,26 +726,13 @@ impl EngineState for Engine {
     }
 
     fn max_queue_len(&self) -> usize {
-        active_links(&self.links.active_words, &self.links.active)
+        self.links
+            .active
+            .iter()
             .map(|link| self.links.queues[link].len())
             .max()
             .unwrap_or(0)
     }
-}
-
-/// The links whose bits are set in the listed `words` of an active
-/// bitmap, in list order (ascending within a word).
-fn active_links<'a>(words: &'a [u32], active: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
-    words.iter().flat_map(move |&w| {
-        let mut bits = active[w as usize];
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let link = w as usize * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                link
-            })
-        })
-    })
 }
 
 #[cfg(test)]
@@ -1218,8 +1149,8 @@ mod tests {
     }
 
     /// Injections are processed in the order they were queued, so a
-    /// descending node order appends the active bitmap's words in
-    /// descending order; transmit must still visit links ascending.
+    /// descending node order sets the active bitmap's words from the top
+    /// down; transmit must still visit links ascending.
     #[test]
     fn transmit_visits_links_ascending_after_descending_injections() {
         let mesh = Mesh::linear(200);
@@ -1232,10 +1163,6 @@ mod tests {
         let mut proto = GreedyMesh { mesh };
         eng.process_pending(&mut proto, 0);
         eng.step_finish();
-        assert!(
-            eng.links.words_unsorted,
-            "the case under test: words out of order"
-        );
         eng.step_transmit(&mut NoopSink);
         let (links, pkts) = eng.arrivals();
         assert_eq!(links.len(), 200);
@@ -1290,9 +1217,7 @@ mod tests {
     }
 
     fn first_active_link(eng: &Engine) -> usize {
-        active_links(&eng.links.active_words, &eng.links.active)
-            .next()
-            .expect("a queued link")
+        eng.links.active.iter().next().expect("a queued link")
     }
 
     /// `check_invariants` must actually detect corruption, not just
@@ -1349,6 +1274,20 @@ mod tests {
             .check_invariants()
             .expect_err("stale active entry must be caught");
         assert!(err.what.contains("active"), "{err}");
+
+        // A summary bit cleared over a non-zero active word: transmit
+        // would skip the word's queued links.
+        let mut eng = build();
+        let link = first_active_link(&eng);
+        eng.links.active.clear_summary_bit(link / 64);
+        let err = eng
+            .check_invariants()
+            .expect_err("unsummarised active word must be caught");
+        assert!(
+            err.what
+                .contains(&format!("summary bit of word {} is 0", link / 64)),
+            "{err}"
+        );
 
         // An arrival filed with the grouper but never handed out.
         let mut eng = build();

@@ -193,6 +193,11 @@ impl Error for FaultError {}
 /// builds one over the *global* CSR and forwards the per-link blocked
 /// updates to whichever shard owns each link, which is exactly how the
 /// serial/sharded bit-identity is preserved.
+///
+/// Per-link state is two arrays (failed, degrade period). What a node
+/// event needs — node state and each link's endpoints — is built only
+/// when the plan has one, so a link-only plan costs O(links) to install
+/// and nothing per node.
 #[derive(Debug, Clone)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
@@ -205,20 +210,29 @@ pub struct FaultSchedule {
     /// state flips with the step parity, so they are re-applied every
     /// step.
     degraded: Vec<u32>,
-    node_down: Vec<bool>,
-    /// Tail node (source) of each link.
-    link_src: Vec<u32>,
-    /// Head node (target) of each link.
-    link_dst: Vec<u32>,
+    /// Present when the plan has a node event.
+    nodes: Option<NodeTables>,
+    /// Scratch: links touched by this step's events.
+    touched: Vec<u32>,
+}
+
+/// Node state and link endpoints, for plans with node events.
+#[derive(Debug, Clone)]
+struct NodeTables {
+    down: Vec<bool>,
     /// Out-link CSR (links leaving node `v` are
     /// `out_offset[v] .. out_offset[v+1]`, the engine's own link ids).
     out_offset: Vec<u32>,
-    /// In-link CSR: links arriving at node `v` are
-    /// `in_links[in_offset[v] .. in_offset[v+1]]`.
-    in_offset: Vec<u32>,
-    in_links: Vec<u32>,
-    /// Scratch: links touched by this step's events.
-    touched: Vec<u32>,
+    /// Head node (target) of each link.
+    link_dst: Vec<u32>,
+}
+
+impl NodeTables {
+    /// Tail node (source) of `link`: the last node whose out-links
+    /// start at or below it.
+    fn link_src(&self, link: usize) -> usize {
+        self.out_offset.partition_point(|&o| o as usize <= link) - 1
+    }
 }
 
 impl FaultSchedule {
@@ -232,6 +246,7 @@ impl FaultSchedule {
     ) -> Result<Self, FaultError> {
         let nodes = link_offset.len() - 1;
         let links = link_target.len();
+        let mut node_events = false;
         for ev in plan.events() {
             match ev.fault {
                 Fault::LinkFail { link } | Fault::LinkRecover { link } => {
@@ -251,30 +266,9 @@ impl FaultSchedule {
                     if node >= nodes {
                         return Err(FaultError::NodeOutOfRange { node, nodes });
                     }
+                    node_events = true;
                 }
             }
-        }
-        // Tail node per link, from the out-CSR.
-        let mut link_src = vec![0u32; links];
-        for v in 0..nodes {
-            for l in link_offset[v]..link_offset[v + 1] {
-                link_src[l as usize] = v as u32;
-            }
-        }
-        // In-link CSR by counting sort on the targets.
-        let mut in_offset = vec![0u32; nodes + 1];
-        for &t in link_target {
-            in_offset[t as usize + 1] += 1;
-        }
-        for v in 0..nodes {
-            in_offset[v + 1] += in_offset[v];
-        }
-        let mut next = in_offset.clone();
-        let mut in_links = vec![0u32; links];
-        for (l, &t) in link_target.iter().enumerate() {
-            let slot = next[t as usize];
-            in_links[slot as usize] = l as u32;
-            next[t as usize] = slot + 1;
         }
         Ok(FaultSchedule {
             events: plan.events().to_vec(),
@@ -282,12 +276,11 @@ impl FaultSchedule {
             link_down: vec![false; links],
             degrade: vec![0; links],
             degraded: Vec::new(),
-            node_down: vec![false; nodes],
-            link_src,
-            link_dst: link_target.to_vec(),
-            out_offset: link_offset.to_vec(),
-            in_offset,
-            in_links,
+            nodes: node_events.then(|| NodeTables {
+                down: vec![false; nodes],
+                out_offset: link_offset.to_vec(),
+                link_dst: link_target.to_vec(),
+            }),
             touched: Vec::new(),
         })
     }
@@ -297,9 +290,11 @@ impl FaultSchedule {
     fn effective(&self, link: usize, step: u32) -> bool {
         let p = self.degrade[link];
         self.link_down[link]
-            || self.node_down[self.link_src[link] as usize]
-            || self.node_down[self.link_dst[link] as usize]
             || (p >= 2 && !step.is_multiple_of(p))
+            || self
+                .nodes
+                .as_ref()
+                .is_some_and(|n| n.down[n.link_src(link)] || n.down[n.link_dst[link] as usize])
     }
 
     /// Apply every event with `event.step <= step`, then report the new
@@ -335,13 +330,18 @@ impl FaultSchedule {
                     self.touched.push(link as u32);
                 }
                 Fault::NodeFail { node } | Fault::NodeRecover { node } => {
-                    self.node_down[node] = matches!(ev.fault, Fault::NodeFail { .. });
-                    for l in self.in_offset[node]..self.in_offset[node + 1] {
-                        self.touched.push(self.in_links[l as usize]);
-                    }
-                    for l in self.out_offset[node]..self.out_offset[node + 1] {
-                        self.touched.push(l);
-                    }
+                    let n = self
+                        .nodes
+                        .as_mut()
+                        .expect("built for a plan with node events");
+                    n.down[node] = matches!(ev.fault, Fault::NodeFail { .. });
+                    // In-links, then out-links, each ascending.
+                    let ins = (0u32..)
+                        .zip(&n.link_dst)
+                        .filter(|&(_, &t)| t as usize == node);
+                    self.touched.extend(ins.map(|(l, _)| l));
+                    self.touched
+                        .extend(n.out_offset[node]..n.out_offset[node + 1]);
                 }
             }
         }
@@ -470,6 +470,26 @@ mod tests {
         // 2 (2->1, inbound).
         assert_eq!(states(&mut s, 3, 1), vec![true, true, true]);
         assert_eq!(states(&mut s, 3, 3), vec![false, false, false]);
+    }
+
+    /// Only a plan with a node event pays for the per-node tables.
+    #[test]
+    fn link_only_plan_builds_no_node_tables() {
+        let (off, tgt) = line3();
+        let event = |fault| FaultEvent { step: 1, fault };
+        let links = FaultPlan::new(vec![
+            event(Fault::LinkFail { link: 0 }),
+            event(Fault::LinkDegrade { link: 1, period: 2 }),
+        ]);
+        assert!(FaultSchedule::build(&links, &off, &tgt)
+            .unwrap()
+            .nodes
+            .is_none());
+        let node = FaultPlan::new(vec![event(Fault::NodeRecover { node: 0 })]);
+        assert!(FaultSchedule::build(&node, &off, &tgt)
+            .unwrap()
+            .nodes
+            .is_some());
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! grouper.
 //! [`ArrivalGroups`] produces that sequence — a *stable* sort of the
 //! arrivals by node — from a per-node chain (head / tail / next indices)
-//! plus a bitmap of the nodes touched: only the list of non-zero 64-node
-//! bitmap **words** is sorted (one entry per 64 consecutive node ids that
-//! saw an arrival; 16 for a butterfly column of 1024), and the nodes
-//! inside a word come out ascending by `trailing_zeros`.
+//! plus the set of nodes touched, a `TwoLevelSet`: a bitmap with one
+//! bit per node and a summary bitmap with one bit per non-zero 64-node
+//! word, both walked ascending by `trailing_zeros`, so nothing is sorted.
+//! The engine keeps its non-empty link queues in the same set.
 //!
 //! Both engines group through this one type: the serial [`Engine`]
 //! files arrival indices, the sharded coordinator files packed
@@ -22,10 +22,122 @@
 
 use crate::queue::NIL;
 
+/// A subset of `0..n` that iterates ascending without a sort: one bit
+/// per member in `words`, and one bit per non-zero word in `summary`.
+/// Finding the next non-zero word reads one summary word per 4 096
+/// ids, so a walk costs the members plus `n / 4096` word reads.
+#[derive(Debug, Clone)]
+pub(crate) struct TwoLevelSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl TwoLevelSet {
+    /// The empty set over `0..n`.
+    pub(crate) fn new(n: usize) -> Self {
+        TwoLevelSet {
+            words: vec![0; n.div_ceil(64)],
+            summary: vec![0; n.div_ceil(64 * 64)],
+        }
+    }
+
+    /// Add `i`.
+    #[inline]
+    pub(crate) fn insert(&mut self, i: usize) {
+        let w = i / 64;
+        if self.words[w] == 0 {
+            self.summary[w / 64] |= 1 << (w % 64);
+        }
+        self.words[w] |= 1 << (i % 64);
+    }
+
+    /// Word `w` of the bitmap (members `64w .. 64w + 64`).
+    #[inline]
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.words[w]
+    }
+
+    /// Remove and return the smallest member.
+    #[inline]
+    pub(crate) fn pop_first(&mut self) -> Option<usize> {
+        let w = self.next_word(0)?;
+        let bits = self.words[w];
+        self.words[w] = bits & (bits - 1);
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The lowest non-zero word at index `from` or above.
+    #[inline]
+    pub(crate) fn next_word(&self, from: usize) -> Option<usize> {
+        let mut s = from / 64;
+        let mut bits = *self.summary.get(s)? & (!0 << (from % 64));
+        while bits == 0 {
+            s += 1;
+            bits = *self.summary.get(s)?;
+        }
+        Some(s * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The members, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_word(0), |&w| self.next_word(w + 1)).flat_map(|w| {
+            let mut bits = self.words[w];
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    i
+                })
+            })
+        })
+    }
+
+    /// Visit the non-zero words ascending, replacing each word's bits
+    /// with what `f(w, bits)` returns.
+    #[inline]
+    pub(crate) fn update_words(&mut self, mut f: impl FnMut(usize, u64) -> u64) {
+        for s in 0..self.summary.len() {
+            let (mut todo, mut live) = (self.summary[s], self.summary[s]);
+            while todo != 0 {
+                let w = s * 64 + todo.trailing_zeros() as usize;
+                todo &= todo - 1;
+                self.words[w] = f(w, self.words[w]);
+                if self.words[w] == 0 {
+                    live &= !(1 << (w % 64));
+                }
+            }
+            self.summary[s] = live;
+        }
+    }
+
+    /// Remove every member, touching only the non-zero words.
+    pub(crate) fn clear(&mut self) {
+        self.update_words(|_, _| 0);
+    }
+
+    /// The two levels agree: a summary bit is set exactly over a
+    /// non-zero word.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        for (w, &bits) in self.words.iter().enumerate() {
+            let listed = self.summary[w / 64] >> (w % 64) & 1 == 1;
+            if listed != (bits != 0) {
+                return Err(format!(
+                    "summary bit of word {w} is {} but the word is {bits:#x}",
+                    u8::from(listed)
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Reusable bucket chains over one step's arrivals. Use per step:
-/// [`push`](Self::push) every arrival in arrival order,
-/// [`seal`](Self::seal), then [`pop_node`](Self::pop_node) until it
-/// returns `None` — which leaves the grouper empty for the next step.
+/// [`push`](Self::push) every arrival in arrival order, then
+/// [`pop_node`](Self::pop_node) until it returns `None` — which leaves
+/// the grouper empty for the next step.
 #[derive(Debug)]
 pub struct ArrivalGroups {
     /// Per-arrival `(payload, next entry of the same node or NIL)`.
@@ -33,16 +145,8 @@ pub struct ArrivalGroups {
     /// Per-node chain head / tail into `chain`; head `NIL` = no arrivals.
     node_head: Vec<u32>,
     node_tail: Vec<u32>,
-    /// One bit per node: set while the node has unpopped arrivals.
-    touched: Vec<u64>,
-    /// Indices of the non-zero words of `touched`: first-touch order
-    /// while pushing, ascending once sealed.
-    words: Vec<u32>,
-    /// Pop cursor: next position in `words`, and the not-yet-popped
-    /// bits of the word before it.
-    next_word: usize,
-    current: u64,
-    current_base: usize,
+    /// The nodes with unpopped arrivals.
+    touched: TwoLevelSet,
 }
 
 impl ArrivalGroups {
@@ -52,11 +156,7 @@ impl ArrivalGroups {
             chain: Vec::new(),
             node_head: vec![NIL; nodes],
             node_tail: vec![NIL; nodes],
-            touched: vec![0; nodes.div_ceil(64)],
-            words: Vec::new(),
-            next_word: 0,
-            current: 0,
-            current_base: 0,
+            touched: TwoLevelSet::new(nodes),
         }
     }
 
@@ -68,22 +168,11 @@ impl ArrivalGroups {
         self.chain.push((payload, NIL));
         if self.node_head[node] == NIL {
             self.node_head[node] = entry;
-            let word = node / 64;
-            if self.touched[word] == 0 {
-                self.words.push(word as u32);
-            }
-            self.touched[word] |= 1 << (node % 64);
+            self.touched.insert(node);
         } else {
             self.chain[self.node_tail[node] as usize].1 = entry;
         }
         self.node_tail[node] = entry;
-    }
-
-    /// All arrivals are filed: fix the node order.
-    pub fn seal(&mut self) {
-        if self.words.len() > 1 {
-            self.words.sort_unstable();
-        }
     }
 
     /// The next node with arrivals, ascending, and a handle on its chain
@@ -91,21 +180,11 @@ impl ArrivalGroups {
     /// node's state is cleared as it is handed out.
     #[inline]
     pub fn pop_node(&mut self) -> Option<(usize, u32)> {
-        if self.current == 0 {
-            let Some(&word) = self.words.get(self.next_word) else {
-                // Popped dry: ready for the next step's pushes.
-                self.chain.clear();
-                self.words.clear();
-                self.next_word = 0;
-                return None;
-            };
-            let word = word as usize;
-            self.next_word += 1;
-            self.current = std::mem::take(&mut self.touched[word]);
-            self.current_base = word * 64;
-        }
-        let node = self.current_base + self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
+        let Some(node) = self.touched.pop_first() else {
+            // Popped dry: ready for the next step's pushes.
+            self.chain.clear();
+            return None;
+        };
         let head = std::mem::replace(&mut self.node_head[node], NIL);
         Some((node, head))
     }
@@ -133,24 +212,35 @@ impl ArrivalGroups {
         })
     }
 
-    /// Between steps nothing may be left behind: every bitmap word zero,
-    /// every chain head `NIL`, no entry waiting to be popped.
+    /// Between steps nothing may be left behind: every bitmap word and
+    /// summary bit zero, every chain head `NIL`, no entry waiting to be
+    /// popped.
     pub fn check_idle(&self) -> Result<(), String> {
-        if let Some(word) = self.touched.iter().position(|&w| w != 0) {
+        if let Some(word) = self.touched.next_word(0) {
             return Err(format!(
                 "arrival bitmap word {word} is {:#x} at a step boundary",
-                self.touched[word]
+                self.touched.word(word)
             ));
         }
+        self.touched.check()?;
         if let Some(node) = self.node_head.iter().position(|&h| h != NIL) {
             return Err(format!(
                 "node {node} still heads an arrival chain at a step boundary"
             ));
         }
-        if self.current != 0 || !self.words.is_empty() {
+        if !self.chain.is_empty() {
             return Err("arrival groups were not popped dry".to_string());
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl TwoLevelSet {
+    /// Corrupt the summary for the invariant checks' tests: clear the
+    /// bit of word `w` whatever the word holds.
+    pub(crate) fn clear_summary_bit(&mut self, w: usize) {
+        self.summary[w / 64] &= !(1 << (w % 64));
     }
 }
 
@@ -165,7 +255,6 @@ mod tests {
         for (a, &node) in targets.iter().enumerate() {
             groups.push(node, a as u32);
         }
-        groups.seal();
         let mut got = Vec::new();
         while let Some((node, head)) = groups.pop_node() {
             let members: Vec<u32> = groups.members(head).collect();
@@ -199,7 +288,6 @@ mod tests {
     fn check_idle_reports_unpopped_state() {
         let mut groups = ArrivalGroups::new(70);
         groups.push(69, 0);
-        groups.seal();
         let err = groups.check_idle().expect_err("bit 69 is set");
         assert!(err.contains("bitmap word 1"), "{err}");
         assert_eq!(groups.pop_node(), Some((69, 0)));
@@ -207,7 +295,59 @@ mod tests {
         assert_eq!(groups.check_idle(), Ok(()));
     }
 
+    #[test]
+    fn check_reports_a_summary_bit_out_of_step() {
+        let mut set = TwoLevelSet::new(300);
+        set.insert(130);
+        assert_eq!(set.check(), Ok(()));
+        set.clear_summary_bit(2);
+        let err = set.check().expect_err("word 2 is non-zero, unsummarised");
+        assert!(err.contains("summary bit of word 2 is 0"), "{err}");
+    }
+
     proptest! {
+        /// The two-level set is an ordered set: random inserts and
+        /// removes (through `update_words`, the engine's way of clearing
+        /// bits, and `pop_first`) over up to 10 000 ids — more than 64 · 64, so the
+        /// summary spans several words — iterate ascending exactly as a
+        /// `BTreeSet` model does, after every operation's batch, across
+        /// a `clear`.
+        #[test]
+        fn prop_two_level_set_matches_a_btree_set(
+            seed: u64,
+            n in 1usize..10_000,
+            ops in 0usize..400,
+        ) {
+            let mut state = seed;
+            let mut draw = |m: usize| (lnpram_math::rng::splitmix64(&mut state) as usize) % m;
+            let mut set = TwoLevelSet::new(n);
+            let mut model = std::collections::BTreeSet::new();
+            for round in 0..2 {
+                for _ in 0..ops {
+                    let i = draw(n);
+                    if draw(4) == 0 {
+                        let (word, bit) = (i / 64, 1 << (i % 64));
+                        set.update_words(|w, bits| if w == word { bits & !bit } else { bits });
+                        model.remove(&i);
+                    } else if draw(4) == 0 {
+                        prop_assert_eq!(set.pop_first(), model.pop_first());
+                    } else {
+                        set.insert(i);
+                        model.insert(i);
+                    }
+                    prop_assert_eq!(set.word(i / 64) >> (i % 64) & 1 == 1, model.contains(&i));
+                }
+                prop_assert_eq!(set.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
+                prop_assert_eq!(set.check(), Ok(()));
+                let from = draw(n.div_ceil(64) + 1);
+                let expect = model.range(from * 64..).next().map(|&i| i / 64);
+                prop_assert_eq!(set.next_word(from), expect, "round {}, from word {}", round, from);
+                set.clear();
+                model.clear();
+                prop_assert_eq!(set.next_word(0), None);
+            }
+        }
+
         /// The grouper is a stable sort by target node: random link →
         /// node maps over up to 5 000 nodes (more than 64 · 64, so the
         /// word list itself spans many words), always with arrivals at
@@ -229,9 +369,14 @@ mod tests {
                 let mut targets: Vec<usize> =
                     (0..arrivals).map(|_| link_target[draw(links)]).collect();
                 targets.push(link_target[links - 1]);
-                let mut expect: Vec<(usize, u32)> =
-                    targets.iter().enumerate().map(|(a, &n)| (n, a as u32)).collect();
-                expect.sort_by_key(|&(node, _)| node);
+                let mut model = std::collections::BTreeMap::<usize, Vec<u32>>::new();
+                for (a, &node) in targets.iter().enumerate() {
+                    model.entry(node).or_default().push(a as u32);
+                }
+                let expect: Vec<(usize, u32)> = model
+                    .into_iter()
+                    .flat_map(|(node, members)| members.into_iter().map(move |a| (node, a)))
+                    .collect();
                 let got: Vec<(usize, u32)> = grouped(&mut groups, &targets)
                     .into_iter()
                     .flat_map(|(node, members)| members.into_iter().map(move |a| (node, a)))
