@@ -8,17 +8,25 @@
 //! half of one 64×64 multiply (Lemire, Kaser & Kurz, *Faster remainder
 //! by direct computation*, 2019: exact whenever dividend and divisor are
 //! both below `2³²`, which node ids are — packets carry them as `u32`).
+//!
+//! A power-of-two divisor — a butterfly's width and radix powers, a
+//! binary shuffle's, a mesh with `2ᵏ` columns — needs no reciprocal: its
+//! quotient is a right shift and its remainder a mask, one cycle each
+//! and exact for every dividend.
 
 /// A divisor `d ≥ 1` with its precomputed reciprocal.
 /// [`div_rem`](Divisor::div_rem) equals `(n / d, n % d)` for **every**
-/// `n`: dividends below `2³²` take the multiply, larger ones fall back
-/// to the hardware divide.
+/// `n`: a power-of-two `d` shifts and masks, otherwise dividends below
+/// `2³²` take the multiply and larger ones fall back to the hardware
+/// divide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Divisor {
     d: u64,
-    /// `⌈2⁶⁴ / d⌉`; `0` stands for `d = 1`, whose reciprocal `2⁶⁴` does
-    /// not fit.
+    /// `⌈2⁶⁴ / d⌉`, or `0` when `d` is a power of two (including
+    /// `d = 1`, whose reciprocal `2⁶⁴` does not fit).
     magic: u64,
+    /// `log₂ d` when `d` is a power of two.
+    shift: u32,
 }
 
 impl Divisor {
@@ -28,7 +36,12 @@ impl Divisor {
         let d = d as u64;
         Divisor {
             d,
-            magic: (u64::MAX / d).wrapping_add(1),
+            magic: if d.is_power_of_two() {
+                0
+            } else {
+                u64::MAX / d + 1
+            },
+            shift: d.trailing_zeros(),
         }
     }
 
@@ -42,14 +55,13 @@ impl Divisor {
     #[inline]
     pub fn div_rem(&self, n: usize) -> (usize, usize) {
         let n = n as u64;
+        if self.magic == 0 {
+            return ((n >> self.shift) as usize, (n & (self.d - 1)) as usize);
+        }
         if n > u64::from(u32::MAX) {
             return ((n / self.d) as usize, (n % self.d) as usize);
         }
-        let q = if self.magic == 0 {
-            n
-        } else {
-            ((u128::from(self.magic) * u128::from(n)) >> 64) as u64
-        };
+        let q = ((u128::from(self.magic) * u128::from(n)) >> 64) as u64;
         (q as usize, (n - q * self.d) as usize)
     }
 
@@ -120,6 +132,22 @@ mod tests {
         #[test]
         fn prop_div_rem_matches_hardware_on_any_operands(n: u64, d in 1u64..) {
             check(n, d);
+        }
+
+        /// The shift-and-mask path of `d = 2ᵏ`, k ≤ 40, on dividends
+        /// on both sides of `2³²` (up to `2⁴⁸`) and anywhere in `u64`.
+        #[test]
+        fn prop_power_of_two_divisors_shift_exactly(
+            k in 0u32..=40,
+            small: u32,
+            mid in 0u64..1 << 48,
+            any: u64,
+        ) {
+            let d = 1u64 << k;
+            prop_assert_eq!(Divisor::new(d as usize).magic, 0);
+            for n in [u64::from(small), mid, any, d - 1, d, d << 8 | 1] {
+                check(n, d);
+            }
         }
     }
 }

@@ -80,6 +80,17 @@ impl RoutePattern {
         }
     }
 
+    /// The source count an explicit pattern was made for: a destination
+    /// vector's length, a relation map's `sources` (the drawn patterns
+    /// take the topology's).
+    pub(crate) fn source_count(&self) -> Option<usize> {
+        match self {
+            RoutePattern::Dests(d) | RoutePattern::Direct(d) => Some(d.len()),
+            RoutePattern::RelationMap { sources, .. } => Some(*sources),
+            RoutePattern::Permutation | RoutePattern::Relation { .. } => None,
+        }
+    }
+
     /// The first endpoint of an explicit pattern outside `0..sources`,
     /// if any (the drawn patterns are always in range).
     pub(crate) fn out_of_range(&self, sources: usize) -> Option<usize> {
@@ -1032,7 +1043,9 @@ mod tests {
             let mut eng = backend.build_engine(1, &SimConfig::default());
             let req = RouteRequest::relation_map(relation.to_vec(), seed);
             let count = backend.inject(&mut eng, 0, req.pattern.as_ref(), SeedSeq::new(seed), tag);
-            let got: Vec<Packet> = eng.take_pending().into_iter().map(|(_, p)| p).collect();
+            let mut pending = Vec::new();
+            eng.drain_pending_into(&mut pending);
+            let got: Vec<Packet> = pending.into_iter().map(|(_, p)| p).collect();
             let mut rng = SeedSeq::new(seed).child(1).rng();
             let mut expect = Vec::new();
             for (src, dests) in relation.iter().enumerate() {

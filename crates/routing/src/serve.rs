@@ -61,6 +61,7 @@ use lnpram_simnet::{
 };
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::Range;
 
 /// What to do with arrivals that would overflow the admission buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,6 +150,16 @@ pub enum ServeError {
         /// The topology's source count.
         sources: usize,
     },
+    /// A request's relation map, or its destination vector, was made
+    /// for a source count other than the served topology's.
+    SourceCountMismatch {
+        /// Index of the request's entry in the trace.
+        index: usize,
+        /// The map's source count, or the vector's length.
+        got: usize,
+        /// The topology's source count.
+        sources: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -179,6 +190,14 @@ impl fmt::Display for ServeError {
             } => write!(
                 f,
                 "trace entry {index} routes to {dest}, outside the topology's {sources} sources"
+            ),
+            ServeError::SourceCountMismatch {
+                index,
+                got,
+                sources,
+            } => write!(
+                f,
+                "trace entry {index} is made for {got} sources, but the topology has {sources}"
             ),
         }
     }
@@ -540,7 +559,8 @@ struct QueuedRequest {
     slot: usize,
     tenant: u64,
     arrival: u32,
-    packets: Vec<(usize, Packet)>,
+    /// Its `(node, packet)` injections in [`Admitter::packets`].
+    packets: Range<usize>,
 }
 
 /// One step-boundary trace operation, kept in trace order (request
@@ -564,6 +584,8 @@ struct Admitter {
     cfg: ServeConfig,
     /// All materialized requests, slot order.
     queue: Vec<QueuedRequest>,
+    /// Every request's injections, one range per request, slot order.
+    packets: Vec<(usize, Packet)>,
     /// Arrivals and tenant churn in trace order (steps non-decreasing).
     ops: Vec<(u32, TraceOp)>,
     /// Next op not yet processed.
@@ -585,7 +607,12 @@ struct Admitter {
 }
 
 impl Admitter {
-    fn new(cfg: ServeConfig, queue: Vec<QueuedRequest>, ops: Vec<(u32, TraceOp)>) -> Self {
+    fn new(
+        cfg: ServeConfig,
+        queue: Vec<QueuedRequest>,
+        packets: Vec<(usize, Packet)>,
+        ops: Vec<(u32, TraceOp)>,
+    ) -> Self {
         let slots = queue.len();
         let remaining_arrivals = ops
             .iter()
@@ -594,6 +621,7 @@ impl Admitter {
         Admitter {
             cfg,
             queue,
+            packets,
             ops,
             next: 0,
             remaining_arrivals,
@@ -699,7 +727,7 @@ impl Admission for Admitter {
                 break;
             }
             let req = &self.queue[qi];
-            for &(node, pkt) in &req.packets {
+            for &(node, pkt) in &self.packets[req.packets.clone()] {
                 eng.inject(node, pkt);
             }
             admitted_now += req.packets.len();
@@ -847,18 +875,27 @@ impl<B: RouteBackend> ServeSession<B> {
         self.engine.reset();
         // Materialize every request's packets up front: the backend's
         // injection routine writes into the engine's pending list, which
-        // is immediately taken back — so packets exist before the
-        // protocol (which may borrow the backend) is constructed, and
-        // admission later is a plain re-inject at the admission step.
+        // is immediately drained into the trace's one packet buffer — so
+        // packets exist before the protocol (which may borrow the backend)
+        // is constructed, and admission later is a plain re-inject at the
+        // admission step.
         // Churn entries become admission ops, fault entries one FaultPlan
         // installed for the whole run.
         let mut queue = Vec::new();
+        let mut packets = Vec::new();
         let mut ops = Vec::with_capacity(trace.len());
         let mut fault_events = Vec::new();
         let sources = self.backend.sources();
         for (index, entry) in trace.iter().enumerate() {
             match entry {
                 AdmissionEntry::Request { step, req } => {
+                    if let Some(got) = req.pattern.source_count().filter(|&n| n != sources) {
+                        return Err(ServeError::SourceCountMismatch {
+                            index,
+                            got,
+                            sources,
+                        });
+                    }
                     if let Some(dest) = req.pattern.out_of_range(sources) {
                         return Err(ServeError::DestinationOutOfRange {
                             index,
@@ -874,14 +911,15 @@ impl<B: RouteBackend> ServeSession<B> {
                         SeedSeq::new(req.seed),
                         slot as u64,
                     );
-                    let packets = self.engine.take_pending();
-                    debug_assert_eq!(packets.len(), count, "inject count mismatch");
+                    let start = packets.len();
+                    self.engine.drain_pending_into(&mut packets);
+                    debug_assert_eq!(packets.len() - start, count, "inject count mismatch");
                     ops.push((*step, TraceOp::Arrive(slot)));
                     queue.push(QueuedRequest {
                         slot,
                         tenant: req.tenant,
                         arrival: *step,
-                        packets,
+                        packets: start..packets.len(),
                     });
                 }
                 AdmissionEntry::TenantJoin { step, tenant } => {
@@ -910,7 +948,7 @@ impl<B: RouteBackend> ServeSession<B> {
                 .set_fault_plan(&plan)
                 .map_err(ServeError::Fault)?;
         }
-        let mut admit = Admitter::new(self.cfg.clone(), queue, ops);
+        let mut admit = Admitter::new(self.cfg.clone(), queue, packets, ops);
         let mut demux = TagDemux::new(self.backend.protocol(), admit.queue.len());
         let run = self
             .engine
@@ -1089,6 +1127,45 @@ mod tests {
         );
         // The session is still usable.
         let ok = serve.run_trace(&trace[..1]).expect("in range");
+        assert!(ok.completed);
+    }
+
+    /// A relation map drawn over another topology's source count, or a
+    /// destination vector of another length, is a typed error of the
+    /// trace too, not a panic inside the backend.
+    #[test]
+    fn explicit_pattern_over_the_wrong_source_count_is_a_typed_error() {
+        let mut serve = session(0, ServeConfig::default());
+        let mut relation = vec![Vec::new(); 32];
+        relation[3] = vec![5, 31];
+        let trace = [
+            AdmissionEntry::request(0, RouteRequest::permutation(1)),
+            AdmissionEntry::request(4, RouteRequest::relation_map(relation, 2)),
+        ];
+        let err = serve.run_trace(&trace).expect_err("32 sources of 64");
+        assert_eq!(
+            err,
+            ServeError::SourceCountMismatch {
+                index: 1,
+                got: 32,
+                sources: 64
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "trace entry 1 is made for 32 sources, but the topology has 64"
+        );
+        let short = RouteRequest::dests((0..63).collect(), 3);
+        let err = serve.run_trace(&[AdmissionEntry::request(0, short)]);
+        assert_eq!(
+            err.expect_err("63 destinations for 64 sources"),
+            ServeError::SourceCountMismatch {
+                index: 0,
+                got: 63,
+                sources: 64
+            }
+        );
+        let ok = serve.run_trace(&trace[..1]).expect("no explicit pattern");
         assert!(ok.completed);
     }
 

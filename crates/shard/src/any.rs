@@ -167,9 +167,9 @@ impl AnyEngine {
         either!(self, e => e.in_flight())
     }
 
-    /// See [`Engine::take_pending`].
-    pub fn take_pending(&mut self) -> Vec<(usize, Packet)> {
-        either!(self, e => e.take_pending())
+    /// See [`Engine::drain_pending_into`].
+    pub fn drain_pending_into(&mut self, out: &mut Vec<(usize, Packet)>) {
+        either!(self, e => e.drain_pending_into(out))
     }
 
     /// See [`Engine::drain_all`].

@@ -19,8 +19,10 @@
 //! 1. **Transmit (per shard)** — the shard engines run their transmit
 //!    phase one after another. Each leaves its extractions in its own
 //!    arrivals buffer ([`Engine::arrivals`]), at most one packet per
-//!    link; the `k` buffers concatenate into the serial engine's arrival
-//!    order (no merge is materialized).
+//!    link, each packet still in the arena slot the shard holds for it
+//!    ([`Engine::arrival_pkt`]) until the shard's next transmit; the `k`
+//!    buffers concatenate into the serial engine's arrival order (no
+//!    merge is materialized).
 //! 2. **Process (central)** — for a [`Protocol::NODE_LOCAL`] protocol
 //!    the coordinator reads those buffers in shard order and calls
 //!    `on_packet` per arrival; otherwise it groups arrivals **in place**
@@ -498,10 +500,10 @@ impl ShardedEngine {
         }
     }
 
-    /// Take back the not-yet-processed injections (mirrors
-    /// [`Engine::take_pending`]).
-    pub fn take_pending(&mut self) -> Vec<(usize, Packet)> {
-        std::mem::take(&mut self.pending)
+    /// Move the not-yet-processed injections onto `out` (mirrors
+    /// [`Engine::drain_pending_into`]).
+    pub fn drain_pending_into(&mut self, out: &mut Vec<(usize, Packet)>) {
+        out.append(&mut self.pending);
     }
 
     /// Verify the coordinator-level invariants, plus every shard
@@ -575,12 +577,12 @@ impl ShardedEngine {
     }
 }
 
-/// The arrival a packed coordinate addresses: a slot of a shard's
-/// arrivals buffer.
+/// The arrival a packed coordinate addresses: one of a shard's held
+/// arrival slots.
 fn arrival(shards: &[Engine], packed: u32) -> Packet {
     let s = (packed >> COORD_BITS) as usize;
     let idx = (packed & COORD_MASK) as usize;
-    shards[s].arrivals().1[idx]
+    shards[s].arrival_pkt(idx)
 }
 
 /// The outbox of a callback at global `node`: onto the links of the
@@ -634,7 +636,6 @@ impl StepEngine for ShardedEngine {
                 let heads = &self.link_head[self.link_base[s] as usize..];
                 let crossing = shard
                     .arrivals()
-                    .0
                     .iter()
                     .filter(|&&local| {
                         let owner = self.node_owner[heads[local as usize] as usize];
@@ -648,12 +649,14 @@ impl StepEngine for ShardedEngine {
     }
 
     // The serial engine's exact callback sequence. Arrivals are read
-    // **in place** from the shards' arrivals buffers, which concatenate
-    // in global link order: a node-local protocol gets them one by one
-    // in that order; otherwise the grouper files packed `(shard, index)`
-    // coordinates into them, so no packet moves until batch assembly.
-    // Each packet is copied out of its buffer before the callback's
-    // outbox borrows the owning shard, which may be the same engine.
+    // **in place** from the arena slots the shards hold for them, and the
+    // shards' arrival lists concatenate in global link order: a
+    // node-local protocol gets them one by one in that order; otherwise
+    // the grouper files packed `(shard, index)` coordinates into them, so
+    // no packet moves until batch assembly. Each packet is copied out of
+    // its slot before the callback's outbox borrows the owning shard,
+    // which may be the same engine; the shards free the slots at their
+    // next transmit.
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32) {
         let Self {
             shards,
@@ -668,9 +671,10 @@ impl StepEngine for ShardedEngine {
         if P::NODE_LOCAL {
             for s in 0..shards.len() {
                 let heads = &link_head[link_base[s] as usize..];
-                for idx in 0..shards[s].arrivals().0.len() {
-                    let (links, pkts) = shards[s].arrivals();
-                    let (node, pkt) = (heads[links[idx] as usize] as usize, pkts[idx]);
+                for idx in 0..shards[s].arrivals().len() {
+                    let shard = &shards[s];
+                    let node = heads[shard.arrivals()[idx] as usize] as usize;
+                    let pkt = shard.arrival_pkt(idx);
                     let mut out = outbox(shards, node_owner, node, step, metrics);
                     proto.on_packet(node, pkt, step, &mut out);
                 }
@@ -679,7 +683,7 @@ impl StepEngine for ShardedEngine {
         }
         for (s, shard) in shards.iter().enumerate() {
             let heads = &link_head[link_base[s] as usize..];
-            let (buf, _) = shard.arrivals();
+            let buf = shard.arrivals();
             debug_assert!(buf.len() <= COORD_MASK as usize);
             for (idx, &local) in buf.iter().enumerate() {
                 groups.push(
@@ -731,7 +735,7 @@ impl StepEngine for ShardedEngine {
     }
 
     fn arrivals_len(&self) -> usize {
-        self.shards.iter().map(|s| s.arrivals().0.len()).sum()
+        self.shards.iter().map(|s| s.arrivals().len()).sum()
     }
 }
 

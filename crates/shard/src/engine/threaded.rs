@@ -326,13 +326,13 @@ impl<P: Shardable> Crew<P> {
             eng.step_transmit(&mut NoopSink);
             let heads = &self.link_head[self.link_base[s] as usize..];
             let outgoing = &mut lane.outgoing[i * k..(i + 1) * k];
-            let (links, pkts) = eng.arrivals();
+            let links = eng.arrivals();
             lane.moved += links.len();
-            for (&link, &pkt) in links.iter().zip(pkts) {
+            for (idx, &link) in links.iter().enumerate() {
                 let node = heads[link as usize];
                 let to = self.owner(node as usize);
                 if to != s {
-                    outgoing[to].push((node, pkt));
+                    outgoing[to].push((node, eng.arrival_pkt(idx)));
                     lane.crossed += 1;
                 }
             }
@@ -371,10 +371,10 @@ impl<P: Shardable> Crew<P> {
             for from in 0..k {
                 if from == s {
                     let heads = &self.link_head[self.link_base[s] as usize..];
-                    for idx in 0..eng.arrivals().0.len() {
-                        let (links, pkts) = eng.arrivals();
-                        let (node, pkt) = (heads[links[idx] as usize], pkts[idx]);
+                    for idx in 0..eng.arrivals().len() {
+                        let node = heads[eng.arrivals()[idx] as usize];
                         if self.owner(node as usize) == s {
+                            let pkt = eng.arrival_pkt(idx);
                             call(eng, node, pkt);
                         }
                     }

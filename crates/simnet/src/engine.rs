@@ -38,14 +38,17 @@
 //!   `trailing_zeros`, so it visits links in ascending id order with
 //!   nothing to sort; a word's summary bit is set by the push that sets
 //!   its first bit and cleared by the transmit that clears its last;
-//! * transmit copies each moved packet once, from its arena slot straight
-//!   into the arrivals, which are two parallel arrays (link ids,
-//!   packets) rather than one array of pairs;
+//! * transmit does not copy a moved packet: it unlinks the packet's arena
+//!   slot from its queue and keeps the slot, beside the link id, in the
+//!   arrivals. The process phase copies each packet out of its held slot
+//!   and frees the slot just before the callback, whose first send
+//!   recycles that still-hot slot (the free list is LIFO). So a hop
+//!   writes and reads each packet once;
 //! * arrivals are grouped by destination node by [`ArrivalGroups`]:
 //!   per-node index chains plus the same two-level bitmap over the
 //!   touched nodes, walked in ascending order. A node with a single
-//!   arrival hands the protocol a slice into the arrival packets,
-//!   without copying the packet;
+//!   arrival gets a one-element slice, several arrivals are copied into
+//!   one batch;
 //! * a [`Protocol::NODE_LOCAL`] protocol (every router and all but one
 //!   of the emulator hosts' protocols) skips that
 //!   grouping: each arrival goes to [`Protocol::on_packet`] at its
@@ -191,13 +194,16 @@ pub struct Engine {
     pending: Vec<(usize, Packet)>,
     metrics: Metrics,
     // --- reusable per-step scratch (never reallocated after warm-up) ---
-    /// This step's arrivals, ascending link order, as two parallel
-    /// arrays: the link each packet crossed (its destination node is
-    /// `link_target[link]`; keeping the link lets an external coordinator,
-    /// `lnpram-shard`, look the head node up in its own global link
-    /// table) and the packet.
+    /// This step's arrivals, ascending link order: the link each packet
+    /// crossed (its destination node is `link_target[link]`; keeping the
+    /// link lets an external coordinator, `lnpram-shard`, look the head
+    /// node up in its own global link table).
     arrival_links: Vec<u32>,
-    arrival_pkts: Vec<Packet>,
+    /// The arena slots still holding this step's arrivals, parallel to
+    /// `arrival_links`. Detached from every chain but not free; emptied
+    /// by the process phase that consumes them, or else freed by the next
+    /// transmit.
+    arrival_slots: Vec<u32>,
     /// Arrival indices grouped by destination node.
     groups: ArrivalGroups,
     /// One node's arrival batch, rebuilt per node with several arrivals.
@@ -292,7 +298,7 @@ impl Engine {
             pending: Vec::new(),
             metrics: Metrics::default(),
             arrival_links: Vec::new(),
-            arrival_pkts: Vec::new(),
+            arrival_slots: Vec::new(),
             groups: ArrivalGroups::new(n),
             batch: Vec::new(),
         }
@@ -377,6 +383,9 @@ impl Engine {
             self.blocked_any = false;
         }
         self.pending.clear();
+        // The arena is gone, and with it any slot a coordinator held.
+        self.arrival_links.clear();
+        self.arrival_slots.clear();
         self.metrics = Metrics::default();
         self.faults = None;
         self.clock = 0;
@@ -430,12 +439,19 @@ impl Engine {
         Outbox::direct(&mut self.links, metrics, local, node, step)
     }
 
-    /// The last transmit's arrivals as two parallel slices — the link
-    /// each packet crossed and the packet — in ascending link-id order,
-    /// the deterministic transmit order. Valid until the next transmit
-    /// phase clears them.
-    pub fn arrivals(&self) -> (&[u32], &[Packet]) {
-        (&self.arrival_links, &self.arrival_pkts)
+    /// The links the last transmit moved a packet over, in ascending
+    /// link-id order, the deterministic transmit order. Valid until the
+    /// next transmit phase.
+    pub fn arrivals(&self) -> &[u32] {
+        &self.arrival_links
+    }
+
+    /// The packet that crossed `arrivals()[i]`, read from the arena slot
+    /// the engine holds for it. Valid until this engine's own process
+    /// phase consumes the arrivals (a coordinator that processes them
+    /// itself never runs it) or the next transmit frees the slots.
+    pub fn arrival_pkt(&self, i: usize) -> Packet {
+        *self.links.pool.pkt(self.arrival_slots[i])
     }
 
     /// Total number of directed links (valid link ids are `0..num_links`).
@@ -455,8 +471,9 @@ impl Engine {
     ///   other chain or the free list, and agrees with its `len`/`tail`
     ///   counters;
     /// * the pool free list is acyclic and in range;
-    /// * slot conservation: free slots + queued packets == arena
-    ///   capacity (no leaked or double-owned slots);
+    /// * the held arrival slots are on no chain, not free and held once;
+    /// * slot conservation: free + queued + held slots == arena capacity
+    ///   (no leaked or double-owned slots);
     /// * packet conservation: `in_flight` == total queued packets;
     /// * the active bitmap has exactly the non-empty queues' bits set, and
     ///   its summary has exactly the bits of its non-zero words set;
@@ -483,9 +500,17 @@ impl Engine {
             Ok(n) => n,
             Err(e) => return fail(format!("packet pool: {e}")),
         };
-        if free + total_queued != self.links.pool.capacity() {
+        for &slot in &self.arrival_slots {
+            match seen.get_mut(slot as usize) {
+                Some(seen) if !*seen => *seen = true,
+                _ => return fail(format!("held slot {slot} reached twice or out of range")),
+            }
+        }
+        let held = self.arrival_slots.len();
+        if free + total_queued + held != self.links.pool.capacity() {
             return fail(format!(
-                "slot conservation: {free} free + {total_queued} queued != arena capacity {}",
+                "slot conservation: {free} free + {total_queued} queued + {held} held \
+                 != arena capacity {}",
                 self.links.pool.capacity()
             ));
         }
@@ -543,10 +568,9 @@ impl Engine {
         self.links.max_queue
     }
 
-    /// Every active, unblocked link moves the packet its discipline
-    /// selects into the arrivals — copied once, straight from the arena
-    /// slot — in ascending link order; links whose queue empties leave
-    /// the active set.
+    /// Every active, unblocked link hands the slot of the packet its
+    /// discipline selects to the arrivals, packet uncopied, in ascending
+    /// link order; links whose queue empties leave the active set.
     fn transmit(&mut self) {
         let disc = self.cfg.discipline;
         self.links.active.update_words(|w, mut left| {
@@ -560,9 +584,9 @@ impl Engine {
                 }
                 let queue = &mut self.links.queues[idx];
                 if let Some(sel) = queue.select(&self.links.pool, disc) {
-                    self.arrival_pkts.push(*self.links.pool.selected(sel));
+                    self.arrival_slots
+                        .push(queue.detach(&mut self.links.pool, sel));
                     self.arrival_links.push(idx as u32);
-                    queue.unlink(&mut self.links.pool, sel);
                 }
                 if queue.is_empty() {
                     left ^= bit;
@@ -572,13 +596,13 @@ impl Engine {
         });
     }
 
-    /// Take back the not-yet-processed injections queued by
-    /// [`Engine::inject`] without running any protocol callback. Lets a
-    /// driver use a backend's injection routine as a packet *materialiser*
-    /// (inject → take) and re-inject the packets at a later admission
-    /// step.
-    pub fn take_pending(&mut self) -> Vec<(usize, Packet)> {
-        std::mem::take(&mut self.pending)
+    /// Move the not-yet-processed injections queued by [`Engine::inject`]
+    /// onto the end of `out` without running any protocol callback. Lets
+    /// a driver use a backend's injection routine as a packet
+    /// *materialiser* (inject → drain) and re-inject the packets at a
+    /// later admission step; the engine keeps its buffer.
+    pub fn drain_pending_into(&mut self, out: &mut Vec<(usize, Packet)>) {
+        out.append(&mut self.pending);
     }
 
     /// Per-link traversal counts in link-id order (CSR: links of node `v`
@@ -644,8 +668,12 @@ impl StepEngine for Engine {
             }
         }
         sink.on_phase_start(Phase::Transmit);
+        // Slots a coordinator read in place and left held.
+        for &slot in &self.arrival_slots {
+            self.links.pool.free(slot);
+        }
         self.arrival_links.clear();
-        self.arrival_pkts.clear();
+        self.arrival_slots.clear();
         self.transmit();
         self.links.in_flight -= self.arrival_links.len();
         sink.on_phase_end(Phase::Transmit);
@@ -657,33 +685,42 @@ impl StepEngine for Engine {
             links,
             metrics,
             arrival_links,
-            arrival_pkts,
+            arrival_slots,
             groups,
             batch,
             ..
         } = self;
+        // Each packet leaves its held slot, which is freed, right before
+        // its callback.
         if P::NODE_LOCAL {
-            for (&link, &pkt) in arrival_links.iter().zip(arrival_pkts.iter()) {
+            for (&link, &slot) in arrival_links.iter().zip(arrival_slots.iter()) {
                 let node = link_target[link as usize] as usize;
+                let pkt = links.pool.take(slot);
                 let mut out = Outbox::direct(links, metrics, node, node, step);
                 proto.on_packet(node, pkt, step, &mut out);
             }
-            return;
-        }
-        for (a, &link) in arrival_links.iter().enumerate() {
-            groups.push(link_target[link as usize] as usize, a as u32);
-        }
-        while let Some((node, head)) = groups.pop_node() {
-            let mut out = Outbox::direct(links, metrics, node, node, step);
-            if let Some(a) = groups.single(head) {
-                let pkt = std::slice::from_ref(&arrival_pkts[a as usize]);
-                proto.on_arrivals(node, pkt, step, &mut out);
-            } else {
-                batch.clear();
-                batch.extend(groups.members(head).map(|a| arrival_pkts[a as usize]));
-                proto.on_arrivals(node, batch, step, &mut out);
+        } else {
+            for (a, &link) in arrival_links.iter().enumerate() {
+                groups.push(link_target[link as usize] as usize, a as u32);
+            }
+            while let Some((node, head)) = groups.pop_node() {
+                if let Some(a) = groups.single(head) {
+                    let pkt = links.pool.take(arrival_slots[a as usize]);
+                    let mut out = Outbox::direct(links, metrics, node, node, step);
+                    proto.on_arrivals(node, std::slice::from_ref(&pkt), step, &mut out);
+                } else {
+                    batch.clear();
+                    batch.extend(
+                        groups
+                            .members(head)
+                            .map(|a| links.pool.take(arrival_slots[a as usize])),
+                    );
+                    let mut out = Outbox::direct(links, metrics, node, node, step);
+                    proto.on_arrivals(node, batch, step, &mut out);
+                }
             }
         }
+        arrival_slots.clear();
     }
 
     fn step_finish(&mut self) {
@@ -1164,11 +1201,12 @@ mod tests {
         eng.process_pending(&mut proto, 0);
         eng.step_finish();
         eng.step_transmit(&mut NoopSink);
-        let (links, pkts) = eng.arrivals();
+        let links = eng.arrivals();
         assert_eq!(links.len(), 200);
         assert!(links.windows(2).all(|w| w[0] < w[1]), "{links:?}");
-        for (&link, pkt) in links.iter().zip(pkts) {
+        for (i, &link) in links.iter().enumerate() {
             // One hop from the source toward the destination.
+            let pkt = eng.arrival_pkt(i);
             let next = if pkt.dest > pkt.src {
                 pkt.src + 1
             } else {
@@ -1176,6 +1214,12 @@ mod tests {
             };
             assert_eq!(eng.link_target[link as usize], next);
         }
+        // The 200 slots are held, on no chain and not free.
+        assert_eq!(eng.arrival_slots.len(), 200);
+        assert_eq!(eng.check_invariants(), Ok(()));
+        eng.process_arrivals(&mut proto, 1);
+        assert!(eng.arrival_slots.is_empty());
+        assert_eq!(eng.arrivals().len(), 200);
         assert_eq!(eng.check_invariants(), Ok(()));
     }
 
@@ -1296,11 +1340,98 @@ mod tests {
             .check_invariants()
             .expect_err("leftover arrival group must be caught");
         assert!(err.what.contains("arrival bitmap word 0"), "{err}");
+
+        // A held arrival slot that is also pushed on the free list: the
+        // next send would overwrite the packet before it is processed.
+        let mut eng = build();
+        eng.step_transmit(&mut NoopSink);
+        assert_eq!(eng.check_invariants(), Ok(()));
+        let slot = eng.arrival_slots[0];
+        eng.links.pool.free(slot);
+        let err = eng
+            .check_invariants()
+            .expect_err("a held slot on the free list must be caught");
+        assert!(
+            err.what
+                .contains(&format!("held slot {slot} reached twice or out of range")),
+            "{err}"
+        );
     }
 
     mod properties {
         use super::*;
+        use lnpram_topology::{Leveled, LeveledNet, RadixButterfly};
         use proptest::prelude::*;
+
+        /// [`GreedyMesh`] on the ungrouped path.
+        struct NodeLocal(GreedyMesh);
+
+        impl Protocol for NodeLocal {
+            const NODE_LOCAL: bool = true;
+
+            fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
+                self.0.on_packet(node, pkt, step, out);
+            }
+        }
+
+        /// A forward butterfly's unique path, on the grouped path: the
+        /// packet's `dest` is its last-column index.
+        struct ButterflyPath(LeveledNet<RadixButterfly>);
+
+        impl Protocol for ButterflyPath {
+            fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
+                let (col, idx) = self.0.split(node);
+                let lv = self.0.leveled();
+                if col == lv.levels() {
+                    out.deliver(pkt);
+                } else {
+                    out.send(lv.digit_toward(col, idx, pkt.dest as usize), pkt);
+                }
+            }
+        }
+
+        /// `step_loop`'s phases driven one by one: the invariants must
+        /// hold after every transmit, with the moved packets' slots held,
+        /// and after every process phase, with none held. Returns the
+        /// run's metrics.
+        fn run_by_phases<P: Protocol>(eng: &mut Engine, proto: &mut P) -> Metrics {
+            eng.process_pending(proto, 0);
+            eng.step_finish();
+            let mut step = 0;
+            while eng.in_flight() > 0 {
+                step += 1;
+                assert!(step <= eng.cfg.max_steps, "driver ran away");
+                eng.step_transmit(&mut NoopSink);
+                assert_eq!(eng.arrival_slots.len(), eng.arrivals().len());
+                assert_eq!(eng.check_invariants(), Ok(()), "step {step} after transmit");
+                eng.process_arrivals(proto, step);
+                assert!(eng.arrival_slots.is_empty());
+                assert_eq!(eng.check_invariants(), Ok(()), "step {step} after process");
+                eng.step_finish();
+                eng.charge_queued(eng.in_flight() as u64);
+            }
+            eng.finish_metrics(step)
+        }
+
+        /// What a run is observed by: every [`Metrics`] field.
+        fn observed(m: &Metrics) -> (u32, usize, usize, u64, u32, Vec<(u64, u64)>) {
+            (
+                m.routing_time,
+                m.delivered,
+                m.max_queue,
+                m.queued_packet_steps,
+                m.steps,
+                m.latency.buckets().collect(),
+            )
+        }
+
+        fn discipline(furthest: bool) -> Discipline {
+            if furthest {
+                Discipline::FurthestFirst
+            } else {
+                Discipline::Fifo
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
@@ -1384,6 +1515,68 @@ mod tests {
                     eng.step_finish();
                     prop_assert_eq!(eng.check_invariants(), Ok(()));
                 }
+            }
+
+            /// Held arrival slots on random meshes (both process paths)
+            /// and butterflies, under both disciplines: the phase-by-phase
+            /// run keeps every invariant and equals [`Engine::run`].
+            /// Random priorities make furthest-first detach slots from
+            /// the middle of a chain.
+            #[test]
+            fn prop_held_slots_keep_invariants_and_match_run(
+                rows in 1usize..7,
+                cols in 2usize..7,
+                dims in 1usize..6,
+                seed: u64,
+                load in 1usize..4,
+                furthest: bool,
+                node_local: bool,
+            ) {
+                let cfg = SimConfig::with_discipline(discipline(furthest));
+                let mut state = seed;
+                let mut draw = |n: usize| lnpram_math::rng::splitmix64(&mut state) as usize % n;
+
+                let mesh = Mesh::new(rows, cols);
+                let mut by_phases = Engine::new(&mesh, cfg.clone());
+                let mut by_run = Engine::new(&mesh, cfg.clone());
+                let n = mesh.num_nodes();
+                for id in 0..(n * load) as u32 {
+                    let src = id as usize % n;
+                    let pkt = Packet::new(id, src as u32, draw(n) as u32)
+                        .with_priority(draw(4) as u32);
+                    by_phases.inject(src, pkt);
+                    by_run.inject(src, pkt);
+                }
+                let (a, b) = if node_local {
+                    (
+                        run_by_phases(&mut by_phases, &mut NodeLocal(GreedyMesh { mesh })),
+                        by_run.run(&mut NodeLocal(GreedyMesh { mesh })).metrics,
+                    )
+                } else {
+                    (
+                        run_by_phases(&mut by_phases, &mut GreedyMesh { mesh }),
+                        by_run.run(&mut GreedyMesh { mesh }).metrics,
+                    )
+                };
+                prop_assert_eq!(a.delivered, n * load);
+                prop_assert_eq!(observed(&a), observed(&b));
+
+                let bfly = RadixButterfly::new(2, dims);
+                let width = bfly.width();
+                let net = LeveledNet::forward(bfly);
+                let mut by_phases = Engine::new(&net, cfg.clone());
+                let mut by_run = Engine::new(&net, cfg);
+                for id in 0..(width * load) as u32 {
+                    let src = id as usize % width;
+                    let pkt = Packet::new(id, src as u32, draw(width) as u32)
+                        .with_priority(draw(4) as u32);
+                    by_phases.inject(src, pkt);
+                    by_run.inject(src, pkt);
+                }
+                let a = run_by_phases(&mut by_phases, &mut ButterflyPath(LeveledNet::forward(bfly)));
+                let b = by_run.run(&mut ButterflyPath(net)).metrics;
+                prop_assert_eq!(a.delivered, width * load);
+                prop_assert_eq!(observed(&a), observed(&b));
             }
 
             /// Reusing one engine across rounds is observably identical to

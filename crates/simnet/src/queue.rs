@@ -22,9 +22,12 @@
 //! Selection is split into a read-only [`LinkQueue::select`] (returns the
 //! slot to extract) and a mutating [`LinkQueue::commit_pop`];
 //! [`LinkQueue::pop`] is the two in sequence. Both halves are public
-//! because `bench_layers` calls them. The engine's transmit phase copies
-//! the selected packet straight out of the arena and then unlinks it, so
-//! a hop moves each packet once.
+//! because `bench_layers` calls them. The engine's transmit phase does
+//! not copy the selected packet at all: `LinkQueue::detach` unlinks its
+//! slot from the chain and hands the slot over, still holding the
+//! packet, and the process phase copies it out with `PacketPool::take`
+//! just before the protocol callback whose first send recycles that
+//! slot. So a hop reads and writes each packet once.
 //!
 //! A queue keeps no high-water mark of its own: the engine raises one
 //! counter on every push, which is the `max_queue` metric Theorem-level
@@ -102,9 +105,20 @@ impl PacketPool {
 
     /// Return `idx` to the free list (the packet value is left in place;
     /// it is dead storage until the slot is recycled).
-    fn free(&mut self, idx: u32) {
+    #[inline]
+    pub(crate) fn free(&mut self, idx: u32) {
         self.next[idx as usize] = self.free_head;
         self.free_head = idx;
+    }
+
+    /// Copy the packet out of the [detached](LinkQueue::detach) slot
+    /// `idx` and free the slot. The free list is LIFO, so the next
+    /// [`LinkQueue::push`] writes into this still-hot slot.
+    #[inline]
+    pub(crate) fn take(&mut self, idx: u32) -> Packet {
+        let pkt = self.pkts[idx as usize];
+        self.free(idx);
+        pkt
     }
 
     /// Drop every slot but keep the arena's backing allocation, so a
@@ -115,18 +129,13 @@ impl PacketPool {
         self.free_head = NIL;
     }
 
-    fn pkt(&self, idx: u32) -> &Packet {
+    #[inline]
+    pub(crate) fn pkt(&self, idx: u32) -> &Packet {
         &self.pkts[idx as usize]
     }
 
     fn next(&self, idx: u32) -> u32 {
         self.next[idx as usize]
-    }
-
-    /// The packet a [`LinkQueue::select`] chose, where it lies.
-    #[inline]
-    pub(crate) fn selected(&self, sel: Selection) -> &Packet {
-        self.pkt(sel.slot)
     }
 
     /// Walk the free list, marking each slot in `seen` (sized to
@@ -263,16 +272,16 @@ impl LinkQueue {
     /// Extract a previously [`select`](Self::select)ed packet: O(1) chain
     /// unlink, no shifting, slot returned to the pool's free list.
     pub fn commit_pop(&mut self, pool: &mut PacketPool, sel: Selection) -> Packet {
-        let pkt = *pool.selected(sel);
-        self.unlink(pool, sel);
-        pkt
+        let slot = self.detach(pool, sel);
+        pool.take(slot)
     }
 
-    /// Remove a [`select`](Self::select)ed packet without copying it out
-    /// (read it first with [`PacketPool::selected`]): the slot goes back
-    /// on the free list and counts as one traversal.
+    /// Unlink a [`select`](Self::select)ed packet's slot from the chain
+    /// and count one traversal, without reading the packet or freeing the
+    /// slot: the caller now holds it, and frees it with
+    /// [`PacketPool::take`] or [`PacketPool::free`].
     #[inline]
-    pub(crate) fn unlink(&mut self, pool: &mut PacketPool, sel: Selection) {
+    pub(crate) fn detach(&mut self, pool: &mut PacketPool, sel: Selection) -> u32 {
         let Selection { slot, prev } = sel;
         let after = pool.next(slot);
         if prev == NIL {
@@ -283,9 +292,9 @@ impl LinkQueue {
         if self.tail == slot {
             self.tail = prev;
         }
-        pool.free(slot);
         self.len -= 1;
         self.pops += 1;
+        slot
     }
 
     /// Select and remove the packet to transmit this step under `disc`,

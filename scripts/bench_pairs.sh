@@ -1,26 +1,28 @@
 #!/bin/sh
-# Alternating parent/change pairs of one bench_layers workload — the
+# Alternating parent/change pairs of bench_layers workloads — the
 # procedure a PR that claims a gain has to follow (choosing-metrics §8):
-# build both checkouts' bench_layers, run <pairs> pairs with the order
-# flipped each pair, then print per side the median and quartiles of
-# every end-to-end metric, the ratio of the medians, and in how many
-# pairs the change read better.
+# build both checkouts' bench_layers once, then per workload run <pairs>
+# pairs with the order flipped each pair, and print per side the median
+# and quartiles of every end-to-end metric, the ratio of the medians,
+# and in how many pairs the change read better.
 #
-#   scripts/bench_pairs.sh <parent-worktree> <change-worktree> <workload> \
+#   scripts/bench_pairs.sh <parent-worktree> <change-worktree> <workloads> \
 #       [pairs=10] [seconds=15] [seed=1]
 #
-# Each checkout is built into its own bench_layers/target and writes its
-# own bench_layers/out; every run's values are kept in
+# <workloads> is one workload or a space-separated list (quoted), paired
+# one after another, each table printed under its workload's name. Each
+# checkout is built into its own bench_layers/target and writes its own
+# bench_layers/out; every run's values are kept in
 # <change-worktree>/bench_layers/out/pairs_<workload>_seed<seed>.tsv.
 set -eu
 
 if [ $# -lt 3 ]; then
-    sed -n '2,15p' "$0" >&2
+    sed -n '2,17p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
-workload=$3
+workloads=$3
 pairs=${4:-10}
 seconds=${5:-15}
 seed=${6:-1}
@@ -29,10 +31,6 @@ unset CARGO_TARGET_DIR
 for dir in "$parent" "$change"; do
     cargo build --release --offline --quiet --manifest-path "$dir/bench_layers/Cargo.toml"
 done
-
-runs="$change/bench_layers/out/pairs_${workload}_seed${seed}.tsv"
-mkdir -p "$(dirname "$runs")"
-: > "$runs"
 
 # one_run <side> <worktree> <pair>: appends "side pair metric value" rows.
 one_run() {
@@ -46,57 +44,69 @@ one_run() {
         "$2/bench_layers/out/$workload.trace0.tsv" >> "$runs"
 }
 
-pair=1
-while [ "$pair" -le "$pairs" ]; do
-    if [ $((pair % 2)) -eq 1 ]; then
-        one_run parent "$parent" "$pair"
-        one_run change "$change" "$pair"
-    else
-        one_run change "$change" "$pair"
-        one_run parent "$parent" "$pair"
-    fi
-    echo "pair $pair/$pairs done" >&2
-    pair=$((pair + 1))
-done
+# pair_workload: the alternating pairs of $workload, then its table.
+pair_workload() {
+    runs="$change/bench_layers/out/pairs_${workload}_seed${seed}.tsv"
+    mkdir -p "$(dirname "$runs")"
+    : > "$runs"
 
-echo "workload $workload: $pairs alternating pairs x $seconds s, seed $seed"
-echo "parent $parent"
-echo "change $change"
-# Directions come from the end_to_end block of BENCHMARK.json; values are
-# sorted per (metric, side) so the quantiles can be read off by index.
-sort -t "$(printf '\t')" -k3,3 -k1,1 -k4,4g "$runs" |
-    awk -F '\t' -v manifest="$change/BENCHMARK.json" '
-    BEGIN {
-        while ((getline line < manifest) > 0) {
-            if (line ~ /"end_to_end"/) block = 1
-            else if (line ~ /"per_layer"/) block = 0
-            else if (block && split(line, f, "\"") >= 12) { better[f[4]] = f[12]; order[++metrics] = f[4] }
-        }
-        printf "%-20s %-7s %14s %14s %14s\n", "metric", "side", "q1", "median", "q3"
-    }
-    { n[$3, $1]++; sorted[$3, $1, n[$3, $1]] = $4; by_pair[$3, $1, $2] = $4 }
-    function quantile(metric, side, p,    pos, lo, frac) {
-        pos = 1 + (n[metric, side] - 1) * p; lo = int(pos); frac = pos - lo
-        if (frac == 0) return sorted[metric, side, lo]
-        return sorted[metric, side, lo] * (1 - frac) + sorted[metric, side, lo + 1] * frac
-    }
-    END {
-        for (m = 1; m <= metrics; m++) {
-            metric = order[m]
-            if (!((metric, "parent") in n)) continue
-            wins = ties = 0
-            for (pair = 1; pair <= n[metric, "parent"]; pair++) {
-                p = by_pair[metric, "parent", pair]; c = by_pair[metric, "change", pair]
-                if (c == p) ties++
-                else if ((better[metric] == "higher") == (c > p)) wins++
+    pair=1
+    while [ "$pair" -le "$pairs" ]; do
+        if [ $((pair % 2)) -eq 1 ]; then
+            one_run parent "$parent" "$pair"
+            one_run change "$change" "$pair"
+        else
+            one_run change "$change" "$pair"
+            one_run parent "$parent" "$pair"
+        fi
+        echo "$workload: pair $pair/$pairs done" >&2
+        pair=$((pair + 1))
+    done
+
+    echo "workload $workload: $pairs alternating pairs x $seconds s, seed $seed"
+    echo "parent $parent"
+    echo "change $change"
+    # Directions come from the end_to_end block of BENCHMARK.json; values are
+    # sorted per (metric, side) so the quantiles can be read off by index.
+    sort -t "$(printf '\t')" -k3,3 -k1,1 -k4,4g "$runs" |
+        awk -F '\t' -v manifest="$change/BENCHMARK.json" '
+        BEGIN {
+            while ((getline line < manifest) > 0) {
+                if (line ~ /"end_to_end"/) block = 1
+                else if (line ~ /"per_layer"/) block = 0
+                else if (block && split(line, f, "\"") >= 12) { better[f[4]] = f[12]; order[++metrics] = f[4] }
             }
-            printf "%-20s %-7s %14.6g %14.6g %14.6g\n", metric, "parent", \
-                quantile(metric, "parent", 0.25), quantile(metric, "parent", 0.5), quantile(metric, "parent", 0.75)
-            pm = quantile(metric, "parent", 0.5)
-            printf "%-20s %-7s %14.6g %14.6g %14.6g   x%.4f of parent (%s is better), change wins %d/%d, ties %d\n", \
-                metric, "change", quantile(metric, "change", 0.25), quantile(metric, "change", 0.5), \
-                quantile(metric, "change", 0.75), (pm != 0 ? quantile(metric, "change", 0.5) / pm : 1), \
-                better[metric], wins, n[metric, "parent"], ties
+            printf "%-20s %-7s %14s %14s %14s\n", "metric", "side", "q1", "median", "q3"
         }
-    }'
-echo "every run: $runs"
+        { n[$3, $1]++; sorted[$3, $1, n[$3, $1]] = $4; by_pair[$3, $1, $2] = $4 }
+        function quantile(metric, side, p,    pos, lo, frac) {
+            pos = 1 + (n[metric, side] - 1) * p; lo = int(pos); frac = pos - lo
+            if (frac == 0) return sorted[metric, side, lo]
+            return sorted[metric, side, lo] * (1 - frac) + sorted[metric, side, lo + 1] * frac
+        }
+        END {
+            for (m = 1; m <= metrics; m++) {
+                metric = order[m]
+                if (!((metric, "parent") in n)) continue
+                wins = ties = 0
+                for (pair = 1; pair <= n[metric, "parent"]; pair++) {
+                    p = by_pair[metric, "parent", pair]; c = by_pair[metric, "change", pair]
+                    if (c == p) ties++
+                    else if ((better[metric] == "higher") == (c > p)) wins++
+                }
+                printf "%-20s %-7s %14.6g %14.6g %14.6g\n", metric, "parent", \
+                    quantile(metric, "parent", 0.25), quantile(metric, "parent", 0.5), quantile(metric, "parent", 0.75)
+                pm = quantile(metric, "parent", 0.5)
+                printf "%-20s %-7s %14.6g %14.6g %14.6g   x%.4f of parent (%s is better), change wins %d/%d, ties %d\n", \
+                    metric, "change", quantile(metric, "change", 0.25), quantile(metric, "change", 0.5), \
+                    quantile(metric, "change", 0.75), (pm != 0 ? quantile(metric, "change", 0.5) / pm : 1), \
+                    better[metric], wins, n[metric, "parent"], ties
+            }
+        }'
+    echo "every run: $runs"
+}
+
+for workload in $workloads; do
+    pair_workload
+    echo
+done
