@@ -9,7 +9,9 @@
 //! (K ∈ {1, 2, 4}) **bit-identical** to it — every `RunOutcome` field,
 //! latency histogram buckets and `link_loads` included — over random
 //! butterflies, stars and meshes, both disciplines, budget-exhausted
-//! runs and random fault plans — under per-packet routers and under
+//! runs, random fault plans and long outages (links and nodes down for
+//! dozens of steps with traffic queued behind them) — under per-packet
+//! routers and under
 //! [`BatchSensitive`], a protocol whose output depends on how the engine
 //! groups and orders a node's arrivals. The per-packet routers are
 //! `NODE_LOCAL`, so the optimised engines run them ungrouped while
@@ -348,6 +350,40 @@ fn random_plan(
     FaultPlan::new(events)
 }
 
+/// `outages` links or nodes, each failing at a step in `1..=4` and
+/// recovering at a step in `20..=60`: the queues behind them hold their
+/// traffic for dozens of steps. A link outage is sometimes a degrade
+/// (open on every `period`-th step) that the recovery ends.
+fn long_outage_plan(state: &mut u64, nodes: usize, links: usize, outages: usize) -> FaultPlan {
+    let mut draw = |m: usize| (splitmix64(state) as usize) % m.max(1);
+    let mut events = Vec::new();
+    for _ in 0..outages {
+        let fail = 1 + draw(4) as u32;
+        let recover = 20 + draw(41) as u32;
+        let (link, node) = (draw(links), draw(nodes));
+        let (down, up) = match draw(4) {
+            0 => (Fault::NodeFail { node }, Fault::NodeRecover { node }),
+            1 => (
+                Fault::LinkDegrade {
+                    link,
+                    period: 2 + draw(4) as u32,
+                },
+                Fault::LinkRecover { link },
+            ),
+            _ => (Fault::LinkFail { link }, Fault::LinkRecover { link }),
+        };
+        events.push(FaultEvent {
+            step: fail,
+            fault: down,
+        });
+        events.push(FaultEvent {
+            step: recover,
+            fault: up,
+        });
+    }
+    FaultPlan::new(events)
+}
+
 /// Run the reference engine, the serial engine and the sharded engine
 /// at K ∈ {1, 2, 4} on the same input; all five must agree.
 fn check<N, Q, P>(
@@ -528,5 +564,54 @@ proptest! {
             &mut state, per_node, faults)?;
         check_batch_sensitive(&StarGraph::new(star_n), &RowBlock::new(1), &cfg, &mut state,
             per_node, faults)?;
+    }
+
+    /// Long outages: links and nodes fail in steps 1–4 and recover in
+    /// steps 20–60 with traffic queued behind them, on meshes (the
+    /// per-packet router and [`BatchSensitive`]) and butterflies. Step
+    /// budgets up to 120 end some runs before the last recovery.
+    #[test]
+    fn prop_reference_equals_engines_under_long_outages(
+        seed: u64,
+        rows in 2usize..6,
+        cols in 2usize..6,
+        levels in 1usize..6,
+        per_node in 1usize..4,
+        furthest_first: bool,
+        max_steps in 10u32..120,
+        outages in 1usize..6,
+    ) {
+        let cfg = config(furthest_first, max_steps);
+        let mut state = seed;
+        let mesh = Mesh::new(rows, cols);
+        let n = mesh.num_nodes();
+        let mut inject = Vec::new();
+        for src in 0..n {
+            for _ in 0..per_node {
+                let dest = (splitmix64(&mut state) as usize) % n;
+                inject.push((src, Packet::new(inject.len() as u32, src as u32, dest as u32)));
+            }
+        }
+        let plan = long_outage_plan(&mut state, n, links_of(&mesh), outages);
+        check(&mesh, &RowBlock::new(cols), &cfg, &plan, &inject, || GreedyMesh(mesh))?;
+        let ttl = 2 + (splitmix64(&mut state) % 5) as u8;
+        check(&mesh, &RowBlock::new(cols), &cfg, &plan, &inject, || BatchSensitive::new(&mesh, ttl))?;
+
+        let bf = RadixButterfly::new(2, levels);
+        let net = LeveledNet::forward(bf);
+        let width = bf.width();
+        let mut inject = Vec::new();
+        for src in 0..width {
+            for _ in 0..per_node {
+                let dest = (splitmix64(&mut state) as usize) % width;
+                let id = inject.len() as u32;
+                let pkt = Packet::new(id, src as u32, dest as u32)
+                    .with_priority(splitmix64(&mut state) as u32 % 4);
+                inject.push((net.node_id(0, src), pkt));
+            }
+        }
+        let plan = long_outage_plan(&mut state, net.num_nodes(), links_of(&net), outages);
+        check(&net, &LevelCut::new(width), &cfg, &plan, &inject,
+            || ButterflyRouter(LeveledNet::forward(bf)))?;
     }
 }

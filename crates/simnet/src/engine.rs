@@ -36,8 +36,16 @@
 //!   link, and a summary bit per non-zero 64-link word. Transmit finds
 //!   the non-zero words through the summary and the bits of each by
 //!   `trailing_zeros`, so it visits links in ascending id order with
-//!   nothing to sort; a word's summary bit is set by the push that sets
-//!   its first bit and cleared by the transmit that clears its last;
+//!   nothing to sort; every push onto an empty queue sets its word's
+//!   summary bit, and the transmit that clears a word's last bit clears
+//!   it. A non-empty queue is either *active* or, while its link is
+//!   blocked, *parked*: for each active word, transmit ANDs the word
+//!   with the links' blocked bits and moves the blocked ones to a parked
+//!   word beside them, so the walk does not visit a link again while it
+//!   is down, and every unblock (a fault schedule's recover or
+//!   duty-cycle report, [`Engine::set_link_blocked`]) returns it to the
+//!   active set. The blocked and parked bits share one allocation, one
+//!   pair of words per 64 links;
 //! * transmit does not copy a moved packet: it unlinks the packet's arena
 //!   slot from its queue and keeps the slot, beside the link id, in the
 //!   arrivals. The process phase copies each packet out of its held slot
@@ -181,9 +189,12 @@ pub struct Engine {
     link_target: Vec<u32>,
     /// The queues and everything a protocol callback's responses touch.
     links: LinkState,
-    blocked: Vec<bool>,
-    /// Any link ever blocked since the last reset (skips the `blocked`
-    /// wipe on reset for the common fault-free case).
+    /// Blocked and parked bits, one pair of words per word of the active
+    /// set.
+    flags: Vec<LinkFlags>,
+    /// Any link ever blocked since the last reset (skips the `flags`
+    /// wipe on reset, and the blocked test in transmit, in the common
+    /// fault-free case).
     blocked_any: bool,
     /// Installed fault schedule, advanced at the start of every
     /// transmit phase; cleared by [`Engine::reset`].
@@ -220,8 +231,8 @@ pub(crate) struct LinkState {
     offset: Vec<u32>,
     queues: Vec<LinkQueue>,
     pool: PacketPool,
-    /// The links whose queue is non-empty, walked ascending through
-    /// its summary of non-zero words.
+    /// The links whose queue is non-empty and not parked, walked
+    /// ascending through its summary of non-zero words.
     active: TwoLevelSet,
     /// Links whose queue has been touched since the last reset (a link
     /// joins when a push finds it empty and never popped):
@@ -263,6 +274,32 @@ impl LinkState {
     }
 }
 
+/// The blocked and parked bits of the 64 links of one active-set word.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkFlags {
+    /// Failed links: packets queue on them but never traverse.
+    blocked: u64,
+    /// Blocked links whose non-empty queue transmit took out of the
+    /// active set; an unblock puts them back.
+    parked: u64,
+}
+
+/// Set or clear link `id`'s blocked bit. Unblocking a parked link makes
+/// its queue active again from the next transmit on.
+#[inline]
+fn set_blocked(flags: &mut [LinkFlags], active: &mut TwoLevelSet, id: usize, blocked: bool) {
+    let (f, bit) = (&mut flags[id / 64], 1u64 << (id % 64));
+    if blocked {
+        f.blocked |= bit;
+    } else {
+        f.blocked &= !bit;
+        if f.parked & bit != 0 {
+            f.parked ^= bit;
+            active.insert(id);
+        }
+    }
+}
+
 impl Engine {
     /// Build an engine for `net` (the adjacency is copied; the engine
     /// keeps no reference to `net`).
@@ -291,7 +328,7 @@ impl Engine {
                 in_flight: 0,
                 delivered: Vec::new(),
             },
-            blocked: vec![false; links],
+            flags: vec![LinkFlags::default(); links.div_ceil(64)],
             blocked_any: false,
             faults: None,
             clock: 0,
@@ -323,16 +360,17 @@ impl Engine {
     /// Used by fault-injection tests.
     pub fn block_link(&mut self, node: usize, port: usize) {
         let id = self.link_id(node, port);
-        self.blocked[id] = true;
-        self.blocked_any = true;
+        self.set_link_blocked(id, true);
     }
 
     /// Set the blocked state of a link by id. This is the raw knob the
     /// sharded coordinator uses to forward fault-schedule updates onto
     /// the shard that owns the link; [`Engine::block_link`] is the
-    /// `(node, port)` convenience over it.
+    /// `(node, port)` convenience over it. Unblocking a link whose queue
+    /// transmit parked makes the queue active again.
     pub fn set_link_blocked(&mut self, link: usize, blocked: bool) {
-        self.blocked[link] = blocked;
+        assert!(link < self.num_links(), "link {link} out of range");
+        set_blocked(&mut self.flags, &mut self.links.active, link, blocked);
         self.blocked_any |= blocked;
     }
 
@@ -379,7 +417,7 @@ impl Engine {
         links.max_queue = 0;
         links.in_flight = 0;
         if self.blocked_any {
-            self.blocked.fill(false);
+            self.flags.fill(LinkFlags::default());
             self.blocked_any = false;
         }
         self.pending.clear();
@@ -475,8 +513,10 @@ impl Engine {
     /// * slot conservation: free + queued + held slots == arena capacity
     ///   (no leaked or double-owned slots);
     /// * packet conservation: `in_flight` == total queued packets;
-    /// * the active bitmap has exactly the non-empty queues' bits set, and
-    ///   its summary has exactly the bits of its non-zero words set;
+    /// * every non-empty queue's bit is set in exactly one of the active
+    ///   and the parked bitmaps, and no empty queue's bit in either; a
+    ///   parked link is blocked; the active bitmap's summary has exactly
+    ///   the bits of its non-zero words set;
     /// * no queue is longer than the `max_queue` counter;
     /// * the dirty list holds every link pushed on since reset, once;
     /// * the arrival grouper is idle: touched-node bitmap all zero, every
@@ -528,16 +568,28 @@ impl Engine {
                 return fail(format!("dirty list holds link {id} twice"));
             }
         }
-        // Per queue: its active bit is set exactly while it is non-empty,
-        // it is no longer than the max_queue counter, and if it was ever
-        // pushed on it is dirty-listed (reset would leak it otherwise).
+        // Per queue: exactly one of its active and parked bits is set
+        // while it is non-empty and neither otherwise, a parked link is
+        // blocked, it is no longer than the max_queue counter, and if it
+        // was ever pushed on it is dirty-listed (reset would leak it
+        // otherwise).
         for (id, q) in self.links.queues.iter().enumerate() {
-            let bit = self.links.active.word(id / 64) >> (id % 64) & 1;
-            if (bit == 1) == q.is_empty() {
+            let (f, bit) = (self.flags[id / 64], 1u64 << (id % 64));
+            let (active, parked) = (self.links.active.contains(id), f.parked & bit != 0);
+            if active && parked {
+                return fail(format!("link {id} is both active and parked"));
+            }
+            if (active || parked) == q.is_empty() {
                 return fail(format!(
-                    "link {id} has {} queued packet(s) but its active bit is {bit}",
-                    q.len()
+                    "link {id} has {} queued packet(s) but its active bit is {} \
+                     and its parked bit {}",
+                    q.len(),
+                    u8::from(active),
+                    u8::from(parked)
                 ));
+            }
+            if parked && f.blocked & bit == 0 {
+                return fail(format!("link {id} is parked but not blocked"));
             }
             if q.len() > self.links.max_queue {
                 return fail(format!(
@@ -570,18 +622,22 @@ impl Engine {
 
     /// Every active, unblocked link hands the slot of the packet its
     /// discipline selects to the arrivals, packet uncopied, in ascending
-    /// link order; links whose queue empties leave the active set.
+    /// link order; links whose queue empties leave the active set, and
+    /// blocked links are parked (their queue stays, nothing traverses).
     fn transmit(&mut self) {
         let disc = self.cfg.discipline;
         self.links.active.update_words(|w, mut left| {
+            if self.blocked_any {
+                let f = &mut self.flags[w];
+                let stuck = left & f.blocked;
+                f.parked |= stuck;
+                left ^= stuck;
+            }
             let mut bits = left;
             while bits != 0 {
                 let bit = bits & bits.wrapping_neg();
                 bits ^= bit;
                 let idx = w * 64 + bit.trailing_zeros() as usize;
-                if self.blocked_any && self.blocked[idx] {
-                    continue; // queue stays, nothing traverses
-                }
                 let queue = &mut self.links.queues[idx];
                 if let Some(sel) = queue.select(&self.links.pool, disc) {
                     self.arrival_slots
@@ -617,10 +673,19 @@ impl Engine {
         self.links.in_flight
     }
 
-    /// Drain every queue, returning the stranded packets (used by the
-    /// retry wrapper of Lemma 2.1 to send unsuccessful packets back).
-    /// Queues are drained in ascending link order.
+    /// Drain every queue, active and parked, returning the stranded
+    /// packets (used by the retry wrapper of Lemma 2.1 to send
+    /// unsuccessful packets back). Queues are drained in ascending link
+    /// order.
     pub fn drain_all(&mut self) -> Vec<Packet> {
+        // Parked queues rejoin the active set, so one ascending walk
+        // drains both.
+        for link in parked_links(&self.flags, self.blocked_any) {
+            self.links.active.insert(link);
+        }
+        for f in &mut self.flags {
+            f.parked = 0;
+        }
         let mut out = Vec::new();
         for link in self.links.active.iter() {
             self.links.queues[link].drain_into(&mut self.links.pool, &mut out);
@@ -635,6 +700,22 @@ impl Engine {
             .retain(|&id| queues[id as usize].pops() > 0);
         out
     }
+}
+
+/// The parked links, ascending: none unless a link has been blocked
+/// since the last reset (`blocked_any`).
+fn parked_links(flags: &[LinkFlags], blocked_any: bool) -> impl Iterator<Item = usize> + '_ {
+    let words = if blocked_any { flags } else { &[] };
+    words.iter().enumerate().flat_map(|(w, f)| {
+        let mut bits = f.parked;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i
+            })
+        })
+    })
 }
 
 impl StepEngine for Engine {
@@ -655,16 +736,23 @@ impl StepEngine for Engine {
 
     fn step_transmit<S: TraceSink + ?Sized>(&mut self, sink: &mut S) {
         self.clock += 1;
-        if let Some(faults) = &mut self.faults {
-            let blocked = &mut self.blocked;
-            let clock = self.clock;
+        let Engine {
+            faults,
+            flags,
+            links,
+            clock,
+            ..
+        } = self;
+        if let Some(faults) = faults {
+            // A recover or a duty cycle's open step unparks the link.
+            let mut apply = |l: usize, b: bool| set_blocked(flags, &mut links.active, l, b);
             if sink.enabled() {
-                faults.advance(clock, |l, b| {
-                    blocked[l] = b;
-                    sink.on_fault(clock, l, b);
+                faults.advance(*clock, |l, b| {
+                    apply(l, b);
+                    sink.on_fault(*clock, l, b);
                 });
             } else {
-                faults.advance(clock, |l, b| blocked[l] = b);
+                faults.advance(*clock, apply);
             }
         }
         sink.on_phase_start(Phase::Transmit);
@@ -763,10 +851,12 @@ impl EngineState for Engine {
     }
 
     fn max_queue_len(&self) -> usize {
-        self.links
+        let links = &self.links;
+        links
             .active
             .iter()
-            .map(|link| self.links.queues[link].len())
+            .chain(parked_links(&self.flags, self.blocked_any))
+            .map(|link| links.queues[link].len())
             .max()
             .unwrap_or(0)
     }
@@ -1264,6 +1354,14 @@ mod tests {
         eng.links.active.iter().next().expect("a queued link")
     }
 
+    /// Clear `link`'s active bit, whatever its queue holds.
+    fn deactivate(eng: &mut Engine, link: usize) {
+        let (word, bit) = (link / 64, 1 << (link % 64));
+        eng.links
+            .active
+            .update_words(|w, bits| if w == word { bits & !bit } else { bits });
+    }
+
     /// `check_invariants` must actually detect corruption, not just
     /// bless healthy engines: break each bookkeeping layer by hand and
     /// confirm the violation is reported.
@@ -1333,6 +1431,34 @@ mod tests {
             "{err}"
         );
 
+        // A parked bit on a link that is not blocked: no unblock would
+        // ever bring the queue back.
+        let mut eng = build();
+        let link = first_active_link(&eng);
+        deactivate(&mut eng, link);
+        eng.flags[link / 64].parked |= 1 << (link % 64);
+        let err = eng
+            .check_invariants()
+            .expect_err("a parked unblocked link must be caught");
+        assert!(
+            err.what
+                .contains(&format!("link {link} is parked but not blocked")),
+            "{err}"
+        );
+
+        // A non-empty queue in neither set: transmit would never see it.
+        let mut eng = build();
+        let link = first_active_link(&eng);
+        deactivate(&mut eng, link);
+        let err = eng
+            .check_invariants()
+            .expect_err("a queue in neither set must be caught");
+        assert!(
+            err.what
+                .contains("its active bit is 0 and its parked bit 0"),
+            "{err}"
+        );
+
         // An arrival filed with the grouper but never handed out.
         let mut eng = build();
         eng.groups.push(7, 0);
@@ -1356,6 +1482,175 @@ mod tests {
                 .contains(&format!("held slot {slot} reached twice or out of range")),
             "{err}"
         );
+    }
+
+    fn is_parked(eng: &Engine, link: usize) -> bool {
+        eng.flags[link / 64].parked >> (link % 64) & 1 == 1
+    }
+
+    fn parks_none(eng: &Engine) -> bool {
+        eng.flags.iter().all(|f| f.parked == 0)
+    }
+
+    /// Transmit parks a blocked link's queue: out of the walk, but whole,
+    /// still pushed on, counted by `max_queue_len` and drained by
+    /// `drain_all` in link order.
+    #[test]
+    fn a_blocked_link_parks_and_its_queue_stays_whole() {
+        use lnpram_topology::mesh::Dir;
+        let mesh = Mesh::linear(4);
+        let mut eng = Engine::new(&mesh, SimConfig::default());
+        let east = |v: usize| mesh.port_of_dir(v, Dir::East).unwrap();
+        let [a, b, c] = [0, 1, 2].map(|v| eng.link_id(v, east(v)));
+        assert!(a < b && b < c);
+        eng.block_link(0, east(0));
+        eng.block_link(2, east(2));
+        for (id, node) in [(0, 0), (1, 0), (2, 1), (3, 2)] {
+            eng.inject(node, Packet::new(id, node as u32, 3));
+        }
+        let mut proto = GreedyMesh { mesh };
+        eng.process_pending(&mut proto, 0);
+        eng.step_finish();
+        assert!(parks_none(&eng), "nothing parked before a transmit");
+
+        eng.step_transmit(&mut NoopSink);
+        // `b` moved its packet; `a` and `c` were met blocked and parked.
+        assert_eq!(eng.arrivals(), &[b as u32]);
+        for (link, len) in [(a, 2), (c, 1)] {
+            assert!(!eng.links.active.contains(link) && is_parked(&eng, link));
+            assert_eq!(eng.links.queues[link].len(), len);
+        }
+        assert_eq!(eng.in_flight(), 3);
+        assert_eq!(eng.check_invariants(), Ok(()));
+
+        // Packet 2 reaches node 2 and is pushed onto the parked `c`,
+        // which stays parked.
+        eng.process_arrivals(&mut proto, 1);
+        eng.step_finish();
+        assert_eq!(eng.links.queues[c].len(), 2);
+        assert!(!eng.links.active.contains(c) && is_parked(&eng, c));
+        let mut metrics = Metrics::default();
+        eng.outbox(1, 1, 1, &mut metrics)
+            .send(east(1), Packet::new(4, 1, 3));
+        assert_eq!(eng.check_invariants(), Ok(()));
+        // The longest queues (two packets each) are the parked ones.
+        assert_eq!(eng.max_queue_len(), 2);
+
+        let ids: Vec<u32> = eng.drain_all().iter().map(|p| p.id).collect();
+        assert_eq!(ids, [0, 1, 4, 3, 2], "a, then b, then c");
+        assert_eq!(eng.in_flight(), 0);
+        assert!(parks_none(&eng));
+        assert_eq!(eng.check_invariants(), Ok(()));
+    }
+
+    /// How a parked link comes back.
+    #[derive(Debug, Clone, Copy)]
+    enum Unblock {
+        /// `set_link_blocked(link, false)` at the boundary after step 3.
+        SetLinkBlocked,
+        /// A `FaultPlan`: `LinkFail` at step 1, `LinkRecover` at step 4.
+        Recover,
+        /// A `FaultPlan`: `LinkDegrade` with period 3 from step 1, open
+        /// on every third step.
+        Degrade,
+    }
+
+    /// A recovered queue drains exactly as on an engine that never
+    /// parked: six packets (two pushed while the link is parked) cross
+    /// in the same order, under either discipline, by every unblock.
+    #[test]
+    fn a_recovered_queue_drains_as_if_it_never_parked() {
+        use crate::fault::{Fault, FaultEvent, FaultPlan};
+        let net = ExplicitNetwork::undirected(2, &[(0, 1)], "edge");
+        let mut proto = |node: usize, pkt: Packet, _s: u32, out: &mut Outbox| {
+            if node == 1 {
+                out.deliver(pkt);
+            } else {
+                out.send(0, pkt);
+            }
+        };
+        fn pkt(id: u32) -> Packet {
+            Packet::new(id, 0, 1).with_priority([3, 1, 4, 1, 5, 9][id as usize])
+        }
+        /// `(step, packet id)` of every crossing of link 0 (node 0 → 1),
+        /// the steps driven phase by phase; an engine that will unblock
+        /// gets packets 4 and 5 pushed while it is parked.
+        fn crossings<P: Protocol>(
+            eng: &mut Engine,
+            proto: &mut P,
+            unblock: Option<Unblock>,
+        ) -> Vec<(u32, u32)> {
+            let mut seen = Vec::new();
+            let mut t = 0;
+            while eng.in_flight() > 0 {
+                t += 1;
+                assert!(t <= 40, "ran away");
+                eng.step_transmit(&mut NoopSink);
+                seen.extend((0..eng.arrivals().len()).map(|i| (t, eng.arrival_pkt(i).id)));
+                eng.process_arrivals(proto, t);
+                eng.step_finish();
+                assert_eq!(eng.check_invariants(), Ok(()), "step {t}");
+                if unblock.is_none() {
+                    continue;
+                }
+                if t == 1 {
+                    assert!(is_parked(eng, 0) && !eng.links.active.contains(0));
+                    let mut metrics = Metrics::default();
+                    let mut out = eng.outbox(0, 0, 1, &mut metrics);
+                    out.send(0, pkt(4));
+                    out.send(0, pkt(5));
+                    assert!(is_parked(eng, 0), "a push does not re-activate");
+                }
+                if t == 3 && matches!(unblock, Some(Unblock::SetLinkBlocked)) {
+                    eng.set_link_blocked(0, false);
+                    assert!(!is_parked(eng, 0) && eng.links.active.contains(0));
+                }
+            }
+            seen
+        }
+        for disc in [Discipline::Fifo, Discipline::FurthestFirst] {
+            let mut never = Engine::new(&net, SimConfig::with_discipline(disc));
+            for id in 0..6 {
+                never.inject(0, pkt(id));
+            }
+            never.process_pending(&mut proto, 0);
+            let expect = crossings(&mut never, &mut proto, None);
+            assert!(parks_none(&never), "a fault-free run never parks");
+            let expect_ids: Vec<u32> = expect.iter().map(|&(_, id)| id).collect();
+
+            for unblock in [Unblock::SetLinkBlocked, Unblock::Recover, Unblock::Degrade] {
+                let mut eng = Engine::new(&net, SimConfig::with_discipline(disc));
+                let fault = |step, fault| FaultEvent { step, fault };
+                match unblock {
+                    Unblock::SetLinkBlocked => eng.block_link(0, 0),
+                    Unblock::Recover => eng
+                        .set_fault_plan(&FaultPlan::new(vec![
+                            fault(1, Fault::LinkFail { link: 0 }),
+                            fault(4, Fault::LinkRecover { link: 0 }),
+                        ]))
+                        .unwrap(),
+                    Unblock::Degrade => eng
+                        .set_fault_plan(&FaultPlan::new(vec![fault(
+                            1,
+                            Fault::LinkDegrade { link: 0, period: 3 },
+                        )]))
+                        .unwrap(),
+                }
+                for id in 0..4 {
+                    eng.inject(0, pkt(id));
+                }
+                eng.process_pending(&mut proto, 0);
+                let got = crossings(&mut eng, &mut proto, Some(unblock));
+                let ids: Vec<u32> = got.iter().map(|&(_, id)| id).collect();
+                assert_eq!(ids, expect_ids, "{disc:?}, {unblock:?}");
+                let steps: Vec<u32> = got.iter().map(|&(t, _)| t).collect();
+                let open: Vec<u32> = match unblock {
+                    Unblock::Degrade => (1..=6).map(|i| 3 * i).collect(),
+                    _ => (4..=9).collect(),
+                };
+                assert_eq!(steps, open, "{disc:?}, {unblock:?}");
+            }
+        }
     }
 
     mod properties {

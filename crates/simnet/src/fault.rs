@@ -247,12 +247,20 @@ impl FaultSchedule {
         let nodes = link_offset.len() - 1;
         let links = link_target.len();
         let mut node_events = false;
+        // `advance` lists every link one step's events touch and keeps
+        // every degraded link: both are sized here, so that a run under
+        // the plan allocates nothing.
+        let (mut at, mut touches, mut busiest, mut degrades) = (None, 0, 0, 0);
         for ev in plan.events() {
+            if at != Some(ev.step) {
+                (at, touches) = (Some(ev.step), 0);
+            }
             match ev.fault {
                 Fault::LinkFail { link } | Fault::LinkRecover { link } => {
                     if link >= links {
                         return Err(FaultError::LinkOutOfRange { link, links });
                     }
+                    touches += 1;
                 }
                 Fault::LinkDegrade { link, period } => {
                     if link >= links {
@@ -261,27 +269,32 @@ impl FaultSchedule {
                     if period == 0 {
                         return Err(FaultError::ZeroDegradePeriod { link });
                     }
+                    touches += 1;
+                    degrades += 1;
                 }
                 Fault::NodeFail { node } | Fault::NodeRecover { node } => {
                     if node >= nodes {
                         return Err(FaultError::NodeOutOfRange { node, nodes });
                     }
                     node_events = true;
+                    let ins = link_target.iter().filter(|&&t| t as usize == node);
+                    touches += ins.count() + (link_offset[node + 1] - link_offset[node]) as usize;
                 }
             }
+            busiest = busiest.max(touches);
         }
         Ok(FaultSchedule {
             events: plan.events().to_vec(),
             cursor: 0,
             link_down: vec![false; links],
             degrade: vec![0; links],
-            degraded: Vec::new(),
+            degraded: Vec::with_capacity(degrades),
             nodes: node_events.then(|| NodeTables {
                 down: vec![false; nodes],
                 out_offset: link_offset.to_vec(),
                 link_dst: link_target.to_vec(),
             }),
-            touched: Vec::new(),
+            touched: Vec::with_capacity(busiest),
         })
     }
 

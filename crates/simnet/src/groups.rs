@@ -12,7 +12,7 @@
 //! plus the set of nodes touched, a `TwoLevelSet`: a bitmap with one
 //! bit per node and a summary bitmap with one bit per non-zero 64-node
 //! word, both walked ascending by `trailing_zeros`, so nothing is sorted.
-//! The engine keeps its non-empty link queues in the same set.
+//! The engine keeps its active link queues in the same set.
 //!
 //! Both engines group through this one type: the serial [`Engine`]
 //! files arrival indices, the sharded coordinator files packed
@@ -41,14 +41,20 @@ impl TwoLevelSet {
         }
     }
 
-    /// Add `i`.
+    /// Add `i`. The summary bit of `i`'s word is set unconditionally:
+    /// OR is idempotent, and a branch on "was the word empty?" would
+    /// mispredict under sparse traffic.
     #[inline]
     pub(crate) fn insert(&mut self, i: usize) {
         let w = i / 64;
-        if self.words[w] == 0 {
-            self.summary[w / 64] |= 1 << (w % 64);
-        }
+        self.summary[w / 64] |= 1 << (w % 64);
         self.words[w] |= 1 << (i % 64);
+    }
+
+    /// Is `i` a member?
+    #[inline]
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Word `w` of the bitmap (members `64w .. 64w + 64`).
@@ -336,6 +342,7 @@ mod tests {
                         model.insert(i);
                     }
                     prop_assert_eq!(set.word(i / 64) >> (i % 64) & 1 == 1, model.contains(&i));
+                    prop_assert_eq!(set.contains(i), model.contains(&i));
                 }
                 prop_assert_eq!(set.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
                 prop_assert_eq!(set.check(), Ok(()));

@@ -5,10 +5,13 @@
 //! `crates/core/tests/alloc_free.rs`; the test asserts that a warmed-up
 //! `reset` + inject + `run` allocates only the growth of the latency
 //! histogram the run hands back — nothing per run, per step, per packet
-//! or per node — on the grouped and on the node-local process path.
+//! or per node — on the grouped and on the node-local process path, and
+//! that a run under a fail-then-recover fault plan adds only what
+//! installing the plan allocates: parking a blocked link's queue and
+//! bringing it back allocate nothing.
 
 use lnpram_math::stats::Histogram;
-use lnpram_simnet::{Engine, Outbox, Packet, Protocol, SimConfig};
+use lnpram_simnet::{Engine, Fault, FaultEvent, FaultPlan, Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::leveled::{Leveled, LeveledNet, RadixButterfly};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -153,4 +156,80 @@ fn assert_warm_runs_allocate_only_their_histogram<P: Protocol>(
             out.metrics.steps
         );
     }
+}
+
+/// A warmed-up `reset` + fault plan + inject + `run` in which a quarter
+/// of the butterfly's second-column links fail at step 1 and recover at
+/// step `recover` (one of them degraded instead, open every third step)
+/// allocates what installing the plan allocates plus the histogram
+/// growth, at two outage lengths: parking and un-parking allocate
+/// nothing per step or per park.
+#[test]
+fn warmed_up_faulted_run_allocates_only_its_plan_and_histogram() {
+    if std::env::var_os("LNPRAM_CHECK_INVARIANTS").is_some_and(|v| v == "1") {
+        return; // the per-step state checker allocates its own scratch
+    }
+    let dims = 6;
+    let bf = RadixButterfly::new(2, dims);
+    let net = LeveledNet::forward(bf);
+    let width = bf.width();
+    let mut eng = Engine::new(&net, SimConfig::default());
+    let mut proto = ButterflyRouter(LeveledNet::forward(bf));
+    let plan = |recover: u32| {
+        let mut events = Vec::new();
+        for idx in 0..width / 4 {
+            for port in 0..2 {
+                let link = eng.link_id(net.node_id(1, 4 * idx), port);
+                let down = if idx == 0 && port == 0 {
+                    Fault::LinkDegrade { link, period: 3 }
+                } else {
+                    Fault::LinkFail { link }
+                };
+                events.push(FaultEvent {
+                    step: 1,
+                    fault: down,
+                });
+                events.push(FaultEvent {
+                    step: recover,
+                    fault: Fault::LinkRecover { link },
+                });
+            }
+        }
+        FaultPlan::new(events)
+    };
+    let plans = [plan(8), plan(40)];
+    let mut round = |eng: &mut Engine, plan: &FaultPlan| {
+        eng.reset();
+        eng.set_fault_plan(plan).expect("plan in range");
+        for src in 0..width {
+            let dest = src.reverse_bits() >> (usize::BITS as usize - dims);
+            eng.inject(
+                net.node_id(0, src),
+                Packet::new(src as u32, src as u32, dest as u32),
+            );
+        }
+        let out = eng.run(&mut proto);
+        assert!(out.completed);
+        assert_eq!(out.metrics.delivered, width);
+        out
+    };
+    for plan in &plans {
+        round(&mut eng, plan);
+    }
+    let mut steps = Vec::new();
+    for plan in &plans {
+        // What installing this plan allocates, on an engine of its own.
+        let mut probe = Engine::new(&net, SimConfig::default());
+        let ((), install) = allocations_in(|| probe.set_fault_plan(plan).expect("plan in range"));
+        let (out, n) = allocations_in(|| round(&mut eng, plan));
+        let per_run = install + histogram_growth(&out.metrics.latency);
+        assert_eq!(
+            n, per_run,
+            "a warmed-up faulted run of {width} packets over {} steps allocated {n} times",
+            out.metrics.steps
+        );
+        steps.push(out.metrics.steps);
+    }
+    // The outage held traffic back: the later recovery ends later.
+    assert!(steps[0] > 8 && steps[1] > 40, "{steps:?}");
 }

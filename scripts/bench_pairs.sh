@@ -14,10 +14,16 @@
 # checkout is built into its own bench_layers/target and writes its own
 # bench_layers/out; every run's values are kept in
 # <change-worktree>/bench_layers/out/pairs_<workload>_seed<seed>.tsv.
+#
+# The simulated end-to-end metrics (sim_*) are pure functions of the
+# workload and the seed, so a hop-path change must leave them equal in
+# every pair. When one differs, the script prints
+# "SIM DIFFERS: <workload> <metric> pair <n>" after the tables and exits
+# 1, so that a speed-up that moved the simulation is not read as a tie.
 set -eu
 
 if [ $# -lt 3 ]; then
-    sed -n '2,17p' "$0" >&2
+    sed -n '2,22p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -27,6 +33,9 @@ pairs=${4:-10}
 seconds=${5:-15}
 seed=${6:-1}
 unset CARGO_TARGET_DIR
+sim_diffs="$change/bench_layers/out/pairs_sim_differs_seed${seed}.txt"
+mkdir -p "$(dirname "$sim_diffs")"
+: > "$sim_diffs"
 
 for dir in "$parent" "$change"; do
     cargo build --release --offline --quiet --manifest-path "$dir/bench_layers/Cargo.toml"
@@ -69,7 +78,8 @@ pair_workload() {
     # Directions come from the end_to_end block of BENCHMARK.json; values are
     # sorted per (metric, side) so the quantiles can be read off by index.
     sort -t "$(printf '\t')" -k3,3 -k1,1 -k4,4g "$runs" |
-        awk -F '\t' -v manifest="$change/BENCHMARK.json" '
+        awk -F '\t' -v manifest="$change/BENCHMARK.json" -v workload="$workload" \
+            -v sim_diffs="$sim_diffs" '
         BEGIN {
             while ((getline line < manifest) > 0) {
                 if (line ~ /"end_to_end"/) block = 1
@@ -93,6 +103,8 @@ pair_workload() {
                     p = by_pair[metric, "parent", pair]; c = by_pair[metric, "change", pair]
                     if (c == p) ties++
                     else if ((better[metric] == "higher") == (c > p)) wins++
+                    if (c != p && metric ~ /^sim_/)
+                        printf "SIM DIFFERS: %s %s pair %d\n", workload, metric, pair >> sim_diffs
                 }
                 printf "%-20s %-7s %14.6g %14.6g %14.6g\n", metric, "parent", \
                     quantile(metric, "parent", 0.25), quantile(metric, "parent", 0.5), quantile(metric, "parent", 0.75)
@@ -110,3 +122,8 @@ for workload in $workloads; do
     pair_workload
     echo
 done
+
+if [ -s "$sim_diffs" ]; then
+    cat "$sim_diffs"
+    exit 1
+fi
