@@ -85,8 +85,6 @@ impl Shardable for PathProtocol<'_> {
 }
 
 impl Protocol for PathProtocol<'_> {
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         let span = self.arena.span(pkt.via);
         let pos = pkt.via2 as usize;

@@ -45,8 +45,7 @@
 /// The name of one pending entry, handed out by [`PendingTables`] in
 /// creation order. Request and reply packets carry it as a `u32` word.
 /// It is only a name — looked up, never compared, sorted or routed on —
-/// so the order in which nodes create entries is invisible, which lets
-/// the hosts' protocols run node-local.
+/// so the order in which nodes create entries is invisible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryId(pub u32);
 

@@ -120,6 +120,9 @@ impl PhaseOutcome {
 /// indexes the step's [`Request`] list and its `tag` is the storage key
 /// (hosts whose protocols treat writes differently en route flag them
 /// with `hop == 1`); a reply packet's `id` indexes the served reads.
+/// Every phase is one `AnyEngine::run`, the sharded engine's central
+/// loop on the calling thread, because the hosts' protocols keep
+/// cross-node state.
 pub trait EmuHost {
     /// Number of processors (= memory modules).
     fn processors(&self) -> usize;
@@ -615,21 +618,6 @@ impl<H: EmuHost> PramEmulator<H> {
         self.report.rehashes += 1;
     }
 }
-
-/// Run one routing phase of a host: `AnyEngine::run`, the sharded
-/// engine's central loop on the calling thread, because the hosts'
-/// protocols keep cross-node state. (Under test the node-local harness
-/// stands in here, to force the grouped process path.)
-#[cfg(not(test))]
-pub(crate) fn run_phase<P: lnpram_simnet::Protocol>(
-    engine: &mut lnpram_shard::AnyEngine,
-    proto: &mut P,
-) -> lnpram_simnet::RunOutcome {
-    engine.run(proto)
-}
-
-#[cfg(test)]
-pub(crate) use crate::node_local::run as run_phase;
 
 #[cfg(test)]
 mod tests {

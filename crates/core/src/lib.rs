@@ -60,7 +60,6 @@ pub mod emulator;
 pub mod leveled_emulator;
 pub mod memory;
 pub mod mesh_emulator;
-mod node_local;
 pub mod star_emulator;
 
 pub use config::{EmuReport, EmulatorConfig, StepStats};

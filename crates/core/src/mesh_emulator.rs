@@ -27,7 +27,7 @@
 //! modules serve batches with read-before-write semantics.
 
 use crate::config::EmulatorConfig;
-use crate::emulator::{run_phase, AddressMap, EmuHost, PhaseOutcome, PramEmulator, Request};
+use crate::emulator::{AddressMap, EmuHost, PhaseOutcome, PramEmulator, Request};
 use crate::memory::{ModuleArray, ModuleRequest, ServedRead};
 use lnpram_math::rng::SeedSeq;
 use lnpram_pram::model::AccessMode;
@@ -227,7 +227,7 @@ impl EmuHost for MeshHost {
             modules,
             requests,
         };
-        let out = run_phase(&mut self.engine, &mut proto);
+        let out = self.engine.run(&mut proto);
         out.completed.then(|| PhaseOutcome::of(&out.metrics))
     }
 
@@ -253,7 +253,7 @@ impl EmuHost for MeshHost {
             router: self.router(),
             replies,
         };
-        let out = run_phase(&mut self.engine, &mut proto);
+        let out = self.engine.run(&mut proto);
         assert!(out.completed, "reply phase did not drain");
         PhaseOutcome::of(&out.metrics)
     }
@@ -268,8 +268,6 @@ struct MeshRequestProtocol<'a> {
 }
 
 impl Protocol for MeshRequestProtocol<'_> {
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
             let key = pkt.tag;
@@ -297,8 +295,6 @@ struct MeshReplyProtocol<'a> {
 }
 
 impl Protocol for MeshReplyProtocol<'_> {
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
             self.replies.push((node, pkt.id));
@@ -312,17 +308,10 @@ impl Protocol for MeshReplyProtocol<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node_local::{assert_paths_agree, MODE, SPACE};
     use lnpram_pram::machine::PramMachine;
     use lnpram_pram::model::{PramProgram, WritePolicy};
     use lnpram_pram::programs::{Histogram, OddEvenSort, PermutationTraffic, PrefixSum};
     use lnpram_routing::workloads;
-
-    #[test]
-    fn node_local_phases_match_the_grouped_path() {
-        // The mesh does not combine, so its served reads may repeat a key.
-        assert_paths_agree(false, |cfg| MeshPramEmulator::new(6, MODE, SPACE, cfg));
-    }
 
     #[test]
     fn prefix_sum_matches_reference_on_mesh() {

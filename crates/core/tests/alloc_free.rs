@@ -143,8 +143,7 @@ fn warmed_up_emulate_step_does_not_allocate_per_hop_or_per_entry() {
     // returned vector and the latency histograms the two engine runs
     // hand out and regrow (more of them where 120 uncombined reads of
     // one cell queue up). The served reads go into a buffer the
-    // emulator keeps. Both protocols are node-local, so no arrival is
-    // grouped by node; a module's writes are grouped by key in a reused
+    // emulator keeps. A module's writes are grouped by key in a reused
     // scratch buffer and land on cells that already exist, so they add
     // nothing.
     if std::env::var_os("LNPRAM_CHECK_INVARIANTS").is_some_and(|v| v == "1") {

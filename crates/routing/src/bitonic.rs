@@ -93,8 +93,6 @@ impl BitonicRouter {
 
 impl Protocol for BitonicRouter {
     // `held` and `stage` are per node.
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         if step == 0 {
             // Injection: adopt the initial packet and start stage 0.

@@ -30,8 +30,6 @@ impl Shardable for CubeRouter {
 }
 
 impl Protocol for CubeRouter {
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
         if pkt.phase == 0 && node == pkt.via as usize {
             pkt.phase = 1;

@@ -99,8 +99,6 @@ impl<'a, L: Leveled> UniversalLeveledRouter<'a, L> {
 }
 
 impl<L: Leveled> Protocol for UniversalLeveledRouter<'_, L> {
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         let lv = self.net.leveled();
         let half = lv.levels() / 2;

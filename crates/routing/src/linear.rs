@@ -26,8 +26,6 @@ pub struct LinearRouter {
 }
 
 impl Protocol for LinearRouter {
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
             out.deliver(pkt);

@@ -128,8 +128,6 @@ impl MeshRouter {
 }
 
 impl Protocol for MeshRouter {
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
         let here = self.mesh.coords(node);
         let dest = self.mesh.coords(pkt.dest as usize);

@@ -50,8 +50,6 @@ impl ShuffleRouter {
 }
 
 impl Protocol for ShuffleRouter {
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
         let n = self.shuffle.digits() as u8;
         // Finished phase 1 (hop count n): switch to phase 2.

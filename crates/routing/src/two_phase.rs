@@ -165,8 +165,6 @@ impl<T: CanonicalRoute + Sync> Shardable for CanonicalRouter<'_, T> {
 }
 
 impl<T: CanonicalRoute> Protocol for CanonicalRouter<'_, T> {
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, mut pkt: Packet, _step: u32, out: &mut Outbox) {
         match self.next_port(node, &mut pkt) {
             Some(p) => out.send(p, pkt),

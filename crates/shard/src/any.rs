@@ -9,8 +9,7 @@
 //! on the calling thread (the emulator hosts), and
 //! [`AnyEngine::run_split`] takes a [`Shardable`] one with an admission
 //! hook, and a sharded engine steps its shards on threads when the
-//! protocol is node-local and the sink disabled (every routing run and
-//! serve trace). Outcomes are bit-identical either way (the
+//! sink is disabled (every routing run and serve trace). Outcomes are bit-identical either way (the
 //! `ShardedEngine` determinism contract). The enum is itself a
 //! [`StepEngine`], so a driver that steps phase by phase takes either
 //! variant.
@@ -136,8 +135,7 @@ impl AnyEngine {
     /// Run a [`Shardable`] protocol with admission hook `admit` for at
     /// most `max_steps` steps: [`step_loop`] on the serial engine,
     /// [`ShardedEngine::run_split`] on the sharded one (shard-local
-    /// stepping on scoped threads when the protocol is node-local and
-    /// `sink` disabled). Every backend's routing run and every serve
+    /// stepping on scoped threads when `sink` is disabled). Every backend's routing run and every serve
     /// trace go through here.
     pub fn run_split<P, S, A>(
         &mut self,

@@ -548,6 +548,15 @@ mod tests {
         block_past_last_port(2);
     }
 
+    /// An injection at a node the network lacks fails where it is made,
+    /// not later in an owner lookup of the process phase.
+    #[test]
+    #[should_panic(expected = "inject at node 4 out of range 0..4")]
+    fn sharded_inject_past_the_last_node_panics() {
+        let mut eng = ShardedEngine::new(&Mesh::linear(4), cfg_sharded(2), &RowBlock::new(1));
+        eng.inject(4, Packet::new(0, 0, 0));
+    }
+
     /// Sends land straight on the owning shard's links, so a send past
     /// the node's last port must panic there, naming the global node:
     /// node 3 of a 4-node path is local node 1 of the second shard. Both
@@ -826,8 +835,6 @@ mod tests {
         }
 
         impl<P: Protocol> Protocol for Witness<P> {
-            const NODE_LOCAL: bool = true;
-
             fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
                 let key = u64::from(pkt.id) << 32 | u64::from(step);
                 let h = &mut self.seen[node];
@@ -1088,8 +1095,6 @@ mod tests {
         }
 
         impl Protocol for PastLastPort {
-            const NODE_LOCAL: bool = true;
-
             fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
                 let port = if node == 3 {
                     self.path.out_degree(node)

@@ -11,18 +11,18 @@
 //! butterflies, stars and meshes, both disciplines, budget-exhausted
 //! runs, random fault plans and long outages (links and nodes down for
 //! dozens of steps with traffic queued behind them) — under per-packet
-//! routers and under
-//! [`BatchSensitive`], a protocol whose output depends on how the engine
-//! groups and orders a node's arrivals. The per-packet routers are
-//! `NODE_LOCAL`, so the optimised engines run them ungrouped while
-//! [`RefEngine`] still groups: the oracle checks the ungrouped process
-//! path against the naive grouped one, and `BatchSensitive` the grouped
-//! path.
+//! routers and under [`OrderSensitive`], a protocol whose output depends
+//! on the global order of the engine's callbacks, so it pins the one call
+//! order every engine promises (injections first, then each step's
+//! arrivals in ascending link id). Under long outages the step samples a
+//! traced run reports must also equal the reference's own state at every
+//! step boundary.
 
 use lnpram_math::rng::splitmix64;
 use lnpram_shard::{LevelCut, Partitioner, RowBlock, ShardedEngine};
 use lnpram_simnet::{
-    Discipline, Engine, Fault, FaultEvent, FaultPlan, Metrics, Outbox, Packet, Protocol, SimConfig,
+    Discipline, Engine, Fault, FaultEvent, FaultPlan, FlightRecorder, Metrics, Outbox, Packet,
+    Protocol, SimConfig, StepSample,
 };
 use lnpram_topology::leveled::{Leveled, LeveledNet, RadixButterfly};
 use lnpram_topology::mesh::Dir;
@@ -31,8 +31,9 @@ use proptest::prelude::*;
 use std::collections::VecDeque;
 
 /// The naive engine. One step = every unblocked non-empty link moves
-/// one packet (ascending link id), then arrivals are handed to the
-/// protocol grouped by node (ascending), in link order within a node.
+/// one packet (ascending link id), then each arrival is handed to the
+/// protocol in that same link order. It records its own state at every
+/// step boundary in `samples`.
 struct RefEngine {
     offset: Vec<usize>,
     target: Vec<usize>,
@@ -43,6 +44,7 @@ struct RefEngine {
     plan: Vec<FaultEvent>,
     cfg: SimConfig,
     metrics: Metrics,
+    samples: Vec<StepSample>,
 }
 
 impl RefEngine {
@@ -64,6 +66,7 @@ impl RefEngine {
             plan: plan.events().to_vec(),
             cfg,
             metrics: Metrics::default(),
+            samples: Vec::new(),
         }
     }
 
@@ -124,6 +127,20 @@ impl RefEngine {
         Some(pkt)
     }
 
+    /// Record the state at the end of `step`, `arrivals` packets having
+    /// crossed a link in it.
+    fn sample(&mut self, step: u32, arrivals: usize) {
+        let delivered: usize = self.samples.iter().map(|s| s.deliveries).sum();
+        self.samples.push(StepSample {
+            step,
+            in_flight: self.in_flight(),
+            arrivals,
+            deliveries: self.metrics.delivered - delivered,
+            max_queue_len: self.queues.iter().map(VecDeque::len).max().unwrap_or(0),
+            backlog: 0,
+        });
+    }
+
     fn run<P: Protocol>(&mut self, proto: &mut P) -> (bool, Metrics) {
         let mut out = Outbox::default();
         for (node, mut pkt) in std::mem::take(&mut self.pending) {
@@ -132,6 +149,7 @@ impl RefEngine {
             self.apply(node, &mut out, 0);
         }
         proto.on_step_end(0);
+        self.sample(0, 0);
         let mut step = 0u32;
         let mut completed = true;
         while self.in_flight() > 0 {
@@ -146,15 +164,13 @@ impl RefEngine {
                     arrivals.extend(self.pop(link).map(|pkt| (self.target[link], pkt)));
                 }
             }
-            // Stable: link order survives within a node.
-            arrivals.sort_by_key(|&(node, _)| node);
-            for batch in arrivals.chunk_by(|a, b| a.0 == b.0) {
-                let pkts: Vec<Packet> = batch.iter().map(|&(_, pkt)| pkt).collect();
-                proto.on_arrivals(batch[0].0, &pkts, step, &mut out);
-                self.apply(batch[0].0, &mut out, step);
+            for &(node, pkt) in &arrivals {
+                proto.on_packet(node, pkt, step, &mut out);
+                self.apply(node, &mut out, step);
             }
             proto.on_step_end(step);
             self.metrics.queued_packet_steps += self.in_flight() as u64;
+            self.sample(step, arrivals.len());
         }
         self.metrics.steps = step;
         self.metrics.max_queue = self.high_water.iter().copied().max().unwrap_or(0);
@@ -184,8 +200,6 @@ fn fingerprint(completed: bool, m: &Metrics) -> Fingerprint {
 struct GreedyMesh(Mesh);
 
 impl Protocol for GreedyMesh {
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         if node == pkt.dest as usize {
             return out.deliver(pkt);
@@ -211,8 +225,6 @@ impl Protocol for GreedyMesh {
 struct ButterflyRouter(LeveledNet<RadixButterfly>);
 
 impl Protocol for ButterflyRouter {
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         let lv = self.0.leveled();
         let (col, idx) = self.0.split(node);
@@ -227,8 +239,6 @@ impl Protocol for ButterflyRouter {
 struct StarRouter(StarGraph);
 
 impl Protocol for StarRouter {
-    const NODE_LOCAL: bool = true;
-
     fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
         match self.0.canonical_next_port(node, pkt.dest as usize) {
             None => out.deliver(pkt),
@@ -237,54 +247,49 @@ impl Protocol for StarRouter {
     }
 }
 
-/// A protocol that is a function of the *batch*, not of the packet: the
-/// port a packet leaves on depends on how many packets arrived with it
-/// and on its position among them, the first packet of a shared batch
-/// fans out to two ports enqueued in **descending** port order, and the
-/// second packet of a batch of three or more is absorbed. Any engine
-/// that splits a batch, reorders it, or enqueues a node's sends in a
-/// different order produces a different run. Packets are delivered after
-/// `ttl` hops or at a node without out-links, so every run ends.
-struct BatchSensitive {
+/// A protocol that is a function of the global call order, not of the
+/// packet: every callback draws from a running count of the callbacks
+/// before it the port a packet leaves on, its priority, the hops it is
+/// charged against its time to live, whether it is absorbed and whether
+/// it fans out to two ports, enqueued in **descending** port order. Any
+/// engine that hands a step's batch of arrivals over in another order,
+/// or enqueues a callback's sends in another order, produces a different
+/// run. Packets are delivered once their hops reach `ttl` or at a node
+/// without out-links, so every run ends.
+struct OrderSensitive {
     degree: Vec<usize>,
     ttl: u8,
+    calls: usize,
 }
 
-impl BatchSensitive {
+impl OrderSensitive {
     fn new<N: Network + ?Sized>(net: &N, ttl: u8) -> Self {
-        BatchSensitive {
+        OrderSensitive {
             degree: (0..net.num_nodes()).map(|v| net.out_degree(v)).collect(),
             ttl,
+            calls: 0,
         }
     }
 }
 
-// A batch-level protocol must keep the grouped path.
-const _: () = assert!(!<BatchSensitive as Protocol>::NODE_LOCAL);
-
-impl Protocol for BatchSensitive {
-    fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
-        self.on_arrivals(node, &[pkt], step, out);
-    }
-
-    fn on_arrivals(&mut self, node: usize, pkts: &[Packet], _step: u32, out: &mut Outbox) {
-        let (d, n) = (self.degree[node], pkts.len());
-        for (i, &pkt) in pkts.iter().enumerate() {
-            if d == 0 || pkt.hop >= self.ttl {
-                out.deliver(pkt);
-            } else if n >= 3 && i == 1 {
-                out.absorb(pkt);
+impl Protocol for OrderSensitive {
+    fn on_packet(&mut self, node: usize, pkt: Packet, _step: u32, out: &mut Outbox) {
+        self.calls += 1;
+        let (d, c) = (self.degree[node], self.calls);
+        if d == 0 || pkt.hop >= self.ttl {
+            out.deliver(pkt);
+        } else if c % 7 == 3 {
+            out.absorb(pkt);
+        } else {
+            let mut fwd = pkt.with_priority((c % 5) as u32);
+            fwd.hop += 1 + u8::from(c % 3 == 0);
+            let port = (pkt.id as usize + c) % d;
+            if c % 4 == 1 && d >= 2 {
+                let other = (port + 1) % d;
+                out.send(port.max(other), fwd);
+                out.send(port.min(other), fwd);
             } else {
-                let mut fwd = pkt.with_priority(((7 * n + i) % 5) as u32);
-                fwd.hop += 1;
-                let port = (pkt.id as usize + n + i) % d;
-                if n >= 2 && i == 0 && d >= 2 {
-                    let other = (port + 1) % d;
-                    out.send(port.max(other), fwd);
-                    out.send(port.min(other), fwd);
-                } else {
-                    out.send(port, fwd);
-                }
+                out.send(port, fwd);
             }
         }
     }
@@ -292,8 +297,8 @@ impl Protocol for BatchSensitive {
 
 /// `per_node` packets at every node of `net`, injected in a scrambled
 /// node order (the injection pass, unlike the process phase, sees nodes
-/// in no particular order), then [`check`] under [`BatchSensitive`].
-fn check_batch_sensitive<N, Q>(
+/// in no particular order), then [`check`] under [`OrderSensitive`].
+fn check_order_sensitive<N, Q>(
     net: &N,
     part: &Q,
     cfg: &SimConfig,
@@ -314,8 +319,8 @@ where
     }
     let ttl = 2 + (splitmix64(state) % 5) as u8;
     let plan = random_plan(state, n, links_of(net), faults, 8);
-    check(net, part, cfg, &plan, &inject, || {
-        BatchSensitive::new(net, ttl)
+    check(net, part, cfg, &plan, &inject, false, || {
+        OrderSensitive::new(net, ttl)
     })
 }
 
@@ -385,13 +390,16 @@ fn long_outage_plan(state: &mut u64, nodes: usize, links: usize, outages: usize)
 }
 
 /// Run the reference engine, the serial engine and the sharded engine
-/// at K ∈ {1, 2, 4} on the same input; all five must agree.
+/// at K ∈ {1, 2, 4} on the same input; all five must agree. `traced`
+/// runs the optimised engines with a recorder, whose step samples must
+/// equal the reference's.
 fn check<N, Q, P>(
     net: &N,
     part: &Q,
     cfg: &SimConfig,
     plan: &FaultPlan,
     inject: &[(usize, Packet)],
+    traced: bool,
     mut proto: impl FnMut() -> P,
 ) -> Result<(), TestCaseError>
 where
@@ -409,9 +417,19 @@ where
     for &(node, pkt) in inject {
         serial.inject(node, pkt);
     }
-    let out = serial.run(&mut proto());
+    // Every step of runs up to 120 steps long.
+    let mut recorder = FlightRecorder::new(1, 128);
+    let out = if traced {
+        serial.run_traced(&mut proto(), &mut recorder)
+    } else {
+        serial.run(&mut proto())
+    };
     prop_assert_eq!(&fingerprint(out.completed, &out.metrics), &expect);
     prop_assert_eq!(serial.in_flight(), reference.in_flight());
+    if traced {
+        let got: Vec<StepSample> = recorder.samples().copied().collect();
+        prop_assert_eq!(got, reference.samples.clone());
+    }
 
     for k in [1usize, 2, 4] {
         let cfg = SimConfig {
@@ -423,7 +441,12 @@ where
         for &(node, pkt) in inject {
             sharded.inject(node, pkt);
         }
-        let out = sharded.run(&mut proto());
+        recorder.clear();
+        let out = if traced {
+            sharded.run_traced(&mut proto(), &mut recorder)
+        } else {
+            sharded.run(&mut proto())
+        };
         prop_assert_eq!(
             &fingerprint(out.completed, &out.metrics),
             &expect,
@@ -431,6 +454,10 @@ where
             k
         );
         prop_assert_eq!(sharded.in_flight(), reference.in_flight());
+        if traced {
+            let got: Vec<StepSample> = recorder.samples().copied().collect();
+            prop_assert_eq!(got, reference.samples.clone(), "K = {}", k);
+        }
     }
     Ok(())
 }
@@ -481,7 +508,7 @@ proptest! {
         }
         let plan = random_plan(&mut state, n, links_of(&mesh), faults, 12);
         check(&mesh, &RowBlock::new(cols), &config(furthest_first, max_steps), &plan, &inject,
-            || GreedyMesh(mesh))?;
+            false, || GreedyMesh(mesh))?;
     }
 
     #[test]
@@ -510,7 +537,7 @@ proptest! {
         }
         let plan = random_plan(&mut state, net.num_nodes(), links_of(&net), faults, 6);
         check(&net, &LevelCut::new(width), &config(furthest_first, max_steps), &plan, &inject,
-            || ButterflyRouter(LeveledNet::forward(bf)))?;
+            false, || ButterflyRouter(LeveledNet::forward(bf)))?;
     }
 
     #[test]
@@ -539,7 +566,7 @@ proptest! {
         // The star's node ids have no structure to align to: plain
         // balanced ranges, where most links cross a shard boundary.
         check(&star, &RowBlock::new(1), &config(furthest_first, max_steps), &plan, &inject,
-            || StarRouter(star))?;
+            false, || StarRouter(star))?;
     }
 
     #[test]
@@ -558,18 +585,21 @@ proptest! {
         let cfg = config(furthest_first, max_steps);
         let mut state = seed;
         let mesh = Mesh::new(rows, cols);
-        check_batch_sensitive(&mesh, &RowBlock::new(cols), &cfg, &mut state, per_node, faults)?;
+        check_order_sensitive(&mesh, &RowBlock::new(cols), &cfg, &mut state, per_node, faults)?;
         let bf = RadixButterfly::new(radix, levels);
-        check_batch_sensitive(&LeveledNet::forward(bf), &LevelCut::new(bf.width()), &cfg,
+        check_order_sensitive(&LeveledNet::forward(bf), &LevelCut::new(bf.width()), &cfg,
             &mut state, per_node, faults)?;
-        check_batch_sensitive(&StarGraph::new(star_n), &RowBlock::new(1), &cfg, &mut state,
+        check_order_sensitive(&StarGraph::new(star_n), &RowBlock::new(1), &cfg, &mut state,
             per_node, faults)?;
     }
 
     /// Long outages: links and nodes fail in steps 1–4 and recover in
     /// steps 20–60 with traffic queued behind them, on meshes (the
-    /// per-packet router and [`BatchSensitive`]) and butterflies. Step
-    /// budgets up to 120 end some runs before the last recovery.
+    /// per-packet router and [`OrderSensitive`]) and butterflies. Step
+    /// budgets up to 120 end some runs before the last recovery. The
+    /// optimised engines run traced: every step sample (in flight,
+    /// arrivals, deliveries, longest queue, parked ones included) must
+    /// be the reference's own state at that step boundary.
     #[test]
     fn prop_reference_equals_engines_under_long_outages(
         seed: u64,
@@ -593,9 +623,10 @@ proptest! {
             }
         }
         let plan = long_outage_plan(&mut state, n, links_of(&mesh), outages);
-        check(&mesh, &RowBlock::new(cols), &cfg, &plan, &inject, || GreedyMesh(mesh))?;
+        check(&mesh, &RowBlock::new(cols), &cfg, &plan, &inject, true, || GreedyMesh(mesh))?;
         let ttl = 2 + (splitmix64(&mut state) % 5) as u8;
-        check(&mesh, &RowBlock::new(cols), &cfg, &plan, &inject, || BatchSensitive::new(&mesh, ttl))?;
+        check(&mesh, &RowBlock::new(cols), &cfg, &plan, &inject, true,
+            || OrderSensitive::new(&mesh, ttl))?;
 
         let bf = RadixButterfly::new(2, levels);
         let net = LeveledNet::forward(bf);
@@ -612,6 +643,6 @@ proptest! {
         }
         let plan = long_outage_plan(&mut state, net.num_nodes(), links_of(&net), outages);
         check(&net, &LevelCut::new(width), &cfg, &plan, &inject,
-            || ButterflyRouter(LeveledNet::forward(bf)))?;
+            true, || ButterflyRouter(LeveledNet::forward(bf)))?;
     }
 }

@@ -14,11 +14,9 @@
 //! is transparent: wrapping changes no outcome, it only *attributes*
 //! deliveries.
 //!
-//! The demux is [`Protocol::NODE_LOCAL`] exactly when its inner protocol
-//! is: its own state is per-tag counts, which commute, and its
-//! `on_arrivals` only forwards to the inner one. For the same reason it
-//! is [`Shardable`] when the inner protocol is: the per-tag metrics of
-//! the clones merge by sum, max and [`Histogram::absorb`].
+//! The demux is [`Shardable`] when its inner protocol is: its own state
+//! is per-tag counts, which commute, so the per-tag metrics of the
+//! clones merge by sum, max and [`Histogram::absorb`].
 
 use crate::metrics::Metrics;
 use crate::packet::Packet;
@@ -116,17 +114,9 @@ impl<P: Protocol> TagDemux<P> {
 }
 
 impl<P: Protocol> Protocol for TagDemux<P> {
-    const NODE_LOCAL: bool = P::NODE_LOCAL;
-
     fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
         let before = out.delivered().len();
         self.inner.on_packet(node, pkt, step, out);
-        self.record(out, before, step);
-    }
-
-    fn on_arrivals(&mut self, node: usize, pkts: &[Packet], step: u32, out: &mut Outbox) {
-        let before = out.delivered().len();
-        self.inner.on_arrivals(node, pkts, step, out);
         self.record(out, before, step);
     }
 

@@ -52,18 +52,9 @@
 //!   and frees the slot just before the callback, whose first send
 //!   recycles that still-hot slot (the free list is LIFO). So a hop
 //!   writes and reads each packet once;
-//! * arrivals are grouped by destination node by [`ArrivalGroups`]:
-//!   per-node index chains plus the same two-level bitmap over the
-//!   touched nodes, walked in ascending order. A node with a single
-//!   arrival gets a one-element slice, several arrivals are copied into
-//!   one batch;
-//! * a [`Protocol::NODE_LOCAL`] protocol (every router and all but one
-//!   of the emulator hosts' protocols) skips that
-//!   grouping: each arrival goes to [`Protocol::on_packet`] at its
-//!   link's head node in link-id order. Only a link's tail node pushes
-//!   onto it and each node still sees its own arrivals in link-id order,
-//!   so every queue's push sequence, and with it the run, is the grouped
-//!   path's;
+//! * the process phase hands each arrival to [`Protocol::on_packet`] at
+//!   its link's head node, in ascending link id, with no grouping by
+//!   node and no batch copy ([`Protocol`] states that order);
 //! * the `max_queue` metric is one counter raised on every push, so
 //!   [`Engine::queue_high_water`] is O(1);
 //! * run state (queues, arena, metrics, scratch) is recycled by
@@ -71,7 +62,7 @@
 //!   of building per-link state T times.
 
 use crate::fault::{FaultError, FaultPlan, FaultSchedule};
-use crate::groups::{ArrivalGroups, TwoLevelSet};
+use crate::groups::TwoLevelSet;
 use crate::metrics::Metrics;
 use crate::packet::Packet;
 use crate::protocol::{Outbox, Protocol};
@@ -215,10 +206,6 @@ pub struct Engine {
     /// by the process phase that consumes them, or else freed by the next
     /// transmit.
     arrival_slots: Vec<u32>,
-    /// Arrival indices grouped by destination node.
-    groups: ArrivalGroups,
-    /// One node's arrival batch, rebuilt per node with several arrivals.
-    batch: Vec<Packet>,
 }
 
 /// The link state a protocol callback's [`Outbox`] borrows: the CSR
@@ -336,8 +323,6 @@ impl Engine {
             metrics: Metrics::default(),
             arrival_links: Vec::new(),
             arrival_slots: Vec::new(),
-            groups: ArrivalGroups::new(n),
-            batch: Vec::new(),
         }
     }
 
@@ -430,7 +415,10 @@ impl Engine {
     }
 
     /// Schedule `pkt` for injection at `node` before the first step.
+    /// Panics if the network has no node `node`.
     pub fn inject(&mut self, node: usize, pkt: Packet) {
+        let n = self.num_nodes();
+        assert!(node < n, "inject at node {node} out of range 0..{n}");
         self.pending.push((node, pkt));
     }
 
@@ -518,10 +506,7 @@ impl Engine {
     ///   parked link is blocked; the active bitmap's summary has exactly
     ///   the bits of its non-zero words set;
     /// * no queue is longer than the `max_queue` counter;
-    /// * the dirty list holds every link pushed on since reset, once;
-    /// * the arrival grouper is idle: touched-node bitmap all zero, every
-    ///   per-node chain head `NIL` (a leftover would replay a stale
-    ///   arrival, or hide a node, in the next process phase).
+    /// * the dirty list holds every link pushed on since reset, once.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         let fail = |what: String| Err(InvariantViolation { what });
 
@@ -606,9 +591,6 @@ impl Engine {
         }
         if let Err(e) = self.links.active.check() {
             return fail(format!("active links: {e}"));
-        }
-        if let Err(e) = self.groups.check_idle() {
-            return fail(format!("arrival groups: {e}"));
         }
         Ok(())
     }
@@ -774,39 +756,15 @@ impl StepEngine for Engine {
             metrics,
             arrival_links,
             arrival_slots,
-            groups,
-            batch,
             ..
         } = self;
         // Each packet leaves its held slot, which is freed, right before
         // its callback.
-        if P::NODE_LOCAL {
-            for (&link, &slot) in arrival_links.iter().zip(arrival_slots.iter()) {
-                let node = link_target[link as usize] as usize;
-                let pkt = links.pool.take(slot);
-                let mut out = Outbox::direct(links, metrics, node, node, step);
-                proto.on_packet(node, pkt, step, &mut out);
-            }
-        } else {
-            for (a, &link) in arrival_links.iter().enumerate() {
-                groups.push(link_target[link as usize] as usize, a as u32);
-            }
-            while let Some((node, head)) = groups.pop_node() {
-                if let Some(a) = groups.single(head) {
-                    let pkt = links.pool.take(arrival_slots[a as usize]);
-                    let mut out = Outbox::direct(links, metrics, node, node, step);
-                    proto.on_arrivals(node, std::slice::from_ref(&pkt), step, &mut out);
-                } else {
-                    batch.clear();
-                    batch.extend(
-                        groups
-                            .members(head)
-                            .map(|a| links.pool.take(arrival_slots[a as usize])),
-                    );
-                    let mut out = Outbox::direct(links, metrics, node, node, step);
-                    proto.on_arrivals(node, batch, step, &mut out);
-                }
-            }
+        for (&link, &slot) in arrival_links.iter().zip(arrival_slots.iter()) {
+            let node = link_target[link as usize] as usize;
+            let pkt = links.pool.take(slot);
+            let mut out = Outbox::direct(links, metrics, node, node, step);
+            proto.on_packet(node, pkt, step, &mut out);
         }
         arrival_slots.clear();
     }
@@ -1336,6 +1294,15 @@ mod tests {
         assert_eq!(eng.finish_metrics(2).max_queue, 4);
     }
 
+    /// An injection at a node the network lacks fails where it is made,
+    /// not later inside the process phase.
+    #[test]
+    #[should_panic(expected = "inject at node 4 out of range 0..4")]
+    fn inject_past_the_last_node_panics() {
+        let mut eng = Engine::new(&Mesh::linear(4), SimConfig::default());
+        eng.inject(4, Packet::new(0, 0, 0));
+    }
+
     /// A send past the node's last port panics instead of landing on
     /// the next node's link: node 3 of a 4-node path has one port.
     #[test]
@@ -1458,14 +1425,6 @@ mod tests {
                 .contains("its active bit is 0 and its parked bit 0"),
             "{err}"
         );
-
-        // An arrival filed with the grouper but never handed out.
-        let mut eng = build();
-        eng.groups.push(7, 0);
-        let err = eng
-            .check_invariants()
-            .expect_err("leftover arrival group must be caught");
-        assert!(err.what.contains("arrival bitmap word 0"), "{err}");
 
         // A held arrival slot that is also pushed on the free list: the
         // next send would overwrite the packet before it is processed.
@@ -1658,19 +1617,8 @@ mod tests {
         use lnpram_topology::{Leveled, LeveledNet, RadixButterfly};
         use proptest::prelude::*;
 
-        /// [`GreedyMesh`] on the ungrouped path.
-        struct NodeLocal(GreedyMesh);
-
-        impl Protocol for NodeLocal {
-            const NODE_LOCAL: bool = true;
-
-            fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
-                self.0.on_packet(node, pkt, step, out);
-            }
-        }
-
-        /// A forward butterfly's unique path, on the grouped path: the
-        /// packet's `dest` is its last-column index.
+        /// A forward butterfly's unique path: the packet's `dest` is its
+        /// last-column index.
         struct ButterflyPath(LeveledNet<RadixButterfly>);
 
         impl Protocol for ButterflyPath {
@@ -1812,8 +1760,7 @@ mod tests {
                 }
             }
 
-            /// Held arrival slots on random meshes (both process paths)
-            /// and butterflies, under both disciplines: the phase-by-phase
+            /// Held arrival slots on random meshes and butterflies, under both disciplines: the phase-by-phase
             /// run keeps every invariant and equals [`Engine::run`].
             /// Random priorities make furthest-first detach slots from
             /// the middle of a chain.
@@ -1825,7 +1772,6 @@ mod tests {
                 seed: u64,
                 load in 1usize..4,
                 furthest: bool,
-                node_local: bool,
             ) {
                 let cfg = SimConfig::with_discipline(discipline(furthest));
                 let mut state = seed;
@@ -1842,17 +1788,8 @@ mod tests {
                     by_phases.inject(src, pkt);
                     by_run.inject(src, pkt);
                 }
-                let (a, b) = if node_local {
-                    (
-                        run_by_phases(&mut by_phases, &mut NodeLocal(GreedyMesh { mesh })),
-                        by_run.run(&mut NodeLocal(GreedyMesh { mesh })).metrics,
-                    )
-                } else {
-                    (
-                        run_by_phases(&mut by_phases, &mut GreedyMesh { mesh }),
-                        by_run.run(&mut GreedyMesh { mesh }).metrics,
-                    )
-                };
+                let a = run_by_phases(&mut by_phases, &mut GreedyMesh { mesh });
+                let b = by_run.run(&mut GreedyMesh { mesh }).metrics;
                 prop_assert_eq!(a.delivered, n * load);
                 prop_assert_eq!(observed(&a), observed(&b));
 

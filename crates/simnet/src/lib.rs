@@ -25,7 +25,7 @@
 pub mod demux;
 pub mod engine;
 pub mod fault;
-pub mod groups;
+mod groups;
 pub mod metrics;
 pub mod packet;
 pub mod protocol;
@@ -36,7 +36,6 @@ pub mod trace;
 pub use demux::{TagDemux, TagMetrics};
 pub use engine::{Engine, InvariantViolation, RunOutcome, SimConfig};
 pub use fault::{Fault, FaultError, FaultEvent, FaultPlan, FaultSchedule};
-pub use groups::ArrivalGroups;
 pub use metrics::Metrics;
 pub use packet::Packet;
 pub use protocol::{Outbox, Protocol, Shardable};

@@ -62,13 +62,9 @@ pub trait StepEngine: EngineState {
     /// to `sink` ([`NoopSink`](crate::NoopSink) compiles them away).
     fn step_transmit<S: TraceSink + ?Sized>(&mut self, sink: &mut S);
 
-    /// Hand the last transmit's arrivals to the protocol: grouped by
-    /// destination node, nodes ascending, link-id order within a node
-    /// (footnote 3's unit-time combining — the leveled emulator host's
-    /// write merge — sees a node's whole batch). A
-    /// [`Protocol::NODE_LOCAL`] protocol (every router, the other
-    /// emulator-host protocols) gets them ungrouped instead, one
-    /// [`Protocol::on_packet`] per arrival in link-id order.
+    /// Hand the last transmit's arrivals to the protocol, one
+    /// [`Protocol::on_packet`] per arrival, in ascending link id (the
+    /// order [`Protocol`] states).
     fn process_arrivals<P: Protocol>(&mut self, proto: &mut P, step: u32);
 
     /// Close the step (and re-verify invariants when checking is on).

@@ -812,11 +812,6 @@ impl PhaseProfiler {
         self.phase_ns[phase.index()]
     }
 
-    /// Accumulated nanoseconds of `phase` on `shard` (0 if never seen).
-    pub fn shard_nanos(&self, shard: usize, phase: Phase) -> u64 {
-        self.shard_ns.get(shard).map_or(0, |ns| ns[phase.index()])
-    }
-
     /// Shards observed (0 for serial runs).
     pub fn num_shards(&self) -> usize {
         self.shard_ns.len()

@@ -5,13 +5,15 @@
 //! `crates/core/tests/alloc_free.rs`; the test asserts that a warmed-up
 //! `reset` + inject + `run` allocates only the growth of the latency
 //! histogram the run hands back — nothing per run, per step, per packet
-//! or per node — on the grouped and on the node-local process path, and
-//! that a run under a fail-then-recover fault plan adds only what
+//! or per node — bare and wrapped in the per-tag demux every serve run
+//! goes through, and that a run under a fail-then-recover fault plan adds only what
 //! installing the plan allocates: parking a blocked link's queue and
 //! bringing it back allocate nothing.
 
 use lnpram_math::stats::Histogram;
-use lnpram_simnet::{Engine, Fault, FaultEvent, FaultPlan, Outbox, Packet, Protocol, SimConfig};
+use lnpram_simnet::{
+    Engine, Fault, FaultEvent, FaultPlan, Outbox, Packet, Protocol, SimConfig, TagDemux,
+};
 use lnpram_topology::leveled::{Leveled, LeveledNet, RadixButterfly};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -59,8 +61,7 @@ fn the_counter_counts() {
     drop(v);
 }
 
-/// Unique-path routing on the forward butterfly (the grouped process
-/// path).
+/// Unique-path routing on the forward butterfly.
 struct ButterflyRouter(LeveledNet<RadixButterfly>);
 
 impl Protocol for ButterflyRouter {
@@ -71,17 +72,6 @@ impl Protocol for ButterflyRouter {
             return out.deliver(pkt);
         }
         out.send(lv.digit_toward(col, idx, pkt.dest as usize), pkt);
-    }
-}
-
-/// The same routing declared node-local: the ungrouped process path.
-struct NodeLocalRouter(ButterflyRouter);
-
-impl Protocol for NodeLocalRouter {
-    const NODE_LOCAL: bool = true;
-
-    fn on_packet(&mut self, node: usize, pkt: Packet, step: u32, out: &mut Outbox) {
-        self.0.on_packet(node, pkt, step, out);
     }
 }
 
@@ -105,9 +95,12 @@ fn warmed_up_run_allocates_nothing_per_step_or_per_packet() {
     assert_warm_runs_allocate_only_their_histogram(|router| router);
 }
 
+/// The demux, kept across runs as the router is, reads each callback's
+/// deliveries and records them into per-tag histograms that are warm
+/// after the first round.
 #[test]
 fn warmed_up_node_local_run_allocates_nothing_per_step_or_per_packet() {
-    assert_warm_runs_allocate_only_their_histogram(NodeLocalRouter);
+    assert_warm_runs_allocate_only_their_histogram(|router| TagDemux::new(router, 1));
 }
 
 /// A warmed-up `reset` + inject + `run` of `wrap(ButterflyRouter)`
