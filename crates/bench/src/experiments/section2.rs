@@ -11,8 +11,8 @@ use lnpram_hash::HashFamily;
 use lnpram_math::perm::factorial;
 use lnpram_math::rng::SeedSeq;
 use lnpram_math::stats::{par_trial_values, Summary};
-use lnpram_pram::model::{AccessMode, MemOp, PramProgram};
-use lnpram_pram::programs::Broadcast;
+use lnpram_pram::model::{AccessMode, MemOp, PramProgram, WritePolicy};
+use lnpram_pram::programs::{Broadcast, Histogram, PrefixSum};
 use lnpram_routing::retry::{retry_route, RetryPolicy, RetryRouteReport};
 use lnpram_routing::shuffle::ShuffleRoutingSession;
 use lnpram_routing::{
@@ -506,7 +506,67 @@ pub fn thm26(r: &mut Report, _: Trials) {
     r.table(&t);
     r.note(
         "paper: combining keeps CRCW steps at O~(l) — busiest-module load\n\
-              collapses from N (all concurrent readers) to O(1).",
+              collapses from N (all concurrent readers) to O(1).\n",
+    );
+    thm26_writes(r);
+}
+
+/// Theorem 2.6's concurrent writes: a CRCW-Sum histogram (every
+/// processor adds 1 to one of 8 buckets) against the same host's EREW
+/// prefix sum, in network steps per PRAM step, with the writes merged
+/// en route.
+fn thm26_writes(r: &mut Report) {
+    fn row<H: EmuHost>(
+        r: &mut Report,
+        t: &mut Table,
+        (host, procs): (String, usize),
+        build: impl Fn(AccessMode, u64) -> PramEmulator<H>,
+    ) {
+        let mut histogram = Histogram::new((0..procs as u64).map(|i| i % 8).collect(), 8);
+        let mut emu = build(
+            AccessMode::Crcw(WritePolicy::Sum),
+            histogram.address_space(),
+        );
+        let written = emu.run_program(&mut histogram, 10_000);
+        assert!(histogram.verify(&emu.memory_image(histogram.address_space())));
+        let mut prefix = PrefixSum::new((1..=procs as u64).collect());
+        let summed =
+            build(AccessMode::Erew, prefix.address_space()).run_program(&mut prefix, 10_000);
+        let (written_step, summed_step) = (written.mean_step_time(), summed.mean_step_time());
+        let ratio = written_step / summed_step;
+        r.claim(&host, "histogram / prefix-sum", ratio, 1.5);
+        t.row(&[
+            host,
+            procs.to_string(),
+            fmt::f(written_step, 1),
+            fmt::f(summed_step, 1),
+            fmt::f(ratio, 2),
+            written.total_write_merges().to_string(),
+        ]);
+    }
+    let mut t = Table::new(
+        "Theorem 2.6 — CRCW-Sum histogram (8 buckets) against the EREW prefix sum",
+        "host | N | histogram steps/PRAM step | prefix-sum steps/PRAM step | ratio | write merges",
+    );
+    for n in [5usize, 6] {
+        row(
+            r,
+            &mut t,
+            (format!("star({n})"), factorial(n)),
+            |mode, space| StarPramEmulator::new(n, mode, space, EmulatorConfig::default()),
+        );
+    }
+    for k in [6usize, 8] {
+        let net = RadixButterfly::new(2, k);
+        row(r, &mut t, (net.name(), net.width()), |mode, space| {
+            LeveledPramEmulator::new(net, mode, space, EmulatorConfig::default())
+        });
+    }
+    r.table(&t);
+    r.note(
+        "paper: combining keeps concurrent writes at O~(l) too — same-address\n\
+              writes merge where their routes meet, so a histogram costs about\n\
+              what an EREW step does.",
     );
 }
 

@@ -6,8 +6,10 @@
 //!
 //! * **Requests** register a pending entry at every node a read passes,
 //!   stamping its id into `via2`, or join a live entry for the same key
-//!   and go no further (footnote 3); the module buffers what reaches
-//!   it. Every other hop is the host's router's.
+//!   and go no further (footnote 3). Where the host merges writes, a
+//!   write folds into the first same-key write to reach its node in its
+//!   step, short of the module. The module buffers what reaches it.
+//!   Every other hop is the host's router's.
 //! * **Replies** (`Unwind`) retrace the request trees from the
 //!   modules along the recorded direction bits, fanning out at every
 //!   combining point and answering a node's own processor where it
@@ -79,10 +81,19 @@ pub trait HostRoute {
         Trail::Shared
     }
 
-    /// Do a step's same-address writes merge at `node`?
+    /// Do a step's same-address writes merge at `node`? The host names
+    /// where paths converge; the request protocol adds the guard that
+    /// no write merges where it reaches its module, whose buffer holds
+    /// each write's value from the moment it arrives.
     fn merges_writes_at(&self, _node: usize) -> bool {
         false
     }
+
+    /// Put a write that may merge en route on its direct route, from its
+    /// source onto the shared tree toward its module, with no random
+    /// intermediate. Called only while writes merge; the default keeps
+    /// the two-phase route.
+    fn route_direct(&self, _pkt: &mut Packet) {}
 }
 
 /// An emulation host that combines reads en route, on topology `R`.
@@ -109,7 +120,10 @@ pub struct CombiningHost<R> {
 /// later ones fold into it. Heads are stamped `phase << 32 | step`, so
 /// neither a new step nor a new phase wipes them, and a lookup walks
 /// only the node's entries of the current step, at most its in-degree.
-/// A host that merges no writes never sizes the heads.
+/// The leveled hosts size the heads up to their last merge column, the
+/// star to every node; a host that merges no writes never sizes them.
+/// The module guard is [`CombiningRequest`]'s, so no host can merge
+/// without it.
 #[derive(Debug, Default)]
 struct WriteReps {
     /// Request phases begun.
@@ -186,7 +200,9 @@ impl<R: HostRoute> EmuHost for CombiningHost<R> {
 
     /// A request leaves its processor's node bound for a random
     /// intermediate (`via`), then its module (`dest`); writes are
-    /// flagged `hop == 1`.
+    /// flagged `hop == 1`. While writes merge, the host may send them
+    /// direct ([`HostRoute::route_direct`]); `via` is drawn for every
+    /// request all the same, so the reads' intermediates do not move.
     fn route_requests(
         &mut self,
         requests: &[Request],
@@ -200,13 +216,19 @@ impl<R: HostRoute> EmuHost for CombiningHost<R> {
         self.writes.clear();
         self.writes
             .extend(requests.iter().map(|r| (r.write.unwrap_or(0), r.proc)));
+        let merging = self.combining && mergeable_policy(modules.mode()).is_some();
         let mut via_rng = seq.rng();
         for (id, req) in requests.iter().enumerate() {
             let via = via_rng.gen_range(0..self.processors()) as u32;
             let mut pkt = Packet::new(id as u32, req.proc as u32, req.module)
                 .with_via(via)
                 .with_tag(req.key);
-            pkt.hop = u8::from(req.write.is_some());
+            if req.write.is_some() {
+                pkt.hop = 1;
+                if merging {
+                    self.route.route_direct(&mut pkt);
+                }
+            }
             self.engine.inject(req.proc, pkt);
         }
         self.reps.phase += 1;
@@ -224,6 +246,7 @@ impl<R: HostRoute> EmuHost for CombiningHost<R> {
         let write_merges = proto.write_merges;
         out.completed.then(|| PhaseOutcome {
             combined: write_merges + self.tables.combined(),
+            write_merges,
             ..PhaseOutcome::of(&out.metrics)
         })
     }
@@ -258,8 +281,8 @@ impl<R: HostRoute> EmuHost for CombiningHost<R> {
 /// The request protocol: a read registers or joins a pending entry and
 /// carries, in `via2`, the id of the entry it left at the previous node;
 /// a write folds into an earlier same-key write of its node and step
-/// where the host merges writes; at the module every request is
-/// buffered; every other hop is the host's.
+/// where the host merges writes, short of its module; at the module
+/// every request is buffered; every other hop is the host's.
 struct CombiningRequest<'a, R> {
     route: &'a R,
     tables: &'a mut PendingTables,
@@ -305,9 +328,16 @@ impl<R: HostRoute> Protocol for CombiningRequest<'_, R> {
     fn on_packet(&mut self, node: usize, mut pkt: Packet, step: u32, out: &mut Outbox) {
         let key = pkt.tag;
         let read = pkt.hop == 0;
+        let trail = self.route.trail(node, &mut pkt);
         // Footnote 3 for writes: a write folds into the first one of its
         // address to reach this node this step, on the lowest in-link.
-        let merges = |_: &_| self.combining && !read && self.route.merges_writes_at(node);
+        // Not at its module, which has buffered that first one's value.
+        let merges = |_: &_| {
+            self.combining
+                && !read
+                && self.route.merges_writes_at(node)
+                && self.route.module_at(node, &pkt).is_none()
+        };
         if let Some(policy) = mergeable_policy(self.modules.mode()).filter(merges) {
             if let Some(rep) = self.reps.find_or_insert(node, step, key, pkt.id) {
                 self.writes[rep] = merge(policy, self.writes[rep], self.writes[pkt.id as usize]);
@@ -315,7 +345,6 @@ impl<R: HostRoute> Protocol for CombiningRequest<'_, R> {
                 return; // its representative carries it on
             }
         }
-        let trail = self.route.trail(node, &mut pkt);
         if read {
             let source = if step == 0 {
                 Source::Local
@@ -413,8 +442,9 @@ mod tests {
     use crate::memory::ModuleArray;
     use crate::{EmulatorConfig, LeveledPramEmulator, StarPramEmulator};
     use lnpram_math::rng::{splitmix64, SeedSeq};
+    use lnpram_pram::machine::PramMachine;
     use lnpram_pram::model::{AccessMode, MemOp, PramProgram, WritePolicy};
-    use lnpram_pram::programs::ConnectedComponents;
+    use lnpram_pram::programs::{ConnectedComponents, Histogram};
     use lnpram_topology::leveled::RadixButterfly;
     use rand::Rng;
 
@@ -542,5 +572,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `make()`'s program on the `n`-star with combining on and `copies`
+    /// copies per cell: its memory image against the reference PRAM's,
+    /// and the writes merged en route.
+    fn star_against_reference<P: PramProgram>(
+        n: usize,
+        copies: usize,
+        mode: AccessMode,
+        make: impl Fn() -> P,
+    ) -> (bool, u64) {
+        let mut prog = make();
+        let space = prog.address_space();
+        let mut star = StarPramEmulator::new(n, mode, space, EmulatorConfig::default());
+        if copies > 1 {
+            star = star.with_copies(copies).expect("odd copy count");
+        }
+        let report = star.run_program(&mut prog, 10_000);
+        let mut oracle = PramMachine::new(space, mode);
+        oracle.run(&mut make(), 10_000);
+        let matches = star.memory_image(space) == oracle.memory();
+        (matches, report.total_write_merges())
+    }
+
+    /// The star merges same-address writes at every node, so some meet
+    /// at their module, which buffered the first one's value on arrival:
+    /// a write folded into it there would be lost. The request protocol
+    /// merges no write at its module, so CRCW-Sum histograms and CRCW-Max
+    /// components leave the reference PRAM's memory image, hashed and
+    /// with three copies per cell, while writes do merge on the way.
+    #[test]
+    fn no_write_merges_at_its_module() {
+        let mut merged = 0;
+        for (n, procs) in [(4, 24), (5, 120)] {
+            for copies in [1, 3] {
+                let case = format!("star({n}), copies {copies}");
+                let sum = AccessMode::Crcw(WritePolicy::Sum);
+                let inputs: Vec<u64> = (0..procs).map(|i| i % 8).collect();
+                let (ok, merges) =
+                    star_against_reference(n, copies, sum, || Histogram::new(inputs.clone(), 8));
+                assert!(ok, "{case}: histogram diverged from the reference");
+                merged += merges;
+                let vertices = procs as usize / 3;
+                let (ok, merges) = star_against_reference(n, copies, MODE, || {
+                    components(vertices, vertices, n as u64)
+                });
+                assert!(ok, "{case}: components diverged from the reference");
+                merged += merges;
+            }
+        }
+        assert!(merged > 0, "no write merged en route");
     }
 }

@@ -62,6 +62,8 @@ pub struct StepStats {
     /// Combining events: read requests absorbed into pending entries plus
     /// same-step en-route write merges (footnote 3).
     pub combined: u32,
+    /// The same-step en-route write merges, of [`Self::combined`].
+    pub write_merges: u32,
     /// Largest link queue seen in either phase.
     pub max_queue: u32,
     /// Rehashes triggered while emulating this step.
@@ -118,9 +120,14 @@ impl EmuReport {
         self.mean_step_time() / diameter.max(1) as f64
     }
 
-    /// Total read-combining events.
+    /// Total combining events: read joins plus write merges.
     pub fn total_combined(&self) -> u64 {
         self.steps.iter().map(|s| u64::from(s.combined)).sum()
+    }
+
+    /// Total en-route write merges, of [`Self::total_combined`].
+    pub fn total_write_merges(&self) -> u64 {
+        self.steps.iter().map(|s| u64::from(s.write_merges)).sum()
     }
 }
 
@@ -147,6 +154,7 @@ mod tests {
                 request_steps: a,
                 reply_steps: b,
                 combined: 2,
+                write_merges: 1,
                 ..Default::default()
             });
         }
@@ -156,6 +164,7 @@ mod tests {
         assert_eq!(rep.max_step_time(), 20);
         assert!((rep.slowdown_per_diameter(8) - 2.0).abs() < 1e-12);
         assert_eq!(rep.total_combined(), 4);
+        assert_eq!(rep.total_write_merges(), 2);
     }
 
     #[test]

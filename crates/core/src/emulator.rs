@@ -100,6 +100,8 @@ pub struct PhaseOutcome {
     pub max_queue: u32,
     /// Combining events (reads absorbed, writes merged en route).
     pub combined: u32,
+    /// The writes merged en route, of [`Self::combined`].
+    pub write_merges: u32,
 }
 
 impl PhaseOutcome {
@@ -109,6 +111,7 @@ impl PhaseOutcome {
             steps: metrics.routing_time,
             max_queue: metrics.max_queue as u32,
             combined: 0,
+            write_merges: 0,
         }
     }
 }
@@ -550,6 +553,7 @@ impl<H: EmuHost> PramEmulator<H> {
         stats.request_steps = requested.steps;
         stats.max_queue = requested.max_queue;
         stats.combined = requested.combined;
+        stats.write_merges = requested.write_merges;
 
         self.version += 1;
         stats.service_steps = self.modules.serve_batches(self.version, &mut self.reads);

@@ -40,7 +40,8 @@
 //!   shuffle), Algorithm 2.1 with read combining and write merging.
 //! * [`star_emulator`] — the `HostRoute` of Corollaries 2.3/2.5: the
 //!   physical n-star graph (Algorithm 2.2 routing, private phase-1
-//!   trails joining the shared phase-2 tree).
+//!   trails joining the shared phase-2 tree, merging writes sent on
+//!   that tree from their source).
 //! * [`mesh_emulator`] — the host of Theorems 3.2/3.3: the n×n mesh via
 //!   the three-stage routing of §3.4 (4n + o(n) per EREW step; 6d + o(d)
 //!   under d-local request patterns), without combining; its replies

@@ -7,7 +7,11 @@
 //! random intermediate node along the canonical oblivious path, then on
 //! to the module — and read replies retrace the request trees backward
 //! (SWAP edges are involutions, so the reverse port equals the forward
-//! port and the star needs no separate reply network).
+//! port and the star needs no separate reply network). Under a CRCW
+//! policy that merges (Sum, Max, Priority, Arbitrary), with combining
+//! on, writes skip the intermediate: each starts on the phase-2 route at
+//! its source, and same-address writes merge where they meet, which
+//! makes a concurrent-write step cost Õ(n) too (Corollary 2.5).
 //!
 //! **Combining safety.** On the leveled networks the request paths move
 //! strictly forward by column, so pending entries can never form a cycle.
@@ -22,6 +26,15 @@
 //! the shared tree and then each private trail. Combining across
 //! requesters happens exactly where it is safe — the convergent phase —
 //! which is also where the hot-spot traffic concentrates.
+//!
+//! Writes keep no trail: a merged write is folded into its
+//! representative's value and opens no entry, so nothing waits on it
+//! and no cycle can form. That is why a merging write may take the
+//! phase-2 route from its source. The canonical route to a module is a
+//! tree, so same-address writes converge on it; hashing already spreads
+//! distinct addresses over the modules. EREW, CREW and Common writes,
+//! and every write with combining off, keep the two-phase route, so
+//! Theorem 2.5's setting is unchanged.
 //!
 //! [`Source::Chain`]: crate::combining::Source::Chain
 
@@ -113,6 +126,17 @@ impl HostRoute for StarTable {
             pkt.phase = 1;
             Trail::Joins
         }
+    }
+
+    /// Every node: the phase-2 route is a tree toward each module.
+    fn merges_writes_at(&self, _node: usize) -> bool {
+        true
+    }
+
+    /// A merging write starts on its phase-2 route at its source.
+    #[inline]
+    fn route_direct(&self, pkt: &mut Packet) {
+        pkt.phase = 1;
     }
 }
 

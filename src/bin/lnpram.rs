@@ -18,7 +18,8 @@
 
 use lnpram::adaptive::{AdaptiveBackend, AdaptiveConfig, AdaptiveRoutingSession};
 use lnpram::core::{
-    EmuHost, EmulatorConfig, LeveledPramEmulator, MeshPramEmulator, PramEmulator, StarPramEmulator,
+    EmuHost, EmuReport, EmulatorConfig, LeveledPramEmulator, MeshPramEmulator, PramEmulator,
+    StarPramEmulator,
 };
 use lnpram::pram::machine::PramMachine;
 use lnpram::pram::model::{AccessMode, PramProgram, WritePolicy};
@@ -895,7 +896,7 @@ fn emulate_on<P: PramProgram>(
         emu: PramEmulator<H>,
         copies: Option<usize>,
         prog: &mut impl PramProgram,
-    ) -> Result<(Vec<u64>, f64), CliError> {
+    ) -> Result<(Vec<u64>, EmuReport), CliError> {
         let mut emu = match copies {
             Some(r) => emu
                 .with_copies(r)
@@ -903,12 +904,12 @@ fn emulate_on<P: PramProgram>(
             None => emu,
         };
         let rep = emu.run_program(prog, 1_000_000);
-        Ok((emu.memory_image(prog.address_space()), rep.mean_step_time()))
+        Ok((emu.memory_image(prog.address_space()), rep))
     }
     let mut prog = make();
     let space = prog.address_space();
     let cfg = cfg.clone();
-    let (name, (image, mean_step)) = match host {
+    let (name, (image, rep)) = match host {
         Host::Butterfly(bf) => (
             "butterfly",
             run(
@@ -942,7 +943,15 @@ fn emulate_on<P: PramProgram>(
         )));
     }
     println!("{name}: memory image matches the reference PRAM ({space} cells)");
-    println!("mean network steps per PRAM step: {mean_step:.1}");
+    println!(
+        "mean network steps per PRAM step: {:.1}",
+        rep.mean_step_time()
+    );
+    let merges = rep.total_write_merges();
+    println!(
+        "combined en route: {} read joins, {merges} write merges",
+        rep.total_combined() - merges
+    );
     Ok(())
 }
 

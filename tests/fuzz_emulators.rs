@@ -281,8 +281,13 @@ fn fuzz_under_tight_budget_with_rehashes() {
         assert_eq!(emu.memory_image(space), reference, "butterfly, seed {seed}");
         assert!(report.rehashes > 0, "butterfly, seed {seed}: no rehash");
     }
+    // Writes merge on the star and ride the phase-2 tree from their
+    // source, so its overruns come from reads: with more cells than
+    // processors few reads combine, and over 32 steps enough request
+    // phases run at the tight budget that every seed overruns (each
+    // rehashed 3 to 8 times when the shape was set).
     for seed in 510..514u64 {
-        let (procs, space, steps) = (24usize, 40u64, 16usize);
+        let (procs, space, steps) = (24usize, 96u64, 32usize);
         let reference = oracle_image(seed, procs, space, steps, mode);
         let mut prog = FuzzProgram::new(seed, procs, space, steps);
         let mut emu = StarPramEmulator::new(4, mode, space, cfg(seed));
