@@ -12,12 +12,11 @@
 //! benchmark's own inputs as well.
 
 use lnpram_adaptive::{route_pairs, AdaptiveConfig, IterationRecord, LinkGraph};
-use lnpram_math::rng::SeedSeq;
+use lnpram_math::rng::{Rng, SeedSeq};
 use lnpram_routing::workloads::{bit_reversal, broadcast, hot_spot, random_permutation, transpose};
 use lnpram_topology::hypercube::Hypercube;
 use lnpram_topology::{CubeConnectedCycles, DWayShuffle, Mesh, Network, StarGraph};
 use proptest::prelude::*;
-use rand::Rng;
 
 /// The pre-kernel-pass pricer, verbatim.
 mod reference {
@@ -240,7 +239,7 @@ fn dest_map(dests: Vec<usize>) -> Vec<(u32, u32)> {
         .collect()
 }
 
-fn pairs(pattern: usize, n: usize, rng: &mut impl Rng) -> Vec<(u32, u32)> {
+fn pairs(pattern: usize, n: usize, rng: &mut Rng) -> Vec<(u32, u32)> {
     match pattern {
         0 => dest_map(random_permutation(n, rng)),
         1 => {

@@ -21,7 +21,6 @@ use lnpram_routing::{
 use lnpram_simnet::SimConfig;
 use lnpram_topology::leveled::{Leveled, LeveledNet, RadixButterfly, UnrolledShuffle};
 use lnpram_topology::{DWayShuffle, Network};
-use rand::Rng;
 
 fn thm21_sweep<L: Leveled + Copy>(r: &mut Report, t: &mut Table, nets: &[L], n_trials: u64) {
     for net in nets {

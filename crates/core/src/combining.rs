@@ -406,7 +406,6 @@ mod tests {
     use super::*;
     use lnpram_math::rng::SeedSeq;
     use proptest::prelude::*;
-    use rand::Rng;
     use std::collections::HashMap;
 
     fn link(port: u32, entry: u32) -> Source {

@@ -26,7 +26,6 @@ use lnpram_math::rng::SeedSeq;
 use lnpram_pram::model::{AccessMode, WritePolicy};
 use lnpram_shard::AnyEngine;
 use lnpram_simnet::{Outbox, Packet, Protocol};
-use rand::Rng;
 
 /// Where a request's trail runs at a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -446,7 +445,6 @@ mod tests {
     use lnpram_pram::model::{AccessMode, MemOp, PramProgram, WritePolicy};
     use lnpram_pram::programs::{ConnectedComponents, Histogram};
     use lnpram_topology::leveled::RadixButterfly;
-    use rand::Rng;
 
     const MODE: AccessMode = AccessMode::Crcw(WritePolicy::Max);
 

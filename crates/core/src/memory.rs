@@ -225,7 +225,6 @@ mod tests {
     use lnpram_math::rng::SeedSeq;
     use lnpram_pram::model::WritePolicy;
     use proptest::prelude::*;
-    use rand::Rng;
     use std::collections::HashMap;
 
     fn read(module: usize, key: u64, tag: u32, (value, version): (u64, u64)) -> ServedRead {

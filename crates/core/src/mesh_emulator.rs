@@ -29,7 +29,7 @@
 use crate::config::EmulatorConfig;
 use crate::emulator::{AddressMap, EmuHost, PhaseOutcome, PramEmulator, Request};
 use crate::memory::{ModuleArray, ModuleRequest, ServedRead};
-use lnpram_math::rng::SeedSeq;
+use lnpram_math::rng::{Rng, SeedSeq};
 use lnpram_pram::model::AccessMode;
 use lnpram_routing::mesh::{
     default_block_rows, default_slice_rows, mesh_engine, MeshAlgorithm, MeshRouter,
@@ -38,8 +38,6 @@ use lnpram_shard::AnyEngine;
 use lnpram_simnet::packet::NO_NODE;
 use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::{Mesh, Network};
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::fmt;
 
 /// The n×n mesh as an emulation host: three-stage routing both ways.
@@ -169,8 +167,8 @@ impl MeshHost {
     /// (stage 1) and, for the constant-queue variant, `via2` a random
     /// row inside the destination's block in the destination's column
     /// (Corollary 3.3).
-    fn packet(&self, id: usize, src: usize, dest: usize, rng: &mut StdRng) -> Packet {
-        let band = |node: usize, rows: usize, rng: &mut StdRng| {
+    fn packet(&self, id: usize, src: usize, dest: usize, rng: &mut Rng) -> Packet {
+        let band = |node: usize, rows: usize, rng: &mut Rng| {
             let (r, c) = self.mesh.coords(node);
             let lo = r - r % rows;
             let hi = (lo + rows).min(self.mesh.rows());

@@ -2,7 +2,7 @@
 
 use lnpram_math::modmath::horner;
 use lnpram_math::primes::next_prime_at_least;
-use rand::Rng;
+use lnpram_math::rng::Rng;
 
 /// The family `H` for a fixed `(M, N, S)`: address space `M`, module count
 /// `N`, polynomial degree parameter `S` (number of coefficients).
@@ -44,7 +44,7 @@ impl HashFamily {
     }
 
     /// Sample a uniformly random member of the family.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> PolyHash {
+    pub fn sample(&self, rng: &mut Rng) -> PolyHash {
         let coeffs = (0..self.degree_s)
             .map(|_| rng.gen_range(0..self.prime))
             .collect();
@@ -113,7 +113,6 @@ mod tests {
     use lnpram_math::primes::is_prime;
     use lnpram_math::rng::SeedSeq;
     use proptest::prelude::*;
-    use rand::Rng;
 
     #[test]
     fn family_picks_prime_at_least_m() {

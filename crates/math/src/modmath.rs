@@ -21,18 +21,6 @@ pub fn addmod(a: u64, b: u64, m: u64) -> u64 {
     }
 }
 
-/// `(a - b) mod m`, always in `0..m`.
-#[inline]
-pub fn submod(a: u64, b: u64, m: u64) -> u64 {
-    debug_assert!(m > 0);
-    let (a, b) = (a % m, b % m);
-    if a >= b {
-        a - b
-    } else {
-        a + (m - b)
-    }
-}
-
 /// `(a * b) mod m` via `u128`.
 #[inline]
 pub fn mulmod(a: u64, b: u64, m: u64) -> u64 {
@@ -56,17 +44,6 @@ pub fn powmod(mut a: u64, mut e: u64, m: u64) -> u64 {
         e >>= 1;
     }
     acc
-}
-
-/// Modular inverse of `a` mod prime `p` via Fermat's little theorem.
-///
-/// Returns `None` when `a ≡ 0 (mod p)`.
-pub fn invmod_prime(a: u64, p: u64) -> Option<u64> {
-    if a.is_multiple_of(p) {
-        None
-    } else {
-        Some(powmod(a, p - 2, p))
-    }
 }
 
 /// Evaluate the polynomial `Σ coeffs[i]·x^i mod m` by Horner's rule.
@@ -108,6 +85,28 @@ fn horner_wide(coeffs: &[u64], x: u64, m: u64) -> u64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `(a - b) mod m`, always in `0..m`.
+    fn submod(a: u64, b: u64, m: u64) -> u64 {
+        debug_assert!(m > 0);
+        let (a, b) = (a % m, b % m);
+        if a >= b {
+            a - b
+        } else {
+            a + (m - b)
+        }
+    }
+
+    /// Modular inverse of `a` mod prime `p` via Fermat's little theorem.
+    ///
+    /// Returns `None` when `a ≡ 0 (mod p)`.
+    fn invmod_prime(a: u64, p: u64) -> Option<u64> {
+        if a.is_multiple_of(p) {
+            None
+        } else {
+            Some(powmod(a, p - 2, p))
+        }
+    }
 
     #[test]
     fn addmod_handles_near_overflow() {

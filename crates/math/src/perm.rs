@@ -10,8 +10,7 @@
 //! Symbols are stored 0-based (`0..n`), so the identity permutation of
 //! `n = 4` is `[0, 1, 2, 3]` (printed as `1234` in paper notation).
 
-use rand::seq::SliceRandom;
-use rand::Rng;
+use crate::rng::Rng;
 
 /// Maximum supported alphabet size. `13! > 6·10⁹` already exceeds any
 /// network we can simulate, so `u8` symbols and `usize` ranks are ample.
@@ -100,25 +99,6 @@ impl Perm {
         }
     }
 
-    /// Build from an explicit symbol slice; panics unless it is a
-    /// permutation of `0..len`.
-    pub fn from_slice(symbols: &[u8]) -> Self {
-        let n = symbols.len();
-        assert!((1..=MAX_N).contains(&n), "length {n} out of range");
-        let mut seen = [false; MAX_N];
-        for &s in symbols {
-            assert!((s as usize) < n, "symbol {s} out of range for n={n}");
-            assert!(!seen[s as usize], "duplicate symbol {s}");
-            seen[s as usize] = true;
-        }
-        let mut p = Perm {
-            symbols: [0; MAX_N],
-            len: n as u8,
-        };
-        p.symbols[..n].copy_from_slice(symbols);
-        p
-    }
-
     /// Alphabet size `n`.
     pub fn n(&self) -> usize {
         self.len as usize
@@ -150,14 +130,6 @@ impl Perm {
         let mut p = *self;
         p.symbols.swap(0, j - 1);
         p
-    }
-
-    /// Is this the identity?
-    pub fn is_identity(&self) -> bool {
-        self.symbols()
-            .iter()
-            .enumerate()
-            .all(|(i, &s)| s as usize == i)
     }
 
     /// Rank in the factorial number system: a bijection onto `0..n!`
@@ -220,9 +192,9 @@ impl Perm {
     }
 
     /// A uniformly random permutation of `0..n`.
-    pub fn random<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
+    pub fn random(n: usize, rng: &mut Rng) -> Self {
         let mut p = Perm::identity(n);
-        p.symbols[..n].shuffle(rng);
+        rng.shuffle(&mut p.symbols[..n]);
         p
     }
 
@@ -289,11 +261,22 @@ mod tests {
     use crate::rng::SeedSeq;
     use proptest::prelude::*;
 
+    /// The permutation with these symbols; panics unless they are a
+    /// permutation of `0..len`.
+    fn from_slice(symbols: &[u8]) -> Perm {
+        let mut sorted = symbols.to_vec();
+        sorted.sort_unstable();
+        assert!(sorted.iter().enumerate().all(|(i, &s)| s as usize == i));
+        let mut p = Perm::identity(symbols.len());
+        p.symbols[..symbols.len()].copy_from_slice(symbols);
+        p
+    }
+
     #[test]
     fn identity_roundtrip() {
         for n in 1..=8 {
             let id = Perm::identity(n);
-            assert!(id.is_identity());
+            assert_eq!(id.symbols(), (0..n as u8).collect::<Vec<_>>());
             assert_eq!(id.rank(), 0);
             assert_eq!(Perm::unrank(n, 0), id);
             assert_eq!(id.star_distance_to_identity(), 0);
@@ -315,7 +298,7 @@ mod tests {
 
     #[test]
     fn swap_is_involution_and_generator() {
-        let p = Perm::from_slice(&[2, 0, 3, 1]);
+        let p = from_slice(&[2, 0, 3, 1]);
         for j in 2..=4 {
             let q = p.swap(j);
             assert_ne!(q, p);
@@ -327,9 +310,9 @@ mod tests {
     fn swap_matches_paper_example() {
         // Paper: SWAP_j(d1 d2 … dn) = dj d2 … dj-1 d1 dj+1 … dn.
         // ABCD with SWAP_2 -> BACD (0-based: [0,1,2,3] -> [1,0,2,3]).
-        let abcd = Perm::from_slice(&[0, 1, 2, 3]);
-        assert_eq!(abcd.swap(2), Perm::from_slice(&[1, 0, 2, 3]));
-        assert_eq!(abcd.swap(4), Perm::from_slice(&[3, 1, 2, 0]));
+        let abcd = from_slice(&[0, 1, 2, 3]);
+        assert_eq!(abcd.swap(2), from_slice(&[1, 0, 2, 3]));
+        assert_eq!(abcd.swap(4), from_slice(&[3, 1, 2, 0]));
     }
 
     #[test]
@@ -341,14 +324,14 @@ mod tests {
             let pq = p.compose(&q);
             // (p∘q)⁻¹ = q⁻¹∘p⁻¹
             assert_eq!(pq.inverse(), q.inverse().compose(&p.inverse()));
-            assert!(p.compose(&p.inverse()).is_identity());
-            assert!(p.inverse().compose(&p).is_identity());
+            assert_eq!(p.compose(&p.inverse()), Perm::identity(7));
+            assert_eq!(p.inverse().compose(&p), Perm::identity(7));
         }
     }
 
     #[test]
     fn cycles_cover_all_symbols() {
-        let p = Perm::from_slice(&[1, 2, 0, 4, 3, 5]);
+        let p = from_slice(&[1, 2, 0, 4, 3, 5]);
         let cycles = p.cycles();
         let total: usize = cycles.iter().map(|c| c.len()).sum();
         assert_eq!(total, 6);
@@ -360,11 +343,11 @@ mod tests {
     fn star_distance_formula_examples() {
         // One transposition not involving symbol 0: (1 2) on n=4:
         // m=2, c=1, 0 fixed => dist 3.
-        let p = Perm::from_slice(&[0, 2, 1, 3]);
+        let p = from_slice(&[0, 2, 1, 3]);
         assert_eq!(p.star_distance_to_identity(), 3);
         // Transposition involving position 1: [1,0,2,3]: m=2,c=1, 0 displaced
         // => 2+1-2 = 1 (one SWAP_2 away). Correct.
-        let q = Perm::from_slice(&[1, 0, 2, 3]);
+        let q = from_slice(&[1, 0, 2, 3]);
         assert_eq!(q.star_distance_to_identity(), 1);
     }
 
@@ -387,7 +370,7 @@ mod tests {
         // The last permutation of MAX_N symbols has rank MAX_N! − 1.
         for n in [9usize, 12, MAX_N] {
             let last: Vec<u8> = (0..n as u8).rev().collect();
-            let p = Perm::from_slice(&last);
+            let p = from_slice(&last);
             assert_eq!(p.rank(), factorial(n) - 1);
             assert_eq!(Perm::unrank(n, p.rank()), p);
         }

@@ -123,15 +123,6 @@ where
     Summary::of(&par_trial_values(trials, f))
 }
 
-/// Mean of `f(seed)` over seeds `0..trials`, computed in parallel.
-pub fn par_mean<F>(trials: u64, f: F) -> f64
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    let values = par_trial_values(trials, f);
-    values.iter().sum::<f64>() / values.len().max(1) as f64
-}
-
 /// Percentile by the nearest-rank method on pre-sorted data.
 fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
@@ -339,7 +330,8 @@ mod tests {
         let s = par_summary(10, |seed| seed as f64);
         assert_eq!(s.count, 10);
         assert!((s.mean - 4.5).abs() < 1e-12);
-        assert!((par_mean(10, |seed| seed as f64) - 4.5).abs() < 1e-12);
+        let values = par_trial_values(10, |seed| seed as f64);
+        assert!((values.iter().sum::<f64>() / 10.0 - s.mean).abs() < 1e-12);
     }
 
     #[test]

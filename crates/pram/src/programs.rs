@@ -847,8 +847,6 @@ mod tests {
     use crate::machine::PramMachine;
     use crate::model::{AccessMode, WritePolicy};
     use lnpram_math::rng::SeedSeq;
-    use rand::seq::SliceRandom;
-    use rand::Rng;
 
     fn run<P: PramProgram>(
         prog: &mut P,
@@ -892,7 +890,7 @@ mod tests {
         for n in [1usize, 2, 5, 16, 40] {
             // Random list: random order of nodes chained together.
             let mut order: Vec<usize> = (0..n).collect();
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             let mut succ = vec![0usize; n];
             for w in order.windows(2) {
                 succ[w[0]] = w[1];
@@ -1028,7 +1026,7 @@ mod tests {
     fn permutation_traffic_is_erew() {
         let mut rng = SeedSeq::new(6).rng();
         let mut perm: Vec<usize> = (0..64).collect();
-        perm.shuffle(&mut rng);
+        rng.shuffle(&mut perm);
         let mut prog = PermutationTraffic::new(perm, 4);
         let (_m, rep) = run(&mut prog, AccessMode::Erew);
         assert!(rep.violations.is_empty(), "{:?}", rep.violations);

@@ -23,7 +23,6 @@ use lnpram_math::rng::SeedSeq;
 use lnpram_shard::{AnyEngine, LevelCut};
 use lnpram_simnet::{Outbox, Packet, Protocol, Shardable, SimConfig};
 use lnpram_topology::leveled::{Leveled, LeveledNet};
-use rand::Rng;
 
 /// The 2ℓ-level unrolling of an ℓ-level leveled network: levels `ℓ..2ℓ`
 /// repeat levels `0..ℓ` (the last column feeds back into the first). A

@@ -12,12 +12,11 @@
 //! workload where all `n′` packets start at one end (the worst case the
 //! bound is tight for).
 
-use lnpram_math::rng::SeedSeq;
+use lnpram_math::rng::{Rng, SeedSeq};
 use lnpram_shard::{AnyEngine, RowBlock};
 use lnpram_simnet::{Discipline, Metrics, Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::mesh::Dir;
 use lnpram_topology::Mesh;
-use rand::Rng;
 
 /// Per-node program: move left/right toward the destination; priority is
 /// the remaining distance (furthest-destination-first).
@@ -87,7 +86,7 @@ pub fn route_linear_random_dests(
     // gives the minimum-surface cut.
     let mut eng = AnyEngine::with_partitioner(&array, cfg, &RowBlock::new(1));
     let mut id = 0u32;
-    let mut inject = |eng: &mut AnyEngine, src: usize, rng: &mut rand::rngs::StdRng| {
+    let mut inject = |eng: &mut AnyEngine, src: usize, rng: &mut Rng| {
         let dest = rng.gen_range(0..n);
         eng.inject(src, Packet::new(id, src as u32, dest as u32));
         id += 1;

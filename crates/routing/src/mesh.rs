@@ -26,13 +26,11 @@
 //! degenerates every variant to deterministic dimension-order routing.
 
 use crate::router::{inject_per_source, PatternRef, RouteBackend, RoutingSession, RunExtras};
-use lnpram_math::rng::SeedSeq;
+use lnpram_math::rng::{Rng, SeedSeq};
 use lnpram_shard::{AnyEngine, RowBlock};
 use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, Shardable, SimConfig};
 use lnpram_topology::mesh::Dir;
 use lnpram_topology::{Mesh, Network};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Which mesh routing algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,10 +218,10 @@ impl MeshBackend {
     /// One packet's `via`/`via2` draws — shared by every injection path
     /// so explicit-map and random-pattern requests randomize
     /// identically.
-    pub(crate) fn draw_vias(&self, src: usize, dest: usize, rng: &mut StdRng) -> (usize, u32) {
+    pub(crate) fn draw_vias(&self, src: usize, dest: usize, rng: &mut Rng) -> (usize, u32) {
         let mesh = self.mesh;
         let (r, c) = mesh.coords(src);
-        let slice_via = |slice_rows: usize, rng: &mut StdRng| {
+        let slice_via = |slice_rows: usize, rng: &mut Rng| {
             // random row within this node's horizontal slice, same col
             let lo = r - r % slice_rows;
             let hi = (lo + slice_rows).min(mesh.rows());

@@ -28,7 +28,6 @@
 //! steps — this is where the paper's "constant ≈ 100" comes from.
 
 use lnpram_math::rng::SeedSeq;
-use rand::Rng;
 use std::collections::VecDeque;
 
 /// Sort key of a request: (destination row, address within module).

@@ -24,7 +24,7 @@
 use crate::fault::{FaultReport, LostPacket};
 use crate::retry::RetryPolicy;
 use crate::workloads;
-use lnpram_math::rng::SeedSeq;
+use lnpram_math::rng::{Rng, SeedSeq};
 use lnpram_shard::AnyEngine;
 use lnpram_simnet::fault::{FaultError, FaultPlan};
 use lnpram_simnet::trace::TraceSink;
@@ -934,7 +934,7 @@ pub fn inject_per_source(
     sources: usize,
     (pattern, seq, tag): (PatternRef<'_>, SeedSeq, u64),
     node_of: &mut dyn FnMut(usize) -> usize,
-    randomized: &mut dyn FnMut(&mut Packet, &mut rand::rngs::StdRng),
+    randomized: &mut dyn FnMut(&mut Packet, &mut Rng),
     direct: &mut dyn FnMut(&mut Packet),
 ) -> usize {
     let mut rng = seq.child(1).rng();
@@ -1003,8 +1003,6 @@ mod tests {
         use lnpram_topology::leveled::RadixButterfly;
         use lnpram_topology::{Mesh, StarGraph};
         use proptest::prelude::*;
-        use rand::rngs::StdRng;
-        use rand::Rng;
 
         /// A random dense map over `sources`: about a third of the
         /// sources empty, destinations drawn from a quarter of the range
@@ -1038,7 +1036,7 @@ mod tests {
             relation: &[Vec<usize>],
             seed: u64,
             tag: u64,
-            mut draw: impl FnMut(&B, &mut Packet, &mut StdRng),
+            mut draw: impl FnMut(&B, &mut Packet, &mut Rng),
         ) -> Result<(), TestCaseError> {
             let mut eng = backend.build_engine(1, &SimConfig::default());
             let req = RouteRequest::relation_map(relation.to_vec(), seed);

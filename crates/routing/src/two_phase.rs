@@ -20,7 +20,6 @@ use lnpram_math::rng::SeedSeq;
 use lnpram_shard::AnyEngine;
 use lnpram_simnet::{Outbox, Packet, Protocol, Shardable, SimConfig};
 use lnpram_topology::{CubeConnectedCycles, Network, StarTable};
-use rand::Rng;
 
 /// A topology the two-phase scheme runs on as is.
 pub trait TwoPhase: Network {

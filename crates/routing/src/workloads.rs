@@ -5,15 +5,14 @@
 //! routing; §3 (Theorem 3.3) additionally needs locality-bounded patterns
 //! where every request travels at most distance `d`.
 
+use lnpram_math::rng::Rng;
 use lnpram_topology::{Mesh, Network};
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// A uniformly random permutation destination map: `dests[i]` is the
 /// destination of the packet originating at node `i`.
-pub fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> {
+pub fn random_permutation(n: usize, rng: &mut Rng) -> Vec<usize> {
     let mut dests: Vec<usize> = (0..n).collect();
-    dests.shuffle(rng);
+    rng.shuffle(&mut dests);
     dests
 }
 
@@ -24,7 +23,7 @@ pub fn random_permutation<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> 
 ///
 /// Returns the packets' `(src, dest)` pairs, source ascending, and a
 /// source's `h` destinations in permutation order.
-pub fn h_relation<R: Rng + ?Sized>(n: usize, h: usize, rng: &mut R) -> Vec<(usize, usize)> {
+pub fn h_relation(n: usize, h: usize, rng: &mut Rng) -> Vec<(usize, usize)> {
     let perms: Vec<Vec<usize>> = (0..h).map(|_| random_permutation(n, rng)).collect();
     (0..n)
         .flat_map(|src| perms.iter().map(move |perm| (src, perm[src])))
@@ -34,7 +33,7 @@ pub fn h_relation<R: Rng + ?Sized>(n: usize, h: usize, rng: &mut R) -> Vec<(usiz
 /// Many-one routing: every source picks an independent uniformly random
 /// destination (collisions allowed). The CRCW hot-spot experiments sharpen
 /// this to Zipf or single-cell patterns at the PRAM layer.
-pub fn many_one<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> {
+pub fn many_one(n: usize, rng: &mut Rng) -> Vec<usize> {
     (0..n).map(|_| rng.gen_range(0..n)).collect()
 }
 
@@ -45,7 +44,7 @@ pub fn many_one<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Vec<usize> {
 /// `p_hot = 0` this degrades to [`many_one`]; with `p_hot = 1` all
 /// traffic converges on the hot set — the router-level version of the
 /// CRCW hot-spot stressors.
-pub fn hot_spot<R: Rng + ?Sized>(n: usize, hot: &[usize], p_hot: f64, rng: &mut R) -> Vec<usize> {
+pub fn hot_spot(n: usize, hot: &[usize], p_hot: f64, rng: &mut Rng) -> Vec<usize> {
     assert!((0.0..=1.0).contains(&p_hot));
     assert!(
         !hot.is_empty() || p_hot == 0.0,
@@ -104,7 +103,7 @@ pub fn bit_reversal(n: usize) -> Vec<usize> {
 /// premise). Built by tiling the mesh into `⌈d/2⌉ × ⌈d/2⌉` blocks and
 /// permuting within each block (all block-internal moves have distance
 /// < d), so the bound holds by construction.
-pub fn local_permutation<R: Rng + ?Sized>(mesh: &Mesh, d: usize, rng: &mut R) -> Vec<usize> {
+pub fn local_permutation(mesh: &Mesh, d: usize, rng: &mut Rng) -> Vec<usize> {
     assert!(d >= 1);
     let block = d.div_ceil(2).max(1);
     let (rows, cols) = (mesh.rows(), mesh.cols());
@@ -119,7 +118,7 @@ pub fn local_permutation<R: Rng + ?Sized>(mesh: &Mesh, d: usize, rng: &mut R) ->
                 }
             }
             let mut perm = cells.clone();
-            perm.shuffle(rng);
+            rng.shuffle(&mut perm);
             for (i, &src) in cells.iter().enumerate() {
                 dests[src] = perm[i];
             }

@@ -1139,7 +1139,6 @@ mod tests {
             seed: u64,
             edits in 0usize..12,
         ) {
-            use rand::Rng;
             let mut rng = lnpram_math::rng::SeedSeq::new(seed).rng();
             let alphabet: Vec<char> = "{}\":, \t-+.e0123456789stepventadmi_é√".chars().collect();
             let mut line: Vec<char> = event(variant, 3, 1, 2, 4).to_json_line().chars().collect();

@@ -184,8 +184,8 @@ mod tests {
 
     #[test]
     fn perm_letters_examples() {
-        assert_eq!(perm_letters(&Perm::from_slice(&[0, 1, 2, 3])), "ABCD");
-        assert_eq!(perm_letters(&Perm::from_slice(&[3, 0, 2, 1])), "DACB");
+        assert_eq!(perm_letters(&Perm::identity(4)), "ABCD");
+        assert_eq!(perm_letters(&Perm::identity(4).swap(2).swap(4)), "DACB");
     }
 
     #[test]

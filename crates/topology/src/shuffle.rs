@@ -108,7 +108,6 @@ mod tests {
     use crate::graph::{bfs_distances, diameter, strongly_connected};
     use lnpram_math::rng::SeedSeq;
     use proptest::prelude::*;
-    use rand::Rng;
 
     #[test]
     fn figure4_two_way_shuffle() {

@@ -1075,7 +1075,6 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::Rng;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]

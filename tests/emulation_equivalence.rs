@@ -24,10 +24,9 @@ fn oracle_image<P: PramProgram>(mut prog: P, mode: AccessMode) -> Vec<u64> {
 }
 
 fn scrambled_list(n: usize, seed: u64) -> Vec<usize> {
-    use rand::seq::SliceRandom;
     let mut rng = SeedSeq::new(seed).rng();
     let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(&mut rng);
+    rng.shuffle(&mut order);
     let mut succ = vec![0usize; n];
     for w in order.windows(2) {
         succ[w[0]] = w[1];

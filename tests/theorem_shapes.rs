@@ -9,12 +9,13 @@ use lnpram::routing::{mesh::default_slice_rows, mesh_sort, workloads};
 use lnpram::simnet::SimConfig;
 
 /// Mean of `f(seed)` over seeded trials, fanned out across cores by the
-/// workspace trial-runner (`lnpram_math::stats::par_mean`; results are
-/// per-seed deterministic regardless of thread schedule). `LNPRAM_TRIALS`
-/// overrides the per-site trial count, so CI can throttle the
-/// statistics-heavy tests without touching the assertions.
+/// workspace trial-runner (`lnpram_math::stats::par_trial_values`; results
+/// are per-seed deterministic regardless of thread schedule).
+/// `LNPRAM_TRIALS` overrides the per-site trial count, so CI can throttle
+/// the statistics-heavy tests without touching the assertions.
 fn mean<F: Fn(u64) -> f64 + Sync>(trials: u64, f: F) -> f64 {
-    lnpram::math::stats::par_mean(lnpram_bench::trial_count(trials), f)
+    let values = lnpram::math::stats::par_trial_values(lnpram_bench::trial_count(trials), f);
+    values.iter().sum::<f64>() / values.len().max(1) as f64
 }
 
 #[test]
