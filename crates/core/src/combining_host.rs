@@ -24,8 +24,7 @@ use crate::emulator::{EmuHost, PhaseOutcome, Request};
 use crate::memory::{ModuleArray, ModuleRequest, ServedRead};
 use lnpram_math::rng::SeedSeq;
 use lnpram_pram::model::{AccessMode, WritePolicy};
-use lnpram_shard::AnyEngine;
-use lnpram_simnet::{Outbox, Packet, Protocol};
+use lnpram_simnet::{Engine, Outbox, Packet, Protocol};
 
 /// Where a request's trail runs at a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,12 +99,11 @@ pub struct CombiningHost<R> {
     route: R,
     tables: PendingTables,
     /// The request network's engine, built once and recycled every
-    /// attempt (serial or sharded per
-    /// [`EmulatorConfig::shards`](crate::EmulatorConfig::shards)).
-    engine: AnyEngine,
+    /// attempt.
+    engine: Engine,
     /// The reply network's engine, likewise; `None` when the request
     /// network is its own reply network.
-    reply_engine: Option<AnyEngine>,
+    reply_engine: Option<Engine>,
     combining: bool,
     /// `(value, proc)` of every request of the attempt being routed,
     /// indexed by packet id; en-route write merging folds into it.
@@ -156,8 +154,8 @@ impl<R: HostRoute> CombiningHost<R> {
     /// `reply_engine` (or on `engine` too).
     pub(crate) fn new(
         route: R,
-        engine: AnyEngine,
-        reply_engine: Option<AnyEngine>,
+        engine: Engine,
+        reply_engine: Option<Engine>,
         combining: bool,
     ) -> Self {
         CombiningHost {
@@ -539,34 +537,28 @@ mod tests {
 
     /// With combining on, every read of a cell after the first joins a
     /// pending entry on the way, so no `(module, key)` is served twice
-    /// in a step: on both combining hosts, serial and K = 2, hashed and
-    /// with three fixed copies per cell.
+    /// in a step: on both combining hosts, hashed and with three fixed
+    /// copies per cell.
     #[test]
     fn combining_serves_each_cell_once_per_step() {
-        for shards in [0, 2] {
-            for copies in [1, 3] {
-                let cfg = EmulatorConfig {
-                    shards,
-                    ..EmulatorConfig::default()
-                };
-                let mut star = StarPramEmulator::new(4, MODE, 12, cfg.clone());
-                let mut leveled =
-                    LeveledPramEmulator::new(RadixButterfly::new(2, 4), MODE, 12, cfg);
-                if copies > 1 {
-                    star = star.with_copies(copies).expect("odd copy count");
-                    leveled = leveled.with_copies(copies).expect("odd copy count");
-                }
-                for seed in 0..3 {
-                    let case = format!("shards {shards}, copies {copies}, seed {seed}");
-                    for mut cells in [
-                        served_cells(&mut star, seed),
-                        served_cells(&mut leveled, seed),
-                    ] {
-                        let served = cells.len();
-                        cells.sort_unstable();
-                        cells.dedup();
-                        assert_eq!(cells.len(), served, "{case}: uncombined read");
-                    }
+        for copies in [1, 3] {
+            let cfg = EmulatorConfig::default();
+            let mut star = StarPramEmulator::new(4, MODE, 12, cfg.clone());
+            let mut leveled = LeveledPramEmulator::new(RadixButterfly::new(2, 4), MODE, 12, cfg);
+            if copies > 1 {
+                star = star.with_copies(copies).expect("odd copy count");
+                leveled = leveled.with_copies(copies).expect("odd copy count");
+            }
+            for seed in 0..3 {
+                let case = format!("copies {copies}, seed {seed}");
+                for mut cells in [
+                    served_cells(&mut star, seed),
+                    served_cells(&mut leveled, seed),
+                ] {
+                    let served = cells.len();
+                    cells.sort_unstable();
+                    cells.dedup();
+                    assert_eq!(cells.len(), served, "{case}: uncombined read");
                 }
             }
         }

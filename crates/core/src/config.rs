@@ -26,13 +26,6 @@ pub struct EmulatorConfig {
     pub combining: bool,
     /// Seed for hash sampling and routing randomness.
     pub seed: u64,
-    /// Partition the routing engines into this many shards
-    /// (`lnpram-shard`): `0`/`1` = single serial engine, `≥ 2` = the
-    /// lockstep sharded path, clamped to `lnpram-shard`'s `MAX_SHARDS`
-    /// (15). Results are bit-identical either way (the sharded
-    /// determinism contract); the knob only changes how the network
-    /// simulation scales. Honoured by the leveled, star and mesh hosts.
-    pub shards: usize,
 }
 
 impl Default for EmulatorConfig {
@@ -43,7 +36,6 @@ impl Default for EmulatorConfig {
             max_rehashes: 8,
             combining: true,
             seed: 0,
-            shards: 0,
         }
     }
 }

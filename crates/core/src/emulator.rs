@@ -123,9 +123,8 @@ impl PhaseOutcome {
 /// indexes the step's [`Request`] list and its `tag` is the storage key
 /// (hosts whose protocols treat writes differently en route flag them
 /// with `hop == 1`); a reply packet's `id` indexes the served reads.
-/// Every phase is one `AnyEngine::run`, the sharded engine's central
-/// loop on the calling thread, because the hosts' protocols keep
-/// cross-node state.
+/// Every phase is one `Engine::run` on the host's serial engine; the
+/// hosts' protocols keep cross-node state.
 pub trait EmuHost {
     /// Number of processors (= memory modules).
     fn processors(&self) -> usize;

@@ -25,8 +25,7 @@ use crate::emulator::PramEmulator;
 use lnpram_pram::model::AccessMode;
 use lnpram_routing::leveled::UniversalLeveledRouter;
 use lnpram_routing::DoubledLeveled;
-use lnpram_shard::{AnyEngine, LevelCut};
-use lnpram_simnet::{Outbox, Packet, Protocol, SimConfig};
+use lnpram_simnet::{Engine, Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::leveled::{Leveled, LeveledNet};
 use lnpram_topology::Network;
 
@@ -57,18 +56,10 @@ impl<L: Leveled + Copy> LeveledPramEmulator<L> {
         };
         // Engines are built once here and recycled with `reset` for
         // every attempt of every PRAM step: a T-step emulation builds
-        // its per-link state once instead of T times. With
-        // `cfg.shards ≥ 2` both phases run on the partitioned lockstep
-        // path, column bands cut by `LevelCut` (bit-identical outcomes —
-        // the lnpram-shard determinism contract).
-        let part = LevelCut::new(inner.width());
-        // FIFO queues, which Theorems 2.1/2.4 assume.
-        let sim = SimConfig {
-            shards: cfg.shards,
-            ..Default::default()
-        };
-        let requests = AnyEngine::with_partitioner(&route.fwd, sim.clone(), &part);
-        let replies = AnyEngine::with_partitioner(&route.bwd, sim, &part);
+        // its per-link state once instead of T times. FIFO queues,
+        // which Theorems 2.1/2.4 assume.
+        let requests = Engine::new(&route.fwd, SimConfig::default());
+        let replies = Engine::new(&route.bwd, SimConfig::default());
         let host = CombiningHost::new(route, requests, Some(replies), cfg.combining);
         PramEmulator::with_host(host, mode, address_space, cfg)
     }

@@ -31,12 +31,9 @@ use crate::emulator::{AddressMap, EmuHost, PhaseOutcome, PramEmulator, Request};
 use crate::memory::{ModuleArray, ModuleRequest, ServedRead};
 use lnpram_math::rng::{Rng, SeedSeq};
 use lnpram_pram::model::AccessMode;
-use lnpram_routing::mesh::{
-    default_block_rows, default_slice_rows, mesh_engine, MeshAlgorithm, MeshRouter,
-};
-use lnpram_shard::AnyEngine;
+use lnpram_routing::mesh::{default_block_rows, default_slice_rows, MeshAlgorithm, MeshRouter};
 use lnpram_simnet::packet::NO_NODE;
-use lnpram_simnet::{Discipline, Outbox, Packet, Protocol, SimConfig};
+use lnpram_simnet::{Discipline, Engine, Outbox, Packet, Protocol, SimConfig};
 use lnpram_topology::{Mesh, Network};
 use std::fmt;
 
@@ -49,9 +46,8 @@ pub struct MeshHost {
     /// refinement); `None` uses the plain three-stage algorithm.
     block_rows: Option<usize>,
     /// One persistent engine serves both routing phases (same mesh, same
-    /// discipline); recycled with `reset` per phase. Serial or sharded
-    /// into row bands per [`EmulatorConfig::shards`].
-    engine: AnyEngine,
+    /// discipline); recycled with `reset` per phase.
+    engine: Engine,
 }
 
 /// The PRAM emulator on the n×n mesh (Theorems 3.2/3.3).
@@ -83,17 +79,9 @@ impl MeshPramEmulator {
     /// Hashed-mapping emulator on an `n×n` mesh for `address_space` cells.
     pub fn new(n: usize, mode: AccessMode, address_space: u64, cfg: EmulatorConfig) -> Self {
         let mesh = Mesh::square(n);
-        // Same construction as `MeshRoutingSession` (row bands on the
-        // sharded path), built once and recycled per phase. The
-        // three-stage algorithm requires furthest-destination-first.
-        let engine = mesh_engine(
-            &mesh,
-            SimConfig {
-                discipline: Discipline::FurthestFirst,
-                shards: cfg.shards,
-                ..Default::default()
-            },
-        );
+        // Built once and recycled per phase. The three-stage algorithm
+        // requires furthest-destination-first.
+        let engine = Engine::new(&mesh, SimConfig::with_discipline(Discipline::FurthestFirst));
         let host = MeshHost {
             mesh,
             slice_rows: default_slice_rows(n),

@@ -42,8 +42,8 @@ use crate::combining_host::{CombiningHost, HostRoute, Trail};
 use crate::config::EmulatorConfig;
 use crate::emulator::PramEmulator;
 use lnpram_pram::model::AccessMode;
-use lnpram_routing::star::{star_table_engine, StarRouter};
-use lnpram_simnet::{Outbox, Packet, SimConfig};
+use lnpram_routing::star::StarRouter;
+use lnpram_simnet::{Engine, Outbox, Packet, SimConfig};
 use lnpram_topology::{Network, StarGraph, StarTable};
 
 /// The PRAM emulator on the n-star graph (Corollaries 2.3/2.5).
@@ -53,16 +53,9 @@ impl StarPramEmulator {
     /// Emulator on the n-star for programs over `address_space` cells.
     pub fn new(n: usize, mode: AccessMode, address_space: u64, cfg: EmulatorConfig) -> Self {
         let table = StarTable::new(StarGraph::new(n));
-        // Same construction as `StarRoutingSession` (FIFO queues, as
-        // Theorems 2.1/2.4 assume), built once and recycled per phase:
-        // the star is its own reply network.
-        let engine = star_table_engine(
-            &table,
-            SimConfig {
-                shards: cfg.shards,
-                ..Default::default()
-            },
-        );
+        // FIFO queues, as Theorems 2.1/2.4 assume, built once and
+        // recycled per phase: the star is its own reply network.
+        let engine = Engine::new(&table, SimConfig::default());
         let host = CombiningHost::new(table, engine, None, cfg.combining);
         PramEmulator::with_host(host, mode, address_space, cfg)
     }

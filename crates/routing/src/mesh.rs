@@ -185,9 +185,8 @@ pub fn canonical_discipline(alg: MeshAlgorithm) -> Discipline {
 
 /// Build the mesh's simulation engine — serial or sharded (row bands,
 /// so only vertical links between adjacent bands cross shards) per
-/// [`SimConfig::shards`]. The one construction shared by
-/// [`MeshRoutingSession`] and the mesh PRAM emulator, so every layer
-/// partitions the mesh the same way.
+/// [`SimConfig::shards`]. [`MeshRoutingSession`] builds its engine
+/// here, through its backend.
 pub fn mesh_engine(mesh: &Mesh, cfg: SimConfig) -> AnyEngine {
     AnyEngine::with_partitioner(mesh, cfg, &RowBlock::new(mesh.cols()))
 }

@@ -37,20 +37,12 @@ impl TwoPhase for StarTable {
     }
 }
 
-/// Build the star's simulation engine — serial or sharded (balanced
-/// node-id ranges: the star has no level/row structure to align a cut
-/// to) per [`SimConfig::shards`]. The one construction shared by
-/// [`StarRoutingSession`] and the star PRAM emulator, so every layer
-/// partitions the star the same way. Callers that keep a [`StarTable`]
-/// use [`star_table_engine`] and tabulate once.
+/// Build the star's simulation engine over its [`StarTable`] — serial
+/// or sharded (balanced node-id ranges: the star has no level/row
+/// structure to align a cut to) per [`SimConfig::shards`]. The same
+/// engine [`StarRoutingSession`] builds through its backend.
 pub fn star_engine(star: &StarGraph, cfg: SimConfig) -> AnyEngine {
-    star_table_engine(&StarTable::new(*star), cfg)
-}
-
-/// [`star_engine`] over an already-built table: the link build reads
-/// neighbour ids instead of ranking permutations.
-pub fn star_table_engine(table: &StarTable, cfg: SimConfig) -> AnyEngine {
-    AnyEngine::new(table, cfg)
+    AnyEngine::new(&StarTable::new(*star), cfg)
 }
 
 /// [`RouteBackend`](crate::RouteBackend) for Algorithm 2.2 on the
@@ -150,8 +142,9 @@ mod tests {
     fn via_equals_dest_edge_case() {
         // Force via == dest == src for every packet: everything delivers
         // at step 0.
-        let table = StarTable::new(StarGraph::new(4));
-        let mut eng = star_table_engine(&table, SimConfig::default());
+        let star = StarGraph::new(4);
+        let table = StarTable::new(star);
+        let mut eng = star_engine(&star, SimConfig::default());
         for v in 0..table.num_nodes() {
             eng.inject(
                 v,

@@ -1,12 +1,12 @@
 //! Runtime dispatch between the serial [`Engine`] and the
 //! [`ShardedEngine`], selected by [`SimConfig::shards`].
 //!
-//! Emulators and routing sessions build an [`AnyEngine`] instead of an
-//! `Engine`; `cfg.shards ≤ 1` keeps the single serial engine (zero
-//! overhead — a run dispatches once, not per step), `≥ 2` switches to
-//! the partitioned lockstep path. Two entries run a protocol:
-//! [`AnyEngine::run`] takes any [`Protocol`] and steps a sharded engine
-//! on the calling thread (the emulator hosts), and
+//! Routing sessions and serve build an [`AnyEngine`] instead of an
+//! `Engine` (the PRAM emulators hold a serial `Engine`); `cfg.shards ≤
+//! 1` keeps the single serial engine (zero overhead — a run dispatches
+//! once, not per step), `≥ 2` switches to the partitioned lockstep
+//! path. Two entries run a protocol: [`AnyEngine::run`] takes any
+//! [`Protocol`] and steps a sharded engine on the calling thread, and
 //! [`AnyEngine::run_split`] takes a [`Shardable`] one with an admission
 //! hook, and a sharded engine steps its shards on threads when the
 //! sink is disabled (every routing run and serve trace). Outcomes are bit-identical either way (the

@@ -30,9 +30,8 @@
 //!    the shard engine that owns its node ([`Engine::outbox`]);
 //!    deliveries are counted into the coordinator's metrics.
 //!
-//! This is the path of every protocol that keeps cross-node state in
-//! callback order: the emulator hosts' combining and module protocols,
-//! any protocol that is not [`Shardable`], and any run whose
+//! This is the path of every protocol that is not [`Shardable`] (one
+//! that keeps cross-node state in callback order) and of any run whose
 //! [`TraceSink`] is enabled.
 //!
 //! # Shard-local stepping on threads

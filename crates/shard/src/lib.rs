@@ -30,8 +30,8 @@
 //! * [`engine`] — the [`ShardedEngine`] lockstep coordinator and its
 //!   threaded loop.
 //! * [`any`] — [`AnyEngine`], the serial/sharded dispatch behind
-//!   [`SimConfig::shards`](lnpram_simnet::SimConfig) that the emulators
-//!   and routing sessions construct.
+//!   [`SimConfig::shards`](lnpram_simnet::SimConfig) that the routing
+//!   sessions and serve construct.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

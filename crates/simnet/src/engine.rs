@@ -95,17 +95,18 @@ pub struct SimConfig {
     pub record_link_loads: bool,
     /// Number of partitions for the sharded simulation subsystem
     /// (`lnpram-shard`). The `Engine` itself ignores this field: it is a
-    /// construction knob consumed by `AnyEngine::new` and the emulators —
-    /// `0` or `1` selects the single serial engine, `k ≥ 2` splits the
-    /// network into `k` shard engines stepped in lockstep. Routing and
-    /// serve runs (a [`Shardable`](crate::Shardable) protocol, no trace
-    /// sink) step the shards on scoped threads, one per shard up to the
-    /// cores available; the emulator hosts' stateful protocols and traced
-    /// runs step them on the calling thread. The outcome is bit-identical
-    /// to the serial engine's either way (pinned by the `lnpram-shard`
-    /// property tests). Values above `lnpram-shard`'s `MAX_SHARDS` (15,
-    /// the packed-coordinate cap) or above the node count of the network
-    /// being simulated are clamped.
+    /// construction knob consumed by `AnyEngine::new`, through which the
+    /// routing sessions and serve build (the PRAM emulators build a
+    /// serial `Engine` and never read it) — `0` or `1` selects the
+    /// single serial engine, `k ≥ 2` splits the network into `k` shard
+    /// engines stepped in lockstep. Routing and serve runs (a
+    /// [`Shardable`](crate::Shardable) protocol, no trace sink) step the
+    /// shards on scoped threads, one per shard up to the cores
+    /// available; traced runs step them on the calling thread. The
+    /// outcome is bit-identical to the serial engine's either way
+    /// (pinned by the `lnpram-shard` property tests). Values above
+    /// `lnpram-shard`'s `MAX_SHARDS` (15, the packed-coordinate cap) or
+    /// above the node count of the network being simulated are clamped.
     pub shards: usize,
 }
 

@@ -106,10 +106,9 @@ fn run<E: Emu, P: PramProgram>(
     oracle.run(&mut make(), 200_000);
     assert_eq!(image, oracle.memory(), "{name} on {host}");
     format!(
-        "host={host} prog={name} combining={} shards={} budget={} pram_steps={} net_steps={} \
+        "host={host} prog={name} combining={} budget={} pram_steps={} net_steps={} \
          combined={} max_queue={} rehashes={} remap_steps={} digest={:016x}",
         u8::from(cfg.combining),
-        cfg.shards,
         cfg.budget_factor,
         rep.pram_steps,
         rep.network_steps(),
@@ -177,10 +176,9 @@ fn four_programs<E: Emu>(
     ));
 }
 
-fn cfg(combining: bool, shards: usize) -> EmulatorConfig {
+fn cfg(combining: bool) -> EmulatorConfig {
     EmulatorConfig {
         combining,
-        shards,
         seed: 13,
         ..EmulatorConfig::default()
     }
@@ -192,7 +190,7 @@ fn tight() -> EmulatorConfig {
     EmulatorConfig {
         budget_factor: 1,
         max_rehashes: 12,
-        ..cfg(true, 0)
+        ..cfg(true)
     }
 }
 
@@ -201,53 +199,41 @@ fn all_runs() -> Vec<String> {
     let butterfly = RadixButterfly::new(2, 5);
     let shuffle = UnrolledShuffle::n_way(3);
     for combining in [true, false] {
-        for shards in [0usize, 2] {
-            let c = cfg(combining, shards);
-            four_programs(&mut lines, "butterfly(2,5)", 32, &c, &|m, s, c| {
-                LeveledPramEmulator::new(butterfly, m, s, c)
-            });
-            four_programs(&mut lines, "shuffle(3)", 27, &c, &|m, s, c| {
-                LeveledPramEmulator::new(shuffle, m, s, c)
-            });
-        }
+        let c = cfg(combining);
+        four_programs(&mut lines, "butterfly(2,5)", 32, &c, &|m, s, c| {
+            LeveledPramEmulator::new(butterfly, m, s, c)
+        });
+        four_programs(&mut lines, "shuffle(3)", 27, &c, &|m, s, c| {
+            LeveledPramEmulator::new(shuffle, m, s, c)
+        });
     }
     // The mesh host never combines: that axis stays at its default.
-    for shards in [0usize, 2] {
-        let c = cfg(true, shards);
-        four_programs(&mut lines, "mesh(6)", 36, &c, &|m, s, c| {
-            MeshPramEmulator::new(6, m, s, c)
-        });
-        // Direct map: the address space must fit the 36 nodes.
-        four_programs(&mut lines, "mesh(6,local=2)", 30, &c, &|m, s, c| {
-            MeshPramEmulator::new_local(6, m, s, 2, c).expect("30 cells fit the 6×6 mesh")
-        });
-        four_programs(&mut lines, "mesh(6,const-queue)", 36, &c, &|m, s, c| {
-            MeshPramEmulator::new(6, m, s, c).with_const_queue()
+    let c = cfg(true);
+    four_programs(&mut lines, "mesh(6)", 36, &c, &|m, s, c| {
+        MeshPramEmulator::new(6, m, s, c)
+    });
+    // Direct map: the address space must fit the 36 nodes.
+    four_programs(&mut lines, "mesh(6,local=2)", 30, &c, &|m, s, c| {
+        MeshPramEmulator::new_local(6, m, s, 2, c).expect("30 cells fit the 6×6 mesh")
+    });
+    four_programs(&mut lines, "mesh(6,const-queue)", 36, &c, &|m, s, c| {
+        MeshPramEmulator::new(6, m, s, c).with_const_queue()
+    });
+    // Replication is a placement: it runs on every host.
+    for copies in [1usize, 3] {
+        let host = format!("butterfly(2,5)x{copies}");
+        four_programs(&mut lines, &host, 32, &c, &|m, s, c| {
+            LeveledPramEmulator::new(butterfly, m, s, c)
+                .with_copies(copies)
+                .expect("an odd copy count up to 7")
         });
     }
-    // Replication is a placement: it runs on every host and honours
-    // `shards` as hashing does, so both shard counts print one digest.
-    let replicated = lines.len();
-    for shards in [0usize, 2] {
-        for copies in [1usize, 3] {
-            let host = format!("butterfly(2,5)x{copies}");
-            four_programs(&mut lines, &host, 32, &cfg(true, shards), &|m, s, c| {
-                LeveledPramEmulator::new(butterfly, m, s, c)
-                    .with_copies(copies)
-                    .expect("an odd copy count up to 7")
-            });
-        }
-    }
-    let (serial, sharded) = lines[replicated..].split_at(8);
-    for (serial, sharded) in serial.iter().zip(sharded) {
-        assert_eq!(serial.replace(" shards=0 ", " shards=2 "), *sharded);
-    }
-    four_programs(&mut lines, "star(4)x3", 24, &cfg(true, 0), &|m, s, c| {
+    four_programs(&mut lines, "star(4)x3", 24, &c, &|m, s, c| {
         StarPramEmulator::new(4, m, s, c)
             .with_copies(3)
             .expect("an odd copy count up to 7")
     });
-    four_programs(&mut lines, "mesh(6)x3", 36, &cfg(true, 0), &|m, s, c| {
+    four_programs(&mut lines, "mesh(6)x3", 36, &c, &|m, s, c| {
         MeshPramEmulator::new(6, m, s, c)
             .with_copies(3)
             .expect("an odd copy count up to 7")

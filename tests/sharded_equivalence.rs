@@ -1,8 +1,9 @@
 //! Cross-layer determinism pin for the sharded subsystem: flipping
 //! `shards` on the *public* entry points (routing sessions on every
-//! topology, the PRAM emulators) must not change a single observable —
-//! the sharded engine's bit-identity contract surfaces unchanged
-//! through every layer built on top of it.
+//! topology, serve) must not change a single observable — the sharded
+//! engine's bit-identity contract surfaces unchanged through every
+//! layer built on top of it. The PRAM emulators run on a serial
+//! `Engine` and take no shard count.
 
 use lnpram::math::rng::SeedSeq;
 use lnpram::prelude::*;
@@ -188,84 +189,6 @@ fn star_routing_identical_when_sharded() {
     }
 }
 
-#[test]
-fn leveled_emulator_identical_memory_and_timing_when_sharded() {
-    let inner = RadixButterfly::new(2, 4); // 16 processors
-    let run = |shards: usize| {
-        let values: Vec<u64> = (0..32).map(|i| (i * 19 + 3) % 97).collect();
-        let mut prog = ReductionMax::new(values);
-        let space = prog.address_space();
-        let mut emu = LeveledPramEmulator::new(
-            inner,
-            AccessMode::Erew,
-            space,
-            EmulatorConfig {
-                shards,
-                ..Default::default()
-            },
-        );
-        let report = emu.run_program(&mut prog, 10_000);
-        (
-            emu.memory_image(space),
-            report.network_steps(),
-            report.rehashes,
-            report.pram_steps,
-        )
-    };
-    assert_eq!(run(0), run(3));
-}
-
-#[test]
-fn mesh_emulator_identical_memory_and_timing_when_sharded() {
-    let run = |shards: usize| {
-        let values: Vec<u64> = (1..=16).collect();
-        let mut prog = PrefixSum::new(values);
-        let space = prog.address_space();
-        let mut emu = MeshPramEmulator::new(
-            4,
-            AccessMode::Erew,
-            space,
-            EmulatorConfig {
-                shards,
-                ..Default::default()
-            },
-        );
-        let report = emu.run_program(&mut prog, 10_000);
-        (emu.memory_image(space), report.network_steps())
-    };
-    assert_eq!(run(0), run(2));
-}
-
-#[test]
-fn crcw_combining_survives_sharding_bit_for_bit() {
-    // The hot-spot broadcast drives Ranade-style combining through the
-    // pending tables — the stateful-protocol case the centralized
-    // process phase exists for.
-    let inner = RadixButterfly::new(2, 4);
-    let run = |shards: usize| {
-        let mut prog = Broadcast::new(16, 2, 777);
-        let mut emu = LeveledPramEmulator::new(
-            inner,
-            AccessMode::Crew,
-            prog.address_space(),
-            EmulatorConfig {
-                shards,
-                ..Default::default()
-            },
-        );
-        let report = emu.run_program(&mut prog, 1000);
-        assert!(prog.verify(&emu.memory_image(17)));
-        (
-            emu.memory_image(17),
-            report.total_combined(),
-            report.network_steps(),
-        )
-    };
-    let serial = run(0);
-    assert!(serial.1 >= 15, "expected heavy combining");
-    assert_eq!(serial, run(4));
-}
-
 /// A serve report's whole observable outcome: the delivery schedule
 /// (every request's admission step and `TagMetrics`), the run's
 /// `Metrics` with its latency buckets, and the admission record.
@@ -399,34 +322,4 @@ fn threaded_serve_repeats_equal_serial() {
             }
         }
     }
-}
-
-/// The emulator hosts run their stateful protocols through
-/// `AnyEngine::run`, the sharded engine's central loop, so an emulator
-/// built with `EmulatorConfig { shards: 2, .. }` keeps the serial
-/// callback order: the star host at K = 2 computes the serial memory
-/// image in the serial number of network steps.
-#[test]
-fn star_emulator_at_two_shards_matches_serial() {
-    let run = |shards: usize| {
-        let values: Vec<u64> = (1..=24).collect();
-        let mut prog = PrefixSum::new(values);
-        let space = prog.address_space();
-        let mut emu = StarPramEmulator::new(
-            4,
-            AccessMode::Erew,
-            space,
-            EmulatorConfig {
-                shards,
-                ..Default::default()
-            },
-        );
-        let report = emu.run_program(&mut prog, 10_000);
-        (
-            emu.memory_image(space),
-            report.network_steps(),
-            report.rehashes,
-        )
-    };
-    assert_eq!(run(0), run(2));
 }

@@ -58,13 +58,11 @@ fn run<P: PramProgram>(
     mode: AccessMode,
     make: impl Fn() -> P,
     combining: bool,
-    shards: usize,
 ) -> String {
     let mut prog = make();
     let space = prog.address_space();
     let cfg = EmulatorConfig {
         combining,
-        shards,
         seed: 13,
         ..EmulatorConfig::default()
     };
@@ -75,7 +73,7 @@ fn run<P: PramProgram>(
     oracle.run(&mut make(), 200_000);
     assert_eq!(image, oracle.memory(), "{name} on the {n}-star");
     format!(
-        "n={n} prog={name} combining={} shards={shards} pram_steps={} net_steps={} combined={} \
+        "n={n} prog={name} combining={} pram_steps={} net_steps={} combined={} \
          max_queue={} rehashes={} digest={:016x}",
         u8::from(combining),
         rep.pram_steps,
@@ -104,42 +102,36 @@ fn all_runs() -> Vec<String> {
     for n in [4usize, 5] {
         let p: usize = (1..=n).product();
         for combining in [true, false] {
-            for shards in [0usize, 2] {
-                let perm = workloads::random_permutation(p, &mut SeedSeq::new(n as u64).rng());
-                lines.push(run(
-                    n,
-                    "erew_permutation",
-                    AccessMode::Erew,
-                    || PermutationTraffic::new(perm.clone(), 3),
-                    combining,
-                    shards,
-                ));
-                lines.push(run(
-                    n,
-                    "crew_broadcast",
-                    AccessMode::Crew,
-                    || Broadcast::new(p, 2, 31),
-                    combining,
-                    shards,
-                ));
-                let v = p / 3;
-                lines.push(run(
-                    n,
-                    "crcw_max_components",
-                    AccessMode::Crcw(WritePolicy::Max),
-                    || ConnectedComponents::new(v, random_edges(v, 0xC0FFEE + n as u64)),
-                    combining,
-                    shards,
-                ));
-                lines.push(run(
-                    n,
-                    "crcw_sum_histogram",
-                    AccessMode::Crcw(WritePolicy::Sum),
-                    || Histogram::new((0..p as u64).map(|i| (i * 7 + 1) % 5).collect(), 5),
-                    combining,
-                    shards,
-                ));
-            }
+            let perm = workloads::random_permutation(p, &mut SeedSeq::new(n as u64).rng());
+            lines.push(run(
+                n,
+                "erew_permutation",
+                AccessMode::Erew,
+                || PermutationTraffic::new(perm.clone(), 3),
+                combining,
+            ));
+            lines.push(run(
+                n,
+                "crew_broadcast",
+                AccessMode::Crew,
+                || Broadcast::new(p, 2, 31),
+                combining,
+            ));
+            let v = p / 3;
+            lines.push(run(
+                n,
+                "crcw_max_components",
+                AccessMode::Crcw(WritePolicy::Max),
+                || ConnectedComponents::new(v, random_edges(v, 0xC0FFEE + n as u64)),
+                combining,
+            ));
+            lines.push(run(
+                n,
+                "crcw_sum_histogram",
+                AccessMode::Crcw(WritePolicy::Sum),
+                || Histogram::new((0..p as u64).map(|i| (i * 7 + 1) % 5).collect(), 5),
+                combining,
+            ));
         }
     }
     lines
