@@ -8,8 +8,12 @@
 //!   stamping its id into `via2`, or join a live entry for the same key
 //!   and go no further (footnote 3). Where the host merges writes, a
 //!   write folds into the first same-key write to reach its node in its
-//!   step, short of the module. The module buffers what reaches it.
-//!   Every other hop is the host's router's.
+//!   step, short of the module. The module buffers what reaches it, and
+//!   its queue combines too: under a merging policy with combining on,
+//!   a write that reaches its module folds into the write of its key
+//!   already buffered there, at whatever step it arrives
+//!   ([`ModuleArray::fold_write`]). Every other hop is the host's
+//!   router's.
 //! * **Replies** (`Unwind`) retrace the request trees from the
 //!   modules along the recorded direction bits, fanning out at every
 //!   combining point and answering a node's own processor where it
@@ -81,8 +85,10 @@ pub trait HostRoute {
 
     /// Do a step's same-address writes merge at `node`? The host names
     /// where paths converge; the request protocol adds the guard that
-    /// no write merges where it reaches its module, whose buffer holds
-    /// each write's value from the moment it arrives.
+    /// no write merges into a representative where it reaches its
+    /// module: the module's buffer holds each write's value from the
+    /// moment it arrives, so there the write folds into the buffered
+    /// write of its key instead, on every host.
     fn merges_writes_at(&self, _node: usize) -> bool {
         false
     }
@@ -119,8 +125,9 @@ pub struct CombiningHost<R> {
 /// only the node's entries of the current step, at most its in-degree.
 /// The leveled hosts size the heads up to their last merge column, the
 /// star to every node; a host that merges no writes never sizes them.
-/// The module guard is [`CombiningRequest`]'s, so no host can merge
-/// without it.
+/// Representatives keep their values in `writes`, the modules theirs in
+/// their buffers; the module guard is [`CombiningRequest`]'s, so no host
+/// can fold a write into a representative at its module.
 #[derive(Debug, Default)]
 struct WriteReps {
     /// Request phases begun.
@@ -278,8 +285,9 @@ impl<R: HostRoute> EmuHost for CombiningHost<R> {
 /// The request protocol: a read registers or joins a pending entry and
 /// carries, in `via2`, the id of the entry it left at the previous node;
 /// a write folds into an earlier same-key write of its node and step
-/// where the host merges writes, short of its module; at the module
-/// every request is buffered; every other hop is the host's.
+/// where the host merges writes, short of its module; at the module a
+/// read is buffered, and a write folds into the buffered write of its
+/// key where writes merge or is buffered; every other hop is the host's.
 struct CombiningRequest<'a, R> {
     route: &'a R,
     tables: &'a mut PendingTables,
@@ -287,7 +295,8 @@ struct CombiningRequest<'a, R> {
     writes: &'a mut [(u64, usize)],
     reps: &'a mut WriteReps,
     combining: bool,
-    /// Same-step write merges performed (footnote 3 applied to writes).
+    /// Write merges performed (footnote 3 applied to writes): same-step
+    /// merges en route and folds in a module's queue.
     write_merges: u32,
 }
 
@@ -297,7 +306,7 @@ struct CombiningRequest<'a, R> {
 /// minimum processor (Priority, and our deterministic Arbitrary). Common
 /// must see every writer to detect mismatches; EREW/CREW writes are
 /// conflicts the modules must observe.
-fn mergeable_policy(mode: AccessMode) -> Option<WritePolicy> {
+pub(crate) fn mergeable_policy(mode: AccessMode) -> Option<WritePolicy> {
     use WritePolicy::{Arbitrary, Max, Priority, Sum};
     match mode {
         AccessMode::Crcw(p @ (Sum | Max | Priority | Arbitrary)) => Some(p),
@@ -307,10 +316,10 @@ fn mergeable_policy(mode: AccessMode) -> Option<WritePolicy> {
 
 /// Merge `(value, proc)` pairs under `policy` (the en-route version of
 /// [`resolve_write`](lnpram_pram::machine::resolve_write), restricted to
-/// the associative policies).
-fn merge(policy: WritePolicy, acc: (u64, usize), next: (u64, usize)) -> (u64, usize) {
+/// the associative policies). Sum wraps, as `resolve_write`'s does.
+pub(crate) fn merge(policy: WritePolicy, acc: (u64, usize), next: (u64, usize)) -> (u64, usize) {
     match policy {
-        WritePolicy::Sum => (acc.0 + next.0, acc.1.min(next.1)),
+        WritePolicy::Sum => (acc.0.wrapping_add(next.0), acc.1.min(next.1)),
         WritePolicy::Max => (acc.0.max(next.0), acc.1.min(next.1)),
         // Priority / deterministic Arbitrary: lowest processor's value.
         _ => std::cmp::min_by_key(acc, next, |&(_, proc)| proc),
@@ -326,16 +335,15 @@ impl<R: HostRoute> Protocol for CombiningRequest<'_, R> {
         let key = pkt.tag;
         let read = pkt.hop == 0;
         let trail = self.route.trail(node, &mut pkt);
+        let module = self.route.module_at(node, &pkt);
+        let policy = mergeable_policy(self.modules.mode()).filter(|_| self.combining && !read);
         // Footnote 3 for writes: a write folds into the first one of its
         // address to reach this node this step, on the lowest in-link.
-        // Not at its module, which has buffered that first one's value.
-        let merges = |_: &_| {
-            self.combining
-                && !read
-                && self.route.merges_writes_at(node)
-                && self.route.module_at(node, &pkt).is_none()
-        };
-        if let Some(policy) = mergeable_policy(self.modules.mode()).filter(merges) {
+        // Not at its module, whose buffer holds the first one's value:
+        // there it folds into that buffer, below, never into a
+        // representative.
+        let merges = |_: &_| module.is_none() && self.route.merges_writes_at(node);
+        if let Some(policy) = policy.filter(merges) {
             if let Some(rep) = self.reps.find_or_insert(node, step, key, pkt.id) {
                 self.writes[rep] = merge(policy, self.writes[rep], self.writes[pkt.id as usize]);
                 self.write_merges += 1;
@@ -365,14 +373,24 @@ impl<R: HostRoute> Protocol for CombiningRequest<'_, R> {
             };
             pkt.via2 = entry.0;
         }
-        if let Some(module) = self.route.module_at(node, &pkt) {
-            let buffered = if read {
-                ModuleRequest::Read { key, tag: pkt.via2 }
-            } else {
-                let (value, proc) = self.writes[pkt.id as usize];
-                ModuleRequest::Write { key, value, proc }
+        if let Some(module) = module {
+            let (value, proc) = self.writes[pkt.id as usize];
+            // The module's queue combines too: a write folds into the
+            // buffered write of its key, at whatever step it arrives.
+            let fold = |policy| {
+                let merge = |acc, next| merge(policy, acc, next);
+                self.modules.fold_write(module, key, value, proc, merge)
             };
-            self.modules.buffer(module, buffered);
+            if policy.is_some_and(fold) {
+                self.write_merges += 1;
+            } else {
+                let buffered = if read {
+                    ModuleRequest::Read { key, tag: pkt.via2 }
+                } else {
+                    ModuleRequest::Write { key, value, proc }
+                };
+                self.modules.buffer(module, buffered);
+            }
             out.deliver(pkt);
             return;
         }
@@ -436,7 +454,7 @@ impl Protocol for Unwind<'_> {
 mod tests {
     use crate::combining::TableWork;
     use crate::emulator::{EmuHost, PramEmulator};
-    use crate::memory::ModuleArray;
+    use crate::memory::{ModuleArray, ModuleRequest};
     use crate::{EmulatorConfig, LeveledPramEmulator, StarPramEmulator};
     use lnpram_math::rng::{splitmix64, SeedSeq};
     use lnpram_pram::machine::PramMachine;
@@ -460,7 +478,10 @@ mod tests {
     /// or find entries shows here, with no timing involved. The star case
     /// is `emulate_star`'s program shape (40 vertices, 40 edges, 120
     /// processors); entries opened, keys joined and requests absorbed
-    /// are the simulation's, arena cells the layout's.
+    /// are the simulation's, arena cells the layout's. On the star the
+    /// program's service steps, write merges and network steps are
+    /// pinned too, so a write that stops folding at its module or en
+    /// route fails here.
     #[test]
     fn table_work_over_a_program_is_pinned() {
         let mut prog = components(40, 40, 7);
@@ -472,6 +493,11 @@ mod tests {
         let mut star = StarPramEmulator::new(5, MODE, space, cfg.clone());
         let report = star.run_program(&mut prog, 10_000);
         assert!(prog.verify(&star.memory_image(space)));
+        let service: u64 = report
+            .steps
+            .iter()
+            .map(|s| u64::from(s.service_steps))
+            .sum();
         assert_eq!(
             (report.pram_steps, star.host.table_work()),
             (
@@ -484,6 +510,11 @@ mod tests {
                 }
             ),
             "star(5)"
+        );
+        assert_eq!(
+            (service, report.total_write_merges(), report.network_steps()),
+            (321, 3_200, 2_501),
+            "star(5): service steps, write merges, network steps"
         );
 
         let mut prog = components(6, 5, 4);
@@ -564,6 +595,87 @@ mod tests {
         }
     }
 
+    /// The `(module, key)` of every write buffered after one request
+    /// phase of `mode` writes, most of them to 4 hot cells, among spread
+    /// reads, drawn from `seed`; and the write requests issued.
+    fn buffered_writes<H: EmuHost>(
+        emu: &mut PramEmulator<H>,
+        mode: AccessMode,
+        seed: u64,
+    ) -> (Vec<(usize, u64)>, usize) {
+        let procs = emu.processors();
+        let mut rng = SeedSeq::new(seed).rng();
+        let ops: Vec<MemOp> = (0..procs)
+            .map(|q| match rng.gen_range(0u8..4) {
+                0 => MemOp::Read(rng.gen_range(0..12)),
+                1 => MemOp::Write(rng.gen_range(0..12), q as u64),
+                _ => MemOp::Write(rng.gen_range(0..4), q as u64),
+            })
+            .collect();
+        let mut requests = Vec::new();
+        emu.map.issue(&ops, procs, &mut emu.homes, &mut requests);
+        let mut modules = ModuleArray::new(procs, mode);
+        let budget = 16 * emu.host.phase_bound() as u32;
+        let seq = SeedSeq::new(seed);
+        let phase = emu
+            .host
+            .route_requests(&requests, &mut modules, budget, seq);
+        phase.expect("request phase within budget");
+        let writes = (0..procs).flat_map(|module| {
+            modules
+                .batch(module)
+                .iter()
+                .filter_map(move |req| match *req {
+                    ModuleRequest::Write { key, .. } => Some((module, key)),
+                    ModuleRequest::Read { .. } => None,
+                })
+        });
+        let issued = requests.iter().filter(|r| r.write.is_some()).count();
+        (writes.collect(), issued)
+    }
+
+    /// The module's queue combines writes: under Sum and Max with
+    /// combining on, a write that reaches its module folds into the
+    /// write of its key already buffered there, so no batch holds two
+    /// writes to one key. Under Common nothing folds, en route or at the
+    /// module, since a fold would hide a mismatch: every writer is
+    /// buffered. On both combining hosts, hashed and with three fixed
+    /// copies per cell.
+    #[test]
+    fn module_queues_fold_writes_of_one_key() {
+        let common = AccessMode::Crcw(WritePolicy::Common);
+        let modes = [WritePolicy::Sum, WritePolicy::Max].map(AccessMode::Crcw);
+        for copies in [1, 3] {
+            for mode in modes.into_iter().chain([common]) {
+                let cfg = EmulatorConfig::default();
+                let mut star = StarPramEmulator::new(4, mode, 12, cfg.clone());
+                let net = RadixButterfly::new(2, 4);
+                let mut leveled = LeveledPramEmulator::new(net, mode, 12, cfg);
+                if copies > 1 {
+                    star = star.with_copies(copies).expect("odd copy count");
+                    leveled = leveled.with_copies(copies).expect("odd copy count");
+                }
+                for seed in 0..3 {
+                    let case = format!("{mode:?}, copies {copies}, seed {seed}");
+                    for (mut writes, issued) in [
+                        buffered_writes(&mut star, mode, seed),
+                        buffered_writes(&mut leveled, mode, seed),
+                    ] {
+                        let buffered = writes.len();
+                        if mode == common {
+                            assert_eq!(buffered, issued, "{case}: a Common writer folded");
+                            continue;
+                        }
+                        writes.sort_unstable();
+                        writes.dedup();
+                        assert_eq!(writes.len(), buffered, "{case}: unfolded write");
+                        assert!(buffered < issued, "{case}: no write folded");
+                    }
+                }
+            }
+        }
+    }
+
     /// `make()`'s program on the `n`-star with combining on and `copies`
     /// copies per cell: its memory image against the reference PRAM's,
     /// and the writes merged en route.
@@ -588,10 +700,12 @@ mod tests {
 
     /// The star merges same-address writes at every node, so some meet
     /// at their module, which buffered the first one's value on arrival:
-    /// a write folded into it there would be lost. The request protocol
-    /// merges no write at its module, so CRCW-Sum histograms and CRCW-Max
-    /// components leave the reference PRAM's memory image, hashed and
-    /// with three copies per cell, while writes do merge on the way.
+    /// a write folded into that representative there would be lost. The
+    /// request protocol merges no write into a representative at its
+    /// module, only into the module's buffered write, so CRCW-Sum
+    /// histograms and CRCW-Max components leave the reference PRAM's
+    /// memory image, hashed and with three copies per cell, while writes
+    /// do merge on the way.
     #[test]
     fn no_write_merges_at_its_module() {
         let mut merged = 0;

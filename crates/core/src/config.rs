@@ -52,9 +52,10 @@ pub struct StepStats {
     /// Request packets injected (after local issue).
     pub requests: u32,
     /// Combining events: read requests absorbed into pending entries plus
-    /// same-step en-route write merges (footnote 3).
+    /// write merges (footnote 3).
     pub combined: u32,
-    /// The same-step en-route write merges, of [`Self::combined`].
+    /// The write merges, of [`Self::combined`]: same-step merges en route
+    /// and folds into a module's buffered write of the same key.
     pub write_merges: u32,
     /// Largest link queue seen in either phase.
     pub max_queue: u32,
@@ -117,7 +118,8 @@ impl EmuReport {
         self.steps.iter().map(|s| u64::from(s.combined)).sum()
     }
 
-    /// Total en-route write merges, of [`Self::total_combined`].
+    /// Total write merges (en route and in module queues), of
+    /// [`Self::total_combined`].
     pub fn total_write_merges(&self) -> u64 {
         self.steps.iter().map(|s| u64::from(s.write_merges)).sum()
     }

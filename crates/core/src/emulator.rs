@@ -98,9 +98,10 @@ pub struct PhaseOutcome {
     pub steps: u32,
     /// Largest link queue seen.
     pub max_queue: u32,
-    /// Combining events (reads absorbed, writes merged en route).
+    /// Combining events (reads absorbed, writes merged).
     pub combined: u32,
-    /// The writes merged en route, of [`Self::combined`].
+    /// The writes merged, en route or in a module's queue, of
+    /// [`Self::combined`].
     pub write_merges: u32,
 }
 

@@ -12,8 +12,9 @@
 //!   [`UniversalLeveledRouter`]). Read requests are combined en route
 //!   through the pending tables of [`crate::combining`] (Theorem 2.6);
 //!   same-address writes under an associative policy merge where their
-//!   paths converge (footnote 3), the rest travel individually and are
-//!   resolved at the module.
+//!   paths converge (footnote 3) and fold into the module's buffered
+//!   write of their address when they reach it; the rest travel
+//!   individually and are resolved at the module.
 //! * **Replies** retrace the request trees backward (the stored
 //!   direction bits) on the reversed network, fanning out at every
 //!   combining point. The request paths move strictly forward by

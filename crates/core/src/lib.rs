@@ -34,7 +34,7 @@
 //!   module, private trails, write merging).
 //! * [`memory`] — the distributed memory modules: versioned cells, batch
 //!   service and CRCW write resolution identical to the reference
-//!   machine.
+//!   machine, with a queue that folds same-key writes.
 //! * [`leveled_emulator`] — the `HostRoute` of Theorems 2.5/2.6: any
 //!   delta leveled network (radix butterflies, the unrolled d-way/n-way
 //!   shuffle), Algorithm 2.1 with read combining and write merging.

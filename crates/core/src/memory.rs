@@ -10,6 +10,12 @@
 //! reference machine and stamped with the step's version. This
 //! guarantees emulated results are bit-identical to the oracle
 //! regardless of packet arrival order.
+//!
+//! The queue combines writes as the network does (footnote 3): under a
+//! policy that merges, a write that reaches its module may fold into the
+//! write of its key already buffered there ([`ModuleArray::fold_write`]).
+//! A folded write is one batch entry, served once, so a module's service
+//! time is its reads plus its distinct written keys.
 
 use lnpram_pram::machine::resolve_write;
 use lnpram_pram::model::{AccessMode, AccessViolation};
@@ -136,6 +142,37 @@ impl ModuleArray {
         self.batches[module].push(req);
     }
 
+    /// Fold a write of `value` to `key` by `proc` into the write of `key`
+    /// already buffered at `module`, combining the two `(value, proc)`
+    /// pairs with `merge`, and return `true`; return `false`, buffering
+    /// nothing, if the batch holds no write of `key`. The scan is in
+    /// place over that module's batch alone, so a folded write stays one
+    /// entry, served once.
+    #[inline]
+    pub fn fold_write(
+        &mut self,
+        module: usize,
+        key: u64,
+        value: u64,
+        proc: usize,
+        merge: impl FnOnce((u64, usize), (u64, usize)) -> (u64, usize),
+    ) -> bool {
+        for req in &mut self.batches[module] {
+            if let ModuleRequest::Write {
+                key: k,
+                value: v,
+                proc: p,
+            } = req
+            {
+                if *k == key {
+                    (*v, *p) = merge((*v, *p), (value, proc));
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
     /// Serve every module's batch into `reads`: reads first (pre-write
     /// cells), then writes (CRCW resolution, keys ascending, each key's
     /// writers in arrival order), each written cell stamped `version`,
@@ -198,6 +235,12 @@ impl ModuleArray {
         }
     }
 
+    /// The requests buffered at `module` and not yet served.
+    #[cfg(test)]
+    pub(crate) fn batch(&self, module: usize) -> &[ModuleRequest] {
+        &self.batches[module]
+    }
+
     /// Access violations recorded so far (CRCW-Common mismatches).
     pub fn violations(&self) -> &[AccessViolation] {
         &self.violations
@@ -222,6 +265,7 @@ fn take_touched(touched: &mut [u64]) -> impl Iterator<Item = usize> + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combining_host::{merge, mergeable_policy};
     use lnpram_math::rng::SeedSeq;
     use lnpram_pram::model::WritePolicy;
     use proptest::prelude::*;
@@ -439,6 +483,73 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+
+        /// The module queue combines: under every policy that merges,
+        /// folding each write into its module's buffered write of the
+        /// same key ([`ModuleArray::fold_write`] with the protocol's
+        /// merge) serves the same reads and leaves the same cells and
+        /// versions as buffering every write, and the busiest batch is
+        /// one entry per read plus one per distinct key written.
+        #[test]
+        fn prop_folded_writes_serve_like_buffered_ones(
+            seed: u64,
+            modules in 1usize..5,
+            steps in 1usize..6,
+        ) {
+            for mode in MODES {
+                let Some(policy) = mergeable_policy(mode) else { continue };
+                let mut rng = SeedSeq::new(seed).rng();
+                let mut folded = ModuleArray::new(modules, mode);
+                let mut buffered = ModuleArray::new(modules, mode);
+                for version in 1..=steps as u64 {
+                    // Per module: reads, and the distinct keys written.
+                    let mut load = vec![(0u32, Vec::new()); modules];
+                    for _ in 0..rng.gen_range(0usize..40) {
+                        let module = rng.gen_range(0..modules);
+                        let key = rng.gen_range(0u64..6);
+                        let req = if rng.gen_bool(0.3) {
+                            load[module].0 += 1;
+                            ModuleRequest::Read { key, tag: rng.gen() }
+                        } else {
+                            if !load[module].1.contains(&key) {
+                                load[module].1.push(key);
+                            }
+                            ModuleRequest::Write {
+                                key,
+                                value: rng.gen(),
+                                proc: rng.gen_range(0usize..16),
+                            }
+                        };
+                        buffered.buffer(module, req);
+                        let fold = |(value, proc)| {
+                            let merge = |acc, next| merge(policy, acc, next);
+                            folded.fold_write(module, key, value, proc, merge)
+                        };
+                        let write = match req {
+                            ModuleRequest::Write { value, proc, .. } => Some((value, proc)),
+                            ModuleRequest::Read { .. } => None,
+                        };
+                        if !write.is_some_and(fold) {
+                            folded.buffer(module, req);
+                        }
+                    }
+                    let busiest = load.iter().map(|(reads, keys)| reads + keys.len() as u32);
+                    let (mut folded_reads, mut buffered_reads) = (Vec::new(), Vec::new());
+                    prop_assert_eq!(
+                        folded.serve_batches(version, &mut folded_reads),
+                        busiest.max().unwrap_or(0)
+                    );
+                    buffered.serve_batches(version, &mut buffered_reads);
+                    prop_assert_eq!(folded_reads, buffered_reads);
+                    for module in 0..modules {
+                        for key in 0..6 {
+                            prop_assert_eq!(folded.peek(module, key), buffered.peek(module, key));
+                        }
+                    }
+                }
+                prop_assert!(folded.violations().is_empty() && buffered.violations().is_empty());
             }
         }
     }

@@ -10,8 +10,11 @@
 //! port and the star needs no separate reply network). Under a CRCW
 //! policy that merges (Sum, Max, Priority, Arbitrary), with combining
 //! on, writes skip the intermediate: each starts on the phase-2 route at
-//! its source, and same-address writes merge where they meet, which
-//! makes a concurrent-write step cost Õ(n) too (Corollary 2.5).
+//! its source, same-address writes merge where they meet in a step, and
+//! one that reaches its module folds into the write of its address
+//! already in the module's queue, whatever step it arrives at. So each
+//! module serves each written address once, which makes a
+//! concurrent-write step cost Õ(n) too (Corollary 2.5).
 //!
 //! **Combining safety.** On the leveled networks the request paths move
 //! strictly forward by column, so pending entries can never form a cycle.
@@ -31,7 +34,8 @@
 //! representative's value and opens no entry, so nothing waits on it
 //! and no cycle can form. That is why a merging write may take the
 //! phase-2 route from its source. The canonical route to a module is a
-//! tree, so same-address writes converge on it; hashing already spreads
+//! tree, so same-address writes converge on it, and those that arrive
+//! apart in time meet in the module's queue; hashing already spreads
 //! distinct addresses over the modules. EREW, CREW and Common writes,
 //! and every write with combining off, keep the two-phase route, so
 //! Theorem 2.5's setting is unchanged.

@@ -91,7 +91,7 @@ pub mod workloads;
 
 pub use fault::{FaultReport, LostPacket};
 pub use leveled::{DoubledLeveled, LeveledRoutingSession};
-pub use mesh::{mesh_engine, MeshAlgorithm, MeshRoutingSession};
+pub use mesh::{MeshAlgorithm, MeshRoutingSession};
 pub use router::{
     BatchReport, RouteBackend, RoutePattern, RouteRequest, Router, RoutingSession, RunExtras,
     RunReport, TenantReport,

@@ -183,14 +183,6 @@ pub fn canonical_discipline(alg: MeshAlgorithm) -> Discipline {
     }
 }
 
-/// Build the mesh's simulation engine — serial or sharded (row bands,
-/// so only vertical links between adjacent bands cross shards) per
-/// [`SimConfig::shards`]. [`MeshRoutingSession`] builds its engine
-/// here, through its backend.
-pub fn mesh_engine(mesh: &Mesh, cfg: SimConfig) -> AnyEngine {
-    AnyEngine::with_partitioner(mesh, cfg, &RowBlock::new(mesh.cols()))
-}
-
 /// [`RouteBackend`] for the mesh algorithms: a fixed mesh + algorithm,
 /// row-band partitioning.
 pub struct MeshBackend {
@@ -280,9 +272,12 @@ impl RouteBackend for MeshBackend {
         }
     }
 
+    /// Serial or sharded per [`SimConfig::shards`], in row bands, so only
+    /// vertical links between adjacent bands cross shards.
     fn build_engine(&self, copies: usize, cfg: &SimConfig) -> AnyEngine {
         assert_eq!(copies, 1, "engines hold one copy of the topology");
-        mesh_engine(&self.mesh, cfg.clone())
+        let bands = RowBlock::new(self.mesh.cols());
+        AnyEngine::with_partitioner(&self.mesh, cfg.clone(), &bands)
     }
 
     fn inject(

@@ -949,7 +949,7 @@ fn emulate_on<P: PramProgram>(
     );
     let merges = rep.total_write_merges();
     println!(
-        "combined en route: {} read joins, {merges} write merges",
+        "combined: {} read joins en route, {merges} write merges (en route or at the module)",
         rep.total_combined() - merges
     );
     Ok(())
